@@ -4,17 +4,23 @@
 Boots both servers as real subprocesses on ephemeral ports (discovered
 via ``--port-file``) and asserts the serving contract end to end:
 
-1. N concurrent clients submitting the *identical* job are coalesced
-   into exactly one compile — ``/metrics`` reports
-   ``serve_compiles_executed 1`` and N-1 coalesced hits, and the number
-   of allocator solves the daemon performed matches one local cold
+1. a keep-alive ``GET /healthz`` round trip is not stalled: the median
+   of 20 is under 10 ms (0.2 ms healthy; a response split over two
+   sends costs a 40 ms delayed ACK, so the margin is noise-proof);
+2. N concurrent clients submitting the *identical* job share exactly
+   one compile — ``/metrics`` reports ``serve_compiles_executed 1`` and
+   N-1 followers (coalesced onto the flight, or — arriving after it
+   retired — answered from the result table), and the number of
+   allocator solves the daemon performed matches one local cold
    compile's;
-2. every remote result is fingerprint-bit-identical to a local
+3. every remote result is fingerprint-bit-identical to a local
    ``Session.compile`` of the same job;
-3. a *fresh process* with an empty local cache directory, mounting only
+4. a repeat request after completion is answered from the result table
+   (``cached: true``) and leaves ``serve_compiles_executed`` at 1;
+5. a *fresh process* with an empty local cache directory, mounting only
    the networked cache tier, warm-compiles the same model with zero
    allocator solves and the same fingerprint;
-4. SIGTERM drains both servers cleanly: they run admitted work to
+6. SIGTERM drains both servers cleanly: they run admitted work to
    completion, print their "drained cleanly" line and exit 0.
 
 Run from the repository root::
@@ -27,6 +33,7 @@ from __future__ import annotations
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,6 +41,8 @@ import threading
 import time
 
 CLIENTS = 4
+PINGS = 20
+STALL_MS = 10.0
 MODEL = "tiny-mlp"
 HARDWARE = "small-test-chip"
 
@@ -60,6 +69,10 @@ print(program.fingerprint())
 """ % {"hardware": HARDWARE, "model": MODEL}
 
 
+#: Every server started, so a failed assertion does not orphan them.
+_SERVERS = []
+
+
 def start_server(args, port_file):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli"] + args + ["--port-file", port_file],
@@ -68,6 +81,7 @@ def start_server(args, port_file):
         stderr=subprocess.STDOUT,
         text=True,
     )
+    _SERVERS.append(proc)
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
         if proc.poll() is not None:
@@ -117,8 +131,20 @@ def main() -> int:
 
     with Client(serve_url) as probe:
         assert probe.healthy(wait_seconds=10), "daemon never became healthy"
+        # 1. Stall tripwire on the warmed keep-alive connection.
+        pings = []
+        for _ in range(PINGS):
+            start = time.perf_counter()
+            assert probe.healthy()
+            pings.append((time.perf_counter() - start) * 1000.0)
+    ping_ms = statistics.median(pings)
+    assert ping_ms < STALL_MS, (
+        f"median /healthz round trip {ping_ms:.1f} ms >= {STALL_MS:g} ms: a response "
+        "is leaving in more than one send (Nagle x delayed ACK)"
+    )
+    print(f"transport ok: median /healthz round trip {ping_ms:.2f} ms over {PINGS}")
 
-    # 1. N truly concurrent identical requests -> exactly one compile.
+    # 2. N truly concurrent identical requests -> exactly one compile.
     barrier = threading.Barrier(CLIENTS)
     results, errors = [], []
 
@@ -142,11 +168,12 @@ def main() -> int:
     assert len(fingerprints) == 1, f"divergent fingerprints: {fingerprints}"
     assert all(result.verify() for result in results)
     coalesced = sum(1 for result in results if result.coalesced)
-    assert coalesced == CLIENTS - 1, (
-        f"expected {CLIENTS - 1} coalesced followers, saw {coalesced}"
+    cached = sum(1 for result in results if result.cached)
+    assert coalesced + cached == CLIENTS - 1, (
+        f"expected {CLIENTS - 1} followers, saw {coalesced} coalesced + {cached} cached"
     )
 
-    # 2. Bit-identical to a local compile; the daemon solved exactly once.
+    # 3. Bit-identical to a local compile; the daemon solved exactly once.
     local = Session(hardware=HARDWARE).compile(
         MODEL, options=CompilerOptions(generate_code=False)
     )
@@ -155,7 +182,10 @@ def main() -> int:
     with Client(serve_url) as client:
         metrics = client.metrics_text()
     assert metric(metrics, "serve_compiles_executed") == 1, metrics
-    assert metric(metrics, "serve_coalesced_hits") == CLIENTS - 1, metrics
+    assert (
+        metric(metrics, "serve_coalesced_hits") + metric(metrics, "serve_result_hits")
+        == CLIENTS - 1
+    ), metrics
     solves = metric(metrics, "serve_solves_executed")
     assert solves == local.stats["allocator_solves"] > 0, (
         f"daemon solves {solves} != local cold compile's "
@@ -163,10 +193,21 @@ def main() -> int:
     )
     print(
         f"coalescing ok: {CLIENTS} clients, 1 compile, "
-        f"{coalesced} coalesced, {solves} solves"
+        f"{coalesced} coalesced + {cached} cached, {solves} solves"
     )
 
-    # 3. Fresh process, empty local cache, remote tier only: 0 solves.
+    # 4. A repeat after completion is a result-table hit, not a compile.
+    with Client(serve_url) as client:
+        repeat = client.compile(MODEL, hardware=HARDWARE)
+        metrics = client.metrics_text()
+    assert repeat.cached and not repeat.coalesced, repeat
+    assert repeat.verify() and repeat.fingerprint == local.fingerprint()
+    assert metric(metrics, "serve_compiles_executed") == 1, metrics
+    assert metric(metrics, "serve_solves_executed") == solves, metrics
+    assert metric(metrics, "serve_result_hits") == cached + 1, metrics
+    print("result table ok: repeat request cached, still 1 compile")
+
+    # 5. Fresh process, empty local cache, remote tier only: 0 solves.
     warm = subprocess.run(
         [sys.executable, "-", cache_url, os.path.join(work, "fresh-cache")],
         input=WARM_PROCESS_SCRIPT,
@@ -184,7 +225,7 @@ def main() -> int:
     )
     print("remote warm start ok: 0 solves, fingerprint bit-identical")
 
-    # 4. Graceful SIGTERM drain, exit 0, on both servers.
+    # 6. Graceful SIGTERM drain, exit 0, on both servers.
     drain(serve_proc, "compile daemon")
     drain(cache_proc, "cache server")
     print("serve smoke ok")
@@ -192,4 +233,9 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    finally:
+        for server in _SERVERS:
+            if server.poll() is None:
+                server.kill()

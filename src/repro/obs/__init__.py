@@ -11,6 +11,7 @@ off.  See ``docs/observability.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..core.clock import Clock, SYSTEM_CLOCK
 from .export import (
@@ -72,9 +73,17 @@ class Observability:
         )
 
     @classmethod
-    def create(cls, clock: Clock = SYSTEM_CLOCK) -> "Observability":
-        """Fresh enabled bundle on ``clock``."""
-        return cls(tracer=Tracer(clock=clock), metrics=MetricsRegistry())
+    def create(
+        cls, clock: Clock = SYSTEM_CLOCK, max_spans: Optional[int] = None
+    ) -> "Observability":
+        """Fresh enabled bundle on ``clock``.
+
+        ``max_spans`` bounds the tracer (drop-oldest ring) for servers
+        that live longer than anyone flushes them; see :class:`Tracer`.
+        """
+        return cls(
+            tracer=Tracer(clock=clock, max_spans=max_spans), metrics=MetricsRegistry()
+        )
 
 
 NULL_OBS = Observability()

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -149,6 +150,38 @@ def _resolve_parent(parent: ParentLike) -> Optional[int]:
     return parent.span_id
 
 
+class _SpanRing:
+    """Drop-oldest span buffer shared by every thread of a bounded tracer.
+
+    Offers the slice of the list interface :class:`Tracer` uses on its
+    per-thread buffers (``append`` / ``extend`` / iteration / ``clear``).
+    Iteration yields a snapshot, so readers never race writers.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._spans: "deque[Span]" = deque(maxlen=capacity)
+        self._lock = threading.Lock()
+        self.dropped = 0
+
+    def append(self, span: Span) -> None:
+        with self._lock:
+            if len(self._spans) == self._spans.maxlen:
+                self.dropped += 1
+            self._spans.append(span)
+
+    def extend(self, spans: Iterable[Span]) -> None:
+        for span in spans:
+            self.append(span)
+
+    def __iter__(self):
+        with self._lock:
+            return iter(list(self._spans))
+
+    def clear(self) -> None:
+        with self._lock:
+            self._spans.clear()
+
+
 class Tracer:
     """Collects spans from any number of threads.
 
@@ -157,26 +190,50 @@ class Tracer:
     under the GIL); :meth:`spans` / :meth:`flush` merge the buffers
     into one start-ordered list.
 
+    That default is *unbounded*, which suits one-shot runs that export
+    and exit (``--trace-out`` / ``--profile``).  A long-lived server
+    nobody flushes passes ``max_spans``: every thread then shares one
+    ring that keeps the newest ``max_spans`` spans and counts the rest
+    in :attr:`spans_dropped`, so memory stops growing with request (and
+    connection-thread) count.
+
     Args:
         clock: Time source; spans use ``clock.perf`` (monotonic).  Tests
             inject :class:`~repro.core.clock.ManualClock` to make
             durations deterministic.
         process: Label stamped on every span; defaults to ``pid-<os pid>``
             so adopted worker spans stay distinguishable.
+        max_spans: Retain at most this many spans, dropping the oldest
+            (None, the default, retains everything).
     """
 
     enabled = True
 
-    def __init__(self, clock: Clock = SYSTEM_CLOCK, process: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        clock: Clock = SYSTEM_CLOCK,
+        process: Optional[str] = None,
+        max_spans: Optional[int] = None,
+    ) -> None:
+        if max_spans is not None and max_spans < 1:
+            raise ValueError("max_spans must be at least 1")
         self.clock = clock
         self.process = process if process is not None else f"pid-{os.getpid()}"
         self._lock = threading.Lock()
+        self._ring = _SpanRing(max_spans) if max_spans is not None else None
         # A list, not an ident-keyed dict: the OS reuses thread idents
         # after a thread exits, and keying by ident would silently
         # overwrite (and lose) a finished thread's buffer.
-        self._buffers: List[List[Span]] = []
+        self._buffers: List[Union[List[Span], _SpanRing]] = (
+            [] if self._ring is None else [self._ring]
+        )
         self._local = threading.local()
         self._next_id = 1
+
+    @property
+    def spans_dropped(self) -> int:
+        """Spans a bounded tracer has discarded to stay within ``max_spans``."""
+        return 0 if self._ring is None else self._ring.dropped
 
     # ------------------------------------------------------------------ #
     # recording
@@ -287,7 +344,7 @@ class Tracer:
         with self._lock:
             merged = [span for buffer in self._buffers for span in buffer]
             for buffer in self._buffers:
-                del buffer[:]
+                buffer.clear()
         merged.sort(key=lambda s: (s.start, s.span_id))
         return merged
 
@@ -295,7 +352,7 @@ class Tracer:
         """Drop everything recorded so far."""
         with self._lock:
             for buffer in self._buffers:
-                del buffer[:]
+                buffer.clear()
 
     # ------------------------------------------------------------------ #
     # per-thread state
@@ -320,7 +377,9 @@ class Tracer:
         """
         return self._stack_top()
 
-    def _buffer(self) -> List[Span]:
+    def _buffer(self) -> Union[List[Span], _SpanRing]:
+        if self._ring is not None:
+            return self._ring
         buffer = getattr(self._local, "buffer", None)
         if buffer is None:
             buffer = self._local.buffer = []
@@ -368,6 +427,7 @@ class NullTracer:
 
     enabled = False
     process = "null"
+    spans_dropped = 0
 
     def span(self, name: str, parent: ParentLike = None, **attrs: object) -> _NullHandle:
         return _NULL_HANDLE

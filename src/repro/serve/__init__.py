@@ -8,9 +8,10 @@ a whole fleet shares warmth without a shared mount:
 * :class:`CompileDaemon` — a stdlib-only threaded HTTP/JSON front door
   over :class:`~repro.service.CompileService`: versioned request and
   response schemas (:mod:`repro.serve.wire`), a bounded request queue
-  with a configurable worker pool, and in-flight request coalescing
+  with a configurable worker pool, in-flight request coalescing
   (:class:`SingleFlight`: same compile-determining inputs → one compile,
-  many waiters).
+  many waiters) and a bounded result table that answers repeat requests
+  with the stored, pre-encoded response.
 * :class:`CacheServer` / :class:`RemoteCacheStore` — a thin cache server
   speaking the :class:`~repro.core.store.DiskCacheStore`
   content-addressed entry format over HTTP, and the client store that

@@ -70,14 +70,18 @@ class RemoteCompileResult:
             verify the wire round trip.
         coalesced: True when the daemon satisfied this request by
             joining an already-in-flight identical compile.
+        cached: True when the daemon answered from its result table —
+            the stored response of an earlier identical compile; no
+            compile ran for this request.
         wall_seconds: Server-side wall time of the compile (a coalesced
-            request reports the shared compile's time).
+            or cached request reports the producing compile's time).
         stats: The program's compile statistics as sent by the server.
     """
 
     program: CompiledProgram
     fingerprint: str
     coalesced: bool = False
+    cached: bool = False
     wall_seconds: float = 0.0
     stats: Dict = field(default_factory=dict)
 
@@ -171,8 +175,38 @@ class Client:
         data = response.read()  # drain so the connection can be reused
         return response.status, data
 
-    def _request(self, method: str, path: str, payload=None):
+    def _request_bytes(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes] = None,
+        retries: Optional[int] = None,
+    ):
         """One request with jittered-backoff retry on connection errors only.
+
+        The single retry loop of the client.  Returns ``(status, raw
+        body)``; raises :class:`ClientError` once the retry budget
+        (``self.retries`` unless overridden) is spent.
+        """
+        retries = self.retries if retries is None else retries
+        attempt = 0
+        while True:
+            try:
+                return self._request_once(method, path, body)
+            except _RETRYABLE as exc:
+                self.close()  # the socket is suspect; start fresh next time
+                if attempt >= retries:
+                    raise ClientError(
+                        f"could not reach compile daemon at {self.url} "
+                        f"after {attempt + 1} attempt(s): {exc}"
+                    ) from exc
+            # Jittered exponential backoff: desynchronises a fleet of
+            # clients all retrying against a daemon that is still binding.
+            time.sleep(self.backoff * (2**attempt) * random.uniform(0.5, 1.0))
+            attempt += 1
+
+    def _request(self, method: str, path: str, payload=None):
+        """A JSON request through :meth:`_request_bytes`.
 
         Returns ``(status, parsed_json)``; raises :class:`ClientError`
         when the daemon stays unreachable or answers non-JSON.
@@ -182,22 +216,7 @@ class Client:
             if payload is not None
             else None
         )
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.retries + 1):
-            try:
-                status, data = self._request_once(method, path, body)
-                break
-            except _RETRYABLE as exc:
-                self.close()  # the socket is suspect; start fresh next time
-                last_error = exc
-                if attempt >= self.retries:
-                    raise ClientError(
-                        f"could not reach compile daemon at {self.url} "
-                        f"after {attempt + 1} attempt(s): {exc}"
-                    ) from exc
-                # Jittered exponential backoff: desynchronises a fleet of
-                # clients all retrying against a daemon that is still binding.
-                time.sleep(self.backoff * (2**attempt) * random.uniform(0.5, 1.0))
+        status, data = self._request_bytes(method, path, body)
         try:
             document = json.loads(data.decode("utf-8")) if data else {}
         except (UnicodeDecodeError, ValueError) as exc:
@@ -282,6 +301,7 @@ class Client:
             program=program,
             fingerprint=str(document.get("fingerprint", "")),
             coalesced=bool(document.get("coalesced", False)),
+            cached=bool(document.get("cached", False)),
             wall_seconds=float(document.get("wall_seconds", 0.0)),
             stats=dict(document.get("stats") or {}),
         )
@@ -295,20 +315,10 @@ class Client:
 
     def metrics_text(self) -> str:
         """The daemon's text ``/metrics`` exposition (raw)."""
-        for attempt in range(self.retries + 1):
-            try:
-                status, data = self._request_once("GET", "/metrics", None)
-                if status != 200:
-                    raise ClientError(f"/metrics answered status {status}")
-                return data.decode("utf-8")
-            except _RETRYABLE as exc:
-                self.close()
-                if attempt >= self.retries:
-                    raise ClientError(
-                        f"could not reach compile daemon at {self.url}: {exc}"
-                    ) from exc
-                time.sleep(self.backoff * (2**attempt) * random.uniform(0.5, 1.0))
-        raise ClientError("unreachable")  # pragma: no cover - loop always exits
+        status, data = self._request_bytes("GET", "/metrics")
+        if status != 200:
+            raise ClientError(f"/metrics answered status {status}")
+        return data.decode("utf-8")
 
     def healthy(self, wait_seconds: float = 0.0) -> bool:
         """True once ``/healthz`` answers, polling up to ``wait_seconds``.
@@ -319,11 +329,11 @@ class Client:
         deadline = time.monotonic() + wait_seconds
         while True:
             try:
-                status, _ = self._request_once("GET", "/healthz", None)
+                status, _ = self._request_bytes("GET", "/healthz", retries=0)
                 if status == 200:
                     return True
-            except _RETRYABLE:
-                self.close()
+            except ClientError:
+                pass
             if time.monotonic() >= deadline:
                 return False
             time.sleep(0.05)

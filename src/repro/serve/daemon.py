@@ -16,6 +16,11 @@ stdlib-only threaded HTTP/JSON server over one shared
   share one compile through :class:`~repro.serve.SingleFlight`.  Every
   waiter is bounded by ``wait_timeout`` (structured 504 on expiry), so
   a slow compile can never wedge the accept loop.
+* **Result table.**  A finished ``ok`` compile leaves its pre-encoded
+  response in a bounded LRU keyed by the same request fingerprint
+  (:class:`ResultTable`); a repeat request is parse → fingerprint →
+  lookup → one send, and never reaches the queue, the service or the
+  encoder.  Failures are never stored.
 * **Warmth at every tier.**  The service's cache composes memory, an
   optional disk directory and an optional remote cache server
   (``remote_cache=``), so the daemon both serves *from* and feeds
@@ -41,24 +46,33 @@ import json
 import logging
 import queue
 import threading
-from typing import Dict, List, Optional, Union
+from collections import OrderedDict
+from typing import Dict, List, Optional, Tuple
 
 from ..core.compiler import CompilerOptions
 from ..models.registry import list_models
 from ..obs import Observability
 from ..service import CompileJob, CompileJobResult, CompileService
-from .coalesce import CoalesceTimeout, SingleFlight
-from .httpbase import QuietHandler, ServingHTTPServer, read_body, respond_json, respond_text
+from .coalesce import CoalesceTimeout, Flight, SingleFlight
+from .httpbase import (
+    QuietHandler,
+    ServingHTTPServer,
+    read_body,
+    respond_bytes,
+    respond_json,
+    respond_text,
+)
 from .wire import (
     WIRE_VERSION,
     WireFormatError,
+    check_version,
     error_payload,
     job_from_wire,
     program_to_wire,
     request_fingerprint,
 )
 
-__all__ = ["CompileDaemon"]
+__all__ = ["CompileDaemon", "ResultTable"]
 
 LOGGER = logging.getLogger("repro")
 
@@ -69,8 +83,112 @@ DEFAULT_QUEUE_LIMIT = 64
 DEFAULT_WAIT_TIMEOUT = 300.0
 
 
+#: Bounds of the request-level result table (fixed, like
+#: ``MAX_BODY_BYTES``: hygiene limits on daemon memory, not tuning
+#: knobs).  Bodies of the paper's models are 8-30 KB without generated
+#: code, so the entry bound binds first; the byte bound is for the rest.
+RESULT_TABLE_ENTRIES = 256
+RESULT_TABLE_BYTES = 64 * 1024 * 1024
+
+#: Spans the daemon's tracer retains (drop-oldest).  Nothing ever
+#: flushes a long-lived server's tracer, so an unbounded one grows by
+#: ~0.5 MB per executed mobilenet compile for the life of the process.
+TRACE_RING_SPANS = 4096
+
+
 class _QueueFull(Exception):
     """Internal: admission refused because the work queue is at its bound."""
+
+
+class ResultTable:
+    """Bounded LRU of finished compiles: request fingerprint → response body.
+
+    Values are the *pre-encoded* success documents (``"cached": true``),
+    ready to be sent as they are.  Both bounds evict least-recently-used
+    first; a body that alone exceeds the byte bound is not stored.
+    Thread-safe.
+    """
+
+    def __init__(self) -> None:
+        self.max_entries = RESULT_TABLE_ENTRIES
+        self.max_bytes = RESULT_TABLE_BYTES
+        self._bodies: "OrderedDict[str, bytes]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._bodies)
+
+    def get(self, fingerprint: str) -> Optional[bytes]:
+        """The stored body (now most recently used), or None."""
+        with self._lock:
+            body = self._bodies.get(fingerprint)
+            if body is not None:
+                self._bodies.move_to_end(fingerprint)
+            return body
+
+    def put(self, fingerprint: str, body: bytes) -> Tuple[int, int, int]:
+        """Store ``body``; returns ``(entries, bytes, evictions)`` deltas."""
+        if len(body) > self.max_bytes:
+            return 0, 0, 0
+        with self._lock:
+            entries, size = len(self._bodies), self._bytes
+            replaced = self._bodies.pop(fingerprint, None)
+            if replaced is not None:
+                self._bytes -= len(replaced)
+            self._bodies[fingerprint] = body
+            self._bytes += len(body)
+            evictions = 0
+            while len(self._bodies) > self.max_entries or self._bytes > self.max_bytes:
+                _, evicted = self._bodies.popitem(last=False)
+                self._bytes -= len(evicted)
+                evictions += 1
+            return len(self._bodies) - entries, self._bytes - size, evictions
+
+
+def _encode_outcome(result: CompileJobResult) -> Tuple[bool, bytes]:
+    """Encode one job outcome once, for every request that shares it.
+
+    Returns ``(ok, tail)``.  ``tail`` is the canonical (sorted-keys)
+    JSON of the outcome document without its opening brace and without
+    the per-request ``cached``/``coalesced`` flags — :func:`_outcome_body`
+    splices those in front, which keeps the bytes canonical because the
+    two flags sort before every other key of either document shape.
+    """
+    if result.ok:
+        wire_program = program_to_wire(result.program)
+        document = {
+            "wire_version": WIRE_VERSION,
+            "ok": True,
+            "fingerprint": result.program.fingerprint(),
+            "wall_seconds": result.wall_seconds,
+            "stats": wire_program.get("stats") or {},
+            "program": wire_program,
+        }
+    else:
+        document = error_payload(
+            "compile_failed",
+            result.error or "compile failed",
+            stats={k: v for k, v in result.stats.items() if isinstance(v, (int, float, str))},
+        )
+        document["ok"] = False
+    return result.ok, json.dumps(document, sort_keys=True)[1:].encode("utf-8")
+
+
+def _outcome_body(ok: bool, tail: bytes, coalesced: bool, cached: bool = False) -> bytes:
+    """A complete outcome document: this request's flags + the shared tail."""
+    flags = {"coalesced": coalesced}
+    if ok:
+        flags["cached"] = cached
+    return json.dumps(flags, sort_keys=True)[:-1].encode("utf-8") + b", " + tail
+
+
+def _error_slot(code: str, message: str) -> bytes:
+    """An encoded batch slot for a job that never produced an outcome."""
+    document = error_payload(code, message)
+    document["ok"] = False
+    return json.dumps(document, sort_keys=True).encode("utf-8")
 
 
 class CompileDaemon:
@@ -99,8 +217,9 @@ class CompileDaemon:
         port: TCP port; 0 picks an ephemeral one (see ``bound_port``).
         obs: Optional :class:`~repro.obs.Observability` bundle; the
             daemon creates an enabled one by default so ``/metrics``
-            always has data.
-        use_cache: Disable the allocation cache entirely (A/B timing).
+            always has data (its tracer a ``TRACE_RING_SPANS`` ring).
+        use_cache: Disable the allocation cache *and* the result table
+            entirely (A/B timing): every request runs a full compile.
     """
 
     def __init__(
@@ -120,7 +239,9 @@ class CompileDaemon:
             raise ValueError("workers must be at least 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
-        self.obs = obs if obs is not None else Observability.create()
+        self.obs = (
+            obs if obs is not None else Observability.create(max_spans=TRACE_RING_SPANS)
+        )
         self.service = CompileService(
             cache_dir=cache_dir,
             remote_cache=remote_cache,
@@ -133,6 +254,7 @@ class CompileDaemon:
         self.default_options = CompilerOptions(generate_code=False)
         self.wait_timeout = wait_timeout
         self.flights = SingleFlight()
+        self.results: Optional[ResultTable] = ResultTable() if use_cache else None
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_limit)
         self._counters: Dict[str, int] = {
             "requests": 0,
@@ -143,6 +265,10 @@ class CompileDaemon:
             "wait_timeouts": 0,
             "bad_requests": 0,
             "solves_executed": 0,
+            "result_hits": 0,
+            "result_entries": 0,
+            "result_bytes": 0,
+            "result_evictions": 0,
         }
         self._counters_lock = threading.Lock()
         self._draining = threading.Event()
@@ -203,22 +329,42 @@ class CompileDaemon:
             job, flight = item
             try:
                 result = self.service.compile(job)
+                ok, tail = _encode_outcome(result)
             except BaseException as exc:  # noqa: BLE001 - must settle the flight
                 self.flights.finish(flight, error=exc)
                 self._queue.task_done()
                 continue
             self._bump("compiles_executed")
             self._bump("solves_executed", int(result.stats.get("allocator_solves", 0)))
-            if not result.ok:
+            if not ok:
                 self._bump("compile_failures")
-            self.flights.finish(flight, value=result)
+            elif self.results is not None:
+                # Stored before the flight retires, so an identical request
+                # always finds one of the two: N requests, one compile.
+                entries, size, evictions = self.results.put(
+                    flight.key, _outcome_body(True, tail, coalesced=False, cached=True)
+                )
+                self._bump("result_entries", entries)
+                self._bump("result_bytes", size)
+                self._bump("result_evictions", evictions)
+            self.flights.finish(flight, value=(ok, tail))
             self._queue.task_done()
 
-    def _submit(self, job: CompileJob, fingerprint: str):
+    def _lookup(self, fingerprint: str) -> Optional[bytes]:
+        """The result table's ready-to-send body for a repeat request."""
+        if self.results is None:
+            return None
+        body = self.results.get(fingerprint)
+        if body is not None:
+            self._bump("result_hits")
+        return body
+
+    def _submit(self, job: CompileJob, fingerprint: str) -> Tuple[Flight, bool]:
         """Admit one job: join an in-flight compile or queue a fresh one.
 
         Returns:
-            ``(flight, coalesced)``.
+            ``(flight, coalesced)``; the flight settles to the
+            ``(ok, tail)`` of :func:`_encode_outcome`.
 
         Raises:
             _QueueFull: The work queue is at its bound (only possible
@@ -250,44 +396,25 @@ class CompileDaemon:
             )
         return job
 
-    def _result_payload(self, result: CompileJobResult, coalesced: bool) -> Dict:
-        """One job outcome as a wire document (success or compile failure)."""
-        if result.ok:
-            wire_program = program_to_wire(result.program)
-            return {
-                "wire_version": WIRE_VERSION,
-                "ok": True,
-                "coalesced": coalesced,
-                "fingerprint": result.program.fingerprint(),
-                "wall_seconds": result.wall_seconds,
-                "stats": wire_program.get("stats") or {},
-                "program": wire_program,
-            }
-        body = error_payload(
-            "compile_failed",
-            result.error or "compile failed",
-            stats={k: v for k, v in result.stats.items() if isinstance(v, (int, float, str))},
-        )
-        body["ok"] = False
-        body["coalesced"] = coalesced
-        return body
-
-    def _compile_one(self, payload) -> Dict:
+    def _compile_one(self, payload) -> Tuple[bool, bytes]:
         """The whole /v1/compile flow for one already-parsed job payload.
 
-        Returns the response document; raises ``_QueueFull`` /
-        ``CoalesceTimeout`` / ``WireFormatError`` for the transport layer
-        to turn into status codes.
+        Returns ``(ok, encoded response document)``; raises ``_QueueFull``
+        / ``CoalesceTimeout`` / ``WireFormatError`` for the transport
+        layer to turn into status codes.
         """
         job = self._parse_job(payload)
         fingerprint = request_fingerprint(job, default_options=self.default_options)
+        body = self._lookup(fingerprint)
+        if body is not None:
+            return True, body
         with self.obs.tracer.span(
             "serve.request", job=job.name, fingerprint=fingerprint[:12]
         ) as span:
             flight, coalesced = self._submit(job, fingerprint)
-            result = self.flights.wait(flight, timeout=self.wait_timeout)
-            span.set(coalesced=coalesced, ok=result.ok)
-        return self._result_payload(result, coalesced)
+            ok, tail = self.flights.wait(flight, timeout=self.wait_timeout)
+            span.set(coalesced=coalesced, ok=ok)
+        return ok, _outcome_body(ok, tail, coalesced)
 
     def _handle_post(self, handler: QuietHandler) -> None:
         if handler.path not in ("/v1/compile", "/v1/compile_batch"):
@@ -328,16 +455,11 @@ class CompileDaemon:
             respond_json(handler, 504, error_payload("timeout", str(exc)))
 
     def _handle_compile(self, handler: QuietHandler, payload) -> None:
-        from .wire import check_version
-
         check_version(payload, "compile request")
-        job_payload = payload.get("job", payload)
-        document = self._compile_one(job_payload)
-        respond_json(handler, 200 if document.get("ok") else 422, document)
+        ok, body = self._compile_one(payload.get("job", payload))
+        respond_bytes(handler, 200 if ok else 422, body)
 
     def _handle_compile_batch(self, handler: QuietHandler, payload) -> None:
-        from .wire import check_version
-
         check_version(payload, "compile_batch request")
         jobs_payload = payload.get("jobs")
         if not isinstance(jobs_payload, list) or not jobs_payload:
@@ -345,38 +467,38 @@ class CompileDaemon:
         # Admit every job first (identical jobs inside one batch coalesce
         # onto one flight too), then wait; a malformed or refused job
         # fails only its own slot, mirroring CompileService's isolation.
-        admissions: List = []
+        # Each admission is (None, finished slot) or (flight, coalesced).
+        admissions: List[Tuple[Optional[Flight], object]] = []
         for job_payload in jobs_payload:
             try:
                 job = self._parse_job(job_payload)
                 fingerprint = request_fingerprint(job, default_options=self.default_options)
-                flight, coalesced = self._submit(job, fingerprint)
-                admissions.append(("flight", flight, coalesced))
+                body = self._lookup(fingerprint)
+                if body is not None:
+                    admissions.append((None, body))
+                else:
+                    admissions.append(self._submit(job, fingerprint))
             except WireFormatError as exc:
                 self._bump("bad_requests")
-                admissions.append(("error", error_payload("bad_request", str(exc)), False))
+                admissions.append((None, _error_slot("bad_request", str(exc))))
             except _QueueFull as exc:
-                admissions.append(("error", error_payload("queue_full", str(exc)), False))
-        results: List[Dict] = []
-        for kind, value, coalesced in admissions:
-            if kind == "error":
-                value = dict(value)
-                value["ok"] = False
-                results.append(value)
+                admissions.append((None, _error_slot("queue_full", str(exc))))
+        slots: List[bytes] = []
+        for flight, value in admissions:
+            if flight is None:
+                slots.append(value)
                 continue
             try:
-                result = self.flights.wait(value, timeout=self.wait_timeout)
+                ok, tail = self.flights.wait(flight, timeout=self.wait_timeout)
             except CoalesceTimeout as exc:
                 self._bump("wait_timeouts")
-                timeout_doc = error_payload("timeout", str(exc))
-                timeout_doc["ok"] = False
-                results.append(timeout_doc)
+                slots.append(_error_slot("timeout", str(exc)))
                 continue
-            results.append(self._result_payload(result, coalesced))
-        respond_json(
+            slots.append(_outcome_body(ok, tail, coalesced=value))
+        respond_bytes(
             handler,
             200,
-            {"wire_version": WIRE_VERSION, "results": results},
+            b'{"results": [' + b", ".join(slots) + b'], "wire_version": %d}' % WIRE_VERSION,
         )
 
     def _handle_get(self, handler: QuietHandler) -> None:
@@ -451,6 +573,7 @@ class CompileDaemon:
         snapshot = self.obs.metrics.to_dict() if hasattr(self.obs.metrics, "to_dict") else {}
         for name, value in (snapshot.get("counters") or {}).items():
             lines.append(f"obs_{name.replace('.', '_')} {value}")
+        lines.append(f"obs_spans_dropped {self.obs.tracer.spans_dropped}")
         return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------ #
@@ -481,7 +604,7 @@ class CompileDaemon:
         new requests are refused with a structured 503, every job
         already admitted runs to completion and settles its waiters,
         the worker pool exits, and only then does the socket close.
-        Idempotent.
+        Idempotent, and safe on a daemon whose accept loop never ran.
         """
         self._draining.set()
         if drain:

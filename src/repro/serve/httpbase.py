@@ -6,6 +6,9 @@ connection, no third-party dependencies) with the same conventions:
 
 * HTTP/1.1 with explicit ``Content-Length`` on every response, so
   clients can keep connections alive;
+* every response leaves in **one** socket write (:func:`respond_bytes`)
+  on a ``TCP_NODELAY`` socket — a header/body split costs a keep-alive
+  client one delayed-ACK timer (~40 ms) per round trip;
 * JSON responses via :func:`respond_json`, structured errors via
   :func:`repro.serve.wire.error_payload`;
 * request bodies are size-bounded (:func:`read_body`) — an oversized or
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Tuple
 
@@ -25,6 +29,7 @@ __all__ = [
     "QuietHandler",
     "ServingHTTPServer",
     "read_body",
+    "respond_bytes",
     "respond_json",
     "respond_text",
 ]
@@ -43,15 +48,42 @@ class ServingHTTPServer(ThreadingHTTPServer):
     ``daemon_threads`` so a shutdown never hangs on a stuck connection
     thread; ``allow_reuse_address`` so restarts do not trip over
     TIME_WAIT sockets.
+
+    :meth:`shutdown` is safe in every lifecycle state.  The stdlib's
+    waits on an event only the serve loop sets, so calling it on a
+    server that never served blocks forever; here it returns at once,
+    and a :meth:`serve_forever` that starts after a shutdown (a SIGTERM
+    landing between signal registration and the accept loop) returns
+    immediately instead of serving a server nobody will stop again.
     """
 
     daemon_threads = True
     allow_reuse_address = True
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._lifecycle_lock = threading.Lock()
+        self._serving = False
+        self._stopped = False
+
     @property
     def bound_port(self) -> int:
         """The actual port (meaningful after binding with port 0)."""
         return self.server_address[1]
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        with self._lifecycle_lock:
+            if self._stopped:
+                return
+            self._serving = True
+        super().serve_forever(poll_interval)
+
+    def shutdown(self) -> None:
+        with self._lifecycle_lock:
+            self._stopped = True
+            serving = self._serving
+        if serving:
+            super().shutdown()
 
 
 class QuietHandler(BaseHTTPRequestHandler):
@@ -60,6 +92,10 @@ class QuietHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: Overridden by servers to show up in the Server response header.
     server_version = "repro-serve"
+    #: TCP_NODELAY on every accepted socket: a response is one segment
+    #: train the kernel may send at once, never a tail held back for the
+    #: peer's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
         LOGGER.debug("%s - %s", self.address_string(), format % args)
@@ -68,17 +104,43 @@ class QuietHandler(BaseHTTPRequestHandler):
         LOGGER.debug("%s - error - %s", self.address_string(), format % args)
 
 
-def respond_json(handler: BaseHTTPRequestHandler, status: int, payload) -> None:
-    """Send ``payload`` as a JSON response with an exact Content-Length."""
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    handler.send_response(status)
-    handler.send_header("Content-Type", "application/json")
-    handler.send_header("Content-Length", str(len(body)))
-    handler.end_headers()
+def respond_bytes(
+    handler: BaseHTTPRequestHandler,
+    status: int,
+    body: bytes,
+    content_type: str = "application/json",
+) -> None:
+    """Send one complete response — status line, headers, body — in one write.
+
+    Every response of the serving tier leaves through here.  The stdlib
+    sequence (``send_response`` … ``end_headers`` then ``wfile.write``)
+    puts headers and body on an unbuffered socket as two sends; with
+    Nagle's algorithm the second waits for the client's delayed ACK of
+    the first, a fixed ~40 ms stall on every keep-alive round trip.
+
+    A HEAD request is answered with the headers alone: its client reads
+    no entity, and stray bytes would be parsed as the next response on
+    its kept-alive connection.
+    """
+    handler.log_request(status, len(body))
+    phrase = handler.responses.get(status, ("",))[0]
+    head = (
+        f"{handler.protocol_version} {status} {phrase}\r\n"
+        f"Server: {handler.version_string()}\r\n"
+        f"Date: {handler.date_time_string()}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        "\r\n"
+    ).encode("latin-1")
     try:
-        handler.wfile.write(body)
+        handler.wfile.write(head if handler.command == "HEAD" else head + body)
     except (BrokenPipeError, ConnectionResetError):
         pass  # the client hung up; nothing to clean up server-side
+
+
+def respond_json(handler: BaseHTTPRequestHandler, status: int, payload) -> None:
+    """Send ``payload`` as a JSON response with an exact Content-Length."""
+    respond_bytes(handler, status, json.dumps(payload, sort_keys=True).encode("utf-8"))
 
 
 def respond_text(
@@ -88,15 +150,7 @@ def respond_text(
     content_type: str = "text/plain; charset=utf-8",
 ) -> None:
     """Send a plain-text response (the ``/metrics`` endpoints use this)."""
-    body = text.encode("utf-8")
-    handler.send_response(status)
-    handler.send_header("Content-Type", content_type)
-    handler.send_header("Content-Length", str(len(body)))
-    handler.end_headers()
-    try:
-        handler.wfile.write(body)
-    except (BrokenPipeError, ConnectionResetError):
-        pass
+    respond_bytes(handler, status, text.encode("utf-8"), content_type)
 
 
 def read_body(

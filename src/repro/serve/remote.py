@@ -46,7 +46,14 @@ from ..core.store import (
     key_digest,
 )
 from ..obs.metrics import NULL_METRICS
-from .httpbase import QuietHandler, ServingHTTPServer, read_body, respond_json, respond_text
+from .httpbase import (
+    QuietHandler,
+    ServingHTTPServer,
+    read_body,
+    respond_bytes,
+    respond_json,
+    respond_text,
+)
 
 __all__ = ["CacheServer", "RemoteCacheStore", "RemoteStoreStats"]
 
@@ -378,25 +385,13 @@ class CacheServer:
                 data = self.store.get_raw(digest)
                 found = data is not None
             else:
-                data = None
+                data = b""
                 found = self.store.has_entry(digest)
             self._bump(verb)
             if not found:
                 respond_json(handler, 404, {"error": {"code": "not_found", "message": digest}})
                 return
-            if include_body:
-                handler.send_response(200)
-                handler.send_header("Content-Type", "application/json")
-                handler.send_header("Content-Length", str(len(data)))
-                handler.end_headers()
-                try:
-                    handler.wfile.write(data)
-                except (BrokenPipeError, ConnectionResetError):
-                    pass
-            else:
-                handler.send_response(200)
-                handler.send_header("Content-Length", "0")
-                handler.end_headers()
+            respond_bytes(handler, 200, data)
             return
         if handler.path == "/healthz":
             respond_json(handler, 200, {"status": "ok", "role": "cache-server"})

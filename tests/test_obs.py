@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import sys
 import threading
 
 import pytest
@@ -139,6 +140,45 @@ class TestTracer:
                 parent = by_id[span.parent_id]
                 assert parent.name == f"outer-{span.attrs['index']}"
                 assert parent.thread == span.thread
+
+    def test_bounded_mode_keeps_the_newest_spans_and_counts_drops(self):
+        clock = ManualClock()
+        tracer = Tracer(clock=clock, max_spans=3)
+        for index in range(5):
+            clock.advance(1.0)
+            tracer.event(f"e{index}")
+        assert [s.name for s in tracer.spans()] == ["e2", "e3", "e4"]
+        assert tracer.spans_dropped == 2
+        # adopt() goes through the same ring.
+        tracer.adopt(Tracer(clock=clock).adopt(tracer.spans()))
+        assert len(tracer.spans()) == 3 and tracer.spans_dropped == 5
+        assert len(tracer.flush()) == 3 and tracer.spans() == []
+        assert Tracer().spans_dropped == 0 and NULL_TRACER.spans_dropped == 0
+        with pytest.raises(ValueError):
+            Tracer(max_spans=0)
+
+    def test_bounded_mode_is_one_ring_across_threads(self):
+        """Retention must not scale with thread count (one per connection)."""
+        tracer = Tracer(max_spans=16)
+
+        def work() -> None:
+            for _ in range(50):
+                with tracer.span("request"):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(tracer.spans()) == 16
+        assert tracer.spans_dropped == 8 * 50 - 16  # no lost updates
 
 
 class TestMetrics:

@@ -5,14 +5,20 @@ round trips, single-flight coalescing (exactly one allocator-solving
 compile for N concurrent identical requests), the networked cache tier
 (self-verifying entries: poisoned or version-skewed server data is a
 miss, never a wrong program), `Session(remote_cache=...)` zero-solve
-warm compiles, the `Session` context manager, and the batch JSON report.
+warm compiles, the `Session` context manager, and the batch JSON report;
+and the ISSUE-12 fast path: the request-level result table, one write
+per response on `TCP_NODELAY` sockets, the daemon's bounded tracer and
+shutdown of a server that never served.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,8 +42,11 @@ from repro.serve import (
     program_to_wire,
     request_fingerprint,
 )
+from repro.serve import daemon as daemon_module
+from repro.serve.daemon import ResultTable
+from repro.serve.httpbase import QuietHandler
 from repro.serve.wire import WIRE_VERSION, check_version
-from repro.service import CompileJob
+from repro.service import CompileJob, CompileJobResult
 
 
 def _synthetic_key(**overrides) -> AllocationCacheKey:
@@ -412,8 +421,9 @@ class TestCompileDaemon:
         assert all(result.verify() for result in results)
         counters = daemon.counters()
         assert counters["compiles_executed"] == 1
-        assert counters["coalesced_hits"] == fan_out - 1
-        assert sum(result.coalesced for result in results) == fan_out - 1
+        # A client arriving after the flight retired hits the result table.
+        assert counters["coalesced_hits"] + counters["result_hits"] == fan_out - 1
+        assert sum(result.coalesced or result.cached for result in results) == fan_out - 1
         # The solver tripwire: total solves equal one cold compile's.
         local = Session(hardware="small-test-chip")
         program = local.compile("tiny-mlp", options=CompilerOptions(generate_code=False))
@@ -463,6 +473,371 @@ class TestCompileDaemon:
         assert excinfo.value.code == "draining"
         client.close()
         daemon.shutdown()
+
+
+# ---------------------------------------------------------------------- #
+# the request-level result table
+# ---------------------------------------------------------------------- #
+def _join(thread: threading.Thread, seconds: float = 20.0) -> None:
+    thread.join(seconds)
+    assert not thread.is_alive(), "timed out"
+
+
+class TestResultTable:
+    @pytest.fixture()
+    def daemon(self):
+        daemon = CompileDaemon(workers=2)
+        daemon.start_background()
+        yield daemon
+        daemon.shutdown()
+
+    @pytest.fixture()
+    def client(self, daemon):
+        with Client(daemon.url, retries=1) as client:
+            yield client
+
+    def test_lru_eviction_under_the_entry_bound(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "RESULT_TABLE_ENTRIES", 2)
+        table = ResultTable()
+        assert table.put("a", b"aaaa") == (1, 4, 0)
+        assert table.put("b", b"bb") == (1, 2, 0)
+        assert table.get("a") == b"aaaa"  # "b" is now least recently used
+        assert table.put("c", b"c") == (0, -1, 1)
+        assert table.get("b") is None
+        assert table.get("a") == b"aaaa" and table.get("c") == b"c"
+        assert len(table) == 2
+
+    def test_lru_eviction_under_the_byte_bound(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "RESULT_TABLE_BYTES", 10)
+        table = ResultTable()
+        table.put("a", b"aaaa")
+        table.put("b", b"bbbb")
+        table.get("a")
+        assert table.put("c", b"cccc") == (0, 0, 1)  # 12 bytes > 10: "b" goes
+        assert table.get("b") is None and table.get("a") and table.get("c")
+        # Replacing a key accounts for the body it displaces.
+        assert table.put("a", b"aaaaaa") == (0, 2, 0)
+        # A body that alone exceeds the bound is refused, evicting nothing.
+        assert table.put("huge", b"x" * 11) == (0, 0, 0)
+        assert table.get("huge") is None and len(table) == 2
+
+    def test_concurrent_puts_keep_the_accounting_exact(self, monkeypatch):
+        """The daemon's gauges are sums of put() deltas: none may be lost."""
+        monkeypatch.setattr(daemon_module, "RESULT_TABLE_ENTRIES", 5)
+        monkeypatch.setattr(daemon_module, "RESULT_TABLE_BYTES", 40)
+        table = ResultTable()
+        totals = [[0, 0, 0] for _ in range(8)]
+
+        def work(index: int) -> None:
+            for step in range(300):
+                key = f"k{(index * 7 + step) % 11}"
+                delta = table.put(key, b"x" * (1 + (index + step) % 12))
+                totals[index] = [a + b for a, b in zip(totals[index], delta)]
+                table.get(f"k{step % 11}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                _join(thread)
+        finally:
+            sys.setswitchinterval(interval)
+        entries, size, _ = (sum(column) for column in zip(*totals))
+        retained = [table.get(f"k{i}") for i in range(11)]
+        assert entries == len(table) == sum(body is not None for body in retained) <= 5
+        assert size == sum(len(body) for body in retained if body) <= 40
+
+    def test_repeat_request_is_answered_from_the_table(self, daemon, client):
+        first = client.compile("tiny-mlp", hardware="small-test-chip")
+        assert not first.cached and not first.coalesced
+        executed = daemon.counters()
+        assert executed["compiles_executed"] == 1 and executed["solves_executed"] > 0
+        assert executed["result_entries"] == 1 and executed["result_bytes"] > 0
+
+        again = client.compile("tiny-mlp", hardware="small-test-chip")
+        assert again.cached and not again.coalesced
+        assert again.verify()
+        local = Session(hardware="small-test-chip").compile(
+            "tiny-mlp", options=CompilerOptions(generate_code=False)
+        )
+        assert again.fingerprint == first.fingerprint == local.fingerprint()
+        # A hit reports the compile that produced it, and runs none itself.
+        assert again.stats == first.stats and again.wall_seconds == first.wall_seconds
+        counters = daemon.counters()
+        assert counters["result_hits"] == 1
+        for name in ("compiles_executed", "solves_executed", "result_entries", "result_bytes"):
+            assert counters[name] == executed[name], name
+        assert daemon.flights.started == 1
+        text = client.metrics_text()
+        assert "serve_result_hits 1\n" in text and "serve_result_entries 1\n" in text
+        assert client.cache_stats()["serve"]["result_hits"] == 1
+
+    def test_failed_compile_is_never_stored(self, daemon, client, monkeypatch):
+        real_compile = daemon.service.compile
+        calls = []
+
+        def flaky(job):
+            calls.append(job)
+            if len(calls) == 1:
+                return CompileJobResult(job=job, error="boom")
+            return real_compile(job)
+
+        monkeypatch.setattr(daemon.service, "compile", flaky)
+        with pytest.raises(CompileRequestError) as excinfo:
+            client.compile("tiny-mlp", hardware="small-test-chip")
+        assert excinfo.value.code == "compile_failed" and excinfo.value.status == 422
+        assert "cached" not in excinfo.value.payload
+        assert daemon.counters()["result_entries"] == 0
+        # The next identical request compiles afresh; only that one is kept.
+        assert not client.compile("tiny-mlp", hardware="small-test-chip").cached
+        assert client.compile("tiny-mlp", hardware="small-test-chip").cached
+        counters = daemon.counters()
+        assert counters["compiles_executed"] == 2 and counters["compile_failures"] == 1
+        assert len(calls) == 2
+
+    def test_any_compile_determining_input_misses(self, daemon, client):
+        jobs = [
+            CompileJob("tiny-mlp", hardware="small-test-chip"),
+            CompileJob(
+                "tiny-mlp",
+                hardware="small-test-chip",
+                options=CompilerOptions(generate_code=False, pipelined=False),
+            ),
+            CompileJob("tiny-mlp", hardware="dynaplasia"),
+            CompileJob("tiny-mlp", hardware="small-test-chip", workload=Workload(batch_size=2)),
+        ]
+        assert not any(client.compile(job).cached for job in jobs)
+        assert daemon.counters()["compiles_executed"] == len(jobs)
+        assert daemon.counters()["result_entries"] == len(jobs)
+        # ... while a label, which identifies nothing, still hits.
+        assert client.compile(
+            CompileJob("tiny-mlp", hardware="small-test-chip", label="again")
+        ).cached
+
+    def test_daemon_evicts_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "RESULT_TABLE_ENTRIES", 2)
+        daemon = CompileDaemon(workers=1)
+        daemon.start_background()
+        try:
+            with Client(daemon.url, retries=1) as client:
+                def compile_(model):
+                    return client.compile(model, hardware="small-test-chip")
+
+                compile_("tiny-mlp")
+                compile_("tiny-cnn")
+                assert compile_("tiny-mlp").cached  # tiny-cnn is now oldest
+                compile_("tiny-transformer")
+                counters = daemon.counters()
+                assert counters["result_evictions"] == 1
+                assert counters["result_entries"] == len(daemon.results) == 2
+                assert compile_("tiny-mlp").cached
+                assert not compile_("tiny-cnn").cached
+        finally:
+            daemon.shutdown()
+
+    def test_batch_slots_hit_individually(self, daemon, client):
+        client.compile("tiny-mlp", hardware="small-test-chip")
+        jobs = [
+            CompileJob("tiny-mlp", hardware="small-test-chip"),
+            CompileJob("tiny-cnn", hardware="small-test-chip"),
+            CompileJob("no-such-model"),
+        ]
+        hit, miss, bad = client.compile_batch(jobs)
+        assert hit.cached and hit.verify()
+        assert not miss.cached and miss.verify()
+        assert isinstance(bad, CompileRequestError) and bad.code == "bad_request"
+        assert daemon.counters()["compiles_executed"] == 2
+        hit, now_hit, _ = client.compile_batch(jobs)
+        assert hit.cached and now_hit.cached
+        assert now_hit.fingerprint == miss.fingerprint
+        counters = daemon.counters()
+        assert counters["compiles_executed"] == 2 and counters["result_hits"] == 3
+
+    def test_use_cache_false_bypasses_the_table(self):
+        daemon = CompileDaemon(workers=1, use_cache=False)
+        daemon.start_background()
+        try:
+            assert daemon.results is None
+            with Client(daemon.url, retries=1) as client:
+                results = [
+                    client.compile("tiny-mlp", hardware="small-test-chip") for _ in range(2)
+                ]
+            assert not any(result.cached for result in results)
+            counters = daemon.counters()
+            assert counters["compiles_executed"] == 2
+            assert counters["result_hits"] == counters["result_entries"] == 0
+        finally:
+            daemon.shutdown()
+
+    def test_draining_refuses_even_a_stored_request(self, daemon, client):
+        client.compile("tiny-mlp", hardware="small-test-chip")
+        daemon._draining.set()
+        with pytest.raises(CompileRequestError) as excinfo:
+            client.compile("tiny-mlp", hardware="small-test-chip")
+        assert excinfo.value.code == "draining" and excinfo.value.status == 503
+        assert daemon.counters()["result_hits"] == 0
+
+
+# ---------------------------------------------------------------------- #
+# transport: one write per response, on a TCP_NODELAY socket
+# ---------------------------------------------------------------------- #
+@pytest.fixture()
+def wire_tap(monkeypatch):
+    """Record every ``wfile.write`` and each accepted socket's TCP_NODELAY."""
+    tap = SimpleNamespace(writes=[], nodelay=[])
+    stdlib_setup = QuietHandler.setup
+
+    class RecordingWfile:
+        def __init__(self, wfile):
+            self._wfile = wfile
+
+        def write(self, data):
+            tap.writes.append(bytes(data))
+            return self._wfile.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self._wfile, name)
+
+    def setup(handler):
+        stdlib_setup(handler)
+        tap.nodelay.append(
+            handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        handler.wfile = RecordingWfile(handler.wfile)
+
+    monkeypatch.setattr(QuietHandler, "setup", setup)
+    return tap
+
+
+def _assert_whole_responses(writes, expected: int) -> list:
+    """Each write is one complete HTTP response; returns the bodies."""
+    assert len(writes) == expected
+    bodies = []
+    for write in writes:
+        assert write.startswith(b"HTTP/1.1 ")
+        head, separator, body = write.partition(b"\r\n\r\n")
+        assert separator
+        headers = dict(
+            line.split(": ", 1) for line in head.decode("latin-1").split("\r\n")[1:]
+        )
+        assert int(headers["Content-Length"]) == len(body) or not body
+        bodies.append(body)
+    return bodies
+
+
+class TestSingleSendTransport:
+    def test_compile_daemon_writes_each_response_once(self, wire_tap, monkeypatch):
+        daemon = CompileDaemon(workers=1)
+        daemon.start_background()
+        real_compile = daemon.service.compile
+        monkeypatch.setattr(
+            daemon.service,
+            "compile",
+            lambda job: CompileJobResult(job=job, error="boom")
+            if job.label == "fail"
+            else real_compile(job),
+        )
+        job = CompileJob("tiny-mlp", hardware="small-test-chip")
+        try:
+            with Client(daemon.url, retries=0) as client:
+                assert client.healthy()
+                client.compile(job)  # executed
+                client.compile(job)  # result-table hit
+                client.compile_batch([job, CompileJob("no-such-model")])
+                with pytest.raises(CompileRequestError):
+                    client.compile(CompileJob("tiny-cnn", label="fail"))  # 422
+                with pytest.raises(CompileRequestError):
+                    client.compile("no-such-model")  # 400
+                client.cache_stats()
+                client.metrics_text()
+                assert client._request("GET", "/nope")[0] == 404
+        finally:
+            daemon.shutdown()
+        bodies = _assert_whole_responses(wire_tap.writes, 9)
+        assert wire_tap.nodelay and all(wire_tap.nodelay)
+        # Spliced and assembled bodies stay canonical sorted-key JSON.
+        for body in bodies[1:6]:
+            assert body == json.dumps(json.loads(body), sort_keys=True).encode("utf-8")
+        executed, hit = json.loads(bodies[1]), json.loads(bodies[2])
+        assert (executed.pop("cached"), hit.pop("cached")) == (False, True)
+        assert executed == hit
+
+    def test_cache_server_writes_each_response_once(self, wire_tap, cache_server):
+        store = RemoteCacheStore(cache_server.url)
+        key, missing = _synthetic_key(), _synthetic_key(engine="greedy")
+        store.put(key, _entry())
+        assert store.get(key) == _entry()
+        assert store.get(missing) is None
+        assert store.contains(key)
+        connection = store._connection()
+        sock = connection.sock
+        assert not store.contains(missing)
+        assert store.healthy()
+        # The bodiless HEAD 404 left the kept-alive connection usable.
+        assert store._connection() is connection and connection.sock is sock
+        assert store.stats.errors == 0
+        store.close()
+        _assert_whole_responses(wire_tap.writes, 6)
+        assert wire_tap.nodelay and all(wire_tap.nodelay)
+        # HEAD answers are headers only.
+        assert wire_tap.writes[3].endswith(b"\r\n\r\n")
+        assert wire_tap.writes[4].endswith(b"\r\n\r\n")
+
+
+# ---------------------------------------------------------------------- #
+# long-lived server hygiene: bounded tracer, shutdown in any state
+# ---------------------------------------------------------------------- #
+class TestServerLifecycle:
+    def test_daemon_tracer_stops_growing_with_executed_compiles(self, monkeypatch):
+        ring = 24
+        monkeypatch.setattr(daemon_module, "TRACE_RING_SPANS", ring)
+        daemon = CompileDaemon(workers=1)
+        daemon.start_background()
+        try:
+            with Client(daemon.url, retries=1) as client:
+                compiles = 0
+                while daemon.obs.tracer.spans_dropped == 0 or compiles < 4:
+                    compiles += 1
+                    assert compiles <= 64, "tracer never filled its ring"
+                    result = client.compile(
+                        "tiny-mlp",
+                        hardware="small-test-chip",
+                        workload=Workload(batch_size=compiles),
+                    )
+                    assert not result.cached
+                text = client.metrics_text()
+            assert daemon.counters()["compiles_executed"] == compiles
+            assert len(daemon.obs.tracer.spans()) <= ring
+            assert daemon.obs.tracer.spans_dropped > 0
+            assert f"obs_spans_dropped {daemon.obs.tracer.spans_dropped}\n" in text
+        finally:
+            daemon.shutdown()
+
+    def test_shutdown_before_serving_returns(self, tmp_path):
+        daemon = CompileDaemon(workers=1)
+        assert daemon.service.compile(CompileJob("tiny-mlp", hardware="small-test-chip")).ok
+        server = CacheServer(tmp_path / "served")
+        for stop in (daemon.shutdown, server.shutdown):
+            thread = threading.Thread(target=stop, daemon=True)
+            thread.start()
+            _join(thread)
+        # A serve loop that starts after the shutdown (SIGTERM racing
+        # start-up) must return instead of serving forever.
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        _join(thread)
+
+    def test_shutdown_is_idempotent_after_serving(self, cache_server):
+        store = RemoteCacheStore(cache_server.url)
+        assert store.healthy()
+        store.close()
+        cache_server.shutdown()
+        thread = threading.Thread(target=cache_server.shutdown, daemon=True)
+        thread.start()
+        _join(thread)
 
 
 # ---------------------------------------------------------------------- #
