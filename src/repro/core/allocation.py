@@ -5,42 +5,50 @@ arrays each operator receives in compute mode and how many in memory mode
 so that the pipelined segment latency (Eq. 9 with the Eq. 10 latency
 model) is minimised under the chip's array budget (Eq. 8).
 
-Two interchangeable engines are provided:
+For every operator a small Pareto set of candidate ``(compute, memory)``
+allocations is enumerated; the allocation picks one candidate per
+operator so the largest selected latency is minimal and the selected
+arrays fit the chip.  Three interchangeable engines are provided:
 
-* :class:`MIPAllocator` — the paper's approach: a mixed-integer program.
-  For every operator a small Pareto set of candidate ``(compute, memory)``
-  allocations is enumerated; binary selection variables pick one candidate
-  per operator, a continuous makespan variable ``T`` upper-bounds every
-  selected latency, and the array budget couples the operators.  The MILP
-  is solved with ``scipy.optimize.milp`` (HiGHS) — the offline stand-in
-  for the Gurobi solver used in the paper.
+* :class:`ExactAllocator` — the default: the optimum of that model by
+  binary search over the candidate latencies (the model is a bottleneck
+  multiple-choice knapsack), with a canonical minimum-arrays tie-break.
+* :class:`MIPAllocator` — the paper's formulation of the same model as a
+  mixed-integer program (binary selection variables, a continuous
+  makespan ``T``, one budget row), solved with ``scipy.optimize.milp``
+  (HiGHS) — the offline stand-in for the Gurobi solver used in the
+  paper.  Kept as the paper-faithful engine and the objective oracle the
+  exact engine is tested against.
 * :class:`GreedyAllocator` — a fast marginal-gain heuristic used as a
-  fallback, as a cross-check in tests and for the allocation ablation.
+  cross-check in tests, for the allocation ablation and by the greedy
+  DSE fidelity rung.
 
-Both return an :class:`AllocationResult`; leftover arrays are always
+All return an :class:`AllocationResult`; leftover arrays are always
 redistributed by :func:`refine_with_spare_arrays` (weight duplication and
 extra buffering, the paper's post-allocation optimisation).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cost.arithmetic import OperatorProfile
-from ..cost.latency import (
+# operator_latency_cycles is re-exported only: nothing here evaluates Eq. 10
+# per call any more, but the benchmark's tracer counts scalar evaluations
+# through this module's name.
+from ..cost.latency import (  # noqa: F401
     INFEASIBLE_LATENCY,
     OperatorAllocation,
+    combine_operator_latencies,
     operator_latency_cycles,
     operator_latency_cycles_batch,
-    segment_latency_cycles,
+    operator_latency_factors_batch,
 )
 from ..hardware.deha import DualModeHardwareAbstraction
-from ..ir.transforms import ceil_div
-from ._highs import solve_canonical_milp
 from .feasibility import FeasibilityModel
 
 
@@ -52,8 +60,8 @@ class AllocationResult:
         allocations: Per-operator allocation.
         latency_cycles: Pipelined segment latency under the allocation.
         feasible: Whether the segment fits the chip at all.
-        solver: Which engine produced the result ("milp", "greedy",
-            "single", "infeasible").
+        solver: Which engine produced the result ("exact", "milp",
+            "greedy", "infeasible").
         from_cache: Whether the result was served from a shared
             :class:`~repro.core.cache.AllocationCache` instead of a fresh
             solve (used by compile statistics).
@@ -217,6 +225,112 @@ def _geometric_range(lo: int, hi: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------- #
+# Eq. 10 lookup tables and the spare-array hand-out loop
+# ---------------------------------------------------------------------- #
+class LatencyTables:
+    """Bounded memo of Eq. 10 tabulated per (profile, chip).
+
+    Eq. 10 is separable (:func:`~repro.cost.latency
+    .operator_latency_factors_batch`), so one operator's latency at any
+    ``(compute, memory)`` pair is ``max(compute_time[compute],
+    supply_time[memory])`` over two 1-D tables indexed ``0..num_arrays``
+    — a few KB per profile where the 2-D grid would be hundreds.  The
+    hand-out loops below walk thousands of such pairs per compile; with
+    the tables each step is two list reads instead of a scalar Eq. 10
+    evaluation, and the values are the scalar function's exactly.
+    """
+
+    #: Bound on the memo (cleared when exceeded), like the candidate memo.
+    MAX_ENTRIES = 1024
+
+    def __init__(self) -> None:
+        self._memo: Dict[Tuple[OperatorProfile, str], Tuple[List[float], List[float]]] = {}
+
+    def get(
+        self, profile: OperatorProfile, hardware: DualModeHardwareAbstraction
+    ) -> Tuple[List[float], List[float]]:
+        """``(compute_time, supply_time)`` lists for ``0..num_arrays`` arrays."""
+        key = (profile, hardware.fingerprint())
+        tables = self._memo.get(key)
+        if tables is None:
+            counts = np.arange(hardware.num_arrays + 1)
+            compute_time, supply_time = operator_latency_factors_batch(
+                profile, counts, counts, hardware
+            )
+            tables = (compute_time.tolist(), supply_time.tolist())
+            if len(self._memo) >= self.MAX_ENTRIES:
+                self._memo.clear()
+            self._memo[key] = tables
+        return tables
+
+
+def _hand_out_spare_arrays(
+    allocations: Dict[str, OperatorAllocation],
+    profiles: Mapping[str, OperatorProfile],
+    hardware: DualModeHardwareAbstraction,
+    spare: int,
+    allow_memory_mode: bool,
+    inbound_arrays: int,
+    tables: LatencyTables,
+) -> List[float]:
+    """Grow the bottleneck operator one array at a time (in place).
+
+    Each step takes the operator bounding the segment (first maximum)
+    and gives it one array in whichever mode lowers its latency most —
+    compute on a tie — until ``spare`` arrays are handed out or the
+    bottleneck cannot improve.  While the segment's memory-mode arrays
+    do not yet cover ``inbound_arrays`` (the live data entering the
+    segment, in arrays), the memory option also counts the write-back
+    round trip one more retained array avoids,
+    ``2 * array_capacity_elements / d_extern`` cycles — exactly the
+    capacity :func:`~repro.cost.switching.writeback_cycles` credits to
+    the segment's memory arrays.  Every step therefore lowers the
+    segment latency plus the write-back of still-uncovered inbound
+    data; with nothing inbound that is the latency alone.
+
+    Returns:
+        The per-operator latencies after the hand-out, in
+        ``allocations`` order.
+    """
+    names = list(allocations)
+    factors = [tables.get(profiles[name], hardware) for name in names]
+    compute = [allocations[name].compute_arrays for name in names]
+    memory = [allocations[name].memory_arrays for name in names]
+    latencies = [
+        max(compute_time[com], supply_time[mem])
+        for (compute_time, supply_time), com, mem in zip(factors, compute, memory)
+    ]
+    uncovered = inbound_arrays - sum(memory) if allow_memory_mode else 0
+    credit = 2.0 * hardware.array_capacity_elements / hardware.d_extern
+    grown = set()
+    while spare > 0:
+        current = max(latencies)
+        index = latencies.index(current)
+        compute_time, supply_time = factors[index]
+        com, mem = compute[index], memory[index]
+        best = max(compute_time[com + 1], supply_time[mem])
+        score, grow_memory = best, False
+        if allow_memory_mode:
+            buffered = max(compute_time[com], supply_time[mem + 1])
+            retained = credit if uncovered > 0 else 0.0
+            if buffered - retained < score:
+                best, score, grow_memory = buffered, buffered - retained, True
+        if score >= current - 1e-9:
+            break
+        if grow_memory:
+            memory[index] += 1
+            uncovered -= 1
+        else:
+            compute[index] += 1
+        latencies[index] = best
+        grown.add(index)
+        spare -= 1
+    for index in grown:
+        allocations[names[index]] = OperatorAllocation(compute[index], memory[index])
+    return latencies
+
+
+# ---------------------------------------------------------------------- #
 # greedy allocator
 # ---------------------------------------------------------------------- #
 class GreedyAllocator:
@@ -232,6 +346,7 @@ class GreedyAllocator:
 
     def __init__(self, allow_memory_mode: bool = True) -> None:
         self.allow_memory_mode = allow_memory_mode
+        self.latency_tables = LatencyTables()
 
     def allocate(
         self,
@@ -239,58 +354,31 @@ class GreedyAllocator:
         hardware: DualModeHardwareAbstraction,
         pipelined: bool = True,
     ) -> AllocationResult:
-        """Allocate the segment; see class docstring for the policy.
-
-        The loop tracks every operator's latency incrementally: only the
-        grown operator's entry changes per iteration, so each step costs
-        one ``argmax`` and two scalar Eq. 10 evaluations instead of
-        re-scoring the whole segment (the scalar reference in
-        :mod:`repro.core._reference` did; results are identical).
-        """
+        """Allocate the segment; see class docstring for the policy."""
         if not profiles:
             return AllocationResult({}, 0.0, True, self.name)
-        names = list(profiles)
-        allocations: Dict[str, OperatorAllocation] = {}
-        for name, profile in profiles.items():
-            allocations[name] = OperatorAllocation(
-                compute_arrays=max(1, profile.min_compute_arrays(hardware)), memory_arrays=0
-            )
+        allocations = {
+            name: OperatorAllocation(max(1, profile.min_compute_arrays(hardware)), 0)
+            for name, profile in profiles.items()
+        }
         used = sum(a.total_arrays for a in allocations.values())
         if used > hardware.num_arrays:
             return infeasible_result()
-
-        def latency_of(name: str, allocation: OperatorAllocation) -> float:
-            return operator_latency_cycles(profiles[name], allocation, hardware)
-
-        latencies = np.array(
-            [latency_of(name, allocations[name]) for name in names], dtype=np.float64
+        latencies = _hand_out_spare_arrays(
+            allocations,
+            profiles,
+            hardware,
+            hardware.num_arrays - used,
+            self.allow_memory_mode,
+            0,
+            self.latency_tables,
         )
-        remaining = hardware.num_arrays - used
-        while remaining > 0:
-            # np.argmax keeps the first maximum, matching the scalar
-            # ``max(allocations, key=...)`` insertion-order tie-break.
-            index = int(np.argmax(latencies))
-            bottleneck = names[index]
-            current = allocations[bottleneck]
-            current_latency = float(latencies[index])
-            grow_compute = OperatorAllocation(current.compute_arrays + 1, current.memory_arrays)
-            options = [(latency_of(bottleneck, grow_compute), grow_compute)]
-            if self.allow_memory_mode:
-                grow_memory = OperatorAllocation(current.compute_arrays, current.memory_arrays + 1)
-                options.append((latency_of(bottleneck, grow_memory), grow_memory))
-            best_latency, best_allocation = min(options, key=lambda item: item[0])
-            if best_latency >= current_latency - 1e-9:
-                break  # the bottleneck cannot be improved further
-            allocations[bottleneck] = best_allocation
-            latencies[index] = best_latency
-            remaining -= 1
-
-        latency = segment_latency_cycles(profiles, allocations, hardware, pipelined=pipelined)
+        latency = combine_operator_latencies(latencies, hardware, pipelined)
         return AllocationResult(allocations, latency, True, self.name)
 
 
 # ---------------------------------------------------------------------- #
-# MILP allocator
+# Eq. 8/9 allocators: the paper's MILP and the exact threshold search
 # ---------------------------------------------------------------------- #
 class MIPAllocator:
     """Mixed-integer-programming allocator (the paper's §4.3.2 solver).
@@ -299,7 +387,13 @@ class MIPAllocator:
     exactly one candidate per operator; a continuous makespan variable is
     lower-bounded by every selected candidate's latency; the total array
     consumption is bounded by the chip budget (Eq. 8).  Minimising the
-    makespan yields the Eq. 9 objective.
+    makespan yields the Eq. 9 objective.  The model is solved with the
+    public ``scipy.optimize.milp`` (HiGHS) — the offline stand-in for the
+    Gurobi solver used in the paper.
+
+    This is the paper-faithful engine and the test oracle; compiles run
+    :class:`ExactAllocator`, which solves the same model (same
+    candidates, same objective) without a solver.
     """
 
     name = "milp"
@@ -311,17 +405,16 @@ class MIPAllocator:
         self,
         allow_memory_mode: bool = True,
         max_candidates_per_operator: int = 24,
-        time_limit_seconds: float = 10.0,
     ) -> None:
         self.allow_memory_mode = allow_memory_mode
         self.max_candidates_per_operator = max_candidates_per_operator
-        self.time_limit_seconds = time_limit_seconds
         # One operator appears in every DP window that contains it, and
         # its candidate set depends only on (profile, chip) — memoise it
         # per allocator instead of re-enumerating the grid per window.
         self._candidate_memo: Dict[
             Tuple[OperatorProfile, str], List[AllocationCandidate]
         ] = {}
+        self.latency_tables = LatencyTables()
 
     def _candidates(
         self, profile: OperatorProfile, hardware: DualModeHardwareAbstraction
@@ -347,129 +440,131 @@ class MIPAllocator:
         hardware: DualModeHardwareAbstraction,
         pipelined: bool = True,
     ) -> AllocationResult:
-        """Solve the per-segment allocation MILP."""
+        """Pick one candidate per operator minimising the segment makespan."""
         if not profiles:
             return AllocationResult({}, 0.0, True, self.name)
-        names = list(profiles)
-        candidates: Dict[str, List[AllocationCandidate]] = {}
-        for name in names:
-            options = self._candidates(profiles[name], hardware)
-            if not options:
-                return infeasible_result()
-            candidates[name] = options
-
-        solution = self._solve_milp(names, candidates, hardware)
-        if solution is None:
-            # Fall back to the greedy heuristic (also used when HiGHS
-            # declares the model infeasible due to candidate pruning).
-            return GreedyAllocator(self.allow_memory_mode).allocate(
-                profiles, hardware, pipelined=pipelined
-            )
-        allocations = {name: candidates[name][k].to_allocation() for name, k in solution.items()}
-        latency = segment_latency_cycles(profiles, allocations, hardware, pipelined=pipelined)
+        candidates = [self._candidates(profile, hardware) for profile in profiles.values()]
+        if not all(candidates):
+            return infeasible_result()
+        chosen = self._select(candidates, hardware.num_arrays)
+        if chosen is None:
+            return infeasible_result()
+        picked = [options[k] for options, k in zip(candidates, chosen)]
+        allocations = {
+            name: candidate.to_allocation() for name, candidate in zip(profiles, picked)
+        }
+        # A candidate's latency is its Eq. 10 value, so Eq. 9 needs no re-evaluation.
+        latency = combine_operator_latencies(
+            [candidate.latency_cycles for candidate in picked], hardware, pipelined
+        )
         return AllocationResult(allocations, latency, True, self.name)
 
-    def _solve_milp(
-        self,
-        names: Sequence[str],
-        candidates: Mapping[str, List[AllocationCandidate]],
-        hardware: DualModeHardwareAbstraction,
-    ) -> Optional[Dict[str, int]]:
-        """Build and solve the MILP; returns chosen candidate index per op."""
-        offsets: Dict[str, int] = {}
-        num_binaries = 0
-        for name in names:
-            offsets[name] = num_binaries
-            num_binaries += len(candidates[name])
-        t_index = num_binaries
-        num_vars = num_binaries + 1
+    def _select(
+        self, candidates: Sequence[List[AllocationCandidate]], budget: int
+    ) -> Optional[List[int]]:
+        """Solve the Eq. 8/9 MILP; the chosen candidate index per operator.
 
-        # Normalise latencies so the makespan variable is well-scaled.  An
-        # operator whose every candidate is infeasible (infinite latency)
-        # cannot be modelled; bail out to the greedy fallback instead of
-        # tripping on max() over an empty sequence.
-        finite_maxima = []
-        for name in names:
-            finite = [
-                c.latency_cycles for c in candidates[name] if math.isfinite(c.latency_cycles)
-            ]
-            if not finite:
-                return None
-            finite_maxima.append(max(finite))
-        scale = max(max(finite_maxima), 1.0)
+        Variables: one binary per candidate (operator-major) plus the
+        makespan ``T``.  Rows: one selection row per operator (exactly
+        one candidate), one makespan row per operator (selected latency
+        ``<= T``, latencies normalised so ``T`` is well-scaled) and the
+        array-budget row.  None when the model is infeasible.
+        """
+        # Imported here: only this engine needs a solver, and the default
+        # compile path must not pay for (or depend on) scipy.optimize.
+        from scipy.optimize import Bounds, LinearConstraint, milp
 
-        objective = np.zeros(num_vars)
+        num_ops = len(candidates)
+        offsets = np.cumsum([0] + [len(options) for options in candidates])
+        t_index = int(offsets[-1])
+        scale = max(max(c.latency_cycles for options in candidates for c in options), 1.0)
+
+        rows = np.zeros((2 * num_ops + 1, t_index + 1))
+        for i, options in enumerate(candidates):
+            block = slice(int(offsets[i]), int(offsets[i + 1]))
+            rows[i, block] = 1.0
+            rows[num_ops + i, block] = [c.latency_cycles / scale for c in options]
+            rows[num_ops + i, t_index] = -1.0
+            rows[2 * num_ops, block] = [c.total_arrays for c in options]
+        lower = np.concatenate((np.ones(num_ops), np.full(num_ops + 1, -np.inf)))
+        upper = np.concatenate((np.ones(num_ops), np.zeros(num_ops), [float(budget)]))
+
+        objective = np.zeros(t_index + 1)
         objective[t_index] = 1.0
-
-        # The constraint matrix is assembled directly in the canonical
-        # csc form HiGHS consumes (column-sorted indices, no explicit
-        # zeros) instead of building a dense matrix and converting —
-        # scipy's per-LinearConstraint sparse conversion dominated
-        # cold-compile time.  Row order and values are identical to the
-        # original per-row formulation (selection rows 0..n-1, makespan
-        # rows n..2n-1, budget row 2n), and zero coefficients are
-        # dropped exactly as a dense→csc conversion would drop them, so
-        # HiGHS sees a bit-identical problem and returns the identical
-        # solution.
-        num_ops = len(names)
-        budget_row = 2 * num_ops
-        indptr = [0]
-        indices: List[int] = []
-        data: List[float] = []
-        for i, name in enumerate(names):
-            for candidate in candidates[name]:
-                latency = candidate.latency_cycles
-                coefficient = latency / scale if math.isfinite(latency) else 1e6
-                indices.append(i)
-                data.append(1.0)
-                if coefficient != 0.0:
-                    indices.append(num_ops + i)
-                    data.append(coefficient)
-                total = float(candidate.total_arrays)
-                if total != 0.0:
-                    indices.append(budget_row)
-                    data.append(total)
-                indptr.append(len(indices))
-        # Makespan column: -1 in every makespan row.
-        indices.extend(range(num_ops, budget_row))
-        data.extend([-1.0] * num_ops)
-        indptr.append(len(indices))
-
-        row_lb = np.concatenate(
-            (np.ones(num_ops), np.full(num_ops + 1, -np.inf))
-        )
-        row_ub = np.concatenate(
-            (np.ones(num_ops), np.zeros(num_ops), [float(hardware.num_arrays)])
-        )
-        integrality = np.ones(num_vars)
+        integrality = np.ones(t_index + 1)
         integrality[t_index] = 0.0
-        lower = np.zeros(num_vars)
-        upper = np.ones(num_vars)
-        upper[t_index] = np.inf
-
-        solution = solve_canonical_milp(
+        upper_bounds = np.ones(t_index + 1)
+        upper_bounds[t_index] = np.inf
+        solution = milp(
             objective,
-            lower,
-            upper,
-            integrality,
-            np.asarray(indptr, dtype=np.int32),
-            np.asarray(indices, dtype=np.int32),
-            np.asarray(data, dtype=np.float64),
-            row_lb,
-            row_ub,
-            time_limit=self.time_limit_seconds,
-            presolve=True,
+            constraints=LinearConstraint(rows, lower, upper),
+            integrality=integrality,
+            bounds=Bounds(np.zeros(t_index + 1), upper_bounds),
+            options={"mip_rel_gap": 0.0},
         )
-        if solution is None:
+        if not solution.success or solution.x is None:
             return None
-        success, x = solution
-        if not success or x is None:
+        return [
+            int(np.argmax(solution.x[offsets[i] : offsets[i + 1]])) for i in range(num_ops)
+        ]
+
+
+class ExactAllocator(MIPAllocator):
+    """The Eq. 8/9 optimum by threshold search — the default engine.
+
+    The window problem (one candidate per operator, minimise the maximum
+    latency, one budget row) is a bottleneck multiple-choice knapsack.
+    Every candidate list is Pareto-sorted — arrays ascending, latency
+    strictly descending — so for a makespan threshold ``T`` the cheapest
+    admissible pick of an operator is its *first* candidate with latency
+    ``<= T``; taking that pick for every operator minimises the total
+    arrays at ``T``, hence ``T`` is achievable iff those picks fit the
+    budget, and since the picks only get cheaper as ``T`` grows,
+    feasibility is monotone in ``T``.  The optimal makespan is therefore
+    the smallest candidate latency that is feasible, found by binary
+    search over the sorted union of candidate latencies.
+
+    Tie-break (canonical, unlike a MILP solver's): at the optimal
+    makespan every operator takes its individually minimal candidate,
+    i.e. the solution of minimum total arrays.  The arrays this leaves
+    over go to :func:`refine_with_spare_arrays`.
+    """
+
+    name = "exact"
+
+    def _select(
+        self, candidates: Sequence[List[AllocationCandidate]], budget: int
+    ) -> Optional[List[int]]:
+        # Negated latencies ascend, so ``bisect_left(negated, -T)`` is the
+        # index of the first candidate with latency <= T.
+        negated = [[-c.latency_cycles for c in options] for options in candidates]
+        totals = [[c.total_arrays for c in options] for options in candidates]
+
+        def picks(threshold: float) -> Optional[List[int]]:
+            chosen = [bisect_left(column, -threshold) for column in negated]
+            used = sum(column[k] for column, k in zip(totals, chosen))
+            return chosen if used <= budget else None
+
+        # T* lies between the slowest operator's best latency (below it
+        # some operator has no admissible candidate) and the largest
+        # minimum-footprint latency (above it nothing changes).
+        floor = -min(column[-1] for column in negated)
+        ceiling = -min(column[0] for column in negated)
+        best = picks(ceiling)
+        if best is None:
             return None
-        chosen: Dict[str, int] = {}
-        for name in names:
-            block = x[offsets[name] : offsets[name] + len(candidates[name])]
-            chosen[name] = int(np.argmax(block))
-        return chosen
+        thresholds = sorted(
+            {-value for column in negated for value in column if floor <= -value < ceiling}
+        )
+        lo, hi = 0, len(thresholds)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            chosen = picks(thresholds[mid])
+            if chosen is None:
+                lo = mid + 1
+            else:
+                best, hi = chosen, mid
+        return best
 
 
 # ---------------------------------------------------------------------- #
@@ -482,66 +577,100 @@ def refine_with_spare_arrays(
     pipelined: bool = True,
     allow_memory_mode: bool = True,
     reserve_arrays: int = 0,
+    inbound_arrays: int = 0,
+    tables: Optional[LatencyTables] = None,
 ) -> AllocationResult:
     """Hand leftover arrays to the bottleneck operator (weight duplication).
 
     The paper applies weight duplication as a post-allocation optimisation
     "commonly used in CIM compilation" — spare arrays replicate the
     bottleneck operator's weights (or extend its buffers) so the pipelined
-    segment latency drops further.  The refinement never worsens latency.
+    segment latency drops further.  The refinement never worsens latency
+    (with ``inbound_arrays``: latency plus the inbound write-back the
+    segment leaves uncovered — the quantity the segmentation DP sums).
 
     Args:
         allow_memory_mode: Whether spare arrays may also grow an operator's
             memory-mode buffer (False for fixed-mode baselines).
         reserve_arrays: Arrays to leave untouched — the segmentation pass
             reserves them as boundary buffers for live inter-segment data.
+        inbound_arrays: Arrays' worth of live data entering the segment
+            beyond the native buffer.  Until the segment's memory-mode
+            arrays cover it, growing a buffer is also worth the
+            write-back it avoids (see :func:`_hand_out_spare_arrays`);
+            0 reproduces the plain latency-only hand-out.
+        tables: Eq. 10 lookup memo to reuse (the allocator's); a
+            throwaway one is built when omitted.
     """
     if not result.feasible or not result.allocations:
         return result
     allocations = dict(result.allocations)
     used = sum(a.total_arrays for a in allocations.values())
-    remaining = hardware.num_arrays - used - max(0, reserve_arrays)
-    if remaining <= 0:
+    spare = hardware.num_arrays - used - max(0, reserve_arrays)
+    if spare <= 0:
         return result
-
-    # Incremental bottleneck tracking: only the grown operator's latency
-    # changes per hand-out, so each iteration is one argmax plus two
-    # scalar Eq. 10 calls (the scalar reference re-scored every operator
-    # every iteration; results are identical).
-    names = list(allocations)
-    latencies = np.array(
-        [
-            operator_latency_cycles(profiles[name], allocations[name], hardware)
-            for name in names
-        ],
-        dtype=np.float64,
+    latencies = _hand_out_spare_arrays(
+        allocations,
+        profiles,
+        hardware,
+        spare,
+        allow_memory_mode,
+        inbound_arrays,
+        tables if tables is not None else LatencyTables(),
     )
-    improved = False
-    while remaining > 0:
-        index = int(np.argmax(latencies))
-        bottleneck = names[index]
-        current = allocations[bottleneck]
-        current_latency = float(latencies[index])
-        grow_compute = OperatorAllocation(current.compute_arrays + 1, current.memory_arrays)
-        options = [
-            (operator_latency_cycles(profiles[bottleneck], grow_compute, hardware), grow_compute),
-        ]
-        if allow_memory_mode:
-            grow_memory = OperatorAllocation(current.compute_arrays, current.memory_arrays + 1)
-            options.append(
-                (operator_latency_cycles(profiles[bottleneck], grow_memory, hardware), grow_memory)
-            )
-        best_latency, best_allocation = min(options, key=lambda item: item[0])
-        if best_latency >= current_latency - 1e-9:
-            break
-        allocations[bottleneck] = best_allocation
-        latencies[index] = best_latency
-        remaining -= 1
-        improved = True
-    if not improved:
+    if allocations == result.allocations:
         return result
-    latency = segment_latency_cycles(profiles, allocations, hardware, pipelined=pipelined)
+    latency = combine_operator_latencies(latencies, hardware, pipelined)
     return AllocationResult(allocations, latency, True, result.solver)
+
+
+def key_options(
+    allocator: object,
+    pipelined: bool = True,
+    refine: bool = True,
+    reserve_arrays: int = 0,
+    inbound_arrays: int = 0,
+) -> Dict[str, object]:
+    """What an ``AllocationCacheKey`` records about one solve's arguments.
+
+    Takes :func:`allocate_segment`'s solve arguments under their own
+    names, so every place that needs the key of a solve — the solve
+    itself, the solver-pool request, the segmenter's key probe —
+    derives it here.
+    """
+    return {
+        "engine": getattr(allocator, "name", type(allocator).__name__),
+        "pipelined": pipelined,
+        "refine": refine,
+        "allow_memory_mode": getattr(allocator, "allow_memory_mode", True),
+        "reserve_arrays": reserve_arrays,
+        "inbound_arrays": inbound_arrays,
+    }
+
+
+def solve_segment(
+    allocator: object,
+    profiles: Mapping[str, OperatorProfile],
+    hardware: DualModeHardwareAbstraction,
+    pipelined: bool = True,
+    refine: bool = True,
+    reserve_arrays: int = 0,
+    inbound_arrays: int = 0,
+) -> AllocationResult:
+    """One fresh solve: the engine's allocation plus the refinement."""
+    result = allocator.allocate(profiles, hardware, pipelined=pipelined)
+    if refine and result.feasible:
+        result = refine_with_spare_arrays(
+            result,
+            profiles,
+            hardware,
+            pipelined=pipelined,
+            allow_memory_mode=getattr(allocator, "allow_memory_mode", True),
+            reserve_arrays=reserve_arrays,
+            inbound_arrays=inbound_arrays,
+            tables=getattr(allocator, "latency_tables", None),
+        )
+    return result
 
 
 def allocate_segment(
@@ -553,13 +682,17 @@ def allocate_segment(
     reserve_arrays: int = 0,
     cache: Optional[object] = None,
     memo: Optional[object] = None,
+    inbound_arrays: int = 0,
 ) -> AllocationResult:
     """Allocate one segment end to end (solver + duplication refinement).
 
     Args:
+        allocator: The engine; :class:`ExactAllocator` when omitted.
         reserve_arrays: Arrays withheld from duplication so the
             segmentation pass can dedicate them to boundary buffering.
             Feasibility is always checked against the full chip.
+        inbound_arrays: Arrays' worth of live data entering the segment
+            (see :func:`refine_with_spare_arrays`).
         cache: Optional shared :class:`~repro.core.cache.AllocationCache`.
             When given, the solve is first looked up (structurally — the
             result is identical to a cold solve) and fresh solves are
@@ -570,10 +703,9 @@ def allocate_segment(
             shared-cache hit is copied into the memo so later windows of
             the same run skip the cache tiers entirely.
     """
-    engine = allocator if allocator is not None else MIPAllocator()
+    engine = allocator if allocator is not None else ExactAllocator()
     if not segment_fits(profiles, hardware):
         return infeasible_result()
-    allow_memory_mode = getattr(engine, "allow_memory_mode", True)
     cache_key = None
     keyed = memo if memo is not None else cache
     if keyed is not None:
@@ -582,32 +714,21 @@ def allocate_segment(
         cache_key = keyed.make_key(
             profiles,
             hardware,
-            engine=getattr(engine, "name", type(engine).__name__),
-            pipelined=pipelined,
-            refine=refine,
-            allow_memory_mode=allow_memory_mode,
-            reserve_arrays=reserve_arrays,
+            **key_options(engine, pipelined, refine, reserve_arrays, inbound_arrays),
         )
     if memo is not None:
-        memoised = memo.lookup(cache_key, list(profiles))
+        memoised = memo.lookup(cache_key, list(profiles), inbound_arrays)
         if memoised is not None:
             return memoised
     if cache is not None:
-        cached = cache.lookup(cache_key, list(profiles))
+        cached = cache.lookup(cache_key, list(profiles), inbound_arrays)
         if cached is not None:
             if memo is not None:
                 memo.put(cache_key, profiles, cached)
             return cached
-    result = engine.allocate(profiles, hardware, pipelined=pipelined)
-    if refine and result.feasible:
-        result = refine_with_spare_arrays(
-            result,
-            profiles,
-            hardware,
-            pipelined=pipelined,
-            allow_memory_mode=allow_memory_mode,
-            reserve_arrays=reserve_arrays,
-        )
+    result = solve_segment(
+        engine, profiles, hardware, pipelined, refine, reserve_arrays, inbound_arrays
+    )
     if cache is not None:
         cache.put(cache_key, profiles, result)
     if memo is not None:

@@ -106,12 +106,17 @@ class AllocationCacheKey:
     Attributes:
         hardware: :meth:`DualModeHardwareAbstraction.fingerprint` digest.
         segment: Ordered structural signatures of the segment's operators.
-        engine: Allocation engine name (``"milp"`` / ``"greedy"``).
+        engine: Allocation engine name (``"exact"`` / ``"milp"`` /
+            ``"greedy"``).
         pipelined: Whether the segment latency model pipelines operators.
         refine: Whether duplication refinement ran after the solve.
         allow_memory_mode: Whether memory-mode arrays were permitted.
         reserve_arrays: Arrays withheld from refinement for boundary
             buffering.
+        inbound_arrays: Arrays' worth of live data entering the segment,
+            which the refinement's memory option is credited for
+            retaining.  A fixed-mode solve cannot act on it, so its key
+            always records 0.
     """
 
     hardware: str
@@ -121,6 +126,7 @@ class AllocationCacheKey:
     refine: bool
     allow_memory_mode: bool
     reserve_arrays: int
+    inbound_arrays: int = 0
 
     @classmethod
     def build(
@@ -133,6 +139,7 @@ class AllocationCacheKey:
         refine: bool,
         allow_memory_mode: bool,
         reserve_arrays: int,
+        inbound_arrays: int = 0,
     ) -> "AllocationCacheKey":
         """Build the key for one ``allocate_segment`` invocation."""
         return cls(
@@ -143,11 +150,18 @@ class AllocationCacheKey:
             refine=refine,
             allow_memory_mode=allow_memory_mode,
             reserve_arrays=int(reserve_arrays),
+            inbound_arrays=int(inbound_arrays) if allow_memory_mode else 0,
         )
 
-    def dual_mode_variant(self) -> "AllocationCacheKey":
-        """The same solve with memory mode enabled (cross-mode lookup)."""
-        return replace(self, allow_memory_mode=True)
+    def dual_mode_variant(self, inbound_arrays: int = 0) -> "AllocationCacheKey":
+        """The dual-mode solve of the same window (cross-mode lookup).
+
+        ``inbound_arrays`` is the window's inbound count, which the
+        fixed-mode key dropped.  A memory-free dual-mode result never
+        took the retention-credited memory option, so it is what the
+        fixed-mode solve of that window produces.
+        """
+        return replace(self, allow_memory_mode=True, inbound_arrays=int(inbound_arrays))
 
 
 @dataclass(frozen=True)
@@ -415,7 +429,7 @@ class AllocationCache:
         return AllocationCacheKey.build(profiles, hardware, **options)
 
     def lookup(
-        self, key: AllocationCacheKey, names: Sequence[str]
+        self, key: AllocationCacheKey, names: Sequence[str], inbound_arrays: int = 0
     ) -> Optional[AllocationResult]:
         """Return a cached result for ``key``, or None on a miss.
 
@@ -426,11 +440,12 @@ class AllocationCache:
         hit into every tier above it.  A fixed-mode lookup's cross-mode
         probe reuses the dual-mode entry of the same key only when that
         entry allocates no memory-mode arrays (then it lies inside the
-        fixed-mode space and is exact for it).  ``names`` labels the
-        returned allocations.
+        fixed-mode space and is exact for it); ``inbound_arrays`` is the
+        window's inbound count, which names that dual-mode entry.
+        ``names`` labels the returned allocations.
         """
         with self._lock:
-            entry, hit_key, cross_mode = self._memory_probe(key)
+            entry, hit_key, cross_mode = self._probe(self._entries.get, key, inbound_arrays)
             if entry is not None:
                 self._entries.move_to_end(hit_key)
                 self.stats.hits += 1
@@ -441,7 +456,7 @@ class AllocationCache:
         if self.store is not None:
             # Disk probes run outside the lock: a slow filesystem must not
             # serialise the compile threads sharing this cache.
-            entry, hit_key, cross_mode = self._disk_probe(key)
+            entry, hit_key, cross_mode = self._probe(self.store.get, key, inbound_arrays)
             if entry is not None:
                 with self._lock:
                     self._insert(hit_key, entry)
@@ -454,7 +469,7 @@ class AllocationCache:
         if self.remote is not None:
             # Remote probes also run outside the lock — a slow or dead
             # network must not serialise the compile threads either.
-            entry, hit_key, cross_mode = self._remote_probe(key)
+            entry, hit_key, cross_mode = self._probe(self.remote.get, key, inbound_arrays)
             if entry is not None:
                 with self._lock:
                     self._insert(hit_key, entry)
@@ -475,44 +490,22 @@ class AllocationCache:
         self.metrics.inc("cache.misses")
         return None
 
-    def _memory_probe(
-        self, key: AllocationCacheKey
+    @staticmethod
+    def _probe(
+        get, key: AllocationCacheKey, inbound_arrays: int
     ) -> Tuple[Optional[CacheEntry], AllocationCacheKey, bool]:
-        """Exact + cross-mode probe of the in-memory tier (lock held)."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            return entry, key, False
-        if not key.allow_memory_mode:
-            dual_key = key.dual_mode_variant()
-            dual_entry = self._entries.get(dual_key)
-            if dual_entry is not None and dual_entry.memory_free:
-                return dual_entry, dual_key, True
-        return None, key, False
+        """Exact + cross-mode probe of one tier through its ``get``.
 
-    def _disk_probe(
-        self, key: AllocationCacheKey
-    ) -> Tuple[Optional[CacheEntry], AllocationCacheKey, bool]:
-        """Exact + cross-mode probe of the persistent tier (no lock)."""
-        entry = self.store.get(key)
+        Returns ``(entry, key it was found under, cross-mode hit)``.
+        The memory tier is probed with the lock held, the disk and
+        remote tiers without.
+        """
+        entry = get(key)
         if entry is not None:
             return entry, key, False
         if not key.allow_memory_mode:
-            dual_key = key.dual_mode_variant()
-            dual_entry = self.store.get(dual_key)
-            if dual_entry is not None and dual_entry.memory_free:
-                return dual_entry, dual_key, True
-        return None, key, False
-
-    def _remote_probe(
-        self, key: AllocationCacheKey
-    ) -> Tuple[Optional[CacheEntry], AllocationCacheKey, bool]:
-        """Exact + cross-mode probe of the networked tier (no lock)."""
-        entry = self.remote.get(key)
-        if entry is not None:
-            return entry, key, False
-        if not key.allow_memory_mode:
-            dual_key = key.dual_mode_variant()
-            dual_entry = self.remote.get(dual_key)
+            dual_key = key.dual_mode_variant(inbound_arrays)
+            dual_entry = get(dual_key)
             if dual_entry is not None and dual_entry.memory_free:
                 return dual_entry, dual_key, True
         return None, key, False

@@ -73,7 +73,9 @@ class CompilerOptions:
         max_segment_operators: DP window — maximum operators per segment.
         pipelined: Pipeline operators within a segment (Eq. 9 objective).
         include_switch_cost: Charge the Eq. 1 mode-switch latency in the DP.
-        use_milp: Use the MILP per-segment allocator (otherwise greedy).
+        use_milp: Use the optimal per-segment allocator — the Eq. 8/9
+            MILP's optimum, found exactly without a solver — (otherwise
+            greedy).
         refine: Apply weight-duplication refinement after allocation.
         allow_memory_mode: Allow arrays in memory mode.  Setting this to
             False degenerates CMSwitch into a fixed-mode compiler and is

@@ -87,19 +87,20 @@ class SolveMemo:
         return AllocationCacheKey.build(profiles, hardware, **options)
 
     def lookup(
-        self, key: AllocationCacheKey, names: Sequence[str]
+        self, key: AllocationCacheKey, names: Sequence[str], inbound_arrays: int = 0
     ) -> Optional[AllocationResult]:
         """Return the memoised result for ``key``, or None.
 
         Mirrors the cache's probe order: exact entry first, then — for a
-        fixed-mode key — the dual-mode entry when it allocates no
-        memory-mode arrays (the dual-mode optimum then lies inside the
-        fixed-mode space, so reusing it is exact).
+        fixed-mode key — the dual-mode entry of the same window (named
+        by its ``inbound_arrays``) when it allocates no memory-mode
+        arrays (the dual-mode optimum then lies inside the fixed-mode
+        space, so reusing it is exact).
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None and not key.allow_memory_mode:
-                dual = self._entries.get(key.dual_mode_variant())
+                dual = self._entries.get(key.dual_mode_variant(inbound_arrays))
                 if dual is not None and dual.memory_free:
                     entry = dual
             if entry is None:

@@ -36,11 +36,12 @@ from ..ir.graph import Graph
 from ..ir.transforms import fuse_auxiliary_traffic, partition_operator
 from .allocation import (
     AllocationResult,
+    ExactAllocator,
     GreedyAllocator,
-    MIPAllocator,
     allocate_segment,
+    infeasible_result,
+    key_options,
 )
-from .feasibility import FeasibilityModel
 from ..obs import NULL_OBS
 from .program import SegmentPlan
 
@@ -83,7 +84,9 @@ class SegmentationOptions:
             latency (the switch-cost-awareness ablation turns this off).
         allow_memory_mode: Whether operators may receive memory-mode
             arrays; the all-compute baselines set this to False.
-        use_milp: Use the MILP allocator (True) or the greedy one (False).
+        use_milp: Use the optimal engine — the Eq. 8/9 optimum, computed
+            by :class:`~repro.core.allocation.ExactAllocator` — (True)
+            or the greedy heuristic (False).
         refine: Apply the post-allocation duplication refinement.
         single_segment_fallback: If True and the DP finds no feasible
             plan, fall back to one segment per operator.
@@ -125,9 +128,8 @@ class SegmentationOptions:
 
     def build_allocator(self):
         """Instantiate the configured per-segment allocation engine."""
-        if self.use_milp:
-            return MIPAllocator(allow_memory_mode=self.allow_memory_mode)
-        return GreedyAllocator(allow_memory_mode=self.allow_memory_mode)
+        engine = ExactAllocator if self.use_milp else GreedyAllocator
+        return engine(allow_memory_mode=self.allow_memory_mode)
 
 
 def validate_window(max_segment_operators) -> None:
@@ -371,6 +373,38 @@ def live_elements_vector(units: Sequence[FlattenedUnit]) -> np.ndarray:
     return np.cumsum(diff)[:m]
 
 
+def boundary_arrays(
+    liveness: np.ndarray,
+    hardware: DualModeHardwareAbstraction,
+    allow_memory_mode: bool,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What each window's boundaries ask of it, in arrays: ``(reserves, inbound)``.
+
+    ``reserves[end]`` — arrays withheld from duplication so a dual-mode
+    compiler can keep the live outputs of a window ending at ``end`` in
+    memory-mode arrays rather than spilling them off chip (at most half
+    the chip; nothing at the final boundary, nothing for fixed-mode
+    passes).  ``inbound[start]`` — the live data entering a window that
+    starts at ``start``, beyond what the native buffer holds, i.e. how
+    many memory-mode arrays :func:`~repro.cost.switching
+    .writeback_cycles` would credit it for retaining.  The inbound count
+    is a fact about the window, not the mode: a fixed-mode solve cannot
+    act on it (and its cache key drops it), but its cross-mode probe
+    needs it to name the dual-mode entry of the same window.
+    """
+    m = len(liveness)
+    reserves = np.zeros(m, dtype=np.int64)
+    inbound = np.zeros(m, dtype=np.int64)
+    if m > 1:
+        capacity = hardware.array_capacity_elements
+        live = liveness[:-1]
+        if allow_memory_mode:
+            reserves[:-1] = np.minimum(-(-live // capacity), hardware.num_arrays // 2)
+        overflow = np.maximum(live - hardware.buffer_elements, 0)
+        inbound[1:] = -(-overflow // capacity)
+    return reserves, inbound
+
+
 def window_cache_key(
     units: Sequence[FlattenedUnit],
     hardware: DualModeHardwareAbstraction,
@@ -380,19 +414,16 @@ def window_cache_key(
 ):
     """Cache key of the allocation window ``units[start..end]`` (inclusive).
 
-    Mirrors :meth:`NetworkSegmenter._allocate` for that window under the
-    pass ``options`` selects: same engine name, pipelining, refinement,
-    memory-mode flag and boundary reserve (derived from the live data at
-    boundary ``end``, zero for the final boundary).  A persistent store
-    holding this key has solved this exact sub-problem before.
+    The key :class:`NetworkSegmenter` stores that window's solve under
+    when it runs the pass ``options`` selects (it is asked for it, not
+    mirrored).  A persistent store holding this key has solved this
+    exact sub-problem before.
 
     Args:
         units: Flattened schedulable units of the graph.
         hardware: Target hardware abstraction.
-        options: Any object with ``use_milp`` / ``pipelined`` /
-            ``refine`` / ``allow_memory_mode`` attributes
-            (:class:`~repro.core.compiler.CompilerOptions` or
-            :class:`SegmentationOptions`).
+        options: :class:`~repro.core.compiler.CompilerOptions` or
+            :class:`SegmentationOptions`.
         start / end: Inclusive window bounds; ``end`` defaults to
             ``start`` (a one-operator window).
 
@@ -400,29 +431,13 @@ def window_cache_key(
         The :class:`~repro.core.cache.AllocationCacheKey`, or ``None``
         for an empty window (nothing to allocate, nothing to probe).
     """
-    from .cache import AllocationCacheKey
-
     if end is None:
         end = start
     if not units or start < 0 or end >= len(units) or end < start:
         return None
-    profiles = {unit.name: unit.profile for unit in units[start : end + 1]}
-    reserve = 0
-    if options.allow_memory_mode and end + 1 < len(units):
-        live = live_elements_at_boundary(units, end)
-        if live > 0:
-            capacity = hardware.array_capacity_elements
-            need = -(-live // capacity)
-            reserve = min(need, hardware.num_arrays // 2)
-    return AllocationCacheKey.build(
-        profiles,
-        hardware,
-        engine="milp" if options.use_milp else "greedy",
-        pipelined=options.pipelined,
-        refine=options.refine,
-        allow_memory_mode=options.allow_memory_mode,
-        reserve_arrays=reserve,
-    )
+    convert = getattr(options, "to_segmentation_options", None)
+    segmenter = NetworkSegmenter(hardware, convert() if convert else options)
+    return segmenter.window_key(units, start, end)
 
 
 def first_window_cache_key(
@@ -532,7 +547,6 @@ class NetworkSegmenter:
         self.hardware = hardware
         self.options = options or SegmentationOptions()
         self._allocator = self.options.build_allocator()
-        self._feasibility = FeasibilityModel(hardware)
         self._allocation_cache: Dict[Tuple[int, int], AllocationResult] = {}
         self._shared_cache = cache
         self._solve_memo = getattr(self.options, "solve_memo", None)
@@ -544,7 +558,8 @@ class NetworkSegmenter:
         # unit list, like ``_allocation_cache`` already assumes).
         self._vectors: Optional[ProfileVectors] = None
         self._liveness: Optional[np.ndarray] = None
-        self._reserves: Optional[np.ndarray] = None
+        self._reserves: Optional[List[int]] = None
+        self._inbound: Optional[List[int]] = None
         self._profile_windows: Dict[Tuple[int, int], Dict[str, OperatorProfile]] = {}
         self.allocation_calls = 0
         self.cache_hits = 0
@@ -560,9 +575,8 @@ class NetworkSegmenter:
         One pass over the units yields everything the DP loop needs per
         cell in O(1): the struct-of-arrays profile view (static-weight
         and compute-floor prefix sums), the live elements at every
-        boundary, and the boundary buffer reserve each window end
-        implies.  All of it is integer arithmetic identical to the
-        scalar helpers it replaces.
+        boundary, and the boundary reserve / inbound count each window
+        end / start implies.  All of it is integer arithmetic.
         """
         if self._vectors is not None or not units:
             return
@@ -570,16 +584,11 @@ class NetworkSegmenter:
             [unit.profile for unit in units], self.hardware
         )
         self._liveness = live_elements_vector(units)
-        m = len(units)
-        if self.options.allow_memory_mode and m > 1:
-            capacity = self.hardware.array_capacity_elements
-            need = -(-self._liveness // capacity)  # ceil div, int64
-            reserves = np.minimum(need, self.hardware.num_arrays // 2)
-            reserves[self._liveness <= 0] = 0
-            reserves[m - 1] = 0  # the final boundary buffers nothing
-        else:
-            reserves = np.zeros(m, dtype=np.int64)
-        self._reserves = reserves
+        reserves, inbound = boundary_arrays(
+            self._liveness, self.hardware, self.options.allow_memory_mode
+        )
+        # Plain lists: the DP reads one entry per window.
+        self._reserves, self._inbound = reserves.tolist(), inbound.tolist()
 
     # ------------------------------------------------------------------ #
     # allocation memoisation
@@ -593,31 +602,59 @@ class NetworkSegmenter:
             self._profile_windows[(start, end)] = window
         return window
 
-    def _window_fits(self, units: Sequence[FlattenedUnit], start: int, end: int) -> bool:
-        """O(1) window feasibility from the precomputed floor prefix."""
-        if self._vectors is not None:
-            return (
-                self._vectors.window_minimum_compute_arrays(start, end)
-                <= self.hardware.num_arrays
-            )
-        return self._feasibility.segment_fits(self._segment_profiles(units, start, end))
+    def _spare_arrays(self, start: int, end: int) -> int:
+        """Arrays window ``[start, end]`` leaves beyond its compute floor.
+
+        O(1) from the precomputed floor prefix; negative when the window
+        does not fit the chip at all.
+        """
+        return self.hardware.num_arrays - self._vectors.window_minimum_compute_arrays(
+            start, end
+        )
+
+    def _solve_arguments(self, start: int, end: int, spare: int) -> Dict[str, object]:
+        """Everything about window ``[start, end]``'s solve but its profiles.
+
+        The one place the engine, the solve options and the window's
+        boundary context are put together — for the inline solve, the
+        solver-pool request and the cache-key probe alike.  ``spare`` is
+        the window's :meth:`_spare_arrays`: memory arrays never exceed
+        it, so any larger inbound count asks for the identical solve.
+        """
+        return {
+            "allocator": self._allocator,
+            "pipelined": self.options.pipelined,
+            "refine": self.options.refine,
+            "reserve_arrays": self._reserves[end],
+            "inbound_arrays": min(self._inbound[start], spare),
+        }
+
+    def window_key(self, units: Sequence[FlattenedUnit], start: int, end: int):
+        """The cache key window ``[start, end]``'s solve is stored under."""
+        from .cache import AllocationCacheKey
+
+        self._prepare(units)
+        arguments = self._solve_arguments(start, end, max(0, self._spare_arrays(start, end)))
+        return AllocationCacheKey.build(
+            self._segment_profiles(units, start, end),
+            self.hardware,
+            **key_options(**arguments),
+        )
 
     def _allocate(self, units: Sequence[FlattenedUnit], start: int, end: int) -> AllocationResult:
         key = (start, end)
         if key not in self._allocation_cache:
-            if not self._window_fits(units, start, end):
-                result = AllocationResult({}, INFEASIBLE_LATENCY, False, "infeasible")
+            spare = self._spare_arrays(start, end)
+            if spare < 0:
+                result = infeasible_result()
             else:
                 with self._tracer.span("allocator.solve", start=start, end=end) as span:
                     result = allocate_segment(
                         self._segment_profiles(units, start, end),
                         self.hardware,
-                        allocator=self._allocator,
-                        pipelined=self.options.pipelined,
-                        refine=self.options.refine,
-                        reserve_arrays=self._boundary_reserve(units, end),
                         cache=self._shared_cache,
                         memo=self._solve_memo,
+                        **self._solve_arguments(start, end, spare),
                     )
                     span.set(solver=result.solver, cached=result.from_cache)
                 self._record_result(result)
@@ -665,19 +702,15 @@ class NetworkSegmenter:
         key = (start, end)
         if key in self._allocation_cache or key in pending:
             return
-        if not self._window_fits(units, start, end):
-            self._allocation_cache[key] = AllocationResult(
-                {}, INFEASIBLE_LATENCY, False, "infeasible"
-            )
+        spare = self._spare_arrays(start, end)
+        if spare < 0:
+            self._allocation_cache[key] = infeasible_result()
             return
         pending[key] = self._solver_pool.submit(
             WindowSolve(
                 profiles=self._segment_profiles(units, start, end),
                 hardware=self.hardware,
-                allocator=self._allocator,
-                pipelined=self.options.pipelined,
-                refine=self.options.refine,
-                reserve_arrays=self._boundary_reserve(units, end),
+                **self._solve_arguments(start, end, spare),
                 cache=self._shared_cache,
                 memo=self._solve_memo,
                 tracer=self._tracer,
@@ -724,24 +757,6 @@ class NetworkSegmenter:
                 self.cache_hits / attempts if attempts else 0.0
             ),
         }
-
-    def _boundary_reserve(self, units: Sequence[FlattenedUnit], end: int) -> int:
-        """Arrays withheld from duplication to buffer live boundary data.
-
-        A dual-mode compiler keeps a segment's live outputs in memory-mode
-        arrays rather than spilling them off chip, so the duplication
-        refinement must not consume the arrays that buffering needs.  At
-        most half the chip is reserved; fixed-mode baselines reserve none.
-        """
-        if self._reserves is not None:
-            return int(self._reserves[end])
-        if not self.options.allow_memory_mode or end + 1 >= len(units):
-            return 0
-        live = live_elements_at_boundary(units, end)
-        if live <= 0:
-            return 0
-        need = -(-live // self.hardware.array_capacity_elements)
-        return min(need, self.hardware.num_arrays // 2)
 
     # ------------------------------------------------------------------ #
     # dynamic program

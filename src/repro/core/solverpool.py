@@ -1,12 +1,13 @@
 """Shared worker pool for window-allocation solves (the parallel cold path).
 
-The DP segmentation used to request one window allocation at a time, so
-a cold compile ran its ~hundreds of HiGHS solves strictly sequentially —
-even though HiGHS releases the GIL and the per-wavefront windows are
-independent.  :class:`SolverPool` closes that gap: the segmenter submits
-every candidate window of a DP wavefront as a batch of
-:class:`WindowSolve` requests and consumes the tickets in order, so one
-cold compile saturates every worker instead of one core.
+The sequential DP requests one window allocation at a time although the
+windows of one wavefront are independent.  With a :class:`SolverPool`
+the segmenter submits every candidate window of a DP wavefront as a
+batch of :class:`WindowSolve` requests and consumes the tickets in
+order.  (The pool was built when a window solve was a ~4 ms HiGHS call
+that released the GIL; the exact engine is ~0.1 ms of pure Python, so
+threads no longer overlap it — see CHANGES.md for the measured
+sequential vs ``--solve-jobs 4`` numbers.)
 
 The pool preserves the sequential tier discipline exactly:
 
@@ -52,8 +53,10 @@ from ..hardware.deha import DualModeHardwareAbstraction
 from ..obs import NULL_OBS
 from .allocation import (
     AllocationResult,
-    refine_with_spare_arrays,
+    infeasible_result,
+    key_options,
     segment_fits,
+    solve_segment,
 )
 from .cache import AllocationCacheKey, CacheEntry
 
@@ -98,6 +101,7 @@ class WindowSolve:
     pipelined: bool = True
     refine: bool = True
     reserve_arrays: int = 0
+    inbound_arrays: int = 0
     cache: Optional[object] = None
     memo: Optional[object] = None
     tracer: Optional[object] = None
@@ -109,11 +113,13 @@ class WindowSolve:
         return AllocationCacheKey.build(
             self.profiles,
             self.hardware,
-            engine=getattr(self.allocator, "name", type(self.allocator).__name__),
-            pipelined=self.pipelined,
-            refine=self.refine,
-            allow_memory_mode=getattr(self.allocator, "allow_memory_mode", True),
-            reserve_arrays=self.reserve_arrays,
+            **key_options(
+                self.allocator,
+                self.pipelined,
+                self.refine,
+                self.reserve_arrays,
+                self.inbound_arrays,
+            ),
         )
 
 
@@ -238,17 +244,15 @@ class SolverPool:
                 raise RuntimeError("SolverPool is closed")
         names = list(solve.profiles)
         if not segment_fits(solve.profiles, solve.hardware):
-            from .allocation import infeasible_result
-
             return _ResolvedTicket(infeasible_result())
         key = solve.cache_key()
         if solve.memo is not None:
-            hit = solve.memo.lookup(key, names)
+            hit = solve.memo.lookup(key, names, solve.inbound_arrays)
             if hit is not None:
                 self._note_tier_hit()
                 return _ResolvedTicket(hit)
         if solve.cache is not None:
-            hit = solve.cache.lookup(key, names)
+            hit = solve.cache.lookup(key, names, solve.inbound_arrays)
             if hit is not None:
                 if solve.memo is not None:
                     solve.memo.put(key, solve.profiles, hit)
@@ -295,20 +299,15 @@ class SolverPool:
             with tracer.span(
                 "allocator.solve", parent=solve.parent_span, **solve.attrs
             ) as span:
-                result = solve.allocator.allocate(
-                    solve.profiles, solve.hardware, pipelined=solve.pipelined
+                result = solve_segment(
+                    solve.allocator,
+                    solve.profiles,
+                    solve.hardware,
+                    solve.pipelined,
+                    solve.refine,
+                    solve.reserve_arrays,
+                    solve.inbound_arrays,
                 )
-                if solve.refine and result.feasible:
-                    result = refine_with_spare_arrays(
-                        result,
-                        solve.profiles,
-                        solve.hardware,
-                        pipelined=solve.pipelined,
-                        allow_memory_mode=getattr(
-                            solve.allocator, "allow_memory_mode", True
-                        ),
-                        reserve_arrays=solve.reserve_arrays,
-                    )
                 span.set(solver=result.solver, cached=False)
             if solve.cache is not None:
                 solve.cache.put(key, solve.profiles, result)

@@ -64,7 +64,7 @@ __all__ = ["DiskCacheStore", "DiskStoreStats", "FORMAT_VERSION", "key_digest"]
 #: payload, the key canonicalisation, or the meaning of any stored field
 #: changes; readers refuse entries with a different version (see module
 #: docstring for the newer/older asymmetry).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Default size budget: generous for real sweeps, small enough that a
 #: forgotten cache directory cannot fill a CI disk.
@@ -93,6 +93,7 @@ def _key_payload(key: "AllocationCacheKey") -> Dict:
         "refine": key.refine,
         "allow_memory_mode": key.allow_memory_mode,
         "reserve_arrays": key.reserve_arrays,
+        "inbound_arrays": key.inbound_arrays,
     }
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -247,6 +247,40 @@ def data_supply_times_batch(
     return offchip_time, onchip_time
 
 
+def operator_latency_factors_batch(
+    profile: OperatorProfile,
+    compute_arrays: np.ndarray,
+    memory_arrays: np.ndarray,
+    hardware: DualModeHardwareAbstraction,
+    d_main_share: float = 1.0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The two factors of Eq. 10: ``(compute_time, supply_time)``.
+
+    Eq. 10 is separable — the compute time depends only on the compute
+    count and the supply time only on the memory count — and the
+    operator latency is their element-wise maximum.  A caller that
+    walks many ``(compute, memory)`` pairs of one operator (the
+    spare-array refinement) tabulates the two factors once over
+    ``0..num_arrays`` and combines them per step.  ``compute_time`` is
+    ``inf`` where no compute is possible and ``0`` for an operator
+    without MACs (pure data movement).
+    """
+    com = np.asarray(compute_arrays, dtype=np.int64)
+    mem = np.asarray(memory_arrays, dtype=np.int64)
+    offchip_time, onchip_time = data_supply_times_batch(
+        profile, mem, hardware, d_main_share
+    )
+    supply_time = np.maximum(offchip_time, onchip_time)
+    if profile.macs == 0:
+        return np.zeros(com.shape, dtype=np.float64), supply_time
+    c_rate = compute_rate_batch(profile, com, hardware)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        compute_time = np.where(
+            c_rate > 0, float(profile.macs) / c_rate, INFEASIBLE_LATENCY
+        )
+    return compute_time, supply_time
+
+
 def operator_latency_cycles_batch(
     profile: OperatorProfile,
     compute_arrays: np.ndarray,
@@ -260,27 +294,17 @@ def operator_latency_cycles_batch(
     (pass a column and a row to evaluate a full candidate grid in one
     call).  Every element equals the scalar
     :func:`operator_latency_cycles` for the same pair exactly — the
-    candidate enumeration and the greedy allocator rely on that to keep
-    compiled programs bit-identical to the scalar reference.
+    candidate enumeration and the allocators rely on that to keep
+    compiled programs independent of which of the two evaluated them.
     """
-    com = np.asarray(compute_arrays, dtype=np.int64)
-    mem = np.asarray(memory_arrays, dtype=np.int64)
-    com, mem = np.broadcast_arrays(com, mem)
-    offchip_time, onchip_time = data_supply_times_batch(
-        profile, mem, hardware, d_main_share
+    com, mem = np.broadcast_arrays(
+        np.asarray(compute_arrays, dtype=np.int64),
+        np.asarray(memory_arrays, dtype=np.int64),
     )
-    supply_time = np.maximum(offchip_time, onchip_time)
-    if profile.macs == 0:
-        return guard_infeasible_batch(supply_time)
-    c_rate = compute_rate_batch(profile, com, hardware)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        compute_time = np.where(
-            c_rate > 0, float(profile.macs) / c_rate, INFEASIBLE_LATENCY
-        )
-    latency = np.where(
-        c_rate <= 0, INFEASIBLE_LATENCY, np.maximum(compute_time, supply_time)
+    compute_time, supply_time = operator_latency_factors_batch(
+        profile, com, mem, hardware, d_main_share
     )
-    return guard_infeasible_batch(latency)
+    return guard_infeasible_batch(np.maximum(compute_time, supply_time))
 
 
 def operator_bound(
@@ -300,18 +324,35 @@ def operator_bound(
 
 
 def pipeline_fill_cycles(
-    profiles: Iterable[OperatorProfile],
+    stages: Iterable[object],
     hardware: DualModeHardwareAbstraction,
 ) -> float:
     """First-result latency before the intra-segment pipeline is full.
 
     Operators inside a segment form a dataflow pipeline; before the
     steady state each stage must produce its first tile.  We charge one
-    array activation per stage, a small constant that keeps single-operator
-    and multi-operator segments comparable.
+    array activation per stage (one item of ``stages`` — the segment's
+    profiles, or its operator latencies), a small constant that keeps
+    single-operator and multi-operator segments comparable.
     """
-    stages = sum(1 for _ in profiles)
-    return stages * hardware.compute_latency_cycles
+    return sum(1 for _ in stages) * hardware.compute_latency_cycles
+
+
+def combine_operator_latencies(
+    latencies: Sequence[float],
+    hardware: DualModeHardwareAbstraction,
+    pipelined: bool = True,
+) -> float:
+    """``T_intra`` from the per-operator latencies of one segment (Eq. 9).
+
+    Pipelined (the paper's scheduling strategy): the maximum operator
+    latency plus the pipeline fill time.  Serial: the latencies add.
+    """
+    if not latencies:
+        return 0.0
+    if pipelined:
+        return guard_infeasible(max(latencies) + pipeline_fill_cycles(latencies, hardware))
+    return guard_infeasible(sum(latencies))
 
 
 def segment_latency_cycles(
@@ -327,24 +368,18 @@ def segment_latency_cycles(
         profiles: Profiles of the segment's operators.
         allocations: Allocation for every operator in ``profiles``.
         hardware: Target hardware abstraction.
-        pipelined: When True (the paper's scheduling strategy) the segment
-            latency is the maximum operator latency plus the pipeline fill
-            time; when False operators execute serially and latencies add.
+        pipelined: See :func:`combine_operator_latencies`.
         d_main_share: Fraction of the main-memory bandwidth available to
             each operator (1.0 reproduces the paper's model).
 
     Raises:
         KeyError: If an operator has no allocation entry.
     """
-    latencies: List[float] = []
-    for name, profile in profiles.items():
-        allocation = allocations[name]
-        latencies.append(operator_latency_cycles(profile, allocation, hardware, d_main_share))
-    if not latencies:
-        return 0.0
-    if pipelined:
-        return guard_infeasible(max(latencies) + pipeline_fill_cycles(profiles.values(), hardware))
-    return guard_infeasible(sum(latencies))
+    latencies = [
+        operator_latency_cycles(profile, allocations[name], hardware, d_main_share)
+        for name, profile in profiles.items()
+    ]
+    return combine_operator_latencies(latencies, hardware, pipelined)
 
 
 def minimum_latency_all_compute(

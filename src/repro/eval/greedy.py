@@ -20,9 +20,9 @@ the rungs the package already has:
   to score many candidates, faithful enough to rank them.
 
 Because the allocation cache and the per-run solve memo key on the
-engine (``"greedy"`` vs ``"milp"``), greedy evaluations never pollute
-MILP cache entries and vice versa; a candidate promoted from this rung
-to ``compile`` fidelity starts its MILP solves from whatever the run
+engine (``"greedy"`` vs ``"exact"``), greedy evaluations never pollute
+the optimal engine's cache entries and vice versa; a candidate promoted
+from this rung to ``compile`` fidelity starts its solves from whatever the run
 has already warmed, exactly as if the greedy rung had not run.
 """
 

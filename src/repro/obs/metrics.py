@@ -10,7 +10,7 @@ subsystems that never see each other's stats dicts.
 
 Naming convention — dotted, lowercase, subsystem first::
 
-    allocator.solves            allocator.splits.milp
+    allocator.solves            allocator.solves.exact
     cache.memory.hits           cache.disk.hits
     memo.hits                   replay.queue_depth (histogram)
 

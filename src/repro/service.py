@@ -9,10 +9,9 @@ the same network at different workloads — repeats most of those solves.
 * every job compiles against one shared, thread-safe
   :class:`~repro.core.cache.AllocationCache`, so structurally identical
   segments are solved once across the whole batch;
-* jobs run concurrently on a thread pool (``concurrent.futures``); the
-  MILP solves release the GIL inside HiGHS, so batches scale with cores;
-* for CPU-bound fleets where the GIL still caps the thread backend (the
-  DP and cost model are pure Python), ``backend="process"`` shuttles
+* jobs run concurrently on a thread pool (``concurrent.futures``);
+* for CPU-bound fleets where the GIL caps the thread backend (the
+  window solver, DP and cost model are pure Python), ``backend="process"`` shuttles
   picklable job specs through a ``ProcessPoolExecutor``; workers share
   solves through a :class:`~repro.core.store.DiskCacheStore` when a
   ``cache_dir`` is given, and the results are bit-identical to the

@@ -219,3 +219,27 @@ class TestRefinement:
         result = allocate_segment(profiles, hw, reserve_arrays=reserve)
         assert result.feasible
         assert result.total_arrays <= hw.num_arrays
+
+
+def test_default_compile_never_imports_scipy_optimize():
+    """No native solver — and no lazy ``scipy.optimize`` import — on the
+    default compile path (the MILP oracle imports it inside ``_select``)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "from repro.api import Session\n"
+        "with Session(hardware='small-test-chip') as session:\n"
+        "    program = session.compile('tiny-cnn')\n"
+        "assert program.stats['allocator_solves'] > 0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -74,11 +74,36 @@ class TestCacheKeys:
         dual = fixed.dual_mode_variant()
         assert dual.allow_memory_mode is True
         assert dual.segment == fixed.segment and dual.reserve_arrays == fixed.reserve_arrays
+        assert dual.inbound_arrays == 0
+        # The window's inbound count — dropped from the fixed-mode key —
+        # names the dual-mode entry of the same window.
+        assert fixed.dual_mode_variant(3) == AllocationCacheKey.build(
+            profiles, small_chip, engine="milp", pipelined=True, refine=True,
+            allow_memory_mode=True, reserve_arrays=0, inbound_arrays=3,
+        )
+
+    def test_fixed_mode_keys_drop_the_inbound_count(self, small_chip, tiny_mlp_graph):
+        profiles = profile_graph(tiny_mlp_graph)
+        options = dict(engine="exact", pipelined=True, refine=True, reserve_arrays=0)
+        fixed = [
+            AllocationCacheKey.build(
+                profiles, small_chip, allow_memory_mode=False, inbound_arrays=k, **options
+            )
+            for k in (0, 3)
+        ]
+        dual = [
+            AllocationCacheKey.build(
+                profiles, small_chip, allow_memory_mode=True, inbound_arrays=k, **options
+            )
+            for k in (0, 3)
+        ]
+        assert fixed[0] == fixed[1] and fixed[0].inbound_arrays == 0
+        assert dual[0] != dual[1]
 
 
 class TestAllocationCache:
     def _options(self, **overrides):
-        options = dict(engine="milp", pipelined=True, refine=True,
+        options = dict(engine="exact", pipelined=True, refine=True,
                        allow_memory_mode=True, reserve_arrays=0)
         options.update(overrides)
         return options
@@ -326,13 +351,3 @@ class TestInfeasibilityGuards:
         ratio = program.mean_memory_array_ratio
         assert not math.isnan(ratio)
         assert 0.0 <= ratio <= 1.0
-
-    def test_milp_all_infinite_candidates_falls_back(self, small_chip):
-        """An all-infeasible candidate set must not crash the MILP build."""
-        from repro.core.allocation import AllocationCandidate
-
-        solver = MIPAllocator()
-        candidates = {
-            "op": [AllocationCandidate(1, 0, INFEASIBLE_LATENCY)],
-        }
-        assert solver._solve_milp(["op"], candidates, small_chip) is None

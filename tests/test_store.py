@@ -124,6 +124,32 @@ class TestDiskCacheStore:
         # A newer writer's file must survive an older reader.
         assert path.exists()
 
+    def test_v1_entry_is_rejected_and_counted_never_served(self, tmp_path):
+        """A directory written before the key gained ``inbound_arrays``.
+
+        Format 1 keys had no inbound count and named the default engine
+        ``"milp"``; even planted at the address a format-2 reader probes,
+        such an entry is a counted version rejection, not a plan.
+        """
+        assert FORMAT_VERSION == 2
+        store = DiskCacheStore(tmp_path)
+        key = _synthetic_key()
+        store.put(key, _entry())
+        path = _entry_file(store, key)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["format_version"] = 1
+        del payload["key"]["inbound_arrays"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert store.get(key) is None
+        assert store.stats.version_rejections == 1
+        assert store.stats.hits == 0
+        # An obsolete entry may be overwritten; the rewrite is served.
+        store.put(key, _entry())
+        assert store.get(key) == _entry()
+
+    def test_inbound_count_is_part_of_the_content_address(self):
+        assert key_digest(_synthetic_key()) != key_digest(_synthetic_key(inbound_arrays=2))
+
     def test_foreign_key_payload_is_miss(self, tmp_path):
         """A file whose stored key disagrees with its name is never served."""
         store = DiskCacheStore(tmp_path)

@@ -38,8 +38,10 @@ from repro.core.allocation import (
     refine_with_spare_arrays,
     segment_fits,
 )
+from repro.core.cache import AllocationCache
 from repro.core.memo import SolveMemo
 from repro.core.segmentation import (
+    NetworkSegmenter,
     first_window_cache_key,
     flatten_graph,
     window_cache_key,
@@ -296,6 +298,35 @@ class TestWindowCacheKey:
         spans = len(units) * (len(units) + 1) // 2
         assert len(keys) == spans
 
+    @pytest.mark.parametrize("model", ["tiny-mlp", "tiny-cnn", "tiny-transformer"])
+    @pytest.mark.parametrize("allow_memory_mode", [True, False])
+    def test_probe_key_is_the_key_the_dp_stored(self, model, allow_memory_mode, small_chip):
+        """One definition of the window key: the probe asks the segmenter.
+
+        For every window the DP solved, ``window_cache_key`` must name
+        the entry the solve was stored under — engine name, boundary
+        reserve and inbound count included — or the DSE planner's warm
+        probe silently never hits.
+        """
+        graph = build_model(model, Workload(batch_size=1, seq_len=16))
+        options = CompilerOptions(allow_memory_mode=allow_memory_mode)
+        cache = AllocationCache()
+        segmenter = NetworkSegmenter(
+            small_chip, options.to_segmentation_options(), cache=cache
+        )
+        units = segmenter.segment(graph).units
+        solved = {
+            window_cache_key(units, small_chip, options, start=start, end=end)
+            for (start, end), result in segmenter._allocation_cache.items()
+            if result.feasible
+        }
+        assert solved == set(cache._entries)
+        # Fixed-mode keys drop the inbound count; tiny-mlp's live data
+        # fits the native buffer, so it has none to record.
+        assert any(key.inbound_arrays > 0 for key in solved) == (
+            allow_memory_mode and model != "tiny-mlp"
+        )
+
     def test_final_window_reserves_nothing(self, units, small_chip):
         options = CompilerOptions()
         last = len(units) - 1
@@ -317,7 +348,7 @@ class TestWindowCacheKey:
         greedy = window_cache_key(units, small_chip, CompilerOptions(use_milp=False))
         assert dual != fixed
         assert dual != greedy
-        assert dual.engine == "milp" and greedy.engine == "greedy"
+        assert dual.engine == "exact" and greedy.engine == "greedy"
 
 
 # ---------------------------------------------------------------------- #
@@ -446,9 +477,7 @@ class TestReuseTripwires:
         def forbidden(*args, **kwargs):  # pragma: no cover - tripwire
             raise AssertionError("the greedy fidelity rung touched the MILP solver")
 
-        monkeypatch.setattr(
-            "repro.core.allocation.solve_canonical_milp", forbidden
-        )
+        # ExactAllocator inherits ``allocate``: this forbids both engines.
         monkeypatch.setattr(MIPAllocator, "allocate", forbidden)
         result = DSERunner(_two_point_space(), strategy="grid", fidelity="greedy").run()
         assert result.evaluated == 2
