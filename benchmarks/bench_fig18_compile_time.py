@@ -47,7 +47,7 @@ def test_fig18_compilation_overhead(benchmark, chip, grids):
     assert by_model["llama2-7b"] <= by_model["resnet18"] * 2.0
 
 
-def _quick_smoke(cache_dir=None, json_out="BENCH_fig18.json", solve_jobs=None) -> int:
+def _quick_smoke(cache_dir=None, json_out="BENCH_fig18.json") -> int:
     """CI smoke: cold/warm compile with a shared cache; print hit rate.
 
     Besides the human-readable report, the measured numbers are written
@@ -58,10 +58,8 @@ def _quick_smoke(cache_dir=None, json_out="BENCH_fig18.json", solve_jobs=None) -
 
     from repro.experiments.compile_time import cached_compile_speedup
 
-    stats = cached_compile_speedup(cache_dir=cache_dir, solve_jobs=solve_jobs)
+    stats = cached_compile_speedup(cache_dir=cache_dir)
     where = f", persistent store: {cache_dir}" if cache_dir else ""
-    if solve_jobs:
-        where += f", solver pool: {solve_jobs} workers"
     print(
         f"compile-time smoke (shared allocation cache{where}):\n"
         f"  cold pass : {stats['cold_seconds']:.3f} s "
@@ -96,22 +94,7 @@ if __name__ == "__main__":
         default="BENCH_fig18.json",
         help="machine-readable result record ('' disables)",
     )
-    parser.add_argument(
-        "--solve-jobs",
-        type=int,
-        default=None,
-        help=(
-            "worker threads for window-allocation solves (one shared "
-            "pool; strict mode keeps solve counts identical)"
-        ),
-    )
     cli_args, _ = parser.parse_known_args()
     if cli_args.quick:
-        sys.exit(
-            _quick_smoke(
-                cache_dir=cli_args.cache_dir,
-                json_out=cli_args.json_out,
-                solve_jobs=cli_args.solve_jobs,
-            )
-        )
+        sys.exit(_quick_smoke(cache_dir=cli_args.cache_dir, json_out=cli_args.json_out))
     print(render_report(measure_compile_time()))

@@ -15,6 +15,11 @@ Conventions:
 * ``repro`` resolves to the installed console script when present, and
   falls back to ``python -m repro.cli`` otherwise, so the checker works
   in a bare checkout with only ``PYTHONPATH=src``.
+* The checker owns its scratch space: every ``/tmp/`` prefix inside an
+  executed block is rewritten to one fresh temporary directory that is
+  removed on exit, so a leftover ``/tmp/dse-slo`` from an earlier run
+  (or a concurrent one) can never fail a block, and nothing is left
+  behind.
 
 Usage::
 
@@ -67,12 +72,13 @@ def extract_blocks(path: Path) -> List[Tuple[int, str, str, bool]]:
     return blocks
 
 
-def shim_path() -> str:
+def shim_path(scratch: Path) -> str:
     """PATH with a `repro` shim prepended when the script is absent."""
     path = os.environ.get("PATH", "")
     if shutil.which("repro"):
         return path
-    shim_dir = Path(tempfile.mkdtemp(prefix="repro-shim-"))
+    shim_dir = scratch / "bin"
+    shim_dir.mkdir()
     shim = shim_dir / "repro"
     shim.write_text(
         f'#!/bin/sh\nexec "{sys.executable}" -m repro.cli "$@"\n', encoding="utf-8"
@@ -99,8 +105,19 @@ def main(argv=None) -> int:
         *sorted((REPO_ROOT / "docs").glob("*.md")),
     ]
 
+    with tempfile.TemporaryDirectory(prefix="check-docs-") as scratch:
+        failures = run_files(files, Path(scratch), list_only=args.list)
+    if failures:
+        print(f"{failures} documentation block(s) failed")
+        return 1
+    print("all documentation blocks passed")
+    return 0
+
+
+def run_files(files: List[Path], scratch: Path, list_only: bool) -> int:
+    """Check every block of ``files``; returns the number of failures."""
     env = dict(os.environ)
-    env["PATH"] = shim_path()
+    env["PATH"] = shim_path(scratch)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
@@ -117,7 +134,7 @@ def main(argv=None) -> int:
             if skipped:
                 print(f"SKIP    {label}")
                 continue
-            if args.list:
+            if list_only:
                 print(f"BLOCK   {label}")
                 continue
             if language == "python":
@@ -131,18 +148,14 @@ def main(argv=None) -> int:
             if language != "bash":
                 continue
             started = time.perf_counter()
-            code_result = run_bash(code, env)
+            code_result = run_bash(code.replace("/tmp/", f"{scratch}/"), env)
             elapsed = time.perf_counter() - started
             if code_result == 0:
                 print(f"OK      {label} ({elapsed:.1f}s)")
             else:
                 print(f"FAIL    {label} (exit {code_result})")
                 failures += 1
-    if failures:
-        print(f"{failures} documentation block(s) failed")
-        return 1
-    print("all documentation blocks passed")
-    return 0
+    return failures
 
 
 if __name__ == "__main__":

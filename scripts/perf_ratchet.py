@@ -1,8 +1,7 @@
 """Performance ratchet: fail CI when the cold compile path regresses.
 
-The repository commits measured baselines, ``BENCH_compile_cold.json``
-(sequential) and ``BENCH_compile_cold_parallel.json`` (``--solve-jobs``),
-seeded from ``benchmarks/bench_fig18_compile_time.py --quick``.  Each
+The repository commits one measured baseline, ``BENCH_compile_cold.json``,
+seeded from ``benchmarks/bench_fig18_compile_time.py --quick``.  It
 records the cold-pass wall time and allocator-solve count of the
 standard compile-time smoke.  CI re-measures and compares::
 
@@ -18,15 +17,14 @@ Two independent checks, because they fail for different reasons:
   deterministic: the same models on the same chip enumerate the same
   allocation windows.  Any increase, in *any* measurement, means the
   compiler started solving more sub-problems (a cache-key regression, a
-  lost dedup, a parallel-DP parity break) and fails the ratchet
-  outright, with no tolerance.
+  lost dedup) and fails the ratchet outright, with no tolerance.
 * **Wall time** (tolerance-gated, best-of-N) — the *minimum*
   ``cold_seconds`` across the measurement files may exceed the baseline
   by at most the tolerance.  Taking the best of several runs filters
   the one-off scheduler hiccups that made a single-shot gate flaky; a
   genuine vectorisation or solver-path regression slows every run, so
   the minimum still catches it.  The tolerance lives *in the baseline
-  file* (``wall_tolerance``, a fraction) so each baseline carries the
+  file* (``wall_tolerance``, a fraction) so the baseline carries the
   noise budget of the machine class that produced it; ``--tolerance``
   overrides it, and 0.20 is the fallback when neither is present.
 
@@ -144,15 +142,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=(
-            f"committed baseline record (default: {DEFAULT_BASELINE.name}, "
-            f"or {DEFAULT_REPLAY_BASELINE.name} for replay reports)"
-        ),
-    )
-    parser.add_argument(
         "--tolerance",
         type=float,
         default=None,
@@ -170,11 +159,11 @@ def main(argv=None) -> int:
     if first.get("schema") == REPLAY_SCHEMA:
         if len(args.measurements) > 1:
             parser.error("replay reports are deterministic; pass exactly one")
-        baseline_path = args.baseline or DEFAULT_REPLAY_BASELINE
-        return check_replay(load_json(baseline_path), first, baseline_path.name)
+        return check_replay(
+            load_json(DEFAULT_REPLAY_BASELINE), first, DEFAULT_REPLAY_BASELINE.name
+        )
 
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline = load_record(baseline_path)
+    baseline = load_record(DEFAULT_BASELINE)
     measured = [load_record(path) for path in args.measurements]
     tolerance = resolve_tolerance(baseline, args.tolerance)
 
@@ -186,7 +175,7 @@ def main(argv=None) -> int:
 
     runs = ", ".join(f"{seconds:.3f}" for seconds in walls)
     print(
-        f"perf ratchet (baseline {baseline_path.name}, "
+        f"perf ratchet (baseline {DEFAULT_BASELINE.name}, "
         f"{len(measured)} measurement(s)):\n"
         f"  solves : exact gate vs {base_solves} baseline, every run\n"
         f"  wall   : best of [{runs}] s = {best_seconds:.3f} s vs "

@@ -37,13 +37,13 @@ Sub-packages:
 
 from .api import Session
 from .core.cache import AllocationCache
-from .core.compiler import CMSwitchCompiler, CompilerOptions, NoFeasiblePlanError, compile_model
+from .core.compiler import CMSwitchCompiler, CompilerOptions, NoFeasiblePlanError
 from .core.store import DiskCacheStore
 from .core.program import CompiledProgram, SegmentPlan
 from .hardware import DualModeHardwareAbstraction, dynaplasia, get_preset, prime, small_test_chip
 from .models import Phase, Workload, build_model, list_models
 from .pipeline import Pipeline, PipelineContext, build_pipeline
-from .service import CompileJob, CompileJobResult, CompileService, compile_batch
+from .service import CompileJob, CompileJobResult, CompileService
 
 __version__ = "0.4.0"
 
@@ -67,8 +67,6 @@ __all__ = [
     "__version__",
     "build_model",
     "build_pipeline",
-    "compile_batch",
-    "compile_model",
     "dynaplasia",
     "get_preset",
     "list_models",

@@ -1,10 +1,8 @@
 """The stable public API: one :class:`Session` over compile / batch / DSE.
 
-Before this module existed there were three separate entry points —
-:func:`repro.core.compiler.compile_model`,
-:func:`repro.service.compile_batch` and :class:`repro.dse.DSERunner` —
-each re-plumbing hardware presets, cache directories and pool backends
-on its own.  A :class:`Session` carries that context once:
+Compiling one graph, running a batch and exploring a design space each
+need a hardware preset, a cache directory and a pool backend.  A
+:class:`Session` carries that context once:
 
 * ``session.compile(model, workload)`` — one graph through the pass
   pipeline, raising on failure;
@@ -27,9 +25,6 @@ Usage::
         program = session.compile("resnet18")
         results = session.compile_batch(["bert", "vgg16"])
         sweep = session.explore(space, strategy="greedy", budget=16)
-
-The historical entry points remain as deprecation shims over a session
-and produce bit-identical programs (asserted in CI).
 """
 
 from __future__ import annotations
@@ -95,13 +90,6 @@ class Session:
         backend: ``"thread"`` (default) or ``"process"`` — see
             :class:`CompileService` for the sharing contract.
         max_workers: Default pool width for batches.
-        solve_jobs: Worker threads for window-allocation solves.  The
-            session's service builds **one** shared
-            :class:`~repro.core.solverpool.SolverPool` used by every
-            compile and batch job, so a cold compile's DP saturates the
-            budget while concurrent jobs still share it (never multiply
-            it).  ``None`` keeps the sequential solve path.  Closed by
-            :meth:`close`.
         use_cache: Disable the shared cache entirely (A/B timing).
         trace: Telemetry switch (off by default — the disabled path is a
             measured-overhead-free no-op).  Accepts ``True`` (collect
@@ -122,7 +110,6 @@ class Session:
         remote_cache: Optional[Union[str, object]] = None,
         backend: str = "thread",
         max_workers: Optional[int] = None,
-        solve_jobs: Optional[int] = None,
         use_cache: bool = True,
         trace: Union[None, bool, str, Path, Tracer, Observability] = None,
     ) -> None:
@@ -155,7 +142,6 @@ class Session:
             remote_cache=remote_cache,
             backend=backend,
             max_workers=max_workers,
-            solve_jobs=solve_jobs,
             use_cache=use_cache,
             obs=self.obs,
         )
@@ -164,11 +150,9 @@ class Session:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release held resources (solver pool, remote-cache sockets).
+        """Release held resources (remote-cache sockets).
 
-        Idempotent.  The remote client reconnects on the next lookup,
-        but the solver pool is shut down for good: compiles after
-        ``close()`` on a session that had ``solve_jobs`` set will raise.
+        Idempotent; the remote client reconnects on the next lookup.
         """
         self.service.close()
 
@@ -217,7 +201,6 @@ class Session:
             options or self.options,
             cache=self.cache,
             obs=self.obs,
-            solver_pool=self.service.solver_pool,
         )
         return compiler.compile(graph)
 

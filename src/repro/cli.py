@@ -240,14 +240,9 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
     if failure is not None:
         return failure
 
-    options = None
-    if args.speculative:
-        options = CompilerOptions(speculative_solves=True)
     session = Session(
         hardware=args.hardware,
-        options=options,
         max_workers=args.jobs,
-        solve_jobs=args.solve_jobs,
         use_cache=not args.no_cache,
         backend=args.backend,
         cache_dir=args.cache_dir,
@@ -328,16 +323,6 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
     # warm-start behaviour is visible as disk-tier hits).
     print(f"total allocator solves: {total_solves}")
     print(f"total disk hits: {total_disk_hits}")
-    pool_stats = session.service.solver_pool_stats()
-    if pool_stats is not None:
-        print(
-            f"solver pool: {pool_stats['workers']} workers, "
-            f"{pool_stats['dispatched']} dispatched, "
-            f"{pool_stats['dedup_hits']} dedup hits, "
-            f"{pool_stats['solve_seconds']:.3f}s solver-core in "
-            f"{pool_stats['wall_seconds']:.3f}s pool wall, "
-            f"{pool_stats['speculative_waste']} speculative waste"
-        )
     if args.json_out:
         import json
 
@@ -366,8 +351,6 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
         }
         if args.backend == "thread" and session.cache is not None:
             report["cache"] = session.cache_stats.to_dict()
-        if pool_stats is not None:
-            report["solver_pool"] = pool_stats
         out = Path(args.json_out).expanduser()
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         LOGGER.info("json report: %s", out)
@@ -846,7 +829,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         remote_cache=args.remote_cache,
         workers=args.workers,
-        solve_jobs=args.solve_jobs,
         queue_limit=args.queue_limit,
         wait_timeout=args.timeout,
         host=args.host,
@@ -911,24 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="transformer phase (default: encode for transformers)",
     )
     batch.add_argument("--jobs", type=int, default=None, help="thread-pool width")
-    batch.add_argument(
-        "--solve-jobs",
-        type=int,
-        default=None,
-        help=(
-            "worker threads for window-allocation solves; one shared pool "
-            "serves every job (strict mode: bit-identical programs and "
-            "solve counts vs the sequential path)"
-        ),
-    )
-    batch.add_argument(
-        "--speculative",
-        action="store_true",
-        help=(
-            "opt-in speculative DP lookahead on the solver pool (programs "
-            "stay bit-identical; wasted solves are reported)"
-        ),
-    )
     batch.add_argument(
         "--repeat",
         type=int,
@@ -1241,15 +1205,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=300.0,
         help="per-request wait bound in seconds (504 on expiry)",
-    )
-    serve.add_argument(
-        "--solve-jobs",
-        type=int,
-        default=None,
-        help=(
-            "worker threads for window-allocation solves, shared across "
-            "all compile workers (one pool, bounded concurrency)"
-        ),
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -634,9 +634,8 @@ def key_options(
     """What an ``AllocationCacheKey`` records about one solve's arguments.
 
     Takes :func:`allocate_segment`'s solve arguments under their own
-    names, so every place that needs the key of a solve — the solve
-    itself, the solver-pool request, the segmenter's key probe —
-    derives it here.
+    names, so both places that need the key of a solve — the solve
+    itself and the segmenter's key probe — derive it here.
     """
     return {
         "engine": getattr(allocator, "name", type(allocator).__name__),
@@ -646,31 +645,6 @@ def key_options(
         "reserve_arrays": reserve_arrays,
         "inbound_arrays": inbound_arrays,
     }
-
-
-def solve_segment(
-    allocator: object,
-    profiles: Mapping[str, OperatorProfile],
-    hardware: DualModeHardwareAbstraction,
-    pipelined: bool = True,
-    refine: bool = True,
-    reserve_arrays: int = 0,
-    inbound_arrays: int = 0,
-) -> AllocationResult:
-    """One fresh solve: the engine's allocation plus the refinement."""
-    result = allocator.allocate(profiles, hardware, pipelined=pipelined)
-    if refine and result.feasible:
-        result = refine_with_spare_arrays(
-            result,
-            profiles,
-            hardware,
-            pipelined=pipelined,
-            allow_memory_mode=getattr(allocator, "allow_memory_mode", True),
-            reserve_arrays=reserve_arrays,
-            inbound_arrays=inbound_arrays,
-            tables=getattr(allocator, "latency_tables", None),
-        )
-    return result
 
 
 def allocate_segment(
@@ -726,9 +700,18 @@ def allocate_segment(
             if memo is not None:
                 memo.put(cache_key, profiles, cached)
             return cached
-    result = solve_segment(
-        engine, profiles, hardware, pipelined, refine, reserve_arrays, inbound_arrays
-    )
+    result = engine.allocate(profiles, hardware, pipelined=pipelined)
+    if refine and result.feasible:
+        result = refine_with_spare_arrays(
+            result,
+            profiles,
+            hardware,
+            pipelined=pipelined,
+            allow_memory_mode=getattr(engine, "allow_memory_mode", True),
+            reserve_arrays=reserve_arrays,
+            inbound_arrays=inbound_arrays,
+            tables=getattr(engine, "latency_tables", None),
+        )
     if cache is not None:
         cache.put(cache_key, profiles, result)
     if memo is not None:

@@ -191,8 +191,8 @@ class CacheEntry:
         Returns None for a feasible result that does not cover every
         profiled operator (a foreign/partial result) — such results must
         never be stored, or a later hit would silently drop operators.
-        The single constructor both cache tiers, the per-run memo and
-        the solver pool share, so "what is storable" has one definition.
+        The single constructor both cache tiers and the per-run memo
+        share, so "what is storable" has one definition.
         """
         allocations = tuple(
             (

@@ -24,9 +24,8 @@ compiler engine underneath it.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
@@ -45,14 +44,6 @@ from .segmentation import (  # noqa: F401  (public re-exports)
     plan_arrays,
     plan_cost,
 )
-
-#: ``CompilerOptions`` fields that steer *how* a compile executes, not
-#: *what* it produces.  Excluded from DSE option axes/signatures, wire
-#: payloads and request fingerprints: two compiles differing only here
-#: yield bit-identical programs, so they must share cache entries,
-#: coalesce onto one flight and name one design point.
-RUNTIME_OPTION_FIELDS = ("solve_jobs", "speculative_solves")
-
 
 @dataclass
 class CompilerOptions:
@@ -87,19 +78,6 @@ class CompilerOptions:
             extra pass is part of CMSwitch's larger compilation time
             (Fig. 18).
         generate_code: Emit the meta-operator flow alongside the plan.
-        solve_jobs: Worker threads for window-allocation solves (the DP
-            dispatches each wavefront to a shared
-            :class:`~repro.core.solverpool.SolverPool`).  ``None`` (the
-            default) keeps the sequential path; a session/service-owned
-            pool, when present, takes precedence over this knob.  A
-            *runtime* option (see :data:`RUNTIME_OPTION_FIELDS`): it
-            never changes the produced program, so it is excluded from
-            equality, DSE signatures and wire fingerprints.
-        speculative_solves: Opt-in speculative lookahead on the solver
-            pool — future DP wavefronts are pre-dispatched before their
-            predecessor costs are known.  Programs stay bit-identical;
-            solve counts may grow (reported as ``speculative_waste``).
-            Runtime option like ``solve_jobs``.
     """
 
     max_segment_operators: int = 8
@@ -110,15 +88,9 @@ class CompilerOptions:
     allow_memory_mode: bool = True
     fixed_mode_fallback: bool = True
     generate_code: bool = True
-    solve_jobs: Optional[int] = field(default=None, compare=False)
-    speculative_solves: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         validate_window(self.max_segment_operators)
-        if self.solve_jobs is not None:
-            from .solverpool import resolve_workers
-
-            resolve_workers(self.solve_jobs)  # raises ValueError if invalid
 
     def to_segmentation_options(self) -> SegmentationOptions:
         """Translate to the segmentation pass options."""
@@ -129,7 +101,6 @@ class CompilerOptions:
             allow_memory_mode=self.allow_memory_mode,
             use_milp=self.use_milp,
             refine=self.refine,
-            speculative=self.speculative_solves,
         )
 
 
@@ -158,13 +129,6 @@ class CMSwitchCompiler:
         obs: Optional :class:`~repro.obs.Observability` bundle; every
             compile's pass spans, allocator-solve spans and cache-tier
             counters land in it.  Defaults to the no-op bundle.
-        solver_pool: Optional shared
-            :class:`~repro.core.solverpool.SolverPool` for parallel
-            window solves.  Pass one pool to many compilers (a
-            :class:`~repro.service.CompileService` does) so total solver
-            concurrency stays bounded by one worker budget.  When absent
-            and ``options.solve_jobs`` is set, each compile builds (and
-            closes) an ephemeral pool of that size.
 
     Example:
         >>> from repro.hardware import dynaplasia
@@ -185,7 +149,6 @@ class CMSwitchCompiler:
         pipeline=None,
         solve_memo=None,
         obs=None,
-        solver_pool=None,
     ) -> None:
         from ..obs import NULL_OBS
         from ..pipeline import build_pipeline
@@ -195,7 +158,6 @@ class CMSwitchCompiler:
         self.cache = cache
         self.solve_memo = solve_memo
         self.obs = NULL_OBS if obs is None else obs
-        self.solver_pool = solver_pool
         self.pipeline = pipeline if pipeline is not None else build_pipeline()
 
     def compile(self, graph: Graph) -> CompiledProgram:
@@ -220,57 +182,16 @@ class CMSwitchCompiler:
         """
         from ..pipeline import PipelineContext, finalize
 
-        pool = self.solver_pool
-        ephemeral = None
-        if pool is None and self.options.solve_jobs is not None:
-            from .solverpool import SolverPool
-
-            pool = ephemeral = SolverPool(self.options.solve_jobs, obs=self.obs)
         ctx = PipelineContext(
             graph=graph,
             hardware=self.hardware,
             options=self.options,
             cache=self.cache,
             solve_memo=self.solve_memo,
-            solver_pool=pool,
             obs=self.obs,
             compiler_name=self.name,
             started=time.perf_counter(),
         )
-        try:
-            self.pipeline.run(ctx)
-            return finalize(ctx)
-        finally:
-            if ephemeral is not None:
-                ephemeral.close()
+        self.pipeline.run(ctx)
+        return finalize(ctx)
 
-
-def compile_model(
-    graph: Graph,
-    hardware: DualModeHardwareAbstraction,
-    options: Optional[CompilerOptions] = None,
-    cache: Optional[AllocationCache] = None,
-) -> CompiledProgram:
-    """Deprecated: compile ``graph`` with :class:`CMSwitchCompiler`.
-
-    .. deprecated:: 0.4
-        Use :meth:`repro.api.Session.compile` — one session object
-        carries the hardware, cache and backend for every compile, batch
-        and DSE entry point.  This shim delegates to a throwaway session
-        and produces bit-identical programs.
-    """
-    warnings.warn(
-        "repro.compile_model() is deprecated; use repro.api.Session"
-        "(hardware=...).compile(graph) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..api import Session
-
-    session = Session(
-        hardware=hardware,
-        cache=cache,
-        use_cache=cache is not None,
-        options=options or CompilerOptions(),
-    )
-    return session.compile(graph)

@@ -109,19 +109,6 @@ class SegmentationOptions:
     #: allocator solve and mirrors tier counters into the metrics
     #: registry.  Excluded from equality/repr for the same reason.
     obs: Optional[object] = field(default=None, compare=False, repr=False)
-    #: Optional :class:`~repro.core.solverpool.SolverPool`.  Runtime
-    #: state like ``solve_memo``: when present, the DP dispatches each
-    #: wavefront's candidate windows to the pool as a batch instead of
-    #: solving them inline.  Excluded from equality/repr likewise.
-    solver_pool: Optional[object] = field(default=None, compare=False, repr=False)
-    #: Opt-in lookahead dispatch: windows of *future* DP wavefronts are
-    #: pre-submitted to the pool before their predecessor costs are
-    #: known.  Results and fingerprints stay identical (the DP consumes
-    #: only valid windows and every solve is deterministic), but solve
-    #: counts may exceed the sequential DP's — the surplus is reported
-    #: as ``speculative_waste``.  Strict mode (the default, False) keeps
-    #: counts bit-identical.
-    speculative: bool = False
 
     def __post_init__(self) -> None:
         validate_window(self.max_segment_operators)
@@ -469,8 +456,6 @@ class SegmentationResult:
         cache_hits: Solves served from the shared allocation cache.
         disk_hits: Subset of ``cache_hits`` served by the cache's
             persistent disk tier (warm-start visibility per compile).
-        speculative_waste: Solves dispatched by speculative lookahead
-            that the DP never consumed (always 0 in strict mode).
     """
 
     segments: List[SegmentPlan]
@@ -479,7 +464,6 @@ class SegmentationResult:
     allocation_calls: int
     cache_hits: int = 0
     disk_hits: int = 0
-    speculative_waste: int = 0
 
     @property
     def total_cycles(self) -> float:
@@ -550,7 +534,6 @@ class NetworkSegmenter:
         self._allocation_cache: Dict[Tuple[int, int], AllocationResult] = {}
         self._shared_cache = cache
         self._solve_memo = getattr(self.options, "solve_memo", None)
-        self._solver_pool = getattr(self.options, "solver_pool", None)
         obs = getattr(self.options, "obs", None)
         self._tracer = obs.tracer if obs is not None else NULL_OBS.tracer
         self._metrics = obs.metrics if obs is not None else NULL_OBS.metrics
@@ -564,7 +547,6 @@ class NetworkSegmenter:
         self.allocation_calls = 0
         self.cache_hits = 0
         self.disk_hits = 0
-        self.speculative_waste = 0
 
     # ------------------------------------------------------------------ #
     # per-run precomputation
@@ -616,10 +598,10 @@ class NetworkSegmenter:
         """Everything about window ``[start, end]``'s solve but its profiles.
 
         The one place the engine, the solve options and the window's
-        boundary context are put together — for the inline solve, the
-        solver-pool request and the cache-key probe alike.  ``spare`` is
-        the window's :meth:`_spare_arrays`: memory arrays never exceed
-        it, so any larger inbound count asks for the identical solve.
+        boundary context are put together — for the solve and the
+        cache-key probe alike.  ``spare`` is the window's
+        :meth:`_spare_arrays`: memory arrays never exceed it, so any
+        larger inbound count asks for the identical solve.
         """
         return {
             "allocator": self._allocator,
@@ -662,12 +644,7 @@ class NetworkSegmenter:
         return self._allocation_cache[key]
 
     def _record_result(self, result: AllocationResult) -> None:
-        """Advance the solve/hit counters for one consumed allocation.
-
-        Shared by the inline path and the solver-pool path; consuming
-        pool tickets in the sequential probe order therefore produces
-        the identical counter sequence.
-        """
+        """Advance the solve/hit counters for one consumed allocation."""
         if result.from_cache:
             self.cache_hits += 1
             if result.from_disk:
@@ -679,71 +656,6 @@ class NetworkSegmenter:
             self.allocation_calls += 1
             self._metrics.inc("allocator.solves")
             self._metrics.inc(f"allocator.solves.{result.solver}")
-
-    # ------------------------------------------------------------------ #
-    # solver-pool dispatch (the parallel wavefront)
-    # ------------------------------------------------------------------ #
-    def _dispatch_window(
-        self,
-        units: Sequence[FlattenedUnit],
-        start: int,
-        end: int,
-        pending: Dict[Tuple[int, int], object],
-        parent_span: Optional[int],
-    ) -> None:
-        """Submit window ``[start, end]`` to the pool (at most once).
-
-        Unfit windows are settled inline without a pool round-trip —
-        the same short-circuit the sequential path takes, so they never
-        touch tiers or counters.
-        """
-        from .solverpool import WindowSolve
-
-        key = (start, end)
-        if key in self._allocation_cache or key in pending:
-            return
-        spare = self._spare_arrays(start, end)
-        if spare < 0:
-            self._allocation_cache[key] = infeasible_result()
-            return
-        pending[key] = self._solver_pool.submit(
-            WindowSolve(
-                profiles=self._segment_profiles(units, start, end),
-                hardware=self.hardware,
-                **self._solve_arguments(start, end, spare),
-                cache=self._shared_cache,
-                memo=self._solve_memo,
-                tracer=self._tracer,
-                parent_span=parent_span,
-                attrs={"start": start, "end": end},
-            )
-        )
-
-    def _settle_window(
-        self,
-        start: int,
-        end: int,
-        pending: Dict[Tuple[int, int], object],
-    ) -> AllocationResult:
-        """Consume the pool ticket for window ``[start, end]``.
-
-        A solve that raised inside a worker loses only this window: it
-        settles as infeasible (solver tag ``"failed"``), the DP simply
-        skips the edge, and the pool itself keeps serving.
-        """
-        key = (start, end)
-        cached = self._allocation_cache.get(key)
-        if cached is not None:
-            return cached
-        ticket = pending.pop(key)
-        try:
-            result = ticket.result()
-        except Exception:
-            result = AllocationResult({}, INFEASIBLE_LATENCY, False, "failed")
-        else:
-            self._record_result(result)
-        self._allocation_cache[key] = result
-        return result
 
     def _stats_payload(self) -> Dict[str, float]:
         """Solver counters for a :class:`NoFeasiblePlanError` — the work
@@ -790,7 +702,6 @@ class NetworkSegmenter:
             self.allocation_calls,
             self.cache_hits,
             self.disk_hits,
-            self.speculative_waste,
         )
 
     def choose_boundaries(
@@ -819,17 +730,14 @@ class NetworkSegmenter:
         last_allocation: List[Optional[AllocationResult]] = [None] * (m + 1)
 
         tables = (best_cost, predecessor, last_resources, last_allocation)
-        if self._solver_pool is not None:
-            self._run_dp_parallel(units, m, window, tables)
-        else:
-            for j in range(1, m + 1):
-                lo = max(0, j - window)
-                live = int(self._liveness[j - 1]) if j < m else 0
-                for i in range(lo, j):
-                    if best_cost[i] == INFEASIBLE_LATENCY:
-                        continue
-                    allocation = self._allocate(units, i, j - 1)
-                    self._dp_edge(units, i, j, live, allocation, tables)
+        for j in range(1, m + 1):
+            lo = max(0, j - window)
+            live = int(self._liveness[j - 1]) if j < m else 0
+            for i in range(lo, j):
+                if best_cost[i] == INFEASIBLE_LATENCY:
+                    continue
+                allocation = self._allocate(units, i, j - 1)
+                self._dp_edge(units, i, j, live, allocation, tables)
 
         if best_cost[m] == INFEASIBLE_LATENCY:
             if not self.options.single_segment_fallback:
@@ -889,68 +797,6 @@ class NetworkSegmenter:
             predecessor[j] = i
             last_resources[j] = resources
             last_allocation[j] = allocation
-
-    def _run_dp_parallel(
-        self,
-        units: Sequence[FlattenedUnit],
-        m: int,
-        window: int,
-        tables,
-    ) -> None:
-        """The Eq. 3 DP as per-wavefront batches on the solver pool.
-
-        At boundary ``j`` every candidate window ``(i, j-1)`` whose
-        predecessor is reachable is submitted to the pool as a batch,
-        then the tickets are consumed in ascending ``i`` — the exact
-        order the sequential inner loop probes tiers and advances
-        counters, so strict mode reproduces its solve counts and DP
-        decisions bit-identically.  Intra-wavefront windows all end at
-        ``j-1`` but start at different ``i``, so their lengths — and
-        hence their structural cache keys — necessarily differ:
-        single-flight dedup can never collapse two windows the
-        sequential DP would have solved separately.
-
-        With ``options.speculative`` set, windows of the next wavefronts
-        (up to one per pool worker) are pre-submitted before their
-        predecessor costs are known; windows whose predecessor turns out
-        unreachable are never consumed by the DP and are tallied as
-        ``speculative_waste`` at the end (their tier write-throughs stay
-        valid — every solve is deterministic and keyed structurally — so
-        results and fingerprints are unchanged, only solve counts grow).
-        """
-        best_cost = tables[0]
-        pending: Dict[Tuple[int, int], object] = {}
-        parent_span = self._tracer.current_span_id()
-        lookahead = max(1, getattr(self._solver_pool, "workers", 1))
-        for j in range(1, m + 1):
-            lo = max(0, j - window)
-            for i in range(lo, j):
-                if best_cost[i] == INFEASIBLE_LATENCY:
-                    continue
-                self._dispatch_window(units, i, j - 1, pending, parent_span)
-            if self.options.speculative:
-                for ahead in range(j + 1, min(m, j + lookahead) + 1):
-                    for i in range(max(0, ahead - window), ahead):
-                        # Predecessors before the current frontier with a
-                        # known-unreachable cost are dead; later ones are
-                        # unknown and dispatched optimistically.
-                        if i < j and best_cost[i] == INFEASIBLE_LATENCY:
-                            continue
-                        self._dispatch_window(units, i, ahead - 1, pending, parent_span)
-            live = int(self._liveness[j - 1]) if j < m else 0
-            for i in range(lo, j):
-                if best_cost[i] == INFEASIBLE_LATENCY:
-                    continue
-                allocation = self._settle_window(i, j - 1, pending)
-                self._dp_edge(units, i, j, live, allocation, tables)
-        if pending:
-            # Speculative windows the DP never consumed.  Draining them
-            # keeps the reported counters equal to the work performed.
-            waste = len(pending)
-            for start, end in sorted(pending):
-                self._settle_window(start, end, pending)
-            self.speculative_waste += waste
-            self._solver_pool.record_waste(waste)
 
     # ------------------------------------------------------------------ #
     # plan construction

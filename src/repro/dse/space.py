@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.compiler import RUNTIME_OPTION_FIELDS, CompilerOptions
+from ..core.compiler import CompilerOptions
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import get_preset
 from ..ir.graph import Graph
@@ -62,14 +62,9 @@ __all__ = [
 #: Compiler-option fields a design point may legally vary.  ``generate_code``
 #: is deliberately excluded: it changes what artefacts a compile emits, not
 #: the plan or its cost, so two points differing only in it are identical
-#: design candidates.  The runtime fields (``solve_jobs`` and friends —
-#: see :data:`repro.core.compiler.RUNTIME_OPTION_FIELDS`) are excluded for
-#: the same reason: they steer how fast a compile runs, never what plan it
-#: produces, so they cannot distinguish design points.
+#: design candidates.
 OPTION_AXIS_FIELDS = tuple(
-    f.name
-    for f in dataclass_fields(CompilerOptions)
-    if f.name != "generate_code" and f.name not in RUNTIME_OPTION_FIELDS
+    f.name for f in dataclass_fields(CompilerOptions) if f.name != "generate_code"
 )
 
 #: Hardware fields a design point may legally vary (everything the DEHA

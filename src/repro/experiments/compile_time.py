@@ -117,7 +117,6 @@ def cached_compile_speedup(
     batch_size: int = 1,
     seq_len: int = 32,
     cache_dir: Optional[str] = None,
-    solve_jobs: Optional[int] = None,
 ) -> Dict[str, float]:
     """Cold-vs-warm demonstration of the shared allocation cache.
 
@@ -132,15 +131,10 @@ def cached_compile_speedup(
             previously warmed directory even the "cold" pass is served
             from disk — the number reported as ``allocator_solves_cold``
             then measures the *cross-process* warm start.
-        solve_jobs: Optional worker count for parallel window solves.
-            One shared :class:`~repro.core.solverpool.SolverPool` serves
-            both passes (strict mode, so the solve counts are identical
-            to the sequential run's); the result records the setting so
-            ``BENCH_compile_cold_parallel.json`` is self-describing.
 
     Returns:
         ``{"cold_seconds", "warm_seconds", "speedup", "warm_hit_rate",
-        "allocator_solves_cold", "allocator_solves_warm", "solve_jobs"}``.
+        "allocator_solves_cold", "allocator_solves_warm"}``.
     """
     from ..core.store import DiskCacheStore
 
@@ -151,11 +145,6 @@ def cached_compile_speedup(
     graphs = [
         build_model(model, encode_workload(model, batch_size, seq_len)) for model in models
     ]
-    pool = None
-    if solve_jobs is not None:
-        from ..core.solverpool import SolverPool
-
-        pool = SolverPool(solve_jobs)
 
     def one_pass() -> Tuple[float, int, int, float]:
         seconds = 0.0
@@ -163,21 +152,15 @@ def cached_compile_speedup(
         hits = 0
         for graph in graphs:
             start = time.perf_counter()
-            program = CMSwitchCompiler(
-                hardware, options, cache=cache, solver_pool=pool
-            ).compile(graph)
+            program = CMSwitchCompiler(hardware, options, cache=cache).compile(graph)
             seconds += time.perf_counter() - start
             solves += program.stats["allocator_solves"]
             hits += program.stats["allocation_cache_hits"]
         rate = hits / (hits + solves) if (hits + solves) else 0.0
         return seconds, solves, hits, rate
 
-    try:
-        cold_seconds, cold_solves, _, _ = one_pass()
-        warm_seconds, warm_solves, _, warm_rate = one_pass()
-    finally:
-        if pool is not None:
-            pool.close()
+    cold_seconds, cold_solves, _, _ = one_pass()
+    warm_seconds, warm_solves, _, warm_rate = one_pass()
     return {
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
@@ -185,7 +168,6 @@ def cached_compile_speedup(
         "warm_hit_rate": warm_rate,
         "allocator_solves_cold": cold_solves,
         "allocator_solves_warm": warm_solves,
-        "solve_jobs": 0 if solve_jobs is None else int(solve_jobs),
     }
 
 

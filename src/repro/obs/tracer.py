@@ -367,16 +367,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
-    def current_span_id(self) -> Optional[int]:
-        """Id of the calling thread's innermost open span (None at root).
-
-        Capture this before handing work to another thread and pass it as
-        that work's ``parent=`` — the explicit cross-thread edge the
-        solver pool uses to hang worker-side ``allocator.solve`` spans
-        under the pass span that requested them.
-        """
-        return self._stack_top()
-
     def _buffer(self) -> Union[List[Span], _SpanRing]:
         if self._ring is not None:
             return self._ring
@@ -433,9 +423,6 @@ class NullTracer:
         return _NULL_HANDLE
 
     def event(self, name: str, parent: ParentLike = None, **attrs: object) -> None:
-        return None
-
-    def current_span_id(self) -> None:
         return None
 
     def adopt(

@@ -82,12 +82,6 @@ class PipelineContext:
     #: reuse across compiles; the segmentation passes thread it into
     #: their ``SegmentationOptions``.
     solve_memo: Optional[object] = None
-    #: Optional shared :class:`~repro.core.solverpool.SolverPool`.  Set
-    #: by the compiler (from its owner's pool, or an ephemeral one built
-    #: from ``options.solve_jobs``); the segmentation passes thread it
-    #: into their ``SegmentationOptions`` so the DP dispatches window
-    #: solves as parallel wavefront batches.
-    solver_pool: Optional[object] = None
     #: Telemetry bundle (:class:`~repro.obs.Observability`).  Defaults to
     #: the no-op :data:`~repro.obs.NULL_OBS`; the runner opens a span per
     #: pass and the segmentation passes hand it to their segmenters.

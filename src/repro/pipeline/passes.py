@@ -119,7 +119,6 @@ class Segment(Pass):
         options = ctx.options.to_segmentation_options()
         options.solve_memo = ctx.solve_memo
         options.obs = ctx.obs
-        options.solver_pool = ctx.solver_pool
         ctx.segmenter = NetworkSegmenter(ctx.hardware, options, cache=ctx.cache)
         if not ctx.units:
             ctx.result = SegmentationResult([], [], 0.0, 0, 0)
@@ -155,9 +154,6 @@ class Allocate(Pass):
             ctx.segmenter.allocation_calls,
             ctx.segmenter.cache_hits,
             ctx.segmenter.disk_hits,
-            # getattr: test doubles replace the segmenter and predate the
-            # speculative-solving counter.
-            getattr(ctx.segmenter, "speculative_waste", 0),
         )
         self._absorb(ctx)
 
@@ -167,11 +163,6 @@ class Allocate(Pass):
         ctx.cache_hits = ctx.result.cache_hits
         ctx.disk_hits = ctx.result.disk_hits
         ctx.dp_seconds = ctx.result.dp_seconds
-        if ctx.result.speculative_waste:
-            ctx.extras["speculative_waste"] = (
-                ctx.extras.get("speculative_waste", 0)
-                + ctx.result.speculative_waste
-            )
 
 
 class FixedModeFallback(Pass):
@@ -201,7 +192,6 @@ class FixedModeFallback(Pass):
         fixed_options.allow_memory_mode = False
         fixed_options.solve_memo = ctx.solve_memo
         fixed_options.obs = ctx.obs
-        fixed_options.solver_pool = ctx.solver_pool
         try:
             fixed_result = NetworkSegmenter(
                 ctx.hardware, fixed_options, cache=ctx.cache
@@ -217,11 +207,6 @@ class FixedModeFallback(Pass):
         ctx.allocation_calls += fixed_result.allocation_calls
         ctx.cache_hits += fixed_result.cache_hits
         ctx.disk_hits += fixed_result.disk_hits
-        if fixed_result.speculative_waste:
-            ctx.extras["speculative_waste"] = (
-                ctx.extras.get("speculative_waste", 0)
-                + fixed_result.speculative_waste
-            )
         ctx.result, ctx.fallback_used = choose_plan(ctx.result, fixed_result)
 
 

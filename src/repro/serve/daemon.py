@@ -201,13 +201,6 @@ class CompileDaemon:
             networked third cache tier.
         workers: Compile worker threads (the pool that executes jobs;
             connection threads only wait).
-        solve_jobs: Worker threads for window-allocation solves.  One
-            :class:`~repro.core.solverpool.SolverPool` is shared by every
-            compile worker (the oversubscription rule — total solver
-            concurrency stays bounded by this budget), its stats show up
-            on ``/metrics``, and it is a *server-side* knob: the wire
-            format rejects ``solve_jobs`` in request options, so clients
-            cannot size the daemon's pool.
         queue_limit: Bound on jobs admitted but not yet compiling;
             beyond it requests get a structured 503.
         wait_timeout: Per-request bound in seconds on waiting for a
@@ -227,7 +220,6 @@ class CompileDaemon:
         cache_dir: Optional[str] = None,
         remote_cache: Optional[str] = None,
         workers: int = 2,
-        solve_jobs: Optional[int] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
         host: str = "127.0.0.1",
@@ -246,7 +238,6 @@ class CompileDaemon:
             cache_dir=cache_dir,
             remote_cache=remote_cache,
             use_cache=use_cache,
-            solve_jobs=solve_jobs,
             obs=self.obs,
         )
         #: Options the service substitutes for ``options=None`` — also
@@ -542,9 +533,6 @@ class CompileDaemon:
                 payload["disk"] = cache.store.stats.snapshot().to_dict()
             if cache.remote is not None:
                 payload["remote"] = cache.remote.stats.snapshot().to_dict()
-        pool_stats = self.service.solver_pool_stats()
-        if pool_stats is not None:
-            payload["solver_pool"] = pool_stats
         return payload
 
     def render_metrics(self) -> str:
@@ -565,11 +553,6 @@ class CompileDaemon:
             if cache.remote is not None:
                 for name, value in sorted(cache.remote.stats.snapshot().to_dict().items()):
                     lines.append(f"cache_remote_{name} {value}")
-        pool_stats = self.service.solver_pool_stats()
-        if pool_stats is not None:
-            for name, value in sorted(pool_stats.items()):
-                rendered = f"{value:g}" if isinstance(value, float) else str(value)
-                lines.append(f"solver_pool_{name} {rendered}")
         snapshot = self.obs.metrics.to_dict() if hasattr(self.obs.metrics, "to_dict") else {}
         for name, value in (snapshot.get("counters") or {}).items():
             lines.append(f"obs_{name.replace('.', '_')} {value}")

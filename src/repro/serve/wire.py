@@ -32,7 +32,7 @@ import json
 from dataclasses import asdict, fields
 from typing import Dict, List, Mapping, Optional
 
-from ..core.compiler import RUNTIME_OPTION_FIELDS, CompilerOptions
+from ..core.compiler import CompilerOptions
 from ..core.program import CompiledProgram, SegmentPlan
 from ..cost.arithmetic import OperatorProfile
 from ..cost.latency import OperatorAllocation
@@ -119,22 +119,8 @@ def _require(payload: Mapping, field: str, what: str):
 # ---------------------------------------------------------------------- #
 # jobs
 # ---------------------------------------------------------------------- #
-def _program_options(options: CompilerOptions) -> Dict:
-    """``asdict`` minus the runtime fields (``solve_jobs`` and friends).
-
-    Runtime options steer the *executing* process's worker budget, never
-    the produced program — they must not travel on the wire (a client
-    does not get to size the daemon's thread pool) and must not split
-    request fingerprints (two requests differing only here coalesce).
-    """
-    payload = asdict(options)
-    for name in RUNTIME_OPTION_FIELDS:
-        payload.pop(name, None)
-    return payload
-
-
 def _options_to_wire(options: Optional[CompilerOptions]) -> Optional[Dict]:
-    return None if options is None else _program_options(options)
+    return None if options is None else asdict(options)
 
 
 def _options_from_wire(payload) -> Optional[CompilerOptions]:
@@ -143,7 +129,6 @@ def _options_from_wire(payload) -> Optional[CompilerOptions]:
     if not isinstance(payload, Mapping):
         raise WireFormatError("'options' must be an object or null")
     known = {field.name for field in fields(CompilerOptions)}
-    known -= set(RUNTIME_OPTION_FIELDS)  # server-side knobs, not wire fields
     unknown = sorted(set(payload) - known)
     if unknown:
         raise WireFormatError(f"unknown compiler option(s): {', '.join(unknown)}")
@@ -244,13 +229,11 @@ def request_fingerprint(job: CompileJob, default_options: Optional[CompilerOptio
     one compile and fan the answer out (:class:`~repro.serve.SingleFlight`).
     Covered: the graph identity (registered name + workload, or the
     exact serialised graph), the hardware fingerprint, and every
-    program-relevant option — including ``generate_code``, which changes
-    the artifact even though it never changes a solve, but *excluding*
-    the runtime fields (:data:`~repro.core.compiler.RUNTIME_OPTION_FIELDS`),
-    which change neither.  ``default_options`` is what the
-    executing service will substitute for ``options=None`` (the daemon
-    passes its batch default so explicit-default and omitted options
-    coalesce together).
+    option — including ``generate_code``, which changes the artifact
+    even though it never changes a solve.  ``default_options`` is what
+    the executing service will substitute for ``options=None`` (the
+    daemon passes its batch default so explicit-default and omitted
+    options coalesce together).
     """
     if isinstance(job.model, Graph):
         graph_id = [
@@ -267,7 +250,7 @@ def request_fingerprint(job: CompileJob, default_options: Optional[CompilerOptio
     payload = {
         "graph": graph_id,
         "hardware": job.resolve_hardware().fingerprint(),
-        "options": _program_options(options),
+        "options": asdict(options),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

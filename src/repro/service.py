@@ -63,7 +63,7 @@ from .ir.serialization import graph_from_json, graph_to_json
 from .models.registry import build_model
 from .models.workload import Workload
 
-__all__ = ["CompileJob", "CompileJobResult", "CompileService", "compile_batch"]
+__all__ = ["CompileJob", "CompileJobResult", "CompileService"]
 
 #: Valid values of ``CompileService(backend=...)``.
 BACKENDS = ("thread", "process")
@@ -238,17 +238,6 @@ class CompileService:
             process-backend workers trace locally and ship their spans
             home for re-rooting) and threads the metrics registry into
             the cache it creates.
-        solve_jobs: Worker threads for window-allocation solves.  The
-            service builds **one** shared
-            :class:`~repro.core.solverpool.SolverPool` and hands it to
-            every compile it runs (thread backend), so total solver
-            concurrency stays bounded by this budget no matter how many
-            batch jobs run at once — the oversubscription rule.  The
-            process backend deliberately does *not* propagate it:
-            parallelism is across worker processes **or** within the DP,
-            never multiplied.  Mutually exclusive with ``solver_pool``.
-        solver_pool: An externally owned pool to use instead of building
-            one; the service then never closes it.
     """
 
     def __init__(
@@ -261,8 +250,6 @@ class CompileService:
         remote_cache: Optional[Union[str, object]] = None,
         solve_memo=None,
         obs: Optional[Observability] = None,
-        solve_jobs: Optional[int] = None,
-        solver_pool=None,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -301,15 +288,6 @@ class CompileService:
             self.cache = None
         self.solve_memo = solve_memo
         self.max_workers = max_workers
-        if solver_pool is not None and solve_jobs is not None:
-            raise ValueError("pass either solve_jobs or solver_pool, not both")
-        self._owns_pool = False
-        if solver_pool is None and solve_jobs is not None:
-            from .core.solverpool import SolverPool
-
-            solver_pool = SolverPool(solve_jobs, obs=self.obs)
-            self._owns_pool = True
-        self.solver_pool = solver_pool
 
     # ------------------------------------------------------------------ #
     # single job
@@ -332,7 +310,6 @@ class CompileService:
                     cache=self.cache,
                     solve_memo=self.solve_memo,
                     obs=self.obs,
-                    solver_pool=self.solver_pool,
                 )
                 program = compiler.compile(graph)
             except Exception as exc:  # noqa: BLE001 - isolation is the contract
@@ -453,22 +430,12 @@ class CompileService:
     def close(self) -> None:
         """Release held resources. Idempotent.
 
-        Shuts down the solver pool the service built (an externally
-        passed ``solver_pool`` is its owner's to close) and the remote
-        cache tier's sockets; batch thread pools are per-call and need
-        no teardown.
+        Closes the remote cache tier's sockets; batch thread pools are
+        per-call and need no teardown.
         """
-        if self._owns_pool and self.solver_pool is not None:
-            self.solver_pool.close()
         remote = self.remote_cache
         if remote is not None and hasattr(remote, "close"):
             remote.close()
-
-    def solver_pool_stats(self) -> Optional[Dict[str, object]]:
-        """Counters of the shared solver pool (None when there is none)."""
-        if self.solver_pool is None:
-            return None
-        return self.solver_pool.stats_dict()
 
     # ------------------------------------------------------------------ #
     # service-level statistics
@@ -536,46 +503,3 @@ def _compile_spec_in_worker(spec: Dict) -> CompileJobResult:
         result.spans = obs.tracer.flush()
     return result
 
-
-def compile_batch(
-    jobs: Sequence[CompileJob],
-    cache: Optional[AllocationCache] = None,
-    max_workers: Optional[int] = None,
-    backend: str = "thread",
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> List[CompileJobResult]:
-    """Deprecated: run one batch through a throwaway session.
-
-    .. deprecated:: 0.4
-        Use :meth:`repro.api.Session.compile_batch` — a session carries
-        the cache, backend and hardware context for every entry point
-        and keeps reusing them across calls.  This shim delegates to a
-        fresh session and produces bit-identical results.
-
-    Args:
-        jobs: The compile requests.
-        cache: Shared allocation cache (thread backend only; mutually
-            exclusive with ``cache_dir``).
-        max_workers: Pool width (None lets ``concurrent.futures`` choose).
-        backend: ``"thread"`` or ``"process"`` — see
-            :class:`CompileService` for the sharing contract.
-        cache_dir: Persistent cache directory shared across threads,
-            worker processes and future invocations.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.compile_batch() is deprecated; use repro.api.Session"
-        "(...).compile_batch(jobs) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import Session
-
-    session = Session(
-        cache=cache,
-        max_workers=max_workers,
-        backend=backend,
-        cache_dir=cache_dir,
-    )
-    return session.compile_batch(jobs)

@@ -1,4 +1,4 @@
-"""Tests for repro.api.Session, the deprecation shims and program parity.
+"""Tests for repro.api.Session and program parity.
 
 The parity classes are the acceptance gate of the pipeline refactor:
 every compiler configuration, the warm-cache path and the process
@@ -7,15 +7,13 @@ backend must produce programs bit-identical
 implementations in :mod:`repro.core._reference`.
 """
 
-import warnings
-
 import pytest
 
 from repro.api import Session
-from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions, compile_model
+from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions
 from repro.core._reference import reference_compile
 from repro.models import Workload, build_model
-from repro.service import CompileJob, compile_batch
+from repro.service import CompileJob
 
 
 def _options(**kwargs):
@@ -120,30 +118,6 @@ class TestSession:
     def test_invalid_backend_rejected(self, small_chip):
         with pytest.raises(ValueError, match="backend"):
             Session(hardware=small_chip, backend="carrier-pigeon")
-
-
-class TestDeprecationShims:
-    def test_compile_model_warns_and_matches_session(self, small_chip, tiny_mlp_graph):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = compile_model(tiny_mlp_graph, small_chip, _options())
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        fresh = Session(hardware=small_chip, options=_options()).compile(
-            tiny_mlp_graph
-        )
-        assert legacy.fingerprint() == fresh.fingerprint()
-
-    def test_compile_batch_function_warns_and_matches_session(self, small_chip):
-        jobs = [CompileJob("tiny-mlp", hardware=small_chip)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = compile_batch(jobs)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        fresh = Session(hardware=small_chip).compile_batch(
-            [CompileJob("tiny-mlp", hardware=small_chip)]
-        )
-        assert legacy[0].ok and fresh[0].ok
-        assert legacy[0].program.fingerprint() == fresh[0].program.fingerprint()
 
 
 OPTION_MATRIX = [

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import Session
 from repro.baselines import CIMMLCCompiler, OCCCompiler, PUMACompiler, get_compiler
-from repro.core import CMSwitchCompiler, CompilerOptions, compile_model
+from repro.core import CMSwitchCompiler, CompilerOptions
 from repro.models import Phase, Workload, build_model
 
 
@@ -18,9 +19,7 @@ class TestCMSwitchCompiler:
         )
 
     def test_compile_model_helper(self, small_chip, tiny_mlp_graph):
-        # Kept as a deprecation shim over repro.api.Session.
-        with pytest.warns(DeprecationWarning, match="Session"):
-            program = compile_model(tiny_mlp_graph, small_chip)
+        program = Session(hardware=small_chip).compile(tiny_mlp_graph)
         assert program.graph_name == "tiny-mlp"
 
     def test_block_repeat_from_metadata(self, small_chip):

@@ -1,0 +1,37 @@
+"""Dependencies point one way: the compiler layers never import the serving ones."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LOWER = ("core", "cost", "ir", "hardware", "pipeline", "obs")
+UPPER = ("repro.serve", "repro.service", "repro.api", "repro.cli")
+
+
+def _imported_modules(path: Path):
+    """Absolute dotted names of everything ``path`` imports (at any depth)."""
+    package = list(path.relative_to(SRC).with_suffix("").parts[:-1])
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - (node.level - 1)] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            # ``from .. import api`` names the module in the alias.
+            for alias in node.names:
+                yield f"{module}.{alias.name}"
+
+
+@pytest.mark.parametrize("layer", LOWER)
+def test_lower_layer_never_imports_the_serving_layers(layer):
+    offenders = [
+        f"{path.relative_to(SRC)} -> {module}"
+        for path in sorted((SRC / "repro" / layer).rglob("*.py"))
+        for module in _imported_modules(path)
+        if any(module == upper or module.startswith(upper + ".") for upper in UPPER)
+    ]
+    assert not offenders, offenders

@@ -190,6 +190,31 @@ class TestRequestFingerprint:
             CompileJob("tiny-mlp", options=CompilerOptions(generate_code=True))
         )
 
+    def test_identity_is_pinned(self):
+        """Result tables, single-flight keys and the benchmark's cold =
+        memory = disk = served check all hang off this digest: a change
+        to the option set (or its wire spelling) must show up here."""
+        wire = job_to_wire(CompileJob("tiny-mlp", options=CompilerOptions()))
+        assert sorted(wire["options"]) == [
+            "allow_memory_mode",
+            "fixed_mode_fallback",
+            "generate_code",
+            "include_switch_cost",
+            "max_segment_operators",
+            "pipelined",
+            "refine",
+            "use_milp",
+        ]
+        job = CompileJob(
+            "tiny-cnn",
+            workload=Workload(batch_size=2),
+            hardware="small-test-chip",
+            options=CompilerOptions(generate_code=False),
+        )
+        assert request_fingerprint(job) == (
+            "47cb7eba80fba1ddbfff629ffb4090f996c5683fb9a9d0c9c6784805c48a0908"
+        )
+
 
 # ---------------------------------------------------------------------- #
 # single-flight coalescing
@@ -437,6 +462,18 @@ class TestCompileDaemon:
         assert excinfo.value.code == "bad_request"
         assert "registered models" in str(excinfo.value)
         client.close()
+
+    @pytest.mark.parametrize("removed", ["solve_jobs", "speculative_solves"])
+    def test_removed_runtime_option_is_an_unknown_option_400(self, daemon, removed):
+        wire = job_to_wire(CompileJob("tiny-mlp", options=CompilerOptions()))
+        wire["options"][removed] = 2
+        client = Client(daemon.url, retries=1)
+        status, document = client._request(
+            "POST", "/v1/compile", {"wire_version": WIRE_VERSION, "job": wire}
+        )
+        client.close()
+        assert status == 400
+        assert f"unknown compiler option(s): {removed}" in document["error"]["message"]
 
     def test_batch_endpoint_isolates_failures(self, daemon):
         client = Client(daemon.url, retries=1)

@@ -5,7 +5,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions
 from repro.models import Workload, build_model
-from repro.service import CompileJob, CompileJobResult, CompileService, compile_batch
+from repro.service import CompileJob, CompileJobResult, CompileService
 
 
 class TestCompileJob:
@@ -107,9 +107,9 @@ class TestCompileService:
 
     def test_external_cache_is_shared(self, small_chip):
         cache = AllocationCache()
-        # compile_batch is kept as a deprecation shim over Session.
-        with pytest.warns(DeprecationWarning, match="Session"):
-            compile_batch([CompileJob("tiny-mlp", hardware=small_chip)], cache=cache)
+        CompileService(cache=cache).compile_batch(
+            [CompileJob("tiny-mlp", hardware=small_chip)]
+        )
         assert cache.stats.stores > 0
 
     def test_empty_batch(self):
