@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""CI gate for the serving layer (``repro serve`` + ``repro cache-server``).
+"""CI gate for the serving layer (``repro serve``).
 
-Boots both servers as real subprocesses on ephemeral ports (discovered
+Boots the daemon as a real subprocess on an ephemeral port (discovered
 via ``--port-file``) and asserts the serving contract end to end:
 
 1. a keep-alive ``GET /healthz`` round trip is not stalled: the median
@@ -17,11 +17,12 @@ via ``--port-file``) and asserts the serving contract end to end:
    ``Session.compile`` of the same job;
 4. a repeat request after completion is answered from the result table
    (``cached: true``) and leaves ``serve_compiles_executed`` at 1;
-5. a *fresh process* with an empty local cache directory, mounting only
-   the networked cache tier, warm-compiles the same model with zero
-   allocator solves and the same fingerprint;
-6. SIGTERM drains both servers cleanly: they run admitted work to
-   completion, print their "drained cleanly" line and exit 0.
+5. a *fresh client process* submitting the same job to the running
+   daemon is answered from the result table too (``cached: true``, the
+   local compile's fingerprint, ``serve_compiles_executed`` still 1) —
+   the daemon is the tier machines share;
+6. SIGTERM drains the daemon cleanly: it runs admitted work to
+   completion, prints its "drained cleanly" line and exits 0.
 
 Run from the repository root::
 
@@ -49,23 +50,15 @@ HARDWARE = "small-test-chip"
 _ENV = dict(os.environ)
 _ENV["PYTHONPATH"] = "src" + os.pathsep + _ENV.get("PYTHONPATH", "")
 
-WARM_PROCESS_SCRIPT = """
+FRESH_CLIENT_SCRIPT = """
 import sys
-from repro.api import Session
-from repro.core import CompilerOptions
+from repro.serve import Client
 
-remote_url, cache_dir = sys.argv[1], sys.argv[2]
-with Session(hardware="%(hardware)s", cache_dir=cache_dir,
-             remote_cache=remote_url) as session:
-    program = session.compile(
-        "%(model)s", options=CompilerOptions(generate_code=False)
-    )
-    assert program.stats["allocator_solves"] == 0, (
-        "empty-cache client re-solved despite the remote tier: "
-        f"{program.stats['allocator_solves']} solves"
-    )
-    assert session.cache_stats.remote_hits > 0, session.cache_stats
-print(program.fingerprint())
+with Client(sys.argv[1]) as client:
+    result = client.compile("%(model)s", hardware="%(hardware)s")
+assert result.cached and not result.coalesced, result
+assert result.verify()
+print(result.fingerprint)
 """ % {"hardware": HARDWARE, "model": MODEL}
 
 
@@ -114,20 +107,11 @@ def main() -> int:
     from repro.serve import Client
 
     work = tempfile.mkdtemp(prefix="repro-serve-smoke-")
-    cache_proc, cache_url = start_server(
-        ["cache-server", "--cache-dir", os.path.join(work, "shared-cache")],
-        os.path.join(work, "cs.port"),
-    )
     serve_proc, serve_url = start_server(
-        [
-            "serve",
-            "--cache-dir", os.path.join(work, "daemon-cache"),
-            "--remote-cache", cache_url,
-            "--workers", "2",
-        ],
+        ["serve", "--cache-dir", os.path.join(work, "daemon-cache"), "--workers", "2"],
         os.path.join(work, "serve.port"),
     )
-    print(f"cache server at {cache_url}, compile daemon at {serve_url}")
+    print(f"compile daemon at {serve_url}")
 
     with Client(serve_url) as probe:
         assert probe.healthy(wait_seconds=10), "daemon never became healthy"
@@ -207,27 +191,29 @@ def main() -> int:
     assert metric(metrics, "serve_result_hits") == cached + 1, metrics
     print("result table ok: repeat request cached, still 1 compile")
 
-    # 5. Fresh process, empty local cache, remote tier only: 0 solves.
-    warm = subprocess.run(
-        [sys.executable, "-", cache_url, os.path.join(work, "fresh-cache")],
-        input=WARM_PROCESS_SCRIPT,
+    # 5. A fresh client process shares the daemon's result table.
+    fresh = subprocess.run(
+        [sys.executable, "-", serve_url],
+        input=FRESH_CLIENT_SCRIPT,
         env=_ENV,
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert warm.returncode == 0, (
-        f"warm-process client failed:\n{warm.stdout}\n{warm.stderr}"
+    assert fresh.returncode == 0, (
+        f"fresh-process client failed:\n{fresh.stdout}\n{fresh.stderr}"
     )
-    warm_fingerprint = warm.stdout.strip().splitlines()[-1]
-    assert warm_fingerprint == local.fingerprint(), (
-        f"warm fingerprint {warm_fingerprint} != local {local.fingerprint()}"
+    fresh_fingerprint = fresh.stdout.strip().splitlines()[-1]
+    assert fresh_fingerprint == local.fingerprint(), (
+        f"fresh-client fingerprint {fresh_fingerprint} != local {local.fingerprint()}"
     )
-    print("remote warm start ok: 0 solves, fingerprint bit-identical")
+    with Client(serve_url) as client:
+        metrics = client.metrics_text()
+    assert metric(metrics, "serve_compiles_executed") == 1, metrics
+    print("fresh client process ok: cached, fingerprint bit-identical, still 1 compile")
 
-    # 6. Graceful SIGTERM drain, exit 0, on both servers.
+    # 6. Graceful SIGTERM drain, exit 0.
     drain(serve_proc, "compile daemon")
-    drain(cache_proc, "cache server")
     print("serve smoke ok")
     return 0
 

@@ -80,13 +80,6 @@ class Session:
         cache_dir: Directory of a persistent
             :class:`~repro.core.store.DiskCacheStore`; later sessions
             and worker processes warm-start from it.
-        remote_cache: URL of a ``repro cache-server`` (or a constructed
-            :class:`~repro.serve.remote.RemoteCacheStore`) — the
-            networked third cache tier.  Lookups cascade memory → disk
-            → remote; remote hits are promoted into the local tiers and
-            fresh solves written through, so sessions on different
-            machines share allocator solves.  An unreachable server
-            degrades to cold compiles, never errors.
         backend: ``"thread"`` (default) or ``"process"`` — see
             :class:`CompileService` for the sharing contract.
         max_workers: Default pool width for batches.
@@ -107,7 +100,6 @@ class Session:
         options: Optional[CompilerOptions] = None,
         cache: Optional[AllocationCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        remote_cache: Optional[Union[str, object]] = None,
         backend: str = "thread",
         max_workers: Optional[int] = None,
         use_cache: bool = True,
@@ -139,7 +131,6 @@ class Session:
         self.service = CompileService(
             cache=cache,
             cache_dir=cache_dir,
-            remote_cache=remote_cache,
             backend=backend,
             max_workers=max_workers,
             use_cache=use_cache,
@@ -150,11 +141,11 @@ class Session:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release held resources (remote-cache sockets).
+        """Idempotent no-op: a session holds nothing that needs releasing.
 
-        Idempotent; the remote client reconnects on the next lookup.
+        Kept so ``with Session(...) as session:`` and explicit
+        ``close()`` calls stay valid ends of a session's life.
         """
-        self.service.close()
 
     def __enter__(self) -> "Session":
         return self

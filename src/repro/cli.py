@@ -33,9 +33,6 @@ a raw traceback.  Sub-commands:
 * ``serve`` — run the compile daemon (:mod:`repro.serve`): a long-lived
   HTTP service over one shared cache, coalescing concurrent identical
   requests into single compiles.  SIGTERM drains gracefully.
-* ``cache-server`` — run the networked allocation-cache tier other
-  machines' sessions and daemons mount via ``--remote-cache`` /
-  ``Session(remote_cache=...)``.
 
 Examples::
 
@@ -49,8 +46,7 @@ Examples::
         --modes dual fixed --strategy grid --cache-dir /tmp/ac
     python -m repro.cli cache stats --cache-dir /tmp/ac
     python -m repro.cli cache prune --cache-dir /tmp/ac --max-age 7d --max-bytes 64MB
-    python -m repro.cli cache-server --cache-dir /srv/repro-cache --port 8741
-    python -m repro.cli serve --cache-dir /tmp/ac --remote-cache http://cache-host:8741
+    python -m repro.cli serve --cache-dir /tmp/ac --port 8740
     python -m repro.cli compile-batch resnet18 --json-out stats.json
 """
 
@@ -246,7 +242,6 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         backend=args.backend,
         cache_dir=args.cache_dir,
-        remote_cache=args.remote_cache,
         trace=_session_trace(args),
     )
     jobs = []
@@ -787,10 +782,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
     raise ValueError(f"unknown cache command {args.cache_command!r}")  # pragma: no cover
 
 
-def _run_server(server, args: argparse.Namespace, role: str) -> int:
-    """Shared serve/cache-server run loop: port file, signals, drain.
+def cmd_serve(args: argparse.Namespace) -> int:
+    """Run the compile daemon until SIGTERM, then drain and exit 0.
 
-    Blocks in the server's accept loop until SIGTERM/SIGINT (or a normal
+    Blocks in the daemon's accept loop until SIGTERM/SIGINT (or a normal
     shutdown), drains gracefully, and exits 0 — the contract systemd,
     Kubernetes and the CI smoke rely on.  ``--port-file`` publishes the
     bound (possibly ephemeral) port for whoever started the process.
@@ -798,56 +793,37 @@ def _run_server(server, args: argparse.Namespace, role: str) -> int:
     import signal
     import threading
 
-    if args.port_file:
-        Path(args.port_file).expanduser().write_text(
-            f"{server.bound_port}\n", encoding="utf-8"
-        )
-    # The machine-checkable line scripts wait for (stdout, flushed).
-    print(f"{role} listening on {server.url}", flush=True)
-
-    def _drain(signum, _frame) -> None:
-        LOGGER.info("%s: received signal %d, draining", role, signum)
-        # shutdown() blocks until serve_forever() returns; it must run on
-        # another thread because this handler interrupts that very loop.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - direct ^C fallback
-        server.shutdown()
-    print(f"{role} drained cleanly", flush=True)
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the compile daemon until SIGTERM, then drain and exit 0."""
     from .serve import CompileDaemon
 
     daemon = CompileDaemon(
         cache_dir=args.cache_dir,
-        remote_cache=args.remote_cache,
         workers=args.workers,
         queue_limit=args.queue_limit,
         wait_timeout=args.timeout,
         host=args.host,
         port=args.port,
     )
-    return _run_server(daemon, args, "compile daemon")
+    if args.port_file:
+        Path(args.port_file).expanduser().write_text(
+            f"{daemon.bound_port}\n", encoding="utf-8"
+        )
+    # The machine-checkable line scripts wait for (stdout, flushed).
+    print(f"compile daemon listening on {daemon.url}", flush=True)
 
+    def _drain(signum, _frame) -> None:
+        LOGGER.info("compile daemon: received signal %d, draining", signum)
+        # shutdown() blocks until serve_forever() returns; it must run on
+        # another thread because this handler interrupts that very loop.
+        threading.Thread(target=daemon.shutdown, daemon=True).start()
 
-def cmd_cache_server(args: argparse.Namespace) -> int:
-    """Run the networked allocation-cache tier until SIGTERM."""
-    from .serve import CacheServer
-
-    server = CacheServer(
-        args.cache_dir,
-        host=args.host,
-        port=args.port,
-        max_bytes=args.max_bytes,
-    )
-    return _run_server(server, args, "cache server")
+    signal.signal(signal.SIGTERM, _drain)
+    signal.signal(signal.SIGINT, _drain)
+    try:
+        daemon.serve_forever()
+    except KeyboardInterrupt:  # pragma: no cover - direct ^C fallback
+        daemon.shutdown()
+    print("compile daemon drained cleanly", flush=True)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -912,12 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["thread", "process"],
         default="thread",
         help="worker pool backend (process workers share solves via --cache-dir)",
-    )
-    batch.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="URL",
-        help="networked cache tier: URL of a running 'repro cache-server'",
     )
     batch.add_argument(
         "--json-out",
@@ -1158,38 +1128,29 @@ def build_parser() -> argparse.ArgumentParser:
         )
     cache.set_defaults(func=cmd_cache)
 
-    def _add_server_arguments(server_parser: argparse.ArgumentParser) -> None:
-        server_parser.add_argument(
-            "--host", default="127.0.0.1", help="bind address (loopback by default)"
-        )
-        server_parser.add_argument(
-            "--port",
-            type=int,
-            default=0,
-            help="TCP port (default 0 = ephemeral; see --port-file)",
-        )
-        server_parser.add_argument(
-            "--port-file",
-            default=None,
-            metavar="PATH",
-            help="write the bound port here once listening (for scripts using --port 0)",
-        )
-
     serve = sub.add_parser(
         "serve",
         help="run the compile daemon (coalescing HTTP compile-as-a-service)",
     )
-    _add_server_arguments(serve)
+    serve.add_argument(
+        "--host", default="127.0.0.1", help="bind address (loopback by default)"
+    )
+    serve.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="TCP port (default 0 = ephemeral; see --port-file)",
+    )
+    serve.add_argument(
+        "--port-file",
+        default=None,
+        metavar="PATH",
+        help="write the bound port here once listening (for scripts using --port 0)",
+    )
     serve.add_argument(
         "--cache-dir",
         default=None,
         help="persistent allocation-cache directory behind the daemon's memory tier",
-    )
-    serve.add_argument(
-        "--remote-cache",
-        default=None,
-        metavar="URL",
-        help="networked cache tier: URL of a running 'repro cache-server'",
     )
     serve.add_argument(
         "--workers", type=int, default=2, help="compile worker threads"
@@ -1207,24 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request wait bound in seconds (504 on expiry)",
     )
     serve.set_defaults(func=cmd_serve)
-
-    cache_server = sub.add_parser(
-        "cache-server",
-        help="run the networked allocation-cache tier (content-addressed entries)",
-    )
-    _add_server_arguments(cache_server)
-    cache_server.add_argument(
-        "--cache-dir",
-        required=True,
-        help="directory the served entries live in (a DiskCacheStore)",
-    )
-    cache_server.add_argument(
-        "--max-bytes",
-        type=_parse_size,
-        default=None,
-        help="size budget for the served store (e.g. 256MB); oldest evicted first",
-    )
-    cache_server.set_defaults(func=cmd_cache_server)
     return parser
 
 

@@ -1,10 +1,13 @@
 """Shared segment-allocation cache.
 
-The dominant cost of CMSwitch compilation (Fig. 18 of the paper) is the
-per-segment allocation solve: the DP segmentation asks the MILP (or the
-greedy engine) for every candidate window, and the fixed-mode fallback
-pass repeats the whole exercise.  :class:`AllocationCache` memoises those
-solves *across* segmentation runs, compilers and even compile requests:
+The DP segmentation asks the allocator for every candidate window (Fig. 18
+of the paper), and the fixed-mode fallback pass repeats the whole
+exercise.  :class:`AllocationCache` memoises those solves *across*
+segmentation runs, compilers and even compile requests.  With the exact
+~85 µs window solver the saving is modest — the benchmark's five-model
+set on ``dynaplasia`` (2 cores, Python 3.11) compiles cold in 0.17 s,
+from a warm disk tier in 0.15 s, and populating that tier costs 0.5–0.8 s —
+so the hierarchy stops at the local disk:
 
 * the key is **structural** — the hardware fingerprint, the ordered cost
   profiles of the segment's operators (names excluded) and the options
@@ -27,12 +30,7 @@ solves *across* segmentation runs, compilers and even compile requests:
   :class:`~repro.core.store.DiskCacheStore` — persists entries across
   processes: memory misses fall through to disk, disk hits are promoted
   into memory, and fresh solves are written through, so a cold process
-  pointed at a warmed cache directory compiles with zero solver calls;
-* an optional third tier — a
-  :class:`~repro.serve.remote.RemoteCacheStore` pointed at a
-  ``repro cache-server`` — shares entries across *machines*: lookups
-  cascade memory → disk → remote, remote hits are promoted into both
-  local tiers, and fresh solves are written through to all of them.
+  pointed at a warmed cache directory compiles with zero solver calls.
 
 Usage::
 
@@ -279,25 +277,17 @@ class CacheEntry:
         )
 
 
-#: Backwards-compatible alias (the entry class was private before the
-#: disk store needed to serialise it).
-_CacheEntry = CacheEntry
-
-
 @dataclass
 class CacheStats:
     """Counters of one :class:`AllocationCache`.
 
     Attributes:
-        hits: Lookups served from the cache (cross-mode, disk and remote
-            hits included).
+        hits: Lookups served from the cache (cross-mode and disk hits
+            included).
         cross_mode_hits: Fixed-mode lookups served by a memory-free
             dual-mode entry.
         disk_hits: Lookups that missed in memory but were served by the
             persistent second tier (and promoted into memory).
-        remote_hits: Lookups that missed both local tiers but were
-            served by the networked third tier (and promoted into both
-            local tiers).
         misses: Lookups that required a fresh solve.
         stores: Entries written.
         evictions: Entries dropped by the LRU bound.
@@ -306,7 +296,6 @@ class CacheStats:
     hits: int = 0
     cross_mode_hits: int = 0
     disk_hits: int = 0
-    remote_hits: int = 0
     misses: int = 0
     stores: int = 0
     evictions: int = 0
@@ -328,7 +317,6 @@ class CacheStats:
             hits=self.hits,
             cross_mode_hits=self.cross_mode_hits,
             disk_hits=self.disk_hits,
-            remote_hits=self.remote_hits,
             misses=self.misses,
             stores=self.stores,
             evictions=self.evictions,
@@ -340,7 +328,6 @@ class CacheStats:
             "hits": self.hits,
             "cross_mode_hits": self.cross_mode_hits,
             "disk_hits": self.disk_hits,
-            "remote_hits": self.remote_hits,
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,
@@ -379,33 +366,22 @@ class AllocationCache:
         store: Optional persistent second tier.  Memory misses fall
             through to it, its hits are promoted into memory, and fresh
             solves are written through to it.
-        remote: Optional networked third tier — anything with the
-            ``get(key) -> Optional[CacheEntry]`` / ``put(key, entry)``
-            shape of :class:`~repro.serve.remote.RemoteCacheStore`.
-            Probed only after both local tiers miss; its hits are
-            promoted into memory *and* the disk tier, and fresh solves
-            are written through to it.  A remote tier must never raise
-            from ``get``/``put`` (the remote client maps every network
-            or verification failure to a miss), so a dead or poisoned
-            cache server degrades to cold compiles, not errors.
         metrics: Optional :class:`~repro.obs.MetricsRegistry`.  Tier
             counters are *mirrored* into it under ``cache.memory.*`` /
-            ``cache.disk.*`` / ``cache.remote.*`` names; ``self.stats``
-            stays the exact, bit-compatible source of truth either way.
+            ``cache.disk.*`` names; ``self.stats`` stays the exact,
+            bit-compatible source of truth either way.
     """
 
     def __init__(
         self,
         max_entries: int = 4096,
         store: Optional[DiskCacheStore] = None,
-        remote: Optional[object] = None,
         metrics: Optional[object] = None,
     ) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self.store = store
-        self.remote = remote
         self._entries: "OrderedDict[AllocationCacheKey, CacheEntry]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
@@ -435,9 +411,8 @@ class AllocationCache:
 
         The lookup cascades through the tiers: exact in-memory entry,
         cross-mode in-memory entry, then (with a ``store`` attached) the
-        same two probes against the disk tier, then (with a ``remote``
-        attached) against the networked tier — promoting any lower-tier
-        hit into every tier above it.  A fixed-mode lookup's cross-mode
+        same two probes against the disk tier, promoting a disk hit into
+        memory.  A fixed-mode lookup's cross-mode
         probe reuses the dual-mode entry of the same key only when that
         entry allocates no memory-mode arrays (then it lies inside the
         fixed-mode space and is exact for it); ``inbound_arrays`` is the
@@ -466,25 +441,6 @@ class AllocationCache:
                         self.stats.cross_mode_hits += 1
                 self.metrics.inc("cache.disk.hits")
                 return entry.to_result(names, from_disk=True)
-        if self.remote is not None:
-            # Remote probes also run outside the lock — a slow or dead
-            # network must not serialise the compile threads either.
-            entry, hit_key, cross_mode = self._probe(self.remote.get, key, inbound_arrays)
-            if entry is not None:
-                with self._lock:
-                    self._insert(hit_key, entry)
-                    self.stats.hits += 1
-                    self.stats.remote_hits += 1
-                    if cross_mode:
-                        self.stats.cross_mode_hits += 1
-                self.metrics.inc("cache.remote.hits")
-                if self.store is not None:
-                    # Promote into the disk tier too: the *next* process
-                    # on this machine should not need the network.
-                    self.store.put(hit_key, entry)
-                # from_disk marks the hit as served by a persistent tier,
-                # so per-job statistics count it exactly like a disk hit.
-                return entry.to_result(names, from_disk=True)
         with self._lock:
             self.stats.misses += 1
         self.metrics.inc("cache.misses")
@@ -497,8 +453,8 @@ class AllocationCache:
         """Exact + cross-mode probe of one tier through its ``get``.
 
         Returns ``(entry, key it was found under, cross-mode hit)``.
-        The memory tier is probed with the lock held, the disk and
-        remote tiers without.
+        The memory tier is probed with the lock held, the disk tier
+        without.
         """
         entry = get(key)
         if entry is not None:
@@ -527,8 +483,7 @@ class AllocationCache:
         """Store the outcome of a fresh solve under ``key``.
 
         The entry lands in the in-memory tier immediately and is written
-        through to the persistent and networked tiers (when attached)
-        outside the lock.
+        through to the persistent tier (when attached) outside the lock.
         """
         entry = CacheEntry.from_result(profiles, result)
         if entry is None:
@@ -539,11 +494,9 @@ class AllocationCache:
         self.metrics.inc("cache.stores")
         if self.store is not None:
             self.store.put(key, entry)
-        if self.remote is not None:
-            self.remote.put(key, entry)
 
     # ------------------------------------------------------------------ #
-    # segment-level convenience wrappers
+    # segment-level convenience wrapper
     # ------------------------------------------------------------------ #
     def lookup_segment(
         self,
@@ -553,16 +506,6 @@ class AllocationCache:
     ) -> Optional[AllocationResult]:
         """One-shot :meth:`make_key` + :meth:`lookup`."""
         return self.lookup(self.make_key(profiles, hardware, **options), list(profiles))
-
-    def store_segment(
-        self,
-        profiles: Mapping[str, OperatorProfile],
-        hardware: DualModeHardwareAbstraction,
-        result: AllocationResult,
-        **options,
-    ) -> None:
-        """One-shot :meth:`make_key` + :meth:`put`."""
-        self.put(self.make_key(profiles, hardware, **options), profiles, result)
 
     # ------------------------------------------------------------------ #
     # maintenance

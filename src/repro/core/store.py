@@ -1,15 +1,16 @@
 """Persistent on-disk allocation-cache store.
 
-PR 1's in-memory :class:`~repro.core.cache.AllocationCache` makes warm
-recompiles ~44x faster, but it dies with the process: every new CLI
-invocation, CI run or DSE sweep re-pays the full cold cost.  The cached
-solves are ideal for cross-process persistence — they are keyed purely
-structurally (hardware fingerprint x operator-profile sequence x solve
-options) and the MILP/greedy engines are deterministic, so an entry
-computed by one process is bit-identical to what any other process would
-compute.  :class:`DiskCacheStore` is that persistence layer: a
-content-addressed store of cache entries under one directory, safe to
-share between threads, processes and successive runs.
+The in-memory :class:`~repro.core.cache.AllocationCache` dies with the
+process: every new CLI invocation, CI run or DSE sweep solves its
+windows again (what that costs is measured in the header of
+:mod:`repro.core.cache`).  The cached solves are ideal for cross-process
+persistence — they are keyed purely structurally (hardware fingerprint x
+operator-profile sequence x solve options) and the allocation engines
+are deterministic, so an entry computed by one process is bit-identical
+to what any other process would compute.  :class:`DiskCacheStore` is
+that persistence layer: a content-addressed store of cache entries under
+one directory, safe to share between threads, processes and successive
+runs.
 
 Design rules (each one is load-bearing for multi-process sharing):
 
@@ -76,7 +77,6 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 #: cache dir, editor droppings, a README — are never deleted or counted.
 _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 _ENTRY_RE = re.compile(r"^[0-9a-f]{64}\.json$")
-_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
 def _key_payload(key: "AllocationCacheKey") -> Dict:
@@ -332,98 +332,6 @@ class DiskCacheStore:
             over_budget = self._total_bytes_locked() > self.max_bytes
         if over_budget:
             self._evict_to_budget()
-
-    # ------------------------------------------------------------------ #
-    # raw entry access (the transport layer of the networked cache tier)
-    # ------------------------------------------------------------------ #
-    def get_raw(self, digest: str) -> Optional[bytes]:
-        """The stored entry file for ``digest``, as bytes, or None.
-
-        This is the store's transport face: a cache server
-        (:class:`repro.serve.CacheServer`) relays these bytes verbatim —
-        it never interprets entries, clients self-verify them.  Digests
-        that do not look like entry names are rejected as None (so a
-        crafted path can never escape the store layout), and read
-        failures degrade to None exactly like :meth:`get`.
-        """
-        if not _DIGEST_RE.match(digest):
-            return None
-        try:
-            return self._entry_path(digest).read_bytes()
-        except OSError:
-            return None
-
-    def put_raw(self, digest: str, data: bytes) -> bool:
-        """Atomically publish pre-rendered entry bytes under ``digest``.
-
-        The counterpart of :meth:`get_raw` for the write direction of a
-        cache server.  The store stays content-addressed even for relayed
-        writes: the bytes must parse as a JSON object whose ``key``
-        payload digests (per :func:`key_digest`'s canonicalisation) to
-        ``digest`` and which carries an integer ``format_version`` — a
-        writer cannot publish an entry under somebody else's name, and
-        garbage never lands on disk.  *Newer* format versions are
-        accepted untouched (the server relays for fleets it does not
-        interpret; readers enforce their own version on the way out).
-
-        Returns:
-            True when the entry was published; False on a rejected
-            payload or a filesystem failure (mirroring :meth:`put`'s
-            swallow-errors contract).
-        """
-        if not _DIGEST_RE.match(digest):
-            return False
-        try:
-            payload = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return False
-        if not isinstance(payload, dict):
-            return False
-        version = payload.get("format_version")
-        if isinstance(version, bool) or not isinstance(version, int):
-            return False
-        key_payload = payload.get("key")
-        if key_payload is None:
-            return False
-        canonical = json.dumps(key_payload, sort_keys=True, separators=(",", ":"))
-        if hashlib.sha256(canonical.encode("utf-8")).hexdigest() != digest:
-            return False
-        path = self._entry_path(digest)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{path.stem}-", suffix=".tmp", dir=path.parent
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        with self._lock:
-            self.stats.stores += 1
-            if self._approx_bytes is not None:
-                self._approx_bytes += len(data)
-            over_budget = self._total_bytes_locked() > self.max_bytes
-        self.metrics.inc("store.stores")
-        if over_budget:
-            self._evict_to_budget()
-        return True
-
-    def has_entry(self, digest: str) -> bool:
-        """Existence probe by digest (the server side of ``HEAD /entry``)."""
-        if not _DIGEST_RE.match(digest):
-            return False
-        try:
-            return self._entry_path(digest).is_file()
-        except OSError:
-            return False
 
     # ------------------------------------------------------------------ #
     # size bounding

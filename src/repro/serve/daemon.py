@@ -21,10 +21,10 @@ stdlib-only threaded HTTP/JSON server over one shared
   (:class:`ResultTable`); a repeat request is parse → fingerprint →
   lookup → one send, and never reaches the queue, the service or the
   encoder.  Failures are never stored.
-* **Warmth at every tier.**  The service's cache composes memory, an
-  optional disk directory and an optional remote cache server
-  (``remote_cache=``), so the daemon both serves *from* and feeds
-  *into* fleet-wide warmth.
+* **Warmth at both tiers.**  The service's cache composes memory and
+  an optional disk directory (``cache_dir=``) shared with every other
+  process mounting it; across machines the daemon itself is the shared
+  tier.
 * **Observability.**  Per-request spans (``serve.request``) and
   counters flow through :mod:`repro.obs`; ``GET /metrics`` exposes
   them, the coalescing counters and the cache tiers in a text format,
@@ -197,8 +197,6 @@ class CompileDaemon:
     Args:
         cache_dir: Optional persistent disk tier for the allocation
             cache (shared with every other process mounting it).
-        remote_cache: Optional URL of a ``repro cache-server`` — the
-            networked third cache tier.
         workers: Compile worker threads (the pool that executes jobs;
             connection threads only wait).
         queue_limit: Bound on jobs admitted but not yet compiling;
@@ -218,7 +216,6 @@ class CompileDaemon:
     def __init__(
         self,
         cache_dir: Optional[str] = None,
-        remote_cache: Optional[str] = None,
         workers: int = 2,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         wait_timeout: float = DEFAULT_WAIT_TIMEOUT,
@@ -236,7 +233,6 @@ class CompileDaemon:
         )
         self.service = CompileService(
             cache_dir=cache_dir,
-            remote_cache=remote_cache,
             use_cache=use_cache,
             obs=self.obs,
         )
@@ -531,8 +527,6 @@ class CompileDaemon:
             payload["cache"] = cache.stats.snapshot().to_dict()
             if cache.store is not None:
                 payload["disk"] = cache.store.stats.snapshot().to_dict()
-            if cache.remote is not None:
-                payload["remote"] = cache.remote.stats.snapshot().to_dict()
         return payload
 
     def render_metrics(self) -> str:
@@ -550,9 +544,6 @@ class CompileDaemon:
             if cache.store is not None:
                 for name, value in sorted(cache.store.stats.snapshot().to_dict().items()):
                     lines.append(f"cache_disk_{name} {value}")
-            if cache.remote is not None:
-                for name, value in sorted(cache.remote.stats.snapshot().to_dict().items()):
-                    lines.append(f"cache_remote_{name} {value}")
         snapshot = self.obs.metrics.to_dict() if hasattr(self.obs.metrics, "to_dict") else {}
         for name, value in (snapshot.get("counters") or {}).items():
             lines.append(f"obs_{name.replace('.', '_')} {value}")
@@ -565,12 +556,11 @@ class CompileDaemon:
     def serve_forever(self) -> None:
         """Block serving requests until :meth:`shutdown` is called."""
         LOGGER.info(
-            "compile daemon: %s (workers=%d, queue<=%d, cache=%s, remote=%s)",
+            "compile daemon: %s (workers=%d, queue<=%d, cache=%s)",
             self.url,
             len(self._workers),
             self._queue.maxsize,
             self.service.cache_dir or "in-memory",
-            getattr(self.service.remote_cache, "url", None) or "off",
         )
         self.httpd.serve_forever()
 
@@ -597,4 +587,3 @@ class CompileDaemon:
                 thread.join(timeout=timeout)
         self.httpd.shutdown()
         self.httpd.server_close()
-        self.service.close()

@@ -1,8 +1,8 @@
 """Shared stdlib-only HTTP plumbing of the serving tier.
 
-Both servers in this package — the compile daemon and the cache server
-— are built on ``http.server.ThreadingHTTPServer`` (one thread per
-connection, no third-party dependencies) with the same conventions:
+The compile daemon is built on ``http.server.ThreadingHTTPServer`` (one
+thread per connection, no third-party dependencies) with these
+conventions:
 
 * HTTP/1.1 with explicit ``Content-Length`` on every response, so
   clients can keep connections alive;
@@ -117,10 +117,6 @@ def respond_bytes(
     puts headers and body on an unbuffered socket as two sends; with
     Nagle's algorithm the second waits for the client's delayed ACK of
     the first, a fixed ~40 ms stall on every keep-alive round trip.
-
-    A HEAD request is answered with the headers alone: its client reads
-    no entity, and stray bytes would be parsed as the next response on
-    its kept-alive connection.
     """
     handler.log_request(status, len(body))
     phrase = handler.responses.get(status, ("",))[0]
@@ -133,7 +129,7 @@ def respond_bytes(
         "\r\n"
     ).encode("latin-1")
     try:
-        handler.wfile.write(head if handler.command == "HEAD" else head + body)
+        handler.wfile.write(head + body)
     except (BrokenPipeError, ConnectionResetError):
         pass  # the client hung up; nothing to clean up server-side
 
@@ -149,12 +145,12 @@ def respond_text(
     text: str,
     content_type: str = "text/plain; charset=utf-8",
 ) -> None:
-    """Send a plain-text response (the ``/metrics`` endpoints use this)."""
+    """Send a plain-text response (the ``/metrics`` endpoint uses this)."""
     respond_bytes(handler, status, text.encode("utf-8"), content_type)
 
 
 def read_body(
-    handler: BaseHTTPRequestHandler, max_bytes: int = MAX_BODY_BYTES
+    handler: BaseHTTPRequestHandler,
 ) -> Tuple[Optional[bytes], Optional[Tuple[int, str]]]:
     """Read the request body, enforcing presence and size of Content-Length.
 
@@ -172,8 +168,8 @@ def read_body(
         return None, (400, f"invalid Content-Length {length_header!r}")
     if length < 0:
         return None, (400, f"invalid Content-Length {length}")
-    if length > max_bytes:
-        return None, (413, f"request body of {length} bytes exceeds {max_bytes}")
+    if length > MAX_BODY_BYTES:
+        return None, (413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
     body = handler.rfile.read(length)
     if len(body) != length:
         return None, (400, "request body shorter than Content-Length")

@@ -1,10 +1,10 @@
 """Batch compilation service with a shared allocation cache.
 
-One CMSwitch compile is dominated by per-segment allocation solves
-(Fig. 18 of the paper).  Serving many compile requests from one process —
-design-space-exploration sweeps, multi-model fleets, repeated compiles of
-the same network at different workloads — repeats most of those solves.
-:class:`CompileService` amortises them:
+Serving many compile requests from one process — design-space-exploration
+sweeps, multi-model fleets, repeated compiles of the same network at
+different workloads — repeats most of the per-segment allocation solves
+(Fig. 18 of the paper).  :class:`CompileService` shares them (what that
+saves is measured in the header of :mod:`repro.core.cache`):
 
 * every job compiles against one shared, thread-safe
   :class:`~repro.core.cache.AllocationCache`, so structurally identical
@@ -49,7 +49,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .core.cache import AllocationCache, CacheStats
 from .core.compiler import CMSwitchCompiler, CompilerOptions
@@ -217,15 +217,6 @@ class CompileService:
         cache_dir: Directory of a persistent
             :class:`~repro.core.store.DiskCacheStore` shared across
             threads, worker processes and future invocations.
-        remote_cache: Networked third cache tier — the URL of a
-            ``repro cache-server`` (a
-            :class:`~repro.serve.remote.RemoteCacheStore` is built from
-            it) or an already-constructed store object.  Lookups cascade
-            memory → disk → remote; remote hits are promoted into the
-            local tiers and fresh solves written through, so a fleet of
-            services sharing one cache server solves each segment once
-            *across machines*.  A dead server degrades to cold compiles,
-            never errors.
         solve_memo: Optional per-run
             :class:`~repro.core.memo.SolveMemo` shared by every compile
             the service performs (thread backend; process workers cannot
@@ -247,7 +238,6 @@ class CompileService:
         use_cache: bool = True,
         backend: str = "thread",
         cache_dir: Optional[Union[str, Path]] = None,
-        remote_cache: Optional[Union[str, object]] = None,
         solve_memo=None,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -261,12 +251,6 @@ class CompileService:
         self.backend = backend
         self.obs = NULL_OBS if obs is None else obs
         self.cache_dir = str(Path(cache_dir).expanduser()) if cache_dir is not None else None
-        if isinstance(remote_cache, str):
-            # Deferred import: repro.serve sits above this module.
-            from .serve.remote import RemoteCacheStore
-
-            remote_cache = RemoteCacheStore(remote_cache, metrics=self.obs.metrics)
-        self.remote_cache = remote_cache
         if use_cache:
             if cache is None:
                 store = (
@@ -276,13 +260,7 @@ class CompileService:
                 )
                 # `cache is not None`, not truthiness: an empty
                 # AllocationCache has len() == 0.
-                cache = AllocationCache(
-                    store=store, remote=self.remote_cache, metrics=self.obs.metrics
-                )
-            elif self.remote_cache is not None and cache.remote is None:
-                # An explicitly passed cache gains the remote tier unless
-                # it already carries one (an attached remote wins).
-                cache.remote = self.remote_cache
+                cache = AllocationCache(store=store, metrics=self.obs.metrics)
             self.cache = cache
         else:
             self.cache = None
@@ -392,11 +370,6 @@ class CompileService:
             {
                 **job.to_spec(),
                 "cache_dir": cache_dir,
-                # Workers reach the networked tier by URL (the client
-                # object itself holds sockets and must not cross the
-                # process border); a remote passed as a bare object with
-                # no URL stays parent-only.
-                "remote_cache": getattr(self.remote_cache, "url", None),
                 "use_cache": self.cache is not None,
                 "trace": bool(self.obs.tracer.enabled),
             }
@@ -424,18 +397,13 @@ class CompileService:
                 results.append(result)
         return results
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release held resources. Idempotent.
+        """Idempotent no-op: the service holds nothing to release.
 
-        Closes the remote cache tier's sockets; batch thread pools are
-        per-call and need no teardown.
+        Batch pools are per-call and the disk store opens its files per
+        operation.  Kept because callers (the repository benchmark among
+        them) end a service's life with it.
         """
-        remote = self.remote_cache
-        if remote is not None and hasattr(remote, "close"):
-            remote.close()
 
     # ------------------------------------------------------------------ #
     # service-level statistics
@@ -458,26 +426,19 @@ class CompileService:
 # process-backend worker (module level so it pickles)
 # ---------------------------------------------------------------------- #
 
-#: Per-worker-process caches, keyed by (cache directory, remote URL), so
-#: every job a worker serves shares one in-memory tier (fronting the
-#: shared disk store / cache server when configured).
-_WORKER_CACHES: Dict[Tuple[str, str], AllocationCache] = {}
+#: Per-worker-process caches, keyed by cache directory, so every job a
+#: worker serves shares one in-memory tier (fronting the shared disk
+#: store when configured).
+_WORKER_CACHES: Dict[str, AllocationCache] = {}
 
 
-def _worker_cache(
-    cache_dir: Optional[str], remote_url: Optional[str] = None
-) -> AllocationCache:
-    """The (per-process) shared cache for ``(cache_dir, remote_url)``."""
-    key = (cache_dir or "", remote_url or "")
+def _worker_cache(cache_dir: Optional[str]) -> AllocationCache:
+    """The (per-process) shared cache for ``cache_dir``."""
+    key = cache_dir or ""
     cache = _WORKER_CACHES.get(key)
     if cache is None:
         store = DiskCacheStore(cache_dir) if cache_dir else None
-        remote = None
-        if remote_url:
-            from .serve.remote import RemoteCacheStore
-
-            remote = RemoteCacheStore(remote_url)
-        cache = AllocationCache(store=store, remote=remote)
+        cache = AllocationCache(store=store)
         _WORKER_CACHES[key] = cache
     return cache
 
@@ -491,11 +452,7 @@ def _compile_spec_in_worker(spec: Dict) -> CompileJobResult:
     parent folds into the job's result.
     """
     job = CompileJob.from_spec(spec)
-    cache = (
-        _worker_cache(spec.get("cache_dir"), spec.get("remote_cache"))
-        if spec.get("use_cache", True)
-        else None
-    )
+    cache = _worker_cache(spec.get("cache_dir")) if spec.get("use_cache", True) else None
     obs = Observability(tracer=Tracer()) if spec.get("trace") else None
     service = CompileService(cache=cache, use_cache=cache is not None, obs=obs)
     result = service.compile(job)

@@ -1,4 +1,5 @@
-"""Dependencies point one way: the compiler layers never import the serving ones."""
+"""Dependencies point one way: the compiler layers never import the serving
+ones, and below the CLI nothing reaches up into ``repro.serve``."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,17 @@ def test_lower_layer_never_imports_the_serving_layers(layer):
         if any(module == upper or module.startswith(upper + ".") for upper in UPPER)
     ]
     assert not offenders, offenders
+
+
+def test_only_the_cli_imports_the_serve_package():
+    serve = SRC / "repro" / "serve"
+    importers = sorted(
+        {
+            str(path.relative_to(SRC))
+            for path in (SRC / "repro").rglob("*.py")
+            if serve not in path.parents
+            for module in _imported_modules(path)
+            if module == "repro.serve" or module.startswith("repro.serve.")
+        }
+    )
+    assert importers == ["repro/cli.py"]

@@ -1,14 +1,12 @@
-"""Tests for the serving tier: wire format, coalescing, daemon, remote cache.
+"""Tests for the serving tier: wire format, coalescing, daemon.
 
 Covers the ISSUE-9 acceptance surface: fingerprint-bit-identical wire
 round trips, single-flight coalescing (exactly one allocator-solving
-compile for N concurrent identical requests), the networked cache tier
-(self-verifying entries: poisoned or version-skewed server data is a
-miss, never a wrong program), `Session(remote_cache=...)` zero-solve
-warm compiles, the `Session` context manager, and the batch JSON report;
-and the ISSUE-12 fast path: the request-level result table, one write
-per response on `TCP_NODELAY` sockets, the daemon's bounded tracer and
-shutdown of a server that never served.
+compile for N concurrent identical requests), the `Session` context
+manager, and the batch JSON report; and the ISSUE-12 fast path: the
+request-level result table, one write per response on `TCP_NODELAY`
+sockets, the daemon's bounded tracer and shutdown of a server that never
+served.
 """
 
 from __future__ import annotations
@@ -23,17 +21,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import Session
-from repro.core.cache import AllocationCache, AllocationCacheKey, CacheEntry
 from repro.core.compiler import CompilerOptions
-from repro.core.store import DiskCacheStore, FORMAT_VERSION, key_digest
 from repro.models.workload import Phase, Workload
 from repro.serve import (
-    CacheServer,
     Client,
     CoalesceTimeout,
     CompileDaemon,
     CompileRequestError,
-    RemoteCacheStore,
     SingleFlight,
     WireFormatError,
     job_from_wire,
@@ -49,35 +43,12 @@ from repro.serve.wire import WIRE_VERSION, check_version
 from repro.service import CompileJob, CompileJobResult
 
 
-def _synthetic_key(**overrides) -> AllocationCacheKey:
-    fields = dict(
-        hardware="feedfacefeedface",
-        segment=(("linear", 1024, 32, 32, 1024, 1024, 32, 0, True, 1, 32, 32),),
-        engine="milp",
-        pipelined=True,
-        refine=True,
-        allow_memory_mode=True,
-        reserve_arrays=0,
-    )
-    fields.update(overrides)
-    return AllocationCacheKey(**fields)
-
-
-def _entry(allocations=((2, 1), (3, 0)), latency=123.5) -> CacheEntry:
-    return CacheEntry(
-        allocations=tuple(tuple(pair) for pair in allocations),
-        latency_cycles=latency,
-        feasible=True,
-        solver="milp",
-    )
-
-
 @pytest.fixture()
-def cache_server(tmp_path):
-    server = CacheServer(tmp_path / "served")
-    server.start_background()
-    yield server
-    server.shutdown()
+def daemon(tmp_path):
+    daemon = CompileDaemon(cache_dir=tmp_path / "daemon-cache", workers=2)
+    daemon.start_background()
+    yield daemon
+    daemon.shutdown()
 
 
 # ---------------------------------------------------------------------- #
@@ -290,134 +261,9 @@ class TestSingleFlight:
 
 
 # ---------------------------------------------------------------------- #
-# the networked cache tier
-# ---------------------------------------------------------------------- #
-class TestRemoteCacheStore:
-    def test_roundtrip_through_server(self, cache_server):
-        remote = RemoteCacheStore(cache_server.url)
-        key, entry = _synthetic_key(), _entry()
-        assert remote.get(key) is None
-        remote.put(key, entry)
-        assert remote.get(key) == entry
-        assert remote.contains(key)
-        assert not remote.contains(_synthetic_key(reserve_arrays=9))
-        assert remote.stats.hits == 1 and remote.stats.misses == 1
-        remote.close()
-
-    def test_dead_server_is_a_miss_not_an_error(self):
-        remote = RemoteCacheStore("http://127.0.0.1:9", timeout=0.2)
-        key = _synthetic_key()
-        assert remote.get(key) is None
-        remote.put(key, _entry())  # must not raise either
-        assert remote.stats.errors >= 1
-        remote.close()
-
-    def test_poisoned_entry_is_rejected_client_side(self, cache_server):
-        """A tampered server can cause misses, never wrong allocations."""
-        remote = RemoteCacheStore(cache_server.url)
-        key, entry = _synthetic_key(), _entry()
-        remote.put(key, entry)
-        digest = key_digest(key)
-        path = cache_server.store.root / digest[:2] / f"{digest}.json"
-        payload = json.loads(path.read_text())
-        payload["entry"]["allocations"] = [[9, 9]]  # poisoned allocations...
-        payload["key"]["engine"] = "greedy"  # ...under a now-mismatched key
-        path.write_text(json.dumps(payload))
-        assert remote.get(key) is None
-        assert remote.stats.corrupt_entries == 1
-        remote.close()
-
-    def test_version_skewed_entry_is_rejected_client_side(self, cache_server):
-        remote = RemoteCacheStore(cache_server.url)
-        key = _synthetic_key()
-        remote.put(key, _entry())
-        digest = key_digest(key)
-        path = cache_server.store.root / digest[:2] / f"{digest}.json"
-        payload = json.loads(path.read_text())
-        payload["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(payload))
-        assert remote.get(key) is None
-        assert remote.stats.version_rejections == 1
-        remote.close()
-
-    def test_server_enforces_content_addressing_on_put(self, cache_server):
-        """No writer can poison another key: digest must match the payload."""
-        import http.client
-
-        key, other = _synthetic_key(), _synthetic_key(engine="greedy")
-        body = json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "key": json.loads(
-                    json.dumps(
-                        {
-                            "hardware": key.hardware,
-                            "segment": [list(s) for s in key.segment],
-                            "engine": key.engine,
-                            "pipelined": key.pipelined,
-                            "refine": key.refine,
-                            "allow_memory_mode": key.allow_memory_mode,
-                            "reserve_arrays": key.reserve_arrays,
-                        }
-                    )
-                ),
-                "entry": _entry().to_payload(),
-            }
-        ).encode()
-        conn = http.client.HTTPConnection("127.0.0.1", cache_server.bound_port, timeout=5)
-        # PUT the payload of `key` under `other`'s digest: must be refused.
-        conn.request("PUT", f"/entry/{key_digest(other)}", body=body)
-        response = conn.getresponse()
-        response.read()
-        assert response.status == 400
-        assert cache_server.store.get(other) is None
-        conn.close()
-
-
-class TestThreeTierCache:
-    def test_remote_hit_promotes_into_both_local_tiers(self, cache_server, tmp_path):
-        key, entry = _synthetic_key(), _entry()
-        RemoteCacheStore(cache_server.url).put(key, entry)
-
-        store = DiskCacheStore(tmp_path / "local")
-        cache = AllocationCache(store=store, remote=RemoteCacheStore(cache_server.url))
-        result = cache.lookup(key, ["a", "b"])
-        assert result is not None and result.from_cache and result.from_disk
-        assert cache.stats.remote_hits == 1 and cache.stats.hits == 1
-        # Promoted: the next lookup is a pure memory hit...
-        cache.lookup(key, ["a", "b"])
-        assert cache.stats.remote_hits == 1 and cache.stats.hits == 2
-        # ...and the disk tier can now serve a *different* cache offline.
-        assert DiskCacheStore(tmp_path / "local").get(key) == entry
-
-    def test_fresh_solves_write_through_to_remote(self, cache_server):
-        key, entry = _synthetic_key(), _entry()
-        cache = AllocationCache(remote=RemoteCacheStore(cache_server.url))
-        names = ["a", "b"]
-        result = entry.to_result(names)
-        from dataclasses import replace
-
-        cache.put(key, {"a": None, "b": None}, replace(result, from_cache=False))
-        assert RemoteCacheStore(cache_server.url).get(key) == entry
-
-    def test_remoteless_cache_unchanged(self):
-        cache = AllocationCache()
-        assert cache.remote is None
-        assert cache.lookup(_synthetic_key(), ["a"]) is None
-        assert cache.stats.remote_hits == 0
-
-
-# ---------------------------------------------------------------------- #
 # the compile daemon
 # ---------------------------------------------------------------------- #
 class TestCompileDaemon:
-    @pytest.fixture()
-    def daemon(self, tmp_path):
-        daemon = CompileDaemon(cache_dir=tmp_path / "daemon-cache", workers=2)
-        daemon.start_background()
-        yield daemon
-        daemon.shutdown()
-
     def test_concurrent_identical_requests_coalesce_to_one_compile(self, daemon):
         """The acceptance tripwire: N clients, one allocator-solving compile."""
         fan_out = 4
@@ -493,10 +339,13 @@ class TestCompileDaemon:
         client.compile("tiny-mlp", hardware="small-test-chip")
         stats = client.cache_stats()
         assert stats["serve"]["requests"] >= 1
-        assert "coalescing" in stats and "cache" in stats
+        # Memory and disk are the whole cache hierarchy (the fixture
+        # daemon has a cache_dir): no third block, no third counter set.
+        assert set(stats) == {"wire_version", "serve", "coalescing", "cache", "disk"}
         text = client.metrics_text()
         assert "serve_compiles_executed" in text
         assert "serve_flights_started" in text
+        assert "cache_disk_" in text and "cache_remote_" not in text
         client.close()
 
     def test_draining_daemon_refuses_new_work(self, tmp_path):
@@ -802,28 +651,6 @@ class TestSingleSendTransport:
         assert (executed.pop("cached"), hit.pop("cached")) == (False, True)
         assert executed == hit
 
-    def test_cache_server_writes_each_response_once(self, wire_tap, cache_server):
-        store = RemoteCacheStore(cache_server.url)
-        key, missing = _synthetic_key(), _synthetic_key(engine="greedy")
-        store.put(key, _entry())
-        assert store.get(key) == _entry()
-        assert store.get(missing) is None
-        assert store.contains(key)
-        connection = store._connection()
-        sock = connection.sock
-        assert not store.contains(missing)
-        assert store.healthy()
-        # The bodiless HEAD 404 left the kept-alive connection usable.
-        assert store._connection() is connection and connection.sock is sock
-        assert store.stats.errors == 0
-        store.close()
-        _assert_whole_responses(wire_tap.writes, 6)
-        assert wire_tap.nodelay and all(wire_tap.nodelay)
-        # HEAD answers are headers only.
-        assert wire_tap.writes[3].endswith(b"\r\n\r\n")
-        assert wire_tap.writes[4].endswith(b"\r\n\r\n")
-
-
 # ---------------------------------------------------------------------- #
 # long-lived server hygiene: bounded tracer, shutdown in any state
 # ---------------------------------------------------------------------- #
@@ -853,59 +680,36 @@ class TestServerLifecycle:
         finally:
             daemon.shutdown()
 
-    def test_shutdown_before_serving_returns(self, tmp_path):
+    def test_shutdown_before_serving_returns(self):
         daemon = CompileDaemon(workers=1)
         assert daemon.service.compile(CompileJob("tiny-mlp", hardware="small-test-chip")).ok
-        server = CacheServer(tmp_path / "served")
-        for stop in (daemon.shutdown, server.shutdown):
-            thread = threading.Thread(target=stop, daemon=True)
-            thread.start()
-            _join(thread)
+        thread = threading.Thread(target=daemon.shutdown, daemon=True)
+        thread.start()
+        _join(thread)
         # A serve loop that starts after the shutdown (SIGTERM racing
         # start-up) must return instead of serving forever.
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
         thread.start()
         _join(thread)
 
-    def test_shutdown_is_idempotent_after_serving(self, cache_server):
-        store = RemoteCacheStore(cache_server.url)
-        assert store.healthy()
-        store.close()
-        cache_server.shutdown()
-        thread = threading.Thread(target=cache_server.shutdown, daemon=True)
+    def test_shutdown_is_idempotent_after_serving(self, daemon):
+        with Client(daemon.url, retries=0) as client:
+            assert client.healthy()
+        daemon.shutdown()
+        thread = threading.Thread(target=daemon.shutdown, daemon=True)
         thread.start()
         _join(thread)
 
 
 # ---------------------------------------------------------------------- #
-# Session integration (the cross-machine acceptance path, in-process)
+# Session lifecycle
 # ---------------------------------------------------------------------- #
-class TestSessionRemoteCache:
-    def test_empty_local_cache_warm_compiles_with_zero_solves(
-        self, cache_server, tmp_path
-    ):
-        options = CompilerOptions(generate_code=False)
-        with Session(hardware="small-test-chip", remote_cache=cache_server.url) as warm:
-            cold = warm.compile("tiny-mlp", options=options)
-            assert cold.stats["allocator_solves"] > 0
-
-        # A different "machine": empty local cache dir, same cache server.
-        with Session(
-            hardware="small-test-chip",
-            cache_dir=tmp_path / "other-machine",
-            remote_cache=cache_server.url,
-        ) as other:
-            program = other.compile("tiny-mlp", options=options)
-            assert program.stats["allocator_solves"] == 0
-            assert program.fingerprint() == cold.fingerprint()
-            assert other.cache_stats.remote_hits > 0
-            assert other.cache_stats.misses == 0
-
+class TestSessionLifecycle:
     def test_context_manager_closes_and_stays_usable(self):
         with Session(hardware="small-test-chip") as session:
             assert session.compile("tiny-mlp").num_segments >= 1
         session.close()  # idempotent
-        assert session.compile("tiny-mlp").num_segments >= 1  # reconnectable
+        assert session.compile("tiny-mlp").num_segments >= 1  # still usable
 
 
 # ---------------------------------------------------------------------- #
