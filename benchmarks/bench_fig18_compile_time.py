@@ -1,8 +1,7 @@
 """Figure 18: compilation overhead of CMSwitch vs. CIM-MLC.
 
-CMSwitch explores the additional dual-mode dimension (and runs the
-fixed-mode fallback pass), so its compilation time is a small multiple of
-CIM-MLC's — the paper reports 2.8x-6.3x, with CNNs costing more than
+CMSwitch explores the additional dual-mode dimension, so its compilation
+time is a small multiple of CIM-MLC's — the paper reports 2.8x-6.3x, with CNNs costing more than
 transformers because a transformer block is compiled once and reused.
 
 Besides the pytest-benchmark entry point, the module doubles as a CI

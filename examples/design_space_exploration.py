@@ -14,7 +14,7 @@ first-class DSE engine (:mod:`repro.dse`) instead of hand-rolled loops:
 * explores a (array count x mode split) design space for ResNet-18 with
   the grid strategy and prints the latency/energy/arrays Pareto
   frontier — every design point shares the two-tier allocation cache,
-  so the fixed-mode pass reuses dual-mode solves and re-running the
+  so the fixed-mode points reuse dual-mode solves and re-running the
   exploration is nearly free.
 
 Run with ``python examples/design_space_exploration.py``.  Pass a
@@ -59,9 +59,9 @@ def array_count_exploration(cache_dir=None) -> None:
 
     The whole space runs through one :class:`DSERunner`: the planner
     collapses structurally identical candidates, probes the persistent
-    store so warm points are compiled first, and every point's
-    fixed-mode fallback pass reuses the dual-mode MILP solves through
-    the shared allocation cache.  With a ``cache_dir`` the reuse
+    store so warm points are compiled first, and the fixed-mode points
+    reuse the dual-mode points' memory-free solves through the shared
+    allocation cache.  With a ``cache_dir`` the reuse
     survives across script invocations and processes.
     """
     graph = build_model("resnet18", Workload(batch_size=1))

@@ -125,7 +125,6 @@ class BaselineCompiler:
             pipelined=self.pipelined,
             refine=self.duplication,
             allow_memory_mode=False,
-            fixed_mode_fallback=False,
             generate_code=self.generate_code,
         )
         ctx = PipelineContext(

@@ -7,9 +7,7 @@ optimisations, so this baseline is literally a *configuration* of the
 CMSwitch pass pipeline (:mod:`repro.pipeline`) — the same ``Flatten``,
 ``PartitionOversized``, ``Segment``, ``Allocate``, ``Refine`` and
 ``Codegen`` passes — with a single difference: every array is pinned to
-compute mode (``allow_memory_mode=False``, which also disables the
-``FixedModeFallback`` pass, the plan already being fixed-mode).  Any
-performance difference between the two is therefore attributable to the
+compute mode (``allow_memory_mode=False``).  Any performance difference between the two is therefore attributable to the
 dual-mode dimension of the optimisation space, which is exactly the
 comparison the paper makes.
 """

@@ -38,12 +38,12 @@ def reference_compile(
 ) -> CompiledProgram:
     """The pre-refactor ``CMSwitchCompiler.compile`` body, frozen.
 
-    Dual-mode segmentation, optional fixed-mode fallback pass,
-    ``choose_plan`` arbitration, feasibility check, code generation —
-    all in one fused function, exactly as the compiler ran it before
-    :mod:`repro.pipeline` existed.
+    Segmentation, feasibility check, code generation — all in one fused
+    function, as the compiler ran it before :mod:`repro.pipeline`
+    existed (minus the second, fixed-mode DP the pipeline dropped too:
+    parity here means "same orchestration").
     """
-    from .compiler import CompilerOptions, choose_plan, plan_cost
+    from .compiler import CompilerOptions, plan_cost
 
     options = options or CompilerOptions()
     start = time.perf_counter()
@@ -51,26 +51,9 @@ def reference_compile(
         hardware, options.to_segmentation_options(), cache=cache
     )
     result = segmenter.segment(graph)
-    fallback_used = False
     allocation_calls = result.allocation_calls
     cache_hits = result.cache_hits
     disk_hits = result.disk_hits
-    if options.allow_memory_mode and options.fixed_mode_fallback:
-        fixed_options = options.to_segmentation_options()
-        fixed_options.allow_memory_mode = False
-        try:
-            fixed_result = NetworkSegmenter(
-                hardware, fixed_options, cache=cache
-            ).segment(graph)
-        except NoFeasiblePlanError as exc:
-            allocation_calls += exc.stats.get("allocator_solves", 0)
-            cache_hits += exc.stats.get("allocation_cache_hits", 0)
-            disk_hits += exc.stats.get("allocation_disk_hits", 0)
-        else:
-            allocation_calls += fixed_result.allocation_calls
-            cache_hits += fixed_result.cache_hits
-            disk_hits += fixed_result.disk_hits
-            result, fallback_used = choose_plan(result, fixed_result)
     final_cost = plan_cost(result)
     if result.segments and not math.isfinite(final_cost):
         attempts = allocation_calls + cache_hits
@@ -122,7 +105,6 @@ def reference_compile(
             "num_flattened_units": len(result.units),
             "allocation_calls": allocation_calls,
             "dp_seconds": result.dp_seconds,
-            "fixed_mode_fallback_used": fallback_used,
         },
         stats=stats,
         meta_program=meta_program,

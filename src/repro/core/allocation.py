@@ -31,7 +31,7 @@ extra buffering, the paper's post-allocation optimisation).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,6 +69,9 @@ class AllocationResult:
             :class:`~repro.core.store.DiskCacheStore` (implies
             ``from_cache``; lets compile statistics show warm-start
             behaviour per job).
+        unreserved: The same solve refined with ``reserve_arrays=0``;
+            ``None`` when that is this very result.  The segmentation
+            DP relaxes each edge with both.
     """
 
     allocations: Dict[str, OperatorAllocation]
@@ -77,6 +80,7 @@ class AllocationResult:
     solver: str
     from_cache: bool = False
     from_disk: bool = False
+    unreserved: Optional["AllocationResult"] = None
 
     @property
     def total_arrays(self) -> int:
@@ -264,16 +268,21 @@ class LatencyTables:
         return tables
 
 
+#: One hand-out state: the allocations and their per-operator latencies.
+_HandOut = Tuple[Dict[str, OperatorAllocation], List[float]]
+
+
 def _hand_out_spare_arrays(
-    allocations: Dict[str, OperatorAllocation],
+    allocations: Mapping[str, OperatorAllocation],
     profiles: Mapping[str, OperatorProfile],
     hardware: DualModeHardwareAbstraction,
     spare: int,
     allow_memory_mode: bool,
     inbound_arrays: int,
     tables: LatencyTables,
-) -> List[float]:
-    """Grow the bottleneck operator one array at a time (in place).
+    reserve: int = 0,
+) -> Tuple[_HandOut, Optional[_HandOut]]:
+    """Grow the bottleneck operator one array at a time.
 
     Each step takes the operator bounding the segment (first maximum)
     and gives it one array in whichever mode lowers its latency most —
@@ -288,9 +297,14 @@ def _hand_out_spare_arrays(
     segment latency plus the write-back of still-uncovered inbound
     data; with nothing inbound that is the latency alone.
 
+    A step depends only on the state it starts from, so the hand-out
+    that withholds ``reserve`` arrays is the first ``spare - reserve``
+    steps of the one that does not: one loop yields both.
+
     Returns:
-        The per-operator latencies after the hand-out, in
-        ``allocations`` order.
+        ``(reserved, unreserved)``: the state once all but ``reserve``
+        arrays are handed out, and the state after all ``spare`` —
+        ``None`` when the loop never touched the reserve.
     """
     names = list(allocations)
     factors = [tables.get(profiles[name], hardware) for name in names]
@@ -303,7 +317,16 @@ def _hand_out_spare_arrays(
     uncovered = inbound_arrays - sum(memory) if allow_memory_mode else 0
     credit = 2.0 * hardware.array_capacity_elements / hardware.d_extern
     grown = set()
-    while spare > 0:
+
+    def state() -> _HandOut:
+        handed = dict(allocations)
+        for index in grown:
+            handed[names[index]] = OperatorAllocation(compute[index], memory[index])
+        return handed, list(latencies)
+
+    held = max(0, spare - reserve)
+    reserved = None
+    for step in range(spare):
         current = max(latencies)
         index = latencies.index(current)
         compute_time, supply_time = factors[index]
@@ -317,6 +340,8 @@ def _hand_out_spare_arrays(
                 best, score, grow_memory = buffered, buffered - retained, True
         if score >= current - 1e-9:
             break
+        if step == held:
+            reserved = state()
         if grow_memory:
             memory[index] += 1
             uncovered -= 1
@@ -324,10 +349,9 @@ def _hand_out_spare_arrays(
             compute[index] += 1
         latencies[index] = best
         grown.add(index)
-        spare -= 1
-    for index in grown:
-        allocations[names[index]] = OperatorAllocation(compute[index], memory[index])
-    return latencies
+    if reserved is None:
+        return state(), None
+    return reserved, state()
 
 
 # ---------------------------------------------------------------------- #
@@ -364,7 +388,7 @@ class GreedyAllocator:
         used = sum(a.total_arrays for a in allocations.values())
         if used > hardware.num_arrays:
             return infeasible_result()
-        latencies = _hand_out_spare_arrays(
+        (allocations, latencies), _ = _hand_out_spare_arrays(
             allocations,
             profiles,
             hardware,
@@ -594,6 +618,8 @@ def refine_with_spare_arrays(
             memory-mode buffer (False for fixed-mode baselines).
         reserve_arrays: Arrays to leave untouched — the segmentation pass
             reserves them as boundary buffers for live inter-segment data.
+            The refinement that hands them out too rides along as
+            ``result.unreserved`` (absent when identical).
         inbound_arrays: Arrays' worth of live data entering the segment
             beyond the native buffer.  Until the segment's memory-mode
             arrays cover it, growing a buffer is also worth the
@@ -604,24 +630,30 @@ def refine_with_spare_arrays(
     """
     if not result.feasible or not result.allocations:
         return result
-    allocations = dict(result.allocations)
-    used = sum(a.total_arrays for a in allocations.values())
-    spare = hardware.num_arrays - used - max(0, reserve_arrays)
+    spare = hardware.num_arrays - sum(a.total_arrays for a in result.allocations.values())
     if spare <= 0:
         return result
-    latencies = _hand_out_spare_arrays(
-        allocations,
+    reserved, unreserved = _hand_out_spare_arrays(
+        result.allocations,
         profiles,
         hardware,
         spare,
         allow_memory_mode,
         inbound_arrays,
         tables if tables is not None else LatencyTables(),
+        max(0, reserve_arrays),
     )
-    if allocations == result.allocations:
-        return result
-    latency = combine_operator_latencies(latencies, hardware, pipelined)
-    return AllocationResult(allocations, latency, True, result.solver)
+
+    def refined(state: _HandOut) -> AllocationResult:
+        allocations, latencies = state
+        if allocations == result.allocations:
+            return result
+        latency = combine_operator_latencies(latencies, hardware, pipelined)
+        return AllocationResult(allocations, latency, True, result.solver)
+
+    if unreserved is None:
+        return refined(reserved)
+    return replace(refined(reserved), unreserved=refined(unreserved))
 
 
 def key_options(

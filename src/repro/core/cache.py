@@ -1,8 +1,7 @@
 """Shared segment-allocation cache.
 
 The DP segmentation asks the allocator for every candidate window (Fig. 18
-of the paper), and the fixed-mode fallback pass repeats the whole
-exercise.  :class:`AllocationCache` memoises those solves *across*
+of the paper).  :class:`AllocationCache` memoises those solves *across*
 segmentation runs, compilers and even compile requests.  With the exact
 ~85 µs window solver the saving is modest — the benchmark's five-model
 set on ``dynaplasia`` (2 cores, Python 3.11) compiles cold in 0.17 s,
@@ -13,9 +12,8 @@ so the hierarchy stops at the local disk:
   profiles of the segment's operators (names excluded) and the options
   that influence the solve (engine, pipelining, refinement, memory mode,
   boundary reserve).  Structurally identical segments — the same model
-  compiled twice, the repeated projection layers of a transformer block,
-  the fixed-mode pass re-solving a window the dual-mode pass already
-  solved — hit the same entry;
+  compiled twice, the repeated projection layers of a transformer block
+  — hit the same entry;
 * entries store allocations positionally, so a hit is re-labelled with
   the requesting segment's operator names and returned as a fresh
   :class:`~repro.core.allocation.AllocationResult` that is bit-identical
@@ -171,12 +169,15 @@ class CacheEntry:
     persists the :meth:`to_payload` rendering.  Operator names are *not*
     part of an entry — allocations are positional, so one entry serves
     every structurally identical segment regardless of labels.
+    Both refinements of a solve (``unreserved`` is the result's twin)
+    travel as one entry — one LRU slot, one disk record, one key.
     """
 
     allocations: Tuple[Tuple[int, int], ...]
     latency_cycles: float
     feasible: bool
     solver: str
+    unreserved: Optional["CacheEntry"] = None
 
     @classmethod
     def from_result(
@@ -202,11 +203,17 @@ class CacheEntry:
         )
         if len(allocations) != len(profiles) and result.feasible:
             return None
+        unreserved = None
+        if result.unreserved is not None:
+            unreserved = cls.from_result(profiles, result.unreserved)
+            if unreserved is None:
+                return None
         return cls(
             allocations=allocations if result.feasible else tuple(),
             latency_cycles=result.latency_cycles,
             feasible=result.feasible,
             solver=result.solver,
+            unreserved=unreserved,
         )
 
     @property
@@ -231,6 +238,11 @@ class CacheEntry:
             solver=self.solver,
             from_cache=True,
             from_disk=from_disk,
+            unreserved=(
+                self.unreserved.to_result(names, from_disk)
+                if self.unreserved is not None
+                else None
+            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -238,21 +250,30 @@ class CacheEntry:
     # ------------------------------------------------------------------ #
     def to_payload(self) -> Dict:
         """JSON-compatible rendering for the persistent store."""
-        return {
+        payload = {
             "allocations": [list(pair) for pair in self.allocations],
             "latency_cycles": self.latency_cycles,
             "feasible": self.feasible,
             "solver": self.solver,
         }
+        if self.unreserved is not None:
+            payload["unreserved"] = self.unreserved.to_payload()
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "CacheEntry":
         """Rebuild an entry from :meth:`to_payload` output.
 
         Raises:
-            TypeError/ValueError/KeyError: On any shape or type mismatch —
-                the disk store converts those into a corrupt-entry miss.
+            TypeError/ValueError/KeyError: On any shape or type mismatch
+                (a twin that carries a twin included) — the disk store
+                converts those into a corrupt-entry miss.
         """
+        unreserved = None
+        if "unreserved" in payload:
+            unreserved = cls.from_payload(payload["unreserved"])
+            if unreserved.unreserved is not None:
+                raise ValueError("an 'unreserved' twin cannot carry its own")
         allocations = []
         for pair in payload["allocations"]:
             compute, memory = pair  # raises ValueError on wrong arity
@@ -274,6 +295,7 @@ class CacheEntry:
             latency_cycles=latency,
             feasible=feasible,
             solver=solver,
+            unreserved=unreserved,
         )
 
 

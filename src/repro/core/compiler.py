@@ -51,14 +51,7 @@ class CompilerOptions:
 
     Validated on construction: ``max_segment_operators`` must be an
     ``int`` >= 1 (a clear :class:`ValueError` instead of a deep solver
-    failure).  With ``allow_memory_mode=False`` the
-    ``fixed_mode_fallback`` flag is meaningless (the primary plan *is*
-    fixed-mode): the compiler ignores it, and solve-relevant option
-    signatures (DSE point keys — see
-    :func:`repro.dse.space.options_signature`) canonicalise it away so
-    the two spellings name one configuration.  The field itself is left
-    untouched, so re-enabling memory mode (e.g. a
-    ``dataclasses.replace`` along a DSE axis) restores the fallback.
+    failure).
 
     Attributes:
         max_segment_operators: DP window — maximum operators per segment.
@@ -71,12 +64,6 @@ class CompilerOptions:
         allow_memory_mode: Allow arrays in memory mode.  Setting this to
             False degenerates CMSwitch into a fixed-mode compiler and is
             used by baselines/ablations.
-        fixed_mode_fallback: Also evaluate the fixed-mode (all-compute)
-            plan and keep whichever is faster.  The dual-mode optimisation
-            space strictly contains the fixed-mode space, so a production
-            compiler never ships a plan worse than the fixed-mode one; the
-            extra pass is part of CMSwitch's larger compilation time
-            (Fig. 18).
         generate_code: Emit the meta-operator flow alongside the plan.
     """
 
@@ -86,7 +73,6 @@ class CompilerOptions:
     use_milp: bool = True
     refine: bool = True
     allow_memory_mode: bool = True
-    fixed_mode_fallback: bool = True
     generate_code: bool = True
 
     def __post_init__(self) -> None:
@@ -111,10 +97,8 @@ class CMSwitchCompiler:
         hardware: Target dual-mode hardware abstraction (DEHA).
         options: Compilation options; defaults reproduce the paper's setup.
         cache: Optional shared :class:`~repro.core.cache.AllocationCache`.
-            With a cache the fixed-mode fallback pass reuses the dual-mode
-            pass's MILP solutions (and vice versa, where valid), and
-            repeated compiles of the same network skip the solver
-            entirely.  Pass one cache to many compilers (or use
+            With a cache, repeated compiles of the same network skip the
+            solver entirely.  Pass one cache to many compilers (or use
             :class:`repro.api.Session`) to share it between compile
             requests.
         pipeline: Optional custom :class:`~repro.pipeline.Pipeline`; the
@@ -177,7 +161,7 @@ class CMSwitchCompiler:
             enabled, the meta-operator flow.
 
         Raises:
-            NoFeasiblePlanError: If no pass produces a feasible plan for a
+            NoFeasiblePlanError: If no feasible plan exists for a
                 non-empty graph.
         """
         from ..pipeline import PipelineContext, finalize

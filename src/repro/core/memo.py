@@ -39,7 +39,7 @@ from typing import Dict, Mapping, Optional, Sequence
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..obs.metrics import NULL_METRICS
 from .allocation import AllocationResult
-from .cache import AllocationCacheKey, CacheEntry
+from .cache import AllocationCache, AllocationCacheKey, CacheEntry
 from ..cost.arithmetic import OperatorProfile
 
 __all__ = ["SolveMemo"]
@@ -50,9 +50,8 @@ class SolveMemo:
 
     One instance is created per run (``DSERunner`` makes its own) and
     threaded through ``SegmentationOptions.solve_memo`` into every
-    segmenter the run spawns; all of them — across design points, the
-    dual-mode pass and the fixed-mode fallback pass — then share solves
-    in process memory.
+    segmenter the run spawns; all of them — across design points,
+    dual- and fixed-mode alike — then share solves in process memory.
 
     Args:
         metrics: Optional :class:`~repro.obs.MetricsRegistry`; hits,
@@ -91,18 +90,12 @@ class SolveMemo:
     ) -> Optional[AllocationResult]:
         """Return the memoised result for ``key``, or None.
 
-        Mirrors the cache's probe order: exact entry first, then — for a
-        fixed-mode key — the dual-mode entry of the same window (named
-        by its ``inbound_arrays``) when it allocates no memory-mode
-        arrays (the dual-mode optimum then lies inside the fixed-mode
-        space, so reusing it is exact).
+        The cache's own probe: exact entry first, then — for a
+        fixed-mode key — the memory-free dual-mode entry of the same
+        window (named by its ``inbound_arrays``), which is exact for it.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None and not key.allow_memory_mode:
-                dual = self._entries.get(key.dual_mode_variant(inbound_arrays))
-                if dual is not None and dual.memory_free:
-                    entry = dual
+            entry, _, _ = AllocationCache._probe(self._entries.get, key, inbound_arrays)
             if entry is None:
                 self.misses += 1
                 self.metrics.inc("memo.misses")

@@ -51,8 +51,8 @@ class NoFeasiblePlanError(RuntimeError):
 
     Raised by the segmenter when a required segment cannot be mapped
     onto the chip (and no fallback applies), and by
-    :class:`~repro.core.compiler.CMSwitchCompiler` when both the
-    dual-mode and the fixed-mode pass carry infinite cost.  Subclasses
+    :class:`~repro.core.compiler.CMSwitchCompiler` when the chosen plan
+    carries infinite cost.  Subclasses
     :class:`RuntimeError`, so historical ``except RuntimeError`` callers
     keep working.  Infeasibility is a legitimate outcome at a
     design-space boundary — batch and DSE consumers classify it
@@ -371,7 +371,8 @@ def boundary_arrays(
     compiler can keep the live outputs of a window ending at ``end`` in
     memory-mode arrays rather than spilling them off chip (at most half
     the chip; nothing at the final boundary, nothing for fixed-mode
-    passes).  ``inbound[start]`` — the live data entering a window that
+    compiles; the DP also tries each edge without them).
+    ``inbound[start]`` — the live data entering a window that
     starts at ``start``, beyond what the native buffer holds, i.e. how
     many memory-mode arrays :func:`~repro.cost.switching
     .writeback_cycles` would credit it for retaining.  The inbound count
@@ -486,7 +487,9 @@ def plan_arrays(result: SegmentationResult) -> int:
 def choose_plan(
     dual: SegmentationResult, fixed: SegmentationResult
 ) -> Tuple[SegmentationResult, bool]:
-    """Pick between the dual-mode plan and the fixed-mode fallback plan.
+    """Pick between the dual-mode plan and a fixed-mode plan of the same
+    graph (for the ``FixedModeFallback`` test oracle; no default compile
+    arbitrates).
 
     The comparison is robust to :data:`INFEASIBLE_LATENCY` and NaN costs:
 
@@ -525,13 +528,15 @@ class NetworkSegmenter:
             cache: Optional shared
                 :class:`~repro.core.cache.AllocationCache`.  The per-run
                 window memo below always applies; the shared cache
-                additionally reuses solves across runs (the fixed-mode
-                fallback pass, repeated compiles, other threads).
+                additionally reuses solves across runs (repeated
+                compiles, other threads).
         """
         self.hardware = hardware
         self.options = options or SegmentationOptions()
         self._allocator = self.options.build_allocator()
         self._allocation_cache: Dict[Tuple[int, int], AllocationResult] = {}
+        # The refinement (reserved or not) the DP's best plan uses per window.
+        self._chosen: Dict[Tuple[int, int], AllocationResult] = {}
         self._shared_cache = cache
         self._solve_memo = getattr(self.options, "solve_memo", None)
         obs = getattr(self.options, "obs", None)
@@ -682,9 +687,8 @@ class NetworkSegmenter:
             graph: The computation graph.
             units: Pre-flattened schedulable units; flattening is
                 deterministic and option-independent, so callers that
-                already flattened (the pipeline's earlier passes, the
-                fixed-mode fallback reusing the dual-mode pass's units)
-                may pass them to skip the repeated work.
+                already flattened (the pipeline's earlier passes) may
+                pass them to skip the repeated work.
         """
         start_time = time.perf_counter()
         if units is None:
@@ -731,9 +735,8 @@ class NetworkSegmenter:
 
         tables = (best_cost, predecessor, last_resources, last_allocation)
         for j in range(1, m + 1):
-            lo = max(0, j - window)
             live = int(self._liveness[j - 1]) if j < m else 0
-            for i in range(lo, j):
+            for i in range(self._first_fitting_start(j, window), j):
                 if best_cost[i] == INFEASIBLE_LATENCY:
                     continue
                 allocation = self._allocate(units, i, j - 1)
@@ -749,15 +752,29 @@ class NetworkSegmenter:
             # One segment per unit — used only when the DP finds no plan.
             return [(i, i) for i in range(m)]
 
-        # Backtrack the boundaries.
+        # Backtrack the boundaries, keeping the variant each edge won with.
         boundaries: List[Tuple[int, int]] = []
         j = m
         while j > 0:
             i = predecessor[j]
             boundaries.append((i, j - 1))
+            self._chosen[(i, j - 1)] = last_allocation[j]
             j = i
         boundaries.reverse()
         return boundaries
+
+    def _first_fitting_start(self, j: int, window: int) -> int:
+        """Smallest ``i`` whose window ``[i, j-1]`` fits the chip.
+
+        The compute floor only grows with the window, so the starts that
+        fit are a contiguous run ending at ``j - 1``: walk down from
+        there and stop at the first overflow.
+        """
+        i = j
+        lowest = max(0, j - window)
+        while i > lowest and self._spare_arrays(i - 1, j - 1) >= 0:
+            i -= 1
+        return i
 
     def _dp_edge(
         self,
@@ -768,35 +785,40 @@ class NetworkSegmenter:
         allocation: AllocationResult,
         tables,
     ) -> None:
-        """Relax the Eq. 3 edge ``i -> j`` with an obtained allocation."""
+        """Relax the Eq. 3 edge ``i -> j`` with an obtained allocation.
+
+        Reserving the boundary buffer is the edge's choice: the edge is
+        relaxed with the refinement that withholds it and, where it
+        differs, with the one that hands it out.
+        """
         best_cost, predecessor, last_resources, last_allocation = tables
-        if not allocation.feasible:
-            return
         profiles = self._segment_profiles(units, i, j - 1)
-        resources = aggregate_resources(
-            profiles,
-            allocation.allocations,
-            live_output_elements=live,
-            num_arrays_total=self.hardware.num_arrays,
-            static_weight_elements=self._vectors.window_static_weight_elements(
-                i, j - 1
-            ),
-        )
-        inter = inter_segment_cycles(
-            last_resources[i],
-            resources,
-            profiles,
-            allocation.allocations,
-            self.hardware,
-            include_switch_cost=self.options.include_switch_cost,
-            allow_boundary_buffering=self.options.allow_memory_mode,
-        )
-        cost = best_cost[i] + allocation.latency_cycles + inter
-        if cost < best_cost[j]:
-            best_cost[j] = cost
-            predecessor[j] = i
-            last_resources[j] = resources
-            last_allocation[j] = allocation
+        static_weights = self._vectors.window_static_weight_elements(i, j - 1)
+        for variant in (allocation, allocation.unreserved):
+            if variant is None or not variant.feasible:
+                continue
+            resources = aggregate_resources(
+                profiles,
+                variant.allocations,
+                live_output_elements=live,
+                num_arrays_total=self.hardware.num_arrays,
+                static_weight_elements=static_weights,
+            )
+            inter = inter_segment_cycles(
+                last_resources[i],
+                resources,
+                profiles,
+                variant.allocations,
+                self.hardware,
+                include_switch_cost=self.options.include_switch_cost,
+                allow_boundary_buffering=self.options.allow_memory_mode,
+            )
+            cost = best_cost[i] + variant.latency_cycles + inter
+            if cost < best_cost[j]:
+                best_cost[j] = cost
+                predecessor[j] = i
+                last_resources[j] = resources
+                last_allocation[j] = variant
 
     # ------------------------------------------------------------------ #
     # plan construction
@@ -815,7 +837,7 @@ class NetworkSegmenter:
         capacity = self.hardware.array_capacity_elements
         self._prepare(units)
         for seg_index, (start, end) in enumerate(boundaries):
-            allocation = self._allocate(units, start, end)
+            allocation = self._chosen.get((start, end)) or self._allocate(units, start, end)
             if not allocation.feasible:
                 names = ", ".join(unit.name for unit in units[start : end + 1])
                 raise NoFeasiblePlanError(

@@ -65,7 +65,7 @@ __all__ = ["DiskCacheStore", "DiskStoreStats", "FORMAT_VERSION", "key_digest"]
 #: payload, the key canonicalisation, or the meaning of any stored field
 #: changes; readers refuse entries with a different version (see module
 #: docstring for the newer/older asymmetry).
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Default size budget: generous for real sweeps, small enough that a
 #: forgotten cache directory cannot fill a CI disk.

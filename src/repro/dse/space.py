@@ -75,18 +75,8 @@ HARDWARE_AXIS_FIELDS = tuple(
 
 
 def options_signature(options: CompilerOptions) -> Tuple:
-    """Solve-relevant identity of compiler options (``generate_code`` excluded).
-
-    ``fixed_mode_fallback`` is canonicalised to ``False`` when memory
-    mode is off: the compiler ignores the flag there (the primary plan
-    already is fixed-mode), so the two spellings are one configuration
-    and must share point keys, structural-dedup groups and resume
-    records.
-    """
-    values = {name: getattr(options, name) for name in OPTION_AXIS_FIELDS}
-    if not values.get("allow_memory_mode", True):
-        values["fixed_mode_fallback"] = False
-    return tuple(values[name] for name in OPTION_AXIS_FIELDS)
+    """Solve-relevant identity of compiler options (``generate_code`` excluded)."""
+    return tuple(getattr(options, name) for name in OPTION_AXIS_FIELDS)
 
 
 def workload_payload(workload: Workload) -> Dict:

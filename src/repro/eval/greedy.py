@@ -1,7 +1,7 @@
 """Mid-fidelity evaluation: the full pipeline with the greedy allocator.
 
 :class:`GreedyEvaluator` runs every pass the compile tier runs — DP
-segmentation, fixed-mode fallback arbitration, refinement accounting —
+segmentation, refinement accounting, code generation off —
 but swaps the per-segment MILP allocator for the greedy one
 (``use_milp=False``), so a candidate is scored by a *real, executable
 plan* without paying for a single MILP solve.  That places it between

@@ -1,8 +1,9 @@
 """Compilation-overhead study — Fig. 18 of the paper.
 
 CMSwitch explores a strictly larger optimisation space than CIM-MLC (the
-dual-mode dimension plus the fixed-mode fallback pass), so its compilation
-takes a small multiple of CIM-MLC's time — the paper reports 2.8x–6.3x,
+dual-mode dimension: every window solved over compute *and* memory
+candidates, every edge relaxed with and without its boundary reserve),
+so its compilation takes a multiple of CIM-MLC's time — the paper reports 2.8x–6.3x,
 with CNNs costing more than transformers because transformer blocks are
 compiled once and reused across layers.  This experiment measures both
 compilers' wall-clock compilation time on the Fig. 14 benchmark set.
@@ -36,10 +37,10 @@ def measure_compile_time(
         repeats: Number of compilations averaged per measurement (the
             paper uses 20; benchmarks here default to 1 for speed).
         cache: Optional shared :class:`AllocationCache` given to every
-            CMSwitch compile.  With a cache, the fixed-mode fallback pass
-            and any repeated compiles reuse MILP solutions, which is
-            exactly the compile-time lever the Fig. 18 discussion asks
-            for; each row then reports the observed hit rate.
+            CMSwitch compile.  With a cache, structurally repeated
+            windows and repeated compiles reuse solves, which is exactly
+            the compile-time lever the Fig. 18 discussion asks for; each
+            row then reports the observed hit rate.
 
     Returns one row per model with both times, their ratio and the
     CMSwitch allocation-cache hit rate (0 when no cache is used).
@@ -57,9 +58,9 @@ def measure_compile_time(
             repeats,
         )
         mlc_time, _ = _time_compiler(lambda: CIMMLCCompiler(hardware), graph, repeats)
-        # The pass pipeline attributes the compile time: the dual-mode DP
-        # (`segment`) and the fixed-mode fallback pass are the two
-        # solver-bound stages Fig. 18's overhead discussion is about.
+        # The pass pipeline attributes the compile time: the DP
+        # (`segment`) is the solver-bound stage Fig. 18's overhead
+        # discussion is about.
         pass_seconds = (
             cms_program.stats.get("pass_seconds", {}) if cms_program is not None else {}
         )
@@ -70,7 +71,6 @@ def measure_compile_time(
                 "cim-mlc_seconds": mlc_time,
                 "overhead_ratio": cms_time / mlc_time if mlc_time > 0 else float("inf"),
                 "segment_seconds": pass_seconds.get("segment", 0.0),
-                "fallback_seconds": pass_seconds.get("fixed_fallback", 0.0),
                 "cmswitch_cache_hit_rate": (
                     cms_program.stats.get("allocation_cache_hit_rate", 0.0)
                     if cms_program is not None
@@ -105,7 +105,6 @@ def render_report(rows: Sequence[Dict]) -> str:
         "cim-mlc_seconds",
         "overhead_ratio",
         "segment_seconds",
-        "fallback_seconds",
         "cmswitch_cache_hit_rate",
     ]
     return format_table(rows, columns)
@@ -121,8 +120,7 @@ def cached_compile_speedup(
     """Cold-vs-warm demonstration of the shared allocation cache.
 
     Every model is compiled twice against one shared cache.  The cold
-    pass populates it (the fixed-mode fallback already reuses dual-mode
-    solves); the warm pass should hit almost everywhere.  Used by the CI
+    pass populates it; the warm pass should hit everywhere.  Used by the CI
     smoke invocation of ``benchmarks/bench_fig18_compile_time.py`` so a
     compile-time regression (or a cache regression) is visible in logs.
 

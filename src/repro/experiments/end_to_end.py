@@ -42,9 +42,8 @@ def run_end_to_end(
 
     Args:
         cache: Optional shared allocation cache.  One cache across the
-            whole grid lets CMSwitch reuse per-segment solves between the
-            dual- and fixed-mode passes and across batch sizes that
-            produce structurally identical segments.
+            whole grid lets CMSwitch reuse per-segment solves across
+            batch sizes that produce structurally identical segments.
     """
     hardware = hardware or dynaplasia()
     rows: List[Dict] = []

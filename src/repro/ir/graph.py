@@ -66,6 +66,9 @@ class Graph:
         self.name = name
         self._operators: Dict[str, Operator] = {}
         self._producers: Dict[str, str] = {}  # tensor name -> operator name
+        # Derived views, built on first use and dropped by add_operator.
+        self._consumers: Optional[Dict[str, List[Operator]]] = None
+        self._topological: Optional[List[Operator]] = None
         self.graph_inputs: List[TensorSpec] = []
         self.graph_outputs: List[TensorSpec] = []
         #: Free-form model-level metadata (e.g. ``block_repeat`` for
@@ -92,6 +95,7 @@ class Graph:
         self._operators[op.name] = op
         for out in op.outputs:
             self._producers[out.name] = op.name
+        self._consumers = self._topological = None
         return op
 
     def add_input(self, spec: TensorSpec) -> TensorSpec:
@@ -134,12 +138,14 @@ class Graph:
         return self._operators[producer] if producer is not None else None
 
     def consumers_of(self, tensor_name: str) -> List[Operator]:
-        """Operators consuming a tensor."""
-        return [
-            op
-            for op in self._operators.values()
-            if any(t.name == tensor_name for t in op.inputs)
-        ]
+        """Operators consuming a tensor, in insertion order."""
+        if self._consumers is None:
+            consumers: Dict[str, List[Operator]] = {}
+            for op in self._operators.values():
+                for name in dict.fromkeys(t.name for t in op.inputs):
+                    consumers.setdefault(name, []).append(op)
+            self._consumers = consumers
+        return list(self._consumers.get(tensor_name, ()))
 
     def predecessors(self, op: Operator) -> List[Operator]:
         """Operators whose outputs feed ``op``."""
@@ -198,12 +204,15 @@ class Graph:
 
         Ties are broken by insertion order so repeated compilations of the
         same model are reproducible (lexicographic topological sort keyed on
-        the operator's insertion index).
+        the operator's insertion index).  Memoised until the next
+        :meth:`add_operator`.
         """
-        index = {name: i for i, name in enumerate(self._operators)}
-        digraph = self.to_networkx()
-        order = nx.lexicographical_topological_sort(digraph, key=lambda n: index[n])
-        return [self._operators[name] for name in order]
+        if self._topological is None:
+            index = {name: i for i, name in enumerate(self._operators)}
+            digraph = self.to_networkx()
+            order = nx.lexicographical_topological_sort(digraph, key=lambda n: index[n])
+            self._topological = [self._operators[name] for name in order]
+        return list(self._topological)
 
     def cim_operators(self) -> List[Operator]:
         """CIM-mappable operators in topological order."""

@@ -1,8 +1,8 @@
 """Pass-based compile pipeline (the DACO flow as first-class values).
 
 The paper's DACO pipeline — flatten, partition oversized operators, DP
-segmentation, per-segment MIP allocation, fixed-mode fallback,
-refinement, DMO code generation — used to live fused inside
+segmentation, per-segment MIP allocation, refinement, DMO code
+generation — used to live fused inside
 ``CMSwitchCompiler.compile()``.  This package decomposes it into named
 :class:`Pass` objects over a typed :class:`PipelineContext`, run by a
 :class:`Pipeline` that supports pass replacement/insertion and

@@ -39,8 +39,7 @@ class TraceEvent:
     Attributes:
         pass_name: Name of the pass the event belongs to.
         kind: ``"start"``, ``"end"`` or ``"skip"`` (pass disabled for
-            this context — e.g. ``FixedModeFallback`` on a fixed-mode
-            compile).
+            this context — e.g. ``Codegen`` with ``generate_code`` off).
         seconds: Pass wall time; only ``"end"`` events carry a value.
     """
 
@@ -63,14 +62,14 @@ class PipelineContext:
     ``segmenter``           ``Segment``                     ``Allocate``
     ``boundaries``          ``Segment``                     ``Allocate``
     ``result``              ``Allocate``                    every later pass
-    ``fallback_used``       ``FixedModeFallback``           program metadata
+    ``fallback_used``       ``FixedModeFallback`` (oracle)  plan-quality tests
     ``meta_program``        ``Codegen``                     program assembly
     ======================  ==============================  =============
 
     The solver counters (``allocation_calls`` / ``cache_hits`` /
-    ``disk_hits``) accumulate across the dual-mode and fixed-mode
-    segmentation passes exactly as the fused compiler accumulated them,
-    so ``CompiledProgram.stats`` is unchanged by the decomposition.
+    ``disk_hits``) accumulate over every pass that solves (the oracle
+    pass included, when a test inserts it), exactly as the fused
+    compiler accumulated them.
     """
 
     graph: Graph
@@ -97,7 +96,7 @@ class PipelineContext:
     fallback_used: bool = False
     meta_program: Optional[object] = None
 
-    # Solver accounting (dual-mode pass + fixed-mode fallback pass).
+    # Solver accounting.
     allocation_calls: int = 0
     cache_hits: int = 0
     disk_hits: int = 0

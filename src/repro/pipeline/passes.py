@@ -6,15 +6,16 @@ show up as ``skip`` trace events) and a :meth:`Pass.run` that transforms
 the shared :class:`~repro.pipeline.context.PipelineContext`.  The
 standard CMSwitch sequence is::
 
-    Flatten -> PartitionOversized -> Segment -> Allocate
-            -> FixedModeFallback -> Refine -> Codegen
+    Flatten -> PartitionOversized -> Segment -> Allocate -> Refine -> Codegen
 
 which is the paper's flatten / partition / DP segmentation / per-segment
-MIP allocation / fallback arbitration / refinement accounting / DMO
-code-generation flow, one stage per object.  The passes call exactly the
-primitives the fused ``CMSwitchCompiler.compile`` called, in the same
-order — the parity suite (``tests/test_api.py``) asserts the resulting
-programs are bit-identical to the frozen pre-pipeline reference.
+MIP allocation / refinement accounting / DMO code-generation flow, one
+stage per object.  The passes call exactly the primitives the fused
+``CMSwitchCompiler.compile`` called, in the same order — the parity suite
+(``tests/test_api.py``) asserts the resulting programs are bit-identical
+to the frozen pre-pipeline reference.  :class:`FixedModeFallback` is not
+part of the sequence: it is the test oracle for "the one DP never loses
+to a fixed-mode compile" (insert it after ``Allocate``).
 """
 
 from __future__ import annotations
@@ -166,24 +167,21 @@ class Allocate(Pass):
 
 
 class FixedModeFallback(Pass):
-    """Evaluate the all-compute plan and keep whichever is faster.
+    """Test oracle: also run the DP in fixed mode and keep the faster plan.
 
-    The dual-mode optimisation space strictly contains the fixed-mode
-    space, so a production compiler never ships a plan worse than the
-    fixed-mode one; the extra pass is part of CMSwitch's larger
-    compilation time (Fig. 18).  Skipped when memory mode is disabled
-    or the fallback is turned off.  The fallback segmenter shares the
-    allocation cache, so it largely reuses the dual-mode pass's solves
-    (cross-mode hits), and its solver work is accounted either way —
-    even when it only proves fixed-mode infeasible.
+    Not in the default sequence.  The one DP tries every edge with and
+    without its boundary reserve, which covers what a second,
+    all-compute DP used to rescue, so this pass should never set
+    ``ctx.fallback_used`` — the plan-quality suite inserts it after
+    ``Allocate`` to check exactly that.  Skipped when memory mode is off.
+    Its solver work is accounted either way — even when it only proves
+    fixed-mode infeasible.
     """
 
     name = "fixed_fallback"
 
     def enabled(self, ctx: PipelineContext) -> bool:
-        return bool(
-            ctx.options.allow_memory_mode and ctx.options.fixed_mode_fallback
-        )
+        return bool(ctx.options.allow_memory_mode)
 
     def run(self, ctx: PipelineContext) -> None:
         if ctx.result is None:

@@ -31,7 +31,6 @@ from .context import PipelineContext, TraceEvent
 from .passes import (
     Allocate,
     Codegen,
-    FixedModeFallback,
     Flatten,
     PartitionOversized,
     Pass,
@@ -194,7 +193,6 @@ def default_passes() -> List[Pass]:
         PartitionOversized(),
         Segment(),
         Allocate(),
-        FixedModeFallback(),
         Refine(),
         Codegen(),
     ]
@@ -203,11 +201,11 @@ def default_passes() -> List[Pass]:
 def build_pipeline(hooks: Sequence[Hook] = ()) -> Pipeline:
     """A :class:`Pipeline` with the standard CMSwitch pass sequence.
 
-    Options-dependent passes (``FixedModeFallback``, ``Refine``,
-    ``Codegen``) gate themselves on the context's options, so one
-    pipeline serves every :class:`~repro.core.compiler.CompilerOptions`
-    configuration — including the CIM-MLC baseline, which is exactly
-    this pipeline with memory mode pinned off.
+    Options-dependent passes (``Refine``, ``Codegen``) gate themselves
+    on the context's options, so one pipeline serves every
+    :class:`~repro.core.compiler.CompilerOptions` configuration —
+    including the CIM-MLC baseline, which is exactly this pipeline with
+    memory mode pinned off.
     """
     return Pipeline(default_passes(), hooks=hooks)
 
@@ -234,8 +232,7 @@ def finalize(ctx: PipelineContext) -> CompiledProgram:
 
     Raises:
         NoFeasiblePlanError: If the chosen plan has infinite cost for a
-            non-empty graph (both the dual-mode and fixed-mode passes
-            failed to produce a feasible plan).
+            non-empty graph.
     """
     result = ctx.result
     if result is None:
@@ -280,7 +277,6 @@ def finalize(ctx: PipelineContext) -> CompiledProgram:
             "num_flattened_units": len(result.units),
             "allocation_calls": ctx.allocation_calls,
             "dp_seconds": ctx.dp_seconds,
-            "fixed_mode_fallback_used": ctx.fallback_used,
             "passes": [event.pass_name for event in ctx.trace if event.kind == "end"],
         },
         stats=stats,

@@ -26,6 +26,7 @@ from repro.core.allocation import (
     AllocationResult,
     ExactAllocator,
     MIPAllocator,
+    _hand_out_spare_arrays,
     allocate_segment,
     refine_with_spare_arrays,
 )
@@ -174,6 +175,46 @@ class TestRefinementProperties:
         reference = reference_refine_with_spare_arrays(seed, profiles, hardware, **kwargs)
         assert refined.allocations == reference.allocations
         assert refined.latency_cycles == reference.latency_cycles
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        windows(),
+        st.sampled_from([ExactAllocator, MIPAllocator]),
+        st.integers(0, 48),
+        st.integers(0, 12),
+    )
+    def test_one_solve_carries_both_refinements(self, window, engine, reserve, inbound):
+        """Reserve-as-a-choice: ``allocate_segment(reserve_arrays=R)`` is
+        the R solve *and*, in ``unreserved``, the ``reserve_arrays=0``
+        solve — each equal to a loop run on its own budget."""
+        hardware, profiles, allow = window
+        allocator = ENGINES[engine, allow]
+        arguments = dict(allocator=allocator, inbound_arrays=inbound)
+        both = allocate_segment(profiles, hardware, reserve_arrays=reserve, **arguments)
+        free = allocate_segment(profiles, hardware, reserve_arrays=0, **arguments)
+        assert free.unreserved is None
+        if not both.feasible:
+            assert not free.feasible and both.unreserved is None
+            return
+        twin = both.unreserved or both
+        assert twin.unreserved is None
+        assert twin.allocations == free.allocations
+        assert twin.latency_cycles == free.latency_cycles
+        if both.unreserved is not None:
+            assert both.allocations != free.allocations
+            assert both.total_arrays < free.total_arrays
+        # The reserved half is the same loop stopped `reserve` arrays early.
+        seed = allocator.allocate(profiles, hardware)
+        spare = hardware.num_arrays - seed.total_arrays
+        (alone, _), again = _hand_out_spare_arrays(
+            seed.allocations, profiles, hardware, max(0, spare - reserve),
+            allow, inbound, allocator.latency_tables,
+        )
+        assert again is None
+        assert both.allocations == alone
+        for name, allocation in both.allocations.items():
+            assert allocation.compute_arrays <= twin.allocations[name].compute_arrays
+            assert allocation.memory_arrays <= twin.allocations[name].memory_arrays
 
     def test_inbound_data_is_retained_before_marginal_duplication(self, dynaplasia_chip):
         """The llama2-7b mechanism in miniature.

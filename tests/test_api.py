@@ -123,7 +123,7 @@ class TestSession:
 OPTION_MATRIX = [
     {},
     {"allow_memory_mode": False},
-    {"fixed_mode_fallback": False},
+    {"allow_memory_mode": False, "refine": False},
     {"refine": False},
     {"use_milp": False},
     {"pipelined": False},
@@ -156,10 +156,6 @@ class TestPipelineParity:
         assert new.fingerprint() == old.fingerprint()
         assert new.end_to_end_cycles == old.end_to_end_cycles
         assert new.metadata["num_flattened_units"] == old.metadata["num_flattened_units"]
-        assert (
-            new.metadata["fixed_mode_fallback_used"]
-            == old.metadata["fixed_mode_fallback_used"]
-        )
 
     def test_shared_cache_parity(self, small_chip, tiny_cnn_graph):
         # Cold with cache, warm with cache, and the cache-free reference

@@ -134,6 +134,27 @@ class TestAllocationCache:
         assert warm.stats["allocator_solves"] == 0
         assert warm.stats["allocation_cache_hit_rate"] == 1.0
 
+    def test_unreserved_twin_travels_in_the_same_entry(self, dynaplasia_chip, tiny_mlp_graph):
+        """Both refinements of a solve are one entry under the solve's key —
+        in the cache, the per-run memo and on a relabelled hit."""
+        from repro.core.memo import SolveMemo
+
+        profiles = profile_graph(tiny_mlp_graph)
+        cache, memo = AllocationCache(), SolveMemo()
+        solved = allocate_segment(
+            profiles, dynaplasia_chip, reserve_arrays=40, cache=cache, memo=memo
+        )
+        assert solved.unreserved is not None and not solved.from_cache
+        assert len(cache) == len(memo) == 1 and cache.stats.stores == 1
+        renamed = {f"layer{i}": profile for i, profile in enumerate(profiles.values())}
+        for tier in ({"memo": memo}, {"cache": cache}):
+            hit = allocate_segment(renamed, dynaplasia_chip, reserve_arrays=40, **tier)
+            assert hit.from_cache and hit.unreserved.from_cache
+            assert list(hit.unreserved.allocations) == list(renamed)
+            for got, want in ((hit, solved), (hit.unreserved, solved.unreserved)):
+                assert list(got.allocations.values()) == list(want.allocations.values())
+                assert got.latency_cycles == want.latency_cycles
+
     def test_repeat_compile_performs_fewer_solves(self, small_chip, tiny_cnn_graph):
         """Acceptance: two cached compiles < 2x the cold solve count."""
         options = CompilerOptions(generate_code=False)
@@ -147,10 +168,11 @@ class TestAllocationCache:
         assert second.stats["allocator_solves"] == 0
 
     def test_fixed_mode_pass_reuses_dual_mode_entries(self, small_chip, tiny_cnn_graph):
-        """The fallback pass must hit memory-free dual-mode entries."""
+        """A fixed-mode compile must hit memory-free dual-mode entries."""
         cache = AllocationCache()
-        options = CompilerOptions(generate_code=False)
-        CMSwitchCompiler(small_chip, options, cache=cache).compile(tiny_cnn_graph)
+        for mode in (True, False):
+            options = CompilerOptions(generate_code=False, allow_memory_mode=mode)
+            CMSwitchCompiler(small_chip, options, cache=cache).compile(tiny_cnn_graph)
         assert cache.stats.cross_mode_hits > 0
 
     def test_cross_mode_hit_requires_memory_free_entry(self, dynaplasia_chip, tiny_mlp_graph):

@@ -258,6 +258,53 @@ class TestRunnerResume:
         assert final.evaluated == 0
         assert final.allocator_solves == 0
 
+    def test_run_dir_from_before_the_fallback_option_was_retired(self, tmp_path):
+        """Records keyed with ``fixed_mode_fallback`` are stale, not fatal.
+
+        A run directory written when ``CompilerOptions`` still had the
+        flag names it in ``base_options`` and hashed it into every point
+        key: resuming re-evaluates every point and crashes nowhere.
+        """
+        from repro.dse.space import OPTION_AXIS_FIELDS, _digest, workload_payload
+
+        space = tiny_space(arrays=(4, 8), modes=(True, False))
+        run_dir = tmp_path / "run"
+        with RunState.open(
+            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
+        ) as state:
+            first = DSERunner(space, state=state).run()
+        assert first.evaluated == 4
+
+        old_fields = sorted(OPTION_AXIS_FIELDS + ("fixed_mode_fallback",))
+        old_keys = {}
+        for point in space.points():
+            values = {name: getattr(point.options, name) for name in OPTION_AXIS_FIELDS}
+            values["fixed_mode_fallback"] = point.options.allow_memory_mode
+            old_keys[point.key] = _digest({
+                "model": point.model,
+                "workload": workload_payload(point.workload),
+                "hardware": point.hardware.to_dict(),
+                "options": [values[name] for name in old_fields],
+            })
+        results = run_dir / "results.jsonl"
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        for record in records:
+            record["point_key"] = old_keys[record["point_key"]]
+        results.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        meta = json.loads((run_dir / "space.json").read_text())
+        meta["space"]["base_options"]["fixed_mode_fallback"] = True
+        meta["space_fingerprint"] = _digest(meta["space"])  # as that version hashed it
+        (run_dir / "space.json").write_text(json.dumps(meta))
+
+        with RunState.open(
+            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+            resume=True,
+        ) as state:
+            assert state.space_changed
+            resumed = DSERunner(space, state=state).run()
+        assert resumed.skipped == 0 and resumed.evaluated == 4
+        assert not any(record.failed for record in resumed.records)
+
     def test_fresh_run_refuses_existing_results(self, tmp_path):
         space = tiny_space()
         with RunState.open(
@@ -447,13 +494,14 @@ class TestRunnerResume:
     def test_fixed_pass_infeasibility_keeps_dual_plan_and_solves(
         self, small_chip, monkeypatch
     ):
-        # If the fixed-mode fallback pass proves itself infeasible, the
-        # dual-mode plan must survive and the fallback's solver work must
+        # If the fixed-mode oracle pass proves itself infeasible, the
+        # dual-mode plan must survive and the oracle's solver work must
         # still be counted.
         import repro.pipeline.passes as passes_module
         from repro.core.compiler import CMSwitchCompiler, CompilerOptions
         from repro.core.segmentation import NetworkSegmenter, NoFeasiblePlanError
         from repro.models import build_model
+        from repro.pipeline import FixedModeFallback, build_pipeline
 
         real_segmenter = NetworkSegmenter
 
@@ -473,7 +521,9 @@ class TestRunnerResume:
         monkeypatch.setattr(passes_module, "NetworkSegmenter", FixedPassFails)
         graph = build_model("tiny-mlp", Workload(batch_size=1))
         program = CMSwitchCompiler(
-            small_chip, CompilerOptions(generate_code=False)
+            small_chip,
+            CompilerOptions(generate_code=False),
+            pipeline=build_pipeline().insert_after("allocate", FixedModeFallback()),
         ).compile(graph)
         assert program.num_segments >= 1
         assert program.stats["allocator_solves"] >= 7
@@ -481,7 +531,7 @@ class TestRunnerResume:
         assert program.stats["allocation_disk_hits"] >= 1
 
     def test_infeasible_compile_still_reports_its_solves(self, small_chip, monkeypatch):
-        # Force both passes infeasible while preserving the solve counters:
+        # Force the plan infeasible while preserving the solve counters:
         # the work done before NoFeasiblePlanError must not vanish from
         # batch/DSE accounting.
         import repro.pipeline.passes as passes_module
@@ -516,9 +566,9 @@ class TestRunnerResume:
         result = run_dse(tiny_space(arrays=(8,)))
         record = result.records[0]
         assert not record.feasible and not record.failed
-        assert record.allocator_solves == 10  # both passes' 5 solves each
-        assert record.disk_hits == 4
-        assert result.allocator_solves == 10
+        assert record.allocator_solves == 5
+        assert record.disk_hits == 2
+        assert result.allocator_solves == 5
 
     def test_shared_cache_object_instead_of_dir(self):
         cache = AllocationCache()

@@ -159,11 +159,8 @@ class TestCompileTimeAndOverheads:
         assert rows[0]["overhead_ratio"] >= 1.0
         # The pass pipeline attributes where CMSwitch's extra time goes.
         assert rows[0]["segment_seconds"] > 0
-        assert rows[0]["fallback_seconds"] > 0
-        assert (
-            rows[0]["segment_seconds"] + rows[0]["fallback_seconds"]
-            <= rows[0]["cmswitch_seconds"] * 1.001
-        )
+        assert "fallback_seconds" not in rows[0]  # one DP: no second pass to time
+        assert rows[0]["segment_seconds"] <= rows[0]["cmswitch_seconds"] * 1.001
 
     def test_switch_overhead_small_share(self, chip):
         rows = switch_overhead(hardware=chip, models=("tiny-transformer",))

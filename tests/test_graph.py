@@ -86,6 +86,36 @@ class TestQueries:
     def test_dependency_pairs(self, chain_graph):
         assert chain_graph.dependency_pairs() == {("fc1", "fc2"), ("fc2", "fc3")}
 
+    def test_derived_views_follow_add_operator(self, chain_graph):
+        """The consumer index and the memoised order are rebuilt after a
+        mutation, and callers get their own lists."""
+        assert chain_graph.consumers_of("y") == []
+        order = chain_graph.topological_order()
+        order.reverse()  # a caller's scribbling must not leak into the memo
+        chain_graph.consumers_of("h1").clear()
+        assert [op.name for op in chain_graph.topological_order()] == ["fc1", "fc2", "fc3"]
+        chain_graph.add_operator(linear("fc4", "y", "z"))
+        chain_graph.add_operator(linear("side", "h1", "s"))
+        assert [op.name for op in chain_graph.consumers_of("y")] == ["fc4"]
+        assert [op.name for op in chain_graph.consumers_of("h1")] == ["fc2", "side"]
+        assert [op.name for op in chain_graph.topological_order()] == [
+            "fc1", "fc2", "fc3", "fc4", "side",
+        ]
+
+    @pytest.mark.parametrize("model", ["tiny-transformer", "mobilenet", "bert"])
+    def test_consumer_index_equals_the_list_scan(self, model):
+        from repro.models import Workload, build_model
+
+        graph = build_model(model, Workload(seq_len=16))
+        for op in graph.operators:
+            for tensor in (*op.inputs, *op.outputs):
+                scanned = [
+                    other
+                    for other in graph.operators
+                    if any(t.name == tensor.name for t in other.inputs)
+                ]
+                assert graph.consumers_of(tensor.name) == scanned
+
 
 class TestValidation:
     def test_valid_graph_passes(self, chain_graph):

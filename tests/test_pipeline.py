@@ -19,7 +19,6 @@ STANDARD_NAMES = [
     "partition",
     "segment",
     "allocate",
-    "fixed_fallback",
     "refine",
     "codegen",
 ]
@@ -28,6 +27,11 @@ STANDARD_NAMES = [
 def _ctx(graph, hardware, **option_kwargs):
     options = CompilerOptions(**option_kwargs)
     return PipelineContext(graph=graph, hardware=hardware, options=options)
+
+
+def _with_oracle():
+    """The standard pipeline plus the opt-in fixed-mode oracle pass."""
+    return build_pipeline().insert_after("allocate", FixedModeFallback())
 
 
 class TestPipelineStructure:
@@ -91,7 +95,7 @@ class TestPipelineExecution:
         ctx = _ctx(
             tiny_mlp_graph, small_chip, allow_memory_mode=False, generate_code=False
         )
-        build_pipeline().run(ctx)
+        _with_oracle().run(ctx)
         skipped = {e.pass_name for e in ctx.trace if e.kind == "skip"}
         assert skipped == {"fixed_fallback", "codegen"}
         assert "fixed_fallback" not in ctx.pass_seconds
@@ -130,8 +134,8 @@ class TestPipelineExecution:
 
     def test_fallback_pass_accumulates_counters(self, small_chip, tiny_mlp_graph):
         ctx = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
-        build_pipeline().run(ctx)
-        # The fixed-mode pass adds its own solver work (fresh solves or
+        _with_oracle().run(ctx)
+        # The oracle pass adds its own solver work (fresh solves or
         # cache hits) on top of the dual-mode pass's.
         dual_attempts = ctx.result.allocation_calls + ctx.result.cache_hits
         assert ctx.solve_attempts > dual_attempts
@@ -143,20 +147,17 @@ class TestPipelineExecution:
         with pytest.raises(RuntimeError, match="completed pipeline run"):
             finalize(ctx)
 
-    def test_pipeline_without_fallback_matches_option(self, small_chip, tiny_mlp_graph):
-        # Removing the pass and disabling the option are equivalent
-        # pipeline configurations.
-        ctx_removed = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
-        build_pipeline().remove("fixed_fallback").run(ctx_removed)
-        ctx_option = _ctx(
-            tiny_mlp_graph,
-            small_chip,
-            fixed_mode_fallback=False,
-            generate_code=False,
-        )
-        build_pipeline().run(ctx_option)
+    def test_oracle_pass_leaves_the_default_plan_unchanged(self, small_chip, tiny_mlp_graph):
+        # The default sequence has no second DP; inserting the oracle
+        # never rescues anything, so both configurations emit one plan.
+        ctx_default = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
+        build_pipeline().run(ctx_default)
+        ctx_oracle = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
+        _with_oracle().run(ctx_oracle)
+        assert "fixed_fallback" in ctx_oracle.pass_seconds
+        assert not ctx_oracle.fallback_used
         assert (
-            finalize(ctx_removed).fingerprint() == finalize(ctx_option).fingerprint()
+            finalize(ctx_default).fingerprint() == finalize(ctx_oracle).fingerprint()
         )
 
     def test_compiler_accepts_custom_pipeline(self, small_chip, tiny_mlp_graph):
@@ -173,38 +174,18 @@ class TestPipelineExecution:
 class TestFixedModeFallbackGating:
     def test_enabled_only_for_dual_mode_with_fallback(self, small_chip, tiny_mlp_graph):
         fallback = FixedModeFallback()
-        dual = _ctx(tiny_mlp_graph, small_chip)
-        assert fallback.enabled(dual)
+        assert fallback.enabled(_ctx(tiny_mlp_graph, small_chip))
         fixed = _ctx(tiny_mlp_graph, small_chip, allow_memory_mode=False)
         assert not fallback.enabled(fixed)
-        no_fb = _ctx(tiny_mlp_graph, small_chip, fixed_mode_fallback=False)
-        assert not fallback.enabled(no_fb)
+
+    def test_not_in_the_default_sequence(self):
+        assert not any(isinstance(p, FixedModeFallback) for p in default_passes())
 
 
 class TestOptionsNormalisation:
-    def test_fixed_mode_canonicalises_signature(self):
-        # The meaningless fallback flag must not split option identities
-        # (DSE point keys, dedup groups) for fixed-mode configurations …
-        from repro.dse.space import options_signature
-
-        with_flag = CompilerOptions(allow_memory_mode=False, fixed_mode_fallback=True)
-        without = CompilerOptions(allow_memory_mode=False, fixed_mode_fallback=False)
-        assert options_signature(with_flag) == options_signature(without)
-
-    def test_reenabling_memory_mode_restores_fallback(self):
-        # … but the field itself is untouched, so replacing along a DSE
-        # axis from a fixed-mode base re-enables the fallback pass.
-        from dataclasses import replace
-
-        base = CompilerOptions(allow_memory_mode=False)
-        dual = replace(base, allow_memory_mode=True)
-        assert dual.fixed_mode_fallback is True
-        assert FixedModeFallback().enabled(
-            PipelineContext(graph=None, hardware=None, options=dual)
-        )
-
-    def test_dual_mode_keeps_fallback(self):
-        assert CompilerOptions().fixed_mode_fallback is True
+    def test_fixed_mode_fallback_option_is_gone(self):
+        with pytest.raises(TypeError, match="fixed_mode_fallback"):
+            CompilerOptions(fixed_mode_fallback=False)
 
     def test_segmentation_options_reject_bad_window(self):
         from repro.core import SegmentationOptions

@@ -131,3 +131,57 @@ class TestSegmentationDP:
     def test_dp_seconds_recorded(self, small_chip, tiny_mlp_graph):
         result = self.segment(tiny_mlp_graph, small_chip)
         assert result.dp_seconds >= 0.0
+
+
+class TestFeasibilityPruning:
+    """The DP only asks for windows that fit (ROADMAP 1b).
+
+    llama2-7b(seq 32) on the 8-array chip is the regime no benchmark
+    workload covers: 6 209 one-unit segments, and an unpruned DP that
+    looks at ~56k windows of which ~43k overflow the chip.
+    """
+
+    @pytest.fixture(scope="class")
+    def llama(self):
+        return build_model("llama2-7b", Workload(seq_len=32))
+
+    def _compile(self, graph):
+        from repro.api import Session
+
+        with Session(hardware="small-test-chip") as session:
+            return session.compile(graph)
+
+    def test_pruned_dp_matches_the_unpruned_one(self, llama, monkeypatch):
+        asked = []
+        real_allocate = NetworkSegmenter._allocate
+
+        def counting_allocate(self, units, start, end):
+            asked.append(self._spare_arrays(start, end) >= 0)
+            return real_allocate(self, units, start, end)
+
+        monkeypatch.setattr(NetworkSegmenter, "_allocate", counting_allocate)
+        pruned = self._compile(llama)
+        pruned_asked, asked[:] = list(asked), []
+        assert pruned.num_segments > 6000
+        assert all(pruned_asked), "the DP requested a window that overflows the chip"
+
+        monkeypatch.setattr(
+            NetworkSegmenter,
+            "_first_fitting_start",
+            lambda self, j, window: max(0, j - window),
+        )
+        unpruned = self._compile(llama)
+        assert unpruned.fingerprint() == pruned.fingerprint()
+        assert unpruned.end_to_end_cycles == pruned.end_to_end_cycles
+        assert asked.count(False) > 40_000  # what the pruning no longer visits
+        assert sum(asked) == len(pruned_asked)  # and it skips nothing that fits
+
+    def test_first_fitting_start_is_the_monotone_boundary(self, small_chip, tiny_transformer_graph):
+        segmenter = NetworkSegmenter(small_chip, SegmentationOptions())
+        units = flatten_graph(tiny_transformer_graph, small_chip)
+        segmenter._prepare(units)
+        for j in range(1, len(units) + 1):
+            floor = max(0, j - 8)
+            fits = [segmenter._spare_arrays(i, j - 1) >= 0 for i in range(floor, j)]
+            first = segmenter._first_fitting_start(j, 8)
+            assert fits == [False] * (first - floor) + [True] * (j - first)

@@ -168,7 +168,6 @@ class TestRequestFingerprint:
         wire = job_to_wire(CompileJob("tiny-mlp", options=CompilerOptions()))
         assert sorted(wire["options"]) == [
             "allow_memory_mode",
-            "fixed_mode_fallback",
             "generate_code",
             "include_switch_cost",
             "max_segment_operators",
@@ -183,7 +182,7 @@ class TestRequestFingerprint:
             options=CompilerOptions(generate_code=False),
         )
         assert request_fingerprint(job) == (
-            "47cb7eba80fba1ddbfff629ffb4090f996c5683fb9a9d0c9c6784805c48a0908"
+            "8a64e27a9240dbbcc4bb41a7a2e8ad8e125f543b2411d1ac418f7804e723c63d"
         )
 
 
@@ -309,7 +308,9 @@ class TestCompileDaemon:
         assert "registered models" in str(excinfo.value)
         client.close()
 
-    @pytest.mark.parametrize("removed", ["solve_jobs", "speculative_solves"])
+    @pytest.mark.parametrize(
+        "removed", ["solve_jobs", "speculative_solves", "fixed_mode_fallback"]
+    )
     def test_removed_runtime_option_is_an_unknown_option_400(self, daemon, removed):
         wire = job_to_wire(CompileJob("tiny-mlp", options=CompilerOptions()))
         wire["options"][removed] = 2

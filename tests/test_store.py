@@ -128,10 +128,10 @@ class TestDiskCacheStore:
         """A directory written before the key gained ``inbound_arrays``.
 
         Format 1 keys had no inbound count and named the default engine
-        ``"milp"``; even planted at the address a format-2 reader probes,
+        ``"milp"``; even planted at the address today's reader probes,
         such an entry is a counted version rejection, not a plan.
         """
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION == 3
         store = DiskCacheStore(tmp_path)
         key = _synthetic_key()
         store.put(key, _entry())
@@ -146,6 +146,61 @@ class TestDiskCacheStore:
         # An obsolete entry may be overwritten; the rewrite is served.
         store.put(key, _entry())
         assert store.get(key) == _entry()
+
+    def test_v2_directory_is_all_misses(self, tmp_path):
+        """Format 2 entries had no ``unreserved`` twin: the reserved half
+        alone would let the DP miss the plan the twin wins, so a v2
+        directory reads as empty — counted, never an error or a hit."""
+        store = DiskCacheStore(tmp_path)
+        keys = [_synthetic_key(reserve_arrays=reserve) for reserve in range(4)]
+        for key in keys:
+            store.put(key, _entry())
+            path = _entry_file(store, key)
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["format_version"] = 2
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        assert [store.get(key) for key in keys] == [None] * 4
+        assert store.stats.version_rejections == 4
+        assert store.stats.hits == 0 and store.stats.corrupt_entries == 0
+
+    def test_entry_with_unreserved_twin_roundtrips_bit_exact(self, tmp_path):
+        twin = _entry(allocations=((4, 1), (3, 0)), latency=0.1 + 0.2)
+        entry = CacheEntry(
+            allocations=((2, 1), (3, 0)), latency_cycles=1e9 / 3.0, feasible=True,
+            solver="exact", unreserved=twin,
+        )
+        assert CacheEntry.from_payload(json.loads(json.dumps(entry.to_payload()))) == entry
+        assert "unreserved" not in twin.to_payload()
+        store = DiskCacheStore(tmp_path)
+        store.put(_synthetic_key(reserve_arrays=3), entry)
+        assert store.get(_synthetic_key(reserve_arrays=3)) == entry
+        assert len(store) == 1  # both refinements: one record, one key
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda twin: "not-an-object",
+            lambda twin: None,
+            lambda twin: {k: v for k, v in twin.items() if k != "latency_cycles"},
+            lambda twin: {**twin, "allocations": [[1]]},
+            lambda twin: {**twin, "feasible": "yes"},
+            lambda twin: {**twin, "unreserved": dict(twin)},
+        ],
+        ids=["string", "null", "truncated", "bad-pair", "bad-type", "nested-twin"],
+    )
+    def test_mangled_unreserved_twin_is_a_corrupt_miss(self, tmp_path, mangle):
+        store = DiskCacheStore(tmp_path)
+        key = _synthetic_key(reserve_arrays=3)
+        store.put(key, CacheEntry(
+            allocations=((2, 1),), latency_cycles=9.0, feasible=True, solver="exact",
+            unreserved=_entry(allocations=((4, 1),)),
+        ))
+        path = _entry_file(store, key)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["entry"]["unreserved"] = mangle(payload["entry"]["unreserved"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert store.get(key) is None  # never the reserved half on its own
+        assert store.stats.corrupt_entries == 1 and store.stats.hits == 0
 
     def test_inbound_count_is_part_of_the_content_address(self):
         assert key_digest(_synthetic_key()) != key_digest(_synthetic_key(inbound_arrays=2))
