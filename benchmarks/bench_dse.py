@@ -21,10 +21,10 @@ A second smoke covers the multi-fidelity evaluator tiering::
     PYTHONPATH=src python benchmarks/bench_dse.py --quick --fidelity auto
 
 which explores the same 12-point space with the successive-halving
-ladder (analytical rung 0, survivors climb the greedy-allocator rung,
-then compile fidelity), asserts rung 0 performs **zero** allocator
-solves and that the schedule compiles at least 5x fewer candidates than
-the all-compile grid baseline, and writes ``BENCH_dse_fidelity.json``.
+schedule (analytical rung 0, survivors compiled), asserts rung 0
+performs **zero** allocator solves and that the schedule compiles at
+least 5x fewer candidates than the all-compile grid baseline, and
+writes ``BENCH_dse_fidelity.json``.
 """
 
 import pytest
@@ -173,17 +173,16 @@ def _fidelity_smoke(cache_dir=None, json_out="BENCH_dse_fidelity.json") -> int:
 
     rung0 = [r for r in auto.new_records if r.fidelity == "analytical"]
     rung0_solves = sum(r.allocator_solves for r in rung0)
-    greedy_auto = auto.evaluated_by_fidelity.get("greedy", 0)
     compiles_auto = auto.evaluated_by_fidelity.get("compile", 0)
     compiles_baseline = baseline.evaluated_by_fidelity.get("compile", 0)
     speedup = (
         baseline.wall_seconds / auto.wall_seconds if auto.wall_seconds else float("inf")
     )
     print(
-        "dse multi-fidelity smoke (successive halving over the evaluator tiers):\n"
+        "dse multi-fidelity smoke (successive halving: a bound, then a plan):\n"
         f"  auto        : {auto.wall_seconds:.3f} s — {len(rung0)} analytical "
-        f"({rung0_solves} solves), {greedy_auto} greedy, {compiles_auto} "
-        f"compiled, {auto.allocator_solves} solves total\n"
+        f"({rung0_solves} solves), {compiles_auto} compiled, "
+        f"{auto.allocator_solves} solves total\n"
         f"  all-compile : {baseline.wall_seconds:.3f} s — "
         f"{compiles_baseline} compiled, {baseline.allocator_solves} solves\n"
         f"  compile reduction: {compiles_baseline}/{compiles_auto} "
@@ -194,7 +193,6 @@ def _fidelity_smoke(cache_dir=None, json_out="BENCH_dse_fidelity.json") -> int:
         json_out,
         analytical_evaluations=len(rung0),
         rung0_allocator_solves=rung0_solves,
-        greedy_evaluations=greedy_auto,
         compiles_auto=compiles_auto,
         compiles_baseline=compiles_baseline,
         allocator_solves_auto=auto.allocator_solves,

@@ -29,8 +29,8 @@ Sub-packages:
 * :mod:`repro.baselines` -- PUMA / OCC / CIM-MLC as pipeline configurations
 * :mod:`repro.sim` -- functional and timing simulators
 * :mod:`repro.analysis`, :mod:`repro.experiments` -- paper figure/table harness
-* :mod:`repro.eval` -- tiered candidate evaluation (analytical lower
-  bounds / cached warm compiles / the full pipeline)
+* :mod:`repro.eval` -- two-fidelity candidate evaluation (an analytical
+  lower bound, or a plan from the full pipeline)
 * :mod:`repro.dse` -- cache-aware, multi-fidelity design-space
   exploration engine
 """

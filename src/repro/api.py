@@ -318,13 +318,9 @@ class Session:
                 (requires ``trace``).
             fidelity: Evaluation tier — ``"compile"`` (default, the
                 full pipeline), ``"analytical"`` (closed-form lower
-                bounds, zero allocator solves), ``"greedy"`` (the full
-                pipeline with the heuristic allocator — real plans,
-                zero MILP solves), ``"cached"`` (evaluate only what the
-                persistent store already knows) or ``"auto"``
-                (multi-fidelity successive-halving ladder: analytical
-                rung 0, survivors climb greedy then compile fidelity).
-                See :mod:`repro.eval`.
+                bounds, zero allocator solves) or ``"auto"``
+                (successive halving: analytical rung 0, survivors
+                compiled).  See :mod:`repro.eval`.
             budget: Max design points to cover (whole space if None).
             state: Optional resumable :class:`~repro.dse.RunState`.
             batch_size: Points asked from the strategy per iteration.

@@ -581,7 +581,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
     objective = args.objective.replace("-", "_")
     usage = (
         "usage: repro dse MODEL [MODEL ...] --objective trace-p99 --trace FILE "
-        "[--fidelity {compile,greedy,cached}]"
+        "[--fidelity compile]"
     )
     trace = None
     if args.trace is not None:
@@ -658,7 +658,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
         print(
             "note: --fidelity auto schedules rungs itself; using the "
             "successive-halving strategy (analytical rung 0, survivors "
-            "climb greedy then compile fidelity)"
+            "compiled)"
         )
     if state.space_changed:
         LOGGER.info(
@@ -688,13 +688,10 @@ def cmd_dse(args: argparse.Namespace) -> int:
         )
 
     # Infeasible design points (feasible=False, failed=False) are a
-    # legitimate exploration outcome, not a failure exit; so are
-    # cached-fidelity points the store could not answer (status "cold").
+    # legitimate exploration outcome, not a failure exit.
     failures = [r for r in result.new_records if r.failed]
     for record in result.new_records:
-        if record.status == "cold":
-            marker = "cold"
-        elif record.feasible:
+        if record.feasible:
             marker = "ok"
         else:
             marker = "ERR" if record.failed else "infeasible"
@@ -981,15 +978,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse.add_argument(
         "--fidelity",
-        choices=["analytical", "greedy", "cached", "compile", "auto"],
+        choices=["analytical", "compile", "auto"],
         default="compile",
         help=(
             "evaluation tier: compile (full pipeline), analytical "
-            "(closed-form lower bounds, zero solves), greedy (full "
-            "pipeline with the heuristic allocator, zero MILP solves), "
-            "cached (only what the store already knows), auto "
-            "(successive-halving ladder analytical -> greedy -> "
-            "compile; see docs/dse.md)"
+            "(closed-form lower bounds, zero solves), auto (successive "
+            "halving: analytical rung 0, survivors compiled; see "
+            "docs/dse.md)"
         ),
     )
     dse.add_argument("--seed", type=int, default=0, help="RNG seed for random/greedy")

@@ -19,9 +19,9 @@ arrays fit the chip.  Three interchangeable engines are provided:
   (HiGHS) — the offline stand-in for the Gurobi solver used in the
   paper.  Kept as the paper-faithful engine and the objective oracle the
   exact engine is tested against.
-* :class:`GreedyAllocator` — a fast marginal-gain heuristic used as a
-  cross-check in tests, for the allocation ablation and by the greedy
-  DSE fidelity rung.
+* :class:`GreedyAllocator` — a fast marginal-gain heuristic: the
+  ``use_milp=False`` arm of the allocation ablation
+  (``benchmarks/bench_ablations.py``) and a cross-check in tests.
 
 All return an :class:`AllocationResult`; leftover arrays are always
 redistributed by :func:`refine_with_spare_arrays` (weight duplication and
@@ -364,6 +364,10 @@ class GreedyAllocator:
     arrays are handed out one at a time to the operator currently bounding
     the segment (the one with the highest latency), in whichever mode
     (compute duplication or memory buffering) reduces that latency most.
+
+    Selected by ``CompilerOptions(use_milp=False)``; nothing on a default
+    path runs it.  It stays as the heuristic arm of the allocation
+    ablation — what the optimal engine is measured against.
     """
 
     name = "greedy"

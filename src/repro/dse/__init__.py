@@ -14,8 +14,8 @@ infrastructure instead of ad-hoc sweep loops:
   ``successive-halving`` (multi-fidelity) search under an ask/tell
   protocol;
 * :mod:`~repro.dse.runner` — the loop: strategy -> state skip ->
-  planner -> the tiered :mod:`repro.eval` evaluators (analytical lower
-  bounds, cached warm compiles, or the full
+  planner -> one of the two :mod:`repro.eval` evaluators (an
+  analytical lower bound, or a plan from the full
   :class:`~repro.service.CompileService` pipeline) -> records;
 * :mod:`~repro.dse.state` — crash-safe resumable run directories;
 * :mod:`~repro.dse.pareto` — latency/energy/arrays Pareto frontiers

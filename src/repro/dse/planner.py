@@ -145,9 +145,8 @@ class Planner:
         """The cache key of the first allocation the DP will request.
 
         Delegates to :func:`repro.core.segmentation
-        .first_window_cache_key` — the same helper the cached evaluation
-        tier probes with, so the planner's warmth signal and the
-        evaluator's warm/cold verdict can never disagree.
+        .first_window_cache_key`, which builds the key exactly the way
+        the segmentation DP does.
         """
         graph = self.graph_for(point)
         units = self._units_for(graph, point)
@@ -175,13 +174,11 @@ class Planner:
         the batch.
 
         ``fidelity`` is the tier the batch will be evaluated at.
-        Structural dedup applies at every fidelity (structurally
-        identical candidates score identically at any tier), but the
-        disk-store warmth probe only runs for the tiers that would
-        actually touch the MILP solver (``cached`` / ``compile``) — an
-        analytical batch performs no solves and a greedy batch solves
-        with the heuristic engine (whose per-window cost does not
-        justify scheduling around), so probing either would be pure I/O.
+        Structural dedup applies at both (structurally identical
+        candidates score identically at either tier), but the
+        disk-store warmth probe only runs for a ``compile`` batch — an
+        analytical batch performs no solves, so probing for it would be
+        pure I/O.
         """
         jobs_by_key: Dict[str, PlannedJob] = {}
         order: List[str] = []
@@ -199,7 +196,7 @@ class Planner:
             jobs_by_key[key] = PlannedJob(point=point, graph=graph, structural_key=key)
             order.append(key)
         jobs = [jobs_by_key[key] for key in order]
-        probe = fidelity not in ("analytical", "greedy")
+        probe = fidelity != "analytical"
         for job in jobs:
             job.warm = probe and job.graph is not None and self.is_warm(job.point)
         # Stable warm-first ordering (sort is stable, False < True).

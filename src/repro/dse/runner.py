@@ -16,11 +16,10 @@
    are scheduled before cold ones,
 4. evaluates the planned jobs through the batch's tier of the
    :mod:`repro.eval` evaluator layer —
-   :class:`~repro.eval.AnalyticalEvaluator` (closed-form lower bounds,
-   zero allocator solves), :class:`~repro.eval.CachedEvaluator`
-   (store-probe + warm compile) or :class:`~repro.eval.CompileEvaluator`
-   (the full pipeline over a :class:`~repro.service.CompileService`) —
-   and
+   :class:`~repro.eval.AnalyticalEvaluator` (a bound: closed-form lower
+   bounds, zero allocator solves) or
+   :class:`~repro.eval.CompileEvaluator` (a plan: the full pipeline
+   over a :class:`~repro.service.CompileService`) — and
 5. converts each typed :class:`~repro.eval.Evaluation` to an
    :class:`EvaluationRecord` — latency, energy, array usage, fidelity
    tag, solver statistics — appends it durably to the run state, and
@@ -48,12 +47,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..core.cache import AllocationCache
 from ..core.memo import SolveMemo
 from ..eval import (
+    FIDELITIES,
     AnalyticalEvaluator,
-    CachedEvaluator,
     CompileEvaluator,
     Evaluation,
     Evaluator,
-    GreedyEvaluator,
     fidelity_rank,
 )
 from ..service import CompileJob, CompileService
@@ -93,7 +91,7 @@ OBJECTIVES = {
 #: strategy's multi-fidelity schedule (installing a
 #: :class:`~repro.dse.strategies.SuccessiveHalvingStrategy` when the
 #: given strategy is fidelity-agnostic).
-FIDELITY_MODES = ("analytical", "greedy", "cached", "compile", "auto")
+FIDELITY_MODES = FIDELITIES + ("auto",)
 
 
 @dataclass
@@ -105,15 +103,15 @@ class EvaluationRecord:
 
     ``status`` is one of ``"evaluated"`` (a real evaluation — feasible
     or not), ``"replicated"`` (copied from a structurally identical
-    point of the same batch), ``"resumed"`` (loaded from the run state)
-    or ``"cold"`` (a cached-fidelity probe declined the point; nothing
-    durable was recorded, so a later run retries it).
+    point of the same batch) or ``"resumed"`` (loaded from the run
+    state).
 
     ``fidelity`` tags which evaluation tier produced the metrics
     (``"analytical"`` metrics are optimistic lower bounds —
     ``lower_bound`` is then also set).  Records written before the
     fidelity field existed deserialise as ``"compile"``, which is what
-    they were.
+    they were; so do records of the retired ``"cached"`` tier, whose
+    metrics came from a real compile.
 
     An infeasible point (the evaluator proves no plan exists — the
     boundary a DSE sweep exists to find) has ``feasible=False`` with
@@ -178,6 +176,8 @@ class EvaluationRecord:
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - set of names
         kwargs = {key: value for key, value in payload.items() if key in known}
         kwargs["coords"] = tuple(kwargs.get("coords", ()))
+        if kwargs.get("fidelity") == "cached":
+            kwargs["fidelity"] = "compile"
         for name in (
             "latency_ms",
             "cycles",
@@ -206,8 +206,7 @@ class DSEResult:
             honest log of what was paid for).
         evaluated / replicated / skipped: Point counters (skipped =
             served from the run state).
-        evaluated_by_fidelity: Canonical evaluations per fidelity tag
-            (cached-tier declines count under ``"cold"``).
+        evaluated_by_fidelity: Canonical evaluations per fidelity tag.
         warm_planned / cold_planned: Canonical jobs by planner probe.
         allocator_solves / disk_hits: Aggregates over ``new_records``.
         objective: The optimisation objective of the run.
@@ -233,8 +232,8 @@ class DSEResult:
     def frontier(self, axes: Sequence[str] = DEFAULT_AXES) -> List[EvaluationRecord]:
         """Pareto frontier over ``axes`` of every known record.
 
-        When the run holds any full-fidelity record (``compile`` /
-        ``cached``), only those participate — analytical lower bounds
+        When the run holds any full-fidelity (``compile``) record, only
+        those participate — analytical lower bounds
         would otherwise dominate real plans they merely approximate.  A
         pure rung-0 sweep ranks its bounds against each other, which is
         exactly what a lower-bound screening is for.
@@ -290,13 +289,10 @@ class DSERunner:
             (``trace_p99`` additionally requires ``trace``).
         fidelity: Evaluation tier for every batch —
             ``"compile"`` (default, the full pipeline),
-            ``"analytical"`` (closed-form lower bounds, zero solves),
-            ``"greedy"`` (the full pipeline with the heuristic
-            allocator — a real plan, zero MILP solves),
-            ``"cached"`` (store-probe + warm compile; cold candidates
-            are declined and retried by a later run) or ``"auto"``
-            (obey the strategy's multi-fidelity schedule; a
-            fidelity-agnostic strategy is replaced by
+            ``"analytical"`` (closed-form lower bounds, zero solves)
+            or ``"auto"`` (obey the strategy's two-rung schedule —
+            analytical rung 0, survivors compiled; a fidelity-agnostic
+            strategy is replaced by
             :class:`~repro.dse.strategies.SuccessiveHalvingStrategy`).
         cache: Shared :class:`AllocationCache` (mutually exclusive with
             ``cache_dir``), for embedding the runner into a larger
@@ -312,9 +308,9 @@ class DSERunner:
             ``trace_p99`` objective.  Each feasible point replays the
             trace under its hardware/options (memoised per distinct
             hardware/options pair — points differing only in
-            model/workload share one replay).  Requires a plan-producing
-            fidelity (``compile``/``greedy``/``cached``): analytical
-            lower bounds have no programs to schedule.
+            model/workload share one replay).  Requires
+            ``fidelity="compile"``: analytical lower bounds have no
+            programs to schedule.
         obs: Optional :class:`~repro.obs.Observability` bundle, threaded
             into the compile service, solve memo and trace replays; the
             run loop records a fidelity-tagged span per batch and per
@@ -358,8 +354,7 @@ class DSERunner:
             if fidelity in ("analytical", "auto"):
                 raise ValueError(
                     "objective 'trace_p99' needs real compiled plans; "
-                    f"fidelity {fidelity!r} is not supported (use "
-                    "'compile', 'greedy' or 'cached')"
+                    f"fidelity {fidelity!r} is not supported (use 'compile')"
                 )
         self.space = space
         self.strategy = (
@@ -403,10 +398,6 @@ class DSERunner:
         if evaluator is None:
             if fidelity == "analytical":
                 evaluator = AnalyticalEvaluator()
-            elif fidelity == "greedy":
-                evaluator = GreedyEvaluator(self.service)
-            elif fidelity == "cached":
-                evaluator = CachedEvaluator(self.service)
             elif fidelity == "compile":
                 evaluator = CompileEvaluator(self.service)
             else:
@@ -468,6 +459,12 @@ class DSERunner:
                     # Genuine failures (crashed worker, missing model) are
                     # retried on resume, not treated as done — only real
                     # outcomes (feasible or proven-infeasible) are final.
+                    continue
+                if record.fidelity not in FIDELITIES:
+                    # A tier this version no longer has (``"greedy"``: a
+                    # heuristic plan, neither a bound nor the compiler's
+                    # answer) is stale: never reported, and its point is
+                    # re-evaluated when a strategy asks for it.
                     continue
                 record.status = "resumed"
                 if record.space_fingerprint != current_fingerprint:
@@ -531,35 +528,22 @@ class DSERunner:
                         )
                         for job in plan.jobs
                     ]
-                    # The planner just probed every canonical job; hand the
-                    # verdicts to the evaluator so the cached tier does not
-                    # probe (and flatten) each candidate a second time.
-                    evaluations = self.evaluator(batch_fidelity).evaluate_batch(
-                        jobs, warm_hints=[job.warm for job in plan.jobs]
-                    )
+                    evaluations = self.evaluator(batch_fidelity).evaluate_batch(jobs)
                 for planned, evaluation in zip(plan.jobs, evaluations):
                     record = self._record(planned.point, evaluation)
                     batch_records.append(record)
                     result.evaluated += 1
-                    tally = "cold" if evaluation.skipped else evaluation.fidelity
-                    result.evaluated_by_fidelity[tally] = (
-                        result.evaluated_by_fidelity.get(tally, 0) + 1
+                    result.evaluated_by_fidelity[evaluation.fidelity] = (
+                        result.evaluated_by_fidelity.get(evaluation.fidelity, 0) + 1
                     )
                     for duplicate in planned.duplicates:
                         batch_records.append(self._replicate(record, duplicate))
                         result.replicated += 1
                 budget_left -= len(fresh)
             for record in batch_records:
-                if record.status != "cold":
-                    # A declined (cold) cached-tier probe produced no
-                    # metrics: remembering it would shadow any real
-                    # record of the point in the report, and persisting
-                    # it would finalise the point and stop a warmer
-                    # later run from answering it.  It still reaches
-                    # ``new_records`` (the honest log) and the strategy.
-                    remember(record)
-                    if self.state is not None:
-                        self.state.append(record.to_dict())
+                remember(record)
+                if self.state is not None:
+                    self.state.append(record.to_dict())
                 result.new_records.append(record)
                 result.allocator_solves += record.allocator_solves
                 result.disk_hits += record.disk_hits
@@ -601,12 +585,6 @@ class DSERunner:
                 cache_hits=evaluation.cache_hits,
                 disk_hits=evaluation.disk_hits,
             )
-            if evaluation.skipped:
-                record.status = "cold"
-                record.error = evaluation.error
-                metrics.inc("dse.points.cold")
-                span.set(status="cold")
-                return record
             if not evaluation.feasible:
                 record.error = evaluation.error
                 record.failed = evaluation.failed
@@ -670,7 +648,6 @@ class DSERunner:
         The copy costs nothing, so its solver counters are zero — the
         CSV stays an honest account of where time actually went.
         """
-        status = "cold" if canonical.status == "cold" else "replicated"
         return dc_replace(
             canonical,
             point_key=point.key,
@@ -681,7 +658,7 @@ class DSERunner:
             cache_hits=0,
             disk_hits=0,
             wall_seconds=0.0,
-            status=status,
+            status="replicated",
         )
 
 

@@ -10,7 +10,7 @@ Strategies speak a small ask/tell protocol the runner drives:
   strategies can steer;
 * :attr:`Strategy.exhausted` reports when the whole space was proposed.
 
-Three built-ins cover the common sweep shapes:
+Four built-ins cover the common sweep shapes:
 
 * ``grid`` — the full factorial grid in deterministic lexicographic
   order; the right default for small spaces and for reproducible runs.
@@ -23,14 +23,11 @@ Three built-ins cover the common sweep shapes:
   survivors (falling back to random exploration when the neighbourhoods
   are exhausted).  Converges on a good region of a smooth objective with
   a fraction of the grid budget.
-* ``successive-halving`` — the real multi-fidelity schedule the tiered
-  evaluator layer (:mod:`repro.eval`) enables: a ladder of rungs
-  (default ``analytical -> greedy -> compile``) where rung 0 proposes
-  *every* candidate at ``analytical`` fidelity (closed-form lower
-  bounds, zero allocator solves), the best ``keep_fraction`` survivors
-  climb to the greedy-allocator rung (real plans, zero MILP solves) and
-  what survives that screen is compiled at full fidelity.  The strategy
-  announces the fidelity of its current rung via
+* ``successive-halving`` — the multi-fidelity schedule the evaluator
+  layer (:mod:`repro.eval`) enables: rung 0 proposes *every* candidate
+  at ``analytical`` fidelity (closed-form lower bounds, zero allocator
+  solves) and the best ``keep_fraction`` survivors are compiled.  The
+  strategy announces the fidelity of its current rung via
   :attr:`Strategy.fidelity`, which a runner in ``--fidelity auto`` mode
   obeys.
 
@@ -48,7 +45,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .space import DesignPoint, DesignSpace
 
 __all__ = [
-    "DEFAULT_RUNGS",
     "GreedyStrategy",
     "GridStrategy",
     "RandomStrategy",
@@ -239,146 +235,82 @@ class GreedyStrategy(Strategy):
             self._scores[coords] = min(previous, float(value))
 
 
-#: Default successive-halving ladder: score the whole grid with
-#: closed-form bounds, re-score the survivors with real (heuristic)
-#: greedy plans, then compile only what survives both screens.
-DEFAULT_RUNGS: Tuple[str, ...] = ("analytical", "greedy", "compile")
-
-
 class SuccessiveHalvingStrategy(Strategy):
-    """Multi-fidelity successive halving over the tiered evaluator layer.
+    """Two-rung successive halving: bound the whole space, compile the best.
 
-    The schedule is a ladder of *rungs*, each a fidelity of the
-    :mod:`repro.eval` layer.  Rung 0 proposes every candidate of the
-    space (seeded order); once every answer of a rung is told back, its
+    Rung 0 proposes every candidate of the space (seeded order) at
+    ``analytical`` fidelity — closed-form lower bounds, zero allocator
+    solves.  It is a sound screen: an infeasible bound proves the point
+    infeasible, and the bound is monotone in the same hardware/option
+    knobs the real cost is.  Once every rung-0 answer is told back, the
     feasible candidates are ranked by objective and the best
-    ``keep_fractions[rung]`` are re-proposed at the next rung's
-    fidelity.  The runner reads :attr:`fidelity` after each :meth:`ask`
-    to evaluate the batch at the rung's tier.
-
-    The default ladder is ``analytical -> greedy -> compile``:
-
-    * rung 0 scores the whole grid with closed-form lower bounds (zero
-      allocator solves) — a sound screen: an infeasible bound proves
-      the point infeasible, and the bound is monotone in the same
-      hardware/option knobs the real cost is;
-    * rung 1 re-scores the survivors with the greedy-allocator pipeline
-      — real plans, zero MILP solves.  Its ranking is heuristic (a
-      greedy plan can mis-rank two close candidates), which is the
-      accepted trade of the middle rung: it catches the plan-structure
-      effects (segmentation, mode switching) the bounds cannot see;
-    * rung 2 compiles what survives both screens at full fidelity.
+    ``keep_fraction`` of them are re-proposed at ``compile`` fidelity.
+    The runner reads :attr:`fidelity` after each :meth:`ask` to evaluate
+    the batch at the rung's tier.
 
     Records already known at sufficient fidelity (a resumed run)
     short-circuit naturally: the runner feeds them back as ``resumed``
-    without paying for re-evaluation, at any rung.
+    without paying for re-evaluation, at either rung.
 
     Args:
         seed: RNG seed for the rung-0 proposal order.
         keep_fraction: Fraction of ranked feasible candidates promoted
-            at *every* rung boundary (``1/eta`` in successive-halving
-            terms; default 0.5).  Ignored when ``keep_fractions`` is
-            given.
-        rungs: The fidelity ladder, cheapest first (default
-            :data:`DEFAULT_RUNGS`).  Two-rung ``("analytical",
-            "compile")`` recovers the pre-greedy schedule.
-        keep_fractions: Per-boundary keep fractions, one per promotion
-            (``len(rungs) - 1`` values).
+            to the compile rung (``1/eta`` in successive-halving terms;
+            default 0.5).
     """
 
     name = "successive-halving"
     multi_fidelity = True
 
-    def __init__(
-        self,
-        seed: int = 0,
-        keep_fraction: float = 0.5,
-        rungs: Optional[Sequence[str]] = None,
-        keep_fractions: Optional[Sequence[float]] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, keep_fraction: float = 0.5) -> None:
         super().__init__()
-        self.rungs: Tuple[str, ...] = tuple(rungs) if rungs is not None else DEFAULT_RUNGS
-        if len(self.rungs) < 2:
-            raise ValueError("the ladder needs at least two rungs")
-        if keep_fractions is None:
-            keep_fractions = (keep_fraction,) * (len(self.rungs) - 1)
-        self.keep_fractions: Tuple[float, ...] = tuple(keep_fractions)
-        if len(self.keep_fractions) != len(self.rungs) - 1:
-            raise ValueError(
-                f"need one keep fraction per promotion "
-                f"({len(self.rungs) - 1}), got {len(self.keep_fractions)}"
-            )
-        for fraction in self.keep_fractions:
-            if not 0.0 < fraction <= 1.0:
-                raise ValueError("keep fractions must be in (0, 1]")
+        if not 0.0 < keep_fraction <= 1.0:
+            raise ValueError("keep_fraction must be in (0, 1]")
         self.seed = seed
         self.keep_fraction = keep_fraction
 
     def bind(self, space: DesignSpace) -> None:
         super().bind(space)
-        self._rung = 0
         self._queue = list(space.coordinates())
         random.Random(self.seed).shuffle(self._queue)
         self._asked = 0
         self._told = 0
-        # coords -> best objective told at the current rung (records may
-        # repeat on resume).
+        # coords -> best rung-0 objective told (records may repeat on resume).
         self._scores: Dict[Tuple[int, ...], float] = {}
-        self.fidelity = self.rungs[0]
-
-    @property
-    def _final_rung(self) -> bool:
-        return self._rung + 1 >= len(self.rungs)
+        self.fidelity = "analytical"
 
     @property
     def exhausted(self) -> bool:
-        # An empty non-final rung still owes its promotion; the final
-        # rung is done once fully proposed (its tells rank nothing).
-        return self._final_rung and not self._queue
+        # An empty rung 0 still owes its promotion; the compile rung is
+        # done once fully proposed (its tells rank nothing).
+        return self.fidelity == "compile" and not self._queue
 
     def ask(self, n: int) -> List[DesignPoint]:
-        batch: List[DesignPoint] = []
         if not self._queue:
-            if self._final_rung:
-                return []
-            if self._told < self._asked:
-                # Still waiting for this rung's answers; the runner
-                # always tells between asks, so this only guards misuse.
+            if self.fidelity == "compile" or self._told < self._asked:
+                # Done, or still waiting for rung 0's answers (the runner
+                # always tells between asks, so that only guards misuse).
                 return []
             self._promote()
-        self.fidelity = self.rungs[self._rung]
+        batch: List[DesignPoint] = []
         while self._queue and len(batch) < n:
-            coords = self._queue.pop(0)
-            self._asked += 1
-            if self._rung == 0:
-                batch.append(self._propose(coords))
-            else:
-                batch.append(self.space.point_at(coords))
+            batch.append(self.space.point_at(self._queue.pop(0)))
+        self._asked += len(batch)
         return batch
 
     def _promote(self) -> None:
-        """Advance to the next rung with the current rung's survivors."""
+        """Queue rung 0's best feasible candidates for the compile rung."""
         ranked = sorted(
             (value, coords)
             for coords, value in self._scores.items()
             if math.isfinite(value)
         )
-        keep = (
-            math.ceil(len(ranked) * self.keep_fractions[self._rung]) if ranked else 0
-        )
-        survivors = [coords for _, coords in ranked[:keep]]
-        self._rung += 1
-        self._queue = survivors
-        self._asked = 0
-        self._told = 0
-        self._scores = {}
-        if not survivors:
-            # Nothing survived: every later rung is vacuous.
-            self._rung = len(self.rungs) - 1
-        self.fidelity = self.rungs[self._rung]
+        keep = math.ceil(len(ranked) * self.keep_fraction)
+        self._queue = [coords for _, coords in ranked[:keep]]
+        self.fidelity = "compile"
 
     def tell(self, records: Sequence) -> None:
-        if self._final_rung:
+        if self.fidelity == "compile":
             # The last rung's answers rank nothing further.
             return
         for record in records:

@@ -1,26 +1,20 @@
-"""Tiered candidate evaluation: analytical -> cached -> full compile.
+"""Two-fidelity candidate evaluation: a bound, or a plan.
 
 The paper's DSE results (Figs. 16-17) hinge on scoring many (hardware,
-option) candidates cheaply; this package makes "evaluate a candidate" a
-first-class, fidelity-tagged operation instead of a synonym for "run
-the whole compiler":
+option) candidates; this package makes "evaluate a candidate" a
+first-class, fidelity-tagged operation with exactly two answers:
 
-* :class:`AnalyticalEvaluator` — rung 0: closed-form lower bounds from
-  :mod:`repro.cost.analytical`, feasibility from the shared
+* :class:`AnalyticalEvaluator` — the **bound**: closed-form lower
+  bounds from :mod:`repro.cost.analytical`, feasibility from the shared
   :class:`~repro.core.feasibility.FeasibilityModel`, **zero** allocator
   solves;
-* :class:`GreedyEvaluator` — the middle rung: the full pipeline with
-  the greedy allocator (``use_milp=False``) — a real plan's metrics,
-  zero MILP solves, heuristic rather than a bound;
-* :class:`CachedEvaluator` — a persistent-store ``contains`` probe
-  followed by a warm compile; cold candidates are declined, not solved;
-* :class:`CompileEvaluator` — the full pass pipeline (bit-identical to
-  direct compilation, ratcheted by the parity suite).
+* :class:`CompileEvaluator` — the **plan**: the full pass pipeline
+  (bit-identical to direct compilation, ratcheted by the parity suite).
 
-All three return the same typed :class:`Evaluation` (metrics, fidelity
-tag, lower-bound flag, cost of evaluation), which is what lets the DSE
-layer run multi-fidelity schedules — a cheap analytical sweep of the
-whole space, then full compiles for the survivors — under the existing
+Both return the same typed :class:`Evaluation` (metrics, fidelity tag,
+lower-bound flag, cost of evaluation), which is what lets the DSE layer
+run the two-rung schedule — a cheap analytical sweep of the whole
+space, then full compiles for the survivors — under the existing
 ask/tell strategy protocol (``repro dse --fidelity auto``).
 
 Quickstart::
@@ -42,18 +36,15 @@ from .base import (
     Evaluator,
     fidelity_rank,
 )
-from .compiled import CachedEvaluator, CompileEvaluator, evaluation_from_outcome
-from .greedy import GreedyEvaluator
+from .compiled import CompileEvaluator, evaluation_from_outcome
 
 __all__ = [
     "AnalyticalEvaluator",
-    "CachedEvaluator",
     "CompileEvaluator",
     "Evaluation",
     "Evaluator",
     "FIDELITIES",
     "FIDELITY_RANK",
-    "GreedyEvaluator",
     "evaluation_from_outcome",
     "fidelity_rank",
 ]

@@ -5,26 +5,18 @@ compile it": the DSE runner could only hand jobs to the
 :class:`~repro.service.CompileService` and then pick latency/energy off
 the compiled program itself.  The evaluator layer separates the
 question ("how good is this candidate, and is it feasible?") from the
-machinery that answers it, so answers of different cost and fidelity
-become interchangeable:
+machinery that answers it.  There are two answers:
 
-* :class:`~repro.eval.analytical.AnalyticalEvaluator` — closed-form
-  lower bounds, zero allocator solves (rung 0 of multi-fidelity
-  search);
-* :class:`~repro.eval.greedy.GreedyEvaluator` — the full pipeline with
-  the greedy allocator instead of the MILP: a real plan's metrics (not
-  a bound) at zero MILP solves, the middle rung of multi-fidelity
-  search;
-* :class:`~repro.eval.compiled.CachedEvaluator` — a persistent-store
-  ``contains`` probe followed by a warm compile; cold candidates are
-  reported as such instead of being solved;
-* :class:`~repro.eval.compiled.CompileEvaluator` — today's full
+* :class:`~repro.eval.analytical.AnalyticalEvaluator` — a **bound**:
+  closed-form lower bounds, zero allocator solves (rung 0 of
+  multi-fidelity search);
+* :class:`~repro.eval.compiled.CompileEvaluator` — a **plan**: the full
   pipeline, unchanged (the parity suite ratchets that its programs are
   bit-identical to direct compilation).
 
-Every implementation answers with the same typed :class:`Evaluation`:
-the metrics, a fidelity tag, whether the metrics are lower bounds, and
-the cost of producing the answer (wall time and allocator solves).
+Both answer with the same typed :class:`Evaluation`: the metrics, a
+fidelity tag, whether the metrics are lower bounds, and the cost of
+producing the answer (wall time and allocator solves).
 """
 
 from __future__ import annotations
@@ -44,24 +36,23 @@ __all__ = [
     "fidelity_rank",
 ]
 
-#: Fidelity tags, cheapest first.  ``"greedy"`` runs the full pipeline
-#: with the heuristic allocator (a real plan, zero MILP solves);
-#: ``"cached"`` counts as full fidelity (its metrics come from a real
-#: compile) but can only answer for warm candidates.
-FIDELITIES = ("analytical", "greedy", "cached", "compile")
+#: Fidelity tags, cheapest first: a closed-form bound, a compiled plan.
+FIDELITIES = ("analytical", "compile")
 
 #: Ordering used to decide whether an existing record satisfies a
 #: requested fidelity (higher rank answers for lower requests).
-FIDELITY_RANK = {"analytical": 0, "greedy": 1, "cached": 2, "compile": 3}
+FIDELITY_RANK = {name: rank for rank, name in enumerate(FIDELITIES)}
 
 
 def fidelity_rank(fidelity: Optional[str]) -> int:
-    """Rank of a fidelity tag; unknown/legacy tags count as full fidelity.
+    """Rank of a fidelity tag; an absent tag counts as a plan.
 
     Records written before fidelity existed were all full compiles, so
     an absent tag must rank as ``"compile"`` for resume compatibility.
+    Tags of tiers that no longer exist never get here: the runner
+    normalises or drops them when it loads a run directory.
     """
-    return FIDELITY_RANK.get(fidelity or "compile", FIDELITY_RANK["compile"])
+    return FIDELITY_RANK[fidelity or "compile"]
 
 
 @dataclass
@@ -70,7 +61,7 @@ class Evaluation:
 
     Attributes:
         fidelity: Which tier produced the answer (``"analytical"`` /
-            ``"greedy"`` / ``"cached"`` / ``"compile"``).
+            ``"compile"``).
         feasible: Whether the candidate can execute on the chip.  At
             analytical fidelity this verdict is exact (the shared
             :class:`~repro.core.feasibility.FeasibilityModel` predicates
@@ -90,9 +81,6 @@ class Evaluation:
         error: One-line description of an infeasibility or failure.
         failed: True for genuine errors (unknown model, a crash) —
             distinct from a proven-infeasible candidate.
-        skipped: True when the tier declined to answer (a cached-tier
-            probe found the candidate cold); no metrics were produced
-            and nothing durable should be recorded.
     """
 
     fidelity: str
@@ -110,12 +98,9 @@ class Evaluation:
     program: Optional[CompiledProgram] = None
     error: Optional[str] = None
     failed: bool = False
-    skipped: bool = False
 
     def describe(self) -> str:
         """One-line summary for logs."""
-        if self.skipped:
-            return f"[{self.fidelity}] skipped ({self.error})"
         if self.failed:
             return f"[{self.fidelity}] FAILED ({self.error})"
         if not self.feasible:
@@ -145,18 +130,6 @@ class Evaluator:
         """Evaluate one candidate; failures are captured, never raised."""
         raise NotImplementedError
 
-    def evaluate_batch(
-        self,
-        jobs: Sequence[CompileJob],
-        warm_hints: Optional[Sequence[bool]] = None,
-    ) -> List[Evaluation]:
-        """Evaluate many candidates; results keep the input order.
-
-        ``warm_hints`` optionally carries a caller's already-computed
-        per-job store-probe verdicts (the DSE planner probes every
-        candidate while scheduling).  Tiers that probe themselves may
-        trust a ``True`` hint to skip their own probe; the default
-        implementation ignores the hints.
-        """
-        del warm_hints
+    def evaluate_batch(self, jobs: Sequence[CompileJob]) -> List[Evaluation]:
+        """Evaluate many candidates; results keep the input order."""
         return [self.evaluate(job) for job in jobs]

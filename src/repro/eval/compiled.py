@@ -1,42 +1,25 @@
-"""Full-fidelity evaluation tiers: warm-only (cached) and full compile.
+"""Plan fidelity: evaluate a candidate by compiling it.
 
-Both tiers answer with metrics taken from a real
-:class:`~repro.core.program.CompiledProgram`; they differ only in when
-they are willing to pay for one:
-
-* :class:`CompileEvaluator` always runs the full pass pipeline through
-  a :class:`~repro.service.CompileService` (thread or process pool,
-  shared allocation cache) — today's evaluation path, unchanged.  The
-  parity suite ratchets that its programs are bit-identical to direct
-  :meth:`repro.api.Session.compile` output.
-* :class:`CachedEvaluator` first probes the persistent
-  :class:`~repro.core.store.DiskCacheStore` with the exact cache key of
-  the first allocation window the DP would request
-  (:func:`repro.core.segmentation.first_window_cache_key`).  Warm
-  candidates are compiled — which then costs milliseconds, served from
-  the store; cold candidates are *declined* (``Evaluation.skipped``)
-  instead of solved, so a cached-fidelity sweep never pays for a single
-  cold solve.  A declined candidate is not an error and is not recorded
-  durably; re-running after the store warms up evaluates it.
+:class:`CompileEvaluator` runs the full pass pipeline through a
+:class:`~repro.service.CompileService` (thread or process pool, shared
+allocation cache) and answers with metrics taken from the real
+:class:`~repro.core.program.CompiledProgram`.  The parity suite
+ratchets that its programs are bit-identical to direct
+:meth:`repro.api.Session.compile` output.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
-from ..core.compiler import CompilerOptions
-from ..core.segmentation import first_window_cache_key, flatten_graph
 from ..cost.energy import estimate_energy
 from ..service import CompileJob, CompileJobResult, CompileService
 from .base import Evaluation, Evaluator
 
-__all__ = ["CachedEvaluator", "CompileEvaluator", "evaluation_from_outcome"]
+__all__ = ["CompileEvaluator", "evaluation_from_outcome"]
 
 
-def evaluation_from_outcome(
-    outcome: CompileJobResult, fidelity: str = "compile"
-) -> Evaluation:
+def evaluation_from_outcome(outcome: CompileJobResult) -> Evaluation:
     """Convert a compile-service outcome into a typed :class:`Evaluation`.
 
     This is the single place compiled metrics are extracted for
@@ -47,7 +30,7 @@ def evaluation_from_outcome(
     solver statistics are preserved either way.
     """
     evaluation = Evaluation(
-        fidelity=fidelity,
+        fidelity="compile",
         eval_seconds=outcome.wall_seconds,
         allocator_solves=int(outcome.stats.get("allocator_solves", 0)),
         cache_hits=int(outcome.stats.get("allocation_cache_hits", 0)),
@@ -90,122 +73,9 @@ class CompileEvaluator(Evaluator):
         self.service = service if service is not None else CompileService()
 
     def evaluate(self, job: CompileJob) -> Evaluation:
-        return evaluation_from_outcome(self.service.compile(job), self.fidelity)
+        return evaluation_from_outcome(self.service.compile(job))
 
-    def evaluate_batch(
-        self,
-        jobs: Sequence[CompileJob],
-        warm_hints: Optional[Sequence[bool]] = None,
-    ) -> List[Evaluation]:
+    def evaluate_batch(self, jobs: Sequence[CompileJob]) -> List[Evaluation]:
         """Run the batch through the service's worker pool."""
-        del warm_hints  # the full pipeline compiles warm or cold alike
         outcomes = self.service.compile_batch(jobs)
-        return [
-            evaluation_from_outcome(outcome, self.fidelity) for outcome in outcomes
-        ]
-
-
-class CachedEvaluator(Evaluator):
-    """Evaluates warm candidates only; cold ones are declined, not solved.
-
-    Requires a service whose allocation cache carries a persistent
-    :class:`~repro.core.store.DiskCacheStore` — without one every probe
-    is cold and every candidate is declined (with a telling error).
-    The probe is the same first-window key the DSE planner schedules by;
-    it is a heuristic for *whole-candidate* warmth, so a warm probe may
-    still imply a few solves for windows no earlier run requested — the
-    declared contract is "never start from scratch", not "never solve".
-
-    Args:
-        service: The compile service warm candidates run through.
-    """
-
-    fidelity = "cached"
-
-    def __init__(self, service: Optional[CompileService] = None) -> None:
-        self.service = service if service is not None else CompileService()
-
-    @property
-    def store(self):
-        """The persistent store probed for warmth (None when absent)."""
-        cache = self.service.cache
-        return cache.store if cache is not None else None
-
-    def evaluate(self, job: CompileJob) -> Evaluation:
-        start = time.perf_counter()
-        declined = self._probe(job)
-        if declined is not None:
-            return declined
-        evaluation = evaluation_from_outcome(self.service.compile(job), self.fidelity)
-        evaluation.eval_seconds = time.perf_counter() - start
-        return evaluation
-
-    def evaluate_batch(
-        self,
-        jobs: Sequence[CompileJob],
-        warm_hints: Optional[Sequence[bool]] = None,
-    ) -> List[Evaluation]:
-        """Probe every candidate, then pool-compile the warm subset.
-
-        Cold candidates are declined up front; the warm ones go through
-        the service's worker pool together (like
-        :meth:`CompileEvaluator.evaluate_batch`) instead of compiling
-        one-by-one in the caller.  Each answered candidate carries its
-        own service-side wall time; declines carry their probe cost.
-
-        A ``True`` warm hint (the planner probed this job moments ago
-        with the same key against the same store) is trusted and the
-        tier's own probe is skipped — the probe-twice cost would double
-        the per-point price of a tier whose point is being nearly free.
-        A ``False``/absent hint is never trusted to *decline*: the
-        tier's own probe still runs so unplannable jobs surface as
-        failures, not as "cold".
-        """
-        if warm_hints is not None and len(warm_hints) == len(jobs):
-            probed = [
-                None if hint else self._probe(job)
-                for job, hint in zip(jobs, warm_hints)
-            ]
-        else:
-            probed = [self._probe(job) for job in jobs]
-        warm_jobs = [job for job, declined in zip(jobs, probed) if declined is None]
-        outcomes = iter(self.service.compile_batch(warm_jobs))
-        return [
-            declined
-            if declined is not None
-            else evaluation_from_outcome(next(outcomes), self.fidelity)
-            for declined in probed
-        ]
-
-    def _probe(self, job: CompileJob) -> Optional[Evaluation]:
-        """The declined evaluation for a cold/unprobeable job, else None."""
-        start = time.perf_counter()
-        store = self.store
-        if store is None:
-            return Evaluation(
-                fidelity=self.fidelity,
-                skipped=True,
-                error="cached fidelity needs a persistent store (cache_dir)",
-                eval_seconds=time.perf_counter() - start,
-            )
-        try:
-            graph = job.resolve_graph()
-            hardware = job.resolve_hardware()
-            options = job.options or CompilerOptions(generate_code=False)
-            units = flatten_graph(graph, hardware)
-            key = first_window_cache_key(units, hardware, options)
-        except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            return Evaluation(
-                fidelity=self.fidelity,
-                error=f"{type(exc).__name__}: {exc}",
-                failed=True,
-                eval_seconds=time.perf_counter() - start,
-            )
-        if key is not None and not store.contains(key):
-            return Evaluation(
-                fidelity=self.fidelity,
-                skipped=True,
-                error="candidate not in the allocation store (cold)",
-                eval_seconds=time.perf_counter() - start,
-            )
-        return None
+        return [evaluation_from_outcome(outcome) for outcome in outcomes]

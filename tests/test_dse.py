@@ -39,6 +39,14 @@ def tiny_space(arrays=(4, 8), modes=None, models=("tiny-cnn",)):
     )
 
 
+def benchmark_space():
+    """The repository benchmark's 30-point ``dse_*`` grid."""
+    return tiny_space(
+        arrays=(4, 6, 8, 12, 16), modes=(True, False),
+        models=("tiny-mlp", "tiny-cnn", "tiny-transformer"),
+    )
+
+
 # ---------------------------------------------------------------------- #
 # DesignSpace
 # ---------------------------------------------------------------------- #
@@ -304,6 +312,54 @@ class TestRunnerResume:
             resumed = DSERunner(space, state=state).run()
         assert resumed.skipped == 0 and resumed.evaluated == 4
         assert not any(record.failed for record in resumed.records)
+
+    def test_run_dir_with_records_of_the_retired_tiers(self, tmp_path):
+        """``cached`` reads as ``compile``; ``greedy`` is stale, not fatal.
+
+        A run directory written by ``--fidelity cached`` / ``greedy``
+        holds those tags.  A cached record's metrics came from a real
+        compile, so it answers a compile request; a greedy record is a
+        heuristic plan this version has no tier for, so it is never
+        reported and its point is re-evaluated.  An absent tag (a
+        pre-fidelity record) still reads as ``compile``.
+        """
+        space = tiny_space(arrays=(4, 6, 8))
+        run_dir = tmp_path / "run"
+        with RunState.open(
+            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
+        ) as state:
+            first = DSERunner(space, state=state).run()
+        truth = {r.point_key: r.cycles for r in first.records}
+
+        results = run_dir / "results.jsonl"
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        records[0]["fidelity"] = "cached"
+        records[1]["fidelity"] = "greedy"
+        records[1]["cycles"] = records[1]["latency_ms"] = 1e-3  # would top any report
+        del records[2]["fidelity"]
+        results.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        greedy_key = records[1]["point_key"]
+
+        def resume(fidelity):
+            with RunState.open(
+                run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+                resume=True,
+            ) as state:
+                return DSERunner(space, fidelity=fidelity, state=state).run()
+
+        # Asked only for bounds, the stale point is re-scored as a bound.
+        bounds = resume("analytical")
+        assert bounds.skipped == 2 and bounds.evaluated == 1
+        assert [r.fidelity for r in bounds.new_records] == ["analytical"]
+        assert greedy_key not in {r.point_key for r in bounds.frontier()}
+        # Asked for plans, it is compiled; the other two are answered.
+        resumed = resume("compile")
+        assert resumed.skipped == 2 and resumed.evaluated == 1
+        assert [r.point_key for r in resumed.new_records] == [greedy_key]
+        assert {r.fidelity for r in resumed.records} == {"compile"}
+        assert {r.point_key: r.cycles for r in resumed.records} == truth
+        assert {r.point_key: r.cycles for r in resumed.frontier()}.items() <= truth.items()
+        assert resume("compile").evaluated == 0
 
     def test_fresh_run_refuses_existing_results(self, tmp_path):
         space = tiny_space()
@@ -867,11 +923,10 @@ class TestFidelity:
         space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
         strategy = SuccessiveHalvingStrategy(seed=0, keep_fraction=0.5)
         result = DSERunner(space, strategy=strategy, fidelity="auto").run()
-        assert result.evaluated_by_fidelity["analytical"] == space.size
-        climbed = result.evaluated_by_fidelity["greedy"]
-        promoted = result.evaluated_by_fidelity["compile"]
-        assert climbed == math.ceil(space.size * 0.5)
-        assert promoted == math.ceil(climbed * 0.5)
+        promoted = math.ceil(space.size * 0.5)
+        assert result.evaluated_by_fidelity == {
+            "analytical": space.size, "compile": promoted,
+        }
         # Rung 0 is free: analytical evaluations perform no solves.
         rung0 = [r for r in result.new_records if r.fidelity == "analytical"]
         assert sum(r.allocator_solves for r in rung0) == 0
@@ -881,9 +936,48 @@ class TestFidelity:
         assert len(by_key) == space.size
         assert sum(1 for r in by_key.values() if r.fidelity == "compile") == promoted
         assert (
-            sum(1 for r in by_key.values() if r.fidelity == "greedy")
-            == climbed - promoted
+            sum(1 for r in by_key.values() if r.fidelity == "analytical")
+            == space.size - promoted
         )
+
+    @pytest.mark.parametrize("space_name", ["benchmark", "paper"])
+    def test_auto_is_bound_then_plan_and_agrees_with_the_grid(self, space_name):
+        """``auto`` runs two tiers, and what it compiles *is* the grid's answer.
+
+        There is no heuristic middle rung: every record ``auto`` reports
+        as a plan carries the cycles a full ``compile`` sweep finds for
+        the same point, and its best point is the grid's best.
+        """
+        if space_name == "benchmark":
+            make = benchmark_space
+        else:
+            def make():
+                return DesignSpace(
+                    models=["mobilenet", "bert"],
+                    base_hardware="dynaplasia",
+                    hardware_axes={"num_arrays": [64, 96, 128]},
+                    option_axes={"allow_memory_mode": [True, False]},
+                )
+        auto = DSERunner(make(), fidelity="auto", max_workers=1).run()
+        grid = DSERunner(make(), strategy="grid", fidelity="compile", max_workers=1).run()
+
+        size = make().size
+        assert auto.evaluated_by_fidelity.keys() == {"analytical", "compile"}
+        assert {r.fidelity for r in auto.new_records} == {"analytical", "compile"}
+        assert {r.fidelity for r in auto.records} == {"analytical", "compile"}
+        by_key = {r.point_key: r for r in grid.records}
+        assert len(by_key) == size
+        compiled = [r for r in auto.records if r.fidelity == "compile"]
+        assert compiled
+        for record in compiled:
+            assert record.cycles == by_key[record.point_key].cycles
+
+        def best(result):
+            plans = [r for r in result.records if r.feasible and not r.lower_bound]
+            return min(plans, key=lambda r: (r.cycles, r.point_key))
+
+        assert best(auto).point_key == best(grid).point_key
+        assert best(auto).cycles == best(grid).cycles
 
     def test_auto_installs_successive_halving_for_plain_strategies(self):
         from repro.dse import SuccessiveHalvingStrategy
@@ -942,32 +1036,6 @@ class TestFidelity:
         assert result.skipped == 0
         assert all(r.fidelity == "compile" for r in result.new_records)
 
-    def test_cached_fidelity_declines_cold_and_answers_warm(self, tmp_path):
-        space = tiny_space(arrays=(4, 8))
-        cache_dir = tmp_path / "cache"
-        cold = DSERunner(space, fidelity="cached", cache_dir=cache_dir).run()
-        assert cold.allocator_solves == 0
-        assert cold.evaluated_by_fidelity == {"cold": space.size}
-        assert all(r.status == "cold" for r in cold.new_records)
-
-        # Warm the store with a real compile pass, then re-probe.
-        DSERunner(space, fidelity="compile", cache_dir=cache_dir).run()
-        warm = DSERunner(space, fidelity="cached", cache_dir=cache_dir).run()
-        assert warm.evaluated_by_fidelity == {"cached": space.size}
-        assert warm.allocator_solves == 0
-        assert all(r.feasible for r in warm.new_records)
-
-    def test_cold_records_are_not_persisted(self, tmp_path):
-        space = tiny_space(arrays=(4, 8))
-        run_dir = tmp_path / "run"
-        with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
-        ) as state:
-            DSERunner(
-                space, fidelity="cached", cache_dir=tmp_path / "cache", state=state
-            ).run()
-        assert len(state.completed) == 0
-
     def test_record_fidelity_round_trips_and_defaults_to_compile(self):
         record = EvaluationRecord(
             point_key="k", model="m", workload="w", hardware="h", num_arrays=4,
@@ -985,29 +1053,29 @@ class TestFidelity:
         assert legacy.lower_bound is False
 
     def test_unknown_fidelity_rejected(self):
-        with pytest.raises(ValueError, match="unknown fidelity"):
-            DSERunner(tiny_space(), fidelity="psychic")
+        from repro.dse import FIDELITY_MODES
+
+        assert FIDELITY_MODES == ("analytical", "compile", "auto")
+        for name in ("psychic", "greedy", "cached"):
+            with pytest.raises(ValueError, match="known: analytical, compile, auto"):
+                DSERunner(tiny_space(), fidelity=name)
 
     def test_mixed_fidelity_frontier_excludes_lower_bounds(self):
         space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
         result = DSERunner(space, fidelity="auto").run()
         frontier = result.frontier()
         assert frontier, "auto run must produce a frontier"
-        # Greedy records describe real (achievable) plans, so they may
-        # participate; analytical lower bounds never do.
-        assert all(r.fidelity in ("greedy", "compile", "cached") for r in frontier)
+        # Only compiled plans participate; analytical lower bounds never do.
+        assert all(r.fidelity == "compile" for r in frontier)
         assert not any(r.lower_bound for r in frontier)
 
 
 class TestSuccessiveHalvingStrategy:
     def test_rung0_covers_the_space_then_promotes_best(self):
-        # Two-rung ladder: the pre-greedy schedule, still supported.
         from repro.dse import SuccessiveHalvingStrategy
 
         space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        strategy = SuccessiveHalvingStrategy(
-            seed=3, keep_fraction=0.25, rungs=("analytical", "compile")
-        )
+        strategy = SuccessiveHalvingStrategy(seed=3, keep_fraction=0.25)
         strategy.bind(space)
         rung0 = []
         while True:
@@ -1074,8 +1142,8 @@ class TestSuccessiveHalvingStrategy:
     def test_default_ladder_walks_analytical_greedy_compile(self):
         from repro.dse import SuccessiveHalvingStrategy
 
-        space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        strategy = SuccessiveHalvingStrategy(seed=1, keep_fractions=(0.5, 0.5))
+        space = benchmark_space()
+        strategy = SuccessiveHalvingStrategy(seed=1)
         strategy.bind(space)
         rung_order = []
         counts = {}
@@ -1100,21 +1168,23 @@ class TestSuccessiveHalvingStrategy:
                     for p in batch
                 ]
             )
-        assert rung_order == ["analytical", "greedy", "compile"]
-        assert counts["analytical"] == space.size
-        assert counts["greedy"] == math.ceil(space.size * 0.5)
-        assert counts["compile"] == math.ceil(counts["greedy"] * 0.5)
+        assert rung_order == ["analytical", "compile"]
+        assert counts["analytical"] == space.size == 30
+        assert counts["compile"] == math.ceil(30 * 0.5)
         assert strategy.exhausted
 
     def test_ladder_shape_is_validated(self):
         from repro.dse import SuccessiveHalvingStrategy
 
-        with pytest.raises(ValueError, match="one keep fraction per promotion"):
+        # One promotion, one fraction: the ladder is not configurable.
+        with pytest.raises(TypeError):
+            SuccessiveHalvingStrategy(rungs=("analytical", "compile"))
+        with pytest.raises(TypeError):
             SuccessiveHalvingStrategy(keep_fractions=(0.5,))
-        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
-            SuccessiveHalvingStrategy(keep_fractions=(0.5, 1.5))
-        with pytest.raises(ValueError, match="at least two rungs"):
-            SuccessiveHalvingStrategy(rungs=("compile",))
+        for fraction in (0.0, 1.5, -0.25):
+            with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+                SuccessiveHalvingStrategy(keep_fraction=fraction)
+        assert SuccessiveHalvingStrategy(keep_fraction=1.0).keep_fraction == 1.0
 
 
 class TestGreedyKeyDedup:
@@ -1267,64 +1337,20 @@ class TestDseCliFidelity:
         out = capsys.readouterr().out
         assert code == 0
         assert "successive-halving" in out
+        assert "analytical rung 0, survivors compiled" in out
         assert "analytical=" in out and "compile=" in out
+        assert "greedy" not in out and "/cold]" not in out
 
-    def test_cold_records_do_not_shadow_stored_results(self, tmp_path):
-        # An analytical run's records must survive a cached-fidelity
-        # resume against a cold store: the declined probes carry no
-        # metrics and must not replace the stored bounds in the report.
-        space = tiny_space(arrays=(4, 8))
-        run_dir = tmp_path / "run"
-        with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
-        ) as state:
-            DSERunner(space, fidelity="analytical", state=state).run()
-        with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
-            resume=True,
-        ) as state:
-            result = DSERunner(
-                space, fidelity="cached", cache_dir=tmp_path / "cold-store",
-                state=state,
-            ).run()
-        by_key = {r.point_key: r for r in result.records}
-        assert len(by_key) == space.size
-        assert all(r.fidelity == "analytical" and r.feasible for r in by_key.values())
-        assert result.frontier(), "stored analytical frontier must survive"
-        # The declines are still visible in this run's log.
-        assert sum(1 for r in result.new_records if r.status == "cold") == space.size
+    @pytest.mark.parametrize("retired", ["greedy", "cached"])
+    def test_cli_rejects_the_retired_tiers(self, retired, tmp_path, capsys):
+        from repro.cli import main
 
-    def test_cached_batch_uses_the_service_pool(self, tmp_path, monkeypatch):
-        # evaluate_batch must route warm candidates through
-        # CompileService.compile_batch (one pooled call), not compile
-        # them one-by-one in the caller.
-        from repro.eval import CachedEvaluator
-        from repro.service import CompileService
-
-        space = tiny_space(arrays=(4, 8))
-        cache_dir = tmp_path / "cache"
-        DSERunner(space, fidelity="compile", cache_dir=cache_dir).run()
-
-        service = CompileService(cache_dir=cache_dir)
-        batches = []
-        original = CompileService.compile_batch
-
-        def spy(self, jobs, *args, **kwargs):
-            batches.append(len(list(jobs)))
-            return original(self, jobs, *args, **kwargs)
-
-        monkeypatch.setattr(CompileService, "compile_batch", spy)
-        from repro.service import CompileJob
-
-        jobs = [
-            CompileJob(
-                p.model, workload=p.workload, hardware=p.hardware, options=p.options
-            )
-            for p in space.points()
-        ]
-        evaluations = CachedEvaluator(service).evaluate_batch(jobs)
-        assert batches == [len(jobs)]
-        assert all(e.feasible and not e.skipped for e in evaluations)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dse", "tiny-cnn", "--fidelity", retired,
+                  "--run-dir", str(tmp_path / "run")])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_mixed_report_never_crowns_a_lower_bound(self):
         # In an auto run a non-promoted point keeps its optimistic
@@ -1348,26 +1374,6 @@ class TestDseCliFidelity:
         assert "best (latency): m @ 4 arrays -> 5.000" in report
         assert "lower-bound screened: 1" in report
 
-    def test_cached_run_probes_each_canonical_job_once(self, tmp_path, monkeypatch):
-        space = tiny_space(arrays=(4, 8), models=("tiny-cnn", "tiny-mlp"))
-        cache_dir = tmp_path / "cache"
-        DSERunner(space, fidelity="compile", cache_dir=cache_dir).run()
-
-        calls = []
-        original = DiskCacheStore.contains
-
-        def counting(self, key):
-            calls.append(key)
-            return original(self, key)
-
-        monkeypatch.setattr(DiskCacheStore, "contains", counting)
-        result = DSERunner(space, fidelity="cached", cache_dir=cache_dir).run()
-        assert result.evaluated_by_fidelity == {"cached": space.size}
-        # One probe per canonical job (the planner's); the evaluator
-        # trusts the warm hint instead of probing again.
-        assert len(calls) == space.size
-
-
 # ---------------------------------------------------------------------- #
 # trace_p99 objective
 # ---------------------------------------------------------------------- #
@@ -1386,9 +1392,16 @@ class TestTraceObjective:
     def test_rejects_planless_fidelities(self):
         trace = self._trace()
         for fidelity in ("analytical", "auto"):
-            with pytest.raises(ValueError, match="real compiled plans"):
+            with pytest.raises(ValueError, match="real compiled plans") as excinfo:
                 DSERunner(
                     tiny_space(), objective="trace_p99", fidelity=fidelity, trace=trace
+                )
+            # One tier produces plans, and the message names only it.
+            assert "(use 'compile')" in str(excinfo.value)
+        for retired in ("greedy", "cached"):
+            with pytest.raises(ValueError, match="unknown fidelity"):
+                DSERunner(
+                    tiny_space(), objective="trace_p99", fidelity=retired, trace=trace
                 )
 
     def test_scores_points_by_trace_p99(self):

@@ -26,14 +26,13 @@ from repro.cost import (
 )
 from repro.eval import (
     AnalyticalEvaluator,
-    CachedEvaluator,
     CompileEvaluator,
     Evaluation,
     fidelity_rank,
 )
 from repro.hardware import small_test_chip
 from repro.models import Workload, build_model
-from repro.service import CompileJob, CompileService
+from repro.service import CompileJob
 
 #: The calibration zoo: every registered family that compiles quickly on
 #: the 8-array test chip, at a workload small enough for CI.
@@ -192,50 +191,22 @@ class TestCompileEvaluator:
 
 
 # ---------------------------------------------------------------------- #
-# cached tier
-# ---------------------------------------------------------------------- #
-class TestCachedEvaluator:
-    def test_cold_candidate_is_declined_not_solved(self, tmp_path):
-        service = CompileService(cache_dir=tmp_path / "store")
-        evaluation = CachedEvaluator(service).evaluate(job_for("tiny-cnn"))
-        assert evaluation.skipped
-        assert evaluation.allocator_solves == 0
-        assert "cold" in (evaluation.error or "")
-
-    def test_warm_candidate_is_answered_at_full_fidelity(self, tmp_path):
-        job = job_for("tiny-cnn")
-        warmup = CompileService(cache_dir=tmp_path / "store")
-        baseline = warmup.compile(job)
-        assert baseline.ok
-
-        service = CompileService(cache_dir=tmp_path / "store")
-        evaluation = CachedEvaluator(service).evaluate(job)
-        assert not evaluation.skipped
-        assert evaluation.fidelity == "cached"
-        assert evaluation.feasible
-        assert evaluation.allocator_solves == 0  # served from the store
-        assert evaluation.program.fingerprint() == baseline.program.fingerprint()
-
-    def test_without_a_store_everything_is_declined(self):
-        service = CompileService()  # in-memory cache only
-        evaluation = CachedEvaluator(service).evaluate(job_for("tiny-mlp"))
-        assert evaluation.skipped
-        assert "store" in (evaluation.error or "")
-
-
-# ---------------------------------------------------------------------- #
 # protocol plumbing
 # ---------------------------------------------------------------------- #
 class TestEvaluationProtocol:
     def test_fidelity_ranks(self):
-        assert fidelity_rank("analytical") < fidelity_rank("cached")
-        assert fidelity_rank("cached") < fidelity_rank("compile")
+        from repro.eval import FIDELITIES, FIDELITY_RANK
+
+        assert FIDELITIES == ("analytical", "compile")
+        assert set(FIDELITY_RANK) == set(FIDELITIES)
+        assert fidelity_rank("analytical") < fidelity_rank("compile")
         # Legacy records (no tag) were full compiles.
         assert fidelity_rank(None) == fidelity_rank("compile")
         assert fidelity_rank("") == fidelity_rank("compile")
 
     def test_describe_renders_every_shape(self):
-        assert "skipped" in Evaluation(fidelity="cached", skipped=True).describe()
+        with pytest.raises(TypeError):
+            Evaluation(fidelity="compile", skipped=True)  # the declined shape is gone
         assert "FAILED" in Evaluation(fidelity="compile", failed=True).describe()
         assert "infeasible" in Evaluation(fidelity="analytical").describe()
         ok = Evaluation(

@@ -442,13 +442,14 @@ class TestReplayAndDseInstrumentation:
             base_hardware="small-test-chip",
             option_axes={"max_segment_operators": [4, 8]},
         )
-        result = session.explore(space, fidelity="greedy")
+        result = session.explore(space, fidelity="analytical")
         assert len(result.records) == 2
         points = [s for s in session.tracer.spans() if s.name == "dse.point"]
         assert len(points) == 2
-        assert all(s.attrs["fidelity"] == "greedy" for s in points)
+        assert all(s.attrs["fidelity"] == "analytical" for s in points)
         counters = session.metrics.to_dict()["counters"]
-        assert counters["dse.points.greedy"] == 2
+        assert counters["dse.points.analytical"] == 2
+        assert "dse.points.cold" not in counters
 
 
 class TestSessionExports:

@@ -472,16 +472,3 @@ class TestReuseTripwires:
         # into the memo) count as stores, so stores >= distinct entries.
         assert stats["stores"] >= stats["entries"] > 0
         assert stats["hits"] > 0
-
-    def test_greedy_rung_performs_zero_milp_solves(self, monkeypatch):
-        def forbidden(*args, **kwargs):  # pragma: no cover - tripwire
-            raise AssertionError("the greedy fidelity rung touched the MILP solver")
-
-        # ExactAllocator inherits ``allocate``: this forbids both engines.
-        monkeypatch.setattr(MIPAllocator, "allocate", forbidden)
-        result = DSERunner(_two_point_space(), strategy="grid", fidelity="greedy").run()
-        assert result.evaluated == 2
-        for record in result.new_records:
-            assert record.fidelity == "greedy"
-            assert record.status == "evaluated"
-            assert not record.failed
