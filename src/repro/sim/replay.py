@@ -28,6 +28,10 @@ Trace` against one chip:
    inter-cost (and hence of ``end_to_end_ms``); charging it again would
    double-count.
 
+Stages 1 and 3 are facts about *programs* and are computed once per
+distinct program (or ordered program pair) per replay; only stage 2 is
+per request, so a replay costs ``O(programs * warm compile + requests)``.
+
 The pure scheduling core (:func:`replay_schedule`) is separated from
 compilation so property/metamorphic tests can drive thousands of
 randomized schedules without ever invoking the compiler.
@@ -36,6 +40,7 @@ randomized schedules without ever invoking the compiler.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace as dataclasses_replace
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -144,73 +149,100 @@ def replay_schedule(
     recorded as unserved and neither occupy the server nor change the
     array layout.
 
-    The loop advances ``clock`` (a fresh :class:`ManualClock` by
-    default) in virtual milliseconds; the clock only ever moves forward,
-    which is exactly the invariant ``ManualClock.advance`` enforces.
+    Everything per-*program* (service time, switch price) arrives
+    pre-computed; the per-request work is one Lindley step — two float
+    additions — and one record append.  Virtual time is a local float
+    that takes exactly the steps ``ManualClock.advance`` would
+    (``now += arrival - now``, not ``now = arrival``: the two differ in
+    the last bit, and replay reports are compared bit for bit), moves
+    only forward (a negative step raises ``ValueError`` as the clock
+    would), and is handed to ``clock`` (a fresh :class:`ManualClock` by
+    default) once at the end, so the clock finishes at the last
+    completion.
 
     ``tracer`` (an optional :class:`~repro.obs.Tracer`) records a span
     per request — wall-clock time of the event-loop step, with the
     *virtual* arrival/start/finish times as attributes — and a
     ``replay.switch`` instant event whenever a request pays a non-zero
-    re-provisioning cost.  The schedule itself is byte-identical with
-    and without a tracer.
+    re-provisioning cost.  The loop tests ``tracer.enabled`` once and
+    never calls through a disabled tracer.  The schedule itself is
+    byte-identical with and without a tracer.
     """
     clock = clock if clock is not None else ManualClock()
     tracer = tracer if tracer is not None else NULL_TRACER
+    traced = tracer.enabled
+    now = clock.now()
     outcomes: List[RequestOutcome] = []
     previous_key: Optional[str] = None
-    for item in items:
-        with tracer.span(
-            "replay.request", request=item.request_id, model=item.model
-        ) as span:
-            if item.service_ms is None:
+    span = None
+    try:
+        for item in items:
+            if traced:
+                span = tracer.span(
+                    "replay.request", request=item.request_id, model=item.model
+                ).__enter__()
+            arrival_ms = item.arrival_ms
+            service_ms = item.service_ms
+            key = item.program_key
+            if service_ms is None:
                 outcomes.append(
                     RequestOutcome(
                         request_id=item.request_id,
                         model=item.model,
-                        arrival_ms=item.arrival_ms,
-                        start_ms=item.arrival_ms,
+                        arrival_ms=arrival_ms,
+                        start_ms=arrival_ms,
                         switch_ms=0.0,
                         service_ms=0.0,
-                        finish_ms=item.arrival_ms,
+                        finish_ms=arrival_ms,
                         served=False,
-                        error=f"program {item.program_key!r} failed to compile",
+                        error=f"program {key!r} failed to compile",
                     )
                 )
-                span.set(served=False, arrival_ms=item.arrival_ms)
-                continue
-            if item.arrival_ms > clock.now():
-                clock.advance(item.arrival_ms - clock.now())  # server idles
-            start_ms = clock.now()
-            switch_ms = float(switch_ms_between(previous_key, item.program_key))
-            if switch_ms > 0.0:
-                tracer.event(
-                    "replay.switch",
+                if traced:
+                    span.set(served=False, arrival_ms=arrival_ms)
+            else:
+                if arrival_ms > now:
+                    now += float(arrival_ms - now)  # server idles
+                start_ms = now
+                switch_ms = float(switch_ms_between(previous_key, key))
+                if traced and switch_ms > 0.0:
+                    tracer.event(
+                        "replay.switch",
+                        switch_ms=switch_ms,
+                        previous=previous_key,
+                        program=key,
+                    )
+                if switch_ms + service_ms < 0:
+                    raise ValueError("cannot advance a clock backwards")
+                now += float(switch_ms + service_ms)
+                outcome = RequestOutcome(
+                    request_id=item.request_id,
+                    model=item.model,
+                    arrival_ms=arrival_ms,
+                    start_ms=start_ms,
                     switch_ms=switch_ms,
-                    previous=previous_key,
-                    program=item.program_key,
+                    service_ms=service_ms,
+                    finish_ms=now,
+                    served=True,
                 )
-            clock.advance(switch_ms + item.service_ms)
-            outcome = RequestOutcome(
-                request_id=item.request_id,
-                model=item.model,
-                arrival_ms=item.arrival_ms,
-                start_ms=start_ms,
-                switch_ms=switch_ms,
-                service_ms=item.service_ms,
-                finish_ms=clock.now(),
-                served=True,
-            )
-            outcomes.append(outcome)
-            span.set(
-                served=True,
-                arrival_ms=item.arrival_ms,
-                start_ms=start_ms,
-                finish_ms=outcome.finish_ms,
-                switch_ms=switch_ms,
-                latency_ms=outcome.latency_ms,
-            )
-            previous_key = item.program_key
+                outcomes.append(outcome)
+                if traced:
+                    span.set(
+                        served=True,
+                        arrival_ms=arrival_ms,
+                        start_ms=start_ms,
+                        finish_ms=now,
+                        switch_ms=switch_ms,
+                        latency_ms=outcome.latency_ms,
+                    )
+                previous_key = key
+            if traced:
+                span.__exit__(None, None, None)
+                span = None
+    finally:
+        if span is not None:  # the step raised inside an open span
+            span.__exit__(*sys.exc_info())
+    clock.advance(now - clock.now())
     return outcomes
 
 
@@ -294,6 +326,24 @@ def _program_key(model: str, workload) -> str:
     return f"{model}|{payload}"
 
 
+def _program_keys(trace: Trace) -> List[str]:
+    """Program key of every request, each distinct pair rendered once.
+
+    Workloads are frozen (hashable) dataclasses and the generators share
+    one instance per (model, bucket), so the lookup usually hits on
+    identity.
+    """
+    rendered: Dict[tuple, str] = {}
+    keys: List[str] = []
+    for request in trace.requests:
+        pair = (request.model, request.workload)
+        key = rendered.get(pair)
+        if key is None:
+            key = rendered[pair] = _program_key(*pair)
+        keys.append(key)
+    return keys
+
+
 class ReplaySimulator:
     """Replays request traces against one chip.
 
@@ -335,11 +385,18 @@ class ReplaySimulator:
     # ------------------------------------------------------------------ #
     # compile pool
     # ------------------------------------------------------------------ #
-    def compile_pool(self, trace: Trace) -> Dict[str, CompileJobResult]:
-        """Compile each distinct (model, workload) of the trace once."""
+    def compile_pool(
+        self, trace: Trace, keys: Optional[Sequence[str]] = None
+    ) -> Dict[str, CompileJobResult]:
+        """Compile each distinct (model, workload) of the trace once.
+
+        ``keys`` are the requests' program keys when the caller already
+        rendered them (:meth:`run` does); they are derived otherwise.
+        """
+        if keys is None:
+            keys = _program_keys(trace)
         jobs: Dict[str, CompileJob] = {}
-        for request in trace.requests:
-            key = _program_key(request.model, request.workload)
+        for request, key in zip(trace.requests, keys):
             if key not in jobs:
                 jobs[key] = CompileJob(
                     request.model,
@@ -348,32 +405,41 @@ class ReplaySimulator:
                     options=self.options,
                     label=key,
                 )
-        keys = list(jobs)
-        results = self.service.compile_batch([jobs[key] for key in keys])
-        return dict(zip(keys, results))
+        results = self.service.compile_batch(list(jobs.values()))
+        return dict(zip(jobs, results))
 
     # ------------------------------------------------------------------ #
     # replay
     # ------------------------------------------------------------------ #
     def run(self, trace: Trace) -> ReplayResult:
-        """Compile the trace's program pool and replay it over virtual time."""
+        """Compile the trace's program pool and replay it over virtual time.
+
+        Compile-side work is per distinct *program*: one key rendering,
+        one compile, one ``end_to_end_ms`` read, and (lazily, see
+        :meth:`_switch_ms_between`) one Eq. 1 pricing per ordered pair
+        of programs that actually meet.  Per *request* there is only the
+        event-loop step of :func:`replay_schedule`, so a replay costs
+        ``O(programs * warm compile + requests)``.  The per-program
+        tables are locals of this call — nothing outlives it.
+        """
+        keys = _program_keys(trace)
         with self.obs.tracer.span("replay.compile_pool", requests=len(trace)):
-            pool = self.compile_pool(trace)
+            pool = self.compile_pool(trace, keys)
         programs: Dict[str, CompiledProgram] = {
             key: result.program for key, result in pool.items() if result.ok
+        }
+        service_ms = {
+            key: program.end_to_end_ms for key, program in programs.items()
         }
         items = [
             ScheduledRequest(
                 request_id=request.request_id,
                 model=request.model,
                 arrival_ms=request.arrival_ms,
-                service_ms=(
-                    programs[key].end_to_end_ms if key in programs else None
-                ),
+                service_ms=service_ms.get(key),
                 program_key=key,
             )
-            for request in trace.requests
-            for key in [_program_key(request.model, request.workload)]
+            for request, key in zip(trace.requests, keys)
         ]
         with self.obs.tracer.span("replay.schedule", requests=len(items)):
             outcomes = replay_schedule(
@@ -413,22 +479,30 @@ class ReplaySimulator:
         number of later requests already arrived but still waiting
         (``arrival_ms <= start_ms``).  Arrivals are sorted (a
         :class:`~repro.sim.traces.Trace` invariant), so a single
-        ``bisect`` per request suffices.
+        ``bisect`` per request suffices.  The counters are tallied here
+        and added once each, not once per request.
         """
         metrics = self.obs.metrics
         if not getattr(metrics, "enabled", False):
             return
         arrivals = [item.arrival_ms for item in items]
+        dropped = switches = 0
         for index, outcome in enumerate(outcomes):
-            metrics.inc("replay.requests")
             if not outcome.served:
-                metrics.inc("replay.dropped")
+                dropped += 1
                 continue
             if outcome.switch_ms > 0.0:
-                metrics.inc("replay.switches")
+                switches += 1
             depth = bisect_right(arrivals, outcome.start_ms) - (index + 1)
             metrics.observe("replay.queue_depth", max(0, depth))
             metrics.observe("replay.latency_ms", outcome.latency_ms)
+        for name, count in (
+            ("replay.requests", len(outcomes)),
+            ("replay.dropped", dropped),
+            ("replay.switches", switches),
+        ):
+            if count:  # a counter nothing bumped stays out of the snapshot
+                metrics.inc(name, count)
 
     def _switch_ms_between(
         self, programs: Dict[str, CompiledProgram]
@@ -442,18 +516,27 @@ class ReplaySimulator:
         does the very first request (initial configuration is free in
         the paper's model, and the program's own first-segment
         inter-cost already covers its weight loading).
+
+        The returned callable prices each ordered ``(previous, next)``
+        pair the first time it occurs and remembers the answer for the
+        rest of the replay: a trace over ``P`` programs pays at most
+        ``P * (P - 1)`` Eq. 1 evaluations, and only for pairs that
+        actually meet.
         """
+        priced: Dict[tuple, float] = {}
 
         def switch_ms(previous_key: Optional[str], key: str) -> float:
             if previous_key is None or previous_key == key:
                 return 0.0
-            previous = programs[previous_key]
-            current = programs[key]
-            cycles = mode_switch_cycles(
-                previous.segments[-1].resources,
-                current.segments[0].resources,
-                self.hardware,
-            )
-            return self.hardware.cycles_to_ms(cycles)
+            pair = (previous_key, key)
+            ms = priced.get(pair)
+            if ms is None:
+                cycles = mode_switch_cycles(
+                    programs[previous_key].segments[-1].resources,
+                    programs[key].segments[0].resources,
+                    self.hardware,
+                )
+                ms = priced[pair] = self.hardware.cycles_to_ms(cycles)
+            return ms
 
         return switch_ms

@@ -309,6 +309,9 @@ def _draw_requests(
     models = list(models)
     buckets = list(seq_len_buckets)
     width = len(str(num_requests - 1))
+    # One Workload per (model, bucket): every request of a pair shares
+    # the instance, so consumers keyed on (model, workload) hit on identity.
+    workloads: Dict[tuple, Workload] = {}
     requests: List[TraceRequest] = []
     now = 0.0
     for index in range(num_requests):
@@ -316,12 +319,17 @@ def _draw_requests(
             now += gap_ms()
         model = rng.choices(models, weights=weights, k=1)[0]
         seq_len = rng.choice(buckets)
+        workload = workloads.get((model, seq_len))
+        if workload is None:
+            workload = workloads[model, seq_len] = default_workload(
+                model, seq_len, batch_size=batch_size
+            )
         requests.append(
             TraceRequest(
                 request_id=f"r{index:0{width}d}",
                 arrival_ms=now,
                 model=model,
-                workload=default_workload(model, seq_len, batch_size=batch_size),
+                workload=workload,
             )
         )
     return requests

@@ -1,6 +1,6 @@
 """The serving replay simulator (:mod:`repro.sim.replay`).
 
-Four layers of assurance, mirroring the ISSUE checklist:
+Six layers of assurance:
 
 * **Conformance** — a single-request replay agrees with the
   :class:`TimingSimulator` replay of the same program within the
@@ -11,7 +11,11 @@ Four layers of assurance, mirroring the ISSUE checklist:
   gaps never increases queueing delay, merging schedules preserves
   total served work, p50 <= p99 and utilisation stays in [0, 1] on
   randomized schedules.
+* **Differential** — :func:`replay_schedule` equals a ten-line in-test
+  Lindley recurrence float for float, with and without a tracer.
 * **Golden fixtures** — two committed traces replay to frozen metrics.
+* **Program granularity** — a replay renders each program key and prices
+  each ordered program pair at most once, however long the trace.
 """
 
 from __future__ import annotations
@@ -25,14 +29,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.replay as replay_module
 from repro.api import Session
+from repro.core.clock import ManualClock
 from repro.core.compiler import CMSwitchCompiler, CompilerOptions
 from repro.models.registry import build_model
 from repro.models.workload import Workload
+from repro.obs import Tracer
 from repro.sim.metrics import compute_metrics, percentile
 from repro.sim.replay import ReplaySimulator, ScheduledRequest, replay_schedule
 from repro.sim.timing import TimingSimulator
-from repro.sim.traces import Trace, TraceRequest, load_trace, poisson_trace
+from repro.sim.traces import (
+    Trace,
+    TraceRequest,
+    bursty_trace,
+    load_trace,
+    poisson_trace,
+)
 from repro.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -247,6 +260,110 @@ class TestMetamorphic:
         assert outcomes[1].queue_ms == pytest.approx(9.5)
 
 
+# ---------------------------------------------------------------------- #
+# differential: the event loop against an in-test recurrence
+# ---------------------------------------------------------------------- #
+_PROGRAMS = ["p0", "p1", "p2", "p3"]
+
+_request = st.tuples(
+    st.floats(min_value=0.0, max_value=25.0, allow_nan=False),  # gap to previous
+    st.one_of(st.none(), st.floats(min_value=0.0, max_value=20.0, allow_nan=False)),
+    st.sampled_from(_PROGRAMS),
+)
+_switch_table = st.dictionaries(
+    st.tuples(st.sampled_from(_PROGRAMS), st.sampled_from(_PROGRAMS)),
+    st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+)
+
+
+def _items(requests):
+    """ScheduledRequests from (gap, service-or-None, key) triples."""
+    items, arrival = [], 0.0
+    for index, (gap, service, key) in enumerate(requests):
+        arrival += gap
+        items.append(ScheduledRequest(f"r{index}", "m", arrival, service, key))
+    return items
+
+
+def _table_switch(table):
+    def switch(previous, key):
+        return 0.0 if previous is None else table.get((previous, key), 0.0)
+
+    return switch
+
+
+def _reference_schedule(items, switch, start=0.0):
+    """The Lindley recurrence, written out: (start, switch, finish, served)."""
+    rows, now, previous = [], start, None
+    for item in items:
+        if item.service_ms is None:  # dropped: occupies nothing, layout unchanged
+            rows.append((item.arrival_ms, 0.0, item.arrival_ms, False))
+            continue
+        begin = now + (item.arrival_ms - now) if item.arrival_ms > now else now
+        switch_ms = switch(previous, item.program_key)
+        now = begin + (switch_ms + item.service_ms)
+        rows.append((begin, switch_ms, now, True))
+        previous = item.program_key
+    return rows
+
+
+class TestScheduleDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        requests=st.lists(_request, max_size=40),
+        table=_switch_table,
+        start=st.sampled_from([0.0, 5.0]),
+    )
+    def test_equals_the_recurrence_float_for_float(self, requests, table, start):
+        items = _items(requests)
+        switch = _table_switch(table)
+        outcomes = replay_schedule(items, switch, clock=ManualClock(start=start))
+        rows = [(o.start_ms, o.switch_ms, o.finish_ms, o.served) for o in outcomes]
+        assert rows == _reference_schedule(items, switch, start=start)  # exact
+        assert [o.request_id for o in outcomes] == [i.request_id for i in items]
+
+    @settings(max_examples=60, deadline=None)
+    @given(requests=st.lists(_request, max_size=25), table=_switch_table)
+    def test_tracer_observes_without_perturbing(self, requests, table):
+        items = _items(requests)
+        switch = _table_switch(table)
+        tracer = Tracer()
+        traced = replay_schedule(items, switch, tracer=tracer)
+        assert traced == replay_schedule(items, switch)
+        spans = [s for s in tracer.spans() if s.name == "replay.request"]
+        assert [s.attrs["request"] for s in spans] == [i.request_id for i in items]
+        for span, outcome in zip(spans, traced):
+            assert span.attrs["served"] == outcome.served
+            assert span.attrs["arrival_ms"] == outcome.arrival_ms
+            if outcome.served:
+                for name in ("start_ms", "finish_ms", "switch_ms", "latency_ms"):
+                    assert span.attrs[name] == getattr(outcome, name)
+        switches = [s for s in tracer.spans() if s.name == "replay.switch"]
+        assert len(switches) == sum(o.switch_ms > 0.0 for o in traced)
+
+    def test_injected_clock_ends_at_the_last_finish(self):
+        clock = ManualClock(start=5.0)
+        items = [
+            ScheduledRequest("r0", "m", 6.1, 0.3, "p0"),
+            ScheduledRequest("r1", "m", 6.2, None, "p1"),
+            ScheduledRequest("r2", "m", 6.3, 1.7, "p2"),
+        ]
+        outcomes = replay_schedule(items, lambda prev, key: 0.05, clock=clock)
+        assert outcomes[0].start_ms == 5.0 + (6.1 - 5.0)
+        assert clock.now() == outcomes[-1].finish_ms
+
+    def test_negative_step_is_rejected_and_closes_its_span(self):
+        tracer = Tracer()
+        items = [ScheduledRequest("r0", "m", 0.0, -1.0, "p0")]
+        with pytest.raises(ValueError, match="backwards"):
+            replay_schedule(items, lambda prev, key: 0.0, tracer=tracer)
+        (span,) = tracer.spans()
+        assert span.name == "replay.request" and span.attrs["error"] == "ValueError"
+        with tracer.span("after") as after:
+            pass
+        assert after.parent_id is None  # nothing left open on the stack
+
+
 class TestPercentile:
     def test_nearest_rank_basics(self):
         values = [1.0, 2.0, 3.0, 4.0]
@@ -334,6 +451,55 @@ class TestReplayResult:
         assert result.compile_errors
         served = [o for o in result.outcomes if o.served]
         assert len(served) == 1
+
+
+# ---------------------------------------------------------------------- #
+# compile-side work is per program, not per request
+# ---------------------------------------------------------------------- #
+class TestProgramGranularity:
+    def _trace(self):
+        return bursty_trace(
+            ["tiny-mlp", "tiny-cnn", "tiny-transformer"],
+            num_requests=2_000,
+            seed=5,
+            seq_len_buckets=(16, 32),
+        )
+
+    def test_keys_and_switches_priced_once_per_program(self, monkeypatch):
+        calls = {"render": 0, "price": 0}
+
+        def count(name, counter):
+            original = getattr(replay_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[counter] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(replay_module, name, wrapper)
+
+        count("workload_to_payload", "render")
+        count("mode_switch_cycles", "price")
+        trace = self._trace()
+        pairs = {(request.model, request.workload) for request in trace.requests}
+        assert len(pairs) == 6
+
+        result = ReplaySimulator("small-test-chip").run(trace)
+
+        assert result.metrics.served == 2_000 and result.distinct_programs == 6
+        assert 0 < calls["render"] <= len(pairs)
+        switched = sum(o.switch_ms > 0.0 for o in result.outcomes)
+        assert switched > len(pairs) * (len(pairs) - 1)  # far more switches ...
+        assert 0 < calls["price"] <= len(pairs) * (len(pairs) - 1)  # ... than pricings
+
+    def test_registry_counters_are_the_outcome_tallies(self):
+        session = Session(hardware="small-test-chip", trace=True)
+        result = session.replay(self._trace())
+        counters = session.metrics.to_dict()["counters"]
+        assert counters["replay.requests"] == 2_000
+        assert counters["replay.switches"] == sum(
+            o.switch_ms > 0.0 for o in result.outcomes
+        )
+        assert "replay.dropped" not in counters
 
 
 # ---------------------------------------------------------------------- #

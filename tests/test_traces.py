@@ -189,6 +189,18 @@ class TestGenerators:
         assert {r.workload.seq_len for r in trace.requests} <= {16, 48}
         assert set(trace.models) <= {"tiny-mlp", "tiny-cnn"}
 
+    def test_one_workload_instance_per_model_and_bucket(self):
+        trace = poisson_trace(
+            ["tiny-mlp", "tiny-transformer"], num_requests=60, seed=5,
+            seq_len_buckets=(16, 48), batch_size=2,
+        )
+        instances = {}
+        for r in trace.requests:
+            instances.setdefault((r.model, r.workload.seq_len), set()).add(id(r.workload))
+            assert r.workload == default_workload(r.model, r.workload.seq_len, 2)
+        assert len(instances) == 4
+        assert all(len(ids) == 1 for ids in instances.values())
+
     def test_first_arrival_at_zero_and_monotone(self):
         trace = bursty_trace(["tiny-mlp"], num_requests=25, seed=2)
         arrivals = [r.arrival_ms for r in trace.requests]
