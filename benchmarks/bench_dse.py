@@ -1,10 +1,9 @@
-"""Benchmark: cache-aware design-space exploration (repro.dse).
+"""Benchmark: design-space exploration over a program store (repro.dse).
 
 The DSE engine's value proposition is that exploring a design space a
 *second* time — after a restart, a widened sweep, or on another machine
-sharing the cache directory — costs almost nothing: the planner probes
-the persistent allocation store, schedules warm points first, and every
-solve the first run performed is a disk hit in the second.
+sharing the cache directory — costs almost nothing: every point the
+first run compiled is one file read in the second.
 
 The module doubles as a CI smoke script::
 
@@ -13,7 +12,7 @@ The module doubles as a CI smoke script::
 which runs a small (model x array count x mode split) space twice
 against one cache directory — a cold pass and a fresh-runner warm pass —
 asserts the warm pass performs **zero** allocator solves with every
-canonical job planned warm, and writes the measured numbers to
+canonical job served from the program store, and writes the measured numbers to
 ``BENCH_dse.json`` for the performance-trajectory archive.
 
 A second smoke covers the multi-fidelity evaluator tiering::
@@ -74,7 +73,7 @@ def test_dse_warm_planning_speedup(benchmark, tmp_path_factory):
 
 
 def _quick_smoke(cache_dir=None, json_out="BENCH_dse.json") -> int:
-    """CI smoke: warm-planning speedup of a second overlapping exploration."""
+    """CI smoke: program-store speedup of a second overlapping exploration."""
     import tempfile
 
     from conftest import write_bench_record
@@ -83,12 +82,12 @@ def _quick_smoke(cache_dir=None, json_out="BENCH_dse.json") -> int:
         cold, warm = _run_twice(cache_dir or f"{tmp}/cache")
         speedup = cold.wall_seconds / warm.wall_seconds if warm.wall_seconds else float("inf")
         print(
-            "dse smoke (cache-aware planning, second run of an overlapping space):\n"
+            "dse smoke (program store, second run of an overlapping space):\n"
             f"  cold run : {cold.wall_seconds:.3f} s ({cold.allocator_solves} solves, "
             f"{cold.evaluated} evaluated, {cold.replicated} replicated, "
-            f"{cold.warm_planned} planned warm)\n"
+            f"{cold.warm_planned} served from the store)\n"
             f"  warm run : {warm.wall_seconds:.3f} s ({warm.allocator_solves} solves, "
-            f"{warm.disk_hits} disk hits, {warm.warm_planned} planned warm)\n"
+            f"{warm.disk_hits} disk hits, {warm.warm_planned} served from the store)\n"
             f"  speedup  : {speedup:.1f}x"
         )
         write_bench_record(
@@ -109,7 +108,7 @@ def _quick_smoke(cache_dir=None, json_out="BENCH_dse.json") -> int:
             print("FAIL: warm exploration did not reuse the cold run's solves")
             return 1
         if warm.cold_planned != 0:
-            print("FAIL: planner did not recognise the warm candidates")
+            print("FAIL: the program store did not serve every warm candidate")
             return 1
     return 0
 
@@ -222,7 +221,7 @@ if __name__ == "__main__":
         help="compile: warm-planning smoke; auto: multi-fidelity smoke",
     )
     parser.add_argument(
-        "--cache-dir", default=None, help="persistent allocation-cache directory"
+        "--cache-dir", default=None, help="program-store directory"
     )
     parser.add_argument(
         "--json-out",

@@ -58,11 +58,11 @@ def array_count_exploration(cache_dir=None) -> None:
     """Explore (array count x mode split) for ResNet-18 with repro.dse.
 
     The whole space runs through one :class:`DSERunner`: the planner
-    collapses structurally identical candidates, probes the persistent
-    store so warm points are compiled first, and the fixed-mode points
-    reuse the dual-mode points' memory-free solves through the shared
-    allocation cache.  With a ``cache_dir`` the reuse
-    survives across script invocations and processes.
+    collapses structurally identical candidates, and the fixed-mode
+    points reuse the dual-mode points' memory-free solves through the
+    shared allocation cache.  With a ``cache_dir`` every compiled point
+    is stored, so a second invocation reads the programs back instead
+    of compiling them.
     """
     graph = build_model("resnet18", Workload(batch_size=1))
     space = DesignSpace(

@@ -197,20 +197,18 @@ def compiled_array_sweep(
     :mod:`repro.dse`: the array counts become a one-axis
     :class:`~repro.dse.space.DesignSpace`, a grid-strategy
     :class:`~repro.dse.runner.DSERunner` evaluates it (structural
-    duplicates collapse to one compile, warm points are scheduled
-    first), and the records are rendered back into the historical row
-    format.  With a ``cache_dir`` the reuse extends across processes and
-    invocations — restarting a sweep, widening its range, or fanning
-    design points out to worker processes re-pays nothing for the
-    sub-problems any earlier run already solved.  For new code prefer
+    duplicates collapse to one compile), and the records are rendered
+    back into the historical row format.  With a ``cache_dir`` a
+    restarted sweep reads back every design point an earlier run
+    already compiled.  For new code prefer
     :func:`repro.dse.run_dse`, which adds strategies, resumable run
     directories and Pareto reporting on top.
 
     Args:
-        cache: Shared allocation cache (mutually exclusive with
-            ``cache_dir``; a fresh one is created when both are omitted).
-        cache_dir: Directory of a persistent
-            :class:`~repro.core.store.DiskCacheStore` backing the cache.
+        cache: Shared in-memory allocation cache (a fresh one is
+            created when omitted).
+        cache_dir: Directory of a persistent program store
+            (:class:`~repro.core.store.DiskCacheStore`).
 
     Returns:
         One row per array count (input order) with ``num_arrays``,
@@ -222,8 +220,6 @@ def compiled_array_sweep(
     """
     from ..dse import DesignSpace, DSERunner
 
-    if cache is not None and cache_dir is not None:
-        raise ValueError("pass either cache or cache_dir, not both")
     space = DesignSpace(
         models=[graph],
         base_hardware=base_hardware,

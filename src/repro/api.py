@@ -10,12 +10,13 @@ need a hardware preset, a cache directory and a pool backend.  A
   :class:`~repro.service.CompileService` (thread or process pool),
   failures isolated per job;
 * ``session.explore(space)`` — a :mod:`repro.dse` run against the same
-  cache, so a sweep warm-starts from every compile the session already
-  did;
+  cache and program store, so a sweep warm-starts from every compile the
+  session already did;
 * ``session.replay(trace)`` — a request trace through the serving
-  simulator (:mod:`repro.sim.replay`), same cache again;
-* ``session.cache`` / ``session.cache_stats`` — the shared allocation
-  cache all of the above feed.
+  simulator (:mod:`repro.sim.replay`), same cache and store again;
+* ``session.cache`` / ``session.cache_stats`` — the shared in-memory
+  allocation cache all of the above feed; ``session.store`` — the
+  ``cache_dir`` program store (None without one).
 
 Usage::
 
@@ -33,8 +34,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from .core.cache import AllocationCache, CacheStats
-from .core.compiler import CMSwitchCompiler, CompilerOptions
+from .core.compiler import CompilerOptions
 from .core.program import CompiledProgram
+from .core.store import DiskCacheStore
 from .hardware.deha import DualModeHardwareAbstraction
 from .hardware.presets import get_preset
 from .ir.graph import Graph
@@ -60,13 +62,13 @@ JobLike = Union[CompileJob, str, Graph]
 class Session:
     """One configured entry point over the whole compilation stack.
 
-    A session owns the shared :class:`AllocationCache` (optionally
-    disk-backed via ``cache_dir``), the worker-pool backend and the
-    default hardware/options, and routes every public operation —
+    A session owns the shared in-memory :class:`AllocationCache`, the
+    optional ``cache_dir`` program store, the worker-pool backend and
+    the default hardware/options, and routes every public operation —
     single compiles, batches, design-space exploration, cache
     inspection — through them.  Sessions are cheap to construct and
-    safe to share between threads (the underlying service and cache
-    are).
+    safe to share between threads (the underlying service, cache and
+    store are).
 
     Args:
         hardware: Default target — a preset name or a
@@ -75,15 +77,21 @@ class Session:
             (paper defaults when omitted; batch jobs default to the
             service's code-generation-off options unless the job or
             call says otherwise).
-        cache: Shared allocation cache (mutually exclusive with
-            ``cache_dir``).
-        cache_dir: Directory of a persistent
-            :class:`~repro.core.store.DiskCacheStore`; later sessions
-            and worker processes warm-start from it.
+        cache: Shared in-memory allocation cache (a fresh one when
+            omitted).
+        cache_dir: Directory of the persistent program store
+            (:class:`~repro.core.store.DiskCacheStore`): every compile
+            is looked up there first and written there after, so a
+            later session or worker process answers a repeated compile
+            with one read and no solve.  A program served from it
+            carries its meta-operator flow as text only — compile
+            without ``cache_dir`` for one the functional simulator can
+            execute.
         backend: ``"thread"`` (default) or ``"process"`` — see
             :class:`CompileService` for the sharing contract.
         max_workers: Default pool width for batches.
-        use_cache: Disable the shared cache entirely (A/B timing).
+        use_cache: Disable the shared cache and the program store
+            entirely (A/B timing).
         trace: Telemetry switch (off by default — the disabled path is a
             measured-overhead-free no-op).  Accepts ``True`` (collect
             spans + metrics in a fresh :class:`~repro.obs.Observability`
@@ -187,13 +195,7 @@ class Session:
         target = self.hardware if hardware is None else (
             get_preset(hardware) if isinstance(hardware, str) else hardware
         )
-        compiler = CMSwitchCompiler(
-            target,
-            options or self.options,
-            cache=self.cache,
-            obs=self.obs,
-        )
-        return compiler.compile(graph)
+        return self.service.compile_graph(graph, target, options or self.options)
 
     # ------------------------------------------------------------------ #
     # batches
@@ -306,9 +308,9 @@ class Session:
         """Explore a :class:`~repro.dse.DesignSpace` against this cache.
 
         Builds a :class:`~repro.dse.DSERunner` sharing the session's
-        allocation cache and backend, so exploration warm-starts from
-        (and contributes back to) every other compile the session
-        serves.
+        allocation cache, program store directory and backend, so
+        exploration warm-starts from (and contributes back to) every
+        other compile the session serves.
 
         Args:
             space: The :class:`~repro.dse.DesignSpace` to explore.
@@ -340,6 +342,7 @@ class Session:
             objective=objective,
             fidelity=fidelity,
             cache=self.cache,
+            cache_dir=self.cache_dir,
             backend=self.backend,
             max_workers=(
                 max_workers if max_workers is not None else self.service.max_workers
@@ -361,8 +364,13 @@ class Session:
         return self.service.cache
 
     @property
+    def store(self) -> Optional[DiskCacheStore]:
+        """The ``cache_dir`` program store (None without a directory)."""
+        return self.service.store
+
+    @property
     def cache_dir(self) -> Optional[str]:
-        """The persistent cache directory, when one is configured."""
+        """The program store's directory, when one is configured."""
         return self.service.cache_dir
 
     @property

@@ -15,20 +15,20 @@ a raw traceback.  Sub-commands:
 * ``compile-batch`` — compile many models through the
   :class:`repro.service.CompileService` (shared allocation cache, thread
   or process pool) and print per-job statistics including the cache hit
-  rate.  ``--cache-dir`` persists the cache on disk so later invocations
-  (and process-pool workers) reuse earlier solves.
+  rate.  ``--cache-dir`` persists every compiled program so later
+  invocations (and process-pool workers) read it back instead of
+  compiling it again.
 * ``compare`` — compile with CMSwitch and the baselines and print speedups.
-* ``experiment`` — run one of the paper-figure experiments
-  (``--cache-dir`` persists allocation solves across runs).
+* ``experiment`` — run one of the paper-figure experiments.
 * ``dse`` — explore a design space (models x workloads x array counts x
   mode splits) through :mod:`repro.dse`: pluggable search strategies,
-  cache-aware planning, resumable run directories, Pareto reports.
+  structural dedup, resumable run directories, Pareto reports.
   ``--objective trace-p99 --trace FILE`` optimises tail latency under a
   request trace instead of single-inference latency.
 * ``replay`` — replay a request trace (file or seeded synthetic
   traffic) through the serving simulator (:mod:`repro.sim.replay`) and
   report throughput, p50/p99 latency, utilisation and switch share.
-* ``cache`` — inspect and maintain a persistent allocation-cache
+* ``cache`` — inspect and maintain a ``--cache-dir`` program-store
   directory (``stats`` / ``prune`` / ``clear``).
 * ``serve`` — run the compile daemon (:mod:`repro.serve`): a long-lived
   HTTP service over one shared cache, coalescing concurrent identical
@@ -38,7 +38,7 @@ Examples::
 
     python -m repro.cli compile llama2-7b --hardware dynaplasia --batch 1 --seq-len 128
     python -m repro.cli compile-batch resnet18 bert vgg16 --jobs 4 --repeat 2
-    python -m repro.cli compile-batch resnet18 bert --cache-dir ~/.cache/repro-allocs
+    python -m repro.cli compile-batch resnet18 bert --cache-dir ~/.cache/repro-programs
     python -m repro.cli compile-batch resnet18 bert --backend process --cache-dir /tmp/ac
     python -m repro.cli compare resnet18 --batch 8
     python -m repro.cli experiment fig14 --batch-sizes 1 8
@@ -296,26 +296,24 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
             f"cache: {aggregate.hits} hits / {aggregate.lookups} lookups "
             f"({100.0 * aggregate.hit_rate:.1f}%), {aggregate.evictions} evictions"
         )
-        if session.cache is not None and session.cache.store is not None:
-            disk = session.cache.store.stats
+        if session.store is not None:
+            disk = session.store.stats
             print(
                 f"disk store: {disk.hits} hits, {disk.stores} stores, "
-                f"{disk.evictions} evictions ({session.cache.store.root})"
+                f"{disk.evictions} evictions ({session.store.root})"
             )
-    elif args.cache_dir:
+    elif session.store is not None:
         # Process workers keep their own store instances; the per-job rows
         # above carry their disk hits, and the directory itself reports
         # what the whole fleet left behind.
-        from .core.store import DiskCacheStore
-
-        usage = DiskCacheStore(args.cache_dir).usage()
+        usage = session.store.usage()
         print(
             f"disk store: {usage['files']} entries, "
-            f"{usage['bytes'] / (1024 * 1024):.1f} MB ({args.cache_dir})"
+            f"{usage['bytes'] / (1024 * 1024):.1f} MB ({session.store.root})"
         )
     # Machine-checkable summary: CI smoke greps these lines to assert a
     # disk-warm second invocation performs zero solves (and that the
-    # warm-start behaviour is visible as disk-tier hits).
+    # warm-start behaviour is visible as program-store hits).
     print(f"total allocator solves: {total_solves}")
     print(f"total disk hits: {total_disk_hits}")
     if args.json_out:
@@ -385,22 +383,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Run one of the paper-figure experiments and print its report."""
-    from .core.cache import AllocationCache
-    from .core.store import DiskCacheStore
     from .experiments import end_to_end, generative, workload_scale
     from .experiments import allocation_report as allocation
     from .experiments import compile_time, overheads
     from .hardware.presets import dynaplasia
 
     hardware = get_preset(args.hardware)
-    # A persistent cache makes re-running (or widening) an experiment
-    # reuse every allocation solve an earlier invocation already did.
-    cache = None
-    if getattr(args, "cache_dir", None):
-        cache = AllocationCache(store=DiskCacheStore(args.cache_dir))
     if args.figure == "fig14":
         rows = end_to_end.run_end_to_end(
-            hardware=hardware, batch_sizes=tuple(args.batch_sizes), cache=cache
+            hardware=hardware, batch_sizes=tuple(args.batch_sizes)
         )
         print(end_to_end.render_report(rows))
     elif args.figure == "fig16":
@@ -408,21 +399,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             hardware=hardware,
             batch_sizes=tuple(args.batch_sizes),
             sequence_lengths=tuple(args.sequence_lengths),
-            cache=cache,
         )
         print(workload_scale.render_report(rows))
     elif args.figure == "fig17":
         rows = generative.run_generative(
-            hardware=hardware, lengths=tuple(args.sequence_lengths), cache=cache
+            hardware=hardware, lengths=tuple(args.sequence_lengths)
         )
         print(generative.render_report(rows))
     elif args.figure == "fig15":
         for model in ("vgg16", "opt-6.7b"):
-            rows = allocation.allocation_report(model, hardware=hardware, cache=cache)
+            rows = allocation.allocation_report(model, hardware=hardware)
             print(allocation.render_report(model, rows))
             print()
     elif args.figure == "fig18":
-        rows = compile_time.measure_compile_time(hardware=hardware, cache=cache)
+        rows = compile_time.measure_compile_time(hardware=hardware)
         print(compile_time.render_report(rows))
     elif args.figure == "serving":
         from .experiments import serving
@@ -431,17 +421,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             presets=tuple(args.presets),
             num_requests=args.requests,
             seed=args.seed,
-            cache=cache,
         )
         print(serving.render_report(rows))
     elif args.figure == "sec5.5":
         print(
             overheads.render_switch_report(
-                overheads.switch_overhead(hardware=hardware, cache=cache)
+                overheads.switch_overhead(hardware=hardware)
             )
         )
         print()
-        print(overheads.render_prime_report(overheads.prime_scalability(cache=cache)))
+        print(overheads.render_prime_report(overheads.prime_scalability()))
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown figure {args.figure!r}")
     return 0
@@ -716,7 +705,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    """Inspect / prune / clear a persistent allocation-cache directory."""
+    """Inspect / prune / clear a ``cache_dir`` program-store directory."""
     from .core.store import DiskCacheStore
 
     root = Path(args.cache_dir).expanduser()
@@ -878,13 +867,13 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--cache-dir",
         default=None,
-        help="persistent allocation-cache directory (shared across runs and processes)",
+        help="program-store directory (compiled programs shared across runs and processes)",
     )
     batch.add_argument(
         "--backend",
         choices=["thread", "process"],
         default="thread",
-        help="worker pool backend (process workers share solves via --cache-dir)",
+        help="worker pool backend (process workers share programs via --cache-dir)",
     )
     batch.add_argument(
         "--json-out",
@@ -908,11 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--batch-sizes", type=int, nargs="+", default=[1])
     experiment.add_argument("--sequence-lengths", type=int, nargs="+", default=[32, 256])
     experiment.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent allocation-cache directory reused across experiment runs",
-    )
-    experiment.add_argument(
         "--presets",
         nargs="+",
         choices=sorted(PRESETS),
@@ -932,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse = sub.add_parser(
         "dse",
-        help="explore a hardware/allocation design space (cache-aware, resumable)",
+        help="explore a hardware/allocation design space (deduplicating, resumable)",
     )
     dse.add_argument(
         "models",
@@ -1012,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument(
         "--cache-dir",
         default=None,
-        help="persistent allocation-cache directory (enables warm-first planning)",
+        help="program-store directory (a point compiled by an earlier run is read back)",
     )
     dse.add_argument(
         "--run-dir",
@@ -1084,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--cache-dir",
         default=None,
-        help="persistent allocation-cache directory (warm replays solve nothing)",
+        help="program-store directory (warm replays solve nothing)",
     )
     replay.add_argument("--jobs", type=int, default=None, help="compile pool width")
     replay.add_argument(
@@ -1097,7 +1081,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.set_defaults(func=cmd_replay)
 
     cache = sub.add_parser(
-        "cache", help="inspect and maintain a persistent allocation-cache directory"
+        "cache", help="inspect and maintain a cache_dir program-store directory"
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser("stats", help="show entry count, size and age")
@@ -1119,7 +1103,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_clear = cache_sub.add_parser("clear", help="delete every cache entry")
     for cache_cmd in (cache_stats, cache_prune, cache_clear):
         cache_cmd.add_argument(
-            "--cache-dir", required=True, help="allocation-cache directory"
+            "--cache-dir", required=True, help="program-store directory"
         )
     cache.set_defaults(func=cmd_cache)
 
@@ -1145,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-dir",
         default=None,
-        help="persistent allocation-cache directory behind the daemon's memory tier",
+        help="program-store directory behind the daemon's in-memory tiers",
     )
     serve.add_argument(
         "--workers", type=int, default=2, help="compile worker threads"

@@ -53,7 +53,6 @@ def reference_compile(
     result = segmenter.segment(graph)
     allocation_calls = result.allocation_calls
     cache_hits = result.cache_hits
-    disk_hits = result.disk_hits
     final_cost = plan_cost(result)
     if result.segments and not math.isfinite(final_cost):
         attempts = allocation_calls + cache_hits
@@ -63,7 +62,6 @@ def reference_compile(
             stats={
                 "allocator_solves": allocation_calls,
                 "allocation_cache_hits": cache_hits,
-                "allocation_disk_hits": disk_hits,
                 "allocation_cache_hit_rate": (
                     cache_hits / attempts if attempts else 0.0
                 ),
@@ -79,7 +77,7 @@ def reference_compile(
     stats = {
         "allocator_solves": allocation_calls,
         "allocation_cache_hits": cache_hits,
-        "allocation_disk_hits": disk_hits,
+        "allocation_disk_hits": 0,
         "allocation_cache_hit_rate": (
             cache_hits / solve_attempts if solve_attempts else 0.0
         ),

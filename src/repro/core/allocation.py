@@ -65,10 +65,6 @@ class AllocationResult:
         from_cache: Whether the result was served from a shared
             :class:`~repro.core.cache.AllocationCache` instead of a fresh
             solve (used by compile statistics).
-        from_disk: Whether the serving cache tier was the persistent
-            :class:`~repro.core.store.DiskCacheStore` (implies
-            ``from_cache``; lets compile statistics show warm-start
-            behaviour per job).
         unreserved: The same solve refined with ``reserve_arrays=0``;
             ``None`` when that is this very result.  The segmentation
             DP relaxes each edge with both.
@@ -79,7 +75,6 @@ class AllocationResult:
     feasible: bool
     solver: str
     from_cache: bool = False
-    from_disk: bool = False
     unreserved: Optional["AllocationResult"] = None
 
     @property
@@ -670,8 +665,7 @@ def key_options(
     """What an ``AllocationCacheKey`` records about one solve's arguments.
 
     Takes :func:`allocate_segment`'s solve arguments under their own
-    names, so both places that need the key of a solve — the solve
-    itself and the segmenter's key probe — derive it here.
+    names; the shared cache and the per-run memo key the solve on it.
     """
     return {
         "engine": getattr(allocator, "name", type(allocator).__name__),
@@ -708,10 +702,10 @@ def allocate_segment(
             result is identical to a cold solve) and fresh solves are
             stored back; hits are flagged via ``result.from_cache``.
         memo: Optional per-run :class:`~repro.core.memo.SolveMemo`.
-            Probed *before* the shared cache (it is pure process memory,
-            never disk); both layers are written on a fresh solve, and a
+            Probed *before* the shared cache (it is unlocked and never
+            evicts); both are written on a fresh solve, and a
             shared-cache hit is copied into the memo so later windows of
-            the same run skip the cache tiers entirely.
+            the same run skip the shared cache entirely.
     """
     engine = allocator if allocator is not None else ExactAllocator()
     if not segment_fits(profiles, hardware):

@@ -1,12 +1,17 @@
-"""Shared segment-allocation cache.
+"""Shared segment-allocation cache (in memory).
 
 The DP segmentation asks the allocator for every candidate window (Fig. 18
 of the paper).  :class:`AllocationCache` memoises those solves *across*
-segmentation runs, compilers and even compile requests.  With the exact
-~85 µs window solver the saving is modest — the benchmark's five-model
-set on ``dynaplasia`` (2 cores, Python 3.11) compiles cold in 0.17 s,
-from a warm disk tier in 0.15 s, and populating that tier costs 0.5–0.8 s —
-so the hierarchy stops at the local disk:
+segmentation runs, compilers and compile requests of one process.  With
+the exact ~85 µs window solver the saving is modest — the benchmark's
+five-model set on ``dynaplasia`` (2 cores, Python 3.11) compiles cold in
+~100 ms plain wall (~153 ms on ``bench/run.py``'s machine-normalised
+scale) and recompiles in the same session, every window a hit, in ~37 ms
+(~56 ms normalised) — and it does not survive a process border: reading
+one window back from disk (≈ 135 µs) costs more than solving it, so
+windows live in memory only and what a ``cache_dir`` persists is the
+whole compiled program (:mod:`repro.core.store`; the numbers and the
+reasoning are in its header).
 
 * the key is **structural** — the hardware fingerprint, the ordered cost
   profiles of the segment's operators (names excluded) and the options
@@ -23,12 +28,7 @@ so the hierarchy stops at the local disk:
   memory-mode arrays: the dual-mode optimum then lies inside the
   fixed-mode search space, so reusing it is exact (a *cross-mode hit*);
 * the cache is size-bounded (LRU eviction) and thread-safe, so one
-  instance can back a whole :class:`~repro.service.CompileService`;
-* an optional second tier — a
-  :class:`~repro.core.store.DiskCacheStore` — persists entries across
-  processes: memory misses fall through to disk, disk hits are promoted
-  into memory, and fresh solves are written through, so a cold process
-  pointed at a warmed cache directory compiles with zero solver calls.
+  instance can back a whole :class:`~repro.service.CompileService`.
 
 Usage::
 
@@ -37,10 +37,6 @@ Usage::
     program = compiler.compile(graph)          # cold: solves and stores
     program = compiler.compile(graph)          # warm: pure cache hits
     print(cache.stats.hit_rate)
-
-    # Cross-process persistence: any process pointed at the same
-    # directory warms from the entries every earlier process solved.
-    cache = AllocationCache(store=DiskCacheStore("~/.cache/repro-allocs"))
 """
 
 from __future__ import annotations
@@ -48,21 +44,19 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..cost.arithmetic import OperatorProfile
 from ..cost.latency import OperatorAllocation
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..obs.metrics import NULL_METRICS
 from .allocation import AllocationResult
-from .store import DiskCacheStore
 
 __all__ = [
     "AllocationCache",
     "AllocationCacheKey",
     "CacheEntry",
     "CacheStats",
-    "DiskCacheStore",
     "profile_signature",
     "segment_signature",
 ]
@@ -164,13 +158,11 @@ class AllocationCacheKey:
 class CacheEntry:
     """Stored outcome of one solve, with allocations kept positionally.
 
-    This is the unit both cache tiers move around: the in-memory LRU maps
-    keys to entries directly, and :class:`~repro.core.store.DiskCacheStore`
-    persists the :meth:`to_payload` rendering.  Operator names are *not*
+    The in-memory LRU maps keys to entries.  Operator names are *not*
     part of an entry — allocations are positional, so one entry serves
     every structurally identical segment regardless of labels.
     Both refinements of a solve (``unreserved`` is the result's twin)
-    travel as one entry — one LRU slot, one disk record, one key.
+    travel as one entry — one LRU slot, one key.
     """
 
     allocations: Tuple[Tuple[int, int], ...]
@@ -190,8 +182,8 @@ class CacheEntry:
         Returns None for a feasible result that does not cover every
         profiled operator (a foreign/partial result) — such results must
         never be stored, or a later hit would silently drop operators.
-        The single constructor both cache tiers and the per-run memo
-        share, so "what is storable" has one definition.
+        The single constructor the cache and the per-run memo share, so
+        "what is storable" has one definition.
         """
         allocations = tuple(
             (
@@ -221,12 +213,8 @@ class CacheEntry:
         """Whether the entry uses no memory-mode arrays anywhere."""
         return all(memory == 0 for _, memory in self.allocations)
 
-    def to_result(self, names: Sequence[str], from_disk: bool = False) -> AllocationResult:
-        """Materialise an :class:`AllocationResult` for ``names``.
-
-        ``from_disk`` marks results served by the persistent tier so
-        compile statistics can attribute the hit per job.
-        """
+    def to_result(self, names: Sequence[str]) -> AllocationResult:
+        """Materialise an :class:`AllocationResult` for ``names``."""
         allocations = {
             name: OperatorAllocation(compute_arrays=compute, memory_arrays=memory)
             for name, (compute, memory) in zip(names, self.allocations)
@@ -237,65 +225,9 @@ class CacheEntry:
             feasible=self.feasible,
             solver=self.solver,
             from_cache=True,
-            from_disk=from_disk,
             unreserved=(
-                self.unreserved.to_result(names, from_disk)
-                if self.unreserved is not None
-                else None
+                self.unreserved.to_result(names) if self.unreserved is not None else None
             ),
-        )
-
-    # ------------------------------------------------------------------ #
-    # on-disk payload (consumed by DiskCacheStore)
-    # ------------------------------------------------------------------ #
-    def to_payload(self) -> Dict:
-        """JSON-compatible rendering for the persistent store."""
-        payload = {
-            "allocations": [list(pair) for pair in self.allocations],
-            "latency_cycles": self.latency_cycles,
-            "feasible": self.feasible,
-            "solver": self.solver,
-        }
-        if self.unreserved is not None:
-            payload["unreserved"] = self.unreserved.to_payload()
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "CacheEntry":
-        """Rebuild an entry from :meth:`to_payload` output.
-
-        Raises:
-            TypeError/ValueError/KeyError: On any shape or type mismatch
-                (a twin that carries a twin included) — the disk store
-                converts those into a corrupt-entry miss.
-        """
-        unreserved = None
-        if "unreserved" in payload:
-            unreserved = cls.from_payload(payload["unreserved"])
-            if unreserved.unreserved is not None:
-                raise ValueError("an 'unreserved' twin cannot carry its own")
-        allocations = []
-        for pair in payload["allocations"]:
-            compute, memory = pair  # raises ValueError on wrong arity
-            if isinstance(compute, bool) or isinstance(memory, bool):
-                raise TypeError("allocation counts must be integers")
-            allocations.append((int(compute), int(memory)))
-        latency = payload["latency_cycles"]
-        if isinstance(latency, bool) or not isinstance(latency, (int, float)):
-            raise TypeError("'latency_cycles' must be a number")
-        latency = float(latency)
-        feasible = payload["feasible"]
-        solver = payload["solver"]
-        if not isinstance(feasible, bool):
-            raise TypeError("'feasible' must be a boolean")
-        if not isinstance(solver, str):
-            raise TypeError("'solver' must be a string")
-        return cls(
-            allocations=tuple(allocations),
-            latency_cycles=latency,
-            feasible=feasible,
-            solver=solver,
-            unreserved=unreserved,
         )
 
 
@@ -304,12 +236,9 @@ class CacheStats:
     """Counters of one :class:`AllocationCache`.
 
     Attributes:
-        hits: Lookups served from the cache (cross-mode and disk hits
-            included).
+        hits: Lookups served from the cache (cross-mode hits included).
         cross_mode_hits: Fixed-mode lookups served by a memory-free
             dual-mode entry.
-        disk_hits: Lookups that missed in memory but were served by the
-            persistent second tier (and promoted into memory).
         misses: Lookups that required a fresh solve.
         stores: Entries written.
         evictions: Entries dropped by the LRU bound.
@@ -317,7 +246,6 @@ class CacheStats:
 
     hits: int = 0
     cross_mode_hits: int = 0
-    disk_hits: int = 0
     misses: int = 0
     stores: int = 0
     evictions: int = 0
@@ -338,7 +266,6 @@ class CacheStats:
         return CacheStats(
             hits=self.hits,
             cross_mode_hits=self.cross_mode_hits,
-            disk_hits=self.disk_hits,
             misses=self.misses,
             stores=self.stores,
             evictions=self.evictions,
@@ -349,7 +276,6 @@ class CacheStats:
         return {
             "hits": self.hits,
             "cross_mode_hits": self.cross_mode_hits,
-            "disk_hits": self.disk_hits,
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,
@@ -372,38 +298,27 @@ class AllocationCache:
     * **Thread safety** — all public methods may be called concurrently;
       one instance can back a whole multi-threaded
       :class:`~repro.service.CompileService`.
-    * **Process safety** — the in-memory tier is per-process, but with a
-      ``store`` attached, entries written by any process become visible
-      to every other process sharing the directory (the disk tier is the
-      only cross-process channel; see
-      :class:`~repro.core.store.DiskCacheStore` for its guarantees).
-    * Disk I/O never happens while the in-memory lock is held, so slow
-      filesystems cannot serialise concurrent compile threads.
+    * **Per process** — nothing here crosses a process border; what a
+      ``cache_dir`` shares between processes is whole programs
+      (:class:`~repro.core.store.DiskCacheStore`).
 
     Args:
-        max_entries: LRU capacity of the in-memory tier; the oldest entry
-            is evicted when a new store would exceed it.  Must be
-            positive.  (Disk-tier capacity is bounded separately by the
-            store's ``max_bytes``.)
-        store: Optional persistent second tier.  Memory misses fall
-            through to it, its hits are promoted into memory, and fresh
-            solves are written through to it.
-        metrics: Optional :class:`~repro.obs.MetricsRegistry`.  Tier
-            counters are *mirrored* into it under ``cache.memory.*`` /
-            ``cache.disk.*`` names; ``self.stats`` stays the exact,
-            bit-compatible source of truth either way.
+        max_entries: LRU capacity; the oldest entry is evicted when a
+            new store would exceed it.  Must be positive.
+        metrics: Optional :class:`~repro.obs.MetricsRegistry`.  The
+            counters are *mirrored* into it under ``cache.*`` names;
+            ``self.stats`` stays the exact, bit-compatible source of
+            truth either way.
     """
 
     def __init__(
         self,
         max_entries: int = 4096,
-        store: Optional[DiskCacheStore] = None,
         metrics: Optional[object] = None,
     ) -> None:
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self.store = store
         self._entries: "OrderedDict[AllocationCacheKey, CacheEntry]" = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
@@ -431,12 +346,9 @@ class AllocationCache:
     ) -> Optional[AllocationResult]:
         """Return a cached result for ``key``, or None on a miss.
 
-        The lookup cascades through the tiers: exact in-memory entry,
-        cross-mode in-memory entry, then (with a ``store`` attached) the
-        same two probes against the disk tier, promoting a disk hit into
-        memory.  A fixed-mode lookup's cross-mode
-        probe reuses the dual-mode entry of the same key only when that
-        entry allocates no memory-mode arrays (then it lies inside the
+        Probes the exact entry, then — for a fixed-mode lookup — the
+        dual-mode entry of the same window, which is reused only when it
+        allocates no memory-mode arrays (then it lies inside the
         fixed-mode space and is exact for it); ``inbound_arrays`` is the
         window's inbound count, which names that dual-mode entry.
         ``names`` labels the returned allocations.
@@ -450,20 +362,6 @@ class AllocationCache:
                     self.stats.cross_mode_hits += 1
                 self.metrics.inc("cache.memory.hits")
                 return entry.to_result(names)
-        if self.store is not None:
-            # Disk probes run outside the lock: a slow filesystem must not
-            # serialise the compile threads sharing this cache.
-            entry, hit_key, cross_mode = self._probe(self.store.get, key, inbound_arrays)
-            if entry is not None:
-                with self._lock:
-                    self._insert(hit_key, entry)
-                    self.stats.hits += 1
-                    self.stats.disk_hits += 1
-                    if cross_mode:
-                        self.stats.cross_mode_hits += 1
-                self.metrics.inc("cache.disk.hits")
-                return entry.to_result(names, from_disk=True)
-        with self._lock:
             self.stats.misses += 1
         self.metrics.inc("cache.misses")
         return None
@@ -472,11 +370,10 @@ class AllocationCache:
     def _probe(
         get, key: AllocationCacheKey, inbound_arrays: int
     ) -> Tuple[Optional[CacheEntry], AllocationCacheKey, bool]:
-        """Exact + cross-mode probe of one tier through its ``get``.
+        """Exact + cross-mode probe of one table through its ``get``.
 
         Returns ``(entry, key it was found under, cross-mode hit)``.
-        The memory tier is probed with the lock held, the disk tier
-        without.
+        Shared with :class:`~repro.core.memo.SolveMemo`.
         """
         entry = get(key)
         if entry is not None:
@@ -502,11 +399,7 @@ class AllocationCache:
         profiles: Mapping[str, OperatorProfile],
         result: AllocationResult,
     ) -> None:
-        """Store the outcome of a fresh solve under ``key``.
-
-        The entry lands in the in-memory tier immediately and is written
-        through to the persistent tier (when attached) outside the lock.
-        """
+        """Store the outcome of a fresh solve under ``key``."""
         entry = CacheEntry.from_result(profiles, result)
         if entry is None:
             return  # partial allocation (foreign result); never cache it
@@ -514,8 +407,6 @@ class AllocationCache:
             self._insert(key, entry)
             self.stats.stores += 1
         self.metrics.inc("cache.stores")
-        if self.store is not None:
-            self.store.put(key, entry)
 
     # ------------------------------------------------------------------ #
     # segment-level convenience wrapper
@@ -533,7 +424,7 @@ class AllocationCache:
     # maintenance
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
-        """Drop every in-memory entry (counters and the disk tier are kept)."""
+        """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
 

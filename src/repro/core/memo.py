@@ -8,11 +8,10 @@ sweep, a compile batch — and then be dropped.
 
 Why a second memo when the shared cache exists:
 
-* the shared cache is optional (a plain ``DSERunner`` without a
-  ``cache_dir`` has none), bounded (LRU eviction can drop a window a
-  neighbouring design point is about to request) and possibly
-  disk-backed (every probe may cost I/O).  The memo is always cheap,
-  never evicts and never touches disk, so neighbouring design points
+* the shared cache is optional (``use_cache=False`` services have
+  none) and bounded (LRU eviction can drop a window a neighbouring
+  design point is about to request).  The memo is always there for the
+  run and never evicts, so neighbouring design points
   that share allocation windows — the common case along one axis of a
   sweep, where most windows' boundary context is unchanged — reuse each
   other's solves even on a cache-less run;
@@ -28,7 +27,7 @@ same structural :class:`AllocationCacheKey`, so
 new protocol and a hit is bit-identical to a cold solve by the same
 argument the cache's exactness rests on.  Cross-process sharing is out
 of scope — process-backend workers never see the memo (they share
-through the disk store only).
+whole programs through the ``cache_dir`` store only).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Compiled-program data structures.
+"""Compiled-program data structures and their bit-exact codec.
 
 The result of compiling a graph for a dual-mode CIM chip is a sequence of
 *segments* (the paper's ``S_{i,j}``), each with a per-operator allocation
@@ -6,6 +6,13 @@ of compute- and memory-mode arrays, the latency the cost model predicts
 for it, and the overhead of transitioning from the previous segment.  The
 code generator additionally lowers the schedule to a meta-operator flow
 (:mod:`repro.core.metaop`).
+
+:func:`program_to_payload` / :func:`program_from_payload` are the one
+JSON rendering of a :class:`CompiledProgram`: the program store
+(:mod:`repro.core.store`) persists it and the serving wire format
+(:mod:`repro.serve.wire`) ships it.  Floats travel as IEEE-754 hex
+strings and the meta-operator flow as its rendered text, so a decoded
+program's :meth:`CompiledProgram.fingerprint` equals the original's.
 """
 
 from __future__ import annotations
@@ -13,13 +20,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Mapping, Optional
 
 from ..cost.arithmetic import OperatorProfile
 from ..cost.latency import OperatorAllocation
 from ..cost.switching import SegmentResources
 from ..hardware.deha import DualModeHardwareAbstraction
+
+__all__ = [
+    "CompiledProgram",
+    "ProgramFormatError",
+    "RenderedMetaProgram",
+    "SegmentPlan",
+    "program_from_payload",
+    "program_to_payload",
+]
 
 
 @dataclass
@@ -276,3 +292,246 @@ class CompiledProgram:
             f"  compile time       : {self.compile_seconds:.3f} s",
         ]
         return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------- #
+# bit-exact JSON codec (the program store and the serving wire share it)
+# ---------------------------------------------------------------------- #
+class ProgramFormatError(ValueError):
+    """An encoded program is malformed or incomplete."""
+
+
+class RenderedMetaProgram:
+    """A meta-operator flow reconstructed from its rendered text.
+
+    An encoded program carries the flow as the exact string
+    ``meta_program.render()`` produced — which is also precisely what
+    :meth:`CompiledProgram.fingerprint` hashes — so a decoded program
+    keeps its fingerprint without shipping the object graph.  The flow
+    is text only: it cannot be executed (see
+    :class:`~repro.sim.functional.FunctionalSimulator`).
+    """
+
+    def __init__(self, text: str) -> None:
+        self._text = text
+
+    def render(self) -> str:
+        """The original rendering, verbatim."""
+        return self._text
+
+
+def _float_out(value: float) -> str:
+    """IEEE-754 hex rendering — survives JSON with its exact bits."""
+    return float(value).hex()
+
+
+def _float_in(value, field_name: str) -> float:
+    if isinstance(value, str):
+        try:
+            return float.fromhex(value)
+        except ValueError as exc:
+            raise ProgramFormatError(
+                f"{field_name!r} is not a hex float: {value!r}"
+            ) from exc
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProgramFormatError(
+            f"{field_name!r} must be a number, got {type(value).__name__}"
+        )
+    return float(value)
+
+
+def _require(payload: Mapping, field_name: str, what: str):
+    if field_name not in payload:
+        raise ProgramFormatError(f"{what} is missing required field {field_name!r}")
+    return payload[field_name]
+
+
+_PROFILE_FIELDS = frozenset(f.name for f in fields(OperatorProfile))
+
+
+def _profile_from_payload(payload: Mapping) -> OperatorProfile:
+    if not isinstance(payload, Mapping):
+        raise ProgramFormatError("operator profile must be an object")
+    unknown = sorted(set(payload) - _PROFILE_FIELDS)
+    if unknown:
+        raise ProgramFormatError(f"unknown profile field(s): {', '.join(unknown)}")
+    try:
+        return OperatorProfile(**payload)
+    except TypeError as exc:
+        raise ProgramFormatError(f"invalid operator profile: {exc}") from exc
+
+
+def _segment_to_payload(segment: SegmentPlan) -> Dict:
+    return {
+        "index": segment.index,
+        "operator_names": list(segment.operator_names),
+        "allocations": {
+            name: [alloc.compute_arrays, alloc.memory_arrays]
+            for name, alloc in segment.allocations.items()
+        },
+        "profiles": {
+            name: asdict(profile) for name, profile in segment.profiles.items()
+        },
+        "intra_cycles": _float_out(segment.intra_cycles),
+        "inter_cycles": _float_out(segment.inter_cycles),
+        "inter_breakdown": {
+            key: _float_out(value) for key, value in segment.inter_breakdown.items()
+        },
+        "resources": (
+            None if segment.resources is None else asdict(segment.resources)
+        ),
+        "boundary_memory_arrays": segment.boundary_memory_arrays,
+    }
+
+
+def _segment_from_payload(payload: Mapping) -> SegmentPlan:
+    if not isinstance(payload, Mapping):
+        raise ProgramFormatError("segment must be an object")
+    allocations_payload = _require(payload, "allocations", "segment")
+    if not isinstance(allocations_payload, Mapping):
+        raise ProgramFormatError("'allocations' must be an object")
+    allocations = {}
+    for name, pair in allocations_payload.items():
+        try:
+            compute, memory = pair
+        except (TypeError, ValueError) as exc:
+            raise ProgramFormatError(
+                f"allocation for {name!r} must be a [compute, memory] pair"
+            ) from exc
+        allocations[name] = OperatorAllocation(
+            compute_arrays=int(compute), memory_arrays=int(memory)
+        )
+    resources_payload = payload.get("resources")
+    resources = None
+    if resources_payload is not None:
+        if not isinstance(resources_payload, Mapping):
+            raise ProgramFormatError("'resources' must be an object or null")
+        try:
+            resources = SegmentResources(**resources_payload)
+        except TypeError as exc:
+            raise ProgramFormatError(f"invalid segment resources: {exc}") from exc
+    return SegmentPlan(
+        index=int(_require(payload, "index", "segment")),
+        operator_names=list(_require(payload, "operator_names", "segment")),
+        allocations=allocations,
+        profiles={
+            name: _profile_from_payload(profile)
+            for name, profile in payload.get("profiles", {}).items()
+        },
+        intra_cycles=_float_in(_require(payload, "intra_cycles", "segment"), "intra_cycles"),
+        inter_cycles=_float_in(_require(payload, "inter_cycles", "segment"), "inter_cycles"),
+        inter_breakdown={
+            key: _float_in(value, f"inter_breakdown[{key}]")
+            for key, value in payload.get("inter_breakdown", {}).items()
+        },
+        resources=resources,
+        boundary_memory_arrays=int(payload.get("boundary_memory_arrays", 0)),
+    )
+
+
+def program_to_payload(program: CompiledProgram) -> Dict:
+    """JSON-safe, bit-exact rendering of a complete compiled program.
+
+    Carries everything :meth:`CompiledProgram.fingerprint` covers (so
+    the round trip is fingerprint-bit-identical) *plus* the reporting
+    payload — per-operator profiles, compile stats, metadata — so a
+    decoded program is usable exactly like a local compile's.  Only
+    JSON-safe metadata/stats entries survive the trip.
+    """
+    return {
+        "graph_name": program.graph_name,
+        "compiler_name": program.compiler_name,
+        "hardware": program.hardware.to_dict(),
+        "segments": [_segment_to_payload(segment) for segment in program.segments],
+        "block_repeat": _float_out(program.block_repeat),
+        "compile_seconds": _float_out(program.compile_seconds),
+        "metadata": _json_safe(program.metadata),
+        "stats": _json_safe(program.stats),
+        "meta_program": (
+            program.meta_program.render() if program.meta_program is not None else None
+        ),
+    }
+
+
+def program_from_payload(payload: Mapping) -> CompiledProgram:
+    """Rebuild a :class:`CompiledProgram` from :func:`program_to_payload`.
+
+    Raises:
+        ProgramFormatError: Malformed or incomplete payload.
+    """
+    if not isinstance(payload, Mapping):
+        raise ProgramFormatError("compiled program must be an object")
+    hardware_payload = _require(payload, "hardware", "compiled program")
+    if not isinstance(hardware_payload, Mapping):
+        raise ProgramFormatError("'hardware' must be an object")
+    try:
+        hardware = DualModeHardwareAbstraction.from_dict(dict(hardware_payload))
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ProgramFormatError(f"invalid hardware description: {exc}") from exc
+    segments_payload = _require(payload, "segments", "compiled program")
+    if not isinstance(segments_payload, list):
+        raise ProgramFormatError("'segments' must be an array")
+    meta_text = payload.get("meta_program")
+    if meta_text is not None and not isinstance(meta_text, str):
+        raise ProgramFormatError("'meta_program' must be a string or null")
+    return CompiledProgram(
+        graph_name=str(_require(payload, "graph_name", "compiled program")),
+        compiler_name=str(_require(payload, "compiler_name", "compiled program")),
+        hardware=hardware,
+        segments=[_segment_from_payload(segment) for segment in segments_payload],
+        block_repeat=_float_in(payload.get("block_repeat", 1.0), "block_repeat"),
+        compile_seconds=_float_in(payload.get("compile_seconds", 0.0), "compile_seconds"),
+        metadata=dict(payload.get("metadata") or {}),
+        stats=dict(payload.get("stats") or {}),
+        meta_program=RenderedMetaProgram(meta_text) if meta_text is not None else None,
+    )
+
+
+def _json_safe(value, _depth: int = 0):
+    """Best-effort projection onto JSON types (drops what cannot travel).
+
+    Stats and metadata are open dictionaries — passes, experiments and
+    callers may stash arbitrary objects in them.  The codec keeps every
+    JSON-representable entry (including numpy scalars, via their
+    ``item()``) and silently drops the rest rather than failing; the
+    fingerprint never covers these fields, so dropping is lossless for
+    identity.
+    """
+    if _depth > 8:
+        return None
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return value if math.isfinite(value) else str(value)
+    if hasattr(value, "item") and not isinstance(value, Mapping):
+        try:
+            return _json_safe(value.item(), _depth + 1)
+        except (TypeError, ValueError):
+            return None
+    if isinstance(value, Mapping):
+        return {
+            str(key): _json_safe(entry, _depth + 1)
+            for key, entry in value.items()
+            if _is_json_safe(entry, _depth + 1)
+        }
+    if isinstance(value, (list, tuple)):
+        return [
+            _json_safe(entry, _depth + 1)
+            for entry in value
+            if _is_json_safe(entry, _depth + 1)
+        ]
+    return None
+
+
+def _is_json_safe(value, depth: int) -> bool:
+    if depth > 8:
+        return False
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return True
+    if hasattr(value, "item") and not isinstance(value, Mapping):
+        return True
+    if isinstance(value, Mapping):
+        return all(_is_json_safe(entry, depth + 1) for entry in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_is_json_safe(entry, depth + 1) for entry in value)
+    return False

@@ -40,7 +40,6 @@ from .allocation import (
     GreedyAllocator,
     allocate_segment,
     infeasible_result,
-    key_options,
 )
 from ..obs import NULL_OBS
 from .program import SegmentPlan
@@ -60,7 +59,7 @@ class NoFeasiblePlanError(RuntimeError):
 
     Attributes:
         stats: Compile statistics accumulated before the failure
-            (allocator solves, cache/disk hits, wall time) — the solver
+            (allocator solves, cache hits, wall time) — the solver
             work was real even though no program exists, and batch/DSE
             accounting must not under-report it.
     """
@@ -393,58 +392,6 @@ def boundary_arrays(
     return reserves, inbound
 
 
-def window_cache_key(
-    units: Sequence[FlattenedUnit],
-    hardware: DualModeHardwareAbstraction,
-    options,
-    start: int = 0,
-    end: Optional[int] = None,
-):
-    """Cache key of the allocation window ``units[start..end]`` (inclusive).
-
-    The key :class:`NetworkSegmenter` stores that window's solve under
-    when it runs the pass ``options`` selects (it is asked for it, not
-    mirrored).  A persistent store holding this key has solved this
-    exact sub-problem before.
-
-    Args:
-        units: Flattened schedulable units of the graph.
-        hardware: Target hardware abstraction.
-        options: :class:`~repro.core.compiler.CompilerOptions` or
-            :class:`SegmentationOptions`.
-        start / end: Inclusive window bounds; ``end`` defaults to
-            ``start`` (a one-operator window).
-
-    Returns:
-        The :class:`~repro.core.cache.AllocationCacheKey`, or ``None``
-        for an empty window (nothing to allocate, nothing to probe).
-    """
-    if end is None:
-        end = start
-    if not units or start < 0 or end >= len(units) or end < start:
-        return None
-    convert = getattr(options, "to_segmentation_options", None)
-    segmenter = NetworkSegmenter(hardware, convert() if convert else options)
-    return segmenter.window_key(units, start, end)
-
-
-def first_window_cache_key(
-    units: Sequence[FlattenedUnit],
-    hardware: DualModeHardwareAbstraction,
-    options,
-):
-    """Cache key of the first allocation window the DP will request.
-
-    The ``units[0:1]`` special case of :func:`window_cache_key`.  If
-    this key is present in a persistent store, the run that produced it
-    solved this exact sub-problem before — the strongest cheap signal
-    that the whole candidate is warm.  Shared by the DSE planner's
-    warm-first scheduling and the cached evaluation tier's ``contains``
-    probe.
-    """
-    return window_cache_key(units, hardware, options, start=0, end=0)
-
-
 @dataclass
 class SegmentationResult:
     """Output of the DP: segment plans plus bookkeeping for reports.
@@ -455,8 +402,6 @@ class SegmentationResult:
         dp_seconds: Wall-clock time of the DP (allocations included).
         allocation_calls: Fresh allocator solves performed.
         cache_hits: Solves served from the shared allocation cache.
-        disk_hits: Subset of ``cache_hits`` served by the cache's
-            persistent disk tier (warm-start visibility per compile).
     """
 
     segments: List[SegmentPlan]
@@ -464,7 +409,6 @@ class SegmentationResult:
     dp_seconds: float
     allocation_calls: int
     cache_hits: int = 0
-    disk_hits: int = 0
 
     @property
     def total_cycles(self) -> float:
@@ -551,7 +495,6 @@ class NetworkSegmenter:
         self._profile_windows: Dict[Tuple[int, int], Dict[str, OperatorProfile]] = {}
         self.allocation_calls = 0
         self.cache_hits = 0
-        self.disk_hits = 0
 
     # ------------------------------------------------------------------ #
     # per-run precomputation
@@ -603,8 +546,7 @@ class NetworkSegmenter:
         """Everything about window ``[start, end]``'s solve but its profiles.
 
         The one place the engine, the solve options and the window's
-        boundary context are put together — for the solve and the
-        cache-key probe alike.  ``spare`` is the window's
+        boundary context are put together.  ``spare`` is the window's
         :meth:`_spare_arrays`: memory arrays never exceed it, so any
         larger inbound count asks for the identical solve.
         """
@@ -615,18 +557,6 @@ class NetworkSegmenter:
             "reserve_arrays": self._reserves[end],
             "inbound_arrays": min(self._inbound[start], spare),
         }
-
-    def window_key(self, units: Sequence[FlattenedUnit], start: int, end: int):
-        """The cache key window ``[start, end]``'s solve is stored under."""
-        from .cache import AllocationCacheKey
-
-        self._prepare(units)
-        arguments = self._solve_arguments(start, end, max(0, self._spare_arrays(start, end)))
-        return AllocationCacheKey.build(
-            self._segment_profiles(units, start, end),
-            self.hardware,
-            **key_options(**arguments),
-        )
 
     def _allocate(self, units: Sequence[FlattenedUnit], start: int, end: int) -> AllocationResult:
         key = (start, end)
@@ -652,11 +582,7 @@ class NetworkSegmenter:
         """Advance the solve/hit counters for one consumed allocation."""
         if result.from_cache:
             self.cache_hits += 1
-            if result.from_disk:
-                self.disk_hits += 1
-                self._metrics.inc("allocator.hits.disk")
-            else:
-                self._metrics.inc("allocator.hits.memory")
+            self._metrics.inc("allocator.hits.memory")
         else:
             self.allocation_calls += 1
             self._metrics.inc("allocator.solves")
@@ -669,7 +595,6 @@ class NetworkSegmenter:
         return {
             "allocator_solves": self.allocation_calls,
             "allocation_cache_hits": self.cache_hits,
-            "allocation_disk_hits": self.disk_hits,
             "allocation_cache_hit_rate": (
                 self.cache_hits / attempts if attempts else 0.0
             ),
@@ -705,7 +630,6 @@ class NetworkSegmenter:
             dp_seconds,
             self.allocation_calls,
             self.cache_hits,
-            self.disk_hits,
         )
 
     def choose_boundaries(

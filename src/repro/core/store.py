@@ -1,24 +1,37 @@
-"""Persistent on-disk allocation-cache store.
+"""Persistent on-disk program store.
 
-The in-memory :class:`~repro.core.cache.AllocationCache` dies with the
-process: every new CLI invocation, CI run or DSE sweep solves its
-windows again (what that costs is measured in the header of
-:mod:`repro.core.cache`).  The cached solves are ideal for cross-process
-persistence — they are keyed purely structurally (hardware fingerprint x
-operator-profile sequence x solve options) and the allocation engines
-are deterministic, so an entry computed by one process is bit-identical
-to what any other process would compute.  :class:`DiskCacheStore` is
-that persistence layer: a content-addressed store of cache entries under
-one directory, safe to share between threads, processes and successive
-runs.
+``cache_dir`` keeps the *compiled artefact*, not the solver's
+sub-problems: :class:`DiskCacheStore` maps one :class:`ProgramKey` —
+the graph, the chip, every compiler option and the compiler's name — to
+one bit-exact encoded :class:`~repro.core.program.CompiledProgram`
+(:func:`~repro.core.program.program_to_payload`).  A process pointed at
+a populated directory answers a compile it has seen before with one file
+read and one decode: no flattening, no DP, no allocator.
+
+**Why programs, not windows.**  Until format version 3 this store held
+one entry per allocation *window*.  Since the exact allocator made a
+window solve cost ~85 µs, reading a window back (digest + open + parse +
+key compare, ≈ 135 µs) cost more than recomputing it, and a 100 %-warm
+directory still ran the whole DP: on the benchmark's five-model set
+(2 cores, Python 3.11, ``python3 bench/run.py``, machine-normalised) a
+disk-warm pass took 117–128 ms against ~153 ms cold, and populating the
+directory made a 30-point DSE sweep 2–3× slower than having no
+directory at all (186–277 ms against 86–140).  At program granularity
+the same pass is 5 reads (7.7–8.3 ms, 15× less) and the sweep writes 30
+files instead of 318 (120–152 ms; 26–34 ms when a fresh runner re-reads
+them, against 78–121 ms over the window files).  The known cost: a
+*different* program that shares windows with stored ones re-solves them
+in a new process — cheaper than reading them, per the numbers above.
+Windows are shared in memory only
+(:class:`~repro.core.cache.AllocationCache`).
 
 Design rules (each one is load-bearing for multi-process sharing):
 
 * **Content addressing** — an entry's file name is the SHA-256 digest of
-  the canonical JSON rendering of its :class:`AllocationCacheKey`; the
-  full key payload is stored *inside* the entry and compared on read, so
-  a digest collision (or a file copied to the wrong name) reads as a
-  miss, never as a wrong answer.
+  the canonical JSON rendering of its :class:`ProgramKey`; the full key
+  payload is stored *inside* the entry and compared on read, so a digest
+  collision (or a file copied to the wrong name) reads as a miss, never
+  as a wrong program.
 * **Atomic writes** — entries are written to a temporary file in the
   same directory and published with :func:`os.replace`, so a reader
   never observes a half-written entry and two processes racing on the
@@ -26,19 +39,18 @@ Design rules (each one is load-bearing for multi-process sharing):
 * **Versioned format** — every entry carries ``format_version``
   (:data:`FORMAT_VERSION`).  A reader refuses entries written by a
   *newer* format (treated as a miss, the file is left alone — it belongs
-  to the newer writer); entries from an obsolete older format are also
-  misses and may be overwritten.
+  to the newer writer); entries from an obsolete older format (the
+  version-3 window files included) are also misses and may be
+  overwritten.
 * **Corruption tolerance** — truncated, garbled or type-mangled entry
-  files degrade to a cache miss (counted in
+  files degrade to a miss (counted in
   :attr:`DiskStoreStats.corrupt_entries`), never to an exception in the
-  compile pipeline.
+  compile path.
 * **Bounded size** — when the store grows past ``max_bytes`` the oldest
   entries (by file modification time) are evicted after a write.
 
-The store deliberately knows nothing about allocation semantics: it maps
-keys to :class:`~repro.core.cache.CacheEntry` payloads.  The two-tier
-composition (memory in front, disk behind) lives in
-:class:`~repro.core.cache.AllocationCache`.
+The one reader and the one writer are in
+:meth:`repro.service.CompileService.compile_graph`.
 """
 
 from __future__ import annotations
@@ -49,23 +61,25 @@ import os
 import re
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from .clock import SYSTEM_CLOCK, Clock
+from ..hardware.deha import DualModeHardwareAbstraction
+from ..ir.graph import Graph
+from ..ir.serialization import graph_to_json
 from ..obs.metrics import NULL_METRICS
+from .clock import SYSTEM_CLOCK, Clock
+from .program import CompiledProgram, program_from_payload, program_to_payload
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache imports store)
-    from .cache import AllocationCacheKey, CacheEntry
-
-__all__ = ["DiskCacheStore", "DiskStoreStats", "FORMAT_VERSION", "key_digest"]
+__all__ = ["DiskCacheStore", "DiskStoreStats", "FORMAT_VERSION", "ProgramKey"]
 
 #: Version of the on-disk entry format.  Bump it whenever the entry
 #: payload, the key canonicalisation, or the meaning of any stored field
 #: changes; readers refuse entries with a different version (see module
-#: docstring for the newer/older asymmetry).
-FORMAT_VERSION = 3
+#: docstring for the newer/older asymmetry).  Versions up to 3 held one
+#: allocation window per entry.
+FORMAT_VERSION = 4
 
 #: Default size budget: generous for real sweeps, small enough that a
 #: forgotten cache directory cannot fill a CI disk.
@@ -79,32 +93,65 @@ _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 _ENTRY_RE = re.compile(r"^[0-9a-f]{64}\.json$")
 
 
-def _key_payload(key: "AllocationCacheKey") -> Dict:
-    """Canonical JSON-compatible rendering of a cache key.
+class ProgramKey:
+    """Identity of one compile: everything that determines its program.
 
-    The ``segment`` signature tuples become lists (JSON has no tuples);
-    :func:`_payload_matches_key` compares modulo that transformation.
+    Two compiles with equal keys produce bit-identical
+    :meth:`CompiledProgram.fingerprint` results (every pass is
+    deterministic), so the store may answer one with the other's
+    program.
+
+    Attributes:
+        payload: ``{"graph", "hardware", "options", "compiler"}`` — the
+            SHA-256 of the graph's exact JSON serialisation, the
+            :meth:`DualModeHardwareAbstraction.fingerprint`, every
+            compiler option (``generate_code`` included: it changes the
+            artefact) and the compiler's name.  Stored inside the entry
+            and compared on read.
+        digest: SHA-256 over the payload's canonical (sorted-key) JSON —
+            the entry's content address.  Stable across processes,
+            Python versions and hash randomisation.
     """
-    return {
-        "hardware": key.hardware,
-        "segment": [list(signature) for signature in key.segment],
-        "engine": key.engine,
-        "pipelined": key.pipelined,
-        "refine": key.refine,
-        "allow_memory_mode": key.allow_memory_mode,
-        "reserve_arrays": key.reserve_arrays,
-        "inbound_arrays": key.inbound_arrays,
-    }
 
+    __slots__ = ("payload", "digest")
 
-def key_digest(key: "AllocationCacheKey") -> str:
-    """Content address of a cache key: SHA-256 over its canonical JSON.
+    def __init__(self, payload: Dict) -> None:
+        self.payload = payload
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        self.digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    Stable across processes, Python versions and hash randomisation —
-    the digest is computed from sorted-key JSON, never from ``hash()``.
-    """
-    canonical = json.dumps(_key_payload(key), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    @classmethod
+    def build(
+        cls,
+        graph: Graph,
+        hardware: DualModeHardwareAbstraction,
+        options,
+        compiler: str,
+    ) -> "ProgramKey":
+        """The key of compiling ``graph`` for ``hardware`` under ``options``.
+
+        ``options`` is the :class:`~repro.core.compiler.CompilerOptions`
+        dataclass the compile will actually run with (defaults already
+        substituted).
+        """
+        graph_json = graph_to_json(graph, indent=None)
+        return cls(
+            {
+                "graph": hashlib.sha256(graph_json.encode("utf-8")).hexdigest(),
+                "hardware": hardware.fingerprint(),
+                "options": asdict(options),
+                "compiler": compiler,
+            }
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ProgramKey) and self.payload == other.payload
+
+    def __hash__(self) -> int:
+        return hash(self.digest)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"ProgramKey({self.digest[:12]})"
 
 
 @dataclass
@@ -152,14 +199,14 @@ class DiskStoreStats:
 
 
 class DiskCacheStore:
-    """Content-addressed on-disk store of allocation-cache entries.
+    """Content-addressed on-disk store of compiled programs.
 
     One instance owns one directory.  Many instances — across threads,
     processes and machines sharing a filesystem — may point at the same
     directory concurrently: writes are atomic (tmp + rename), reads
     tolerate every partial state, and racing writers of the same key are
-    harmless because the solve they store is deterministic, so both
-    write the same payload.
+    harmless because the compile they store is deterministic, so both
+    write the same plan.
 
     Invariants callers may rely on:
 
@@ -239,16 +286,17 @@ class DiskCacheStore:
     # ------------------------------------------------------------------ #
     # read path
     # ------------------------------------------------------------------ #
-    def get(self, key: "AllocationCacheKey") -> Optional["CacheEntry"]:
-        """Return the stored entry for ``key``, or None.
+    def get(self, key: ProgramKey) -> Optional[CompiledProgram]:
+        """Return the stored program for ``key``, or None.
 
         Never raises on bad on-disk state: missing files, truncated or
-        garbled JSON, wrong-version entries and digest collisions all
-        count as misses (with the corresponding stat bumped).
+        garbled JSON, wrong-version entries, digest collisions and
+        payloads that do not decode all count as misses (with the
+        corresponding stat bumped).  The program comes back exactly as
+        it was written — ``stats`` and ``metadata`` describe the compile
+        that produced it.
         """
-        from .cache import CacheEntry  # local import: cache.py imports this module
-
-        path = self._entry_path(key_digest(key))
+        path = self._entry_path(key.digest)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
@@ -265,45 +313,44 @@ class DiskCacheStore:
                 self._count("version_rejections")
                 self._count("misses")
                 return None
-            if payload["key"] != _key_payload(key):
+            if payload["key"] != key.payload:
                 # Digest collision or a file copied to the wrong name.
                 self._count("misses")
                 return None
-            entry = CacheEntry.from_payload(payload["entry"])
+            program = program_from_payload(payload["program"])
         except (KeyError, TypeError, ValueError):
             self._count("corrupt_entries")
             self._count("misses")
             return None
         self._count("hits")
-        return entry
+        return program
 
-    def contains(self, key: "AllocationCacheKey") -> bool:
+    def contains(self, key: ProgramKey) -> bool:
         """Cheap existence probe for ``key`` — no stats side effects.
 
-        Used by the DSE planner to order warm candidates before cold
-        ones.  This is a scheduling heuristic, not a read: the file is
-        not opened, so a corrupt or foreign entry may probe as present
-        (the subsequent real :meth:`get` still degrades it to a miss).
+        Not a read: the file is not opened, so a corrupt or foreign
+        entry may probe as present (a real :meth:`get` still degrades it
+        to a miss).
         """
         try:
-            return self._entry_path(key_digest(key)).is_file()
+            return self._entry_path(key.digest).is_file()
         except OSError:
             return False
 
     # ------------------------------------------------------------------ #
     # write path
     # ------------------------------------------------------------------ #
-    def put(self, key: "AllocationCacheKey", entry: "CacheEntry") -> None:
-        """Persist ``entry`` under ``key`` (atomic, last-writer-wins).
+    def put(self, key: ProgramKey, program: CompiledProgram) -> None:
+        """Persist ``program`` under ``key`` (atomic, last-writer-wins).
 
         Filesystem failures are swallowed: persistence is an optimisation
         and must never fail a compile that already has its result.
         """
-        path = self._entry_path(key_digest(key))
+        path = self._entry_path(key.digest)
         payload = {
             "format_version": FORMAT_VERSION,
-            "key": _key_payload(key),
-            "entry": entry.to_payload(),
+            "key": key.payload,
+            "program": program_to_payload(program),
         }
         text = json.dumps(payload, sort_keys=True)
         try:
@@ -432,9 +479,10 @@ class DiskCacheStore:
         complement of the automatic post-write ``max_bytes`` eviction:
 
         * ``max_age_seconds`` removes every entry whose file mtime is
-          older than ``now - max_age_seconds`` (TTL; cached solves never
-          go *stale* — keys are exact — but an abandoned sweep's entries
-          are dead weight);
+          older than ``now - max_age_seconds`` (TTL; stored programs
+          never go *stale* — keys are exact — but an abandoned sweep's
+          entries, or a directory of pre-version-4 window files, are
+          dead weight);
         * ``max_bytes`` then removes oldest-first (mtime LRU) until the
           store fits the budget.
 

@@ -1,15 +1,15 @@
-"""Cache-aware design-space exploration over the dual-mode compiler.
+"""Design-space exploration over the dual-mode compiler.
 
 The paper's dual-mode abstraction exists so a compiler can trade CIM
 arrays against memory capacity per workload — which makes hardware and
 allocation design-space exploration the natural heavy-traffic use of
-this repo.  This package is that layer, built on the PR 1/2 caching
-infrastructure instead of ad-hoc sweep loops:
+this repo.  This package is that layer, built on the shared allocation
+cache and the ``cache_dir`` program store instead of ad-hoc sweep loops:
 
 * :mod:`~repro.dse.space` — declarative :class:`DesignSpace` grids over
   models, workloads, DEHA parameters and compiler options;
-* :mod:`~repro.dse.planner` — structural dedup + disk-store warmth
-  probes, so batches collapse duplicates and schedule warm points first;
+* :mod:`~repro.dse.planner` — structural dedup, so batches collapse
+  duplicates onto one evaluation;
 * :mod:`~repro.dse.strategies` — ``grid`` / ``random`` / ``greedy`` /
   ``successive-halving`` (multi-fidelity) search under an ask/tell
   protocol;
@@ -30,7 +30,7 @@ Quickstart::
         base_hardware="dynaplasia",
         hardware_axes={"num_arrays": [64, 96, 128]},
     )
-    result = run_dse(space, strategy="grid", cache_dir="/tmp/allocs")
+    result = run_dse(space, strategy="grid", cache_dir="/tmp/programs")
     print(result.render_report())
 
 The CLI front end is ``repro dse`` (see ``repro dse --help``).

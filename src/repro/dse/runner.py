@@ -11,9 +11,8 @@
    still fed back to the strategy so adaptive search resumes with full
    knowledge; an analytical record does not satisfy a compile-fidelity
    request),
-3. hands the rest to the cache-aware :class:`~repro.dse.planner.Planner`
-   — structural duplicates collapse to one evaluation, warm candidates
-   are scheduled before cold ones,
+3. hands the rest to the :class:`~repro.dse.planner.Planner` —
+   structural duplicates collapse to one evaluation,
 4. evaluates the planned jobs through the batch's tier of the
    :mod:`repro.eval` evaluator layer —
    :class:`~repro.eval.AnalyticalEvaluator` (a bound: closed-form lower
@@ -32,8 +31,9 @@ on (evaluated / replicated / skipped / allocator solves / per-fidelity
 evaluations), and the Pareto reporting entry points.
 
 :meth:`repro.api.Session.explore` is the public entry point: it builds
-a runner sharing the session's allocation cache and backend, so a sweep
-warm-starts from every other compile the session served.
+a runner sharing the session's allocation cache, program store and
+backend, so a sweep warm-starts from every other compile the session
+served.
 """
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ class DSEResult:
         evaluated / replicated / skipped: Point counters (skipped =
             served from the run state).
         evaluated_by_fidelity: Canonical evaluations per fidelity tag.
-        warm_planned / cold_planned: Canonical jobs by planner probe.
+        warm_planned / cold_planned: Canonical jobs the program store
+            served / jobs that were computed (compiled or bounded).
         allocator_solves / disk_hits: Aggregates over ``new_records``.
         objective: The optimisation objective of the run.
         wall_seconds: Wall-clock time of the run loop.
@@ -269,7 +270,8 @@ class DSEResult:
                 f"points: {self.evaluated} evaluated, {self.replicated} replicated, "
                 f"{self.skipped} skipped (already evaluated)",
                 f"fidelity: {by_fidelity}",
-                f"planner: {self.warm_planned} warm, {self.cold_planned} cold",
+                f"program store: {self.warm_planned} served, "
+                f"{self.cold_planned} computed",
                 f"total allocator solves: {self.allocator_solves}",
                 f"total disk hits: {self.disk_hits}",
                 f"wall time: {self.wall_seconds:.3f} s",
@@ -294,11 +296,11 @@ class DSERunner:
             analytical rung 0, survivors compiled; a fidelity-agnostic
             strategy is replaced by
             :class:`~repro.dse.strategies.SuccessiveHalvingStrategy`).
-        cache: Shared :class:`AllocationCache` (mutually exclusive with
-            ``cache_dir``), for embedding the runner into a larger
-            in-process pipeline.
-        cache_dir: Persistent allocation-store directory; enables both
-            cross-run solve reuse and the planner's warm-first ordering.
+        cache: Shared in-memory :class:`AllocationCache`, for embedding
+            the runner into a larger in-process pipeline.
+        cache_dir: Program-store directory
+            (:class:`~repro.core.store.DiskCacheStore`): a point an
+            earlier run compiled is read back instead of recompiled.
         backend: Compile-service backend (``thread``/``process``).
         max_workers: Pool width of the compile service.
         state: Resumable run state (None runs fully in memory).
@@ -388,8 +390,7 @@ class DSERunner:
             solve_memo=self.solve_memo,
             obs=self.obs,
         )
-        store = self.service.cache.store if self.service.cache is not None else None
-        self.planner = Planner(store=store)
+        self.planner = Planner()
         self._evaluators: Dict[str, Evaluator] = {}
 
     def evaluator(self, fidelity: str) -> Evaluator:
@@ -512,9 +513,7 @@ class DSERunner:
                 with self.obs.tracer.span(
                     "dse.batch", fidelity=batch_fidelity, points=len(fresh)
                 ):
-                    plan = self.planner.plan(fresh, fidelity=batch_fidelity)
-                    result.warm_planned += plan.n_warm
-                    result.cold_planned += plan.n_cold
+                    plan = self.planner.plan(fresh)
                     jobs = [
                         CompileJob(
                             # An unplannable point (graph=None) ships its
@@ -529,6 +528,9 @@ class DSERunner:
                         for job in plan.jobs
                     ]
                     evaluations = self.evaluator(batch_fidelity).evaluate_batch(jobs)
+                served = sum(1 for evaluation in evaluations if evaluation.disk_hits)
+                result.warm_planned += served
+                result.cold_planned += len(evaluations) - served
                 for planned, evaluation in zip(plan.jobs, evaluations):
                     record = self._record(planned.point, evaluation)
                     batch_records.append(record)

@@ -115,7 +115,6 @@ def cached_compile_speedup(
     models: Sequence[str] = ("mobilenet", "bert"),
     batch_size: int = 1,
     seq_len: int = 32,
-    cache_dir: Optional[str] = None,
 ) -> Dict[str, float]:
     """Cold-vs-warm demonstration of the shared allocation cache.
 
@@ -124,21 +123,12 @@ def cached_compile_speedup(
     smoke invocation of ``benchmarks/bench_fig18_compile_time.py`` so a
     compile-time regression (or a cache regression) is visible in logs.
 
-    Args:
-        cache_dir: Optional persistent-store directory.  With a
-            previously warmed directory even the "cold" pass is served
-            from disk — the number reported as ``allocator_solves_cold``
-            then measures the *cross-process* warm start.
-
     Returns:
         ``{"cold_seconds", "warm_seconds", "speedup", "warm_hit_rate",
         "allocator_solves_cold", "allocator_solves_warm"}``.
     """
-    from ..core.store import DiskCacheStore
-
     hardware = hardware or dynaplasia()
-    store = DiskCacheStore(cache_dir) if cache_dir else None
-    cache = AllocationCache(store=store)
+    cache = AllocationCache()
     options = CompilerOptions(generate_code=False)
     graphs = [
         build_model(model, encode_workload(model, batch_size, seq_len)) for model in models

@@ -48,8 +48,8 @@ def run_workload_scale(
     Args:
         cache: Optional shared allocation cache (honoured by the CMSwitch
             compiles).  The grid repeats many structurally identical
-            blocks across its cells, so a shared — ideally disk-backed —
-            cache collapses most of the sweep's solver work.
+            blocks across its cells, so a shared cache collapses most of
+            the sweep's solver work.
 
     Returns one row per (model, batch size, sequence length) with the
     CIM-MLC and CMSwitch cycles, the speedup and the memory-array ratio.

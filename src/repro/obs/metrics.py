@@ -11,7 +11,7 @@ subsystems that never see each other's stats dicts.
 Naming convention — dotted, lowercase, subsystem first::
 
     allocator.solves            allocator.solves.exact
-    cache.memory.hits           cache.disk.hits
+    cache.memory.hits           store.hits
     memo.hits                   replay.queue_depth (histogram)
 
 Disabled path: :data:`NULL_METRICS` hands out shared no-op instruments,

@@ -66,8 +66,8 @@ class PipelineContext:
     ``meta_program``        ``Codegen``                     program assembly
     ======================  ==============================  =============
 
-    The solver counters (``allocation_calls`` / ``cache_hits`` /
-    ``disk_hits``) accumulate over every pass that solves (the oracle
+    The solver counters (``allocation_calls`` / ``cache_hits``)
+    accumulate over every pass that solves (the oracle
     pass included, when a test inserts it), exactly as the fused
     compiler accumulated them.
     """
@@ -99,7 +99,6 @@ class PipelineContext:
     # Solver accounting.
     allocation_calls: int = 0
     cache_hits: int = 0
-    disk_hits: int = 0
     #: Wall time attributed to segmentation + plan building, mirroring the
     #: fused compiler's ``dp_seconds`` metadata field.
     dp_seconds: float = 0.0
@@ -123,7 +122,9 @@ class PipelineContext:
         return {
             "allocator_solves": self.allocation_calls,
             "allocation_cache_hits": self.cache_hits,
-            "allocation_disk_hits": self.disk_hits,
+            # Windows are never read from disk; a program the store
+            # served says so itself (``CompileService.compile_graph``).
+            "allocation_disk_hits": 0,
             "allocation_cache_hit_rate": (
                 self.cache_hits / attempts if attempts else 0.0
             ),

@@ -154,7 +154,6 @@ class Allocate(Pass):
             dp_seconds,
             ctx.segmenter.allocation_calls,
             ctx.segmenter.cache_hits,
-            ctx.segmenter.disk_hits,
         )
         self._absorb(ctx)
 
@@ -162,7 +161,6 @@ class Allocate(Pass):
     def _absorb(ctx: PipelineContext) -> None:
         ctx.allocation_calls = ctx.result.allocation_calls
         ctx.cache_hits = ctx.result.cache_hits
-        ctx.disk_hits = ctx.result.disk_hits
         ctx.dp_seconds = ctx.result.dp_seconds
 
 
@@ -200,11 +198,9 @@ class FixedModeFallback(Pass):
             # fallback pass's solver work in the totals.
             ctx.allocation_calls += exc.stats.get("allocator_solves", 0)
             ctx.cache_hits += exc.stats.get("allocation_cache_hits", 0)
-            ctx.disk_hits += exc.stats.get("allocation_disk_hits", 0)
             return
         ctx.allocation_calls += fixed_result.allocation_calls
         ctx.cache_hits += fixed_result.cache_hits
-        ctx.disk_hits += fixed_result.disk_hits
         ctx.result, ctx.fallback_used = choose_plan(ctx.result, fixed_result)
 
 

@@ -1,9 +1,10 @@
 """`repro.serve` — compile-as-a-service daemon and client.
 
-The library's :class:`~repro.api.Session` amortises allocator solves
-within one process (memory tier) and across processes sharing a
-filesystem (disk tier).  This package promotes it to a *serving* tier so
-a whole fleet shares warmth without a shared mount:
+The library's :class:`~repro.api.Session` shares allocation windows
+within one process (in memory) and whole compiled programs across
+processes sharing a filesystem (the ``cache_dir`` program store).  This
+package promotes it to a *serving* tier so a whole fleet shares warmth
+without a shared mount:
 
 * :class:`CompileDaemon` — a stdlib-only threaded HTTP/JSON front door
   over :class:`~repro.service.CompileService`: versioned request and

@@ -21,10 +21,10 @@ stdlib-only threaded HTTP/JSON server over one shared
   (:class:`ResultTable`); a repeat request is parse → fingerprint →
   lookup → one send, and never reaches the queue, the service or the
   encoder.  Failures are never stored.
-* **Warmth at both tiers.**  The service's cache composes memory and
-  an optional disk directory (``cache_dir=``) shared with every other
-  process mounting it; across machines the daemon itself is the shared
-  tier.
+* **Warmth at both tiers.**  The service shares allocation windows in
+  memory and, with ``cache_dir=``, whole compiled programs through the
+  directory every other process mounting it reads and writes; across
+  machines the daemon itself is the shared tier.
 * **Observability.**  Per-request spans (``serve.request``) and
   counters flow through :mod:`repro.obs`; ``GET /metrics`` exposes
   them, the coalescing counters and the cache tiers in a text format,
@@ -195,8 +195,8 @@ class CompileDaemon:
     """Long-lived compile server over one shared :class:`CompileService`.
 
     Args:
-        cache_dir: Optional persistent disk tier for the allocation
-            cache (shared with every other process mounting it).
+        cache_dir: Optional program-store directory (shared with every
+            other process mounting it).
         workers: Compile worker threads (the pool that executes jobs;
             connection threads only wait).
         queue_limit: Bound on jobs admitted but not yet compiling;
@@ -209,8 +209,9 @@ class CompileDaemon:
         obs: Optional :class:`~repro.obs.Observability` bundle; the
             daemon creates an enabled one by default so ``/metrics``
             always has data (its tracer a ``TRACE_RING_SPANS`` ring).
-        use_cache: Disable the allocation cache *and* the result table
-            entirely (A/B timing): every request runs a full compile.
+        use_cache: Disable the allocation cache, the program store *and*
+            the result table entirely (A/B timing): every request runs a
+            full compile.
     """
 
     def __init__(
@@ -522,11 +523,10 @@ class CompileDaemon:
                 "in_flight": len(self.flights),
             },
         }
-        cache = self.service.cache
-        if cache is not None:
-            payload["cache"] = cache.stats.snapshot().to_dict()
-            if cache.store is not None:
-                payload["disk"] = cache.store.stats.snapshot().to_dict()
+        if self.service.cache is not None:
+            payload["cache"] = self.service.cache.stats.snapshot().to_dict()
+        if self.service.store is not None:
+            payload["disk"] = self.service.store.stats.snapshot().to_dict()
         return payload
 
     def render_metrics(self) -> str:
@@ -541,9 +541,10 @@ class CompileDaemon:
         if cache is not None:
             for name, value in sorted(cache.stats.snapshot().to_dict().items()):
                 lines.append(f"cache_{name} {value:g}" if isinstance(value, float) else f"cache_{name} {value}")
-            if cache.store is not None:
-                for name, value in sorted(cache.store.stats.snapshot().to_dict().items()):
-                    lines.append(f"cache_disk_{name} {value}")
+        store = self.service.store
+        if store is not None:
+            for name, value in sorted(store.stats.snapshot().to_dict().items()):
+                lines.append(f"cache_disk_{name} {value}")
         snapshot = self.obs.metrics.to_dict() if hasattr(self.obs.metrics, "to_dict") else {}
         for name, value in (snapshot.get("counters") or {}).items():
             lines.append(f"obs_{name.replace('.', '_')} {value}")

@@ -1,4 +1,4 @@
-"""Batch compilation service with a shared allocation cache.
+"""Batch compilation service: a shared allocation cache and a program store.
 
 Serving many compile requests from one process — design-space-exploration
 sweeps, multi-model fleets, repeated compiles of the same network at
@@ -12,13 +12,15 @@ saves is measured in the header of :mod:`repro.core.cache`):
 * jobs run concurrently on a thread pool (``concurrent.futures``);
 * for CPU-bound fleets where the GIL caps the thread backend (the
   window solver, DP and cost model are pure Python), ``backend="process"`` shuttles
-  picklable job specs through a ``ProcessPoolExecutor``; workers share
-  solves through a :class:`~repro.core.store.DiskCacheStore` when a
-  ``cache_dir`` is given, and the results are bit-identical to the
-  thread backend's (the solvers are deterministic);
-* a ``cache_dir`` makes the cache persistent: any later process — a new
-  CLI invocation, a CI run, a DSE sweep — warms from the directory and
-  skips every solve an earlier process already did;
+  picklable job specs through a ``ProcessPoolExecutor``; the results are
+  bit-identical to the thread backend's (the solvers are deterministic);
+* a ``cache_dir`` persists whole compiled programs in a
+  :class:`~repro.core.store.DiskCacheStore`: any later process — a new
+  CLI invocation, a CI run, a DSE sweep, a pool worker — answers a
+  compile an earlier one already did with one file read and one decode
+  (:meth:`CompileService.compile_graph` is the one reader and the one
+  writer; why programs and not windows is measured in the header of
+  :mod:`repro.core.store`);
 * each job reports its own statistics (cache hit rate, allocator solves,
   wall time) via :class:`CompileJobResult` and
   ``CompiledProgram.stats``; an error in one job is captured in its
@@ -28,7 +30,7 @@ Usage::
 
     from repro.service import CompileJob, CompileService
 
-    service = CompileService(cache_dir="~/.cache/repro-allocs")
+    service = CompileService(cache_dir="~/.cache/repro-programs")
     results = service.compile_batch(
         [
             CompileJob("resnet18"),
@@ -54,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from .core.cache import AllocationCache, CacheStats
 from .core.compiler import CMSwitchCompiler, CompilerOptions
 from .core.program import CompiledProgram
-from .core.store import DiskCacheStore
+from .core.store import DiskCacheStore, ProgramKey
 from .obs import NULL_OBS, Observability, Span, Tracer
 from .hardware.deha import DualModeHardwareAbstraction
 from .hardware.presets import get_preset
@@ -196,39 +198,47 @@ class CompileService:
     Concurrency / sharing contract:
 
     * ``backend="thread"`` (default) — jobs share one in-process
-      :class:`AllocationCache`; with a ``cache_dir`` that cache also
-      persists to (and warms from) disk.  The service object itself is
-      safe to use from multiple threads.
+      :class:`AllocationCache`.  The service object itself is safe to
+      use from multiple threads.
     * ``backend="process"`` — jobs are pickled to a
       ``ProcessPoolExecutor``.  Workers cannot see this process's
-      in-memory cache; they share solves **only** through the
-      ``cache_dir`` disk store (each worker keeps its own in-memory tier
-      in front of it).  Results are bit-identical to the thread
-      backend's because every solver in the pipeline is deterministic.
+      in-memory cache (each keeps its own); what they share with this
+      process and each other is the ``cache_dir`` program store.
+      Results are bit-identical to the thread backend's because every
+      solver in the pipeline is deterministic.
+    * ``cache_dir`` — every compile of either backend (and of
+      :meth:`repro.api.Session.compile`) goes through
+      :meth:`compile_graph`: a stored program is read, verified, decoded
+      and returned with no pipeline run; a missing one is compiled and
+      stored.  A served program is text-only where its meta-operator
+      flow is concerned (:class:`~repro.core.program.RenderedMetaProgram`)
+      and its ``stats`` describe the call that returned it
+      (``allocator_solves: 0``, every segment an
+      ``allocation_disk_hits``).
 
     Args:
         cache: Shared allocation cache; a fresh bounded one is created
-            when omitted (disk-backed if ``cache_dir`` is given).
-            Mutually exclusive with ``cache_dir``.
+            when omitted.
         max_workers: Default pool width for :meth:`compile_batch`
             (None lets ``concurrent.futures`` choose).
-        use_cache: Disable the shared cache entirely (for A/B timing).
+        use_cache: Disable the shared cache and the program store
+            entirely (for A/B timing).
         backend: ``"thread"`` or ``"process"`` (see contract above).
-        cache_dir: Directory of a persistent
-            :class:`~repro.core.store.DiskCacheStore` shared across
+        cache_dir: Directory of the persistent program store
+            (:class:`~repro.core.store.DiskCacheStore`) shared across
             threads, worker processes and future invocations.
         solve_memo: Optional per-run
             :class:`~repro.core.memo.SolveMemo` shared by every compile
             the service performs (thread backend; process workers cannot
-            see it and share through the disk store instead).  A DSE run
-            passes its own memo here so neighbouring design points reuse
-            allocation solves even when the service has no cache.
+            see it).  A DSE run passes its own memo here so neighbouring
+            design points reuse allocation solves even when the service
+            has no cache.
         obs: Optional :class:`~repro.obs.Observability` bundle.  The
             service opens a span per batch and per job (thread-backend
             job spans nest under the batch span across pool threads;
             process-backend workers trace locally and ship their spans
             home for re-rooting) and threads the metrics registry into
-            the cache it creates.
+            the cache and the store it creates.
     """
 
     def __init__(
@@ -243,29 +253,60 @@ class CompileService:
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        if cache is not None and cache_dir is not None:
-            raise ValueError(
-                "pass either an AllocationCache or a cache_dir, not both "
-                "(attach a DiskCacheStore to the cache yourself to combine them)"
-            )
         self.backend = backend
         self.obs = NULL_OBS if obs is None else obs
         self.cache_dir = str(Path(cache_dir).expanduser()) if cache_dir is not None else None
+        self.cache: Optional[AllocationCache] = None
+        self.store: Optional[DiskCacheStore] = None
         if use_cache:
-            if cache is None:
-                store = (
-                    DiskCacheStore(self.cache_dir, metrics=self.obs.metrics)
-                    if self.cache_dir
-                    else None
-                )
-                # `cache is not None`, not truthiness: an empty
-                # AllocationCache has len() == 0.
-                cache = AllocationCache(store=store, metrics=self.obs.metrics)
-            self.cache = cache
-        else:
-            self.cache = None
+            # `cache is None`, not truthiness: an empty AllocationCache
+            # has len() == 0.
+            self.cache = (
+                AllocationCache(metrics=self.obs.metrics) if cache is None else cache
+            )
+            if self.cache_dir:
+                self.store = DiskCacheStore(self.cache_dir, metrics=self.obs.metrics)
         self.solve_memo = solve_memo
         self.max_workers = max_workers
+
+    # ------------------------------------------------------------------ #
+    # single compile (the one place the program store is consulted)
+    # ------------------------------------------------------------------ #
+    def compile_graph(
+        self,
+        graph: Graph,
+        hardware: DualModeHardwareAbstraction,
+        options: CompilerOptions,
+    ) -> CompiledProgram:
+        """Compile one graph, through the program store when there is one.
+
+        Every compile the service, a :class:`~repro.api.Session` or a
+        pool worker performs comes through here, and nothing else reads
+        or writes the store.  Hit: read, verify, decode, return — with
+        the statistics of *this* call (see :func:`_served`).  Miss
+        (absent, corrupt, foreign or other-version entry — all counted
+        by the store, none raised): run the pipeline, store the program.
+
+        Raises:
+            NoFeasiblePlanError: No feasible plan exists for the graph.
+        """
+        key = None
+        if self.store is not None:
+            start = time.perf_counter()
+            key = ProgramKey.build(graph, hardware, options, CMSwitchCompiler.name)
+            program = self.store.get(key)
+            if program is not None:
+                return _served(program, time.perf_counter() - start)
+        program = CMSwitchCompiler(
+            hardware,
+            options,
+            cache=self.cache,
+            solve_memo=self.solve_memo,
+            obs=self.obs,
+        ).compile(graph)
+        if key is not None:
+            self.store.put(key, program)
+        return program
 
     # ------------------------------------------------------------------ #
     # single job
@@ -279,17 +320,11 @@ class CompileService:
         start = time.perf_counter()
         with self.obs.tracer.span("compile", parent=_parent, job=job.name) as span:
             try:
-                graph = job.resolve_graph()
-                hardware = job.resolve_hardware()
-                options = job.options or CompilerOptions(generate_code=False)
-                compiler = CMSwitchCompiler(
-                    hardware,
-                    options,
-                    cache=self.cache,
-                    solve_memo=self.solve_memo,
-                    obs=self.obs,
+                program = self.compile_graph(
+                    job.resolve_graph(),
+                    job.resolve_hardware(),
+                    job.options or CompilerOptions(generate_code=False),
                 )
-                program = compiler.compile(graph)
             except Exception as exc:  # noqa: BLE001 - isolation is the contract
                 span.set(ok=False)
                 return CompileJobResult(
@@ -351,7 +386,7 @@ class CompileService:
     def _compile_batch_processes(
         self, jobs: Sequence[CompileJob], workers: Optional[int], batch_span=None
     ) -> List[CompileJobResult]:
-        """Fan the batch out to a process pool (disk store shared, if any).
+        """Fan the batch out to a process pool (program store shared, if any).
 
         Each job travels as a picklable spec (:meth:`CompileJob.to_spec`)
         and comes back as a pickled :class:`CompileJobResult`; the
@@ -360,16 +395,10 @@ class CompileService:
         failures — unpicklable payloads, a killed worker — are folded
         into the affected jobs' results instead of raising.
         """
-        # Workers share solves through the disk directory: the service's
-        # own cache_dir, or the store attached to an explicitly passed
-        # cache (the memory tier itself cannot cross the process border).
-        cache_dir = self.cache_dir
-        if cache_dir is None and self.cache is not None and self.cache.store is not None:
-            cache_dir = str(self.cache.store.root)
         specs = [
             {
                 **job.to_spec(),
-                "cache_dir": cache_dir,
+                "cache_dir": self.cache_dir,
                 "use_cache": self.cache is not None,
                 "trace": bool(self.obs.tracer.enabled),
             }
@@ -400,8 +429,8 @@ class CompileService:
     def close(self) -> None:
         """Idempotent no-op: the service holds nothing to release.
 
-        Batch pools are per-call and the disk store opens its files per
-        operation.  Kept because callers (the repository benchmark among
+        Batch pools are per-call and the program store opens its files
+        per operation.  Kept because callers (the repository benchmark among
         them) end a service's life with it.
         """
 
@@ -415,32 +444,43 @@ class CompileService:
         Thread-backend jobs all hit ``self.cache``, so this is the whole
         story there.  Process-backend jobs run against per-worker caches
         in other processes; their activity shows up in each job's
-        ``result.stats`` (and in the shared disk store), not here.
+        ``result.stats``, not here.
         """
         if self.cache is None:
             return CacheStats()
         return self.cache.stats.snapshot()
 
 
+def _served(program: CompiledProgram, seconds: float) -> CompiledProgram:
+    """Re-stamp a program the store returned with this call's statistics.
+
+    The stored ``stats`` / ``metadata`` describe the compile that wrote
+    the entry; the caller asked what *this* call cost: no solve, no pass,
+    every segment's allocation read from disk.  Plan-derived entries
+    (``num_flattened_units``, ``refine_extra_compute_arrays``, ...) stay.
+    """
+    segments = len(program.segments)
+    program.compile_seconds = seconds
+    program.stats.update(
+        allocator_solves=0,
+        allocation_cache_hits=segments,
+        allocation_disk_hits=segments,
+        allocation_cache_hit_rate=1.0,
+        wall_seconds=seconds,
+        pass_seconds={},
+        pass_events=[],
+    )
+    program.metadata.update(allocation_calls=0, dp_seconds=0.0, passes=[])
+    return program
+
+
 # ---------------------------------------------------------------------- #
 # process-backend worker (module level so it pickles)
 # ---------------------------------------------------------------------- #
 
-#: Per-worker-process caches, keyed by cache directory, so every job a
-#: worker serves shares one in-memory tier (fronting the shared disk
-#: store when configured).
-_WORKER_CACHES: Dict[str, AllocationCache] = {}
-
-
-def _worker_cache(cache_dir: Optional[str]) -> AllocationCache:
-    """The (per-process) shared cache for ``cache_dir``."""
-    key = cache_dir or ""
-    cache = _WORKER_CACHES.get(key)
-    if cache is None:
-        store = DiskCacheStore(cache_dir) if cache_dir else None
-        cache = AllocationCache(store=store)
-        _WORKER_CACHES[key] = cache
-    return cache
+#: The worker process's allocation cache: every job a worker serves
+#: shares one in-memory table (created on the first job).
+_WORKER_CACHE: Optional[AllocationCache] = None
 
 
 def _compile_spec_in_worker(spec: Dict) -> CompileJobResult:
@@ -451,12 +491,19 @@ def _compile_spec_in_worker(spec: Dict) -> CompileJobResult:
     spec that cannot be rebuilt, say — surface as exceptions, which the
     parent folds into the job's result.
     """
+    global _WORKER_CACHE
     job = CompileJob.from_spec(spec)
-    cache = _worker_cache(spec.get("cache_dir")) if spec.get("use_cache", True) else None
+    use_cache = spec.get("use_cache", True)
+    if use_cache and _WORKER_CACHE is None:
+        _WORKER_CACHE = AllocationCache()
     obs = Observability(tracer=Tracer()) if spec.get("trace") else None
-    service = CompileService(cache=cache, use_cache=cache is not None, obs=obs)
+    service = CompileService(
+        cache=_WORKER_CACHE if use_cache else None,
+        use_cache=use_cache,
+        cache_dir=spec.get("cache_dir"),
+        obs=obs,
+    )
     result = service.compile(job)
     if obs is not None:
         result.spans = obs.tracer.flush()
     return result
-

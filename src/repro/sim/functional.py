@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.metaop import ComputeOp, MetaProgram, ParallelBlock, SwitchOp, SwitchType, WeightLoadOp
-from ..core.program import CompiledProgram
+from ..core.program import CompiledProgram, RenderedMetaProgram
 from ..hardware.chip import CIMChip
 from ..hardware.deha import ArrayMode, DualModeHardwareAbstraction
 from ..ir.graph import Graph
@@ -144,8 +144,15 @@ class FunctionalSimulator:
 
         Raises:
             FunctionalSimulationError: If the program references operators
-                missing from the graph.
+                missing from the graph, or carries its flow as text only.
         """
+        if isinstance(program.meta_program, RenderedMetaProgram):
+            raise FunctionalSimulationError(
+                f"the meta-operator flow of {program.graph_name!r} is text-only "
+                "(the program was decoded from the wire or served from a "
+                "cache_dir program store) and cannot be executed; compile it "
+                "in-process without cache_dir to get an executable flow"
+            )
         values = self.reference.run(graph)
         report = FunctionalReport(graph_name=graph.name)
 

@@ -132,6 +132,12 @@ class TimingSimulator:
                 raise ValueError(
                     "compiled program has no meta program; compile with generate_code=True"
                 )
+            if not isinstance(meta, MetaProgram):
+                raise ValueError(
+                    "compiled program carries its meta program as text only (decoded "
+                    "from the wire or served from a cache_dir program store); compile "
+                    "it in-process without cache_dir to get an executable flow"
+                )
         elif isinstance(program_or_meta, MetaProgram):
             meta = program_or_meta
             name = program_or_meta.graph_name

@@ -308,7 +308,6 @@ class TestChoosePlan:
             def __init__(self, *args, **kwargs):
                 self.allocation_calls = 0
                 self.cache_hits = 0
-                self.disk_hits = 0
 
             def choose_boundaries(self, graph, units):
                 return [(0, len(units) - 1)]

@@ -26,6 +26,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    def test_experiment_has_no_cache_dir(self):
+        # The experiment runners share solves in memory only; no flag
+        # hand-builds a disk-backed cache around the service any more.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["experiment", "fig18", "--cache-dir", "/tmp/x"])
+        assert exit_info.value.code == 2
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

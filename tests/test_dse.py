@@ -142,25 +142,25 @@ class TestPlanner:
         assert len(plan.jobs) == 2
         assert plan.n_collapsed == 0
 
-    def test_warm_points_ordered_first(self, tmp_path):
+    def test_planner_never_touches_the_store(self, tmp_path):
+        """Jobs keep the order their points were asked in, stored or not."""
         cache_dir = tmp_path / "cache"
-        # Warm exactly one design point (8 arrays) through a real compile.
-        warm_only = tiny_space(arrays=(8,))
-        run_dse(warm_only, cache_dir=cache_dir)
-        store = DiskCacheStore(cache_dir)
-        planner = Planner(store=store)
-        # Plan cold-first input order; the warm point must come out first.
-        space = tiny_space(arrays=(4, 8))
-        points = list(space.points())  # 4 (cold) then 8 (warm)
-        plan = planner.plan(points)
-        assert plan.n_warm == 1 and plan.n_cold == 1
-        assert plan.jobs[0].point.hardware.num_arrays == 8
-        assert plan.jobs[0].warm and not plan.jobs[1].warm
+        # Store exactly one design point (8 arrays) through a real compile.
+        run_dse(tiny_space(arrays=(8,)), cache_dir=cache_dir)
+        with pytest.raises(TypeError, match="store"):
+            Planner(store=DiskCacheStore(cache_dir))
+        points = list(tiny_space(arrays=(4, 8)).points())
+        plan = Planner().plan(points)
+        assert [job.point.hardware.num_arrays for job in plan.jobs] == [4, 8]
+        assert not hasattr(plan, "n_warm") and not hasattr(plan.jobs[0], "warm")
+        # The runner reads warmth off the evaluations instead.
+        result = run_dse(tiny_space(arrays=(4, 8)), cache_dir=cache_dir)
+        assert result.warm_planned == 1 and result.cold_planned == 1
 
     def test_no_store_means_everything_cold(self):
-        plan = Planner().plan(list(tiny_space().points()))
-        assert plan.n_warm == 0
-        assert all(not job.warm for job in plan.jobs)
+        result = run_dse(tiny_space())
+        assert result.warm_planned == 0 and result.disk_hits == 0
+        assert result.cold_planned == result.evaluated == 2
 
 
 # ---------------------------------------------------------------------- #
@@ -569,7 +569,6 @@ class TestRunnerResume:
                         stats={
                             "allocator_solves": 7,
                             "allocation_cache_hits": 3,
-                            "allocation_disk_hits": 1,
                         },
                     )
                 return super().segment(graph, units=units)
@@ -584,7 +583,7 @@ class TestRunnerResume:
         assert program.num_segments >= 1
         assert program.stats["allocator_solves"] >= 7
         assert program.stats["allocation_cache_hits"] >= 3
-        assert program.stats["allocation_disk_hits"] >= 1
+        assert program.stats["allocation_disk_hits"] == 0  # nothing came off a disk
 
     def test_infeasible_compile_still_reports_its_solves(self, small_chip, monkeypatch):
         # Force the plan infeasible while preserving the solve counters:
@@ -601,13 +600,12 @@ class TestRunnerResume:
                 index=0, operator_names=["op"], allocations={}, profiles={},
                 intra_cycles=INFEASIBLE_LATENCY, inter_cycles=0.0,
             )
-            return SegmentationResult([plan], [], 0.0, 5, 3, 2)
+            return SegmentationResult([plan], [], 0.0, 5, 3)
 
         class InfeasibleSegmenter:
             def __init__(self, *args, **kwargs):
                 self.allocation_calls = 5
                 self.cache_hits = 3
-                self.disk_hits = 2
 
             def choose_boundaries(self, graph, units):
                 return [(0, 0)]
@@ -623,7 +621,7 @@ class TestRunnerResume:
         record = result.records[0]
         assert not record.feasible and not record.failed
         assert record.allocator_solves == 5
-        assert record.disk_hits == 2
+        assert record.cache_hits == 3 and record.disk_hits == 0
         assert result.allocator_solves == 5
 
     def test_shared_cache_object_instead_of_dir(self):
@@ -679,8 +677,11 @@ class TestWarmPlanning:
         assert cold.allocator_solves > 0
         warm = run_dse(tiny_space(), cache_dir=cache_dir)
         assert warm.allocator_solves == 0
-        assert warm.cold_planned == 0
+        assert warm.cold_planned == 0 and warm.warm_planned == warm.evaluated
         assert warm.disk_hits > 0
+        assert [r.point_key for r in warm.frontier()] == [
+            r.point_key for r in cold.frontier()
+        ]
         # Same designs, bit-identical metrics.
         cold_by_key = {r.point_key: r for r in cold.records}
         for record in warm.records:

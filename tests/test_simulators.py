@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.api import Session
 from repro.core import CMSwitchCompiler, CompilerOptions
 from repro.models import Phase, Workload, build_model
 from repro.sim import (
@@ -15,6 +16,8 @@ from repro.sim import (
     deterministic_tensor,
     execute_tiled_matmul,
 )
+from repro.serve import program_from_wire, program_to_wire
+from repro.sim.functional import FunctionalSimulationError
 from repro.sim.reference import ReferenceExecutionError
 from repro.ir import GraphBuilder, TensorSpec
 
@@ -192,6 +195,25 @@ class TestFunctionalSimulator:
     def test_summary_mentions_status(self, small_chip, compiled_tiny_cnn, tiny_cnn_graph):
         report = FunctionalSimulator(small_chip).run(compiled_tiny_cnn, tiny_cnn_graph)
         assert "PASS" in report.summary()
+
+    @pytest.mark.parametrize("source", ["wire", "store"])
+    def test_text_only_flow_is_refused_with_a_way_out(
+        self, small_chip, compiled_tiny_cnn, tiny_cnn_graph, tmp_path, source
+    ):
+        """A decoded program carries its flow as text: no AttributeError,
+        an error that says how to get an executable one."""
+        if source == "wire":
+            program = program_from_wire(program_to_wire(compiled_tiny_cnn))
+        else:
+            for _ in range(2):  # the second compile is served by the store
+                with Session(hardware=small_chip, cache_dir=tmp_path) as session:
+                    program = session.compile(tiny_cnn_graph)
+            assert program.stats["allocation_disk_hits"] > 0
+        assert program.fingerprint() == compiled_tiny_cnn.fingerprint()
+        with pytest.raises(FunctionalSimulationError, match="text-only.*without cache_dir"):
+            FunctionalSimulator(small_chip).run(program, tiny_cnn_graph)
+        with pytest.raises(ValueError, match="text only.*without cache_dir"):
+            TimingSimulator(small_chip).run(program)
 
 
 class TestTimingSimulator:

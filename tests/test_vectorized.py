@@ -35,17 +35,13 @@ from repro.core.allocation import (
     MIPAllocator,
     allocate_segment,
     candidate_allocations,
+    key_options,
     refine_with_spare_arrays,
     segment_fits,
 )
-from repro.core.cache import AllocationCache
+from repro.core.cache import AllocationCache, AllocationCacheKey
 from repro.core.memo import SolveMemo
-from repro.core.segmentation import (
-    NetworkSegmenter,
-    first_window_cache_key,
-    flatten_graph,
-    window_cache_key,
-)
+from repro.core.segmentation import NetworkSegmenter, flatten_graph
 from repro.cost import (
     OperatorAllocation,
     operator_latency_cycles,
@@ -276,16 +272,28 @@ class TestCompileParity:
 # ---------------------------------------------------------------------- #
 # window cache keys
 # ---------------------------------------------------------------------- #
+def window_cache_key(units, hardware, options, start=0, end=None):
+    """The key the segmenter's solve of ``units[start..end]`` is cached under.
+
+    Rebuilt the way ``allocate_segment`` builds it — the segmenter's own
+    solve arguments through ``key_options`` — so the tests below pin
+    what the in-memory cache keys on.
+    """
+    end = start if end is None else end
+    segmenter = NetworkSegmenter(hardware, options.to_segmentation_options())
+    segmenter._prepare(units)
+    spare = max(0, segmenter._spare_arrays(start, end))
+    return AllocationCacheKey.build(
+        segmenter._segment_profiles(units, start, end),
+        hardware,
+        **key_options(**segmenter._solve_arguments(start, end, spare)),
+    )
+
+
 class TestWindowCacheKey:
     @pytest.fixture()
     def units(self, small_chip, tiny_cnn_graph):
         return flatten_graph(tiny_cnn_graph, small_chip)
-
-    def test_first_window_is_the_start_special_case(self, units, small_chip):
-        options = CompilerOptions()
-        assert first_window_cache_key(units, small_chip, options) == window_cache_key(
-            units, small_chip, options, start=0, end=0
-        )
 
     def test_every_window_key_is_distinct_per_span(self, units, small_chip):
         options = CompilerOptions()
@@ -301,12 +309,11 @@ class TestWindowCacheKey:
     @pytest.mark.parametrize("model", ["tiny-mlp", "tiny-cnn", "tiny-transformer"])
     @pytest.mark.parametrize("allow_memory_mode", [True, False])
     def test_probe_key_is_the_key_the_dp_stored(self, model, allow_memory_mode, small_chip):
-        """One definition of the window key: the probe asks the segmenter.
+        """One definition of the window key: the segmenter's solve arguments.
 
         For every window the DP solved, ``window_cache_key`` must name
         the entry the solve was stored under — engine name, boundary
-        reserve and inbound count included — or the DSE planner's warm
-        probe silently never hits.
+        reserve and inbound count included.
         """
         graph = build_model(model, Workload(batch_size=1, seq_len=16))
         options = CompilerOptions(allow_memory_mode=allow_memory_mode)
@@ -332,13 +339,6 @@ class TestWindowCacheKey:
         last = len(units) - 1
         key = window_cache_key(units, small_chip, options, start=0, end=last)
         assert key.reserve_arrays == 0
-
-    def test_out_of_range_windows_are_none(self, units, small_chip):
-        options = CompilerOptions()
-        assert window_cache_key([], small_chip, options) is None
-        assert window_cache_key(units, small_chip, options, start=-1) is None
-        assert window_cache_key(units, small_chip, options, start=0, end=len(units)) is None
-        assert window_cache_key(units, small_chip, options, start=2, end=1) is None
 
     def test_key_reflects_the_options(self, units, small_chip):
         dual = window_cache_key(units, small_chip, CompilerOptions())
