@@ -14,9 +14,8 @@ outputs.  The graph offers the queries the compiler needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from .operators import Operator
 from .tensor import TensorSpec
@@ -68,6 +67,8 @@ class Graph:
         self._producers: Dict[str, str] = {}  # tensor name -> operator name
         # Derived views, built on first use and dropped by add_operator.
         self._consumers: Optional[Dict[str, List[Operator]]] = None
+        self._predecessors: Optional[Dict[str, List[Operator]]] = None  # by operator name
+        self._successors: Optional[Dict[str, List[Operator]]] = None
         self._topological: Optional[List[Operator]] = None
         self.graph_inputs: List[TensorSpec] = []
         self.graph_outputs: List[TensorSpec] = []
@@ -95,7 +96,7 @@ class Graph:
         self._operators[op.name] = op
         for out in op.outputs:
             self._producers[out.name] = op.name
-        self._consumers = self._topological = None
+        self._consumers = self._predecessors = self._successors = self._topological = None
         return op
 
     def add_input(self, spec: TensorSpec) -> TensorSpec:
@@ -137,47 +138,50 @@ class Graph:
         producer = self._producers.get(tensor_name)
         return self._operators[producer] if producer is not None else None
 
-    def consumers_of(self, tensor_name: str) -> List[Operator]:
-        """Operators consuming a tensor, in insertion order."""
+    def _consumer_index(self) -> Dict[str, List[Operator]]:
         if self._consumers is None:
             consumers: Dict[str, List[Operator]] = {}
             for op in self._operators.values():
                 for name in dict.fromkeys(t.name for t in op.inputs):
                     consumers.setdefault(name, []).append(op)
             self._consumers = consumers
-        return list(self._consumers.get(tensor_name, ()))
+        return self._consumers
+
+    def _adjacency(self) -> Tuple[Dict[str, List[Operator]], Dict[str, List[Operator]]]:
+        """The dependency edges as ``(predecessors, successors)`` by operator
+        name: de-duplicated producers in input order, and de-duplicated
+        consumers in output order, then insertion order."""
+        if self._predecessors is None:
+            operators, producers = self._operators, self._producers
+            consumers = self._consumer_index()
+            self._predecessors = {
+                op.name: [
+                    operators[name]
+                    for name in dict.fromkeys(
+                        producers[t.name] for t in op.inputs if t.name in producers
+                    )
+                ]
+                for op in operators.values()
+            }
+            self._successors = {
+                op.name: list(
+                    {c.name: c for t in op.outputs for c in consumers.get(t.name, ())}.values()
+                )
+                for op in operators.values()
+            }
+        return self._predecessors, self._successors
+
+    def consumers_of(self, tensor_name: str) -> List[Operator]:
+        """Operators consuming a tensor, in insertion order."""
+        return list(self._consumer_index().get(tensor_name, ()))
 
     def predecessors(self, op: Operator) -> List[Operator]:
         """Operators whose outputs feed ``op``."""
-        preds = []
-        seen: Set[str] = set()
-        for tensor in op.inputs:
-            producer = self.producer_of(tensor.name)
-            if producer is not None and producer.name not in seen:
-                seen.add(producer.name)
-                preds.append(producer)
-        return preds
+        return list(self._adjacency()[0][op.name])
 
     def successors(self, op: Operator) -> List[Operator]:
         """Operators consuming outputs of ``op``."""
-        succs = []
-        seen: Set[str] = set()
-        for tensor in op.outputs:
-            for consumer in self.consumers_of(tensor.name):
-                if consumer.name not in seen:
-                    seen.add(consumer.name)
-                    succs.append(consumer)
-        return succs
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Build the operator-dependency digraph (nodes = operator names)."""
-        digraph = nx.DiGraph()
-        for op in self._operators.values():
-            digraph.add_node(op.name)
-        for op in self._operators.values():
-            for pred in self.predecessors(op):
-                digraph.add_edge(pred.name, op.name)
-        return digraph
+        return list(self._adjacency()[1][op.name])
 
     def validate(self) -> None:
         """Check the graph is a DAG with all inputs accounted for.
@@ -194,10 +198,30 @@ class Graph:
                     raise GraphError(
                         f"operator {op.name!r} consumes unknown tensor {tensor.name!r}"
                     )
-        digraph = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(digraph):
-            cycle = nx.find_cycle(digraph)
-            raise GraphError(f"graph contains a cycle: {cycle}")
+        self.topological_order()
+
+    def _kahn_order(self) -> Tuple[List[Operator], List[Operator]]:
+        """Kahn's algorithm, always emitting the ready operator with the
+        smallest insertion index.
+
+        Returns ``(order, leftover)``: ``leftover`` holds, in insertion order,
+        the operators a cycle kept from ever becoming ready.
+        """
+        predecessors, successors = self._adjacency()
+        operators = list(self._operators.values())
+        index = {op.name: i for i, op in enumerate(operators)}
+        waiting = [len(predecessors[op.name]) for op in operators]
+        ready = [i for i, count in enumerate(waiting) if not count]  # ascending: a heap
+        order: List[Operator] = []
+        while ready:
+            op = operators[heappop(ready)]
+            order.append(op)
+            for successor in successors[op.name]:
+                j = index[successor.name]
+                waiting[j] -= 1
+                if not waiting[j]:
+                    heappush(ready, j)
+        return order, [op for op, count in zip(operators, waiting) if count]
 
     def topological_order(self) -> List[Operator]:
         """Operators in a deterministic topological order.
@@ -206,12 +230,17 @@ class Graph:
         same model are reproducible (lexicographic topological sort keyed on
         the operator's insertion index).  Memoised until the next
         :meth:`add_operator`.
+
+        Raises:
+            GraphError: If the graph contains a cycle.
         """
         if self._topological is None:
-            index = {name: i for i, name in enumerate(self._operators)}
-            digraph = self.to_networkx()
-            order = nx.lexicographical_topological_sort(digraph, key=lambda n: index[n])
-            self._topological = [self._operators[name] for name in order]
+            order, leftover = self._kahn_order()
+            if leftover:
+                raise GraphError(
+                    f"graph contains a cycle: {[op.name for op in leftover]}"
+                )
+            self._topological = order
         return list(self._topological)
 
     def cim_operators(self) -> List[Operator]:
@@ -220,11 +249,11 @@ class Graph:
 
     def dependency_pairs(self) -> Set[Tuple[str, str]]:
         """The relation ``W``: pairs ``(producer, consumer)`` of operator names."""
-        pairs: Set[Tuple[str, str]] = set()
-        for op in self._operators.values():
-            for pred in self.predecessors(op):
-                pairs.add((pred.name, op.name))
-        return pairs
+        return {
+            (pred.name, name)
+            for name, preds in self._adjacency()[0].items()
+            for pred in preds
+        }
 
     # ------------------------------------------------------------------ #
     # statistics

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -395,6 +395,10 @@ class CompileService:
         failures — unpicklable payloads, a killed worker — are folded
         into the affected jobs' results instead of raising.
         """
+        # Only this backend needs multiprocessing; a module-scope import would
+        # load it into every process that imports the API.
+        from concurrent.futures import ProcessPoolExecutor
+
         specs = [
             {
                 **job.to_spec(),

@@ -221,15 +221,24 @@ class TestRefinement:
         assert result.total_arrays <= hw.num_arrays
 
 
-def test_default_compile_never_imports_scipy_optimize():
-    """No native solver — and no lazy ``scipy.optimize`` import — on the
-    default compile path (the MILP oracle imports it inside ``_select``)."""
+def _run_in_fresh_interpreter(script):
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    script = (
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_default_compile_never_imports_scipy_optimize():
+    """No native solver — and no lazy ``scipy.optimize`` import — on the
+    default compile path (the MILP oracle imports it inside ``_select``)."""
+    _run_in_fresh_interpreter(
         "import sys\n"
         "from repro.api import Session\n"
         "with Session(hardware='small-test-chip') as session:\n"
@@ -237,9 +246,23 @@ def test_default_compile_never_imports_scipy_optimize():
         "assert program.stats['allocator_solves'] > 0\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+
+
+def test_one_shot_compile_loads_only_the_compiler():
+    """``import repro.cli`` plus a default compile pulls in numpy and the
+    compile path of this package -- no graph library, no process pools, no
+    HTTP, no serving / sweep / simulation layers."""
+    _run_in_fresh_interpreter(
+        "import sys\n"
+        "import repro.cli\n"
+        "from repro.api import Session\n"
+        "with Session('small-test-chip') as session:\n"
+        "    session.compile('tiny-mlp')\n"
+        "unwanted = ['networkx', 'scipy', 'scipy.optimize', 'multiprocessing',\n"
+        "    'concurrent.futures.process', 'http.server', 'http.client', 'xml', 'email',\n"
+        "    'repro.serve', 'repro.dse', 'repro.sim', 'repro.eval', 'repro.experiments',\n"
+        "    'repro.analysis']\n"
+        "loaded = [name for name in unwanted if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert len(sys.modules) < 320, len(sys.modules)\n"
     )
-    assert done.returncode == 0, done.stderr

@@ -1,12 +1,15 @@
 """Unit tests for the computation graph container (repro.ir.graph)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ir import (
     Graph,
     GraphBuilder,
     GraphError,
     Linear,
+    Operator,
     TensorSpec,
     graph_from_json,
     graph_to_json,
@@ -115,6 +118,162 @@ class TestQueries:
                     if any(t.name == tensor.name for t in other.inputs)
                 ]
                 assert graph.consumers_of(tensor.name) == scanned
+
+
+def node(name, inputs):
+    """A bare operator producing one tensor, ``<name>_out``."""
+    return Operator(
+        name, [TensorSpec(t, (1,)) for t in inputs], [TensorSpec(f"{name}_out", (1,))]
+    )
+
+
+@st.composite
+def shuffled_dags(draw, max_operators):
+    """Operators ``n0 .. n<k>`` where ``n<j>`` may consume any ``n<i>``,
+    ``i < j`` -- listed in an insertion order drawn independently of that
+    dependency order."""
+    count = draw(st.integers(1, max_operators))
+    operators = [
+        node(f"n{j}", [f"n{i}_out" for i in range(j) if draw(st.booleans())] or ["x"])
+        for j in range(count)
+    ]
+    return draw(st.permutations(operators))
+
+
+def scanned_producers(graph, op):
+    """Names of the operators feeding ``op``, found without the graph's indices."""
+    wanted = {t.name for t in op.inputs}
+    return {
+        other.name for other in graph.operators if wanted & {t.name for t in other.outputs}
+    }
+
+
+def brute_force_order(graph):
+    """Repeatedly emit the first operator, in insertion order, whose producers
+    have all been emitted."""
+    order = []
+    while len(order) < len(graph):
+        order.append(
+            next(
+                op.name
+                for op in graph.operators
+                if op.name not in order and scanned_producers(graph, op) <= set(order)
+            )
+        )
+    return order
+
+
+def networkx_order(nx, graph):
+    """The ordering this repository used to delegate to networkx."""
+    index = {op.name: i for i, op in enumerate(graph.operators)}
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(index)
+    digraph.add_edges_from(graph.dependency_pairs())
+    return list(nx.lexicographical_topological_sort(digraph, key=index.__getitem__))
+
+
+def names(operators):
+    return [op.name for op in operators]
+
+
+class TestTopologicalOrdering:
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_dags(max_operators=8))
+    def test_smallest_ready_insertion_index_first(self, operators):
+        """Checked after every ``add_operator``: an edge that appears only
+        when a late producer is inserted must not be missed by a stale
+        adjacency index or a stale memo."""
+        graph = Graph("random")
+        for op in operators:
+            graph.add_operator(op)
+            order = names(graph.topological_order())
+            assert sorted(order) == sorted(names(graph.operators))
+            position = {name: i for i, name in enumerate(order)}
+            for other in graph.operators:
+                producers = scanned_producers(graph, other)
+                assert sorted(names(graph.predecessors(other))) == sorted(producers)
+                for producer in producers:
+                    assert position[producer] < position[other.name]
+                    assert other in graph.successors(graph.operator(producer))
+            assert order == brute_force_order(graph)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shuffled_dags(max_operators=8))
+    def test_topological_insertion_order_comes_back_unchanged(self, operators):
+        in_dependency_order = sorted(operators, key=lambda op: int(op.name[1:]))
+        graph = Graph("sorted", in_dependency_order)
+        assert graph.topological_order() == in_dependency_order
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_dags(max_operators=24))
+    def test_random_dags_match_networkx(self, operators):
+        nx = pytest.importorskip("networkx")
+        graph = Graph("random", operators)
+        assert names(graph.topological_order()) == networkx_order(nx, graph)
+
+    def test_every_zoo_model_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        from repro.models import build_model, list_models
+
+        for model in list_models():
+            graph = build_model(model)
+            assert names(graph.topological_order()) == networkx_order(nx, graph), model
+
+    def test_multi_output_successors_follow_output_order(self):
+        split = Operator(
+            "split", [TensorSpec("x", (2,))], [TensorSpec("a", (1,)), TensorSpec("b", (1,))]
+        )
+        graph = Graph("split", [split, node("uses_b", ["b"]), node("uses_a", ["a", "b"])])
+        assert names(graph.successors(split)) == ["uses_a", "uses_b"]
+        assert names(graph.topological_order()) == ["split", "uses_b", "uses_a"]
+
+
+CYCLIC_GRAPHS = {
+    "two-cycle": (
+        [node("a", ["b_out"]), node("b", ["a_out"])],
+        "['a', 'b']",
+    ),
+    "cycle behind a valid prefix": (
+        [
+            node("late", ["q_out"]),
+            node("head", ["x"]),
+            node("p", ["head_out", "r_out"]),
+            node("q", ["p_out"]),
+            node("r", ["q_out"]),
+            node("free", ["head_out"]),
+        ],
+        "['late', 'p', 'q', 'r']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CYCLIC_GRAPHS)
+class TestCycles:
+    def graph(self, case):
+        operators, stuck = CYCLIC_GRAPHS[case]
+        graph = Graph("cyclic", operators)
+        graph.add_input(TensorSpec("x", (1,)))
+        return graph, f"graph contains a cycle: {stuck}"
+
+    def test_validate_names_the_stuck_operators(self, case):
+        graph, message = self.graph(case)
+        with pytest.raises(GraphError) as raised:
+            graph.validate()
+        assert str(raised.value) == message
+
+    def test_topological_order_raises_and_memoises_nothing(self, case):
+        graph, message = self.graph(case)
+        for query in (graph.topological_order, graph.cim_operators, graph.topological_order):
+            with pytest.raises(GraphError) as raised:
+                query()
+            assert str(raised.value) == message
+
+    def test_compile_of_an_unvalidated_cyclic_graph(self, case, small_chip):
+        from repro.core.compiler import CMSwitchCompiler
+
+        graph, _ = self.graph(case)
+        with pytest.raises(GraphError, match="graph contains a cycle"):
+            CMSwitchCompiler(small_chip).compile(graph)
 
 
 class TestValidation:

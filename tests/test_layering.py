@@ -2,6 +2,7 @@
 ones, and below the CLI nothing reaches up into ``repro.serve``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,16 @@ def test_only_the_cli_imports_the_serve_package():
         }
     )
     assert importers == ["repro/cli.py"]
+
+
+def test_numpy_and_scipy_are_the_only_third_party_imports():
+    third_party = sorted(
+        {
+            f"{path.relative_to(SRC)} -> {module}"
+            for path in (SRC / "repro").rglob("*.py")
+            for module in _imported_modules(path)
+            if (top := module.split(".")[0]) not in sys.stdlib_module_names
+            and top not in ("repro", "numpy", "scipy")
+        }
+    )
+    assert not third_party, third_party
