@@ -1,14 +1,14 @@
 """The stable public API: one :class:`Session` over compile / batch / DSE.
 
 Compiling one graph, running a batch and exploring a design space each
-need a hardware preset, a cache directory and a pool backend.  A
-:class:`Session` carries that context once:
+need a hardware preset and a cache directory.  A :class:`Session`
+carries that context once:
 
 * ``session.compile(model, workload)`` — one graph through the pass
   pipeline, raising on failure;
-* ``session.compile_batch(jobs)`` — many jobs through the shared
-  :class:`~repro.service.CompileService` (thread or process pool),
-  failures isolated per job;
+* ``session.compile_batch(jobs)`` — many jobs, one after another,
+  through the shared :class:`~repro.service.CompileService`, failures
+  isolated per job;
 * ``session.explore(space)`` — a :mod:`repro.dse` run against the same
   cache and program store, so a sweep warm-starts from every compile the
   session already did;
@@ -63,8 +63,8 @@ class Session:
     """One configured entry point over the whole compilation stack.
 
     A session owns the shared in-memory :class:`AllocationCache`, the
-    optional ``cache_dir`` program store, the worker-pool backend and
-    the default hardware/options, and routes every public operation —
+    optional ``cache_dir`` program store and the default
+    hardware/options, and routes every public operation —
     single compiles, batches, design-space exploration, cache
     inspection — through them.  Sessions are cheap to construct and
     safe to share between threads (the underlying service, cache and
@@ -82,14 +82,11 @@ class Session:
         cache_dir: Directory of the persistent program store
             (:class:`~repro.core.store.DiskCacheStore`): every compile
             is looked up there first and written there after, so a
-            later session or worker process answers a repeated compile
-            with one read and no solve.  A program served from it
+            later session or process answers a repeated compile with one
+            read and no solve.  A program served from it
             carries its meta-operator flow as text only — compile
             without ``cache_dir`` for one the functional simulator can
             execute.
-        backend: ``"thread"`` (default) or ``"process"`` — see
-            :class:`CompileService` for the sharing contract.
-        max_workers: Default pool width for batches.
         use_cache: Disable the shared cache and the program store
             entirely (A/B timing).
         trace: Telemetry switch (off by default — the disabled path is a
@@ -108,8 +105,6 @@ class Session:
         options: Optional[CompilerOptions] = None,
         cache: Optional[AllocationCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        backend: str = "thread",
-        max_workers: Optional[int] = None,
         use_cache: bool = True,
         trace: Union[None, bool, str, Path, Tracer, Observability] = None,
     ) -> None:
@@ -139,8 +134,6 @@ class Session:
         self.service = CompileService(
             cache=cache,
             cache_dir=cache_dir,
-            backend=backend,
-            max_workers=max_workers,
             use_cache=use_cache,
             obs=self.obs,
         )
@@ -224,29 +217,19 @@ class Session:
             label=label,
         )
 
-    def compile_batch(
-        self,
-        jobs: Sequence[JobLike],
-        max_workers: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> List[CompileJobResult]:
-        """Compile many jobs concurrently against the shared cache.
+    def compile_batch(self, jobs: Sequence[JobLike]) -> List[CompileJobResult]:
+        """Compile many jobs, in order, against the shared cache.
 
         Args:
             jobs: :class:`CompileJob` specs; bare model names / graphs
                 are coerced to jobs on the session's hardware.
-            max_workers: Pool-width override for this batch.
-            backend: ``"thread"`` / ``"process"`` override.
 
         Returns:
             One :class:`CompileJobResult` per job, input order kept; a
             failing job is captured in its result, never raised.
         """
-        coerced = [
-            job if isinstance(job, CompileJob) else self.job(job) for job in jobs
-        ]
         return self.service.compile_batch(
-            coerced, max_workers=max_workers, backend=backend
+            [job if isinstance(job, CompileJob) else self.job(job) for job in jobs]
         )
 
     # ------------------------------------------------------------------ #
@@ -302,15 +285,14 @@ class Session:
         state=None,
         batch_size: int = 8,
         seed: int = 0,
-        max_workers: Optional[int] = None,
         trace=None,
     ):
         """Explore a :class:`~repro.dse.DesignSpace` against this cache.
 
         Builds a :class:`~repro.dse.DSERunner` sharing the session's
-        allocation cache, program store directory and backend, so
-        exploration warm-starts from (and contributes back to) every
-        other compile the session serves.
+        allocation cache and program store directory, so exploration
+        warm-starts from (and contributes back to) every other compile
+        the session serves.
 
         Args:
             space: The :class:`~repro.dse.DesignSpace` to explore.
@@ -327,7 +309,6 @@ class Session:
             state: Optional resumable :class:`~repro.dse.RunState`.
             batch_size: Points asked from the strategy per iteration.
             seed: Seed used when ``strategy`` is given by name.
-            max_workers: Compile-pool width override.
             trace: Request :class:`~repro.sim.traces.Trace` replayed per
                 surviving point when ``objective="trace_p99"``.
 
@@ -343,10 +324,6 @@ class Session:
             fidelity=fidelity,
             cache=self.cache,
             cache_dir=self.cache_dir,
-            backend=self.backend,
-            max_workers=(
-                max_workers if max_workers is not None else self.service.max_workers
-            ),
             state=state,
             batch_size=batch_size,
             seed=seed,
@@ -372,11 +349,6 @@ class Session:
     def cache_dir(self) -> Optional[str]:
         """The program store's directory, when one is configured."""
         return self.service.cache_dir
-
-    @property
-    def backend(self) -> str:
-        """The session's worker-pool backend."""
-        return self.service.backend
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -428,7 +400,4 @@ class Session:
             if self.cache is None
             else (self.cache_dir or "in-memory")
         )
-        return (
-            f"Session(hardware={self.hardware.name!r}, backend={self.backend!r}, "
-            f"cache={cache})"
-        )
+        return f"Session(hardware={self.hardware.name!r}, cache={cache})"

@@ -3,7 +3,7 @@
 Installed as ``python -m repro.cli`` (or used programmatically through
 :func:`main`).  Every compile-shaped sub-command is a thin shim over
 :class:`repro.api.Session` — the CLI builds one session (hardware,
-cache directory, backend, pool width) and routes the work through it,
+cache directory) and routes the work through it,
 so the command line and the Python API cannot drift apart.  Unknown
 model names exit with code 2 and the list of registered models, never
 a raw traceback.  Sub-commands:
@@ -13,11 +13,11 @@ a raw traceback.  Sub-commands:
 * ``compile`` — compile one model for one hardware preset and print the
   plan summary (optionally the meta-operator flow and per-segment table).
 * ``compile-batch`` — compile many models through the
-  :class:`repro.service.CompileService` (shared allocation cache, thread
-  or process pool) and print per-job statistics including the cache hit
-  rate.  ``--cache-dir`` persists every compiled program so later
-  invocations (and process-pool workers) read it back instead of
-  compiling it again.
+  :class:`repro.service.CompileService` (shared allocation cache, jobs
+  in order) and print per-job statistics including the cache hit rate.
+  ``--cache-dir`` persists every compiled program so later invocations
+  (and other ``repro`` processes running beside this one) read it back
+  instead of compiling it again.
 * ``compare`` — compile with CMSwitch and the baselines and print speedups.
 * ``experiment`` — run one of the paper-figure experiments.
 * ``dse`` — explore a design space (models x workloads x array counts x
@@ -37,9 +37,8 @@ a raw traceback.  Sub-commands:
 Examples::
 
     python -m repro.cli compile llama2-7b --hardware dynaplasia --batch 1 --seq-len 128
-    python -m repro.cli compile-batch resnet18 bert vgg16 --jobs 4 --repeat 2
+    python -m repro.cli compile-batch resnet18 bert vgg16 --repeat 2
     python -m repro.cli compile-batch resnet18 bert --cache-dir ~/.cache/repro-programs
-    python -m repro.cli compile-batch resnet18 bert --backend process --cache-dir /tmp/ac
     python -m repro.cli compare resnet18 --batch 8
     python -m repro.cli experiment fig14 --batch-sizes 1 8
     python -m repro.cli dse resnet18 --hardware dynaplasia --arrays 64 96 128 \
@@ -226,8 +225,7 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
     if not args.models:
         print(
             "error: compile-batch requires at least one model name\n"
-            "usage: repro compile-batch MODEL [MODEL ...] [--cache-dir DIR] "
-            "[--backend {thread,process}]\n"
+            "usage: repro compile-batch MODEL [MODEL ...] [--cache-dir DIR]\n"
             "       (run 'repro models' to list the registered models)",
             file=sys.stderr,
         )
@@ -238,9 +236,7 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
 
     session = Session(
         hardware=args.hardware,
-        max_workers=args.jobs,
         use_cache=not args.no_cache,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         trace=_session_trace(args),
     )
@@ -290,26 +286,16 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
                 f"{name} {seconds:.3f}s" for name, seconds in pass_totals.items()
             )
         )
-    if args.backend == "thread":
-        aggregate = session.cache_stats
+    aggregate = session.cache_stats
+    print(
+        f"cache: {aggregate.hits} hits / {aggregate.lookups} lookups "
+        f"({100.0 * aggregate.hit_rate:.1f}%), {aggregate.evictions} evictions"
+    )
+    if session.store is not None:
+        disk = session.store.stats
         print(
-            f"cache: {aggregate.hits} hits / {aggregate.lookups} lookups "
-            f"({100.0 * aggregate.hit_rate:.1f}%), {aggregate.evictions} evictions"
-        )
-        if session.store is not None:
-            disk = session.store.stats
-            print(
-                f"disk store: {disk.hits} hits, {disk.stores} stores, "
-                f"{disk.evictions} evictions ({session.store.root})"
-            )
-    elif session.store is not None:
-        # Process workers keep their own store instances; the per-job rows
-        # above carry their disk hits, and the directory itself reports
-        # what the whole fleet left behind.
-        usage = session.store.usage()
-        print(
-            f"disk store: {usage['files']} entries, "
-            f"{usage['bytes'] / (1024 * 1024):.1f} MB ({session.store.root})"
+            f"disk store: {disk.hits} hits, {disk.stores} stores, "
+            f"{disk.evictions} evictions ({session.store.root})"
         )
     # Machine-checkable summary: CI smoke greps these lines to assert a
     # disk-warm second invocation performs zero solves (and that the
@@ -342,8 +328,7 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
                 "disk_hits": total_disk_hits,
             },
         }
-        if args.backend == "thread" and session.cache is not None:
-            report["cache"] = session.cache_stats.to_dict()
+        report["cache"] = session.cache_stats.to_dict()
         out = Path(args.json_out).expanduser()
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         LOGGER.info("json report: %s", out)
@@ -384,8 +369,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     """Run one of the paper-figure experiments and print its report."""
     from .experiments import end_to_end, generative, workload_scale
-    from .experiments import allocation_report as allocation
     from .experiments import compile_time, overheads
+
+    # Names, not the module: ``from .experiments import allocation_report``
+    # binds the *function* the package re-exports under the module's name.
+    from .experiments.allocation_report import (
+        allocation_report,
+        render_report as render_allocation,
+    )
     from .hardware.presets import dynaplasia
 
     hardware = get_preset(args.hardware)
@@ -408,8 +399,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(generative.render_report(rows))
     elif args.figure == "fig15":
         for model in ("vgg16", "opt-6.7b"):
-            rows = allocation.allocation_report(model, hardware=hardware)
-            print(allocation.render_report(model, rows))
+            rows = allocation_report(model, hardware=hardware)
+            print(render_allocation(model, rows))
             print()
     elif args.figure == "fig18":
         rows = compile_time.measure_compile_time(hardware=hardware)
@@ -504,7 +495,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     session = Session(
         hardware=args.preset,
         cache_dir=args.cache_dir,
-        max_workers=args.jobs,
         trace=_session_trace(args),
     )
     result = session.replay(trace)
@@ -660,8 +650,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
     session = Session(
         hardware=hardware,
         cache_dir=args.cache_dir,
-        backend=args.backend,
-        max_workers=args.jobs,
         trace=_session_trace(args),
     )
     with state:
@@ -854,7 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="transformer phase (default: encode for transformers)",
     )
-    batch.add_argument("--jobs", type=int, default=None, help="thread-pool width")
     batch.add_argument(
         "--repeat",
         type=int,
@@ -868,12 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="program-store directory (compiled programs shared across runs and processes)",
-    )
-    batch.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker pool backend (process workers share programs via --cache-dir)",
     )
     batch.add_argument(
         "--json-out",
@@ -1008,13 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="continue the run directory, skipping already-evaluated points",
     )
-    dse.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="compile-service backend",
-    )
-    dse.add_argument("--jobs", type=int, default=None, help="compile pool width")
     _add_obs_arguments(dse)
     dse.set_defaults(func=cmd_dse)
 
@@ -1070,7 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="program-store directory (warm replays solve nothing)",
     )
-    replay.add_argument("--jobs", type=int, default=None, help="compile pool width")
     replay.add_argument(
         "--json-out", default=None, help="write the full JSON report here"
     )

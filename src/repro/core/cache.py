@@ -296,8 +296,8 @@ class AllocationCache:
       them changes the key (there is no way to get a stale answer by
       tweaking hardware or options).
     * **Thread safety** — all public methods may be called concurrently;
-      one instance can back a whole multi-threaded
-      :class:`~repro.service.CompileService`.
+      one instance backs the :class:`~repro.service.CompileService`
+      the ``repro serve`` daemon's worker threads share.
     * **Per process** — nothing here crosses a process border; what a
       ``cache_dir`` shares between processes is whole programs
       (:class:`~repro.core.store.DiskCacheStore`).

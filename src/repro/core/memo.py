@@ -26,8 +26,8 @@ same structural :class:`AllocationCacheKey`, so
 :func:`~repro.core.allocation.allocate_segment` can probe it without a
 new protocol and a hit is bit-identical to a cold solve by the same
 argument the cache's exactness rests on.  Cross-process sharing is out
-of scope — process-backend workers never see the memo (they share
-whole programs through the ``cache_dir`` store only).
+of scope — processes share whole programs through the ``cache_dir``
+store only.
 """
 
 from __future__ import annotations

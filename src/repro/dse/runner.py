@@ -31,9 +31,8 @@ on (evaluated / replicated / skipped / allocator solves / per-fidelity
 evaluations), and the Pareto reporting entry points.
 
 :meth:`repro.api.Session.explore` is the public entry point: it builds
-a runner sharing the session's allocation cache, program store and
-backend, so a sweep warm-starts from every other compile the session
-served.
+a runner sharing the session's allocation cache and program store, so
+a sweep warm-starts from every other compile the session served.
 """
 
 from __future__ import annotations
@@ -301,8 +300,10 @@ class DSERunner:
         cache_dir: Program-store directory
             (:class:`~repro.core.store.DiskCacheStore`): a point an
             earlier run compiled is read back instead of recompiled.
-        backend: Compile-service backend (``thread``/``process``).
-        max_workers: Pool width of the compile service.
+        max_workers: Accepted and ignored.  Compiles run one after
+            another (there is no pool to size); the parameter stays only
+            because the repository benchmark (``bench/``, read-only for
+            this kind of change) still passes ``max_workers=1``.
         state: Resumable run state (None runs fully in memory).
         batch_size: Points asked from the strategy per iteration.
         seed: Seed used when ``strategy`` is given by name.
@@ -327,7 +328,6 @@ class DSERunner:
         fidelity: str = "compile",
         cache: Optional[AllocationCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        backend: str = "thread",
         max_workers: Optional[int] = None,
         state: Optional[RunState] = None,
         batch_size: int = 8,
@@ -385,8 +385,6 @@ class DSERunner:
         self.service = CompileService(
             cache=cache,
             cache_dir=cache_dir,
-            backend=backend,
-            max_workers=max_workers,
             solve_memo=self.solve_memo,
             obs=self.obs,
         )

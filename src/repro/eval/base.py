@@ -117,9 +117,8 @@ class Evaluator:
     """Protocol of one evaluation tier.
 
     Implementations set :attr:`fidelity` and provide :meth:`evaluate`;
-    the default :meth:`evaluate_batch` maps it over the jobs (tiers
-    backed by a worker pool override it).  Candidates are
-    :class:`~repro.service.CompileJob` specs — the one
+    the default :meth:`evaluate_batch` maps it over the jobs.
+    Candidates are :class:`~repro.service.CompileJob` specs — the one
     (model, workload, hardware, options) carrier every layer of this
     codebase already speaks.
     """

@@ -1,8 +1,8 @@
 """Plan fidelity: evaluate a candidate by compiling it.
 
 :class:`CompileEvaluator` runs the full pass pipeline through a
-:class:`~repro.service.CompileService` (thread or process pool, shared
-allocation cache) and answers with metrics taken from the real
+:class:`~repro.service.CompileService` (shared allocation cache and
+program store) and answers with metrics taken from the real
 :class:`~repro.core.program.CompiledProgram`.  The parity suite
 ratchets that its programs are bit-identical to direct
 :meth:`repro.api.Session.compile` output.
@@ -63,8 +63,8 @@ class CompileEvaluator(Evaluator):
     """Evaluates by running the full compile pipeline (the paper's flow).
 
     Args:
-        service: The compile service jobs run through; its cache,
-            backend and pool width govern every evaluation.
+        service: The compile service jobs run through; its cache and
+            program store govern every evaluation.
     """
 
     fidelity = "compile"
@@ -76,6 +76,6 @@ class CompileEvaluator(Evaluator):
         return evaluation_from_outcome(self.service.compile(job))
 
     def evaluate_batch(self, jobs: Sequence[CompileJob]) -> List[Evaluation]:
-        """Run the batch through the service's worker pool."""
+        """Run the batch through the service (one ``compile_batch`` span)."""
         outcomes = self.service.compile_batch(jobs)
         return [evaluation_from_outcome(outcome) for outcome in outcomes]

@@ -83,10 +83,10 @@ def _lane_events(
 ) -> List[Dict[str, object]]:
     """Depth-first B/E/i emission of one (process, thread) lane.
 
-    Spans whose parent lives on another lane (cross-thread edges,
-    adopted process spans) are roots here; parent links within the lane
-    drive the nesting, so emission order is valid by construction rather
-    than by timestamp heuristics.
+    Spans whose parent is not in the lane (dropped by a bounded
+    tracer's ring, or hand-assembled input) are roots here; parent
+    links within the lane drive the nesting, so emission order is valid
+    by construction rather than by timestamp heuristics.
     """
     by_id = {span.span_id: span for span in lane_spans}
     children: Dict[Optional[int], List[Span]] = defaultdict(list)

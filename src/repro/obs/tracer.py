@@ -10,13 +10,8 @@ injectable :class:`~repro.core.clock.Clock` — nested through ordinary
             handle.set(solver="milp")
 
 Nesting is per-thread: each thread keeps its own stack of active spans,
-so concurrent ``CompileService`` workers produce independent well-formed
-sub-forests that merge on :meth:`Tracer.spans`.  Cross-thread edges
-(a pool worker's job span hanging under the batch span opened on the
-main thread) are made explicit with ``parent=``.  Process-pool workers
-build their own tracer, ship the finished :class:`Span` list back with
-the job result (spans are plain picklable dataclasses), and the parent
-re-roots them with :meth:`Tracer.adopt`.
+so the ``repro serve`` daemon's worker threads produce independent
+well-formed sub-forests that merge on :meth:`Tracer.spans`.
 
 The disabled path is the null-object :data:`NULL_TRACER`: every call is
 a constant-time no-op returning shared singletons, so instrumented code
@@ -30,7 +25,7 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from ..core.clock import Clock, SYSTEM_CLOCK
 
@@ -41,10 +36,8 @@ __all__ = ["Span", "SpanHandle", "Tracer", "NullTracer", "NULL_TRACER"]
 class Span:
     """One finished (or instant) interval on a tracer's clock.
 
-    Plain data, no behaviour beyond serialisation: spans cross process
-    boundaries by pickling (process-backend workers ship them home with
-    job results), so everything here must stay picklable and equality
-    must be bit-exact for the round-trip tests.
+    Plain data, no behaviour beyond serialisation (:meth:`to_dict` /
+    :meth:`from_dict` are the JSONL exporter's row).
 
     Attributes:
         name: What the interval covers (``"segment"``, ``"compile"``).
@@ -103,9 +96,6 @@ class Span:
         )
 
 
-ParentLike = Union[None, int, Span, "SpanHandle"]
-
-
 class SpanHandle:
     """Context manager for one active span.
 
@@ -117,12 +107,12 @@ class SpanHandle:
 
     __slots__ = ("_tracer", "name", "attrs", "span_id", "parent_id", "start")
 
-    def __init__(self, tracer: "Tracer", name: str, parent: ParentLike, attrs: Dict[str, object]):
+    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, object]):
         self._tracer = tracer
         self.name = name
         self.attrs = attrs
         self.span_id = 0  # allocated on __enter__
-        self.parent_id = _resolve_parent(parent)
+        self.parent_id: Optional[int] = None  # the thread stack's top, on __enter__
         self.start = 0.0
 
     def set(self, **attrs: object) -> "SpanHandle":
@@ -141,20 +131,11 @@ class SpanHandle:
         return False
 
 
-def _resolve_parent(parent: ParentLike) -> Optional[int]:
-    """Accept a handle, a finished span, a raw id, or None."""
-    if parent is None:
-        return None
-    if isinstance(parent, int):
-        return parent
-    return parent.span_id
-
-
 class _SpanRing:
     """Drop-oldest span buffer shared by every thread of a bounded tracer.
 
     Offers the slice of the list interface :class:`Tracer` uses on its
-    per-thread buffers (``append`` / ``extend`` / iteration / ``clear``).
+    per-thread buffers (``append`` / iteration / ``clear``).
     Iteration yields a snapshot, so readers never race writers.
     """
 
@@ -168,10 +149,6 @@ class _SpanRing:
             if len(self._spans) == self._spans.maxlen:
                 self.dropped += 1
             self._spans.append(span)
-
-    def extend(self, spans: Iterable[Span]) -> None:
-        for span in spans:
-            self.append(span)
 
     def __iter__(self):
         with self._lock:
@@ -201,8 +178,7 @@ class Tracer:
         clock: Time source; spans use ``clock.perf`` (monotonic).  Tests
             inject :class:`~repro.core.clock.ManualClock` to make
             durations deterministic.
-        process: Label stamped on every span; defaults to ``pid-<os pid>``
-            so adopted worker spans stay distinguishable.
+        process: Label stamped on every span; defaults to ``pid-<os pid>``.
         max_spans: Retain at most this many spans, dropping the oldest
             (None, the default, retains everything).
     """
@@ -238,15 +214,11 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # recording
     # ------------------------------------------------------------------ #
-    def span(self, name: str, parent: ParentLike = None, **attrs: object) -> SpanHandle:
-        """Open a span; use as a context manager.
+    def span(self, name: str, **attrs: object) -> SpanHandle:
+        """Open a span; use as a context manager."""
+        return SpanHandle(self, name, attrs)
 
-        ``parent`` overrides the thread-stack parent for cross-thread
-        edges (pool workers nesting under a batch span).
-        """
-        return SpanHandle(self, name, parent, attrs)
-
-    def event(self, name: str, parent: ParentLike = None, **attrs: object) -> Span:
+    def event(self, name: str, **attrs: object) -> Span:
         """Record an instant (zero-duration) event at the current time."""
         now = self.clock.perf()
         span = Span(
@@ -254,7 +226,7 @@ class Tracer:
             start=now,
             end=now,
             span_id=self._allocate_id(),
-            parent_id=_resolve_parent(parent) if parent is not None else self._stack_top(),
+            parent_id=self._stack_top(),
             thread=_thread_label(),
             process=self.process,
             attrs=dict(attrs),
@@ -266,7 +238,7 @@ class Tracer:
     def _begin(self, handle: SpanHandle) -> None:
         handle.span_id = self._allocate_id()
         stack = self._stack()
-        if handle.parent_id is None and stack:
+        if stack:
             handle.parent_id = stack[-1]
         stack.append(handle.span_id)
         handle.start = self.clock.perf()
@@ -291,43 +263,6 @@ class Tracer:
                 instant=False,
             )
         )
-
-    def adopt(
-        self,
-        spans: Sequence[Span],
-        parent: ParentLike = None,
-        process: Optional[str] = None,
-    ) -> List[Span]:
-        """Graft spans recorded by another tracer into this one.
-
-        Ids are re-allocated (the shipper's id space is its own), parent
-        links inside the shipped set are remapped, and roots are
-        re-rooted under ``parent``.  Used by the process backend: the
-        batch tracer adopts each worker's flushed spans under the batch
-        span.  Returns the adopted copies.
-        """
-        parent_id = _resolve_parent(parent)
-        mapping: Dict[int, int] = {}
-        for span in spans:
-            mapping[span.span_id] = self._allocate_id()
-        adopted: List[Span] = []
-        for span in spans:
-            adopted.append(
-                Span(
-                    name=span.name,
-                    start=span.start,
-                    end=span.end,
-                    span_id=mapping[span.span_id],
-                    parent_id=mapping.get(span.parent_id, parent_id),
-                    thread=span.thread,
-                    process=span.process if process is None else process,
-                    attrs=dict(span.attrs),
-                    instant=span.instant,
-                )
-            )
-        buffer = self._buffer()
-        buffer.extend(adopted)
-        return adopted
 
     # ------------------------------------------------------------------ #
     # reading
@@ -422,19 +357,11 @@ class NullTracer:
     process = "null"
     spans_dropped = 0
 
-    def span(self, name: str, parent: ParentLike = None, **attrs: object) -> _NullHandle:
+    def span(self, name: str, **attrs: object) -> _NullHandle:
         return _NULL_HANDLE
 
-    def event(self, name: str, parent: ParentLike = None, **attrs: object) -> None:
+    def event(self, name: str, **attrs: object) -> None:
         return None
-
-    def adopt(
-        self,
-        spans: Sequence[Span],
-        parent: ParentLike = None,
-        process: Optional[str] = None,
-    ) -> List[Span]:
-        return []
 
     def spans(self) -> List[Span]:
         return []

@@ -1,14 +1,13 @@
 """Versioned JSON wire format of the compile service.
 
-The process backend already ships :class:`~repro.service.CompileJob`
-between processes as a picklable spec (:meth:`CompileJob.to_spec`).
-HTTP clients need the same information as *JSON*: this module is the
-JSON-safe rendering of that spec — model graphs travel as their exact
-JSON serialisation, workloads as :func:`workload_to_payload` payloads,
-hardware as a preset name or a full DEHA dictionary, options as a plain
-field mapping — plus the reverse direction for compiled programs, so a
-daemon can hand a *complete* :class:`~repro.core.program.CompiledProgram`
-back to a remote caller.
+HTTP clients hand the daemon a :class:`~repro.service.CompileJob` as
+*JSON*: this module is the one serialisation of a job — model graphs
+travel as their exact JSON serialisation, workloads as
+:func:`workload_to_payload` payloads, hardware as a preset name or a
+full DEHA dictionary, options as a plain field mapping — plus the
+reverse direction for compiled programs, so a daemon can hand a
+*complete* :class:`~repro.core.program.CompiledProgram` back to a
+remote caller.
 
 Rules (mirroring :class:`~repro.core.store.DiskCacheStore`'s discipline):
 
@@ -135,9 +134,8 @@ def _hardware_from_wire(payload):
 def job_to_wire(job: CompileJob) -> Dict:
     """JSON-safe rendering of one compile request.
 
-    The JSON sibling of :meth:`CompileJob.to_spec`: same field split
-    (named model *or* serialised graph), but every value is a plain JSON
-    type instead of a picklable Python object.
+    A named model *or* a serialised graph; every value a plain JSON
+    type.
     """
     return {
         "wire_version": WIRE_VERSION,

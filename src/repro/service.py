@@ -9,15 +9,15 @@ saves is measured in the header of :mod:`repro.core.cache`):
 * every job compiles against one shared, thread-safe
   :class:`~repro.core.cache.AllocationCache`, so structurally identical
   segments are solved once across the whole batch;
-* jobs run concurrently on a thread pool (``concurrent.futures``);
-* for CPU-bound fleets where the GIL caps the thread backend (the
-  window solver, DP and cost model are pure Python), ``backend="process"`` shuttles
-  picklable job specs through a ``ProcessPoolExecutor``; the results are
-  bit-identical to the thread backend's (the solvers are deterministic);
+* a batch is a loop: jobs run one after another in input order, so a
+  duplicate job always finds its twin's solves in the cache and per-job
+  solve counts repeat from run to run (why there is no pool is measured
+  in ``docs/architecture.md``, "Why a batch is a loop"; several cores
+  are used by running several ``repro`` processes over one ``cache_dir``);
 * a ``cache_dir`` persists whole compiled programs in a
   :class:`~repro.core.store.DiskCacheStore`: any later process — a new
-  CLI invocation, a CI run, a DSE sweep, a pool worker — answers a
-  compile an earlier one already did with one file read and one decode
+  CLI invocation, a CI run, a DSE sweep — answers a compile an earlier
+  one already did with one file read and one decode
   (:meth:`CompileService.compile_graph` is the one reader and the one
   writer; why programs and not windows is measured in the header of
   :mod:`repro.core.store`);
@@ -41,14 +41,13 @@ Usage::
         print(result.describe())
 
 The CLI exposes the same path as ``repro compile-batch`` (with
-``--cache-dir`` and ``--backend``).
+``--cache-dir``).
 """
 
 from __future__ import annotations
 
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -57,18 +56,14 @@ from .core.cache import AllocationCache, CacheStats
 from .core.compiler import CMSwitchCompiler, CompilerOptions
 from .core.program import CompiledProgram
 from .core.store import DiskCacheStore, ProgramKey
-from .obs import NULL_OBS, Observability, Span, Tracer
+from .obs import NULL_OBS, Observability
 from .hardware.deha import DualModeHardwareAbstraction
 from .hardware.presets import get_preset
 from .ir.graph import Graph
-from .ir.serialization import graph_from_json, graph_to_json
 from .models.registry import build_model
 from .models.workload import Workload
 
 __all__ = ["CompileJob", "CompileJobResult", "CompileService"]
-
-#: Valid values of ``CompileService(backend=...)``.
-BACKENDS = ("thread", "process")
 
 
 @dataclass
@@ -112,38 +107,6 @@ class CompileJob:
             return self.hardware
         return get_preset(self.hardware)
 
-    def to_spec(self) -> Dict:
-        """Picklable rendering of the job for the process backend.
-
-        Model graphs are shipped as their JSON serialisation (the
-        round-trip is exact — see :mod:`repro.ir.serialization`); every
-        other field is a plain dataclass or string that pickles as-is.
-        """
-        return {
-            "model": self.model if isinstance(self.model, str) else None,
-            "graph_json": (
-                graph_to_json(self.model) if isinstance(self.model, Graph) else None
-            ),
-            "workload": self.workload,
-            "hardware": self.hardware,
-            "options": self.options,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: Dict) -> "CompileJob":
-        """Rebuild a job from :meth:`to_spec` output (worker side)."""
-        model = spec["model"]
-        if spec.get("graph_json") is not None:
-            model = graph_from_json(spec["graph_json"])
-        return cls(
-            model,
-            workload=spec["workload"],
-            hardware=spec["hardware"],
-            options=spec["options"],
-            label=spec["label"],
-        )
-
 
 @dataclass
 class CompileJobResult:
@@ -159,11 +122,6 @@ class CompileJobResult:
             hits, hit rate).  On failure this is usually empty, except
             for :class:`~repro.core.compiler.NoFeasiblePlanError`, whose
             pre-failure solver statistics are preserved.
-        spans: Telemetry spans recorded *in another process* for this
-            job (process backend with tracing on).  Thread-backend jobs
-            record straight into the service's tracer and leave this
-            empty.  Spans pickle bit-identically, so the batch tracer
-            can re-root them under its batch span via ``adopt``.
     """
 
     job: CompileJob
@@ -172,7 +130,6 @@ class CompileJobResult:
     error_traceback: Optional[str] = None
     wall_seconds: float = 0.0
     stats: Dict = field(default_factory=dict)
-    spans: List[Span] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -193,20 +150,15 @@ class CompileJobResult:
 
 
 class CompileService:
-    """Compiles many (model, workload, hardware) jobs concurrently.
+    """Compiles (model, workload, hardware) jobs against shared caches.
 
-    Concurrency / sharing contract:
+    Sharing contract:
 
-    * ``backend="thread"`` (default) — jobs share one in-process
-      :class:`AllocationCache`.  The service object itself is safe to
-      use from multiple threads.
-    * ``backend="process"`` — jobs are pickled to a
-      ``ProcessPoolExecutor``.  Workers cannot see this process's
-      in-memory cache (each keeps its own); what they share with this
-      process and each other is the ``cache_dir`` program store.
-      Results are bit-identical to the thread backend's because every
-      solver in the pipeline is deterministic.
-    * ``cache_dir`` — every compile of either backend (and of
+    * Every job shares one in-process :class:`AllocationCache`.  A batch
+      runs its jobs one after another; the service object itself is safe
+      to use from several threads (the ``repro serve`` daemon's workers
+      share one), its cache, memo and store being locked.
+    * ``cache_dir`` — every compile (and every
       :meth:`repro.api.Session.compile`) goes through
       :meth:`compile_graph`: a stored program is read, verified, decoded
       and returned with no pipeline run; a missing one is compiled and
@@ -219,41 +171,30 @@ class CompileService:
     Args:
         cache: Shared allocation cache; a fresh bounded one is created
             when omitted.
-        max_workers: Default pool width for :meth:`compile_batch`
-            (None lets ``concurrent.futures`` choose).
         use_cache: Disable the shared cache and the program store
             entirely (for A/B timing).
-        backend: ``"thread"`` or ``"process"`` (see contract above).
         cache_dir: Directory of the persistent program store
             (:class:`~repro.core.store.DiskCacheStore`) shared across
-            threads, worker processes and future invocations.
+            threads, processes and future invocations.
         solve_memo: Optional per-run
             :class:`~repro.core.memo.SolveMemo` shared by every compile
-            the service performs (thread backend; process workers cannot
-            see it).  A DSE run passes its own memo here so neighbouring
-            design points reuse allocation solves even when the service
-            has no cache.
+            the service performs.  A DSE run passes its own memo here so
+            neighbouring design points reuse allocation solves even when
+            the service has no cache.
         obs: Optional :class:`~repro.obs.Observability` bundle.  The
-            service opens a span per batch and per job (thread-backend
-            job spans nest under the batch span across pool threads;
-            process-backend workers trace locally and ship their spans
-            home for re-rooting) and threads the metrics registry into
+            service opens a span per batch and per job (job spans nest
+            under the batch span) and threads the metrics registry into
             the cache and the store it creates.
     """
 
     def __init__(
         self,
         cache: Optional[AllocationCache] = None,
-        max_workers: Optional[int] = None,
         use_cache: bool = True,
-        backend: str = "thread",
         cache_dir: Optional[Union[str, Path]] = None,
         solve_memo=None,
         obs: Optional[Observability] = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        self.backend = backend
         self.obs = NULL_OBS if obs is None else obs
         self.cache_dir = str(Path(cache_dir).expanduser()) if cache_dir is not None else None
         self.cache: Optional[AllocationCache] = None
@@ -267,7 +208,6 @@ class CompileService:
             if self.cache_dir:
                 self.store = DiskCacheStore(self.cache_dir, metrics=self.obs.metrics)
         self.solve_memo = solve_memo
-        self.max_workers = max_workers
 
     # ------------------------------------------------------------------ #
     # single compile (the one place the program store is consulted)
@@ -280,10 +220,10 @@ class CompileService:
     ) -> CompiledProgram:
         """Compile one graph, through the program store when there is one.
 
-        Every compile the service, a :class:`~repro.api.Session` or a
-        pool worker performs comes through here, and nothing else reads
-        or writes the store.  Hit: read, verify, decode, return — with
-        the statistics of *this* call (see :func:`_served`).  Miss
+        Every compile the service or a :class:`~repro.api.Session`
+        performs comes through here, and nothing else reads or writes
+        the store.  Hit: read, verify, decode, return — with the
+        statistics of *this* call (see :func:`_served`).  Miss
         (absent, corrupt, foreign or other-version entry — all counted
         by the store, none raised): run the pipeline, store the program.
 
@@ -311,14 +251,10 @@ class CompileService:
     # ------------------------------------------------------------------ #
     # single job
     # ------------------------------------------------------------------ #
-    def compile(self, job: CompileJob, _parent=None) -> CompileJobResult:
-        """Compile one job, capturing any failure in the result.
-
-        ``_parent`` is an internal telemetry hook: batch runs pass their
-        batch span so pool-thread job spans nest under it.
-        """
+    def compile(self, job: CompileJob) -> CompileJobResult:
+        """Compile one job, capturing any failure in the result."""
         start = time.perf_counter()
-        with self.obs.tracer.span("compile", parent=_parent, job=job.name) as span:
+        with self.obs.tracer.span("compile", job=job.name) as span:
             try:
                 program = self.compile_graph(
                     job.resolve_graph(),
@@ -347,95 +283,24 @@ class CompileService:
     # ------------------------------------------------------------------ #
     # batches
     # ------------------------------------------------------------------ #
-    def compile_batch(
-        self,
-        jobs: Sequence[CompileJob],
-        max_workers: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> List[CompileJobResult]:
-        """Compile all jobs concurrently; results keep the input order.
+    def compile_batch(self, jobs: Sequence[CompileJob]) -> List[CompileJobResult]:
+        """Compile the jobs one after another; results keep the input order.
 
         A failing job yields a :class:`CompileJobResult` with ``ok ==
-        False``; the remaining jobs are unaffected — this holds on both
-        backends (a worker-process crash fails only its own jobs).
-
-        Args:
-            max_workers: Pool width override for this batch.
-            backend: ``"thread"`` / ``"process"`` override for this batch
-                (defaults to the service's backend).
+        False``; the remaining jobs are unaffected.
         """
         jobs = list(jobs)
         if not jobs:
             return []
-        backend = backend if backend is not None else self.backend
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        workers = max_workers if max_workers is not None else self.max_workers
-        with self.obs.tracer.span(
-            "compile_batch", jobs=len(jobs), backend=backend
-        ) as batch:
-            if backend == "process":
-                return self._compile_batch_processes(jobs, workers, batch)
-            if (workers is not None and workers <= 1) or len(jobs) == 1:
-                return [self.compile(job) for job in jobs]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(lambda job: self.compile(job, _parent=batch), jobs)
-                )
-
-    def _compile_batch_processes(
-        self, jobs: Sequence[CompileJob], workers: Optional[int], batch_span=None
-    ) -> List[CompileJobResult]:
-        """Fan the batch out to a process pool (program store shared, if any).
-
-        Each job travels as a picklable spec (:meth:`CompileJob.to_spec`)
-        and comes back as a pickled :class:`CompileJobResult`; the
-        original job object is restored on the result so callers keep
-        identity (e.g. a ``Graph`` passed by reference).  Pool-level
-        failures — unpicklable payloads, a killed worker — are folded
-        into the affected jobs' results instead of raising.
-        """
-        # Only this backend needs multiprocessing; a module-scope import would
-        # load it into every process that imports the API.
-        from concurrent.futures import ProcessPoolExecutor
-
-        specs = [
-            {
-                **job.to_spec(),
-                "cache_dir": self.cache_dir,
-                "use_cache": self.cache is not None,
-                "trace": bool(self.obs.tracer.enabled),
-            }
-            for job in jobs
-        ]
-        if workers is not None:
-            workers = max(1, min(workers, len(specs)))
-        results: List[CompileJobResult] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_compile_spec_in_worker, spec) for spec in specs]
-            for job, future in zip(jobs, futures):
-                try:
-                    result = future.result()
-                    result.job = job
-                except Exception as exc:  # noqa: BLE001 - isolation is the contract
-                    result = CompileJobResult(
-                        job=job,
-                        error=f"{type(exc).__name__}: {exc}",
-                        error_traceback=traceback.format_exc(),
-                    )
-                if result.spans:
-                    # Worker-recorded spans: re-id into this tracer and
-                    # re-root under the batch span.
-                    self.obs.tracer.adopt(result.spans, parent=batch_span)
-                results.append(result)
-        return results
+        with self.obs.tracer.span("compile_batch", jobs=len(jobs)):
+            return [self.compile(job) for job in jobs]
 
     def close(self) -> None:
         """Idempotent no-op: the service holds nothing to release.
 
-        Batch pools are per-call and the program store opens its files
-        per operation.  Kept because callers (the repository benchmark among
-        them) end a service's life with it.
+        The program store opens its files per operation.  Kept because
+        callers (the repository benchmark among them) end a service's
+        life with it.
         """
 
     # ------------------------------------------------------------------ #
@@ -443,13 +308,7 @@ class CompileService:
     # ------------------------------------------------------------------ #
     @property
     def cache_stats(self) -> CacheStats:
-        """Aggregate cache counters across every job served so far.
-
-        Thread-backend jobs all hit ``self.cache``, so this is the whole
-        story there.  Process-backend jobs run against per-worker caches
-        in other processes; their activity shows up in each job's
-        ``result.stats``, not here.
-        """
+        """Aggregate cache counters across every job served so far."""
         if self.cache is None:
             return CacheStats()
         return self.cache.stats.snapshot()
@@ -476,38 +335,3 @@ def _served(program: CompiledProgram, seconds: float) -> CompiledProgram:
     )
     program.metadata.update(allocation_calls=0, dp_seconds=0.0, passes=[])
     return program
-
-
-# ---------------------------------------------------------------------- #
-# process-backend worker (module level so it pickles)
-# ---------------------------------------------------------------------- #
-
-#: The worker process's allocation cache: every job a worker serves
-#: shares one in-memory table (created on the first job).
-_WORKER_CACHE: Optional[AllocationCache] = None
-
-
-def _compile_spec_in_worker(spec: Dict) -> CompileJobResult:
-    """Compile one job spec inside a pool worker.
-
-    Job-level failures are captured in the returned result (mirroring
-    :meth:`CompileService.compile`); only infrastructure failures — a
-    spec that cannot be rebuilt, say — surface as exceptions, which the
-    parent folds into the job's result.
-    """
-    global _WORKER_CACHE
-    job = CompileJob.from_spec(spec)
-    use_cache = spec.get("use_cache", True)
-    if use_cache and _WORKER_CACHE is None:
-        _WORKER_CACHE = AllocationCache()
-    obs = Observability(tracer=Tracer()) if spec.get("trace") else None
-    service = CompileService(
-        cache=_WORKER_CACHE if use_cache else None,
-        use_cache=use_cache,
-        cache_dir=spec.get("cache_dir"),
-        obs=obs,
-    )
-    result = service.compile(job)
-    if obs is not None:
-        result.spans = obs.tracer.flush()
-    return result

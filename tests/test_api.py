@@ -1,8 +1,8 @@
 """Tests for repro.api.Session and program parity.
 
 The parity classes are the acceptance gate of the pipeline refactor:
-every compiler configuration, the warm-cache path and the process
-backend must produce programs bit-identical
+every compiler configuration, the warm-cache path and the disk-warm
+path must produce programs bit-identical
 (:meth:`CompiledProgram.fingerprint`) to the frozen pre-refactor
 implementations in :mod:`repro.core._reference`.
 """
@@ -13,7 +13,6 @@ from repro.api import Session
 from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions
 from repro.core._reference import reference_compile
 from repro.models import Workload, build_model
-from repro.service import CompileJob
 
 
 def _options(**kwargs):
@@ -111,13 +110,23 @@ class TestSession:
         # The sweep's solves landed in the session cache.
         assert session.cache_stats.stores > 0
 
-    def test_describe_mentions_hardware_and_backend(self, small_chip):
+    def test_describe_mentions_hardware_and_backend(self, small_chip, tmp_path):
+        """(Id kept.)  Hardware and cache location; there is no backend to name."""
         text = Session(hardware=small_chip).describe()
-        assert small_chip.name in text and "thread" in text
+        assert small_chip.name in text and "in-memory" in text
+        assert "backend" not in text and "thread" not in text
+        assert str(tmp_path) in Session(hardware=small_chip, cache_dir=tmp_path).describe()
 
     def test_invalid_backend_rejected(self, small_chip):
-        with pytest.raises(ValueError, match="backend"):
-            Session(hardware=small_chip, backend="carrier-pigeon")
+        """Every backend is invalid now: the pool keywords are plain ``TypeError``s."""
+        for kwargs in ({"backend": "carrier-pigeon"}, {"backend": "thread"}, {"max_workers": 2}):
+            with pytest.raises(TypeError):
+                Session(hardware=small_chip, **kwargs)
+            with pytest.raises(TypeError):
+                Session(hardware=small_chip).compile_batch([], **kwargs)
+        with pytest.raises(TypeError):
+            Session(hardware=small_chip).explore(None, max_workers=2)
+        assert not hasattr(Session(hardware=small_chip), "backend")
 
 
 OPTION_MATRIX = [
@@ -185,23 +194,6 @@ class TestPipelineParity:
         assert cold.fingerprint() == reference_compile(
             tiny_mlp_graph, small_chip, _options()
         ).fingerprint()
-
-    def test_process_backend_parity(self, small_chip, tmp_path):
-        # The process pool ships specs through pickle and recompiles in
-        # workers sharing only the disk store; programs must still be
-        # bit-identical to the in-process reference.
-        workload = Workload(batch_size=1, seq_len=16)
-        jobs = [CompileJob("tiny-mlp", workload=workload, hardware=small_chip)]
-        process = Session(
-            hardware=small_chip,
-            backend="process",
-            cache_dir=tmp_path / "ac",
-            max_workers=1,
-        ).compile_batch(jobs)
-        assert process[0].ok, process[0].error
-        graph = build_model("tiny-mlp", workload)
-        reference = reference_compile(graph, small_chip, _options())
-        assert process[0].program.fingerprint() == reference.fingerprint()
 
 
 class TestFingerprint:

@@ -80,3 +80,26 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "unknown model name(s): not-a-model" in err
         assert "available models:" in err and "tiny-mlp" in err
+
+
+def _experiment_figures():
+    """The ``figure`` choices the parser itself offers (never a copied list)."""
+    subcommands = next(
+        action for action in build_parser()._actions if isinstance(action.choices, dict)
+    )
+    figure = next(
+        action
+        for action in subcommands.choices["experiment"]._actions
+        if action.dest == "figure"
+    )
+    return sorted(figure.choices)
+
+
+class TestExperimentCommand:
+    def test_the_parser_offers_figures(self):
+        assert {"fig14", "fig15"} <= set(_experiment_figures())
+
+    @pytest.mark.parametrize("figure", _experiment_figures())
+    def test_every_figure_runs(self, figure, capsys):
+        assert main(["experiment", figure]) == 0
+        assert capsys.readouterr().out.strip()

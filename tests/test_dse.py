@@ -670,6 +670,36 @@ class TestRunnerResume:
 # ---------------------------------------------------------------------- #
 # Warm planning across runs
 # ---------------------------------------------------------------------- #
+def _solver_counters(result):
+    return [
+        (r.point_key, r.allocator_solves, r.cache_hits, r.disk_hits)
+        for r in result.new_records
+    ]
+
+
+class TestCompilesRunInOrder:
+    """A sweep's compiles run one after another, so its counters repeat."""
+
+    def test_default_runner_solve_counts_repeat(self):
+        first = DSERunner(benchmark_space()).run()
+        second = DSERunner(benchmark_space()).run()
+        assert first.allocator_solves == second.allocator_solves == 318
+        assert _solver_counters(first) == _solver_counters(second)
+
+    def test_max_workers_is_accepted_and_inert(self):
+        """The benchmark still passes it; it must change nothing."""
+        default = DSERunner(tiny_space(arrays=(4, 6, 8), modes=(True, False))).run()
+        seven = DSERunner(
+            tiny_space(arrays=(4, 6, 8), modes=(True, False)), max_workers=7
+        ).run()
+        assert _solver_counters(seven) == _solver_counters(default)
+        assert [r.cycles for r in seven.records] == [r.cycles for r in default.records]
+
+    def test_backend_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            DSERunner(tiny_space(), backend="process")
+
+
 class TestWarmPlanning:
     def test_second_run_of_overlapping_space_does_zero_solves(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -959,8 +989,8 @@ class TestFidelity:
                     hardware_axes={"num_arrays": [64, 96, 128]},
                     option_axes={"allow_memory_mode": [True, False]},
                 )
-        auto = DSERunner(make(), fidelity="auto", max_workers=1).run()
-        grid = DSERunner(make(), strategy="grid", fidelity="compile", max_workers=1).run()
+        auto = DSERunner(make(), fidelity="auto").run()
+        grid = DSERunner(make(), strategy="grid", fidelity="compile").run()
 
         size = make().size
         assert auto.evaluated_by_fidelity.keys() == {"analytical", "compile"}

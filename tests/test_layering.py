@@ -64,3 +64,18 @@ def test_numpy_and_scipy_are_the_only_third_party_imports():
         }
     )
     assert not third_party, third_party
+
+
+def test_nothing_imports_a_worker_pool():
+    """A batch is a loop: several cores are used by running several
+    ``repro`` processes over one ``cache_dir``, never by a pool in here."""
+    pools = ("concurrent.futures", "multiprocessing")
+    offenders = sorted(
+        {
+            f"{path.relative_to(SRC)} -> {module}"
+            for path in (SRC / "repro").rglob("*.py")
+            for module in _imported_modules(path)
+            if any(module == pool or module.startswith(pool + ".") for pool in pools)
+        }
+    )
+    assert not offenders, offenders

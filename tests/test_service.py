@@ -36,7 +36,7 @@ class TestCompileService:
         ]
 
     def test_batch_matches_sequential_compiles(self, small_chip):
-        results = CompileService().compile_batch(self._jobs(small_chip), max_workers=2)
+        results = CompileService().compile_batch(self._jobs(small_chip))
         assert all(result.ok for result in results)
         for result in results:
             graph = result.job.resolve_graph()
@@ -50,7 +50,7 @@ class TestCompileService:
 
     def test_results_keep_input_order(self, small_chip):
         jobs = self._jobs(small_chip)
-        results = CompileService().compile_batch(jobs, max_workers=2)
+        results = CompileService().compile_batch(jobs)
         assert [result.job.name for result in results] == [job.name for job in jobs]
 
     def test_error_does_not_kill_batch(self, small_chip):
@@ -59,7 +59,7 @@ class TestCompileService:
             CompileJob("no-such-model", hardware=small_chip),
             CompileJob("tiny-mlp", hardware=small_chip),
         ]
-        results = CompileService().compile_batch(jobs, max_workers=2)
+        results = CompileService().compile_batch(jobs)
         assert [result.ok for result in results] == [True, False, True]
         failed = results[1]
         assert failed.program is None
@@ -77,8 +77,7 @@ class TestCompileService:
 
         service = CompileService()
         jobs = [CompileJob("tiny-cnn", hardware=small_chip) for _ in range(2)]
-        # Sequential workers make the second job's hit count deterministic.
-        results = service.compile_batch(jobs, max_workers=1)
+        results = service.compile_batch(jobs)
         total_solves = sum(result.stats["allocator_solves"] for result in results)
         assert total_solves < 2 * cold_solves
         assert results[1].stats["allocator_solves"] == 0
@@ -99,7 +98,7 @@ class TestCompileService:
         service = CompileService(use_cache=False)
         assert service.cache is None
         results = service.compile_batch(
-            [CompileJob("tiny-mlp", hardware=small_chip)] * 2, max_workers=1
+            [CompileJob("tiny-mlp", hardware=small_chip)] * 2
         )
         assert all(result.ok for result in results)
         assert all(result.stats["allocation_cache_hits"] == 0 for result in results)
@@ -115,26 +114,48 @@ class TestCompileService:
     def test_empty_batch(self):
         assert CompileService().compile_batch([]) == []
 
+    def test_duplicate_jobs_solve_once(self, small_chip):
+        """A batch is a loop: only the first of four identical jobs solves."""
+        results = CompileService().compile_batch(
+            [CompileJob("tiny-cnn", hardware=small_chip)] * 4
+        )
+        solves = [result.stats["allocator_solves"] for result in results]
+        assert solves[0] > 0 and solves[1:] == [0, 0, 0]
+
+    def test_pool_keywords_are_gone(self, small_chip):
+        """No spelling selects a pool any more: plain ``TypeError``."""
+        for kwargs in ({"backend": "process"}, {"backend": "thread"}, {"max_workers": 2}):
+            with pytest.raises(TypeError):
+                CompileService(**kwargs)
+            with pytest.raises(TypeError):
+                CompileService().compile_batch([], **kwargs)
+        job = CompileJob("tiny-mlp", hardware=small_chip)
+        assert not hasattr(job, "to_spec") and not hasattr(CompileJob, "from_spec")
+        assert not hasattr(CompileService().compile(job), "spans")
+
 
 class TestCompileBatchCLI:
     def test_parser_accepts_batch_arguments(self):
         args = build_parser().parse_args(
             ["compile-batch", "tiny-cnn", "tiny-mlp", "--hardware", "small-test-chip",
-             "--jobs", "2", "--repeat", "2"]
+             "--repeat", "2"]
         )
         assert args.models == ["tiny-cnn", "tiny-mlp"]
-        assert args.jobs == 2 and args.repeat == 2 and not args.no_cache
+        assert args.repeat == 2 and not args.no_cache
 
     def test_cli_compile_batch_runs(self, capsys):
         code = main(
             ["compile-batch", "tiny-cnn", "tiny-mlp",
-             "--hardware", "small-test-chip", "--repeat", "2", "--jobs", "1"]
+             "--hardware", "small-test-chip", "--repeat", "2"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "hit rate" in out
         assert "tiny-cnn#2" in out
         assert "cache:" in out
+        # The repeat rows find every solve of the first round in the cache.
+        repeats = [line.split() for line in out.splitlines() if "#2" in line]
+        assert [row[3] for row in repeats] == ["0", "0"]
 
     def test_cli_rejects_unknown_models_before_compiling(self, capsys):
         # Unified unknown-name handling across compile/compile-batch/
@@ -170,12 +191,28 @@ class TestCompileBatchCLI:
         assert "at least one model" in captured.err
         assert "usage:" in captured.err
 
-    def test_parser_accepts_cache_dir_and_backend(self):
+    def test_parser_accepts_cache_dir(self):
         args = build_parser().parse_args(
-            ["compile-batch", "tiny-cnn", "--cache-dir", "/tmp/x",
-             "--backend", "process"]
+            ["compile-batch", "tiny-cnn", "--cache-dir", "/tmp/x"]
         )
-        assert args.cache_dir == "/tmp/x" and args.backend == "process"
+        assert args.cache_dir == "/tmp/x"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile-batch", "tiny-cnn", "--backend", "process"],
+            ["compile-batch", "tiny-cnn", "--jobs", "2"],
+            ["dse", "tiny-cnn", "--backend", "thread"],
+            ["dse", "tiny-cnn", "--jobs", "2"],
+            ["replay", "--preset", "small-test-chip", "--jobs", "2"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]),
+    )
+    def test_pool_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cli_cache_dir_warm_start(self, tmp_path, capsys):
         """Two invocations on one --cache-dir: the second solves nothing."""

@@ -1,13 +1,14 @@
-"""Tests for the on-disk program store and the process compile backend.
+"""Tests for the on-disk program store.
 
 The store maps one program key (graph, chip, options, compiler) to one
 bit-exact encoded ``CompiledProgram``.  Covered here: fingerprint-exact
-round trips over a zoo sample x the option matrix x both backends, a
-disk-warm compile that never reaches the allocator, the statistics of a
-served program, every on-disk fault degrading to a counted miss plus a
-normal compile, eviction and pruning (over a directory that still holds
+round trips over a zoo sample x the option matrix x who wrote the
+directory (this process or another), a disk-warm compile that never
+reaches the allocator, the statistics of a served program, every
+on-disk fault degrading to a counted miss plus a normal compile, eviction and pruning (over a directory that still holds
 version-3 window files too), concurrent same-key writers from two
-processes, and thread/process backend result parity.
+processes, and a second CLI process warm-starting from the first's
+directory.
 """
 
 from __future__ import annotations
@@ -491,22 +492,34 @@ class TestTwoTierCache:
         ).stats["allocator_solves"] == 0
 
 
+def _populate_store(root: str) -> None:
+    """Child-process body: compile the matrix into the store at ``root``."""
+    written = CompileService(cache_dir=root).compile_batch(_matrix_jobs())
+    assert all(r.ok and r.stats["allocation_disk_hits"] == 0 for r in written)
+
+
 class TestProgramStore:
     @pytest.mark.parametrize("writer", ["thread", "process"])
     def test_round_trip_is_fingerprint_identical(self, writer, matrix_cold, tmp_path):
-        """Acceptance: zoo sample x option matrix x both backends.
+        """Acceptance: zoo sample x option matrix x who wrote the directory.
 
-        Whoever populated the directory — this process's threads or
-        pool worker processes — a fresh session and a fresh process
-        pool read back exactly the cold compile's programs, solving
-        nothing.
+        ``thread``: this process populated it; ``process``: another
+        process did (several processes over one ``cache_dir`` is how
+        several cores are used).  Either way a fresh session reads back
+        exactly the cold compile's programs, solving nothing.
         """
         jobs = _matrix_jobs()
-        written = CompileService(
-            backend=writer, cache_dir=tmp_path, max_workers=2
-        ).compile_batch(jobs)
-        assert [r.program.fingerprint() for r in written] == matrix_cold
-        assert all(r.stats["allocation_disk_hits"] == 0 for r in written)
+        if writer == "process":
+            child = multiprocessing.get_context("fork").Process(
+                target=_populate_store, args=(str(tmp_path),)
+            )
+            child.start()
+            child.join(timeout=120)
+            assert child.exitcode == 0
+        else:
+            written = CompileService(cache_dir=tmp_path).compile_batch(jobs)
+            assert [r.program.fingerprint() for r in written] == matrix_cold
+            assert all(r.stats["allocation_disk_hits"] == 0 for r in written)
         assert len(DiskCacheStore(tmp_path)) == len(jobs)
 
         with Session(cache_dir=tmp_path) as session:
@@ -518,11 +531,6 @@ class TestProgramStore:
                 assert program.stats["allocator_solves"] == 0
             assert session.store.stats.hits == len(jobs)
             assert session.store.stats.misses == 0 and session.store.stats.stores == 0
-        reread = CompileService(
-            backend="process", cache_dir=tmp_path, max_workers=2
-        ).compile_batch(jobs)
-        assert [r.program.fingerprint() for r in reread] == matrix_cold
-        assert sum(r.stats["allocator_solves"] for r in reread) == 0
 
     def test_disk_warm_compile_never_reaches_the_allocator(
         self, small_chip, tiny_cnn_graph, tmp_path, monkeypatch
@@ -675,6 +683,19 @@ class TestProgramStore:
         assert CompileService().store is None
         assert CompileService(cache_dir=tmp_path, use_cache=False).store is None
 
+    def test_cache_and_cache_dir_combine(self, small_chip, tmp_path):
+        """An explicit memory cache and a program store are independent."""
+        cache = AllocationCache()
+        service = CompileService(cache=cache, cache_dir=tmp_path)
+        assert service.cache is cache and service.store is not None
+        first = service.compile(CompileJob("tiny-cnn", hardware=small_chip))
+        assert first.ok and cache.stats.stores > 0 and service.store.stats.stores == 1
+        # The same service again: the store answers before the windows do.
+        lookups = cache.stats.lookups
+        second = service.compile(CompileJob("tiny-cnn", hardware=small_chip))
+        assert second.stats["allocation_disk_hits"] > 0
+        assert cache.stats.lookups == lookups
+
 
 def _hammer_store(root: str, n: int, rounds: int) -> None:
     """Worker: repeatedly write (and read back) one key in a shared store."""
@@ -704,73 +725,6 @@ class TestConcurrentWriters:
         assert _same(store.get(_key(0)), _program())
         assert len(store) == 1
         assert list(tmp_path.glob("*/.*.tmp")) == []
-
-
-class TestProcessBackend:
-    def _jobs(self, small_chip):
-        return [
-            CompileJob("tiny-cnn", hardware=small_chip),
-            CompileJob("no-such-model", hardware=small_chip),
-            CompileJob("tiny-mlp", hardware=small_chip),
-        ]
-
-    def test_bit_identical_to_thread_backend(self, small_chip, tmp_path):
-        """Acceptance: process backend == thread backend, result for result."""
-        jobs = self._jobs(small_chip)
-        thread = CompileService(cache_dir=tmp_path / "t").compile_batch(jobs)
-        process = CompileService(
-            backend="process", cache_dir=tmp_path / "p", max_workers=2
-        ).compile_batch(jobs)
-        assert [r.ok for r in thread] == [r.ok for r in process] == [True, False, True]
-        for t, p in zip(thread, process):
-            assert p.job is t.job  # original job objects restored
-            if not t.ok:
-                assert p.error and p.error_traceback
-                continue
-            assert p.program.fingerprint() == t.program.fingerprint()
-            assert [s.allocations for s in p.program.segments] == [
-                s.allocations for s in t.program.segments
-            ]
-
-    def test_workers_share_solves_through_disk_store(self, small_chip, tmp_path):
-        service = CompileService(backend="process", cache_dir=tmp_path, max_workers=2)
-        cold = service.compile_batch([CompileJob("tiny-cnn", hardware=small_chip)])
-        assert cold[0].ok and cold[0].stats["allocator_solves"] > 0
-        assert len(service.store) == 1  # the worker wrote through the shared dir
-        warm = service.compile_batch(
-            [CompileJob("tiny-cnn", hardware=small_chip) for _ in range(2)]
-        )
-        assert all(r.ok for r in warm)
-        assert sum(r.stats["allocator_solves"] for r in warm) == 0
-        assert all(r.stats["allocation_disk_hits"] > 0 for r in warm)
-
-    def test_graph_jobs_travel_by_serialization(self, small_chip, tiny_mlp_graph):
-        results = CompileService(backend="process", max_workers=1).compile_batch(
-            [CompileJob(tiny_mlp_graph, hardware=small_chip)]
-        )
-        assert results[0].ok
-        assert results[0].job.model is tiny_mlp_graph
-        reference = CMSwitchCompiler(
-            small_chip, CompilerOptions(generate_code=False)
-        ).compile(tiny_mlp_graph)
-        assert results[0].program.end_to_end_cycles == reference.end_to_end_cycles
-
-    def test_cache_and_cache_dir_combine(self, small_chip, tmp_path):
-        """An explicit memory cache and a program store are independent."""
-        cache = AllocationCache()
-        service = CompileService(cache=cache, cache_dir=tmp_path)
-        assert service.cache is cache and service.store is not None
-        first = service.compile(CompileJob("tiny-cnn", hardware=small_chip))
-        assert first.ok and cache.stats.stores > 0 and service.store.stats.stores == 1
-        # The same service again: the store answers before the windows do.
-        lookups = cache.stats.lookups
-        second = service.compile(CompileJob("tiny-cnn", hardware=small_chip))
-        assert second.stats["allocation_disk_hits"] > 0
-        assert cache.stats.lookups == lookups
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            CompileService(backend="rocket")
 
 
 class TestCrossProcessWarmStartCLI:
