@@ -219,6 +219,7 @@ def compiled_array_sweep(
         aborting the sweep.
     """
     from ..dse import DesignSpace, DSERunner
+    from ..service import CompileService
 
     space = DesignSpace(
         models=[graph],
@@ -227,7 +228,10 @@ def compiled_array_sweep(
         base_options=options or CompilerOptions(generate_code=False),
     )
     runner = DSERunner(
-        space, strategy="grid", objective="latency", cache=cache, cache_dir=cache_dir
+        space,
+        strategy="grid",
+        objective="latency",
+        service=CompileService(cache=cache, cache_dir=cache_dir),
     )
     result = runner.run()
     by_coords = {record.coords: record for record in result.records}

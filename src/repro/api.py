@@ -289,10 +289,10 @@ class Session:
     ):
         """Explore a :class:`~repro.dse.DesignSpace` against this cache.
 
-        Builds a :class:`~repro.dse.DSERunner` sharing the session's
-        allocation cache and program store directory, so exploration
-        warm-starts from (and contributes back to) every other compile
-        the session serves.
+        Builds a :class:`~repro.dse.DSERunner` over the session's own
+        compile service, so exploration warm-starts from (and
+        contributes back to) every other compile the session serves —
+        and a ``use_cache=False`` session explores without a cache.
 
         Args:
             space: The :class:`~repro.dse.DesignSpace` to explore.
@@ -322,8 +322,7 @@ class Session:
             strategy=strategy,
             objective=objective,
             fidelity=fidelity,
-            cache=self.cache,
-            cache_dir=self.cache_dir,
+            service=self.service,
             state=state,
             batch_size=batch_size,
             seed=seed,

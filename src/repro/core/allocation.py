@@ -665,7 +665,7 @@ def key_options(
     """What an ``AllocationCacheKey`` records about one solve's arguments.
 
     Takes :func:`allocate_segment`'s solve arguments under their own
-    names; the shared cache and the per-run memo key the solve on it.
+    names; the allocation cache keys the solve on it.
     """
     return {
         "engine": getattr(allocator, "name", type(allocator).__name__),
@@ -685,7 +685,6 @@ def allocate_segment(
     refine: bool = True,
     reserve_arrays: int = 0,
     cache: Optional[object] = None,
-    memo: Optional[object] = None,
     inbound_arrays: int = 0,
 ) -> AllocationResult:
     """Allocate one segment end to end (solver + duplication refinement).
@@ -701,34 +700,20 @@ def allocate_segment(
             When given, the solve is first looked up (structurally — the
             result is identical to a cold solve) and fresh solves are
             stored back; hits are flagged via ``result.from_cache``.
-        memo: Optional per-run :class:`~repro.core.memo.SolveMemo`.
-            Probed *before* the shared cache (it is unlocked and never
-            evicts); both are written on a fresh solve, and a
-            shared-cache hit is copied into the memo so later windows of
-            the same run skip the shared cache entirely.
     """
     engine = allocator if allocator is not None else ExactAllocator()
     if not segment_fits(profiles, hardware):
         return infeasible_result()
-    cache_key = None
-    keyed = memo if memo is not None else cache
-    if keyed is not None:
+    if cache is not None:
         # Build the (hardware fingerprint x segment signature x options)
-        # key once and share it between every lookup and store below.
-        cache_key = keyed.make_key(
+        # key once and share it between the lookup and the store below.
+        cache_key = cache.make_key(
             profiles,
             hardware,
             **key_options(engine, pipelined, refine, reserve_arrays, inbound_arrays),
         )
-    if memo is not None:
-        memoised = memo.lookup(cache_key, list(profiles), inbound_arrays)
-        if memoised is not None:
-            return memoised
-    if cache is not None:
         cached = cache.lookup(cache_key, list(profiles), inbound_arrays)
         if cached is not None:
-            if memo is not None:
-                memo.put(cache_key, profiles, cached)
             return cached
     result = engine.allocate(profiles, hardware, pipelined=pipelined)
     if refine and result.feasible:
@@ -744,6 +729,4 @@ def allocate_segment(
         )
     if cache is not None:
         cache.put(cache_key, profiles, result)
-    if memo is not None:
-        memo.put(cache_key, profiles, result)
     return result

@@ -182,8 +182,6 @@ class CacheEntry:
         Returns None for a feasible result that does not cover every
         profiled operator (a foreign/partial result) — such results must
         never be stored, or a later hit would silently drop operators.
-        The single constructor the cache and the per-run memo share, so
-        "what is storable" has one definition.
         """
         allocations = tuple(
             (
@@ -354,7 +352,7 @@ class AllocationCache:
         ``names`` labels the returned allocations.
         """
         with self._lock:
-            entry, hit_key, cross_mode = self._probe(self._entries.get, key, inbound_arrays)
+            entry, hit_key, cross_mode = self._probe(key, inbound_arrays)
             if entry is not None:
                 self._entries.move_to_end(hit_key)
                 self.stats.hits += 1
@@ -366,21 +364,19 @@ class AllocationCache:
         self.metrics.inc("cache.misses")
         return None
 
-    @staticmethod
     def _probe(
-        get, key: AllocationCacheKey, inbound_arrays: int
+        self, key: AllocationCacheKey, inbound_arrays: int
     ) -> Tuple[Optional[CacheEntry], AllocationCacheKey, bool]:
-        """Exact + cross-mode probe of one table through its ``get``.
+        """Exact + cross-mode probe (lock held).
 
         Returns ``(entry, key it was found under, cross-mode hit)``.
-        Shared with :class:`~repro.core.memo.SolveMemo`.
         """
-        entry = get(key)
+        entry = self._entries.get(key)
         if entry is not None:
             return entry, key, False
         if not key.allow_memory_mode:
             dual_key = key.dual_mode_variant(inbound_arrays)
-            dual_entry = get(dual_key)
+            dual_entry = self._entries.get(dual_key)
             if dual_entry is not None and dual_entry.memory_free:
                 return dual_entry, dual_key, True
         return None, key, False

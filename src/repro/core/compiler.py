@@ -105,11 +105,6 @@ class CMSwitchCompiler:
             standard pass sequence when omitted.  A fresh context is
             created per compile, so one compiler (and one pipeline) can
             serve many graphs.
-        solve_memo: Optional per-run :class:`~repro.core.memo.SolveMemo`.
-            Unlike the cache it is unbounded, in-memory only and meant to
-            live for one run; pass the same memo to many compilers (a DSE
-            sweep does) so neighbouring compiles reuse each other's
-            allocation solves even without a shared cache.
         obs: Optional :class:`~repro.obs.Observability` bundle; every
             compile's pass spans, allocator-solve spans and cache-tier
             counters land in it.  Defaults to the no-op bundle.
@@ -131,7 +126,6 @@ class CMSwitchCompiler:
         options: Optional[CompilerOptions] = None,
         cache: Optional[AllocationCache] = None,
         pipeline=None,
-        solve_memo=None,
         obs=None,
     ) -> None:
         from ..obs import NULL_OBS
@@ -140,7 +134,6 @@ class CMSwitchCompiler:
         self.hardware = hardware
         self.options = options or CompilerOptions()
         self.cache = cache
-        self.solve_memo = solve_memo
         self.obs = NULL_OBS if obs is None else obs
         self.pipeline = pipeline if pipeline is not None else build_pipeline()
 
@@ -171,7 +164,6 @@ class CMSwitchCompiler:
             hardware=self.hardware,
             options=self.options,
             cache=self.cache,
-            solve_memo=self.solve_memo,
             obs=self.obs,
             compiler_name=self.name,
             started=time.perf_counter(),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,8 +87,6 @@ class SegmentationOptions:
             by :class:`~repro.core.allocation.ExactAllocator` — (True)
             or the greedy heuristic (False).
         refine: Apply the post-allocation duplication refinement.
-        single_segment_fallback: If True and the DP finds no feasible
-            plan, fall back to one segment per operator.
     """
 
     max_segment_operators: int = 8
@@ -97,17 +95,6 @@ class SegmentationOptions:
     allow_memory_mode: bool = True
     use_milp: bool = True
     refine: bool = True
-    single_segment_fallback: bool = True
-    #: Optional per-run :class:`~repro.core.memo.SolveMemo` shared by
-    #: every segmenter of one run (DSE sweep, compile batch).  Runtime
-    #: state, not configuration — excluded from equality and repr so
-    #: option signatures and comparisons stay purely declarative.
-    solve_memo: Optional[object] = field(default=None, compare=False, repr=False)
-    #: Optional :class:`~repro.obs.Observability` bundle.  Runtime state
-    #: like ``solve_memo``: the segmenter emits one span per fresh
-    #: allocator solve and mirrors tier counters into the metrics
-    #: registry.  Excluded from equality/repr for the same reason.
-    obs: Optional[object] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         validate_window(self.max_segment_operators)
@@ -465,15 +452,19 @@ class NetworkSegmenter:
         hardware: DualModeHardwareAbstraction,
         options: Optional[SegmentationOptions] = None,
         cache: Optional[object] = None,
+        obs: Optional[object] = None,
     ) -> None:
         """Args:
             hardware: Target hardware abstraction.
             options: Segmentation knobs (paper defaults when omitted).
             cache: Optional shared
-                :class:`~repro.core.cache.AllocationCache`.  The per-run
-                window memo below always applies; the shared cache
-                additionally reuses solves across runs (repeated
-                compiles, other threads).
+                :class:`~repro.core.cache.AllocationCache`.  The
+                positional window table below always applies; the
+                shared cache additionally reuses solves across runs
+                (repeated compiles, neighbouring design points).
+            obs: Optional :class:`~repro.obs.Observability` bundle: one
+                span per window the DP asks for, solve and hit counters
+                mirrored into its registry.
         """
         self.hardware = hardware
         self.options = options or SegmentationOptions()
@@ -482,10 +473,9 @@ class NetworkSegmenter:
         # The refinement (reserved or not) the DP's best plan uses per window.
         self._chosen: Dict[Tuple[int, int], AllocationResult] = {}
         self._shared_cache = cache
-        self._solve_memo = getattr(self.options, "solve_memo", None)
-        obs = getattr(self.options, "obs", None)
-        self._tracer = obs.tracer if obs is not None else NULL_OBS.tracer
-        self._metrics = obs.metrics if obs is not None else NULL_OBS.metrics
+        obs = NULL_OBS if obs is None else obs
+        self._tracer = obs.tracer
+        self._metrics = obs.metrics
         # Per-unit-list precomputation (one segmenter serves exactly one
         # unit list, like ``_allocation_cache`` already assumes).
         self._vectors: Optional[ProfileVectors] = None
@@ -570,7 +560,6 @@ class NetworkSegmenter:
                         self._segment_profiles(units, start, end),
                         self.hardware,
                         cache=self._shared_cache,
-                        memo=self._solve_memo,
                         **self._solve_arguments(start, end, spare),
                     )
                     span.set(solver=result.solver, cached=result.from_cache)
@@ -639,8 +628,8 @@ class NetworkSegmenter:
 
         Returns ``(start, end)`` inclusive index pairs in execution
         order.  When the DP proves no feasible plan exists, falls back
-        to one segment per unit (``single_segment_fallback``) or raises
-        :class:`NoFeasiblePlanError`.  The per-window allocation solves
+        to one segment per unit (:meth:`build_plans` names the one that
+        cannot be mapped).  The per-window allocation solves
         the DP performs stay memoised on this segmenter, so a subsequent
         :meth:`build_plans` call re-pays nothing.
         """
@@ -667,12 +656,6 @@ class NetworkSegmenter:
                 self._dp_edge(units, i, j, live, allocation, tables)
 
         if best_cost[m] == INFEASIBLE_LATENCY:
-            if not self.options.single_segment_fallback:
-                raise NoFeasiblePlanError(
-                    f"no feasible segmentation found for graph {graph.name!r} "
-                    f"on {self.hardware.name!r}",
-                    stats=self._stats_payload(),
-                )
             # One segment per unit — used only when the DP finds no plan.
             return [(i, i) for i in range(m)]
 
@@ -752,7 +735,7 @@ class NetworkSegmenter:
     ) -> List[SegmentPlan]:
         """Materialise :class:`SegmentPlan` objects for chosen boundaries.
 
-        Allocations are served from this segmenter's per-run memo (the
+        Allocations are served from this segmenter's window table (the
         DP already solved every candidate window), so this step performs
         no fresh solver work after :meth:`choose_boundaries`.
         """

@@ -325,18 +325,6 @@ class DiskCacheStore:
         self._count("hits")
         return program
 
-    def contains(self, key: ProgramKey) -> bool:
-        """Cheap existence probe for ``key`` — no stats side effects.
-
-        Not a read: the file is not opened, so a corrupt or foreign
-        entry may probe as present (a real :meth:`get` still degrades it
-        to a miss).
-        """
-        try:
-            return self._entry_path(key.digest).is_file()
-        except OSError:
-            return False
-
     # ------------------------------------------------------------------ #
     # write path
     # ------------------------------------------------------------------ #
@@ -378,7 +366,7 @@ class DiskCacheStore:
                 self._approx_bytes += len(text)
             over_budget = self._total_bytes_locked() > self.max_bytes
         if over_budget:
-            self._evict_to_budget()
+            self.prune(max_bytes=self.max_bytes)
 
     # ------------------------------------------------------------------ #
     # size bounding
@@ -400,38 +388,6 @@ class DiskCacheStore:
         with self._lock:
             self._approx_bytes = None
             return self._total_bytes_locked()
-
-    def _evict_to_budget(self) -> None:
-        """Remove oldest entry files (by mtime) until the budget fits.
-
-        The directory scan and the unlinks run *without* the lock — on a
-        large store over a slow filesystem they may take a while, and
-        concurrent get/put must not stall behind them.  Races with other
-        evicting processes are tolerated: a file deleted under our feet
-        simply no longer counts.
-        """
-        sized: List[Tuple[float, int, Path]] = []
-        for path in self._entry_files():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            sized.append((stat.st_mtime, stat.st_size, path))
-        sized.sort()  # oldest first
-        total = sum(size for _, size, _ in sized)
-        evicted = 0
-        for _, size, path in sized:
-            if total <= self.max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        with self._lock:
-            self._approx_bytes = total
-            self.stats.evictions += evicted
 
     # ------------------------------------------------------------------ #
     # maintenance
@@ -475,8 +431,8 @@ class DiskCacheStore:
     ) -> Dict[str, int]:
         """Expire old entries (TTL) and/or shrink to a size budget (GC).
 
-        Both policies are one-shot maintenance passes — the operational
-        complement of the automatic post-write ``max_bytes`` eviction:
+        Both policies are one-shot passes; :meth:`put` runs the size
+        one itself whenever a write takes the store over ``max_bytes``:
 
         * ``max_age_seconds`` removes every entry whose file mtime is
           older than ``now - max_age_seconds`` (TTL; stored programs
@@ -486,8 +442,10 @@ class DiskCacheStore:
         * ``max_bytes`` then removes oldest-first (mtime LRU) until the
           store fits the budget.
 
-        Races with concurrent writers/evictors are tolerated the same
-        way eviction tolerates them: a file deleted under our feet
+        The directory scan and the unlinks run *without* the lock — on a
+        large store over a slow filesystem they may take a while, and
+        concurrent get/put must not stall behind them.  Races with other
+        writers/evictors are tolerated: a file deleted under our feet
         simply stops counting.
 
         Args:

@@ -31,8 +31,8 @@ on (evaluated / replicated / skipped / allocator solves / per-fidelity
 evaluations), and the Pareto reporting entry points.
 
 :meth:`repro.api.Session.explore` is the public entry point: it builds
-a runner sharing the session's allocation cache and program store, so
-a sweep warm-starts from every other compile the session served.
+a runner over the session's own compile service, so a sweep warm-starts
+from every other compile the session served.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from dataclasses import asdict, dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.cache import AllocationCache
-from ..core.memo import SolveMemo
 from ..eval import (
     FIDELITIES,
     AnalyticalEvaluator,
@@ -295,11 +293,14 @@ class DSERunner:
             analytical rung 0, survivors compiled; a fidelity-agnostic
             strategy is replaced by
             :class:`~repro.dse.strategies.SuccessiveHalvingStrategy`).
-        cache: Shared in-memory :class:`AllocationCache`, for embedding
-            the runner into a larger in-process pipeline.
+        service: The :class:`~repro.service.CompileService` every
+            point compiles through — its allocation cache is the table
+            neighbouring points share windows in.  A default one (over
+            ``cache_dir``) is built when omitted.
         cache_dir: Program-store directory
-            (:class:`~repro.core.store.DiskCacheStore`): a point an
-            earlier run compiled is read back instead of recompiled.
+            (:class:`~repro.core.store.DiskCacheStore`) of the default
+            service: a point an earlier run compiled is read back
+            instead of recompiled.  Giving both is a ``ValueError``.
         max_workers: Accepted and ignored.  Compiles run one after
             another (there is no pool to size); the parameter stays only
             because the repository benchmark (``bench/``, read-only for
@@ -315,7 +316,7 @@ class DSERunner:
             ``fidelity="compile"``: analytical lower bounds have no
             programs to schedule.
         obs: Optional :class:`~repro.obs.Observability` bundle, threaded
-            into the compile service, solve memo and trace replays; the
+            into the default compile service and trace replays; the
             run loop records a fidelity-tagged span per batch and per
             evaluated point and mirrors counters under ``dse.*``.
     """
@@ -326,7 +327,7 @@ class DSERunner:
         strategy: Union[str, Strategy] = "grid",
         objective: str = "latency",
         fidelity: str = "compile",
-        cache: Optional[AllocationCache] = None,
+        service: Optional[CompileService] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         max_workers: Optional[int] = None,
         state: Optional[RunState] = None,
@@ -347,6 +348,11 @@ class DSERunner:
             )
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if service is not None and cache_dir is not None:
+            raise ValueError(
+                "give DSERunner a service or a cache_dir, not both "
+                "(the service already names its store)"
+            )
         if objective == "trace_p99":
             if trace is None:
                 raise ValueError(
@@ -376,17 +382,14 @@ class DSERunner:
         # outcome does not depend on the point's own model/workload, so
         # a sweep whose axes only vary those costs a single replay.
         self._trace_scores: Dict[Tuple[str, str], float] = {}
-        # One memo per run: neighbouring design points share most
-        # allocation windows (their boundary context is unchanged along a
-        # sweep axis), so the memo turns a 12-point sweep into far fewer
-        # solves than 12 independent cold compiles — cache or no cache.
         self.obs = NULL_OBS if obs is None else obs
-        self.solve_memo = SolveMemo(metrics=self.obs.metrics)
-        self.service = CompileService(
-            cache=cache,
-            cache_dir=cache_dir,
-            solve_memo=self.solve_memo,
-            obs=self.obs,
+        # Neighbouring design points share most allocation windows (their
+        # boundary context is unchanged along a sweep axis); the service's
+        # allocation cache is where they find each other's solves.
+        self.service = (
+            CompileService(cache_dir=cache_dir, obs=self.obs)
+            if service is None
+            else service
         )
         self.planner = Planner()
         self._evaluators: Dict[str, Evaluator] = {}
@@ -607,7 +610,7 @@ class DSERunner:
         """p99 latency of the runner's trace under one point's chip/options.
 
         Replays :attr:`trace` through the runner's own compile service
-        (sharing its allocation cache and solve memo) with the point's
+        (sharing its allocation cache) with the point's
         hardware and compiler options.  A replay that drops any request
         (a trace model infeasible under those options) scores ``inf`` —
         a serving configuration that cannot run the traffic is not a

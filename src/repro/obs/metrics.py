@@ -1,7 +1,7 @@
 """Counters, gauges and histograms behind one registry.
 
 The registry replaces nothing by force: the hand-rolled stats objects
-(`CacheStats`, `DiskStoreStats`, `SolveMemo` counters, the pipeline's
+(`CacheStats`, `DiskStoreStats`, the pipeline's
 `stats_payload`) stay bit-compatible, and when an enabled
 :class:`MetricsRegistry` is threaded through, the same increments are
 *mirrored* into named metrics so one report can answer "how many
@@ -12,7 +12,7 @@ Naming convention — dotted, lowercase, subsystem first::
 
     allocator.solves            allocator.solves.exact
     cache.memory.hits           store.hits
-    memo.hits                   replay.queue_depth (histogram)
+    replay.queue_depth (histogram)
 
 Disabled path: :data:`NULL_METRICS` hands out shared no-op instruments,
 so call sites never branch.

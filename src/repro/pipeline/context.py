@@ -76,11 +76,6 @@ class PipelineContext:
     hardware: DualModeHardwareAbstraction
     options: object  # CompilerOptions; untyped here to avoid an import cycle
     cache: Optional[AllocationCache] = None
-    #: Optional per-run :class:`~repro.core.memo.SolveMemo`.  Set by the
-    #: compiler when its owner (a DSE run, a compile batch) wants solve
-    #: reuse across compiles; the segmentation passes thread it into
-    #: their ``SegmentationOptions``.
-    solve_memo: Optional[object] = None
     #: Telemetry bundle (:class:`~repro.obs.Observability`).  Defaults to
     #: the no-op :data:`~repro.obs.NULL_OBS`; the runner opens a span per
     #: pass and the segmentation passes hand it to their segmenters.

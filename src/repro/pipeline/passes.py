@@ -109,7 +109,7 @@ class Segment(Pass):
     Runs the dynamic program over the flattened units and records the
     chosen boundaries.  The DP's cost oracle is the per-segment
     allocator, so this pass performs (and memoises) the allocation
-    solves; ``Allocate`` then materialises plans from the memo.
+    solves; ``Allocate`` then materialises plans from the segmenter's table.
     """
 
     name = "segment"
@@ -117,10 +117,12 @@ class Segment(Pass):
     def run(self, ctx: PipelineContext) -> None:
         if ctx.units is None:
             raise RuntimeError("Segment requires the PartitionOversized pass first")
-        options = ctx.options.to_segmentation_options()
-        options.solve_memo = ctx.solve_memo
-        options.obs = ctx.obs
-        ctx.segmenter = NetworkSegmenter(ctx.hardware, options, cache=ctx.cache)
+        ctx.segmenter = NetworkSegmenter(
+            ctx.hardware,
+            ctx.options.to_segmentation_options(),
+            cache=ctx.cache,
+            obs=ctx.obs,
+        )
         if not ctx.units:
             ctx.result = SegmentationResult([], [], 0.0, 0, 0)
             return
@@ -186,11 +188,9 @@ class FixedModeFallback(Pass):
             raise RuntimeError("FixedModeFallback requires the Allocate pass first")
         fixed_options = ctx.options.to_segmentation_options()
         fixed_options.allow_memory_mode = False
-        fixed_options.solve_memo = ctx.solve_memo
-        fixed_options.obs = ctx.obs
         try:
             fixed_result = NetworkSegmenter(
-                ctx.hardware, fixed_options, cache=ctx.cache
+                ctx.hardware, fixed_options, cache=ctx.cache, obs=ctx.obs
             ).segment(ctx.graph, units=ctx.units)
         except NoFeasiblePlanError as exc:
             # The fallback pass proving fixed-mode infeasible does not

@@ -157,7 +157,7 @@ class CompileService:
     * Every job shares one in-process :class:`AllocationCache`.  A batch
       runs its jobs one after another; the service object itself is safe
       to use from several threads (the ``repro serve`` daemon's workers
-      share one), its cache, memo and store being locked.
+      share one), its cache and store being locked.
     * ``cache_dir`` — every compile (and every
       :meth:`repro.api.Session.compile`) goes through
       :meth:`compile_graph`: a stored program is read, verified, decoded
@@ -176,11 +176,6 @@ class CompileService:
         cache_dir: Directory of the persistent program store
             (:class:`~repro.core.store.DiskCacheStore`) shared across
             threads, processes and future invocations.
-        solve_memo: Optional per-run
-            :class:`~repro.core.memo.SolveMemo` shared by every compile
-            the service performs.  A DSE run passes its own memo here so
-            neighbouring design points reuse allocation solves even when
-            the service has no cache.
         obs: Optional :class:`~repro.obs.Observability` bundle.  The
             service opens a span per batch and per job (job spans nest
             under the batch span) and threads the metrics registry into
@@ -192,7 +187,6 @@ class CompileService:
         cache: Optional[AllocationCache] = None,
         use_cache: bool = True,
         cache_dir: Optional[Union[str, Path]] = None,
-        solve_memo=None,
         obs: Optional[Observability] = None,
     ) -> None:
         self.obs = NULL_OBS if obs is None else obs
@@ -207,7 +201,6 @@ class CompileService:
             )
             if self.cache_dir:
                 self.store = DiskCacheStore(self.cache_dir, metrics=self.obs.metrics)
-        self.solve_memo = solve_memo
 
     # ------------------------------------------------------------------ #
     # single compile (the one place the program store is consulted)
@@ -238,11 +231,7 @@ class CompileService:
             if program is not None:
                 return _served(program, time.perf_counter() - start)
         program = CMSwitchCompiler(
-            hardware,
-            options,
-            cache=self.cache,
-            solve_memo=self.solve_memo,
-            obs=self.obs,
+            hardware, options, cache=self.cache, obs=self.obs
         ).compile(graph)
         if key is not None:
             self.store.put(key, program)

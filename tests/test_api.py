@@ -110,6 +110,36 @@ class TestSession:
         # The sweep's solves landed in the session cache.
         assert session.cache_stats.stores > 0
 
+    def test_explore_compiles_through_the_sessions_own_service(self, small_chip, tmp_path):
+        """``use_cache=False`` explores without a cache; a default session
+        sees the sweep's window reuse and store writes in its own counters."""
+        from repro.dse import DesignSpace
+
+        def space():
+            return DesignSpace(
+                models=["tiny-mlp"],
+                base_hardware=small_chip,
+                workloads=[Workload(batch_size=1, seq_len=16)],
+                option_axes={"allow_memory_mode": [True, False]},
+            )
+
+        independent = sum(
+            Session(hardware=small_chip, use_cache=False)
+            .compile(point.model, point.workload, options=point.options)
+            .stats["allocator_solves"]
+            for point in space().points()
+        )
+        uncached = Session(hardware=small_chip, use_cache=False).explore(space())
+        assert [record.cache_hits for record in uncached.records] == [0, 0]
+        assert uncached.allocator_solves == independent > 0
+
+        session = Session(hardware=small_chip, cache_dir=tmp_path)
+        shared = session.explore(space())
+        assert shared.allocator_solves < independent
+        stats = session.cache_stats
+        assert stats.stores == shared.allocator_solves and stats.hits > 0
+        assert session.store.stats.stores == 2  # one handle: the session's
+
     def test_describe_mentions_hardware_and_backend(self, small_chip, tmp_path):
         """(Id kept.)  Hardware and cache location; there is no backend to name."""
         text = Session(hardware=small_chip).describe()

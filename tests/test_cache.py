@@ -136,24 +136,19 @@ class TestAllocationCache:
 
     def test_unreserved_twin_travels_in_the_same_entry(self, dynaplasia_chip, tiny_mlp_graph):
         """Both refinements of a solve are one entry under the solve's key —
-        in the cache, the per-run memo and on a relabelled hit."""
-        from repro.core.memo import SolveMemo
-
+        in the cache and on a relabelled hit."""
         profiles = profile_graph(tiny_mlp_graph)
-        cache, memo = AllocationCache(), SolveMemo()
-        solved = allocate_segment(
-            profiles, dynaplasia_chip, reserve_arrays=40, cache=cache, memo=memo
-        )
+        cache = AllocationCache()
+        solved = allocate_segment(profiles, dynaplasia_chip, reserve_arrays=40, cache=cache)
         assert solved.unreserved is not None and not solved.from_cache
-        assert len(cache) == len(memo) == 1 and cache.stats.stores == 1
+        assert len(cache) == 1 and cache.stats.stores == 1
         renamed = {f"layer{i}": profile for i, profile in enumerate(profiles.values())}
-        for tier in ({"memo": memo}, {"cache": cache}):
-            hit = allocate_segment(renamed, dynaplasia_chip, reserve_arrays=40, **tier)
-            assert hit.from_cache and hit.unreserved.from_cache
-            assert list(hit.unreserved.allocations) == list(renamed)
-            for got, want in ((hit, solved), (hit.unreserved, solved.unreserved)):
-                assert list(got.allocations.values()) == list(want.allocations.values())
-                assert got.latency_cycles == want.latency_cycles
+        hit = allocate_segment(renamed, dynaplasia_chip, reserve_arrays=40, cache=cache)
+        assert hit.from_cache and hit.unreserved.from_cache
+        assert list(hit.unreserved.allocations) == list(renamed)
+        for got, want in ((hit, solved), (hit.unreserved, solved.unreserved)):
+            assert list(got.allocations.values()) == list(want.allocations.values())
+            assert got.latency_cycles == want.latency_cycles
 
     def test_repeat_compile_performs_fewer_solves(self, small_chip, tiny_cnn_graph):
         """Acceptance: two cached compiles < 2x the cold solve count."""

@@ -23,6 +23,7 @@ from repro.dse import (
 )
 from repro.hardware import small_test_chip
 from repro.models import Workload, build_model
+from repro.service import CompileService
 
 
 def tiny_space(arrays=(4, 8), modes=None, models=("tiny-cnn",)):
@@ -626,9 +627,15 @@ class TestRunnerResume:
 
     def test_shared_cache_object_instead_of_dir(self):
         cache = AllocationCache()
-        result = run_dse(tiny_space(), cache=cache)
+        result = run_dse(tiny_space(), service=CompileService(cache=cache))
         assert result.evaluated == 2
         assert cache.stats.stores > 0
+
+    def test_cache_keyword_became_service(self, tmp_path):
+        with pytest.raises(TypeError):
+            DSERunner(tiny_space(), cache=AllocationCache())
+        with pytest.raises(ValueError, match="not both"):
+            DSERunner(tiny_space(), service=CompileService(), cache_dir=tmp_path)
 
     def test_failing_point_is_recorded_not_fatal(self):
         # An unknown model cannot even be planned; its failure must land
@@ -681,10 +688,23 @@ class TestCompilesRunInOrder:
     """A sweep's compiles run one after another, so its counters repeat."""
 
     def test_default_runner_solve_counts_repeat(self):
-        first = DSERunner(benchmark_space()).run()
-        second = DSERunner(benchmark_space()).run()
+        runners = [DSERunner(benchmark_space()) for _ in range(2)]
+        first, second = [runner.run() for runner in runners]
         assert first.allocator_solves == second.allocator_solves == 318
         assert _solver_counters(first) == _solver_counters(second)
+        # One window table: every solve is one miss and one store in the
+        # runner's service cache, every reuse one hit there.
+        for runner in runners:
+            cache = runner.service.cache
+            assert cache.stats.to_dict() == {
+                "hits": 328,
+                "cross_mode_hits": 22,
+                "misses": 318,
+                "stores": 318,
+                "evictions": 0,
+                "hit_rate": 328 / 646,
+            }
+            assert len(cache) == 318
 
     def test_max_workers_is_accepted_and_inert(self):
         """The benchmark still passes it; it must change nothing."""

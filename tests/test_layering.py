@@ -2,6 +2,8 @@
 ones, and below the CLI nothing reaches up into ``repro.serve``."""
 
 import ast
+import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -79,3 +81,40 @@ def test_nothing_imports_a_worker_pool():
         }
     )
     assert not offenders, offenders
+
+
+def test_there_is_one_window_table():
+    """``core/memo.py`` is a name for the benchmark's hooks, not a table:
+    nothing in the package imports it and it defines nothing."""
+    memo = SRC / "repro" / "core" / "memo.py"
+    importers = sorted(
+        {
+            str(path.relative_to(SRC))
+            for path in (SRC / "repro").rglob("*.py")
+            for module in _imported_modules(path)
+            if module == "repro.core.memo"
+        }
+    )
+    assert not importers, importers
+    definitions = [
+        node
+        for node in ast.walk(ast.parse(memo.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert not definitions
+
+    from repro.core.allocation import allocate_segment
+
+    assert "memo" not in inspect.signature(allocate_segment).parameters
+
+
+def test_options_are_declarative():
+    """Runtime objects (a cache, an obs bundle) travel as constructor
+    arguments; every option field takes part in equality and repr."""
+    from repro.core import CompilerOptions, SegmentationOptions
+
+    compiler = {f.name: f for f in dataclasses.fields(CompilerOptions)}
+    segmentation = {f.name: f for f in dataclasses.fields(SegmentationOptions)}
+    assert set(segmentation) == set(compiler) - {"generate_code"}
+    for field in (*compiler.values(), *segmentation.values()):
+        assert field.compare and field.repr, field.name

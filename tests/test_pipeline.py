@@ -187,6 +187,18 @@ class TestOptionsNormalisation:
         with pytest.raises(TypeError, match="fixed_mode_fallback"):
             CompilerOptions(fixed_mode_fallback=False)
 
+    def test_runtime_state_and_one_valued_knobs_are_not_options(self, small_chip):
+        """A memo or an obs bundle travels as a constructor argument, or not at all."""
+        from repro.core import SegmentationOptions
+
+        for gone in ("solve_memo", "obs", "single_segment_fallback"):
+            with pytest.raises(TypeError, match=gone):
+                SegmentationOptions(**{gone: None})
+        with pytest.raises(TypeError, match="solve_memo"):
+            CMSwitchCompiler(small_chip, solve_memo=None)
+        with pytest.raises(TypeError, match="solve_memo"):
+            PipelineContext(graph=None, hardware=small_chip, options=None, solve_memo=None)
+
     def test_segmentation_options_reject_bad_window(self):
         from repro.core import SegmentationOptions
 

@@ -129,6 +129,8 @@ class TestCompileService:
                 CompileService(**kwargs)
             with pytest.raises(TypeError):
                 CompileService().compile_batch([], **kwargs)
+        with pytest.raises(TypeError, match="solve_memo"):
+            CompileService(solve_memo=None)
         job = CompileJob("tiny-mlp", hardware=small_chip)
         assert not hasattr(job, "to_spec") and not hasattr(CompileJob, "from_spec")
         assert not hasattr(CompileService().compile(job), "spans")

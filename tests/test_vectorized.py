@@ -40,7 +40,6 @@ from repro.core.allocation import (
     segment_fits,
 )
 from repro.core.cache import AllocationCache, AllocationCacheKey
-from repro.core.memo import SolveMemo
 from repro.core.segmentation import NetworkSegmenter, flatten_graph
 from repro.cost import (
     OperatorAllocation,
@@ -352,7 +351,7 @@ class TestWindowCacheKey:
 
 
 # ---------------------------------------------------------------------- #
-# SolveMemo
+# the one window table (AllocationCache) as allocate_segment uses it
 # ---------------------------------------------------------------------- #
 class CountingAllocator:
     """Wraps an allocator and counts real ``allocate`` invocations."""
@@ -368,7 +367,7 @@ class CountingAllocator:
         return self.inner.allocate(profiles, hardware, pipelined=pipelined)
 
 
-class TestSolveMemo:
+class TestWindowTable:
     @pytest.fixture()
     def profiles(self):
         return {
@@ -377,30 +376,32 @@ class TestSolveMemo:
         }
 
     def test_second_solve_is_served_from_the_memo(self, profiles, small_chip):
-        memo = SolveMemo()
+        cache = AllocationCache()
         engine = CountingAllocator(MIPAllocator())
-        first = allocate_segment(profiles, small_chip, allocator=engine, memo=memo)
-        second = allocate_segment(profiles, small_chip, allocator=engine, memo=memo)
-        assert engine.calls == 1
-        assert memo.hits == 1 and memo.misses == 1 and memo.stores == 1
+        first = allocate_segment(profiles, small_chip, allocator=engine, cache=cache)
+        second = allocate_segment(profiles, small_chip, allocator=engine, cache=cache)
+        assert engine.calls == 1 and second.from_cache
+        # One probe and one store per call: nothing is looked up or written twice.
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.stores, len(cache)) == (1, 1, 1, 1)
         assert second.allocations == first.allocations
         assert second.latency_cycles == first.latency_cycles
 
     def test_cross_mode_hit_when_dual_solution_uses_no_memory(
         self, profiles, small_chip
     ):
-        memo = SolveMemo()
+        cache = AllocationCache()
         dual = CountingAllocator(MIPAllocator(allow_memory_mode=True))
-        result = allocate_segment(profiles, small_chip, allocator=dual, memo=memo)
+        result = allocate_segment(profiles, small_chip, allocator=dual, cache=cache)
         memory_free = all(
             a.memory_arrays == 0 for a in result.allocations.values()
         )
         fixed = CountingAllocator(MIPAllocator(allow_memory_mode=False))
-        again = allocate_segment(profiles, small_chip, allocator=fixed, memo=memo)
+        again = allocate_segment(profiles, small_chip, allocator=fixed, cache=cache)
         if memory_free:
             # The dual-mode optimum lies inside the fixed-mode space, so
             # the fixed-mode request is answered without a solve.
-            assert fixed.calls == 0
+            assert fixed.calls == 0 and cache.stats.cross_mode_hits == 1
             assert again.allocations == result.allocations
         else:
             assert fixed.calls == 1
@@ -408,8 +409,8 @@ class TestSolveMemo:
     def test_memo_never_stores_partial_foreign_results(self, profiles, small_chip):
         from repro.core.allocation import AllocationResult
 
-        memo = SolveMemo()
-        key = SolveMemo.make_key(
+        cache = AllocationCache()
+        key = AllocationCache.make_key(
             profiles,
             small_chip,
             engine="milp",
@@ -421,18 +422,13 @@ class TestSolveMemo:
         partial = AllocationResult(
             {"proj": OperatorAllocation(1, 0)}, 123.0, True, "milp"
         )
-        memo.put(key, profiles, partial)
-        assert len(memo) == 0
-        assert memo.lookup(key, list(profiles)) is None
+        cache.put(key, profiles, partial)
+        assert len(cache) == 0 and cache.stats.stores == 0
+        assert cache.lookup(key, list(profiles)) is None
 
-    def test_stats_dict_shape(self):
-        memo = SolveMemo()
-        assert memo.stats_dict() == {
-            "hits": 0,
-            "misses": 0,
-            "stores": 0,
-            "entries": 0,
-        }
+    def test_memo_keyword_is_gone(self, profiles, small_chip):
+        with pytest.raises(TypeError):
+            allocate_segment(profiles, small_chip, memo=AllocationCache())
 
 
 # ---------------------------------------------------------------------- #
@@ -462,13 +458,12 @@ class TestReuseTripwires:
         result = runner.run()
         assert result.evaluated == space.size
         assert result.allocator_solves < independent  # strictly fewer
-        assert runner.solve_memo.hits > 0
+        assert runner.service.cache.stats.hits > 0
 
     def test_memo_counters_reflect_per_run_reuse(self):
         runner = DSERunner(_two_point_space(), strategy="grid")
-        runner.run()
-        stats = runner.solve_memo.stats_dict()
-        # Overwrites of an existing key (a shared-cache hit promoted
-        # into the memo) count as stores, so stores >= distinct entries.
-        assert stats["stores"] >= stats["entries"] > 0
-        assert stats["hits"] > 0
+        result = runner.run()
+        cache = runner.service.cache
+        # One table, written once per solve: no entry is stored twice.
+        assert cache.stats.stores == len(cache) == result.allocator_solves > 0
+        assert cache.stats.hits == sum(r.cache_hits for r in result.records) > 0
