@@ -5,7 +5,8 @@ need a hardware preset and a cache directory.  A :class:`Session`
 carries that context once:
 
 * ``session.compile(model, workload)`` — one graph through the pass
-  pipeline, raising on failure;
+  pipeline, raising on failure (asked again, the same question is a
+  lookup in the service's program table: no pass runs);
 * ``session.compile_batch(jobs)`` — many jobs, one after another,
   through the shared :class:`~repro.service.CompileService`, failures
   isolated per job;
@@ -87,8 +88,8 @@ class Session:
             carries its meta-operator flow as text only — compile
             without ``cache_dir`` for one the functional simulator can
             execute.
-        use_cache: Disable the shared cache and the program store
-            entirely (A/B timing).
+        use_cache: Disable the program table, the shared cache and the
+            program store entirely (A/B timing): every call compiles.
         trace: Telemetry switch (off by default — the disabled path is a
             measured-overhead-free no-op).  Accepts ``True`` (collect
             spans + metrics in a fresh :class:`~repro.obs.Observability`
@@ -167,7 +168,11 @@ class Session:
         """Compile one model (or pre-built graph) through the pipeline.
 
         Unlike :meth:`compile_batch` this raises on failure — it is the
-        interactive, "give me the program or tell me why not" call.
+        interactive, "give me the program or tell me why not" call.  A
+        compile this session already answered comes back as the caller's
+        own copy of that program with the statistics of *this* call
+        (``allocator_solves: 0``, no pass times); see
+        :meth:`repro.service.CompileService.compile_graph`.
 
         Args:
             model: Registered model name or a :class:`Graph`.

@@ -2,16 +2,22 @@
 
 The DP segmentation asks the allocator for every candidate window (Fig. 18
 of the paper).  :class:`AllocationCache` memoises those solves *across*
-segmentation runs, compilers and compile requests of one process.  With
-the exact ~85 µs window solver the saving is modest — the benchmark's
-five-model set on ``dynaplasia`` (2 cores, Python 3.11) compiles cold in
-~100 ms plain wall (~153 ms on ``bench/run.py``'s machine-normalised
-scale) and recompiles in the same session, every window a hit, in ~37 ms
-(~56 ms normalised) — and it does not survive a process border: reading
-one window back from disk (≈ 135 µs) costs more than solving it, so
-windows live in memory only and what a ``cache_dir`` persists is the
-whole compiled program (:mod:`repro.core.store`; the numbers and the
-reasoning are in its header).
+segmentation runs, compilers and compile requests of one process.  Its
+traffic is reuse between *different* compiles — the repeated projections
+inside one transformer block (13 % of a cold compile's probes), the
+neighbouring points of a DSE sweep (328 of the benchmark grid's 646
+probes), the fixed-mode twin of a dual-mode compile — because the *same*
+compile asked twice never gets here: the service's program table
+answers it whole (:class:`repro.service.ProgramTable`).  With the exact
+~85 µs window solver the saving per hit is modest — walking the DP of
+the benchmark's five-model set on ``dynaplasia`` with every window a hit
+still costs ~40 ms against ~140 ms cold (2 cores, Python 3.11, plain
+wall), which is why whole-program reuse sits in front — and it does not
+survive a process border: reading one window back from disk (≈ 135 µs)
+costs more than solving it, so windows live in memory only and what a
+``cache_dir`` persists is the whole compiled program
+(:mod:`repro.core.store`; the numbers and the reasoning are in its
+header).
 
 * the key is **structural** — the hardware fingerprint, the ordered cost
   profiles of the segment's operators (names excluded) and the options

@@ -20,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Mapping, Optional
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional
 
 from ..cost.arithmetic import OperatorProfile
 from ..cost.latency import OperatorAllocation
@@ -346,7 +347,12 @@ def _require(payload: Mapping, field_name: str, what: str):
     return payload[field_name]
 
 
-_PROFILE_FIELDS = frozenset(f.name for f in fields(OperatorProfile))
+#: Field names of the two flat, frozen records a segment carries, in
+#: declaration order (the order ``dataclasses.asdict`` would emit them —
+#: without its recursive deep copy, which was half of the encode cost).
+_PROFILE_FIELD_NAMES = tuple(f.name for f in fields(OperatorProfile))
+_RESOURCES_FIELD_NAMES = tuple(f.name for f in fields(SegmentResources))
+_PROFILE_FIELDS = frozenset(_PROFILE_FIELD_NAMES)
 
 
 def _profile_from_payload(payload: Mapping) -> OperatorProfile:
@@ -370,7 +376,8 @@ def _segment_to_payload(segment: SegmentPlan) -> Dict:
             for name, alloc in segment.allocations.items()
         },
         "profiles": {
-            name: asdict(profile) for name, profile in segment.profiles.items()
+            name: {f: getattr(profile, f) for f in _PROFILE_FIELD_NAMES}
+            for name, profile in segment.profiles.items()
         },
         "intra_cycles": _float_out(segment.intra_cycles),
         "inter_cycles": _float_out(segment.inter_cycles),
@@ -378,7 +385,9 @@ def _segment_to_payload(segment: SegmentPlan) -> Dict:
             key: _float_out(value) for key, value in segment.inter_breakdown.items()
         },
         "resources": (
-            None if segment.resources is None else asdict(segment.resources)
+            None
+            if segment.resources is None
+            else {f: getattr(segment.resources, f) for f in _RESOURCES_FIELD_NAMES}
         ),
         "boundary_memory_arrays": segment.boundary_memory_arrays,
     }

@@ -204,8 +204,10 @@ class DSEResult:
         evaluated / replicated / skipped: Point counters (skipped =
             served from the run state).
         evaluated_by_fidelity: Canonical evaluations per fidelity tag.
-        warm_planned / cold_planned: Canonical jobs the program store
-            served / jobs that were computed (compiled or bounded).
+        warm_planned / cold_planned: Canonical jobs the compile service
+            served without running a pass (from its in-memory program
+            table or its ``cache_dir`` store) / jobs that were computed
+            (compiled or bounded).
         allocator_solves / disk_hits: Aggregates over ``new_records``.
         objective: The optimisation objective of the run.
         wall_seconds: Wall-clock time of the run loop.
@@ -267,7 +269,7 @@ class DSEResult:
                 f"points: {self.evaluated} evaluated, {self.replicated} replicated, "
                 f"{self.skipped} skipped (already evaluated)",
                 f"fidelity: {by_fidelity}",
-                f"program store: {self.warm_planned} served, "
+                f"programs: {self.warm_planned} served (table or store), "
                 f"{self.cold_planned} computed",
                 f"total allocator solves: {self.allocator_solves}",
                 f"total disk hits: {self.disk_hits}",
@@ -529,7 +531,7 @@ class DSERunner:
                         for job in plan.jobs
                     ]
                     evaluations = self.evaluator(batch_fidelity).evaluate_batch(jobs)
-                served = sum(1 for evaluation in evaluations if evaluation.disk_hits)
+                served = sum(1 for evaluation in evaluations if evaluation.served)
                 result.warm_planned += served
                 result.cold_planned += len(evaluations) - served
                 for planned, evaluation in zip(plan.jobs, evaluations):

@@ -74,6 +74,9 @@ class Evaluation:
             provable minimum any plan must occupy).
         allocator_solves / cache_hits / disk_hits: Solver-side cost of
             producing this answer (all zero for the analytical tier).
+        served: True when the compile service answered with a program
+            it already had — from its in-memory table or its
+            ``cache_dir`` store — and no pass ran.
         eval_seconds: Wall-clock cost of producing this answer.
         lower_bound: True when the metrics are optimistic lower bounds
             rather than a concrete plan's cost.
@@ -93,6 +96,7 @@ class Evaluation:
     allocator_solves: int = 0
     cache_hits: int = 0
     disk_hits: int = 0
+    served: bool = False
     eval_seconds: float = 0.0
     lower_bound: bool = False
     program: Optional[CompiledProgram] = None

@@ -1,9 +1,9 @@
 """Plan fidelity: evaluate a candidate by compiling it.
 
 :class:`CompileEvaluator` runs the full pass pipeline through a
-:class:`~repro.service.CompileService` (shared allocation cache and
-program store) and answers with metrics taken from the real
-:class:`~repro.core.program.CompiledProgram`.  The parity suite
+:class:`~repro.service.CompileService` (program table, shared
+allocation cache, program store) and answers with metrics taken from
+the real :class:`~repro.core.program.CompiledProgram`.  The parity suite
 ratchets that its programs are bit-identical to direct
 :meth:`repro.api.Session.compile` output.
 """
@@ -35,6 +35,9 @@ def evaluation_from_outcome(outcome: CompileJobResult) -> Evaluation:
         allocator_solves=int(outcome.stats.get("allocator_solves", 0)),
         cache_hits=int(outcome.stats.get("allocation_cache_hits", 0)),
         disk_hits=int(outcome.stats.get("allocation_disk_hits", 0)),
+        # A pipeline run always times its passes; a served program's
+        # re-stamped stats (``repro.service._served``) list none.
+        served=outcome.ok and not outcome.stats.get("pass_seconds"),
     )
     if not outcome.ok:
         evaluation.error = outcome.error

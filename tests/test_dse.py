@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.api import Session
 from repro.core import AllocationCache, DiskCacheStore
 from repro.dse import (
     DesignSpace,
@@ -736,6 +737,21 @@ class TestWarmPlanning:
         cold_by_key = {r.point_key: r for r in cold.records}
         for record in warm.records:
             assert record.latency_ms == cold_by_key[record.point_key].latency_ms
+
+    def test_second_explore_on_one_session_is_served_from_memory(self):
+        """No ``cache_dir``: the session's program table serves the repeat."""
+        with Session(hardware="small-test-chip") as session:
+            cold = session.explore(benchmark_space())
+            warm = session.explore(benchmark_space())
+        assert cold.allocator_solves > 0 and cold.warm_planned == 0
+        assert warm.allocator_solves == 0 and warm.disk_hits == 0
+        assert warm.cold_planned == 0 and warm.warm_planned == warm.evaluated > 0
+        assert "programs: %d served (table or store), 0 computed" % warm.evaluated in (
+            warm.summary()
+        )
+        assert [(r.point_key, r.cycles) for r in warm.frontier()] == [
+            (r.point_key, r.cycles) for r in cold.frontier()
+        ]
 
     def test_disk_hits_surface_in_program_stats(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -678,6 +678,8 @@ class TestServerLifecycle:
             assert len(daemon.obs.tracer.spans()) <= ring
             assert daemon.obs.tracer.spans_dropped > 0
             assert f"obs_spans_dropped {daemon.obs.tracer.spans_dropped}\n" in text
+            # The service's program-table counters come through the registry.
+            assert f"obs_programs_misses {compiles}\n" in text
         finally:
             daemon.shutdown()
 

@@ -1,11 +1,20 @@
 """Tests for the batch compilation service and its CLI subcommand."""
 
+import sys
+import threading
+from dataclasses import fields, replace
+
 import pytest
 
+import repro.service as service_module
 from repro.cli import build_parser, main
 from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions
+from repro.core.metaop import MetaProgram
+from repro.core.store import ProgramKey
+from repro.hardware.deha import DualModeHardwareAbstraction
 from repro.models import Workload, build_model
-from repro.service import CompileJob, CompileJobResult, CompileService
+from repro.obs import Observability
+from repro.service import CompileJob, CompileJobResult, CompileService, ProgramTable
 
 
 class TestCompileJob:
@@ -82,7 +91,13 @@ class TestCompileService:
         assert total_solves < 2 * cold_solves
         assert results[1].stats["allocator_solves"] == 0
         assert results[1].stats["allocation_cache_hit_rate"] == 1.0
-        assert service.cache_stats.hits > 0
+        # The repeat is a program-table hit: no pass ran, so the window
+        # cache saw the first job's misses and nothing else.
+        assert results[1].stats["pass_seconds"] == {}
+        assert results[1].stats["allocation_cache_hits"] == results[1].program.num_segments
+        assert service.cache_stats.misses == cold_solves
+        assert service.cache_stats.hits == results[0].stats["allocation_cache_hits"]
+        assert len(service.programs) == 1
 
     def test_per_job_stats_surfaced(self, small_chip):
         result = CompileService().compile(CompileJob("tiny-mlp", hardware=small_chip))
@@ -134,6 +149,235 @@ class TestCompileService:
         job = CompileJob("tiny-mlp", hardware=small_chip)
         assert not hasattr(job, "to_spec") and not hasattr(CompileJob, "from_spec")
         assert not hasattr(CompileService().compile(job), "spans")
+
+
+@pytest.fixture
+def pipeline_runs(monkeypatch):
+    """Spy on ``CMSwitchCompiler.compile``: the graphs the pipeline ran on."""
+    runs = []
+    real = CMSwitchCompiler.compile
+
+    def spy(self, graph):
+        runs.append(graph)
+        return real(self, graph)
+
+    monkeypatch.setattr(CMSwitchCompiler, "compile", spy)
+    return runs
+
+
+def _tiny_cnn():
+    return build_model("tiny-cnn", Workload(batch_size=1))
+
+
+def _changed(value):
+    """A different valid value of the same type (one chip/option field)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value * 2
+    if isinstance(value, float):
+        return value / 2 or 0.25
+    return value + "'"
+
+
+class TestProgramTable:
+    """The in-memory ``ProgramKey -> CompiledProgram`` tier of ``compile_graph``."""
+
+    OPTIONS = CompilerOptions()
+
+    def test_equal_graph_from_another_object_is_a_hit(self, small_chip, pipeline_runs):
+        service = CompileService()
+        cold = service.compile_graph(_tiny_cnn(), small_chip, self.OPTIONS)
+        warm = service.compile_graph(_tiny_cnn(), small_chip, replace(self.OPTIONS))
+        assert len(pipeline_runs) == 1
+        assert warm.fingerprint() == cold.fingerprint()
+        segments = len(warm.segments)
+        assert warm.stats["allocator_solves"] == 0
+        assert warm.stats["allocation_cache_hits"] == segments
+        assert warm.stats["allocation_disk_hits"] == 0
+        assert warm.stats["allocation_cache_hit_rate"] == 1.0
+        assert warm.stats["pass_seconds"] == {} and warm.metadata["passes"] == []
+        assert warm.stats["wall_seconds"] == warm.compile_seconds > 0.0
+        # Plan-derived entries are the original compile's.
+        assert warm.metadata["num_flattened_units"] == cold.metadata["num_flattened_units"]
+        # Compiled here, so the flow stays executable on every later hit.
+        assert isinstance(warm.meta_program, MetaProgram)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda graph: graph.metadata.update(block_repeat=3.0),
+            lambda graph: graph.operators[0].attrs.update(note="edited"),
+        ],
+        ids=["graph.metadata", "operator.attrs"],
+    )
+    def test_in_place_graph_edit_is_a_miss(self, small_chip, pipeline_runs, edit):
+        service = CompileService()
+        graph = _tiny_cnn()
+        service.compile_graph(graph, small_chip, self.OPTIONS)
+        edit(graph)
+        edited = service.compile_graph(graph, small_chip, self.OPTIONS)
+        assert len(pipeline_runs) == 2 and edited.stats["pass_seconds"]
+        assert edited.block_repeat == float(graph.metadata.get("block_repeat", 1.0))
+        # The untouched graph is still there under its own key.
+        service.compile_graph(_tiny_cnn(), small_chip, self.OPTIONS)
+        assert len(pipeline_runs) == 2
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(CompilerOptions)])
+    def test_in_place_option_edit_is_a_miss(self, small_chip, pipeline_runs, name):
+        service = CompileService()
+        graph = _tiny_cnn()
+        options = CompilerOptions()
+        service.compile_graph(graph, small_chip, options)
+        setattr(options, name, _changed(getattr(options, name)))
+        service.compile_graph(graph, small_chip, options)
+        assert len(pipeline_runs) == 2
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(DualModeHardwareAbstraction)]
+    )
+    def test_any_chip_field_is_part_of_the_key(self, small_chip, pipeline_runs, name):
+        service = CompileService()
+        graph = _tiny_cnn()
+        service.compile_graph(graph, small_chip, self.OPTIONS)
+        other = small_chip.with_overrides(**{name: _changed(getattr(small_chip, name))})
+        program = service.compile_graph(graph, other, self.OPTIONS)
+        assert len(pipeline_runs) == 2 and program.hardware == other
+
+    def test_returned_programs_are_private_copies(self, small_chip):
+        service = CompileService()
+        graph = _tiny_cnn()
+        first = service.compile_graph(graph, small_chip, self.OPTIONS)
+        reference = first.fingerprint()
+        segments = len(first.segments)
+        # Neither the program of the miss that filled the table ...
+        first.stats.clear()
+        first.metadata.clear()
+        first.segments.clear()
+        # ... nor the one a hit returned is the table's own object.
+        second = service.compile_graph(graph, small_chip, self.OPTIONS)
+        assert second is not first and second.fingerprint() == reference
+        second.stats["allocator_solves"] = 99
+        second.metadata["num_flattened_units"] = -1
+        second.segments.pop()
+        third = service.compile_graph(graph, small_chip, self.OPTIONS)
+        assert third.fingerprint() == reference and len(third.segments) == segments
+        assert third.stats["allocator_solves"] == 0
+        assert third.metadata["num_flattened_units"] > 0
+        assert third.metadata["passes"] == [] and third.stats["pass_seconds"] == {}
+
+    def test_full_key_is_compared_not_just_its_digest(self, small_chip):
+        graph = _tiny_cnn()
+        program = CompileService().compile_graph(graph, small_chip, self.OPTIONS)
+        key = ProgramKey.build(graph, small_chip, self.OPTIONS, "cmswitch")
+        collision = ProgramKey.build(
+            graph, small_chip, replace(self.OPTIONS, refine=False), "cmswitch"
+        )
+        collision.digest = key.digest
+        table = ProgramTable()
+        table.put(key, program)
+        assert hash(collision) == hash(key) and table.get(collision) is None
+        assert table.get(key).fingerprint() == program.fingerprint()
+
+    def test_entry_bound_evicts_least_recently_used_first(
+        self, small_chip, pipeline_runs, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "PROGRAM_TABLE_ENTRIES", 2)
+        obs = Observability.create()
+        service = CompileService(obs=obs)
+        cnn, mlp, transformer = (
+            build_model(name, Workload(batch_size=1, seq_len=16))
+            for name in ("tiny-cnn", "tiny-mlp", "tiny-transformer")
+        )
+        service.compile_graph(cnn, small_chip, self.OPTIONS)
+        service.compile_graph(mlp, small_chip, self.OPTIONS)
+        service.compile_graph(cnn, small_chip, self.OPTIONS)  # cnn is now the newer
+        service.compile_graph(transformer, small_chip, self.OPTIONS)  # evicts mlp
+        assert len(service.programs) == 2 and len(pipeline_runs) == 3
+        service.compile_graph(cnn, small_chip, self.OPTIONS)
+        assert len(pipeline_runs) == 3
+        service.compile_graph(mlp, small_chip, self.OPTIONS)
+        assert len(pipeline_runs) == 4
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["programs.hits"] == 2 and counters["programs.misses"] == 4
+        assert counters["programs.evictions"] == 2
+
+    def test_segment_budget_evicts_and_refuses_what_cannot_fit(
+        self, small_chip, pipeline_runs, monkeypatch
+    ):
+        options = CompilerOptions(generate_code=False)
+        cnn, mlp = _tiny_cnn(), build_model("tiny-mlp", Workload(batch_size=1))
+        sizes = {
+            graph.name: len(CompileService().compile_graph(graph, small_chip, options).segments)
+            for graph in (cnn, mlp)
+        }
+        assert sizes[cnn.name] < sizes[mlp.name]
+        del pipeline_runs[:]
+
+        # Room for either program, not for both: the older one goes.
+        monkeypatch.setattr(service_module, "PROGRAM_TABLE_SEGMENTS", sizes[mlp.name])
+        service = CompileService()
+        service.compile_graph(cnn, small_chip, options)
+        service.compile_graph(mlp, small_chip, options)
+        assert len(service.programs) == 1
+        service.compile_graph(mlp, small_chip, options)
+        assert len(pipeline_runs) == 2
+        service.compile_graph(cnn, small_chip, options)
+        assert len(pipeline_runs) == 3
+
+        # A program over the budget on its own is compiled, never stored,
+        # and pushes nothing out.
+        monkeypatch.setattr(service_module, "PROGRAM_TABLE_SEGMENTS", sizes[mlp.name] - 1)
+        service = CompileService()
+        service.compile_graph(cnn, small_chip, options)
+        for _ in range(2):
+            assert service.compile_graph(mlp, small_chip, options).stats["pass_seconds"]
+        assert len(service.programs) == 1
+        assert service.compile_graph(cnn, small_chip, options).stats["pass_seconds"] == {}
+
+    def test_use_cache_false_builds_no_key_and_no_table(
+        self, small_chip, pipeline_runs, monkeypatch
+    ):
+        def tripwire(*args, **kwargs):
+            raise AssertionError("use_cache=False built a program key")
+
+        monkeypatch.setattr(ProgramKey, "build", tripwire)
+        service = CompileService(use_cache=False)
+        assert service.programs is None
+        graph = _tiny_cnn()
+        programs = [service.compile_graph(graph, small_chip, self.OPTIONS) for _ in range(3)]
+        assert len(pipeline_runs) == 3
+        assert all(program.stats["allocator_solves"] > 0 for program in programs)
+
+    def test_threads_sharing_one_service_agree(self, small_chip):
+        service = CompileService()
+        job = CompileJob("tiny-transformer", workload=Workload(seq_len=16), hardware=small_chip)
+        reference = CompileService().compile(job).program.fingerprint()
+        start = threading.Barrier(8)
+        outcomes, errors = [], []
+
+        def worker():
+            try:
+                start.wait(timeout=30)
+                for _ in range(5):
+                    result = service.compile(job)
+                    outcomes.append((result.error, result.ok and result.program.fingerprint()))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert outcomes == [(None, reference)] * 40
+        assert len(service.programs) == 1
 
 
 class TestCompileBatchCLI:

@@ -34,10 +34,11 @@ from repro.core import (
     DiskCacheStore,
     ManualClock,
 )
-from repro.core.program import RenderedMetaProgram
+from repro.core.program import RenderedMetaProgram, program_to_payload
 from repro.core.store import FORMAT_VERSION, ProgramKey
 from repro.hardware import get_preset, small_test_chip
-from repro.models import Workload, build_model
+from repro.models import Workload, build_model, list_models
+from repro.obs import Observability
 from repro.service import CompileJob, CompileService
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -594,6 +595,68 @@ class TestProgramStore:
         )
         assert stored.stats["allocator_solves"] == cold.stats["allocator_solves"]
 
+    def test_encoding_is_byte_identical_to_the_asdict_rendering(self):
+        """The encoder reads the flat records by field name; no byte may move.
+
+        Reference: ``dataclasses.asdict`` over each profile and resources
+        record, which is how format version 4 / wire version 1 were
+        defined.  Every zoo program on the test chip, JSON text compared
+        in emission order (stricter than the store's sorted rendering).
+        """
+        from repro.serve.wire import WIRE_VERSION
+
+        assert (FORMAT_VERSION, WIRE_VERSION) == (4, 1)
+        options = CompilerOptions(generate_code=False)
+        with Session(hardware="small-test-chip", options=options) as session:
+            for model in list_models():
+                program = session.compile(model)
+                payload = program_to_payload(program)
+                reference = dict(
+                    payload,
+                    segments=[
+                        dict(
+                            encoded,
+                            profiles={
+                                name: asdict(profile)
+                                for name, profile in segment.profiles.items()
+                            },
+                            resources=(
+                                None if segment.resources is None
+                                else asdict(segment.resources)
+                            ),
+                        )
+                        for encoded, segment in zip(payload["segments"], program.segments)
+                    ],
+                )
+                assert json.dumps(payload) == json.dumps(reference), model
+
+    def test_store_hit_is_promoted_to_the_program_table(
+        self, small_chip, tiny_cnn_graph, tmp_path
+    ):
+        """Fresh service, populated directory: disk once, memory after."""
+        options = CompilerOptions()
+        cold = CompileService(cache_dir=tmp_path).compile_graph(
+            tiny_cnn_graph, small_chip, options
+        )
+        obs = Observability.create()
+        fresh = CompileService(cache_dir=tmp_path, obs=obs)
+        first = fresh.compile_graph(tiny_cnn_graph, small_chip, options)
+        segments = len(first.segments)
+        assert fresh.store.stats.hits == 1
+        assert first.stats["allocation_disk_hits"] == segments
+        second = fresh.compile_graph(tiny_cnn_graph, small_chip, options)
+        assert fresh.store.stats.hits == 1 and fresh.store.stats.misses == 0
+        assert second.stats["allocator_solves"] == 0
+        assert second.stats["allocation_cache_hits"] == segments
+        assert second.stats["allocation_disk_hits"] == 0
+        assert second.fingerprint() == first.fingerprint() == cold.fingerprint()
+        # What came from disk stays text-only, also from the table.
+        assert isinstance(second.meta_program, RenderedMetaProgram)
+        assert fresh.store.stats.stores == 0 and fresh.cache.stats.lookups == 0
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["programs.disk_promotions"] == 1
+        assert counters["programs.hits"] == 1 and "programs.misses" not in counters
+
     @pytest.mark.parametrize(
         "fault, counter",
         [
@@ -670,9 +733,12 @@ class TestProgramStore:
 
         monkeypatch.setattr(CMSwitchCompiler, "compile", no_plan)
         service = CompileService(cache_dir=tmp_path)
-        with pytest.raises(NoFeasiblePlanError):
-            service.compile_graph(tiny_cnn_graph, small_chip, CompilerOptions())
-        assert service.store.stats.misses == 1 and len(service.store) == 0
+        # Raised again on the repeat: neither tier remembers a failure.
+        for attempt in (1, 2):
+            with pytest.raises(NoFeasiblePlanError):
+                service.compile_graph(tiny_cnn_graph, small_chip, CompilerOptions())
+            assert service.store.stats.misses == attempt
+        assert len(service.store) == 0 and len(service.programs) == 0
 
     def test_the_window_knobs_are_gone(self, tmp_path):
         """No spelling selects window persistence any more."""
@@ -689,11 +755,18 @@ class TestProgramStore:
         assert service.cache is cache and service.store is not None
         first = service.compile(CompileJob("tiny-cnn", hardware=small_chip))
         assert first.ok and cache.stats.stores > 0 and service.store.stats.stores == 1
-        # The same service again: the store answers before the windows do.
+        # The same service again: its program table answers before the
+        # store or the windows do.
         lookups = cache.stats.lookups
         second = service.compile(CompileJob("tiny-cnn", hardware=small_chip))
-        assert second.stats["allocation_disk_hits"] > 0
-        assert cache.stats.lookups == lookups
+        assert second.stats["allocator_solves"] == 0
+        assert second.stats["allocation_disk_hits"] == 0
+        assert cache.stats.lookups == lookups and service.store.stats.hits == 0
+        # The store is read on the *first* compile of a fresh service.
+        fresh = CompileService(cache=AllocationCache(), cache_dir=tmp_path)
+        third = fresh.compile(CompileJob("tiny-cnn", hardware=small_chip))
+        assert third.stats["allocation_disk_hits"] > 0
+        assert fresh.store.stats.hits == 1 and fresh.cache.stats.lookups == 0
 
 
 def _hammer_store(root: str, n: int, rounds: int) -> None:
