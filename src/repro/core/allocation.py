@@ -26,17 +26,27 @@ arrays fit the chip.  Three interchangeable engines are provided:
 All return an :class:`AllocationResult`; leftover arrays are always
 redistributed by :func:`refine_with_spare_arrays` (weight duplication and
 extra buffering, the paper's post-allocation optimisation).
+
+What a solve reads about an operator — its Eq. 10 factor tables, its
+candidate list, its compute floor, its cache signature — does not depend
+on the window the operator is solved in, so it is kept **by position**
+in :class:`UnitColumns`, built once per compile by the segmenter, and a
+window is an index range over it (:class:`UnitWindow`, which is also the
+``name -> profile`` mapping the entry points take).  A caller with a
+plain mapping gets columns built from exactly its profiles
+(:func:`unit_window`) and runs the same code; nothing is memoised per
+profile, per allocator or per module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cost.arithmetic import OperatorProfile
+from ..cost.arithmetic import OperatorProfile, ProfileVectors
 # operator_latency_cycles is re-exported only: nothing here evaluates Eq. 10
 # per call any more, but the benchmark's tracer counts scalar evaluations
 # through this module's name.
@@ -44,8 +54,8 @@ from ..cost.latency import (  # noqa: F401
     INFEASIBLE_LATENCY,
     OperatorAllocation,
     combine_operator_latencies,
+    guard_infeasible_batch,
     operator_latency_cycles,
-    operator_latency_cycles_batch,
     operator_latency_factors_batch,
 )
 from ..hardware.deha import DualModeHardwareAbstraction
@@ -148,67 +158,100 @@ class AllocationCandidate:
         return OperatorAllocation(self.compute_arrays, self.memory_arrays)
 
 
+class CandidateList(list):
+    """One operator's Pareto candidates plus the columns a selection reads.
+
+    A list of :class:`AllocationCandidate` (arrays ascending, latency
+    strictly descending) that also carries ``negated`` (the latencies,
+    negated so they ascend — what :meth:`ExactAllocator._select`
+    bisects) and ``totals`` (the array counts), built once with the list
+    instead of once per window solve that contains the operator.
+    """
+
+    def __init__(self, candidates: Iterable[AllocationCandidate] = ()) -> None:
+        super().__init__(candidates)
+        self.negated: List[float] = [-c.latency_cycles for c in self]
+        self.totals: List[int] = [c.total_arrays for c in self]
+
+
+#: One operator's Eq. 10 factor tables: ``(compute_time, supply_time)``,
+#: each a list indexed by the array count.
+FactorTables = Tuple[List[float], List[float]]
+
+
 def candidate_allocations(
     profile: OperatorProfile,
     hardware: DualModeHardwareAbstraction,
     max_arrays: int,
     allow_memory_mode: bool = True,
     max_candidates: int = 24,
-) -> List[AllocationCandidate]:
+    factors: Optional[FactorTables] = None,
+) -> CandidateList:
     """Pareto-optimal (arrays, latency) candidates for one operator.
 
     Compute counts are swept geometrically from the operator's minimum
     footprint up to the budget; memory counts from zero up to the number
-    of arrays that fully buffer the working set.  The full (compute,
-    memory) grid is scored in one vectorised Eq. 10 evaluation
-    (:func:`~repro.cost.latency.operator_latency_cycles_batch`), then
-    dominated candidates (more arrays and no lower latency) are
-    discarded, keeping the MILP small without losing the optimum at the
-    granularity of the sweep.
+    of arrays that fully buffer the working set.  Every grid point's
+    Eq. 10 latency is ``max(compute_time[compute], supply_time[memory])``
+    read from the operator's factor tables — Eq. 10 itself is evaluated
+    once per compile for all operators (:class:`UnitColumns`), not once
+    more per grid here.  Dominated candidates (more arrays and no lower
+    latency) are then discarded, keeping the MILP small without losing
+    the optimum at the granularity of the sweep.
 
     An operator none of whose candidates can ever finish (every grid
     point has infinite latency — possible only on degenerate hardware
     with zero usable bandwidth) yields an empty list, the same verdict
     as an operator that does not fit the budget.
+
+    Args:
+        factors: The operator's Eq. 10 factor tables covering
+            ``0..max_arrays`` (a row of :class:`UnitColumns`); built
+            from ``profile`` when omitted.
     """
     min_compute = max(1, profile.min_compute_arrays(hardware))
     if min_compute > max_arrays:
-        return []
+        return CandidateList()
     mem_cap = profile.memory_arrays_for_working_set(hardware) if allow_memory_mode else 0
     mem_cap = min(mem_cap, max_arrays - min_compute)
+    if factors is None:
+        factors = UnitColumns([profile], hardware, max_arrays=max_arrays).factors(0)
+    compute_time, supply_time = factors
 
-    compute_options = np.asarray(_geometric_range(min_compute, max_arrays), dtype=np.int64)
-    memory_options = np.asarray(
-        [0] + _geometric_range(1, mem_cap) if mem_cap > 0 else [0], dtype=np.int64
-    )
+    # (total, latency, compute, memory) tuples sort like the stable
+    # (total, latency) sort of the compute-major, memory-minor grid the
+    # scalar double loop walked: at equal total, compute ascends with
+    # the grid order.
+    memory_options = [0] + _geometric_range(1, mem_cap) if mem_cap > 0 else [0]
+    grid = []
+    for compute in _geometric_range(min_compute, max_arrays):
+        computing = compute_time[compute]
+        for memory in memory_options:
+            if compute + memory > max_arrays:
+                break
+            supplying = supply_time[memory]
+            grid.append(
+                (
+                    compute + memory,
+                    supplying if supplying > computing else computing,
+                    compute,
+                    memory,
+                )
+            )
+    grid.sort()
 
-    # The flattened grid enumerates compute-major, memory-minor — the
-    # same order the scalar double loop used, which matters because the
-    # (total, latency) sort below is stable.
-    compute = np.repeat(compute_options, len(memory_options))
-    memory = np.tile(memory_options, len(compute_options))
-    keep = compute + memory <= max_arrays
-    compute, memory = compute[keep], memory[keep]
-    latencies = operator_latency_cycles_batch(profile, compute, memory, hardware)
-    totals = compute + memory
-
-    # Pareto filter on (total arrays, latency).  np.lexsort is stable,
-    # so ties fall back to grid order exactly like the scalar sort did.
-    order = np.lexsort((latencies, totals))
+    # Pareto filter on (total arrays, latency).
     pareto: List[AllocationCandidate] = []
     best_latency = INFEASIBLE_LATENCY
-    for index in order:
-        latency = float(latencies[index])
+    for _, latency, compute, memory in grid:
         if latency < best_latency - 1e-9:
-            pareto.append(
-                AllocationCandidate(int(compute[index]), int(memory[index]), latency)
-            )
+            pareto.append(AllocationCandidate(compute, memory, latency))
             best_latency = latency
     if len(pareto) > max_candidates:
         # Keep the extremes and thin the middle uniformly.
         indices = np.linspace(0, len(pareto) - 1, max_candidates).round().astype(int)
         pareto = [pareto[i] for i in sorted(set(indices.tolist()))]
-    return pareto
+    return CandidateList(pareto)
 
 
 def _geometric_range(lo: int, hi: int) -> List[int]:
@@ -224,57 +267,157 @@ def _geometric_range(lo: int, hi: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------- #
-# Eq. 10 lookup tables and the spare-array hand-out loop
+# unit columns: the per-operator facts of one compile, by position
 # ---------------------------------------------------------------------- #
-class LatencyTables:
-    """Bounded memo of Eq. 10 tabulated per (profile, chip).
+class UnitColumns(ProfileVectors):
+    """Everything a window solve reads about its operators, built once.
 
-    Eq. 10 is separable (:func:`~repro.cost.latency
-    .operator_latency_factors_batch`), so one operator's latency at any
-    ``(compute, memory)`` pair is ``max(compute_time[compute],
-    supply_time[memory])`` over two 1-D tables indexed ``0..num_arrays``
-    — a few KB per profile where the 2-D grid would be hundreds.  The
-    hand-out loops below walk thousands of such pairs per compile; with
-    the tables each step is two list reads instead of a scalar Eq. 10
-    evaluation, and the values are the scalar function's exactly.
+    On top of the integer columns of :class:`~repro.cost.arithmetic
+    .ProfileVectors` (floors, static-weight prefix sums, structural
+    signatures) this keeps, for one ordered operator sequence on one
+    chip:
+
+    * the Eq. 10 factor tables of **all** operators from one batched
+      evaluation (:func:`~repro.cost.latency
+      .operator_latency_factors_batch`): Eq. 10 is separable, so one
+      operator's latency at any ``(compute, memory)`` pair is
+      ``max(compute_time[k][compute], supply_time[k][memory])`` over two
+      rows indexed ``0..num_arrays`` — the values are the scalar
+      function's exactly;
+    * each operator's candidate list, enumerated lazily (only operators
+      of windows that are actually solved pay for it) and exactly once.
+
+    A window is an index range (:class:`UnitWindow`); the segmenter builds
+    one instance per compile and it dies with the compile, and the
+    mapping entry points (:func:`allocate_segment`, the allocators,
+    :func:`refine_with_spare_arrays`) build one from the profiles they
+    are handed (:func:`unit_window`) and run the same code on it.
+    Nothing here is keyed by a profile or kept at module level: an
+    operator's entry is simply "the entry of unit *k*".
+
+    Args:
+        profiles: Operator profiles in schedule order.
+        hardware: The target chip.
+        names: The keys windows label the operators with (the profile
+            names when omitted).
+        max_arrays: Largest array count the factor tables must cover
+            beyond ``hardware.num_arrays``.
     """
 
-    #: Bound on the memo (cleared when exceeded), like the candidate memo.
-    MAX_ENTRIES = 1024
+    def __init__(
+        self,
+        profiles: Sequence[OperatorProfile],
+        hardware: DualModeHardwareAbstraction,
+        names: Optional[Sequence[str]] = None,
+        max_arrays: int = 0,
+    ) -> None:
+        super().__init__(profiles, hardware)
+        self.hardware = hardware
+        if names is not None:
+            self.names = tuple(names)
+        self._table_size = max(hardware.num_arrays, max_arrays) + 1
+        self._compute_time: Optional[List[List[float]]] = None
+        self._supply_time: Optional[List[List[float]]] = None
+        # (allow_memory_mode, max_candidates) -> per-unit candidate lists.
+        self._candidates: Dict[Tuple[bool, int], List[Optional[CandidateList]]] = {}
 
-    def __init__(self) -> None:
-        self._memo: Dict[Tuple[OperatorProfile, str], Tuple[List[float], List[float]]] = {}
-
-    def get(
-        self, profile: OperatorProfile, hardware: DualModeHardwareAbstraction
-    ) -> Tuple[List[float], List[float]]:
-        """``(compute_time, supply_time)`` lists for ``0..num_arrays`` arrays."""
-        key = (profile, hardware.fingerprint())
-        tables = self._memo.get(key)
-        if tables is None:
-            counts = np.arange(hardware.num_arrays + 1)
+    def factor_tables(self) -> Tuple[List[List[float]], List[List[float]]]:
+        """``(compute_time, supply_time)``: one row per operator, one
+        column per array count — evaluated on first use, once."""
+        if self._compute_time is None:
+            counts = np.arange(self._table_size)
             compute_time, supply_time = operator_latency_factors_batch(
-                profile, counts, counts, hardware
+                self, counts, counts, self.hardware
             )
-            tables = (compute_time.tolist(), supply_time.tolist())
-            if len(self._memo) >= self.MAX_ENTRIES:
-                self._memo.clear()
-            self._memo[key] = tables
-        return tables
+            self._compute_time = guard_infeasible_batch(compute_time).tolist()
+            self._supply_time = guard_infeasible_batch(supply_time).tolist()
+        return self._compute_time, self._supply_time
+
+    def factors(self, index: int) -> FactorTables:
+        """The factor tables of operator ``index``."""
+        compute_time, supply_time = self.factor_tables()
+        return compute_time[index], supply_time[index]
+
+    def window_candidates(
+        self, start: int, stop: int, allow_memory_mode: bool, max_candidates: int
+    ) -> List[CandidateList]:
+        """Candidate lists of operators ``start..stop-1``, enumerating
+        (:func:`candidate_allocations`) those not asked for before."""
+        known = self._candidates.get((allow_memory_mode, max_candidates))
+        if known is None:
+            known = self._candidates[allow_memory_mode, max_candidates] = [None] * len(self)
+        window = known[start:stop]
+        if None in window:
+            for index in range(start, stop):
+                if known[index] is None:
+                    known[index] = candidate_allocations(
+                        self.profiles[index],
+                        self.hardware,
+                        self.hardware.num_arrays,
+                        allow_memory_mode=allow_memory_mode,
+                        max_candidates=max_candidates,
+                        factors=self.factors(index),
+                    )
+            window = known[start:stop]
+        return window
 
 
+class UnitWindow(dict):
+    """A contiguous run of a :class:`UnitColumns`' operators.
+
+    It *is* the ``name -> profile`` mapping every allocation entry point
+    takes, and it remembers which columns and which positions it came
+    from, so the solve indexes the columns instead of re-deriving
+    per-operator facts from the profiles.
+    """
+
+    __slots__ = ("columns", "start", "stop")
+
+    def __init__(self, columns: UnitColumns, start: int, stop: int) -> None:
+        super().__init__(zip(columns.names[start:stop], columns.profiles[start:stop]))
+        self.columns = columns
+        self.start = start
+        self.stop = stop
+
+    @property
+    def minimum_compute_arrays(self) -> int:
+        """Fewest compute arrays the window needs to hold its operands."""
+        return self.columns.window_minimum_compute_arrays(self.start, self.stop - 1)
+
+    @property
+    def signature(self) -> Tuple[Tuple, ...]:
+        """Ordered structural signatures — the allocation cache's key part."""
+        return self.columns.signatures[self.start : self.stop]
+
+
+def unit_window(
+    profiles: Mapping[str, OperatorProfile], hardware: DualModeHardwareAbstraction
+) -> UnitWindow:
+    """``profiles`` as a window over unit columns for ``hardware``.
+
+    A :class:`UnitWindow` of that chip's columns is returned as is (the
+    segmenter's case); any other mapping gets columns built from exactly
+    the profiles it holds, so both run the same code downstream.
+    """
+    if isinstance(profiles, UnitWindow) and profiles.columns.hardware is hardware:
+        return profiles
+    columns = UnitColumns(list(profiles.values()), hardware, names=list(profiles))
+    return UnitWindow(columns, 0, len(columns))
+
+
+# ---------------------------------------------------------------------- #
+# the spare-array hand-out loop
+# ---------------------------------------------------------------------- #
 #: One hand-out state: the allocations and their per-operator latencies.
 _HandOut = Tuple[Dict[str, OperatorAllocation], List[float]]
 
 
 def _hand_out_spare_arrays(
     allocations: Mapping[str, OperatorAllocation],
-    profiles: Mapping[str, OperatorProfile],
-    hardware: DualModeHardwareAbstraction,
+    window: UnitWindow,
     spare: int,
     allow_memory_mode: bool,
     inbound_arrays: int,
-    tables: LatencyTables,
     reserve: int = 0,
 ) -> Tuple[_HandOut, Optional[_HandOut]]:
     """Grow the bottleneck operator one array at a time.
@@ -296,27 +439,42 @@ def _hand_out_spare_arrays(
     that withholds ``reserve`` arrays is the first ``spare - reserve``
     steps of the one that does not: one loop yields both.
 
+    The loop runs ~20k steps per cold benchmark pass, so each step is
+    list reads and comparisons on locals: the operators' Eq. 10 rows
+    come from ``window``'s columns, ``a if a > b else b`` stands in for
+    ``max(b, a)``.
+
     Returns:
         ``(reserved, unreserved)``: the state once all but ``reserve``
         arrays are handed out, and the state after all ``spare`` —
         ``None`` when the loop never touched the reserve.
     """
+    columns = window.columns
+    hardware = columns.hardware
+    compute_rows, supply_rows = columns.factor_tables()
+    position = dict(zip(window, range(window.start, window.stop)))
     names = list(allocations)
-    factors = [tables.get(profiles[name], hardware) for name in names]
-    compute = [allocations[name].compute_arrays for name in names]
-    memory = [allocations[name].memory_arrays for name in names]
+    rows = [position[name] for name in names]
+    compute_times = [compute_rows[row] for row in rows]
+    supply_times = [supply_rows[row] for row in rows]
+    seed_compute = [allocations[name].compute_arrays for name in names]
+    seed_memory = [allocations[name].memory_arrays for name in names]
+    compute, memory = list(seed_compute), list(seed_memory)
     latencies = [
         max(compute_time[com], supply_time[mem])
-        for (compute_time, supply_time), com, mem in zip(factors, compute, memory)
+        for compute_time, supply_time, com, mem in zip(
+            compute_times, supply_times, compute, memory
+        )
     ]
     uncovered = inbound_arrays - sum(memory) if allow_memory_mode else 0
     credit = 2.0 * hardware.array_capacity_elements / hardware.d_extern
-    grown = set()
 
     def state() -> _HandOut:
         handed = dict(allocations)
-        for index in grown:
-            handed[names[index]] = OperatorAllocation(compute[index], memory[index])
+        for index, name in enumerate(names):
+            com, mem = compute[index], memory[index]
+            if com != seed_compute[index] or mem != seed_memory[index]:
+                handed[name] = OperatorAllocation(com, mem)
         return handed, list(latencies)
 
     held = max(0, spare - reserve)
@@ -324,26 +482,28 @@ def _hand_out_spare_arrays(
     for step in range(spare):
         current = max(latencies)
         index = latencies.index(current)
-        compute_time, supply_time = factors[index]
+        compute_time = compute_times[index]
+        supply_time = supply_times[index]
         com, mem = compute[index], memory[index]
-        best = max(compute_time[com + 1], supply_time[mem])
+        computing, supplying = compute_time[com + 1], supply_time[mem]
+        best = supplying if supplying > computing else computing
         score, grow_memory = best, False
         if allow_memory_mode:
-            buffered = max(compute_time[com], supply_time[mem + 1])
-            retained = credit if uncovered > 0 else 0.0
-            if buffered - retained < score:
-                best, score, grow_memory = buffered, buffered - retained, True
+            computing, supplying = compute_time[com], supply_time[mem + 1]
+            buffered = supplying if supplying > computing else computing
+            retained = buffered - credit if uncovered > 0 else buffered
+            if retained < score:
+                best, score, grow_memory = buffered, retained, True
         if score >= current - 1e-9:
             break
         if step == held:
             reserved = state()
         if grow_memory:
-            memory[index] += 1
+            memory[index] = mem + 1
             uncovered -= 1
         else:
-            compute[index] += 1
+            compute[index] = com + 1
         latencies[index] = best
-        grown.add(index)
     if reserved is None:
         return state(), None
     return reserved, state()
@@ -369,7 +529,6 @@ class GreedyAllocator:
 
     def __init__(self, allow_memory_mode: bool = True) -> None:
         self.allow_memory_mode = allow_memory_mode
-        self.latency_tables = LatencyTables()
 
     def allocate(
         self,
@@ -380,21 +539,20 @@ class GreedyAllocator:
         """Allocate the segment; see class docstring for the policy."""
         if not profiles:
             return AllocationResult({}, 0.0, True, self.name)
-        allocations = {
-            name: OperatorAllocation(max(1, profile.min_compute_arrays(hardware)), 0)
-            for name, profile in profiles.items()
-        }
-        used = sum(a.total_arrays for a in allocations.values())
+        window = unit_window(profiles, hardware)
+        used = window.minimum_compute_arrays
         if used > hardware.num_arrays:
             return infeasible_result()
+        floors = window.columns.floors[window.start : window.stop].tolist()
+        allocations = {
+            name: OperatorAllocation(floor, 0) for name, floor in zip(window, floors)
+        }
         (allocations, latencies), _ = _hand_out_spare_arrays(
             allocations,
-            profiles,
-            hardware,
+            window,
             hardware.num_arrays - used,
             self.allow_memory_mode,
             0,
-            self.latency_tables,
         )
         latency = combine_operator_latencies(latencies, hardware, pipelined)
         return AllocationResult(allocations, latency, True, self.name)
@@ -421,9 +579,6 @@ class MIPAllocator:
 
     name = "milp"
 
-    #: Bound on the per-instance candidate memo (cleared when exceeded).
-    CANDIDATE_MEMO_ENTRIES = 4096
-
     def __init__(
         self,
         allow_memory_mode: bool = True,
@@ -431,31 +586,6 @@ class MIPAllocator:
     ) -> None:
         self.allow_memory_mode = allow_memory_mode
         self.max_candidates_per_operator = max_candidates_per_operator
-        # One operator appears in every DP window that contains it, and
-        # its candidate set depends only on (profile, chip) — memoise it
-        # per allocator instead of re-enumerating the grid per window.
-        self._candidate_memo: Dict[
-            Tuple[OperatorProfile, str], List[AllocationCandidate]
-        ] = {}
-        self.latency_tables = LatencyTables()
-
-    def _candidates(
-        self, profile: OperatorProfile, hardware: DualModeHardwareAbstraction
-    ) -> List[AllocationCandidate]:
-        key = (profile, hardware.fingerprint())
-        cached = self._candidate_memo.get(key)
-        if cached is None:
-            cached = candidate_allocations(
-                profile,
-                hardware,
-                hardware.num_arrays,
-                allow_memory_mode=self.allow_memory_mode,
-                max_candidates=self.max_candidates_per_operator,
-            )
-            if len(self._candidate_memo) >= self.CANDIDATE_MEMO_ENTRIES:
-                self._candidate_memo.clear()
-            self._candidate_memo[key] = cached
-        return cached
 
     def allocate(
         self,
@@ -466,7 +596,15 @@ class MIPAllocator:
         """Pick one candidate per operator minimising the segment makespan."""
         if not profiles:
             return AllocationResult({}, 0.0, True, self.name)
-        candidates = [self._candidates(profile, hardware) for profile in profiles.values()]
+        window = unit_window(profiles, hardware)
+        # One operator appears in every DP window that contains it: its
+        # candidate list is unit k's entry of the compile's columns.
+        candidates = window.columns.window_candidates(
+            window.start,
+            window.stop,
+            self.allow_memory_mode,
+            self.max_candidates_per_operator,
+        )
         if not all(candidates):
             return infeasible_result()
         chosen = self._select(candidates, hardware.num_arrays)
@@ -474,7 +612,7 @@ class MIPAllocator:
             return infeasible_result()
         picked = [options[k] for options, k in zip(candidates, chosen)]
         allocations = {
-            name: candidate.to_allocation() for name, candidate in zip(profiles, picked)
+            name: candidate.to_allocation() for name, candidate in zip(window, picked)
         }
         # A candidate's latency is its Eq. 10 value, so Eq. 9 needs no re-evaluation.
         latency = combine_operator_latencies(
@@ -556,16 +694,18 @@ class ExactAllocator(MIPAllocator):
     name = "exact"
 
     def _select(
-        self, candidates: Sequence[List[AllocationCandidate]], budget: int
+        self, candidates: Sequence[CandidateList], budget: int
     ) -> Optional[List[int]]:
         # Negated latencies ascend, so ``bisect_left(negated, -T)`` is the
         # index of the first candidate with latency <= T.
-        negated = [[-c.latency_cycles for c in options] for options in candidates]
-        totals = [[c.total_arrays for c in options] for options in candidates]
+        negated = [options.negated for options in candidates]
+        totals = [options.totals for options in candidates]
 
         def picks(threshold: float) -> Optional[List[int]]:
             chosen = [bisect_left(column, -threshold) for column in negated]
-            used = sum(column[k] for column, k in zip(totals, chosen))
+            used = 0
+            for column, k in zip(totals, chosen):
+                used += column[k]
             return chosen if used <= budget else None
 
         # T* lies between the slowest operator's best latency (below it
@@ -601,7 +741,6 @@ def refine_with_spare_arrays(
     allow_memory_mode: bool = True,
     reserve_arrays: int = 0,
     inbound_arrays: int = 0,
-    tables: Optional[LatencyTables] = None,
 ) -> AllocationResult:
     """Hand leftover arrays to the bottleneck operator (weight duplication).
 
@@ -624,8 +763,6 @@ def refine_with_spare_arrays(
             arrays cover it, growing a buffer is also worth the
             write-back it avoids (see :func:`_hand_out_spare_arrays`);
             0 reproduces the plain latency-only hand-out.
-        tables: Eq. 10 lookup memo to reuse (the allocator's); a
-            throwaway one is built when omitted.
     """
     if not result.feasible or not result.allocations:
         return result
@@ -634,12 +771,10 @@ def refine_with_spare_arrays(
         return result
     reserved, unreserved = _hand_out_spare_arrays(
         result.allocations,
-        profiles,
-        hardware,
+        unit_window(profiles, hardware),
         spare,
         allow_memory_mode,
         inbound_arrays,
-        tables if tables is not None else LatencyTables(),
         max(0, reserve_arrays),
     )
 
@@ -702,31 +837,31 @@ def allocate_segment(
             stored back; hits are flagged via ``result.from_cache``.
     """
     engine = allocator if allocator is not None else ExactAllocator()
-    if not segment_fits(profiles, hardware):
+    window = unit_window(profiles, hardware)
+    if window.minimum_compute_arrays > hardware.num_arrays:
         return infeasible_result()
     if cache is not None:
         # Build the (hardware fingerprint x segment signature x options)
         # key once and share it between the lookup and the store below.
         cache_key = cache.make_key(
-            profiles,
+            window,
             hardware,
             **key_options(engine, pipelined, refine, reserve_arrays, inbound_arrays),
         )
-        cached = cache.lookup(cache_key, list(profiles), inbound_arrays)
+        cached = cache.lookup(cache_key, list(window), inbound_arrays)
         if cached is not None:
             return cached
-    result = engine.allocate(profiles, hardware, pipelined=pipelined)
+    result = engine.allocate(window, hardware, pipelined=pipelined)
     if refine and result.feasible:
         result = refine_with_spare_arrays(
             result,
-            profiles,
+            window,
             hardware,
             pipelined=pipelined,
             allow_memory_mode=getattr(engine, "allow_memory_mode", True),
             reserve_arrays=reserve_arrays,
             inbound_arrays=inbound_arrays,
-            tables=getattr(engine, "latency_tables", None),
         )
     if cache is not None:
-        cache.put(cache_key, profiles, result)
+        cache.put(cache_key, window, result)
     return result

@@ -52,11 +52,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from ..cost.arithmetic import OperatorProfile
+from ..cost.arithmetic import OperatorProfile, profile_signature
 from ..cost.latency import OperatorAllocation
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..obs.metrics import NULL_METRICS
-from .allocation import AllocationResult
+from .allocation import AllocationResult, UnitWindow
 
 __all__ = [
     "AllocationCache",
@@ -68,30 +68,15 @@ __all__ = [
 ]
 
 
-def profile_signature(profile: OperatorProfile) -> Tuple:
-    """Structural identity of one operator profile (the name excluded).
-
-    Two operators with the same signature receive identical allocations
-    from every engine, so the cache may share their solutions.
-    """
-    return (
-        profile.op_type,
-        profile.macs,
-        profile.input_elements,
-        profile.output_elements,
-        profile.weight_elements,
-        profile.stationary_elements,
-        profile.streamed_input_elements,
-        profile.extra_streamed_elements,
-        profile.has_static_weight,
-        profile.matmul_m,
-        profile.matmul_k,
-        profile.matmul_n,
-    )
-
-
 def segment_signature(profiles: Mapping[str, OperatorProfile]) -> Tuple[Tuple, ...]:
-    """Ordered structural identity of a whole segment."""
+    """Ordered structural identity of a whole segment.
+
+    A :class:`~repro.core.allocation.UnitWindow` answers with a slice of
+    the signatures its columns built once per operator; any other
+    mapping has them derived here — the same tuples either way.
+    """
+    if isinstance(profiles, UnitWindow):
+        return profiles.signature
     return tuple(profile_signature(profile) for profile in profiles.values())
 
 

@@ -23,13 +23,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cost.arithmetic import OperatorProfile, ProfileVectors, profile_operator
+from ..cost.arithmetic import OperatorProfile, profile_operator
 from ..cost.latency import INFEASIBLE_LATENCY, guard_infeasible
 from ..cost.switching import (
     SegmentResources,
-    aggregate_resources,
-    inter_segment_breakdown,
-    inter_segment_cycles,
+    mode_switch_cycles,
+    window_resources_and_reload,
+    writeback_cycles,
 )
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
@@ -38,6 +38,8 @@ from .allocation import (
     AllocationResult,
     ExactAllocator,
     GreedyAllocator,
+    UnitColumns,
+    UnitWindow,
     allocate_segment,
     infeasible_result,
 )
@@ -477,12 +479,12 @@ class NetworkSegmenter:
         self._tracer = obs.tracer
         self._metrics = obs.metrics
         # Per-unit-list precomputation (one segmenter serves exactly one
-        # unit list, like ``_allocation_cache`` already assumes).
-        self._vectors: Optional[ProfileVectors] = None
-        self._liveness: Optional[np.ndarray] = None
+        # unit list, like ``_allocation_cache`` already assumes); built
+        # by ``_prepare``, dead with the compile.
+        self._vectors: Optional[UnitColumns] = None
+        self._liveness: Optional[List[int]] = None
         self._reserves: Optional[List[int]] = None
         self._inbound: Optional[List[int]] = None
-        self._profile_windows: Dict[Tuple[int, int], Dict[str, OperatorProfile]] = {}
         self.allocation_calls = 0
         self.cache_hits = 0
 
@@ -490,37 +492,36 @@ class NetworkSegmenter:
     # per-run precomputation
     # ------------------------------------------------------------------ #
     def _prepare(self, units: Sequence[FlattenedUnit]) -> None:
-        """Precompute the DP's window aggregates as arrays (idempotent).
+        """Precompute what the DP reads per window, by position (idempotent).
 
         One pass over the units yields everything the DP loop needs per
-        cell in O(1): the struct-of-arrays profile view (static-weight
-        and compute-floor prefix sums), the live elements at every
-        boundary, and the boundary reserve / inbound count each window
-        end / start implies.  All of it is integer arithmetic.
+        cell in O(1): the unit columns (per-operator Eq. 10 tables,
+        candidate lists, signatures, static-weight and compute-floor
+        prefix sums — see :class:`~repro.core.allocation.UnitColumns`),
+        the live elements at every boundary, and the boundary reserve /
+        inbound count each window end / start implies.
         """
         if self._vectors is not None or not units:
             return
-        self._vectors = ProfileVectors(
-            [unit.profile for unit in units], self.hardware
+        self._vectors = UnitColumns(
+            [unit.profile for unit in units],
+            self.hardware,
+            names=[unit.name for unit in units],
         )
-        self._liveness = live_elements_vector(units)
+        liveness = live_elements_vector(units)
         reserves, inbound = boundary_arrays(
-            self._liveness, self.hardware, self.options.allow_memory_mode
+            liveness, self.hardware, self.options.allow_memory_mode
         )
         # Plain lists: the DP reads one entry per window.
+        self._liveness = liveness.tolist()
         self._reserves, self._inbound = reserves.tolist(), inbound.tolist()
 
     # ------------------------------------------------------------------ #
     # allocation memoisation
     # ------------------------------------------------------------------ #
-    def _segment_profiles(
-        self, units: Sequence[FlattenedUnit], start: int, end: int
-    ) -> Dict[str, OperatorProfile]:
-        window = self._profile_windows.get((start, end))
-        if window is None:
-            window = {unit.name: unit.profile for unit in units[start : end + 1]}
-            self._profile_windows[(start, end)] = window
-        return window
+    def _window(self, start: int, end: int) -> UnitWindow:
+        """Units ``start..end`` (inclusive) as a window over the columns."""
+        return UnitWindow(self._vectors, start, end + 1)
 
     def _spare_arrays(self, start: int, end: int) -> int:
         """Arrays window ``[start, end]`` leaves beyond its compute floor.
@@ -557,7 +558,7 @@ class NetworkSegmenter:
             else:
                 with self._tracer.span("allocator.solve", start=start, end=end) as span:
                     result = allocate_segment(
-                        self._segment_profiles(units, start, end),
+                        self._window(start, end),
                         self.hardware,
                         cache=self._shared_cache,
                         **self._solve_arguments(start, end, spare),
@@ -648,12 +649,12 @@ class NetworkSegmenter:
 
         tables = (best_cost, predecessor, last_resources, last_allocation)
         for j in range(1, m + 1):
-            live = int(self._liveness[j - 1]) if j < m else 0
+            live = self._liveness[j - 1] if j < m else 0
             for i in range(self._first_fitting_start(j, window), j):
                 if best_cost[i] == INFEASIBLE_LATENCY:
                     continue
                 allocation = self._allocate(units, i, j - 1)
-                self._dp_edge(units, i, j, live, allocation, tables)
+                self._dp_edge(i, j, live, allocation, tables)
 
         if best_cost[m] == INFEASIBLE_LATENCY:
             # One segment per unit — used only when the DP finds no plan.
@@ -675,17 +676,48 @@ class NetworkSegmenter:
 
         The compute floor only grows with the window, so the starts that
         fit are a contiguous run ending at ``j - 1``: walk down from
-        there and stop at the first overflow.
+        there and stop at the first overflow.  Window ``[i, j-1]`` needs
+        ``prefix[j] - prefix[i]`` arrays, so it fits iff ``prefix[i]``
+        reaches ``prefix[j] - num_arrays``.
         """
+        prefix = self._vectors.floor_prefix
+        fits_from = prefix[j] - self.hardware.num_arrays
         i = j
         lowest = max(0, j - window)
-        while i > lowest and self._spare_arrays(i - 1, j - 1) >= 0:
+        while i > lowest and prefix[i - 1] >= fits_from:
             i -= 1
         return i
 
+    def _inter_segment(
+        self,
+        previous: Optional[SegmentResources],
+        start: int,
+        end: int,
+        live: int,
+        allocation: AllocationResult,
+    ) -> Tuple[SegmentResources, Dict[str, float]]:
+        """Resources of window ``[start, end]`` under ``allocation`` and the
+        Eq. 4 overhead of entering it from ``previous``, by component
+        (in the order Eq. 4 adds them)."""
+        resources, reload = window_resources_and_reload(
+            self._vectors, start, end + 1, allocation.allocations, self.hardware, live
+        )
+        switch = 0.0
+        if self.options.include_switch_cost:
+            switch = mode_switch_cycles(previous, resources, self.hardware)
+        return resources, {
+            "writeback": writeback_cycles(
+                previous,
+                resources,
+                self.hardware,
+                allow_boundary_buffering=self.options.allow_memory_mode,
+            ),
+            "mode_switch": switch,
+            "weight_reload": reload,
+        }
+
     def _dp_edge(
         self,
-        units: Sequence[FlattenedUnit],
         i: int,
         j: int,
         live: int,
@@ -699,28 +731,13 @@ class NetworkSegmenter:
         differs, with the one that hands it out.
         """
         best_cost, predecessor, last_resources, last_allocation = tables
-        profiles = self._segment_profiles(units, i, j - 1)
-        static_weights = self._vectors.window_static_weight_elements(i, j - 1)
         for variant in (allocation, allocation.unreserved):
             if variant is None or not variant.feasible:
                 continue
-            resources = aggregate_resources(
-                profiles,
-                variant.allocations,
-                live_output_elements=live,
-                num_arrays_total=self.hardware.num_arrays,
-                static_weight_elements=static_weights,
+            resources, breakdown = self._inter_segment(
+                last_resources[i], i, j - 1, live, variant
             )
-            inter = inter_segment_cycles(
-                last_resources[i],
-                resources,
-                profiles,
-                variant.allocations,
-                self.hardware,
-                include_switch_cost=self.options.include_switch_cost,
-                allow_boundary_buffering=self.options.allow_memory_mode,
-            )
-            cost = best_cost[i] + variant.latency_cycles + inter
+            cost = best_cost[i] + variant.latency_cycles + sum(breakdown.values())
             if cost < best_cost[j]:
                 best_cost[j] = cost
                 predecessor[j] = i
@@ -752,27 +769,10 @@ class NetworkSegmenter:
                     f"{self.hardware.name!r} ({self.hardware.num_arrays} arrays)",
                     stats=self._stats_payload(),
                 )
-            profiles = self._segment_profiles(units, start, end)
-            live = int(self._liveness[end]) if end + 1 < len(units) else 0
-            resources = aggregate_resources(
-                profiles,
-                allocation.allocations,
-                live_output_elements=live,
-                num_arrays_total=self.hardware.num_arrays,
-                static_weight_elements=self._vectors.window_static_weight_elements(
-                    start, end
-                ),
+            live = self._liveness[end] if end + 1 < len(units) else 0
+            resources, breakdown = self._inter_segment(
+                previous_resources, start, end, live, allocation
             )
-            breakdown = inter_segment_breakdown(
-                previous_resources,
-                resources,
-                profiles,
-                allocation.allocations,
-                self.hardware,
-                allow_boundary_buffering=self.options.allow_memory_mode,
-            )
-            if not self.options.include_switch_cost:
-                breakdown["mode_switch"] = 0.0
             inter = sum(breakdown.values())
             boundary_memory = 0
             if self.options.allow_memory_mode and live > 0:
@@ -782,7 +782,7 @@ class NetworkSegmenter:
                     index=seg_index,
                     operator_names=[unit.name for unit in units[start : end + 1]],
                     allocations=dict(allocation.allocations),
-                    profiles=profiles,
+                    profiles={unit.name: unit.profile for unit in units[start : end + 1]},
                     intra_cycles=allocation.latency_cycles,
                     inter_cycles=inter,
                     inter_breakdown=breakdown,

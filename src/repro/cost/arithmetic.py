@@ -157,24 +157,53 @@ def profile_graph(graph: Graph) -> Dict[str, OperatorProfile]:
     return profiles
 
 
+def profile_signature(profile: OperatorProfile) -> Tuple:
+    """Structural identity of one operator profile (the name excluded).
+
+    Two operators with the same signature receive identical allocations
+    from every engine, so the allocation cache may share their solutions
+    (it keys a window on the ordered signatures of its operators).
+    """
+    return (
+        profile.op_type,
+        profile.macs,
+        profile.input_elements,
+        profile.output_elements,
+        profile.weight_elements,
+        profile.stationary_elements,
+        profile.streamed_input_elements,
+        profile.extra_streamed_elements,
+        profile.has_static_weight,
+        profile.matmul_m,
+        profile.matmul_k,
+        profile.matmul_n,
+    )
+
+
 class ProfileVectors:
     """Struct-of-arrays view of an ordered operator-profile sequence.
 
-    The segmentation DP and the vectorised allocator kernels repeatedly
-    ask for aggregates over contiguous operator windows (static-weight
-    footprints for inter-segment costs, minimum compute floors for
-    feasibility).  This view extracts the per-operator constants into
-    int64 arrays once and answers every window query from prefix sums in
-    O(1), instead of re-walking profile objects per DP cell.
+    Everything a window solve or a DP edge needs to know about *one*
+    operator — the Eq. 10 inputs, the compute floor, the static-weight
+    footprint, the structural signature the allocation cache keys on —
+    is a fact about the operator, not about the window.  This view
+    extracts those facts once, by position, so a window ``[start, end]``
+    is an index range into columns instead of a walk over profile
+    objects: int64 arrays feed the batched Eq. 10 evaluation
+    (:func:`~repro.cost.latency.operator_latency_factors_batch`), plain
+    ``int`` / ``bool`` lists and prefix sums feed the per-window reads of
+    the DP (a Python-level read of a list is several times cheaper than
+    one of a numpy scalar).
 
     All aggregates are integer arithmetic, so they equal the scalar
     object-walking results exactly.
 
     Args:
         profiles: Operator profiles in schedule order.
-        hardware: Optional target; when given, per-operator compute
-            floors (``max(1, min_compute_arrays)``) and their prefix sums
-            are precomputed for O(1) window feasibility.
+        hardware: Optional target; when given, per-operator stationary
+            footprints (``min_compute_arrays``), compute floors
+            (``max(1, min_compute_arrays)``) and their prefix sums are
+            precomputed for O(1) window feasibility.
     """
 
     def __init__(
@@ -185,38 +214,38 @@ class ProfileVectors:
         profiles = list(profiles)
         self.profiles: Tuple[OperatorProfile, ...] = tuple(profiles)
         self.names: Tuple[str, ...] = tuple(p.name for p in profiles)
-        as_array = lambda field: np.array(  # noqa: E731 - local shorthand
-            [getattr(p, field) for p in profiles], dtype=np.int64
+        self.signatures: Tuple[Tuple, ...] = tuple(profile_signature(p) for p in profiles)
+        as_array = lambda values: np.array(list(values), dtype=np.int64)  # noqa: E731
+        self.macs = as_array(p.macs for p in profiles)
+        self.output_elements = as_array(p.output_elements for p in profiles)
+        self.weight_elements = as_array(p.weight_elements for p in profiles)
+        self.stationary_elements = as_array(p.stationary_elements for p in profiles)
+        # The two data volumes Eq. 10's supply term reads.
+        self.streamed_elements = as_array(p.streamed_elements for p in profiles)
+        self.input_side_elements = as_array(
+            p.streamed_input_elements + p.extra_streamed_elements for p in profiles
         )
-        self.macs = as_array("macs")
-        self.output_elements = as_array("output_elements")
-        self.weight_elements = as_array("weight_elements")
-        self.stationary_elements = as_array("stationary_elements")
-        self.has_static_weight = np.array(
-            [p.has_static_weight for p in profiles], dtype=bool
-        )
+        self.has_static_weight: List[bool] = [p.has_static_weight for p in profiles]
         static_weights = np.where(self.has_static_weight, self.weight_elements, 0)
-        self._static_weight_prefix = np.concatenate(
-            ([0], np.cumsum(static_weights))
-        )
+        self._static_weight_prefix: List[int] = [0] + np.cumsum(static_weights).tolist()
+        self.min_compute_arrays: Optional[np.ndarray] = None
         self.floors: Optional[np.ndarray] = None
-        self._floor_prefix: Optional[np.ndarray] = None
+        self.required_arrays: Optional[List[int]] = None
+        self.floor_prefix: Optional[List[int]] = None
         if hardware is not None:
             capacity = hardware.array_capacity_elements
-            # ceil_div in int64; stationary==0 yields 0, floored to 1.
-            self.floors = np.maximum(
-                1, -(-self.stationary_elements // capacity)
-            )
-            self._floor_prefix = np.concatenate(([0], np.cumsum(self.floors)))
+            # ceil_div in int64; stationary == 0 yields 0, floored to 1.
+            self.min_compute_arrays = -(-self.stationary_elements // capacity)
+            self.floors = np.maximum(1, self.min_compute_arrays)
+            self.required_arrays = self.min_compute_arrays.tolist()
+            self.floor_prefix = [0] + np.cumsum(self.floors).tolist()
 
     def __len__(self) -> int:
         return len(self.profiles)
 
     def window_static_weight_elements(self, start: int, end: int) -> int:
         """Static weight elements of operators ``start..end`` inclusive."""
-        return int(
-            self._static_weight_prefix[end + 1] - self._static_weight_prefix[start]
-        )
+        return self._static_weight_prefix[end + 1] - self._static_weight_prefix[start]
 
     def window_minimum_compute_arrays(self, start: int, end: int) -> int:
         """Fewest compute arrays the window ``start..end`` (inclusive) needs.
@@ -224,9 +253,9 @@ class ProfileVectors:
         Equals ``FeasibilityModel.minimum_compute_arrays`` over the same
         profiles (requires construction with ``hardware``).
         """
-        if self._floor_prefix is None:
+        if self.floor_prefix is None:
             raise ValueError("ProfileVectors built without hardware has no floors")
-        return int(self._floor_prefix[end + 1] - self._floor_prefix[start])
+        return self.floor_prefix[end + 1] - self.floor_prefix[start]
 
 
 def total_macs(profiles: Iterable[OperatorProfile]) -> int:

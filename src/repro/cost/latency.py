@@ -31,7 +31,7 @@ import numpy as np
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.transforms import ceil_div
-from .arithmetic import OperatorProfile
+from .arithmetic import OperatorProfile, ProfileVectors
 
 #: Latency assigned to degenerate cases (no compute possible at all).
 INFEASIBLE_LATENCY = float("inf")
@@ -185,45 +185,74 @@ def guard_infeasible_batch(cycles: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(cycles), INFEASIBLE_LATENCY, cycles)
 
 
+def _eq10_columns(profiles, hardware: DualModeHardwareAbstraction):
+    """The four per-operator inputs of Eq. 10 as broadcastable int64 values.
+
+    ``(macs, streamed, input_side, required)``: for a
+    :class:`~repro.cost.arithmetic.ProfileVectors` of ``N`` operators
+    each is an ``(N, 1)`` column, so a 1-D vector of array counts
+    broadcasts to one row per operator; a single
+    :class:`OperatorProfile` is the one-row case with the row axis
+    dropped (0-d values), so the result keeps the shape of the counts.
+    """
+    if isinstance(profiles, ProfileVectors):
+        vectors, row = profiles, (slice(None), None)
+    else:
+        vectors, row = ProfileVectors([profiles], hardware), 0
+    if vectors.min_compute_arrays is None:
+        raise ValueError("Eq. 10 needs ProfileVectors built with the hardware")
+    return (
+        vectors.macs[row],
+        vectors.streamed_elements[row],
+        vectors.input_side_elements[row],
+        vectors.min_compute_arrays[row],
+    )
+
+
 def compute_rate_batch(
-    profile: OperatorProfile,
+    required: np.ndarray,
     compute_arrays: np.ndarray,
     hardware: DualModeHardwareAbstraction,
 ) -> np.ndarray:
-    """Vectorised :func:`compute_rate` over an array of compute counts.
+    """Vectorised :func:`compute_rate` over compute counts and operators.
 
-    Bit-identical to the scalar function for every element: the numpy
-    float64 expressions mirror the scalar double expressions term by
-    term, so IEEE-754 rounding is the same (ratcheted by the parity
-    tests in ``tests/test_vectorized.py``).
+    ``required`` is the operators' ``min_compute_arrays`` (a column, or a
+    0-d value for one operator) and broadcasts against
+    ``compute_arrays``.  Bit-identical to the scalar function for every
+    element: the numpy float64 expressions mirror the scalar double
+    expressions term by term, so IEEE-754 rounding is the same
+    (ratcheted by the parity tests in ``tests/test_vectorized.py``).
     """
     com = np.asarray(compute_arrays, dtype=np.int64)
     com_f = com.astype(np.float64)
     rate = com_f * hardware.op_cim
-    required = profile.min_compute_arrays(hardware)
-    if required > 0:
-        rate = np.where(com < required, rate * (com_f / float(required)), rate)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # required == 0 never satisfies com < required for com >= 0.
+        rate = np.where(
+            (required > 0) & (com < required),
+            rate * (com_f / required.astype(np.float64)),
+            rate,
+        )
     return np.where(com <= 0, 0.0, rate)
 
 
 def data_supply_times_batch(
-    profile: OperatorProfile,
+    streamed: np.ndarray,
+    input_side: np.ndarray,
     memory_arrays: np.ndarray,
     hardware: DualModeHardwareAbstraction,
     d_main_share: float = 1.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`data_supply_times` over an array of memory counts.
+    """Vectorised :func:`data_supply_times` over memory counts and operators.
 
+    ``streamed`` / ``input_side`` are the operators'
+    ``streamed_elements`` and ``streamed_input_elements +
+    extra_streamed_elements`` (columns, or 0-d values for one operator).
     Returns ``(offchip_times, onchip_times)`` with the same zero-element
     and zero-rate guards as the scalar path (moving nothing is free even
     over a zero-bandwidth link; moving something over one is ``inf``).
     """
     mem = np.asarray(memory_arrays, dtype=np.int64)
-    streamed = profile.streamed_elements
-    if streamed <= 0:
-        zeros = np.zeros(mem.shape, dtype=np.float64)
-        return zeros, zeros.copy()
-    input_side = profile.streamed_input_elements + profile.extra_streamed_elements
     onchip_capacity = hardware.buffer_elements + mem * hardware.array_capacity_elements
     offchip_elements = np.maximum(0, input_side - onchip_capacity)
     onchip_elements = streamed - offchip_elements
@@ -233,7 +262,7 @@ def data_supply_times_batch(
         if offchip_rate > 0:
             offchip_time = offchip_elements.astype(np.float64) / offchip_rate
         else:
-            offchip_time = np.full(mem.shape, INFEASIBLE_LATENCY)
+            offchip_time = np.full(offchip_elements.shape, INFEASIBLE_LATENCY)
         offchip_time = np.where(offchip_elements <= 0, 0.0, offchip_time)
         onchip_time = np.where(
             onchip_elements <= 0,
@@ -244,11 +273,13 @@ def data_supply_times_batch(
                 INFEASIBLE_LATENCY,
             ),
         )
-    return offchip_time, onchip_time
+    # An operator that streams nothing takes no supply time at all.
+    idle = streamed <= 0
+    return np.where(idle, 0.0, offchip_time), np.where(idle, 0.0, onchip_time)
 
 
 def operator_latency_factors_batch(
-    profile: OperatorProfile,
+    profiles,
     compute_arrays: np.ndarray,
     memory_arrays: np.ndarray,
     hardware: DualModeHardwareAbstraction,
@@ -259,26 +290,32 @@ def operator_latency_factors_batch(
     Eq. 10 is separable — the compute time depends only on the compute
     count and the supply time only on the memory count — and the
     operator latency is their element-wise maximum.  A caller that
-    walks many ``(compute, memory)`` pairs of one operator (the
-    spare-array refinement) tabulates the two factors once over
-    ``0..num_arrays`` and combines them per step.  ``compute_time`` is
+    walks many ``(compute, memory)`` pairs tabulates the two factors
+    once over ``0..num_arrays`` and combines them per step.
+
+    ``profiles`` is either a :class:`~repro.cost.arithmetic
+    .ProfileVectors` — every operator of a compile in **one**
+    evaluation: with 1-D counts of lengths ``C`` and ``M`` the results
+    are ``(N, C)`` and ``(N, M)``, row ``k`` being operator ``k`` — or a
+    single :class:`OperatorProfile`, which is the one-row case of the
+    same expressions (the results then have the shapes of the counts,
+    which may be any broadcastable grid).  Row ``k`` of the batched
+    tables equals the one-profile evaluation and the scalar
+    :func:`operator_latency_cycles` bit for bit.  ``compute_time`` is
     ``inf`` where no compute is possible and ``0`` for an operator
     without MACs (pure data movement).
     """
-    com = np.asarray(compute_arrays, dtype=np.int64)
-    mem = np.asarray(memory_arrays, dtype=np.int64)
+    macs, streamed, input_side, required = _eq10_columns(profiles, hardware)
     offchip_time, onchip_time = data_supply_times_batch(
-        profile, mem, hardware, d_main_share
+        streamed, input_side, memory_arrays, hardware, d_main_share
     )
     supply_time = np.maximum(offchip_time, onchip_time)
-    if profile.macs == 0:
-        return np.zeros(com.shape, dtype=np.float64), supply_time
-    c_rate = compute_rate_batch(profile, com, hardware)
+    c_rate = compute_rate_batch(required, compute_arrays, hardware)
     with np.errstate(divide="ignore", invalid="ignore"):
         compute_time = np.where(
-            c_rate > 0, float(profile.macs) / c_rate, INFEASIBLE_LATENCY
+            c_rate > 0, macs.astype(np.float64) / c_rate, INFEASIBLE_LATENCY
         )
-    return compute_time, supply_time
+    return np.where(macs == 0, 0.0, compute_time), supply_time
 
 
 def operator_latency_cycles_batch(
@@ -291,18 +328,15 @@ def operator_latency_cycles_batch(
     """Vectorised Eq. 10 over a grid of (compute, memory) allocations.
 
     ``compute_arrays`` and ``memory_arrays`` broadcast against each other
-    (pass a column and a row to evaluate a full candidate grid in one
-    call).  Every element equals the scalar
-    :func:`operator_latency_cycles` for the same pair exactly — the
-    candidate enumeration and the allocators rely on that to keep
-    compiled programs independent of which of the two evaluated them.
+    (pass a column and a row to evaluate a full grid in one call).
+    Every element equals the scalar :func:`operator_latency_cycles` for
+    the same pair exactly — the allocators read the same factors as
+    tables (:func:`operator_latency_factors_batch`) and rely on that to
+    keep compiled programs independent of which of the two evaluated
+    them.
     """
-    com, mem = np.broadcast_arrays(
-        np.asarray(compute_arrays, dtype=np.int64),
-        np.asarray(memory_arrays, dtype=np.int64),
-    )
     compute_time, supply_time = operator_latency_factors_batch(
-        profile, com, mem, hardware, d_main_share
+        profile, compute_arrays, memory_arrays, hardware, d_main_share
     )
     return guard_infeasible_batch(np.maximum(compute_time, supply_time))
 

@@ -17,10 +17,10 @@ arise (Fig. 10):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..hardware.deha import DualModeHardwareAbstraction
-from .arithmetic import OperatorProfile
+from .arithmetic import OperatorProfile, ProfileVectors
 from .latency import OperatorAllocation
 
 
@@ -82,6 +82,50 @@ def aggregate_resources(
         static_weight_elements=weights,
         idle_arrays=idle,
     )
+
+
+def window_resources_and_reload(
+    vectors: ProfileVectors,
+    start: int,
+    stop: int,
+    allocations: Mapping[str, OperatorAllocation],
+    hardware: DualModeHardwareAbstraction,
+    live_output_elements: int = 0,
+) -> Tuple[SegmentResources, float]:
+    """:func:`aggregate_resources` and :func:`weight_reload_cycles` of one window.
+
+    The window is operators ``start..stop-1`` of ``vectors`` (built with
+    the hardware; ``allocations`` is keyed by ``vectors.names``).  The
+    segmentation DP prices every edge it relaxes, so both facts come
+    from **one** walk over the window that reads the per-operator
+    columns — static-weight flag, stationary footprint — instead of two
+    walks over profile objects; the static weights are a prefix-sum
+    difference.  Same integers, same Eq. 2 maximum as the mapping-based
+    functions (``tests/test_segmentation.py`` compares them).
+    """
+    names = vectors.names
+    has_static_weight = vectors.has_static_weight
+    required_arrays = vectors.required_arrays
+    write_latency = hardware.array_write_latency_cycles
+    compute = memory = 0
+    reload = 0.0
+    for index in range(start, stop):
+        allocation = allocations[names[index]]
+        compute_arrays = allocation.compute_arrays
+        compute += compute_arrays
+        memory += allocation.memory_arrays
+        if has_static_weight[index]:
+            required = required_arrays[index]
+            arrays_written = min(compute_arrays, required) or required
+            reload = max(reload, arrays_written * write_latency)
+    resources = SegmentResources(
+        compute_arrays=compute,
+        memory_arrays=memory,
+        live_output_elements=live_output_elements,
+        static_weight_elements=vectors.window_static_weight_elements(start, stop - 1),
+        idle_arrays=max(0, hardware.num_arrays - compute - memory),
+    )
+    return resources, reload
 
 
 def mode_switch_counts(

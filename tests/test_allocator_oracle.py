@@ -28,7 +28,9 @@ from repro.core.allocation import (
     MIPAllocator,
     _hand_out_spare_arrays,
     allocate_segment,
+    candidate_allocations,
     refine_with_spare_arrays,
+    unit_window,
 )
 from repro.core.segmentation import flatten_graph
 from repro.cost.latency import OperatorAllocation
@@ -56,8 +58,7 @@ def _profile_pool(hardware):
 
 CHIPS = {name: get_preset(name) for name in sorted(PRESETS)}
 POOLS = {name: _profile_pool(chip) for name, chip in CHIPS.items()}
-# One allocator per (engine, chip flavour): the candidate memo is the
-# point of sharing them, exactly as a compile shares one per pass.
+# One allocator per (engine, chip flavour), as a compile has one per pass.
 ENGINES = {
     (engine, allow): engine(allow_memory_mode=allow)
     for engine in (ExactAllocator, MIPAllocator)
@@ -103,7 +104,12 @@ class TestExactAgainstBruteForce:
     def test_optimal_makespan_and_minimum_arrays(self, window, budget):
         hardware, profiles, allow = window
         engine = ExactAllocator(allow_memory_mode=allow, max_candidates_per_operator=6)
-        candidates = [engine._candidates(p, hardware) for p in profiles.values()]
+        candidates = [
+            candidate_allocations(
+                p, hardware, hardware.num_arrays, allow_memory_mode=allow, max_candidates=6
+            )
+            for p in profiles.values()
+        ]
         if not all(candidates):
             return
         feasible = [
@@ -207,8 +213,8 @@ class TestRefinementProperties:
         seed = allocator.allocate(profiles, hardware)
         spare = hardware.num_arrays - seed.total_arrays
         (alone, _), again = _hand_out_spare_arrays(
-            seed.allocations, profiles, hardware, max(0, spare - reserve),
-            allow, inbound, allocator.latency_tables,
+            seed.allocations, unit_window(profiles, hardware),
+            max(0, spare - reserve), allow, inbound,
         )
         assert again is None
         assert both.allocations == alone

@@ -6,6 +6,8 @@ qualitative properties the paper reports (who wins, in which direction the
 trends point).
 """
 
+import math
+
 import pytest
 
 from repro.experiments import (
@@ -27,7 +29,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import format_table
 from repro.hardware import dynaplasia, small_test_chip
-from repro.models import Phase, Workload
+from repro.models import Phase, Workload, build_model
 
 
 @pytest.fixture(scope="module")
@@ -154,13 +156,24 @@ class TestAllocationReport:
 class TestCompileTimeAndOverheads:
     def test_compile_time_rows(self, chip):
         rows = measure_compile_time(hardware=chip, models=("tiny-transformer",), repeats=1)
-        assert rows[0]["cmswitch_seconds"] > 0
-        assert rows[0]["cim-mlc_seconds"] > 0
-        assert rows[0]["overhead_ratio"] >= 1.0
+        row = rows[0]
+        assert row["cmswitch_seconds"] > 0
+        assert row["cim-mlc_seconds"] > 0
+        # The ratio compares two single ~3 ms wall-clock timings: its
+        # value (ours ~1x, paper 2.8-6.3x) does not repeat run to run and
+        # belongs to the paper-claims ledger (ROADMAP item 1), not here.
+        assert math.isfinite(row["overhead_ratio"]) and row["overhead_ratio"] > 0
         # The pass pipeline attributes where CMSwitch's extra time goes.
-        assert rows[0]["segment_seconds"] > 0
-        assert "fallback_seconds" not in rows[0]  # one DP: no second pass to time
-        assert rows[0]["segment_seconds"] <= rows[0]["cmswitch_seconds"] * 1.001
+        assert "fallback_seconds" not in row  # one DP: no second pass to time
+        assert 0 < row["segment_seconds"] <= row["cmswitch_seconds"]
+        # What does repeat is the work behind the ratio: the dual-mode
+        # search space contains the fixed-mode one.
+        graph = build_model("tiny-transformer", encode_workload("tiny-transformer", 1, 64))
+        solves = {
+            name: make_compiler(name, chip).compile(graph).stats["allocator_solves"]
+            for name in ("cmswitch", "cim-mlc")
+        }
+        assert solves["cmswitch"] >= solves["cim-mlc"] > 0
 
     def test_switch_overhead_small_share(self, chip):
         rows = switch_overhead(hardware=chip, models=("tiny-transformer",))

@@ -185,3 +185,157 @@ class TestFeasibilityPruning:
             fits = [segmenter._spare_arrays(i, j - 1) >= 0 for i in range(floor, j)]
             first = segmenter._first_fitting_start(j, 8)
             assert fits == [False] * (first - floor) + [True] * (j - first)
+
+
+class TestUnitColumnsTripwires:
+    """Per-operator facts are built once per compile, by position (ISSUE 24).
+
+    Each test fails if the design regresses to what it replaced: Eq. 10
+    evaluated per operator, memos keyed by a hashed profile, a window
+    path the mapping entry points do not share, or a table that
+    outlives the compile that built it.
+    """
+
+    @pytest.fixture(scope="class")
+    def mobilenet(self):
+        return build_model("mobilenet", Workload())
+
+    def test_eq10_is_evaluated_once_per_compile(self, mobilenet, monkeypatch):
+        from repro.api import Session
+        from repro.core import allocation
+
+        calls = []
+        real = allocation.operator_latency_factors_batch
+
+        def spy(profiles, *args, **kwargs):
+            calls.append(len(profiles))
+            return real(profiles, *args, **kwargs)
+
+        monkeypatch.setattr(allocation, "operator_latency_factors_batch", spy)
+        with Session(hardware="dynaplasia") as session:
+            program = session.compile(mobilenet)
+        assert program.stats["allocator_solves"] > 100
+        # One call, and it covered every unit of the compile.
+        assert calls == [program.metadata["num_flattened_units"]]
+
+    def test_choose_boundaries_never_hashes_a_profile(self, mobilenet, monkeypatch):
+        from repro.api import Session
+        from repro.cost.arithmetic import OperatorProfile
+
+        state = {"inside": False, "hashes": 0, "entered": 0}
+        real_hash = OperatorProfile.__hash__
+        real_choose = NetworkSegmenter.choose_boundaries
+
+        def counting_hash(self):
+            state["hashes"] += state["inside"]
+            return real_hash(self)
+
+        def choose(self, graph, units):
+            state["inside"], state["entered"] = True, state["entered"] + 1
+            try:
+                return real_choose(self, graph, units)
+            finally:
+                state["inside"] = False
+
+        monkeypatch.setattr(OperatorProfile, "__hash__", counting_hash)
+        monkeypatch.setattr(NetworkSegmenter, "choose_boundaries", choose)
+        with Session(hardware="dynaplasia") as session:
+            session.compile(mobilenet)
+        assert state["entered"] == 1
+        assert state["hashes"] == 0
+
+    def test_mapping_and_window_calls_run_the_same_solve(self, mobilenet):
+        """One path: a plain mapping gets columns built from its profiles
+        and must receive what the segmenter's window call receives."""
+        import random
+
+        from repro.core.allocation import allocate_segment
+        from repro.cost.switching import (
+            aggregate_resources,
+            inter_segment_breakdown,
+        )
+        from repro.hardware import get_preset
+
+        hardware = get_preset("dynaplasia")
+        units = flatten_graph(mobilenet, hardware)
+        segmenter = NetworkSegmenter(hardware, SegmentationOptions())
+        segmenter._prepare(units)
+        rng = random.Random(24)
+        windows = []
+        while len(windows) < 20:
+            start = rng.randrange(len(units))
+            end = min(len(units) - 1, start + rng.randrange(8))
+            if segmenter._spare_arrays(start, end) >= 0:
+                windows.append((start, end))
+        previous = None
+        for start, end in windows:
+            spare = segmenter._spare_arrays(start, end)
+            arguments = segmenter._solve_arguments(start, end, spare)
+            window = segmenter._window(start, end)
+            mapping = {unit.name: unit.profile for unit in units[start : end + 1]}
+            assert type(mapping) is dict and dict(window) == mapping
+            from_window = allocate_segment(window, hardware, **arguments)
+            from_mapping = allocate_segment(mapping, hardware, **arguments)
+            assert from_window.feasible and from_mapping == from_window
+            for ours, theirs in (
+                (from_window, from_mapping),
+                (from_window.unreserved, from_mapping.unreserved),
+            ):
+                assert (ours is None) == (theirs is None)
+                if ours is not None:
+                    assert ours.allocations == theirs.allocations
+                    assert ours.latency_cycles == theirs.latency_cycles
+            # The DP's one-walk edge pricing is the mapping-based cost model's.
+            live = 1000 * (end + 1)
+            resources, breakdown = segmenter._inter_segment(
+                previous, start, end, live, from_window
+            )
+            expected = aggregate_resources(
+                mapping,
+                from_mapping.allocations,
+                live_output_elements=live,
+                num_arrays_total=hardware.num_arrays,
+            )
+            assert resources == expected
+            assert breakdown == inter_segment_breakdown(
+                previous, expected, mapping, from_mapping.allocations, hardware
+            )
+            previous = resources
+
+    def test_nothing_outlives_a_compile(self, small_chip):
+        """200 compiles leave every module-level container the size the
+        first one left it: the columns die with their segmenter."""
+        import repro.core.allocation
+        import repro.core.cache
+        import repro.core.segmentation
+        import repro.cost.arithmetic
+        import repro.cost.latency
+        from repro.core import CMSwitchCompiler
+
+        modules = (
+            repro.core.allocation,
+            repro.core.cache,
+            repro.core.segmentation,
+            repro.cost.latency,
+            repro.cost.arithmetic,
+        )
+
+        def sizes():
+            return {
+                (module.__name__, name): len(value)
+                for module in modules
+                for name, value in vars(module).items()
+                if isinstance(value, (dict, list, set))
+            }
+
+        graphs = [
+            build_model("tiny-mlp", Workload()),
+            build_model("tiny-cnn", Workload()),
+            build_model("tiny-transformer", Workload(seq_len=16)),
+        ]
+        CMSwitchCompiler(small_chip).compile(graphs[0])
+        after_first = sizes()
+        assert after_first  # __all__ / __builtins__ at least: the scan sees containers
+        for index in range(200):
+            CMSwitchCompiler(small_chip).compile(graphs[index % 3])
+        assert sizes() == after_first

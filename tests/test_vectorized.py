@@ -17,6 +17,8 @@ Three families:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import inspect
 import math
 
@@ -33,24 +35,33 @@ from repro.core._reference import (
 from repro.core.allocation import (
     GreedyAllocator,
     MIPAllocator,
+    UnitColumns,
+    UnitWindow,
     allocate_segment,
     candidate_allocations,
     key_options,
     refine_with_spare_arrays,
     segment_fits,
 )
-from repro.core.cache import AllocationCache, AllocationCacheKey
+from repro.core.cache import AllocationCache, AllocationCacheKey, segment_signature
 from repro.core.segmentation import NetworkSegmenter, flatten_graph
 from repro.cost import (
     OperatorAllocation,
+    compute_rate,
+    data_supply_times,
     operator_latency_cycles,
     profile_operator,
 )
-from repro.cost.latency import INFEASIBLE_LATENCY, operator_latency_cycles_batch
+from repro.cost.arithmetic import ProfileVectors, profile_signature
+from repro.cost.latency import (
+    INFEASIBLE_LATENCY,
+    operator_latency_cycles_batch,
+    operator_latency_factors_batch,
+)
 from repro.dse import DesignSpace, DSERunner
-from repro.hardware import small_test_chip
+from repro.hardware import PRESETS, get_preset, small_test_chip
 from repro.ir import Linear, MatMul, TensorSpec
-from repro.models import Workload, build_model
+from repro.models import Workload, build_model, list_models
 
 
 def linear_profile(name, m=32, k=128, n=128):
@@ -124,6 +135,144 @@ class TestBatchLatencyParity:
 
 
 # ---------------------------------------------------------------------- #
+# unit columns: one batched Eq. 10 table per compile
+# ---------------------------------------------------------------------- #
+#: Rows the zoo does not contain: an operator without MACs (pure data
+#: movement), one that streams nothing, one with no stationary operand
+#: (``min_compute_arrays == 0``).
+EDGE_PROFILES = [
+    dataclasses.replace(PROFILES[1], name="no-macs", macs=0, flops=0),
+    dataclasses.replace(
+        PROFILES[1],
+        name="no-stream",
+        streamed_input_elements=0,
+        output_elements=0,
+        extra_streamed_elements=0,
+    ),
+    dataclasses.replace(PROFILES[1], name="no-stationary", stationary_elements=0),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo_profiles(chip):
+    """``(hardware, profiles)``: the structurally distinct units of every
+    zoo model on preset ``chip``, plus the edge rows."""
+    hardware = get_preset(chip)
+    distinct = {}
+    for model in list_models():
+        for unit in flatten_graph(build_model(model, Workload()), hardware):
+            distinct.setdefault(profile_signature(unit.profile), unit.profile)
+    return hardware, list(distinct.values()) + EDGE_PROFILES
+
+
+class TestUnitColumnParity:
+    """Row ``k`` of the batched table is the scalar Eq. 10 of unit ``k``, bitwise."""
+
+    def test_edge_rows_are_what_they_claim(self, small_chip):
+        no_macs, no_stream, no_stationary = EDGE_PROFILES
+        assert no_macs.macs == 0 and no_stream.streamed_elements == 0
+        assert no_stationary.min_compute_arrays(small_chip) == 0
+
+    @pytest.mark.parametrize("chip", sorted(PRESETS))
+    def test_rows_match_scalar_on_every_zoo_unit(self, chip):
+        hardware, profiles = _zoo_profiles(chip)
+        columns = UnitColumns(profiles, hardware)
+        compute_rows, supply_rows = columns.factor_tables()
+        last = hardware.num_arrays
+        counts = range(last + 1)
+        assert len(compute_rows) == len(supply_rows) == len(profiles)
+        # The full (compute, memory) grid on the small chip; on the large
+        # ones every compute count against the two extreme memory counts
+        # and vice versa (a cell is max(compute_time[c], supply_time[m]),
+        # and the factor-wise comparison below covers every entry).
+        full = last <= 8
+        for profile, compute_time, supply_time in zip(profiles, compute_rows, supply_rows):
+            assert len(compute_time) == len(supply_time) == last + 1
+            for com in counts:
+                for mem in counts if full else (0, last):
+                    assert max(compute_time[com], supply_time[mem]) == (
+                        operator_latency_cycles(
+                            profile, OperatorAllocation(com, mem), hardware
+                        )
+                    ), (profile.name, com, mem)
+            for mem in () if full else counts:
+                for com in (1, last):
+                    assert max(compute_time[com], supply_time[mem]) == (
+                        operator_latency_cycles(
+                            profile, OperatorAllocation(com, mem), hardware
+                        )
+                    ), (profile.name, com, mem)
+            for count in counts:
+                rate = compute_rate(profile, count, hardware)
+                expected = (
+                    0.0 if profile.macs == 0
+                    else profile.macs / rate if rate > 0
+                    else INFEASIBLE_LATENCY
+                )
+                assert compute_time[count] == expected
+                assert supply_time[count] == max(
+                    data_supply_times(profile, count, hardware)
+                )
+
+    @pytest.mark.parametrize("chip", sorted(PRESETS))
+    def test_n_row_and_one_row_evaluations_are_identical(self, chip):
+        hardware = get_preset(chip)
+        profiles = PROFILES + EDGE_PROFILES
+        counts = np.arange(hardware.num_arrays + 1)
+        batched = operator_latency_factors_batch(
+            ProfileVectors(profiles, hardware), counts, counts, hardware
+        )
+        for index, profile in enumerate(profiles):
+            single = operator_latency_factors_batch(profile, counts, counts, hardware)
+            assert single[0].shape == single[1].shape == counts.shape
+            assert np.array_equal(batched[0][index], single[0])
+            assert np.array_equal(batched[1][index], single[1])
+
+    @pytest.mark.parametrize("chip", sorted(PRESETS))
+    def test_candidates_from_the_columns_equal_the_reference(self, chip):
+        """What an allocator reads (row ``k`` handed to the enumeration)
+        is what a caller with only the profile gets, and both are the
+        frozen scalar double loop's list."""
+        hardware, profiles = _zoo_profiles(chip)
+        columns = UnitColumns(profiles, hardware)
+        for allow in (True, False):
+            from_columns = columns.window_candidates(0, len(profiles), allow, 24)
+            for profile, candidates in zip(profiles, from_columns):
+                if not candidates:
+                    assert profile.min_compute_arrays(hardware) > hardware.num_arrays
+                    continue
+                assert candidates == reference_candidate_allocations(
+                    profile, hardware, hardware.num_arrays, allow_memory_mode=allow
+                )
+                assert candidates == candidate_allocations(
+                    profile, hardware, hardware.num_arrays, allow_memory_mode=allow
+                )
+                assert candidates.negated == [-c.latency_cycles for c in candidates]
+                assert candidates.totals == [c.total_arrays for c in candidates]
+
+    def test_window_signature_is_the_mapping_signature(self, small_chip, tiny_cnn_graph):
+        """The cache key built from the columns is the one built from a
+        plain mapping of the same profiles — key *values* did not move."""
+        units = flatten_graph(tiny_cnn_graph, small_chip)
+        columns = UnitColumns(
+            [unit.profile for unit in units], small_chip, names=[u.name for u in units]
+        )
+        options = dict(
+            engine="exact", pipelined=True, refine=True, allow_memory_mode=True,
+            reserve_arrays=2, inbound_arrays=1,
+        )
+        for start in range(len(units)):
+            for stop in range(start + 1, len(units) + 1):
+                window = UnitWindow(columns, start, stop)
+                mapping = {unit.name: unit.profile for unit in units[start:stop]}
+                assert dict(window) == mapping and list(window) == list(mapping)
+                assert segment_signature(window) == segment_signature(mapping)
+                assert AllocationCacheKey.build(
+                    window, small_chip, **options
+                ) == AllocationCacheKey.build(mapping, small_chip, **options)
+
+
+# ---------------------------------------------------------------------- #
 # candidate enumeration
 # ---------------------------------------------------------------------- #
 class TestCandidateParity:
@@ -144,9 +293,10 @@ class TestCandidateParity:
         )
         assert vectorised == reference
 
-    @pytest.mark.parametrize("max_arrays", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("max_arrays", [1, 2, 3, 5, 8, 12])
     def test_matches_scalar_reference_across_budgets(self, max_arrays, small_chip):
-        for profile in PROFILES:
+        # 12 exceeds the chip: the factor tables must cover the budget asked for.
+        for profile in PROFILES + EDGE_PROFILES:
             assert candidate_allocations(
                 profile, small_chip, max_arrays
             ) == reference_candidate_allocations(profile, small_chip, max_arrays)
@@ -173,14 +323,16 @@ class TestCandidateParity:
         verdict as "does not fit"), so the MILP never selects a
         candidate that cannot finish.  Constructible hardware always has
         positive bandwidth, so the degenerate grid is forced here by
-        stubbing the latency model.
+        stubbing the latency model — the factor evaluation the candidate
+        tables are read from, and the scalar function the reference calls.
         """
         profile = PROFILES[0]
-        all_inf_batch = lambda prof, com, mem, hw, d_main_share=1.0: np.full(
-            np.broadcast(np.asarray(com), np.asarray(mem)).shape, INFEASIBLE_LATENCY
+        all_inf_factors = lambda vectors, com, mem, hw, d_main_share=1.0: (
+            np.full((len(vectors), len(com)), INFEASIBLE_LATENCY),
+            np.full((len(vectors), len(mem)), INFEASIBLE_LATENCY),
         )
         monkeypatch.setattr(
-            "repro.core.allocation.operator_latency_cycles_batch", all_inf_batch
+            "repro.core.allocation.operator_latency_factors_batch", all_inf_factors
         )
         monkeypatch.setattr(
             "repro.cost.latency.operator_latency_cycles",
@@ -283,7 +435,7 @@ def window_cache_key(units, hardware, options, start=0, end=None):
     segmenter._prepare(units)
     spare = max(0, segmenter._spare_arrays(start, end))
     return AllocationCacheKey.build(
-        segmenter._segment_profiles(units, start, end),
+        segmenter._window(start, end),
         hardware,
         **key_options(**segmenter._solve_arguments(start, end, spare)),
     )
