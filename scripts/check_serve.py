@@ -22,7 +22,10 @@ via ``--port-file``) and asserts the serving contract end to end:
    local compile's fingerprint, ``serve_compiles_executed`` still 1) —
    the daemon is the tier machines share;
 6. SIGTERM drains the daemon cleanly: it runs admitted work to
-   completion, prints its "drained cleanly" line and exits 0.
+   completion, prints its "drained cleanly" line and exits 0;
+
+and every ``/metrics`` read prints each line name once (one fact, one
+line: the exposition is the daemon's metrics registry).
 
 Run from the repository root::
 
@@ -95,6 +98,15 @@ def drain(proc, role):
     print(f"{role}: SIGTERM drained cleanly, exit 0")
 
 
+def read_metrics(client):
+    """``GET /metrics``, asserting that no line name repeats."""
+    text = client.metrics_text()
+    names = [line.split(" ", 1)[0] for line in text.splitlines()]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    assert not repeated, f"/metrics repeats {repeated}:\n{text}"
+    return text
+
+
 def metric(text, name):
     match = re.search(rf"^{re.escape(name)} (\d+)$", text, re.MULTILINE)
     assert match, f"metric {name} missing from /metrics exposition:\n{text}"
@@ -164,7 +176,7 @@ def main() -> int:
     assert local.fingerprint() == fingerprints.pop(), "remote != local compile"
 
     with Client(serve_url) as client:
-        metrics = client.metrics_text()
+        metrics = read_metrics(client)
     assert metric(metrics, "serve_compiles_executed") == 1, metrics
     assert (
         metric(metrics, "serve_coalesced_hits") + metric(metrics, "serve_result_hits")
@@ -183,7 +195,7 @@ def main() -> int:
     # 4. A repeat after completion is a result-table hit, not a compile.
     with Client(serve_url) as client:
         repeat = client.compile(MODEL, hardware=HARDWARE)
-        metrics = client.metrics_text()
+        metrics = read_metrics(client)
     assert repeat.cached and not repeat.coalesced, repeat
     assert repeat.verify() and repeat.fingerprint == local.fingerprint()
     assert metric(metrics, "serve_compiles_executed") == 1, metrics
@@ -208,7 +220,7 @@ def main() -> int:
         f"fresh-client fingerprint {fresh_fingerprint} != local {local.fingerprint()}"
     )
     with Client(serve_url) as client:
-        metrics = client.metrics_text()
+        metrics = read_metrics(client)
     assert metric(metrics, "serve_compiles_executed") == 1, metrics
     print("fresh client process ok: cached, fingerprint bit-identical, still 1 compile")
 

@@ -118,7 +118,6 @@ class BaselineCompiler:
         """
         from ..core.compiler import CompilerOptions
         from ..pipeline import PipelineContext
-        from ..pipeline.pipeline import instrumentation_stats
 
         start = time.perf_counter()
         options = CompilerOptions(
@@ -145,13 +144,11 @@ class BaselineCompiler:
             compile_seconds=elapsed,
             metadata={
                 "graph_metadata": dict(graph.metadata),
-                "passes": [
-                    event.pass_name for event in ctx.trace if event.kind == "end"
-                ],
+                "passes": list(ctx.pass_seconds),
             },
             stats={
                 "wall_seconds": elapsed,
-                **instrumentation_stats(ctx),
+                "pass_seconds": dict(ctx.pass_seconds),
             },
             meta_program=ctx.meta_program,
         )

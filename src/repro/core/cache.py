@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..cost.arithmetic import OperatorProfile, profile_signature
 from ..cost.latency import OperatorAllocation
 from ..hardware.deha import DualModeHardwareAbstraction
-from ..obs.metrics import NULL_METRICS
+from ..obs.metrics import registry_for
 from .allocation import AllocationResult, UnitWindow
 
 __all__ = [
@@ -220,9 +220,9 @@ class CacheEntry:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheStats:
-    """Counters of one :class:`AllocationCache`.
+    """Read-only view of one :class:`AllocationCache`'s ``cache.*`` counters.
 
     Attributes:
         hits: Lookups served from the cache (cross-mode hits included).
@@ -249,16 +249,6 @@ class CacheStats:
         """Fraction of lookups served from the cache."""
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> "CacheStats":
-        """Independent copy of the counters."""
-        return CacheStats(
-            hits=self.hits,
-            cross_mode_hits=self.cross_mode_hits,
-            misses=self.misses,
-            stores=self.stores,
-            evictions=self.evictions,
-        )
 
     def to_dict(self) -> Dict[str, float]:
         """Plain-dictionary rendering for reports and program stats."""
@@ -294,10 +284,10 @@ class AllocationCache:
     Args:
         max_entries: LRU capacity; the oldest entry is evicted when a
             new store would exceed it.  Must be positive.
-        metrics: Optional :class:`~repro.obs.MetricsRegistry`.  The
-            counters are *mirrored* into it under ``cache.*`` names;
-            ``self.stats`` stays the exact, bit-compatible source of
-            truth either way.
+        metrics: Optional :class:`~repro.obs.MetricsRegistry` that holds
+            the cache's counters, one ``cache.<field>`` per
+            :class:`CacheStats` field (a private registry when omitted).
+            Two caches given one registry count into the same counters.
     """
 
     def __init__(
@@ -310,11 +300,19 @@ class AllocationCache:
         self.max_entries = max_entries
         self._entries: "OrderedDict[AllocationCacheKey, CacheEntry]" = OrderedDict()
         self._lock = threading.Lock()
-        self.stats = CacheStats()
-        self.metrics = NULL_METRICS if metrics is None else metrics
+        self.metrics = registry_for(metrics)
+        self._counters = {
+            field.name: self.metrics.counter(f"cache.{field.name}")
+            for field in fields(CacheStats)
+        }
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def stats(self) -> CacheStats:
+        """The counters as they stand now (a fresh view per read)."""
+        return CacheStats(**{name: c.value for name, c in self._counters.items()})
 
     # ------------------------------------------------------------------ #
     # key-level API (what allocate_segment talks to — the key is built
@@ -346,14 +344,13 @@ class AllocationCache:
             entry, hit_key, cross_mode = self._probe(key, inbound_arrays)
             if entry is not None:
                 self._entries.move_to_end(hit_key)
-                self.stats.hits += 1
-                if cross_mode:
-                    self.stats.cross_mode_hits += 1
-                self.metrics.inc("cache.memory.hits")
-                return entry.to_result(names)
-            self.stats.misses += 1
-        self.metrics.inc("cache.misses")
-        return None
+        if entry is None:
+            self._counters["misses"].inc()
+            return None
+        self._counters["hits"].inc()
+        if cross_mode:
+            self._counters["cross_mode_hits"].inc()
+        return entry.to_result(names)
 
     def _probe(
         self, key: AllocationCacheKey, inbound_arrays: int
@@ -378,7 +375,7 @@ class AllocationCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
+            self._counters["evictions"].inc()
 
     def put(
         self,
@@ -392,8 +389,7 @@ class AllocationCache:
             return  # partial allocation (foreign result); never cache it
         with self._lock:
             self._insert(key, entry)
-            self.stats.stores += 1
-        self.metrics.inc("cache.stores")
+        self._counters["stores"].inc()
 
     # ------------------------------------------------------------------ #
     # segment-level convenience wrapper
@@ -414,8 +410,3 @@ class AllocationCache:
         """Drop every entry (counters are kept)."""
         with self._lock:
             self._entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the counters (entries are kept)."""
-        with self._lock:
-            self.stats = CacheStats()

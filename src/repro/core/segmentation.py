@@ -465,8 +465,8 @@ class NetworkSegmenter:
                 shared cache additionally reuses solves across runs
                 (repeated compiles, neighbouring design points).
             obs: Optional :class:`~repro.obs.Observability` bundle: one
-                span per window the DP asks for, solve and hit counters
-                mirrored into its registry.
+                span per window the DP asks for, ``allocator.solves``
+                counters in its registry.
         """
         self.hardware = hardware
         self.options = options or SegmentationOptions()
@@ -571,8 +571,7 @@ class NetworkSegmenter:
     def _record_result(self, result: AllocationResult) -> None:
         """Advance the solve/hit counters for one consumed allocation."""
         if result.from_cache:
-            self.cache_hits += 1
-            self._metrics.inc("allocator.hits.memory")
+            self.cache_hits += 1  # the cache counts it as ``cache.hits``
         else:
             self.allocation_calls += 1
             self._metrics.inc("allocator.solves")

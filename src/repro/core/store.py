@@ -61,14 +61,14 @@ import os
 import re
 import tempfile
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
 from ..ir.serialization import graph_to_json
-from ..obs.metrics import NULL_METRICS
+from ..obs.metrics import registry_for
 from .clock import SYSTEM_CLOCK, Clock
 from .program import CompiledProgram, program_from_payload, program_to_payload
 
@@ -154,9 +154,9 @@ class ProgramKey:
         return f"ProgramKey({self.digest[:12]})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiskStoreStats:
-    """Counters of one :class:`DiskCacheStore`.
+    """Read-only view of one :class:`DiskCacheStore`'s ``store.*`` counters.
 
     Attributes:
         hits: Reads that returned an entry.
@@ -174,17 +174,6 @@ class DiskStoreStats:
     evictions: int = 0
     corrupt_entries: int = 0
     version_rejections: int = 0
-
-    def snapshot(self) -> "DiskStoreStats":
-        """Independent copy of the counters."""
-        return DiskStoreStats(
-            hits=self.hits,
-            misses=self.misses,
-            stores=self.stores,
-            evictions=self.evictions,
-            corrupt_entries=self.corrupt_entries,
-            version_rejections=self.version_rejections,
-        )
 
     def to_dict(self) -> Dict[str, int]:
         """Plain-dictionary rendering for reports and program stats."""
@@ -229,9 +218,10 @@ class DiskCacheStore:
             CLI's entry-age display).  Defaults to the real system
             clock; tests inject a :class:`~repro.core.clock.ManualClock`
             so GC behaviour is deterministic.
-        metrics: Optional :class:`~repro.obs.MetricsRegistry`; every
-            counter bump is mirrored under ``store.<counter>`` while
-            ``self.stats`` stays the exact source of truth.
+        metrics: Optional :class:`~repro.obs.MetricsRegistry` that holds
+            the store's counters, one ``store.<field>`` per
+            :class:`DiskStoreStats` field (a private registry when
+            omitted).
     """
 
     def __init__(
@@ -247,10 +237,18 @@ class DiskCacheStore:
         self.max_bytes = max_bytes
         self.clock = SYSTEM_CLOCK if clock is None else clock
         self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = DiskStoreStats()
-        self.metrics = NULL_METRICS if metrics is None else metrics
+        self.metrics = registry_for(metrics)
+        self._counters = {
+            field.name: self.metrics.counter(f"store.{field.name}")
+            for field in fields(DiskStoreStats)
+        }
         self._lock = threading.Lock()
         self._approx_bytes: Optional[int] = None  # lazily scanned
+
+    @property
+    def stats(self) -> DiskStoreStats:
+        """The counters as they stand now (a fresh view per read)."""
+        return DiskStoreStats(**{name: c.value for name, c in self._counters.items()})
 
     # ------------------------------------------------------------------ #
     # paths
@@ -301,28 +299,28 @@ class DiskCacheStore:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
-            self._count("misses")
+            self._counters["misses"].inc()
             return None
         except (OSError, ValueError):
-            self._count("corrupt_entries")
-            self._count("misses")
+            self._counters["corrupt_entries"].inc()
+            self._counters["misses"].inc()
             return None
         try:
             version = payload["format_version"]
             if version != FORMAT_VERSION:
-                self._count("version_rejections")
-                self._count("misses")
+                self._counters["version_rejections"].inc()
+                self._counters["misses"].inc()
                 return None
             if payload["key"] != key.payload:
                 # Digest collision or a file copied to the wrong name.
-                self._count("misses")
+                self._counters["misses"].inc()
                 return None
             program = program_from_payload(payload["program"])
         except (KeyError, TypeError, ValueError):
-            self._count("corrupt_entries")
-            self._count("misses")
+            self._counters["corrupt_entries"].inc()
+            self._counters["misses"].inc()
             return None
-        self._count("hits")
+        self._counters["hits"].inc()
         return program
 
     # ------------------------------------------------------------------ #
@@ -360,8 +358,8 @@ class DiskCacheStore:
                 raise
         except OSError:
             return
+        self._counters["stores"].inc()
         with self._lock:
-            self.stats.stores += 1
             if self._approx_bytes is not None:
                 self._approx_bytes += len(text)
             over_budget = self._total_bytes_locked() > self.max_bytes
@@ -490,7 +488,7 @@ class DiskCacheStore:
             removed_bytes += size
         with self._lock:
             self._approx_bytes = remaining
-            self.stats.evictions += removed_files
+        self._counters["evictions"].inc(removed_files)
         return {
             "removed_files": removed_files,
             "removed_bytes": removed_bytes,
@@ -507,9 +505,3 @@ class DiskCacheStore:
                 except OSError:
                     continue
             self._approx_bytes = 0
-
-    def _count(self, counter: str) -> None:
-        """Thread-safe stat increment (mirrored into the metrics registry)."""
-        with self._lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        self.metrics.inc(f"store.{counter}")

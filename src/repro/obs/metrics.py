@@ -1,17 +1,21 @@
 """Counters, gauges and histograms behind one registry.
 
-The registry replaces nothing by force: the hand-rolled stats objects
-(`CacheStats`, `DiskStoreStats`, the pipeline's
-`stats_payload`) stay bit-compatible, and when an enabled
-:class:`MetricsRegistry` is threaded through, the same increments are
-*mirrored* into named metrics so one report can answer "how many
-allocator solves, split by tier, did this whole run do?" across
-subsystems that never see each other's stats dicts.
+The registry is where a running count lives.  An owner whose counts are
+read back — :class:`~repro.core.cache.AllocationCache`,
+:class:`~repro.core.store.DiskCacheStore`, the compile daemon — looks up
+its instruments once, at construction, in the registry it is given (a
+private one when it is given none, see :func:`registry_for`); its
+``stats`` objects and the daemon's ``/metrics`` are read from those
+instruments, never kept beside them.  One registry threaded through a
+session can therefore answer "how many allocator solves, window hits
+and program-store reads did this whole run do?" across subsystems that
+never see each other.  ``CompiledProgram.stats`` is different in kind:
+the record of one compile, not a running total.
 
 Naming convention — dotted, lowercase, subsystem first::
 
     allocator.solves            allocator.solves.exact
-    cache.memory.hits           store.hits
+    cache.hits                  store.hits
     replay.queue_depth (histogram)
 
 Disabled path: :data:`NULL_METRICS` hands out shared no-op instruments,
@@ -20,8 +24,9 @@ so call sites never branch.
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -30,9 +35,32 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
+    "nearest_rank",
+    "percentile",
+    "registry_for",
 ]
 
 _HISTOGRAM_SAMPLE_CAP = 65536
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of ``values`` (q in [0, 100]).
+
+    Nearest rank (no interpolation): the result is an observed value,
+    monotone in ``q`` and bit-reproducible across platforms.  Returns
+    ``nan`` for an empty sequence.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    if not values:
+        return math.nan
+    return nearest_rank(sorted(values), q)
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of a non-empty, already sorted sequence."""
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[rank - 1]
 
 
 class Counter:
@@ -51,18 +79,28 @@ class Counter:
 
 
 class Gauge:
-    """Last-set value (queue depth now, cache entries now)."""
+    """A level that moves both ways (entries held now, bytes held now)."""
 
     __slots__ = ("name", "value", "_lock")
 
     def __init__(self, name: str, lock: threading.Lock) -> None:
         self.name = name
-        self.value = 0.0
+        self.value = 0
         self._lock = lock
 
     def set(self, value: float) -> None:
         with self._lock:
             self.value = value
+
+    def inc(self, amount: float = 1) -> None:
+        """Move the level by ``amount`` (either sign).
+
+        Concurrent owners that each report the change they made under
+        their own lock sum to the exact level in any order, where
+        :meth:`set` of a level read earlier could publish a stale one.
+        """
+        with self._lock:
+            self.value += amount
 
 
 class Histogram:
@@ -99,13 +137,15 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """Exact percentile over retained samples (0 when empty)."""
+        """Nearest-rank percentile over retained samples (0 when empty).
+
+        The definition the replay report uses (:func:`nearest_rank`), so
+        a replay's ``replay.latency_ms`` p50 / p99 equal its
+        ``latency_p50_ms`` / ``latency_p99_ms``.
+        """
         with self._lock:
             samples = sorted(self._samples)
-        if not samples:
-            return 0.0
-        index = min(len(samples) - 1, max(0, round(q / 100.0 * (len(samples) - 1))))
-        return samples[index]
+        return nearest_rank(samples, q) if samples else 0.0
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -275,3 +315,13 @@ class NullMetrics:
 
 
 NULL_METRICS = NullMetrics()
+
+
+def registry_for(metrics: Optional[object]) -> MetricsRegistry:
+    """``metrics`` when it records, else a private :class:`MetricsRegistry`.
+
+    What an owner whose counts are read back (a cache's ``stats``, the
+    daemon's ``/metrics``) keeps its instruments in: the caller's
+    registry, or — given none, or :data:`NULL_METRICS` — one of its own.
+    """
+    return metrics if getattr(metrics, "enabled", False) else MetricsRegistry()

@@ -5,9 +5,8 @@ segmentation, per-segment MIP allocation, refinement, DMO code
 generation — used to live fused inside
 ``CMSwitchCompiler.compile()``.  This package decomposes it into named
 :class:`Pass` objects over a typed :class:`PipelineContext`, run by a
-:class:`Pipeline` that supports pass replacement/insertion and
-instrumentation hooks, and surfaces per-pass wall times in
-``CompiledProgram.stats["pass_seconds"]``.
+:class:`Pipeline` that supports pass replacement/insertion, and surfaces
+per-pass wall times in ``CompiledProgram.stats["pass_seconds"]``.
 
 Typical use goes through :class:`repro.api.Session` or
 :class:`repro.core.compiler.CMSwitchCompiler` (both run this pipeline
@@ -26,7 +25,7 @@ rest (see :mod:`repro.baselines.passes`); CIM-MLC is this very pipeline
 with memory mode pinned off.
 """
 
-from .context import PipelineContext, TraceEvent
+from .context import PipelineContext
 from .passes import (
     Allocate,
     Codegen,
@@ -42,7 +41,6 @@ from .pipeline import (
     build_pipeline,
     default_passes,
     finalize,
-    instrumentation_stats,
 )
 
 __all__ = [
@@ -56,9 +54,7 @@ __all__ = [
     "PipelineContext",
     "Refine",
     "Segment",
-    "TraceEvent",
     "build_pipeline",
     "default_passes",
     "finalize",
-    "instrumentation_stats",
 ]

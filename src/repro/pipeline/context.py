@@ -7,10 +7,11 @@ the *only* channel between passes, which is what makes them individually
 replaceable (swap the segmentation strategy, drop code generation, add
 an instrumentation pass) without touching the others.
 
-The context also carries the instrumentation the pipeline itself
-maintains: per-pass wall times (:attr:`PipelineContext.pass_seconds`,
-surfaced as ``CompiledProgram.stats["pass_seconds"]``) and the ordered
-:class:`TraceEvent` list hook consumers see.
+The context also carries the pass log the pipeline itself maintains:
+per-pass wall times in execution order
+(:attr:`PipelineContext.pass_seconds`, surfaced as
+``CompiledProgram.stats["pass_seconds"]`` and, as names,
+``metadata["passes"]``).
 """
 
 from __future__ import annotations
@@ -29,23 +30,7 @@ from ..core.segmentation import (
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
 
-__all__ = ["PipelineContext", "TraceEvent"]
-
-
-@dataclass
-class TraceEvent:
-    """One instrumentation event emitted by the pipeline runner.
-
-    Attributes:
-        pass_name: Name of the pass the event belongs to.
-        kind: ``"start"``, ``"end"`` or ``"skip"`` (pass disabled for
-            this context — e.g. ``Codegen`` with ``generate_code`` off).
-        seconds: Pass wall time; only ``"end"`` events carry a value.
-    """
-
-    pass_name: str
-    kind: str
-    seconds: float = 0.0
+__all__ = ["PipelineContext"]
 
 
 @dataclass
@@ -98,9 +83,8 @@ class PipelineContext:
     #: fused compiler's ``dp_seconds`` metadata field.
     dp_seconds: float = 0.0
 
-    # Instrumentation maintained by the Pipeline runner.
+    #: The pass log the Pipeline runner keeps: executed passes in order.
     pass_seconds: Dict[str, float] = field(default_factory=dict)
-    trace: List[TraceEvent] = field(default_factory=list)
     #: Free-form per-pass annotations (merged into ``CompiledProgram.stats``).
     extras: Dict[str, object] = field(default_factory=dict)
     #: ``time.perf_counter()`` at pipeline start (set by the runner).

@@ -2,7 +2,7 @@
 
 Each pass is a small object with a stable :attr:`Pass.name`, an
 :meth:`Pass.enabled` predicate (options-gated passes skip themselves and
-show up as ``skip`` trace events) and a :meth:`Pass.run` that transforms
+are absent from ``pass_seconds``) and a :meth:`Pass.run` that transforms
 the shared :class:`~repro.pipeline.context.PipelineContext`.  The
 standard CMSwitch sequence is::
 

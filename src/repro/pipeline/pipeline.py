@@ -2,9 +2,10 @@
 
 :class:`Pipeline` executes a sequence of :class:`~repro.pipeline.passes
 .Pass` objects over one :class:`~repro.pipeline.context.PipelineContext`,
-timing each pass (``ctx.pass_seconds``) and emitting
-:class:`~repro.pipeline.context.TraceEvent` s to registered hooks.  The
-pass list is a first-class value: :meth:`Pipeline.replace`,
+timing each pass into ``ctx.pass_seconds`` — the one pass log; a
+context carrying an enabled tracer also gets a span per pass and a
+``<pass>:skip`` instant per disabled one.  The pass list is a
+first-class value: :meth:`Pipeline.replace`,
 :meth:`Pipeline.insert_before` / :meth:`Pipeline.insert_after` and
 :meth:`Pipeline.remove` let callers swap a stage (a different
 segmentation strategy, an extra instrumentation pass) without touching
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.program import CompiledProgram
 from ..core.segmentation import NoFeasiblePlanError, plan_cost
 from ..obs import NULL_TRACER
-from .context import PipelineContext, TraceEvent
+from .context import PipelineContext
 from .passes import (
     Allocate,
     Codegen,
@@ -43,30 +44,20 @@ __all__ = [
     "build_pipeline",
     "default_passes",
     "finalize",
-    "instrumentation_stats",
 ]
-
-#: Signature of a pipeline instrumentation hook.
-Hook = Callable[[TraceEvent, PipelineContext], None]
 
 
 class Pipeline:
     """An ordered, editable sequence of compile passes.
 
     Args:
-        passes: Initial pass objects (names must be unique).
-        hooks: Instrumentation callables invoked with every
-            :class:`TraceEvent` (``start`` / ``end`` / ``skip``) and the
-            context.  Hooks observe; exceptions they raise propagate —
-            a broken instrument should fail loudly, not corrupt timings
-            silently.
+        passes: Initial pass objects (names must be unique).  A pass
+            that observes or annotates the compile is one more pass
+            (:meth:`insert_after`), not a callback.
     """
 
-    def __init__(
-        self, passes: Sequence[Pass] = (), hooks: Sequence[Hook] = ()
-    ) -> None:
+    def __init__(self, passes: Sequence[Pass] = ()) -> None:
         self._passes: List[Pass] = []
-        self._hooks: List[Hook] = list(hooks)
         for p in passes:
             self.append(p)
 
@@ -145,25 +136,15 @@ class Pipeline:
         del self._passes[self._index(name)]
         return self
 
-    def add_hook(self, hook: Hook) -> "Pipeline":
-        """Register an instrumentation hook."""
-        self._hooks.append(hook)
-        return self
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _emit(self, event: TraceEvent, ctx: PipelineContext) -> None:
-        ctx.trace.append(event)
-        for hook in self._hooks:
-            hook(event, ctx)
-
     def run(self, ctx: PipelineContext) -> PipelineContext:
         """Execute every enabled pass over ``ctx``, timing each one.
 
-        Disabled passes (``Pass.enabled(ctx)`` false) emit a ``skip``
-        trace event and no timing entry, so ``pass_seconds`` lists
-        exactly the work that ran.
+        Disabled passes (``Pass.enabled(ctx)`` false) get no timing
+        entry — ``pass_seconds`` lists exactly the work that ran, in
+        order — and a ``<pass>:skip`` tracer instant.
         """
         if not ctx.started:
             ctx.started = time.perf_counter()
@@ -173,16 +154,12 @@ class Pipeline:
         ):
             for p in self._passes:
                 if not p.enabled(ctx):
-                    self._emit(TraceEvent(p.name, "skip"), ctx)
                     tracer.event(f"{p.name}:skip")
                     continue
-                self._emit(TraceEvent(p.name, "start"), ctx)
                 with tracer.span(p.name, kind="pass"):
                     began = time.perf_counter()
                     p.run(ctx)
-                    elapsed = time.perf_counter() - began
-                ctx.pass_seconds[p.name] = elapsed
-                self._emit(TraceEvent(p.name, "end", elapsed), ctx)
+                    ctx.pass_seconds[p.name] = time.perf_counter() - began
         return ctx
 
 
@@ -198,7 +175,7 @@ def default_passes() -> List[Pass]:
     ]
 
 
-def build_pipeline(hooks: Sequence[Hook] = ()) -> Pipeline:
+def build_pipeline() -> Pipeline:
     """A :class:`Pipeline` with the standard CMSwitch pass sequence.
 
     Options-dependent passes (``Refine``, ``Codegen``) gate themselves
@@ -207,24 +184,7 @@ def build_pipeline(hooks: Sequence[Hook] = ()) -> Pipeline:
     including the CIM-MLC baseline, which is exactly this pipeline with
     memory mode pinned off.
     """
-    return Pipeline(default_passes(), hooks=hooks)
-
-
-def instrumentation_stats(ctx: PipelineContext) -> Dict[str, object]:
-    """The per-pass instrumentation block of ``CompiledProgram.stats``.
-
-    One shape for every pipeline finaliser — :func:`finalize` here and
-    the baselines' hand-assembled programs — so both the wall-time dict
-    *and* the ordered trace-event log survive into stats (the baselines
-    used to copy ``pass_seconds`` and silently drop the trace).
-    """
-    return {
-        "pass_seconds": dict(ctx.pass_seconds),
-        "pass_events": [
-            {"pass": event.pass_name, "kind": event.kind, "seconds": event.seconds}
-            for event in ctx.trace
-        ],
-    }
+    return Pipeline(default_passes())
 
 
 def finalize(ctx: PipelineContext) -> CompiledProgram:
@@ -252,7 +212,7 @@ def finalize(ctx: PipelineContext) -> CompiledProgram:
     stats = {
         **ctx.stats_payload(),
         "wall_seconds": elapsed,
-        **instrumentation_stats(ctx),
+        "pass_seconds": dict(ctx.pass_seconds),
     }
     for key, value in ctx.extras.items():
         stats.setdefault(key, value)
@@ -277,7 +237,7 @@ def finalize(ctx: PipelineContext) -> CompiledProgram:
             "num_flattened_units": len(result.units),
             "allocation_calls": ctx.allocation_calls,
             "dp_seconds": ctx.dp_seconds,
-            "passes": [event.pass_name for event in ctx.trace if event.kind == "end"],
+            "passes": list(ctx.pass_seconds),
         },
         stats=stats,
         meta_program=ctx.meta_program,

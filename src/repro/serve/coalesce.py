@@ -38,19 +38,13 @@ class CoalesceTimeout(TimeoutError):
 class Flight:
     """One in-flight computation and the latch its followers wait on."""
 
-    __slots__ = ("key", "done", "value", "error", "waiters", "_lock")
+    __slots__ = ("key", "done", "value", "error")
 
     def __init__(self, key) -> None:
         self.key = key
         self.done = threading.Event()
         self.value = None
         self.error: Optional[BaseException] = None
-        self.waiters = 0
-        self._lock = threading.Lock()
-
-    def add_waiter(self) -> None:
-        with self._lock:
-            self.waiters += 1
 
     def settle(self, value=None, error: Optional[BaseException] = None) -> None:
         """Publish the outcome and release every waiter (idempotent)."""
@@ -76,16 +70,14 @@ class SingleFlight:
             return result
         return flights.wait(flight, timeout=30.0)   # a follower
 
-    Counters: ``started`` flights (leaders) and ``coalesced`` follower
-    waits — the daemon surfaces both on ``/metrics``, and the CI smoke
-    asserts ``coalesced >= 1`` while total solves equal one compile's.
+    The table counts nothing itself: its caller knows from ``leader``
+    which of the two happened (the daemon counts
+    ``serve.flights_started`` and ``serve.coalesced_hits``).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._flights: Dict[object, Flight] = {}
-        self.started = 0
-        self.coalesced = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -103,12 +95,9 @@ class SingleFlight:
         with self._lock:
             flight = self._flights.get(key)
             if flight is not None:
-                flight.add_waiter()
-                self.coalesced += 1
                 return flight, False
             flight = Flight(key)
             self._flights[key] = flight
-            self.started += 1
             return flight, True
 
     def finish(

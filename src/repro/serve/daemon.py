@@ -25,10 +25,11 @@ stdlib-only threaded HTTP/JSON server over one shared
   memory and, with ``cache_dir=``, whole compiled programs through the
   directory every other process mounting it reads and writes; across
   machines the daemon itself is the shared tier.
-* **Observability.**  Per-request spans (``serve.request``) and
-  counters flow through :mod:`repro.obs`; ``GET /metrics`` exposes
-  them, the coalescing counters and the cache tiers in a text format,
-  ``GET /v1/cache/stats`` in JSON.
+* **Observability.**  Per-request spans (``serve.request``) flow
+  through :mod:`repro.obs`; every count — the daemon's ``serve.*``, the
+  cache tiers', the service's and the solver's — lives in the daemon's
+  one metrics registry, which ``GET /metrics`` prints line by line and
+  ``GET /v1/cache/stats`` groups in JSON.
 
 Endpoints (all JSON, versioned via ``wire_version``):
 
@@ -47,11 +48,13 @@ import logging
 import queue
 import threading
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.compiler import CompilerOptions
 from ..models.registry import list_models
 from ..obs import Observability
+from ..obs.metrics import registry_for
 from ..service import CompileJob, CompileJobResult, CompileService
 from .coalesce import CoalesceTimeout, Flight, SingleFlight
 from .httpbase import (
@@ -94,6 +97,25 @@ RESULT_TABLE_BYTES = 64 * 1024 * 1024
 #: flushes a long-lived server's tracer, so an unbounded one grows by
 #: ~0.5 MB per executed mobilenet compile for the life of the process.
 TRACE_RING_SPANS = 4096
+
+#: The daemon's own counters, ``serve.<name>`` in its registry.  Looked
+#: up at construction, so each is a ``serve_<name> <integer>`` line on
+#: ``/metrics`` from the first scrape on.  ``solves_executed`` is the
+#: solver's ``allocator.solves`` seen from the request side, kept under
+#: the name the serving docs and checks use.
+SERVE_COUNTERS = (
+    "requests",
+    "bad_requests",
+    "compiles_executed",
+    "compile_failures",
+    "solves_executed",
+    "flights_started",
+    "coalesced_hits",
+    "queue_rejections",
+    "wait_timeouts",
+    "result_hits",
+    "result_evictions",
+)
 
 
 class _QueueFull(Exception):
@@ -207,8 +229,10 @@ class CompileDaemon:
         host: Bind address (loopback by default).
         port: TCP port; 0 picks an ephemeral one (see ``bound_port``).
         obs: Optional :class:`~repro.obs.Observability` bundle; the
-            daemon creates an enabled one by default so ``/metrics``
-            always has data (its tracer a ``TRACE_RING_SPANS`` ring).
+            daemon creates an enabled one by default (its tracer a
+            ``TRACE_RING_SPANS`` ring) and gives a bundle without a
+            recording registry a private one, since ``/metrics`` is
+            read from it.
         use_cache: Disable the allocation cache, the program store *and*
             the result table entirely (A/B timing): every request runs a
             full compile.
@@ -229,9 +253,14 @@ class CompileDaemon:
             raise ValueError("workers must be at least 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
-        self.obs = (
-            obs if obs is not None else Observability.create(max_spans=TRACE_RING_SPANS)
-        )
+        if obs is None:
+            obs = Observability.create(max_spans=TRACE_RING_SPANS)
+        self.obs = replace(obs, metrics=registry_for(obs.metrics))
+        metrics = self.obs.metrics
+        self._serve = {name: metrics.counter(f"serve.{name}") for name in SERVE_COUNTERS}
+        # The result table's size: levels, moved by the deltas put() reports.
+        self._result_entries = metrics.gauge("serve.result_entries")
+        self._result_bytes = metrics.gauge("serve.result_bytes")
         self.service = CompileService(
             cache_dir=cache_dir,
             use_cache=use_cache,
@@ -244,21 +273,6 @@ class CompileDaemon:
         self.flights = SingleFlight()
         self.results: Optional[ResultTable] = ResultTable() if use_cache else None
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_limit)
-        self._counters: Dict[str, int] = {
-            "requests": 0,
-            "compiles_executed": 0,
-            "compile_failures": 0,
-            "coalesced_hits": 0,
-            "queue_rejections": 0,
-            "wait_timeouts": 0,
-            "bad_requests": 0,
-            "solves_executed": 0,
-            "result_hits": 0,
-            "result_entries": 0,
-            "result_bytes": 0,
-            "result_evictions": 0,
-        }
-        self._counters_lock = threading.Lock()
         self._draining = threading.Event()
         self._workers: List[threading.Thread] = []
         for index in range(workers):
@@ -285,15 +299,12 @@ class CompileDaemon:
     # ------------------------------------------------------------------ #
     # counters
     # ------------------------------------------------------------------ #
-    def _bump(self, counter: str, amount: int = 1) -> None:
-        with self._counters_lock:
-            self._counters[counter] += amount
-        self.obs.metrics.inc(f"serve.{counter}", amount)
-
     def counters(self) -> Dict[str, int]:
-        """Snapshot of the daemon's own counters."""
-        with self._counters_lock:
-            return dict(self._counters)
+        """The daemon's ``serve.*`` counters and gauges, read from the registry."""
+        values = {name: counter.value for name, counter in self._serve.items()}
+        values["result_entries"] = self._result_entries.value
+        values["result_bytes"] = self._result_bytes.value
+        return values
 
     @property
     def bound_port(self) -> int:
@@ -322,19 +333,19 @@ class CompileDaemon:
                 self.flights.finish(flight, error=exc)
                 self._queue.task_done()
                 continue
-            self._bump("compiles_executed")
-            self._bump("solves_executed", int(result.stats.get("allocator_solves", 0)))
+            self._serve["compiles_executed"].inc()
+            self._serve["solves_executed"].inc(int(result.stats.get("allocator_solves", 0)))
             if not ok:
-                self._bump("compile_failures")
+                self._serve["compile_failures"].inc()
             elif self.results is not None:
                 # Stored before the flight retires, so an identical request
                 # always finds one of the two: N requests, one compile.
                 entries, size, evictions = self.results.put(
                     flight.key, _outcome_body(True, tail, coalesced=False, cached=True)
                 )
-                self._bump("result_entries", entries)
-                self._bump("result_bytes", size)
-                self._bump("result_evictions", evictions)
+                self._result_entries.inc(entries)
+                self._result_bytes.inc(size)
+                self._serve["result_evictions"].inc(evictions)
             self.flights.finish(flight, value=(ok, tail))
             self._queue.task_done()
 
@@ -344,7 +355,7 @@ class CompileDaemon:
             return None
         body = self.results.get(fingerprint)
         if body is not None:
-            self._bump("result_hits")
+            self._serve["result_hits"].inc()
         return body
 
     def _submit(self, job: CompileJob, fingerprint: str) -> Tuple[Flight, bool]:
@@ -360,14 +371,15 @@ class CompileDaemon:
         """
         flight, leader = self.flights.begin(fingerprint)
         if not leader:
-            self._bump("coalesced_hits")
+            self._serve["coalesced_hits"].inc()
             return flight, True
+        self._serve["flights_started"].inc()
         try:
             self._queue.put_nowait((job, flight))
         except queue.Full:
             error = _QueueFull(f"work queue is full ({self._queue.maxsize} pending)")
             self.flights.finish(flight, error=error)
-            self._bump("queue_rejections")
+            self._serve["queue_rejections"].inc()
             raise error from None
         return flight, False
 
@@ -413,17 +425,17 @@ class CompileDaemon:
                 handler, 503, error_payload("draining", "daemon is shutting down")
             )
             return
-        self._bump("requests")
+        self._serve["requests"].inc()
         body, failure = read_body(handler)
         if failure is not None:
             status, message = failure
-            self._bump("bad_requests")
+            self._serve["bad_requests"].inc()
             respond_json(handler, status, error_payload("bad_request", message))
             return
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
-            self._bump("bad_requests")
+            self._serve["bad_requests"].inc()
             respond_json(
                 handler, 400, error_payload("bad_request", f"invalid JSON body: {exc}")
             )
@@ -434,12 +446,12 @@ class CompileDaemon:
             else:
                 self._handle_compile_batch(handler, payload)
         except WireFormatError as exc:
-            self._bump("bad_requests")
+            self._serve["bad_requests"].inc()
             respond_json(handler, 400, error_payload("bad_request", str(exc)))
         except _QueueFull as exc:
             respond_json(handler, 503, error_payload("queue_full", str(exc)))
         except CoalesceTimeout as exc:
-            self._bump("wait_timeouts")
+            self._serve["wait_timeouts"].inc()
             respond_json(handler, 504, error_payload("timeout", str(exc)))
 
     def _handle_compile(self, handler: QuietHandler, payload) -> None:
@@ -467,7 +479,7 @@ class CompileDaemon:
                 else:
                     admissions.append(self._submit(job, fingerprint))
             except WireFormatError as exc:
-                self._bump("bad_requests")
+                self._serve["bad_requests"].inc()
                 admissions.append((None, _error_slot("bad_request", str(exc))))
             except _QueueFull as exc:
                 admissions.append((None, _error_slot("queue_full", str(exc))))
@@ -479,7 +491,7 @@ class CompileDaemon:
             try:
                 ok, tail = self.flights.wait(flight, timeout=self.wait_timeout)
             except CoalesceTimeout as exc:
-                self._bump("wait_timeouts")
+                self._serve["wait_timeouts"].inc()
                 slots.append(_error_slot("timeout", str(exc)))
                 continue
             slots.append(_outcome_body(ok, tail, coalesced=value))
@@ -513,41 +525,29 @@ class CompileDaemon:
     # introspection
     # ------------------------------------------------------------------ #
     def cache_stats_payload(self) -> Dict:
-        """JSON document of every cache tier's counters."""
+        """JSON document of the registry's counts, grouped by owner."""
         payload: Dict = {
             "wire_version": WIRE_VERSION,
             "serve": self.counters(),
-            "coalescing": {
-                "flights_started": self.flights.started,
-                "coalesced_waits": self.flights.coalesced,
-                "in_flight": len(self.flights),
-            },
+            "coalescing": {"in_flight": len(self.flights)},
         }
         if self.service.cache is not None:
-            payload["cache"] = self.service.cache.stats.snapshot().to_dict()
+            payload["cache"] = self.service.cache.stats.to_dict()
         if self.service.store is not None:
-            payload["disk"] = self.service.store.stats.snapshot().to_dict()
+            payload["disk"] = self.service.store.stats.to_dict()
         return payload
 
     def render_metrics(self) -> str:
-        """Text exposition: daemon, coalescing and cache-tier counters."""
-        lines = [
-            f"serve_{name} {value}" for name, value in sorted(self.counters().items())
-        ]
+        """Text exposition: one line per counter and gauge of the registry.
+
+        Registry name ``a.b`` prints as ``a_b <value>``; each fact has
+        one line.  Two levels that live elsewhere follow: the work
+        queue's depth and the spans the tracer's ring dropped.
+        """
+        snapshot = self.obs.metrics.to_dict()
+        values = {**snapshot["counters"], **snapshot["gauges"]}
+        lines = [f"{name.replace('.', '_')} {values[name]}" for name in sorted(values)]
         lines.append(f"serve_queue_depth {self._queue.qsize()}")
-        lines.append(f"serve_flights_started {self.flights.started}")
-        lines.append(f"serve_coalesced_waits {self.flights.coalesced}")
-        cache = self.service.cache
-        if cache is not None:
-            for name, value in sorted(cache.stats.snapshot().to_dict().items()):
-                lines.append(f"cache_{name} {value:g}" if isinstance(value, float) else f"cache_{name} {value}")
-        store = self.service.store
-        if store is not None:
-            for name, value in sorted(store.stats.snapshot().to_dict().items()):
-                lines.append(f"cache_disk_{name} {value}")
-        snapshot = self.obs.metrics.to_dict() if hasattr(self.obs.metrics, "to_dict") else {}
-        for name, value in (snapshot.get("counters") or {}).items():
-            lines.append(f"obs_{name.replace('.', '_')} {value}")
         lines.append(f"obs_spans_dropped {self.obs.tracer.spans_dropped}")
         return "\n".join(lines) + "\n"
 

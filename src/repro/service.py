@@ -357,9 +357,7 @@ class CompileService:
 
     def _remember(self, key: ProgramKey, program: CompiledProgram) -> None:
         """Keep ``program`` in the table, counting what it pushed out."""
-        evictions = self.programs.put(key, program)
-        if evictions:
-            self.obs.metrics.inc("programs.evictions", evictions)
+        self.obs.metrics.inc("programs.evictions", self.programs.put(key, program))
 
     # ------------------------------------------------------------------ #
     # single job
@@ -422,9 +420,7 @@ class CompileService:
     @property
     def cache_stats(self) -> CacheStats:
         """Aggregate cache counters across every job served so far."""
-        if self.cache is None:
-            return CacheStats()
-        return self.cache.stats.snapshot()
+        return CacheStats() if self.cache is None else self.cache.stats
 
 
 def _served(program: CompiledProgram, seconds: float, disk: bool) -> CompiledProgram:
@@ -446,7 +442,6 @@ def _served(program: CompiledProgram, seconds: float, disk: bool) -> CompiledPro
         allocation_cache_hit_rate=1.0,
         wall_seconds=seconds,
         pass_seconds={},
-        pass_events=[],
     )
     program.metadata.update(allocation_calls=0, dp_seconds=0.0, passes=[])
     return program

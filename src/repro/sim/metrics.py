@@ -10,7 +10,10 @@ Percentiles use the *nearest-rank* definition (no interpolation): the
 reported p99 is an actually-observed latency, the definition is monotone
 in the percentile (so ``p50 <= p99`` holds by construction), and the
 result is bit-reproducible across platforms — which the determinism
-tests and the CI ``replay-smoke`` job rely on.
+tests and the CI ``replay-smoke`` job rely on.  It is the one
+definition in the package (:func:`repro.obs.metrics.percentile`), so
+the registry's ``replay.latency_ms`` histogram reports the same p50 /
+p99 as this module.
 """
 
 from __future__ import annotations
@@ -19,25 +22,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..obs.metrics import nearest_rank, percentile
+
 __all__ = ["ReplayMetrics", "compute_metrics", "percentile"]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (q in [0, 100]).
-
-    Returns ``nan`` for an empty sequence.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {q}")
-    if not values:
-        return math.nan
-    return _nearest_rank(sorted(values), q)
-
-
-def _nearest_rank(ordered: Sequence[float], q: float) -> float:
-    """:func:`percentile` of a non-empty, already sorted sequence."""
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 @dataclass
@@ -152,8 +139,8 @@ def compute_metrics(outcomes: Sequence) -> ReplayMetrics:
     if metrics.makespan_ms > 0:
         metrics.throughput_rps = metrics.served / (metrics.makespan_ms / 1000.0)
     ordered = sorted(latencies)
-    metrics.latency_p50_ms = _nearest_rank(ordered, 50.0)
-    metrics.latency_p99_ms = _nearest_rank(ordered, 99.0)
+    metrics.latency_p50_ms = nearest_rank(ordered, 50.0)
+    metrics.latency_p99_ms = nearest_rank(ordered, 99.0)
     metrics.latency_mean_ms = sum(latencies) / len(latencies)
     metrics.latency_max_ms = max(latencies)
     metrics.queue_ms_mean = sum(queues) / len(queues)

@@ -1,6 +1,7 @@
 """Tests for the shared allocation cache and hardware fingerprinting."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.program import SegmentPlan
 from repro.core.segmentation import SegmentationResult
 from repro.cost.arithmetic import profile_graph
 from repro.cost.latency import INFEASIBLE_LATENCY, OperatorAllocation, guard_infeasible
+from repro.obs import NULL_METRICS, MetricsRegistry
 
 
 class TestHardwareFingerprint:
@@ -231,15 +233,22 @@ class TestAllocationCache:
         with pytest.raises(ValueError):
             AllocationCache(max_entries=0)
 
-    def test_clear_and_reset_stats(self, dynaplasia_chip, tiny_mlp_graph):
+    def test_clear_keeps_the_counters(self, dynaplasia_chip, tiny_mlp_graph):
+        """``stats`` is a read-only view of the registry's ``cache.*`` counters."""
         profiles = profile_graph(tiny_mlp_graph)
-        cache = AllocationCache()
+        registry = MetricsRegistry()
+        cache = AllocationCache(metrics=registry)
         allocate_segment(profiles, dynaplasia_chip, cache=cache)
-        assert len(cache) > 0
+        stats = cache.stats
+        assert len(cache) == stats.stores == registry.counter("cache.stores").value > 0
+        assert stats.misses == registry.counter("cache.misses").value == stats.lookups
         cache.clear()
-        assert len(cache) == 0
-        cache.reset_stats()
-        assert cache.stats.lookups == 0 and cache.stats.hit_rate == 0.0
+        assert len(cache) == 0 and cache.stats == stats
+        with pytest.raises(FrozenInstanceError):
+            stats.hits = 0
+        # Given no registry, or the disabled one, a cache keeps its own.
+        for metrics in (None, NULL_METRICS):
+            assert AllocationCache(metrics=metrics).metrics.enabled
 
 
 def _plan(intra, inter=0.0, compute=1, memory=0):

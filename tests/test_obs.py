@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.api import Session
 from repro.cli import main
 from repro.core.clock import ManualClock
+from repro.models.workload import Workload
 from repro.obs import (
     NULL_METRICS,
     NULL_OBS,
@@ -33,6 +36,8 @@ from repro.obs import (
     write_span_jsonl,
 )
 from repro.service import CompileJob, CompileService
+
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 class TestTracer:
@@ -286,14 +291,6 @@ class TestPipelineInstrumentation:
         for pass_name, seconds in program.stats["pass_seconds"].items():
             assert totals[pass_name] == pytest.approx(seconds, abs=5e-3)
 
-    def test_pass_events_ride_on_stats(self):
-        session = Session(hardware="small-test-chip")
-        program = session.compile("tiny-mlp")
-        events = program.stats["pass_events"]
-        assert events and all(
-            set(e) == {"pass", "kind", "seconds"} for e in events
-        )
-
     def test_disabled_session_records_nothing(self):
         session = Session(hardware="small-test-chip")
         session.compile("tiny-mlp")
@@ -395,6 +392,104 @@ class TestReplayAndDseInstrumentation:
         counters = session.metrics.to_dict()["counters"]
         assert counters["dse.points.analytical"] == 2
         assert "dse.points.cold" not in counters
+
+
+def _owner_table():
+    """``docs/observability.md``'s metric table: registry name → (kind, line)."""
+    text = DOCS.joinpath("observability.md").read_text(encoding="utf-8")
+    section = text.split("## One metric, one owner", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not cells[0].startswith("`"):
+            continue
+        name, kind, _, exposition = cells
+        rows[name.strip("`")] = (kind, exposition.strip("`"))
+    return rows
+
+
+class TestMetricOwnerTable:
+    def _emitted(self, tmp_path):
+        """Registry name → kind over a compile + repeats over a cache_dir, a
+        sweep, a daemon round trip and a replay.
+
+        The sweep has a third, failing point and the replay an unknown
+        model so the names counted only on those paths are emitted too.
+        """
+        from repro.dse import DesignSpace
+        from repro.serve import Client, CompileDaemon
+        from repro.sim.traces import Trace, TraceRequest, poisson_trace
+
+        registries = []
+        compiled = Observability.create()
+        Session("small-test-chip", cache_dir=tmp_path / "a", trace=compiled).compile("tiny-mlp")
+        again = Session("small-test-chip", cache_dir=tmp_path / "a", trace=compiled)
+        again.compile("tiny-mlp")  # from the store
+        again.compile("tiny-mlp")  # from the program table
+        registries.append(compiled.metrics)
+
+        sweep = Session("small-test-chip", trace=True)
+        sweep.explore(
+            DesignSpace(
+                models=["tiny-mlp", "tiny-cnn", "no-such-model"],
+                base_hardware="small-test-chip",
+            ),
+            objective="trace_p99",
+            trace=poisson_trace(
+                ["tiny-mlp", "tiny-cnn"], num_requests=6, rate_rps=200.0, seed=1,
+                seq_len_buckets=(16,),
+            ),
+        )
+        registries.append(sweep.metrics)
+
+        daemon = CompileDaemon(cache_dir=tmp_path / "daemon", workers=1)
+        daemon.start_background()
+        try:
+            with Client(daemon.url, retries=1) as client:
+                client.compile("tiny-mlp", hardware="small-test-chip")
+        finally:
+            daemon.shutdown()
+        registries.append(daemon.obs.metrics)
+
+        replay = Session("small-test-chip", trace=True)
+        replay.replay(
+            Trace(
+                requests=[
+                    TraceRequest(f"r{i}", float(i), model, Workload(batch_size=1, seq_len=16))
+                    for i, model in enumerate(["tiny-mlp", "tiny-cnn", "no-such-model"])
+                ]
+            )
+        )
+        registries.append(replay.metrics)
+
+        emitted = {}
+        for registry in registries:
+            snapshot = registry.to_dict()
+            for kind in ("counters", "gauges", "histograms"):
+                for name in snapshot[kind]:
+                    emitted[name] = kind[:-1]
+        return emitted
+
+    def test_table_lists_exactly_the_emitted_names(self, tmp_path):
+        rows = _owner_table()
+        patterns = {
+            row: re.compile(re.sub(r"<\w+>", "[a-z_]+", re.escape(row)) + "$")
+            for row in rows
+            if "<" in row
+        }
+        emitted = self._emitted(tmp_path)
+        matched = {}
+        for name, kind in emitted.items():
+            row = name if name in rows else next(
+                (row for row, pattern in patterns.items() if pattern.match(name)), None
+            )
+            assert row is not None, f"{name} is emitted but not in the table"
+            assert rows[row][0] == kind, name
+            matched[row] = name
+        assert set(matched) == set(rows), set(rows) - set(matched)
+        # The /metrics column is the registry name with dots as underscores.
+        for row, (_, exposition) in rows.items():
+            assert exposition in ("—", row.replace(".", "_")), row
 
 
 class TestSessionExports:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import CMSwitchCompiler, CompilerOptions
+from repro.obs import Observability
 from repro.pipeline import (
     Codegen,
     FixedModeFallback,
@@ -95,18 +96,15 @@ class TestPipelineExecution:
         ctx = _ctx(
             tiny_mlp_graph, small_chip, allow_memory_mode=False, generate_code=False
         )
+        ctx.obs = Observability.create()
         _with_oracle().run(ctx)
-        skipped = {e.pass_name for e in ctx.trace if e.kind == "skip"}
-        assert skipped == {"fixed_fallback", "codegen"}
-        assert "fixed_fallback" not in ctx.pass_seconds
-
-    def test_hooks_see_start_end_and_context(self, small_chip, tiny_mlp_graph):
-        events = []
-        pipeline = build_pipeline(hooks=[lambda e, ctx: events.append((e.pass_name, e.kind))])
-        ctx = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
-        pipeline.run(ctx)
-        assert ("flatten", "start") in events and ("flatten", "end") in events
-        assert events.index(("flatten", "end")) < events.index(("segment", "start"))
+        instants = {s.name for s in ctx.obs.tracer.spans() if s.instant}
+        assert instants == {"fixed_fallback:skip", "codegen:skip"}
+        # The pass log lists exactly the passes that ran, in order.
+        assert list(ctx.pass_seconds) == [
+            n for n in _with_oracle().names if n not in ("fixed_fallback", "codegen")
+        ]
+        assert finalize(ctx).metadata["passes"] == list(ctx.pass_seconds)
 
     def test_custom_pass_can_observe_and_annotate(self, small_chip, tiny_mlp_graph):
         class CountUnits(Pass):
@@ -161,14 +159,21 @@ class TestPipelineExecution:
         )
 
     def test_compiler_accepts_custom_pipeline(self, small_chip, tiny_mlp_graph):
-        events = []
-        pipeline = build_pipeline(hooks=[lambda e, ctx: events.append(e.kind)])
+        seen = []
+
+        class Observe(Pass):
+            name = "observe"
+
+            def run(self, ctx):
+                seen.append(len(ctx.result.segments))
+
+        pipeline = build_pipeline().insert_after("allocate", Observe())
         compiler = CMSwitchCompiler(
             small_chip, CompilerOptions(generate_code=False), pipeline=pipeline
         )
         program = compiler.compile(tiny_mlp_graph)
-        assert program.num_segments >= 1
-        assert "end" in events
+        assert seen == [program.num_segments] and program.num_segments >= 1
+        assert "observe" in program.metadata["passes"]
 
 
 class TestFixedModeFallbackGating:

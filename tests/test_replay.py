@@ -35,7 +35,7 @@ from repro.core.clock import ManualClock
 from repro.core.compiler import CMSwitchCompiler, CompilerOptions
 from repro.models.registry import build_model
 from repro.models.workload import Workload
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.sim.metrics import compute_metrics, percentile
 from repro.sim.replay import ReplaySimulator, ScheduledRequest, replay_schedule
 from repro.sim.timing import TimingSimulator
@@ -381,6 +381,31 @@ class TestPercentile:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101.0)
+
+    def test_registry_histogram_reports_the_replay_percentiles(self):
+        """One definition: what ``--profile`` shows for ``replay.latency_ms``
+        is the report's ``latency_p50_ms`` / ``latency_p99_ms``, bit for bit
+        (an index-rounding histogram differed on 6 of these 18 replays)."""
+        histogram = MetricsRegistry().histogram("h")
+        for value in (1.0, 2.0, 3.0, 4.0):
+            histogram.observe(value)
+        assert histogram.percentile(50) == percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
+        session = Session(hardware="small-test-chip")
+        for seed in range(6):
+            for requests in (10, 20, 40):
+                trace = poisson_trace(
+                    ["tiny-mlp", "tiny-cnn"], num_requests=requests,
+                    rate_rps=20000, seed=seed,
+                )
+                obs = Observability.create()
+                report = ReplaySimulator(
+                    "small-test-chip", service=session.service, obs=obs
+                ).run(trace).metrics
+                latency = obs.metrics.histogram("replay.latency_ms")
+                assert latency.count == report.served == requests
+                assert (latency.percentile(50), latency.percentile(99)) == (
+                    report.latency_p50_ms, report.latency_p99_ms
+                ), (seed, requests)
 
 
 # ---------------------------------------------------------------------- #

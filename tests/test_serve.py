@@ -15,6 +15,7 @@ import json
 import socket
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -196,6 +197,15 @@ class TestSingleFlight:
         gate = threading.Event()
         barrier = threading.Barrier(4)
         outcomes = []
+        joined = []
+        begin = flights.begin
+
+        def counted_begin(key):
+            flight, leader = begin(key)
+            joined.append(leader)
+            return flight, leader
+
+        flights.begin = counted_begin
 
         def work():
             calls.append(1)
@@ -214,7 +224,7 @@ class TestSingleFlight:
         import time
 
         deadline = time.monotonic() + 10
-        while flights.coalesced < 3 and time.monotonic() < deadline:
+        while len(joined) < 4 and time.monotonic() < deadline:
             time.sleep(0.001)
         gate.set()
         for thread in threads:
@@ -222,7 +232,7 @@ class TestSingleFlight:
         assert len(calls) == 1
         assert [value for value, _ in outcomes] == ["result"] * 4
         assert sorted(coalesced for _, coalesced in outcomes) == [False, True, True, True]
-        assert flights.started == 1 and flights.coalesced == 3
+        assert sorted(joined) == [False, False, False, True]  # one leader
         assert len(flights) == 0
 
     def test_leader_failure_propagates_and_is_not_replayed(self):
@@ -346,7 +356,7 @@ class TestCompileDaemon:
         text = client.metrics_text()
         assert "serve_compiles_executed" in text
         assert "serve_flights_started" in text
-        assert "cache_disk_" in text and "cache_remote_" not in text
+        assert "store_hits" in text and "cache_remote_" not in text
         client.close()
 
     def test_draining_daemon_refuses_new_work(self, tmp_path):
@@ -360,6 +370,111 @@ class TestCompileDaemon:
         assert excinfo.value.code == "draining"
         client.close()
         daemon.shutdown()
+
+
+# ---------------------------------------------------------------------- #
+# /metrics: the daemon's registry, one line per fact
+# ---------------------------------------------------------------------- #
+def _exposition(text: str) -> dict:
+    """``/metrics`` as name → value, asserting no name repeats."""
+    names = [line.split(" ", 1)[0] for line in text.splitlines()]
+    assert len(names) == len(set(names)), sorted(n for n in names if names.count(n) > 1)
+    return dict(line.split(" ", 1) for line in text.splitlines())
+
+
+class TestMetricsExposition:
+    def test_fresh_daemon_prints_the_serve_counters_at_zero(self):
+        """What the benchmark's serve_warm and scripts/check_serve.py parse
+        exists before the first request (a missing line is a KeyError)."""
+        daemon = CompileDaemon(workers=1)
+        try:
+            lines = _exposition(daemon.render_metrics())
+        finally:
+            daemon.shutdown()
+        for name in ("requests", "compiles_executed", "coalesced_hits",
+                     "solves_executed", "result_hits"):
+            assert lines[f"serve_{name}"] == "0", name
+
+    def test_result_table_size_is_a_level(self):
+        daemon = CompileDaemon(workers=1)
+        daemon.results.max_entries = 1
+        daemon.start_background()
+        try:
+            with Client(daemon.url, retries=1) as client:
+                client.compile("tiny-mlp", hardware="small-test-chip")
+                client.compile("tiny-cnn", hardware="small-test-chip")
+                lines = _exposition(client.metrics_text())
+        finally:
+            daemon.shutdown()
+        first, second = (
+            daemon.results.get(
+                request_fingerprint(
+                    CompileJob(model, hardware="small-test-chip"),
+                    default_options=daemon.default_options,
+                )
+            )
+            for model in ("tiny-mlp", "tiny-cnn")
+        )
+        assert first is None and second is not None
+        assert lines["serve_result_entries"] == "1"
+        assert lines["serve_result_bytes"] == str(len(second))
+        assert lines["serve_result_evictions"] == "1"
+        gauges = daemon.obs.metrics.to_dict()["gauges"]
+        assert set(gauges) == {"serve.result_entries", "serve.result_bytes"}
+
+    def test_each_fact_is_printed_once(self, daemon, monkeypatch):
+        """A compile, a repeat and a 3-way coalesced burst over a cache_dir:
+        every line is a registry counter or gauge (or one of two levels),
+        printed once, and ``/v1/cache/stats`` shows the same values."""
+        real_compile = daemon.service.compile
+        gate = threading.Event()
+
+        def held(job):
+            if job.model == "tiny-cnn":
+                gate.wait(30)
+            return real_compile(job)
+
+        monkeypatch.setattr(daemon.service, "compile", held)
+        with Client(daemon.url, retries=1) as client:
+            client.compile("tiny-mlp", hardware="small-test-chip")
+            assert client.compile("tiny-mlp", hardware="small-test-chip").cached
+            burst = []
+
+            def fire():
+                with Client(daemon.url, retries=1) as own:
+                    burst.append(own.compile("tiny-cnn", hardware="small-test-chip"))
+
+            threads = [threading.Thread(target=fire) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 30
+            while daemon.counters()["coalesced_hits"] < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            gate.set()
+            for thread in threads:
+                _join(thread)
+            assert sorted(result.coalesced for result in burst) == [False, True, True]
+            lines = _exposition(client.metrics_text())
+            stats = client.cache_stats()
+
+        registry = daemon.obs.metrics.to_dict()
+        values = {**registry["counters"], **registry["gauges"]}
+        assert set(lines) == {name.replace(".", "_") for name in values} | {
+            "serve_queue_depth", "obs_spans_dropped",
+        }
+        assert [name for name in lines if name.startswith("obs_")] == ["obs_spans_dropped"]
+        for name, value in values.items():
+            assert lines[name.replace(".", "_")] == str(value), name
+        assert values["serve.coalesced_hits"] == 2 and values["serve.compiles_executed"] == 2
+
+        def owned(prefix):
+            return {n[len(prefix):]: v for n, v in values.items() if n.startswith(prefix)}
+
+        assert stats["serve"] == owned("serve.")
+        assert stats["coalescing"] == {"in_flight": 0}
+        assert stats["cache"].pop("hit_rate") == daemon.service.cache.stats.hit_rate
+        assert stats["cache"] == owned("cache.")
+        assert stats["disk"] == owned("store.")
 
 
 # ---------------------------------------------------------------------- #
@@ -457,7 +572,7 @@ class TestResultTable:
         assert counters["result_hits"] == 1
         for name in ("compiles_executed", "solves_executed", "result_entries", "result_bytes"):
             assert counters[name] == executed[name], name
-        assert daemon.flights.started == 1
+        assert counters["flights_started"] == 1
         text = client.metrics_text()
         assert "serve_result_hits 1\n" in text and "serve_result_entries 1\n" in text
         assert client.cache_stats()["serve"]["result_hits"] == 1
@@ -679,7 +794,7 @@ class TestServerLifecycle:
             assert daemon.obs.tracer.spans_dropped > 0
             assert f"obs_spans_dropped {daemon.obs.tracer.spans_dropped}\n" in text
             # The service's program-table counters come through the registry.
-            assert f"obs_programs_misses {compiles}\n" in text
+            assert f"programs_misses {compiles}\n" in text
         finally:
             daemon.shutdown()
 
