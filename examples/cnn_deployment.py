@@ -17,8 +17,9 @@ Run with ``python examples/cnn_deployment.py``.
 """
 
 from repro.analysis import layerwise_intensity
-from repro.experiments import encode_workload, make_compiler
-from repro.hardware import dynaplasia
+from repro.api import Session
+from repro.core import CompilerOptions
+from repro.experiments import encode_workload
 from repro.models import build_model
 
 MODELS = ("resnet18", "vgg16")
@@ -26,7 +27,7 @@ COMPILERS = ("puma", "occ", "cim-mlc", "cmswitch")
 
 
 def main() -> None:
-    hardware = dynaplasia()
+    session = Session("dynaplasia", options=CompilerOptions(generate_code=False))
     for model in MODELS:
         workload = encode_workload(model, batch_size=1, seq_len=64)
         graph = build_model(model, workload)
@@ -41,10 +42,7 @@ def main() -> None:
             print(f"  median {median.operator:28s} {median.intensity:8.1f}")
             print(f"  last   {convs[-1].operator:28s} {convs[-1].intensity:8.1f}")
 
-        results = {}
-        for name in COMPILERS:
-            program = make_compiler(name, hardware).compile(graph)
-            results[name] = program
+        results = {name: session.compile(graph, compiler=name) for name in COMPILERS}
         baseline = results["cim-mlc"].end_to_end_cycles
         print("end-to-end latency (normalised to CIM-MLC):")
         for name in COMPILERS:

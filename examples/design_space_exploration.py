@@ -13,22 +13,23 @@ first-class DSE engine (:mod:`repro.dse`) instead of hand-rolled loops:
   (the §5.5 scalability study),
 * explores a (array count x mode split) design space for ResNet-18 with
   the grid strategy and prints the latency/energy/arrays Pareto
-  frontier — every design point shares the two-tier allocation cache,
-  so the fixed-mode points reuse dual-mode solves and re-running the
-  exploration is nearly free.
+  frontier — every design point and every CIM-MLC comparison compiles
+  through one :class:`~repro.api.Session`, so the fixed-mode points
+  reuse dual-mode solves.
 
 Run with ``python examples/design_space_exploration.py``.  Pass a
-directory as the first argument to persist the allocation cache there:
-re-running the script (or widening the sweep, or fanning it out across
-processes) then reuses every solve the previous run already did, and the
-DSE planner schedules the warm points first.
+directory as the first argument to give the session a program store
+there: re-running the script (or widening the sweep, or fanning it out
+across processes) then reads back every program the previous run
+already compiled.
 """
 
 import sys
 
 from repro.analysis import mode_ratio_sweep
-from repro.baselines import CIMMLCCompiler
-from repro.dse import DesignSpace, DSERunner
+from repro.api import Session
+from repro.core import CompilerOptions
+from repro.dse import DesignSpace
 from repro.experiments import prime_scalability
 from repro.hardware import dynaplasia
 from repro.models import Phase, Workload, build_model
@@ -45,41 +46,44 @@ def motivation_sweep() -> None:
     print()
 
 
-def prime_comparison() -> None:
+def prime_comparison(session: Session) -> None:
     """CMSwitch on a PRIME-like ReRAM target (§5.5)."""
     print("PRIME-like ReRAM target (speedup of CMSwitch over CIM-MLC):")
-    for row in prime_scalability():
+    for row in prime_scalability(session=session):
         print(f"  {row['model']:12s} {row['speedup_vs_cim-mlc']:.2f}x "
               f"(memory-array ratio {row['memory_array_ratio'] * 100:.1f}%)")
     print()
 
 
-def array_count_exploration(cache_dir=None) -> None:
+def array_count_exploration(session: Session) -> None:
     """Explore (array count x mode split) for ResNet-18 with repro.dse.
 
-    The whole space runs through one :class:`DSERunner`: the planner
-    collapses structurally identical candidates, and the fixed-mode
-    points reuse the dual-mode points' memory-free solves through the
-    shared allocation cache.  With a ``cache_dir`` every compiled point
-    is stored, so a second invocation reads the programs back instead
-    of compiling them.
+    The whole space runs through the session: the planner collapses
+    structurally identical candidates, and the fixed-mode points reuse
+    the dual-mode points' memory-free solves through the session's
+    allocation cache.  With a ``cache_dir`` every compiled point is
+    stored, so a second invocation reads the programs back instead of
+    compiling them.
     """
     graph = build_model("resnet18", Workload(batch_size=1))
     space = DesignSpace(
         models=[graph],
-        base_hardware=dynaplasia(),
+        base_hardware=session.hardware,
         hardware_axes={"num_arrays": [32, 64, 96, 128, 192]},
         option_axes={"allow_memory_mode": [True, False]},
     )
-    runner = DSERunner(space, strategy="grid", objective="latency", cache_dir=cache_dir)
-    result = runner.run()
+    result = session.explore(space, strategy="grid", objective="latency")
 
     print("ResNet-18 design space (DynaPlasia-like base, CMSwitch vs CIM-MLC):")
     for record in result.records:
         if not record.allow_memory_mode or not record.feasible:
             continue
-        hardware = dynaplasia(num_arrays=record.num_arrays)
-        mlc = CIMMLCCompiler(hardware).compile(graph)
+        mlc = session.compile(
+            graph,
+            options=CompilerOptions(generate_code=False),
+            hardware=dynaplasia(num_arrays=record.num_arrays),
+            compiler="cim-mlc",
+        )
         print(f"  {record.num_arrays:4d} arrays: CMSwitch {record.latency_ms:7.3f} ms, "
               f"CIM-MLC {mlc.end_to_end_ms:7.3f} ms "
               f"({mlc.end_to_end_cycles / record.cycles:.2f}x, "
@@ -92,9 +96,10 @@ def array_count_exploration(cache_dir=None) -> None:
 
 def main() -> None:
     cache_dir = sys.argv[1] if len(sys.argv) > 1 else None
+    session = Session("dynaplasia", cache_dir=cache_dir)
     motivation_sweep()
-    prime_comparison()
-    array_count_exploration(cache_dir)
+    prime_comparison(session)
+    array_count_exploration(session)
 
 
 if __name__ == "__main__":

@@ -16,11 +16,10 @@ the KV cache.  This example
 Run with ``python examples/llm_inference.py``.
 """
 
-from repro.baselines import CIMMLCCompiler
-from repro.core import CMSwitchCompiler, CompilerOptions
+from repro.api import Session
+from repro.core import CompilerOptions
 from repro.experiments import generative_cycles
-from repro.hardware import dynaplasia
-from repro.models import Phase, Workload, build_model
+from repro.models import Phase, Workload
 
 MODEL = "llama2-7b"
 PROMPT_TOKENS = 128
@@ -28,11 +27,10 @@ GENERATED_TOKENS = 64
 BATCH_SIZE = 1
 
 
-def compile_phase(hardware, workload, label: str) -> None:
+def compile_phase(session, workload, label: str) -> None:
     """Compile one phase with CMSwitch and CIM-MLC and print the comparison."""
-    graph = build_model(MODEL, workload)
-    cmswitch = CMSwitchCompiler(hardware, CompilerOptions(generate_code=False)).compile(graph)
-    cim_mlc = CIMMLCCompiler(hardware).compile(graph)
+    cmswitch = session.compile(MODEL, workload)
+    cim_mlc = session.compile(MODEL, workload, compiler="cim-mlc")
     speedup = cim_mlc.end_to_end_cycles / cmswitch.end_to_end_cycles
     print(f"--- {label} ---")
     print(f"  CMSwitch : {cmswitch.end_to_end_ms:8.3f} ms "
@@ -50,7 +48,9 @@ def compile_phase(hardware, workload, label: str) -> None:
 
 
 def main() -> None:
-    hardware = dynaplasia()
+    # One session for every compile below, CMSwitch's and CIM-MLC's alike.
+    session = Session("dynaplasia", options=CompilerOptions(generate_code=False))
+    hardware = session.hardware
     print(f"target chip: {hardware.name} "
           f"({hardware.num_arrays} arrays of {hardware.array_rows}x{hardware.array_cols})")
     print()
@@ -62,15 +62,15 @@ def main() -> None:
         output_len=GENERATED_TOKENS,
         phase=Phase.DECODE,
     )
-    compile_phase(hardware, prefill, f"prefill ({PROMPT_TOKENS} tokens)")
-    compile_phase(hardware, decode, "decode (one token against the KV cache)")
+    compile_phase(session, prefill, f"prefill ({PROMPT_TOKENS} tokens)")
+    compile_phase(session, decode, "decode (one token against the KV cache)")
 
     # Full generation: prefill once, then one decode step per new token.
     workload = Workload(
         batch_size=BATCH_SIZE, seq_len=PROMPT_TOKENS, output_len=GENERATED_TOKENS
     )
-    cms = generative_cycles(MODEL, workload, hardware, "cmswitch")
-    mlc = generative_cycles(MODEL, workload, hardware, "cim-mlc")
+    cms = generative_cycles(MODEL, workload, hardware, "cmswitch", session)
+    mlc = generative_cycles(MODEL, workload, hardware, "cim-mlc", session)
     print("--- full generation "
           f"({PROMPT_TOKENS} prompt + {GENERATED_TOKENS} generated tokens) ---")
     print(f"  CMSwitch : {hardware.cycles_to_ms(cms['cycles']):8.1f} ms")

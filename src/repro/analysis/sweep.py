@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cache import AllocationCache
 from ..core.compiler import CompilerOptions
 from ..cost.arithmetic import OperatorProfile, profile_graph
 from ..cost.latency import OperatorAllocation, operator_latency_cycles  # noqa: F401  (re-exported for users)
@@ -187,28 +186,25 @@ def compiled_array_sweep(
     graph: Graph,
     base_hardware: DualModeHardwareAbstraction,
     array_counts: Sequence[int],
-    cache: Optional[AllocationCache] = None,
     options: Optional[CompilerOptions] = None,
-    cache_dir: Optional[str] = None,
+    session=None,
 ) -> List[Dict]:
     """Compile ``graph`` for a family of array counts (DSE with a cache).
 
     This is the legacy array-count sweep, now a thin façade over
     :mod:`repro.dse`: the array counts become a one-axis
-    :class:`~repro.dse.space.DesignSpace`, a grid-strategy
-    :class:`~repro.dse.runner.DSERunner` evaluates it (structural
-    duplicates collapse to one compile), and the records are rendered
-    back into the historical row format.  With a ``cache_dir`` a
-    restarted sweep reads back every design point an earlier run
-    already compiled.  For new code prefer
-    :func:`repro.dse.run_dse`, which adds strategies, resumable run
-    directories and Pareto reporting on top.
+    :class:`~repro.dse.space.DesignSpace`, the ``session`` explores it
+    with the grid strategy (:meth:`repro.api.Session.explore`;
+    structural duplicates collapse to one compile), and the records are
+    rendered back into the historical row format.  A session with a
+    ``cache_dir`` lets a restarted sweep read back every design point an
+    earlier run already compiled.  For new code prefer
+    :meth:`repro.api.Session.explore` directly, which adds strategies,
+    resumable run directories and Pareto reporting on top.
 
     Args:
-        cache: Shared in-memory allocation cache (a fresh one is
-            created when omitted).
-        cache_dir: Directory of a persistent program store
-            (:class:`~repro.core.store.DiskCacheStore`).
+        session: The :class:`~repro.api.Session` to compile through (a
+            fresh in-memory one when omitted).
 
     Returns:
         One row per array count (input order) with ``num_arrays``,
@@ -218,8 +214,8 @@ def compiled_array_sweep(
         is reported as an infeasible row (``cycles == inf``) rather than
         aborting the sweep.
     """
-    from ..dse import DesignSpace, DSERunner
-    from ..service import CompileService
+    from ..api import Session
+    from ..dse import DesignSpace
 
     space = DesignSpace(
         models=[graph],
@@ -227,13 +223,8 @@ def compiled_array_sweep(
         hardware_axes={"num_arrays": [int(count) for count in array_counts]},
         base_options=options or CompilerOptions(generate_code=False),
     )
-    runner = DSERunner(
-        space,
-        strategy="grid",
-        objective="latency",
-        service=CompileService(cache=cache, cache_dir=cache_dir),
-    )
-    result = runner.run()
+    session = Session(base_hardware) if session is None else session
+    result = session.explore(space, strategy="grid", objective="latency")
     by_coords = {record.coords: record for record in result.records}
     rows: List[Dict] = []
     for coords in space.coordinates():

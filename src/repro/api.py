@@ -164,6 +164,7 @@ class Session:
         workload: Optional[Workload] = None,
         options: Optional[CompilerOptions] = None,
         hardware: Optional[Union[str, DualModeHardwareAbstraction]] = None,
+        compiler: str = "cmswitch",
     ) -> CompiledProgram:
         """Compile one model (or pre-built graph) through the pipeline.
 
@@ -180,9 +181,12 @@ class Session:
                 defaults to ``Workload()``).
             options: Per-call override of the session's default options.
             hardware: Per-call override of the session's hardware.
+            compiler: Registered compiler name — ``"cmswitch"`` or a
+                baseline (``"cim-mlc"``, ``"puma"``, ``"occ"``); baselines
+                share the session's program table and store.
 
         Raises:
-            KeyError: Unknown model name.
+            KeyError: Unknown model or compiler name.
             NoFeasiblePlanError: No feasible plan exists for the graph.
         """
         graph = (
@@ -193,7 +197,9 @@ class Session:
         target = self.hardware if hardware is None else (
             get_preset(hardware) if isinstance(hardware, str) else hardware
         )
-        return self.service.compile_graph(graph, target, options or self.options)
+        return self.service.compile_graph(
+            graph, target, options or self.options, compiler
+        )
 
     # ------------------------------------------------------------------ #
     # batches

@@ -28,14 +28,22 @@ from typing import Dict, List, Optional, Sequence
 
 from ..cost.arithmetic import OperatorProfile
 from ..cost.latency import OperatorAllocation, segment_latency_cycles
+from ..core.compiler import CompilerOptions
 from ..core.program import CompiledProgram
 from ..core.segmentation import FlattenedUnit
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
+from ..obs import NULL_OBS
 
 
 class BaselineCompiler:
-    """Base class for fixed-mode (all-compute) baseline compilers."""
+    """Base class for fixed-mode (all-compute) baseline compilers.
+
+    Built like every registered compiler, ``(hardware, options, cache=,
+    obs=)``.  Of ``options`` only ``generate_code`` is honoured: the
+    strategy pins pipelining, refinement (duplication) and compute-only
+    mode.  ``cache`` is accepted and unused (a baseline solves no window).
+    """
 
     name = "baseline"
     #: Whether operators within a segment execute as a pipeline.
@@ -46,10 +54,18 @@ class BaselineCompiler:
     def __init__(
         self,
         hardware: DualModeHardwareAbstraction,
-        generate_code: bool = False,
+        options: Optional[CompilerOptions] = None,
+        cache=None,
+        obs=None,
     ) -> None:
         self.hardware = hardware
-        self.generate_code = generate_code
+        self.options = CompilerOptions(
+            pipelined=self.pipelined,
+            refine=self.duplication,
+            allow_memory_mode=False,
+            generate_code=(options or CompilerOptions()).generate_code,
+        )
+        self.obs = NULL_OBS if obs is None else obs
 
     # ------------------------------------------------------------------ #
     # strategy hooks
@@ -116,20 +132,14 @@ class BaselineCompiler:
         emitted plans are bit-identical to the pre-pipeline fused loop
         (asserted by the baseline parity tests).
         """
-        from ..core.compiler import CompilerOptions
         from ..pipeline import PipelineContext
 
         start = time.perf_counter()
-        options = CompilerOptions(
-            pipelined=self.pipelined,
-            refine=self.duplication,
-            allow_memory_mode=False,
-            generate_code=self.generate_code,
-        )
         ctx = PipelineContext(
             graph=graph,
             hardware=self.hardware,
-            options=options,
+            options=self.options,
+            obs=self.obs,
             compiler_name=self.name,
             started=start,
         )

@@ -7,23 +7,28 @@ optimisations, so this baseline is literally a *configuration* of the
 CMSwitch pass pipeline (:mod:`repro.pipeline`) — the same ``Flatten``,
 ``PartitionOversized``, ``Segment``, ``Allocate``, ``Refine`` and
 ``Codegen`` passes — with a single difference: every array is pinned to
-compute mode (``allow_memory_mode=False``).  Any performance difference between the two is therefore attributable to the
-dual-mode dimension of the optimisation space, which is exactly the
-comparison the paper makes.
+compute mode (``allow_memory_mode=False``).  Any performance difference
+between the two is therefore attributable to the dual-mode dimension of
+the optimisation space, which is exactly the comparison the paper makes.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
+from ..core.cache import AllocationCache
 from ..core.compiler import CMSwitchCompiler, CompilerOptions
-from ..core.program import CompiledProgram
 from ..hardware.deha import DualModeHardwareAbstraction
-from ..ir.graph import Graph
 
 
-class CIMMLCCompiler:
-    """DP segmentation + pipelining + duplication with fixed compute mode."""
+class CIMMLCCompiler(CMSwitchCompiler):
+    """DP segmentation + pipelining + duplication with fixed compute mode.
+
+    ``options`` are the caller's with ``pipelined=True`` and
+    ``allow_memory_mode=False`` pinned; every other field (the DP window,
+    the engine, refinement, code generation) is honoured.
+    """
 
     name = "cim-mlc"
 
@@ -31,23 +36,10 @@ class CIMMLCCompiler:
         self,
         hardware: DualModeHardwareAbstraction,
         options: Optional[CompilerOptions] = None,
-        generate_code: bool = False,
+        cache: Optional[AllocationCache] = None,
+        obs=None,
     ) -> None:
-        base = options or CompilerOptions()
-        self.options = CompilerOptions(
-            max_segment_operators=base.max_segment_operators,
-            pipelined=True,
-            include_switch_cost=base.include_switch_cost,
-            use_milp=base.use_milp,
-            refine=base.refine,
-            allow_memory_mode=False,
-            generate_code=generate_code,
+        pinned = replace(
+            options or CompilerOptions(), pipelined=True, allow_memory_mode=False
         )
-        self.hardware = hardware
-        self._inner = CMSwitchCompiler(hardware, self.options)
-
-    def compile(self, graph: Graph) -> CompiledProgram:
-        """Compile ``graph`` with the fixed-mode CIM-MLC strategy."""
-        program = self._inner.compile(graph)
-        program.compiler_name = self.name
-        return program
+        super().__init__(hardware, pinned, cache=cache, obs=obs)

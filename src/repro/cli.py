@@ -59,10 +59,9 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .api import Session
-from .baselines import CIMMLCCompiler, OCCCompiler, PUMACompiler
 from .core.compiler import CompilerOptions
 from .hardware.presets import PRESETS, get_preset
-from .models.registry import is_transformer, list_models
+from .models.registry import build_model, is_transformer, list_models
 from .models.workload import Phase, Workload
 
 LOGGER = logging.getLogger("repro")
@@ -345,16 +344,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     session = Session(
         hardware=args.hardware, options=CompilerOptions(generate_code=False)
     )
-    hardware = session.hardware
-    workload = _workload_from_args(args)
-    compilers = {
-        "puma": PUMACompiler(hardware),
-        "occ": OCCCompiler(hardware),
-        "cim-mlc": CIMMLCCompiler(hardware),
+    graph = build_model(args.model, _workload_from_args(args))
+    results = {
+        name: session.compile(graph, compiler=name)
+        for name in ("puma", "occ", "cim-mlc", "cmswitch")
     }
-    graph = session.job(args.model, workload=workload).resolve_graph()
-    results = {name: compiler.compile(graph) for name, compiler in compilers.items()}
-    results["cmswitch"] = session.compile(graph)
     baseline = results["cim-mlc"].end_to_end_cycles
     print(f"{'compiler':10s} {'latency (ms)':>14s} {'vs CIM-MLC':>12s} {'memory arrays':>14s}")
     for name, program in results.items():
@@ -377,12 +371,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         allocation_report,
         render_report as render_allocation,
     )
-    from .hardware.presets import dynaplasia
 
-    hardware = get_preset(args.hardware)
+    # One session per invocation: every compile of the figure goes
+    # through it (Fig. 18 times real compiles on a session of its own).
+    session = Session(hardware=args.hardware)
+    hardware = session.hardware
     if args.figure == "fig14":
         rows = end_to_end.run_end_to_end(
-            hardware=hardware, batch_sizes=tuple(args.batch_sizes)
+            hardware=hardware, batch_sizes=tuple(args.batch_sizes), session=session
         )
         print(end_to_end.render_report(rows))
     elif args.figure == "fig16":
@@ -390,16 +386,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             hardware=hardware,
             batch_sizes=tuple(args.batch_sizes),
             sequence_lengths=tuple(args.sequence_lengths),
+            session=session,
         )
         print(workload_scale.render_report(rows))
     elif args.figure == "fig17":
         rows = generative.run_generative(
-            hardware=hardware, lengths=tuple(args.sequence_lengths)
+            hardware=hardware, lengths=tuple(args.sequence_lengths), session=session
         )
         print(generative.render_report(rows))
     elif args.figure == "fig15":
         for model in ("vgg16", "opt-6.7b"):
-            rows = allocation_report(model, hardware=hardware)
+            rows = allocation_report(model, hardware=hardware, session=session)
             print(render_allocation(model, rows))
             print()
     elif args.figure == "fig18":
@@ -412,16 +409,19 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             presets=tuple(args.presets),
             num_requests=args.requests,
             seed=args.seed,
+            session=session,
         )
         print(serving.render_report(rows))
     elif args.figure == "sec5.5":
         print(
             overheads.render_switch_report(
-                overheads.switch_overhead(hardware=hardware)
+                overheads.switch_overhead(hardware=hardware, session=session)
             )
         )
         print()
-        print(overheads.render_prime_report(overheads.prime_scalability()))
+        print(
+            overheads.render_prime_report(overheads.prime_scalability(session=session))
+        )
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown figure {args.figure!r}")
     return 0

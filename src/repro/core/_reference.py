@@ -327,7 +327,7 @@ def reference_baseline_compile(baseline, graph: Graph) -> CompiledProgram:
         )
         previous_resources = resources
     meta_program = None
-    if baseline.generate_code and segments:
+    if baseline.options.generate_code and segments:
         meta_program = generate_program(graph.name, segments, hardware)
     elapsed = time.perf_counter() - start
     return CompiledProgram(

@@ -24,7 +24,6 @@ from .common import (
     encode_workload,
     generative_cycles,
     geometric_mean,
-    make_compiler,
     run_model,
     speedup,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "generative_cycles",
     "geometric_mean",
     "intensity_comparison",
-    "make_compiler",
     "measure_compile_time",
     "memory_ratio_trend",
     "mode_ratio_curves",

@@ -13,38 +13,32 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.compiler import CMSwitchCompiler, CompilerOptions
+from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
-from ..models.registry import build_model
-from ..core.cache import AllocationCache
-from ..models.workload import Phase, Workload
-from .common import format_table
+from ..models.workload import Workload
+from .common import encode_workload, format_table, run_model
 
 
 def allocation_report(
     model: str,
     hardware: Optional[DualModeHardwareAbstraction] = None,
     workload: Optional[Workload] = None,
-    cache: Optional["AllocationCache"] = None,
+    session: Optional[Session] = None,
 ) -> List[Dict]:
-    """Compile ``model`` and report the per-segment array allocation.
+    """Compile ``model`` through ``session`` and report the per-segment split.
 
-    Args:
-        cache: Optional shared allocation cache for the compile.
+    The default workload is the Fig. 14 one at batch 1, sequence 64
+    (:func:`~repro.experiments.common.encode_workload`), so the report
+    shows the very program Fig. 14 scores.
 
     Returns one row per segment: the operators it contains, the number of
     compute and memory arrays and the memory share (the pie charts of
     Fig. 15).
     """
     hardware = hardware or dynaplasia()
-    if workload is None:
-        phase = Phase.ENCODE if any(k in model for k in ("bert", "opt", "llama", "gpt")) else Phase.PREFILL
-        workload = Workload(batch_size=1, seq_len=64, phase=phase)
-    graph = build_model(model, workload)
-    program = CMSwitchCompiler(
-        hardware, CompilerOptions(generate_code=False), cache=cache
-    ).compile(graph)
+    workload = encode_workload(model, 1, 64) if workload is None else workload
+    program = run_model(model, workload, hardware, "cmswitch", session)
     rows: List[Dict] = []
     for segment in program.segments:
         total = segment.compute_arrays + segment.memory_arrays

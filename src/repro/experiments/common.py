@@ -2,20 +2,25 @@
 
 Every evaluation artefact of the paper (Figs. 14–18, the §5.5 analyses)
 is regenerated by a function in :mod:`repro.experiments`.  This module
-holds what they share: the benchmark model lists, compiler construction,
-workload-to-phase mapping, end-to-end latency integration for generative
-models (prefill + decode steps) and small table-formatting helpers.
+holds what they share: the benchmark model lists, the one compile call
+(:func:`run_model`), workload-to-phase mapping, end-to-end latency
+integration for generative models (prefill + decode steps) and small
+table-formatting helpers.
+
+Every runner compiles through one :class:`~repro.api.Session`
+(``session=``, a fresh one by default) — the path the CLI, the daemon,
+DSE and replay take — so the runners of one session share its program
+table: a (model, workload, chip, compiler) one figure compiled is a
+lookup for the next.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..baselines import CIMMLCCompiler, OCCCompiler, PUMACompiler
-from ..core.cache import AllocationCache
-from ..core.compiler import CMSwitchCompiler, CompilerOptions
+from ..api import Session
+from ..core.compiler import CompilerOptions
 from ..core.program import CompiledProgram
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..models.registry import build_model, is_transformer
@@ -33,27 +38,8 @@ FIG17_MODELS: Sequence[str] = ("llama2-7b", "opt-13b")
 #: Compiler names in the order the paper plots them.
 COMPILER_NAMES: Sequence[str] = ("puma", "occ", "cim-mlc", "cmswitch")
 
-
-def make_compiler(
-    name: str,
-    hardware: DualModeHardwareAbstraction,
-    cache: Optional[AllocationCache] = None,
-):
-    """Instantiate a compiler by its Fig. 14 name.
-
-    Args:
-        cache: Optional shared allocation cache, honoured by CMSwitch only
-            (the baselines do not run the per-segment allocator).
-    """
-    if name == "cmswitch":
-        return CMSwitchCompiler(hardware, CompilerOptions(generate_code=False), cache=cache)
-    if name == "cim-mlc":
-        return CIMMLCCompiler(hardware)
-    if name == "puma":
-        return PUMACompiler(hardware)
-    if name == "occ":
-        return OCCCompiler(hardware)
-    raise KeyError(f"unknown compiler {name!r}")
+#: Options of every figure compile: the paper's defaults, no code generation.
+FIGURE_OPTIONS = CompilerOptions(generate_code=False)
 
 
 def encode_workload(model: str, batch_size: int, seq_len: int) -> Workload:
@@ -66,45 +52,20 @@ def encode_workload(model: str, batch_size: int, seq_len: int) -> Workload:
     return Workload(batch_size=batch_size, seq_len=seq_len, phase=phase)
 
 
-@dataclass
-class ModelRunResult:
-    """Latency of one (model, workload, compiler) combination.
-
-    Attributes:
-        model: Model name.
-        compiler: Compiler name.
-        cycles: End-to-end latency in cycles.
-        memory_array_ratio: Time-weighted share of arrays in memory mode.
-        compile_seconds: Compilation wall-clock time.
-        num_segments: Number of network segments in the plan.
-    """
-
-    model: str
-    compiler: str
-    cycles: float
-    memory_array_ratio: float
-    compile_seconds: float
-    num_segments: int
-
-
 def run_model(
     model: str,
     workload: Workload,
     hardware: DualModeHardwareAbstraction,
     compiler_name: str,
-    cache: Optional[AllocationCache] = None,
-) -> ModelRunResult:
-    """Compile one model with one compiler and summarise the result."""
-    graph = build_model(model, workload)
-    compiler = make_compiler(compiler_name, hardware, cache=cache)
-    program = compiler.compile(graph)
-    return ModelRunResult(
-        model=model,
+    session: Optional[Session] = None,
+) -> CompiledProgram:
+    """Compile one model with one registered compiler through ``session``."""
+    session = Session(hardware) if session is None else session
+    return session.compile(
+        build_model(model, workload),
+        options=FIGURE_OPTIONS,
+        hardware=hardware,
         compiler=compiler_name,
-        cycles=program.end_to_end_cycles,
-        memory_array_ratio=program.mean_memory_array_ratio,
-        compile_seconds=program.compile_seconds,
-        num_segments=program.num_segments,
     )
 
 
@@ -113,7 +74,7 @@ def generative_cycles(
     workload: Workload,
     hardware: DualModeHardwareAbstraction,
     compiler_name: str,
-    cache: Optional[AllocationCache] = None,
+    session: Optional[Session] = None,
 ) -> Dict[str, float]:
     """End-to-end latency of a full generation (prefill + decode steps).
 
@@ -126,27 +87,28 @@ def generative_cycles(
         ``{"cycles", "prefill_cycles", "decode_cycles_per_token",
         "memory_array_ratio"}``.
     """
-    prefill_run = run_model(model, workload.prefill(), hardware, compiler_name, cache=cache)
-    decode_run = run_model(
+    session = Session(hardware) if session is None else session
+    prefill = run_model(model, workload.prefill(), hardware, compiler_name, session)
+    decode = run_model(
         model,
         workload.decode(kv_len=workload.effective_kv_len),
         hardware,
         compiler_name,
-        cache=cache,
+        session,
     )
-    total = prefill_run.cycles + workload.output_len * decode_run.cycles
+    total = prefill.end_to_end_cycles + workload.output_len * decode.end_to_end_cycles
     # Guard the inf/inf -> NaN weight when a phase reports infinite cycles.
     prefill_weight = (
-        prefill_run.cycles / total if total > 0 and math.isfinite(total) else 0.0
+        prefill.end_to_end_cycles / total if total > 0 and math.isfinite(total) else 0.0
     )
     memory_ratio = (
-        prefill_run.memory_array_ratio * prefill_weight
-        + decode_run.memory_array_ratio * (1.0 - prefill_weight)
+        prefill.mean_memory_array_ratio * prefill_weight
+        + decode.mean_memory_array_ratio * (1.0 - prefill_weight)
     )
     return {
         "cycles": total,
-        "prefill_cycles": prefill_run.cycles,
-        "decode_cycles_per_token": decode_run.cycles,
+        "prefill_cycles": prefill.end_to_end_cycles,
+        "decode_cycles_per_token": decode.end_to_end_cycles,
         "memory_array_ratio": memory_ratio,
     }
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..baselines import CIMMLCCompiler
+from ..api import Session
 from ..core.cache import AllocationCache
-from ..core.compiler import CMSwitchCompiler, CompilerOptions
+from ..core.program import CompiledProgram
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
+from ..ir.graph import Graph
 from ..models.registry import build_model
-from .common import FIG14_MODELS, encode_workload, format_table
+from .common import FIG14_MODELS, FIGURE_OPTIONS, encode_workload, format_table
 
 
 def measure_compile_time(
@@ -29,70 +30,49 @@ def measure_compile_time(
     batch_size: int = 1,
     seq_len: int = 64,
     repeats: int = 1,
-    cache: Optional[AllocationCache] = None,
 ) -> List[Dict]:
     """Measure CMSwitch and CIM-MLC compilation time per benchmark.
+
+    Every compile is a real one: the experiment runs on its own
+    ``Session(hardware, use_cache=False)`` — no program table, no window
+    cache — and so takes no ``session``.
 
     Args:
         repeats: Number of compilations averaged per measurement (the
             paper uses 20; benchmarks here default to 1 for speed).
-        cache: Optional shared :class:`AllocationCache` given to every
-            CMSwitch compile.  With a cache, structurally repeated
-            windows and repeated compiles reuse solves, which is exactly
-            the compile-time lever the Fig. 18 discussion asks for; each
-            row then reports the observed hit rate.
 
-    Returns one row per model with both times, their ratio and the
-    CMSwitch allocation-cache hit rate (0 when no cache is used).
+    Returns one row per model with both times, their ratio and the time
+    CMSwitch spent in its DP (the ``segment`` pass).
     """
     hardware = hardware or dynaplasia()
+    session = Session(hardware, use_cache=False)
     rows: List[Dict] = []
     for model in models:
-        workload = encode_workload(model, batch_size, seq_len)
-        graph = build_model(model, workload)
-        cms_time, cms_program = _time_compiler(
-            lambda: CMSwitchCompiler(
-                hardware, CompilerOptions(generate_code=False), cache=cache
-            ),
-            graph,
-            repeats,
-        )
-        mlc_time, _ = _time_compiler(lambda: CIMMLCCompiler(hardware), graph, repeats)
-        # The pass pipeline attributes the compile time: the DP
-        # (`segment`) is the solver-bound stage Fig. 18's overhead
-        # discussion is about.
-        pass_seconds = (
-            cms_program.stats.get("pass_seconds", {}) if cms_program is not None else {}
-        )
+        graph = build_model(model, encode_workload(model, batch_size, seq_len))
+        cms_time, cms_program = _time_compile(session, graph, "cmswitch", repeats)
+        mlc_time, _ = _time_compile(session, graph, "cim-mlc", repeats)
         rows.append(
             {
                 "model": model,
                 "cmswitch_seconds": cms_time,
                 "cim-mlc_seconds": mlc_time,
                 "overhead_ratio": cms_time / mlc_time if mlc_time > 0 else float("inf"),
-                "segment_seconds": pass_seconds.get("segment", 0.0),
-                "cmswitch_cache_hit_rate": (
-                    cms_program.stats.get("allocation_cache_hit_rate", 0.0)
-                    if cms_program is not None
-                    else 0.0
-                ),
+                # The DP (`segment`) is the solver-bound stage Fig. 18's
+                # overhead discussion is about.
+                "segment_seconds": cms_program.stats["pass_seconds"].get("segment", 0.0),
             }
         )
     return rows
 
 
-def _time_compiler(factory, graph, repeats: int) -> Tuple[float, Optional[object]]:
-    """Average wall-clock compile time over ``repeats`` fresh compilers.
-
-    Returns the average seconds and the last compiled program (for its
-    statistics).
-    """
+def _time_compile(
+    session: Session, graph: Graph, compiler: str, repeats: int
+) -> Tuple[float, CompiledProgram]:
+    """Average wall-clock time of ``repeats`` compiles; the last program."""
     total = 0.0
-    program = None
     for _ in range(max(1, repeats)):
-        compiler = factory()
         start = time.perf_counter()
-        program = compiler.compile(graph)
+        program = session.compile(graph, options=FIGURE_OPTIONS, compiler=compiler)
         total += time.perf_counter() - start
     return total / max(1, repeats), program
 
@@ -105,7 +85,6 @@ def render_report(rows: Sequence[Dict]) -> str:
         "cim-mlc_seconds",
         "overhead_ratio",
         "segment_seconds",
-        "cmswitch_cache_hit_rate",
     ]
     return format_table(rows, columns)
 
@@ -118,37 +97,39 @@ def cached_compile_speedup(
 ) -> Dict[str, float]:
     """Cold-vs-warm demonstration of the shared allocation cache.
 
-    Every model is compiled twice against one shared cache.  The cold
-    pass populates it; the warm pass should hit everywhere.  Used by the CI
-    smoke invocation of ``benchmarks/bench_fig18_compile_time.py`` so a
-    compile-time regression (or a cache regression) is visible in logs.
+    Every model is compiled twice against one shared window cache, each
+    pass in its own session (so the warm pass walks the DP over warm
+    windows instead of finding the whole program in a table).  The cold
+    pass populates the cache; the warm pass should hit everywhere.  Used
+    by the CI smoke invocation of
+    ``benchmarks/bench_fig18_compile_time.py`` so a compile-time
+    regression (or a cache regression) is visible in logs.
 
     Returns:
         ``{"cold_seconds", "warm_seconds", "speedup", "warm_hit_rate",
         "allocator_solves_cold", "allocator_solves_warm"}``.
     """
     hardware = hardware or dynaplasia()
-    cache = AllocationCache()
-    options = CompilerOptions(generate_code=False)
     graphs = [
         build_model(model, encode_workload(model, batch_size, seq_len)) for model in models
     ]
 
-    def one_pass() -> Tuple[float, int, int, float]:
+    def one_pass(session: Session) -> Tuple[float, int, float]:
         seconds = 0.0
         solves = 0
         hits = 0
         for graph in graphs:
             start = time.perf_counter()
-            program = CMSwitchCompiler(hardware, options, cache=cache).compile(graph)
+            program = session.compile(graph, options=FIGURE_OPTIONS)
             seconds += time.perf_counter() - start
             solves += program.stats["allocator_solves"]
             hits += program.stats["allocation_cache_hits"]
         rate = hits / (hits + solves) if (hits + solves) else 0.0
-        return seconds, solves, hits, rate
+        return seconds, solves, rate
 
-    cold_seconds, cold_solves, _, _ = one_pass()
-    warm_seconds, warm_solves, _, warm_rate = one_pass()
+    cache = AllocationCache()
+    cold_seconds, cold_solves, _ = one_pass(Session(hardware, cache=cache))
+    warm_seconds, warm_solves, warm_rate = one_pass(Session(hardware, cache=cache))
     return {
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.cache import AllocationCache
+from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
 from .common import (
@@ -33,25 +33,22 @@ def run_end_to_end(
     batch_sizes: Sequence[int] = (1, 2, 4, 8),
     seq_len: int = 64,
     compilers: Sequence[str] = COMPILER_NAMES,
-    cache: Optional["AllocationCache"] = None,
+    session: Optional[Session] = None,
 ) -> List[Dict]:
     """Run the Fig. 14 grid and return one row per (model, batch size).
 
     Each row contains the end-to-end cycles of every compiler, the speedup
     of CMSwitch over each baseline and CMSwitch's memory-array ratio.
-
-    Args:
-        cache: Optional shared allocation cache.  One cache across the
-            whole grid lets CMSwitch reuse per-segment solves across
-            batch sizes that produce structurally identical segments.
+    Every compile goes through ``session`` (a fresh one when omitted).
     """
     hardware = hardware or dynaplasia()
+    session = Session(hardware) if session is None else session
     rows: List[Dict] = []
     for batch_size in batch_sizes:
         for model in models:
             workload = encode_workload(model, batch_size, seq_len)
-            results = {
-                name: run_model(model, workload, hardware, name, cache=cache)
+            programs = {
+                name: run_model(model, workload, hardware, name, session)
                 for name in compilers
             }
             row: Dict = {
@@ -59,14 +56,14 @@ def run_end_to_end(
                 "batch_size": batch_size,
                 "seq_len": seq_len,
             }
-            for name, result in results.items():
-                row[f"{name}_cycles"] = result.cycles
-            cms = results["cmswitch"]
+            for name, program in programs.items():
+                row[f"{name}_cycles"] = program.end_to_end_cycles
+            cms = programs["cmswitch"].end_to_end_cycles
             for name in compilers:
                 if name == "cmswitch":
                     continue
-                row[f"speedup_vs_{name}"] = speedup(results[name].cycles, cms.cycles)
-            row["memory_array_ratio"] = cms.memory_array_ratio
+                row[f"speedup_vs_{name}"] = speedup(programs[name].end_to_end_cycles, cms)
+            row["memory_array_ratio"] = programs["cmswitch"].mean_memory_array_ratio
             rows.append(row)
     return rows
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.cache import AllocationCache
+from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
 from ..models.workload import Workload
@@ -31,19 +31,19 @@ def run_generative(
     lengths: Sequence[int] = FIG17_LENGTHS,
     fixed_length: int = 128,
     batch_size: int = 1,
-    cache: Optional[AllocationCache] = None,
+    session: Optional[Session] = None,
 ) -> List[Dict]:
     """Run both Fig. 17 sweeps.
 
-    Args:
-        cache: Optional shared allocation cache for the CMSwitch
-            compiles; both sweep directions reuse the same per-block
-            structures, so a shared cache removes most repeat solves.
+    Every compile goes through ``session`` (a fresh one when omitted), so
+    a program the sweeps share — every ``vary_output`` row has the same
+    prefill — is compiled once.
 
     Returns one row per (model, sweep direction, varied length) with the
     CMSwitch and CIM-MLC cycles and the speedup.
     """
     hardware = hardware or dynaplasia()
+    session = Session(hardware) if session is None else session
     rows: List[Dict] = []
     for model in models:
         for mode in ("vary_output", "vary_input"):
@@ -56,8 +56,8 @@ def run_generative(
                     workload = Workload(
                         batch_size=batch_size, seq_len=length, output_len=fixed_length
                     )
-                cms = generative_cycles(model, workload, hardware, "cmswitch", cache=cache)
-                mlc = generative_cycles(model, workload, hardware, "cim-mlc")
+                cms = generative_cycles(model, workload, hardware, "cmswitch", session)
+                mlc = generative_cycles(model, workload, hardware, "cim-mlc", session)
                 rows.append(
                     {
                         "model": model,

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.cache import AllocationCache
-from ..core.compiler import CMSwitchCompiler, CompilerOptions
+from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia, prime
-from ..models.registry import build_model
 from .common import FIG14_MODELS, encode_workload, format_table, run_model, speedup
 
 
@@ -29,23 +27,22 @@ def switch_overhead(
     models: Sequence[str] = FIG14_MODELS,
     batch_size: int = 1,
     seq_len: int = 64,
-    cache: Optional["AllocationCache"] = None,
+    session: Optional[Session] = None,
 ) -> List[Dict]:
     """Share of execution time spent on the dual-mode switch process.
 
     Two measures are reported per benchmark: the pure Eq. 1 driver
     reconfiguration time, and the full switch *process* (driver
     reconfiguration plus the data staging of Fig. 10's steps 1 and 3 that
-    accompanies a mode change).
+    accompanies a mode change).  The programs are Fig. 14's at the same
+    (batch, sequence), so on a shared ``session`` they are lookups.
     """
     hardware = hardware or dynaplasia()
+    session = Session(hardware) if session is None else session
     rows: List[Dict] = []
     for model in models:
         workload = encode_workload(model, batch_size, seq_len)
-        graph = build_model(model, workload)
-        program = CMSwitchCompiler(
-            hardware, CompilerOptions(generate_code=False), cache=cache
-        ).compile(graph)
+        program = run_model(model, workload, hardware, "cmswitch", session)
         total = program.graph_cycles
         switch_only = program.switch_cycles
         process = sum(segment.inter_cycles for segment in program.segments)
@@ -66,29 +63,30 @@ def prime_scalability(
     batch_size: int = 1,
     seq_len: int = 64,
     hardware: Optional[DualModeHardwareAbstraction] = None,
-    cache: Optional["AllocationCache"] = None,
+    session: Optional[Session] = None,
 ) -> List[Dict]:
     """CMSwitch vs CIM-MLC on the PRIME-like ReRAM target (§5.5).
 
     Note: the default target here is the PRIME preset, not the CLI's
-    ``--hardware`` choice — a cache warmed on another chip contributes
+    ``--hardware`` choice — a session warmed on another chip contributes
     nothing (different hardware fingerprint), but sharing one is always
     safe.
     """
     hardware = hardware or prime()
+    session = Session(hardware) if session is None else session
     rows: List[Dict] = []
     for model in models:
         workload = encode_workload(model, batch_size, seq_len)
-        cms = run_model(model, workload, hardware, "cmswitch", cache=cache)
-        mlc = run_model(model, workload, hardware, "cim-mlc")
+        cms = run_model(model, workload, hardware, "cmswitch", session)
+        mlc = run_model(model, workload, hardware, "cim-mlc", session)
         rows.append(
             {
                 "model": model,
                 "hardware": hardware.name,
-                "cmswitch_cycles": cms.cycles,
-                "cim-mlc_cycles": mlc.cycles,
-                "speedup_vs_cim-mlc": speedup(mlc.cycles, cms.cycles),
-                "memory_array_ratio": cms.memory_array_ratio,
+                "cmswitch_cycles": cms.end_to_end_cycles,
+                "cim-mlc_cycles": mlc.end_to_end_cycles,
+                "speedup_vs_cim-mlc": speedup(mlc.end_to_end_cycles, cms.end_to_end_cycles),
+                "memory_array_ratio": cms.mean_memory_array_ratio,
             }
         )
     return rows

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..baselines import CIMMLCCompiler
-from ..core.compiler import CMSwitchCompiler, CompilerOptions
+from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
 from ..models.registry import build_model
-from .common import encode_workload, format_table, speedup
+from .common import FIGURE_OPTIONS, encode_workload, format_table, speedup
 
 #: Parameter sweeps explored by default (values replace the preset's).
 DEFAULT_SWEEPS: Dict[str, Sequence] = {
@@ -47,13 +46,17 @@ def run_sensitivity(
     seq_len: int = 64,
     hardware: Optional[DualModeHardwareAbstraction] = None,
     sweeps: Optional[Dict[str, Sequence]] = None,
+    session: Optional[Session] = None,
 ) -> List[Dict]:
     """Sweep DEHA parameters and record the CMSwitch-over-CIM-MLC speedup.
+
+    Every compile goes through ``session`` (a fresh one when omitted).
 
     Returns one row per (parameter, value) with both compilers' cycles,
     the speedup and CMSwitch's memory-array ratio.
     """
     base = hardware or dynaplasia()
+    session = Session(base) if session is None else session
     sweeps = sweeps or DEFAULT_SWEEPS
     workload = encode_workload(model, batch_size, seq_len)
     graph = build_model(model, workload)
@@ -61,8 +64,10 @@ def run_sensitivity(
     for parameter, values in sweeps.items():
         for value in values:
             target = _apply(base, parameter, value)
-            cms = CMSwitchCompiler(target, CompilerOptions(generate_code=False)).compile(graph)
-            mlc = CIMMLCCompiler(target).compile(graph)
+            cms = session.compile(graph, options=FIGURE_OPTIONS, hardware=target)
+            mlc = session.compile(
+                graph, options=FIGURE_OPTIONS, hardware=target, compiler="cim-mlc"
+            )
             rows.append(
                 {
                     "model": model,

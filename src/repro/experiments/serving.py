@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.cache import AllocationCache
-from ..sim.replay import ReplaySimulator
-from ..sim.traces import Trace, synthetic_trace
-from ..service import CompileService
+from ..api import Session
+from ..sim.traces import synthetic_trace
 from .common import format_table
 
 __all__ = ["run_slo_curve", "render_report"]
@@ -46,7 +44,7 @@ def run_slo_curve(
     seed: int = 0,
     load_factors: Sequence[float] = DEFAULT_LOAD_FACTORS,
     seq_len_buckets: Sequence[int] = (16, 32),
-    cache: Optional[AllocationCache] = None,
+    session: Optional[Session] = None,
 ) -> List[Dict]:
     """Sweep offered load against each preset and collect SLO rows.
 
@@ -59,7 +57,9 @@ def run_slo_curve(
             sequence, so rows are comparable across chips too.
         load_factors: Offered load as a fraction of measured capacity.
         seq_len_buckets: Sequence-length buckets of the traffic.
-        cache: Optional shared allocation cache (compile once, sweep many).
+        session: Session every replay compiles through (a fresh one when
+            omitted): each program is compiled once, then looked up for
+            every other load factor.
 
     Returns:
         One row dict per (preset, load factor) with offered/served
@@ -72,14 +72,13 @@ def run_slo_curve(
         seed=seed,
         seq_len_buckets=tuple(seq_len_buckets),
     )
+    session = Session() if session is None else session
     rows: List[Dict] = []
     for preset in presets:
-        service = CompileService(cache=cache)
-        simulator = ReplaySimulator(hardware=preset, service=service)
         # Capacity probe: arrivals collapsed to t=0 make the replay
         # back-to-back, so served/makespan is the chip's max sustainable
         # rate for this exact request sequence (switching included).
-        saturated = simulator.run(base.with_gaps_scaled(1e-9))
+        saturated = session.replay(base.with_gaps_scaled(1e-9), hardware=preset)
         capacity_rps = saturated.metrics.throughput_rps
         base_rate = len(base) / (base.duration_ms / 1000.0) if base.duration_ms else 0.0
         for load in load_factors:
@@ -88,7 +87,7 @@ def run_slo_curve(
             # Scale gaps so the offered rate is load x capacity.
             offered_rps = load * capacity_rps
             scaled = base.with_gaps_scaled(base_rate / offered_rps)
-            result = simulator.run(scaled)
+            result = session.replay(scaled, hardware=preset)
             metrics = result.metrics
             rows.append(
                 {

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.cache import AllocationCache
+from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
 from ..models.registry import is_transformer
@@ -37,24 +37,22 @@ def run_workload_scale(
     models: Sequence[str] = FIG16_MODELS,
     batch_sizes: Sequence[int] = (4, 8, 16),
     sequence_lengths: Sequence[int] = FIG16_SEQUENCE_LENGTHS,
-    cache: Optional[AllocationCache] = None,
+    session: Optional[Session] = None,
 ) -> List[Dict]:
     """Run the Fig. 16 grid.
 
     Decoder models process the prompt and generate the same number of
     tokens (input length == output length, as in the paper's sweep);
-    encoder models run a single pass at the given length.
-
-    Args:
-        cache: Optional shared allocation cache (honoured by the CMSwitch
-            compiles).  The grid repeats many structurally identical
-            blocks across its cells, so a shared cache collapses most of
-            the sweep's solver work.
+    encoder models run a single pass at the given length.  Every compile
+    goes through ``session`` (a fresh one when omitted); the grid repeats
+    many structurally identical blocks across its cells, which the
+    session's window cache solves once.
 
     Returns one row per (model, batch size, sequence length) with the
     CIM-MLC and CMSwitch cycles, the speedup and the memory-array ratio.
     """
     hardware = hardware or dynaplasia()
+    session = Session(hardware) if session is None else session
     rows: List[Dict] = []
     for model in models:
         for batch_size in batch_sizes:
@@ -64,8 +62,8 @@ def run_workload_scale(
                     workload = Workload(
                         batch_size=batch_size, seq_len=seq_len, output_len=seq_len
                     )
-                    cms = generative_cycles(model, workload, hardware, "cmswitch", cache=cache)
-                    mlc = generative_cycles(model, workload, hardware, "cim-mlc")
+                    cms = generative_cycles(model, workload, hardware, "cmswitch", session)
+                    mlc = generative_cycles(model, workload, hardware, "cim-mlc", session)
                     row["cmswitch_cycles"] = cms["cycles"]
                     row["cim-mlc_cycles"] = mlc["cycles"]
                     row["memory_array_ratio"] = cms["memory_array_ratio"]
@@ -73,11 +71,11 @@ def run_workload_scale(
                     workload = Workload(
                         batch_size=batch_size, seq_len=seq_len, phase=Phase.ENCODE
                     )
-                    cms_run = run_model(model, workload, hardware, "cmswitch", cache=cache)
-                    mlc_run = run_model(model, workload, hardware, "cim-mlc")
-                    row["cmswitch_cycles"] = cms_run.cycles
-                    row["cim-mlc_cycles"] = mlc_run.cycles
-                    row["memory_array_ratio"] = cms_run.memory_array_ratio
+                    cms_program = run_model(model, workload, hardware, "cmswitch", session)
+                    mlc_program = run_model(model, workload, hardware, "cim-mlc", session)
+                    row["cmswitch_cycles"] = cms_program.end_to_end_cycles
+                    row["cim-mlc_cycles"] = mlc_program.end_to_end_cycles
+                    row["memory_array_ratio"] = cms_program.mean_memory_array_ratio
                 row["speedup_vs_cim-mlc"] = speedup(
                     row["cim-mlc_cycles"], row["cmswitch_cycles"]
                 )

@@ -61,6 +61,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from .baselines import get_compiler
 from .core.cache import AllocationCache, CacheStats
 from .core.compiler import CMSwitchCompiler, CompilerOptions
 from .core.program import CompiledProgram
@@ -306,14 +307,19 @@ class CompileService:
         graph: Graph,
         hardware: DualModeHardwareAbstraction,
         options: CompilerOptions,
+        compiler: str = CMSwitchCompiler.name,
     ) -> CompiledProgram:
         """Compile one graph: program table, then program store, then pipeline.
 
         Every compile the service or a :class:`~repro.api.Session`
-        performs comes through here, and nothing else reads or writes
-        either tier.  The key is built from the arguments on every call
-        (graphs and options are mutable in place, so nothing about them
-        is remembered between calls).  Table hit: a copy of the
+        performs comes through here — CMSwitch's and the baselines'
+        alike — and nothing else reads or writes either tier.
+        ``compiler`` names an entry of the one registry,
+        :data:`repro.baselines.COMPILERS`; it is part of the key, and the
+        compiler is built only on a miss.  The key is built from the
+        arguments on every call (graphs and options are mutable in place,
+        so nothing about them is remembered between calls).  Table hit: a
+        copy of the
         stored program.  Store hit: read, verify, decode, remember.
         Either way the program carries the statistics of *this* call
         (see :func:`_served`).  Miss (absent, evicted, corrupt, foreign
@@ -328,13 +334,14 @@ class CompileService:
         package mutates a returned plan).
 
         Raises:
+            KeyError: ``compiler`` is not a registered name.
             NoFeasiblePlanError: No feasible plan exists for the graph.
         """
         key = None
         if self.programs is not None:
             start = time.perf_counter()
             metrics = self.obs.metrics
-            key = ProgramKey.build(graph, hardware, options, CMSwitchCompiler.name)
+            key = ProgramKey.build(graph, hardware, options, compiler)
             program = self.programs.get(key)
             if program is not None:
                 metrics.inc("programs.hits")
@@ -346,8 +353,8 @@ class CompileService:
                     self._remember(key, program)
                     return _served(program, time.perf_counter() - start, disk=True)
             metrics.inc("programs.misses")
-        program = CMSwitchCompiler(
-            hardware, options, cache=self.cache, obs=self.obs
+        program = get_compiler(
+            compiler, hardware, options, cache=self.cache, obs=self.obs
         ).compile(graph)
         if key is not None:
             if self.store is not None:

@@ -5,7 +5,9 @@ import pytest
 from repro.api import Session
 from repro.baselines import CIMMLCCompiler, OCCCompiler, PUMACompiler, get_compiler
 from repro.core import CMSwitchCompiler, CompilerOptions
+from repro.core.cache import AllocationCache
 from repro.models import Phase, Workload, build_model
+from repro.obs import NULL_OBS
 
 
 class TestCMSwitchCompiler:
@@ -103,12 +105,10 @@ class TestBaselineCompilers:
         # must be bit-identical to the frozen pre-refactor fused loop.
         from repro.core._reference import reference_baseline_compile
 
-        new = compiler_cls(small_chip, generate_code=generate_code).compile(
-            tiny_transformer_graph
-        )
+        options = CompilerOptions(generate_code=generate_code)
+        new = compiler_cls(small_chip, options).compile(tiny_transformer_graph)
         old = reference_baseline_compile(
-            compiler_cls(small_chip, generate_code=generate_code),
-            tiny_transformer_graph,
+            compiler_cls(small_chip, options), tiny_transformer_graph
         )
         assert new.fingerprint() == old.fingerprint()
         assert new.end_to_end_cycles == old.end_to_end_cycles
@@ -123,11 +123,24 @@ class TestBaselineCompilers:
         # way the old wrapper re-labelled it.
         from repro.core._reference import reference_compile
 
-        compiler = CIMMLCCompiler(small_chip)
+        compiler = CIMMLCCompiler(small_chip, CompilerOptions(generate_code=False))
         new = compiler.compile(tiny_transformer_graph)
         old = reference_compile(tiny_transformer_graph, small_chip, compiler.options)
         old.compiler_name = compiler.name
         assert new.fingerprint() == old.fingerprint()
+
+    def test_cim_mlc_pins_its_strategy_and_keeps_the_rest(self, small_chip):
+        # A CMSwitch pipeline with pipelining on and memory mode off;
+        # every other option -- code generation included -- is the caller's.
+        asked = CompilerOptions(
+            max_segment_operators=4, pipelined=False, use_milp=False, generate_code=False
+        )
+        compiler = CIMMLCCompiler(small_chip, asked)
+        assert isinstance(compiler, CMSwitchCompiler)
+        assert compiler.options == CompilerOptions(
+            max_segment_operators=4, use_milp=False, allow_memory_mode=False,
+            generate_code=False,
+        )
 
     def test_baseline_uses_shared_flatten_passes(self, small_chip):
         pipeline = PUMACompiler(small_chip).build_pipeline()
@@ -150,6 +163,17 @@ class TestBaselineCompilers:
         assert isinstance(get_compiler("occ", small_chip), OCCCompiler)
         with pytest.raises(KeyError):
             get_compiler("tvm", small_chip)
+
+    @pytest.mark.parametrize("name", ["cmswitch", "cim-mlc", "puma", "occ"])
+    def test_every_compiler_is_built_one_way(self, name, small_chip, tiny_mlp_graph):
+        # (hardware, options, cache=, obs=): the registry builds them all alike.
+        compiler = get_compiler(
+            name, small_chip, CompilerOptions(generate_code=True),
+            cache=AllocationCache(), obs=NULL_OBS,
+        )
+        program = compiler.compile(tiny_mlp_graph)
+        assert program.compiler_name == name
+        assert program.meta_program is not None
 
 
 class TestCompilerOrdering:

@@ -10,12 +10,13 @@ import math
 
 import pytest
 
+from repro.api import Session
 from repro.experiments import (
+    COMPILER_NAMES,
     allocation_report,
     encode_workload,
     generative_cycles,
     geometric_mean,
-    make_compiler,
     measure_compile_time,
     memory_ratio_trend,
     prime_scalability,
@@ -27,7 +28,7 @@ from repro.experiments import (
     summarize,
     switch_overhead,
 )
-from repro.experiments.common import format_table
+from repro.experiments.common import FIGURE_OPTIONS, format_table
 from repro.hardware import dynaplasia, small_test_chip
 from repro.models import Phase, Workload, build_model
 
@@ -47,21 +48,25 @@ class TestCommonHelpers:
         assert encode_workload("bert", 1, 64).phase is Phase.ENCODE
         assert encode_workload("resnet18", 1, 64).phase is Phase.PREFILL
 
-    def test_make_compiler_names(self, chip):
-        for name in ("cmswitch", "cim-mlc", "puma", "occ"):
-            assert make_compiler(name, chip) is not None
-        with pytest.raises(KeyError):
-            make_compiler("xla", chip)
+    def test_compiler_names_resolve_through_the_session(self, chip):
+        session = Session(chip)
+        workload = Workload(batch_size=1, seq_len=16)
+        for name in COMPILER_NAMES:
+            program = run_model("tiny-transformer", workload, chip, name, session)
+            assert program.compiler_name == name
+        with pytest.raises(KeyError, match="xla"):
+            run_model("tiny-transformer", workload, chip, "xla", session)
 
     def test_format_table_alignment(self):
         text = format_table([{"a": 1, "b": 2.5}], ["a", "b"])
         assert "a" in text and "2.500" in text
 
     def test_run_model_fields(self, chip):
-        result = run_model("tiny-transformer", Workload(batch_size=1, seq_len=16), chip, "cmswitch")
-        assert result.cycles > 0
-        assert 0.0 <= result.memory_array_ratio <= 1.0
-        assert result.num_segments >= 1
+        program = run_model("tiny-transformer", Workload(batch_size=1, seq_len=16), chip, "cmswitch")
+        assert program.end_to_end_cycles > 0
+        assert 0.0 <= program.mean_memory_array_ratio <= 1.0
+        assert program.num_segments >= 1
+        assert program.meta_program is None  # figures compile without code
 
     def test_generative_cycles_composition(self, chip):
         workload = Workload(batch_size=1, seq_len=32, output_len=8)
@@ -152,6 +157,19 @@ class TestAllocationReport:
         rows = allocation_report("opt-6.7b", hardware=chip)
         assert any(row["memory_arrays"] > 0 for row in rows)
 
+    def test_report_compiles_the_fig14_encode_workload(self, chip):
+        # Every transformer -- tiny-transformer included -- is reported at
+        # Fig. 14's ENCODE workload, so the report shows the very program
+        # Fig. 14 scores: asked for afterwards, that program is a lookup.
+        model = "tiny-transformer"
+        workload = encode_workload(model, 1, 64)
+        assert workload.phase is Phase.ENCODE
+        session = Session(chip)
+        rows = allocation_report(model, hardware=chip, session=session)
+        program = session.compile(build_model(model, workload), options=FIGURE_OPTIONS)
+        assert program.stats["pass_seconds"] == {}  # served by the program table
+        assert rows == allocation_report(model, hardware=chip, workload=workload)
+
 
 class TestCompileTimeAndOverheads:
     def test_compile_time_rows(self, chip):
@@ -165,12 +183,16 @@ class TestCompileTimeAndOverheads:
         assert math.isfinite(row["overhead_ratio"]) and row["overhead_ratio"] > 0
         # The pass pipeline attributes where CMSwitch's extra time goes.
         assert "fallback_seconds" not in row  # one DP: no second pass to time
+        assert "cmswitch_cache_hit_rate" not in row  # no cache: always 0
         assert 0 < row["segment_seconds"] <= row["cmswitch_seconds"]
         # What does repeat is the work behind the ratio: the dual-mode
         # search space contains the fixed-mode one.
         graph = build_model("tiny-transformer", encode_workload("tiny-transformer", 1, 64))
+        session = Session(chip, use_cache=False)
         solves = {
-            name: make_compiler(name, chip).compile(graph).stats["allocator_solves"]
+            name: session.compile(graph, options=FIGURE_OPTIONS, compiler=name).stats[
+                "allocator_solves"
+            ]
             for name in ("cmswitch", "cim-mlc")
         }
         assert solves["cmswitch"] >= solves["cim-mlc"] > 0
@@ -184,6 +206,61 @@ class TestCompileTimeAndOverheads:
     def test_prime_scalability_not_slower(self):
         rows = prime_scalability(models=("tiny-transformer",))
         assert rows[0]["speedup_vs_cim-mlc"] >= 0.99
+
+
+class TestOneSessionFigures:
+    """The figure runners on one session: a (model, workload, chip,
+    compiler) the first runner compiled is a lookup for every later one,
+    and sharing the session changes no row."""
+
+    MODELS = ("tiny-transformer", "tiny-cnn")
+    DECODER = ("gpt2",)  # CIM-MLC's windows cross-hit CMSwitch's here
+
+    def _runners(self, chip):
+        return [
+            ("fig14", lambda s: run_end_to_end(
+                hardware=chip, models=self.MODELS, batch_sizes=(1,), seq_len=64, session=s)),
+            ("sec5.5", lambda s: switch_overhead(hardware=chip, models=self.MODELS, session=s)),
+            ("fig15", lambda s: [
+                allocation_report(model, hardware=chip, session=s) for model in self.MODELS]),
+            ("fig16", lambda s: run_workload_scale(
+                hardware=chip, models=self.DECODER, batch_sizes=(1,),
+                sequence_lengths=(32,), session=s)),
+            ("fig17", lambda s: run_generative(
+                hardware=chip, models=self.DECODER, lengths=(32,), fixed_length=32,
+                session=s)),
+        ]
+
+    @pytest.fixture(scope="class")
+    def shared(self, chip):
+        session = Session(chip, trace=True)
+        counter = lambda name: session.metrics.counter(name).value  # noqa: E731
+        names = ("allocator.solves", "programs.misses", "programs.hits")
+        rows, work = {}, {}
+        for name, run in self._runners(chip):
+            before = [counter(key) for key in names]
+            rows[name] = run(session)
+            work[name] = tuple(counter(key) - was for key, was in zip(names, before))
+        return rows, work, counter("cache.cross_mode_hits")
+
+    def test_rows_equal_fresh_session_rows(self, chip, shared):
+        rows, _, cross_mode_hits = shared
+        for name, run in self._runners(chip):
+            assert rows[name] == run(None), name
+        # The equality covers CIM-MLC windows served by CMSwitch entries.
+        assert cross_mode_hits > 0
+
+    def test_a_repeated_compile_solves_nothing(self, shared):
+        _, work, _ = shared
+        # (solves, compiles, lookups) per runner.  sec5.5 and fig15 ask
+        # for fig14's CMSwitch programs again; fig17 (input and output
+        # length 32) asks for fig16's: 2 sweeps x 2 compilers x 2 phases.
+        models = len(self.MODELS)
+        assert work["sec5.5"] == (0, 0, models)
+        assert work["fig15"] == (0, 0, models)
+        assert work["fig17"] == (0, 0, 8)
+        assert work["fig14"][1:] == (4 * models, 0) and work["fig14"][0] > 0
+        assert work["fig16"][1:] == (4, 0) and work["fig16"][0] > 0
 
 
 class TestServingSLOCurve:

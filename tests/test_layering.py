@@ -108,6 +108,27 @@ def test_there_is_one_window_table():
     assert "memo" not in inspect.signature(allocate_segment).parameters
 
 
+def test_figures_and_the_cli_compile_through_the_session():
+    """One compile path: the experiment runners, the analyses and the CLI
+    name a compiler (``Session.compile(compiler=)``), never construct one."""
+    from repro.baselines import COMPILERS, BaselineCompiler
+
+    classes = {cls.__name__ for cls in COMPILERS.values()} | {BaselineCompiler.__name__}
+    paths = [
+        *sorted((SRC / "repro" / "experiments").rglob("*.py")),
+        *sorted((SRC / "repro" / "analysis").rglob("*.py")),
+        SRC / "repro" / "cli.py",
+    ]
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in classes
+    ]
+    assert not offenders, offenders
+
+
 def test_options_are_declarative():
     """Runtime objects (a cache, an obs bundle) travel as constructor
     arguments; every option field takes part in equality and repr."""

@@ -380,6 +380,60 @@ class TestProgramTable:
         assert len(service.programs) == 1
 
 
+class TestCompilerByName:
+    """``compile_graph(compiler=)``: baselines through the same tiers."""
+
+    OPTIONS = CompilerOptions(generate_code=False)
+
+    def test_a_baseline_repeat_is_a_table_hit(self, small_chip):
+        obs = Observability.create()
+        service = CompileService(obs=obs)
+        cold = service.compile_graph(_tiny_cnn(), small_chip, self.OPTIONS, "puma")
+        warm = service.compile_graph(_tiny_cnn(), small_chip, self.OPTIONS, "puma")
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["programs.hits"] == 1 and counters["programs.misses"] == 1
+        assert warm.fingerprint() == cold.fingerprint()
+        assert warm.compiler_name == "puma" and warm.stats["pass_seconds"] == {}
+
+    def test_cmswitch_and_cim_mlc_never_alias(self, small_chip):
+        obs = Observability.create()
+        service = CompileService(obs=obs)
+        graph = build_model("tiny-transformer", Workload(batch_size=1, seq_len=16))
+        first = {
+            name: service.compile_graph(graph, small_chip, self.OPTIONS, name)
+            for name in ("cmswitch", "cim-mlc")
+        }
+        again = {
+            name: service.compile_graph(graph, small_chip, self.OPTIONS, name)
+            for name in ("cim-mlc", "cmswitch")
+        }
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["programs.misses"] == 2 and counters["programs.hits"] == 2
+        for name in ("cmswitch", "cim-mlc"):
+            assert first[name].compiler_name == again[name].compiler_name == name
+            assert again[name].fingerprint() == first[name].fingerprint()
+        assert first["cmswitch"].fingerprint() != first["cim-mlc"].fingerprint()
+        assert all(segment.memory_arrays == 0 for segment in first["cim-mlc"].segments)
+
+    def test_a_puma_program_round_trips_through_the_store(self, small_chip, tmp_path):
+        graph = _tiny_cnn()
+        cold = CompileService(cache_dir=tmp_path).compile_graph(
+            graph, small_chip, self.OPTIONS, "puma"
+        )
+        warm_service = CompileService(cache_dir=tmp_path)
+        warm = warm_service.compile_graph(graph, small_chip, self.OPTIONS, "puma")
+        assert warm_service.store.stats.hits == 1
+        assert warm.stats["allocation_disk_hits"] == warm.num_segments
+        assert warm.fingerprint() == cold.fingerprint()
+        assert warm.compiler_name == "puma"
+
+    def test_an_unknown_compiler_lists_the_registered_names(self, small_chip):
+        with pytest.raises(KeyError) as raised:
+            CompileService().compile_graph(_tiny_cnn(), small_chip, self.OPTIONS, "tvm")
+        for name in ("cim-mlc", "cmswitch", "occ", "puma", "tvm"):
+            assert name in str(raised.value)
+
+
 class TestCompileBatchCLI:
     def test_parser_accepts_batch_arguments(self):
         args = build_parser().parse_args(
