@@ -183,7 +183,7 @@ class Session:
             hardware: Per-call override of the session's hardware.
             compiler: Registered compiler name — ``"cmswitch"`` or a
                 baseline (``"cim-mlc"``, ``"puma"``, ``"occ"``); baselines
-                share the session's program table and store.
+                share the session's program table, store and window cache.
 
         Raises:
             KeyError: Unknown model or compiler name.

@@ -1,24 +1,22 @@
 """Baseline CIM compilers used in the paper's comparison (Fig. 14).
 
-Each baseline is a configuration of the shared pass pipeline
-(:mod:`repro.pipeline`): CIM-MLC is the CMSwitch pipeline with memory
-mode pinned off; PUMA and OCC swap in their own segmentation and
-allocation passes (:mod:`repro.baselines.passes`) and reuse the rest.
+Each baseline is a configuration of the CMSwitch compiler and its pass
+pipeline (:mod:`repro.pipeline`) with memory mode pinned off.  CIM-MLC
+keeps the DP; PUMA and OCC run the greedy engine and replace only the
+``segment`` pass's boundary choice (:class:`BoundaryPolicySegment`), so
+their plans come from the same plan builder as everyone else's.
 """
 
 from ..core.compiler import CMSwitchCompiler
-from .base import BaselineCompiler
+from .base import BaselineCompiler, BoundaryPolicySegment
 from .cim_mlc import CIMMLCCompiler
 from .occ import OCCCompiler
-from .passes import BaselineAllocate, BaselineCodegen, BaselineSegment
 from .puma import PUMACompiler
 
 __all__ = [
     "COMPILERS",
-    "BaselineAllocate",
-    "BaselineCodegen",
     "BaselineCompiler",
-    "BaselineSegment",
+    "BoundaryPolicySegment",
     "CIMMLCCompiler",
     "OCCCompiler",
     "PUMACompiler",
@@ -45,8 +43,8 @@ def get_compiler(name: str, hardware, options=None, cache=None, obs=None):
         hardware: Hardware abstraction to target.
         options: :class:`~repro.core.compiler.CompilerOptions`; a
             baseline pins the fields its strategy fixes.
-        cache: Shared :class:`~repro.core.cache.AllocationCache` (only
-            the compilers that solve windows read it).
+        cache: Shared :class:`~repro.core.cache.AllocationCache`; every
+            registered compiler solves its windows through it.
         obs: Optional :class:`~repro.obs.Observability` bundle.
 
     Raises:

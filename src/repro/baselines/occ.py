@@ -3,17 +3,17 @@
 OCC is an MLIR-based end-to-end compiler that optimises **operator mapping
 via tiling and loop unrolling**.  Each operator is mapped and executed on
 its own: the tiling uses the whole chip for the running operator (so
-per-operator latency is competitive), but there is no cross-operator
-pipelining and no duplication-aware segment packing, and every array is a
-compute array.
+per-operator latency is competitive — the spare arrays duplicate its
+weights), but there is no cross-operator pipelining and no segment
+packing, and every array is a compute array.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..core.segmentation import FlattenedUnit
-from .base import BaselineCompiler
+from .base import BaselineCompiler, Boundaries
 
 
 class OCCCompiler(BaselineCompiler):
@@ -21,8 +21,7 @@ class OCCCompiler(BaselineCompiler):
 
     name = "occ"
     pipelined = False
-    duplication = True
 
-    def segment_boundaries(self, units: Sequence[FlattenedUnit]) -> List[List[int]]:
+    def segment_boundaries(self, units: Sequence[FlattenedUnit]) -> Boundaries:
         """Every operator forms its own segment (serial execution)."""
-        return [[unit.index] for unit in units]
+        return [(unit.index, unit.index) for unit in units]

@@ -11,10 +11,10 @@ stays in compute mode.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..core.segmentation import FlattenedUnit
-from .base import BaselineCompiler
+from .base import BaselineCompiler, Boundaries
 
 
 class PUMACompiler(BaselineCompiler):
@@ -22,11 +22,23 @@ class PUMACompiler(BaselineCompiler):
 
     name = "puma"
     pipelined = True
-    duplication = True
     #: Maximum operators per pipeline stage group — the same pipeline-depth
     #: limit the control hardware imposes on every compiler under test.
     max_segment_operators = 8
 
-    def segment_boundaries(self, units: Sequence[FlattenedUnit]) -> List[List[int]]:
+    def segment_boundaries(self, units: Sequence[FlattenedUnit]) -> Boundaries:
         """Pack consecutive operators until the arrays are exhausted."""
-        return self._greedy_pack(units, limit=self.max_segment_operators)
+        boundaries: Boundaries = []
+        start = used = 0
+        for unit in units:
+            need = max(1, unit.profile.min_compute_arrays(self.hardware))
+            full = used + need > self.hardware.num_arrays
+            if unit.index > start and (
+                full or unit.index - start >= self.max_segment_operators
+            ):
+                boundaries.append((start, unit.index - 1))
+                start, used = unit.index, 0
+            used += need
+        if units:
+            boundaries.append((start, len(units) - 1))
+        return boundaries

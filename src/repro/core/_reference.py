@@ -1,19 +1,19 @@
-"""Frozen pre-pipeline compile paths — the parity oracles.
+"""Frozen compile paths and scalar kernels — the parity oracles.
 
-This module preserves, verbatim, the *fused* compile loops that
-:class:`~repro.core.compiler.CMSwitchCompiler` and
-:class:`~repro.baselines.base.BaselineCompiler` ran before the compile
-path was decomposed into the named passes of :mod:`repro.pipeline`.
-The parity test suite compiles every model through both the pass-based
-pipeline and these references and asserts the programs are bit-identical
-(:meth:`~repro.core.program.CompiledProgram.fingerprint`), which is what
-lets the pipeline refactor claim "same compiler, new shape".
+:func:`reference_compile` preserves the *fused* compile loop
+:class:`~repro.core.compiler.CMSwitchCompiler` ran before the compile
+path was decomposed into the named passes of :mod:`repro.pipeline`.  It
+intentionally calls the same primitives the passes call (segmenter,
+allocators, cost model, code generator): it proves that *re-ordering and
+splitting* the orchestration changed nothing.
 
-Nothing outside the tests should import this module.  It intentionally
-calls the same primitives the passes call (segmenter, allocators, cost
-model, code generator) — the point of the oracle is to prove that
-*re-ordering and splitting* the orchestration changed nothing, not to
-duplicate the numerics.
+:func:`reference_baseline_compile` is the PUMA/OCC oracle, and it is
+independent: a scalar loop over the compiler's segment boundaries that
+shares no allocation code with the plan builder it checks.
+
+The parity tests compile through both and assert the programs are
+bit-identical (:meth:`~repro.core.program.CompiledProgram.fingerprint`).
+Nothing outside the tests should import this module.
 """
 
 from __future__ import annotations
@@ -266,34 +266,51 @@ def reference_refine_with_spare_arrays(
 
 
 def reference_baseline_compile(baseline, graph: Graph) -> CompiledProgram:
-    """The pre-refactor ``BaselineCompiler.compile`` body, frozen.
+    """A PUMA/OCC-style compile as one fused scalar loop — their oracle.
 
-    ``baseline`` is a live PUMA/OCC/CIM-MLC-style instance — its
-    ``segment_boundaries`` and ``allocate`` strategy hooks are invoked
-    exactly as the fused loop invoked them.
+    Of ``baseline`` it reads only ``segment_boundaries``, ``pipelined``,
+    ``name``, ``hardware`` and ``options.generate_code``.  Each segment
+    starts every operator at its minimum compute footprint and hands the
+    spare arrays out with the scalar
+    :func:`reference_refine_with_spare_arrays` (compute mode only); the
+    transitions come from the scalar Eq. 4 accounting.  No allocation
+    engine, window table or plan builder of the compiler it checks runs
+    here.
     """
-    from ..cost.latency import segment_latency_cycles
+    from ..cost.latency import OperatorAllocation, segment_latency_cycles
     from ..cost.switching import (
         SegmentResources,
         aggregate_resources,
         inter_segment_breakdown,
     )
+    from .allocation import AllocationResult
     from .segmentation import flatten_graph, live_elements_at_boundary
 
     hardware = baseline.hardware
+    pipelined = baseline.pipelined
     start = time.perf_counter()
     units = flatten_graph(graph, hardware)
-    groups = baseline.segment_boundaries(units) if units else []
+    boundaries = baseline.segment_boundaries(units) if units else []
     segments: List[SegmentPlan] = []
     previous_resources: Optional[SegmentResources] = None
-    for seg_index, indices in enumerate(groups):
-        members = [units[i] for i in indices]
+    for seg_index, (first, boundary) in enumerate(boundaries):
+        members = units[first : boundary + 1]
         profiles = {unit.name: unit.profile for unit in members}
-        allocations = baseline.allocate(profiles)
-        intra = segment_latency_cycles(
-            profiles, allocations, hardware, pipelined=baseline.pipelined
+        floors = {
+            name: OperatorAllocation(max(1, profile.min_compute_arrays(hardware)), 0)
+            for name, profile in profiles.items()
+        }
+        seed = AllocationResult(
+            floors,
+            segment_latency_cycles(profiles, floors, hardware, pipelined=pipelined),
+            True,
+            baseline.name,
         )
-        boundary = indices[-1]
+        refined = reference_refine_with_spare_arrays(
+            seed, profiles, hardware, pipelined=pipelined, allow_memory_mode=False
+        )
+        allocations = refined.allocations
+        intra = refined.latency_cycles
         live = (
             live_elements_at_boundary(units, boundary)
             if boundary + 1 < len(units)

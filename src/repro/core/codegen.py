@@ -1,8 +1,8 @@
 """Lowering segment plans to the meta-operator flow (code generation).
 
 This is the engine behind the pipeline's ``Codegen`` pass
-(:class:`repro.pipeline.passes.Codegen` for CMSwitch,
-:class:`repro.baselines.passes.BaselineCodegen` for the baselines).
+(:class:`repro.pipeline.passes.Codegen`, for CMSwitch and the baselines
+alike).
 The code generator walks the segment plans produced by the DP + MIP
 optimisation, assigns *physical* array indices on a
 :class:`~repro.hardware.chip.CIMChip`, and emits the meta-operator flow of

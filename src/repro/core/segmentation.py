@@ -753,7 +753,10 @@ class NetworkSegmenter:
 
         Allocations are served from this segmenter's window table (the
         DP already solved every candidate window), so this step performs
-        no fresh solver work after :meth:`choose_boundaries`.
+        no fresh solver work after :meth:`choose_boundaries`.  Windows
+        the DP never probed — boundaries a baseline's policy drew — are
+        solved here, through the shared cache.  Every compiler's plans
+        are built here.
         """
         plans: List[SegmentPlan] = []
         previous_resources: Optional[SegmentResources] = None

@@ -19,10 +19,10 @@ under the hood); direct use looks like::
     pipeline.run(ctx)
     program = finalize(ctx)
 
-The PUMA/OCC baselines are pipeline *configurations* too — they swap the
-``Segment``/``Allocate`` passes for their own strategies and keep the
-rest (see :mod:`repro.baselines.passes`); CIM-MLC is this very pipeline
-with memory mode pinned off.
+The baselines are pipeline *configurations* too: CIM-MLC is this very
+pipeline with memory mode pinned off, and PUMA/OCC also replace the
+``Segment`` pass's boundary choice with their own policy (see
+:class:`repro.baselines.BoundaryPolicySegment`) and keep the rest.
 """
 
 from .context import PipelineContext

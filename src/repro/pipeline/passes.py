@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional
+from typing import List, Tuple
 
 from ..core.codegen import generate_program
 from ..core.segmentation import (
@@ -110,6 +110,8 @@ class Segment(Pass):
     chosen boundaries.  The DP's cost oracle is the per-segment
     allocator, so this pass performs (and memoises) the allocation
     solves; ``Allocate`` then materialises plans from the segmenter's table.
+    A subclass that draws the boundaries another way overrides
+    :meth:`choose_boundaries` (the PUMA/OCC baselines do).
     """
 
     name = "segment"
@@ -126,14 +128,19 @@ class Segment(Pass):
         if not ctx.units:
             ctx.result = SegmentationResult([], [], 0.0, 0, 0)
             return
-        ctx.boundaries = ctx.segmenter.choose_boundaries(ctx.graph, ctx.units)
+        ctx.boundaries = self.choose_boundaries(ctx)
+
+    def choose_boundaries(self, ctx: PipelineContext) -> List[Tuple[int, int]]:
+        """``(start, end)`` unit ranges in execution order: the Eq. 3 DP's."""
+        return ctx.segmenter.choose_boundaries(ctx.graph, ctx.units)
 
 
 class Allocate(Pass):
     """Materialise per-segment allocations into :class:`SegmentPlan` s.
 
-    Serves every window from the DP's memo (no fresh solver work) and
-    folds the segmenter's solve counters into the context.
+    Serves every window from the DP's memo (no fresh solver work; a
+    boundary policy's windows are solved here instead) and folds the
+    segmenter's solve counters into the context.
     """
 
     name = "allocate"

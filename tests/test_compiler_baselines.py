@@ -1,13 +1,28 @@
 """Tests for the CMSwitch compiler facade and the baseline compilers."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Session
-from repro.baselines import CIMMLCCompiler, OCCCompiler, PUMACompiler, get_compiler
-from repro.core import CMSwitchCompiler, CompilerOptions
+from repro.baselines import (
+    BaselineCompiler,
+    BoundaryPolicySegment,
+    CIMMLCCompiler,
+    OCCCompiler,
+    PUMACompiler,
+    get_compiler,
+)
+from repro.core import CMSwitchCompiler, CompilerOptions, NoFeasiblePlanError
+from repro.core._reference import reference_baseline_compile
 from repro.core.cache import AllocationCache
+from repro.core.program import SegmentPlan
+from repro.cost.latency import INFEASIBLE_LATENCY, OperatorAllocation
+from repro.hardware import get_preset
 from repro.models import Phase, Workload, build_model
+from repro.models.registry import list_models
 from repro.obs import NULL_OBS
+from repro.pipeline import build_pipeline
 
 
 class TestCMSwitchCompiler:
@@ -96,25 +111,6 @@ class TestBaselineCompilers:
             for segment in program.segments:
                 assert segment.compute_arrays <= small_chip.num_arrays
 
-    @pytest.mark.parametrize("compiler_cls", [PUMACompiler, OCCCompiler])
-    @pytest.mark.parametrize("generate_code", [False, True])
-    def test_pipeline_config_parity_with_prerefactor_loop(
-        self, compiler_cls, generate_code, small_chip, tiny_transformer_graph
-    ):
-        # Each baseline is now a pipeline configuration; its programs
-        # must be bit-identical to the frozen pre-refactor fused loop.
-        from repro.core._reference import reference_baseline_compile
-
-        options = CompilerOptions(generate_code=generate_code)
-        new = compiler_cls(small_chip, options).compile(tiny_transformer_graph)
-        old = reference_baseline_compile(
-            compiler_cls(small_chip, options), tiny_transformer_graph
-        )
-        assert new.fingerprint() == old.fingerprint()
-        assert new.end_to_end_cycles == old.end_to_end_cycles
-        # The pipeline adds per-pass timings the fused loop never had.
-        assert set(new.stats["pass_seconds"]) >= {"flatten", "segment", "allocate"}
-
     def test_cim_mlc_parity_with_prerefactor_wrapper(
         self, small_chip, tiny_transformer_graph
     ):
@@ -143,18 +139,64 @@ class TestBaselineCompilers:
         )
 
     def test_baseline_uses_shared_flatten_passes(self, small_chip):
-        pipeline = PUMACompiler(small_chip).build_pipeline()
-        assert pipeline.names == [
-            "flatten",
-            "partition",
-            "segment",
-            "allocate",
-            "codegen",
+        # The standard pipeline; only the segment pass's boundary choice differs.
+        standard = build_pipeline()
+        assert standard.names == [
+            "flatten", "partition", "segment", "allocate", "refine", "codegen",
         ]
-        from repro.pipeline import Flatten, PartitionOversized
+        for compiler_cls in (PUMACompiler, OCCCompiler):
+            pipeline = compiler_cls(small_chip).pipeline
+            assert pipeline.names == standard.names
+            for name in standard.names:
+                if name != "segment":
+                    assert type(pipeline.get(name)) is type(standard.get(name)), name
+            assert isinstance(pipeline.get("segment"), BoundaryPolicySegment)
 
-        assert isinstance(pipeline.get("flatten"), Flatten)
-        assert isinstance(pipeline.get("partition"), PartitionOversized)
+    @pytest.mark.parametrize("compiler_cls", [PUMACompiler, OCCCompiler])
+    def test_baseline_pins_the_greedy_fixed_mode_engine(self, compiler_cls, small_chip):
+        asked = CompilerOptions(max_segment_operators=4, use_milp=True, generate_code=False)
+        compiler = compiler_cls(small_chip, asked)
+        assert isinstance(compiler, CMSwitchCompiler)
+        assert compiler.options == CompilerOptions(
+            pipelined=compiler_cls.pipelined,
+            use_milp=False,
+            allow_memory_mode=False,
+            generate_code=False,
+        )
+        for removed in ("allocate", "build_pipeline", "duplication"):
+            assert not hasattr(compiler, removed), removed
+        assert "compile" not in vars(BaselineCompiler)
+
+    def test_an_infeasible_plan_raises_with_solver_stats(
+        self, small_chip, tiny_cnn_graph, monkeypatch
+    ):
+        # Before, a baseline returned an inf-cycle program (with code for it).
+        import repro.pipeline.passes as passes_module
+
+        class InfeasibleSegmenter:
+            def __init__(self, *args, **kwargs):
+                self.allocation_calls = 3
+                self.cache_hits = 1
+
+            def build_plans(self, units, boundaries):
+                return [
+                    SegmentPlan(
+                        index=0,
+                        operator_names=["op"],
+                        allocations={"op": OperatorAllocation(1, 0)},
+                        profiles={},
+                        intra_cycles=INFEASIBLE_LATENCY,
+                        inter_cycles=0.0,
+                    )
+                ]
+
+        monkeypatch.setattr(passes_module, "NetworkSegmenter", InfeasibleSegmenter)
+        for compiler_cls in (PUMACompiler, OCCCompiler):
+            compiler = compiler_cls(small_chip, CompilerOptions(generate_code=True))
+            with pytest.raises(NoFeasiblePlanError) as caught:
+                compiler.compile(tiny_cnn_graph)
+            assert caught.value.stats["allocator_solves"] == 3
+            assert caught.value.stats["allocation_cache_hits"] == 1
 
     def test_get_compiler_registry(self, small_chip):
         assert isinstance(get_compiler("cmswitch", small_chip), CMSwitchCompiler)
@@ -174,6 +216,85 @@ class TestBaselineCompilers:
         program = compiler.compile(tiny_mlp_graph)
         assert program.compiler_name == name
         assert program.meta_program is not None
+
+
+#: On the 8-array chip the 6.7b+ LLMs, gpt2-xl, the VGGs and resnet50
+#: partition into hundreds to thousands of one-unit segments (0.4-4.8 s of
+#: compiles each); the full matrix is run outside tier-1.
+SMALL_CHIP_SKIPS = ("llama2", "opt-", "vgg", "gpt2-xl", "resnet50")
+
+
+@pytest.fixture(scope="module")
+def zoo():
+    return {model: build_model(model, Workload(seq_len=32)) for model in list_models()}
+
+
+@pytest.fixture(scope="module")
+def oracle(zoo):
+    """``(chip, model, compiler class, generate_code) -> reference program``,
+    one oracle run per (chip, model, compiler): code generation only adds
+    the flow."""
+    programs = {}
+
+    def expected(chip, model, compiler_cls, generate_code):
+        key = (chip, model, compiler_cls)
+        if key not in programs:
+            programs[key] = reference_baseline_compile(
+                compiler_cls(get_preset(chip)), zoo[model]
+            )
+        program = programs[key]
+        return replace(program, meta_program=program.meta_program if generate_code else None)
+
+    return expected
+
+
+class TestBaselineParity:
+    """PUMA/OCC programs equal the independent scalar oracle bit for bit
+    (``reference_baseline_compile``)."""
+
+    @pytest.mark.parametrize("chip", ["dynaplasia", "prime", "small-test-chip"])
+    def test_matches_the_reference_on_the_zoo(self, chip, zoo, oracle):
+        hardware = get_preset(chip)
+        for model, graph in zoo.items():
+            if chip == "small-test-chip" and model.startswith(SMALL_CHIP_SKIPS):
+                continue
+            for compiler_cls in (PUMACompiler, OCCCompiler):
+                for generate_code in (False, True):
+                    program = compiler_cls(
+                        hardware, CompilerOptions(generate_code=generate_code)
+                    ).compile(graph)
+                    expected = oracle(chip, model, compiler_cls, generate_code)
+                    assert program.fingerprint() == expected.fingerprint(), (
+                        model, program.compiler_name, generate_code,
+                    )
+
+    @pytest.mark.parametrize("chip", ["dynaplasia", "prime"])
+    def test_matches_the_reference_over_a_shared_cache(self, chip, zoo, oracle):
+        # Greedy CMSwitch compiles warm the cache first, so fixed-mode
+        # windows are also served from memory-free dual-mode entries.
+        hardware = get_preset(chip)
+        cache = AllocationCache()
+        greedy = CompilerOptions(use_milp=False, generate_code=False)
+        for model, graph in zoo.items():
+            CMSwitchCompiler(hardware, greedy, cache=cache).compile(graph)
+            for compiler_cls in (PUMACompiler, OCCCompiler):
+                program = compiler_cls(
+                    hardware, CompilerOptions(generate_code=False), cache=cache
+                ).compile(graph)
+                expected = oracle(chip, model, compiler_cls, False)
+                assert program.fingerprint() == expected.fingerprint(), (
+                    model, program.compiler_name,
+                )
+        assert cache.stats.cross_mode_hits > 0
+
+    def test_a_second_compiler_on_the_cache_solves_nothing(self, zoo, dynaplasia_chip):
+        cache = AllocationCache()
+        first = PUMACompiler(dynaplasia_chip, cache=cache).compile(zoo["mobilenet"])
+        second = PUMACompiler(dynaplasia_chip, cache=cache).compile(zoo["mobilenet"])
+        assert first.stats["allocator_solves"] > 0
+        assert second.stats["allocator_solves"] == 0
+        assert second.stats["allocation_cache_hits"] == second.num_segments
+        assert second.fingerprint() == first.fingerprint()
 
 
 class TestCompilerOrdering:

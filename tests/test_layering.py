@@ -129,6 +129,27 @@ def test_figures_and_the_cli_compile_through_the_session():
     assert not offenders, offenders
 
 
+def test_plans_have_one_builder():
+    """Every compiler's plans come from ``NetworkSegmenter.build_plans``:
+    ``SegmentPlan`` is built there, in the program decoder and in the
+    independent oracle, and nowhere else."""
+    builders = sorted(
+        {
+            str(path.relative_to(SRC))
+            for path in (SRC / "repro").rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            == "SegmentPlan"
+        }
+    )
+    assert builders == [
+        "repro/core/_reference.py",
+        "repro/core/program.py",
+        "repro/core/segmentation.py",
+    ]
+
+
 def test_options_are_declarative():
     """Runtime objects (a cache, an obs bundle) travel as constructor
     arguments; every option field takes part in equality and repr."""
