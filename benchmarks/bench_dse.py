@@ -12,10 +12,10 @@ The module doubles as a CI smoke script::
 which runs a small (model x array count x mode split) space twice
 against one cache directory — a cold pass and a fresh-runner warm pass —
 asserts the warm pass performs **zero** allocator solves with every
-canonical job served from the program store, and writes the measured numbers to
+point served from the program store, and writes the measured numbers to
 ``BENCH_dse.json`` for the performance-trajectory archive.
 
-A second smoke covers the multi-fidelity evaluator tiering::
+A second smoke covers the multi-fidelity schedule::
 
     PYTHONPATH=src python benchmarks/bench_dse.py --quick --fidelity auto
 
@@ -84,7 +84,7 @@ def _quick_smoke(cache_dir=None, json_out="BENCH_dse.json") -> int:
         print(
             "dse smoke (program store, second run of an overlapping space):\n"
             f"  cold run : {cold.wall_seconds:.3f} s ({cold.allocator_solves} solves, "
-            f"{cold.evaluated} evaluated, {cold.replicated} replicated, "
+            f"{cold.evaluated} evaluated, "
             f"{cold.warm_planned} served from the store)\n"
             f"  warm run : {warm.wall_seconds:.3f} s ({warm.allocator_solves} solves, "
             f"{warm.disk_hits} disk hits, {warm.warm_planned} served from the store)\n"
@@ -100,7 +100,6 @@ def _quick_smoke(cache_dir=None, json_out="BENCH_dse.json") -> int:
             allocator_solves_warm=warm.allocator_solves,
             disk_hits_warm=warm.disk_hits,
             points_evaluated=cold.evaluated,
-            points_replicated=cold.replicated,
             warm_planned_warm_run=warm.warm_planned,
             cold_planned_warm_run=warm.cold_planned,
         )

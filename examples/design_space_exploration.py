@@ -58,12 +58,12 @@ def prime_comparison(session: Session) -> None:
 def array_count_exploration(session: Session) -> None:
     """Explore (array count x mode split) for ResNet-18 with repro.dse.
 
-    The whole space runs through the session: the planner collapses
-    structurally identical candidates, and the fixed-mode points reuse
-    the dual-mode points' memory-free solves through the session's
-    allocation cache.  With a ``cache_dir`` every compiled point is
-    stored, so a second invocation reads the programs back instead of
-    compiling them.
+    The whole space runs through the session: each point is one compile
+    (a point the session already compiled is a program-table hit), and
+    the fixed-mode points reuse the dual-mode points' memory-free solves
+    through the session's allocation cache.  With a ``cache_dir`` every
+    compiled point is stored, so a second invocation reads the programs
+    back instead of compiling them.
     """
     graph = build_model("resnet18", Workload(batch_size=1))
     space = DesignSpace(

@@ -29,10 +29,9 @@ Sub-packages:
 * :mod:`repro.baselines` -- PUMA / OCC / CIM-MLC as pipeline configurations
 * :mod:`repro.sim` -- functional and timing simulators
 * :mod:`repro.analysis`, :mod:`repro.experiments` -- paper figure/table harness
-* :mod:`repro.eval` -- two-fidelity candidate evaluation (an analytical
-  lower bound, or a plan from the full pipeline)
 * :mod:`repro.dse` -- cache-aware, multi-fidelity design-space
-  exploration engine
+  exploration engine (each point is an analytical lower bound, or a
+  plan compiled through :class:`CompileService`)
 """
 
 from .api import Session

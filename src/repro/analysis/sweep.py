@@ -194,8 +194,8 @@ def compiled_array_sweep(
     This is the legacy array-count sweep, now a thin façade over
     :mod:`repro.dse`: the array counts become a one-axis
     :class:`~repro.dse.space.DesignSpace`, the ``session`` explores it
-    with the grid strategy (:meth:`repro.api.Session.explore`;
-    structural duplicates collapse to one compile), and the records are
+    with the grid strategy (:meth:`repro.api.Session.explore`; a
+    repeated array count is a program-table hit), and the records are
     rendered back into the historical row format.  A session with a
     ``cache_dir`` lets a restarted sweep read back every design point an
     earlier run already compiled.  For new code prefer
@@ -239,11 +239,6 @@ def compiled_array_sweep(
                 f"{record.num_arrays}: {record.error}"
             )
         solve_attempts = record.allocator_solves + record.cache_hits
-        if record.status == "replicated":
-            # Served entirely by a structurally identical point's result.
-            hit_rate = 1.0
-        else:
-            hit_rate = record.cache_hits / solve_attempts if solve_attempts else 0.0
         rows.append(
             {
                 "num_arrays": record.num_arrays,
@@ -252,7 +247,9 @@ def compiled_array_sweep(
                 "ms": record.latency_ms if record.feasible else float("inf"),
                 "num_segments": record.num_segments,
                 "allocator_solves": record.allocator_solves,
-                "cache_hit_rate": hit_rate,
+                "cache_hit_rate": (
+                    record.cache_hits / solve_attempts if solve_attempts else 0.0
+                ),
             }
         )
     return rows

@@ -315,7 +315,7 @@ class Session:
                 full pipeline), ``"analytical"`` (closed-form lower
                 bounds, zero allocator solves) or ``"auto"``
                 (successive halving: analytical rung 0, survivors
-                compiled).  See :mod:`repro.eval`.
+                compiled).  See :mod:`repro.dse.bound`.
             budget: Max design points to cover (whole space if None).
             state: Optional resumable :class:`~repro.dse.RunState`.
             batch_size: Points asked from the strategy per iteration.

@@ -6,7 +6,7 @@ reached for two different stdlib calls ad hoc:
 * **Epoch time** (``time.time()``) — compared against file mtimes by the
   disk store's TTL/GC maintenance and the CLI's entry-age display.
 * **Monotonic time** (``time.perf_counter()``) — wall-clock intervals in
-  the pipeline, service and evaluators.
+  the pipeline, service and DSE runner.
 
 Mixing the raw calls into the logic makes age-based behaviour untestable
 without real sleeps.  :class:`Clock` bundles both readings behind one

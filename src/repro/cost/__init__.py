@@ -1,7 +1,7 @@
 """Cost models: per-operator profiles, Eq. 10 latency, Eq. 1/2/4 overheads.
 
-:mod:`repro.cost.analytical` adds the segment-free rung-0 bounds the
-tiered evaluation layer (:mod:`repro.eval`) scores candidates with.
+:mod:`repro.cost.analytical` adds the segment-free rung-0 bounds a
+design-space sweep scores candidates with (:mod:`repro.dse.bound`).
 """
 
 from .analytical import (

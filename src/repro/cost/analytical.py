@@ -44,8 +44,9 @@ lower bound.
 The calibration suite (``tests/test_eval.py``) ratchets both guarantees
 against the registered model zoo: the analytical latency never exceeds
 the compiled latency, and feasibility verdicts (delegated to
-:class:`~repro.core.feasibility.FeasibilityModel` by the evaluator
-layer) always agree with the compiler.
+:class:`~repro.core.feasibility.FeasibilityModel` by
+:func:`repro.dse.bound.analytical_bound`) always agree with the
+compiler.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ def analytical_graph_estimate(
 ) -> AnalyticalEstimate:
     """Assemble the full rung-0 estimate for a flattened profile list.
 
-    Feasibility is deliberately *not* decided here — the evaluator layer
-    asks the shared :class:`~repro.core.feasibility.FeasibilityModel`,
+    Feasibility is deliberately *not* decided here —
+    :func:`repro.dse.bound.analytical_bound` asks the shared :class:`~repro.core.feasibility.FeasibilityModel`,
     the same predicates the allocators use, so the two tiers cannot
     drift apart.  On an infeasible candidate the bounds are still
     well-defined (and still lower bounds) but meaningless.

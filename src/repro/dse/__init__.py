@@ -8,15 +8,13 @@ cache and the ``cache_dir`` program store instead of ad-hoc sweep loops:
 
 * :mod:`~repro.dse.space` — declarative :class:`DesignSpace` grids over
   models, workloads, DEHA parameters and compiler options;
-* :mod:`~repro.dse.planner` — structural dedup, so batches collapse
-  duplicates onto one evaluation;
 * :mod:`~repro.dse.strategies` — ``grid`` / ``random`` / ``greedy`` /
   ``successive-halving`` (multi-fidelity) search under an ask/tell
   protocol;
-* :mod:`~repro.dse.runner` — the loop: strategy -> state skip ->
-  planner -> one of the two :mod:`repro.eval` evaluators (an
-  analytical lower bound, or a plan from the full
-  :class:`~repro.service.CompileService` pipeline) -> records;
+* :mod:`~repro.dse.runner` — the loop: strategy -> state skip -> one
+  :class:`~repro.service.CompileJob` per point -> a plan from the
+  :class:`~repro.service.CompileService`, or an analytical lower bound
+  from :mod:`~repro.dse.bound` -> records;
 * :mod:`~repro.dse.state` — crash-safe resumable run directories;
 * :mod:`~repro.dse.pareto` — latency/energy/arrays Pareto frontiers
   with text and CSV reports.
@@ -44,13 +42,14 @@ from .pareto import (
     render_report,
     write_csv,
 )
-from .planner import Plan, PlannedJob, Planner
 from .runner import (
     DSEResult,
     DSERunner,
     EvaluationRecord,
+    FIDELITIES,
     FIDELITY_MODES,
     OBJECTIVES,
+    fidelity_rank,
     run_dse,
 )
 from .space import DesignPoint, DesignSpace, ParameterAxis, options_signature
@@ -72,14 +71,12 @@ __all__ = [
     "DesignPoint",
     "DesignSpace",
     "EvaluationRecord",
+    "FIDELITIES",
     "FIDELITY_MODES",
     "GreedyStrategy",
     "GridStrategy",
     "OBJECTIVES",
     "ParameterAxis",
-    "Plan",
-    "PlannedJob",
-    "Planner",
     "RandomStrategy",
     "RunState",
     "RunStateError",
@@ -88,6 +85,7 @@ __all__ = [
     "Strategy",
     "SuccessiveHalvingStrategy",
     "dominates",
+    "fidelity_rank",
     "full_fidelity_records",
     "make_strategy",
     "options_signature",

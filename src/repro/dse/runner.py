@@ -11,24 +11,22 @@
    still fed back to the strategy so adaptive search resumes with full
    knowledge; an analytical record does not satisfy a compile-fidelity
    request),
-3. hands the rest to the :class:`~repro.dse.planner.Planner` —
-   structural duplicates collapse to one evaluation,
-4. evaluates the planned jobs through the batch's tier of the
-   :mod:`repro.eval` evaluator layer —
-   :class:`~repro.eval.AnalyticalEvaluator` (a bound: closed-form lower
-   bounds, zero allocator solves) or
-   :class:`~repro.eval.CompileEvaluator` (a plan: the full pipeline
-   over a :class:`~repro.service.CompileService`) — and
-5. converts each typed :class:`~repro.eval.Evaluation` to an
-   :class:`EvaluationRecord` — latency, energy, array usage, fidelity
-   tag, solver statistics — appends it durably to the run state, and
-   tells the strategy.
+3. turns every other point into one :class:`~repro.service.CompileJob`
+   over a graph the runner builds once per (model, workload), and
+   either compiles the batch through its
+   :class:`~repro.service.CompileService` (a plan — a point that repeats
+   an earlier compile is a program-table hit with zero solves) or scores
+   it with :func:`~repro.dse.bound.analytical_bound` (a bound —
+   closed-form lower bounds, zero allocator solves), and
+4. builds one :class:`EvaluationRecord` per point — latency, energy,
+   array usage, fidelity tag, solver statistics — appends it durably to
+   the run state, and tells the strategy.
 
 The loop ends when the budget is spent or the strategy exhausts the
 space.  The returned :class:`DSEResult` carries every record known at
 the end (resumed and new), the aggregate counters the CLI and CI assert
-on (evaluated / replicated / skipped / allocator solves / per-fidelity
-evaluations), and the Pareto reporting entry points.
+on (evaluated / skipped / allocator solves / per-fidelity evaluations),
+and the Pareto reporting entry points.
 
 :meth:`repro.api.Session.explore` is the public entry point: it builds
 a runner over the session's own compile service, so a sweep warm-starts
@@ -39,19 +37,16 @@ from __future__ import annotations
 
 import math
 import time
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..eval import (
-    FIDELITIES,
-    AnalyticalEvaluator,
-    CompileEvaluator,
-    Evaluation,
-    Evaluator,
-    fidelity_rank,
-)
-from ..service import CompileJob, CompileService
+from ..cost.energy import estimate_energy
+from ..ir.graph import Graph
+from ..models.registry import build_model
+from ..service import CompileJob, CompileJobResult, CompileService
+from .bound import analytical_bound
 from .pareto import (
     DEFAULT_AXES,
     full_fidelity_records,
@@ -59,7 +54,6 @@ from .pareto import (
     render_report,
     write_csv,
 )
-from .planner import Planner
 from .space import DesignPoint, DesignSpace
 from .state import RunState
 from .strategies import Strategy, SuccessiveHalvingStrategy, make_strategy
@@ -68,8 +62,10 @@ __all__ = [
     "DSEResult",
     "DSERunner",
     "EvaluationRecord",
+    "FIDELITIES",
     "FIDELITY_MODES",
     "OBJECTIVES",
+    "fidelity_rank",
     "run_dse",
 ]
 
@@ -83,6 +79,21 @@ OBJECTIVES = {
     "energy": "energy_mj",
     "trace_p99": "trace_p99_ms",
 }
+
+#: Fidelity tags, cheapest first: a closed-form bound, a compiled plan.
+FIDELITIES = ("analytical", "compile")
+
+
+def fidelity_rank(fidelity: Optional[str]) -> int:
+    """Rank of a fidelity tag (a higher rank answers lower requests).
+
+    An absent tag counts as a plan: records written before fidelity
+    existed were all full compiles.  Tags of tiers that no longer exist
+    never get here: :meth:`DSERunner.run` normalises or drops them when
+    it loads a run directory.
+    """
+    return FIDELITIES.index(fidelity or "compile")
+
 
 #: Valid ``DSERunner(fidelity=...)`` values.  ``"auto"`` defers to the
 #: strategy's multi-fidelity schedule (installing a
@@ -98,10 +109,9 @@ class EvaluationRecord:
     This is the unit the run state persists, the strategies steer on,
     and the Pareto reports consume.
 
-    ``status`` is one of ``"evaluated"`` (a real evaluation — feasible
-    or not), ``"replicated"`` (copied from a structurally identical
-    point of the same batch) or ``"resumed"`` (loaded from the run
-    state).
+    ``status`` is ``"evaluated"`` (produced by this run — feasible or
+    not) or ``"resumed"`` (loaded from the run state, whatever status
+    it was written with).
 
     ``fidelity`` tags which evaluation tier produced the metrics
     (``"analytical"`` metrics are optimistic lower bounds —
@@ -110,10 +120,10 @@ class EvaluationRecord:
     they were; so do records of the retired ``"cached"`` tier, whose
     metrics came from a real compile.
 
-    An infeasible point (the evaluator proves no plan exists — the
-    boundary a DSE sweep exists to find) has ``feasible=False`` with
-    ``failed=False``; ``failed=True`` marks genuine errors (unknown
-    model, a crash inside the pipeline).
+    An infeasible point (the bound or the compiler proves no plan
+    exists — the boundary a DSE sweep exists to find) has
+    ``feasible=False`` with ``failed=False``; ``failed=True`` marks
+    genuine errors (unknown model, a crash inside the pipeline).
     """
 
     point_key: str
@@ -201,12 +211,12 @@ class DSEResult:
         new_records: Every record this run produced, in evaluation order
             (a promoted point contributes one record per fidelity — the
             honest log of what was paid for).
-        evaluated / replicated / skipped: Point counters (skipped =
-            served from the run state).
-        evaluated_by_fidelity: Canonical evaluations per fidelity tag.
-        warm_planned / cold_planned: Canonical jobs the compile service
-            served without running a pass (from its in-memory program
-            table or its ``cache_dir`` store) / jobs that were computed
+        evaluated / skipped: Point counters (skipped = served from the
+            run state).
+        evaluated_by_fidelity: Evaluations per fidelity tag.
+        warm_planned / cold_planned: Points the compile service served
+            without running a pass (from its in-memory program table or
+            its ``cache_dir`` store) / points that were computed
             (compiled or bounded).
         allocator_solves / disk_hits: Aggregates over ``new_records``.
         objective: The optimisation objective of the run.
@@ -216,6 +226,7 @@ class DSEResult:
     records: List[EvaluationRecord] = field(default_factory=list)
     new_records: List[EvaluationRecord] = field(default_factory=list)
     evaluated: int = 0
+    #: Always 0; kept because ``bench/benchlib/wl_dse.py`` reads it.
     replicated: int = 0
     skipped: int = 0
     evaluated_by_fidelity: Dict[str, int] = field(default_factory=dict)
@@ -266,7 +277,7 @@ class DSEResult:
         ) or "none"
         return "\n".join(
             [
-                f"points: {self.evaluated} evaluated, {self.replicated} replicated, "
+                f"points: {self.evaluated} evaluated, "
                 f"{self.skipped} skipped (already evaluated)",
                 f"fidelity: {by_fidelity}",
                 f"programs: {self.warm_planned} served (table or store), "
@@ -393,21 +404,11 @@ class DSERunner:
             if service is None
             else service
         )
-        self.planner = Planner()
-        self._evaluators: Dict[str, Evaluator] = {}
-
-    def evaluator(self, fidelity: str) -> Evaluator:
-        """The (lazily built, memoised) evaluator of one fidelity tier."""
-        evaluator = self._evaluators.get(fidelity)
-        if evaluator is None:
-            if fidelity == "analytical":
-                evaluator = AnalyticalEvaluator()
-            elif fidelity == "compile":
-                evaluator = CompileEvaluator(self.service)
-            else:
-                raise ValueError(f"no evaluator for fidelity {fidelity!r}")
-            self._evaluators[fidelity] = evaluator
-        return evaluator
+        # One graph per (model, workload): every point of a model shares
+        # it, so the service's program key is built from one object and
+        # the analytical bound flattens it once per chip.
+        self._graphs: Dict[Tuple, Graph] = {}
+        self._flatten_memo: OrderedDict = OrderedDict()
 
     def _batch_fidelity(self) -> str:
         """Fidelity of the upcoming batch (read *after* strategy.ask)."""
@@ -428,10 +429,9 @@ class DSERunner:
     def run(self, budget: Optional[int] = None) -> DSEResult:
         """Explore until ``budget`` points are covered or the space ends.
 
-        ``budget`` counts points *covered this run* (fresh evaluations
-        plus replications, at any fidelity); points skipped via the run
-        state are free, so a resumed run spends its whole budget on new
-        ground.
+        ``budget`` counts points *evaluated this run* (at any
+        fidelity); points skipped via the run state are free, so a
+        resumed run spends its whole budget on new ground.
         """
         start = time.perf_counter()
         self.strategy.bind(self.space)
@@ -516,34 +516,31 @@ class DSERunner:
                 with self.obs.tracer.span(
                     "dse.batch", fidelity=batch_fidelity, points=len(fresh)
                 ):
-                    plan = self.planner.plan(fresh)
-                    jobs = [
-                        CompileJob(
-                            # An unplannable point (graph=None) ships its
-                            # model reference; the evaluator's rebuild
-                            # surfaces the error into this job's own result.
-                            job.graph if job.graph is not None else job.point.model,
-                            workload=job.point.workload,
-                            hardware=job.point.hardware,
-                            options=dc_replace(job.point.options, generate_code=False),
-                            label=job.point.describe(),
+                    jobs = [self._job(point) for point in fresh]
+                    if batch_fidelity == "compile":
+                        outcomes = self.service.compile_batch(jobs)
+                        # A pipeline run always times its passes; a served
+                        # program's re-stamped stats list none.
+                        served = sum(
+                            1
+                            for outcome in outcomes
+                            if outcome.ok and not outcome.stats.get("pass_seconds")
                         )
-                        for job in plan.jobs
-                    ]
-                    evaluations = self.evaluator(batch_fidelity).evaluate_batch(jobs)
-                served = sum(1 for evaluation in evaluations if evaluation.served)
+                        batch_records = [
+                            self._compiled(point, outcome)
+                            for point, outcome in zip(fresh, outcomes)
+                        ]
+                    else:
+                        served = 0
+                        batch_records = [
+                            self._bounded(point, job) for point, job in zip(fresh, jobs)
+                        ]
                 result.warm_planned += served
-                result.cold_planned += len(evaluations) - served
-                for planned, evaluation in zip(plan.jobs, evaluations):
-                    record = self._record(planned.point, evaluation)
-                    batch_records.append(record)
-                    result.evaluated += 1
-                    result.evaluated_by_fidelity[evaluation.fidelity] = (
-                        result.evaluated_by_fidelity.get(evaluation.fidelity, 0) + 1
-                    )
-                    for duplicate in planned.duplicates:
-                        batch_records.append(self._replicate(record, duplicate))
-                        result.replicated += 1
+                result.cold_planned += len(fresh) - served
+                result.evaluated += len(fresh)
+                result.evaluated_by_fidelity[batch_fidelity] = (
+                    result.evaluated_by_fidelity.get(batch_fidelity, 0) + len(fresh)
+                )
                 budget_left -= len(fresh)
             for record in batch_records:
                 remember(record)
@@ -562,16 +559,104 @@ class DSERunner:
         return result
 
     # ------------------------------------------------------------------ #
-    # record construction
+    # jobs and records
     # ------------------------------------------------------------------ #
-    def _record(self, point: DesignPoint, evaluation: Evaluation) -> EvaluationRecord:
-        """Convert one typed evaluation into the persistent record shape."""
+    def _job(self, point: DesignPoint) -> CompileJob:
+        """The compile job of one point, over the runner's shared graph.
+
+        A model that cannot be built ships as its name: the job's own
+        ``resolve_graph`` raises again, into that point's record, and
+        the rest of the batch runs.
+        """
+        graph: Union[Graph, str] = point.model
+        if not isinstance(graph, Graph):
+            key = (point.model, point.workload)
+            graph = self._graphs.get(key)
+            if graph is None:
+                try:
+                    graph = self._graphs[key] = build_model(point.model, point.workload)
+                except Exception:  # noqa: BLE001 - re-raised into the record
+                    graph = point.model
+        return CompileJob(
+            graph,
+            workload=point.workload,
+            hardware=point.hardware,
+            options=dc_replace(point.options, generate_code=False),
+            label=point.describe(),
+        )
+
+    def _compiled(self, point: DesignPoint, outcome: CompileJobResult) -> EvaluationRecord:
+        """The record of one compile: the program's metrics, or why none exists.
+
+        A :class:`~repro.core.segmentation.NoFeasiblePlanError` is an
+        *infeasible* verdict, not a failure; its pre-failure solver
+        statistics are kept either way.
+        """
+        stats = outcome.stats
+        counters = dict(
+            wall_seconds=outcome.wall_seconds,
+            allocator_solves=int(stats.get("allocator_solves", 0)),
+            cache_hits=int(stats.get("allocation_cache_hits", 0)),
+            disk_hits=int(stats.get("allocation_disk_hits", 0)),
+        )
+        if not outcome.ok:
+            error = outcome.error or ""
+            return self._record(
+                point, "compile", error=outcome.error,
+                failed=not error.startswith("NoFeasiblePlanError"), **counters,
+            )
+        program = outcome.program
+        return self._record(
+            point, "compile", feasible=True,
+            latency_ms=program.end_to_end_ms,
+            cycles=program.end_to_end_cycles,
+            energy_mj=estimate_energy(program).end_to_end_mj,
+            num_segments=program.num_segments,
+            peak_arrays=max(
+                (s.compute_arrays + s.memory_arrays for s in program.segments),
+                default=0,
+            ),
+            **counters,
+        )
+
+    def _bounded(self, point: DesignPoint, job: CompileJob) -> EvaluationRecord:
+        """The record of one analytical bound (zero solves); errors are captured."""
+        start = time.perf_counter()
+        hardware = point.hardware
+        try:
+            estimate, unfit = analytical_bound(
+                job.resolve_graph(),
+                hardware,
+                point.options.allow_memory_mode,
+                memo=self._flatten_memo,
+            )
+        except Exception as exc:  # noqa: BLE001 - isolation is the contract
+            fields = dict(error=f"{type(exc).__name__}: {exc}", failed=True)
+        else:
+            if unfit is not None:
+                fields = dict(
+                    error=f"unit {unfit!r} needs more than the chip's "
+                    f"{hardware.num_arrays} arrays"
+                )
+            else:
+                fields = dict(
+                    feasible=True,
+                    latency_ms=hardware.cycles_to_ms(estimate.end_to_end_cycles),
+                    cycles=estimate.end_to_end_cycles,
+                    energy_mj=estimate.end_to_end_mj,
+                    peak_arrays=estimate.min_peak_arrays,
+                )
+        return self._record(
+            point, "analytical", lower_bound=True,
+            wall_seconds=time.perf_counter() - start, **fields,
+        )
+
+    def _record(self, point: DesignPoint, fidelity: str, **fields) -> EvaluationRecord:
+        """The persistent record of one evaluated point (``fields`` are its metrics)."""
         metrics = self.obs.metrics
         metrics.inc("dse.points")
-        metrics.inc(f"dse.points.{evaluation.fidelity}")
-        with self.obs.tracer.span(
-            "dse.point", point=point.key, fidelity=evaluation.fidelity
-        ) as span:
+        metrics.inc(f"dse.points.{fidelity}")
+        with self.obs.tracer.span("dse.point", point=point.key, fidelity=fidelity) as span:
             record = EvaluationRecord(
                 point_key=point.key,
                 model=point.model_name,
@@ -583,25 +668,13 @@ class DSERunner:
                 allow_memory_mode=point.options.allow_memory_mode,
                 objective=self.objective,
                 space_fingerprint=self.space.fingerprint(),
-                fidelity=evaluation.fidelity,
-                lower_bound=evaluation.lower_bound,
-                wall_seconds=evaluation.eval_seconds,
-                allocator_solves=evaluation.allocator_solves,
-                cache_hits=evaluation.cache_hits,
-                disk_hits=evaluation.disk_hits,
+                fidelity=fidelity,
+                **fields,
             )
-            if not evaluation.feasible:
-                record.error = evaluation.error
-                record.failed = evaluation.failed
+            if not record.feasible:
                 metrics.inc("dse.points.infeasible")
                 span.set(status="infeasible")
                 return record
-            record.feasible = True
-            record.latency_ms = evaluation.latency_ms
-            record.cycles = evaluation.cycles
-            record.energy_mj = evaluation.energy_mj
-            record.num_segments = evaluation.num_segments
-            record.peak_arrays = evaluation.peak_arrays
             if self.objective == "trace_p99":
                 record.trace_p99_ms = self._trace_p99(point)
             record.objective_value = getattr(record, OBJECTIVES[self.objective])
@@ -644,27 +717,6 @@ class DSERunner:
         else:
             self.obs.metrics.inc("dse.trace_replay.memo_hits")
         return score
-
-    def _replicate(
-        self, canonical: EvaluationRecord, point: DesignPoint
-    ) -> EvaluationRecord:
-        """Copy a canonical result onto a structurally identical point.
-
-        The copy costs nothing, so its solver counters are zero — the
-        CSV stays an honest account of where time actually went.
-        """
-        return dc_replace(
-            canonical,
-            point_key=point.key,
-            model=point.model_name,
-            workload=point.workload.describe(),
-            coords=point.coords,
-            allocator_solves=0,
-            cache_hits=0,
-            disk_hits=0,
-            wall_seconds=0.0,
-            status="replicated",
-        )
 
 
 def run_dse(

@@ -268,7 +268,7 @@ class DesignSpace:
 
         # Hardware instances are memoised per override combination: the
         # DEHA fingerprint is memoised per instance, so sharing instances
-        # across points keeps planner fingerprinting O(#hardware configs).
+        # across points keeps fingerprinting O(#hardware configs).
         self._hardware_memo: Dict[Tuple[int, ...], DualModeHardwareAbstraction] = {}
         self._options_memo: Dict[Tuple[int, ...], CompilerOptions] = {}
         # Graph-object models get a structural digest once (their name is

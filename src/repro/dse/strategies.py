@@ -23,8 +23,8 @@ Four built-ins cover the common sweep shapes:
   survivors (falling back to random exploration when the neighbourhoods
   are exhausted).  Converges on a good region of a smooth objective with
   a fraction of the grid budget.
-* ``successive-halving`` — the multi-fidelity schedule the evaluator
-  layer (:mod:`repro.eval`) enables: rung 0 proposes *every* candidate
+* ``successive-halving`` — the multi-fidelity schedule the analytical
+  bound (:mod:`repro.dse.bound`) enables: rung 0 proposes *every* candidate
   at ``analytical`` fidelity (closed-form lower bounds, zero allocator
   solves) and the best ``keep_fraction`` survivors are compiled.  The
   strategy announces the fidelity of its current rung via
@@ -178,7 +178,7 @@ class GreedyStrategy(Strategy):
         # option canonicalisation), and near a space edge a survivor's
         # neighbourhood collapses onto such aliases — without key-level
         # dedup the strategy re-proposes an already-told point and the
-        # batch burns budget replicating it.
+        # batch burns budget evaluating it again.
         self._seen_keys: set = set()
 
     def _propose_unseen(self, coords: Tuple[int, ...]) -> Optional[DesignPoint]:

@@ -260,7 +260,7 @@ def test_one_shot_compile_loads_only_the_compiler():
         "    session.compile('tiny-mlp')\n"
         "unwanted = ['networkx', 'scipy', 'scipy.optimize', 'multiprocessing',\n"
         "    'concurrent.futures', 'queue', 'http.server', 'http.client', 'xml', 'email',\n"
-        "    'repro.serve', 'repro.dse', 'repro.sim', 'repro.eval', 'repro.experiments',\n"
+        "    'repro.serve', 'repro.dse', 'repro.sim', 'repro.experiments',\n"
         "    'repro.analysis']\n"
         "loaded = [name for name in unwanted if name in sys.modules]\n"
         "assert not loaded, loaded\n"

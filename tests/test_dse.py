@@ -13,7 +13,6 @@ from repro.dse import (
     EvaluationRecord,
     GreedyStrategy,
     GridStrategy,
-    Planner,
     RandomStrategy,
     RunState,
     RunStateError,
@@ -124,39 +123,43 @@ class TestDesignSpace:
 
 
 # ---------------------------------------------------------------------- #
-# Planner
+# Planning a batch: one compile-service call per fresh point
 # ---------------------------------------------------------------------- #
 class TestPlanner:
-    def test_structural_duplicates_collapse(self):
-        # The same model twice -> identical structure -> one canonical job.
+    """How the runner plans a batch: every fresh point is one compile job,
+    and the compile service decides whether it is served or computed."""
+
+    def test_a_repeated_model_compiles_once(self):
+        # The same model twice: each twin is a program-table hit.
         space = tiny_space(models=("tiny-cnn", "tiny-cnn"))
-        planner = Planner()
-        plan = planner.plan(list(space.points()))
-        assert plan.n_points == 4
-        assert len(plan.jobs) == 2  # one per array count
-        assert plan.n_collapsed == 2
-        for job in plan.jobs:
-            assert len(job.duplicates) == 1
+        result = run_dse(space)
+        assert result.evaluated == 4 and result.replicated == 0
+        assert result.cold_planned == 2 and result.warm_planned == 2
+        first, second = result.new_records[:2], result.new_records[2:]
+        for original, twin in zip(first, second):
+            assert twin.point_key == original.point_key
+            assert original.allocator_solves > 0
+            assert twin.allocator_solves == 0 and twin.disk_hits == 0
+            assert twin.cache_hits == twin.num_segments > 0
+            assert twin.cycles == original.cycles
+        assert len(result.records) == 2
 
     def test_distinct_structures_not_collapsed(self):
         space = tiny_space(models=("tiny-cnn", "tiny-mlp"), arrays=(8,))
-        plan = Planner().plan(list(space.points()))
-        assert len(plan.jobs) == 2
-        assert plan.n_collapsed == 0
+        result = run_dse(space)
+        assert result.evaluated == result.cold_planned == 2
+        assert all(r.allocator_solves > 0 for r in result.new_records)
+        assert {r.model for r in result.records} == {"tiny-cnn", "tiny-mlp"}
 
     def test_planner_never_touches_the_store(self, tmp_path):
-        """Jobs keep the order their points were asked in, stored or not."""
+        """Points keep the order they were asked in, stored or not; the
+        runner reads warmth off the compile results."""
         cache_dir = tmp_path / "cache"
         # Store exactly one design point (8 arrays) through a real compile.
         run_dse(tiny_space(arrays=(8,)), cache_dir=cache_dir)
-        with pytest.raises(TypeError, match="store"):
-            Planner(store=DiskCacheStore(cache_dir))
-        points = list(tiny_space(arrays=(4, 8)).points())
-        plan = Planner().plan(points)
-        assert [job.point.hardware.num_arrays for job in plan.jobs] == [4, 8]
-        assert not hasattr(plan, "n_warm") and not hasattr(plan.jobs[0], "warm")
-        # The runner reads warmth off the evaluations instead.
         result = run_dse(tiny_space(arrays=(4, 8)), cache_dir=cache_dir)
+        assert [r.num_arrays for r in result.new_records] == [4, 8]
+        assert [r.disk_hits > 0 for r in result.new_records] == [False, True]
         assert result.warm_planned == 1 and result.cold_planned == 1
 
     def test_no_store_means_everything_cold(self):
@@ -233,7 +236,7 @@ class TestRunnerResume:
     def test_budget_limits_coverage(self, tmp_path):
         space = tiny_space(arrays=(4, 6, 8))
         result = run_dse(space, budget=2, cache_dir=tmp_path / "cache")
-        assert result.evaluated + result.replicated == 2
+        assert result.evaluated == 2
 
     def test_resume_after_interrupt_skips_completed(self, tmp_path):
         space = tiny_space(arrays=(4, 6, 8))
@@ -362,6 +365,33 @@ class TestRunnerResume:
         assert {r.point_key: r.cycles for r in resumed.records} == truth
         assert {r.point_key: r.cycles for r in resumed.frontier()}.items() <= truth.items()
         assert resume("compile").evaluated == 0
+
+    def test_run_dir_with_replicated_records_still_resumes(self, tmp_path):
+        """Records written with status ``"replicated"`` (copies of a
+        structural twin's result) are ordinary stored outcomes."""
+        space = tiny_space(arrays=(4, 8))
+        run_dir = tmp_path / "run"
+        with RunState.open(
+            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
+        ) as state:
+            first = DSERunner(space, state=state).run()
+        results = run_dir / "results.jsonl"
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        for record in records:
+            record.update(status="replicated", allocator_solves=0, cache_hits=0)
+        results.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+        with RunState.open(
+            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+            resume=True,
+        ) as state:
+            resumed = DSERunner(space, state=state).run()
+        assert resumed.skipped == 2 and resumed.evaluated == 0
+        assert resumed.allocator_solves == 0
+        assert {r.status for r in resumed.records} == {"resumed"}
+        assert [(r.point_key, r.cycles) for r in resumed.records] == [
+            (r.point_key, r.cycles) for r in first.records
+        ]
 
     def test_fresh_run_refuses_existing_results(self, tmp_path):
         space = tiny_space()
@@ -753,6 +783,37 @@ class TestWarmPlanning:
             (r.point_key, r.cycles) for r in cold.frontier()
         ]
 
+    def test_warm_sweep_never_flattens_and_builds_each_model_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm point is a program key and a store read: no graph is
+        flattened, and each (model, workload) graph is built once."""
+        import sys
+
+        from repro.core import segmentation
+        from repro.models import registry
+
+        cache_dir = tmp_path / "cache"
+        run_dse(benchmark_space(), cache_dir=cache_dir)
+        calls = {"flatten_graph": 0, "build_model": 0}
+        for original in (segmentation.flatten_graph, registry.build_model):
+            def counted(*args, _original=original, **kwargs):
+                calls[_original.__name__] += 1
+                return _original(*args, **kwargs)
+
+            # Rebind every module-level alias, whatever imported it.
+            for module in list(sys.modules.values()):
+                if (
+                    getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, original.__name__, None) is original
+                ):
+                    monkeypatch.setattr(module, original.__name__, counted)
+
+        warm = run_dse(benchmark_space(), cache_dir=cache_dir)
+        assert warm.evaluated == 30 and warm.warm_planned == 30
+        assert warm.allocator_solves == 0
+        assert calls == {"flatten_graph": 0, "build_model": 3}
+
     def test_disk_hits_surface_in_program_stats(self, tmp_path):
         cache_dir = tmp_path / "cache"
         run_dse(tiny_space(arrays=(8,)), cache_dir=cache_dir)
@@ -956,7 +1017,7 @@ class TestCacheCli:
 
 
 # ---------------------------------------------------------------------- #
-# Multi-fidelity evaluation (repro.eval threading)
+# Multi-fidelity evaluation (the analytical bound, then compiles)
 # ---------------------------------------------------------------------- #
 class TestFidelity:
     def test_analytical_run_performs_zero_solves(self):

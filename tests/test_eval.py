@@ -1,17 +1,18 @@
-"""Tests for the tiered evaluation layer (repro.eval).
+"""Calibration of the analytical bound, parity of compile-fidelity records.
 
-The two contracts the refactor hangs on:
+The two contracts a multi-fidelity sweep hangs on:
 
-* **calibration** — the analytical rung-0 tier is a true lower bound on
-  the registered model zoo: it never reports a compilable point
-  infeasible (or vice versa), and its latency/energy never exceed the
-  compiled plan's;
-* **parity** — compile-fidelity evaluation produces programs
-  bit-identical (by semantic fingerprint) to direct
-  :meth:`repro.api.Session.compile` output across the option matrix.
+* **calibration** — :func:`repro.dse.bound.analytical_bound` (the
+  rung-0 tier of a sweep) is a true lower bound on the registered model
+  zoo: it never reports a compilable point infeasible (or vice versa),
+  and its latency/energy never exceed the compiled plan's;
+* **parity** — a compile-fidelity record carries exactly the metrics of
+  the program :meth:`repro.api.Session.compile` builds, across the
+  option matrix.
 """
 
 import math
+from collections import OrderedDict
 
 import pytest
 
@@ -24,12 +25,8 @@ from repro.cost import (
     compute_roofline_cycles,
     estimate_energy,
 )
-from repro.eval import (
-    AnalyticalEvaluator,
-    CompileEvaluator,
-    Evaluation,
-    fidelity_rank,
-)
+from repro.dse import FIDELITIES, DesignSpace, DSERunner, fidelity_rank, run_dse
+from repro.dse.bound import FLATTEN_MEMO_ENTRIES, _units, analytical_bound
 from repro.hardware import small_test_chip
 from repro.models import Workload, build_model
 from repro.service import CompileJob
@@ -39,7 +36,7 @@ from repro.service import CompileJob
 ZOO = ("tiny-cnn", "tiny-mlp", "tiny-transformer", "mobilenet")
 ZOO_WORKLOAD = Workload(batch_size=1, seq_len=16)
 
-#: The parity option matrix (mirrors the PR 4 fingerprint suite).
+#: The parity option matrix (mirrors the fingerprint suite).
 OPTION_MATRIX = (
     CompilerOptions(generate_code=False),
     CompilerOptions(generate_code=False, allow_memory_mode=False),
@@ -48,12 +45,24 @@ OPTION_MATRIX = (
 )
 
 
-def job_for(model, options=None, hardware=None):
-    return CompileJob(
-        model,
-        workload=ZOO_WORKLOAD,
-        hardware=hardware if hardware is not None else small_test_chip(),
-        options=options or CompilerOptions(generate_code=False),
+def space_for(models, options=None):
+    return DesignSpace(
+        models=list(models),
+        base_hardware=small_test_chip(),
+        workloads=[ZOO_WORKLOAD],
+        base_options=options or CompilerOptions(generate_code=False),
+    )
+
+
+def records(models, fidelity, options=None):
+    """``point_key -> record`` of one sweep over ``models`` at ``fidelity``."""
+    result = DSERunner(space_for(models, options), fidelity=fidelity).run()
+    return {record.point_key: record for record in result.records}
+
+
+def bound_of(model, memo=None):
+    return analytical_bound(
+        build_model(model, ZOO_WORKLOAD), small_test_chip(), memo=memo
     )
 
 
@@ -72,37 +81,36 @@ def no_allocator_solves(monkeypatch):
 # analytical tier
 # ---------------------------------------------------------------------- #
 class TestAnalyticalEvaluator:
+    """The bound, alone and as the runner's ``analytical`` fidelity."""
+
     def test_zero_allocator_solves_across_the_zoo(self, no_allocator_solves):
-        evaluator = AnalyticalEvaluator()
-        for model in ZOO:
-            for options in OPTION_MATRIX:
-                evaluation = evaluator.evaluate(job_for(model, options))
-                assert evaluation.fidelity == "analytical"
-                assert evaluation.lower_bound
-                assert evaluation.allocator_solves == 0
-                assert not evaluation.failed, evaluation.error
-                assert evaluation.feasible
-                assert math.isfinite(evaluation.latency_ms)
+        for options in OPTION_MATRIX:
+            for record in records(ZOO, "analytical", options).values():
+                assert record.fidelity == "analytical"
+                assert record.lower_bound
+                assert record.allocator_solves == 0
+                assert not record.failed, record.error
+                assert record.feasible
+                assert math.isfinite(record.latency_ms)
 
     def test_lower_bound_calibration_against_full_compiles(self):
         """Latency/energy bounds never exceed the compiled plan's cost."""
-        analytical = AnalyticalEvaluator()
-        compiler = CompileEvaluator()
         checked = 0
-        for model in ZOO:
-            for options in OPTION_MATRIX:
-                job = job_for(model, options)
-                bound = analytical.evaluate(job)
-                exact = compiler.evaluate(job)
+        for options in OPTION_MATRIX:
+            bounds = records(ZOO, "analytical", options)
+            exact = records(ZOO, "compile", options)
+            assert bounds.keys() == exact.keys()
+            for key, plan in exact.items():
+                low = bounds[key]
                 # Feasibility verdicts must agree in both directions.
-                assert bound.feasible == exact.feasible, (model, options)
-                if not exact.feasible:
+                assert low.feasible == plan.feasible, (plan.model, options)
+                if not plan.feasible:
                     continue
                 checked += 1
-                assert bound.cycles <= exact.cycles * (1 + 1e-9), (model, options)
-                assert bound.latency_ms <= exact.latency_ms * (1 + 1e-9)
-                assert bound.energy_mj <= exact.energy_mj * (1 + 1e-9)
-                assert bound.peak_arrays <= exact.peak_arrays
+                assert low.cycles <= plan.cycles * (1 + 1e-9), (plan.model, options)
+                assert low.latency_ms <= plan.latency_ms * (1 + 1e-9)
+                assert low.energy_mj <= plan.energy_mj * (1 + 1e-9)
+                assert low.peak_arrays <= plan.peak_arrays
         assert checked >= len(ZOO)
 
     def test_infeasible_unit_is_detected_without_solving(
@@ -115,10 +123,12 @@ class TestAnalyticalEvaluator:
         monkeypatch.setattr(
             OperatorProfile, "min_compute_arrays", lambda self, hardware: 10**6
         )
-        evaluation = AnalyticalEvaluator().evaluate(job_for("tiny-mlp"))
-        assert not evaluation.feasible
-        assert not evaluation.failed
-        assert "arrays" in (evaluation.error or "")
+        _, unfit = bound_of("tiny-mlp")
+        assert unfit is not None
+        (record,) = records(["tiny-mlp"], "analytical").values()
+        assert not record.feasible
+        assert not record.failed
+        assert unfit in record.error and "arrays" in record.error
 
     def test_feasibility_matches_compiler_on_unfit_unit(self):
         """The shared FeasibilityModel predicate mirrors the compiler."""
@@ -140,10 +150,10 @@ class TestAnalyticalEvaluator:
         assert segment_fits(profiles, hardware) == model.segment_fits(profiles)
 
     def test_unknown_model_is_a_captured_failure(self):
-        evaluation = AnalyticalEvaluator().evaluate(job_for("no-such-model"))
-        assert evaluation.failed
-        assert not evaluation.feasible
-        assert "no-such-model" in (evaluation.error or "")
+        (record,) = records(["no-such-model"], "analytical").values()
+        assert record.failed
+        assert not record.feasible
+        assert "no-such-model" in (record.error or "")
 
     def test_cost_bounds_are_consistent(self):
         """The aggregate estimate equals its constituent bounds."""
@@ -164,18 +174,21 @@ class TestAnalyticalEvaluator:
 # compile tier (parity)
 # ---------------------------------------------------------------------- #
 class TestCompileEvaluator:
+    """The runner's ``compile`` fidelity: one compile-service call per point."""
+
     def test_fingerprint_parity_with_session_compile(self):
-        """Evaluator-produced programs are bit-identical to Session.compile."""
-        for model in ("tiny-cnn", "tiny-mlp"):
-            for options in OPTION_MATRIX:
-                evaluation = CompileEvaluator().evaluate(job_for(model, options))
-                assert evaluation.feasible
+        """A compile record's metrics are those of Session.compile's program."""
+        for options in OPTION_MATRIX:
+            swept = records(("tiny-cnn", "tiny-mlp"), "compile", options)
+            for record in swept.values():
+                assert record.feasible
                 direct = Session(hardware=small_test_chip(), options=options).compile(
-                    model, workload=ZOO_WORKLOAD
+                    record.model, workload=ZOO_WORKLOAD
                 )
-                assert evaluation.program.fingerprint() == direct.fingerprint()
-                assert evaluation.latency_ms == direct.end_to_end_ms
-                assert evaluation.energy_mj == estimate_energy(direct).end_to_end_mj
+                assert record.cycles == direct.end_to_end_cycles
+                assert record.latency_ms == direct.end_to_end_ms
+                assert record.energy_mj == estimate_energy(direct).end_to_end_mj
+                assert record.num_segments == direct.num_segments
 
     def test_infeasible_plan_is_not_a_failure(self, monkeypatch):
         from repro.core.segmentation import NoFeasiblePlanError
@@ -184,77 +197,74 @@ class TestCompileEvaluator:
             raise NoFeasiblePlanError("nope")
 
         monkeypatch.setattr(CompileJob, "resolve_graph", _raise)
-        evaluation = CompileEvaluator().evaluate(job_for("tiny-mlp"))
-        assert not evaluation.feasible
-        assert not evaluation.failed
-        assert (evaluation.error or "").startswith("NoFeasiblePlanError")
+        (record,) = run_dse(space_for(["tiny-mlp"])).records
+        assert not record.feasible
+        assert not record.failed
+        assert (record.error or "").startswith("NoFeasiblePlanError")
 
 
 # ---------------------------------------------------------------------- #
-# protocol plumbing
+# fidelity tags
 # ---------------------------------------------------------------------- #
 class TestEvaluationProtocol:
     def test_fidelity_ranks(self):
-        from repro.eval import FIDELITIES, FIDELITY_RANK
-
         assert FIDELITIES == ("analytical", "compile")
-        assert set(FIDELITY_RANK) == set(FIDELITIES)
         assert fidelity_rank("analytical") < fidelity_rank("compile")
         # Legacy records (no tag) were full compiles.
         assert fidelity_rank(None) == fidelity_rank("compile")
         assert fidelity_rank("") == fidelity_rank("compile")
-
-    def test_describe_renders_every_shape(self):
-        with pytest.raises(TypeError):
-            Evaluation(fidelity="compile", skipped=True)  # the declined shape is gone
-        assert "FAILED" in Evaluation(fidelity="compile", failed=True).describe()
-        assert "infeasible" in Evaluation(fidelity="analytical").describe()
-        ok = Evaluation(
-            fidelity="analytical",
-            feasible=True,
-            latency_ms=1.0,
-            energy_mj=2.0,
-            lower_bound=True,
-        )
-        assert "lower bound" in ok.describe()
-
-    def test_batch_default_maps_evaluate(self):
-        evaluator = AnalyticalEvaluator()
-        jobs = [job_for("tiny-cnn"), job_for("tiny-mlp")]
-        evaluations = evaluator.evaluate_batch(jobs)
-        assert len(evaluations) == 2
-        assert all(e.feasible for e in evaluations)
 
 
 class TestAnalyticalMemoSafety:
     def test_units_memo_validates_graph_identity(self):
         """A recycled id() must not serve another graph's units."""
         hardware = small_test_chip()
-        evaluator = AnalyticalEvaluator()
+        memo = OrderedDict()
         cnn = build_model("tiny-cnn", ZOO_WORKLOAD)
         mlp = build_model("tiny-mlp", ZOO_WORKLOAD)
-        cnn_units = evaluator._units(cnn, hardware)
+        cnn_units = _units(cnn, hardware, memo)
         # Simulate an address collision: plant the CNN's entry under the
         # MLP's memo key (what id-reuse after garbage collection does).
-        evaluator._units_memo[(id(mlp), hardware.fingerprint())] = (cnn, cnn_units)
-        mlp_units = evaluator._units(mlp, hardware)
+        memo[(id(mlp), hardware.fingerprint())] = (cnn, cnn_units)
+        mlp_units = _units(mlp, hardware, memo)
         assert mlp_units is not cnn_units
         assert {u.name for u in mlp_units} == {
             u.name for u in flatten_graph(mlp, hardware)
         }
 
     def test_shared_evaluator_matches_fresh_evaluators(self):
-        """Interleaved model-name jobs never cross-contaminate metrics."""
-        shared = AnalyticalEvaluator()
+        """Interleaved models on one memo never cross-contaminate metrics."""
+        shared_memo = OrderedDict()
         for model in ZOO + tuple(reversed(ZOO)):
-            from_shared = shared.evaluate(job_for(model))
-            from_fresh = AnalyticalEvaluator().evaluate(job_for(model))
-            assert from_shared.cycles == from_fresh.cycles, model
-            assert from_shared.energy_mj == from_fresh.energy_mj, model
+            shared, _ = bound_of(model, shared_memo)
+            fresh, _ = bound_of(model)
+            assert shared.end_to_end_cycles == fresh.end_to_end_cycles, model
+            assert shared.end_to_end_mj == fresh.end_to_end_mj, model
 
     def test_units_memo_is_bounded(self):
-        hardware = small_test_chip()
-        evaluator = AnalyticalEvaluator()
-        for _ in range(evaluator.MEMO_ENTRIES + 8):
-            evaluator._units(build_model("tiny-mlp", ZOO_WORKLOAD), hardware)
-        assert len(evaluator._units_memo) <= evaluator.MEMO_ENTRIES
+        memo = OrderedDict()
+        for _ in range(FLATTEN_MEMO_ENTRIES + 8):
+            bound_of("tiny-mlp", memo)
+        assert len(memo) == FLATTEN_MEMO_ENTRIES
+
+    def test_a_runner_flattens_each_graph_once_per_chip(self, monkeypatch):
+        """An analytical sweep flattens each (graph, chip) pair once."""
+        from repro.dse import bound
+
+        flattened = []
+
+        def counted(graph, hardware):
+            flattened.append((graph.name, hardware.num_arrays))
+            return flatten_graph(graph, hardware)
+
+        monkeypatch.setattr(bound, "flatten_graph", counted)
+        space = DesignSpace(
+            models=["tiny-cnn", "tiny-mlp"],
+            base_hardware=small_test_chip(),
+            workloads=[ZOO_WORKLOAD],
+            hardware_axes={"num_arrays": [4, 8]},
+            option_axes={"allow_memory_mode": [True, False]},
+        )
+        result = DSERunner(space, fidelity="analytical").run()
+        assert result.evaluated == 8
+        assert sorted(flattened) == sorted(set(flattened)) and len(flattened) == 4

@@ -109,14 +109,16 @@ def test_there_is_one_window_table():
 
 
 def test_figures_and_the_cli_compile_through_the_session():
-    """One compile path: the experiment runners, the analyses and the CLI
-    name a compiler (``Session.compile(compiler=)``), never construct one."""
+    """One compile path: the experiment runners, the analyses, the DSE
+    and the CLI name a compiler (``Session.compile(compiler=)``, a
+    ``CompileJob`` for the service), never construct one."""
     from repro.baselines import COMPILERS, BaselineCompiler
 
     classes = {cls.__name__ for cls in COMPILERS.values()} | {BaselineCompiler.__name__}
     paths = [
         *sorted((SRC / "repro" / "experiments").rglob("*.py")),
         *sorted((SRC / "repro" / "analysis").rglob("*.py")),
+        *sorted((SRC / "repro" / "dse").rglob("*.py")),
         SRC / "repro" / "cli.py",
     ]
     offenders = [
@@ -127,6 +129,21 @@ def test_figures_and_the_cli_compile_through_the_session():
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in classes
     ]
     assert not offenders, offenders
+
+
+def test_a_design_point_is_a_compile_service_call():
+    """No evaluator layer between the DSE and ``CompileService``: the
+    ``repro.eval`` package is gone and nothing imports it."""
+    assert not list((SRC / "repro" / "eval").rglob("*.py"))
+    importers = sorted(
+        {
+            str(path.relative_to(SRC))
+            for path in (SRC / "repro").rglob("*.py")
+            for module in _imported_modules(path)
+            if module == "repro.eval" or module.startswith("repro.eval.")
+        }
+    )
+    assert not importers, importers
 
 
 def test_plans_have_one_builder():
