@@ -106,7 +106,7 @@ class ModeRatioSweep:
         Non-finite samples (infeasible splits, NaN guards) are ignored.
         Ties break toward the *lowest* compute ratio: the same
         performance for fewer compute-mode arrays, mirroring
-        :func:`repro.core.compiler.choose_plan`'s fewer-arrays tie rule.
+        :func:`repro.core.segmentation.choose_plan`'s fewer-arrays tie rule.
 
         Raises:
             ValueError: If no sampled ratio has a finite latency.

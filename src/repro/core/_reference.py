@@ -27,7 +27,13 @@ from ..ir.graph import Graph
 from .cache import AllocationCache
 from .codegen import generate_program
 from .program import CompiledProgram, SegmentPlan
-from .segmentation import NetworkSegmenter, NoFeasiblePlanError
+from .segmentation import (
+    CompilerOptions,
+    NetworkSegmenter,
+    NoFeasiblePlanError,
+    flatten_graph,
+    plan_cost,
+)
 
 
 def reference_compile(
@@ -38,23 +44,21 @@ def reference_compile(
 ) -> CompiledProgram:
     """The pre-refactor ``CMSwitchCompiler.compile`` body, frozen.
 
-    Segmentation, feasibility check, code generation — all in one fused
-    function, as the compiler ran it before :mod:`repro.pipeline`
-    existed (minus the second, fixed-mode DP the pipeline dropped too:
-    parity here means "same orchestration").
+    Flattening, the DP, plan building, feasibility check, code
+    generation — all in one fused function, as the compiler ran it
+    before :mod:`repro.pipeline` existed (minus the second, fixed-mode
+    DP the pipeline dropped too: parity here means "same
+    orchestration").
     """
-    from .compiler import CompilerOptions, plan_cost
-
     options = options or CompilerOptions()
     start = time.perf_counter()
-    segmenter = NetworkSegmenter(
-        hardware, options.to_segmentation_options(), cache=cache
-    )
-    result = segmenter.segment(graph)
-    allocation_calls = result.allocation_calls
-    cache_hits = result.cache_hits
-    final_cost = plan_cost(result)
-    if result.segments and not math.isfinite(final_cost):
+    segmenter = NetworkSegmenter(hardware, options, cache=cache)
+    units = flatten_graph(graph, hardware)
+    segments = segmenter.build_plans(units, segmenter.choose_boundaries(graph, units))
+    allocation_calls = segmenter.allocation_calls
+    cache_hits = segmenter.cache_hits
+    final_cost = plan_cost(segments)
+    if segments and not math.isfinite(final_cost):
         attempts = allocation_calls + cache_hits
         raise NoFeasiblePlanError(
             f"no feasible execution plan for graph {graph.name!r} on "
@@ -69,8 +73,8 @@ def reference_compile(
             },
         )
     meta_program = None
-    if options.generate_code and result.segments:
-        meta_program = generate_program(graph.name, result.segments, hardware)
+    if options.generate_code and segments:
+        meta_program = generate_program(graph.name, segments, hardware)
     elapsed = time.perf_counter() - start
     block_repeat = float(graph.metadata.get("block_repeat", 1.0))
     solve_attempts = allocation_calls + cache_hits
@@ -87,7 +91,7 @@ def reference_compile(
         graph_name=graph.name,
         compiler_name="cmswitch",
         hardware=hardware,
-        segments=result.segments,
+        segments=segments,
         block_repeat=block_repeat,
         compile_seconds=elapsed,
         metadata={
@@ -100,9 +104,7 @@ def reference_compile(
                 "refine": options.refine,
                 "allow_memory_mode": options.allow_memory_mode,
             },
-            "num_flattened_units": len(result.units),
-            "allocation_calls": allocation_calls,
-            "dp_seconds": result.dp_seconds,
+            "num_flattened_units": len(units),
         },
         stats=stats,
         meta_program=meta_program,

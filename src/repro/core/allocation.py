@@ -59,7 +59,6 @@ from ..cost.latency import (  # noqa: F401
     operator_latency_factors_batch,
 )
 from ..hardware.deha import DualModeHardwareAbstraction
-from .feasibility import FeasibilityModel
 
 
 @dataclass
@@ -108,33 +107,6 @@ def infeasible_result() -> AllocationResult:
     return AllocationResult(
         allocations={}, latency_cycles=INFEASIBLE_LATENCY, feasible=False, solver="infeasible"
     )
-
-
-def minimum_compute_arrays(
-    profiles: Mapping[str, OperatorProfile], hardware: DualModeHardwareAbstraction
-) -> int:
-    """Fewest compute arrays the segment needs just to hold its operands.
-
-    Delegates to the shared :class:`~repro.core.feasibility
-    .FeasibilityModel`, which the analytical evaluation tier consults
-    through the same predicates — the two tiers can never disagree about
-    what fits.
-    """
-    return FeasibilityModel(hardware).minimum_compute_arrays(profiles)
-
-
-def segment_fits(
-    profiles: Mapping[str, OperatorProfile],
-    hardware: DualModeHardwareAbstraction,
-) -> bool:
-    """Whether the segment's minimum footprint fits the array budget.
-
-    The predicate is mode-independent: the minimum footprint uses no
-    memory arrays, so dual- and fixed-mode compilation agree on it.  (An
-    ``allow_memory_mode`` parameter used to exist here and was silently
-    discarded — it has been removed rather than kept as a decoy knob.)
-    """
-    return FeasibilityModel(hardware).segment_fits(profiles)
 
 
 # ---------------------------------------------------------------------- #

@@ -24,70 +24,17 @@ compiler engine underneath it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
 from .cache import AllocationCache
 from .program import CompiledProgram
-from .segmentation import SegmentationOptions, validate_window
 
-# Public re-exports (their historical home).  ``NoFeasiblePlanError`` is
-# defined next to the segmenter, which raises it for unmappable
-# segments; the plan-arbitration helpers moved to the segmentation
-# module when the pipeline package was introduced (it needs them without
-# importing this facade).
-from .segmentation import (  # noqa: F401  (public re-exports)
-    NoFeasiblePlanError,
-    choose_plan,
-    plan_arrays,
-    plan_cost,
-)
-
-@dataclass
-class CompilerOptions:
-    """User-facing compilation options.
-
-    Validated on construction: ``max_segment_operators`` must be an
-    ``int`` >= 1 (a clear :class:`ValueError` instead of a deep solver
-    failure).
-
-    Attributes:
-        max_segment_operators: DP window — maximum operators per segment.
-        pipelined: Pipeline operators within a segment (Eq. 9 objective).
-        include_switch_cost: Charge the Eq. 1 mode-switch latency in the DP.
-        use_milp: Use the optimal per-segment allocator — the Eq. 8/9
-            MILP's optimum, found exactly without a solver — (otherwise
-            greedy).
-        refine: Apply weight-duplication refinement after allocation.
-        allow_memory_mode: Allow arrays in memory mode.  Setting this to
-            False degenerates CMSwitch into a fixed-mode compiler and is
-            used by baselines/ablations.
-        generate_code: Emit the meta-operator flow alongside the plan.
-    """
-
-    max_segment_operators: int = 8
-    pipelined: bool = True
-    include_switch_cost: bool = True
-    use_milp: bool = True
-    refine: bool = True
-    allow_memory_mode: bool = True
-    generate_code: bool = True
-
-    def __post_init__(self) -> None:
-        validate_window(self.max_segment_operators)
-
-    def to_segmentation_options(self) -> SegmentationOptions:
-        """Translate to the segmentation pass options."""
-        return SegmentationOptions(
-            max_segment_operators=self.max_segment_operators,
-            pipelined=self.pipelined,
-            include_switch_cost=self.include_switch_cost,
-            allow_memory_mode=self.allow_memory_mode,
-            use_milp=self.use_milp,
-            refine=self.refine,
-        )
+# Public re-exports (their historical home).  Both are defined next to
+# the segmenter: it reads the options and raises the error for
+# unmappable segments.
+from .segmentation import CompilerOptions, NoFeasiblePlanError  # noqa: F401
 
 
 class CMSwitchCompiler:

@@ -17,9 +17,8 @@ most once.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,19 +50,20 @@ class NoFeasiblePlanError(RuntimeError):
     """No feasible execution plan exists for a non-empty graph.
 
     Raised by the segmenter when a required segment cannot be mapped
-    onto the chip (and no fallback applies), and by
-    :class:`~repro.core.compiler.CMSwitchCompiler` when the chosen plan
-    carries infinite cost.  Subclasses
-    :class:`RuntimeError`, so historical ``except RuntimeError`` callers
-    keep working.  Infeasibility is a legitimate outcome at a
-    design-space boundary — batch and DSE consumers classify it
-    separately from genuine failures.
+    onto the chip, and by the pipeline's ``finalize`` when the chosen
+    plan carries infinite cost.  Subclasses :class:`RuntimeError`, so
+    historical ``except RuntimeError`` callers keep working.
+    Infeasibility is a legitimate outcome at a design-space boundary —
+    batch and DSE consumers classify it separately from genuine
+    failures.
 
     Attributes:
         stats: Compile statistics accumulated before the failure
             (allocator solves, cache hits, wall time) — the solver
             work was real even though no program exists, and batch/DSE
-            accounting must not under-report it.
+            accounting must not under-report it.  A compile pipeline
+            fills them from the same payload a finished program's
+            ``stats`` come from, whichever pass raised.
     """
 
     def __init__(self, message: str, stats: Optional[dict] = None) -> None:
@@ -72,64 +72,48 @@ class NoFeasiblePlanError(RuntimeError):
 
 
 @dataclass
-class SegmentationOptions:
-    """Knobs of the segmentation pass.
+class CompilerOptions:
+    """The compilation options — the one options type the segmenter reads.
+
+    Validated on construction: ``max_segment_operators`` must be an
+    ``int`` >= 1.  A non-integer or non-positive window used to surface
+    only deep inside the DP (a ``TypeError`` from ``range``, or an empty
+    DP that looks like infeasibility); it is a named :class:`ValueError`
+    now.
 
     Attributes:
-        max_segment_operators: Upper bound on operators per segment (the
-            DP window).  Bounds compilation time; the chip's capacity also
-            limits segments naturally.
-        pipelined: Whether operators inside a segment execute as a
-            pipeline (Eq. 9) or serially.
-        include_switch_cost: Whether the DP charges the Eq. 1 mode-switch
-            latency (the switch-cost-awareness ablation turns this off).
-        allow_memory_mode: Whether operators may receive memory-mode
-            arrays; the all-compute baselines set this to False.
-        use_milp: Use the optimal engine — the Eq. 8/9 optimum, computed
-            by :class:`~repro.core.allocation.ExactAllocator` — (True)
-            or the greedy heuristic (False).
-        refine: Apply the post-allocation duplication refinement.
+        max_segment_operators: DP window — maximum operators per segment.
+            Bounds compilation time; the chip's capacity also limits
+            segments naturally.
+        pipelined: Pipeline operators within a segment (Eq. 9 objective)
+            instead of running them serially.
+        include_switch_cost: Charge the Eq. 1 mode-switch latency in the
+            DP (the switch-cost-awareness ablation turns this off).
+        use_milp: Use the optimal per-segment allocator — the Eq. 8/9
+            MILP's optimum, computed by
+            :class:`~repro.core.allocation.ExactAllocator` without a
+            solver — (otherwise greedy).
+        refine: Apply weight-duplication refinement after allocation.
+        allow_memory_mode: Allow arrays in memory mode.  Setting this to
+            False degenerates CMSwitch into a fixed-mode compiler and is
+            used by baselines/ablations.
+        generate_code: Emit the meta-operator flow alongside the plan.
     """
 
     max_segment_operators: int = 8
     pipelined: bool = True
     include_switch_cost: bool = True
-    allow_memory_mode: bool = True
     use_milp: bool = True
     refine: bool = True
+    allow_memory_mode: bool = True
+    generate_code: bool = True
 
     def __post_init__(self) -> None:
-        validate_window(self.max_segment_operators)
-
-    def build_allocator(self):
-        """Instantiate the configured per-segment allocation engine."""
-        engine = ExactAllocator if self.use_milp else GreedyAllocator
-        return engine(allow_memory_mode=self.allow_memory_mode)
-
-
-def validate_window(max_segment_operators) -> None:
-    """Validate a DP-window size at option-construction time.
-
-    The window bounds both compile time and segment length; a
-    non-integer or non-positive value used to surface only deep inside
-    the DP (a ``TypeError`` from ``range``, or an empty DP that looks
-    like infeasibility).  Raising here turns a mis-typed option into an
-    immediate, named error.
-
-    Raises:
-        ValueError: If the value is not an ``int`` >= 1.
-    """
-    if isinstance(max_segment_operators, bool) or not isinstance(
-        max_segment_operators, int
-    ):
-        raise ValueError(
-            f"max_segment_operators must be an int >= 1, got "
-            f"{max_segment_operators!r}"
-        )
-    if max_segment_operators < 1:
-        raise ValueError(
-            f"max_segment_operators must be >= 1, got {max_segment_operators}"
-        )
+        window = self.max_segment_operators
+        if isinstance(window, bool) or not isinstance(window, int):
+            raise ValueError(f"max_segment_operators must be an int >= 1, got {window!r}")
+        if window < 1:
+            raise ValueError(f"max_segment_operators must be >= 1, got {window}")
 
 
 @dataclass
@@ -381,45 +365,19 @@ def boundary_arrays(
     return reserves, inbound
 
 
-@dataclass
-class SegmentationResult:
-    """Output of the DP: segment plans plus bookkeeping for reports.
-
-    Attributes:
-        segments: Segment plans in execution order.
-        units: The flattened schedulable units.
-        dp_seconds: Wall-clock time of the DP (allocations included).
-        allocation_calls: Fresh allocator solves performed.
-        cache_hits: Solves served from the shared allocation cache.
-    """
-
-    segments: List[SegmentPlan]
-    units: List[FlattenedUnit]
-    dp_seconds: float
-    allocation_calls: int
-    cache_hits: int = 0
-
-    @property
-    def total_cycles(self) -> float:
-        """Total predicted latency of the segmented schedule."""
-        return sum(segment.total_cycles for segment in self.segments)
+def plan_cost(segments: Sequence[SegmentPlan]) -> float:
+    """Comparable cost of a plan's segments (NaN collapsed to ``inf``)."""
+    return guard_infeasible(sum(segment.total_cycles for segment in segments))
 
 
-def plan_cost(result: SegmentationResult) -> float:
-    """Comparable cost of a segmentation plan (NaN collapsed to ``inf``)."""
-    return guard_infeasible(result.total_cycles)
-
-
-def plan_arrays(result: SegmentationResult) -> int:
+def plan_arrays(segments: Sequence[SegmentPlan]) -> int:
     """Total arrays (compute + memory + boundary) a plan occupies."""
-    return sum(
-        segment.compute_arrays + segment.memory_arrays for segment in result.segments
-    )
+    return sum(segment.compute_arrays + segment.memory_arrays for segment in segments)
 
 
 def choose_plan(
-    dual: SegmentationResult, fixed: SegmentationResult
-) -> Tuple[SegmentationResult, bool]:
+    dual: List[SegmentPlan], fixed: List[SegmentPlan]
+) -> Tuple[List[SegmentPlan], bool]:
     """Pick between the dual-mode plan and a fixed-mode plan of the same
     graph (for the ``FixedModeFallback`` test oracle; no default compile
     arbitrates).
@@ -434,7 +392,7 @@ def choose_plan(
       occupies fewer arrays (same latency for less hardware).
 
     Returns:
-        ``(chosen_result, fallback_used)``.
+        ``(chosen_segments, fallback_used)``.
     """
     dual_cost = plan_cost(dual)
     fixed_cost = plan_cost(fixed)
@@ -447,18 +405,26 @@ def choose_plan(
 
 
 class NetworkSegmenter:
-    """Runs the Eq. 3 dynamic program over a flattened operator list."""
+    """Runs the Eq. 3 dynamic program over a flattened operator list.
+
+    :meth:`choose_boundaries` runs the DP and :meth:`build_plans` turns
+    boundaries into plans; the compile pipeline's ``segment`` and
+    ``allocate`` passes call them in that order.  The segmenter owns the
+    solve and hit counts of the windows it consumed
+    (``allocation_calls`` / ``cache_hits``).
+    """
 
     def __init__(
         self,
         hardware: DualModeHardwareAbstraction,
-        options: Optional[SegmentationOptions] = None,
+        options: Optional[CompilerOptions] = None,
         cache: Optional[object] = None,
         obs: Optional[object] = None,
     ) -> None:
         """Args:
             hardware: Target hardware abstraction.
-            options: Segmentation knobs (paper defaults when omitted).
+            options: Compilation options (paper defaults when omitted);
+                ``generate_code`` is not the segmenter's concern.
             cache: Optional shared
                 :class:`~repro.core.cache.AllocationCache`.  The
                 positional window table below always applies; the
@@ -469,8 +435,9 @@ class NetworkSegmenter:
                 counters in its registry.
         """
         self.hardware = hardware
-        self.options = options or SegmentationOptions()
-        self._allocator = self.options.build_allocator()
+        self.options = options or CompilerOptions()
+        engine = ExactAllocator if self.options.use_milp else GreedyAllocator
+        self._allocator = engine(allow_memory_mode=self.options.allow_memory_mode)
         self._allocation_cache: Dict[Tuple[int, int], AllocationResult] = {}
         # The refinement (reserved or not) the DP's best plan uses per window.
         self._chosen: Dict[Tuple[int, int], AllocationResult] = {}
@@ -577,50 +544,9 @@ class NetworkSegmenter:
             self._metrics.inc("allocator.solves")
             self._metrics.inc(f"allocator.solves.{result.solver}")
 
-    def _stats_payload(self) -> Dict[str, float]:
-        """Solver counters for a :class:`NoFeasiblePlanError` — the work
-        done before an infeasibility still has to be accounted for."""
-        attempts = self.allocation_calls + self.cache_hits
-        return {
-            "allocator_solves": self.allocation_calls,
-            "allocation_cache_hits": self.cache_hits,
-            "allocation_cache_hit_rate": (
-                self.cache_hits / attempts if attempts else 0.0
-            ),
-        }
-
     # ------------------------------------------------------------------ #
     # dynamic program
     # ------------------------------------------------------------------ #
-    def segment(
-        self, graph: Graph, units: Optional[Sequence[FlattenedUnit]] = None
-    ) -> SegmentationResult:
-        """Segment a graph and allocate every segment (Algorithm 1).
-
-        Args:
-            graph: The computation graph.
-            units: Pre-flattened schedulable units; flattening is
-                deterministic and option-independent, so callers that
-                already flattened (the pipeline's earlier passes) may
-                pass them to skip the repeated work.
-        """
-        start_time = time.perf_counter()
-        if units is None:
-            units = flatten_graph(graph, self.hardware)
-        units = list(units)
-        if not units:
-            return SegmentationResult([], [], 0.0, 0, 0)
-        boundaries = self.choose_boundaries(graph, units)
-        segments = self.build_plans(units, boundaries)
-        dp_seconds = time.perf_counter() - start_time
-        return SegmentationResult(
-            segments,
-            units,
-            dp_seconds,
-            self.allocation_calls,
-            self.cache_hits,
-        )
-
     def choose_boundaries(
         self, graph: Graph, units: Sequence[FlattenedUnit]
     ) -> List[Tuple[int, int]]:
@@ -768,8 +694,7 @@ class NetworkSegmenter:
                 names = ", ".join(unit.name for unit in units[start : end + 1])
                 raise NoFeasiblePlanError(
                     f"segment [{names}] cannot be mapped onto "
-                    f"{self.hardware.name!r} ({self.hardware.num_arrays} arrays)",
-                    stats=self._stats_payload(),
+                    f"{self.hardware.name!r} ({self.hardware.num_arrays} arrays)"
                 )
             live = self._liveness[end] if end + 1 < len(units) else 0
             resources, breakdown = self._inter_segment(

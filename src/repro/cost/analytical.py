@@ -43,9 +43,8 @@ lower bound.
 
 The calibration suite (``tests/test_eval.py``) ratchets both guarantees
 against the registered model zoo: the analytical latency never exceeds
-the compiled latency, and feasibility verdicts (delegated to
-:class:`~repro.core.feasibility.FeasibilityModel` by
-:func:`repro.dse.bound.analytical_bound`) always agree with the
+the compiled latency, and the feasibility verdicts of
+:func:`repro.dse.bound.analytical_bound` always agree with the
 compiler.
 """
 
@@ -201,8 +200,8 @@ def analytical_graph_estimate(
     """Assemble the full rung-0 estimate for a flattened profile list.
 
     Feasibility is deliberately *not* decided here —
-    :func:`repro.dse.bound.analytical_bound` asks the shared :class:`~repro.core.feasibility.FeasibilityModel`,
-    the same predicates the allocators use, so the two tiers cannot
+    :func:`repro.dse.bound.analytical_bound` reads it off the same
+    compute floors the segmentation DP uses, so the two tiers cannot
     drift apart.  On an infeasible candidate the bounds are still
     well-defined (and still lower bounds) but meaningless.
     """

@@ -250,8 +250,8 @@ class ProfileVectors:
     def window_minimum_compute_arrays(self, start: int, end: int) -> int:
         """Fewest compute arrays the window ``start..end`` (inclusive) needs.
 
-        Equals ``FeasibilityModel.minimum_compute_arrays`` over the same
-        profiles (requires construction with ``hardware``).
+        The sum of :attr:`floors` over the window (requires
+        construction with ``hardware``).
         """
         if self.floor_prefix is None:
             raise ValueError("ProfileVectors built without hardware has no floors")

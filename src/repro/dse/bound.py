@@ -4,16 +4,18 @@
 be, and can it run at all?" without touching the segmentation DP or
 either allocation engine.  It flattens the graph exactly the way the
 compile pipeline does (profiling, oversized-operator partitioning — both
-deterministic and allocator-free), asks the shared
-:class:`~repro.core.feasibility.FeasibilityModel` whether every unit
-fits, and scores the candidate with the :mod:`repro.cost.analytical`
-bounds.
+deterministic and allocator-free), looks for a unit whose compute floor
+exceeds the chip — the same :attr:`~repro.cost.arithmetic.ProfileVectors
+.floors` column the segmentation DP decides window fit from — and scores
+the candidate with the :mod:`repro.cost.analytical` bounds.
 
 Guarantees (ratcheted by the calibration suite in ``tests/test_eval.py``):
 
 * **feasibility is exact** — a point is feasible exactly when the full
-  compiler would produce a program (the unit-fit predicate is necessary
-  and sufficient; see :mod:`repro.core.feasibility`);
+  compiler would produce a program.  Floors are additive, so a unit
+  that cannot fit the chip alone belongs to no feasible window and the
+  compiler must raise; if every unit fits alone, the
+  one-segment-per-unit plan exists and the compiler succeeds;
 * **metrics are true lower bounds** — the latency and energy never
   exceed the compiled plan's;
 * **zero allocator solves** — neither MILP nor greedy allocation runs,
@@ -25,9 +27,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
-from ..core.feasibility import FeasibilityModel
 from ..core.segmentation import FlattenedUnit, flatten_graph
 from ..cost.analytical import AnalyticalEstimate, analytical_graph_estimate
+from ..cost.arithmetic import ProfileVectors
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
 
@@ -80,10 +82,14 @@ def analytical_bound(
     flattened afresh.
     """
     units = _units(graph, hardware, OrderedDict() if memo is None else memo)
-    profiles = {unit.name: unit.profile for unit in units}
-    unfit = FeasibilityModel(hardware).first_unfit(profiles)
+    profiles = [unit.profile for unit in units]
+    floors = ProfileVectors(profiles, hardware).floors.tolist()
+    unfit = next(
+        (unit.name for unit, floor in zip(units, floors) if floor > hardware.num_arrays),
+        None,
+    )
     estimate = analytical_graph_estimate(
-        list(profiles.values()),
+        profiles,
         hardware,
         allow_memory_mode=allow_memory_mode,
         block_repeat=float(graph.metadata.get("block_repeat", 1.0)),

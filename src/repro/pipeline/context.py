@@ -10,23 +10,19 @@ an instrumentation pass) without touching the others.
 The context also carries the pass log the pipeline itself maintains:
 per-pass wall times in execution order
 (:attr:`PipelineContext.pass_seconds`, surfaced as
-``CompiledProgram.stats["pass_seconds"]`` and, as names,
-``metadata["passes"]``).
+``CompiledProgram.stats["pass_seconds"]``).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.cache import AllocationCache
 from ..obs import NULL_OBS
-from ..core.segmentation import (
-    FlattenedUnit,
-    NetworkSegmenter,
-    ProfiledOperator,
-    SegmentationResult,
-)
+from ..core.program import SegmentPlan
+from ..core.segmentation import FlattenedUnit, NetworkSegmenter, ProfiledOperator
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
 
@@ -44,17 +40,16 @@ class PipelineContext:
     ======================  ==============================  =============
     ``profiled``            ``Flatten``                     ``PartitionOversized``
     ``units``               ``PartitionOversized``          ``Segment`` onwards
-    ``segmenter``           ``Segment``                     ``Allocate``
+    ``segmenters``          ``Segment`` (first), oracles    ``Allocate``, :meth:`stats`
     ``boundaries``          ``Segment``                     ``Allocate``
-    ``result``              ``Allocate``                    every later pass
+    ``segments``            ``Allocate``                    every later pass
     ``fallback_used``       ``FixedModeFallback`` (oracle)  plan-quality tests
     ``meta_program``        ``Codegen``                     program assembly
     ======================  ==============================  =============
 
-    The solver counters (``allocation_calls`` / ``cache_hits``)
-    accumulate over every pass that solves (the oracle
-    pass included, when a test inserts it), exactly as the fused
-    compiler accumulated them.
+    Each segmenter owns the solve and hit counts of the windows it
+    consumed; :meth:`stats` sums them over every segmenter the compile
+    ran (the oracle pass's included, when a test inserts it).
     """
 
     graph: Graph
@@ -70,18 +65,11 @@ class PipelineContext:
     # Products of the passes.
     profiled: Optional[List[ProfiledOperator]] = None
     units: Optional[List[FlattenedUnit]] = None
-    segmenter: Optional[NetworkSegmenter] = None
+    segmenters: List[NetworkSegmenter] = field(default_factory=list)
     boundaries: Optional[List[Tuple[int, int]]] = None
-    result: Optional[SegmentationResult] = None
+    segments: Optional[List[SegmentPlan]] = None
     fallback_used: bool = False
     meta_program: Optional[object] = None
-
-    # Solver accounting.
-    allocation_calls: int = 0
-    cache_hits: int = 0
-    #: Wall time attributed to segmentation + plan building, mirroring the
-    #: fused compiler's ``dp_seconds`` metadata field.
-    dp_seconds: float = 0.0
 
     #: The pass log the Pipeline runner keeps: executed passes in order.
     pass_seconds: Dict[str, float] = field(default_factory=dict)
@@ -91,20 +79,26 @@ class PipelineContext:
     started: float = 0.0
 
     @property
-    def solve_attempts(self) -> int:
-        """Allocator invocations, fresh and cache-served combined."""
-        return self.allocation_calls + self.cache_hits
+    def segmenter(self) -> Optional[NetworkSegmenter]:
+        """The ``Segment`` pass's segmenter (``Allocate`` builds its plans)."""
+        return self.segmenters[0] if self.segmenters else None
 
-    def stats_payload(self) -> Dict[str, float]:
-        """The solver-counter block of ``CompiledProgram.stats``."""
-        attempts = self.solve_attempts
+    def stats(self) -> Dict[str, object]:
+        """The compile's work so far: solver counts, wall time, pass log.
+
+        The one builder of them — a finished program's ``stats`` (which
+        ``finalize`` extends with the passes' :attr:`extras`) and a
+        :class:`~repro.core.segmentation.NoFeasiblePlanError`'s alike.
+        Windows are never read from disk; a program the store served
+        says so itself (``CompileService.compile_graph``).
+        """
+        solves = sum(segmenter.allocation_calls for segmenter in self.segmenters)
+        hits = sum(segmenter.cache_hits for segmenter in self.segmenters)
         return {
-            "allocator_solves": self.allocation_calls,
-            "allocation_cache_hits": self.cache_hits,
-            # Windows are never read from disk; a program the store
-            # served says so itself (``CompileService.compile_graph``).
+            "allocator_solves": solves,
+            "allocation_cache_hits": hits,
             "allocation_disk_hits": 0,
-            "allocation_cache_hit_rate": (
-                self.cache_hits / attempts if attempts else 0.0
-            ),
+            "allocation_cache_hit_rate": hits / (solves + hits) if solves + hits else 0.0,
+            "wall_seconds": time.perf_counter() - self.started,
+            "pass_seconds": dict(self.pass_seconds),
         }

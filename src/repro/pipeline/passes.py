@@ -21,14 +21,13 @@ to a fixed-mode compile" (insert it after ``Allocate``).
 from __future__ import annotations
 
 import math
-import time
+from dataclasses import replace
 from typing import List, Tuple
 
 from ..core.codegen import generate_program
 from ..core.segmentation import (
     NetworkSegmenter,
     NoFeasiblePlanError,
-    SegmentationResult,
     assign_liveness,
     choose_plan,
     expand_profiled,
@@ -119,15 +118,9 @@ class Segment(Pass):
     def run(self, ctx: PipelineContext) -> None:
         if ctx.units is None:
             raise RuntimeError("Segment requires the PartitionOversized pass first")
-        ctx.segmenter = NetworkSegmenter(
-            ctx.hardware,
-            ctx.options.to_segmentation_options(),
-            cache=ctx.cache,
-            obs=ctx.obs,
+        ctx.segmenters.append(
+            NetworkSegmenter(ctx.hardware, ctx.options, cache=ctx.cache, obs=ctx.obs)
         )
-        if not ctx.units:
-            ctx.result = SegmentationResult([], [], 0.0, 0, 0)
-            return
         ctx.boundaries = self.choose_boundaries(ctx)
 
     def choose_boundaries(self, ctx: PipelineContext) -> List[Tuple[int, int]]:
@@ -139,38 +132,15 @@ class Allocate(Pass):
     """Materialise per-segment allocations into :class:`SegmentPlan` s.
 
     Serves every window from the DP's memo (no fresh solver work; a
-    boundary policy's windows are solved here instead) and folds the
-    segmenter's solve counters into the context.
+    boundary policy's windows are solved here instead).
     """
 
     name = "allocate"
 
     def run(self, ctx: PipelineContext) -> None:
-        start = time.perf_counter()
-        if ctx.result is not None and ctx.boundaries is None:
-            # Empty graph: Segment already produced the empty result.
-            self._absorb(ctx)
-            return
         if ctx.segmenter is None or ctx.boundaries is None:
             raise RuntimeError("Allocate requires the Segment pass first")
-        segments = ctx.segmenter.build_plans(ctx.units, ctx.boundaries)
-        dp_seconds = ctx.pass_seconds.get(Segment.name, 0.0) + (
-            time.perf_counter() - start
-        )
-        ctx.result = SegmentationResult(
-            segments,
-            list(ctx.units),
-            dp_seconds,
-            ctx.segmenter.allocation_calls,
-            ctx.segmenter.cache_hits,
-        )
-        self._absorb(ctx)
-
-    @staticmethod
-    def _absorb(ctx: PipelineContext) -> None:
-        ctx.allocation_calls = ctx.result.allocation_calls
-        ctx.cache_hits = ctx.result.cache_hits
-        ctx.dp_seconds = ctx.result.dp_seconds
+        ctx.segments = ctx.segmenter.build_plans(ctx.units, ctx.boundaries)
 
 
 class FixedModeFallback(Pass):
@@ -181,8 +151,9 @@ class FixedModeFallback(Pass):
     all-compute DP used to rescue, so this pass should never set
     ``ctx.fallback_used`` — the plan-quality suite inserts it after
     ``Allocate`` to check exactly that.  Skipped when memory mode is off.
-    Its solver work is accounted either way — even when it only proves
-    fixed-mode infeasible.
+    Its segmenter joins ``ctx.segmenters``, so its solver work is
+    accounted either way — even when it only proves fixed-mode
+    infeasible.
     """
 
     name = "fixed_fallback"
@@ -191,24 +162,24 @@ class FixedModeFallback(Pass):
         return bool(ctx.options.allow_memory_mode)
 
     def run(self, ctx: PipelineContext) -> None:
-        if ctx.result is None:
+        if ctx.segments is None:
             raise RuntimeError("FixedModeFallback requires the Allocate pass first")
-        fixed_options = ctx.options.to_segmentation_options()
-        fixed_options.allow_memory_mode = False
+        segmenter = NetworkSegmenter(
+            ctx.hardware,
+            replace(ctx.options, allow_memory_mode=False),
+            cache=ctx.cache,
+            obs=ctx.obs,
+        )
+        ctx.segmenters.append(segmenter)
         try:
-            fixed_result = NetworkSegmenter(
-                ctx.hardware, fixed_options, cache=ctx.cache, obs=ctx.obs
-            ).segment(ctx.graph, units=ctx.units)
-        except NoFeasiblePlanError as exc:
-            # The fallback pass proving fixed-mode infeasible does not
-            # invalidate the dual-mode plan — keep it, and keep the
-            # fallback pass's solver work in the totals.
-            ctx.allocation_calls += exc.stats.get("allocator_solves", 0)
-            ctx.cache_hits += exc.stats.get("allocation_cache_hits", 0)
+            fixed = segmenter.build_plans(
+                ctx.units, segmenter.choose_boundaries(ctx.graph, ctx.units)
+            )
+        except NoFeasiblePlanError:
+            # Fixed mode proving infeasible does not invalidate the
+            # dual-mode plan: keep it.
             return
-        ctx.allocation_calls += fixed_result.allocation_calls
-        ctx.cache_hits += fixed_result.cache_hits
-        ctx.result, ctx.fallback_used = choose_plan(ctx.result, fixed_result)
+        ctx.segments, ctx.fallback_used = choose_plan(ctx.segments, fixed)
 
 
 class Refine(Pass):
@@ -231,10 +202,10 @@ class Refine(Pass):
         return bool(ctx.options.refine)
 
     def run(self, ctx: PipelineContext) -> None:
-        if ctx.result is None:
+        if ctx.segments is None:
             raise RuntimeError("Refine requires the Allocate pass first")
         extra = 0
-        for segment in ctx.result.segments:
+        for segment in ctx.segments:
             minimum = sum(
                 max(1, profile.min_compute_arrays(ctx.hardware))
                 for profile in segment.profiles.values()
@@ -258,11 +229,6 @@ class Codegen(Pass):
         return bool(ctx.options.generate_code)
 
     def run(self, ctx: PipelineContext) -> None:
-        result = ctx.result
-        if result is None or not result.segments:
+        if not ctx.segments or not math.isfinite(plan_cost(ctx.segments)):
             return
-        if not math.isfinite(plan_cost(result)):
-            return
-        ctx.meta_program = generate_program(
-            ctx.graph.name, result.segments, ctx.hardware
-        )
+        ctx.meta_program = generate_program(ctx.graph.name, ctx.segments, ctx.hardware)

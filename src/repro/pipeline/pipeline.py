@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import asdict
 from typing import List, Sequence
 
 from ..core.program import CompiledProgram
@@ -144,7 +145,10 @@ class Pipeline:
 
         Disabled passes (``Pass.enabled(ctx)`` false) get no timing
         entry — ``pass_seconds`` lists exactly the work that ran, in
-        order — and a ``<pass>:skip`` tracer instant.
+        order — and a ``<pass>:skip`` tracer instant.  A
+        :class:`~repro.core.segmentation.NoFeasiblePlanError` leaves with
+        the compile's :meth:`~PipelineContext.stats` so far, whichever
+        pass raised it.
         """
         if not ctx.started:
             ctx.started = time.perf_counter()
@@ -158,7 +162,11 @@ class Pipeline:
                     continue
                 with tracer.span(p.name, kind="pass"):
                     began = time.perf_counter()
-                    p.run(ctx)
+                    try:
+                        p.run(ctx)
+                    except NoFeasiblePlanError as exc:
+                        exc.stats = ctx.stats()
+                        raise
                     ctx.pass_seconds[p.name] = time.perf_counter() - began
         return ctx
 
@@ -194,50 +202,29 @@ def finalize(ctx: PipelineContext) -> CompiledProgram:
         NoFeasiblePlanError: If the chosen plan has infinite cost for a
             non-empty graph.
     """
-    result = ctx.result
-    if result is None:
+    segments = ctx.segments
+    if segments is None:
         raise RuntimeError("finalize() requires a completed pipeline run")
-    final_cost = plan_cost(result)
-    if result.segments and not math.isfinite(final_cost):
+    stats = ctx.stats()
+    if segments and not math.isfinite(plan_cost(segments)):
         raise NoFeasiblePlanError(
             f"no feasible execution plan for graph {ctx.graph.name!r} on "
             f"{ctx.hardware.name!r}: every evaluated plan has infinite cost",
-            stats={
-                **ctx.stats_payload(),
-                "wall_seconds": time.perf_counter() - ctx.started,
-            },
+            stats=stats,
         )
-    elapsed = time.perf_counter() - ctx.started
-    block_repeat = float(ctx.graph.metadata.get("block_repeat", 1.0))
-    stats = {
-        **ctx.stats_payload(),
-        "wall_seconds": elapsed,
-        "pass_seconds": dict(ctx.pass_seconds),
-    }
     for key, value in ctx.extras.items():
         stats.setdefault(key, value)
-    options = ctx.options
     return CompiledProgram(
         graph_name=ctx.graph.name,
         compiler_name=ctx.compiler_name,
         hardware=ctx.hardware,
-        segments=result.segments,
-        block_repeat=block_repeat,
-        compile_seconds=elapsed,
+        segments=segments,
+        block_repeat=float(ctx.graph.metadata.get("block_repeat", 1.0)),
+        compile_seconds=stats["wall_seconds"],
         metadata={
             "graph_metadata": dict(ctx.graph.metadata),
-            "options": {
-                "max_segment_operators": options.max_segment_operators,
-                "pipelined": options.pipelined,
-                "include_switch_cost": options.include_switch_cost,
-                "use_milp": options.use_milp,
-                "refine": options.refine,
-                "allow_memory_mode": options.allow_memory_mode,
-            },
-            "num_flattened_units": len(result.units),
-            "allocation_calls": ctx.allocation_calls,
-            "dp_seconds": ctx.dp_seconds,
-            "passes": list(ctx.pass_seconds),
+            "options": asdict(ctx.options),
+            "num_flattened_units": len(ctx.units),
         },
         stats=stats,
         meta_program=ctx.meta_program,

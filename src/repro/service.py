@@ -433,11 +433,11 @@ class CompileService:
 def _served(program: CompiledProgram, seconds: float, disk: bool) -> CompiledProgram:
     """Re-stamp a program a tier returned with this call's statistics.
 
-    The kept ``stats`` / ``metadata`` describe the compile that produced
-    the entry; the caller asked what *this* call cost: no solve, no pass,
-    every segment's allocation found ready — read from disk when the
-    store answered (``disk``), not when the table did.  Plan-derived
-    entries (``num_flattened_units``, ``refine_extra_compute_arrays``,
+    The kept ``stats`` describe the compile that produced the entry; the
+    caller asked what *this* call cost: no solve, no pass, every
+    segment's allocation found ready — read from disk when the store
+    answered (``disk``), not when the table did.  Plan-derived entries
+    (``refine_extra_compute_arrays``, ``metadata["num_flattened_units"]``,
     ...) stay.  ``program`` must be the caller's own copy.
     """
     segments = len(program.segments)
@@ -450,5 +450,4 @@ def _served(program: CompiledProgram, seconds: float, disk: bool) -> CompiledPro
         wall_seconds=seconds,
         pass_seconds={},
     )
-    program.metadata.update(allocation_calls=0, dp_seconds=0.0, passes=[])
     return program

@@ -11,9 +11,8 @@ from repro.core.allocation import (
     allocate_segment,
     candidate_allocations,
     infeasible_result,
-    minimum_compute_arrays,
     refine_with_spare_arrays,
-    segment_fits,
+    unit_window,
 )
 from repro.cost import OperatorAllocation, operator_latency_cycles, profile_operator, segment_latency_cycles
 from repro.hardware import small_test_chip
@@ -86,20 +85,25 @@ class TestCandidates:
         assert len(candidates) <= 5
 
 
+def fits(profiles, hardware):
+    """The one chip-fit rule: the window's compute floors within the chip."""
+    return unit_window(profiles, hardware).minimum_compute_arrays <= hardware.num_arrays
+
+
 class TestFeasibilityHelpers:
     def test_minimum_compute_arrays_sum(self, small_chip, mixed_segment):
-        total = minimum_compute_arrays(mixed_segment, small_chip)
+        total = unit_window(mixed_segment, small_chip).minimum_compute_arrays
         expected = sum(
             max(1, p.min_compute_arrays(small_chip)) for p in mixed_segment.values()
         )
         assert total == expected
 
     def test_segment_fits(self, small_chip, mixed_segment):
-        assert segment_fits(mixed_segment, small_chip)
+        assert fits(mixed_segment, small_chip)
 
     def test_segment_does_not_fit(self, small_chip):
         oversized = {f"op{i}": linear_profile(f"op{i}", 4, 256, 256) for i in range(4)}
-        assert not segment_fits(oversized, small_chip)
+        assert not fits(oversized, small_chip)
 
     def test_infeasible_result_shape(self):
         result = infeasible_result()

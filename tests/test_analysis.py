@@ -161,14 +161,14 @@ class TestHeatmap:
     def test_compiler_options_validated_at_construction(self):
         # The historical failure mode for a bad DP window was a TypeError
         # deep inside the dynamic program; it is a named error now.
-        from repro.core import CompilerOptions, SegmentationOptions
+        from repro.core import CompilerOptions
 
         with pytest.raises(ValueError, match="max_segment_operators"):
             CompilerOptions(max_segment_operators="boom")
         with pytest.raises(ValueError, match="max_segment_operators"):
             CompilerOptions(max_segment_operators=0)
         with pytest.raises(ValueError, match="max_segment_operators"):
-            SegmentationOptions(max_segment_operators=-3)
+            CompilerOptions(max_segment_operators=-3)
 
     def test_single_array_chip_degenerates_gracefully(self, tiny_mlp_graph):
         # A 1-array chip collapses the compute axis to [1] and the memory

@@ -249,5 +249,4 @@ class TestFingerprint:
         before = program.fingerprint()
         program.stats["wall_seconds"] = 12345.0
         program.compile_seconds = 999.0
-        program.metadata["dp_seconds"] = 777.0
         assert program.fingerprint() == before

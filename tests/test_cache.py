@@ -14,10 +14,10 @@ from repro.core import (
     NoFeasiblePlanError,
     allocate_segment,
     choose_plan,
+    plan_cost,
 )
 from repro.core.cache import AllocationCacheKey, profile_signature, segment_signature
 from repro.core.program import SegmentPlan
-from repro.core.segmentation import SegmentationResult
 from repro.cost.arithmetic import profile_graph
 from repro.cost.latency import INFEASIBLE_LATENCY, OperatorAllocation, guard_infeasible
 from repro.obs import NULL_METRICS, MetricsRegistry
@@ -263,18 +263,18 @@ def _plan(intra, inter=0.0, compute=1, memory=0):
 
 
 def _result(*plans):
-    return SegmentationResult(segments=list(plans), units=[], dp_seconds=0.0,
-                              allocation_calls=0)
+    """A plan: its segments, in order."""
+    return list(plans)
 
 
 class TestChoosePlan:
     def test_strictly_faster_fixed_plan_wins(self):
         chosen, used = choose_plan(_result(_plan(100.0)), _result(_plan(50.0)))
-        assert used and chosen.total_cycles == 50.0
+        assert used and plan_cost(chosen) == 50.0
 
     def test_slower_fixed_plan_loses(self):
         chosen, used = choose_plan(_result(_plan(50.0)), _result(_plan(100.0)))
-        assert not used and chosen.total_cycles == 50.0
+        assert not used and plan_cost(chosen) == 50.0
 
     def test_both_infeasible_keeps_dual_without_fallback_flag(self):
         dual = _result(_plan(INFEASIBLE_LATENCY))
@@ -306,9 +306,8 @@ class TestChoosePlan:
         import repro.pipeline.passes as passes_module
 
         class InfeasibleSegmenter:
-            # Speaks the split Segment/Allocate protocol of the pipeline
-            # (choose_boundaries + build_plans) and the fused segment()
-            # the fallback pass calls.
+            # Speaks the Segment/Allocate protocol of the pipeline
+            # (choose_boundaries + build_plans).
             def __init__(self, *args, **kwargs):
                 self.allocation_calls = 0
                 self.cache_hits = 0
@@ -317,9 +316,6 @@ class TestChoosePlan:
                 return [(0, len(units) - 1)]
 
             def build_plans(self, units, boundaries):
-                return _result(_plan(INFEASIBLE_LATENCY)).segments
-
-            def segment(self, graph, units=None):
                 return _result(_plan(INFEASIBLE_LATENCY))
 
         monkeypatch.setattr(passes_module, "NetworkSegmenter", InfeasibleSegmenter)

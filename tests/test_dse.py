@@ -594,16 +594,13 @@ class TestRunnerResume:
         real_segmenter = NetworkSegmenter
 
         class FixedPassFails(real_segmenter):
-            def segment(self, graph, units=None):
+            def build_plans(self, units, boundaries):
                 if not self.options.allow_memory_mode:
-                    raise NoFeasiblePlanError(
-                        "fixed impossible",
-                        stats={
-                            "allocator_solves": 7,
-                            "allocation_cache_hits": 3,
-                        },
-                    )
-                return super().segment(graph, units=units)
+                    # Work done before the fixed-mode plan proved impossible.
+                    self.allocation_calls += 7
+                    self.cache_hits += 3
+                    raise NoFeasiblePlanError("fixed impossible")
+                return super().build_plans(units, boundaries)
 
         monkeypatch.setattr(passes_module, "NetworkSegmenter", FixedPassFails)
         graph = build_model("tiny-mlp", Workload(batch_size=1))
@@ -622,17 +619,17 @@ class TestRunnerResume:
         # the work done before NoFeasiblePlanError must not vanish from
         # batch/DSE accounting.
         import repro.pipeline.passes as passes_module
-        from repro.core.segmentation import SegmentationResult
 
-        def _infeasible_result():
+        def _infeasible_plan():
             from repro.cost.latency import INFEASIBLE_LATENCY
             from repro.core.program import SegmentPlan
 
-            plan = SegmentPlan(
-                index=0, operator_names=["op"], allocations={}, profiles={},
-                intra_cycles=INFEASIBLE_LATENCY, inter_cycles=0.0,
-            )
-            return SegmentationResult([plan], [], 0.0, 5, 3)
+            return [
+                SegmentPlan(
+                    index=0, operator_names=["op"], allocations={}, profiles={},
+                    intra_cycles=INFEASIBLE_LATENCY, inter_cycles=0.0,
+                )
+            ]
 
         class InfeasibleSegmenter:
             def __init__(self, *args, **kwargs):
@@ -643,10 +640,7 @@ class TestRunnerResume:
                 return [(0, 0)]
 
             def build_plans(self, units, boundaries):
-                return _infeasible_result().segments
-
-            def segment(self, graph, units=None):
-                return _infeasible_result()
+                return _infeasible_plan()
 
         monkeypatch.setattr(passes_module, "NetworkSegmenter", InfeasibleSegmenter)
         result = run_dse(tiny_space(arrays=(8,)))

@@ -11,13 +11,15 @@ The two contracts a multi-fidelity sweep hangs on:
   option matrix.
 """
 
+import dataclasses
 import math
+import re
 from collections import OrderedDict
 
 import pytest
 
 from repro.api import Session
-from repro.core import CompilerOptions, FeasibilityModel, flatten_graph
+from repro.core import CMSwitchCompiler, CompilerOptions, NoFeasiblePlanError, flatten_graph
 from repro.core.allocation import GreedyAllocator, MIPAllocator
 from repro.cost import (
     analytical_graph_estimate,
@@ -64,6 +66,16 @@ def bound_of(model, memo=None):
     return analytical_bound(
         build_model(model, ZOO_WORKLOAD), small_test_chip(), memo=memo
     )
+
+
+def inflate(units, hardware):
+    """``units`` with the last one's stationary operand one array over the chip."""
+    last = units[-1]
+    last.profile = dataclasses.replace(
+        last.profile,
+        stationary_elements=(hardware.num_arrays + 1) * hardware.array_capacity_elements,
+    )
+    return units
 
 
 @pytest.fixture()
@@ -117,11 +129,11 @@ class TestAnalyticalEvaluator:
         self, no_allocator_solves, monkeypatch
     ):
         """A unit that cannot fit the chip alone is reported infeasible."""
-        from repro.cost.arithmetic import OperatorProfile
+        from repro.dse import bound
 
-        # Make every unit look unfit without touching the real models.
+        # Make a unit unfit without touching the real models.
         monkeypatch.setattr(
-            OperatorProfile, "min_compute_arrays", lambda self, hardware: 10**6
+            bound, "flatten_graph", lambda graph, hw: inflate(flatten_graph(graph, hw), hw)
         )
         _, unfit = bound_of("tiny-mlp")
         assert unfit is not None
@@ -130,24 +142,31 @@ class TestAnalyticalEvaluator:
         assert not record.failed
         assert unfit in record.error and "arrays" in record.error
 
-    def test_feasibility_matches_compiler_on_unfit_unit(self):
-        """The shared FeasibilityModel predicate mirrors the compiler."""
+    def test_feasibility_matches_compiler_on_unfit_unit(self, monkeypatch):
+        """The bound's verdict is the compiler's, both ways: both read the
+        same compute floors, and both name the same unfit unit."""
+        import repro.pipeline.passes as passes_module
+        from repro.dse import bound
+
         hardware = small_test_chip()
         graph = build_model("tiny-mlp", ZOO_WORKLOAD)
-        units = flatten_graph(graph, hardware)
-        model = FeasibilityModel(hardware)
-        profiles = {unit.name: unit.profile for unit in units}
-        assert model.first_unfit(profiles) is None
-        assert model.minimum_compute_arrays(profiles) == sum(
-            model.operator_floor(p) for p in profiles.values()
-        )
-        # The module-level helpers delegate to the same predicates.
-        from repro.core import minimum_compute_arrays, segment_fits
+        compile_ = CMSwitchCompiler(hardware, CompilerOptions(generate_code=False)).compile
+        assert analytical_bound(graph, hardware)[1] is None
+        assert compile_(graph).num_segments >= 1
 
-        assert minimum_compute_arrays(profiles, hardware) == (
-            model.minimum_compute_arrays(profiles)
+        real_assign = passes_module.assign_liveness
+        monkeypatch.setattr(
+            bound, "flatten_graph", lambda graph, hw: inflate(flatten_graph(graph, hw), hw)
         )
-        assert segment_fits(profiles, hardware) == model.segment_fits(profiles)
+        monkeypatch.setattr(
+            passes_module,
+            "assign_liveness",
+            lambda graph, expanded: inflate(real_assign(graph, expanded), hardware),
+        )
+        _, unfit = analytical_bound(graph, hardware)
+        assert unfit is not None
+        with pytest.raises(NoFeasiblePlanError, match=re.escape(f"[{unfit}]")):
+            compile_(graph)
 
     def test_unknown_model_is_a_captured_failure(self):
         (record,) = records(["no-such-model"], "analytical").values()

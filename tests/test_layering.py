@@ -167,13 +167,25 @@ def test_plans_have_one_builder():
     ]
 
 
-def test_options_are_declarative():
-    """Runtime objects (a cache, an obs bundle) travel as constructor
-    arguments; every option field takes part in equality and repr."""
-    from repro.core import CompilerOptions, SegmentationOptions
+def test_there_is_one_options_type():
+    """One compile driver reads one options type: the segmenter takes
+    ``CompilerOptions`` (defined next to it, re-exported by the compiler
+    facade), the pipeline passes are the only composition of flatten →
+    DP → plans, and chip fit has one rule (the compute floors).  The
+    options stay declarative: runtime objects (a cache, an obs bundle)
+    travel as constructor arguments, and every field takes part in
+    equality and repr."""
+    import repro.core
+    from repro.core import CompilerOptions, NetworkSegmenter
+    from repro.core import compiler, segmentation
 
-    compiler = {f.name: f for f in dataclasses.fields(CompilerOptions)}
-    segmentation = {f.name: f for f in dataclasses.fields(SegmentationOptions)}
-    assert set(segmentation) == set(compiler) - {"generate_code"}
-    for field in (*compiler.values(), *segmentation.values()):
+    for gone in ("SegmentationOptions", "SegmentationResult", "FeasibilityModel"):
+        assert not hasattr(repro.core, gone), gone
+        assert gone not in repro.core.__all__, gone
+    assert not hasattr(NetworkSegmenter, "segment")
+    assert not (SRC / "repro" / "core" / "feasibility.py").exists()
+    assert compiler.CompilerOptions is segmentation.CompilerOptions is CompilerOptions
+    fields = dataclasses.fields(CompilerOptions)
+    assert len(fields) == 7
+    for field in fields:
         assert field.compare and field.repr, field.name

@@ -90,7 +90,8 @@ class TestPipelineExecution:
         # codegen is disabled; everything else ran and was timed.
         assert set(timings) == set(STANDARD_NAMES) - {"codegen"}
         assert all(seconds >= 0.0 for seconds in timings.values())
-        assert program.metadata["passes"] == [n for n in STANDARD_NAMES if n != "codegen"]
+        assert list(timings) == [n for n in STANDARD_NAMES if n != "codegen"]
+        assert "passes" not in program.metadata  # the pass log has one home
 
     def test_disabled_passes_emit_skip_events(self, small_chip, tiny_mlp_graph):
         ctx = _ctx(
@@ -104,7 +105,7 @@ class TestPipelineExecution:
         assert list(ctx.pass_seconds) == [
             n for n in _with_oracle().names if n not in ("fixed_fallback", "codegen")
         ]
-        assert finalize(ctx).metadata["passes"] == list(ctx.pass_seconds)
+        assert finalize(ctx).stats["pass_seconds"] == ctx.pass_seconds
 
     def test_custom_pass_can_observe_and_annotate(self, small_chip, tiny_mlp_graph):
         class CountUnits(Pass):
@@ -135,10 +136,51 @@ class TestPipelineExecution:
         _with_oracle().run(ctx)
         # The oracle pass adds its own solver work (fresh solves or
         # cache hits) on top of the dual-mode pass's.
-        dual_attempts = ctx.result.allocation_calls + ctx.result.cache_hits
-        assert ctx.solve_attempts > dual_attempts
+        dual, oracle = ctx.segmenters
+        dual_attempts = dual.allocation_calls + dual.cache_hits
+        stats = ctx.stats()
+        assert stats["allocator_solves"] + stats["allocation_cache_hits"] > dual_attempts
         program = finalize(ctx)
-        assert program.stats["allocator_solves"] == ctx.allocation_calls
+        assert program.stats["allocator_solves"] == (
+            dual.allocation_calls + oracle.allocation_calls
+        )
+
+    def test_both_infeasibility_errors_carry_the_same_stats(
+        self, small_chip, tiny_mlp_graph, monkeypatch
+    ):
+        """An unmappable segment (raised while building plans) and an
+        infinite-cost plan (raised by ``finalize``) report one payload."""
+        import repro.pipeline.passes as passes_module
+        from repro.core import NoFeasiblePlanError, SegmentPlan
+        from repro.core.segmentation import NetworkSegmenter
+        from repro.cost.latency import INFEASIBLE_LATENCY
+
+        def compile_error():
+            compiler = CMSwitchCompiler(small_chip, CompilerOptions(generate_code=False))
+            with pytest.raises(NoFeasiblePlanError) as caught:
+                compiler.compile(tiny_mlp_graph)
+            return caught.value.stats
+
+        with monkeypatch.context() as patch:
+            patch.setattr(NetworkSegmenter, "_spare_arrays", lambda self, start, end: -1)
+            unmappable = compile_error()
+
+        class InfinitePlan(NetworkSegmenter):
+            def build_plans(self, units, boundaries):
+                plans = super().build_plans(units, boundaries)
+                return plans + [
+                    SegmentPlan(
+                        index=len(plans), operator_names=["op"], allocations={},
+                        profiles={}, intra_cycles=INFEASIBLE_LATENCY, inter_cycles=0.0,
+                    )
+                ]
+
+        monkeypatch.setattr(passes_module, "NetworkSegmenter", InfinitePlan)
+        infinite = compile_error()
+        assert sorted(unmappable) == sorted(infinite)
+        for stats in (unmappable, infinite):
+            assert stats["wall_seconds"] > 0.0 and stats["allocation_disk_hits"] == 0
+        assert infinite["allocator_solves"] > 0
 
     def test_finalize_without_run_is_an_error(self, small_chip, tiny_mlp_graph):
         ctx = _ctx(tiny_mlp_graph, small_chip)
@@ -165,7 +207,7 @@ class TestPipelineExecution:
             name = "observe"
 
             def run(self, ctx):
-                seen.append(len(ctx.result.segments))
+                seen.append(len(ctx.segments))
 
         pipeline = build_pipeline().insert_after("allocate", Observe())
         compiler = CMSwitchCompiler(
@@ -173,7 +215,7 @@ class TestPipelineExecution:
         )
         program = compiler.compile(tiny_mlp_graph)
         assert seen == [program.num_segments] and program.num_segments >= 1
-        assert "observe" in program.metadata["passes"]
+        assert "observe" in program.stats["pass_seconds"]
 
 
 class TestFixedModeFallbackGating:
@@ -194,20 +236,17 @@ class TestOptionsNormalisation:
 
     def test_runtime_state_and_one_valued_knobs_are_not_options(self, small_chip):
         """A memo or an obs bundle travels as a constructor argument, or not at all."""
-        from repro.core import SegmentationOptions
-
         for gone in ("solve_memo", "obs", "single_segment_fallback"):
             with pytest.raises(TypeError, match=gone):
-                SegmentationOptions(**{gone: None})
+                CompilerOptions(**{gone: None})
         with pytest.raises(TypeError, match="solve_memo"):
             CMSwitchCompiler(small_chip, solve_memo=None)
         with pytest.raises(TypeError, match="solve_memo"):
             PipelineContext(graph=None, hardware=small_chip, options=None, solve_memo=None)
 
     def test_segmentation_options_reject_bad_window(self):
-        from repro.core import SegmentationOptions
-
+        """The segmenter's options are ``CompilerOptions``: one validation."""
         with pytest.raises(ValueError, match="max_segment_operators"):
-            SegmentationOptions(max_segment_operators=0)
+            CompilerOptions(max_segment_operators=0)
         with pytest.raises(ValueError, match="max_segment_operators"):
             CompilerOptions(max_segment_operators=True)

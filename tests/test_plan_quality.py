@@ -25,7 +25,7 @@ import pytest
 from repro.api import Session
 from repro.core.cache import AllocationCache
 from repro.core.compiler import CMSwitchCompiler, CompilerOptions
-from repro.core.segmentation import NetworkSegmenter, plan_cost
+from repro.core.segmentation import NetworkSegmenter, flatten_graph, plan_cost
 from repro.hardware import get_preset
 from repro.models import Workload, build_model
 from repro.models.registry import list_models
@@ -123,7 +123,7 @@ def test_one_dp_never_loses_to_fixed_mode_anywhere(chip):
                 graph=graph, hardware=hardware, options=options, cache=cache
             )
             build_pipeline().insert_after("allocate", FixedModeFallback()).run(ctx)
-            assert plan_cost(ctx.result) * dual.block_repeat == pytest.approx(
+            assert plan_cost(ctx.segments) * dual.block_repeat == pytest.approx(
                 dual.end_to_end_cycles, rel=1e-12
             ), case
             if options.refine:
@@ -141,12 +141,14 @@ def test_bert_matches_the_plan_the_fallback_used_to_rescue(plans):
 @pytest.mark.parametrize("model", ["mobilenet", "vgg16", "llama2-7b"])
 def test_some_chosen_segment_hands_out_its_reserve(model):
     graph = build_model(model, dict(PAPER_SET)[model])
-    segmenter = NetworkSegmenter(get_preset("dynaplasia"))
-    result = segmenter.segment(graph)
+    hardware = get_preset("dynaplasia")
+    segmenter = NetworkSegmenter(hardware)
+    units = flatten_graph(graph, hardware)
+    segments = segmenter.build_plans(units, segmenter.choose_boundaries(graph, units))
     unreserved = [
         window
         for window, chosen in segmenter._chosen.items()
-        if chosen is segmenter._allocate(result.units, *window).unreserved
+        if chosen is segmenter._allocate(units, *window).unreserved
     ]
     assert unreserved, "every edge of the best plan kept its boundary reserve"
-    assert len(unreserved) < len(result.segments), "and some edge must keep it"
+    assert len(unreserved) < len(segments), "and some edge must keep it"

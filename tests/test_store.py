@@ -580,9 +580,9 @@ class TestProgramStore:
         assert served.stats["pass_seconds"] == {} and "pass_events" not in served.stats
         assert served.stats["wall_seconds"] == served.compile_seconds
         assert 0.0 < served.compile_seconds < cold.compile_seconds
-        assert served.metadata["allocation_calls"] == 0
-        assert served.metadata["dp_seconds"] == 0.0
-        assert served.metadata["passes"] == []
+        # The stats are the one record of the call: no metadata mirrors them.
+        for mirror in ("allocation_calls", "dp_seconds", "passes"):
+            assert mirror not in served.metadata and mirror not in cold.metadata
         # Plan-derived entries are the writer's.
         for name in set(cold.stats) - {
             "allocator_solves", "allocation_cache_hits", "allocation_disk_hits",

@@ -41,7 +41,6 @@ from repro.core.allocation import (
     candidate_allocations,
     key_options,
     refine_with_spare_arrays,
-    segment_fits,
 )
 from repro.core.cache import AllocationCache, AllocationCacheKey, segment_signature
 from repro.core.segmentation import NetworkSegmenter, flatten_graph
@@ -416,8 +415,15 @@ class TestCompileParity:
         ):
             assert pipeline.stats[stat] == frozen.stats[stat], stat
 
-    def test_segment_fits_lost_its_decoy_parameter(self):
-        assert "allow_memory_mode" not in inspect.signature(segment_fits).parameters
+    def test_chip_fit_is_the_floor_column_alone(self):
+        """One chip-fit rule, and it is mode-free: the compute floors of
+        ``ProfileVectors`` (no ``allow_memory_mode`` anywhere near them);
+        the wrappers that re-derived them from profiles are gone."""
+        from repro.core import allocation
+
+        assert "allow_memory_mode" not in inspect.signature(ProfileVectors).parameters
+        for gone in ("segment_fits", "minimum_compute_arrays"):
+            assert not hasattr(allocation, gone), gone
 
 
 # ---------------------------------------------------------------------- #
@@ -431,7 +437,7 @@ def window_cache_key(units, hardware, options, start=0, end=None):
     what the in-memory cache keys on.
     """
     end = start if end is None else end
-    segmenter = NetworkSegmenter(hardware, options.to_segmentation_options())
+    segmenter = NetworkSegmenter(hardware, options)
     segmenter._prepare(units)
     spare = max(0, segmenter._spare_arrays(start, end))
     return AllocationCacheKey.build(
@@ -469,10 +475,9 @@ class TestWindowCacheKey:
         graph = build_model(model, Workload(batch_size=1, seq_len=16))
         options = CompilerOptions(allow_memory_mode=allow_memory_mode)
         cache = AllocationCache()
-        segmenter = NetworkSegmenter(
-            small_chip, options.to_segmentation_options(), cache=cache
-        )
-        units = segmenter.segment(graph).units
+        segmenter = NetworkSegmenter(small_chip, options, cache=cache)
+        units = flatten_graph(graph, small_chip)
+        segmenter.build_plans(units, segmenter.choose_boundaries(graph, units))
         solved = {
             window_cache_key(units, small_chip, options, start=start, end=end)
             for (start, end), result in segmenter._allocation_cache.items()
