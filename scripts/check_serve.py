@@ -10,15 +10,18 @@ via ``--port-file``) and asserts the serving contract end to end:
 2. N concurrent clients submitting the *identical* job share exactly
    one compile — ``/metrics`` reports ``serve_compiles_executed 1`` and
    N-1 followers (coalesced onto the flight, or — arriving after it
-   retired — answered from the result table), and the number of
-   allocator solves the daemon performed matches one local cold
-   compile's;
+   settled — answered from the request table's retained answer), and
+   the number of allocator solves the daemon performed matches one
+   local cold compile's;
 3. every remote result is fingerprint-bit-identical to a local
    ``Session.compile`` of the same job;
-4. a repeat request after completion is answered from the result table
-   (``cached: true``) and leaves ``serve_compiles_executed`` at 1;
+4. a repeat request after completion is answered from the request table
+   (``cached: true``) and leaves ``serve_compiles_executed`` at 1, and
+   ``/v1/cache/stats`` then shows no flight in the air
+   (``coalescing.in_flight == 0``) and one retained answer
+   (``serve.result_entries == 1``);
 5. a *fresh client process* submitting the same job to the running
-   daemon is answered from the result table too (``cached: true``, the
+   daemon is answered from the request table too (``cached: true``, the
    local compile's fingerprint, ``serve_compiles_executed`` still 1) —
    the daemon is the tier machines share;
 6. SIGTERM drains the daemon cleanly: it runs admitted work to
@@ -192,18 +195,22 @@ def main() -> int:
         f"{coalesced} coalesced + {cached} cached, {solves} solves"
     )
 
-    # 4. A repeat after completion is a result-table hit, not a compile.
+    # 4. A repeat after completion is a retained-answer hit, not a compile;
+    #    the request table holds no flight in the air and one answer.
     with Client(serve_url) as client:
         repeat = client.compile(MODEL, hardware=HARDWARE)
         metrics = read_metrics(client)
+        stats = client.cache_stats()
     assert repeat.cached and not repeat.coalesced, repeat
     assert repeat.verify() and repeat.fingerprint == local.fingerprint()
     assert metric(metrics, "serve_compiles_executed") == 1, metrics
     assert metric(metrics, "serve_solves_executed") == solves, metrics
     assert metric(metrics, "serve_result_hits") == cached + 1, metrics
-    print("result table ok: repeat request cached, still 1 compile")
+    assert stats["coalescing"]["in_flight"] == 0, f"leaked flight: {stats}"
+    assert stats["serve"]["result_entries"] == 1, f"expected one retained answer: {stats}"
+    print("request table ok: repeat request cached, still 1 compile, 0 in flight, 1 retained")
 
-    # 5. A fresh client process shares the daemon's result table.
+    # 5. A fresh client process shares the daemon's request table.
     fresh = subprocess.run(
         [sys.executable, "-", serve_url],
         input=FRESH_CLIENT_SCRIPT,

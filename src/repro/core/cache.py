@@ -33,8 +33,9 @@ header).
   back to the dual-mode entry for the same key when that entry uses no
   memory-mode arrays: the dual-mode optimum then lies inside the
   fixed-mode search space, so reusing it is exact (a *cross-mode hit*);
-* the cache is size-bounded (LRU eviction) and thread-safe, so one
-  instance can back a whole :class:`~repro.service.CompileService`.
+* the cache is size-bounded and thread-safe (its entries live in a
+  :class:`~repro.core.lru.BoundedLRU`), so one instance can back a whole
+  :class:`~repro.service.CompileService`.
 
 Usage::
 
@@ -47,9 +48,8 @@ Usage::
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..cost.arithmetic import OperatorProfile, profile_signature
@@ -57,6 +57,7 @@ from ..cost.latency import OperatorAllocation
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..obs.metrics import registry_for
 from .allocation import AllocationResult, UnitWindow
+from .lru import BoundedLRU
 
 __all__ = [
     "AllocationCache",
@@ -220,6 +221,9 @@ class CacheEntry:
         )
 
 
+_memory_free = attrgetter("memory_free")
+
+
 @dataclass(frozen=True)
 class CacheStats:
     """Read-only view of one :class:`AllocationCache`'s ``cache.*`` counters.
@@ -295,11 +299,7 @@ class AllocationCache:
         max_entries: int = 4096,
         metrics: Optional[object] = None,
     ) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[AllocationCacheKey, CacheEntry]" = OrderedDict()
-        self._lock = threading.Lock()
+        self._entries = BoundedLRU(max_entries)
         self.metrics = registry_for(metrics)
         self._counters = {
             field.name: self.metrics.counter(f"cache.{field.name}")
@@ -340,42 +340,18 @@ class AllocationCache:
         window's inbound count, which names that dual-mode entry.
         ``names`` labels the returned allocations.
         """
-        with self._lock:
-            entry, hit_key, cross_mode = self._probe(key, inbound_arrays)
+        entry = self._entries.get(key)
+        if entry is None and not key.allow_memory_mode:
+            entry = self._entries.get(
+                key.dual_mode_variant(inbound_arrays), accept=_memory_free
+            )
             if entry is not None:
-                self._entries.move_to_end(hit_key)
+                self._counters["cross_mode_hits"].inc()
         if entry is None:
             self._counters["misses"].inc()
             return None
         self._counters["hits"].inc()
-        if cross_mode:
-            self._counters["cross_mode_hits"].inc()
         return entry.to_result(names)
-
-    def _probe(
-        self, key: AllocationCacheKey, inbound_arrays: int
-    ) -> Tuple[Optional[CacheEntry], AllocationCacheKey, bool]:
-        """Exact + cross-mode probe (lock held).
-
-        Returns ``(entry, key it was found under, cross-mode hit)``.
-        """
-        entry = self._entries.get(key)
-        if entry is not None:
-            return entry, key, False
-        if not key.allow_memory_mode:
-            dual_key = key.dual_mode_variant(inbound_arrays)
-            dual_entry = self._entries.get(dual_key)
-            if dual_entry is not None and dual_entry.memory_free:
-                return dual_entry, dual_key, True
-        return None, key, False
-
-    def _insert(self, key: AllocationCacheKey, entry: CacheEntry) -> None:
-        """Insert into the in-memory LRU, evicting past capacity (lock held)."""
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self._counters["evictions"].inc()
 
     def put(
         self,
@@ -387,8 +363,7 @@ class AllocationCache:
         entry = CacheEntry.from_result(profiles, result)
         if entry is None:
             return  # partial allocation (foreign result); never cache it
-        with self._lock:
-            self._insert(key, entry)
+        self._counters["evictions"].inc(self._entries.put(key, entry)[2])
         self._counters["stores"].inc()
 
     # ------------------------------------------------------------------ #
@@ -408,5 +383,4 @@ class AllocationCache:
     # ------------------------------------------------------------------ #
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
+        self._entries.clear()

@@ -32,7 +32,6 @@ from .latency import (
     operator_latency_cycles,
     pipeline_fill_cycles,
     segment_latency_cycles,
-    supply_rate,
 )
 from .switching import (
     SegmentResources,
@@ -76,7 +75,6 @@ __all__ = [
     "profile_graph",
     "profile_operator",
     "segment_latency_cycles",
-    "supply_rate",
     "total_macs",
     "total_weight_elements",
     "weight_reload_cycles",

@@ -139,22 +139,6 @@ def data_supply_times(
     return offchip_time, onchip_time
 
 
-def supply_rate(
-    profile: OperatorProfile,
-    memory_arrays: int,
-    hardware: DualModeHardwareAbstraction,
-    d_main_share: float = 1.0,
-) -> float:
-    """MACs per cycle the data supply sustains (``M`` in Eq. 10)."""
-    offchip_time, onchip_time = data_supply_times(profile, memory_arrays, hardware, d_main_share)
-    supply_time = max(offchip_time, onchip_time)
-    if supply_time <= 0:
-        return float("inf")
-    if math.isinf(supply_time):
-        return 0.0  # data can never be supplied; avoid finite/inf -> 0.0 masking a NaN path
-    return profile.macs / supply_time if profile.macs else profile.streamed_elements / supply_time
-
-
 def operator_latency_cycles(
     profile: OperatorProfile,
     allocation: OperatorAllocation,

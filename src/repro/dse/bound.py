@@ -24,9 +24,9 @@ Guarantees (ratcheted by the calibration suite in ``tests/test_eval.py``):
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Optional, Tuple
 
+from ..core.lru import BoundedLRU
 from ..core.segmentation import FlattenedUnit, flatten_graph
 from ..cost.analytical import AnalyticalEstimate, analytical_graph_estimate
 from ..cost.arithmetic import ProfileVectors
@@ -42,26 +42,22 @@ FLATTEN_MEMO_ENTRIES = 64
 
 
 def _units(
-    graph: Graph, hardware: DualModeHardwareAbstraction, memo: OrderedDict
+    graph: Graph, hardware: DualModeHardwareAbstraction, memo: BoundedLRU
 ) -> List[FlattenedUnit]:
     """Flattened units of ``graph`` on ``hardware``, through ``memo``.
 
-    The memo maps ``(id(graph), chip fingerprint) -> (graph, units)``,
-    least recently used first.  id(graph) alone is not a safe key — a
-    garbage-collected graph's address can be reused by a different
-    model's graph — so each entry pins the graph it was built from
-    (keeping its id allocated) and is verified by identity on lookup.
+    The memo maps ``(id(graph), chip fingerprint) -> (graph, units)``.
+    id(graph) alone is not a safe key — a garbage-collected graph's
+    address can be reused by a different model's graph — so each entry
+    pins the graph it was built from (keeping its id allocated) and is
+    verified by identity on lookup.
     """
     key = (id(graph), hardware.fingerprint())
-    entry = memo.get(key)
-    if entry is not None and entry[0] is graph:
-        memo.move_to_end(key)
+    entry = memo.get(key, accept=lambda entry: entry[0] is graph)
+    if entry is not None:
         return entry[1]
     units = flatten_graph(graph, hardware)
-    memo[key] = (graph, units)
-    memo.move_to_end(key)
-    while len(memo) > FLATTEN_MEMO_ENTRIES:
-        memo.popitem(last=False)
+    memo.put(key, (graph, units))
     return units
 
 
@@ -69,7 +65,7 @@ def analytical_bound(
     graph: Graph,
     hardware: DualModeHardwareAbstraction,
     allow_memory_mode: bool = True,
-    memo: Optional[OrderedDict] = None,
+    memo: Optional[BoundedLRU] = None,
 ) -> Tuple[AnalyticalEstimate, Optional[str]]:
     """Lower-bound estimate of ``graph`` on ``hardware``, and its first unfit unit.
 
@@ -77,11 +73,10 @@ def analytical_bound(
     unit whose minimum footprint exceeds the chip (the point is then
     infeasible and the estimate meaningless), or is ``None``.  Errors
     (a graph the cost model rejects) propagate.  ``memo`` is the
-    caller's flattening memo (an ``OrderedDict``, kept to
-    :data:`FLATTEN_MEMO_ENTRIES` entries); without one the graph is
-    flattened afresh.
+    caller's flattening memo (a ``BoundedLRU(FLATTEN_MEMO_ENTRIES)``);
+    without one the graph is flattened afresh.
     """
-    units = _units(graph, hardware, OrderedDict() if memo is None else memo)
+    units = flatten_graph(graph, hardware) if memo is None else _units(graph, hardware, memo)
     profiles = [unit.profile for unit in units]
     floors = ProfileVectors(profiles, hardware).floors.tolist()
     unfit = next(

@@ -37,16 +37,16 @@ from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace as dc_replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.lru import BoundedLRU
 from ..cost.energy import estimate_energy
 from ..ir.graph import Graph
 from ..models.registry import build_model
 from ..service import CompileJob, CompileJobResult, CompileService
-from .bound import analytical_bound
+from .bound import FLATTEN_MEMO_ENTRIES, analytical_bound
 from .pareto import (
     DEFAULT_AXES,
     full_fidelity_records,
@@ -408,7 +408,7 @@ class DSERunner:
         # it, so the service's program key is built from one object and
         # the analytical bound flattens it once per chip.
         self._graphs: Dict[Tuple, Graph] = {}
-        self._flatten_memo: OrderedDict = OrderedDict()
+        self._flatten_memo = BoundedLRU(FLATTEN_MEMO_ENTRIES)
 
     def _batch_fidelity(self) -> str:
         """Fidelity of the upcoming batch (read *after* strategy.ask)."""

@@ -9,10 +9,10 @@ without a shared mount:
 * :class:`CompileDaemon` — a stdlib-only threaded HTTP/JSON front door
   over :class:`~repro.service.CompileService`: versioned request and
   response schemas (:mod:`repro.serve.wire`), a bounded request queue
-  with a configurable worker pool, in-flight request coalescing
-  (:class:`SingleFlight`: same compile-determining inputs → one compile,
-  many waiters) and a bounded result table that answers repeat requests
-  with the stored, pre-encoded response.
+  with a configurable worker pool, and one request table
+  (:class:`SingleFlight`): same compile-determining inputs → one compile,
+  many waiters, and a bounded set of settled flights that answers repeat
+  requests with the retained, pre-encoded outcome.
 * :class:`Client` — the Python client of the daemon, with jittered
   retry on connection errors (never on compile errors).
 

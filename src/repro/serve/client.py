@@ -70,8 +70,8 @@ class RemoteCompileResult:
             verify the wire round trip.
         coalesced: True when the daemon satisfied this request by
             joining an already-in-flight identical compile.
-        cached: True when the daemon answered from its result table —
-            the stored response of an earlier identical compile; no
+        cached: True when the daemon answered from its request table —
+            the retained outcome of an earlier identical compile; no
             compile ran for this request.
         wall_seconds: Server-side wall time of the compile (a coalesced
             or cached request reports the producing compile's time).

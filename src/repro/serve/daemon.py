@@ -9,18 +9,17 @@ stdlib-only threaded HTTP/JSON server over one shared
   structured 503 immediately instead of stacking threads.  The accept
   loop itself (``ThreadingHTTPServer``) only parses, validates and
   waits — compiles never run on connection threads.
-* **In-flight coalescing.**  Requests are keyed by
+* **One request table.**  Requests are keyed by
   :func:`~repro.serve.wire.request_fingerprint` (graph identity × DEHA
   fingerprint × options — the same inputs that determine
-  :meth:`CompiledProgram.fingerprint`); concurrent identical requests
-  share one compile through :class:`~repro.serve.SingleFlight`.  Every
-  waiter is bounded by ``wait_timeout`` (structured 504 on expiry), so
-  a slow compile can never wedge the accept loop.
-* **Result table.**  A finished ``ok`` compile leaves its pre-encoded
-  response in a bounded LRU keyed by the same request fingerprint
-  (:class:`ResultTable`); a repeat request is parse → fingerprint →
-  lookup → one send, and never reaches the queue, the service or the
-  encoder.  Failures are never stored.
+  :meth:`CompiledProgram.fingerprint`) in one
+  :class:`~repro.serve.SingleFlight`: concurrent identical requests
+  share one compile, and a finished ``ok`` compile stays in the table
+  (a bounded LRU) with its encoded outcome, so a repeat request is
+  parse → fingerprint → one lookup → one send, and never reaches the
+  queue, the service or the encoder.  Failures are never retained.
+  Every waiter is bounded by ``wait_timeout`` (structured 504 on
+  expiry), so a slow compile can never wedge the accept loop.
 * **Warmth at both tiers.**  The service shares allocation windows in
   memory and, with ``cache_dir=``, whole compiled programs through the
   directory every other process mounting it reads and writes; across
@@ -47,16 +46,15 @@ import json
 import logging
 import queue
 import threading
-from collections import OrderedDict
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.compiler import CompilerOptions
 from ..models.registry import list_models
 from ..obs import Observability
 from ..obs.metrics import registry_for
 from ..service import CompileJob, CompileJobResult, CompileService
-from .coalesce import CoalesceTimeout, Flight, SingleFlight
+from .coalesce import FOLLOW, HIT, CoalesceTimeout, Flight, SingleFlight
 from .httpbase import (
     QuietHandler,
     ServingHTTPServer,
@@ -75,7 +73,7 @@ from .wire import (
     request_fingerprint,
 )
 
-__all__ = ["CompileDaemon", "ResultTable"]
+__all__ = ["CompileDaemon"]
 
 LOGGER = logging.getLogger("repro")
 
@@ -84,14 +82,6 @@ DEFAULT_QUEUE_LIMIT = 64
 
 #: Default per-waiter bound (seconds) on coalesced/queued waits.
 DEFAULT_WAIT_TIMEOUT = 300.0
-
-
-#: Bounds of the request-level result table (fixed, like
-#: ``MAX_BODY_BYTES``: hygiene limits on daemon memory, not tuning
-#: knobs).  Bodies of the paper's models are 8-30 KB without generated
-#: code, so the entry bound binds first; the byte bound is for the rest.
-RESULT_TABLE_ENTRIES = 256
-RESULT_TABLE_BYTES = 64 * 1024 * 1024
 
 #: Spans the daemon's tracer retains (drop-oldest).  Nothing ever
 #: flushes a long-lived server's tracer, so an unbounded one grows by
@@ -120,53 +110,6 @@ SERVE_COUNTERS = (
 
 class _QueueFull(Exception):
     """Internal: admission refused because the work queue is at its bound."""
-
-
-class ResultTable:
-    """Bounded LRU of finished compiles: request fingerprint → response body.
-
-    Values are the *pre-encoded* success documents (``"cached": true``),
-    ready to be sent as they are.  Both bounds evict least-recently-used
-    first; a body that alone exceeds the byte bound is not stored.
-    Thread-safe.
-    """
-
-    def __init__(self) -> None:
-        self.max_entries = RESULT_TABLE_ENTRIES
-        self.max_bytes = RESULT_TABLE_BYTES
-        self._bodies: "OrderedDict[str, bytes]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._bodies)
-
-    def get(self, fingerprint: str) -> Optional[bytes]:
-        """The stored body (now most recently used), or None."""
-        with self._lock:
-            body = self._bodies.get(fingerprint)
-            if body is not None:
-                self._bodies.move_to_end(fingerprint)
-            return body
-
-    def put(self, fingerprint: str, body: bytes) -> Tuple[int, int, int]:
-        """Store ``body``; returns ``(entries, bytes, evictions)`` deltas."""
-        if len(body) > self.max_bytes:
-            return 0, 0, 0
-        with self._lock:
-            entries, size = len(self._bodies), self._bytes
-            replaced = self._bodies.pop(fingerprint, None)
-            if replaced is not None:
-                self._bytes -= len(replaced)
-            self._bodies[fingerprint] = body
-            self._bytes += len(body)
-            evictions = 0
-            while len(self._bodies) > self.max_entries or self._bytes > self.max_bytes:
-                _, evicted = self._bodies.popitem(last=False)
-                self._bytes -= len(evicted)
-                evictions += 1
-            return len(self._bodies) - entries, self._bytes - size, evictions
 
 
 def _encode_outcome(result: CompileJobResult) -> Tuple[bool, bytes]:
@@ -206,6 +149,11 @@ def _outcome_body(ok: bool, tail: bytes, coalesced: bool, cached: bool = False) 
     return json.dumps(flags, sort_keys=True)[:-1].encode("utf-8") + b", " + tail
 
 
+#: The flags of an answer the request table retained, encoded once: a
+#: hit sends them and the retained tail, and encodes nothing.
+_CACHED_FLAGS = _outcome_body(True, b"", coalesced=False, cached=True)
+
+
 def _error_slot(code: str, message: str) -> bytes:
     """An encoded batch slot for a job that never produced an outcome."""
     document = error_payload(code, message)
@@ -234,8 +182,9 @@ class CompileDaemon:
             recording registry a private one, since ``/metrics`` is
             read from it.
         use_cache: Disable the allocation cache, the program store *and*
-            the result table entirely (A/B timing): every request runs a
-            full compile.
+            the request table's retained answers entirely (A/B timing):
+            every request that coalesces onto no flight runs a full
+            compile.
     """
 
     def __init__(
@@ -258,7 +207,7 @@ class CompileDaemon:
         self.obs = replace(obs, metrics=registry_for(obs.metrics))
         metrics = self.obs.metrics
         self._serve = {name: metrics.counter(f"serve.{name}") for name in SERVE_COUNTERS}
-        # The result table's size: levels, moved by the deltas put() reports.
+        # The retained answers' size: levels, moved by the deltas finish() reports.
         self._result_entries = metrics.gauge("serve.result_entries")
         self._result_bytes = metrics.gauge("serve.result_bytes")
         self.service = CompileService(
@@ -271,7 +220,7 @@ class CompileDaemon:
         self.default_options = CompilerOptions(generate_code=False)
         self.wait_timeout = wait_timeout
         self.flights = SingleFlight()
-        self.results: Optional[ResultTable] = ResultTable() if use_cache else None
+        self.use_cache = use_cache
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_limit)
         self._draining = threading.Event()
         self._workers: List[threading.Thread] = []
@@ -337,40 +286,36 @@ class CompileDaemon:
             self._serve["solves_executed"].inc(int(result.stats.get("allocator_solves", 0)))
             if not ok:
                 self._serve["compile_failures"].inc()
-            elif self.results is not None:
-                # Stored before the flight retires, so an identical request
-                # always finds one of the two: N requests, one compile.
-                entries, size, evictions = self.results.put(
-                    flight.key, _outcome_body(True, tail, coalesced=False, cached=True)
-                )
-                self._result_entries.inc(entries)
-                self._result_bytes.inc(size)
-                self._serve["result_evictions"].inc(evictions)
-            self.flights.finish(flight, value=(ok, tail))
+            # An ok answer is retained weighing the bytes a hit sends;
+            # a failure (or any answer without use_cache) is retired.
+            weight = len(_CACHED_FLAGS) + len(tail) if ok and self.use_cache else None
+            entries, size, evictions = self.flights.finish(
+                flight, value=(ok, tail), weight=weight
+            )
+            self._result_entries.inc(entries)
+            self._result_bytes.inc(size)
+            self._serve["result_evictions"].inc(evictions)
             self._queue.task_done()
 
-    def _lookup(self, fingerprint: str) -> Optional[bytes]:
-        """The result table's ready-to-send body for a repeat request."""
-        if self.results is None:
-            return None
-        body = self.results.get(fingerprint)
-        if body is not None:
-            self._serve["result_hits"].inc()
-        return body
-
-    def _submit(self, job: CompileJob, fingerprint: str) -> Tuple[Flight, bool]:
-        """Admit one job: join an in-flight compile or queue a fresh one.
+    def _admit(self, job: CompileJob) -> Tuple[Optional[Flight], Union[bytes, bool]]:
+        """Admit one job: hit a retained answer, join a flight or queue a fresh one.
 
         Returns:
-            ``(flight, coalesced)``; the flight settles to the
+            ``(None, body)`` for a hit, whose ready-to-send body is the
+            retained outcome flagged ``"cached": true``; otherwise
+            ``(flight, coalesced)``, the flight settling to the
             ``(ok, tail)`` of :func:`_encode_outcome`.
 
         Raises:
             _QueueFull: The work queue is at its bound (only possible
                 for would-be leaders; followers always join).
         """
-        flight, leader = self.flights.begin(fingerprint)
-        if not leader:
+        fingerprint = request_fingerprint(job, default_options=self.default_options)
+        flight, role = self.flights.begin(fingerprint)
+        if role == HIT:
+            self._serve["result_hits"].inc()
+            return None, _CACHED_FLAGS + flight.value[1]
+        if role == FOLLOW:
             self._serve["coalesced_hits"].inc()
             return flight, True
         self._serve["flights_started"].inc()
@@ -395,26 +340,6 @@ class CompileDaemon:
                 + ", ".join(list_models())
             )
         return job
-
-    def _compile_one(self, payload) -> Tuple[bool, bytes]:
-        """The whole /v1/compile flow for one already-parsed job payload.
-
-        Returns ``(ok, encoded response document)``; raises ``_QueueFull``
-        / ``CoalesceTimeout`` / ``WireFormatError`` for the transport
-        layer to turn into status codes.
-        """
-        job = self._parse_job(payload)
-        fingerprint = request_fingerprint(job, default_options=self.default_options)
-        body = self._lookup(fingerprint)
-        if body is not None:
-            return True, body
-        with self.obs.tracer.span(
-            "serve.request", job=job.name, fingerprint=fingerprint[:12]
-        ) as span:
-            flight, coalesced = self._submit(job, fingerprint)
-            ok, tail = self.flights.wait(flight, timeout=self.wait_timeout)
-            span.set(coalesced=coalesced, ok=ok)
-        return ok, _outcome_body(ok, tail, coalesced)
 
     def _handle_post(self, handler: QuietHandler) -> None:
         if handler.path not in ("/v1/compile", "/v1/compile_batch"):
@@ -455,9 +380,20 @@ class CompileDaemon:
             respond_json(handler, 504, error_payload("timeout", str(exc)))
 
     def _handle_compile(self, handler: QuietHandler, payload) -> None:
+        """Raises ``_QueueFull`` / ``CoalesceTimeout`` / ``WireFormatError``
+        for :meth:`_handle_post` to turn into status codes."""
         check_version(payload, "compile request")
-        ok, body = self._compile_one(payload.get("job", payload))
-        respond_bytes(handler, 200 if ok else 422, body)
+        job = self._parse_job(payload.get("job", payload))
+        flight, admitted = self._admit(job)
+        if flight is None:
+            respond_bytes(handler, 200, admitted)
+            return
+        with self.obs.tracer.span(
+            "serve.request", job=job.name, fingerprint=flight.key[:12]
+        ) as span:
+            ok, tail = self.flights.wait(flight, timeout=self.wait_timeout)
+            span.set(coalesced=admitted, ok=ok)
+        respond_bytes(handler, 200 if ok else 422, _outcome_body(ok, tail, admitted))
 
     def _handle_compile_batch(self, handler: QuietHandler, payload) -> None:
         check_version(payload, "compile_batch request")
@@ -471,13 +407,7 @@ class CompileDaemon:
         admissions: List[Tuple[Optional[Flight], object]] = []
         for job_payload in jobs_payload:
             try:
-                job = self._parse_job(job_payload)
-                fingerprint = request_fingerprint(job, default_options=self.default_options)
-                body = self._lookup(fingerprint)
-                if body is not None:
-                    admissions.append((None, body))
-                else:
-                    admissions.append(self._submit(job, fingerprint))
+                admissions.append(self._admit(self._parse_job(job_payload)))
             except WireFormatError as exc:
                 self._serve["bad_requests"].inc()
                 admissions.append((None, _error_slot("bad_request", str(exc))))
@@ -493,6 +423,9 @@ class CompileDaemon:
             except CoalesceTimeout as exc:
                 self._serve["wait_timeouts"].inc()
                 slots.append(_error_slot("timeout", str(exc)))
+                continue
+            except _QueueFull as exc:  # the leader this slot joined was refused
+                slots.append(_error_slot("queue_full", str(exc)))
                 continue
             slots.append(_outcome_body(ok, tail, coalesced=value))
         respond_bytes(

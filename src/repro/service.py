@@ -53,10 +53,8 @@ The CLI exposes the same path as ``repro compile-batch`` (with
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -64,6 +62,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from .baselines import get_compiler
 from .core.cache import AllocationCache, CacheStats
 from .core.compiler import CMSwitchCompiler, CompilerOptions
+from .core.lru import BoundedLRU
 from .core.program import CompiledProgram
 from .core.store import DiskCacheStore, ProgramKey
 from .obs import NULL_OBS, Observability
@@ -75,14 +74,16 @@ from .models.workload import Workload
 
 __all__ = ["CompileJob", "CompileJobResult", "CompileService", "ProgramTable"]
 
-#: Bounds of the in-memory program table (fixed, like the daemon's
-#: ``RESULT_TABLE_ENTRIES``: hygiene limits on a long-lived service's
-#: memory, not tuning knobs).  Where programs are long a segment plan
-#: retains 2.5-4 KB (tracemalloc: llama2-7b on ``small-test-chip``, 6,177
-#: one-unit segments with their generated code), so the segment budget is
-#: 40-64 MB; the largest program the zoo produces (llama2-13b on that
-#: chip, 9,681 segments) fits, and every benchmark workload stays far
-#: below both bounds.
+#: Bounds of the in-memory program table: the entry and weight bounds of
+#: its :class:`~repro.core.lru.BoundedLRU`, where a program weighs its
+#: segment count.  Fixed, like the daemon's request-table bounds
+#: (``RESULT_TABLE_*`` in :mod:`repro.serve.coalesce`): hygiene limits on
+#: a long-lived service's memory, not tuning knobs.  Where programs are
+#: long a segment plan retains 2.5-4 KB (tracemalloc: llama2-7b on
+#: ``small-test-chip``, 6,177 one-unit segments with their generated
+#: code), so the segment budget is 40-64 MB; the largest program the zoo
+#: produces (llama2-13b on that chip, 9,681 segments) fits, and every
+#: benchmark workload stays far below both bounds.
 PROGRAM_TABLE_ENTRIES = 256
 PROGRAM_TABLE_SEGMENTS = 16_384
 
@@ -199,45 +200,19 @@ class ProgramTable:
     """
 
     def __init__(self) -> None:
-        self.max_entries = PROGRAM_TABLE_ENTRIES
-        self.max_segments = PROGRAM_TABLE_SEGMENTS
-        self._programs: "OrderedDict[ProgramKey, CompiledProgram]" = OrderedDict()
-        self._segments = 0
-        self._lock = threading.Lock()
+        self._programs = BoundedLRU(PROGRAM_TABLE_ENTRIES, PROGRAM_TABLE_SEGMENTS)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._programs)
+        return len(self._programs)
 
     def get(self, key: ProgramKey) -> Optional[CompiledProgram]:
         """A copy of the stored program (now most recently used), or None."""
-        with self._lock:
-            program = self._programs.get(key)
-            if program is None:
-                return None
-            self._programs.move_to_end(key)
-        return _private(program)
+        program = self._programs.get(key)
+        return None if program is None else _private(program)
 
     def put(self, key: ProgramKey, program: CompiledProgram) -> int:
         """Store a copy of ``program``; returns the entries evicted for it."""
-        if len(program.segments) > self.max_segments:
-            return 0
-        program = _private(program)
-        with self._lock:
-            replaced = self._programs.pop(key, None)
-            if replaced is not None:
-                self._segments -= len(replaced.segments)
-            self._programs[key] = program
-            self._segments += len(program.segments)
-            evictions = 0
-            while (
-                len(self._programs) > self.max_entries
-                or self._segments > self.max_segments
-            ):
-                _, evicted = self._programs.popitem(last=False)
-                self._segments -= len(evicted.segments)
-                evictions += 1
-        return evictions
+        return self._programs.put(key, _private(program), len(program.segments))[2]
 
 
 class CompileService:

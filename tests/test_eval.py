@@ -14,13 +14,13 @@ The two contracts a multi-fidelity sweep hangs on:
 import dataclasses
 import math
 import re
-from collections import OrderedDict
 
 import pytest
 
 from repro.api import Session
 from repro.core import CMSwitchCompiler, CompilerOptions, NoFeasiblePlanError, flatten_graph
 from repro.core.allocation import GreedyAllocator, MIPAllocator
+from repro.core.lru import BoundedLRU
 from repro.cost import (
     analytical_graph_estimate,
     analytical_latency_bound,
@@ -238,13 +238,13 @@ class TestAnalyticalMemoSafety:
     def test_units_memo_validates_graph_identity(self):
         """A recycled id() must not serve another graph's units."""
         hardware = small_test_chip()
-        memo = OrderedDict()
+        memo = BoundedLRU(FLATTEN_MEMO_ENTRIES)
         cnn = build_model("tiny-cnn", ZOO_WORKLOAD)
         mlp = build_model("tiny-mlp", ZOO_WORKLOAD)
         cnn_units = _units(cnn, hardware, memo)
         # Simulate an address collision: plant the CNN's entry under the
         # MLP's memo key (what id-reuse after garbage collection does).
-        memo[(id(mlp), hardware.fingerprint())] = (cnn, cnn_units)
+        memo.put((id(mlp), hardware.fingerprint()), (cnn, cnn_units))
         mlp_units = _units(mlp, hardware, memo)
         assert mlp_units is not cnn_units
         assert {u.name for u in mlp_units} == {
@@ -253,7 +253,7 @@ class TestAnalyticalMemoSafety:
 
     def test_shared_evaluator_matches_fresh_evaluators(self):
         """Interleaved models on one memo never cross-contaminate metrics."""
-        shared_memo = OrderedDict()
+        shared_memo = BoundedLRU(FLATTEN_MEMO_ENTRIES)
         for model in ZOO + tuple(reversed(ZOO)):
             shared, _ = bound_of(model, shared_memo)
             fresh, _ = bound_of(model)
@@ -261,7 +261,7 @@ class TestAnalyticalMemoSafety:
             assert shared.end_to_end_mj == fresh.end_to_end_mj, model
 
     def test_units_memo_is_bounded(self):
-        memo = OrderedDict()
+        memo = DSERunner(DesignSpace(models=["tiny-mlp"]))._flatten_memo
         for _ in range(FLATTEN_MEMO_ENTRIES + 8):
             bound_of("tiny-mlp", memo)
         assert len(memo) == FLATTEN_MEMO_ENTRIES

@@ -108,6 +108,27 @@ def test_there_is_one_window_table():
     assert "memo" not in inspect.signature(allocate_segment).parameters
 
 
+def test_every_in_memory_table_is_one_bounded_lru():
+    """LRU bookkeeping lives in ``core/lru.py`` alone, and the daemon's
+    result table is its request table's retained flights."""
+    users = sorted(
+        str(path.relative_to(SRC))
+        for path in (SRC / "repro").rglob("*.py")
+        if any(
+            mark in path.read_text(encoding="utf-8")
+            for mark in ("popitem(last=False)", "move_to_end")
+        )
+    )
+    assert users == ["repro/core/lru.py"]
+    from repro.serve import daemon
+
+    assert not hasattr(daemon, "ResultTable")
+    assert not any(
+        "ResultTable" in path.read_text(encoding="utf-8")
+        for path in (SRC / "repro").rglob("*.py")
+    )
+
+
 def test_figures_and_the_cli_compile_through_the_session():
     """One compile path: the experiment runners, the analyses, the DSE
     and the CLI name a compiler (``Session.compile(compiler=)``, a

@@ -12,8 +12,8 @@ served.
 from __future__ import annotations
 
 import json
+import queue
 import socket
-import sys
 import threading
 import time
 from pathlib import Path
@@ -37,8 +37,9 @@ from repro.serve import (
     program_to_wire,
     request_fingerprint,
 )
+from repro.serve import coalesce as coalesce_module
 from repro.serve import daemon as daemon_module
-from repro.serve.daemon import ResultTable
+from repro.serve.coalesce import FOLLOW, HIT, LEAD, Flight
 from repro.serve.httpbase import QuietHandler
 from repro.serve.wire import WIRE_VERSION, check_version
 from repro.service import CompileJob, CompileJobResult
@@ -198,14 +199,6 @@ class TestSingleFlight:
         barrier = threading.Barrier(4)
         outcomes = []
         joined = []
-        begin = flights.begin
-
-        def counted_begin(key):
-            flight, leader = begin(key)
-            joined.append(leader)
-            return flight, leader
-
-        flights.begin = counted_begin
 
         def work():
             calls.append(1)
@@ -214,8 +207,18 @@ class TestSingleFlight:
 
         def run():
             barrier.wait(5)
-            value, coalesced = flights.do("key", work, timeout=10)
-            outcomes.append((value, coalesced))
+            flight, role = flights.begin("key")
+            joined.append(role)
+            if role == LEAD:
+                try:
+                    value = work()
+                except BaseException as exc:
+                    flights.finish(flight, error=exc)
+                    raise
+                flights.finish(flight, value=value)
+                outcomes.append((value, False))
+            else:
+                outcomes.append((flights.wait(flight, timeout=10), True))
 
         threads = [threading.Thread(target=run) for _ in range(4)]
         for thread in threads:
@@ -232,15 +235,15 @@ class TestSingleFlight:
         assert len(calls) == 1
         assert [value for value, _ in outcomes] == ["result"] * 4
         assert sorted(coalesced for _, coalesced in outcomes) == [False, True, True, True]
-        assert sorted(joined) == [False, False, False, True]  # one leader
-        assert len(flights) == 0
+        assert sorted(joined) == [FOLLOW, FOLLOW, FOLLOW, LEAD]  # one leader
+        assert len(flights) == 0 and len(flights.retained) == 0
 
     def test_leader_failure_propagates_and_is_not_replayed(self):
         flights = SingleFlight()
         boom = RuntimeError("solver exploded")
 
-        flight, leader = flights.begin("key")
-        assert leader
+        flight, role = flights.begin("key")
+        assert role == LEAD
         follower_error = []
 
         def follow():
@@ -251,12 +254,13 @@ class TestSingleFlight:
 
         thread = threading.Thread(target=follow)
         thread.start()
-        flights.finish(flight, error=boom)
+        # A failure is retired, never retained, even when offered a weight.
+        assert flights.finish(flight, error=boom, weight=1) == (0, 0, 0)
         thread.join(5)
         assert follower_error == [boom]
         # The failed flight is retired: the next caller leads afresh.
-        _, leader_again = flights.begin("key")
-        assert leader_again
+        _, role_again = flights.begin("key")
+        assert role_again == LEAD
 
     def test_wait_timeout(self):
         flights = SingleFlight()
@@ -264,9 +268,19 @@ class TestSingleFlight:
         with pytest.raises(CoalesceTimeout):
             flights.wait(flight, timeout=0.01)
         # The flight is still in the air for everyone else.
-        _, leader = flights.begin("slow")
-        assert not leader
+        _, role = flights.begin("slow")
+        assert role == FOLLOW
         flights.finish(flight, value="done")
+
+    def test_a_retained_flight_answers_later_callers(self):
+        flights = SingleFlight()
+        flight, _ = flights.begin("key")
+        assert flights.finish(flight, value="answer", weight=6) == (1, 6, 0)
+        # Settled: out of the air, in the retained table, under one lock.
+        assert len(flights) == 0 and len(flights.retained) == 1
+        hit, role = flights.begin("key")
+        assert role == HIT and hit is flight and hit.value == "answer"
+        assert len(flights) == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -345,6 +359,57 @@ class TestCompileDaemon:
         assert isinstance(outcomes[1], CompileRequestError)
         client.close()
 
+    def test_batch_slot_on_a_refused_leader_fails_alone(self, monkeypatch):
+        """A batch slot that joined a flight whose leader the full queue
+        refused fails with ``queue_full``; the rest of the batch is served."""
+        daemon = CompileDaemon(workers=1)
+        daemon.start_background()
+        real_put = daemon._queue.put_nowait
+        held = threading.Event()
+        puts = []
+
+        def put_nowait(item):
+            puts.append(item)
+            if len(puts) > 1:
+                return real_put(item)
+            # Refuse the leader only once the batch's slot has joined it.
+            held.set()
+            deadline = time.monotonic() + 30
+            while daemon.counters()["coalesced_hits"] < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            raise queue.Full
+
+        monkeypatch.setattr(daemon._queue, "put_nowait", put_nowait)
+        refusals = []
+
+        def lead():
+            with Client(daemon.url, retries=0) as client:
+                try:
+                    client.compile("tiny-mlp", hardware="small-test-chip")
+                except CompileRequestError as exc:
+                    refusals.append(exc.code)
+
+        try:
+            leader = threading.Thread(target=lead)
+            leader.start()
+            assert held.wait(30)
+            with Client(daemon.url, retries=0) as client:
+                joined, own = client.compile_batch(
+                    [
+                        CompileJob("tiny-mlp", hardware="small-test-chip"),
+                        CompileJob("tiny-cnn", hardware="small-test-chip"),
+                    ]
+                )
+            _join(leader)
+        finally:
+            daemon.shutdown()
+        assert refusals == ["queue_full"]
+        assert isinstance(joined, CompileRequestError) and joined.code == "queue_full"
+        assert own.verify() and not own.coalesced
+        counters = daemon.counters()
+        assert counters["queue_rejections"] == 1 and counters["coalesced_hits"] == 1
+        assert counters["compiles_executed"] == 1 and len(daemon.flights) == 0
+
     def test_stats_and_metrics_endpoints(self, daemon):
         client = Client(daemon.url, retries=1)
         client.compile("tiny-mlp", hardware="small-test-chip")
@@ -397,7 +462,7 @@ class TestMetricsExposition:
 
     def test_result_table_size_is_a_level(self):
         daemon = CompileDaemon(workers=1)
-        daemon.results.max_entries = 1
+        daemon.flights.retained.max_entries = 1
         daemon.start_background()
         try:
             with Client(daemon.url, retries=1) as client:
@@ -407,7 +472,7 @@ class TestMetricsExposition:
         finally:
             daemon.shutdown()
         first, second = (
-            daemon.results.get(
+            daemon.flights.retained.get(
                 request_fingerprint(
                     CompileJob(model, hardware="small-test-chip"),
                     default_options=daemon.default_options,
@@ -416,8 +481,12 @@ class TestMetricsExposition:
             for model in ("tiny-mlp", "tiny-cnn")
         )
         assert first is None and second is not None
+        # What a hit on the retained flight sends: its flags + the shared tail.
+        hit_body = daemon_module._outcome_body(
+            True, second.value[1], coalesced=False, cached=True
+        )
         assert lines["serve_result_entries"] == "1"
-        assert lines["serve_result_bytes"] == str(len(second))
+        assert lines["serve_result_bytes"] == str(len(hit_body))
         assert lines["serve_result_evictions"] == "1"
         gauges = daemon.obs.metrics.to_dict()["gauges"]
         assert set(gauges) == {"serve.result_entries", "serve.result_bytes"}
@@ -498,59 +567,48 @@ class TestResultTable:
         with Client(daemon.url, retries=1) as client:
             yield client
 
+    @staticmethod
+    def _settle(flights, key, body):
+        """Lead a flight for ``key`` and settle it retained, weighing ``body``."""
+        flight, role = flights.begin(key)
+        assert role == LEAD
+        return flights.finish(flight, value=body, weight=len(body))
+
+    @staticmethod
+    def _answer(flights, key):
+        """The retained answer ``begin`` hits, or None (the probe's flight retired)."""
+        flight, role = flights.begin(key)
+        if role == HIT:
+            return flight.value
+        assert role == LEAD
+        flights.finish(flight)
+        return None
+
     def test_lru_eviction_under_the_entry_bound(self, monkeypatch):
-        monkeypatch.setattr(daemon_module, "RESULT_TABLE_ENTRIES", 2)
-        table = ResultTable()
-        assert table.put("a", b"aaaa") == (1, 4, 0)
-        assert table.put("b", b"bb") == (1, 2, 0)
-        assert table.get("a") == b"aaaa"  # "b" is now least recently used
-        assert table.put("c", b"c") == (0, -1, 1)
-        assert table.get("b") is None
-        assert table.get("a") == b"aaaa" and table.get("c") == b"c"
-        assert len(table) == 2
+        monkeypatch.setattr(coalesce_module, "RESULT_TABLE_ENTRIES", 2)
+        flights = SingleFlight()
+        assert self._settle(flights, "a", b"aaaa") == (1, 4, 0)
+        assert self._settle(flights, "b", b"bb") == (1, 2, 0)
+        assert self._answer(flights, "a") == b"aaaa"  # "b" is now least recently used
+        assert self._settle(flights, "c", b"c") == (0, -1, 1)
+        assert self._answer(flights, "b") is None
+        assert self._answer(flights, "a") == b"aaaa" and self._answer(flights, "c") == b"c"
+        assert len(flights.retained) == 2 and len(flights) == 0
 
     def test_lru_eviction_under_the_byte_bound(self, monkeypatch):
-        monkeypatch.setattr(daemon_module, "RESULT_TABLE_BYTES", 10)
-        table = ResultTable()
-        table.put("a", b"aaaa")
-        table.put("b", b"bbbb")
-        table.get("a")
-        assert table.put("c", b"cccc") == (0, 0, 1)  # 12 bytes > 10: "b" goes
-        assert table.get("b") is None and table.get("a") and table.get("c")
+        monkeypatch.setattr(coalesce_module, "RESULT_TABLE_BYTES", 10)
+        flights = SingleFlight()
+        self._settle(flights, "a", b"aaaa")
+        self._settle(flights, "b", b"bbbb")
+        self._answer(flights, "a")
+        assert self._settle(flights, "c", b"cccc") == (0, 0, 1)  # 12 bytes > 10: "b" goes
+        assert self._answer(flights, "b") is None
+        assert self._answer(flights, "a") and self._answer(flights, "c")
         # Replacing a key accounts for the body it displaces.
-        assert table.put("a", b"aaaaaa") == (0, 2, 0)
+        assert flights.finish(Flight("a"), value=b"aaaaaa", weight=6) == (0, 2, 0)
         # A body that alone exceeds the bound is refused, evicting nothing.
-        assert table.put("huge", b"x" * 11) == (0, 0, 0)
-        assert table.get("huge") is None and len(table) == 2
-
-    def test_concurrent_puts_keep_the_accounting_exact(self, monkeypatch):
-        """The daemon's gauges are sums of put() deltas: none may be lost."""
-        monkeypatch.setattr(daemon_module, "RESULT_TABLE_ENTRIES", 5)
-        monkeypatch.setattr(daemon_module, "RESULT_TABLE_BYTES", 40)
-        table = ResultTable()
-        totals = [[0, 0, 0] for _ in range(8)]
-
-        def work(index: int) -> None:
-            for step in range(300):
-                key = f"k{(index * 7 + step) % 11}"
-                delta = table.put(key, b"x" * (1 + (index + step) % 12))
-                totals[index] = [a + b for a, b in zip(totals[index], delta)]
-                table.get(f"k{step % 11}")
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                _join(thread)
-        finally:
-            sys.setswitchinterval(interval)
-        entries, size, _ = (sum(column) for column in zip(*totals))
-        retained = [table.get(f"k{i}") for i in range(11)]
-        assert entries == len(table) == sum(body is not None for body in retained) <= 5
-        assert size == sum(len(body) for body in retained if body) <= 40
+        assert self._settle(flights, "huge", b"x" * 11) == (0, 0, 0)
+        assert self._answer(flights, "huge") is None and len(flights.retained) == 2
 
     def test_repeat_request_is_answered_from_the_table(self, daemon, client):
         first = client.compile("tiny-mlp", hardware="small-test-chip")
@@ -620,7 +678,7 @@ class TestResultTable:
         ).cached
 
     def test_daemon_evicts_least_recently_used(self, monkeypatch):
-        monkeypatch.setattr(daemon_module, "RESULT_TABLE_ENTRIES", 2)
+        monkeypatch.setattr(coalesce_module, "RESULT_TABLE_ENTRIES", 2)
         daemon = CompileDaemon(workers=1)
         daemon.start_background()
         try:
@@ -634,7 +692,7 @@ class TestResultTable:
                 compile_("tiny-transformer")
                 counters = daemon.counters()
                 assert counters["result_evictions"] == 1
-                assert counters["result_entries"] == len(daemon.results) == 2
+                assert counters["result_entries"] == len(daemon.flights.retained) == 2
                 assert compile_("tiny-mlp").cached
                 assert not compile_("tiny-cnn").cached
         finally:
@@ -662,7 +720,6 @@ class TestResultTable:
         daemon = CompileDaemon(workers=1, use_cache=False)
         daemon.start_background()
         try:
-            assert daemon.results is None
             with Client(daemon.url, retries=1) as client:
                 results = [
                     client.compile("tiny-mlp", hardware="small-test-chip") for _ in range(2)
@@ -671,6 +728,7 @@ class TestResultTable:
             counters = daemon.counters()
             assert counters["compiles_executed"] == 2
             assert counters["result_hits"] == counters["result_entries"] == 0
+            assert len(daemon.flights.retained) == len(daemon.flights) == 0
         finally:
             daemon.shutdown()
 

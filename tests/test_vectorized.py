@@ -483,7 +483,7 @@ class TestWindowCacheKey:
             for (start, end), result in segmenter._allocation_cache.items()
             if result.feasible
         }
-        assert solved == set(cache._entries)
+        assert solved == set(cache._entries.keys())
         # Fixed-mode keys drop the inbound count; tiny-mlp's live data
         # fits the native buffer, so it has none to record.
         assert any(key.inbound_arrays > 0 for key in solved) == (
