@@ -67,7 +67,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
-from ..ir.serialization import graph_to_json
 from ..obs.metrics import registry_for
 from .clock import SYSTEM_CLOCK, Clock
 from .program import CompiledProgram, program_from_payload, program_to_payload
@@ -103,7 +102,8 @@ class ProgramKey:
 
     Attributes:
         payload: ``{"graph", "hardware", "options", "compiler"}`` — the
-            SHA-256 of the graph's exact JSON serialisation, the
+            SHA-256 of the graph's exact JSON serialisation
+            (:meth:`~repro.ir.graph.Graph.digest`), the
             :meth:`DualModeHardwareAbstraction.fingerprint`, every
             compiler option (``generate_code`` included: it changes the
             artefact) and the compiler's name.  Stored inside the entry
@@ -132,12 +132,14 @@ class ProgramKey:
 
         ``options`` is the :class:`~repro.core.compiler.CompilerOptions`
         dataclass the compile will actually run with (defaults already
-        substituted).
+        substituted).  The graph component is :meth:`Graph.digest`,
+        serialised once per graph object (which seals it, so it cannot
+        go stale); the options are mutable in place, so they are read on
+        every call.
         """
-        graph_json = graph_to_json(graph, indent=None)
         return cls(
             {
-                "graph": hashlib.sha256(graph_json.encode("utf-8")).hexdigest(),
+                "graph": graph.digest(),
                 "hardware": hardware.fingerprint(),
                 "options": asdict(options),
                 "compiler": compiler,

@@ -152,8 +152,6 @@ class DesignPoint:
         hardware: The candidate chip (base preset + axis overrides).
         options: Compiler options of the candidate.
         coords: Axis-index vector locating the point in its space.
-        model_digest: Structural digest standing in for graph-object
-            models in the point key (None for registered names).
     """
 
     model: Union[str, Graph]
@@ -161,7 +159,6 @@ class DesignPoint:
     hardware: DualModeHardwareAbstraction
     options: CompilerOptions
     coords: Tuple[int, ...] = ()
-    model_digest: Optional[str] = None
 
     @property
     def model_name(self) -> str:
@@ -173,12 +170,16 @@ class DesignPoint:
         """Stable cross-process identity of the point.
 
         Two points with the same key compile to bit-identical programs
-        (same model structure, workload, hardware parameters and
-        solve-relevant options), so a resumable run may skip a point
-        whose key already appears in its results file.
+        (same model, workload, hardware parameters and solve-relevant
+        options), so a resumable run may skip a point whose key already
+        appears in its results file.  A graph-object model is identified
+        by :meth:`~repro.ir.graph.Graph.digest` — its whole serialisation,
+        name and metadata (``block_repeat``) included.
         """
-        model_id = self.model if isinstance(self.model, str) else (
-            self.model_digest or f"graph:{self.model.name}"
+        model_id = (
+            self.model
+            if isinstance(self.model, str)
+            else f"graph:{self.model.digest()}"
         )
         return _digest(
             {
@@ -271,12 +272,6 @@ class DesignSpace:
         # across points keeps fingerprinting O(#hardware configs).
         self._hardware_memo: Dict[Tuple[int, ...], DualModeHardwareAbstraction] = {}
         self._options_memo: Dict[Tuple[int, ...], CompilerOptions] = {}
-        # Graph-object models get a structural digest once (their name is
-        # not a trustworthy identity; see DesignPoint.key).
-        self._model_digests: Dict[int, str] = {}
-        for index, model in enumerate(models):
-            if isinstance(model, Graph):
-                self._model_digests[index] = _graph_digest(model)
 
     # ------------------------------------------------------------------ #
     # geometry
@@ -355,7 +350,6 @@ class DesignSpace:
             hardware=hardware,
             options=options,
             coords=coords,
-            model_digest=self._model_digests.get(model_index),
         )
 
     def points(self) -> Iterator[DesignPoint]:
@@ -369,7 +363,7 @@ class DesignSpace:
     def to_spec(self) -> Dict:
         """JSON-compatible declaration of the space (for run directories).
 
-        Graph-object models are recorded by structural digest; such a
+        Graph-object models are recorded by :meth:`Graph.digest`; such a
         spec documents the run but cannot rebuild the space (resume still
         works — completed points are matched by point key, not by spec).
         """
@@ -377,9 +371,9 @@ class DesignSpace:
             "models": [
                 model if isinstance(model, str) else {
                     "graph": model.name,
-                    "digest": self._model_digests[index],
+                    "digest": model.digest(),
                 }
-                for index, model in enumerate(self.models)
+                for model in self.models
             ],
             "base_hardware": self.base_hardware.to_dict(),
             "workloads": [workload_payload(w) for w in self.workloads],
@@ -437,16 +431,3 @@ class DesignSpace:
                 parts.append(f"{axis.name} x {len(axis.values)}")
         return f"{self.size} points ({', '.join(parts)})"
 
-
-def _graph_digest(graph: Graph) -> str:
-    """Structural digest of a prebuilt graph (profile signatures).
-
-    Used as the model component of point keys when the model is a graph
-    object rather than a registry name, so identically named but
-    structurally different graphs never share a point key.
-    """
-    from ..core.cache import segment_signature
-    from ..cost.arithmetic import profile_graph
-
-    signature = segment_signature(profile_graph(graph))
-    return _digest([list(row) for row in signature])

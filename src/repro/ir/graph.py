@@ -9,20 +9,31 @@ outputs.  The graph offers the queries the compiler needs:
 * the dependency relation ``W`` (``w_{i,j}``: output of ``O_i`` feeds ``O_j``),
 * the subset of CIM-mappable operators,
 * aggregate statistics (parameters, MACs, activation footprint).
+
+Its identity is :meth:`Graph.digest`, computed once: the first digest
+seals the graph (see there), so the digest can never go stale.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .operators import Operator
+from .sealed import SealedList, frozen, sealed_error, thawed
 from .tensor import TensorSpec
+
+#: Serialises first digests, so two threads sealing one graph at once
+#: serialise it once.
+_SEAL_LOCK = threading.Lock()
 
 
 class GraphError(ValueError):
-    """Raised when a graph is malformed (duplicate names, cycles, ...)."""
+    """Raised when a graph is malformed (duplicate names, cycles, ...) or
+    a sealed graph is edited in place."""
 
 
 @dataclass
@@ -56,10 +67,15 @@ class GraphStats:
 class Graph:
     """A directed acyclic graph of operators.
 
+    A graph is editable until its first :meth:`digest`, which seals it.
+
     Args:
         name: Human-readable model name (e.g. ``"resnet18"``).
         operators: Optional initial operators, added in order.
     """
+
+    _sealed: bool = False
+    _digest: Optional[str] = None
 
     def __init__(self, name: str, operators: Optional[Iterable[Operator]] = None) -> None:
         self.name = name
@@ -80,11 +96,53 @@ class Graph:
             for op in operators:
                 self.add_operator(op)
 
+    def __setattr__(self, name: str, value) -> None:
+        if self._sealed and not name.startswith("_"):
+            raise sealed_error(f"graph {self.name!r}")
+        object.__setattr__(self, name, value)
+
+    # ------------------------------------------------------------------ #
+    # identity
+    # ------------------------------------------------------------------ #
+    def digest(self) -> str:
+        """SHA-256 hex digest of the graph's compact JSON serialisation.
+
+        Exactly ``sha256(graph_to_json(graph, indent=None))``: the graph
+        component of every :class:`~repro.core.store.ProgramKey`, of the
+        daemon's request fingerprint and of a DSE point key.  Computed
+        once; the first call **seals** the graph, so the digest cannot go
+        stale: from then on :meth:`add_operator` / :meth:`add_input` /
+        :meth:`add_output`, writes to ``metadata``, ``graph_inputs``,
+        ``graph_outputs`` or any operator's ``attrs``, and rebinding
+        ``name`` or an operator's public attributes raise
+        :class:`GraphError`.  To edit a sealed graph, edit the unsealed
+        copy ``Graph.from_dict(graph.to_dict())``.  Thread-safe.
+        """
+        if self._digest is None:
+            with _SEAL_LOCK:
+                if self._digest is None:
+                    from . import serialization  # it imports this module
+
+                    self._seal()
+                    text = serialization.graph_to_json(self, indent=None)
+                    self._digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return self._digest
+
+    def _seal(self) -> None:
+        for op in self._operators.values():
+            op._seal()
+        self.metadata = frozen(self.metadata)
+        self.graph_inputs = SealedList(self.graph_inputs)
+        self.graph_outputs = SealedList(self.graph_outputs)
+        self._sealed = True
+
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def add_operator(self, op: Operator) -> Operator:
         """Add an operator; its inputs may reference earlier outputs."""
+        if self._sealed:
+            raise sealed_error(f"graph {self.name!r}")
         if op.name in self._operators:
             raise GraphError(f"duplicate operator name {op.name!r}")
         for out in op.outputs:
@@ -101,12 +159,12 @@ class Graph:
 
     def add_input(self, spec: TensorSpec) -> TensorSpec:
         """Declare a graph-level input tensor."""
-        self.graph_inputs.append(spec)
+        self.graph_inputs.append(spec)  # raises once sealed
         return spec
 
     def add_output(self, spec: TensorSpec) -> TensorSpec:
         """Declare a graph-level output tensor."""
-        self.graph_outputs.append(spec)
+        self.graph_outputs.append(spec)  # raises once sealed
         return spec
 
     # ------------------------------------------------------------------ #
@@ -285,10 +343,11 @@ class Graph:
     # serialisation
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        """Serialise the whole graph to a JSON-friendly dictionary."""
+        """Serialise the whole graph to a JSON-friendly dictionary (plain,
+        unsealed containers that share nothing with the graph)."""
         return {
             "name": self.name,
-            "metadata": dict(self.metadata),
+            "metadata": thawed(self.metadata),
             "inputs": [t.to_dict() for t in self.graph_inputs],
             "outputs": [t.to_dict() for t in self.graph_outputs],
             "operators": [op.to_dict() for op in self._operators.values()],

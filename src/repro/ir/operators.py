@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .sealed import frozen, sealed_error, thawed
 from .tensor import DataType, TensorSpec
 
 
@@ -71,9 +72,14 @@ class Operator:
         outputs: Produced tensors.
         weight: Optional static parameter tensor (weights + folded bias).
         attrs: Free-form attributes used by subclasses and analyses.
+
+    Once a graph holding the operator is digested
+    (:meth:`repro.ir.graph.Graph.digest`) the operator is sealed: its
+    public attributes cannot be rebound and ``attrs`` is read-only.
     """
 
     op_type: str = "operator"
+    _sealed: bool = False
 
     def __init__(
         self,
@@ -92,6 +98,17 @@ class Operator:
         self.outputs: Tuple[TensorSpec, ...] = tuple(outputs)
         self.weight = weight
         self.attrs: Dict = dict(attrs or {})
+
+    def __setattr__(self, name: str, value) -> None:
+        if self._sealed and not name.startswith("_"):
+            raise sealed_error(f"operator {self.name!r}")
+        object.__setattr__(self, name, value)
+
+    def _seal(self) -> None:
+        """Make the operator read-only (idempotent; see :class:`Operator`)."""
+        if not self._sealed:
+            self.attrs = frozen(self.attrs)
+            self._sealed = True
 
     # ------------------------------------------------------------------ #
     # classification
@@ -207,7 +224,7 @@ class Operator:
             "inputs": [t.to_dict() for t in self.inputs],
             "outputs": [t.to_dict() for t in self.outputs],
             "weight": self.weight.to_dict() if self.weight is not None else None,
-            "attrs": dict(self.attrs),
+            "attrs": thawed(self.attrs),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -40,8 +40,8 @@ from ..core.program import (
     program_to_payload,
 )
 from ..hardware.deha import DualModeHardwareAbstraction
+from ..ir import serialization
 from ..ir.graph import Graph
-from ..ir.serialization import SerializationError, graph_from_json, graph_to_json
 from ..models.workload import Workload, workload_from_payload, workload_to_payload
 from ..service import CompileJob
 
@@ -141,7 +141,9 @@ def job_to_wire(job: CompileJob) -> Dict:
         "wire_version": WIRE_VERSION,
         "model": job.model if isinstance(job.model, str) else None,
         "graph_json": (
-            graph_to_json(job.model) if isinstance(job.model, Graph) else None
+            serialization.graph_to_json(job.model)
+            if isinstance(job.model, Graph)
+            else None
         ),
         "workload": (
             workload_to_payload(job.workload) if job.workload is not None else None
@@ -172,8 +174,8 @@ def job_from_wire(payload: Mapping) -> CompileJob:
         if not isinstance(graph_json, str):
             raise WireFormatError("'graph_json' must be a string")
         try:
-            model = graph_from_json(graph_json)
-        except SerializationError as exc:
+            model = serialization.graph_from_json(graph_json)
+        except serialization.SerializationError as exc:
             raise WireFormatError(f"invalid 'graph_json': {exc}") from exc
     workload = payload.get("workload")
     if workload is not None:
@@ -202,8 +204,10 @@ def request_fingerprint(job: CompileJob, default_options: Optional[CompilerOptio
     Two requests with equal fingerprints would produce bit-identical
     :meth:`CompiledProgram.fingerprint` results, so the daemon may run
     one compile and fan the answer out (:class:`~repro.serve.SingleFlight`).
-    Covered: the graph identity (registered name + workload, or the
-    exact serialised graph), the hardware fingerprint, and every
+    Covered: the graph identity (registered name + workload, or
+    :meth:`~repro.ir.graph.Graph.digest` — the same digest the
+    service's program key then reuses, so a graph request is serialised
+    once), the hardware fingerprint, and every
     option — including ``generate_code``, which changes the artifact
     even though it never changes a solve.  ``default_options`` is what
     the executing service will substitute for ``options=None`` (the
@@ -211,10 +215,7 @@ def request_fingerprint(job: CompileJob, default_options: Optional[CompilerOptio
     options coalesce together).
     """
     if isinstance(job.model, Graph):
-        graph_id = [
-            "graph",
-            hashlib.sha256(graph_to_json(job.model).encode("utf-8")).hexdigest(),
-        ]
+        graph_id = ["graph", job.model.digest()]
     else:
         graph_id = [
             "model",

@@ -291,11 +291,12 @@ class CompileService:
         alike — and nothing else reads or writes either tier.
         ``compiler`` names an entry of the one registry,
         :data:`repro.baselines.COMPILERS`; it is part of the key, and the
-        compiler is built only on a miss.  The key is built from the
-        arguments on every call (graphs and options are mutable in place,
-        so nothing about them is remembered between calls).  Table hit: a
-        copy of the
-        stored program.  Store hit: read, verify, decode, remember.
+        compiler is built only on a miss.  The key is built on every call
+        from the graph's :meth:`~repro.ir.graph.Graph.digest` — serialised
+        once per graph object, which seals it against in-place edits — and
+        from the options as they are now (options stay mutable in place).
+        Table hit: a copy of the stored program.  Store hit: read, verify,
+        decode, remember.
         Either way the program carries the statistics of *this* call
         (see :func:`_served`).  Miss (absent, evicted, corrupt, foreign
         or other-version entry — all counted, none raised): run the

@@ -8,6 +8,8 @@ real benchmark networks.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.core import CMSwitchCompiler, CompilerOptions
@@ -78,3 +80,26 @@ def compiled_tiny_transformer(small_chip, tiny_transformer_graph):
 def resnet18_graph():
     """ResNet-18 at ImageNet resolution (used by a few integration tests)."""
     return build_model("resnet18", Workload(batch_size=1))
+
+
+@pytest.fixture
+def graph_serialisations(monkeypatch):
+    """Names of the graphs ``graph_to_json`` serialises while the test runs.
+
+    Every loaded ``repro`` module that bound the function is patched, not
+    only :mod:`repro.ir.serialization`, so a caller that imported the name
+    directly is counted too.
+    """
+    from repro.ir import serialization
+
+    calls = []
+    real = serialization.graph_to_json
+
+    def counting(graph, *args, **kwargs):
+        calls.append(graph.name)
+        return real(graph, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and getattr(module, "graph_to_json", None) is real:
+            monkeypatch.setattr(module, "graph_to_json", counting)
+    return calls

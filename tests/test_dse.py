@@ -118,8 +118,28 @@ class TestDesignSpace:
         graph = build_model("tiny-mlp", Workload(batch_size=1))
         space = DesignSpace(models=[graph], base_hardware=small_test_chip())
         point = next(space.points())
-        assert point.model_digest is not None
         assert point.model_name == "tiny-mlp"
+        # The graph is keyed by its digest, not its name: an equal graph
+        # built separately shares the key, the registered name does not.
+        twin = build_model("tiny-mlp", Workload(batch_size=1))
+        assert DesignSpace(models=[twin], base_hardware=small_test_chip()).point_at(
+            point.coords
+        ).key == point.key
+        named = DesignSpace(models=["tiny-mlp"], base_hardware=small_test_chip())
+        assert named.point_at(point.coords).key != point.key
+        assert space.to_spec()["models"] == [{"graph": "tiny-mlp", "digest": graph.digest()}]
+
+    def test_graph_points_differing_only_in_metadata_are_two_points(self):
+        """Two graphs equal in structure but not in ``block_repeat`` compile
+        to different cycles, so they must not share a point key (a key
+        built from the profile signature alone kept one record)."""
+        once, five = (build_model("tiny-mlp", Workload(batch_size=1)) for _ in range(2))
+        five.metadata["block_repeat"] = 5.0
+        space = DesignSpace(models=[once, five], base_hardware=small_test_chip())
+        result = DSERunner(space).run()
+        assert result.evaluated == 2
+        cycles = sorted(record.cycles for record in result.records)
+        assert len(cycles) == 2 and cycles[1] == pytest.approx(5.0 * cycles[0])
 
 
 # ---------------------------------------------------------------------- #

@@ -1,5 +1,11 @@
 """Unit tests for the computation graph container (repro.ir.graph)."""
 
+import copy
+import hashlib
+import pickle
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -368,3 +374,87 @@ class TestSerialization:
     def test_missing_graph_section_rejected(self):
         with pytest.raises(SerializationError, match="'graph'"):
             graph_from_json('{"format": "repro-graph", "version": 1}')
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+class TestDigest:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shuffled_dags(max_operators=8),
+        st.dictionaries(st.text(max_size=4), json_values, max_size=3),
+    )
+    def test_digest_is_the_sha256_of_the_compact_serialisation(self, operators, metadata):
+        """The bytes every program key and store entry name were built from."""
+
+        def compact_sha256(graph):
+            text = graph_to_json(graph, indent=None)
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        graph = Graph("random", operators)
+        graph.metadata.update(metadata)
+        expected = compact_sha256(graph)
+        assert graph.digest() == expected
+        # Sealing changes no byte of the serialisation, and copies keep the digest.
+        assert compact_sha256(graph) == expected
+        assert Graph.from_dict(graph.to_dict()).digest() == expected
+
+    def test_digest_is_computed_once(self, graph_serialisations):
+        graph = Graph("chain", [linear("fc1", "x", "h1")])
+        assert graph.digest() == graph.digest() == graph.digest()
+        assert graph_serialisations == ["chain"]
+
+    def test_first_digests_racing_on_one_graph_serialise_it_once(
+        self, graph_serialisations, monkeypatch
+    ):
+        from repro.ir import serialization
+
+        counting = serialization.graph_to_json
+        start = threading.Barrier(4)
+
+        def slow(graph, *args, **kwargs):
+            time.sleep(0.01)  # widen the window in which a second thread could enter
+            return counting(graph, *args, **kwargs)
+
+        monkeypatch.setattr(serialization, "graph_to_json", slow)
+        graph = Graph("chain", [linear("fc1", "x", "h1")])
+        digests = []
+
+        def worker():
+            start.wait(timeout=30)
+            digests.append(graph.digest())
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(digests) == 4 and len(set(digests)) == 1
+        assert graph_serialisations == ["chain"]
+
+    def test_a_copy_of_a_sealed_graph_is_editable_and_shares_nothing(self, tiny_cnn_graph):
+        sealed = Graph.from_dict(tiny_cnn_graph.to_dict())
+        sealed.digest()
+        edited = Graph.from_dict(sealed.to_dict())
+        edited.operators[0].attrs["stride"].append(2)
+        edited.metadata["block_repeat"] = 2.0
+        edited.add_input(TensorSpec("extra", (1,)))
+        assert edited.digest() != sealed.digest()
+        assert sealed.operators[0].attrs["stride"] == [1, 1]
+
+    def test_sealing_is_idempotent_and_survives_copy_and_pickle(self, chain_graph):
+        digest = chain_graph.digest()
+        for clone in (copy.deepcopy(chain_graph), pickle.loads(pickle.dumps(chain_graph))):
+            assert clone.digest() == digest
+            with pytest.raises(GraphError):
+                clone.metadata["block_repeat"] = 2.0
+            with pytest.raises(GraphError):
+                clone.operator("fc1").attrs["bias"] = False

@@ -23,6 +23,8 @@ import pytest
 
 from repro.api import Session
 from repro.core.compiler import CompilerOptions
+from repro.ir import Graph
+from repro.models import build_model
 from repro.models.workload import Phase, Workload
 from repro.serve import (
     Client,
@@ -187,6 +189,13 @@ class TestRequestFingerprint:
             "8a64e27a9240dbbcc4bb41a7a2e8ad8e125f543b2411d1ac418f7804e723c63d"
         )
 
+    def test_a_graph_is_identified_by_its_digest(self):
+        first, twin = (build_model("tiny-mlp", Workload(batch_size=1)) for _ in range(2))
+        assert request_fingerprint(CompileJob(first)) == request_fingerprint(CompileJob(twin))
+        edited = Graph.from_dict(first.to_dict())
+        edited.metadata["block_repeat"] = 2.0
+        assert request_fingerprint(CompileJob(edited)) != request_fingerprint(CompileJob(first))
+
 
 # ---------------------------------------------------------------------- #
 # single-flight coalescing
@@ -345,6 +354,21 @@ class TestCompileDaemon:
         client.close()
         assert status == 400
         assert f"unknown compiler option(s): {removed}" in document["error"]["message"]
+
+    def test_a_graph_request_miss_serialises_its_graph_once(
+        self, daemon, graph_serialisations
+    ):
+        """The request fingerprint and the program key share ``Graph.digest``."""
+        graph = build_model("tiny-mlp", Workload(batch_size=1))
+        job = job_to_wire(CompileJob(graph, hardware="small-test-chip"))
+        del graph_serialisations[:]  # the client's encoding is not the daemon's work
+        with Client(daemon.url, retries=1) as client:
+            status, document = client._request(
+                "POST", "/v1/compile", {"wire_version": WIRE_VERSION, "job": job}
+            )
+        assert status == 200 and not document.get("cached")
+        assert daemon.counters()["compiles_executed"] == 1
+        assert graph_serialisations == [graph.name]
 
     def test_batch_endpoint_isolates_failures(self, daemon):
         client = Client(daemon.url, retries=1)

@@ -7,11 +7,13 @@ from dataclasses import fields, replace
 import pytest
 
 import repro.service as service_module
+from repro.api import Session
 from repro.cli import build_parser, main
 from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions
 from repro.core.metaop import MetaProgram
 from repro.core.store import ProgramKey
 from repro.hardware.deha import DualModeHardwareAbstraction
+from repro.ir import Graph, GraphError, TensorSpec
 from repro.models import Workload, build_model
 from repro.obs import Observability
 from repro.service import CompileJob, CompileJobResult, CompileService, ProgramTable
@@ -211,15 +213,19 @@ class TestProgramTable:
         ],
         ids=["graph.metadata", "operator.attrs"],
     )
-    def test_in_place_graph_edit_is_a_miss(self, small_chip, pipeline_runs, edit):
+    def test_in_place_graph_edit_raises_and_copy_misses(self, small_chip, pipeline_runs, edit):
         service = CompileService()
         graph = _tiny_cnn()
         service.compile_graph(graph, small_chip, self.OPTIONS)
-        edit(graph)
-        edited = service.compile_graph(graph, small_chip, self.OPTIONS)
+        with pytest.raises(GraphError, match=r"Graph\.from_dict\(graph\.to_dict\(\)\)"):
+            edit(graph)
+        copy = Graph.from_dict(graph.to_dict())
+        edit(copy)
+        edited = service.compile_graph(copy, small_chip, self.OPTIONS)
         assert len(pipeline_runs) == 2 and edited.stats["pass_seconds"]
-        assert edited.block_repeat == float(graph.metadata.get("block_repeat", 1.0))
+        assert edited.block_repeat == float(copy.metadata.get("block_repeat", 1.0))
         # The untouched graph is still there under its own key.
+        service.compile_graph(graph, small_chip, self.OPTIONS)
         service.compile_graph(_tiny_cnn(), small_chip, self.OPTIONS)
         assert len(pipeline_runs) == 2
 
@@ -348,6 +354,7 @@ class TestProgramTable:
         programs = [service.compile_graph(graph, small_chip, self.OPTIONS) for _ in range(3)]
         assert len(pipeline_runs) == 3
         assert all(program.stats["allocator_solves"] > 0 for program in programs)
+        graph.metadata["block_repeat"] = 2.0  # no key, so nothing sealed the graph
 
     def test_threads_sharing_one_service_agree(self, small_chip):
         service = CompileService()
@@ -378,6 +385,83 @@ class TestProgramTable:
         assert not errors and not any(thread.is_alive() for thread in threads)
         assert outcomes == [(None, reference)] * 40
         assert len(service.programs) == 1
+
+
+#: Every way to edit a graph in place, each of which a sealed graph refuses.
+IN_PLACE_EDITS = {
+    "add_operator": lambda g: g.add_operator(g.operators[0]),
+    "add_input": lambda g: g.add_input(TensorSpec("extra", (1,))),
+    "add_output": lambda g: g.add_output(TensorSpec("extra", (1,))),
+    "metadata[]": lambda g: g.metadata.__setitem__("block_repeat", 3.0),
+    "metadata.update": lambda g: g.metadata.update(block_repeat=3.0),
+    "metadata.pop": lambda g: g.metadata.pop("block_repeat"),
+    "graph_inputs[]": lambda g: g.graph_inputs.__setitem__(0, TensorSpec("x", (1,))),
+    "graph_outputs.append": lambda g: g.graph_outputs.append(TensorSpec("y", (1,))),
+    "attrs[]": lambda g: g.operators[0].attrs.__setitem__("note", "edited"),
+    "attrs.update": lambda g: g.operators[0].attrs.update(note="edited"),
+    "nested attrs value": lambda g: g.operators[0].attrs["stride"].append(2),
+    "graph.name =": lambda g: setattr(g, "name", "renamed"),
+    "graph.metadata =": lambda g: setattr(g, "metadata", {}),
+    "operator.name =": lambda g: setattr(g.operators[0], "name", "renamed"),
+    "operator.inputs =": lambda g: setattr(g.operators[0], "inputs", ()),
+    "operator.outputs =": lambda g: setattr(g.operators[0], "outputs", ()),
+    "operator.weight =": lambda g: setattr(g.operators[0], "weight", None),
+    "operator.attrs =": lambda g: setattr(g.operators[0], "attrs", {}),
+}
+
+
+class TestSealedGraph:
+    """A compile keys a graph by :meth:`Graph.digest`, which seals it: an
+    in-place edit raises instead of leaving the program key stale, and the
+    key is serialised once per graph object."""
+
+    @pytest.mark.parametrize("edit", IN_PLACE_EDITS.values(), ids=IN_PLACE_EDITS.keys())
+    def test_edit_after_compile_raises(self, small_chip, edit):
+        session = Session(hardware=small_chip)
+        graph = _tiny_cnn()
+        before = graph.to_dict()
+        first = session.compile(graph)
+        with pytest.raises(GraphError, match=r"Graph\.from_dict\(graph\.to_dict\(\)\)"):
+            edit(graph)
+        # Nothing changed, and the untouched graph still hits the table.
+        assert graph.to_dict() == before
+        again = session.compile(graph)
+        assert again.stats["pass_seconds"] == {}
+        assert again.fingerprint() == first.fingerprint()
+
+    def test_an_edited_copy_is_a_miss_with_the_edit(self, small_chip, pipeline_runs):
+        session = Session(hardware=small_chip)
+        graph = _tiny_cnn()
+        first = session.compile(graph)
+        copy = Graph.from_dict(graph.to_dict())
+        copy.metadata["block_repeat"] = 4.0
+        copy.operators[0].attrs["note"] = "edited"
+        edited = session.compile(copy)
+        assert len(pipeline_runs) == 2 and edited.stats["pass_seconds"]
+        assert edited.block_repeat == 4.0 and first.block_repeat == 1.0
+        assert edited.end_to_end_cycles == pytest.approx(4.0 * first.end_to_end_cycles)
+
+    def test_a_graph_is_editable_until_it_is_compiled(self, small_chip):
+        graph = _tiny_cnn()
+        graph.metadata["block_repeat"] = 7.0
+        graph.operators[0].attrs["note"] = "before the first compile"
+        assert Session(hardware=small_chip).compile(graph).block_repeat == 7.0
+
+    def test_a_repeat_of_the_same_graph_object_serialises_nothing(
+        self, small_chip, graph_serialisations
+    ):
+        obs = Observability.create()
+        session = Session(hardware=small_chip, trace=obs)
+        graphs = [_tiny_cnn(), build_model("tiny-mlp", Workload(batch_size=1))]
+        for graph in graphs:
+            session.compile(graph)
+        assert graph_serialisations == [graph.name for graph in graphs]
+        del graph_serialisations[:]
+        for graph in graphs:
+            session.compile(graph)
+        assert graph_serialisations == []
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["programs.hits"] == 2 and counters["programs.misses"] == 2
 
 
 class TestCompilerByName:
