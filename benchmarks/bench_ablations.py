@@ -15,9 +15,8 @@ import pytest
 from conftest import record
 
 from repro.core import CMSwitchCompiler, CompilerOptions
-from repro.experiments import encode_workload
 from repro.hardware import dynaplasia
-from repro.models import build_model
+from repro.models import build_model, default_workload
 
 
 def _compile(chip, graph, **option_overrides):
@@ -27,12 +26,12 @@ def _compile(chip, graph, **option_overrides):
 
 @pytest.fixture(scope="module")
 def llama_graph():
-    return build_model("llama2-7b", encode_workload("llama2-7b", 4, 64))
+    return build_model("llama2-7b", default_workload("llama2-7b", batch_size=4, seq_len=64))
 
 
 @pytest.fixture(scope="module")
 def resnet_graph():
-    return build_model("resnet18", encode_workload("resnet18", 1, 64))
+    return build_model("resnet18", default_workload("resnet18", batch_size=1, seq_len=64))
 
 
 @pytest.mark.benchmark(group="ablation")

@@ -19,8 +19,7 @@ Run with ``python examples/cnn_deployment.py``.
 from repro.analysis import layerwise_intensity
 from repro.api import Session
 from repro.core import CompilerOptions
-from repro.experiments import encode_workload
-from repro.models import build_model
+from repro.models import build_model, default_workload
 
 MODELS = ("resnet18", "vgg16")
 COMPILERS = ("puma", "occ", "cim-mlc", "cmswitch")
@@ -29,7 +28,7 @@ COMPILERS = ("puma", "occ", "cim-mlc", "cmswitch")
 def main() -> None:
     session = Session("dynaplasia", options=CompilerOptions(generate_code=False))
     for model in MODELS:
-        workload = encode_workload(model, batch_size=1, seq_len=64)
+        workload = default_workload(model, batch_size=1, seq_len=64)
         graph = build_model(model, workload)
 
         print(f"=== {model} ===")

@@ -25,8 +25,8 @@ Sub-packages:
 * :mod:`repro.hardware` -- dual-mode hardware abstraction (DEHA) and presets
 * :mod:`repro.cost` -- latency and mode-switch cost models
 * :mod:`repro.core` -- the CMSwitch compiler (DP segmentation + MIP allocation)
-* :mod:`repro.pipeline` -- the pass-based compile pipeline the compilers run
-* :mod:`repro.baselines` -- PUMA / OCC / CIM-MLC as pipeline configurations
+* :mod:`repro.pipeline` -- the compile passes; a compiler is a tuple of them
+* :mod:`repro.baselines` -- PUMA / OCC / CIM-MLC as CMSwitch subclasses
 * :mod:`repro.sim` -- functional and timing simulators
 * :mod:`repro.analysis`, :mod:`repro.experiments` -- paper figure/table harness
 * :mod:`repro.dse` -- cache-aware, multi-fidelity design-space
@@ -41,7 +41,7 @@ from .core.store import DiskCacheStore
 from .core.program import CompiledProgram, SegmentPlan
 from .hardware import DualModeHardwareAbstraction, dynaplasia, get_preset, prime, small_test_chip
 from .models import Phase, Workload, build_model, list_models
-from .pipeline import Pipeline, PipelineContext, build_pipeline
+from .pipeline import PipelineContext
 from .service import CompileJob, CompileJobResult, CompileService
 
 __version__ = "0.4.0"
@@ -58,14 +58,12 @@ __all__ = [
     "DualModeHardwareAbstraction",
     "NoFeasiblePlanError",
     "Phase",
-    "Pipeline",
     "PipelineContext",
     "SegmentPlan",
     "Session",
     "Workload",
     "__version__",
     "build_model",
-    "build_pipeline",
     "dynaplasia",
     "get_preset",
     "list_models",

@@ -11,7 +11,6 @@ from .intensity import (
 )
 from .sweep import (
     ModeRatioSweep,
-    compiled_array_sweep,
     mode_allocation_heatmap,
     mode_ratio_sweep,
 )
@@ -19,7 +18,6 @@ from .sweep import (
 __all__ = [
     "LayerIntensity",
     "ModeRatioSweep",
-    "compiled_array_sweep",
     "intensity_vs_sequence_length",
     "layerwise_intensity",
     "mode_allocation_heatmap",

@@ -8,27 +8,21 @@ and ``(1 - r) x N`` memory arrays, and reports performance normalised to
 the best split — the quantity plotted in Fig. 1(b); the 2-D variant over
 (compute, memory) counts produces the Fig. 5(a)(b) heatmaps.
 
-:func:`compiled_array_sweep` complements the analytical sweeps with a
-full-compiler design-space exploration: the same graph is compiled for a
-family of hardware variants with one shared allocation cache, so repeated
-structural sub-problems are solved once across the whole sweep.  It is a
-compatibility façade over :mod:`repro.dse` — the first-class DSE engine
-with search strategies, resumable run directories and Pareto reporting.
+A full-compiler sweep over hardware variants is a design-space
+exploration: :meth:`repro.api.Session.explore` (see :mod:`repro.dse`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.compiler import CompilerOptions
 from ..cost.arithmetic import OperatorProfile, profile_graph
 from ..cost.latency import OperatorAllocation, operator_latency_cycles  # noqa: F401  (re-exported for users)
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
-
 
 
 def _static_split_latency(
@@ -180,76 +174,3 @@ def mode_allocation_heatmap(
     best = np.nanmin(latency[np.isfinite(latency)]) if np.isfinite(latency).any() else 1.0
     heatmap = np.where(np.isfinite(latency), best / latency, 0.0)
     return compute_counts, memory_counts, heatmap
-
-
-def compiled_array_sweep(
-    graph: Graph,
-    base_hardware: DualModeHardwareAbstraction,
-    array_counts: Sequence[int],
-    options: Optional[CompilerOptions] = None,
-    session=None,
-) -> List[Dict]:
-    """Compile ``graph`` for a family of array counts (DSE with a cache).
-
-    This is the legacy array-count sweep, now a thin façade over
-    :mod:`repro.dse`: the array counts become a one-axis
-    :class:`~repro.dse.space.DesignSpace`, the ``session`` explores it
-    with the grid strategy (:meth:`repro.api.Session.explore`; a
-    repeated array count is a program-table hit), and the records are
-    rendered back into the historical row format.  A session with a
-    ``cache_dir`` lets a restarted sweep read back every design point an
-    earlier run already compiled.  For new code prefer
-    :meth:`repro.api.Session.explore` directly, which adds strategies,
-    resumable run directories and Pareto reporting on top.
-
-    Args:
-        session: The :class:`~repro.api.Session` to compile through (a
-            fresh in-memory one when omitted).
-
-    Returns:
-        One row per array count (input order) with ``num_arrays``,
-        ``feasible``, ``cycles``, ``ms``, ``num_segments``,
-        ``allocator_solves`` and ``cache_hit_rate``.  A design point too
-        small for the workload (the boundary a DSE sweep exists to find)
-        is reported as an infeasible row (``cycles == inf``) rather than
-        aborting the sweep.
-    """
-    from ..api import Session
-    from ..dse import DesignSpace
-
-    space = DesignSpace(
-        models=[graph],
-        base_hardware=base_hardware,
-        hardware_axes={"num_arrays": [int(count) for count in array_counts]},
-        base_options=options or CompilerOptions(generate_code=False),
-    )
-    session = Session(base_hardware) if session is None else session
-    result = session.explore(space, strategy="grid", objective="latency")
-    by_coords = {record.coords: record for record in result.records}
-    rows: List[Dict] = []
-    for coords in space.coordinates():
-        record = by_coords[coords]
-        if record.failed and not (record.error or "").startswith("RuntimeError:"):
-            # Historical contract: only NoFeasiblePlanError/RuntimeError
-            # become infeasible rows; genuine bugs (TypeError from bad
-            # options, a crashed worker) must propagate, not masquerade
-            # as a too-small chip.
-            raise RuntimeError(
-                f"compiled_array_sweep failed at num_arrays="
-                f"{record.num_arrays}: {record.error}"
-            )
-        solve_attempts = record.allocator_solves + record.cache_hits
-        rows.append(
-            {
-                "num_arrays": record.num_arrays,
-                "feasible": record.feasible,
-                "cycles": record.cycles if record.feasible else float("inf"),
-                "ms": record.latency_ms if record.feasible else float("inf"),
-                "num_segments": record.num_segments,
-                "allocator_solves": record.allocator_solves,
-                "cache_hit_rate": (
-                    record.cache_hits / solve_attempts if solve_attempts else 0.0
-                ),
-            }
-        )
-    return rows

@@ -90,6 +90,7 @@ class Session:
             execute.
         use_cache: Disable the program table, the shared cache and the
             program store entirely (A/B timing): every call compiles.
+            ``False`` with a ``cache_dir`` raises ``ValueError``.
         trace: Telemetry switch (off by default — the disabled path is a
             measured-overhead-free no-op).  Accepts ``True`` (collect
             spans + metrics in a fresh :class:`~repro.obs.Observability`

@@ -1,10 +1,10 @@
 """Baseline CIM compilers used in the paper's comparison (Fig. 14).
 
-Each baseline is a configuration of the CMSwitch compiler and its pass
-pipeline (:mod:`repro.pipeline`) with memory mode pinned off.  CIM-MLC
-keeps the DP; PUMA and OCC run the greedy engine and replace only the
-``segment`` pass's boundary choice (:class:`BoundaryPolicySegment`), so
-their plans come from the same plan builder as everyone else's.
+Each baseline is a subclass of the CMSwitch compiler with memory mode
+pinned off.  CIM-MLC inherits its pass tuple, DP included; PUMA and OCC
+run the greedy engine and put a :class:`BoundaryPolicySegment` in the
+``segment`` slot of that tuple, so their plans come from the same plan
+builder as everyone else's.
 """
 
 from ..core.compiler import CMSwitchCompiler

@@ -28,16 +28,17 @@ dual-mode dimension of the optimisation space.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from ..core.cache import AllocationCache
 from ..core.compiler import CMSwitchCompiler, CompilerOptions
 from ..core.segmentation import FlattenedUnit
 from ..hardware.deha import DualModeHardwareAbstraction
-from ..pipeline import PipelineContext, Segment, build_pipeline
+from ..pipeline import Pass, PipelineContext, Segment
 
 #: ``(start, end)`` unit ranges (inclusive) in execution order.
 Boundaries = List[Tuple[int, int]]
+#: Draws a baseline's segment boundaries over the flattened units.
+BoundaryPolicy = Callable[[Sequence[FlattenedUnit], DualModeHardwareAbstraction], Boundaries]
 
 
 class BoundaryPolicySegment(Segment):
@@ -49,47 +50,41 @@ class BoundaryPolicySegment(Segment):
     window solve per segment, through the shared cache.
     """
 
-    def __init__(self, policy: Callable[[Sequence[FlattenedUnit]], Boundaries]) -> None:
+    def __init__(self, policy: BoundaryPolicy) -> None:
         self.policy = policy
 
     def choose_boundaries(self, ctx: PipelineContext) -> Boundaries:
-        return self.policy(ctx.units)
+        return self.policy(ctx.units, ctx.hardware)
+
+
+def policy_passes(policy: BoundaryPolicy) -> Tuple[Pass, ...]:
+    """CMSwitch's passes with ``policy`` drawing the segment boundaries."""
+    standard = CMSwitchCompiler.passes
+    return (*standard[:2], BoundaryPolicySegment(policy), *standard[3:])
 
 
 class BaselineCompiler(CMSwitchCompiler):
     """A fixed-mode compiler whose segments a policy draws (PUMA, OCC).
 
-    The CMSwitch pipeline with the greedy engine and memory mode off,
-    whose ``segment`` pass takes :meth:`segment_boundaries` instead of
-    running the DP.  ``GreedyAllocator(allow_memory_mode=False)`` is the
-    duplication policy: every operator starts at its minimum compute
-    footprint and spare arrays grow the bottleneck operator's compute
-    arrays while that lowers its latency.  Of ``options`` only
-    ``generate_code`` is honoured.
+    The CMSwitch passes with the greedy engine and memory mode off; a
+    subclass puts its boundary policy in the ``segment`` slot
+    (:func:`policy_passes`) instead of running the DP.
+    ``GreedyAllocator(allow_memory_mode=False)`` is the duplication
+    policy: every operator starts at its minimum compute footprint and
+    spare arrays grow the bottleneck operator's compute arrays while that
+    lowers its latency.  Of ``options`` only ``generate_code`` is
+    honoured.
     """
 
     name = "baseline"
     #: Whether operators within a segment execute as a pipeline.
     pipelined = True
 
-    def __init__(
-        self,
-        hardware: DualModeHardwareAbstraction,
-        options: Optional[CompilerOptions] = None,
-        cache: Optional[AllocationCache] = None,
-        obs=None,
-    ) -> None:
-        pinned = CompilerOptions(
-            pipelined=self.pipelined,
+    @classmethod
+    def pin_options(cls, options: CompilerOptions) -> CompilerOptions:
+        return CompilerOptions(
+            pipelined=cls.pipelined,
             use_milp=False,
             allow_memory_mode=False,
-            generate_code=(options or CompilerOptions()).generate_code,
+            generate_code=options.generate_code,
         )
-        pipeline = build_pipeline().replace(
-            "segment", BoundaryPolicySegment(self.segment_boundaries)
-        )
-        super().__init__(hardware, pinned, cache=cache, pipeline=pipeline, obs=obs)
-
-    def segment_boundaries(self, units: Sequence[FlattenedUnit]) -> Boundaries:
-        """Group the units into segments.  Overridden per baseline."""
-        raise NotImplementedError

@@ -4,7 +4,7 @@ CIM-MLC is the paper's main baseline and the state of the art it builds
 on: a multi-level compilation stack with **multi-grained pipelining and
 operator duplication**.  CMSwitch explicitly adopts CIM-MLC's kernel
 optimisations, so this baseline is literally a *configuration* of the
-CMSwitch pass pipeline (:mod:`repro.pipeline`) — the same ``Flatten``,
+CMSwitch compiler: it inherits its pass tuple — the same ``Flatten``,
 ``PartitionOversized``, ``Segment``, ``Allocate``, ``Refine`` and
 ``Codegen`` passes — with a single difference: every array is pinned to
 compute mode (``allow_memory_mode=False``).  Any performance difference
@@ -15,11 +15,8 @@ the optimisation space, which is exactly the comparison the paper makes.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
-from ..core.cache import AllocationCache
 from ..core.compiler import CMSwitchCompiler, CompilerOptions
-from ..hardware.deha import DualModeHardwareAbstraction
 
 
 class CIMMLCCompiler(CMSwitchCompiler):
@@ -32,14 +29,6 @@ class CIMMLCCompiler(CMSwitchCompiler):
 
     name = "cim-mlc"
 
-    def __init__(
-        self,
-        hardware: DualModeHardwareAbstraction,
-        options: Optional[CompilerOptions] = None,
-        cache: Optional[AllocationCache] = None,
-        obs=None,
-    ) -> None:
-        pinned = replace(
-            options or CompilerOptions(), pipelined=True, allow_memory_mode=False
-        )
-        super().__init__(hardware, pinned, cache=cache, obs=obs)
+    @classmethod
+    def pin_options(cls, options: CompilerOptions) -> CompilerOptions:
+        return replace(options, pipelined=True, allow_memory_mode=False)

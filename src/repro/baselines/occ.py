@@ -13,7 +13,15 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core.segmentation import FlattenedUnit
-from .base import BaselineCompiler, Boundaries
+from ..hardware.deha import DualModeHardwareAbstraction
+from .base import BaselineCompiler, Boundaries, policy_passes
+
+
+def occ_boundaries(
+    units: Sequence[FlattenedUnit], hardware: DualModeHardwareAbstraction
+) -> Boundaries:
+    """Every operator forms its own segment (serial execution)."""
+    return [(unit.index, unit.index) for unit in units]
 
 
 class OCCCompiler(BaselineCompiler):
@@ -21,7 +29,4 @@ class OCCCompiler(BaselineCompiler):
 
     name = "occ"
     pipelined = False
-
-    def segment_boundaries(self, units: Sequence[FlattenedUnit]) -> Boundaries:
-        """Every operator forms its own segment (serial execution)."""
-        return [(unit.index, unit.index) for unit in units]
+    passes = policy_passes(occ_boundaries)

@@ -14,7 +14,30 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core.segmentation import FlattenedUnit
-from .base import BaselineCompiler, Boundaries
+from ..hardware.deha import DualModeHardwareAbstraction
+from .base import BaselineCompiler, Boundaries, policy_passes
+
+#: Maximum operators per pipeline stage group — the same pipeline-depth
+#: limit the control hardware imposes on every compiler under test.
+MAX_GROUP_OPERATORS = 8
+
+
+def puma_boundaries(
+    units: Sequence[FlattenedUnit], hardware: DualModeHardwareAbstraction
+) -> Boundaries:
+    """Pack consecutive operators until the arrays are exhausted."""
+    boundaries: Boundaries = []
+    start = used = 0
+    for unit in units:
+        need = max(1, unit.profile.min_compute_arrays(hardware))
+        full = used + need > hardware.num_arrays
+        if unit.index > start and (full or unit.index - start >= MAX_GROUP_OPERATORS):
+            boundaries.append((start, unit.index - 1))
+            start, used = unit.index, 0
+        used += need
+    if units:
+        boundaries.append((start, len(units) - 1))
+    return boundaries
 
 
 class PUMACompiler(BaselineCompiler):
@@ -22,23 +45,4 @@ class PUMACompiler(BaselineCompiler):
 
     name = "puma"
     pipelined = True
-    #: Maximum operators per pipeline stage group — the same pipeline-depth
-    #: limit the control hardware imposes on every compiler under test.
-    max_segment_operators = 8
-
-    def segment_boundaries(self, units: Sequence[FlattenedUnit]) -> Boundaries:
-        """Pack consecutive operators until the arrays are exhausted."""
-        boundaries: Boundaries = []
-        start = used = 0
-        for unit in units:
-            need = max(1, unit.profile.min_compute_arrays(self.hardware))
-            full = used + need > self.hardware.num_arrays
-            if unit.index > start and (
-                full or unit.index - start >= self.max_segment_operators
-            ):
-                boundaries.append((start, unit.index - 1))
-                start, used = unit.index, 0
-            used += need
-        if units:
-            boundaries.append((start, len(units) - 1))
-        return boundaries
+    passes = policy_passes(puma_boundaries)

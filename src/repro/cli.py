@@ -61,7 +61,7 @@ from typing import List, Optional, Sequence
 from .api import Session
 from .core.compiler import CompilerOptions
 from .hardware.presets import PRESETS, get_preset
-from .models.registry import build_model, is_transformer, list_models
+from .models.registry import build_model, default_workload, list_models
 from .models.workload import Phase, Workload
 
 LOGGER = logging.getLogger("repro")
@@ -152,22 +152,12 @@ def _reject_unknown_models(models: Sequence[str]) -> Optional[int]:
     return 2
 
 
-def _workload_for_model(model: str, args: argparse.Namespace) -> Workload:
-    """Build a workload for ``model`` from the shared CLI arguments."""
-    phase = Phase(args.phase) if args.phase else (
-        Phase.ENCODE if is_transformer(model) else Phase.PREFILL
-    )
-    return Workload(
-        batch_size=args.batch,
-        seq_len=args.seq_len,
-        output_len=args.output_len,
-        phase=phase,
-    )
-
-
-def _workload_from_args(args: argparse.Namespace) -> Workload:
-    """Build a workload from the shared CLI arguments (single-model commands)."""
-    return _workload_for_model(args.model, args)
+def _workload_from_args(args: argparse.Namespace, model: Optional[str] = None) -> Workload:
+    """Build ``model``'s workload (default ``args.model``) from the shared CLI arguments."""
+    fields = {"batch_size": args.batch, "seq_len": args.seq_len, "output_len": args.output_len}
+    if args.phase:
+        fields["phase"] = Phase(args.phase)
+    return default_workload(model or args.model, **fields)
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
@@ -233,16 +223,20 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
     if failure is not None:
         return failure
 
-    session = Session(
-        hardware=args.hardware,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        trace=_session_trace(args),
-    )
+    try:
+        session = Session(
+            hardware=args.hardware,
+            use_cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            trace=_session_trace(args),
+        )
+    except ValueError as exc:
+        print(f"error: --no-cache with --cache-dir: {exc}", file=sys.stderr)
+        return 2
     jobs = []
     for round_index in range(max(1, args.repeat)):
         for model in args.models:
-            workload = _workload_for_model(model, args)
+            workload = _workload_from_args(args, model)
             label = model if args.repeat <= 1 else f"{model}#{round_index + 1}"
             jobs.append(session.job(model, workload=workload, label=label))
 
@@ -849,7 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile the model list this many times (shows warm-cache speedups)",
     )
     batch.add_argument(
-        "--no-cache", action="store_true", help="disable the shared allocation cache"
+        "--no-cache",
+        action="store_true",
+        help="disable the program table, the shared allocation cache and the "
+        "program store: every job compiles from scratch (excludes --cache-dir)",
     )
     batch.add_argument(
         "--cache-dir",

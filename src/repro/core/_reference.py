@@ -270,10 +270,10 @@ def reference_refine_with_spare_arrays(
 def reference_baseline_compile(baseline, graph: Graph) -> CompiledProgram:
     """A PUMA/OCC-style compile as one fused scalar loop — their oracle.
 
-    Of ``baseline`` it reads only ``segment_boundaries``, ``pipelined``,
-    ``name``, ``hardware`` and ``options.generate_code``.  Each segment
-    starts every operator at its minimum compute footprint and hands the
-    spare arrays out with the scalar
+    Of ``baseline`` it reads only its ``segment`` pass's ``policy``,
+    ``pipelined``, ``name``, ``hardware`` and ``options.generate_code``.
+    Each segment starts every operator at its minimum compute footprint
+    and hands the spare arrays out with the scalar
     :func:`reference_refine_with_spare_arrays` (compute mode only); the
     transitions come from the scalar Eq. 4 accounting.  No allocation
     engine, window table or plan builder of the compiler it checks runs
@@ -292,7 +292,8 @@ def reference_baseline_compile(baseline, graph: Graph) -> CompiledProgram:
     pipelined = baseline.pipelined
     start = time.perf_counter()
     units = flatten_graph(graph, hardware)
-    boundaries = baseline.segment_boundaries(units) if units else []
+    segment = next(p for p in baseline.passes if p.name == "segment")
+    boundaries = segment.policy(units, hardware) if units else []
     segments: List[SegmentPlan] = []
     previous_resources: Optional[SegmentResources] = None
     for seg_index, (first, boundary) in enumerate(boundaries):

@@ -1,6 +1,6 @@
-"""CMSwitch compiler facade over the pass-based pipeline.
+"""CMSwitch compiler: a tuple of passes and the one loop that runs them.
 
-:class:`CMSwitchCompiler` runs the full DACO pipeline of the paper —
+:class:`CMSwitchCompiler` runs the full DACO flow of the paper —
 
 1. flatten the graph and partition oversized operators,
 2. dynamic-programming network segmentation with mode-switch awareness,
@@ -8,13 +8,17 @@
    scheduling and weight-duplication refinement,
 4. code generation into the dual-mode meta-operator flow (DMO).
 
-Since the pipeline refactor the stages are named, composable
-:class:`~repro.pipeline.passes.Pass` objects executed by a
-:class:`~repro.pipeline.pipeline.Pipeline` (see :mod:`repro.pipeline`);
-this class builds the standard pass sequence, runs it and finalises the
+Each stage is a stateless :class:`~repro.pipeline.passes.Pass` object
+(see :mod:`repro.pipeline`); a compiler *is* its :attr:`~CMSwitchCompiler
+.passes` tuple.  :meth:`CMSwitchCompiler.compile` runs the passes over a
+fresh :class:`~repro.pipeline.context.PipelineContext` and assembles the
 :class:`~repro.core.program.CompiledProgram` that the timing and
 functional simulators (and the benchmark harness) consume.  Per-pass
-wall times ride on ``CompiledProgram.stats["pass_seconds"]``.
+wall times ride on ``CompiledProgram.stats["pass_seconds"]``.  Another
+compiler is a subclass with another tuple: the baselines swap the
+``segment`` pass (:mod:`repro.baselines`), a test oracle or an
+instrumentation pass is a slice of :attr:`CMSwitchCompiler.passes` with
+one pass inserted.
 
 For application code prefer :class:`repro.api.Session`, the stable
 facade over compile / batch / DSE / cache; this module remains the
@@ -23,18 +27,30 @@ compiler engine underneath it.
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Optional
+from dataclasses import asdict
+from typing import Optional, Tuple
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
+from ..obs import NULL_OBS
+from ..pipeline.passes import (
+    Allocate,
+    Codegen,
+    Flatten,
+    PartitionOversized,
+    Pass,
+    Refine,
+    Segment,
+)
 from .cache import AllocationCache
 from .program import CompiledProgram
 
-# Public re-exports (their historical home).  Both are defined next to
-# the segmenter: it reads the options and raises the error for
-# unmappable segments.
-from .segmentation import CompilerOptions, NoFeasiblePlanError  # noqa: F401
+# ``CompilerOptions`` and ``NoFeasiblePlanError`` are re-exported here
+# (their historical home).  Both are defined next to the segmenter: it
+# reads the options and raises the error for unmappable segments.
+from .segmentation import CompilerOptions, NoFeasiblePlanError, plan_cost
 
 
 class CMSwitchCompiler:
@@ -48,10 +64,6 @@ class CMSwitchCompiler:
             solver entirely.  Pass one cache to many compilers (or use
             :class:`repro.api.Session`) to share it between compile
             requests.
-        pipeline: Optional custom :class:`~repro.pipeline.Pipeline`; the
-            standard pass sequence when omitted.  A fresh context is
-            created per compile, so one compiler (and one pipeline) can
-            serve many graphs.
         obs: Optional :class:`~repro.obs.Observability` bundle; every
             compile's pass spans, allocator-solve spans and cache-tier
             counters land in it.  Defaults to the no-op bundle.
@@ -66,30 +78,43 @@ class CMSwitchCompiler:
     """
 
     name = "cmswitch"
+    #: The passes every compile runs, in order.  Stateless: one tuple
+    #: serves every compiler instance and every graph.  Options-gated
+    #: passes (``refine``, ``codegen``) skip themselves.
+    passes: Tuple[Pass, ...] = (
+        Flatten(),
+        PartitionOversized(),
+        Segment(),
+        Allocate(),
+        Refine(),
+        Codegen(),
+    )
 
     def __init__(
         self,
         hardware: DualModeHardwareAbstraction,
         options: Optional[CompilerOptions] = None,
         cache: Optional[AllocationCache] = None,
-        pipeline=None,
         obs=None,
     ) -> None:
-        from ..obs import NULL_OBS
-        from ..pipeline import build_pipeline
-
         self.hardware = hardware
-        self.options = options or CompilerOptions()
+        self.options = self.pin_options(options or CompilerOptions())
         self.cache = cache
         self.obs = NULL_OBS if obs is None else obs
-        self.pipeline = pipeline if pipeline is not None else build_pipeline()
+
+    @classmethod
+    def pin_options(cls, options: CompilerOptions) -> CompilerOptions:
+        """The options this compiler runs with (a baseline pins some fields)."""
+        return options
 
     def compile(self, graph: Graph) -> CompiledProgram:
         """Compile a graph into a dual-mode execution plan.
 
-        Runs the pass pipeline over a fresh
-        :class:`~repro.pipeline.context.PipelineContext` and finalises
-        the program.
+        Runs every enabled pass over a fresh
+        :class:`~repro.pipeline.context.PipelineContext`, timing each
+        into ``stats["pass_seconds"]`` (a disabled pass gets no entry,
+        and a ``<pass>:skip`` tracer instant instead of a span), then
+        assembles the program.
 
         Args:
             graph: The computation graph (typically from
@@ -102,9 +127,10 @@ class CMSwitchCompiler:
 
         Raises:
             NoFeasiblePlanError: If no feasible plan exists for a
-                non-empty graph.
+                non-empty graph.  It carries the compile's ``stats`` so
+                far, whichever pass raised it.
         """
-        from ..pipeline import PipelineContext, finalize
+        from ..pipeline.context import PipelineContext
 
         ctx = PipelineContext(
             graph=graph,
@@ -112,9 +138,45 @@ class CMSwitchCompiler:
             options=self.options,
             cache=self.cache,
             obs=self.obs,
-            compiler_name=self.name,
             started=time.perf_counter(),
         )
-        self.pipeline.run(ctx)
-        return finalize(ctx)
+        tracer = self.obs.tracer
+        with tracer.span("pipeline", graph=graph.name, compiler=self.name):
+            for p in self.passes:
+                if not p.enabled(ctx):
+                    tracer.event(f"{p.name}:skip")
+                    continue
+                with tracer.span(p.name, kind="pass"):
+                    began = time.perf_counter()
+                    try:
+                        p.run(ctx)
+                    except NoFeasiblePlanError as exc:
+                        exc.stats = ctx.stats()
+                        raise
+                    ctx.pass_seconds[p.name] = time.perf_counter() - began
 
+        segments = ctx.segments
+        stats = ctx.stats()
+        if segments and not math.isfinite(plan_cost(segments)):
+            raise NoFeasiblePlanError(
+                f"no feasible execution plan for graph {graph.name!r} on "
+                f"{self.hardware.name!r}: every evaluated plan has infinite cost",
+                stats=stats,
+            )
+        for key, value in ctx.extras.items():
+            stats.setdefault(key, value)
+        return CompiledProgram(
+            graph_name=graph.name,
+            compiler_name=self.name,
+            hardware=self.hardware,
+            segments=segments,
+            block_repeat=float(graph.metadata.get("block_repeat", 1.0)),
+            compile_seconds=stats["wall_seconds"],
+            metadata={
+                "graph_metadata": dict(graph.metadata),
+                "options": asdict(self.options),
+                "num_flattened_units": len(ctx.units),
+            },
+            stats=stats,
+            meta_program=ctx.meta_program,
+        )

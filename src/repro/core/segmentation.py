@@ -50,7 +50,7 @@ class NoFeasiblePlanError(RuntimeError):
     """No feasible execution plan exists for a non-empty graph.
 
     Raised by the segmenter when a required segment cannot be mapped
-    onto the chip, and by the pipeline's ``finalize`` when the chosen
+    onto the chip, and by ``CMSwitchCompiler.compile`` when the chosen
     plan carries infinite cost.  Subclasses :class:`RuntimeError`, so
     historical ``except RuntimeError`` callers keep working.
     Infeasibility is a legitimate outcome at a design-space boundary —

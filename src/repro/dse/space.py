@@ -45,10 +45,9 @@ from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import get_preset
 from ..ir.graph import Graph
 from ..models.workload import (
-    Phase,
     Workload,
-    workload_from_payload as _workload_from_payload,
-    workload_to_payload as _workload_to_payload,
+    workload_from_payload,
+    workload_to_payload,
 )
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "DesignSpace",
     "ParameterAxis",
     "options_signature",
-    "workload_payload",
 ]
 
 #: Compiler-option fields a design point may legally vary.  ``generate_code``
@@ -77,22 +75,6 @@ HARDWARE_AXIS_FIELDS = tuple(
 def options_signature(options: CompilerOptions) -> Tuple:
     """Solve-relevant identity of compiler options (``generate_code`` excluded)."""
     return tuple(getattr(options, name) for name in OPTION_AXIS_FIELDS)
-
-
-def workload_payload(workload: Workload) -> Dict:
-    """Canonical JSON-compatible rendering of a workload.
-
-    Thin alias of :func:`repro.models.workload.workload_to_payload` —
-    the trace format (:mod:`repro.sim.traces`) shares the same
-    serialisation, so workloads round-trip identically between DSE run
-    directories and request traces.
-    """
-    return _workload_to_payload(workload)
-
-
-def workload_from_payload(payload: Mapping) -> Workload:
-    """Rebuild a workload from :func:`workload_payload` output."""
-    return _workload_from_payload(payload)
 
 
 def _digest(payload) -> str:
@@ -184,7 +166,7 @@ class DesignPoint:
         return _digest(
             {
                 "model": model_id,
-                "workload": workload_payload(self.workload),
+                "workload": workload_to_payload(self.workload),
                 "hardware": self.hardware.to_dict(),
                 "options": list(options_signature(self.options)),
             }
@@ -376,7 +358,7 @@ class DesignSpace:
                 for model in self.models
             ],
             "base_hardware": self.base_hardware.to_dict(),
-            "workloads": [workload_payload(w) for w in self.workloads],
+            "workloads": [workload_to_payload(w) for w in self.workloads],
             "axes": [
                 {"name": axis.name, "kind": axis.kind, "values": list(axis.values)}
                 for axis in self.axes

@@ -21,7 +21,6 @@ from .common import (
     FIG14_MODELS,
     FIG16_MODELS,
     FIG17_MODELS,
-    encode_workload,
     generative_cycles,
     geometric_mean,
     run_model,
@@ -50,7 +49,6 @@ __all__ = [
     "allocation_heatmaps",
     "allocation_report",
     "bert_intensity_vs_sequence",
-    "encode_workload",
     "generative_cycles",
     "geometric_mean",
     "intensity_comparison",

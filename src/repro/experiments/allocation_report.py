@@ -16,8 +16,9 @@ from typing import Dict, List, Optional, Sequence
 from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
+from ..models.registry import default_workload
 from ..models.workload import Workload
-from .common import encode_workload, format_table, run_model
+from .common import format_table, run_model
 
 
 def allocation_report(
@@ -29,7 +30,7 @@ def allocation_report(
     """Compile ``model`` through ``session`` and report the per-segment split.
 
     The default workload is the Fig. 14 one at batch 1, sequence 64
-    (:func:`~repro.experiments.common.encode_workload`), so the report
+    (:func:`~repro.models.default_workload`), so the report
     shows the very program Fig. 14 scores.
 
     Returns one row per segment: the operators it contains, the number of
@@ -37,7 +38,8 @@ def allocation_report(
     Fig. 15).
     """
     hardware = hardware or dynaplasia()
-    workload = encode_workload(model, 1, 64) if workload is None else workload
+    if workload is None:
+        workload = default_workload(model, batch_size=1, seq_len=64)
     program = run_model(model, workload, hardware, "cmswitch", session)
     rows: List[Dict] = []
     for segment in program.segments:

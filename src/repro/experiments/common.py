@@ -23,8 +23,8 @@ from ..api import Session
 from ..core.compiler import CompilerOptions
 from ..core.program import CompiledProgram
 from ..hardware.deha import DualModeHardwareAbstraction
-from ..models.registry import build_model, is_transformer
-from ..models.workload import Phase, Workload
+from ..models.registry import build_model
+from ..models.workload import Workload
 
 #: The Fig. 14 benchmark set (names as the paper uses them).
 FIG14_MODELS: Sequence[str] = ("bert", "llama2-7b", "opt-13b", "mobilenet", "resnet18", "vgg16")
@@ -40,16 +40,6 @@ COMPILER_NAMES: Sequence[str] = ("puma", "occ", "cim-mlc", "cmswitch")
 
 #: Options of every figure compile: the paper's defaults, no code generation.
 FIGURE_OPTIONS = CompilerOptions(generate_code=False)
-
-
-def encode_workload(model: str, batch_size: int, seq_len: int) -> Workload:
-    """Workload for a single forward pass (the Fig. 14 setting).
-
-    Transformer benchmarks are evaluated at a fixed sequence length, i.e.
-    one sequence-parallel pass; CNNs use the ImageNet resolution.
-    """
-    phase = Phase.ENCODE if is_transformer(model) else Phase.PREFILL
-    return Workload(batch_size=batch_size, seq_len=seq_len, phase=phase)
 
 
 def run_model(

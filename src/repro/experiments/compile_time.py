@@ -20,8 +20,8 @@ from ..core.program import CompiledProgram
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
 from ..ir.graph import Graph
-from ..models.registry import build_model
-from .common import FIG14_MODELS, FIGURE_OPTIONS, encode_workload, format_table
+from ..models.registry import build_model, default_workload
+from .common import FIG14_MODELS, FIGURE_OPTIONS, format_table
 
 
 def measure_compile_time(
@@ -48,7 +48,8 @@ def measure_compile_time(
     session = Session(hardware, use_cache=False)
     rows: List[Dict] = []
     for model in models:
-        graph = build_model(model, encode_workload(model, batch_size, seq_len))
+        workload = default_workload(model, batch_size=batch_size, seq_len=seq_len)
+        graph = build_model(model, workload)
         cms_time, cms_program = _time_compile(session, graph, "cmswitch", repeats)
         mlc_time, _ = _time_compile(session, graph, "cim-mlc", repeats)
         rows.append(
@@ -111,7 +112,8 @@ def cached_compile_speedup(
     """
     hardware = hardware or dynaplasia()
     graphs = [
-        build_model(model, encode_workload(model, batch_size, seq_len)) for model in models
+        build_model(model, default_workload(model, batch_size=batch_size, seq_len=seq_len))
+        for model in models
     ]
 
     def one_pass(session: Session) -> Tuple[float, int, float]:

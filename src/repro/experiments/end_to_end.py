@@ -16,10 +16,10 @@ from typing import Dict, List, Optional, Sequence
 from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
+from ..models.registry import default_workload
 from .common import (
     COMPILER_NAMES,
     FIG14_MODELS,
-    encode_workload,
     format_table,
     geometric_mean,
     run_model,
@@ -46,7 +46,7 @@ def run_end_to_end(
     rows: List[Dict] = []
     for batch_size in batch_sizes:
         for model in models:
-            workload = encode_workload(model, batch_size, seq_len)
+            workload = default_workload(model, batch_size=batch_size, seq_len=seq_len)
             programs = {
                 name: run_model(model, workload, hardware, name, session)
                 for name in compilers

@@ -19,7 +19,8 @@ from typing import Dict, List, Optional, Sequence
 from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia, prime
-from .common import FIG14_MODELS, encode_workload, format_table, run_model, speedup
+from ..models.registry import default_workload
+from .common import FIG14_MODELS, format_table, run_model, speedup
 
 
 def switch_overhead(
@@ -41,7 +42,7 @@ def switch_overhead(
     session = Session(hardware) if session is None else session
     rows: List[Dict] = []
     for model in models:
-        workload = encode_workload(model, batch_size, seq_len)
+        workload = default_workload(model, batch_size=batch_size, seq_len=seq_len)
         program = run_model(model, workload, hardware, "cmswitch", session)
         total = program.graph_cycles
         switch_only = program.switch_cycles
@@ -76,7 +77,7 @@ def prime_scalability(
     session = Session(hardware) if session is None else session
     rows: List[Dict] = []
     for model in models:
-        workload = encode_workload(model, batch_size, seq_len)
+        workload = default_workload(model, batch_size=batch_size, seq_len=seq_len)
         cms = run_model(model, workload, hardware, "cmswitch", session)
         mlc = run_model(model, workload, hardware, "cim-mlc", session)
         rows.append(

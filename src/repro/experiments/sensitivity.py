@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence
 from ..api import Session
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import dynaplasia
-from ..models.registry import build_model
-from .common import FIGURE_OPTIONS, encode_workload, format_table, speedup
+from ..models.registry import build_model, default_workload
+from .common import FIGURE_OPTIONS, format_table, speedup
 
 #: Parameter sweeps explored by default (values replace the preset's).
 DEFAULT_SWEEPS: Dict[str, Sequence] = {
@@ -58,7 +58,7 @@ def run_sensitivity(
     base = hardware or dynaplasia()
     session = Session(base) if session is None else session
     sweeps = sweeps or DEFAULT_SWEEPS
-    workload = encode_workload(model, batch_size, seq_len)
+    workload = default_workload(model, batch_size=batch_size, seq_len=seq_len)
     graph = build_model(model, workload)
     rows: List[Dict] = []
     for parameter, values in sweeps.items():

@@ -12,6 +12,7 @@ from .registry import (
     build_tiny_cnn,
     build_tiny_mlp,
     build_tiny_transformer,
+    default_workload,
     is_transformer,
     list_models,
     register_model,
@@ -25,6 +26,7 @@ __all__ = [
     "build_tiny_cnn",
     "build_tiny_mlp",
     "build_tiny_transformer",
+    "default_workload",
     "is_transformer",
     "list_models",
     "register_model",

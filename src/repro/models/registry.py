@@ -26,7 +26,7 @@ from .transformer import (
     build_opt_13b,
 )
 from .transformer.common import TransformerConfig, build_transformer_graph
-from .workload import Workload
+from .workload import Phase, Workload
 
 ModelBuilder = Callable[[Workload], Graph]
 
@@ -144,3 +144,15 @@ def is_transformer(name: str) -> bool:
         key in name
         for key in ("bert", "gpt", "llama", "opt", "transformer")
     )
+
+
+def default_workload(model: str, **fields) -> Workload:
+    """The workload a bare model name means: one forward pass.
+
+    Transformers run a single sequence-parallel encode pass, everything
+    else a prefill pass (CNN builders ignore the phase) — the Fig. 14
+    setting, a trace request's and the CLI's default.  ``fields`` are
+    the other :class:`Workload` fields; an explicit ``phase`` wins.
+    """
+    phase = Phase.ENCODE if is_transformer(model) else Phase.PREFILL
+    return Workload(**{"phase": phase, **fields})

@@ -1,28 +1,26 @@
-"""Pass-based compile pipeline (the DACO flow as first-class values).
+"""The passes of the DACO compile flow, as first-class values.
 
-The paper's DACO pipeline — flatten, partition oversized operators, DP
+The paper's DACO flow — flatten, partition oversized operators, DP
 segmentation, per-segment MIP allocation, refinement, DMO code
-generation — used to live fused inside
-``CMSwitchCompiler.compile()``.  This package decomposes it into named
-:class:`Pass` objects over a typed :class:`PipelineContext`, run by a
-:class:`Pipeline` that supports pass replacement/insertion, and surfaces
-per-pass wall times in ``CompiledProgram.stats["pass_seconds"]``.
+generation — is a sequence of named, stateless :class:`Pass` objects
+over a typed :class:`PipelineContext`.  A compiler is its tuple of
+passes (:attr:`repro.core.compiler.CMSwitchCompiler.passes`), and
+:meth:`~repro.core.compiler.CMSwitchCompiler.compile` is the one loop
+that runs them, timing each into
+``CompiledProgram.stats["pass_seconds"]``.
 
-Typical use goes through :class:`repro.api.Session` or
-:class:`repro.core.compiler.CMSwitchCompiler` (both run this pipeline
-under the hood); direct use looks like::
+The baselines are pass tuples too: CIM-MLC runs CMSwitch's with memory
+mode pinned off, and PUMA/OCC put a
+:class:`repro.baselines.BoundaryPolicySegment` in the ``segment`` slot
+and keep the rest.  A compile with an extra pass is a subclass whose
+tuple is a slice of CMSwitch's with that pass inserted::
 
-    from repro.pipeline import PipelineContext, build_pipeline, finalize
+    from repro.core import CMSwitchCompiler
+    from repro.pipeline import FixedModeFallback
 
-    ctx = PipelineContext(graph=graph, hardware=hardware, options=options)
-    pipeline = build_pipeline()
-    pipeline.run(ctx)
-    program = finalize(ctx)
-
-The baselines are pipeline *configurations* too: CIM-MLC is this very
-pipeline with memory mode pinned off, and PUMA/OCC also replace the
-``Segment`` pass's boundary choice with their own policy (see
-:class:`repro.baselines.BoundaryPolicySegment`) and keep the rest.
+    class WithOracle(CMSwitchCompiler):
+        passes = (*CMSwitchCompiler.passes[:4], FixedModeFallback(),
+                  *CMSwitchCompiler.passes[4:])
 """
 
 from .context import PipelineContext
@@ -36,12 +34,6 @@ from .passes import (
     Refine,
     Segment,
 )
-from .pipeline import (
-    Pipeline,
-    build_pipeline,
-    default_passes,
-    finalize,
-)
 
 __all__ = [
     "Allocate",
@@ -50,11 +42,7 @@ __all__ = [
     "Flatten",
     "PartitionOversized",
     "Pass",
-    "Pipeline",
     "PipelineContext",
     "Refine",
     "Segment",
-    "build_pipeline",
-    "default_passes",
-    "finalize",
 ]

@@ -1,13 +1,13 @@
-"""The typed state a compile pipeline threads through its passes.
+"""The typed state a compile threads through its passes.
 
 A :class:`PipelineContext` is created once per compile and handed to
 every :class:`~repro.pipeline.passes.Pass` in order.  Each pass reads
 the fields earlier passes produced and writes its own — the context is
 the *only* channel between passes, which is what makes them individually
-replaceable (swap the segmentation strategy, drop code generation, add
-an instrumentation pass) without touching the others.
+replaceable (swap the segmentation strategy, add an instrumentation
+pass) without touching the others.
 
-The context also carries the pass log the pipeline itself maintains:
+The context also carries the pass log the compile loop maintains:
 per-pass wall times in execution order
 (:attr:`PipelineContext.pass_seconds`, surfaced as
 ``CompiledProgram.stats["pass_seconds"]``).
@@ -31,7 +31,7 @@ __all__ = ["PipelineContext"]
 
 @dataclass
 class PipelineContext:
-    """Mutable compile state shared by the passes of one pipeline run.
+    """Mutable compile state shared by the passes of one compile.
 
     Produced/consumed fields, in pipeline order:
 
@@ -57,10 +57,9 @@ class PipelineContext:
     options: object  # CompilerOptions; untyped here to avoid an import cycle
     cache: Optional[AllocationCache] = None
     #: Telemetry bundle (:class:`~repro.obs.Observability`).  Defaults to
-    #: the no-op :data:`~repro.obs.NULL_OBS`; the runner opens a span per
-    #: pass and the segmentation passes hand it to their segmenters.
+    #: the no-op :data:`~repro.obs.NULL_OBS`; the compile loop opens a span
+    #: per pass and the segmentation passes hand it to their segmenters.
     obs: object = NULL_OBS
-    compiler_name: str = "cmswitch"
 
     # Products of the passes.
     profiled: Optional[List[ProfiledOperator]] = None
@@ -71,11 +70,11 @@ class PipelineContext:
     fallback_used: bool = False
     meta_program: Optional[object] = None
 
-    #: The pass log the Pipeline runner keeps: executed passes in order.
+    #: The pass log the compile loop keeps: executed passes in order.
     pass_seconds: Dict[str, float] = field(default_factory=dict)
     #: Free-form per-pass annotations (merged into ``CompiledProgram.stats``).
     extras: Dict[str, object] = field(default_factory=dict)
-    #: ``time.perf_counter()`` at pipeline start (set by the runner).
+    #: ``time.perf_counter()`` at compile start.
     started: float = 0.0
 
     @property
@@ -87,7 +86,7 @@ class PipelineContext:
         """The compile's work so far: solver counts, wall time, pass log.
 
         The one builder of them — a finished program's ``stats`` (which
-        ``finalize`` extends with the passes' :attr:`extras`) and a
+        the compile extends with the passes' :attr:`extras`) and a
         :class:`~repro.core.segmentation.NoFeasiblePlanError`'s alike.
         Windows are never read from disk; a program the store served
         says so itself (``CompileService.compile_graph``).

@@ -1,10 +1,11 @@
-"""The named passes of the DACO compile pipeline.
+"""The named passes of the DACO compile flow.
 
-Each pass is a small object with a stable :attr:`Pass.name`, an
-:meth:`Pass.enabled` predicate (options-gated passes skip themselves and
-are absent from ``pass_seconds``) and a :meth:`Pass.run` that transforms
-the shared :class:`~repro.pipeline.context.PipelineContext`.  The
-standard CMSwitch sequence is::
+Each pass is a small stateless object with a stable :attr:`Pass.name`,
+an :meth:`Pass.enabled` predicate (options-gated passes skip themselves
+and are absent from ``pass_seconds``) and a :meth:`Pass.run` that
+transforms the shared :class:`~repro.pipeline.context.PipelineContext`.
+The CMSwitch sequence (:attr:`repro.core.compiler.CMSwitchCompiler
+.passes`) is::
 
     Flatten -> PartitionOversized -> Segment -> Allocate -> Refine -> Codegen
 
@@ -15,14 +16,15 @@ stage per object.  The passes call exactly the primitives the fused
 (``tests/test_api.py``) asserts the resulting programs are bit-identical
 to the frozen pre-pipeline reference.  :class:`FixedModeFallback` is not
 part of the sequence: it is the test oracle for "the one DP never loses
-to a fixed-mode compile" (insert it after ``Allocate``).
+to a fixed-mode compile" (a compiler subclass inserts it after
+``Allocate``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..core.codegen import generate_program
 from ..core.segmentation import (
@@ -34,7 +36,9 @@ from ..core.segmentation import (
     plan_cost,
     profile_graph,
 )
-from .context import PipelineContext
+
+if TYPE_CHECKING:  # the context imports the core package, which imports these passes
+    from .context import PipelineContext
 
 __all__ = [
     "Allocate",
@@ -49,14 +53,15 @@ __all__ = [
 
 
 class Pass:
-    """One named, composable stage of a compile pipeline.
+    """One named stage of a compiler's pass tuple.
 
-    Subclasses set :attr:`name` (unique within a pipeline — it keys the
-    per-pass timing stats and the surgery API) and implement
-    :meth:`run`.  Passes communicate exclusively through the context.
+    Subclasses set :attr:`name` (unique within a tuple — it keys the
+    per-pass timing stats and the tracer span) and implement
+    :meth:`run`.  Passes hold no per-compile state: they communicate
+    exclusively through the context.
     """
 
-    #: Stable identifier; keys ``pass_seconds`` and pipeline surgery.
+    #: Stable identifier; keys ``pass_seconds`` and the pass's span.
     name: str = "pass"
 
     def enabled(self, ctx: PipelineContext) -> bool:

@@ -242,7 +242,7 @@ class CompileService:
             when omitted.
         use_cache: Disable the program table, the shared cache and the
             program store entirely (for A/B timing): every call runs
-            the pipeline.
+            the compiler's passes.
         cache_dir: Directory of the persistent program store
             (:class:`~repro.core.store.DiskCacheStore`) shared across
             threads, processes and future invocations.
@@ -250,6 +250,9 @@ class CompileService:
             service opens a span per batch and per job (job spans nest
             under the batch span) and threads the metrics registry into
             the cache and the store it creates.
+
+    Raises:
+        ValueError: If ``cache_dir`` is given with ``use_cache=False``.
     """
 
     def __init__(
@@ -259,6 +262,11 @@ class CompileService:
         cache_dir: Optional[Union[str, Path]] = None,
         obs: Optional[Observability] = None,
     ) -> None:
+        if cache_dir is not None and not use_cache:
+            raise ValueError(
+                "a cache_dir needs use_cache=True: use_cache=False disables "
+                "the program store"
+            )
         self.obs = NULL_OBS if obs is None else obs
         self.cache_dir = str(Path(cache_dir).expanduser()) if cache_dir is not None else None
         self.cache: Optional[AllocationCache] = None

@@ -37,9 +37,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..models.registry import is_transformer
+from ..models.registry import default_workload
 from ..models.workload import (
-    Phase,
     Workload,
     workload_from_payload,
     workload_to_payload,
@@ -271,17 +270,6 @@ def load_trace(path: Union[str, Path]) -> Trace:
 # ---------------------------------------------------------------------- #
 # seeded synthetic generators
 # ---------------------------------------------------------------------- #
-def default_workload(model: str, seq_len: int, batch_size: int = 1) -> Workload:
-    """The workload a bare (model, sequence bucket) request means.
-
-    Mirrors the CLI's phase convention: transformers run a single
-    encode pass, everything else a prefill pass (the phase field is
-    ignored by CNN builders anyway).
-    """
-    phase = Phase.ENCODE if is_transformer(model) else Phase.PREFILL
-    return Workload(batch_size=batch_size, seq_len=seq_len, phase=phase)
-
-
 def _draw_requests(
     rng,
     models: Sequence[str],
@@ -322,7 +310,7 @@ def _draw_requests(
         workload = workloads.get((model, seq_len))
         if workload is None:
             workload = workloads[model, seq_len] = default_workload(
-                model, seq_len, batch_size=batch_size
+                model, seq_len=seq_len, batch_size=batch_size
             )
         requests.append(
             TraceRequest(

@@ -15,6 +15,35 @@ import pytest
 from repro.core import CMSwitchCompiler, CompilerOptions
 from repro.hardware import dynaplasia, prime, small_test_chip
 from repro.models import Phase, Workload, build_model
+from repro.pipeline import FixedModeFallback
+
+
+class RecordingOracle(FixedModeFallback):
+    """The fixed-mode oracle pass; keeps the context of the compile it last ran in."""
+
+    context = None
+
+    def run(self, ctx):
+        super().run(ctx)
+        self.context = ctx
+
+
+class WithOracle(CMSwitchCompiler):
+    """CMSwitch's passes with the oracle after ``allocate`` (``passes[4]``)."""
+
+    passes = (
+        *CMSwitchCompiler.passes[:4], RecordingOracle(), *CMSwitchCompiler.passes[4:]
+    )
+
+
+@pytest.fixture(scope="session")
+def with_oracle():
+    """A compiler class: the default passes plus the opt-in fixed-mode oracle.
+
+    ``with_oracle.passes[4].context`` is the last oracle compile's context
+    (``segments``, ``segmenters``, ``fallback_used``).
+    """
+    return WithOracle
 
 
 @pytest.fixture(scope="session")

@@ -144,19 +144,26 @@ class TestHeatmap:
         # The bottom-right corner exceeds the chip (compute + memory > N).
         assert heatmap[-1, -1] == 0.0
 
-    def test_compiled_array_sweep_propagates_genuine_bugs(self, tiny_mlp_graph):
+    def test_array_count_exploration_propagates_genuine_bugs(self, tiny_mlp_graph):
         # A broken compile must raise, never masquerade as an infeasible
         # design point.  Bad options are rejected at construction time
-        # now, so smuggle the bad value in by mutation — the sweep still
-        # surfaces it (the DSE runner re-validates when it clones the
-        # options per job) instead of reporting an infeasible chip.
-        from repro.analysis import compiled_array_sweep
+        # now, so smuggle the bad value in by mutation — the exploration
+        # still surfaces it (the DSE runner re-validates when it clones
+        # the options per job) instead of reporting an infeasible chip.
+        from repro.api import Session
         from repro.core import CompilerOptions
+        from repro.dse import DesignSpace
 
         bad = CompilerOptions(generate_code=False)
         bad.max_segment_operators = "boom"
+        space = DesignSpace(
+            models=[tiny_mlp_graph],
+            base_hardware=small_test_chip(),
+            hardware_axes={"num_arrays": [4]},
+            base_options=bad,
+        )
         with pytest.raises(ValueError, match="max_segment_operators"):
-            compiled_array_sweep(tiny_mlp_graph, small_test_chip(), (4,), options=bad)
+            Session(small_test_chip()).explore(space, strategy="grid", objective="latency")
 
     def test_compiler_options_validated_at_construction(self):
         # The historical failure mode for a bad DP window was a TypeError

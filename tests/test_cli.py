@@ -81,6 +81,20 @@ class TestCommands:
         assert "unknown model name(s): not-a-model" in err
         assert "available models:" in err and "tiny-mlp" in err
 
+    def test_no_cache_with_cache_dir_exits_2(self, capsys, tmp_path):
+        # --no-cache disables the program store: naming one too is an
+        # error, not a silently ignored directory.
+        store = tmp_path / "store"
+        code = main(
+            ["compile-batch", "tiny-mlp", "--hardware", "small-test-chip",
+             "--no-cache", "--cache-dir", str(store)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "--no-cache with --cache-dir" in captured.err
+        assert not store.exists()
+
 
 def _experiment_figures():
     """The ``figure`` choices the parser itself offers (never a copied list)."""

@@ -22,7 +22,6 @@ from repro.hardware import get_preset
 from repro.models import Phase, Workload, build_model
 from repro.models.registry import list_models
 from repro.obs import NULL_OBS
-from repro.pipeline import build_pipeline
 
 
 class TestCMSwitchCompiler:
@@ -138,19 +137,21 @@ class TestBaselineCompilers:
             generate_code=False,
         )
 
-    def test_baseline_uses_shared_flatten_passes(self, small_chip):
-        # The standard pipeline; only the segment pass's boundary choice differs.
-        standard = build_pipeline()
-        assert standard.names == [
+    def test_baseline_uses_shared_flatten_passes(self):
+        # CMSwitch's pass tuple; only the segment pass's boundary choice differs.
+        standard = CMSwitchCompiler.passes
+        assert [p.name for p in standard] == [
             "flatten", "partition", "segment", "allocate", "refine", "codegen",
         ]
+        assert CIMMLCCompiler.passes is standard
         for compiler_cls in (PUMACompiler, OCCCompiler):
-            pipeline = compiler_cls(small_chip).pipeline
-            assert pipeline.names == standard.names
-            for name in standard.names:
-                if name != "segment":
-                    assert type(pipeline.get(name)) is type(standard.get(name)), name
-            assert isinstance(pipeline.get("segment"), BoundaryPolicySegment)
+            passes = compiler_cls.passes
+            assert [p.name for p in passes] == [p.name for p in standard]
+            for mine, theirs in zip(passes, standard):
+                if mine.name != "segment":
+                    assert mine is theirs, mine.name
+            assert type(passes[2]) is BoundaryPolicySegment
+        assert PUMACompiler.passes[2].policy is not OCCCompiler.passes[2].policy
 
     @pytest.mark.parametrize("compiler_cls", [PUMACompiler, OCCCompiler])
     def test_baseline_pins_the_greedy_fixed_mode_engine(self, compiler_cls, small_chip):
@@ -163,7 +164,7 @@ class TestBaselineCompilers:
             allow_memory_mode=False,
             generate_code=False,
         )
-        for removed in ("allocate", "build_pipeline", "duplication"):
+        for removed in ("allocate", "build_pipeline", "pipeline", "duplication"):
             assert not hasattr(compiler, removed), removed
         assert "compile" not in vars(BaselineCompiler)
 

@@ -298,7 +298,8 @@ class TestRunnerResume:
         flag names it in ``base_options`` and hashed it into every point
         key: resuming re-evaluates every point and crashes nowhere.
         """
-        from repro.dse.space import OPTION_AXIS_FIELDS, _digest, workload_payload
+        from repro.dse.space import OPTION_AXIS_FIELDS, _digest
+        from repro.models.workload import workload_to_payload
 
         space = tiny_space(arrays=(4, 8), modes=(True, False))
         run_dir = tmp_path / "run"
@@ -315,7 +316,7 @@ class TestRunnerResume:
             values["fixed_mode_fallback"] = point.options.allow_memory_mode
             old_keys[point.key] = _digest({
                 "model": point.model,
-                "workload": workload_payload(point.workload),
+                "workload": workload_to_payload(point.workload),
                 "hardware": point.hardware.to_dict(),
                 "options": [values[name] for name in old_fields],
             })
@@ -600,16 +601,15 @@ class TestRunnerResume:
             )
 
     def test_fixed_pass_infeasibility_keeps_dual_plan_and_solves(
-        self, small_chip, monkeypatch
+        self, small_chip, monkeypatch, with_oracle
     ):
         # If the fixed-mode oracle pass proves itself infeasible, the
         # dual-mode plan must survive and the oracle's solver work must
         # still be counted.
         import repro.pipeline.passes as passes_module
-        from repro.core.compiler import CMSwitchCompiler, CompilerOptions
+        from repro.core.compiler import CompilerOptions
         from repro.core.segmentation import NetworkSegmenter, NoFeasiblePlanError
         from repro.models import build_model
-        from repro.pipeline import FixedModeFallback, build_pipeline
 
         real_segmenter = NetworkSegmenter
 
@@ -624,11 +624,7 @@ class TestRunnerResume:
 
         monkeypatch.setattr(passes_module, "NetworkSegmenter", FixedPassFails)
         graph = build_model("tiny-mlp", Workload(batch_size=1))
-        program = CMSwitchCompiler(
-            small_chip,
-            CompilerOptions(generate_code=False),
-            pipeline=build_pipeline().insert_after("allocate", FixedModeFallback()),
-        ).compile(graph)
+        program = with_oracle(small_chip, CompilerOptions(generate_code=False)).compile(graph)
         assert program.num_segments >= 1
         assert program.stats["allocator_solves"] >= 7
         assert program.stats["allocation_cache_hits"] >= 3

@@ -14,7 +14,6 @@ from repro.api import Session
 from repro.experiments import (
     COMPILER_NAMES,
     allocation_report,
-    encode_workload,
     generative_cycles,
     geometric_mean,
     measure_compile_time,
@@ -30,7 +29,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import FIGURE_OPTIONS, format_table
 from repro.hardware import dynaplasia, small_test_chip
-from repro.models import Phase, Workload, build_model
+from repro.models import Phase, Workload, build_model, default_workload
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +44,11 @@ class TestCommonHelpers:
         assert geometric_mean([]) == 0.0
 
     def test_encode_workload_phases(self):
-        assert encode_workload("bert", 1, 64).phase is Phase.ENCODE
-        assert encode_workload("resnet18", 1, 64).phase is Phase.PREFILL
+        assert default_workload("bert", batch_size=1, seq_len=64).phase is Phase.ENCODE
+        assert default_workload("resnet18").phase is Phase.PREFILL
+        # An explicit phase wins; the other fields pass through.
+        decode = default_workload("bert", phase=Phase.DECODE, seq_len=16)
+        assert decode == Workload(phase=Phase.DECODE, seq_len=16)
 
     def test_compiler_names_resolve_through_the_session(self, chip):
         session = Session(chip)
@@ -162,7 +164,7 @@ class TestAllocationReport:
         # Fig. 14's ENCODE workload, so the report shows the very program
         # Fig. 14 scores: asked for afterwards, that program is a lookup.
         model = "tiny-transformer"
-        workload = encode_workload(model, 1, 64)
+        workload = default_workload(model, batch_size=1, seq_len=64)
         assert workload.phase is Phase.ENCODE
         session = Session(chip)
         rows = allocation_report(model, hardware=chip, session=session)
@@ -187,7 +189,7 @@ class TestCompileTimeAndOverheads:
         assert 0 < row["segment_seconds"] <= row["cmswitch_seconds"]
         # What does repeat is the work behind the ratio: the dual-mode
         # search space contains the fixed-mode one.
-        graph = build_model("tiny-transformer", encode_workload("tiny-transformer", 1, 64))
+        graph = build_model("tiny-transformer", default_workload("tiny-transformer", batch_size=1, seq_len=64))
         session = Session(chip, use_cache=False)
         solves = {
             name: session.compile(graph, options=FIGURE_OPTIONS, compiler=name).stats[

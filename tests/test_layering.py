@@ -167,6 +167,32 @@ def test_a_design_point_is_a_compile_service_call():
     assert not importers, importers
 
 
+def test_one_loop_runs_a_compilers_passes():
+    """A compiler is its ``passes`` tuple and ``CMSwitchCompiler.compile``
+    is the one loop over it: no second runner (the deleted ``Pipeline``)
+    and no constructor knob that swaps the tuple."""
+    import inspect
+
+    import repro.pipeline
+    from repro.core import CMSwitchCompiler
+
+    loops = [
+        str(path.relative_to(SRC))
+        for path in (SRC / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Attribute)
+        and node.iter.attr == "passes"
+    ]
+    assert loops == ["repro/core/compiler.py"]
+    assert list(inspect.signature(CMSwitchCompiler).parameters) == [
+        "hardware", "options", "cache", "obs",
+    ]
+    for gone in ("Pipeline", "build_pipeline", "default_passes", "finalize"):
+        assert not hasattr(repro.pipeline, gone), gone
+    assert not (SRC / "repro" / "pipeline" / "pipeline.py").exists()
+
+
 def test_plans_have_one_builder():
     """Every compiler's plans come from ``NetworkSegmenter.build_plans``:
     ``SegmentPlan`` is built there, in the program decoder and in the

@@ -1,19 +1,11 @@
-"""Tests for the pass-based compile pipeline (repro.pipeline)."""
+"""Tests for the compile passes (repro.pipeline) and the loop that runs them."""
 
 import pytest
 
+from repro.baselines import COMPILERS
 from repro.core import CMSwitchCompiler, CompilerOptions
 from repro.obs import Observability
-from repro.pipeline import (
-    Codegen,
-    FixedModeFallback,
-    Pass,
-    Pipeline,
-    PipelineContext,
-    build_pipeline,
-    default_passes,
-    finalize,
-)
+from repro.pipeline import FixedModeFallback, Pass, PipelineContext
 
 STANDARD_NAMES = [
     "flatten",
@@ -30,55 +22,18 @@ def _ctx(graph, hardware, **option_kwargs):
     return PipelineContext(graph=graph, hardware=hardware, options=options)
 
 
-def _with_oracle():
-    """The standard pipeline plus the opt-in fixed-mode oracle pass."""
-    return build_pipeline().insert_after("allocate", FixedModeFallback())
+def _compile(compiler_cls, graph, hardware, obs=None, **option_kwargs):
+    return compiler_cls(hardware, CompilerOptions(**option_kwargs), obs=obs).compile(graph)
 
 
 class TestPipelineStructure:
     def test_default_pass_order(self):
-        assert build_pipeline().names == STANDARD_NAMES
+        assert [p.name for p in CMSwitchCompiler.passes] == STANDARD_NAMES
 
-    def test_get_returns_pass_by_name(self):
-        pipeline = build_pipeline()
-        assert isinstance(pipeline.get("codegen"), Codegen)
-        with pytest.raises(KeyError, match="no pass named"):
-            pipeline.get("nope")
-
-    def test_duplicate_names_rejected(self):
-        pipeline = build_pipeline()
-        with pytest.raises(ValueError, match="already registered"):
-            pipeline.append(Codegen())
-
-    def test_replace_swaps_in_place(self):
-        class FakeSegment(Pass):
-            name = "segment"
-
-            def run(self, ctx):  # pragma: no cover - structure-only test
-                pass
-
-        pipeline = build_pipeline().replace("segment", FakeSegment())
-        assert pipeline.names == STANDARD_NAMES
-        assert isinstance(pipeline.get("segment"), FakeSegment)
-
-    def test_insert_before_after_remove(self):
-        class Probe(Pass):
-            name = "probe"
-
-            def run(self, ctx):
-                ctx.extras["probe_ran"] = True
-
-        pipeline = build_pipeline().insert_after("allocate", Probe())
-        assert pipeline.names.index("probe") == pipeline.names.index("allocate") + 1
-        pipeline.remove("probe")
-        assert "probe" not in pipeline.names
-        pipeline.insert_before("flatten", Probe())
-        assert pipeline.names[0] == "probe"
-
-    def test_default_passes_returns_fresh_instances(self):
-        a, b = default_passes(), default_passes()
-        assert [p.name for p in a] == [p.name for p in b]
-        assert all(x is not y for x, y in zip(a, b))
+    def test_every_compiler_runs_the_standard_pass_names(self):
+        for compiler_cls in COMPILERS.values():
+            assert isinstance(compiler_cls.passes, tuple)
+            assert [p.name for p in compiler_cls.passes] == STANDARD_NAMES
 
 
 class TestPipelineExecution:
@@ -93,19 +48,23 @@ class TestPipelineExecution:
         assert list(timings) == [n for n in STANDARD_NAMES if n != "codegen"]
         assert "passes" not in program.metadata  # the pass log has one home
 
-    def test_disabled_passes_emit_skip_events(self, small_chip, tiny_mlp_graph):
-        ctx = _ctx(
-            tiny_mlp_graph, small_chip, allow_memory_mode=False, generate_code=False
+    def test_disabled_passes_emit_skip_events(
+        self, small_chip, tiny_mlp_graph, with_oracle
+    ):
+        obs = Observability.create()
+        program = _compile(
+            with_oracle, tiny_mlp_graph, small_chip, obs=obs,
+            allow_memory_mode=False, generate_code=False,
         )
-        ctx.obs = Observability.create()
-        _with_oracle().run(ctx)
-        instants = {s.name for s in ctx.obs.tracer.spans() if s.instant}
+        instants = {s.name for s in obs.tracer.spans() if s.instant}
         assert instants == {"fixed_fallback:skip", "codegen:skip"}
+        spans = [s.name for s in obs.tracer.spans() if not s.instant]
+        assert "pipeline" in spans and "fixed_fallback" not in spans
         # The pass log lists exactly the passes that ran, in order.
-        assert list(ctx.pass_seconds) == [
-            n for n in _with_oracle().names if n not in ("fixed_fallback", "codegen")
+        assert list(program.stats["pass_seconds"]) == [
+            p.name for p in with_oracle.passes
+            if p.name not in ("fixed_fallback", "codegen")
         ]
-        assert finalize(ctx).stats["pass_seconds"] == ctx.pass_seconds
 
     def test_custom_pass_can_observe_and_annotate(self, small_chip, tiny_mlp_graph):
         class CountUnits(Pass):
@@ -114,33 +73,35 @@ class TestPipelineExecution:
             def run(self, ctx):
                 ctx.extras["unit_count"] = len(ctx.units)
 
-        pipeline = build_pipeline().insert_after("partition", CountUnits())
-        ctx = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
-        pipeline.run(ctx)
-        program = finalize(ctx)
-        assert program.stats["unit_count"] == len(ctx.units) > 0
-        assert "count_units" in ctx.pass_seconds
+        class Counting(CMSwitchCompiler):
+            passes = (*CMSwitchCompiler.passes[:2], CountUnits(), *CMSwitchCompiler.passes[2:])
+
+        program = _compile(Counting, tiny_mlp_graph, small_chip, generate_code=False)
+        assert program.stats["unit_count"] == program.metadata["num_flattened_units"] > 0
+        assert list(program.stats["pass_seconds"])[2] == "count_units"
 
     def test_refine_pass_reports_duplication(self, small_chip, tiny_mlp_graph):
-        ctx = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
-        build_pipeline().run(ctx)
-        program = finalize(ctx)
+        program = _compile(CMSwitchCompiler, tiny_mlp_graph, small_chip, generate_code=False)
         assert program.stats["refine_extra_compute_arrays"] >= 0
         # With refinement off the pass skips itself and the stat is absent.
-        ctx = _ctx(tiny_mlp_graph, small_chip, refine=False, generate_code=False)
-        build_pipeline().run(ctx)
-        assert "refine_extra_compute_arrays" not in finalize(ctx).stats
+        program = _compile(
+            CMSwitchCompiler, tiny_mlp_graph, small_chip, refine=False, generate_code=False
+        )
+        assert "refine_extra_compute_arrays" not in program.stats
 
-    def test_fallback_pass_accumulates_counters(self, small_chip, tiny_mlp_graph):
-        ctx = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
-        _with_oracle().run(ctx)
+    def test_fallback_pass_accumulates_counters(
+        self, small_chip, tiny_mlp_graph, with_oracle
+    ):
+        default = _compile(CMSwitchCompiler, tiny_mlp_graph, small_chip, generate_code=False)
+        program = _compile(with_oracle, tiny_mlp_graph, small_chip, generate_code=False)
         # The oracle pass adds its own solver work (fresh solves or
-        # cache hits) on top of the dual-mode pass's.
-        dual, oracle = ctx.segmenters
-        dual_attempts = dual.allocation_calls + dual.cache_hits
-        stats = ctx.stats()
-        assert stats["allocator_solves"] + stats["allocation_cache_hits"] > dual_attempts
-        program = finalize(ctx)
+        # cache hits) on top of the dual-mode pass's, which repeats the
+        # default compile's.
+        dual, oracle = with_oracle.passes[4].context.segmenters
+        assert dual.allocation_calls == default.stats["allocator_solves"]
+        assert program.stats["allocator_solves"] + program.stats[
+            "allocation_cache_hits"
+        ] > dual.allocation_calls + dual.cache_hits
         assert program.stats["allocator_solves"] == (
             dual.allocation_calls + oracle.allocation_calls
         )
@@ -149,7 +110,7 @@ class TestPipelineExecution:
         self, small_chip, tiny_mlp_graph, monkeypatch
     ):
         """An unmappable segment (raised while building plans) and an
-        infinite-cost plan (raised by ``finalize``) report one payload."""
+        infinite-cost plan (raised by program assembly) report one payload."""
         import repro.pipeline.passes as passes_module
         from repro.core import NoFeasiblePlanError, SegmentPlan
         from repro.core.segmentation import NetworkSegmenter
@@ -182,25 +143,19 @@ class TestPipelineExecution:
             assert stats["wall_seconds"] > 0.0 and stats["allocation_disk_hits"] == 0
         assert infinite["allocator_solves"] > 0
 
-    def test_finalize_without_run_is_an_error(self, small_chip, tiny_mlp_graph):
-        ctx = _ctx(tiny_mlp_graph, small_chip)
-        with pytest.raises(RuntimeError, match="completed pipeline run"):
-            finalize(ctx)
-
-    def test_oracle_pass_leaves_the_default_plan_unchanged(self, small_chip, tiny_mlp_graph):
+    def test_oracle_pass_leaves_the_default_plan_unchanged(
+        self, small_chip, tiny_mlp_graph, with_oracle
+    ):
         # The default sequence has no second DP; inserting the oracle
         # never rescues anything, so both configurations emit one plan.
-        ctx_default = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
-        build_pipeline().run(ctx_default)
-        ctx_oracle = _ctx(tiny_mlp_graph, small_chip, generate_code=False)
-        _with_oracle().run(ctx_oracle)
-        assert "fixed_fallback" in ctx_oracle.pass_seconds
-        assert not ctx_oracle.fallback_used
-        assert (
-            finalize(ctx_default).fingerprint() == finalize(ctx_oracle).fingerprint()
-        )
+        default = _compile(CMSwitchCompiler, tiny_mlp_graph, small_chip, generate_code=False)
+        oracle = _compile(with_oracle, tiny_mlp_graph, small_chip, generate_code=False)
+        assert "fixed_fallback" in oracle.stats["pass_seconds"]
+        assert not with_oracle.passes[4].context.fallback_used
+        assert default.fingerprint() == oracle.fingerprint()
 
     def test_compiler_accepts_custom_pipeline(self, small_chip, tiny_mlp_graph):
+        """Another pipeline is a subclass with another pass tuple."""
         seen = []
 
         class Observe(Pass):
@@ -209,13 +164,15 @@ class TestPipelineExecution:
             def run(self, ctx):
                 seen.append(len(ctx.segments))
 
-        pipeline = build_pipeline().insert_after("allocate", Observe())
-        compiler = CMSwitchCompiler(
-            small_chip, CompilerOptions(generate_code=False), pipeline=pipeline
-        )
-        program = compiler.compile(tiny_mlp_graph)
+        class Observed(CMSwitchCompiler):
+            passes = (*CMSwitchCompiler.passes[:4], Observe(), *CMSwitchCompiler.passes[4:])
+
+        program = _compile(Observed, tiny_mlp_graph, small_chip, generate_code=False)
         assert seen == [program.num_segments] and program.num_segments >= 1
-        assert "observe" in program.stats["pass_seconds"]
+        assert list(program.stats["pass_seconds"]) == [
+            "flatten", "partition", "segment", "allocate", "observe", "refine",
+        ]
+        assert CMSwitchCompiler.passes == Observed.passes[:4] + Observed.passes[5:]
 
 
 class TestFixedModeFallbackGating:
@@ -226,7 +183,8 @@ class TestFixedModeFallbackGating:
         assert not fallback.enabled(fixed)
 
     def test_not_in_the_default_sequence(self):
-        assert not any(isinstance(p, FixedModeFallback) for p in default_passes())
+        for compiler_cls in COMPILERS.values():
+            assert not any(isinstance(p, FixedModeFallback) for p in compiler_cls.passes)
 
 
 class TestOptionsNormalisation:

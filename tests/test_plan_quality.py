@@ -29,7 +29,6 @@ from repro.core.segmentation import NetworkSegmenter, flatten_graph, plan_cost
 from repro.hardware import get_preset
 from repro.models import Workload, build_model
 from repro.models.registry import list_models
-from repro.pipeline import FixedModeFallback, PipelineContext, build_pipeline
 
 #: The benchmark's compile set (``bench/benchlib/base.py``) on ``dynaplasia``.
 PAPER_SET = (
@@ -105,7 +104,7 @@ def _zoo(chip):
 
 
 @pytest.mark.parametrize("chip", ["dynaplasia", "prime", "small-test-chip"])
-def test_one_dp_never_loses_to_fixed_mode_anywhere(chip):
+def test_one_dp_never_loses_to_fixed_mode_anywhere(chip, with_oracle):
     hardware = get_preset(chip)
     for model, graph in _zoo(chip):
         cache = AllocationCache()  # the three compiles below share their solves
@@ -119,10 +118,8 @@ def test_one_dp_never_loses_to_fixed_mode_anywhere(chip):
             assert dual.end_to_end_cycles <= fixed.end_to_end_cycles, case
             # The oracle pass re-runs the DP in fixed mode and keeps the
             # faster plan: it must never find one.
-            ctx = PipelineContext(
-                graph=graph, hardware=hardware, options=options, cache=cache
-            )
-            build_pipeline().insert_after("allocate", FixedModeFallback()).run(ctx)
+            with_oracle(hardware, options, cache=cache).compile(graph)
+            ctx = with_oracle.passes[4].context
             assert plan_cost(ctx.segments) * dual.block_repeat == pytest.approx(
                 dual.end_to_end_cycles, rel=1e-12
             ), case

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.models import default_workload
 from repro.models.workload import Phase, Workload
 from repro.sim.traces import (
     TRACE_FORMAT_VERSION,
@@ -13,7 +14,6 @@ from repro.sim.traces import (
     TraceFormatError,
     TraceRequest,
     bursty_trace,
-    default_workload,
     diurnal_trace,
     load_trace,
     poisson_trace,
@@ -197,7 +197,7 @@ class TestGenerators:
         instances = {}
         for r in trace.requests:
             instances.setdefault((r.model, r.workload.seq_len), set()).add(id(r.workload))
-            assert r.workload == default_workload(r.model, r.workload.seq_len, 2)
+            assert r.workload == default_workload(r.model, seq_len=r.workload.seq_len, batch_size=2)
         assert len(instances) == 4
         assert all(len(ids) == 1 for ids in instances.values())
 
@@ -210,5 +210,5 @@ class TestGenerators:
     def test_default_workload_phase_rule(self):
         # Mirrors the CLI convention: encode for transformers, prefill
         # (ignored anyway) for CNN-shaped models.
-        assert default_workload("tiny-transformer", 16).phase == Phase.ENCODE
-        assert default_workload("tiny-cnn", 32).phase == Phase.PREFILL
+        assert default_workload("tiny-transformer", seq_len=16).phase == Phase.ENCODE
+        assert default_workload("tiny-cnn", seq_len=32).phase == Phase.PREFILL
