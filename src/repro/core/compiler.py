@@ -130,6 +130,8 @@ class CMSwitchCompiler:
                 non-empty graph.  It carries the compile's ``stats`` so
                 far, whichever pass raised it.
         """
+        # Imported here: the context module imports repro.core, which
+        # imports this module.
         from ..pipeline.context import PipelineContext
 
         ctx = PipelineContext(
