@@ -1,10 +1,11 @@
 """Serving metrics computed from a replayed request trace.
 
-The replay simulator (:mod:`repro.sim.replay`) turns a trace into a list
-of per-request :class:`RequestOutcome`-shaped records; this module turns
-those into the aggregate numbers a serving evaluation reports —
-throughput, latency percentiles, queueing delay, utilisation and the
-share of busy time spent re-provisioning arrays between dual modes.
+The replay simulator (:mod:`repro.sim.replay`) turns a trace into
+per-request outcome columns (:class:`~repro.sim.replay.ReplayOutcomes`);
+this module turns those into the aggregate numbers a serving evaluation
+reports — throughput, latency percentiles, queueing delay, utilisation
+and the share of busy time spent re-provisioning arrays between dual
+modes.
 
 Percentiles use the *nearest-rank* definition (no interpolation): the
 reported p99 is an actually-observed latency, the definition is monotone
@@ -19,8 +20,11 @@ p99 as this module.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from itertools import compress
+from operator import sub
+from typing import Dict, Optional
 
 from ..obs.metrics import nearest_rank, percentile
 
@@ -94,48 +98,43 @@ class ReplayMetrics:
         }
 
 
-def compute_metrics(outcomes: Sequence) -> ReplayMetrics:
-    """Aggregate per-request outcomes into :class:`ReplayMetrics`.
+def compute_metrics(outcomes) -> ReplayMetrics:
+    """Aggregate one replay's outcome columns into :class:`ReplayMetrics`.
 
-    ``outcomes`` are :class:`repro.sim.replay.RequestOutcome` records (or
-    anything with the same attributes).  Unserved requests count toward
-    ``failed`` and the totals but contribute no latency samples.
+    ``outcomes`` is a :class:`repro.sim.replay.ReplayOutcomes`: the
+    per-request ``arrivals`` / ``starts`` / ``switches`` / ``finishes``
+    columns, the per-request ``programs`` index and the per-program
+    ``models`` / ``service_ms`` columns.  Unserved requests (their
+    program's service time is ``None``) count toward ``failed`` and the
+    totals but contribute no latency samples.
 
-    One walk over the outcomes gathers every sample and one sort serves
-    both percentiles.  The totals are still ``sum()`` over the samples
-    in request order: ``sum`` of floats is compensated on Python >= 3.12,
-    so a hand-rolled running total would not reproduce its last bit.
+    The served requests' columns are picked out once, each sample list
+    is one pass over them, and one sort serves both percentiles; no
+    per-request record is built.  The totals are still ``sum()`` over
+    the samples in request order: ``sum`` of floats is compensated on
+    Python >= 3.12, so a hand-rolled running total would not reproduce
+    its last bit.
     """
     metrics = ReplayMetrics(requests=len(outcomes))
-    latencies: List[float] = []
-    queues: List[float] = []
-    services: List[float] = []
-    switches: List[float] = []
-    first_arrival = math.inf
-    last_finish = -math.inf
-    per_model = metrics.per_model
-    for outcome in outcomes:
-        if not outcome.served:
-            continue
-        arrival_ms = outcome.arrival_ms
-        finish_ms = outcome.finish_ms
-        # RequestOutcome.latency_ms / .queue_ms, without two property
-        # calls per request (they were half of this function's time).
-        latencies.append(finish_ms - arrival_ms)
-        queues.append(outcome.start_ms - arrival_ms)
-        services.append(outcome.service_ms)
-        switches.append(outcome.switch_ms)
-        if arrival_ms < first_arrival:
-            first_arrival = arrival_ms
-        if finish_ms > last_finish:
-            last_finish = finish_ms
-        per_model[outcome.model] = per_model.get(outcome.model, 0) + 1
-    metrics.served = len(latencies)
+    served = outcomes.served
+    programs = list(compress(outcomes.programs, served))
+    metrics.served = len(programs)
     metrics.failed = metrics.requests - metrics.served
-    if not latencies:
+    if not programs:
         return metrics
 
-    metrics.makespan_ms = last_finish - first_arrival
+    arrivals = list(compress(outcomes.arrivals, served))
+    finishes = list(compress(outcomes.finishes, served))
+    latencies = list(map(sub, finishes, arrivals))
+    queues = list(map(sub, compress(outcomes.starts, served), arrivals))
+    services = list(map(outcomes.service_ms.__getitem__, programs))
+    switches = list(compress(outcomes.switches, served))
+    per_model = metrics.per_model
+    for program, count in Counter(programs).items():
+        model = outcomes.models[program]
+        per_model[model] = per_model.get(model, 0) + count
+
+    metrics.makespan_ms = max(finishes) - min(arrivals)
     if metrics.makespan_ms > 0:
         metrics.throughput_rps = metrics.served / (metrics.makespan_ms / 1000.0)
     ordered = sorted(latencies)

@@ -40,10 +40,13 @@ randomized schedules without ever invoking the compiler.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from bisect import bisect_right
+from collections import abc
 from dataclasses import dataclass, field, replace as dataclasses_replace
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from itertools import compress
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.clock import ManualClock
 from ..core.compiler import CompilerOptions
@@ -51,7 +54,7 @@ from ..core.program import CompiledProgram
 from ..cost.switching import mode_switch_cycles
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import get_preset
-from ..models.workload import workload_to_payload
+from ..models.workload import Workload, workload_to_payload
 from ..obs import NULL_OBS, NULL_TRACER
 from ..service import CompileJob, CompileJobResult, CompileService
 from .metrics import ReplayMetrics, compute_metrics
@@ -60,36 +63,13 @@ from .traces import Trace
 __all__ = [
     "ReplayResult",
     "ReplaySimulator",
+    "ReplayOutcomes",
     "RequestOutcome",
-    "ScheduledRequest",
     "replay_schedule",
 ]
 
 #: Schema tag of :meth:`ReplayResult.to_json_dict` output.
 REPORT_SCHEMA = "repro-replay-report/1"
-
-
-@dataclass(frozen=True)
-class ScheduledRequest:
-    """The scheduler-facing view of one request (no compiler objects).
-
-    Attributes:
-        request_id: Trace request id.
-        model: Model name (metrics are grouped by it).
-        arrival_ms: Arrival time on the virtual clock.
-        service_ms: Predicted execution time of the request's program, or
-            ``None`` when the program failed to compile (the request is
-            then dropped without occupying the server).
-        program_key: Identity of the program the request runs; the
-            switch-cost callable decides the re-provisioning charge from
-            consecutive keys.
-    """
-
-    request_id: str
-    model: str
-    arrival_ms: float
-    service_ms: Optional[float]
-    program_key: str
 
 
 @dataclass(frozen=True)
@@ -132,26 +112,132 @@ class RequestOutcome:
         }
 
 
+class ReplayOutcomes(abc.Sequence):
+    """One replay's per-request outcomes, stored as parallel columns.
+
+    Request ``i`` is ``request_ids[i]``, arrived at ``arrivals[i]`` and
+    runs program ``programs[i]``, an index into the per-program
+    ``keys``, ``models`` and ``service_ms`` (``None`` marks a program
+    that failed to compile, whose requests are dropped).  The event loop
+    wrote its ``starts[i]``, ``switches[i]`` and ``finishes[i]``; a
+    dropped request starts and finishes at its arrival.
+
+    Read as a sequence (``len``, indexing, iteration, ``==`` against
+    another one or a list) it yields :class:`RequestOutcome` records,
+    each built only when it is read; :func:`~repro.sim.metrics.
+    compute_metrics` reads the columns and builds none.
+    """
+
+    __slots__ = (
+        "request_ids", "arrivals", "programs", "keys", "models", "service_ms",
+        "starts", "switches", "finishes",
+    )
+
+    def __init__(
+        self,
+        request_ids: Sequence[str],
+        arrivals: Sequence[float],
+        programs: Sequence[int],
+        keys: Sequence[str],
+        models: Sequence[str],
+        service_ms: Sequence[Optional[float]],
+        starts: Sequence[float],
+        switches: Sequence[float],
+        finishes: Sequence[float],
+    ) -> None:
+        self.request_ids = request_ids
+        self.arrivals = arrivals
+        self.programs = programs
+        self.keys = keys
+        self.models = models
+        self.service_ms = service_ms
+        self.starts = starts
+        self.switches = switches
+        self.finishes = finishes
+
+    @property
+    def served(self) -> List[bool]:
+        """Whether each request was served (its program compiled)."""
+        compiled = [service is not None for service in self.service_ms]
+        return list(map(compiled.__getitem__, self.programs))
+
+    def _outcome(
+        self, request_id, arrival_ms, program, start_ms, switch_ms, finish_ms
+    ) -> RequestOutcome:
+        service_ms = self.service_ms[program]
+        served = service_ms is not None
+        error = None if served else f"program {self.keys[program]!r} failed to compile"
+        return RequestOutcome(
+            request_id=request_id,
+            model=self.models[program],
+            arrival_ms=arrival_ms,
+            start_ms=start_ms,
+            switch_ms=switch_ms,
+            service_ms=service_ms if served else 0.0,
+            finish_ms=finish_ms,
+            served=served,
+            error=error,
+        )
+
+    def __len__(self) -> int:
+        return len(self.arrivals)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._outcome(
+            self.request_ids[index], self.arrivals[index], self.programs[index],
+            self.starts[index], self.switches[index], self.finishes[index],
+        )
+
+    def __iter__(self) -> Iterator[RequestOutcome]:
+        for row in zip(
+            self.request_ids, self.arrivals, self.programs,
+            self.starts, self.switches, self.finishes,
+        ):
+            yield self._outcome(*row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ReplayOutcomes, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"ReplayOutcomes({len(self)} requests)"
+
+
 def replay_schedule(
-    items: Sequence[ScheduledRequest],
+    request_ids: Sequence[str],
+    arrivals: Sequence[float],
+    programs: Sequence[int],
+    keys: Sequence[str],
+    models: Sequence[str],
+    service_ms: Sequence[Optional[float]],
     switch_ms_between: Callable[[Optional[str], str], float],
     clock: Optional[ManualClock] = None,
     tracer=None,
-) -> List[RequestOutcome]:
+) -> ReplayOutcomes:
     """Run the FIFO single-server event loop over pre-costed requests.
 
-    Requests are served in the given order (callers pass them
-    arrival-sorted, as :class:`~repro.sim.traces.Trace` guarantees).
-    For each served request the server waits until both the request has
-    arrived and the previous one has finished, pays the re-provisioning
-    cost ``switch_ms_between(previous_key, key)``, then executes for
-    ``service_ms``.  Failed requests (``service_ms is None``) are
-    recorded as unserved and neither occupy the server nor change the
-    array layout.
+    The first three arguments are per-request columns, the next three
+    per-program ones (see :class:`ReplayOutcomes`).  Requests are served
+    in column order (callers pass them arrival-sorted, as
+    :class:`~repro.sim.traces.Trace` guarantees).  For each served
+    request the server waits until both the request has arrived and the
+    previous one has finished, pays the re-provisioning cost
+    ``switch_ms_between(previous_key, key)``, then executes for its
+    program's service time.  Requests of a failed program (service time
+    ``None``) are recorded as unserved and neither occupy the server nor
+    change the array layout.
 
-    Everything per-*program* (service time, switch price) arrives
-    pre-computed; the per-request work is one Lindley step — two float
-    additions — and one record append.  Virtual time is a local float
+    Everything per-*program* arrives pre-computed, and the switch price
+    of an ordered pair of programs is asked of ``switch_ms_between``
+    the first time the pair meets and read from a program x program
+    table after that (``previous_key`` is ``None`` for the first served
+    request).  The per-request work is one Lindley step — two float
+    additions — and three float appends.  Virtual time is a local float
     that takes exactly the steps ``ManualClock.advance`` would
     (``now += arrival - now``, not ``now = arrival``: the two differ in
     the last bit, and replay reports are compared bit for bit), moves
@@ -171,71 +257,69 @@ def replay_schedule(
     clock = clock if clock is not None else ManualClock()
     tracer = tracer if tracer is not None else NULL_TRACER
     traced = tracer.enabled
+    # priced[previous][program], filled as pairs meet; the extra last
+    # row is "no previous program" (before the first served request).
+    no_program = len(keys)
+    previous_keys = [*keys, None]
+    priced: List[List[Optional[float]]] = [
+        [None] * no_program for _ in previous_keys
+    ]
+    starts: List[float] = []
+    switches: List[float] = []
+    finishes: List[float] = []
+    start_append, switch_append, finish_append = (
+        starts.append, switches.append, finishes.append
+    )
     now = clock.now()
-    outcomes: List[RequestOutcome] = []
-    previous_key: Optional[str] = None
+    previous = no_program
+    row = priced[previous]
     span = None
     try:
-        for item in items:
+        for request_id, arrival_ms, program in zip(request_ids, arrivals, programs):
             if traced:
                 span = tracer.span(
-                    "replay.request", request=item.request_id, model=item.model
+                    "replay.request", request=request_id, model=models[program]
                 ).__enter__()
-            arrival_ms = item.arrival_ms
-            service_ms = item.service_ms
-            key = item.program_key
-            if service_ms is None:
-                outcomes.append(
-                    RequestOutcome(
-                        request_id=item.request_id,
-                        model=item.model,
-                        arrival_ms=arrival_ms,
-                        start_ms=arrival_ms,
-                        switch_ms=0.0,
-                        service_ms=0.0,
-                        finish_ms=arrival_ms,
-                        served=False,
-                        error=f"program {key!r} failed to compile",
-                    )
-                )
+            service = service_ms[program]
+            if service is None:
+                start_append(arrival_ms)
+                switch_append(0.0)
+                finish_append(arrival_ms)
                 if traced:
                     span.set(served=False, arrival_ms=arrival_ms)
             else:
                 if arrival_ms > now:
                     now += float(arrival_ms - now)  # server idles
                 start_ms = now
-                switch_ms = float(switch_ms_between(previous_key, key))
-                if traced and switch_ms > 0.0:
+                switch = row[program]
+                if switch is None:
+                    switch = row[program] = float(
+                        switch_ms_between(previous_keys[previous], keys[program])
+                    )
+                if traced and switch > 0.0:
                     tracer.event(
                         "replay.switch",
-                        switch_ms=switch_ms,
-                        previous=previous_key,
-                        program=key,
+                        switch_ms=switch,
+                        previous=previous_keys[previous],
+                        program=keys[program],
                     )
-                if switch_ms + service_ms < 0:
+                if switch + service < 0:
                     raise ValueError("cannot advance a clock backwards")
-                now += float(switch_ms + service_ms)
-                outcome = RequestOutcome(
-                    request_id=item.request_id,
-                    model=item.model,
-                    arrival_ms=arrival_ms,
-                    start_ms=start_ms,
-                    switch_ms=switch_ms,
-                    service_ms=service_ms,
-                    finish_ms=now,
-                    served=True,
-                )
-                outcomes.append(outcome)
+                now += float(switch + service)
+                start_append(start_ms)
+                switch_append(switch)
+                finish_append(now)
                 if traced:
                     span.set(
                         served=True,
                         arrival_ms=arrival_ms,
                         start_ms=start_ms,
                         finish_ms=now,
-                        switch_ms=switch_ms,
-                        latency_ms=outcome.latency_ms,
+                        switch_ms=switch,
+                        latency_ms=now - arrival_ms,
                     )
-                previous_key = key
+                previous = program
+                row = priced[program]
             if traced:
                 span.__exit__(None, None, None)
                 span = None
@@ -243,7 +327,10 @@ def replay_schedule(
         if span is not None:  # the step raised inside an open span
             span.__exit__(*sys.exc_info())
     clock.advance(now - clock.now())
-    return outcomes
+    return ReplayOutcomes(
+        request_ids, arrivals, programs, keys, models, service_ms,
+        starts, switches, finishes,
+    )
 
 
 @dataclass
@@ -252,7 +339,7 @@ class ReplayResult:
 
     trace: Trace
     hardware: DualModeHardwareAbstraction
-    outcomes: List[RequestOutcome]
+    outcomes: ReplayOutcomes
     metrics: ReplayMetrics
     distinct_programs: int = 0
     allocator_solves: int = 0
@@ -326,22 +413,37 @@ def _program_key(model: str, workload) -> str:
     return f"{model}|{payload}"
 
 
-def _program_keys(trace: Trace) -> List[str]:
-    """Program key of every request, each distinct pair rendered once.
+#: One program of a replay: its key, model name and workload.
+ProgramEntry = Tuple[str, str, Workload]
 
-    Workloads are frozen (hashable) dataclasses and the generators share
-    one instance per (model, bucket), so the lookup usually hits on
-    identity.
+
+def _index_programs(trace: Trace) -> Tuple[List[int], List[ProgramEntry]]:
+    """Program index of every request, and the program table it indexes.
+
+    One walk of the trace.  Each request is looked up by ``(model,
+    id(workload))`` first — the generators share one ``Workload``
+    instance per (model, bucket), so this usually hits without hashing
+    the workload — and by value otherwise; only a new value renders its
+    key.  The trace holds every workload for the whole walk, so no
+    ``id`` is reused.
     """
-    rendered: Dict[tuple, str] = {}
-    keys: List[str] = []
+    by_identity: Dict[Tuple[str, int], int] = {}
+    by_value: Dict[Tuple[str, Workload], int] = {}
+    table: List[ProgramEntry] = []
+    index: List[int] = []
+    append = index.append
     for request in trace.requests:
-        pair = (request.model, request.workload)
-        key = rendered.get(pair)
-        if key is None:
-            key = rendered[pair] = _program_key(*pair)
-        keys.append(key)
-    return keys
+        identity = (request.model, id(request.workload))
+        program = by_identity.get(identity)
+        if program is None:
+            pair = (request.model, request.workload)
+            program = by_value.get(pair)
+            if program is None:
+                program = by_value[pair] = len(table)
+                table.append((_program_key(*pair), *pair))
+            by_identity[identity] = program
+        append(program)
+    return index, table
 
 
 class ReplaySimulator:
@@ -386,27 +488,28 @@ class ReplaySimulator:
     # compile pool
     # ------------------------------------------------------------------ #
     def compile_pool(
-        self, trace: Trace, keys: Optional[Sequence[str]] = None
+        self, trace: Trace, table: Optional[Sequence[ProgramEntry]] = None
     ) -> Dict[str, CompileJobResult]:
         """Compile each distinct (model, workload) of the trace once.
 
-        ``keys`` are the requests' program keys when the caller already
-        rendered them (:meth:`run` does); they are derived otherwise.
+        ``table`` is the trace's program table when the caller already
+        built it (:meth:`run` does); it is derived otherwise.  The
+        result maps each program key to its compile, in table order.
         """
-        if keys is None:
-            keys = _program_keys(trace)
-        jobs: Dict[str, CompileJob] = {}
-        for request, key in zip(trace.requests, keys):
-            if key not in jobs:
-                jobs[key] = CompileJob(
-                    request.model,
-                    workload=request.workload,
-                    hardware=self.hardware,
-                    options=self.options,
-                    label=key,
-                )
-        results = self.service.compile_batch(list(jobs.values()))
-        return dict(zip(jobs, results))
+        if table is None:
+            table = _index_programs(trace)[1]
+        jobs = [
+            CompileJob(
+                model,
+                workload=workload,
+                hardware=self.hardware,
+                options=self.options,
+                label=key,
+            )
+            for key, model, workload in table
+        ]
+        results = self.service.compile_batch(jobs)
+        return {key: result for (key, _, _), result in zip(table, results)}
 
     # ------------------------------------------------------------------ #
     # replay
@@ -415,39 +518,37 @@ class ReplaySimulator:
         """Compile the trace's program pool and replay it over virtual time.
 
         Compile-side work is per distinct *program*: one key rendering,
-        one compile, one ``end_to_end_ms`` read, and (lazily, see
-        :meth:`_switch_ms_between`) one Eq. 1 pricing per ordered pair
-        of programs that actually meet.  Per *request* there is only the
-        event-loop step of :func:`replay_schedule`, so a replay costs
-        ``O(programs * warm compile + requests)``.  The per-program
-        tables are locals of this call — nothing outlives it.
+        one compile, one ``end_to_end_ms`` read, and one Eq. 1 pricing
+        per ordered pair of programs that actually meet.  Per *request*
+        there is one step of the walk that indexes the programs and one
+        step of the event loop of :func:`replay_schedule`, both over
+        plain columns, so a replay costs ``O(programs * warm compile +
+        requests)``.  The per-program tables are locals of this call —
+        nothing outlives it.
         """
-        keys = _program_keys(trace)
+        programs, table = _index_programs(trace)
         with self.obs.tracer.span("replay.compile_pool", requests=len(trace)):
-            pool = self.compile_pool(trace, keys)
-        programs: Dict[str, CompiledProgram] = {
+            pool = self.compile_pool(trace, table)
+        compiled: Dict[str, CompiledProgram] = {
             key: result.program for key, result in pool.items() if result.ok
         }
-        service_ms = {
-            key: program.end_to_end_ms for key, program in programs.items()
-        }
-        items = [
-            ScheduledRequest(
-                request_id=request.request_id,
-                model=request.model,
-                arrival_ms=request.arrival_ms,
-                service_ms=service_ms.get(key),
-                program_key=key,
-            )
-            for request, key in zip(trace.requests, keys)
+        keys = [key for key, _, _ in table]
+        service_ms = [
+            compiled[key].end_to_end_ms if key in compiled else None for key in keys
         ]
-        with self.obs.tracer.span("replay.schedule", requests=len(items)):
+        requests = trace.requests
+        with self.obs.tracer.span("replay.schedule", requests=len(requests)):
             outcomes = replay_schedule(
-                items,
-                self._switch_ms_between(programs),
+                [request.request_id for request in requests],
+                [request.arrival_ms for request in requests],
+                programs,
+                keys,
+                [model for _, model, _ in table],
+                service_ms,
+                self._switch_ms_between(compiled),
                 tracer=self.obs.tracer,
             )
-        self._observe(items, outcomes)
+        self._observe(outcomes)
 
         def stats_sum(name: str) -> int:
             return sum(int(result.stats.get(name, 0)) for result in pool.values())
@@ -468,37 +569,39 @@ class ReplaySimulator:
             },
         )
 
-    def _observe(
-        self,
-        items: Sequence[ScheduledRequest],
-        outcomes: Sequence[RequestOutcome],
-    ) -> None:
+    def _observe(self, outcomes: ReplayOutcomes) -> None:
         """Mirror one replay's outcomes into the metrics registry.
 
         Queue depth is measured at each served request's start: the
-        number of later requests already arrived but still waiting
-        (``arrival_ms <= start_ms``).  Arrivals are sorted (a
-        :class:`~repro.sim.traces.Trace` invariant), so a single
-        ``bisect`` per request suffices.  The counters are tallied here
-        and added once each, not once per request.
+        number of later *served* requests already arrived but still
+        waiting (``arrival_ms <= start_ms``); a dropped request never
+        waits.  Arrivals are sorted (a :class:`~repro.sim.traces.Trace`
+        invariant), so a single ``bisect`` per request suffices.  The
+        counters are tallied here and added once each, not once per
+        request.
         """
         metrics = self.obs.metrics
         if not getattr(metrics, "enabled", False):
             return
-        arrivals = [item.arrival_ms for item in items]
-        dropped = switches = 0
-        for index, outcome in enumerate(outcomes):
-            if not outcome.served:
-                dropped += 1
-                continue
-            if outcome.switch_ms > 0.0:
+        served = outcomes.served
+        arrivals = list(compress(outcomes.arrivals, served))
+        switches = 0
+        for index, (arrival_ms, start_ms, switch_ms, finish_ms) in enumerate(
+            zip(
+                arrivals,
+                compress(outcomes.starts, served),
+                compress(outcomes.switches, served),
+                compress(outcomes.finishes, served),
+            )
+        ):
+            if switch_ms > 0.0:
                 switches += 1
-            depth = bisect_right(arrivals, outcome.start_ms) - (index + 1)
+            depth = bisect_right(arrivals, start_ms) - (index + 1)
             metrics.observe("replay.queue_depth", max(0, depth))
-            metrics.observe("replay.latency_ms", outcome.latency_ms)
+            metrics.observe("replay.latency_ms", finish_ms - arrival_ms)
         for name, count in (
             ("replay.requests", len(outcomes)),
-            ("replay.dropped", dropped),
+            ("replay.dropped", len(outcomes) - len(arrivals)),
             ("replay.switches", switches),
         ):
             if count:  # a counter nothing bumped stays out of the snapshot
@@ -517,26 +620,19 @@ class ReplaySimulator:
         the paper's model, and the program's own first-segment
         inter-cost already covers its weight loading).
 
-        The returned callable prices each ordered ``(previous, next)``
-        pair the first time it occurs and remembers the answer for the
-        rest of the replay: a trace over ``P`` programs pays at most
-        ``P * (P - 1)`` Eq. 1 evaluations, and only for pairs that
-        actually meet.
+        :func:`replay_schedule` asks once per ordered pair that meets,
+        so a trace over ``P`` programs pays at most ``P * (P - 1)``
+        Eq. 1 evaluations, and only for pairs that actually meet.
         """
-        priced: Dict[tuple, float] = {}
 
         def switch_ms(previous_key: Optional[str], key: str) -> float:
             if previous_key is None or previous_key == key:
                 return 0.0
-            pair = (previous_key, key)
-            ms = priced.get(pair)
-            if ms is None:
-                cycles = mode_switch_cycles(
-                    programs[previous_key].segments[-1].resources,
-                    programs[key].segments[0].resources,
-                    self.hardware,
-                )
-                ms = priced[pair] = self.hardware.cycles_to_ms(cycles)
-            return ms
+            cycles = mode_switch_cycles(
+                programs[previous_key].segments[-1].resources,
+                programs[key].segments[0].resources,
+                self.hardware,
+            )
+            return self.hardware.cycles_to_ms(cycles)
 
         return switch_ms

@@ -33,6 +33,7 @@ back identical to one recorded by any other subsystem.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -93,6 +94,11 @@ class TraceRequest:
     workload: Workload
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival_ms):
+            raise ValueError(
+                f"request {self.request_id!r} arrives at non-finite time "
+                f"{self.arrival_ms}"
+            )
         if self.arrival_ms < 0:
             raise ValueError(
                 f"request {self.request_id!r} arrives at negative time "

@@ -37,7 +37,8 @@ from repro.models.registry import build_model
 from repro.models.workload import Workload
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.sim.metrics import compute_metrics, percentile
-from repro.sim.replay import ReplaySimulator, ScheduledRequest, replay_schedule
+from repro.cost.switching import mode_switch_cycles
+from repro.sim.replay import ReplaySimulator, replay_schedule
 from repro.sim.timing import TimingSimulator
 from repro.sim.traces import (
     Trace,
@@ -45,6 +46,7 @@ from repro.sim.traces import (
     bursty_trace,
     load_trace,
     poisson_trace,
+    save_trace,
 )
 from repro.cli import main
 
@@ -152,23 +154,39 @@ class TestDeterminism:
 # ---------------------------------------------------------------------- #
 # metamorphic properties on the pure scheduling core
 # ---------------------------------------------------------------------- #
+def _replay(rows, switch, **kwargs):
+    """Run the pure core over (arrival, service-or-None, key) rows.
+
+    Request ``i`` is ``r{i}`` of model ``m``; each distinct (key,
+    service) pair becomes one program, so programs repeat and the
+    switch table is shared as in a real replay.
+    """
+    index, programs = [], {}
+    for _, service, key in rows:
+        index.append(programs.setdefault((key, service), len(programs)))
+    return replay_schedule(
+        [f"r{i}" for i in range(len(rows))],
+        [arrival for arrival, _, _ in rows],
+        index,
+        [key for key, _ in programs],
+        ["m"] * len(programs),
+        [service for _, service in programs],
+        switch,
+        **kwargs,
+    )
+
+
 def _schedule(arrivals_services, keys=None, switch_ms=0.05):
     """Helper: run the pure core over (arrival, service) pairs."""
-    items = [
-        ScheduledRequest(
-            request_id=f"r{i}",
-            model="m",
-            arrival_ms=arrival,
-            service_ms=service,
-            program_key=keys[i] if keys else "p0",
-        )
+    rows = [
+        (arrival, service, keys[i] if keys else "p0")
         for i, (arrival, service) in enumerate(arrivals_services)
     ]
 
     def switch(prev, key):
         return 0.0 if prev is None or prev == key else switch_ms
 
-    return replay_schedule(items, switch)
+    return _replay(rows, switch)
 
 
 # Bounded, non-degenerate virtual-time quantities.
@@ -235,12 +253,12 @@ class TestMetamorphic:
         assert metrics.served == len(pairs)
 
     def test_failed_requests_do_not_occupy_the_server(self):
-        items = [
-            ScheduledRequest("r0", "m", 0.0, 5.0, "p0"),
-            ScheduledRequest("r1", "m", 1.0, None, "p1"),  # failed compile
-            ScheduledRequest("r2", "m", 2.0, 5.0, "p0"),
+        rows = [
+            (0.0, 5.0, "p0"),
+            (1.0, None, "p1"),  # failed compile
+            (2.0, 5.0, "p0"),
         ]
-        outcomes = replay_schedule(items, lambda prev, key: 0.0)
+        outcomes = _replay(rows, lambda prev, key: 0.0)
         assert [o.served for o in outcomes] == [True, False, True]
         # r2 starts when r0 finishes; the failed r1 added no delay and
         # did not perturb the array layout (no p1 -> p0 switch).
@@ -251,11 +269,8 @@ class TestMetamorphic:
     def test_schedule_clock_only_moves_forward(self):
         # A request arriving long before the server frees up must not
         # rewind the clock (ManualClock would raise).
-        items = [
-            ScheduledRequest("r0", "m", 0.0, 10.0, "p0"),
-            ScheduledRequest("r1", "m", 0.5, 1.0, "p0"),
-        ]
-        outcomes = replay_schedule(items, lambda prev, key: 0.0)
+        rows = [(0.0, 10.0, "p0"), (0.5, 1.0, "p0")]
+        outcomes = _replay(rows, lambda prev, key: 0.0)
         assert outcomes[1].start_ms == outcomes[0].finish_ms
         assert outcomes[1].queue_ms == pytest.approx(9.5)
 
@@ -276,13 +291,13 @@ _switch_table = st.dictionaries(
 )
 
 
-def _items(requests):
-    """ScheduledRequests from (gap, service-or-None, key) triples."""
-    items, arrival = [], 0.0
-    for index, (gap, service, key) in enumerate(requests):
+def _rows(requests):
+    """(arrival, service-or-None, key) rows from (gap, service, key) triples."""
+    rows, arrival = [], 0.0
+    for gap, service, key in requests:
         arrival += gap
-        items.append(ScheduledRequest(f"r{index}", "m", arrival, service, key))
-    return items
+        rows.append((arrival, service, key))
+    return rows
 
 
 def _table_switch(table):
@@ -292,18 +307,18 @@ def _table_switch(table):
     return switch
 
 
-def _reference_schedule(items, switch, start=0.0):
+def _reference_schedule(requests, switch, start=0.0):
     """The Lindley recurrence, written out: (start, switch, finish, served)."""
     rows, now, previous = [], start, None
-    for item in items:
-        if item.service_ms is None:  # dropped: occupies nothing, layout unchanged
-            rows.append((item.arrival_ms, 0.0, item.arrival_ms, False))
+    for arrival_ms, service_ms, key in requests:
+        if service_ms is None:  # dropped: occupies nothing, layout unchanged
+            rows.append((arrival_ms, 0.0, arrival_ms, False))
             continue
-        begin = now + (item.arrival_ms - now) if item.arrival_ms > now else now
-        switch_ms = switch(previous, item.program_key)
-        now = begin + (switch_ms + item.service_ms)
+        begin = now + (arrival_ms - now) if arrival_ms > now else now
+        switch_ms = switch(previous, key)
+        now = begin + (switch_ms + service_ms)
         rows.append((begin, switch_ms, now, True))
-        previous = item.program_key
+        previous = key
     return rows
 
 
@@ -315,23 +330,24 @@ class TestScheduleDifferential:
         start=st.sampled_from([0.0, 5.0]),
     )
     def test_equals_the_recurrence_float_for_float(self, requests, table, start):
-        items = _items(requests)
+        rows = _rows(requests)
         switch = _table_switch(table)
-        outcomes = replay_schedule(items, switch, clock=ManualClock(start=start))
-        rows = [(o.start_ms, o.switch_ms, o.finish_ms, o.served) for o in outcomes]
-        assert rows == _reference_schedule(items, switch, start=start)  # exact
-        assert [o.request_id for o in outcomes] == [i.request_id for i in items]
+        outcomes = _replay(rows, switch, clock=ManualClock(start=start))
+        got = [(o.start_ms, o.switch_ms, o.finish_ms, o.served) for o in outcomes]
+        assert got == _reference_schedule(rows, switch, start=start)  # exact
+        assert [o.request_id for o in outcomes] == [f"r{i}" for i in range(len(rows))]
 
     @settings(max_examples=60, deadline=None)
     @given(requests=st.lists(_request, max_size=25), table=_switch_table)
     def test_tracer_observes_without_perturbing(self, requests, table):
-        items = _items(requests)
+        rows = _rows(requests)
         switch = _table_switch(table)
         tracer = Tracer()
-        traced = replay_schedule(items, switch, tracer=tracer)
-        assert traced == replay_schedule(items, switch)
+        traced = _replay(rows, switch, tracer=tracer)
+        assert traced == _replay(rows, switch)
         spans = [s for s in tracer.spans() if s.name == "replay.request"]
-        assert [s.attrs["request"] for s in spans] == [i.request_id for i in items]
+        ids = [f"r{i}" for i in range(len(rows))]
+        assert [s.attrs["request"] for s in spans] == ids
         for span, outcome in zip(spans, traced):
             assert span.attrs["served"] == outcome.served
             assert span.attrs["arrival_ms"] == outcome.arrival_ms
@@ -343,25 +359,35 @@ class TestScheduleDifferential:
 
     def test_injected_clock_ends_at_the_last_finish(self):
         clock = ManualClock(start=5.0)
-        items = [
-            ScheduledRequest("r0", "m", 6.1, 0.3, "p0"),
-            ScheduledRequest("r1", "m", 6.2, None, "p1"),
-            ScheduledRequest("r2", "m", 6.3, 1.7, "p2"),
-        ]
-        outcomes = replay_schedule(items, lambda prev, key: 0.05, clock=clock)
+        rows = [(6.1, 0.3, "p0"), (6.2, None, "p1"), (6.3, 1.7, "p2")]
+        outcomes = _replay(rows, lambda prev, key: 0.05, clock=clock)
         assert outcomes[0].start_ms == 5.0 + (6.1 - 5.0)
         assert clock.now() == outcomes[-1].finish_ms
 
     def test_negative_step_is_rejected_and_closes_its_span(self):
         tracer = Tracer()
-        items = [ScheduledRequest("r0", "m", 0.0, -1.0, "p0")]
         with pytest.raises(ValueError, match="backwards"):
-            replay_schedule(items, lambda prev, key: 0.0, tracer=tracer)
+            _replay([(0.0, -1.0, "p0")], lambda prev, key: 0.0, tracer=tracer)
         (span,) = tracer.spans()
         assert span.name == "replay.request" and span.attrs["error"] == "ValueError"
         with tracer.span("after") as after:
             pass
         assert after.parent_id is None  # nothing left open on the stack
+
+
+class TestQueueDepth:
+    def test_a_dropped_request_is_not_waiting(self):
+        """r1 starts at 10 ms with only r3 waiting: r2 was dropped at 2 ms."""
+        outcomes = _replay(
+            [(0.0, 10.0, "p0"), (1.0, 1.0, "p0"), (2.0, None, "p1"), (3.0, 1.0, "p0")],
+            lambda prev, key: 0.0,
+        )
+        obs = Observability.create()
+        ReplaySimulator("small-test-chip", obs=obs)._observe(outcomes)
+        depth = obs.metrics.histogram("replay.queue_depth")
+        # One sample per served request: [0, 1, 0].
+        assert (depth.count, depth.total, depth.max) == (3, 1.0, 1.0)
+        assert obs.metrics.to_dict()["counters"]["replay.dropped"] == 1
 
 
 class TestPercentile:
@@ -516,6 +542,84 @@ class TestProgramGranularity:
         assert switched > len(pairs) * (len(pairs) - 1)  # far more switches ...
         assert 0 < calls["price"] <= len(pairs) * (len(pairs) - 1)  # ... than pricings
 
+    def test_long_replay_is_the_recurrence_float_for_float(self, monkeypatch):
+        """2,000 requests that queue and switch, against in-test references.
+
+        Nothing here is a committed number: the rows are the ten-line
+        recurrence over independently compiled service times and an
+        independently priced Eq. 1, and the metrics are recomputed with
+        the same ``sum`` order, so the check holds bit for bit on any
+        Python version (``sum`` of floats is compensated from 3.12).
+        """
+        built = []
+
+        def counting_outcome(**fields):
+            built.append(fields["request_id"])
+            return outcome_type(**fields)
+
+        outcome_type = replay_module.RequestOutcome
+        monkeypatch.setattr(replay_module, "RequestOutcome", counting_outcome)
+        trace = self._trace()
+        simulator = ReplaySimulator("small-test-chip")
+        result = simulator.run(trace)
+        assert built == []  # the replay itself builds no per-request record
+
+        chip = simulator.hardware
+        key = replay_module._program_key
+        programs = {
+            label: job.program for label, job in simulator.compile_pool(trace).items()
+        }
+
+        def switch(previous, current):
+            if previous is None or previous == current:
+                return 0.0
+            return chip.cycles_to_ms(
+                mode_switch_cycles(
+                    programs[previous].segments[-1].resources,
+                    programs[current].segments[0].resources,
+                    chip,
+                )
+            )
+
+        keys = [key(r.model, r.workload) for r in trace.requests]
+        arrivals = [r.arrival_ms for r in trace.requests]
+        services = [programs[k].end_to_end_ms for k in keys]
+        expected = _reference_schedule(zip(arrivals, services, keys), switch)
+        outcomes = list(result.outcomes)
+        assert len(built) == len(trace) == 2_000
+        got = [(o.start_ms, o.switch_ms, o.finish_ms, o.served) for o in outcomes]
+        assert got == expected
+        assert [o.service_ms for o in outcomes] == services
+
+        starts, switches, finishes, _ = zip(*expected)
+        latencies = [finish - arrival for arrival, finish in zip(arrivals, finishes)]
+        queues = [start - arrival for arrival, start in zip(arrivals, starts)]
+        service_total = sum(services)
+        switch_total = sum(switches)
+        makespan = finishes[-1] - arrivals[0]
+        busy = service_total + switch_total
+        models = [r.model for r in trace.requests]
+        assert result.metrics.to_dict() == {
+            "requests": 2_000,
+            "served": 2_000,
+            "failed": 0,
+            "makespan_ms": makespan,
+            "throughput_rps": 2_000 / (makespan / 1000.0),
+            "latency_p50_ms": percentile(latencies, 50.0),
+            "latency_p99_ms": percentile(latencies, 99.0),
+            "latency_mean_ms": sum(latencies) / 2_000,
+            "latency_max_ms": max(latencies),
+            "queue_ms_mean": sum(queues) / 2_000,
+            "queue_ms_max": max(queues),
+            "service_ms_total": service_total,
+            "switch_ms_total": switch_total,
+            "switch_share": switch_total / busy,
+            "utilisation": min(1.0, busy / makespan),
+            "per_model": {model: models.count(model) for model in sorted(set(models))},
+        }
+        assert result.metrics.queue_ms_max > 0.0
+        assert any(switch_ms > 0.0 for switch_ms in switches)
+
     def test_registry_counters_are_the_outcome_tallies(self):
         session = Session(hardware="small-test-chip", trace=True)
         result = session.replay(self._trace())
@@ -545,6 +649,20 @@ class TestCLITraceErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "invalid trace file" in err
+
+    def test_replay_non_finite_arrival_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.jsonl"
+        save_trace(poisson_trace(["tiny-mlp"], num_requests=2, seed=0), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        request = json.loads(lines[2])
+        request["arrival_ms"] = math.nan
+        lines[2] = json.dumps(request)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["replay", "--preset", "small-test-chip", "--trace", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "invalid trace file" in captured.err
+        assert "nan" not in captured.out
 
     def test_replay_newer_version_exits_2(self, tmp_path, capsys):
         future = tmp_path / "future.jsonl"
@@ -580,8 +698,6 @@ class TestCLITraceErrors:
 
     def test_dse_trace_objective_rejects_analytical_fidelity(self, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
-        from repro.sim.traces import save_trace
-
         save_trace(poisson_trace(["tiny-mlp"], num_requests=2, seed=0), trace_path)
         code = main(
             ["dse", "tiny-mlp", "--objective", "trace-p99", "--trace",

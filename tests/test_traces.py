@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -41,6 +42,21 @@ class TestTraceBasics:
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             _request(0, -1.0)
+
+    @pytest.mark.parametrize("arrival_ms", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected(self, arrival_ms):
+        with pytest.raises(ValueError, match="non-finite"):
+            _request(0, arrival_ms)
+
+    def test_non_finite_arrival_in_a_file_is_a_format_error(self, tmp_path):
+        path = save_trace(Trace(requests=[_request(0, 0.0)]), tmp_path / "t.jsonl")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        request = json.loads(lines[1])
+        request["arrival_ms"] = math.nan
+        lines[1] = json.dumps(request)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TraceFormatError, match="non-finite"):
+            load_trace(path)
 
     def test_models_in_first_appearance_order(self):
         trace = Trace(
