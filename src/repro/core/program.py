@@ -341,10 +341,13 @@ def _float_in(value, field_name: str) -> float:
     return float(value)
 
 
-def _require(payload: Mapping, field_name: str, what: str):
-    if field_name not in payload:
-        raise ProgramFormatError(f"{what} is missing required field {field_name!r}")
-    return payload[field_name]
+def _int_in(value, field_name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProgramFormatError(
+            f"{field_name!r} must be an integer, got {value!r}"
+        ) from exc
 
 
 #: Field names of the two flat, frozen records a segment carries, in
@@ -354,17 +357,48 @@ _PROFILE_FIELD_NAMES = tuple(f.name for f in fields(OperatorProfile))
 _RESOURCES_FIELD_NAMES = tuple(f.name for f in fields(SegmentResources))
 _PROFILE_FIELDS = frozenset(_PROFILE_FIELD_NAMES)
 
+#: The decoder builds the two per-operator records in one step: a bare
+#: instance whose ``__dict__`` it fills, the way ``copy`` and ``pickle``
+#: rebuild a frozen dataclass.  Both records are plain frozen dataclasses
+#: (no slots); the one check an ``__init__`` would run — non-negative
+#: array counts — is made explicitly.
+_new = object.__new__
+
+#: A decoded JSON object is a ``dict``: the exact check runs first, and
+#: any other :class:`~collections.abc.Mapping` (an ABC check, a Python
+#: call per record) is still accepted after it.
+_OBJECT = (dict, Mapping)
+
 
 def _profile_from_payload(payload: Mapping) -> OperatorProfile:
-    if not isinstance(payload, Mapping):
+    if not isinstance(payload, _OBJECT):
         raise ProgramFormatError("operator profile must be an object")
-    unknown = sorted(set(payload) - _PROFILE_FIELDS)
-    if unknown:
-        raise ProgramFormatError(f"unknown profile field(s): {', '.join(unknown)}")
+    if payload.keys() != _PROFILE_FIELDS:
+        unknown = sorted(str(name) for name in payload if name not in _PROFILE_FIELDS)
+        if unknown:
+            raise ProgramFormatError(f"unknown profile field(s): {', '.join(unknown)}")
+        missing = [name for name in _PROFILE_FIELD_NAMES if name not in payload]
+        raise ProgramFormatError(
+            f"invalid operator profile: missing field(s): {', '.join(missing)}"
+        )
+    profile = _new(OperatorProfile)
+    profile.__dict__.update(payload)
+    return profile
+
+
+def _allocation_from_payload(name: str, pair) -> OperatorAllocation:
     try:
-        return OperatorProfile(**payload)
-    except TypeError as exc:
-        raise ProgramFormatError(f"invalid operator profile: {exc}") from exc
+        compute, memory = pair
+        compute, memory = int(compute), int(memory)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProgramFormatError(
+            f"allocation for {name!r} must be a [compute, memory] pair of integers"
+        ) from exc
+    if compute < 0 or memory < 0:
+        raise ProgramFormatError(f"allocation for {name!r} has a negative array count")
+    allocation = _new(OperatorAllocation)
+    allocation.__dict__.update(compute_arrays=compute, memory_arrays=memory)
+    return allocation
 
 
 def _segment_to_payload(segment: SegmentPlan) -> Dict:
@@ -394,47 +428,54 @@ def _segment_to_payload(segment: SegmentPlan) -> Dict:
 
 
 def _segment_from_payload(payload: Mapping) -> SegmentPlan:
-    if not isinstance(payload, Mapping):
+    if not isinstance(payload, _OBJECT):
         raise ProgramFormatError("segment must be an object")
-    allocations_payload = _require(payload, "allocations", "segment")
-    if not isinstance(allocations_payload, Mapping):
-        raise ProgramFormatError("'allocations' must be an object")
-    allocations = {}
-    for name, pair in allocations_payload.items():
-        try:
-            compute, memory = pair
-        except (TypeError, ValueError) as exc:
-            raise ProgramFormatError(
-                f"allocation for {name!r} must be a [compute, memory] pair"
-            ) from exc
-        allocations[name] = OperatorAllocation(
-            compute_arrays=int(compute), memory_arrays=int(memory)
-        )
-    resources_payload = payload.get("resources")
-    resources = None
-    if resources_payload is not None:
-        if not isinstance(resources_payload, Mapping):
+    try:
+        allocations = payload["allocations"]
+        index = payload["index"]
+        operator_names = payload["operator_names"]
+        intra_cycles = payload["intra_cycles"]
+        inter_cycles = payload["inter_cycles"]
+    except KeyError as exc:
+        raise ProgramFormatError(
+            f"segment is missing required field {exc.args[0]!r}"
+        ) from None
+    profiles = payload.get("profiles", {})
+    inter_breakdown = payload.get("inter_breakdown", {})
+    resources = payload.get("resources")
+    for field_name, value in (
+        ("allocations", allocations),
+        ("profiles", profiles),
+        ("inter_breakdown", inter_breakdown),
+    ):
+        if not isinstance(value, _OBJECT):
+            raise ProgramFormatError(f"{field_name!r} must be an object")
+    if not isinstance(operator_names, (list, tuple)):
+        raise ProgramFormatError("'operator_names' must be an array")
+    if resources is not None:
+        if not isinstance(resources, _OBJECT):
             raise ProgramFormatError("'resources' must be an object or null")
         try:
-            resources = SegmentResources(**resources_payload)
+            resources = SegmentResources(**resources)
         except TypeError as exc:
             raise ProgramFormatError(f"invalid segment resources: {exc}") from exc
     return SegmentPlan(
-        index=int(_require(payload, "index", "segment")),
-        operator_names=list(_require(payload, "operator_names", "segment")),
-        allocations=allocations,
-        profiles={
-            name: _profile_from_payload(profile)
-            for name, profile in payload.get("profiles", {}).items()
+        index=_int_in(index, "index"),
+        operator_names=list(operator_names),
+        allocations={
+            name: _allocation_from_payload(name, pair) for name, pair in allocations.items()
         },
-        intra_cycles=_float_in(_require(payload, "intra_cycles", "segment"), "intra_cycles"),
-        inter_cycles=_float_in(_require(payload, "inter_cycles", "segment"), "inter_cycles"),
+        profiles={name: _profile_from_payload(profile) for name, profile in profiles.items()},
+        intra_cycles=_float_in(intra_cycles, "intra_cycles"),
+        inter_cycles=_float_in(inter_cycles, "inter_cycles"),
         inter_breakdown={
             key: _float_in(value, f"inter_breakdown[{key}]")
-            for key, value in payload.get("inter_breakdown", {}).items()
+            for key, value in inter_breakdown.items()
         },
         resources=resources,
-        boundary_memory_arrays=int(payload.get("boundary_memory_arrays", 0)),
+        boundary_memory_arrays=_int_in(
+            payload.get("boundary_memory_arrays", 0), "boundary_memory_arrays"
+        ),
     )
 
 
@@ -466,34 +507,52 @@ def program_from_payload(payload: Mapping) -> CompiledProgram:
     """Rebuild a :class:`CompiledProgram` from :func:`program_to_payload`.
 
     Raises:
-        ProgramFormatError: Malformed or incomplete payload.
+        ProgramFormatError: Malformed or incomplete payload — the only
+            exception a payload of JSON values can make it raise.
     """
-    if not isinstance(payload, Mapping):
+    if not isinstance(payload, _OBJECT):
         raise ProgramFormatError("compiled program must be an object")
-    hardware_payload = _require(payload, "hardware", "compiled program")
-    if not isinstance(hardware_payload, Mapping):
+    try:
+        hardware_payload = payload["hardware"]
+        segments_payload = payload["segments"]
+        graph_name = payload["graph_name"]
+        compiler_name = payload["compiler_name"]
+    except KeyError as exc:
+        raise ProgramFormatError(
+            f"compiled program is missing required field {exc.args[0]!r}"
+        ) from None
+    if not isinstance(hardware_payload, _OBJECT):
         raise ProgramFormatError("'hardware' must be an object")
     try:
         hardware = DualModeHardwareAbstraction.from_dict(dict(hardware_payload))
     except (TypeError, ValueError, KeyError) as exc:
         raise ProgramFormatError(f"invalid hardware description: {exc}") from exc
-    segments_payload = _require(payload, "segments", "compiled program")
     if not isinstance(segments_payload, list):
         raise ProgramFormatError("'segments' must be an array")
     meta_text = payload.get("meta_program")
     if meta_text is not None and not isinstance(meta_text, str):
         raise ProgramFormatError("'meta_program' must be a string or null")
+    metadata = payload.get("metadata") or {}
+    stats = payload.get("stats") or {}
+    if not isinstance(metadata, _OBJECT):
+        raise ProgramFormatError("'metadata' must be an object")
+    if not isinstance(stats, _OBJECT):
+        raise ProgramFormatError("'stats' must be an object")
     return CompiledProgram(
-        graph_name=str(_require(payload, "graph_name", "compiled program")),
-        compiler_name=str(_require(payload, "compiler_name", "compiled program")),
+        graph_name=str(graph_name),
+        compiler_name=str(compiler_name),
         hardware=hardware,
         segments=[_segment_from_payload(segment) for segment in segments_payload],
         block_repeat=_float_in(payload.get("block_repeat", 1.0), "block_repeat"),
         compile_seconds=_float_in(payload.get("compile_seconds", 0.0), "compile_seconds"),
-        metadata=dict(payload.get("metadata") or {}),
-        stats=dict(payload.get("stats") or {}),
+        metadata=dict(metadata),
+        stats=dict(stats),
         meta_program=RenderedMetaProgram(meta_text) if meta_text is not None else None,
     )
+
+
+#: What :func:`_encoded` returns for a value that cannot travel.
+_DROP = object()
 
 
 def _json_safe(value, _depth: int = 0):
@@ -504,43 +563,55 @@ def _json_safe(value, _depth: int = 0):
     JSON-representable entry (including numpy scalars, via their
     ``item()``) and silently drops the rest rather than failing; the
     fingerprint never covers these fields, so dropping is lossless for
-    identity.
+    identity.  The top-level mapping or list drops each entry that
+    cannot travel; below it, a mapping or list holding such an entry is
+    dropped whole (see :func:`_encoded`).  Anything nested deeper than 8
+    levels is cut.
     """
-    if _depth > 8:
-        return None
+    if _depth <= 8:
+        if isinstance(value, Mapping):
+            encoded = ((str(key), _encoded(entry, _depth + 1)) for key, entry in value.items())
+            return {key: entry for key, entry in encoded if entry is not _DROP}
+        if isinstance(value, (list, tuple)) and not hasattr(value, "item"):
+            encoded = (_encoded(entry, _depth + 1) for entry in value)
+            return [entry for entry in encoded if entry is not _DROP]
+    encoded = _encoded(value, _depth)
+    return None if encoded is _DROP else encoded
+
+
+def _encoded(value, depth: int):
+    """``value`` as JSON types, or :data:`_DROP` if any part cannot travel.
+
+    One walk: a mapping or list is encoded entry by entry and abandoned
+    at its first entry that cannot travel.  A scalar wrapper (anything
+    with ``item()``, such as a numpy scalar) always travels — as
+    ``None`` when its ``item()`` does not.
+    """
+    if depth > 8:
+        return _DROP
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return value if math.isfinite(value) else str(value)
     if hasattr(value, "item") and not isinstance(value, Mapping):
         try:
-            return _json_safe(value.item(), _depth + 1)
+            return _json_safe(value.item(), depth + 1)
         except (TypeError, ValueError):
             return None
     if isinstance(value, Mapping):
-        return {
-            str(key): _json_safe(entry, _depth + 1)
-            for key, entry in value.items()
-            if _is_json_safe(entry, _depth + 1)
-        }
+        out = {}
+        for key, entry in value.items():
+            entry = _encoded(entry, depth + 1)
+            if entry is _DROP:
+                return _DROP
+            out[str(key)] = entry
+        return out
     if isinstance(value, (list, tuple)):
-        return [
-            _json_safe(entry, _depth + 1)
-            for entry in value
-            if _is_json_safe(entry, _depth + 1)
-        ]
-    return None
-
-
-def _is_json_safe(value, depth: int) -> bool:
-    if depth > 8:
-        return False
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return True
-    if hasattr(value, "item") and not isinstance(value, Mapping):
-        return True
-    if isinstance(value, Mapping):
-        return all(_is_json_safe(entry, depth + 1) for entry in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_is_json_safe(entry, depth + 1) for entry in value)
-    return False
+        items = []
+        for entry in value:
+            entry = _encoded(entry, depth + 1)
+            if entry is _DROP:
+                return _DROP
+            items.append(entry)
+        return items
+    return _DROP

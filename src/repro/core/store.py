@@ -19,10 +19,13 @@ directory made a 30-point DSE sweep 2–3× slower than having no
 directory at all (186–277 ms against 86–140).  At program granularity
 the same pass is 5 reads (7.7–8.3 ms, 15× less) and the sweep writes 30
 files instead of 318 (120–152 ms; 26–34 ms when a fresh runner re-reads
-them, against 78–121 ms over the window files).  The known cost: a
-*different* program that shares windows with stored ones re-solves them
-in a new process — cheaper than reading them, per the numbers above.
-Windows are shared in memory only
+them, against 78–121 ms over the window files).  Since a key hashes
+without rendering its digest and the decoder builds each record in one
+step, the 5 reads take 3.3–3.6 ms (4.3–4.5 before; the re-read sweep
+20.4–21.1 ms, 24.4–25.5 before).  The known cost: a *different*
+program that shares windows with stored ones re-solves them in a new
+process — cheaper than reading them, per the numbers above.  Windows
+are shared in memory only
 (:class:`~repro.core.cache.AllocationCache`).
 
 Design rules (each one is load-bearing for multi-process sharing):
@@ -61,7 +64,7 @@ import os
 import re
 import tempfile
 import threading
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -107,18 +110,24 @@ class ProgramKey:
             :meth:`DualModeHardwareAbstraction.fingerprint`, every
             compiler option (``generate_code`` included: it changes the
             artefact) and the compiler's name.  Stored inside the entry
-            and compared on read.
-        digest: SHA-256 over the payload's canonical (sorted-key) JSON —
-            the entry's content address.  Stable across processes,
-            Python versions and hash randomisation.
+            and compared on read; equality compares it whole.
     """
 
-    __slots__ = ("payload", "digest")
+    __slots__ = ("payload", "_hash", "_digest")
 
     def __init__(self, payload: Dict) -> None:
         self.payload = payload
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        self.digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        # A function of the payload alone, so equal keys hash equal; the
+        # options enter as a set of items, so their order does not count.
+        self._hash = hash(
+            (
+                payload["graph"],
+                payload["hardware"],
+                payload["compiler"],
+                frozenset(payload["options"].items()),
+            )
+        )
+        self._digest: Optional[str] = None
 
     @classmethod
     def build(
@@ -135,22 +144,37 @@ class ProgramKey:
         substituted).  The graph component is :meth:`Graph.digest`,
         serialised once per graph object (which seals it, so it cannot
         go stale); the options are mutable in place, so they are read on
-        every call.
+        every call — one ``getattr`` per field, their values are scalars.
         """
         return cls(
             {
                 "graph": graph.digest(),
                 "hardware": hardware.fingerprint(),
-                "options": asdict(options),
+                "options": {f.name: getattr(options, f.name) for f in fields(options)},
                 "compiler": compiler,
             }
         )
+
+    @property
+    def digest(self) -> str:
+        """SHA-256 over the payload's canonical (sorted-key) JSON.
+
+        The entry's content address — stable across processes, Python
+        versions and hash randomisation.  Rendered on first read and
+        kept (threads racing on the first read render the same string):
+        only the store addresses files, so a key that is only looked up
+        in memory never renders JSON or runs SHA-256.
+        """
+        if self._digest is None:
+            canonical = json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
+            self._digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return self._digest
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ProgramKey) and self.payload == other.payload
 
     def __hash__(self) -> int:
-        return hash(self.digest)
+        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ProgramKey({self.digest[:12]})"

@@ -276,10 +276,19 @@ class TestProgramTable:
         graph = _tiny_cnn()
         program = CompileService().compile_graph(graph, small_chip, self.OPTIONS)
         key = ProgramKey.build(graph, small_chip, self.OPTIONS, "cmswitch")
-        collision = ProgramKey.build(
+        other = ProgramKey.build(
             graph, small_chip, replace(self.OPTIONS, refine=False), "cmswitch"
         )
-        collision.digest = key.digest
+
+        class Colliding(ProgramKey):
+            """A key whose hash is forced onto another key's."""
+
+            __slots__ = ()
+
+            def __hash__(self) -> int:
+                return hash(key)
+
+        collision = Colliding(other.payload)
         table = ProgramTable()
         table.put(key, program)
         assert hash(collision) == hash(key) and table.get(collision) is None

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import hashlib
 import json
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -351,6 +353,65 @@ class TestDiskCacheStore:
         store.clear()
         assert len(store) == 0 and store.total_bytes() == 0
         assert store.get(_key()) is None
+
+
+class TestProgramKey:
+    """The key's contract: hash from its fields, digest only when asked."""
+
+    def test_equal_payloads_hash_equal_in_any_option_order(self):
+        options = asdict(CompilerOptions())
+        reordered = dict(reversed(list(options.items())))
+        assert list(reordered) != list(options)
+        key, other = _key(), _key(options=reordered)
+        assert key == other and hash(key) == hash(other)
+        assert key.digest == other.digest
+        changed = _key(options={**options, "refine": False})
+        assert changed != key and hash(changed) != hash(key)
+
+    def test_build_reads_every_option(self, small_chip, tiny_mlp_graph):
+        options = CompilerOptions(refine=False, max_segment_operators=5)
+        key = ProgramKey.build(tiny_mlp_graph, small_chip, options, "cmswitch")
+        assert key.payload == {
+            "graph": tiny_mlp_graph.digest(),
+            "hardware": small_chip.fingerprint(),
+            "options": asdict(options),
+            "compiler": "cmswitch",
+        }
+        assert key == ProgramKey(json.loads(json.dumps(key.payload)))
+
+    def test_digest_is_the_sha256_of_the_canonical_payload(self, small_chip, tiny_mlp_graph):
+        key = ProgramKey.build(tiny_mlp_graph, small_chip, CompilerOptions(), "cmswitch")
+        canonical = json.dumps(key.payload, sort_keys=True, separators=(",", ":"))
+        assert key.digest == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert key.digest is key.digest  # rendered once
+
+    @pytest.fixture
+    def digests_rendered(self, monkeypatch):
+        """Every ``hashlib.sha256`` call made by the store module."""
+        import repro.core.store as store_module
+
+        rendered = []
+
+        def sha256(data=b""):
+            rendered.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(store_module, "hashlib", SimpleNamespace(sha256=sha256))
+        return rendered
+
+    def test_a_table_hit_renders_no_digest(self, digests_rendered):
+        graph = build_model("tiny-mlp", Workload(batch_size=1))
+        with Session(hardware="small-test-chip") as session:
+            session.compile(graph)
+            warm = session.compile(graph)
+        assert warm.stats["allocator_solves"] == 0 and digests_rendered == []
+
+    def test_a_store_lookup_renders_the_digest_once(self, digests_rendered, tmp_path):
+        graph = build_model("tiny-mlp", Workload(batch_size=1))
+        with Session(hardware="small-test-chip", cache_dir=tmp_path) as session:
+            session.compile(graph)  # store miss, then put: one key, one digest
+            session.compile(graph)  # table hit
+        assert len(digests_rendered) == 1
 
 
 class TestClockDrivenGC:
