@@ -8,7 +8,11 @@ real benchmark networks.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,10 @@ from repro.core import CMSwitchCompiler, CompilerOptions
 from repro.hardware import dynaplasia, prime, small_test_chip
 from repro.models import Phase, Workload, build_model
 from repro.pipeline import FixedModeFallback
+
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 
 class RecordingOracle(FixedModeFallback):
@@ -132,3 +140,49 @@ def graph_serialisations(monkeypatch):
         if name.split(".")[0] == "repro" and getattr(module, "graph_to_json", None) is real:
             monkeypatch.setattr(module, "graph_to_json", counting)
     return calls
+
+
+@pytest.fixture(scope="session")
+def cli_process():
+    """Run ``python -m repro.cli ARGS...`` in a fresh interpreter.
+
+    For properties about a *second process*: a warm start from a program
+    store another process wrote, a same-seed replay in another process.
+    Returns the :class:`subprocess.CompletedProcess` (text mode).
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *map(str, args)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    return run
+
+
+def _load_module(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def check_trace():
+    """``scripts/check_trace.py`` as a module."""
+    return _load_module(REPO / "scripts" / "check_trace.py", "check_trace")
+
+
+@pytest.fixture
+def bench_script(monkeypatch):
+    """Load ``benchmarks/<name>.py`` in-process to call its ``--quick`` smokes.
+
+    The scripts import their own ``conftest`` by name, so the benchmark
+    harness's ``conftest`` stands in for this one while the test runs.
+    """
+    monkeypatch.setitem(
+        sys.modules, "conftest", _load_module(REPO / "benchmarks" / "conftest.py", "conftest")
+    )
+    return lambda name: _load_module(REPO / "benchmarks" / f"{name}.py", name)

@@ -879,6 +879,25 @@ class TestPareto:
         assert flags == {"a": "1", "c": "0"}
 
 
+class TestQuickBench:
+    """``benchmarks/bench_dse.py --quick``, plain and ``--fidelity auto``:
+    a 12-point space (2 models x 3 array counts x 2 modes)."""
+
+    def test_a_second_run_is_served_from_the_store(self, bench_script, tmp_path):
+        record = tmp_path / "BENCH_dse.json"
+        assert bench_script("bench_dse")._quick_smoke(json_out=str(record)) == 0
+        data = json.loads(record.read_text(encoding="utf-8"))
+        assert data["allocator_solves_warm"] == 0 and data["cold_planned_warm_run"] == 0, data
+
+    def test_auto_compiles_five_times_fewer_points_than_the_grid(self, bench_script, tmp_path):
+        record = tmp_path / "BENCH_dse_fidelity.json"
+        assert bench_script("bench_dse")._fidelity_smoke(json_out=str(record)) == 0
+        data = json.loads(record.read_text(encoding="utf-8"))
+        assert data["rung0_allocator_solves"] == 0, data
+        assert data["analytical_evaluations"] == 12, data
+        assert data["compiles_auto"] * 5 <= data["compiles_baseline"], data
+
+
 # ---------------------------------------------------------------------- #
 # CLI
 # ---------------------------------------------------------------------- #
@@ -886,19 +905,30 @@ class TestDseCli:
     def test_dse_run_and_resume(self, tmp_path, capsys):
         from repro.cli import main
 
-        cache_dir = str(tmp_path / "cache")
-        argv = ["dse", "--strategy", "grid", "--budget", "4", "--cache-dir", cache_dir]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "pareto frontier" in out
-        assert "total allocator solves: 0" not in out
-        assert (tmp_path / "cache" / "_dse" / "pareto.csv").exists()
-        assert (tmp_path / "cache" / "_dse" / "report.txt").exists()
+        def dse(cache_dir, *extra):
+            argv = ["dse", "--strategy", "grid", "--budget", "8", "--cache-dir", str(cache_dir)]
+            assert main([*argv, *extra]) == 0
+            out = capsys.readouterr().out
+            solves = [line for line in out.splitlines() if line.startswith("total allocator solves: ")]
+            return out, solves
 
-        assert main(argv + ["--resume"]) == 0
-        out = capsys.readouterr().out
-        assert "total allocator solves: 0" in out
-        assert "2 skipped (already evaluated)" in out
+        cache_dir = tmp_path / "cache"
+        cold, cold_solves = dse(cache_dir)
+        assert "pareto frontier" in cold
+        assert "total allocator solves: 0" not in cold
+        assert (cache_dir / "_dse" / "pareto.csv").is_file()
+        assert (cache_dir / "_dse" / "report.txt").is_file()
+        # One window table: a second cold run performs the same solves.
+        again, again_solves = dse(tmp_path / "cache-2")
+        assert again_solves == cold_solves
+        assert "total allocator solves: 0" not in again
+        resumed, _ = dse(cache_dir, "--resume")
+        assert "total allocator solves: 0" in resumed
+        assert "0 evaluated, 2 skipped (already evaluated)" in resumed
+        # Store maintenance never touches the run state beside it.
+        for command in (["stats"], ["prune", "--max-bytes", "1MB"], ["clear"]):
+            assert main(["cache", *command, "--cache-dir", str(cache_dir)]) == 0
+        assert (cache_dir / "_dse" / "results.jsonl").is_file()
 
     def test_dse_refuses_dirty_run_dir_without_resume(self, tmp_path, capsys):
         from repro.cli import main

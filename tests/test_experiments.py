@@ -6,6 +6,7 @@ qualitative properties the paper reports (who wins, in which direction the
 trends point).
 """
 
+import json
 import math
 
 import pytest
@@ -208,6 +209,17 @@ class TestCompileTimeAndOverheads:
     def test_prime_scalability_not_slower(self):
         rows = prime_scalability(models=("tiny-transformer",))
         assert rows[0]["speedup_vs_cim-mlc"] >= 0.99
+
+    def test_the_fig18_quick_smoke_passes_and_its_warm_pass_solves_nothing(
+        self, bench_script, tmp_path
+    ):
+        # ``benchmarks/bench_fig18_compile_time.py --quick``: mobilenet and
+        # bert, cold then warm over one shared window cache.
+        record = tmp_path / "BENCH_fig18.json"
+        smoke = bench_script("bench_fig18_compile_time")._quick_smoke
+        assert smoke(json_out=str(record)) == 0
+        data = json.loads(record.read_text(encoding="utf-8"))
+        assert data["allocator_solves_warm"] == 0, data
 
 
 class TestOneSessionFigures:

@@ -538,13 +538,13 @@ class TestCliObservability:
         )
         assert code == 0
         captured = capsys.readouterr()
-        assert "dse:" in captured.err
+        assert re.search("^dse:", captured.err, re.M)
         assert "dse:" not in captured.out
 
-    def test_cli_trace_out_and_profile(self, tmp_path, capsys):
+    def test_cli_trace_out_and_profile(self, tmp_path, capsys, check_trace):
         trace_path = tmp_path / "batch.json"
         code = main(
-            ["compile-batch", "tiny-mlp", "--hardware", "small-test-chip",
+            ["compile-batch", "mobilenet", "bert", "--seq-len", "32",
              "--trace-out", str(trace_path), "--profile"]
         )
         assert code == 0
@@ -553,3 +553,7 @@ class TestCliObservability:
         assert "== profile: top spans ==" in out
         totals = validate_chrome_trace(trace_path)
         assert "compile_batch" in totals and "segment" in totals
+        assert check_trace.main([str(trace_path)]) == 0
+
+    def test_pass_spans_agree_with_the_compilers_pass_seconds(self, tmp_path, check_trace):
+        assert check_trace.main(["--out", str(tmp_path / "trace.json")]) == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Session
 from repro.baselines import COMPILERS
 from repro.core import CMSwitchCompiler, CompilerOptions
 from repro.obs import Observability
@@ -31,9 +32,14 @@ class TestPipelineStructure:
         assert [p.name for p in CMSwitchCompiler.passes] == STANDARD_NAMES
 
     def test_every_compiler_runs_the_standard_pass_names(self):
-        for compiler_cls in COMPILERS.values():
+        session = Session(hardware="dynaplasia", use_cache=False)
+        for name, compiler_cls in COMPILERS.items():
             assert isinstance(compiler_cls.passes, tuple)
             assert [p.name for p in compiler_cls.passes] == STANDARD_NAMES
+            program = session.compile(
+                "tiny-cnn", options=CompilerOptions(generate_code=True), compiler=name
+            )
+            assert list(program.stats["pass_seconds"]) == STANDARD_NAMES, name
 
 
 class TestPipelineExecution:

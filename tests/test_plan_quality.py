@@ -56,6 +56,15 @@ def plans():
         return compiled
 
 
+def test_five_model_cold_pass_work_counters():
+    """The benchmark's columns time work; these pin the work itself."""
+    with Session(hardware="dynaplasia") as session:
+        stats = [session.compile(build_model(name, workload)).stats for name, workload in PAPER_SET]
+    solves = sum(s["allocator_solves"] for s in stats)
+    hits = sum(s["allocation_cache_hits"] for s in stats)
+    assert (solves, hits) == (502, 78), (solves, hits)
+
+
 def test_dual_mode_never_loses_to_fixed_mode(plans):
     for model, (dual, fixed) in plans.items():
         assert dual.end_to_end_cycles <= fixed.end_to_end_cycles, model

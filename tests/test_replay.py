@@ -745,3 +745,73 @@ class TestCLIReplay:
         a = json.loads((tmp_path / "a.json").read_text(encoding="utf-8"))
         b = json.loads((tmp_path / "b.json").read_text(encoding="utf-8"))
         assert a["metrics"] == b["metrics"]
+
+
+#: The seeded trace ``BENCH_replay.json`` pins (with ``--requests 16 --rate 100``).
+BURSTY = (
+    "replay", "--preset", "small-test-chip", "--synthetic", "bursty",
+    "--models", "tiny-mlp", "tiny-cnn", "--seed", "3", "--seq-lens", "16", "32",
+)
+
+
+def _report(path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+class TestCLIReplayAcrossProcesses:
+    """A seed is a replay: the same metrics from a second process, from a
+    warm program store and from the trace saved to a file."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory, cli_process):
+        """(scratch dir, replay args, cold report, warm process, warm report)."""
+        root = tmp_path_factory.mktemp("replay")
+        args = [*BURSTY, "--requests", "16", "--rate", "100", "--cache-dir", str(root / "cache")]
+        assert main([*args, "--json-out", str(root / "cold.json")]) == 0
+        warm = cli_process(*args, "--json-out", root / "warm.json")
+        assert warm.returncode == 0, warm.stderr
+        return root, args, _report(root / "cold.json"), warm, _report(root / "warm.json")
+
+    def test_a_second_process_replays_the_seed_from_the_warm_store(self, runs):
+        _, _, cold, warm_run, warm = runs
+        assert cold["metrics"] == warm["metrics"], (cold["metrics"], warm["metrics"])
+        assert warm["compile"]["allocator_solves"] == 0, warm["compile"]
+        assert cold["compile"]["allocator_solves"] > 0, cold["compile"]
+        assert not warm["compile"]["errors"], warm["compile"]
+        assert warm["metrics"]["served"] == warm["metrics"]["requests"] == 16, warm["metrics"]
+        assert "total allocator solves: 0" in warm_run.stdout
+
+    def test_a_saved_trace_replays_identically(self, runs, capsys):
+        root, args, _, _, warm = runs
+        trace = root / "saved.jsonl"
+        assert main([*args, "--save-trace", str(trace)]) == 0
+        assert main(
+            ["replay", "--preset", "small-test-chip", "--trace", str(trace),
+             "--cache-dir", str(root / "cache"), "--json-out", str(root / "file.json")]
+        ) == 0
+        assert _report(root / "file.json")["metrics"] == warm["metrics"]
+        # A NaN arrival in that file is a usage error.
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        request = json.loads(lines[1])
+        request["arrival_ms"] = float("nan")
+        lines[1] = json.dumps(request)
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(
+            ["replay", "--preset", "small-test-chip", "--trace", str(trace),
+             "--cache-dir", str(root / "cache")]
+        ) == 2
+        capsys.readouterr()
+
+    def test_a_20000_request_replay_is_deterministic_across_processes(
+        self, runs, cli_process, capsys
+    ):
+        root = runs[0]
+        args = [*BURSTY, "--requests", "20000", "--cache-dir", str(root / "cache")]
+        assert main([*args, "--json-out", str(root / "long_a.json")]) == 0
+        capsys.readouterr()
+        other = cli_process(*args, "--json-out", root / "long_b.json")
+        assert other.returncode == 0, other.stderr
+        a = _report(root / "long_a.json")["metrics"]
+        b = _report(root / "long_b.json")["metrics"]
+        assert a == b, (a, b)
+        assert a["served"] == a["requests"] == 20000, a

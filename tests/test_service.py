@@ -187,6 +187,15 @@ class TestProgramTable:
 
     OPTIONS = CompilerOptions()
 
+    def test_a_session_repeat_by_name_is_a_counted_lookup(self):
+        obs = Observability.create()
+        session = Session(hardware="small-test-chip", trace=obs)
+        for _ in range(2):
+            for model in ("tiny-cnn", "tiny-mlp"):
+                session.compile(model)
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["programs.hits"] == 2 and counters["programs.misses"] == 2, counters
+
     def test_equal_graph_from_another_object_is_a_hit(self, small_chip, pipeline_runs):
         service = CompileService()
         cold = service.compile_graph(_tiny_cnn(), small_chip, self.OPTIONS)
@@ -549,6 +558,12 @@ class TestCompileBatchCLI:
         # The repeat rows find every solve of the first round in the cache.
         repeats = [line.split() for line in out.splitlines() if "#2" in line]
         assert [row[3] for row in repeats] == ["0", "0"]
+        # Columns: job, latency, segments, solves, cache hits, ...  A
+        # repeat row reports one hit per segment: the stamp of a program
+        # served from the program table, not of a DP walk over warm
+        # windows (which probes more windows than it keeps segments).
+        served = [row for row in repeats if row[0].endswith("#2") and row[4] == row[2]]
+        assert len(served) == 2, out
 
     def test_cli_rejects_unknown_models_before_compiling(self, capsys):
         # Unified unknown-name handling across compile/compile-batch/

@@ -19,8 +19,7 @@ import hashlib
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
+import re
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,6 +27,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api import Session
+from repro.cli import main
 from repro.core import (
     SYSTEM_CLOCK,
     AllocationCache,
@@ -42,8 +42,6 @@ from repro.hardware import get_preset, small_test_chip
 from repro.models import Workload, build_model, list_models
 from repro.obs import Observability
 from repro.service import CompileJob, CompileService
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _key(n: int = 0, **overrides) -> ProgramKey:
@@ -864,31 +862,30 @@ class TestConcurrentWriters:
 
 
 class TestCrossProcessWarmStartCLI:
-    def test_second_invocation_does_zero_solves(self, tmp_path):
-        """Acceptance: a second *process* on the same --cache-dir solves nothing."""
+    def test_second_invocation_does_zero_solves(self, tmp_path, capsys, cli_process):
+        """Acceptance: a second *process* on the same --cache-dir solves
+        nothing; a type-mangled entry (a list where a segment's profiles
+        belong) is a counted corrupt miss and a recompile, never a crash."""
         command = [
-            sys.executable, "-m", "repro.cli", "compile-batch",
-            "tiny-cnn", "tiny-mlp", "--hardware", "small-test-chip",
-            "--cache-dir", str(tmp_path),
+            "compile-batch", "mobilenet", "bert", "--seq-len", "32", "--cache-dir", str(tmp_path)
         ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        run = functools.partial(
-            subprocess.run, capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-            timeout=300,
-        )
-        first = run(command)
-        assert first.returncode == 0, first.stderr
-        assert "pass wall time:" in first.stdout
-        second = run(command)
-        assert second.returncode == 0, second.stderr
-        assert "total allocator solves: 0" in second.stdout
-        assert "disk store: 2 hits, 0 stores" in second.stdout
-        stats = run(
-            [sys.executable, "-m", "repro.cli", "cache", "stats", "--cache-dir", str(tmp_path)]
-        )
-        assert stats.returncode == 0, stats.stderr
-        assert "cache: 2 entries" in stats.stdout  # one per compiled model
+        assert main(command) == 0
+        cold = capsys.readouterr().out
+        assert "total allocator solves: 0" not in cold
+        assert re.search("pass wall time:.*segment", cold)
+        warm = cli_process(*command)
+        assert warm.returncode == 0, warm.stderr
+        assert "total allocator solves: 0" in warm.stdout
+        assert "disk store: 2 hits, 0 stores" in warm.stdout
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        assert "cache: 2 entries" in capsys.readouterr().out  # one per compiled model
+        path = sorted(tmp_path.glob("*/*.json"))[0]
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["program"]["segments"][0]["profiles"] = [1]
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        assert main(command) == 0
+        solves = re.search(r"total allocator solves:.*?(\S+)$", capsys.readouterr().out, re.M)
+        assert int(solves.group(1)) > 0
 
 
 def _put_same_digest(root: str, rounds: int) -> None:
