@@ -1,54 +1,23 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers of the two benchmark scripts (Fig. 18 and DSE).
 
-Every benchmark regenerates one of the paper's tables or figures.  By
-default the grids are reduced (fewer batch sizes / sequence lengths) so a
-full ``pytest benchmarks/ --benchmark-only`` run finishes in minutes; set
-``REPRO_BENCH_FULL=1`` to run the complete grids of the paper.
-
-Each benchmark stores its result rows in ``benchmark.extra_info`` so the
-JSON output of pytest-benchmark doubles as the experiment record, and also
-prints the rendered table so the figures can be read straight off the
-terminal.
+Each script is a pytest-benchmark entry point plus a ``--quick`` smoke.
+A benchmark stores its result rows in ``benchmark.extra_info`` so the
+JSON output of pytest-benchmark doubles as the experiment record, and
+also prints the rendered table.  The paper's claims are checked by the
+ledger in ``tests/test_paper_claims.py``, not here.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.hardware import dynaplasia
 
 
-def full_grids() -> bool:
-    """Whether the full paper-sized grids were requested."""
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "False")
-
-
 @pytest.fixture(scope="session")
 def chip():
     """The DynaPlasia-like target chip used by all benchmarks."""
     return dynaplasia()
-
-
-@pytest.fixture(scope="session")
-def grids():
-    """Grid sizes: reduced by default, paper-sized with REPRO_BENCH_FULL=1."""
-    if full_grids():
-        return {
-            "batch_sizes_fig14": (1, 2, 4, 8),
-            "batch_sizes_fig16": (4, 8, 16),
-            "sequence_lengths": (32, 64, 128, 256, 512, 1024, 2048),
-            "fig17_lengths": (32, 64, 128, 256, 512, 1024, 2048),
-            "compile_repeats": 5,
-        }
-    return {
-        "batch_sizes_fig14": (1, 8),
-        "batch_sizes_fig16": (4,),
-        "sequence_lengths": (32, 256, 2048),
-        "fig17_lengths": (32, 256),
-        "compile_repeats": 1,
-    }
 
 
 def record(benchmark, rows, report: str = "") -> None:

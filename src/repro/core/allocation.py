@@ -20,8 +20,9 @@ arrays fit the chip.  Three interchangeable engines are provided:
   paper.  Kept as the paper-faithful engine and the objective oracle the
   exact engine is tested against.
 * :class:`GreedyAllocator` — a fast marginal-gain heuristic: the
-  ``use_milp=False`` arm of the allocation ablation
-  (``benchmarks/bench_ablations.py``) and a cross-check in tests.
+  ``use_milp=False`` arm of the allocation ablation (ledger row
+  ``ablation.milp-vs-greedy`` in ``tests/test_paper_claims.py``) and a
+  cross-check in tests.
 
 All return an :class:`AllocationResult`; leftover arrays are always
 redistributed by :func:`refine_with_spare_arrays` (weight duplication and

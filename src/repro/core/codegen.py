@@ -12,7 +12,9 @@ and one ``parallel { ... }`` block per segment.
 
 Physical assignment greedily reuses arrays that are already in the target
 mode, which is what keeps the number of emitted ``CM.switch`` operators —
-and therefore the run-time switching overhead — low (§5.5 reports 3–5 %).
+and therefore the run-time switching overhead — low.  What share §5.5
+reports (3–5 % or < 1 %) is unsettled: ledger row ``sec5.5.paper-value``
+(``untested``) in ``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations

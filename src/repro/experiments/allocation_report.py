@@ -6,7 +6,9 @@ compute arrays, the final convolutions receive more memory arrays for
 input bandwidth, and within a transformer layer the QKV/FFN projections
 receive a substantial memory share while the attention products are mostly
 compute.  This experiment prints the same information as a table: one row
-per segment with its operators and array split.
+per segment with its operators and array split.  Ours gives the OPT layer
+5 % memory arrays, not the paper's 33–67 % (ledger row
+``fig15.opt-share`` in ``tests/test_paper_claims.py``, ``deviates``).
 """
 
 from __future__ import annotations
@@ -75,15 +77,3 @@ def render_report(model: str, rows: Sequence[Dict]) -> str:
         "operators",
     ]
     return f"allocation for {model}\n" + format_table(rows, columns)
-
-
-def main() -> None:  # pragma: no cover - convenience CLI
-    """Print the Fig. 15 allocation tables for VGG-16 and OPT-6.7B."""
-    for model in ("vgg16", "opt-6.7b"):
-        rows = allocation_report(model)
-        print(render_report(model, rows))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

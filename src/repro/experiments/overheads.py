@@ -4,12 +4,17 @@ Two studies:
 
 * **Dual-mode switch overhead** — the share of total execution time spent
   on the mode-switch process itself (configuring the array drivers plus
-  the associated data staging).  The paper reports 3–5 %, i.e. the
-  switching that unlocks the speedups is nearly free.
+  the associated data staging).  Whether the paper's figure for it is
+  3–5 % or < 1 % is unsettled (ledger row ``sec5.5.paper-value``,
+  ``untested``); ours keeps the driver share at most ~1 %
+  (``sec5.5.switch-share``).
 * **PRIME scalability** — re-running the transformer benchmarks on a
   PRIME-like ReRAM chip (larger arrays, far more expensive writes) to show
   the approach is not specific to DynaPlasia.  The paper reports 1.48x
-  (BERT), 1.09x (LLaMA-7B) and 1.10x (OPT-13B) over CIM-MLC.
+  (BERT), 1.09x (LLaMA-7B) and 1.10x (OPT-13B) over CIM-MLC; ours
+  misses BERT's (``sec5.5.prime-values``, ``deviates``).
+
+Each claim is a row of the ledger in ``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations
@@ -103,14 +108,3 @@ def render_prime_report(rows: Sequence[Dict]) -> str:
     """Text rendering of the PRIME scalability table."""
     columns = ["model", "hardware", "speedup_vs_cim-mlc", "memory_array_ratio"]
     return format_table(rows, columns)
-
-
-def main() -> None:  # pragma: no cover - convenience CLI
-    """Print both §5.5 analyses."""
-    print(render_switch_report(switch_overhead()))
-    print()
-    print(render_prime_report(prime_scalability()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,13 +1,14 @@
 """Workload-scale study — Fig. 16 of the paper.
 
 Transformer benchmarks are evaluated across batch sizes and input/output
-sequence lengths.  The paper reports two trends that this experiment
-reproduces:
+sequence lengths.  The paper reports two trends, each a ``deviates`` row
+of the ledger in ``tests/test_paper_claims.py`` (``fig16.speedup-shrinks``:
+ours peaks at 256; ``fig16.memory-ratio-falls``: ours rises):
 
 * the speedup of CMSwitch over CIM-MLC is largest at short sequence
-  lengths and shrinks (towards parity for BERT) as the sequence grows,
-  because arithmetic intensity rises and the workload becomes compute
-  bound;
+  lengths and shrinks (towards parity for BERT, ``fig16.bert-parity``,
+  which agrees) as the sequence grows, because arithmetic intensity
+  rises and the workload becomes compute bound;
 * the average fraction of arrays placed in memory mode falls with the
   sequence length (bottom row of Fig. 16).
 """
@@ -98,15 +99,3 @@ def render_report(rows: Sequence[Dict]) -> str:
     """Text rendering of the Fig. 16 grid."""
     columns = ["model", "batch_size", "seq_len", "speedup_vs_cim-mlc", "memory_array_ratio"]
     return format_table(rows, columns)
-
-
-def main() -> None:  # pragma: no cover - convenience CLI
-    """Print a reduced Fig. 16 reproduction."""
-    rows = run_workload_scale(
-        models=("bert", "llama2-7b"), batch_sizes=(4,), sequence_lengths=(32, 128, 512, 2048)
-    )
-    print(render_report(rows))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

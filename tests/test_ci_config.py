@@ -2,13 +2,14 @@
 
 A text scan of ``.github/workflows/ci.yml`` (PyYAML is not a dependency):
 no inline Python, ``pytest`` only in the tier-1 step, and a file short
-enough to read.
+enough to read.  And nothing under ``benchmarks/`` goes unrun.
 """
 
 import re
 from pathlib import Path
 
-CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+REPO = Path(__file__).resolve().parents[1]
+CI = REPO / ".github" / "workflows" / "ci.yml"
 
 #: A line that starts a step (``- name:`` / ``- uses:``) or a job (``  job-id:``).
 BOUNDARY = re.compile(r"^\s*- (?:name|uses):|^  [\w-]+:\s*$")
@@ -42,3 +43,16 @@ def test_pytest_runs_only_in_the_tier1_step():
 
 def test_ci_fits_on_a_few_screens():
     assert len(CI.read_text(encoding="utf-8").splitlines()) <= 200
+
+
+def test_every_benchmark_script_is_run_by_a_test_or_by_ci():
+    # A test loads a script through the ``bench_script`` fixture; CI names
+    # it by path.  A script neither does is assertions nothing checks.
+    loaded = {
+        name
+        for test in (REPO / "tests").glob("*.py")
+        for name in re.findall(r'bench_script\("(\w+)"\)', test.read_text(encoding="utf-8"))
+    }
+    named = set(re.findall(r"benchmarks/(\w+)\.py", CI.read_text(encoding="utf-8")))
+    scripts = {path.stem for path in (REPO / "benchmarks").glob("*.py")} - {"conftest"}
+    assert scripts <= loaded | named, sorted(scripts - loaded - named)
