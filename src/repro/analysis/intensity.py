@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..cost.arithmetic import profile_graph
+from ..cost.arithmetic import mean_arithmetic_intensity, profile_graph
 from ..ir.graph import Graph
 from ..models.registry import build_model
 from ..models.workload import Phase, Workload
@@ -41,10 +41,7 @@ def model_arithmetic_intensity(graph: Graph) -> float:
     denominator, which is why their intensity is around 2 while CNNs reach
     the hundreds.
     """
-    profiles = profile_graph(graph)
-    flops = sum(p.flops for p in profiles.values())
-    moved = sum(p.streamed_elements + p.weight_elements for p in profiles.values())
-    return flops / moved if moved else 0.0
+    return mean_arithmetic_intensity(profile_graph(graph).values())
 
 
 def layerwise_intensity(graph: Graph) -> List[LayerIntensity]:

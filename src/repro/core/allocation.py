@@ -147,6 +147,10 @@ class CandidateList(list):
         self.totals: List[int] = [c.total_arrays for c in self]
 
 
+#: Pareto candidates kept per operator; longer frontiers are thinned
+#: uniformly, keeping both extremes.
+MAX_CANDIDATES = 24
+
 #: One operator's Eq. 10 factor tables: ``(compute_time, supply_time)``,
 #: each a list indexed by the array count.
 FactorTables = Tuple[List[float], List[float]]
@@ -157,7 +161,7 @@ def candidate_allocations(
     hardware: DualModeHardwareAbstraction,
     max_arrays: int,
     allow_memory_mode: bool = True,
-    max_candidates: int = 24,
+    max_candidates: int = MAX_CANDIDATES,
     factors: Optional[FactorTables] = None,
 ) -> CandidateList:
     """Pareto-optimal (arrays, latency) candidates for one operator.
@@ -291,8 +295,8 @@ class UnitColumns(ProfileVectors):
         self._table_size = max(hardware.num_arrays, max_arrays) + 1
         self._compute_time: Optional[List[List[float]]] = None
         self._supply_time: Optional[List[List[float]]] = None
-        # (allow_memory_mode, max_candidates) -> per-unit candidate lists.
-        self._candidates: Dict[Tuple[bool, int], List[Optional[CandidateList]]] = {}
+        # allow_memory_mode -> per-unit candidate lists.
+        self._candidates: Dict[bool, List[Optional[CandidateList]]] = {}
 
     def factor_tables(self) -> Tuple[List[List[float]], List[List[float]]]:
         """``(compute_time, supply_time)``: one row per operator, one
@@ -312,13 +316,13 @@ class UnitColumns(ProfileVectors):
         return compute_time[index], supply_time[index]
 
     def window_candidates(
-        self, start: int, stop: int, allow_memory_mode: bool, max_candidates: int
+        self, start: int, stop: int, allow_memory_mode: bool
     ) -> List[CandidateList]:
         """Candidate lists of operators ``start..stop-1``, enumerating
         (:func:`candidate_allocations`) those not asked for before."""
-        known = self._candidates.get((allow_memory_mode, max_candidates))
+        known = self._candidates.get(allow_memory_mode)
         if known is None:
-            known = self._candidates[allow_memory_mode, max_candidates] = [None] * len(self)
+            known = self._candidates[allow_memory_mode] = [None] * len(self)
         window = known[start:stop]
         if None in window:
             for index in range(start, stop):
@@ -328,7 +332,6 @@ class UnitColumns(ProfileVectors):
                         self.hardware,
                         self.hardware.num_arrays,
                         allow_memory_mode=allow_memory_mode,
-                        max_candidates=max_candidates,
                         factors=self.factors(index),
                     )
             window = known[start:stop]
@@ -552,13 +555,8 @@ class MIPAllocator:
 
     name = "milp"
 
-    def __init__(
-        self,
-        allow_memory_mode: bool = True,
-        max_candidates_per_operator: int = 24,
-    ) -> None:
+    def __init__(self, allow_memory_mode: bool = True) -> None:
         self.allow_memory_mode = allow_memory_mode
-        self.max_candidates_per_operator = max_candidates_per_operator
 
     def allocate(
         self,
@@ -573,10 +571,7 @@ class MIPAllocator:
         # One operator appears in every DP window that contains it: its
         # candidate list is unit k's entry of the compile's columns.
         candidates = window.columns.window_candidates(
-            window.start,
-            window.stop,
-            self.allow_memory_mode,
-            self.max_candidates_per_operator,
+            window.start, window.stop, self.allow_memory_mode
         )
         if not all(candidates):
             return infeasible_result()

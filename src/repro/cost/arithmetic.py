@@ -269,7 +269,8 @@ def total_weight_elements(profiles: Iterable[OperatorProfile]) -> int:
 
 
 def mean_arithmetic_intensity(profiles: Iterable[OperatorProfile]) -> float:
-    """MAC-weighted mean of the model-level arithmetic intensity."""
+    """Total FLOPs over total data moved (streamed plus weights) — the
+    Fig. 5(c) model intensity, 0.0 when nothing moves."""
     profiles = list(profiles)
     flops = sum(p.flops for p in profiles)
     moved = sum(p.streamed_elements + p.weight_elements for p in profiles)

@@ -216,8 +216,7 @@ def weight_reload_cycles(
     operators of ``Com_Oi x Latency_write``.  Following the paper, the
     off-chip transfer of those weights is assumed to be prefetched /
     overlapped; pass ``include_offchip_transfer=True`` to additionally
-    bound the reload by the external-link transfer time (used by the
-    corresponding ablation benchmark).
+    bound the reload by the external-link transfer time.
     """
     if not profiles:
         return 0.0

@@ -11,13 +11,14 @@ The CMSwitch sequence (:attr:`repro.core.compiler.CMSwitchCompiler
 
 which is the paper's flatten / partition / DP segmentation / per-segment
 MIP allocation / refinement accounting / DMO code-generation flow, one
-stage per object.  The passes call exactly the primitives the fused
-``CMSwitchCompiler.compile`` called, in the same order — the parity suite
-(``tests/test_api.py``) asserts the resulting programs are bit-identical
-to the frozen pre-pipeline reference.  :class:`FixedModeFallback` is not
-part of the sequence: it is the test oracle for "the one DP never loses
-to a fixed-mode compile" (a compiler subclass inserts it after
-``Allocate``).
+stage per object.  The passes here are the only callers of
+:meth:`~repro.core.segmentation.NetworkSegmenter.choose_boundaries` and
+:meth:`~repro.core.segmentation.NetworkSegmenter.build_plans`; the
+parity suite (``tests/test_api.py``) re-prices every program they build
+from the cost model and asserts each segment's prices match exactly.
+:class:`FixedModeFallback` is not part of the sequence: it is the test
+oracle for "the one DP never loses to a fixed-mode compile" (a compiler
+subclass inserts it after ``Allocate``).
 """
 
 from __future__ import annotations

@@ -54,6 +54,36 @@ def with_oracle():
     return WithOracle
 
 
+#: The priced fields of a ``SegmentPlan``, compared in this order.
+PRICED_TERMS = (
+    "index", "intra_cycles", "inter_breakdown", "inter_cycles", "resources",
+    "boundary_memory_arrays", "profiles",
+)
+
+
+@pytest.fixture(scope="session")
+def assert_repriced():
+    """``check(program, graph, options)``: every segment of ``program``
+    equals its re-pricing by the cost model
+    (:func:`repro.core._reference.reprice_segments`) with ``==``, term
+    by term.  A mismatch names the segment and the term; a plan the
+    re-pricer rejects raises its ``ValueError``.  Returns the re-priced
+    segments.
+    """
+    from repro.core._reference import reprice_segments
+
+    def check(program, graph, options):
+        plan = [(segment.operator_names, segment.allocations) for segment in program.segments]
+        repriced = reprice_segments(graph, program.hardware, options, plan)
+        for position, (ours, theirs) in enumerate(zip(program.segments, repriced)):
+            for term in PRICED_TERMS:
+                got, want = getattr(ours, term), getattr(theirs, term)
+                assert got == want, f"segment {position}: {term} {got!r} != re-priced {want!r}"
+        return repriced
+
+    return check
+
+
 @pytest.fixture(scope="session")
 def small_chip():
     """The 8-array test chip."""

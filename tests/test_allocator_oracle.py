@@ -103,7 +103,7 @@ class TestExactAgainstBruteForce:
     @given(windows(max_operators=3), st.integers(1, 96))
     def test_optimal_makespan_and_minimum_arrays(self, window, budget):
         hardware, profiles, allow = window
-        engine = ExactAllocator(allow_memory_mode=allow, max_candidates_per_operator=6)
+        engine = ExactAllocator(allow_memory_mode=allow)
         candidates = [
             candidate_allocations(
                 p, hardware, hardware.num_arrays, allow_memory_mode=allow, max_candidates=6

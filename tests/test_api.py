@@ -1,18 +1,24 @@
-"""Tests for repro.api.Session and program parity.
+"""Tests for repro.api.Session and program pricing.
 
-The parity classes are the acceptance gate of the pipeline refactor:
-every compiler configuration, the warm-cache path and the disk-warm
-path must produce programs bit-identical
-(:meth:`CompiledProgram.fingerprint`) to the frozen pre-refactor
-implementations in :mod:`repro.core._reference`.
+The parity classes check every compiled program against an independent
+re-pricing: each segment's intra cycles, Eq. 4 breakdown, resources and
+boundary buffers re-derive exactly (``==``) from the cost model
+(:func:`repro.core._reference.reprice_segments`, through the
+``assert_repriced`` fixture) for every option set, and for cold,
+memory-warm and disk-served programs alike; the warm and disk-served
+programs are also bit-identical to the cold one
+(:meth:`CompiledProgram.fingerprint`).
 """
+
+import copy
+from dataclasses import replace
 
 import pytest
 
 from repro.api import Session
 from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions
-from repro.core._reference import reference_compile
-from repro.models import Workload, build_model
+from repro.core.segmentation import flatten_graph
+from repro.models import Workload
 
 
 def _options(**kwargs):
@@ -172,45 +178,59 @@ OPTION_MATRIX = [
 ]
 
 
+@pytest.fixture(scope="module")
+def tiny_graphs(tiny_mlp_graph, tiny_cnn_graph, tiny_transformer_graph):
+    graphs = (tiny_mlp_graph, tiny_cnn_graph, tiny_transformer_graph)
+    return {graph.name: graph for graph in graphs}
+
+
+@pytest.fixture(scope="module")
+def shared_session(small_chip):
+    """One session for the option matrix: its compiles share one window table."""
+    with Session(hardware=small_chip) as session:
+        yield session
+
+
 class TestPipelineParity:
-    """Pipeline output is bit-identical to the pre-refactor compiler."""
+    """Every program re-prices exactly from the cost model: cold,
+    memory-warm and disk-served, under every option set."""
 
     @pytest.mark.parametrize("overrides", OPTION_MATRIX)
-    def test_option_matrix_parity(self, small_chip, tiny_mlp_graph, overrides):
-        kwargs = {"generate_code": False, **overrides}
-        new = CMSwitchCompiler(
-            small_chip, CompilerOptions(**kwargs)
-        ).compile(tiny_mlp_graph)
-        old = reference_compile(
-            tiny_mlp_graph, small_chip, CompilerOptions(**kwargs)
-        )
-        assert new.fingerprint() == old.fingerprint()
+    def test_option_matrix_parity(
+        self, shared_session, tiny_graphs, assert_repriced, overrides
+    ):
+        options = CompilerOptions(**{"generate_code": False, **overrides})
+        for graph in tiny_graphs.values():
+            cold = shared_session.compile(graph, options=options)
+            warm = shared_session.compile(graph, options=options)  # a program-table copy
+            assert warm.fingerprint() == cold.fingerprint()
+            for program in (cold, warm):
+                assert_repriced(program, graph, options)
 
     @pytest.mark.parametrize("model", ["tiny-cnn", "tiny-transformer"])
-    def test_model_parity(self, small_chip, model):
-        workload = Workload(batch_size=1, seq_len=16)
-        graph = build_model(model, workload)
-        new = CMSwitchCompiler(small_chip, _options()).compile(graph)
-        old = reference_compile(graph, small_chip, _options())
-        assert new.fingerprint() == old.fingerprint()
-        assert new.end_to_end_cycles == old.end_to_end_cycles
-        assert new.metadata["num_flattened_units"] == old.metadata["num_flattened_units"]
+    def test_model_parity(self, small_chip, tiny_graphs, assert_repriced, model):
+        graph = tiny_graphs[model]
+        program = CMSwitchCompiler(small_chip, _options()).compile(graph)
+        repriced = assert_repriced(program, graph, _options())
+        assert program.graph_cycles == sum(segment.total_cycles for segment in repriced)
+        assert program.end_to_end_cycles == program.graph_cycles * program.block_repeat
+        units = flatten_graph(graph, small_chip)
+        assert program.metadata["num_flattened_units"] == len(units)
 
-    def test_shared_cache_parity(self, small_chip, tiny_cnn_graph):
-        # Cold with cache, warm with cache, and the cache-free reference
-        # all agree bit for bit.
+    def test_shared_cache_parity(self, small_chip, tiny_cnn_graph, assert_repriced):
+        # Cold and warm through one cache both re-price, and agree bit for bit.
         cache = AllocationCache()
         compiler = CMSwitchCompiler(small_chip, _options(), cache=cache)
         cold = compiler.compile(tiny_cnn_graph)
         warm = compiler.compile(tiny_cnn_graph)
-        reference = reference_compile(tiny_cnn_graph, small_chip, _options())
-        assert cold.fingerprint() == reference.fingerprint()
-        assert warm.fingerprint() == reference.fingerprint()
         assert warm.stats["allocator_solves"] == 0
+        assert warm.fingerprint() == cold.fingerprint()
+        for program in (cold, warm):
+            assert_repriced(program, tiny_cnn_graph, _options())
 
-    def test_disk_cache_parity(self, small_chip, tiny_mlp_graph, tmp_path):
-        # A fresh session warming from the disk store must reproduce the
-        # cold program exactly.
+    def test_disk_cache_parity(self, small_chip, tiny_mlp_graph, tmp_path, assert_repriced):
+        # A fresh session served from the disk store reproduces the cold
+        # program exactly, and both re-price.
         cold = Session(
             hardware=small_chip, options=_options(), cache_dir=tmp_path / "ac"
         ).compile(tiny_mlp_graph)
@@ -221,9 +241,59 @@ class TestPipelineParity:
         assert warm.stats["allocator_solves"] == 0
         assert warm.stats["allocation_disk_hits"] > 0
         assert warm.fingerprint() == cold.fingerprint()
-        assert cold.fingerprint() == reference_compile(
-            tiny_mlp_graph, small_chip, _options()
-        ).fingerprint()
+        for program in (cold, warm):
+            assert_repriced(program, tiny_mlp_graph, _options())
+
+
+class TestRepricerCatchesCorruptPlans:
+    """Seeded corruptions of a good plan, each caught with the segment and
+    the term it breaks."""
+
+    @pytest.fixture()
+    def corrupt(self, small_chip, tiny_cnn_graph):
+        """A fresh copy of a two-segment tiny-cnn program to corrupt."""
+        program = CMSwitchCompiler(small_chip, _options()).compile(tiny_cnn_graph)
+        assert program.num_segments >= 2
+        return copy.deepcopy(program)
+
+    def test_a_nudged_intra_cycle(self, corrupt, tiny_cnn_graph, assert_repriced):
+        corrupt.segments[1].intra_cycles += 1.0
+        with pytest.raises(AssertionError, match=r"segment 1: intra_cycles"):
+            assert_repriced(corrupt, tiny_cnn_graph, _options())
+
+    def test_a_nudged_breakdown_term(self, corrupt, tiny_cnn_graph, assert_repriced):
+        corrupt.segments[1].inter_breakdown["weight_reload"] *= 2
+        with pytest.raises(AssertionError, match=r"segment 1: inter_breakdown"):
+            assert_repriced(corrupt, tiny_cnn_graph, _options())
+
+    def test_two_segments_swapped(self, corrupt, tiny_cnn_graph, assert_repriced):
+        corrupt.segments[0], corrupt.segments[1] = corrupt.segments[1], corrupt.segments[0]
+        with pytest.raises(ValueError, match=r"segment 0: operators"):
+            assert_repriced(corrupt, tiny_cnn_graph, _options())
+
+    def test_a_dropped_operator(self, corrupt, tiny_cnn_graph, assert_repriced):
+        first = corrupt.segments[0]
+        del first.allocations[first.operator_names.pop(0)]
+        with pytest.raises(ValueError, match=r"segment 0: operators"):
+            assert_repriced(corrupt, tiny_cnn_graph, _options())
+
+    def test_a_dropped_segment(self, corrupt, tiny_cnn_graph, assert_repriced):
+        del corrupt.segments[-1]
+        with pytest.raises(ValueError, match=rf"segment {corrupt.num_segments}: missing"):
+            assert_repriced(corrupt, tiny_cnn_graph, _options())
+
+    def test_an_allocation_past_the_budget(
+        self, corrupt, small_chip, tiny_cnn_graph, assert_repriced
+    ):
+        segment = corrupt.segments[0]
+        name = segment.operator_names[0]
+        spare = small_chip.num_arrays - segment.compute_arrays - segment.memory_arrays
+        allocation = segment.allocations[name]
+        segment.allocations[name] = replace(
+            allocation, compute_arrays=allocation.compute_arrays + spare + 1
+        )
+        with pytest.raises(ValueError, match=r"segment 0: allocations occupy 9 of 8 arrays"):
+            assert_repriced(corrupt, tiny_cnn_graph, _options())
 
 
 class TestFingerprint:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import Session
 from repro.baselines import (
+    COMPILERS,
     BaselineCompiler,
     BoundaryPolicySegment,
     CIMMLCCompiler,
@@ -111,18 +112,17 @@ class TestBaselineCompilers:
                 assert segment.compute_arrays <= small_chip.num_arrays
 
     def test_cim_mlc_parity_with_prerefactor_wrapper(
-        self, small_chip, tiny_transformer_graph
+        self, small_chip, tiny_transformer_graph, assert_repriced
     ):
         # CIM-MLC was (and remains) the CMSwitch path with memory mode
-        # off; the reference is the frozen fused compile re-labelled the
-        # way the old wrapper re-labelled it.
-        from repro.core._reference import reference_compile
-
+        # off: the same compile re-labelled, and it re-prices as a
+        # fixed-mode plan.
         compiler = CIMMLCCompiler(small_chip, CompilerOptions(generate_code=False))
         new = compiler.compile(tiny_transformer_graph)
-        old = reference_compile(tiny_transformer_graph, small_chip, compiler.options)
-        old.compiler_name = compiler.name
-        assert new.fingerprint() == old.fingerprint()
+        twin = CMSwitchCompiler(small_chip, compiler.options).compile(tiny_transformer_graph)
+        twin.compiler_name = compiler.name
+        assert new.fingerprint() == twin.fingerprint()
+        assert_repriced(new, tiny_transformer_graph, compiler.options)
 
     def test_cim_mlc_pins_its_strategy_and_keeps_the_rest(self, small_chip):
         # A CMSwitch pipeline with pipelining on and memory mode off;
@@ -247,6 +247,20 @@ def oracle(zoo):
         return replace(program, meta_program=program.meta_program if generate_code else None)
 
     return expected
+
+
+@pytest.mark.parametrize("chip", ["dynaplasia", "prime", "small-test-chip"])
+def test_cmswitch_and_cim_mlc_plans_reprice_on_the_zoo(chip, zoo, assert_repriced):
+    """Every CMSwitch and CIM-MLC plan of the zoo equals its re-pricing by
+    the cost model, exactly; the two compilers share one session."""
+    options = CompilerOptions(generate_code=False)
+    with Session(hardware=chip, options=options) as session:
+        for model, graph in zoo.items():
+            if chip == "small-test-chip" and model.startswith(SMALL_CHIP_SKIPS):
+                continue
+            for name in ("cmswitch", "cim-mlc"):
+                program = session.compile(graph, compiler=name)
+                assert_repriced(program, graph, COMPILERS[name].pin_options(options))
 
 
 class TestBaselineParity:

@@ -214,6 +214,20 @@ def test_plans_have_one_builder():
     ]
 
 
+def test_only_the_passes_compose_the_dp_and_the_plan_builder():
+    """``choose_boundaries`` and ``build_plans`` are called from the
+    pipeline passes alone: no second flatten → DP → plans loop."""
+    callers = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in (SRC / "repro").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("choose_boundaries", "build_plans")
+        and path.relative_to(SRC).as_posix() != "repro/pipeline/passes.py"
+    )
+    assert not callers, callers
+
+
 def test_there_is_one_options_type():
     """One compile driver reads one options type: the segmenter takes
     ``CompilerOptions`` (defined next to it, re-exported by the compiler
