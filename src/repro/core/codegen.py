@@ -19,9 +19,9 @@ reports (3–5 % or < 1 %) is unsettled: ledger row ``sec5.5.paper-value``
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..hardware.chip import CIMChip
+from ..hardware.chip import ChipStateError, CIMChip
 from ..hardware.deha import ArrayMode, DualModeHardwareAbstraction
 from .metaop import (
     ComputeOp,
@@ -38,28 +38,6 @@ from .program import SegmentPlan
 
 class CodeGenerationError(RuntimeError):
     """Raised when a segment plan cannot be placed onto the chip."""
-
-
-def _take_arrays(
-    chip: CIMChip, count: int, mode: ArrayMode, owner: str
-) -> Tuple[List[int], List[int]]:
-    """Claim ``count`` free arrays for ``owner``; prefer mode matches.
-
-    Returns:
-        ``(indices, switched)`` — all claimed indices and the subset whose
-        mode had to change.
-    """
-    free = chip.free_arrays()
-    if len(free) < count:
-        raise CodeGenerationError(
-            f"segment needs {count} arrays for {owner!r} but only {len(free)} are free"
-        )
-    free.sort(key=lambda array: (array.mode is not mode, array.index))
-    chosen = free[:count]
-    switched = [array.index for array in chosen if array.mode is not mode]
-    indices = [array.index for array in chosen]
-    chip.assign(indices, owner=owner, mode=mode, content=owner)
-    return indices, switched
 
 
 def generate_program(
@@ -86,9 +64,7 @@ def generate_program(
     for segment in segments:
         # Release the previous segment's ownership but keep array modes, so
         # mode reuse across segments minimises switching.
-        for array in chip.arrays:
-            array.owner = None
-            array.content = None
+        chip.release()
 
         block = ParallelBlock(segment_index=segment.index)
         switch_to_compute: List[int] = []
@@ -98,18 +74,17 @@ def generate_program(
         for name in segment.operator_names:
             allocation = segment.allocations[name]
             profile = segment.profiles[name]
-            compute_indices: List[int] = []
-            memory_indices: List[int] = []
-            if allocation.compute_arrays > 0:
-                compute_indices, switched = _take_arrays(
-                    chip, allocation.compute_arrays, ArrayMode.COMPUTE, name
+            try:
+                compute_indices, to_compute = chip.allocate_free(
+                    allocation.compute_arrays, name, ArrayMode.COMPUTE
                 )
-                switch_to_compute.extend(switched)
-            if allocation.memory_arrays > 0:
-                memory_indices, switched = _take_arrays(
-                    chip, allocation.memory_arrays, ArrayMode.MEMORY, name
+                memory_indices, to_memory = chip.allocate_free(
+                    allocation.memory_arrays, name, ArrayMode.MEMORY
                 )
-                switch_to_memory.extend(switched)
+            except ChipStateError as error:
+                raise CodeGenerationError(f"segment {segment.index}: {error}") from error
+            switch_to_compute.extend(to_compute)
+            switch_to_memory.extend(to_memory)
             placements[name] = {"compute": compute_indices, "memory": memory_indices}
 
         # Mode switches are issued before the segment body (step 2 of the

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cost import arithmetic
 from ..cost.arithmetic import OperatorProfile, profile_operator
 from ..cost.latency import INFEASIBLE_LATENCY, guard_infeasible
 from ..cost.switching import (
@@ -32,7 +33,7 @@ from ..cost.switching import (
 )
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
-from ..ir.transforms import fuse_auxiliary_traffic, partition_operator
+from ..ir.transforms import partition_operator
 from .allocation import (
     AllocationResult,
     ExactAllocator,
@@ -147,16 +148,15 @@ class ProfiledOperator:
 
     Attributes:
         operator: The IR operator.
-        profile: Its cost profile with auxiliary traffic folded in.
-        extra_streamed: Auxiliary traffic attributed to this operator
-            (re-spread over shards when the operator is partitioned).
+        profile: Its cost profile with auxiliary traffic folded in
+            (``extra_streamed_elements``, re-spread over shards when the
+            operator is partitioned).
         oversized: Whether the operator's minimum compute footprint
             exceeds the whole chip and it must be partitioned.
     """
 
     operator: object
     profile: OperatorProfile
-    extra_streamed: int
     oversized: bool
 
 
@@ -165,24 +165,20 @@ def profile_graph(
 ) -> List[ProfiledOperator]:
     """Profile the CIM-mappable operators (the pipeline's Flatten step).
 
-    Auxiliary-operator traffic is folded into the nearest mappable
-    neighbour and each operator is marked oversized when its minimum
+    :func:`repro.cost.arithmetic.profile_graph` profiles them, with
+    auxiliary-operator traffic folded into the nearest mappable
+    neighbour; each operator is marked oversized when its minimum
     compute footprint exceeds the chip.
     """
-    extra_traffic = fuse_auxiliary_traffic(graph)
-    profiled: List[ProfiledOperator] = []
-    for op in graph.cim_operators():
-        extra = extra_traffic.get(op.name, 0)
-        profile = profile_operator(op, extra)
-        profiled.append(
-            ProfiledOperator(
-                operator=op,
-                profile=profile,
-                extra_streamed=extra,
-                oversized=profile.min_compute_arrays(hardware) > hardware.num_arrays,
-            )
+    profiles = arithmetic.profile_graph(graph)
+    return [
+        ProfiledOperator(
+            operator=op,
+            profile=profiles[op.name],
+            oversized=profiles[op.name].min_compute_arrays(hardware) > hardware.num_arrays,
         )
-    return profiled
+        for op in graph.cim_operators()
+    ]
 
 
 def expand_profiled(
@@ -210,7 +206,7 @@ def expand_profiled(
         shards = partition_operator(
             op, chip_capacity, hardware.array_rows, hardware.array_cols
         )
-        extra_per_shard = item.extra_streamed // len(shards)
+        extra_per_shard = item.profile.extra_streamed_elements // len(shards)
         for shard in shards:
             shard_profile = profile_operator(shard.operator, extra_per_shard)
             expanded.append((shard.operator.name, op.name, shard_profile))

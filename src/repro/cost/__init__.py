@@ -20,7 +20,7 @@ from .arithmetic import (
     total_macs,
     total_weight_elements,
 )
-from .energy import EnergyParameters, EnergyReport, compare_energy, estimate_energy
+from .energy import EnergyParameters, EnergyReport, estimate_energy
 from .latency import (
     data_supply_times,
     INFEASIBLE_LATENCY,
@@ -28,7 +28,6 @@ from .latency import (
     best_split_latency,
     compute_rate,
     minimum_latency_all_compute,
-    operator_bound,
     operator_latency_cycles,
     pipeline_fill_cycles,
     segment_latency_cycles,
@@ -36,8 +35,6 @@ from .latency import (
 from .switching import (
     SegmentResources,
     aggregate_resources,
-    inter_segment_breakdown,
-    inter_segment_cycles,
     mode_switch_counts,
     mode_switch_cycles,
     weight_reload_cycles,
@@ -60,16 +57,12 @@ __all__ = [
     "compute_roofline_cycles",
     "operator_latency_bound",
     "data_supply_times",
-    "compare_energy",
     "compute_rate",
     "estimate_energy",
-    "inter_segment_breakdown",
-    "inter_segment_cycles",
     "mean_arithmetic_intensity",
     "minimum_latency_all_compute",
     "mode_switch_counts",
     "mode_switch_cycles",
-    "operator_bound",
     "operator_latency_cycles",
     "pipeline_fill_cycles",
     "profile_graph",

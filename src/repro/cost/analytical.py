@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from .arithmetic import OperatorProfile
@@ -144,15 +144,15 @@ def analytical_latency_bound(
         for why each is a true lower bound).
     """
     roofline = compute_roofline_cycles(profiles, hardware)
-    operator_bound = max(
+    slowest_operator = max(
         (
             operator_latency_bound(profile, hardware, allow_memory_mode)
             for profile in profiles
         ),
         default=0.0,
     )
-    if operator_bound > roofline:
-        return operator_bound, "operator"
+    if slowest_operator > roofline:
+        return slowest_operator, "operator"
     return roofline, "compute-roofline"
 
 
@@ -160,7 +160,6 @@ def analytical_energy_bound(
     profiles: Sequence[OperatorProfile],
     hardware: DualModeHardwareAbstraction,
     cycles_lower_bound: float,
-    parameters: Optional[EnergyParameters] = None,
 ) -> float:
     """Energy lower bound of one graph pass (picojoules).
 
@@ -172,7 +171,7 @@ def analytical_energy_bound(
     the latency lower bound.  Mode-switch and inter-segment write-back
     energy are non-negative extras and are excluded.
     """
-    parameters = (parameters or EnergyParameters()).scaled_for(hardware)
+    parameters = EnergyParameters().scaled_for(hardware)
     cheapest_access = min(
         parameters.array_read_pj_per_element, parameters.buffer_pj_per_element
     )
@@ -195,7 +194,6 @@ def analytical_graph_estimate(
     hardware: DualModeHardwareAbstraction,
     allow_memory_mode: bool = True,
     block_repeat: float = 1.0,
-    parameters: Optional[EnergyParameters] = None,
 ) -> AnalyticalEstimate:
     """Assemble the full rung-0 estimate for a flattened profile list.
 
@@ -208,7 +206,7 @@ def analytical_graph_estimate(
     cycles, bottleneck = analytical_latency_bound(
         profiles, hardware, allow_memory_mode
     )
-    energy_pj = analytical_energy_bound(profiles, hardware, cycles, parameters)
+    energy_pj = analytical_energy_bound(profiles, hardware, cycles)
     min_peak_arrays = max(
         (max(1, profile.min_compute_arrays(hardware)) for profile in profiles),
         default=0,

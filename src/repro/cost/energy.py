@@ -8,17 +8,17 @@ native-buffer and off-chip transfers, mode switches) is assigned a
 per-operation energy, and a compiled program's plan is integrated into an
 :class:`EnergyReport`.
 
-The default coefficients are representative of published CIM macros
-(pJ-scale MAC and access energies, nJ-scale DRAM transfers); they are
-deliberately exposed as a dataclass so studies can substitute their own
-technology numbers.  As with latency, only *relative* comparisons between
-compilers on the same coefficients are meaningful.
+The coefficients (:class:`EnergyParameters`, the one home of them) are
+representative of published CIM macros (pJ-scale MAC and access
+energies, nJ-scale DRAM transfers), scaled per chip by
+:meth:`EnergyParameters.scaled_for`.  As with latency, only *relative*
+comparisons between compilers on the same coefficients are meaningful.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict
 
 from ..hardware.deha import DualModeHardwareAbstraction
 
@@ -120,12 +120,8 @@ class EnergyReport:
         )
 
 
-def estimate_energy(
-    program,
-    hardware: Optional[DualModeHardwareAbstraction] = None,
-    parameters: Optional[EnergyParameters] = None,
-) -> EnergyReport:
-    """Estimate the energy of a compiled program.
+def estimate_energy(program) -> EnergyReport:
+    """Estimate the energy of a compiled program on its own hardware.
 
     The estimate walks the segment plans (it does not need the
     meta-operator flow): per operator, MAC energy plus streamed-data energy
@@ -136,11 +132,9 @@ def estimate_energy(
 
     Args:
         program: A :class:`~repro.core.program.CompiledProgram`.
-        hardware: Hardware abstraction; defaults to the program's.
-        parameters: Energy coefficients; defaults scaled to the hardware.
     """
-    hardware = hardware or program.hardware
-    parameters = (parameters or EnergyParameters()).scaled_for(hardware)
+    hardware = program.hardware
+    parameters = EnergyParameters().scaled_for(hardware)
     report = EnergyReport(graph_name=program.graph_name, block_repeat=program.block_repeat)
 
     for segment in program.segments:
@@ -181,7 +175,3 @@ def estimate_energy(
     report.leakage_pj = program.graph_cycles * parameters.leakage_pj_per_cycle
     return report
 
-
-def compare_energy(programs: Dict[str, object], **kwargs) -> Dict[str, EnergyReport]:
-    """Estimate energy for several compiled programs of the same graph."""
-    return {name: estimate_energy(program, **kwargs) for name, program in programs.items()}

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..hardware.deha import DualModeHardwareAbstraction
-from ..ir.transforms import ceil_div
 from .arithmetic import OperatorProfile, ProfileVectors
 
 #: Latency assigned to degenerate cases (no compute possible at all).
@@ -96,7 +95,6 @@ def data_supply_times(
     profile: OperatorProfile,
     memory_arrays: int,
     hardware: DualModeHardwareAbstraction,
-    d_main_share: float = 1.0,
 ) -> Tuple[float, float]:
     """Off-chip and on-chip data-supply times (cycles) for one operator.
 
@@ -108,11 +106,10 @@ def data_supply_times(
     computation), so the slower one bounds the operator — this is the
     roofline realisation of Eq. 10's supply term: with no memory arrays and
     a working set far beyond the buffer it degenerates to
-    ``OP / (D_main * AI)`` exactly as written in the paper.
+    ``OP / (D_main * AI)`` exactly as written in the paper.  Every rate is
+    positive (the hardware abstraction rejects a zero bandwidth), so moving
+    nothing costs exactly zero.
     """
-    streamed = profile.streamed_elements
-    if streamed <= 0:
-        return 0.0, 0.0
     # Inputs that do not fit in on-chip storage (native buffer plus
     # allocated memory-mode arrays) must be fetched across the off-chip
     # link while the operator runs.  Outputs drain through the on-chip path
@@ -121,29 +118,15 @@ def data_supply_times(
     input_side = profile.streamed_input_elements + profile.extra_streamed_elements
     onchip_capacity = hardware.buffer_elements + memory_arrays * hardware.array_capacity_elements
     offchip_elements = max(0, input_side - onchip_capacity)
-    onchip_elements = streamed - offchip_elements
-    offchip_rate = hardware.d_extern * d_main_share
-    onchip_rate = hardware.d_main * d_main_share + memory_arrays * hardware.d_cim
-    # A zero rate only matters when there is data to move: moving nothing
-    # takes no time even over a zero-bandwidth link (the rate==0, empty
-    # transfer combination must not manufacture an infinity that later
-    # turns into inf * 0 = NaN downstream).
-    if offchip_elements <= 0:
-        offchip_time = 0.0
-    else:
-        offchip_time = offchip_elements / offchip_rate if offchip_rate > 0 else INFEASIBLE_LATENCY
-    if onchip_elements <= 0:
-        onchip_time = 0.0
-    else:
-        onchip_time = onchip_elements / onchip_rate if onchip_rate > 0 else INFEASIBLE_LATENCY
-    return offchip_time, onchip_time
+    onchip_elements = profile.streamed_elements - offchip_elements
+    onchip_rate = hardware.d_main + memory_arrays * hardware.d_cim
+    return offchip_elements / hardware.d_extern, onchip_elements / onchip_rate
 
 
 def operator_latency_cycles(
     profile: OperatorProfile,
     allocation: OperatorAllocation,
     hardware: DualModeHardwareAbstraction,
-    d_main_share: float = 1.0,
 ) -> float:
     """Latency (cycles) of one operator under an allocation — Eq. 10.
 
@@ -151,10 +134,7 @@ def operator_latency_cycles(
     the allocated compute arrays and the (overlapped) data-supply times,
     whichever is largest.
     """
-    offchip_time, onchip_time = data_supply_times(
-        profile, allocation.memory_arrays, hardware, d_main_share
-    )
-    supply_time = max(offchip_time, onchip_time)
+    supply_time = max(data_supply_times(profile, allocation.memory_arrays, hardware))
     if profile.macs == 0:
         return guard_infeasible(supply_time)
     c_rate = compute_rate(profile, allocation.compute_arrays, hardware)
@@ -169,30 +149,6 @@ def guard_infeasible_batch(cycles: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(cycles), INFEASIBLE_LATENCY, cycles)
 
 
-def _eq10_columns(profiles, hardware: DualModeHardwareAbstraction):
-    """The four per-operator inputs of Eq. 10 as broadcastable int64 values.
-
-    ``(macs, streamed, input_side, required)``: for a
-    :class:`~repro.cost.arithmetic.ProfileVectors` of ``N`` operators
-    each is an ``(N, 1)`` column, so a 1-D vector of array counts
-    broadcasts to one row per operator; a single
-    :class:`OperatorProfile` is the one-row case with the row axis
-    dropped (0-d values), so the result keeps the shape of the counts.
-    """
-    if isinstance(profiles, ProfileVectors):
-        vectors, row = profiles, (slice(None), None)
-    else:
-        vectors, row = ProfileVectors([profiles], hardware), 0
-    if vectors.min_compute_arrays is None:
-        raise ValueError("Eq. 10 needs ProfileVectors built with the hardware")
-    return (
-        vectors.macs[row],
-        vectors.streamed_elements[row],
-        vectors.input_side_elements[row],
-        vectors.min_compute_arrays[row],
-    )
-
-
 def compute_rate_batch(
     required: np.ndarray,
     compute_arrays: np.ndarray,
@@ -200,12 +156,11 @@ def compute_rate_batch(
 ) -> np.ndarray:
     """Vectorised :func:`compute_rate` over compute counts and operators.
 
-    ``required`` is the operators' ``min_compute_arrays`` (a column, or a
-    0-d value for one operator) and broadcasts against
-    ``compute_arrays``.  Bit-identical to the scalar function for every
-    element: the numpy float64 expressions mirror the scalar double
-    expressions term by term, so IEEE-754 rounding is the same
-    (ratcheted by the parity tests in ``tests/test_vectorized.py``).
+    ``required`` is the operators' ``min_compute_arrays`` as a column and
+    broadcasts against ``compute_arrays``.  Bit-identical to the scalar
+    function for every element: the numpy float64 expressions mirror the
+    scalar double expressions term by term, so IEEE-754 rounding is the
+    same (ratcheted by the parity tests in ``tests/test_vectorized.py``).
     """
     com = np.asarray(compute_arrays, dtype=np.int64)
     com_f = com.astype(np.float64)
@@ -225,49 +180,30 @@ def data_supply_times_batch(
     input_side: np.ndarray,
     memory_arrays: np.ndarray,
     hardware: DualModeHardwareAbstraction,
-    d_main_share: float = 1.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorised :func:`data_supply_times` over memory counts and operators.
 
     ``streamed`` / ``input_side`` are the operators'
     ``streamed_elements`` and ``streamed_input_elements +
-    extra_streamed_elements`` (columns, or 0-d values for one operator).
-    Returns ``(offchip_times, onchip_times)`` with the same zero-element
-    and zero-rate guards as the scalar path (moving nothing is free even
-    over a zero-bandwidth link; moving something over one is ``inf``).
+    extra_streamed_elements`` as columns.  Returns ``(offchip_times,
+    onchip_times)``, each element equal to the scalar function's.
     """
     mem = np.asarray(memory_arrays, dtype=np.int64)
     onchip_capacity = hardware.buffer_elements + mem * hardware.array_capacity_elements
     offchip_elements = np.maximum(0, input_side - onchip_capacity)
     onchip_elements = streamed - offchip_elements
-    offchip_rate = hardware.d_extern * d_main_share
-    onchip_rate = hardware.d_main * d_main_share + mem.astype(np.float64) * hardware.d_cim
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if offchip_rate > 0:
-            offchip_time = offchip_elements.astype(np.float64) / offchip_rate
-        else:
-            offchip_time = np.full(offchip_elements.shape, INFEASIBLE_LATENCY)
-        offchip_time = np.where(offchip_elements <= 0, 0.0, offchip_time)
-        onchip_time = np.where(
-            onchip_elements <= 0,
-            0.0,
-            np.where(
-                onchip_rate > 0,
-                onchip_elements.astype(np.float64) / onchip_rate,
-                INFEASIBLE_LATENCY,
-            ),
-        )
-    # An operator that streams nothing takes no supply time at all.
-    idle = streamed <= 0
-    return np.where(idle, 0.0, offchip_time), np.where(idle, 0.0, onchip_time)
+    onchip_rate = hardware.d_main + mem.astype(np.float64) * hardware.d_cim
+    return (
+        offchip_elements.astype(np.float64) / hardware.d_extern,
+        onchip_elements.astype(np.float64) / onchip_rate,
+    )
 
 
 def operator_latency_factors_batch(
-    profiles,
+    vectors: ProfileVectors,
     compute_arrays: np.ndarray,
     memory_arrays: np.ndarray,
     hardware: DualModeHardwareAbstraction,
-    d_main_share: float = 1.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The two factors of Eq. 10: ``(compute_time, supply_time)``.
 
@@ -277,68 +213,30 @@ def operator_latency_factors_batch(
     walks many ``(compute, memory)`` pairs tabulates the two factors
     once over ``0..num_arrays`` and combines them per step.
 
-    ``profiles`` is either a :class:`~repro.cost.arithmetic
-    .ProfileVectors` — every operator of a compile in **one**
-    evaluation: with 1-D counts of lengths ``C`` and ``M`` the results
-    are ``(N, C)`` and ``(N, M)``, row ``k`` being operator ``k`` — or a
-    single :class:`OperatorProfile`, which is the one-row case of the
-    same expressions (the results then have the shapes of the counts,
-    which may be any broadcastable grid).  Row ``k`` of the batched
-    tables equals the one-profile evaluation and the scalar
+    ``vectors`` holds every operator of a compile (built with the
+    hardware), so the whole compile is **one** evaluation: with 1-D
+    counts of lengths ``C`` and ``M`` the results are ``(N, C)`` and
+    ``(N, M)``, row ``k`` being operator ``k``, and ``max(compute_time[k,
+    c], supply_time[k, m])`` equals the scalar
     :func:`operator_latency_cycles` bit for bit.  ``compute_time`` is
     ``inf`` where no compute is possible and ``0`` for an operator
     without MACs (pure data movement).
     """
-    macs, streamed, input_side, required = _eq10_columns(profiles, hardware)
+    if vectors.min_compute_arrays is None:
+        raise ValueError("Eq. 10 needs ProfileVectors built with the hardware")
+    macs = vectors.macs[:, None]
     offchip_time, onchip_time = data_supply_times_batch(
-        streamed, input_side, memory_arrays, hardware, d_main_share
+        vectors.streamed_elements[:, None],
+        vectors.input_side_elements[:, None],
+        memory_arrays,
+        hardware,
     )
-    supply_time = np.maximum(offchip_time, onchip_time)
-    c_rate = compute_rate_batch(required, compute_arrays, hardware)
+    c_rate = compute_rate_batch(vectors.min_compute_arrays[:, None], compute_arrays, hardware)
     with np.errstate(divide="ignore", invalid="ignore"):
         compute_time = np.where(
             c_rate > 0, macs.astype(np.float64) / c_rate, INFEASIBLE_LATENCY
         )
-    return np.where(macs == 0, 0.0, compute_time), supply_time
-
-
-def operator_latency_cycles_batch(
-    profile: OperatorProfile,
-    compute_arrays: np.ndarray,
-    memory_arrays: np.ndarray,
-    hardware: DualModeHardwareAbstraction,
-    d_main_share: float = 1.0,
-) -> np.ndarray:
-    """Vectorised Eq. 10 over a grid of (compute, memory) allocations.
-
-    ``compute_arrays`` and ``memory_arrays`` broadcast against each other
-    (pass a column and a row to evaluate a full grid in one call).
-    Every element equals the scalar :func:`operator_latency_cycles` for
-    the same pair exactly — the allocators read the same factors as
-    tables (:func:`operator_latency_factors_batch`) and rely on that to
-    keep compiled programs independent of which of the two evaluated
-    them.
-    """
-    compute_time, supply_time = operator_latency_factors_batch(
-        profile, compute_arrays, memory_arrays, hardware, d_main_share
-    )
-    return guard_infeasible_batch(np.maximum(compute_time, supply_time))
-
-
-def operator_bound(
-    profile: OperatorProfile,
-    allocation: OperatorAllocation,
-    hardware: DualModeHardwareAbstraction,
-    d_main_share: float = 1.0,
-) -> str:
-    """Which resource bounds the operator: ``"compute"`` or ``"memory"``."""
-    offchip_time, onchip_time = data_supply_times(
-        profile, allocation.memory_arrays, hardware, d_main_share
-    )
-    supply_time = max(offchip_time, onchip_time)
-    c_rate = compute_rate(profile, allocation.compute_arrays, hardware)
-    compute_time = profile.macs / c_rate if c_rate > 0 else INFEASIBLE_LATENCY
-    return "compute" if compute_time >= supply_time else "memory"
+    return np.where(macs == 0, 0.0, compute_time), np.maximum(offchip_time, onchip_time)
 
 
 def pipeline_fill_cycles(
@@ -378,7 +276,6 @@ def segment_latency_cycles(
     allocations: Mapping[str, OperatorAllocation],
     hardware: DualModeHardwareAbstraction,
     pipelined: bool = True,
-    d_main_share: float = 1.0,
 ) -> float:
     """Intra-segment latency ``T_intra`` under a resource allocation.
 
@@ -387,14 +284,12 @@ def segment_latency_cycles(
         allocations: Allocation for every operator in ``profiles``.
         hardware: Target hardware abstraction.
         pipelined: See :func:`combine_operator_latencies`.
-        d_main_share: Fraction of the main-memory bandwidth available to
-            each operator (1.0 reproduces the paper's model).
 
     Raises:
         KeyError: If an operator has no allocation entry.
     """
     latencies = [
-        operator_latency_cycles(profile, allocations[name], hardware, d_main_share)
+        operator_latency_cycles(profile, allocations[name], hardware)
         for name, profile in profiles.items()
     ]
     return combine_operator_latencies(latencies, hardware, pipelined)

@@ -10,14 +10,18 @@ arise (Fig. 10):
 2. **Mode switch** ``T_swc`` — arrays changing between compute and memory
    mode pay the per-array switch latency (Eq. 1).
 3. **Weight reload** ``T_rw`` — compute arrays of ``S`` must be programmed
-   with the weights of the new segment's operators (Eq. 2), bounded from
-   below by the time to fetch those weights over the off-chip link.
+   with the weights of the new segment's operators (Eq. 2); the off-chip
+   fetch of those weights is overlapped.
+
+Their sum is ``T_inter`` (Eq. 4).  It is assembled in two places: the
+plan builder's ``NetworkSegmenter._inter_segment`` and the independent
+re-pricer ``repro.core._reference.reprice_segments`` that checks it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from .arithmetic import OperatorProfile, ProfileVectors
@@ -58,28 +62,18 @@ def aggregate_resources(
     allocations: Mapping[str, OperatorAllocation],
     live_output_elements: int = 0,
     num_arrays_total: Optional[int] = None,
-    static_weight_elements: Optional[int] = None,
 ) -> SegmentResources:
-    """Summarise a segment's allocation for the inter-segment cost model.
-
-    ``static_weight_elements`` optionally carries the window's
-    already-aggregated static weights (the segmentation DP precomputes
-    them as prefix sums); when omitted they are summed from the profiles
-    here — both paths are the same integer sum.
-    """
+    """Summarise a segment's allocation for the inter-segment cost model."""
     compute = sum(allocations[name].compute_arrays for name in profiles)
     memory = sum(allocations[name].memory_arrays for name in profiles)
-    weights = (
-        static_weight_elements
-        if static_weight_elements is not None
-        else sum(p.weight_elements for p in profiles.values() if p.has_static_weight)
-    )
     idle = max(0, num_arrays_total - compute - memory) if num_arrays_total is not None else 0
     return SegmentResources(
         compute_arrays=compute,
         memory_arrays=memory,
         live_output_elements=live_output_elements,
-        static_weight_elements=weights,
+        static_weight_elements=sum(
+            p.weight_elements for p in profiles.values() if p.has_static_weight
+        ),
         idle_arrays=idle,
     )
 
@@ -101,7 +95,9 @@ def window_resources_and_reload(
     columns — static-weight flag, stationary footprint — instead of two
     walks over profile objects; the static weights are a prefix-sum
     difference.  Same integers, same Eq. 2 maximum as the mapping-based
-    functions (``tests/test_segmentation.py`` compares them).
+    functions (``tests/test_segmentation.py`` compares the segmenter's
+    Eq. 4 breakdown with :func:`writeback_cycles`,
+    :func:`mode_switch_cycles` and :func:`weight_reload_cycles`).
     """
     names = vectors.names
     has_static_weight = vectors.has_static_weight
@@ -207,7 +203,6 @@ def weight_reload_cycles(
     profiles: Mapping[str, OperatorProfile],
     allocations: Mapping[str, OperatorAllocation],
     hardware: DualModeHardwareAbstraction,
-    include_offchip_transfer: bool = False,
 ) -> float:
     """``T_rw`` (Eq. 2): programming the new segment's compute arrays.
 
@@ -215,59 +210,13 @@ def weight_reload_cycles(
     per-array), so the array-programming term is the maximum over
     operators of ``Com_Oi x Latency_write``.  Following the paper, the
     off-chip transfer of those weights is assumed to be prefetched /
-    overlapped; pass ``include_offchip_transfer=True`` to additionally
-    bound the reload by the external-link transfer time.
+    overlapped.
     """
-    if not profiles:
-        return 0.0
     per_operator = 0.0
-    static_weight_elements = 0
     for name, profile in profiles.items():
         if not profile.has_static_weight:
             continue
-        allocation = allocations[name]
         required = profile.min_compute_arrays(hardware)
-        arrays_written = min(allocation.compute_arrays, required) or required
+        arrays_written = min(allocations[name].compute_arrays, required) or required
         per_operator = max(per_operator, arrays_written * hardware.array_write_latency_cycles)
-        static_weight_elements += profile.weight_elements
-    if include_offchip_transfer and static_weight_elements:
-        transfer = static_weight_elements / hardware.d_extern
-        return max(per_operator, transfer)
     return per_operator
-
-
-def inter_segment_cycles(
-    previous: Optional[SegmentResources],
-    current: SegmentResources,
-    profiles: Mapping[str, OperatorProfile],
-    allocations: Mapping[str, OperatorAllocation],
-    hardware: DualModeHardwareAbstraction,
-    include_switch_cost: bool = True,
-    allow_boundary_buffering: bool = True,
-) -> float:
-    """``T_inter`` (Eq. 4): write-back + mode switch + weight reload."""
-    total = writeback_cycles(
-        previous, current, hardware, allow_boundary_buffering=allow_boundary_buffering
-    )
-    if include_switch_cost:
-        total += mode_switch_cycles(previous, current, hardware)
-    total += weight_reload_cycles(profiles, allocations, hardware)
-    return total
-
-
-def inter_segment_breakdown(
-    previous: Optional[SegmentResources],
-    current: SegmentResources,
-    profiles: Mapping[str, OperatorProfile],
-    allocations: Mapping[str, OperatorAllocation],
-    hardware: DualModeHardwareAbstraction,
-    allow_boundary_buffering: bool = True,
-) -> Dict[str, float]:
-    """Per-component inter-segment overhead (used by reports and §5.5)."""
-    return {
-        "writeback": writeback_cycles(
-            previous, current, hardware, allow_boundary_buffering=allow_boundary_buffering
-        ),
-        "mode_switch": mode_switch_cycles(previous, current, hardware),
-        "weight_reload": weight_reload_cycles(profiles, allocations, hardware),
-    }

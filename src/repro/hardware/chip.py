@@ -3,16 +3,16 @@
 The compiler reasons about the chip through the static
 :class:`~repro.hardware.deha.DualModeHardwareAbstraction`; the simulators
 and the meta-operator interpreter additionally need *state*: which mode
-every array is currently in, what it holds, and how many switches have
-been performed.  :class:`CIMChip` models exactly that and enforces the
-paper's constraint that an array can serve only one role at a time
-(Eq. 5).
+every array is currently in, which operator owns it, and how many
+switches have been performed.  :class:`CIMChip` models exactly that and
+enforces the paper's constraint that an array can serve only one role at
+a time (Eq. 5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from .deha import ArrayMode, DualModeHardwareAbstraction
 
@@ -30,14 +30,11 @@ class CIMArray:
         mode: Current operating mode.
         owner: Name of the operator / buffer currently occupying the array,
             or ``None`` when free.
-        content: Free-form tag describing the stored data ("weights:fc1",
-            "activations:layer0_qk_out", ...).
     """
 
     index: int
     mode: ArrayMode = ArrayMode.IDLE
     owner: Optional[str] = None
-    content: Optional[str] = None
 
     @property
     def is_free(self) -> bool:
@@ -85,14 +82,6 @@ class CIMChip:
         """Arrays without an owner."""
         return [array for array in self.arrays if array.is_free]
 
-    def arrays_of(self, owner: str) -> List[CIMArray]:
-        """Arrays currently owned by ``owner``."""
-        return [array for array in self.arrays if array.owner == owner]
-
-    def memory_capacity_elements(self) -> int:
-        """Elements storable in the arrays currently in memory mode."""
-        return self.num_memory * self.hardware.array_capacity_elements
-
     # ------------------------------------------------------------------ #
     # state transitions
     # ------------------------------------------------------------------ #
@@ -126,17 +115,10 @@ class CIMChip:
                     cycles += self.hardware.switch_latency_c2m
             array.mode = mode
             array.owner = None
-            array.content = None
         self.switch_cycles += cycles
         return cycles
 
-    def assign(
-        self,
-        indices: Iterable[int],
-        owner: str,
-        mode: ArrayMode,
-        content: Optional[str] = None,
-    ) -> float:
+    def assign(self, indices: Iterable[int], owner: str, mode: ArrayMode) -> float:
         """Assign arrays to an owner in the requested mode.
 
         Returns the mode-switch cycles incurred.  Raises if any array is
@@ -152,30 +134,31 @@ class CIMChip:
                 )
         cycles = self.switch_mode(indices, mode)
         for index in indices:
-            array = self._array(index)
-            array.owner = owner
-            array.content = content
+            self._array(index).owner = owner
         return cycles
 
-    def release(self, owner: str) -> List[int]:
-        """Release every array owned by ``owner`` (mode is kept)."""
+    def release(self) -> List[int]:
+        """Release every owned array (modes are kept); returns their indices."""
         released = []
         for array in self.arrays:
-            if array.owner == owner:
+            if array.owner is not None:
                 array.owner = None
-                array.content = None
                 released.append(array.index)
         return released
 
-    def allocate_free(self, count: int, owner: str, mode: ArrayMode) -> Tuple[List[int], float]:
+    def allocate_free(
+        self, count: int, owner: str, mode: ArrayMode
+    ) -> Tuple[List[int], List[int]]:
         """Grab ``count`` free arrays for ``owner`` (prefer mode matches).
 
-        Free arrays already in the requested mode are taken first to
-        minimise switching, mirroring the compiler's assumption that arrays
-        keep their mode across segments whenever possible.
+        Free arrays already in the requested mode are taken first (lowest
+        index first) to minimise switching, mirroring the compiler's
+        assumption that arrays keep their mode across segments whenever
+        possible.
 
         Returns:
-            The chosen indices and the switch cycles incurred.
+            ``(indices, switched)`` — the chosen indices and the subset
+            whose mode had to change.
 
         Raises:
             ChipStateError: If fewer than ``count`` arrays are free.
@@ -186,27 +169,20 @@ class CIMChip:
                 f"requested {count} arrays for {owner!r} but only {len(free)} are free"
             )
         free.sort(key=lambda array: (array.mode is not mode, array.index))
-        chosen = [array.index for array in free[:count]]
-        cycles = self.assign(chosen, owner, mode)
-        return chosen, cycles
+        chosen = free[:count]
+        switched = [array.index for array in chosen if array.mode is not mode]
+        indices = [array.index for array in chosen]
+        self.assign(indices, owner, mode)
+        return indices, switched
 
     def reset(self) -> None:
         """Return every array to the idle, unowned state and clear counters."""
         for array in self.arrays:
             array.mode = ArrayMode.IDLE
             array.owner = None
-            array.content = None
         self.switch_count_m2c = 0
         self.switch_count_c2m = 0
         self.switch_cycles = 0.0
-
-    def occupancy(self) -> Dict[str, int]:
-        """Histogram of owners to array counts (for reports/tests)."""
-        histogram: Dict[str, int] = {}
-        for array in self.arrays:
-            if array.owner is not None:
-                histogram[array.owner] = histogram.get(array.owner, 0) + 1
-        return histogram
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -11,8 +11,12 @@ PyTorch framework.  This module does the same with numpy as the reference:
 * the result is compared against the dense numpy reference
   (:mod:`repro.sim.reference`);
 * chip state (array modes, ownership) is driven by the program's
-  meta-operator flow, so illegal mappings (two operators on one array,
-  compute on a memory-mode array) surface as simulation errors.
+  meta-operator flow, and every array a meta-operator names is checked
+  against it, so illegal mappings surface as
+  :class:`FunctionalSimulationError`: a weight load or compute on an
+  array not in compute mode, a ``cim-memory`` read or write on an array
+  not in memory mode, or one array claimed by two operators inside one
+  ``parallel`` block.
 """
 
 from __future__ import annotations
@@ -22,9 +26,18 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.metaop import ComputeOp, MetaProgram, ParallelBlock, SwitchOp, SwitchType, WeightLoadOp
+from ..core.metaop import (
+    ComputeOp,
+    MemoryReadOp,
+    MemoryWriteOp,
+    MetaProgram,
+    ParallelBlock,
+    SwitchOp,
+    SwitchType,
+    WeightLoadOp,
+)
 from ..core.program import CompiledProgram, RenderedMetaProgram
-from ..hardware.chip import CIMChip
+from ..hardware.chip import ChipStateError, CIMChip
 from ..hardware.deha import ArrayMode, DualModeHardwareAbstraction
 from ..ir.graph import Graph
 from ..ir.operators import Operator
@@ -112,6 +125,35 @@ def execute_tiled_matmul(
     return result.astype(np.float32), tiles
 
 
+def _apply(chip: CIMChip, op) -> int:
+    """Apply one meta-operator to the chip state; returns its switch events.
+
+    A switch changes modes.  A weight load or compute claims its arrays
+    in compute mode, a ``cim-memory`` read or write in memory mode.
+
+    Raises:
+        ChipStateError: An array out of range, in the wrong mode, or
+            already owned by another operator.
+    """
+    if isinstance(op, SwitchOp):
+        to_memory = op.switch_type is SwitchType.TO_MEMORY
+        chip.switch_mode(op.array_addresses, ArrayMode.MEMORY if to_memory else ArrayMode.COMPUTE)
+        return len(op.array_addresses)
+    if isinstance(op, (ComputeOp, WeightLoadOp)):
+        mode = ArrayMode.COMPUTE
+    elif (isinstance(op, MemoryReadOp) and op.source == "cim-memory") or (
+        isinstance(op, MemoryWriteOp) and op.destination == "cim-memory"
+    ):
+        mode = ArrayMode.MEMORY
+    else:
+        return 0
+    for index in op.array_addresses:
+        if not 0 <= index < len(chip.arrays) or chip.arrays[index].mode is not mode:
+            raise ChipStateError(f"array {index} is not in {mode.value} mode")
+    chip.assign(op.array_addresses, op.operator, mode)
+    return 0
+
+
 class FunctionalSimulator:
     """Executes a compiled program functionally and checks it.
 
@@ -140,11 +182,13 @@ class FunctionalSimulator:
         The dense reference execution provides every operator's input
         tensors; each CIM-mappable operator is then re-executed at array
         granularity and compared.  The meta-operator flow (when present)
-        drives the chip-state model so mode switches are validated.
+        drives the chip-state model, which checks every array claim.
 
         Raises:
             FunctionalSimulationError: If the program references operators
-                missing from the graph, or carries its flow as text only.
+                missing from the graph, carries its flow as text only, or
+                its flow makes an illegal array claim (naming the segment,
+                the meta-operator and the array).
         """
         if isinstance(program.meta_program, RenderedMetaProgram):
             raise FunctionalSimulationError(
@@ -153,13 +197,12 @@ class FunctionalSimulator:
                 "cache_dir program store) and cannot be executed; compile it "
                 "in-process without cache_dir to get an executable flow"
             )
-        values = self.reference.run(graph)
         report = FunctionalReport(graph_name=graph.name)
-
         if program.meta_program is not None:
-            report.switch_events, report.mode_switch_cycles = self._replay_switches(
+            report.switch_events, report.mode_switch_cycles = self._replay_flow(
                 program.meta_program
             )
+        values = self.reference.run(graph)
 
         operators = {op.name: op for op in graph.operators}
         for segment in program.segments:
@@ -177,19 +220,26 @@ class FunctionalSimulator:
                         report.checks.append(check)
         return report
 
-    def _replay_switches(self, meta_program: MetaProgram) -> Tuple[int, float]:
-        """Drive the chip-state model through the program's mode switches."""
+    def _replay_flow(self, meta_program: MetaProgram) -> Tuple[int, float]:
+        """Drive the chip-state model through the flow, checking every claim.
+
+        Each meta-operator is applied with :func:`_apply`.  Claims last
+        until the next ``parallel`` block, so one array serving two
+        operators inside a block is an error.
+        """
         chip = CIMChip(self.hardware)
         events = 0
-        for op in meta_program.operators():
-            if isinstance(op, SwitchOp):
-                mode = (
-                    ArrayMode.MEMORY
-                    if op.switch_type is SwitchType.TO_MEMORY
-                    else ArrayMode.COMPUTE
-                )
-                chip.switch_mode(op.array_addresses, mode)
-                events += len(op.array_addresses)
+        for item in meta_program.items:
+            if isinstance(item, ParallelBlock):
+                chip.release()
+                where, ops = f"segment {item.segment_index}", item.body
+            else:
+                where, ops = "top level", [item]
+            for op in ops:
+                try:
+                    events += _apply(chip, op)
+                except ChipStateError as error:
+                    raise FunctionalSimulationError(f"{where}: {op.render()}: {error}") from error
         return events, chip.switch_cycles
 
     @staticmethod

@@ -2,7 +2,8 @@
 
 A text scan of ``.github/workflows/ci.yml`` (PyYAML is not a dependency):
 no inline Python, ``pytest`` only in the tier-1 step, and a file short
-enough to read.  And nothing under ``benchmarks/`` goes unrun.
+enough to read.  And nothing under ``benchmarks/`` goes unrun, and the
+architecture guide stays short enough to read too.
 """
 
 import re
@@ -43,6 +44,11 @@ def test_pytest_runs_only_in_the_tier1_step():
 
 def test_ci_fits_on_a_few_screens():
     assert len(CI.read_text(encoding="utf-8").splitlines()) <= 200
+
+
+def test_the_architecture_guide_fits_in_600_lines():
+    guide = REPO / "docs" / "architecture.md"
+    assert len(guide.read_text(encoding="utf-8").splitlines()) <= 600
 
 
 def test_every_benchmark_script_is_run_by_a_test_or_by_ci():

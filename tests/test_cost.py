@@ -12,13 +12,10 @@ from repro.cost import (
     best_split_latency,
     compute_rate,
     data_supply_times,
-    inter_segment_breakdown,
-    inter_segment_cycles,
     mean_arithmetic_intensity,
     minimum_latency_all_compute,
     mode_switch_counts,
     mode_switch_cycles,
-    operator_bound,
     operator_latency_cycles,
     profile_graph,
     profile_operator,
@@ -140,16 +137,6 @@ class TestLatencyModel:
         assert off_none > off_many
         assert on_none >= 0 and on_many >= 0
 
-    def test_operator_bound_labels(self, dynaplasia_chip):
-        compute_heavy = linear_profile(1024, 320, 320)
-        assert operator_bound(
-            compute_heavy, OperatorAllocation(1, 32), dynaplasia_chip
-        ) == "compute"
-        memory_heavy = matmul_profile(32, 64, 128, 64)
-        assert operator_bound(
-            memory_heavy, OperatorAllocation(16, 0), dynaplasia_chip
-        ) == "memory"
-
     def test_minimum_latency_all_compute_matches_zero_memory(self, small_chip):
         profile = linear_profile()
         direct = operator_latency_cycles(
@@ -241,34 +228,36 @@ class TestInterSegmentCosts:
         allocations = {"qk": OperatorAllocation(2, 0)}
         assert weight_reload_cycles(profiles, allocations, small_chip) == 0.0
 
-    def test_weight_reload_offchip_bound_optional(self, small_chip):
-        profiles = {"a": linear_profile(4, 256, 256)}
-        allocations = {"a": OperatorAllocation(16, 0)}
-        plain = weight_reload_cycles(profiles, allocations, small_chip)
-        bounded = weight_reload_cycles(
-            profiles, allocations, small_chip, include_offchip_transfer=True
-        )
-        assert bounded >= plain
+    @staticmethod
+    def repriced(graph, hardware, **options):
+        """A compiled plan re-priced by the independent Eq. 4 assembly."""
+        from repro.core import CMSwitchCompiler, CompilerOptions
+        from repro.core._reference import reprice_segments
 
-    def test_inter_segment_cycles_composition(self, small_chip):
-        profiles = {"a": linear_profile(4, 128, 128)}
-        allocations = {"a": OperatorAllocation(4, 0)}
-        prev = self.make_resources(2, 2, live=50_000, idle=2)
-        curr = aggregate_resources(profiles, allocations, num_arrays_total=small_chip.num_arrays)
-        breakdown = inter_segment_breakdown(prev, curr, profiles, allocations, small_chip)
-        total = inter_segment_cycles(prev, curr, profiles, allocations, small_chip)
-        assert total == pytest.approx(sum(breakdown.values()))
+        program = CMSwitchCompiler(hardware, CompilerOptions(generate_code=False)).compile(graph)
+        segments = [(plan.operator_names, plan.allocations) for plan in program.segments]
+        return reprice_segments(graph, hardware, CompilerOptions(**options), segments)
 
-    def test_include_switch_cost_flag(self, small_chip):
-        profiles = {"a": linear_profile(4, 128, 128)}
-        allocations = {"a": OperatorAllocation(4, 0)}
-        prev = self.make_resources(0, 6)
-        curr = aggregate_resources(profiles, allocations, num_arrays_total=small_chip.num_arrays)
-        with_switch = inter_segment_cycles(prev, curr, profiles, allocations, small_chip)
-        without = inter_segment_cycles(
-            prev, curr, profiles, allocations, small_chip, include_switch_cost=False
-        )
-        assert with_switch >= without
+    def test_inter_segment_cycles_composition(self, small_chip, tiny_transformer_graph):
+        """Eq. 4: each segment's inter cycles are write-back + switch + reload."""
+        plans = self.repriced(tiny_transformer_graph, small_chip)
+        assert len(plans) > 1
+        previous = None
+        for plan in plans:
+            assert plan.inter_breakdown == {
+                "writeback": writeback_cycles(previous, plan.resources, small_chip),
+                "mode_switch": mode_switch_cycles(previous, plan.resources, small_chip),
+                "weight_reload": weight_reload_cycles(plan.profiles, plan.allocations, small_chip),
+            }
+            assert plan.inter_cycles == sum(plan.inter_breakdown.values())
+            previous = plan.resources
+
+    def test_include_switch_cost_flag(self, small_chip, tiny_transformer_graph):
+        with_switch = self.repriced(tiny_transformer_graph, small_chip)
+        without = self.repriced(tiny_transformer_graph, small_chip, include_switch_cost=False)
+        for charged, free in zip(with_switch, without):
+            assert free.inter_breakdown["mode_switch"] == 0.0
+            assert charged.inter_cycles >= free.inter_cycles
 
     def test_aggregate_resources_counts(self, small_chip):
         profiles = {"a": linear_profile(4, 128, 128), "b": linear_profile(4, 64, 64)}

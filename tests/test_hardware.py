@@ -155,12 +155,13 @@ class TestChipState:
     def test_assign_and_release(self, small_chip):
         chip = CIMChip(small_chip)
         chip.assign([0, 1], owner="fc1", mode=ArrayMode.COMPUTE)
+        chip.assign([3], owner="buf", mode=ArrayMode.MEMORY)
         assert chip.num_compute == 2
-        assert chip.occupancy() == {"fc1": 2}
-        assert [a.index for a in chip.arrays_of("fc1")] == [0, 1]
-        released = chip.release("fc1")
-        assert released == [0, 1]
-        assert chip.occupancy() == {}
+        assert [a.owner for a in chip.arrays[:4]] == ["fc1", "fc1", None, "buf"]
+        released = chip.release()
+        assert released == [0, 1, 3]
+        assert chip.free_arrays() == chip.arrays
+        assert chip.num_compute == 2 and chip.num_memory == 1  # modes are kept
 
     def test_double_assignment_rejected(self, small_chip):
         chip = CIMChip(small_chip)
@@ -191,9 +192,12 @@ class TestChipState:
     def test_allocate_free_prefers_mode_matches(self, small_chip):
         chip = CIMChip(small_chip)
         chip.switch_mode([4, 5], ArrayMode.MEMORY)
-        indices, cycles = chip.allocate_free(2, owner="buf", mode=ArrayMode.MEMORY)
-        assert set(indices) == {4, 5}
-        assert cycles == 0.0
+        indices, switched = chip.allocate_free(2, owner="buf", mode=ArrayMode.MEMORY)
+        assert indices == [4, 5] and switched == []
+        # Then the lowest-indexed free arrays, whose mode changes.
+        indices, switched = chip.allocate_free(3, owner="fc", mode=ArrayMode.MEMORY)
+        assert indices == switched == [0, 1, 2]
+        assert chip.switch_cycles == 0.0  # idle -> memory is free
 
     def test_allocate_free_insufficient_raises(self, small_chip):
         chip = CIMChip(small_chip)
@@ -203,7 +207,9 @@ class TestChipState:
     def test_memory_capacity_tracks_memory_arrays(self, small_chip):
         chip = CIMChip(small_chip)
         chip.switch_mode([0, 1, 2], ArrayMode.MEMORY)
-        assert chip.memory_capacity_elements() == 3 * small_chip.array_capacity_elements
+        chip.switch_mode([2], ArrayMode.COMPUTE)
+        capacity = chip.num_memory * small_chip.array_capacity_elements
+        assert capacity == 2 * small_chip.array_capacity_elements
 
     def test_reset_restores_initial_state(self, small_chip):
         chip = CIMChip(small_chip)

@@ -250,3 +250,42 @@ def test_there_is_one_options_type():
     assert len(fields) == 7
     for field in fields:
         assert field.compare and field.repr, field.name
+
+
+def test_every_cost_name_has_a_caller_in_src():
+    """``repro.cost`` exports only what the program reads: every name in
+    its ``__all__`` is loaded somewhere under ``src/repro`` outside
+    ``cost/__init__.py`` (a ``def`` or ``class`` statement is not a use),
+    and no cost function keeps a knob only tests ever set."""
+    import importlib
+    import pkgutil
+
+    import repro.cost
+
+    reads = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        if path == SRC / "repro" / "cost" / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    assert sorted(set(repro.cost.__all__) - reads) == []
+
+    knobs = {"d_main_share", "include_offchip_transfer", "parameters"}
+    offenders = []
+    for info in pkgutil.iter_modules(repro.cost.__path__):
+        module = importlib.import_module(f"repro.cost.{info.name}")
+        for name, member in vars(module).items():
+            if getattr(member, "__module__", None) != module.__name__:
+                continue
+            functions = [member] if inspect.isfunction(member) else []
+            if inspect.isclass(member):
+                functions = [f for f in vars(member).values() if inspect.isfunction(f)]
+            for function in functions:
+                taken = knobs & set(inspect.signature(function).parameters)
+                offenders.extend(
+                    f"{module.__name__}.{function.__qualname__}: {knob}" for knob in taken
+                )
+    assert not offenders, offenders

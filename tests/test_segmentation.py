@@ -262,7 +262,9 @@ class TestUnitColumnsTripwires:
         from repro.core.allocation import allocate_segment
         from repro.cost.switching import (
             aggregate_resources,
-            inter_segment_breakdown,
+            mode_switch_cycles,
+            weight_reload_cycles,
+            writeback_cycles,
         )
         from repro.hardware import get_preset
 
@@ -307,9 +309,13 @@ class TestUnitColumnsTripwires:
                 num_arrays_total=hardware.num_arrays,
             )
             assert resources == expected
-            assert breakdown == inter_segment_breakdown(
-                previous, expected, mapping, from_mapping.allocations, hardware
-            )
+            assert breakdown == {
+                "writeback": writeback_cycles(previous, expected, hardware),
+                "mode_switch": mode_switch_cycles(previous, expected, hardware),
+                "weight_reload": weight_reload_cycles(
+                    mapping, from_mapping.allocations, hardware
+                ),
+            }
             previous = resources
 
     def test_nothing_outlives_a_compile(self, small_chip):

@@ -1,5 +1,8 @@
 """Tests for the reference executor and the functional / timing simulators."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.api import Session
 from repro.core import CMSwitchCompiler, CompilerOptions
+from repro.core.metaop import ComputeOp, SwitchOp
 from repro.models import Phase, Workload, build_model
 from repro.sim import (
     FunctionalSimulator,
@@ -214,6 +218,56 @@ class TestFunctionalSimulator:
             FunctionalSimulator(small_chip).run(program, tiny_cnn_graph)
         with pytest.raises(ValueError, match="text only.*without cache_dir"):
             TimingSimulator(small_chip).run(program)
+
+
+def _drop_switch(blocks):
+    """Segment 1 loses its ``CM.switch(TOM, [2-7])``."""
+    blocks[1].body = [op for op in blocks[1].body if not isinstance(op, SwitchOp)]
+
+
+def _readdress_compute(segment, operator, addresses):
+    def corrupt(blocks):
+        body = blocks[segment].body
+        for position, op in enumerate(body):
+            if isinstance(op, ComputeOp) and op.operator == operator:
+                body[position] = dataclasses.replace(op, array_addresses=addresses)
+
+    return corrupt
+
+
+#: Seeded corruptions of the tiny-cnn flow on the small chip (segment 0
+#: switches arrays 0-7 to compute mode; segment 1 switches 2-7 to memory
+#: mode for the classifier's buffer) and the error each must raise.
+FLOW_CORRUPTIONS = {
+    "dropped-switch": (
+        _drop_switch,
+        r"segment 1: MEM\.read\(classifier.*: array 2 is not in memory mode",
+    ),
+    "compute-on-a-memory-array": (
+        _readdress_compute(1, "classifier", (2,)),
+        r"segment 1: CIM\.mvm\(classifier.*: array 2 is not in compute mode",
+    ),
+    "two-operators-on-one-array": (
+        _readdress_compute(0, "conv2", (0,)),
+        r"segment 0: CIM\.mvm\(conv2.*: array 0 already owned by 'conv1'",
+    ),
+}
+
+
+class TestFlowLegality:
+    """The functional simulator replays every array claim of the flow."""
+
+    @pytest.mark.parametrize("corruption", sorted(FLOW_CORRUPTIONS))
+    def test_seeded_corruption_is_caught_by_name(
+        self, small_chip, compiled_tiny_cnn, tiny_cnn_graph, corruption
+    ):
+        corrupt, message = FLOW_CORRUPTIONS[corruption]
+        meta = copy.deepcopy(compiled_tiny_cnn.meta_program)
+        corrupt(meta.blocks())
+        assert meta.render() != compiled_tiny_cnn.meta_program.render()
+        program = dataclasses.replace(compiled_tiny_cnn, meta_program=meta)
+        with pytest.raises(FunctionalSimulationError, match=message):
+            FunctionalSimulator(small_chip).run(program, tiny_cnn_graph)
 
 
 class TestTimingSimulator:

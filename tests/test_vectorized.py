@@ -51,11 +51,7 @@ from repro.cost import (
     profile_operator,
 )
 from repro.cost.arithmetic import ProfileVectors, profile_signature
-from repro.cost.latency import (
-    INFEASIBLE_LATENCY,
-    operator_latency_cycles_batch,
-    operator_latency_factors_batch,
-)
+from repro.cost.latency import INFEASIBLE_LATENCY, operator_latency_factors_batch
 from repro.dse import DesignSpace, DSERunner
 from repro.hardware import PRESETS, get_preset, small_test_chip
 from repro.ir import Linear, MatMul, TensorSpec
@@ -94,14 +90,20 @@ PROFILES = [
 # ---------------------------------------------------------------------- #
 # batched Eq. 10
 # ---------------------------------------------------------------------- #
+def latency_grid(profile, compute, memory, hardware):
+    """Eq. 10 over ``compute x memory`` from the one-row factor tables."""
+    compute_time, supply_time = operator_latency_factors_batch(
+        ProfileVectors([profile], hardware), compute, memory, hardware
+    )
+    return np.maximum(compute_time[0][:, None], supply_time[0][None, :])
+
+
 class TestBatchLatencyParity:
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     def test_grid_matches_scalar_exactly(self, profile, small_chip):
         compute = np.arange(1, small_chip.num_arrays + 1)
         memory = np.arange(0, small_chip.num_arrays)
-        grid = operator_latency_cycles_batch(
-            profile, compute[:, None], memory[None, :], small_chip
-        )
+        grid = latency_grid(profile, compute, memory, small_chip)
         for i, com in enumerate(compute):
             for j, mem in enumerate(memory):
                 scalar = operator_latency_cycles(
@@ -110,26 +112,23 @@ class TestBatchLatencyParity:
                 assert grid[i, j] == scalar  # bitwise, not approx
 
     def test_zero_compute_is_infeasible(self, small_chip):
-        profile = PROFILES[0]
-        grid = operator_latency_cycles_batch(
-            profile, np.array([0]), np.array([0]), small_chip
-        )
-        assert grid[0] == INFEASIBLE_LATENCY
+        grid = latency_grid(PROFILES[0], np.array([0]), np.array([0]), small_chip)
+        assert grid[0, 0] == INFEASIBLE_LATENCY
 
     def test_broadcasting_matches_flat_enumeration(self, small_chip):
         profile = PROFILES[3]
         compute = np.array([1, 2, 4])
         memory = np.array([0, 1])
-        broadcast = operator_latency_cycles_batch(
-            profile, compute[:, None], memory[None, :], small_chip
-        )
-        flat = operator_latency_cycles_batch(
-            profile,
+        flat_compute, flat_supply = operator_latency_factors_batch(
+            ProfileVectors([profile], small_chip),
             np.repeat(compute, len(memory)),
             np.tile(memory, len(compute)),
             small_chip,
         )
-        assert np.array_equal(broadcast.ravel(), flat)
+        assert np.array_equal(
+            latency_grid(profile, compute, memory, small_chip).ravel(),
+            np.maximum(flat_compute[0], flat_supply[0]),
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -221,10 +220,12 @@ class TestUnitColumnParity:
             ProfileVectors(profiles, hardware), counts, counts, hardware
         )
         for index, profile in enumerate(profiles):
-            single = operator_latency_factors_batch(profile, counts, counts, hardware)
-            assert single[0].shape == single[1].shape == counts.shape
-            assert np.array_equal(batched[0][index], single[0])
-            assert np.array_equal(batched[1][index], single[1])
+            single = operator_latency_factors_batch(
+                ProfileVectors([profile], hardware), counts, counts, hardware
+            )
+            assert single[0].shape == single[1].shape == (1, len(counts))
+            assert np.array_equal(batched[0][index], single[0][0])
+            assert np.array_equal(batched[1][index], single[1][0])
 
     @pytest.mark.parametrize("chip", sorted(PRESETS))
     def test_candidates_from_the_columns_equal_the_reference(self, chip):
@@ -325,7 +326,7 @@ class TestCandidateParity:
         tables are read from, and the scalar function the reference calls.
         """
         profile = PROFILES[0]
-        all_inf_factors = lambda vectors, com, mem, hw, d_main_share=1.0: (
+        all_inf_factors = lambda vectors, com, mem, hw: (
             np.full((len(vectors), len(com)), INFEASIBLE_LATENCY),
             np.full((len(vectors), len(mem)), INFEASIBLE_LATENCY),
         )
@@ -334,7 +335,7 @@ class TestCandidateParity:
         )
         monkeypatch.setattr(
             "repro.cost.latency.operator_latency_cycles",
-            lambda prof, alloc, hw, d_main_share=1.0: INFEASIBLE_LATENCY,
+            lambda prof, alloc, hw: INFEASIBLE_LATENCY,
         )
         assert candidate_allocations(profile, small_chip, small_chip.num_arrays) == []
         # The frozen reference keeps exhibiting the old fallback bug.
