@@ -10,7 +10,7 @@ from .functional import (
 from .metrics import ReplayMetrics, compute_metrics
 from .reference import ReferenceExecutor, ReferenceExecutionError, deterministic_tensor
 from .replay import ReplayResult, ReplaySimulator, RequestOutcome, replay_schedule
-from .timing import TimingBreakdown, TimingReport, TimingSimulator
+from .timing import FlowError, TimingBreakdown, TimingReport, TimingSimulator
 from .traces import (
     Trace,
     TraceFormatError,
@@ -21,6 +21,7 @@ from .traces import (
 )
 
 __all__ = [
+    "FlowError",
     "FunctionalReport",
     "FunctionalSimulationError",
     "FunctionalSimulator",

@@ -10,13 +10,11 @@ PyTorch framework.  This module does the same with numpy as the reference:
   partial MVM, and partial sums are accumulated along the K dimension;
 * the result is compared against the dense numpy reference
   (:mod:`repro.sim.reference`);
-* chip state (array modes, ownership) is driven by the program's
-  meta-operator flow, and every array a meta-operator names is checked
-  against it, so illegal mappings surface as
-  :class:`FunctionalSimulationError`: a weight load or compute on an
-  array not in compute mode, a ``cim-memory`` read or write on an array
-  not in memory mode, or one array claimed by two operators inside one
-  ``parallel`` block.
+* the program's meta-operator flow, when it has one, is walked by the one
+  flow interpreter (:class:`~repro.sim.timing.TimingSimulator`), which
+  checks every array claim against the chip state and counts the mode
+  switches; an illegal claim is a :class:`~repro.sim.timing.FlowError`,
+  itself a :class:`FunctionalSimulationError`.
 """
 
 from __future__ import annotations
@@ -26,26 +24,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.metaop import (
-    ComputeOp,
-    MemoryReadOp,
-    MemoryWriteOp,
-    MetaProgram,
-    ParallelBlock,
-    SwitchOp,
-    SwitchType,
-    WeightLoadOp,
-)
-from ..core.program import CompiledProgram, RenderedMetaProgram
-from ..hardware.chip import ChipStateError, CIMChip
-from ..hardware.deha import ArrayMode, DualModeHardwareAbstraction
+from ..core.program import CompiledProgram
+from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
 from ..ir.operators import Operator
-from .reference import ReferenceExecutor, deterministic_tensor
-
-
-class FunctionalSimulationError(RuntimeError):
-    """Raised when the compiled program cannot be executed functionally."""
+from .reference import ReferenceExecutor, _im2col
+from .timing import FunctionalSimulationError, TimingSimulator
 
 
 @dataclass
@@ -125,35 +109,6 @@ def execute_tiled_matmul(
     return result.astype(np.float32), tiles
 
 
-def _apply(chip: CIMChip, op) -> int:
-    """Apply one meta-operator to the chip state; returns its switch events.
-
-    A switch changes modes.  A weight load or compute claims its arrays
-    in compute mode, a ``cim-memory`` read or write in memory mode.
-
-    Raises:
-        ChipStateError: An array out of range, in the wrong mode, or
-            already owned by another operator.
-    """
-    if isinstance(op, SwitchOp):
-        to_memory = op.switch_type is SwitchType.TO_MEMORY
-        chip.switch_mode(op.array_addresses, ArrayMode.MEMORY if to_memory else ArrayMode.COMPUTE)
-        return len(op.array_addresses)
-    if isinstance(op, (ComputeOp, WeightLoadOp)):
-        mode = ArrayMode.COMPUTE
-    elif (isinstance(op, MemoryReadOp) and op.source == "cim-memory") or (
-        isinstance(op, MemoryWriteOp) and op.destination == "cim-memory"
-    ):
-        mode = ArrayMode.MEMORY
-    else:
-        return 0
-    for index in op.array_addresses:
-        if not 0 <= index < len(chip.arrays) or chip.arrays[index].mode is not mode:
-            raise ChipStateError(f"array {index} is not in {mode.value} mode")
-    chip.assign(op.array_addresses, op.operator, mode)
-    return 0
-
-
 class FunctionalSimulator:
     """Executes a compiled program functionally and checks it.
 
@@ -182,26 +137,21 @@ class FunctionalSimulator:
         The dense reference execution provides every operator's input
         tensors; each CIM-mappable operator is then re-executed at array
         granularity and compared.  The meta-operator flow (when present)
-        drives the chip-state model, which checks every array claim.
+        is walked by :class:`TimingSimulator`, which checks every array
+        claim; a program without a flow is checked numerically only.
 
         Raises:
             FunctionalSimulationError: If the program references operators
-                missing from the graph, carries its flow as text only, or
-                its flow makes an illegal array claim (naming the segment,
-                the meta-operator and the array).
+                missing from the graph.
+            FlowError: If the program carries its flow as text only, or its
+                flow makes an illegal array claim (naming the segment, the
+                meta-operator and the array).
         """
-        if isinstance(program.meta_program, RenderedMetaProgram):
-            raise FunctionalSimulationError(
-                f"the meta-operator flow of {program.graph_name!r} is text-only "
-                "(the program was decoded from the wire or served from a "
-                "cache_dir program store) and cannot be executed; compile it "
-                "in-process without cache_dir to get an executable flow"
-            )
         report = FunctionalReport(graph_name=graph.name)
         if program.meta_program is not None:
-            report.switch_events, report.mode_switch_cycles = self._replay_flow(
-                program.meta_program
-            )
+            timing = TimingSimulator(self.hardware).run(program)
+            report.switch_events = timing.switch_events
+            report.mode_switch_cycles = timing.breakdown.mode_switch
         values = self.reference.run(graph)
 
         operators = {op.name: op for op in graph.operators}
@@ -220,28 +170,6 @@ class FunctionalSimulator:
                         report.checks.append(check)
         return report
 
-    def _replay_flow(self, meta_program: MetaProgram) -> Tuple[int, float]:
-        """Drive the chip-state model through the flow, checking every claim.
-
-        Each meta-operator is applied with :func:`_apply`.  Claims last
-        until the next ``parallel`` block, so one array serving two
-        operators inside a block is an error.
-        """
-        chip = CIMChip(self.hardware)
-        events = 0
-        for item in meta_program.items:
-            if isinstance(item, ParallelBlock):
-                chip.release()
-                where, ops = f"segment {item.segment_index}", item.body
-            else:
-                where, ops = "top level", [item]
-            for op in ops:
-                try:
-                    events += _apply(chip, op)
-                except ChipStateError as error:
-                    raise FunctionalSimulationError(f"{where}: {op.render()}: {error}") from error
-        return events, chip.switch_cycles
-
     @staticmethod
     def _source_operator_name(name: str) -> str:
         """Map a partitioned shard name back to its parent operator."""
@@ -253,78 +181,43 @@ class FunctionalSimulator:
     def _check_operator(
         self, op: Operator, values: Dict[str, np.ndarray]
     ) -> Optional[OperatorCheck]:
+        """Run one operator through the tiled path, one matmul per batch element."""
         if not op.is_cim_mappable:
             return None
-        dims = op.matmul_dims()
         reference = values[op.outputs[0].name]
-        if op.has_static_weight:
-            stationary = self.reference.weight_of(op)
-            if op.op_type == "conv2d":
-                # The convolution's array-level form is its im2col matmul;
-                # reuse the reference output as ground truth and rebuild the
-                # streamed matrix from the reference input.
-                streamed, stationary, reference2d = self._conv_as_matmul(op, values)
-                reference = reference2d
-            else:
-                streamed = values[op.inputs[0].name].reshape(-1, dims.k)
-                stationary = stationary.reshape(dims.k, dims.n)
-                reference = reference.reshape(-1, dims.n)
+        if op.op_type == "conv2d":
+            streamed, stationary, reference = self._conv_as_matmul(op, values)
+        elif op.has_static_weight:
+            dims = op.matmul_dims()
+            streamed = values[op.inputs[0].name].reshape(1, -1, dims.k)
+            stationary = self.reference.weight_of(op).reshape(1, dims.k, dims.n)
         else:
-            lhs = values[op.inputs[0].name]
-            rhs = values[op.inputs[1].name]
-            if lhs.ndim > 2:
-                # Batched attention product: check each batch element through
-                # the tiled path and stack.
-                flat_l = lhs.reshape(-1, lhs.shape[-2], lhs.shape[-1])
-                flat_r = rhs.reshape(-1, rhs.shape[-2], rhs.shape[-1])
-                outputs = []
-                tiles = 0
-                for left, right in zip(flat_l, flat_r):
-                    out, t = execute_tiled_matmul(
-                        left, right, self.hardware.array_rows, self.hardware.array_cols
-                    )
-                    outputs.append(out)
-                    tiles += t
-                result = np.stack(outputs).reshape(reference.shape)
-                error = float(np.max(np.abs(result - reference))) if result.size else 0.0
-                return OperatorCheck(op.name, error, tiles, error <= self.tolerance)
-            streamed = lhs.reshape(-1, dims.k)
-            stationary = rhs.reshape(dims.k, dims.n)
-            reference = reference.reshape(-1, dims.n)
-
-        result, tiles = execute_tiled_matmul(
-            streamed, stationary, self.hardware.array_rows, self.hardware.array_cols
-        )
-        error = float(np.max(np.abs(result - reference))) if result.size else 0.0
+            # An activation product (attention) is batched over its leading dims.
+            lhs, rhs = (values[tensor.name] for tensor in op.inputs[:2])
+            streamed = lhs.reshape(-1, *lhs.shape[-2:])
+            stationary = rhs.reshape(-1, *rhs.shape[-2:])
+        products = [
+            execute_tiled_matmul(left, right, self.hardware.array_rows, self.hardware.array_cols)
+            for left, right in zip(streamed, stationary)
+        ]
+        result = np.stack([product for product, _ in products])
+        tiles = sum(count for _, count in products)
+        difference = result - reference.reshape(result.shape)
+        error = float(np.max(np.abs(difference))) if result.size else 0.0
         return OperatorCheck(op.name, error, tiles, error <= self.tolerance)
 
     def _conv_as_matmul(self, op, values):
-        """Express a convolution as its im2col matmul for the tiled check."""
-        from .reference import _im2col
+        """A convolution's first group as its im2col matmul, plus its reference.
 
+        All groups share one mapping structure, so a grouped or depthwise
+        convolution checks its first group only; with ``groups == 1`` that
+        group is the whole convolution.
+        """
         x = values[op.inputs[0].name]
         weight = self.reference.weight_of(op)
-        out_c, in_c_per_group, kh, kw = weight.shape
-        if op.groups == 1:
-            cols, oh, ow = _im2col(x, kh, kw, op.stride, op.padding)
-            wmat = weight.reshape(out_c, -1).T
-            n = x.shape[0]
-            reference = (
-                values[op.outputs[0].name].transpose(0, 2, 3, 1).reshape(n * oh * ow, out_c)
-            )
-            return cols, wmat, reference
-        # Grouped/depthwise convolution: check the first group only (all
-        # groups share the same mapping structure).
-        in_per_group = x.shape[1] // op.groups
-        out_per_group = out_c // op.groups
-        xg = x[:, :in_per_group]
-        wg = weight[:out_per_group]
-        cols, oh, ow = _im2col(xg, kh, kw, op.stride, op.padding)
-        wmat = wg.reshape(out_per_group, -1).T
-        n = x.shape[0]
-        reference = (
-            values[op.outputs[0].name][:, :out_per_group]
-            .transpose(0, 2, 3, 1)
-            .reshape(n * oh * ow, out_per_group)
-        )
-        return cols, wmat, reference
+        out_per_group = weight.shape[0] // op.groups
+        kh, kw = weight.shape[2:]
+        cols, _, _ = _im2col(x[:, : x.shape[1] // op.groups], kh, kw, op.stride, op.padding)
+        wmat = weight[:out_per_group].reshape(out_per_group, -1).T
+        reference = values[op.outputs[0].name][:, :out_per_group].transpose(0, 2, 3, 1)
+        return cols[None], wmat[None], reference

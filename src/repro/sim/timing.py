@@ -1,32 +1,42 @@
-"""Timing simulator: replay a meta-operator flow and account cycles.
+"""The flow interpreter: walk a meta-operator flow on a chip, check it, price it.
 
 The compiler predicts latency from its analytical cost model; the timing
 simulator provides an independent estimate by *replaying the generated
-meta-operator flow* against the hardware abstraction:
+meta-operator flow* against the hardware abstraction.  It is the one walk
+of a flow: :class:`~repro.sim.functional.FunctionalSimulator` takes its
+switch accounting from it.  Each meta-operator is applied to one
+:class:`~repro.hardware.chip.CIMChip` and priced where it sits:
 
-* ``CM.switch`` operators cost the per-array switch latency (Eq. 1),
-* weight loads cost the array-programming latency per written array,
+* ``CM.switch`` operators set array modes and cost the per-array switch
+  latency (Eq. 1),
+* weight loads claim compute-mode arrays and cost the array-programming
+  latency per written array,
 * memory reads/writes cost elements divided by the bandwidth of their
-  source/destination (memory-mode arrays vs. the off-chip path),
-* compute operators cost MACs divided by the throughput of the arrays
-  they occupy,
+  source/destination (memory-mode arrays, which they claim, vs. the
+  off-chip path),
+* compute operators claim compute-mode arrays and cost MACs divided by
+  the throughput of the arrays they occupy,
 * operators inside one ``parallel { ... }`` block overlap (pipeline), so a
-  block costs its longest stage plus the pipeline fill time.
+  block costs its longest stage plus the pipeline fill time; operators
+  outside any block run one after another.
 
-The resulting totals should track the compiler's prediction; tests check
-they agree within a modelling tolerance, which guards against the compiler
-optimising for a cost it would not actually achieve.
+An illegal claim raises :class:`FlowError` naming the segment, the
+meta-operator and the array: a weight load or compute on an array not in
+compute mode, a ``cim-memory`` read or write on an array not in memory
+mode, or one array claimed by two operators inside one ``parallel``
+block (claims are released at the start of every block; modes carry
+over).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from ..core.metaop import (
     ComputeOp,
     MemoryReadOp,
-    MemoryWriteOp,
+    MetaOperator,
     MetaProgram,
     ParallelBlock,
     SwitchOp,
@@ -34,8 +44,17 @@ from ..core.metaop import (
     WeightLoadOp,
 )
 from ..core.program import CompiledProgram
-from ..hardware.chip import CIMChip
+from ..hardware.chip import ChipStateError, CIMChip
 from ..hardware.deha import ArrayMode, DualModeHardwareAbstraction
+
+
+class FunctionalSimulationError(RuntimeError):
+    """Raised when a compiled program cannot be simulated."""
+
+
+class FlowError(FunctionalSimulationError, ValueError):
+    """The meta-operator flow cannot run: it is missing, text only, or
+    makes an illegal array claim.  Both simulators raise it."""
 
 
 @dataclass
@@ -89,106 +108,108 @@ class TimingReport:
         )
 
 
+def _executable_flow(program: CompiledProgram) -> MetaProgram:
+    """The program's flow, or :class:`FlowError` saying why it cannot run."""
+    meta = program.meta_program
+    if meta is None:
+        raise FlowError(
+            f"{program.graph_name!r} was compiled without a meta-operator flow; "
+            "compile with generate_code=True"
+        )
+    if not isinstance(meta, MetaProgram):
+        raise FlowError(
+            f"the meta-operator flow of {program.graph_name!r} is text-only "
+            "(the program was decoded from the wire or served from a "
+            "cache_dir program store) and cannot be executed; compile it "
+            "in-process without cache_dir to get an executable flow"
+        )
+    return meta
+
+
+def _claim(chip: CIMChip, op: MetaOperator, mode: ArrayMode) -> None:
+    """Assign ``op``'s arrays to its operator; each must already be in ``mode``."""
+    for index in op.array_addresses:
+        if not 0 <= index < len(chip.arrays) or chip.arrays[index].mode is not mode:
+            raise ChipStateError(f"array {index} is not in {mode.value} mode")
+    chip.assign(op.array_addresses, op.operator, mode)
+
+
 class TimingSimulator:
     """Replays meta-operator flows against the DEHA parameters."""
 
     def __init__(self, hardware: DualModeHardwareAbstraction) -> None:
         self.hardware = hardware
 
-    # ------------------------------------------------------------------ #
-    # meta-operator costs
-    # ------------------------------------------------------------------ #
-    def _read_cycles(self, op: MemoryReadOp) -> float:
-        if op.source == "cim-memory" and op.array_addresses:
-            bandwidth = self.hardware.d_main + len(op.array_addresses) * self.hardware.d_cim
-        else:
-            bandwidth = self.hardware.d_main
-        return op.elements / bandwidth if bandwidth > 0 else float("inf")
-
-    def _write_cycles(self, op: MemoryWriteOp) -> float:
-        if op.destination == "cim-memory" and op.array_addresses:
-            bandwidth = self.hardware.d_main + len(op.array_addresses) * self.hardware.d_cim
-        else:
-            bandwidth = self.hardware.d_main
-        return op.elements / bandwidth if bandwidth > 0 else float("inf")
-
-    def _compute_cycles(self, op: ComputeOp) -> float:
-        arrays = max(1, len(op.array_addresses))
-        rate = arrays * self.hardware.op_cim
-        return op.macs / rate if rate > 0 else float("inf")
-
-    def _weight_load_cycles(self, op: WeightLoadOp) -> float:
-        return len(op.array_addresses) * self.hardware.array_write_latency_cycles
-
-    # ------------------------------------------------------------------ #
-    # replay
-    # ------------------------------------------------------------------ #
     def run(self, program_or_meta: object) -> TimingReport:
-        """Replay a compiled program (or a bare meta program)."""
+        """Replay a compiled program (or a bare meta program).
+
+        Raises:
+            FlowError: The program has no executable flow, or the flow
+                makes an illegal array claim.
+        """
         if isinstance(program_or_meta, CompiledProgram):
-            meta = program_or_meta.meta_program
-            name = program_or_meta.graph_name
-            if meta is None:
-                raise ValueError(
-                    "compiled program has no meta program; compile with generate_code=True"
-                )
-            if not isinstance(meta, MetaProgram):
-                raise ValueError(
-                    "compiled program carries its meta program as text only (decoded "
-                    "from the wire or served from a cache_dir program store); compile "
-                    "it in-process without cache_dir to get an executable flow"
-                )
+            meta = _executable_flow(program_or_meta)
         elif isinstance(program_or_meta, MetaProgram):
             meta = program_or_meta
-            name = program_or_meta.graph_name
         else:
             raise TypeError(f"cannot simulate object of type {type(program_or_meta)!r}")
 
         chip = CIMChip(self.hardware)
-        report = TimingReport(graph_name=name)
+        report = TimingReport(graph_name=program_or_meta.graph_name)
         for item in meta.items:
             if isinstance(item, ParallelBlock):
+                chip.release()
                 report.block_cycles.append(self._run_block(item, chip, report))
-            elif isinstance(item, SwitchOp):
-                cycles = self._switch(item, chip, report)
-                report.breakdown.mode_switch += cycles
-                report.top_level_cycles += cycles
-            elif isinstance(item, WeightLoadOp):
-                cycles = self._weight_load_cycles(item)
-                report.breakdown.weight_load += cycles
+            else:
+                term, cycles = self._step(chip, "top level", item, report)
+                setattr(report.breakdown, term, getattr(report.breakdown, term) + cycles)
                 report.top_level_cycles += cycles
         return report
 
-    def _switch(self, op: SwitchOp, chip: CIMChip, report: TimingReport) -> float:
-        mode = ArrayMode.MEMORY if op.switch_type is SwitchType.TO_MEMORY else ArrayMode.COMPUTE
-        cycles = chip.switch_mode(op.array_addresses, mode)
-        report.switch_events += len(op.array_addresses)
-        return cycles
+    def _step(
+        self, chip: CIMChip, where: str, op: MetaOperator, report: TimingReport
+    ) -> Tuple[str, float]:
+        """Apply one meta-operator to the chip; return its breakdown term and cycles."""
+        hardware = self.hardware
+        try:
+            if isinstance(op, SwitchOp):
+                to_memory = op.switch_type is SwitchType.TO_MEMORY
+                mode = ArrayMode.MEMORY if to_memory else ArrayMode.COMPUTE
+                cycles = chip.switch_mode(op.array_addresses, mode)
+                report.switch_events += len(op.array_addresses)
+                return "mode_switch", cycles
+            if isinstance(op, WeightLoadOp):
+                _claim(chip, op, ArrayMode.COMPUTE)
+                return "weight_load", len(op.array_addresses) * hardware.array_write_latency_cycles
+            if isinstance(op, ComputeOp):
+                _claim(chip, op, ArrayMode.COMPUTE)
+                rate = max(1, len(op.array_addresses)) * hardware.op_cim
+                return "compute", op.macs / rate if rate > 0 else float("inf")
+            reading = isinstance(op, MemoryReadOp)
+            bandwidth = hardware.d_main
+            if (op.source if reading else op.destination) == "cim-memory" and op.array_addresses:
+                _claim(chip, op, ArrayMode.MEMORY)
+                bandwidth = hardware.d_main + len(op.array_addresses) * hardware.d_cim
+            cycles = op.elements / bandwidth if bandwidth > 0 else float("inf")
+            return ("memory_read" if reading else "memory_write"), cycles
+        except ChipStateError as error:
+            raise FlowError(f"{where}: {op.render()}: {error}") from error
 
     def _run_block(self, block: ParallelBlock, chip: CIMChip, report: TimingReport) -> float:
         """Cost of one segment: pipelined stages overlap, switches serialise."""
         stage_cycles: Dict[str, float] = {}
         switch_cycles = 0.0
         weight_cycles: Dict[str, float] = {}
+        where = f"segment {block.segment_index}"
         for op in block.body:
-            if isinstance(op, SwitchOp):
-                switch_cycles += self._switch(op, chip, report)
-            elif isinstance(op, WeightLoadOp):
-                weight_cycles[op.operator] = (
-                    weight_cycles.get(op.operator, 0.0) + self._weight_load_cycles(op)
-                )
-            elif isinstance(op, MemoryReadOp):
-                cycles = self._read_cycles(op)
+            term, cycles = self._step(chip, where, op, report)
+            if term == "mode_switch":
+                switch_cycles += cycles
+            elif term == "weight_load":
+                weight_cycles[op.operator] = weight_cycles.get(op.operator, 0.0) + cycles
+            else:
                 stage_cycles[op.operator] = stage_cycles.get(op.operator, 0.0) + cycles
-                report.breakdown.memory_read += cycles
-            elif isinstance(op, MemoryWriteOp):
-                cycles = self._write_cycles(op)
-                stage_cycles[op.operator] = stage_cycles.get(op.operator, 0.0) + cycles
-                report.breakdown.memory_write += cycles
-            elif isinstance(op, ComputeOp):
-                cycles = self._compute_cycles(op)
-                stage_cycles[op.operator] = stage_cycles.get(op.operator, 0.0) + cycles
-                report.breakdown.compute += cycles
+                setattr(report.breakdown, term, getattr(report.breakdown, term) + cycles)
         report.breakdown.mode_switch += switch_cycles
         # Weight loads of different operators overlap (per-array ports);
         # the longest one is exposed before the pipeline starts.

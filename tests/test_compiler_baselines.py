@@ -23,7 +23,7 @@ from repro.hardware import get_preset
 from repro.models import Phase, Workload, build_model
 from repro.models.registry import list_models
 from repro.obs import NULL_OBS
-from repro.sim import FunctionalSimulator
+from repro.sim import TimingSimulator
 
 
 class TestCMSwitchCompiler:
@@ -251,21 +251,22 @@ def oracle(zoo):
 
 
 @pytest.mark.parametrize("chip", ["dynaplasia", "prime", "small-test-chip"])
-def test_cmswitch_and_cim_mlc_plans_reprice_on_the_zoo(chip, zoo, assert_repriced):
+def test_zoo_plans_reprice_and_all_four_flows_replay(chip, zoo, assert_repriced):
     """Every CMSwitch and CIM-MLC plan of the zoo equals its re-pricing by
-    the cost model, exactly, and its meta-operator flow makes only legal
-    array claims (the functional simulator's replay); the two compilers
-    share one session."""
+    the cost model, exactly, and the meta-operator flow of every compiler
+    (PUMA and OCC too) makes only legal array claims (the flow
+    interpreter's replay); the four compilers share one session."""
     options = CompilerOptions(generate_code=True)
-    simulator = FunctionalSimulator(get_preset(chip))
+    simulator = TimingSimulator(get_preset(chip))
     with Session(hardware=chip, options=options) as session:
         for model, graph in zoo.items():
             if chip == "small-test-chip" and model.startswith(SMALL_CHIP_SKIPS):
                 continue
-            for name in ("cmswitch", "cim-mlc"):
+            for name in COMPILERS:
                 program = session.compile(graph, compiler=name)
-                assert_repriced(program, graph, COMPILERS[name].pin_options(options))
-                simulator._replay_flow(program.meta_program)
+                if name in ("cmswitch", "cim-mlc"):
+                    assert_repriced(program, graph, COMPILERS[name].pin_options(options))
+                simulator.run(program)
 
 
 class TestBaselineParity:

@@ -289,3 +289,27 @@ def test_every_cost_name_has_a_caller_in_src():
                     f"{module.__name__}.{function.__qualname__}: {knob}" for knob in taken
                 )
     assert not offenders, offenders
+
+
+def test_there_is_one_flow_interpreter():
+    """One walk of the meta-operator flow: ``sim/timing.py`` applies it to
+    the one chip state machine, and the functional simulator takes its
+    switch accounting from that walk.  Only codegen (which places arrays)
+    and the interpreter build a ``CIMChip``; outside ``core/metaop.py``
+    only the interpreter reads ``MetaProgram.items``."""
+    chips, walks = set(), set()
+    for path in (SRC / "repro").rglob("*.py"):
+        name = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            ) == "CIMChip":
+                chips.add(name)
+            # ``.items()`` is a dict's; a bare ``.items`` is the flow's.
+            elif isinstance(node, ast.Attribute) and node.attr == "items":
+                if id(node) not in called:
+                    walks.add(name)
+    assert sorted(chips) == ["repro/core/codegen.py", "repro/sim/timing.py"]
+    assert sorted(walks) == ["repro/core/metaop.py", "repro/sim/timing.py"]

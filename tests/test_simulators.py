@@ -11,9 +11,18 @@ from hypothesis.extra import numpy as hnp
 
 from repro.api import Session
 from repro.core import CMSwitchCompiler, CompilerOptions
-from repro.core.metaop import ComputeOp, SwitchOp
+from repro.core.metaop import (
+    ComputeOp,
+    MemoryReadOp,
+    MemoryWriteOp,
+    MetaProgram,
+    SwitchOp,
+    SwitchType,
+    WeightLoadOp,
+)
 from repro.models import Phase, Workload, build_model
 from repro.sim import (
+    FlowError,
     FunctionalSimulator,
     ReferenceExecutor,
     TimingSimulator,
@@ -216,7 +225,7 @@ class TestFunctionalSimulator:
         assert program.fingerprint() == compiled_tiny_cnn.fingerprint()
         with pytest.raises(FunctionalSimulationError, match="text-only.*without cache_dir"):
             FunctionalSimulator(small_chip).run(program, tiny_cnn_graph)
-        with pytest.raises(ValueError, match="text only.*without cache_dir"):
+        with pytest.raises(ValueError, match="text-only.*without cache_dir"):
             TimingSimulator(small_chip).run(program)
 
 
@@ -255,7 +264,8 @@ FLOW_CORRUPTIONS = {
 
 
 class TestFlowLegality:
-    """The functional simulator replays every array claim of the flow."""
+    """Both simulators walk the flow through one interpreter, which checks
+    every array claim: an illegal flow is neither executed nor priced."""
 
     @pytest.mark.parametrize("corruption", sorted(FLOW_CORRUPTIONS))
     def test_seeded_corruption_is_caught_by_name(
@@ -268,6 +278,8 @@ class TestFlowLegality:
         program = dataclasses.replace(compiled_tiny_cnn, meta_program=meta)
         with pytest.raises(FunctionalSimulationError, match=message):
             FunctionalSimulator(small_chip).run(program, tiny_cnn_graph)
+        with pytest.raises(FlowError, match=message):
+            TimingSimulator(small_chip).run(program)
 
 
 class TestTimingSimulator:
@@ -298,6 +310,32 @@ class TestTimingSimulator:
     def test_rejects_unknown_objects(self, small_chip):
         with pytest.raises(TypeError):
             TimingSimulator(small_chip).run(42)
+
+    def test_prices_every_top_level_meta_op(self, small_chip):
+        """Meta-ops outside ``parallel`` run one after another, each
+        priced with the formula it has inside a block."""
+        hw = small_chip
+        meta = MetaProgram("hand-built")
+        meta.append(SwitchOp(SwitchType.TO_COMPUTE, (0, 1)))
+        meta.append(SwitchOp(SwitchType.TO_MEMORY, (2,)))
+        meta.append(WeightLoadOp("fc", (0, 1), elements=64))
+        meta.append(MemoryReadOp("fc", elements=300, source="main-memory"))
+        meta.append(ComputeOp("fc", (0, 1), macs=5000, m=10, k=20, n=25))
+        meta.append(MemoryWriteOp("fc", 250, destination="cim-memory", array_addresses=(2,)))
+        report = TimingSimulator(hw).run(meta)
+        b = report.breakdown
+        assert b.weight_load == 2 * hw.array_write_latency_cycles
+        assert b.memory_read == 300 / hw.d_main
+        assert b.compute == 5000 / (2 * hw.op_cim)
+        assert b.memory_write == 250 / (hw.d_main + hw.d_cim)
+        assert report.block_cycles == [] and report.switch_events == 3
+        assert report.top_level_cycles == pytest.approx(b.total)
+        assert report.total_cycles == report.top_level_cycles
+
+        # A top-level claim is checked like one inside a block.
+        meta.append(ComputeOp("head", (2,), macs=10, m=1, k=1, n=10))
+        with pytest.raises(FlowError, match=r"top level: CIM\.mvm\(head.*array 2 is not in comp"):
+            TimingSimulator(hw).run(meta)
 
     def test_summary_text(self, small_chip, compiled_tiny_cnn):
         text = TimingSimulator(small_chip).run(compiled_tiny_cnn).summary()
