@@ -41,6 +41,10 @@ LOGGER = logging.getLogger("repro")
 #: not a tuning knob).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds between the accept loop's checks for a shutdown request:
+#: :meth:`ServingHTTPServer.shutdown` returns within one of them.
+SHUTDOWN_POLL_SECONDS = 0.05
+
 
 class ServingHTTPServer(ThreadingHTTPServer):
     """Threaded HTTP server preconfigured for the serving tier.
@@ -71,7 +75,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
         """The actual port (meaningful after binding with port 0)."""
         return self.server_address[1]
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self, poll_interval: float = SHUTDOWN_POLL_SECONDS) -> None:
         with self._lifecycle_lock:
             if self._stopped:
                 return

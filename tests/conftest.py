@@ -4,21 +4,32 @@ Most compiler-level tests run against the deliberately small test chip and
 the tiny synthetic models so the whole suite stays fast; a handful of
 integration tests exercise the full DynaPlasia-sized configuration and the
 real benchmark networks.
+
+The zoo itself is compiled once per run, into the session-scoped
+``corpus``: every zoo-wide property is a test over it
+(``tests/test_corpus.py``), never a zoo loop of its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple, Tuple
 
 import pytest
 
-from repro.core import CMSwitchCompiler, CompilerOptions
-from repro.hardware import dynaplasia, prime, small_test_chip
-from repro.models import Phase, Workload, build_model
+from repro.api import Session
+from repro.baselines import COMPILERS
+from repro.core import CMSwitchCompiler, CompiledProgram, CompilerOptions
+from repro.core._reference import reference_baseline_compile
+from repro.hardware import DualModeHardwareAbstraction, dynaplasia, prime, small_test_chip
+from repro.ir import Graph
+from repro.models import Phase, Workload, build_model, list_models
 from repro.pipeline import FixedModeFallback
 
 
@@ -216,3 +227,184 @@ def bench_script(monkeypatch):
         sys.modules, "conftest", _load_module(REPO / "benchmarks" / "conftest.py", "conftest")
     )
     return lambda name: _load_module(REPO / "benchmarks" / f"{name}.py", name)
+
+
+# ---------------------------------------------------------------------- #
+# the corpus: the zoo compiled once per run
+# ---------------------------------------------------------------------- #
+#: The presets the zoo is compiled for.
+CORPUS_CHIPS = ("dynaplasia", "prime", "small-test-chip")
+#: The options of every zoo compile; a case states only where it differs.
+CORPUS_OPTIONS = CompilerOptions(generate_code=True)
+CORPUS_WORKLOAD = Workload(seq_len=32)
+#: On the 8-array chip the LLaMA 2s, the OPTs and the VGGs partition into
+#: thousands of one-unit segments (0.4-1.1 s per compile).  There they
+#: enter the corpus as one CMSwitch compile without a flow; no CI job
+#: compiles them any other way (ROADMAP item 5 is what brings them in).
+SMALL_CHIP_SKIPS = ("llama2", "opt-", "vgg")
+#: The option matrix, CMSwitch on the tiny models and the test chip; code
+#: generation is off unless an entry turns it on.
+OPTION_MATRIX = (
+    {},
+    {"allow_memory_mode": False},
+    {"allow_memory_mode": False, "refine": False},
+    {"refine": False},
+    {"use_milp": False},
+    {"pipelined": False},
+    {"include_switch_cost": False},
+    {"max_segment_operators": 3},
+    {"generate_code": True},
+)
+TINY_MODELS = ("tiny-mlp", "tiny-cnn", "tiny-transformer")
+
+
+class Case(NamedTuple):
+    """One corpus compile: ``model`` on preset ``chip`` by ``compiler``,
+    with ``CORPUS_OPTIONS`` changed by the ``(field, value)`` pairs of
+    ``overrides``."""
+
+    model: str
+    chip: str
+    compiler: str
+    overrides: Tuple[Tuple[str, object], ...] = ()
+
+    @classmethod
+    def of(cls, model, chip, compiler, options):
+        overrides = tuple(
+            (field.name, value)
+            for field in dataclasses.fields(CompilerOptions)
+            if (value := getattr(options, field.name)) != getattr(CORPUS_OPTIONS, field.name)
+        )
+        return cls(model, chip, compiler, overrides)
+
+    @property
+    def options(self) -> CompilerOptions:
+        """The options asked for (a baseline pins some of them)."""
+        return dataclasses.replace(CORPUS_OPTIONS, **dict(self.overrides))
+
+    @property
+    def heavy(self) -> bool:
+        """A ``SMALL_CHIP_SKIPS`` family on the test chip: one CMSwitch
+        compile without a flow, in the corpus for the program codec."""
+        return _heavy(self.model, self.chip)
+
+    @property
+    def id(self) -> str:
+        """``model@chip/compiler``, then ``:field=value,...`` for the overrides."""
+        changed = ",".join(f"{name}={value}" for name, value in self.overrides)
+        return f"{self.model}@{self.chip}/{self.compiler}" + (f":{changed}" if changed else "")
+
+
+def _heavy(model: str, chip: str) -> bool:
+    return chip == "small-test-chip" and model.startswith(SMALL_CHIP_SKIPS)
+
+
+def _corpus_cases():
+    cases = []
+    for chip in CORPUS_CHIPS:
+        for model in list_models():
+            if _heavy(model, chip):
+                cases.append(Case(model, chip, "cmswitch", (("generate_code", False),)))
+            else:
+                cases.extend(Case(model, chip, name) for name in COMPILERS)
+    for model in TINY_MODELS:
+        for overrides in OPTION_MATRIX:
+            options = CompilerOptions(**{"generate_code": False, **overrides})
+            case = Case.of(model, "small-test-chip", "cmswitch", options)
+            if case not in cases:
+                cases.append(case)
+    return tuple(cases)
+
+
+CORPUS_CASES = _corpus_cases()
+
+
+class Entry(NamedTuple):
+    """A compiled corpus case; ``options`` are the ones the compiler ran
+    with (a baseline's pinned options)."""
+
+    program: CompiledProgram
+    graph: Graph
+    hardware: DualModeHardwareAbstraction
+    options: CompilerOptions
+
+
+class Corpus:
+    """``CORPUS_CASES`` compiled on first use, each once per run.
+
+    One ``Session`` per chip compiles every case of that chip, so the
+    cases share one window table and one program table.  Index it with a
+    ``Case`` (``corpus[case]``) or look a compile up by its parts
+    (``corpus.find(model, chip, compiler, options)``).
+    """
+
+    def __init__(self) -> None:
+        self.sessions = {chip: Session(hardware=chip) for chip in CORPUS_CHIPS}
+        self._graphs = {}
+        self._entries = {}
+        self._references = {}
+
+    def graph(self, model: str) -> Graph:
+        if model not in self._graphs:
+            self._graphs[model] = build_model(model, CORPUS_WORKLOAD)
+        return self._graphs[model]
+
+    def models(self, chip: str):
+        """The models all four compilers compile on ``chip``, in registry order."""
+        return [
+            case.model for case in CORPUS_CASES
+            if case.chip == chip and case.compiler == "occ" and not case.overrides
+        ]
+
+    def __getitem__(self, case: Case) -> Entry:
+        if case not in self._entries:
+            if case not in CORPUS_CASES:
+                raise KeyError(f"{case.id} is not a corpus case")
+            session, graph = self.sessions[case.chip], self.graph(case.model)
+            program = session.compile(graph, options=case.options, compiler=case.compiler)
+            options = COMPILERS[case.compiler].pin_options(case.options)
+            self._entries[case] = Entry(program, graph, session.hardware, options)
+            # Corpus programs live for the whole run: frozen, they are not
+            # re-scanned by every later full collection (seconds of GC).
+            gc.freeze()
+        return self._entries[case]
+
+    def find(self, model, chip, compiler="cmswitch", options=CORPUS_OPTIONS) -> Entry:
+        return self[Case.of(model, chip, compiler, options)]
+
+    def reference(self, model: str, chip: str, compiler: str):
+        """PUMA's or OCC's independent scalar compile of ``model`` on
+        ``chip`` (``reference_baseline_compile``), flow included; one
+        oracle run per (model, chip, compiler)."""
+        key = (model, chip, compiler)
+        if key not in self._references:
+            baseline = COMPILERS[compiler](self.sessions[chip].hardware, CORPUS_OPTIONS)
+            self._references[key] = reference_baseline_compile(baseline, self.graph(model))
+        return self._references[key]
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """The zoo compiled once per run (:class:`Corpus`)."""
+    return Corpus()
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "corpus(predicate): parametrise the test's ``case`` argument over the "
+        "corpus cases the predicate accepts (every case without one)",
+    )
+    config.addinivalue_line(
+        "markers", "option_matrix: parametrise the test's ``overrides`` over OPTION_MATRIX"
+    )
+
+
+def pytest_generate_tests(metafunc):
+    marker = metafunc.definition.get_closest_marker("corpus")
+    if marker is not None:
+        accepts = marker.args[0] if marker.args else (lambda case: True)
+        cases = [case for case in CORPUS_CASES if accepts(case)]
+        metafunc.parametrize("case", cases, ids=[case.id for case in cases])
+    if metafunc.definition.get_closest_marker("option_matrix") is not None:
+        metafunc.parametrize("overrides", OPTION_MATRIX)

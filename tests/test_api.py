@@ -17,7 +17,6 @@ import pytest
 
 from repro.api import Session
 from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions
-from repro.core.segmentation import flatten_graph
 from repro.models import Workload
 
 
@@ -165,57 +164,33 @@ class TestSession:
         assert not hasattr(Session(hardware=small_chip), "backend")
 
 
-OPTION_MATRIX = [
-    {},
-    {"allow_memory_mode": False},
-    {"allow_memory_mode": False, "refine": False},
-    {"refine": False},
-    {"use_milp": False},
-    {"pipelined": False},
-    {"include_switch_cost": False},
-    {"max_segment_operators": 3},
-    {"generate_code": True},
-]
-
-
 @pytest.fixture(scope="module")
-def tiny_graphs(tiny_mlp_graph, tiny_cnn_graph, tiny_transformer_graph):
-    graphs = (tiny_mlp_graph, tiny_cnn_graph, tiny_transformer_graph)
-    return {graph.name: graph for graph in graphs}
-
-
-@pytest.fixture(scope="module")
-def shared_session(small_chip):
-    """One session for the option matrix: its compiles share one window table."""
-    with Session(hardware=small_chip) as session:
-        yield session
+def tiny_graphs(tiny_cnn_graph, tiny_transformer_graph):
+    return {graph.name: graph for graph in (tiny_cnn_graph, tiny_transformer_graph)}
 
 
 class TestPipelineParity:
     """Every program re-prices exactly from the cost model: cold,
     memory-warm and disk-served, under every option set."""
 
-    @pytest.mark.parametrize("overrides", OPTION_MATRIX)
-    def test_option_matrix_parity(
-        self, shared_session, tiny_graphs, assert_repriced, overrides
-    ):
+    @pytest.mark.option_matrix
+    def test_option_matrix_parity(self, corpus, assert_repriced, overrides):
+        # The corpus holds the cold compiles (re-priced with every corpus
+        # program); asking its session again returns a program-table copy.
         options = CompilerOptions(**{"generate_code": False, **overrides})
-        for graph in tiny_graphs.values():
-            cold = shared_session.compile(graph, options=options)
-            warm = shared_session.compile(graph, options=options)  # a program-table copy
+        for model in ("tiny-mlp", "tiny-cnn", "tiny-transformer"):
+            cold, graph, _, _ = corpus.find(model, "small-test-chip", "cmswitch", options)
+            warm = corpus.sessions["small-test-chip"].compile(graph, options=options)
+            assert warm.stats["allocator_solves"] == 0
             assert warm.fingerprint() == cold.fingerprint()
-            for program in (cold, warm):
-                assert_repriced(program, graph, options)
+            assert_repriced(warm, graph, options)
 
     @pytest.mark.parametrize("model", ["tiny-cnn", "tiny-transformer"])
     def test_model_parity(self, small_chip, tiny_graphs, assert_repriced, model):
+        # A compiler used directly, outside any session; the plan
+        # arithmetic of every corpus program is in tests/test_corpus.py.
         graph = tiny_graphs[model]
-        program = CMSwitchCompiler(small_chip, _options()).compile(graph)
-        repriced = assert_repriced(program, graph, _options())
-        assert program.graph_cycles == sum(segment.total_cycles for segment in repriced)
-        assert program.end_to_end_cycles == program.graph_cycles * program.block_repeat
-        units = flatten_graph(graph, small_chip)
-        assert program.metadata["num_flattened_units"] == len(units)
+        assert_repriced(CMSwitchCompiler(small_chip, _options()).compile(graph), graph, _options())
 
     def test_shared_cache_parity(self, small_chip, tiny_cnn_graph, assert_repriced):
         # Cold and warm through one cache both re-price, and agree bit for bit.

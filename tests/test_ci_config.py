@@ -2,15 +2,20 @@
 
 A text scan of ``.github/workflows/ci.yml`` (PyYAML is not a dependency):
 no inline Python, ``pytest`` only in the tier-1 step, and a file short
-enough to read.  And nothing under ``benchmarks/`` goes unrun, and the
-architecture guide stays short enough to read too.
+enough to read.  And nothing under ``benchmarks/`` goes unrun, the
+architecture guide stays short enough to read too, and tier-1 compiles
+the zoo once: in the ``corpus`` of ``tests/conftest.py``.
 """
 
+import ast
 import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 CI = REPO / ".github" / "workflows" / "ci.yml"
+TESTS = REPO / "tests"
+#: The calls that compile a program.
+COMPILES = {"compile", "compile_graph", "compile_batch", "reference_baseline_compile"}
 
 #: A line that starts a step (``- name:`` / ``- uses:``) or a job (``  job-id:``).
 BOUNDARY = re.compile(r"^\s*- (?:name|uses):|^  [\w-]+:\s*$")
@@ -62,3 +67,65 @@ def test_every_benchmark_script_is_run_by_a_test_or_by_ci():
     named = set(re.findall(r"benchmarks/(\w+)\.py", CI.read_text(encoding="utf-8")))
     scripts = {path.stem for path in (REPO / "benchmarks").glob("*.py")} - {"conftest"}
     assert scripts <= loaded | named, sorted(scripts - loaded - named)
+
+
+def _called(node, names) -> bool:
+    return any(
+        isinstance(call, ast.Call)
+        and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) in names
+        for call in ast.walk(node)
+    )
+
+
+def _zoo_compiles(tree):
+    """The functions of a module that compile a program and reach
+    ``list_models()``: by calling it, or through a module-level name,
+    a function or a fixture of the module that does."""
+    functions = [
+        node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    uses = {
+        function: {n.id for n in ast.walk(function) if isinstance(n, ast.Name)}
+        | {arg.arg for arg in function.args.args}
+        for function in functions
+    }
+    zoo = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and _called(node.value, {"list_models"})
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    zoo |= {function.name for function in functions if _called(function, {"list_models"})}
+    grown = True
+    while grown:
+        reached = {function.name for function in functions if uses[function] & zoo}
+        grown = not reached <= zoo
+        zoo |= reached
+    return sorted(
+        function.name for function in functions
+        if function.name in zoo and _called(function, COMPILES)
+    )
+
+
+def test_the_zoo_is_compiled_only_by_the_corpus():
+    """One ``SMALL_CHIP_SKIPS``, in ``conftest.py``; and no other test
+    module compiles the registry's models (``list_models()``) itself: a
+    zoo-wide property is a test over the corpus (``tests/test_corpus.py``)."""
+    skips, compilers = [], []
+    for path in sorted(TESTS.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "SMALL_CHIP_SKIPS" not in text and "list_models" not in text:
+            continue
+        tree = ast.parse(text)
+        skips += [
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and target.id == "SMALL_CHIP_SKIPS"
+        ]
+        if path.name != "conftest.py":
+            compilers += [f"{path.name}::{name}" for name in _zoo_compiles(tree)]
+    assert skips == ["conftest.py"]
+    assert not compilers, compilers

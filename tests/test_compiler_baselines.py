@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import Session
 from repro.baselines import (
-    COMPILERS,
     BaselineCompiler,
     BoundaryPolicySegment,
     CIMMLCCompiler,
@@ -15,15 +14,12 @@ from repro.baselines import (
     get_compiler,
 )
 from repro.core import CMSwitchCompiler, CompilerOptions, NoFeasiblePlanError
-from repro.core._reference import reference_baseline_compile
 from repro.core.cache import AllocationCache
 from repro.core.program import SegmentPlan
 from repro.cost.latency import INFEASIBLE_LATENCY, OperatorAllocation
 from repro.hardware import get_preset
-from repro.models import Phase, Workload, build_model
-from repro.models.registry import list_models
+from repro.models import Workload, build_model
 from repro.obs import NULL_OBS
-from repro.sim import TimingSimulator
 
 
 class TestCMSwitchCompiler:
@@ -220,98 +216,37 @@ class TestBaselineCompilers:
         assert program.meta_program is not None
 
 
-#: On the 8-array chip the 6.7b+ LLMs, gpt2-xl, the VGGs and resnet50
-#: partition into hundreds to thousands of one-unit segments (0.4-4.8 s of
-#: compiles each); the full matrix is run outside tier-1.
-SMALL_CHIP_SKIPS = ("llama2", "opt-", "vgg", "gpt2-xl", "resnet50")
-
-
-@pytest.fixture(scope="module")
-def zoo():
-    return {model: build_model(model, Workload(seq_len=32)) for model in list_models()}
-
-
-@pytest.fixture(scope="module")
-def oracle(zoo):
-    """``(chip, model, compiler class, generate_code) -> reference program``,
-    one oracle run per (chip, model, compiler): code generation only adds
-    the flow."""
-    programs = {}
-
-    def expected(chip, model, compiler_cls, generate_code):
-        key = (chip, model, compiler_cls)
-        if key not in programs:
-            programs[key] = reference_baseline_compile(
-                compiler_cls(get_preset(chip)), zoo[model]
-            )
-        program = programs[key]
-        return replace(program, meta_program=program.meta_program if generate_code else None)
-
-    return expected
-
-
-@pytest.mark.parametrize("chip", ["dynaplasia", "prime", "small-test-chip"])
-def test_zoo_plans_reprice_and_all_four_flows_replay(chip, zoo, assert_repriced):
-    """Every CMSwitch and CIM-MLC plan of the zoo equals its re-pricing by
-    the cost model, exactly, and the meta-operator flow of every compiler
-    (PUMA and OCC too) makes only legal array claims (the flow
-    interpreter's replay); the four compilers share one session."""
-    options = CompilerOptions(generate_code=True)
-    simulator = TimingSimulator(get_preset(chip))
-    with Session(hardware=chip, options=options) as session:
-        for model, graph in zoo.items():
-            if chip == "small-test-chip" and model.startswith(SMALL_CHIP_SKIPS):
-                continue
-            for name in COMPILERS:
-                program = session.compile(graph, compiler=name)
-                if name in ("cmswitch", "cim-mlc"):
-                    assert_repriced(program, graph, COMPILERS[name].pin_options(options))
-                simulator.run(program)
-
-
 class TestBaselineParity:
     """PUMA/OCC programs equal the independent scalar oracle bit for bit
-    (``reference_baseline_compile``)."""
+    (``reference_baseline_compile``); every corpus program is checked in
+    ``tests/test_corpus.py``, these are compiles obtained other ways."""
 
     @pytest.mark.parametrize("chip", ["dynaplasia", "prime", "small-test-chip"])
-    def test_matches_the_reference_on_the_zoo(self, chip, zoo, oracle):
-        hardware = get_preset(chip)
-        for model, graph in zoo.items():
-            if chip == "small-test-chip" and model.startswith(SMALL_CHIP_SKIPS):
-                continue
-            for compiler_cls in (PUMACompiler, OCCCompiler):
-                for generate_code in (False, True):
-                    program = compiler_cls(
-                        hardware, CompilerOptions(generate_code=generate_code)
-                    ).compile(graph)
-                    expected = oracle(chip, model, compiler_cls, generate_code)
-                    assert program.fingerprint() == expected.fingerprint(), (
-                        model, program.compiler_name, generate_code,
-                    )
-
-    @pytest.mark.parametrize("chip", ["dynaplasia", "prime"])
-    def test_matches_the_reference_over_a_shared_cache(self, chip, zoo, oracle):
+    def test_matches_the_reference_over_a_shared_cache(self, chip, corpus):
         # Greedy CMSwitch compiles warm the cache first, so fixed-mode
         # windows are also served from memory-free dual-mode entries.
+        # Fresh compilers without code generation: the reference less its flow.
         hardware = get_preset(chip)
         cache = AllocationCache()
         greedy = CompilerOptions(use_milp=False, generate_code=False)
-        for model, graph in zoo.items():
+        for model in corpus.models(chip):
+            graph = corpus.graph(model)
             CMSwitchCompiler(hardware, greedy, cache=cache).compile(graph)
             for compiler_cls in (PUMACompiler, OCCCompiler):
                 program = compiler_cls(
                     hardware, CompilerOptions(generate_code=False), cache=cache
                 ).compile(graph)
-                expected = oracle(chip, model, compiler_cls, False)
-                assert program.fingerprint() == expected.fingerprint(), (
-                    model, program.compiler_name,
-                )
+                expected = corpus.reference(model, chip, compiler_cls.name)
+                assert program.fingerprint() == replace(
+                    expected, meta_program=None
+                ).fingerprint(), (model, program.compiler_name)
         assert cache.stats.cross_mode_hits > 0
 
-    def test_a_second_compiler_on_the_cache_solves_nothing(self, zoo, dynaplasia_chip):
+    def test_a_second_compiler_on_the_cache_solves_nothing(self, corpus, dynaplasia_chip):
         cache = AllocationCache()
-        first = PUMACompiler(dynaplasia_chip, cache=cache).compile(zoo["mobilenet"])
-        second = PUMACompiler(dynaplasia_chip, cache=cache).compile(zoo["mobilenet"])
+        graph = corpus.graph("mobilenet")
+        first = PUMACompiler(dynaplasia_chip, cache=cache).compile(graph)
+        second = PUMACompiler(dynaplasia_chip, cache=cache).compile(graph)
         assert first.stats["allocator_solves"] > 0
         assert second.stats["allocator_solves"] == 0
         assert second.stats["allocation_cache_hits"] == second.num_segments

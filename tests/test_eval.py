@@ -38,7 +38,8 @@ from repro.service import CompileJob
 ZOO = ("tiny-cnn", "tiny-mlp", "tiny-transformer", "mobilenet")
 ZOO_WORKLOAD = Workload(batch_size=1, seq_len=16)
 
-#: The parity option matrix (mirrors the fingerprint suite).
+#: The options each bound and compile check sweeps: the default, memory mode
+#: off, the greedy engine, and pipelining and refinement both off.
 OPTION_MATRIX = (
     CompilerOptions(generate_code=False),
     CompilerOptions(generate_code=False, allow_memory_mode=False),

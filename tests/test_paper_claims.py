@@ -115,6 +115,16 @@ def _fig14_family_order(rows) -> bool:
     )
 
 
+def _sec55_full_process_reading(rows) -> bool:
+    """§5.5 read as: the whole switch process costs 3-5 % of execution time."""
+    return all(0.03 <= row["switch_process_share"] <= 0.05 for row in rows)
+
+
+def _sec55_driver_reading(rows) -> bool:
+    """§5.5 read as: the Eq. 1 driver switch alone costs < 1 %."""
+    return all(row["switch_share"] < 0.01 for row in rows)
+
+
 def _fig15_cnns_lean_compute(rows) -> bool:
     ratio = {row["model"]: row["memory_array_ratio"] for row in rows if row["batch_size"] == 1}
     return max(ratio[m] for m in CNNS) < min(ratio[m] for m in LLMS)
@@ -313,12 +323,13 @@ CLAIMS = (
               for row in r["sec5.5"]
           ), AGREES),
     Claim("sec5.5.paper-value", "§5.5",
-          "the full switch process costs 3-5 % of execution time (the other reading: < 1 %)",
+          "the full switch process costs 3-5 % of execution time, or (the other reading) "
+          "the driver switch alone < 1 %",
           "core/codegen.py",
-          lambda r: all(0.03 <= row["switch_process_share"] <= 0.05 for row in r["sec5.5"]),
-          UNTESTED,
-          "the two readings disagree and the paper text (arXiv 2502.17006) is not in the "
-          "repository; ours: driver share <= 1.1 %, full process 14-69 %"),
+          lambda r: _sec55_full_process_reading(r["sec5.5"]) or _sec55_driver_reading(r["sec5.5"]),
+          DEVIATES,
+          "meets neither reading: the full process is 14-69 %, and the driver share is "
+          "<= 0.16 % but for mobilenet's 1.1 %; unattributed, ROADMAP 1(b)"),
     Claim("sec5.5.prime-not-slower", "§5.5",
           "on the PRIME-like ReRAM chip CMSwitch still never loses to CIM-MLC (>= 0.99)",
           "experiments/overheads.py",

@@ -23,12 +23,10 @@ from dataclasses import replace
 import pytest
 
 from repro.api import Session
-from repro.core.cache import AllocationCache
 from repro.core.compiler import CMSwitchCompiler, CompilerOptions
 from repro.core.segmentation import NetworkSegmenter, flatten_graph, plan_cost
 from repro.hardware import get_preset
 from repro.models import Workload, build_model
-from repro.models.registry import list_models
 
 #: The benchmark's compile set (``bench/benchlib/base.py``) on ``dynaplasia``.
 PAPER_SET = (
@@ -99,32 +97,27 @@ OPTION_MATRIX = (
     {"pipelined": False},
     {"include_switch_cost": False},
 )
-#: On the 8-array chip the 6.7b+ LLMs and the VGGs flatten into 4k-10k
-#: one-unit segments (seconds per compile, no window ever holds two
-#: units); ``tests/test_segmentation.py`` covers that regime.
-SMALL_CHIP_SKIPS = ("llama2", "opt-", "vgg")
-
-
-def _zoo(chip):
-    for model in list_models():
-        if chip == "small-test-chip" and model.startswith(SMALL_CHIP_SKIPS):
-            continue
-        yield model, build_model(model, Workload(seq_len=32))
 
 
 @pytest.mark.parametrize("chip", ["dynaplasia", "prime", "small-test-chip"])
-def test_one_dp_never_loses_to_fixed_mode_anywhere(chip, with_oracle):
+def test_one_dp_never_loses_to_fixed_mode_anywhere(chip, corpus, with_oracle):
     hardware = get_preset(chip)
-    for model, graph in _zoo(chip):
-        cache = AllocationCache()  # the three compiles below share their solves
+    cache = corpus.sessions[chip].cache  # the corpus's solves are shared too
+    for model in corpus.models(chip):
+        graph = corpus.graph(model)
         for overrides in OPTION_MATRIX:
             case = f"{model} @ {chip} {overrides}"
             options = CompilerOptions(generate_code=False, **overrides)
-            dual = CMSwitchCompiler(hardware, options, cache=cache).compile(graph)
-            fixed = CMSwitchCompiler(
-                hardware, replace(options, allow_memory_mode=False), cache=cache
-            ).compile(graph)
-            assert dual.end_to_end_cycles <= fixed.end_to_end_cycles, case
+            if overrides:
+                dual = CMSwitchCompiler(hardware, options, cache=cache).compile(graph)
+                fixed = CMSwitchCompiler(
+                    hardware, replace(options, allow_memory_mode=False), cache=cache
+                ).compile(graph)
+                assert dual.end_to_end_cycles <= fixed.end_to_end_cycles, case
+            else:
+                # The corpus's programs; test_corpus.py holds CMSwitch to
+                # at most its fixed-mode twin (CIM-MLC) there.
+                dual = corpus.find(model, chip).program
             # The oracle pass re-runs the DP in fixed mode and keeps the
             # faster plan: it must never find one.
             with_oracle(hardware, options, cache=cache).compile(graph)

@@ -892,6 +892,15 @@ class TestServerLifecycle:
         thread.start()
         _join(thread)
 
+    def test_an_idle_daemon_stops_promptly(self):
+        daemon = CompileDaemon(workers=1)
+        daemon.start_background()
+        with Client(daemon.url, retries=0) as client:
+            assert client.healthy()
+        start = time.perf_counter()
+        daemon.shutdown()
+        assert time.perf_counter() - start < 0.2
+
     def test_shutdown_is_idempotent_after_serving(self, daemon):
         with Client(daemon.url, retries=0) as client:
             assert client.healthy()

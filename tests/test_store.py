@@ -5,10 +5,12 @@ bit-exact encoded ``CompiledProgram``.  Covered here: fingerprint-exact
 round trips over a zoo sample x the option matrix x who wrote the
 directory (this process or another), a disk-warm compile that never
 reaches the allocator, the statistics of a served program, every
-on-disk fault degrading to a counted miss plus a normal compile, eviction and pruning (over a directory that still holds
-version-3 window files too), concurrent same-key writers from two
-processes, and a second CLI process warm-starting from the first's
-directory.
+on-disk fault degrading to a counted miss plus a normal compile,
+eviction and pruning (over a directory that still holds version-3
+window files too), concurrent same-key writers from two processes, and
+a second CLI process warm-starting from the first's directory.  The
+encoding of every corpus program (byte for byte, and back) is a
+property in ``tests/test_corpus.py``.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from repro.core import (
     DiskCacheStore,
     ManualClock,
 )
-from repro.core.program import RenderedMetaProgram, program_to_payload
+from repro.core.program import RenderedMetaProgram
 from repro.core.store import FORMAT_VERSION, ProgramKey
 from repro.hardware import get_preset, small_test_chip
-from repro.models import Workload, build_model, list_models
+from repro.models import Workload, build_model
 from repro.obs import Observability
 from repro.service import CompileJob, CompileService
 
@@ -653,41 +655,6 @@ class TestProgramStore:
             ProgramKey.build(tiny_cnn_graph, small_chip, options, "cmswitch")
         )
         assert stored.stats["allocator_solves"] == cold.stats["allocator_solves"]
-
-    def test_encoding_is_byte_identical_to_the_asdict_rendering(self):
-        """The encoder reads the flat records by field name; no byte may move.
-
-        Reference: ``dataclasses.asdict`` over each profile and resources
-        record, which is how format version 4 / wire version 1 were
-        defined.  Every zoo program on the test chip, JSON text compared
-        in emission order (stricter than the store's sorted rendering).
-        """
-        from repro.serve.wire import WIRE_VERSION
-
-        assert (FORMAT_VERSION, WIRE_VERSION) == (4, 1)
-        options = CompilerOptions(generate_code=False)
-        with Session(hardware="small-test-chip", options=options) as session:
-            for model in list_models():
-                program = session.compile(model)
-                payload = program_to_payload(program)
-                reference = dict(
-                    payload,
-                    segments=[
-                        dict(
-                            encoded,
-                            profiles={
-                                name: asdict(profile)
-                                for name, profile in segment.profiles.items()
-                            },
-                            resources=(
-                                None if segment.resources is None
-                                else asdict(segment.resources)
-                            ),
-                        )
-                        for encoded, segment in zip(payload["segments"], program.segments)
-                    ],
-                )
-                assert json.dumps(payload) == json.dumps(reference), model
 
     def test_store_hit_is_promoted_to_the_program_table(
         self, small_chip, tiny_cnn_graph, tmp_path
