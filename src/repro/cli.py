@@ -5,7 +5,8 @@ Installed as ``python -m repro.cli`` (or used programmatically through
 :class:`repro.api.Session` — the CLI builds one session (hardware,
 cache directory) and routes the work through it,
 so the command line and the Python API cannot drift apart.  Unknown
-model names exit with code 2 and the list of registered models, never
+model names exit with code 2 and the list of registered models, a size,
+rate or count that is not positive with code 2 and the usage, never
 a raw traceback.  Sub-commands:
 
 * ``models`` — list the registered benchmark networks.
@@ -163,8 +164,10 @@ def _workload_from_args(args: argparse.Namespace, model: Optional[str] = None) -
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("model", help="registered model name (see the 'models' command)")
     parser.add_argument("--hardware", default="dynaplasia", choices=sorted(PRESETS))
-    parser.add_argument("--batch", type=int, default=1, help="batch size")
-    parser.add_argument("--seq-len", type=int, default=64, help="input sequence length")
+    parser.add_argument("--batch", type=_positive(int), default=1, help="batch size")
+    parser.add_argument(
+        "--seq-len", type=_positive(int), default=64, help="input sequence length"
+    )
     parser.add_argument("--output-len", type=int, default=64, help="generated tokens")
     parser.add_argument(
         "--phase",
@@ -541,6 +544,19 @@ def _parse_age(text: str) -> float:
     return float(match.group(1)) * scale
 
 
+def _positive(cast):
+    """An argparse ``type``: ``cast(text)``, refused unless it is > 0."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # "invalid int value: 'x'", as before
+    return parse
+
+
 def cmd_dse(args: argparse.Namespace) -> int:
     """Explore a design space and print/persist the Pareto report."""
     from .dse import DesignSpace, RunState, RunStateError, make_strategy
@@ -827,8 +843,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("models", nargs="*", help="registered model names (at least one)")
     batch.add_argument("--hardware", default="dynaplasia", choices=sorted(PRESETS))
-    batch.add_argument("--batch", type=int, default=1, help="batch size")
-    batch.add_argument("--seq-len", type=int, default=64, help="input sequence length")
+    batch.add_argument("--batch", type=_positive(int), default=1, help="batch size")
+    batch.add_argument(
+        "--seq-len", type=_positive(int), default=64, help="input sequence length"
+    )
     batch.add_argument("--output-len", type=int, default=64, help="generated tokens")
     batch.add_argument(
         "--phase",
@@ -872,8 +890,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["fig14", "fig15", "fig16", "fig17", "fig18", "sec5.5", "serving"],
     )
     experiment.add_argument("--hardware", default="dynaplasia", choices=sorted(PRESETS))
-    experiment.add_argument("--batch-sizes", type=int, nargs="+", default=[1])
-    experiment.add_argument("--sequence-lengths", type=int, nargs="+", default=[32, 256])
+    experiment.add_argument("--batch-sizes", type=_positive(int), nargs="+", default=[1])
+    experiment.add_argument(
+        "--sequence-lengths", type=_positive(int), nargs="+", default=[32, 256]
+    )
     experiment.add_argument(
         "--presets",
         nargs="+",
@@ -883,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--requests",
-        type=int,
+        type=_positive(int),
         default=24,
         help="requests per synthetic trace (serving experiment)",
     )
@@ -909,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse.add_argument(
         "--arrays",
-        type=int,
+        type=_positive(int),
         nargs="+",
         default=None,
         help="num_arrays axis values (default: half and full preset size)",
@@ -921,9 +941,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="mode-split axis: dual (memory mode allowed) and/or fixed",
     )
-    dse.add_argument("--batch", type=int, nargs="+", default=[1], help="batch-size axis")
     dse.add_argument(
-        "--seq-len", type=int, nargs="+", default=[32], help="sequence-length axis"
+        "--batch", type=_positive(int), nargs="+", default=[1], help="batch-size axis"
+    )
+    dse.add_argument(
+        "--seq-len",
+        type=_positive(int),
+        nargs="+",
+        default=[32],
+        help="sequence-length axis",
     )
     dse.add_argument("--output-len", type=int, default=32, help="generated tokens")
     dse.add_argument(
@@ -1017,24 +1043,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="traffic mix for synthetic traces (default: tiny-mlp tiny-cnn)",
     )
     replay.add_argument(
-        "--requests", type=int, default=32, help="synthetic trace length"
+        "--requests", type=_positive(int), default=32, help="synthetic trace length"
     )
     replay.add_argument(
         "--rate",
-        type=float,
+        type=_positive(float),
         default=50.0,
         help="arrival rate in req/s (mean / base / peak by generator)",
     )
     replay.add_argument("--seed", type=int, default=0, help="trace generator seed")
     replay.add_argument(
         "--seq-lens",
-        type=int,
+        type=_positive(int),
         nargs="+",
         default=[32, 64],
         help="sequence-length buckets of synthetic traffic",
     )
     replay.add_argument(
-        "--batch", type=int, default=1, help="batch size of synthetic requests"
+        "--batch", type=_positive(int), default=1, help="batch size of synthetic requests"
     )
     replay.add_argument(
         "--cache-dir",
@@ -1102,11 +1128,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="program-store directory behind the daemon's in-memory tiers",
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="compile worker threads"
+        "--workers", type=_positive(int), default=2, help="compile worker threads"
     )
     serve.add_argument(
         "--queue-limit",
-        type=int,
+        type=_positive(int),
         default=64,
         help="pending-request bound; beyond it requests get a structured 503",
     )

@@ -12,9 +12,10 @@ and one ``parallel { ... }`` block per segment.
 
 Physical assignment greedily reuses arrays that are already in the target
 mode, which is what keeps the number of emitted ``CM.switch`` operators —
-and therefore the run-time switching overhead — low.  What share §5.5
-reports (3–5 % or < 1 %) is unsettled: ledger row ``sec5.5.paper-value``
-(``untested``) in ``tests/test_paper_claims.py``.
+and therefore the run-time switching overhead — low.  Ours meets neither
+reading of §5.5 (3–5 % for the whole switch process, < 1 % for the
+driver switch): ledger row ``sec5.5.paper-value`` (``deviates``) in
+``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations

@@ -309,8 +309,8 @@ class RenderedMetaProgram:
     ``meta_program.render()`` produced — which is also precisely what
     :meth:`CompiledProgram.fingerprint` hashes — so a decoded program
     keeps its fingerprint without shipping the object graph.  The flow
-    is text only: it cannot be executed (see
-    :class:`~repro.sim.functional.FunctionalSimulator`).
+    is text only: the flow interpreter,
+    :meth:`~repro.sim.timing.TimingSimulator.run`, refuses it.
     """
 
     def __init__(self, text: str) -> None:

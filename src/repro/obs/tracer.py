@@ -15,8 +15,8 @@ well-formed sub-forests that merge on :meth:`Tracer.spans`.
 
 The disabled path is the null-object :data:`NULL_TRACER`: every call is
 a constant-time no-op returning shared singletons, so instrumented code
-never branches on "is tracing on?" and the cold-compile bench stays
-within the ratchet's tolerance with telemetry compiled in.
+never branches on "is tracing on?" and an untraced cold compile costs
+what it did before telemetry was compiled in.
 """
 
 from __future__ import annotations

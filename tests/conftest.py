@@ -203,30 +203,15 @@ def cli_process():
     return run
 
 
-def _load_module(path, name):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture
 def check_trace():
     """``scripts/check_trace.py`` as a module."""
-    return _load_module(REPO / "scripts" / "check_trace.py", "check_trace")
-
-
-@pytest.fixture
-def bench_script(monkeypatch):
-    """Load ``benchmarks/<name>.py`` in-process to call its ``--quick`` smokes.
-
-    The scripts import their own ``conftest`` by name, so the benchmark
-    harness's ``conftest`` stands in for this one while the test runs.
-    """
-    monkeypatch.setitem(
-        sys.modules, "conftest", _load_module(REPO / "benchmarks" / "conftest.py", "conftest")
+    spec = importlib.util.spec_from_file_location(
+        "check_trace", REPO / "scripts" / "check_trace.py"
     )
-    return lambda name: _load_module(REPO / "benchmarks" / f"{name}.py", name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------- #

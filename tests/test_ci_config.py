@@ -2,7 +2,7 @@
 
 A text scan of ``.github/workflows/ci.yml`` (PyYAML is not a dependency):
 no inline Python, ``pytest`` only in the tier-1 step, and a file short
-enough to read.  And nothing under ``benchmarks/`` goes unrun, the
+enough to read.  And ``bench/`` is the one benchmark harness, the
 architecture guide stays short enough to read too, and tier-1 compiles
 the zoo once: in the ``corpus`` of ``tests/conftest.py``.
 """
@@ -56,17 +56,20 @@ def test_the_architecture_guide_fits_in_600_lines():
     assert len(guide.read_text(encoding="utf-8").splitlines()) <= 600
 
 
-def test_every_benchmark_script_is_run_by_a_test_or_by_ci():
-    # A test loads a script through the ``bench_script`` fixture; CI names
-    # it by path.  A script neither does is assertions nothing checks.
-    loaded = {
-        name
-        for test in (REPO / "tests").glob("*.py")
-        for name in re.findall(r'bench_script\("(\w+)"\)', test.read_text(encoding="utf-8"))
-    }
-    named = set(re.findall(r"benchmarks/(\w+)\.py", CI.read_text(encoding="utf-8")))
-    scripts = {path.stem for path in (REPO / "benchmarks").glob("*.py")} - {"conftest"}
-    assert scripts <= loaded | named, sorted(scripts - loaded - named)
+def test_the_repository_benchmark_is_the_one_benchmark_instrument():
+    """``bench/`` measures; tier-1 gates the exact counters.  No second
+    harness, no committed records, and CI runs no script but ``bench/run.py``
+    and the ``scripts/check_*.py`` smokes."""
+    assert not (REPO / "benchmarks").exists()
+    assert not sorted(REPO.glob("BENCH_*.json"))
+    scripts = re.findall(r"\bpython3? ([\w./-]+\.py)\b", CI.read_text(encoding="utf-8"))
+    assert "bench/run.py" in scripts
+    others = [s for s in scripts if s != "bench/run.py"]
+    assert all(
+        re.fullmatch(r"scripts/check_\w+\.py", s) and (REPO / s).is_file() for s in others
+    ), others
+    for path in (CI, REPO / "pyproject.toml"):
+        assert not re.search(r"pytest[-_]benchmark", path.read_text(encoding="utf-8")), path.name
 
 
 def _called(node, names) -> bool:

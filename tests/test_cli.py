@@ -37,6 +37,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "--requests", "0"],
+            ["replay", "--rate", "0"],
+            ["replay", "--rate", "nan"],
+            ["replay", "--seq-lens", "0"],
+            ["compile", "tiny-mlp", "--batch", "0"],
+            ["compile-batch", "tiny-mlp", "--seq-len", "0"],
+            ["dse", "tiny-cnn", "--arrays", "0"],
+            ["serve", "--workers", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_size_rate_or_count_not_above_zero_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be positive" in err and "Traceback" not in err
+
+    def test_port_zero_and_a_non_number_keep_their_meaning(self, capsys):
+        assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
+        with pytest.raises(SystemExit):
+            main(["replay", "--requests", "many"])
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_models_lists_registry(self, capsys):

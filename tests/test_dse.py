@@ -879,25 +879,6 @@ class TestPareto:
         assert flags == {"a": "1", "c": "0"}
 
 
-class TestQuickBench:
-    """``benchmarks/bench_dse.py --quick``, plain and ``--fidelity auto``:
-    a 12-point space (2 models x 3 array counts x 2 modes)."""
-
-    def test_a_second_run_is_served_from_the_store(self, bench_script, tmp_path):
-        record = tmp_path / "BENCH_dse.json"
-        assert bench_script("bench_dse")._quick_smoke(json_out=str(record)) == 0
-        data = json.loads(record.read_text(encoding="utf-8"))
-        assert data["allocator_solves_warm"] == 0 and data["cold_planned_warm_run"] == 0, data
-
-    def test_auto_compiles_five_times_fewer_points_than_the_grid(self, bench_script, tmp_path):
-        record = tmp_path / "BENCH_dse_fidelity.json"
-        assert bench_script("bench_dse")._fidelity_smoke(json_out=str(record)) == 0
-        data = json.loads(record.read_text(encoding="utf-8"))
-        assert data["rung0_allocator_solves"] == 0, data
-        assert data["analytical_evaluations"] == 12, data
-        assert data["compiles_auto"] * 5 <= data["compiles_baseline"], data
-
-
 # ---------------------------------------------------------------------- #
 # CLI
 # ---------------------------------------------------------------------- #
@@ -1146,6 +1127,24 @@ class TestFidelity:
 
         assert best(auto).point_key == best(grid).point_key
         assert best(auto).cycles == best(grid).cycles
+
+    def test_auto_compiles_five_times_fewer_points_than_the_grid(self):
+        """2 models x 3 array counts x 2 modes, keeping one sixth past rung 0."""
+        from repro.dse import SuccessiveHalvingStrategy
+
+        def space():
+            return tiny_space(
+                arrays=(4, 6, 8), modes=(True, False), models=("tiny-cnn", "tiny-mlp")
+            )
+
+        strategy = SuccessiveHalvingStrategy(seed=0, keep_fraction=1 / 6)
+        auto = DSERunner(space(), strategy=strategy, fidelity="auto").run()
+        grid = DSERunner(space(), strategy="grid", fidelity="compile").run()
+        rung0 = [r for r in auto.new_records if r.fidelity == "analytical"]
+        assert len(rung0) == space().size == 12
+        assert sum(r.allocator_solves for r in rung0) == 0
+        compiles = auto.evaluated_by_fidelity["compile"]
+        assert 0 < compiles and compiles * 5 <= grid.evaluated_by_fidelity["compile"]
 
     def test_auto_installs_successive_halving_for_plain_strategies(self):
         from repro.dse import SuccessiveHalvingStrategy

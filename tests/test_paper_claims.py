@@ -314,6 +314,17 @@ CLAIMS = (
           lambda r: all(2.8 <= row["overhead_ratio"] <= 6.3 for row in r["fig18"]), DEVIATES,
           "1.1-2.2x: CIM-MLC is CMSwitch's pipeline with memory mode off, so the "
           "dual-mode dimension adds candidates to one solver and one DP, not a second search"),
+    Claim("fig18.bounded", "Fig. 18",
+          "CMSwitch's compile overhead over CIM-MLC stays a small multiple (<= 20x)",
+          "experiments/compile_time.py",
+          lambda r: all(row["overhead_ratio"] <= 20.0 for row in r["fig18"]), AGREES),
+    Claim("fig18.block-reuse", "Fig. 18",
+          "a transformer block is compiled once and reused: LLaMA2-7B compiles within "
+          "twice ResNet-18's time",
+          "experiments/compile_time.py",
+          lambda r: (lambda t: t["llama2-7b"] <= 2.0 * t["resnet18"])(
+              {row["model"]: row["cmswitch_seconds"] for row in r["fig18"]}
+          ), AGREES),
     # -- §5.5: switch overhead and PRIME scalability -------------------------
     Claim("sec5.5.switch-share", "§5.5",
           "mode switching (Eq. 1 driver reconfiguration) is <= 5 % of execution time",

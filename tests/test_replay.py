@@ -747,11 +747,50 @@ class TestCLIReplay:
         assert a["metrics"] == b["metrics"]
 
 
-#: The seeded trace ``BENCH_replay.json`` pins (with ``--requests 16 --rate 100``).
+#: A seeded bursty trace; with ``--requests 16 --rate 100`` its report is
+#: ``PINNED_REPLAY``.
 BURSTY = (
     "replay", "--preset", "small-test-chip", "--synthetic", "bursty",
     "--models", "tiny-mlp", "tiny-cnn", "--seed", "3", "--seq-lens", "16", "32",
 )
+#: The cold report of that replay, bit for bit (its ``compile`` block,
+#: wall time and cache counters, is not pinned).  Reordering the float
+#: arithmetic of the replay or a plan change fails it.
+PINNED_REPLAY = {
+    "hardware": {"fingerprint": "336833db682a747e", "preset": "small-test-chip"},
+    "metrics": {
+        "failed": 0,
+        "latency_max_ms": 0.02083000000000368,
+        "latency_mean_ms": 0.0173294062499986,
+        "latency_p50_ms": 0.020799999999994156,
+        "latency_p99_ms": 0.02083000000000368,
+        "makespan_ms": 119.15990023891032,
+        "per_model": {"tiny-cnn": 7, "tiny-mlp": 9},
+        "queue_ms_max": 0.0,
+        "queue_ms_mean": 0.0,
+        "requests": 16,
+        "served": 16,
+        "service_ms_total": 0.27709049999999996,
+        "switch_ms_total": 0.00017999999999999998,
+        "switch_share": 0.0006491855426379654,
+        "throughput_rps": 134.27335846975961,
+        "utilisation": 0.0023268775774743424,
+    },
+    "trace": {
+        "metadata": {
+            "base_rate_rps": 100.0,
+            "burst_probability": 0.2,
+            "burst_rate_rps": 1000.0,
+            "kind": "bursty",
+            "mean_burst_length": 5.0,
+            "models": ["tiny-mlp", "tiny-cnn"],
+            "seed": 3,
+            "seq_len_buckets": [16, 32],
+        },
+        "models": ["tiny-mlp", "tiny-cnn"],
+        "requests": 16,
+    },
+}
 
 
 def _report(path):
@@ -780,6 +819,10 @@ class TestCLIReplayAcrossProcesses:
         assert not warm["compile"]["errors"], warm["compile"]
         assert warm["metrics"]["served"] == warm["metrics"]["requests"] == 16, warm["metrics"]
         assert "total allocator solves: 0" in warm_run.stdout
+
+    def test_the_seeded_replay_is_the_pinned_report(self, runs):
+        cold = runs[2]
+        assert {block: cold[block] for block in PINNED_REPLAY} == PINNED_REPLAY
 
     def test_a_saved_trace_replays_identically(self, runs, capsys):
         root, args, _, _, warm = runs
