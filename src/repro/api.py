@@ -41,7 +41,6 @@ from .core.store import DiskCacheStore
 from .hardware.deha import DualModeHardwareAbstraction
 from .hardware.presets import get_preset
 from .ir.graph import Graph
-from .models.registry import build_model
 from .models.workload import Workload
 from .obs import (
     NULL_OBS,
@@ -52,7 +51,7 @@ from .obs import (
     write_chrome_trace,
     write_span_jsonl,
 )
-from .service import CompileJob, CompileJobResult, CompileService
+from .service import CompileJob, CompileJobResult, CompileService, ModelRecipe
 
 __all__ = ["Session"]
 
@@ -174,7 +173,11 @@ class Session:
         compile this session already answered comes back as the caller's
         own copy of that program with the statistics of *this* call
         (``allocator_solves: 0``, no pass times); see
-        :meth:`repro.service.CompileService.compile_graph`.
+        :meth:`repro.service.CompileService.compile_graph`.  Asked by
+        model name, the repeat does not build the graph either: the
+        name, its registered builder and the workload are the
+        :class:`~repro.service.ModelRecipe` the service remembers the
+        graph's digest under.
 
         Args:
             model: Registered model name or a :class:`Graph`.
@@ -190,16 +193,12 @@ class Session:
             KeyError: Unknown model or compiler name.
             NoFeasiblePlanError: No feasible plan exists for the graph.
         """
-        graph = (
-            model
-            if isinstance(model, Graph)
-            else build_model(model, workload or Workload())
-        )
+        source = model if isinstance(model, Graph) else ModelRecipe.of(model, workload)
         target = self.hardware if hardware is None else (
             get_preset(hardware) if isinstance(hardware, str) else hardware
         )
         return self.service.compile_graph(
-            graph, target, options or self.options, compiler
+            source, target, options or self.options, compiler
         )
 
     # ------------------------------------------------------------------ #

@@ -1,7 +1,8 @@
 """One bounded, thread-safe LRU: the storage of every in-memory table.
 
-Windows (``AllocationCache``), programs (``ProgramTable``), the daemon's
-settled flights (``SingleFlight``) and the DSE flattening memo live here.
+Windows (``AllocationCache``), programs (``ProgramTable``), the compile
+service's recipe memo, the daemon's settled flights (``SingleFlight``)
+and the DSE flattening memo live here.
 Owners keep the counters: :meth:`BoundedLRU.put` returns its changes as
 deltas, so gauges moved by them stay exact under concurrent puts.
 """

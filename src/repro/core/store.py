@@ -69,7 +69,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..hardware.deha import DualModeHardwareAbstraction
-from ..ir.graph import Graph
 from ..obs.metrics import registry_for
 from .clock import SYSTEM_CLOCK, Clock
 from .program import CompiledProgram, program_from_payload, program_to_payload
@@ -132,23 +131,26 @@ class ProgramKey:
     @classmethod
     def build(
         cls,
-        graph: Graph,
+        graph_digest: str,
         hardware: DualModeHardwareAbstraction,
         options,
         compiler: str,
     ) -> "ProgramKey":
-        """The key of compiling ``graph`` for ``hardware`` under ``options``.
+        """The key of compiling a graph for ``hardware`` under ``options``.
 
-        ``options`` is the :class:`~repro.core.compiler.CompilerOptions`
-        dataclass the compile will actually run with (defaults already
-        substituted).  The graph component is :meth:`Graph.digest`,
-        serialised once per graph object (which seals it, so it cannot
-        go stale); the options are mutable in place, so they are read on
-        every call — one ``getattr`` per field, their values are scalars.
+        ``graph_digest`` is the graph's
+        :meth:`~repro.ir.graph.Graph.digest` — serialised once per graph
+        object (which seals it, so it cannot go stale), or remembered for
+        a named model by the compile service's recipe memo, so a key
+        needs no graph at hand.  ``options`` is the
+        :class:`~repro.core.compiler.CompilerOptions` dataclass the
+        compile will actually run with (defaults already substituted);
+        it is mutable in place, so it is read on every call — one
+        ``getattr`` per field, their values are scalars.
         """
         return cls(
             {
-                "graph": graph.digest(),
+                "graph": graph_digest,
                 "hardware": hardware.fingerprint(),
                 "options": {f.name: getattr(options, f.name) for f in fields(options)},
                 "compiler": compiler,

@@ -121,6 +121,21 @@ def register_model(name: str, builder: ModelBuilder, overwrite: bool = False) ->
     _REGISTRY[name] = builder
 
 
+def model_builder(name: str) -> ModelBuilder:
+    """The builder registered under ``name`` — the object itself.
+
+    A caller may key on it: :func:`register_model` with ``overwrite=True``
+    replaces the object, so a key holding the old one no longer matches.
+
+    Raises:
+        KeyError: If the model name is unknown.
+    """
+    builder = _REGISTRY.get(name)
+    if builder is None:
+        raise KeyError(f"unknown model {name!r}; known models: {', '.join(list_models())}")
+    return builder
+
+
 def build_model(name: str, workload: Workload | None = None) -> Graph:
     """Build a registered model for the given workload.
 
@@ -132,10 +147,7 @@ def build_model(name: str, workload: Workload | None = None) -> Graph:
     Raises:
         KeyError: If the model name is unknown.
     """
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown model {name!r}; known models: {', '.join(list_models())}")
-    workload = workload or Workload()
-    return _REGISTRY[name](workload)
+    return model_builder(name)(workload or Workload())
 
 
 def is_transformer(name: str) -> bool:

@@ -10,7 +10,10 @@ both:
   bounded in-memory :class:`ProgramTable` maps the
   :class:`~repro.core.store.ProgramKey` of (graph, chip, options,
   compiler) to the finished program, so the repeat runs no pass at all
-  (measured in ``docs/architecture.md``, "Why one program table");
+  (measured in ``docs/architecture.md``, "Why one program table"); a
+  repeat *by model name* does not even build its graph, because a
+  bounded recipe memo remembers each :class:`ModelRecipe`'s graph
+  digest, all the key needs;
 * every compile that does run shares one thread-safe
   :class:`~repro.core.cache.AllocationCache`, so structurally identical
   segments of *different* programs are solved once (what that saves is
@@ -57,7 +60,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .baselines import get_compiler
 from .core.cache import AllocationCache, CacheStats
@@ -69,10 +72,16 @@ from .obs import NULL_OBS, Observability
 from .hardware.deha import DualModeHardwareAbstraction
 from .hardware.presets import get_preset
 from .ir.graph import Graph
-from .models.registry import build_model
+from .models.registry import ModelBuilder, model_builder
 from .models.workload import Workload
 
-__all__ = ["CompileJob", "CompileJobResult", "CompileService", "ProgramTable"]
+__all__ = [
+    "CompileJob",
+    "CompileJobResult",
+    "CompileService",
+    "ModelRecipe",
+    "ProgramTable",
+]
 
 #: Bounds of the in-memory program table: the entry and weight bounds of
 #: its :class:`~repro.core.lru.BoundedLRU`, where a program weighs its
@@ -83,9 +92,42 @@ __all__ = ["CompileJob", "CompileJobResult", "CompileService", "ProgramTable"]
 #: ``small-test-chip``, 6,177 one-unit segments with their generated
 #: code), so the segment budget is 40-64 MB; the largest program the zoo
 #: produces (llama2-13b on that chip, 9,681 segments) fits, and every
-#: benchmark workload stays far below both bounds.
+#: benchmark workload stays far below both bounds.  The recipe memo
+#: shares the entry bound: it keeps one digest per named program.
 PROGRAM_TABLE_ENTRIES = 256
 PROGRAM_TABLE_SEGMENTS = 16_384
+
+
+@dataclass(frozen=True)
+class ModelRecipe:
+    """A registered model at one workload: a graph not built yet.
+
+    What a named compile hands :meth:`CompileService.compile_graph`, and
+    the key of the service's recipe memo (recipe → graph digest).
+    ``builder`` is the registered object itself, so re-registering the
+    name (:func:`~repro.models.registry.register_model` with
+    ``overwrite=True``) makes a different recipe — a memo miss, never
+    the old builder's program.  The memo relies on every registered
+    builder being a pure function of its workload: equal recipes build
+    graphs with equal :meth:`~repro.ir.graph.Graph.digest`.
+    """
+
+    model: str
+    builder: ModelBuilder
+    workload: Workload
+
+    @classmethod
+    def of(cls, model: str, workload: Optional[Workload] = None) -> "ModelRecipe":
+        """The recipe ``model`` names now (``Workload()`` when omitted).
+
+        Raises:
+            KeyError: ``model`` is not a registered name.
+        """
+        return cls(model, model_builder(model), workload or Workload())
+
+    def build(self) -> Graph:
+        """Build the graph: the one place a named compile runs a builder."""
+        return self.builder(self.workload)
 
 
 @dataclass
@@ -121,7 +163,14 @@ class CompileJob:
         """Materialise the computation graph of the job."""
         if isinstance(self.model, Graph):
             return self.model
-        return build_model(self.model, self.workload or Workload())
+        return ModelRecipe.of(self.model, self.workload).build()
+
+    def resolve_model(self) -> Union[Graph, ModelRecipe]:
+        """What :meth:`CompileService.compile_graph` takes: the job's
+        graph, or the recipe of its model name (nothing is built)."""
+        if isinstance(self.model, Graph):
+            return self.resolve_graph()
+        return ModelRecipe.of(self.model, self.workload)
 
     def resolve_hardware(self) -> DualModeHardwareAbstraction:
         """Materialise the hardware abstraction of the job."""
@@ -222,7 +271,9 @@ class CompileService:
 
     * Every compile (and every :meth:`repro.api.Session.compile`) goes
       through :meth:`compile_graph`, which asks three tiers in order: the
-      in-memory :class:`ProgramTable` (a copy comes back, no pass runs),
+      in-memory :class:`ProgramTable` (a copy comes back, no pass runs;
+      a named compile finds its graph digest in the recipe memo first,
+      so a hit builds no graph),
       the ``cache_dir`` store when there is one (read, verified, decoded,
       remembered in the table), the pipeline (compiled, stored,
       remembered).  A program either tier served carries ``stats`` that
@@ -240,9 +291,9 @@ class CompileService:
     Args:
         cache: Shared allocation cache; a fresh bounded one is created
             when omitted.
-        use_cache: Disable the program table, the shared cache and the
-            program store entirely (for A/B timing): every call runs
-            the compiler's passes.
+        use_cache: Disable the program table, the recipe memo, the
+            shared cache and the program store entirely (for A/B
+            timing): every call builds and runs the compiler's passes.
         cache_dir: Directory of the persistent program store
             (:class:`~repro.core.store.DiskCacheStore`) shared across
             threads, processes and future invocations.
@@ -272,8 +323,11 @@ class CompileService:
         self.cache: Optional[AllocationCache] = None
         self.store: Optional[DiskCacheStore] = None
         self.programs: Optional[ProgramTable] = None
+        # ModelRecipe -> graph digest: a named repeat builds no graph.
+        self.recipes: Optional[BoundedLRU] = None
         if use_cache:
             self.programs = ProgramTable()
+            self.recipes = BoundedLRU(PROGRAM_TABLE_ENTRIES)
             # `cache is None`, not truthiness: an empty AllocationCache
             # has len() == 0.
             self.cache = (
@@ -287,7 +341,7 @@ class CompileService:
     # ------------------------------------------------------------------ #
     def compile_graph(
         self,
-        graph: Graph,
+        graph: Union[Graph, ModelRecipe],
         hardware: DualModeHardwareAbstraction,
         options: CompilerOptions,
         compiler: str = CMSwitchCompiler.name,
@@ -303,6 +357,9 @@ class CompileService:
         from the graph's :meth:`~repro.ir.graph.Graph.digest` — serialised
         once per graph object, which seals it against in-place edits — and
         from the options as they are now (options stay mutable in place).
+        ``graph`` may be a :class:`ModelRecipe` instead: its digest comes
+        from the recipe memo, so the graph is built only when the memo
+        has no digest for it or when both tiers miss.
         Table hit: a copy of the stored program.  Store hit: read, verify,
         decode, remember.
         Either way the program carries the statistics of *this* call
@@ -325,7 +382,8 @@ class CompileService:
         if self.programs is not None:
             start = time.perf_counter()
             metrics = self.obs.metrics
-            key = ProgramKey.build(graph, hardware, options, compiler)
+            graph, digest = self._digest(graph)
+            key = ProgramKey.build(digest, hardware, options, compiler)
             program = self.programs.get(key)
             if program is not None:
                 metrics.inc("programs.hits")
@@ -337,6 +395,8 @@ class CompileService:
                     self._remember(key, program)
                     return _served(program, time.perf_counter() - start, disk=True)
             metrics.inc("programs.misses")
+        if isinstance(graph, ModelRecipe):
+            graph = graph.build()
         program = get_compiler(
             compiler, hardware, options, cache=self.cache, obs=self.obs
         ).compile(graph)
@@ -345,6 +405,23 @@ class CompileService:
                 self.store.put(key, program)
             self._remember(key, program)
         return program
+
+    def _digest(
+        self, graph: Union[Graph, ModelRecipe]
+    ) -> Tuple[Union[Graph, ModelRecipe], str]:
+        """The digest of ``graph``, and ``graph`` — built if that took a build.
+
+        A recipe the memo knows costs a lookup; an unknown one is built
+        once here and its digest remembered.
+        """
+        if isinstance(graph, Graph):
+            return graph, graph.digest()
+        digest = self.recipes.get(graph)
+        if digest is None:
+            recipe, graph = graph, graph.build()
+            digest = graph.digest()
+            self.recipes.put(recipe, digest)
+        return graph, digest
 
     def _remember(self, key: ProgramKey, program: CompiledProgram) -> None:
         """Keep ``program`` in the table, counting what it pushed out."""
@@ -359,7 +436,7 @@ class CompileService:
         with self.obs.tracer.span("compile", job=job.name) as span:
             try:
                 program = self.compile_graph(
-                    job.resolve_graph(),
+                    job.resolve_model(),
                     job.resolve_hardware(),
                     job.options or CompilerOptions(generate_code=False),
                 )

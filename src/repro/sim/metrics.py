@@ -108,27 +108,33 @@ def compute_metrics(outcomes) -> ReplayMetrics:
     program's service time is ``None``) count toward ``failed`` and the
     totals but contribute no latency samples.
 
-    The served requests' columns are picked out once, each sample list
-    is one pass over them, and one sort serves both percentiles; no
-    per-request record is built.  The totals are still ``sum()`` over
-    the samples in request order: ``sum`` of floats is compensated on
-    Python >= 3.12, so a hand-rolled running total would not reproduce
-    its last bit.
+    When every program compiled, every request was served and the
+    columns are the samples; otherwise the served requests' columns are
+    picked out once.  Each sample list is one pass, one sort serves both
+    percentiles and the maximum, and no per-request record is built.
+    The totals are still ``sum()`` over the samples in request order:
+    ``sum`` of floats is compensated on Python >= 3.12, so a hand-rolled
+    running total would not reproduce its last bit.
     """
     metrics = ReplayMetrics(requests=len(outcomes))
-    served = outcomes.served
-    programs = list(compress(outcomes.programs, served))
+    programs, arrivals, starts, switches, finishes = (
+        outcomes.programs, outcomes.arrivals, outcomes.starts,
+        outcomes.switches, outcomes.finishes,
+    )
+    if None in outcomes.service_ms:
+        served = outcomes.served
+        programs, arrivals, starts, switches, finishes = (
+            list(compress(column, served))
+            for column in (programs, arrivals, starts, switches, finishes)
+        )
     metrics.served = len(programs)
     metrics.failed = metrics.requests - metrics.served
     if not programs:
         return metrics
 
-    arrivals = list(compress(outcomes.arrivals, served))
-    finishes = list(compress(outcomes.finishes, served))
     latencies = list(map(sub, finishes, arrivals))
-    queues = list(map(sub, compress(outcomes.starts, served), arrivals))
+    queues = list(map(sub, starts, arrivals))
     services = list(map(outcomes.service_ms.__getitem__, programs))
-    switches = list(compress(outcomes.switches, served))
     per_model = metrics.per_model
     for program, count in Counter(programs).items():
         model = outcomes.models[program]
@@ -141,7 +147,7 @@ def compute_metrics(outcomes) -> ReplayMetrics:
     metrics.latency_p50_ms = nearest_rank(ordered, 50.0)
     metrics.latency_p99_ms = nearest_rank(ordered, 99.0)
     metrics.latency_mean_ms = sum(latencies) / len(latencies)
-    metrics.latency_max_ms = max(latencies)
+    metrics.latency_max_ms = ordered[-1]
     metrics.queue_ms_mean = sum(queues) / len(queues)
     metrics.queue_ms_max = max(queues)
     metrics.service_ms_total = sum(services)

@@ -12,7 +12,8 @@ Trace` against one chip:
 1. **Compile pool** — each distinct (model, workload) pair in the trace
    is compiled exactly once through a :class:`~repro.service.
    CompileService` (so the allocation cache makes repeated buckets
-   nearly free, and a warm replay performs zero allocator solves).
+   nearly free, and a warm replay performs zero allocator solves and,
+   through the service's recipe memo, builds no graph).
 2. **Event loop** — requests are served FIFO in arrival order on a
    single-chip server whose clock is a
    :class:`~repro.core.clock.ManualClock` advanced in *virtual

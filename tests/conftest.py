@@ -323,6 +323,9 @@ class Corpus:
     (``corpus.find(model, chip, compiler, options)``).
     """
 
+    #: The workload every corpus graph is built at.
+    workload = CORPUS_WORKLOAD
+
     def __init__(self) -> None:
         self.sessions = {chip: Session(hardware=chip) for chip in CORPUS_CHIPS}
         self._graphs = {}
@@ -331,7 +334,7 @@ class Corpus:
 
     def graph(self, model: str) -> Graph:
         if model not in self._graphs:
-            self._graphs[model] = build_model(model, CORPUS_WORKLOAD)
+            self._graphs[model] = build_model(model, self.workload)
         return self._graphs[model]
 
     def models(self, chip: str):

@@ -8,7 +8,9 @@ compile without a flow (``case.heavy``).
 Each property below is parametrised over the corpus cases it applies to
 (``@pytest.mark.corpus(predicate)``), one test id per
 ``model@chip/compiler``, and reads the compiled ``(program, graph,
-hardware, options)``; none compiles a program of its own.
+hardware, options)``; none compiles a program of its own.  The first is
+a property of the registry, one id per model: it reads only the
+corpus's graphs.
 """
 
 import json
@@ -19,8 +21,17 @@ import pytest
 from repro.core.program import program_from_payload, program_to_payload
 from repro.core.segmentation import flatten_graph
 from repro.core.store import FORMAT_VERSION
+from repro.models import build_model, list_models
 from repro.serve.wire import WIRE_VERSION
 from repro.sim import TimingSimulator
+
+
+@pytest.mark.parametrize("model", list_models())
+def test_a_model_builds_the_same_graph_twice(model, corpus):
+    """A registered builder is a pure function of its workload.  The
+    compile service's recipe memo relies on it: it keeps one graph digest
+    per (name, builder, workload) and never builds that recipe again."""
+    assert build_model(model, corpus.workload).digest() == corpus.graph(model).digest()
 
 
 @pytest.mark.corpus(lambda case: case.compiler in ("cmswitch", "cim-mlc") and not case.heavy)

@@ -152,6 +152,41 @@ def test_figures_and_the_cli_compile_through_the_session():
     assert not offenders, offenders
 
 
+def test_a_named_compile_builds_its_graph_in_one_place():
+    """One named-compile path: ``CompileService.compile(job)`` and
+    ``Session.compile("name")`` hand ``compile_graph`` a ``ModelRecipe``.
+    Across ``service.py`` and ``api.py`` exactly one call builds a
+    registered model — ``ModelRecipe.build`` running the builder object
+    the recipe memo is keyed on — and nothing calls ``build_model``; the
+    memo is a ``BoundedLRU``."""
+    from repro.core.lru import BoundedLRU
+    from repro.service import PROGRAM_TABLE_ENTRIES, CompileService
+
+    def calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if name in ("build_model", "builder"):
+                    yield f"{scope}: {name}"
+            yield from calls(child, inner)
+
+    sites = [
+        f"{module}::{site}"
+        for module in ("service.py", "api.py")
+        for site in calls(ast.parse((SRC / "repro" / module).read_text(encoding="utf-8")), "")
+    ]
+    assert sites == ["service.py::ModelRecipe.build: builder"], sites
+    assert not any(
+        module.startswith("repro.models.registry")
+        for module in _imported_modules(SRC / "repro" / "api.py")
+    )
+    memo = CompileService().recipes
+    assert isinstance(memo, BoundedLRU) and memo.max_entries == PROGRAM_TABLE_ENTRIES
+
+
 def test_a_design_point_is_a_compile_service_call():
     """No evaluator layer between the DSE and ``CompileService``: the
     ``repro.eval`` package is gone and nothing imports it."""

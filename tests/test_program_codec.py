@@ -124,7 +124,7 @@ def test_mangled_store_entry_is_a_corrupt_miss_and_a_normal_compile(
 ):
     options = CompilerOptions(generate_code=False)
     cold = CompileService(cache_dir=tmp_path).compile_graph(tiny_cnn_graph, small_chip, options)
-    key = ProgramKey.build(tiny_cnn_graph, small_chip, options, "cmswitch")
+    key = ProgramKey.build(tiny_cnn_graph.digest(), small_chip, options, "cmswitch")
     path = tmp_path / key.digest[:2] / f"{key.digest}.json"
     entry = json.loads(path.read_text(encoding="utf-8"))
     entry["program"] = mangle(entry["program"])

@@ -36,6 +36,7 @@ from repro.core.compiler import CMSwitchCompiler, CompilerOptions
 from repro.models.registry import build_model
 from repro.models.workload import Workload
 from repro.obs import MetricsRegistry, Observability, Tracer
+from repro.service import ModelRecipe
 from repro.sim.metrics import compute_metrics, percentile
 from repro.cost.switching import mode_switch_cycles
 from repro.sim.replay import ReplaySimulator, replay_schedule
@@ -479,6 +480,46 @@ class TestReplayResult:
         assert cold.allocator_solves > 0
         assert warm.allocator_solves == 0
         assert warm.metrics.to_dict() == cold.metrics.to_dict()
+
+    def test_a_second_replay_builds_no_graph_and_solves_nothing(self, monkeypatch):
+        builds = []
+        real = ModelRecipe.build
+
+        def build(recipe):
+            builds.append(recipe.model)
+            return real(recipe)
+
+        monkeypatch.setattr(ModelRecipe, "build", build)
+        trace = bursty_trace(
+            ["tiny-mlp", "tiny-cnn"], num_requests=200, seed=4, seq_len_buckets=(16, 32)
+        )
+        session = Session(hardware="small-test-chip")
+        cold = session.replay(trace)
+        assert cold.allocator_solves > 0 and len(builds) == cold.distinct_programs
+        del builds[:]
+        warm = session.replay(trace)
+        assert builds == [] and warm.allocator_solves == 0
+        assert warm.metrics == cold.metrics
+        assert warm.metrics.to_dict() == cold.metrics.to_dict()
+
+    def test_metrics_read_the_columns_as_picking_the_served_would(self):
+        """With every program compiled, ``compute_metrics`` reads the
+        columns as they are; picking out the served requests (the path a
+        failed program takes) gives the same metrics, bit for bit."""
+        trace = bursty_trace(["tiny-mlp", "tiny-cnn"], num_requests=500, seed=6)
+        outcomes = ReplaySimulator("small-test-chip").run(trace).outcomes
+        assert None not in outcomes.service_ms
+        # An extra program that failed to compile and that no request runs.
+        picked = replay_module.ReplayOutcomes(
+            outcomes.request_ids, outcomes.arrivals, outcomes.programs,
+            [*outcomes.keys, "failed"], [*outcomes.models, "failed"],
+            [*outcomes.service_ms, None],
+            outcomes.starts, outcomes.switches, outcomes.finishes,
+        )
+        direct, slow = compute_metrics(outcomes), compute_metrics(picked)
+        assert direct.served == slow.served == 500
+        assert direct.to_dict() == slow.to_dict()
+        assert direct.latency_max_ms == max(o.latency_ms for o in outcomes)
 
     def test_failed_compile_is_isolated(self, small_chip):
         # An infeasible workload (huge model on the 8-array chip would

@@ -14,9 +14,16 @@ from repro.core.metaop import MetaProgram
 from repro.core.store import ProgramKey
 from repro.hardware.deha import DualModeHardwareAbstraction
 from repro.ir import Graph, GraphError, TensorSpec
-from repro.models import Workload, build_model
+from repro.models import Workload, build_model, register_model
+from repro.models import registry
 from repro.obs import Observability
-from repro.service import CompileJob, CompileJobResult, CompileService, ProgramTable
+from repro.service import (
+    CompileJob,
+    CompileJobResult,
+    CompileService,
+    ModelRecipe,
+    ProgramTable,
+)
 
 
 class TestCompileJob:
@@ -284,9 +291,9 @@ class TestProgramTable:
     def test_full_key_is_compared_not_just_its_digest(self, small_chip):
         graph = _tiny_cnn()
         program = CompileService().compile_graph(graph, small_chip, self.OPTIONS)
-        key = ProgramKey.build(graph, small_chip, self.OPTIONS, "cmswitch")
+        key = ProgramKey.build(graph.digest(), small_chip, self.OPTIONS, "cmswitch")
         other = ProgramKey.build(
-            graph, small_chip, replace(self.OPTIONS, refine=False), "cmswitch"
+            graph.digest(), small_chip, replace(self.OPTIONS, refine=False), "cmswitch"
         )
 
         class Colliding(ProgramKey):
@@ -403,6 +410,151 @@ class TestProgramTable:
         assert not errors and not any(thread.is_alive() for thread in threads)
         assert outcomes == [(None, reference)] * 40
         assert len(service.programs) == 1
+
+
+@pytest.fixture
+def counting_model(monkeypatch):
+    """Register ``name`` as ``base``'s builder wrapped in a counter; the
+    returned list gets one entry per build.  The registry is restored
+    after the test."""
+
+    def register(name, base="tiny-cnn"):
+        builds = []
+        real = registry.model_builder(base)
+
+        def builder(workload):
+            builds.append(workload)
+            return real(workload)
+
+        monkeypatch.setitem(registry._REGISTRY, name, builder)
+        return builds
+
+    return register
+
+
+class TestRecipeMemo:
+    """A named compile keys the program tiers by the digest its
+    :class:`ModelRecipe` maps to, so a repeat builds no graph."""
+
+    OPTIONS = CompilerOptions(generate_code=False)
+
+    def test_a_named_repeat_calls_no_builder(self, small_chip, counting_model):
+        builds = counting_model("counting-cnn")
+        session = Session(hardware=small_chip, options=self.OPTIONS)
+        job = CompileJob("counting-cnn", hardware=small_chip)
+        first = session.compile("counting-cnn")
+        assert len(builds) == 1
+        for _ in range(3):
+            assert session.compile("counting-cnn").fingerprint() == first.fingerprint()
+            assert session.service.compile(job).program.fingerprint() == first.fingerprint()
+        assert len(builds) == 1
+        assert builds == [Workload()]  # the default workload, substituted once
+
+    def test_a_named_hit_is_the_graph_path_hit(self, small_chip, counting_model):
+        builds = counting_model("counting-cnn")
+        service = CompileService()
+        job = CompileJob("counting-cnn", hardware=small_chip, options=self.OPTIONS)
+        cold = service.compile(job).program
+        by_graph = service.compile_graph(_tiny_cnn(), small_chip, self.OPTIONS)
+        by_name = service.compile(job).program
+        assert len(builds) == 1
+        assert by_name.fingerprint() == by_graph.fingerprint() == cold.fingerprint()
+        assert by_name.metadata == by_graph.metadata
+        assert by_name.stats["wall_seconds"] == by_name.compile_seconds > 0.0
+        named, graphed = (
+            {k: v for k, v in program.stats.items() if k != "wall_seconds"}
+            for program in (by_name, by_graph)
+        )
+        assert named == graphed
+        assert by_name.stats["allocator_solves"] == 0
+        assert by_name.stats["allocation_cache_hits"] == by_name.num_segments
+        assert by_name.stats["allocation_disk_hits"] == 0
+        assert by_name.stats["pass_seconds"] == {}
+
+    def test_hits_and_misses_keep_their_meaning(self, small_chip, counting_model):
+        builds = counting_model("counting-cnn")
+        obs = Observability.create()
+        session = Session(hardware=small_chip, options=self.OPTIONS, trace=obs)
+
+        def counters():
+            counted = obs.metrics.to_dict()["counters"]
+            return counted.get("programs.hits", 0), counted.get("programs.misses", 0)
+
+        session.compile("counting-cnn")
+        assert counters() == (0, 1)
+        session.compile("counting-cnn")
+        session.compile(_tiny_cnn())
+        assert counters() == (2, 1)
+        # A new workload is a new recipe and a new program.
+        session.compile("counting-cnn", workload=Workload(batch_size=2))
+        assert counters() == (2, 2) and len(builds) == 2
+        # A known recipe under other options is a table miss: the graph
+        # is built again, for the pipeline.
+        session.compile("counting-cnn", options=CompilerOptions(generate_code=True))
+        assert counters() == (2, 3) and len(builds) == 3
+
+    def test_re_registering_a_name_forces_a_rebuild(self, small_chip, counting_model):
+        first_builds = counting_model("swapped")
+        session = Session(hardware=small_chip, options=self.OPTIONS)
+        cnn = session.compile("swapped")
+        assert cnn.graph_name == "tiny-cnn"
+        second_builds = []
+        mlp_builder = registry.model_builder("tiny-mlp")
+
+        def builder(workload):
+            second_builds.append(workload)
+            return mlp_builder(workload)
+
+        register_model("swapped", builder, overwrite=True)
+        mlp = session.compile("swapped")
+        assert (len(first_builds), len(second_builds)) == (1, 1)
+        assert mlp.graph_name == "tiny-mlp" and mlp.stats["pass_seconds"]
+        assert mlp.fingerprint() == session.compile(build_model("tiny-mlp")).fingerprint()
+        assert ModelRecipe.of("swapped").builder is builder
+
+    def test_an_unknown_model_fails_with_the_registry_error(self, small_chip):
+        with pytest.raises(KeyError) as expected:
+            build_model("no-such-model")
+        with pytest.raises(KeyError) as raised:
+            Session(hardware=small_chip).compile("no-such-model")
+        assert str(raised.value) == str(expected.value)
+        assert "known models: " in str(raised.value)
+        result = CompileService().compile(CompileJob("no-such-model", hardware=small_chip))
+        assert result.error == f"KeyError: {expected.value}"
+
+    def test_use_cache_false_keeps_no_memo(self, small_chip, counting_model):
+        builds = counting_model("counting-cnn")
+        service = CompileService(use_cache=False)
+        assert service.recipes is None
+        job = CompileJob("counting-cnn", hardware=small_chip)
+        assert all(service.compile(job).ok for _ in range(3))
+        assert len(builds) == 3
+
+    def test_an_evicted_program_is_read_from_the_store_without_a_build(
+        self, small_chip, counting_model, monkeypatch, tmp_path
+    ):
+        builds = counting_model("counting-cnn")
+        counting_model("counting-mlp", base="tiny-mlp")
+        sizes = {}
+        for name in ("counting-cnn", "counting-mlp"):
+            job = CompileJob(name, hardware=small_chip)
+            sizes[name] = CompileService().compile(job).program.num_segments
+        assert sizes["counting-cnn"] < sizes["counting-mlp"]
+        # Room for either program, not for both: the older one goes.
+        monkeypatch.setattr(service_module, "PROGRAM_TABLE_SEGMENTS", sizes["counting-mlp"])
+        obs = Observability.create()
+        service = CompileService(cache_dir=tmp_path, obs=obs)
+        cnn = CompileJob("counting-cnn", hardware=small_chip)
+        cold = service.compile(cnn).program
+        service.compile(CompileJob("counting-mlp", hardware=small_chip))
+        del builds[:]
+        warm = service.compile(cnn).program
+        assert builds == []
+        counters = obs.metrics.to_dict()["counters"]
+        # The mlp evicted the cnn; promoting the cnn back evicted the mlp.
+        assert counters["programs.disk_promotions"] == 1 and counters["programs.evictions"] == 2
+        assert warm.fingerprint() == cold.fingerprint()
+        assert warm.stats["allocation_disk_hits"] == warm.num_segments
 
 
 #: Every way to edit a graph in place, each of which a sealed graph refuses.

@@ -136,22 +136,26 @@ class TestDiskCacheStore:
     def test_every_key_field_is_part_of_the_content_address(self, small_chip):
         graph = build_model("tiny-mlp", Workload(batch_size=1))
         options = CompilerOptions()
-        base = ProgramKey.build(graph, small_chip, options, "cmswitch")
+        base = ProgramKey.build(graph.digest(), small_chip, options, "cmswitch")
         rebuilt = build_model("tiny-mlp", Workload(batch_size=1))
-        assert ProgramKey.build(rebuilt, small_chip, options, "cmswitch").digest == base.digest
+        rebuilt_key = ProgramKey.build(rebuilt.digest(), small_chip, options, "cmswitch")
+        assert rebuilt_key.digest == base.digest
         others = [
             ProgramKey.build(
-                build_model("tiny-mlp", Workload(batch_size=2)), small_chip, options, "cmswitch"
+                build_model("tiny-mlp", Workload(batch_size=2)).digest(),
+                small_chip,
+                options,
+                "cmswitch",
             ),
-            ProgramKey.build(graph, get_preset("dynaplasia"), options, "cmswitch"),
-            ProgramKey.build(graph, small_chip, options, "cim-mlc"),
+            ProgramKey.build(graph.digest(), get_preset("dynaplasia"), options, "cmswitch"),
+            ProgramKey.build(graph.digest(), small_chip, options, "cim-mlc"),
         ]
         # Every option is part of the address — the ones that only
         # change the artefact (``generate_code``) included.
         for name, value in asdict(options).items():
             flipped = (not value) if isinstance(value, bool) else value + 1
             changed = CompilerOptions(**{**asdict(options), name: flipped})
-            others.append(ProgramKey.build(graph, small_chip, changed, "cmswitch"))
+            others.append(ProgramKey.build(graph.digest(), small_chip, changed, "cmswitch"))
         digests = {key.digest for key in others}
         assert len(digests) == len(others) and base.digest not in digests
 
@@ -370,7 +374,7 @@ class TestProgramKey:
 
     def test_build_reads_every_option(self, small_chip, tiny_mlp_graph):
         options = CompilerOptions(refine=False, max_segment_operators=5)
-        key = ProgramKey.build(tiny_mlp_graph, small_chip, options, "cmswitch")
+        key = ProgramKey.build(tiny_mlp_graph.digest(), small_chip, options, "cmswitch")
         assert key.payload == {
             "graph": tiny_mlp_graph.digest(),
             "hardware": small_chip.fingerprint(),
@@ -380,7 +384,9 @@ class TestProgramKey:
         assert key == ProgramKey(json.loads(json.dumps(key.payload)))
 
     def test_digest_is_the_sha256_of_the_canonical_payload(self, small_chip, tiny_mlp_graph):
-        key = ProgramKey.build(tiny_mlp_graph, small_chip, CompilerOptions(), "cmswitch")
+        key = ProgramKey.build(
+            tiny_mlp_graph.digest(), small_chip, CompilerOptions(), "cmswitch"
+        )
         canonical = json.dumps(key.payload, sort_keys=True, separators=(",", ":"))
         assert key.digest == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         assert key.digest is key.digest  # rendered once
@@ -652,7 +658,7 @@ class TestProgramStore:
             assert served.stats[name] == cold.stats[name], name
         # The entry itself still describes the compile that wrote it.
         stored = DiskCacheStore(tmp_path).get(
-            ProgramKey.build(tiny_cnn_graph, small_chip, options, "cmswitch")
+            ProgramKey.build(tiny_cnn_graph.digest(), small_chip, options, "cmswitch")
         )
         assert stored.stats["allocator_solves"] == cold.stats["allocator_solves"]
 
@@ -700,7 +706,7 @@ class TestProgramStore:
         options = CompilerOptions(generate_code=False)
         writer = CompileService(cache_dir=tmp_path)
         cold = writer.compile_graph(tiny_cnn_graph, small_chip, options)
-        key = ProgramKey.build(tiny_cnn_graph, small_chip, options, "cmswitch")
+        key = ProgramKey.build(tiny_cnn_graph.digest(), small_chip, options, "cmswitch")
         path = _entry_file(writer.store, key)
         text = path.read_text(encoding="utf-8")
         if fault == "truncated":
@@ -710,7 +716,7 @@ class TestProgramStore:
         elif fault == "foreign":
             # Another key's complete, valid entry under this digest's name.
             writer.compile_graph(tiny_mlp_graph, small_chip, options)
-            other = ProgramKey.build(tiny_mlp_graph, small_chip, options, "cmswitch")
+            other = ProgramKey.build(tiny_mlp_graph.digest(), small_chip, options, "cmswitch")
             path.write_bytes(_entry_file(writer.store, other).read_bytes())
         elif fault == "version-3":
             path.write_text(json.dumps(_V3_WINDOW_ENTRY), encoding="utf-8")
