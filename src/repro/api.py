@@ -87,9 +87,6 @@ class Session:
             carries its meta-operator flow as text only — compile
             without ``cache_dir`` for one the functional simulator can
             execute.
-        use_cache: Disable the program table, the shared cache and the
-            program store entirely (A/B timing): every call compiles.
-            ``False`` with a ``cache_dir`` raises ``ValueError``.
         trace: Telemetry switch (off by default — the disabled path is a
             measured-overhead-free no-op).  Accepts ``True`` (collect
             spans + metrics in a fresh :class:`~repro.obs.Observability`
@@ -106,7 +103,6 @@ class Session:
         options: Optional[CompilerOptions] = None,
         cache: Optional[AllocationCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        use_cache: bool = True,
         trace: Union[None, bool, str, Path, Tracer, Observability] = None,
     ) -> None:
         self.hardware = (
@@ -132,12 +128,7 @@ class Session:
         # change batch behaviour.
         self._options_given = options is not None
         self.options = options or CompilerOptions()
-        self.service = CompileService(
-            cache=cache,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            obs=self.obs,
-        )
+        self.service = CompileService(cache=cache, cache_dir=cache_dir, obs=self.obs)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -302,8 +293,7 @@ class Session:
 
         Builds a :class:`~repro.dse.DSERunner` over the session's own
         compile service, so exploration warm-starts from (and
-        contributes back to) every other compile the session serves —
-        and a ``use_cache=False`` session explores without a cache.
+        contributes back to) every other compile the session serves.
 
         Args:
             space: The :class:`~repro.dse.DesignSpace` to explore.
@@ -346,8 +336,8 @@ class Session:
     # cache access
     # ------------------------------------------------------------------ #
     @property
-    def cache(self) -> Optional[AllocationCache]:
-        """The shared allocation cache (None when caching is disabled)."""
+    def cache(self) -> AllocationCache:
+        """The shared allocation cache."""
         return self.service.cache
 
     @property
@@ -405,9 +395,5 @@ class Session:
 
     def describe(self) -> str:
         """One-line session summary for logs."""
-        cache = (
-            "off"
-            if self.cache is None
-            else (self.cache_dir or "in-memory")
-        )
+        cache = self.cache_dir or "in-memory"
         return f"Session(hardware={self.hardware.name!r}, cache={cache})"

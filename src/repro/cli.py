@@ -226,16 +226,9 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
     if failure is not None:
         return failure
 
-    try:
-        session = Session(
-            hardware=args.hardware,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            trace=_session_trace(args),
-        )
-    except ValueError as exc:
-        print(f"error: --no-cache with --cache-dir: {exc}", file=sys.stderr)
-        return 2
+    session = Session(
+        hardware=args.hardware, cache_dir=args.cache_dir, trace=_session_trace(args)
+    )
     jobs = []
     for round_index in range(max(1, args.repeat)):
         for model in args.models:
@@ -544,13 +537,16 @@ def _parse_age(text: str) -> float:
     return float(match.group(1)) * scale
 
 
-def _positive(cast):
-    """An argparse ``type``: ``cast(text)``, refused unless it is > 0."""
+def _positive(cast, zero: bool = False):
+    """An argparse ``type``: ``cast(text)``, refused unless it is > 0
+    (>= 0 with ``zero``; NaN is refused either way)."""
 
     def parse(text: str):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not (value >= 0 if zero else value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'at least 0' if zero else 'positive'}, got {text!r}"
+            )
         return value
 
     parse.__name__ = cast.__name__  # "invalid int value: 'x'", as before
@@ -717,7 +713,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
         if args.cache_command == "stats" and not root.exists():
             print(f"cache: 0 entries, 0.00 MB ({root})")
             return 0
-        print(f"error: cache directory {root} does not exist", file=sys.stderr)
+        problem = "is not a directory" if root.exists() else "does not exist"
+        print(f"error: cache directory {root} {problem}", file=sys.stderr)
         return 2
     store = DiskCacheStore(root)
 
@@ -859,12 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="compile the model list this many times (shows warm-cache speedups)",
-    )
-    batch.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the program table, the shared allocation cache and the "
-        "program store: every job compiles from scratch (excludes --cache-dir)",
     )
     batch.add_argument(
         "--cache-dir",
@@ -1138,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--timeout",
-        type=float,
+        type=_positive(float, zero=True),
         default=300.0,
         help="per-request wait bound in seconds (504 on expiry)",
     )

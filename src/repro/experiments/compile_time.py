@@ -7,7 +7,7 @@ so its compilation takes a multiple of CIM-MLC's time — the paper reports 2.8x
 with CNNs costing more than transformers because transformer blocks are
 compiled once and reused across layers.  This experiment measures both
 compilers' wall-clock compilation time on the Fig. 14 benchmark set;
-ours is 1.1–2.2x (ledger row ``fig18.overhead`` in
+ours is 1.2–1.6x per model (ledger row ``fig18.overhead`` in
 ``tests/test_paper_claims.py``, ``deviates``).  Two looser readings
 agree: the overhead stays within 20x (``fig18.bounded``), and LLaMA2-7B
 compiles within twice ResNet-18's time (``fig18.block-reuse``).
@@ -36,9 +36,12 @@ def measure_compile_time(
 ) -> List[Dict]:
     """Measure CMSwitch and CIM-MLC compilation time per benchmark.
 
-    Every compile is a real one: the experiment runs on its own
-    ``Session(hardware, use_cache=False)`` — no program table, no window
-    cache — and so takes no ``session``.
+    Every timed compile is cold: it runs on a fresh ``Session(hardware)``
+    built outside the timer — one per repeat and per compiler, so no
+    compile finds a program or a window another one left behind — and
+    the experiment takes no ``session``.  Windows that repeat *within*
+    one network (a transformer's blocks) are solved once, as the
+    paper's compiler does.
 
     Args:
         repeats: Number of compilations averaged per measurement (the
@@ -48,13 +51,15 @@ def measure_compile_time(
     CMSwitch spent in its DP (the ``segment`` pass).
     """
     hardware = hardware or dynaplasia()
-    session = Session(hardware, use_cache=False)
     rows: List[Dict] = []
     for model in models:
         workload = default_workload(model, batch_size=batch_size, seq_len=seq_len)
         graph = build_model(model, workload)
-        cms_time, cms_program = _time_compile(session, graph, "cmswitch", repeats)
-        mlc_time, _ = _time_compile(session, graph, "cim-mlc", repeats)
+        # Hashed outside the timers: otherwise CMSwitch's first timed
+        # compile alone would pay for serialising the graph.
+        graph.digest()
+        cms_time, cms_program = _time_compile(hardware, graph, "cmswitch", repeats)
+        mlc_time, _ = _time_compile(hardware, graph, "cim-mlc", repeats)
         rows.append(
             {
                 "model": model,
@@ -70,11 +75,12 @@ def measure_compile_time(
 
 
 def _time_compile(
-    session: Session, graph: Graph, compiler: str, repeats: int
+    hardware: DualModeHardwareAbstraction, graph: Graph, compiler: str, repeats: int
 ) -> Tuple[float, CompiledProgram]:
-    """Average wall-clock time of ``repeats`` compiles; the last program."""
+    """Average wall-clock time of ``repeats`` cold compiles; the last program."""
     total = 0.0
     for _ in range(max(1, repeats)):
+        session = Session(hardware)
         start = time.perf_counter()
         program = session.compile(graph, options=FIGURE_OPTIONS, compiler=compiler)
         total += time.perf_counter() - start

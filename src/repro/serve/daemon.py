@@ -49,11 +49,10 @@ import threading
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.compiler import CompilerOptions
 from ..models.registry import list_models
 from ..obs import Observability
 from ..obs.metrics import registry_for
-from ..service import CompileJob, CompileJobResult, CompileService
+from ..service import CompileJob, CompileJobResult, CompileService, default_job_options
 from .coalesce import FOLLOW, HIT, CoalesceTimeout, Flight, SingleFlight
 from .httpbase import (
     QuietHandler,
@@ -172,8 +171,10 @@ class CompileDaemon:
         queue_limit: Bound on jobs admitted but not yet compiling;
             beyond it requests get a structured 503.
         wait_timeout: Per-request bound in seconds on waiting for a
-            result (queued or coalesced); expiry answers 504 while the
-            compile itself keeps running for later requests.
+            result (queued or coalesced), at least 0 (``inf`` waits as
+            long as a lock can, ``threading.TIMEOUT_MAX``); expiry
+            answers 504 while the compile itself keeps running for
+            later requests.
         host: Bind address (loopback by default).
         port: TCP port; 0 picks an ephemeral one (see ``bound_port``).
         obs: Optional :class:`~repro.obs.Observability` bundle; the
@@ -181,10 +182,10 @@ class CompileDaemon:
             ``TRACE_RING_SPANS`` ring) and gives a bundle without a
             recording registry a private one, since ``/metrics`` is
             read from it.
-        use_cache: Disable the allocation cache, the program store *and*
-            the request table's retained answers entirely (A/B timing):
-            every request that coalesces onto no flight runs a full
-            compile.
+
+    Raises:
+        ValueError: ``workers`` or ``queue_limit`` is below 1, or
+            ``wait_timeout`` is negative or NaN.
     """
 
     def __init__(
@@ -196,12 +197,13 @@ class CompileDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         obs: Optional[Observability] = None,
-        use_cache: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
+        if not wait_timeout >= 0:  # also refuses NaN
+            raise ValueError(f"wait_timeout must be at least 0 seconds, got {wait_timeout!r}")
         if obs is None:
             obs = Observability.create(max_spans=TRACE_RING_SPANS)
         self.obs = replace(obs, metrics=registry_for(obs.metrics))
@@ -210,17 +212,13 @@ class CompileDaemon:
         # The retained answers' size: levels, moved by the deltas finish() reports.
         self._result_entries = metrics.gauge("serve.result_entries")
         self._result_bytes = metrics.gauge("serve.result_bytes")
-        self.service = CompileService(
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            obs=self.obs,
-        )
+        self.service = CompileService(cache_dir=cache_dir, obs=self.obs)
         #: Options the service substitutes for ``options=None`` — also
         #: what the coalescing fingerprint folds omitted options onto.
-        self.default_options = CompilerOptions(generate_code=False)
-        self.wait_timeout = wait_timeout
+        self.default_options = default_job_options()
+        # A lock cannot wait longer; inf would raise OverflowError per request.
+        self.wait_timeout = min(wait_timeout, threading.TIMEOUT_MAX)
         self.flights = SingleFlight()
-        self.use_cache = use_cache
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_limit)
         self._draining = threading.Event()
         self._workers: List[threading.Thread] = []
@@ -287,8 +285,8 @@ class CompileDaemon:
             if not ok:
                 self._serve["compile_failures"].inc()
             # An ok answer is retained weighing the bytes a hit sends;
-            # a failure (or any answer without use_cache) is retired.
-            weight = len(_CACHED_FLAGS) + len(tail) if ok and self.use_cache else None
+            # a failure is retired.
+            weight = len(_CACHED_FLAGS) + len(tail) if ok else None
             entries, size, evictions = self.flights.finish(
                 flight, value=(ok, tail), weight=weight
             )
@@ -463,9 +461,8 @@ class CompileDaemon:
             "wire_version": WIRE_VERSION,
             "serve": self.counters(),
             "coalescing": {"in_flight": len(self.flights)},
+            "cache": self.service.cache.stats.to_dict(),
         }
-        if self.service.cache is not None:
-            payload["cache"] = self.service.cache.stats.to_dict()
         if self.service.store is not None:
             payload["disk"] = self.service.store.stats.to_dict()
         return payload

@@ -81,6 +81,7 @@ __all__ = [
     "CompileService",
     "ModelRecipe",
     "ProgramTable",
+    "default_job_options",
 ]
 
 #: Bounds of the in-memory program table: the entry and weight bounds of
@@ -96,6 +97,17 @@ __all__ = [
 #: shares the entry bound: it keeps one digest per named program.
 PROGRAM_TABLE_ENTRIES = 256
 PROGRAM_TABLE_SEGMENTS = 16_384
+
+
+def default_job_options() -> CompilerOptions:
+    """The options a :class:`CompileJob` without its own compiles under:
+    paper defaults, code generation off.
+
+    The one home of the batch default — the daemon's request fingerprint
+    folds omitted options onto it too.  A fresh instance per call,
+    because options are mutable.
+    """
+    return CompilerOptions(generate_code=False)
 
 
 @dataclass(frozen=True)
@@ -135,14 +147,14 @@ class CompileJob:
     """One compilation request.
 
     Attributes:
-        model: Registered model name (built via
-            :func:`repro.models.build_model`) or an already-built
-            :class:`~repro.ir.graph.Graph`.
+        model: Registered model name (its registered builder runs
+            through :class:`ModelRecipe`, only when no tier has the
+            program) or an already-built :class:`~repro.ir.graph.Graph`.
         workload: Workload for model building (defaults to ``Workload()``;
             ignored when ``model`` is a graph).
         hardware: Hardware preset name or abstraction instance.
-        options: Compiler options (paper defaults, code generation off,
-            when omitted).
+        options: Compiler options (:func:`default_job_options` when
+            omitted).
         label: Display name; defaults to the model/graph name.
     """
 
@@ -291,9 +303,6 @@ class CompileService:
     Args:
         cache: Shared allocation cache; a fresh bounded one is created
             when omitted.
-        use_cache: Disable the program table, the recipe memo, the
-            shared cache and the program store entirely (for A/B
-            timing): every call builds and runs the compiler's passes.
         cache_dir: Directory of the persistent program store
             (:class:`~repro.core.store.DiskCacheStore`) shared across
             threads, processes and future invocations.
@@ -301,40 +310,25 @@ class CompileService:
             service opens a span per batch and per job (job spans nest
             under the batch span) and threads the metrics registry into
             the cache and the store it creates.
-
-    Raises:
-        ValueError: If ``cache_dir`` is given with ``use_cache=False``.
     """
 
     def __init__(
         self,
         cache: Optional[AllocationCache] = None,
-        use_cache: bool = True,
         cache_dir: Optional[Union[str, Path]] = None,
         obs: Optional[Observability] = None,
     ) -> None:
-        if cache_dir is not None and not use_cache:
-            raise ValueError(
-                "a cache_dir needs use_cache=True: use_cache=False disables "
-                "the program store"
-            )
         self.obs = NULL_OBS if obs is None else obs
         self.cache_dir = str(Path(cache_dir).expanduser()) if cache_dir is not None else None
-        self.cache: Optional[AllocationCache] = None
-        self.store: Optional[DiskCacheStore] = None
-        self.programs: Optional[ProgramTable] = None
+        self.programs = ProgramTable()
         # ModelRecipe -> graph digest: a named repeat builds no graph.
-        self.recipes: Optional[BoundedLRU] = None
-        if use_cache:
-            self.programs = ProgramTable()
-            self.recipes = BoundedLRU(PROGRAM_TABLE_ENTRIES)
-            # `cache is None`, not truthiness: an empty AllocationCache
-            # has len() == 0.
-            self.cache = (
-                AllocationCache(metrics=self.obs.metrics) if cache is None else cache
-            )
-            if self.cache_dir:
-                self.store = DiskCacheStore(self.cache_dir, metrics=self.obs.metrics)
+        self.recipes = BoundedLRU(PROGRAM_TABLE_ENTRIES)
+        # `cache is None`, not truthiness: an empty AllocationCache
+        # has len() == 0.
+        self.cache = AllocationCache(metrics=self.obs.metrics) if cache is None else cache
+        self.store: Optional[DiskCacheStore] = (
+            DiskCacheStore(self.cache_dir, metrics=self.obs.metrics) if self.cache_dir else None
+        )
 
     # ------------------------------------------------------------------ #
     # single compile (the one place the program tiers are consulted)
@@ -378,32 +372,29 @@ class CompileService:
             KeyError: ``compiler`` is not a registered name.
             NoFeasiblePlanError: No feasible plan exists for the graph.
         """
-        key = None
-        if self.programs is not None:
-            start = time.perf_counter()
-            metrics = self.obs.metrics
-            graph, digest = self._digest(graph)
-            key = ProgramKey.build(digest, hardware, options, compiler)
-            program = self.programs.get(key)
+        start = time.perf_counter()
+        metrics = self.obs.metrics
+        graph, digest = self._digest(graph)
+        key = ProgramKey.build(digest, hardware, options, compiler)
+        program = self.programs.get(key)
+        if program is not None:
+            metrics.inc("programs.hits")
+            return _served(program, time.perf_counter() - start, disk=False)
+        if self.store is not None:
+            program = self.store.get(key)
             if program is not None:
-                metrics.inc("programs.hits")
-                return _served(program, time.perf_counter() - start, disk=False)
-            if self.store is not None:
-                program = self.store.get(key)
-                if program is not None:
-                    metrics.inc("programs.disk_promotions")
-                    self._remember(key, program)
-                    return _served(program, time.perf_counter() - start, disk=True)
-            metrics.inc("programs.misses")
+                metrics.inc("programs.disk_promotions")
+                self._remember(key, program)
+                return _served(program, time.perf_counter() - start, disk=True)
+        metrics.inc("programs.misses")
         if isinstance(graph, ModelRecipe):
             graph = graph.build()
         program = get_compiler(
             compiler, hardware, options, cache=self.cache, obs=self.obs
         ).compile(graph)
-        if key is not None:
-            if self.store is not None:
-                self.store.put(key, program)
-            self._remember(key, program)
+        if self.store is not None:
+            self.store.put(key, program)
+        self._remember(key, program)
         return program
 
     def _digest(
@@ -438,7 +429,7 @@ class CompileService:
                 program = self.compile_graph(
                     job.resolve_model(),
                     job.resolve_hardware(),
-                    job.options or CompilerOptions(generate_code=False),
+                    job.options or default_job_options(),
                 )
             except Exception as exc:  # noqa: BLE001 - isolation is the contract
                 span.set(ok=False)
@@ -488,7 +479,7 @@ class CompileService:
     @property
     def cache_stats(self) -> CacheStats:
         """Aggregate cache counters across every job served so far."""
-        return CacheStats() if self.cache is None else self.cache.stats
+        return self.cache.stats
 
 
 def _served(program: CompiledProgram, seconds: float, disk: bool) -> CompiledProgram:

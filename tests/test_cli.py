@@ -58,8 +58,17 @@ class TestParser:
         err = capsys.readouterr().err
         assert "must be positive" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_a_negative_or_nan_serve_timeout_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--timeout", value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be at least 0" in err and "Traceback" not in err
+
     def test_port_zero_and_a_non_number_keep_their_meaning(self, capsys):
         assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
+        assert build_parser().parse_args(["serve", "--timeout", "0"]).timeout == 0.0
         with pytest.raises(SystemExit):
             main(["replay", "--requests", "many"])
         assert "invalid int value: 'many'" in capsys.readouterr().err
@@ -108,18 +117,17 @@ class TestCommands:
         assert "unknown model name(s): not-a-model" in err
         assert "available models:" in err and "tiny-mlp" in err
 
-    def test_no_cache_with_cache_dir_exits_2(self, capsys, tmp_path):
-        # --no-cache disables the program store: naming one too is an
-        # error, not a silently ignored directory.
+    def test_no_cache_is_an_unknown_argument(self, capsys, tmp_path):
+        # There is no uncached batch: a cold compile is a fresh process.
         store = tmp_path / "store"
-        code = main(
-            ["compile-batch", "tiny-mlp", "--hardware", "small-test-chip",
-             "--no-cache", "--cache-dir", str(store)]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["compile-batch", "tiny-mlp", "--hardware", "small-test-chip",
+                 "--no-cache", "--cache-dir", str(store)]
+            )
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and len(captured.err.splitlines()) == 1
-        assert "--no-cache with --cache-dir" in captured.err
+        assert captured.out == "" and "unrecognized arguments: --no-cache" in captured.err
         assert not store.exists()
 
 

@@ -976,13 +976,21 @@ class TestCacheCli:
         assert main(["cache", "clear", "--cache-dir", str(missing)]) == 2
         assert not missing.exists()
 
-    def test_cache_cli_rejects_regular_file_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [["stats"], ["prune", "--max-bytes", "1MB"], ["clear"]],
+        ids=["stats", "prune", "clear"],
+    )
+    def test_cache_cli_rejects_regular_file_path(self, tmp_path, capsys, command):
         from repro.cli import main
 
         not_a_dir = tmp_path / "somefile"
         not_a_dir.write_text("hi")
-        assert main(["cache", "stats", "--cache-dir", str(not_a_dir)]) == 2
-        assert "does not exist" in capsys.readouterr().err
+        assert main(["cache", command[0], "--cache-dir", str(not_a_dir), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"cache directory {not_a_dir} is not a directory" in err
+        assert "does not exist" not in err
+        assert not_a_dir.read_text() == "hi"
 
     def test_prune_by_age(self, tmp_path, capsys):
         import os

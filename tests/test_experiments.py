@@ -33,6 +33,7 @@ from repro.experiments import (
 from repro.experiments.common import FIGURE_OPTIONS, format_table
 from repro.hardware import dynaplasia, small_test_chip
 from repro.models import Phase, Workload, build_model, default_workload
+from repro.service import CompileService
 
 
 @pytest.fixture(scope="module")
@@ -189,19 +190,44 @@ class TestCompileTimeAndOverheads:
         assert math.isfinite(row["overhead_ratio"]) and row["overhead_ratio"] > 0
         # The pass pipeline attributes where CMSwitch's extra time goes.
         assert "fallback_seconds" not in row  # one DP: no second pass to time
-        assert "cmswitch_cache_hit_rate" not in row  # no cache: always 0
+        assert "cmswitch_cache_hit_rate" not in row  # every timed compile is cold
         assert 0 < row["segment_seconds"] <= row["cmswitch_seconds"]
         # What does repeat is the work behind the ratio: the dual-mode
         # search space contains the fixed-mode one.
         graph = build_model("tiny-transformer", default_workload("tiny-transformer", batch_size=1, seq_len=64))
-        session = Session(chip, use_cache=False)
+        # One fresh session per compiler: cim-mlc's windows are a subset
+        # of cmswitch's, so a shared one would serve them all.
         solves = {
-            name: session.compile(graph, options=FIGURE_OPTIONS, compiler=name).stats[
+            name: Session(chip).compile(graph, options=FIGURE_OPTIONS, compiler=name).stats[
                 "allocator_solves"
             ]
             for name in ("cmswitch", "cim-mlc")
         }
         assert solves["cmswitch"] >= solves["cim-mlc"] > 0
+
+    def test_every_timed_fig18_compile_is_cold(self, chip, monkeypatch):
+        """Each repeat of each compiler gets a fresh session: it solves
+        what a compile on a session of its own solves — no table hit, no
+        window another compiler left behind."""
+        graph = build_model("tiny-transformer", default_workload("tiny-transformer", batch_size=1, seq_len=64))
+        cold = {
+            name: Session(chip).compile(graph, options=FIGURE_OPTIONS, compiler=name).stats[
+                "allocator_solves"
+            ]
+            for name in ("cmswitch", "cim-mlc")
+        }
+        timed = []
+        compile_graph = CompileService.compile_graph
+
+        def spy(service, source, hardware, options, compiler):
+            program = compile_graph(service, source, hardware, options, compiler)
+            timed.append((compiler, program.stats["allocator_solves"]))
+            return program
+
+        monkeypatch.setattr(CompileService, "compile_graph", spy)
+        measure_compile_time(hardware=chip, models=("tiny-transformer",), repeats=2)
+        assert timed == [("cmswitch", cold["cmswitch"])] * 2 + [("cim-mlc", cold["cim-mlc"])] * 2
+        assert cold["cmswitch"] > 0 and cold["cim-mlc"] > 0
 
     def test_switch_overhead_small_share(self, chip):
         rows = switch_overhead(hardware=chip, models=("tiny-transformer",))

@@ -152,6 +152,31 @@ def test_figures_and_the_cli_compile_through_the_session():
     assert not offenders, offenders
 
 
+def test_there_is_one_service_configuration(capsys):
+    """Every compile walks the one tier order — recipe memo, program
+    table, store, pipeline: no constructor takes a switch that turns the
+    tiers off, and ``compile-batch`` has no ``--no-cache``.  A cold
+    compile is a fresh ``Session``."""
+    from repro.api import Session
+    from repro.cli import main
+    from repro.serve import CompileDaemon
+    from repro.service import CompileService
+
+    for cls in (CompileService, Session, CompileDaemon):
+        assert "use_cache" not in inspect.signature(cls).parameters, cls.__name__
+    with pytest.raises(SystemExit):
+        main(["compile-batch", "--help"])
+    assert "--no-cache" not in capsys.readouterr().out
+    users = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*"))
+        if path.is_file()
+        and "__pycache__" not in path.parts
+        and b"use_cache" in path.read_bytes()
+    ]
+    assert not users, users
+
+
 def test_a_named_compile_builds_its_graph_in_one_place():
     """One named-compile path: ``CompileService.compile(job)`` and
     ``Session.compile("name")`` hand ``compile_graph`` a ``ModelRecipe``.

@@ -32,7 +32,7 @@ class TestPipelineStructure:
         assert [p.name for p in CMSwitchCompiler.passes] == STANDARD_NAMES
 
     def test_every_compiler_runs_the_standard_pass_names(self):
-        session = Session(hardware="dynaplasia", use_cache=False)
+        session = Session(hardware="dynaplasia")
         for name, compiler_cls in COMPILERS.items():
             assert isinstance(compiler_cls.passes, tuple)
             assert [p.name for p in compiler_cls.passes] == STANDARD_NAMES

@@ -16,6 +16,7 @@ import queue
 import socket
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,7 +45,7 @@ from repro.serve import daemon as daemon_module
 from repro.serve.coalesce import FOLLOW, HIT, LEAD, Flight
 from repro.serve.httpbase import QuietHandler
 from repro.serve.wire import WIRE_VERSION, check_version
-from repro.service import CompileJob, CompileJobResult
+from repro.service import CompileJob, CompileJobResult, default_job_options
 
 
 @pytest.fixture()
@@ -448,6 +449,40 @@ class TestCompileDaemon:
         assert "store_hits" in text and "cache_remote_" not in text
         client.close()
 
+    @pytest.mark.parametrize("wait_timeout", [-1.0, float("nan")])
+    def test_a_negative_or_nan_wait_bound_is_refused(self, wait_timeout):
+        """Either would answer every request that is not a retained hit
+        with an immediate 504."""
+        with pytest.raises(ValueError, match="wait_timeout"):
+            CompileDaemon(workers=1, wait_timeout=wait_timeout)
+
+    def test_zero_and_infinite_wait_bounds_start(self):
+        """0 gives up on anything not ready; inf waits as long as a lock can."""
+        for wait_timeout, kept in ((0.0, 0.0), (float("inf"), threading.TIMEOUT_MAX)):
+            daemon = CompileDaemon(workers=1, wait_timeout=wait_timeout)
+            try:
+                assert daemon.wait_timeout == kept
+            finally:
+                daemon.shutdown()
+
+    def test_the_default_options_are_the_services(self):
+        """The fingerprint folds omitted options onto what the service
+        compiles them with, read from one helper."""
+        daemon = CompileDaemon(workers=1)
+        try:
+            assert daemon.default_options == default_job_options()
+            assert daemon.default_options is not default_job_options()
+            job = CompileJob("tiny-mlp", hardware="small-test-chip")
+            assert daemon.service.compile(job).ok
+            # The same program key: a table hit, no pass runs.
+            explicit = replace(job, options=default_job_options())
+            assert daemon.service.compile(explicit).stats["pass_seconds"] == {}
+            assert request_fingerprint(
+                job, default_options=daemon.default_options
+            ) == request_fingerprint(explicit)
+        finally:
+            daemon.shutdown()
+
     def test_draining_daemon_refuses_new_work(self, tmp_path):
         daemon = CompileDaemon(workers=1)
         daemon.start_background()
@@ -740,19 +775,23 @@ class TestResultTable:
         counters = daemon.counters()
         assert counters["compiles_executed"] == 2 and counters["result_hits"] == 3
 
-    def test_use_cache_false_bypasses_the_table(self):
-        daemon = CompileDaemon(workers=1, use_cache=False)
+    def test_every_ok_answer_is_retained(self):
+        """A daemon without a ``cache_dir`` still keeps every ok answer,
+        and its cache stats always carry the window cache."""
+        daemon = CompileDaemon(workers=1)
         daemon.start_background()
         try:
             with Client(daemon.url, retries=1) as client:
                 results = [
                     client.compile("tiny-mlp", hardware="small-test-chip") for _ in range(2)
                 ]
-            assert not any(result.cached for result in results)
+            assert [result.cached for result in results] == [False, True]
             counters = daemon.counters()
-            assert counters["compiles_executed"] == 2
-            assert counters["result_hits"] == counters["result_entries"] == 0
-            assert len(daemon.flights.retained) == len(daemon.flights) == 0
+            assert counters["compiles_executed"] == 1
+            assert counters["result_hits"] == counters["result_entries"] == 1
+            assert len(daemon.flights.retained) == 1 and len(daemon.flights) == 0
+            payload = daemon.cache_stats_payload()
+            assert "cache" in payload and "disk" not in payload
         finally:
             daemon.shutdown()
 

@@ -118,15 +118,16 @@ class TestCompileService:
         assert result.wall_seconds > 0
         assert "cache hit rate" in result.describe()
 
-    def test_use_cache_false_disables_sharing(self, small_chip):
-        service = CompileService(use_cache=False)
-        assert service.cache is None
-        results = service.compile_batch(
-            [CompileJob("tiny-mlp", hardware=small_chip)] * 2
-        )
+    def test_two_services_share_no_tier(self, small_chip):
+        """A cold compile is a fresh service: the second solves every
+        window the first did, its cache holding only its own work."""
+        job = CompileJob("tiny-mlp", hardware=small_chip)
+        services = [CompileService(), CompileService()]
+        results = [service.compile(job) for service in services]
         assert all(result.ok for result in results)
-        assert all(result.stats["allocation_cache_hits"] == 0 for result in results)
-        assert service.cache_stats.lookups == 0
+        solves = [result.stats["allocator_solves"] for result in results]
+        assert solves[0] == solves[1] > 0
+        assert services[1].cache_stats.misses == solves[1]
 
     def test_external_cache_is_shared(self, small_chip):
         cache = AllocationCache()
@@ -366,20 +367,17 @@ class TestProgramTable:
         assert len(service.programs) == 1
         assert service.compile_graph(cnn, small_chip, options).stats["pass_seconds"] == {}
 
-    def test_use_cache_false_builds_no_key_and_no_table(
-        self, small_chip, pipeline_runs, monkeypatch
+    def test_a_fresh_service_per_call_runs_the_pipeline_every_time(
+        self, small_chip, pipeline_runs
     ):
-        def tripwire(*args, **kwargs):
-            raise AssertionError("use_cache=False built a program key")
-
-        monkeypatch.setattr(ProgramKey, "build", tripwire)
-        service = CompileService(use_cache=False)
-        assert service.programs is None
+        """One graph, three fresh services: three cold compiles, each one
+        remembered by its own table."""
         graph = _tiny_cnn()
-        programs = [service.compile_graph(graph, small_chip, self.OPTIONS) for _ in range(3)]
+        services = [CompileService() for _ in range(3)]
+        programs = [service.compile_graph(graph, small_chip, self.OPTIONS) for service in services]
         assert len(pipeline_runs) == 3
         assert all(program.stats["allocator_solves"] > 0 for program in programs)
-        graph.metadata["block_repeat"] = 2.0  # no key, so nothing sealed the graph
+        assert all(len(service.programs) == 1 for service in services)
 
     def test_threads_sharing_one_service_agree(self, small_chip):
         service = CompileService()
@@ -522,13 +520,13 @@ class TestRecipeMemo:
         result = CompileService().compile(CompileJob("no-such-model", hardware=small_chip))
         assert result.error == f"KeyError: {expected.value}"
 
-    def test_use_cache_false_keeps_no_memo(self, small_chip, counting_model):
+    def test_a_fresh_service_builds_the_graph_again(self, small_chip, counting_model):
         builds = counting_model("counting-cnn")
-        service = CompileService(use_cache=False)
-        assert service.recipes is None
         job = CompileJob("counting-cnn", hardware=small_chip)
-        assert all(service.compile(job).ok for _ in range(3))
+        services = [CompileService() for _ in range(3)]
+        assert all(service.compile(job).ok for service in services)
         assert len(builds) == 3
+        assert all(len(service.recipes) == 1 for service in services)
 
     def test_an_evicted_program_is_read_from_the_store_without_a_build(
         self, small_chip, counting_model, monkeypatch, tmp_path
@@ -695,7 +693,7 @@ class TestCompileBatchCLI:
              "--repeat", "2"]
         )
         assert args.models == ["tiny-cnn", "tiny-mlp"]
-        assert args.repeat == 2 and not args.no_cache
+        assert args.repeat == 2 and not hasattr(args, "no_cache")
 
     def test_cli_compile_batch_runs(self, capsys):
         code = main(
@@ -736,12 +734,6 @@ class TestCompileBatchCLI:
         assert "pass wall time:" in out
         for pass_name in ("flatten", "partition", "segment", "allocate"):
             assert pass_name in out
-
-    def test_cli_no_cache_flag(self, capsys):
-        code = main(["compile-batch", "tiny-mlp", "--hardware", "small-test-chip",
-                     "--no-cache"])
-        assert code == 0
-        assert "0 hits / 0 lookups" in capsys.readouterr().out
 
     def test_cli_zero_models_is_a_usage_error(self, capsys):
         """Regression: no models must fail loudly, not silently succeed."""

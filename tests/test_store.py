@@ -778,9 +778,6 @@ class TestProgramStore:
             AllocationCache(store=DiskCacheStore(tmp_path))
         assert not hasattr(AllocationCache(), "store")
         assert CompileService().store is None
-        # No cache and a store is a contradiction, not a silent drop.
-        with pytest.raises(ValueError, match="use_cache=False"):
-            CompileService(cache_dir=tmp_path, use_cache=False)
         assert not any(tmp_path.iterdir())
 
     def test_cache_and_cache_dir_combine(self, small_chip, tmp_path):
