@@ -490,8 +490,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     result = session.replay(trace)
     print(result.render_report())
     metrics = result.metrics
-    # Machine-checkable summary lines (the CI replay-smoke job greps
-    # these, like compile-batch's solver totals).
+    # Machine-checkable summary lines (tests/test_replay.py::
+    # TestCLIReplayAcrossProcesses greps these, like compile-batch's
+    # solver totals).
     print(f"replay throughput: {metrics.throughput_rps:.6f} req/s")
     print(f"replay p50: {metrics.latency_p50_ms:.6f} ms")
     print(f"replay p99: {metrics.latency_p99_ms:.6f} ms")

@@ -11,7 +11,8 @@ Percentiles use the *nearest-rank* definition (no interpolation): the
 reported p99 is an actually-observed latency, the definition is monotone
 in the percentile (so ``p50 <= p99`` holds by construction), and the
 result is bit-reproducible across platforms — which the determinism
-tests and the CI ``replay-smoke`` job rely on.  It is the one
+tests and ``tests/test_replay.py::TestCLIReplayAcrossProcesses`` (it
+greps the CLI's summary lines) rely on.  It is the one
 definition in the package (:func:`repro.obs.metrics.percentile`), so
 the registry's ``replay.latency_ms`` histogram reports the same p50 /
 p99 as this module.

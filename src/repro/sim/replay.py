@@ -47,7 +47,7 @@ from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass, field, replace as dataclasses_replace
 from itertools import compress
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..core.clock import ManualClock
 from ..core.compiler import CompilerOptions
@@ -55,7 +55,7 @@ from ..core.program import CompiledProgram
 from ..cost.switching import mode_switch_cycles
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import get_preset
-from ..models.workload import Workload, workload_to_payload
+from ..models.workload import workload_to_payload
 from ..obs import NULL_OBS, NULL_TRACER
 from ..service import CompileJob, CompileJobResult, CompileService
 from .metrics import ReplayMetrics, compute_metrics
@@ -121,7 +121,9 @@ class ReplayOutcomes(abc.Sequence):
     ``keys``, ``models`` and ``service_ms`` (``None`` marks a program
     that failed to compile, whose requests are dropped).  The event loop
     wrote its ``starts[i]``, ``switches[i]`` and ``finishes[i]``; a
-    dropped request starts and finishes at its arrival.
+    dropped request starts and finishes at its arrival.  The per-request
+    input columns are the replayed :class:`~repro.sim.traces.Trace`'s
+    own, shared rather than copied.
 
     Read as a sequence (``len``, indexing, iteration, ``==`` against
     another one or a list) it yields :class:`RequestOutcome` records,
@@ -238,14 +240,18 @@ def replay_schedule(
     the first time the pair meets and read from a program x program
     table after that (``previous_key`` is ``None`` for the first served
     request).  The per-request work is one Lindley step — two float
-    additions — and three float appends.  Virtual time is a local float
-    that takes exactly the steps ``ManualClock.advance`` would
-    (``now += arrival - now``, not ``now = arrival``: the two differ in
-    the last bit, and replay reports are compared bit for bit), moves
-    only forward (a negative step raises ``ValueError`` as the clock
-    would), and is handed to ``clock`` (a fresh :class:`ManualClock` by
-    default) once at the end, so the clock finishes at the last
-    completion.
+    additions — and three float appends; arrivals, service times and
+    priced switches are floats (a :class:`~repro.sim.traces.Trace`'s
+    arrival column is, and :meth:`ReplaySimulator.run` passes float
+    service times), so the loop converts nothing.  Virtual time is a
+    local float that takes exactly the steps ``ManualClock.advance``
+    would (``now += arrival - now``, not ``now = arrival``: the two
+    differ in the last bit, and replay reports are compared bit for
+    bit), moves only forward (a negative ``switch + service`` step
+    raises ``ValueError`` as the clock would — checked when its pair of
+    programs is first priced, which is the first request to take it),
+    and is handed to ``clock`` (a fresh :class:`ManualClock` by default)
+    once at the end, so the clock finishes at the last completion.
 
     ``tracer`` (an optional :class:`~repro.obs.Tracer`) records a span
     per request — wall-clock time of the event-loop step, with the
@@ -290,13 +296,15 @@ def replay_schedule(
                     span.set(served=False, arrival_ms=arrival_ms)
             else:
                 if arrival_ms > now:
-                    now += float(arrival_ms - now)  # server idles
+                    now += arrival_ms - now  # server idles
                 start_ms = now
                 switch = row[program]
                 if switch is None:
                     switch = row[program] = float(
                         switch_ms_between(previous_keys[previous], keys[program])
                     )
+                    if switch + service < 0:
+                        raise ValueError("cannot advance a clock backwards")
                 if traced and switch > 0.0:
                     tracer.event(
                         "replay.switch",
@@ -304,9 +312,7 @@ def replay_schedule(
                         previous=previous_keys[previous],
                         program=keys[program],
                     )
-                if switch + service < 0:
-                    raise ValueError("cannot advance a clock backwards")
-                now += float(switch + service)
+                now += switch + service
                 start_append(start_ms)
                 switch_append(switch)
                 finish_append(now)
@@ -414,39 +420,6 @@ def _program_key(model: str, workload) -> str:
     return f"{model}|{payload}"
 
 
-#: One program of a replay: its key, model name and workload.
-ProgramEntry = Tuple[str, str, Workload]
-
-
-def _index_programs(trace: Trace) -> Tuple[List[int], List[ProgramEntry]]:
-    """Program index of every request, and the program table it indexes.
-
-    One walk of the trace.  Each request is looked up by ``(model,
-    id(workload))`` first — the generators share one ``Workload``
-    instance per (model, bucket), so this usually hits without hashing
-    the workload — and by value otherwise; only a new value renders its
-    key.  The trace holds every workload for the whole walk, so no
-    ``id`` is reused.
-    """
-    by_identity: Dict[Tuple[str, int], int] = {}
-    by_value: Dict[Tuple[str, Workload], int] = {}
-    table: List[ProgramEntry] = []
-    index: List[int] = []
-    append = index.append
-    for request in trace.requests:
-        identity = (request.model, id(request.workload))
-        program = by_identity.get(identity)
-        if program is None:
-            pair = (request.model, request.workload)
-            program = by_value.get(pair)
-            if program is None:
-                program = by_value[pair] = len(table)
-                table.append((_program_key(*pair), *pair))
-            by_identity[identity] = program
-        append(program)
-    return index, table
-
-
 class ReplaySimulator:
     """Replays request traces against one chip.
 
@@ -488,17 +461,15 @@ class ReplaySimulator:
     # ------------------------------------------------------------------ #
     # compile pool
     # ------------------------------------------------------------------ #
-    def compile_pool(
-        self, trace: Trace, table: Optional[Sequence[ProgramEntry]] = None
-    ) -> Dict[str, CompileJobResult]:
+    def compile_pool(self, trace: Trace) -> Dict[str, CompileJobResult]:
         """Compile each distinct (model, workload) of the trace once.
 
-        ``table`` is the trace's program table when the caller already
-        built it (:meth:`run` does); it is derived otherwise.  The
-        result maps each program key to its compile, in table order.
+        The pool is the trace's program table, in its first-appearance
+        order; the result maps each program's key to its compile, in
+        that order (a key renders the whole workload, so distinct table
+        entries have distinct keys).
         """
-        if table is None:
-            table = _index_programs(trace)[1]
+        keys = [_program_key(model, workload) for model, workload in trace.table]
         jobs = [
             CompileJob(
                 model,
@@ -507,10 +478,9 @@ class ReplaySimulator:
                 options=self.options,
                 label=key,
             )
-            for key, model, workload in table
+            for key, (model, workload) in zip(keys, trace.table)
         ]
-        results = self.service.compile_batch(jobs)
-        return {key: result for (key, _, _), result in zip(table, results)}
+        return dict(zip(keys, self.service.compile_batch(jobs)))
 
     # ------------------------------------------------------------------ #
     # replay
@@ -521,30 +491,27 @@ class ReplaySimulator:
         Compile-side work is per distinct *program*: one key rendering,
         one compile, one ``end_to_end_ms`` read, and one Eq. 1 pricing
         per ordered pair of programs that actually meet.  Per *request*
-        there is one step of the walk that indexes the programs and one
-        step of the event loop of :func:`replay_schedule`, both over
-        plain columns, so a replay costs ``O(programs * warm compile +
-        requests)``.  The per-program tables are locals of this call —
-        nothing outlives it.
+        there is one step of the event loop of :func:`replay_schedule`
+        over the trace's own columns (ids, arrivals, program codes), so a
+        replay costs ``O(programs * warm compile + requests)``.  The
+        per-program tables are locals of this call — nothing outlives it.
         """
-        programs, table = _index_programs(trace)
         with self.obs.tracer.span("replay.compile_pool", requests=len(trace)):
-            pool = self.compile_pool(trace, table)
+            pool = self.compile_pool(trace)
         compiled: Dict[str, CompiledProgram] = {
             key: result.program for key, result in pool.items() if result.ok
         }
-        keys = [key for key, _, _ in table]
         service_ms = [
-            compiled[key].end_to_end_ms if key in compiled else None for key in keys
+            float(result.program.end_to_end_ms) if result.ok else None
+            for result in pool.values()
         ]
-        requests = trace.requests
-        with self.obs.tracer.span("replay.schedule", requests=len(requests)):
+        with self.obs.tracer.span("replay.schedule", requests=len(trace)):
             outcomes = replay_schedule(
-                [request.request_id for request in requests],
-                [request.arrival_ms for request in requests],
-                programs,
-                keys,
-                [model for _, model, _ in table],
+                trace.request_ids,
+                trace.arrivals,
+                trace.programs,
+                list(pool),
+                [model for model, _ in trace.table],
                 service_ms,
                 self._switch_ms_between(compiled),
                 tracer=self.obs.tracer,

@@ -373,3 +373,33 @@ def test_there_is_one_flow_interpreter():
                     walks.add(name)
     assert sorted(chips) == ["repro/core/codegen.py", "repro/sim/timing.py"]
     assert sorted(walks) == ["repro/core/metaop.py", "repro/sim/timing.py"]
+
+
+def test_a_replay_reads_the_trace_columns():
+    """A trace is columns and a replay reads them: no per-request
+    program index is rebuilt (``_index_programs`` is gone), ``Trace``
+    keeps no list of ``TraceRequest`` records, the pool is the trace's
+    table, and ``sim/replay.py`` never reads ``trace.requests``."""
+    import repro.sim.replay as replay_module
+    from repro.sim.traces import Trace, TraceRequest, poisson_trace
+
+    assert not hasattr(replay_module, "_index_programs")
+    assert list(inspect.signature(replay_module.ReplaySimulator.compile_pool).parameters) == [
+        "self", "trace",
+    ]
+    trace = poisson_trace(["tiny-mlp", "tiny-cnn"], num_requests=20, seed=1)
+    assert not hasattr(trace, "__dict__")
+    for slot in Trace.__slots__:
+        value = getattr(trace, slot)
+        assert not isinstance(value, list), slot
+        if isinstance(value, tuple):
+            assert not any(isinstance(item, TraceRequest) for item in value), slot
+    path = SRC / "repro" / "sim" / "replay.py"
+    reads = [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "requests"
+        and ast.unparse(node.value).split(".")[-1] == "trace"
+    ]
+    assert not reads, reads

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.replay as replay_module
+import repro.sim.traces as traces_module
 from repro.api import Session
 from repro.core.clock import ManualClock
 from repro.core.compiler import CMSwitchCompiler, CompilerOptions
@@ -661,6 +662,37 @@ class TestProgramGranularity:
         assert result.metrics.queue_ms_max > 0.0
         assert any(switch_ms > 0.0 for switch_ms in switches)
 
+    def test_generating_and_replaying_builds_no_trace_request(self, monkeypatch):
+        """The replay reads the trace's columns: no request record is
+        built, as no ``RequestOutcome`` is (the view builds one per read)."""
+        built = []
+
+        class CountingRequest(TraceRequest):
+            def __post_init__(self):
+                built.append(self.request_id)
+                super().__post_init__()
+
+        monkeypatch.setattr(traces_module, "TraceRequest", CountingRequest)
+        trace = self._trace()
+        result = ReplaySimulator("small-test-chip").run(trace)
+        assert result.metrics.served == 2_000 and built == []
+        assert result.outcomes.request_ids is trace.request_ids
+        assert result.outcomes.arrivals is trace.arrivals
+        assert result.outcomes.programs is trace.programs
+        trace.requests[0]
+        assert built == [trace.request_ids[0]]
+
+    def test_a_trace_rebuilt_from_its_requests_replays_identically(self):
+        trace = self._trace()
+        rebuilt = Trace(requests=list(trace.requests), metadata=trace.metadata)
+        assert rebuilt == trace
+        for column in ("request_ids", "arrivals", "programs", "table"):
+            assert getattr(rebuilt, column) == getattr(trace, column), column
+        simulator = ReplaySimulator("small-test-chip")
+        original, again = simulator.run(trace), simulator.run(rebuilt)
+        assert again.metrics == original.metrics
+        assert again.outcomes == original.outcomes
+
     def test_registry_counters_are_the_outcome_tallies(self):
         session = Session(hardware="small-test-chip", trace=True)
         result = session.replay(self._trace())
@@ -704,6 +736,32 @@ class TestCLITraceErrors:
         assert code == 2
         assert "invalid trace file" in captured.err
         assert "nan" not in captured.out
+
+    def test_replay_truncated_trace_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "short.jsonl"
+        save_trace(poisson_trace(["tiny-mlp"], num_requests=5, seed=0), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
+        code = main(["replay", "--preset", "small-test-chip", "--trace", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "invalid trace file" in captured.err
+        assert "promises 5 request(s) but the file holds 3" in captured.err
+        assert "replay p99" not in captured.out
+
+    def test_replay_repeated_request_id_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "repeat.jsonl"
+        save_trace(poisson_trace(["tiny-mlp"], num_requests=2, seed=0), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["requests"] = 3
+        path.write_text(
+            "\n".join([json.dumps(header), *lines[1:], lines[1]]) + "\n", encoding="utf-8"
+        )
+        code = main(["replay", "--preset", "small-test-chip", "--trace", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ":4: duplicate request id 'r0'" in err
 
     def test_replay_newer_version_exits_2(self, tmp_path, capsys):
         future = tmp_path / "future.jsonl"

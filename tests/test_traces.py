@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models import default_workload
 from repro.models.workload import Phase, Workload
+from repro.sim import traces as traces_module
 from repro.sim.traces import (
     TRACE_FORMAT_VERSION,
     Trace,
     TraceFormatError,
     TraceRequest,
+    TraceRequests,
     bursty_trace,
     diurnal_trace,
     load_trace,
@@ -91,6 +96,129 @@ class TestTraceBasics:
         assert sorted(r.request_id for r in merged.requests) == ["a:r0", "a:r1", "b:r0"]
 
 
+def _columns(trace):
+    return (
+        trace.request_ids, trace.arrivals, trace.programs, trace.table, trace.metadata,
+    )
+
+
+def _reference(requests, metadata=None):
+    """The trace of request objects: Python's stable sort by arrival, and
+    a table of the distinct (model, workload) pairs in that order."""
+    ordered = sorted(requests, key=lambda r: r.arrival_ms)
+    table = list(dict.fromkeys((r.model, r.workload) for r in ordered))
+    return (
+        tuple(r.request_id for r in ordered),
+        tuple(float(r.arrival_ms) for r in ordered),
+        tuple(table.index((r.model, r.workload)) for r in ordered),
+        tuple(table),
+        {} if metadata is None else metadata,
+    )
+
+
+_WORKLOADS = [Workload(batch_size=1, seq_len=16), Workload(batch_size=1, seq_len=32)]
+_random_requests = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0]),  # few values: many ties
+        st.sampled_from(["tiny-mlp", "tiny-cnn"]),
+        st.sampled_from(_WORKLOADS),
+    ),
+    max_size=30,
+).map(
+    lambda rows: [
+        TraceRequest(f"r{i}", arrival, model, workload)
+        for i, (arrival, model, workload) in enumerate(rows)
+    ]
+)
+
+
+class TestColumns:
+    """A trace is columns; its request records are a view built on read."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(requests=_random_requests)
+    def test_the_view_is_the_stable_sort_of_the_input(self, requests):
+        trace = Trace(requests=requests, metadata={"kind": "random"})
+        assert list(trace.requests) == sorted(requests, key=lambda r: r.arrival_ms)
+        assert trace.requests == sorted(requests, key=lambda r: r.arrival_ms)
+        assert _columns(trace) == _reference(requests, {"kind": "random"})
+        assert Trace(requests=list(trace.requests), metadata=trace.metadata) == trace
+
+    @settings(max_examples=50, deadline=None)
+    @given(first=_random_requests, second=_random_requests, factor=st.sampled_from([0.25, 1.0, 3.0]))
+    def test_transforms_equal_their_request_object_references(self, first, second, factor):
+        a, b = Trace(requests=first), Trace(requests=second)
+        scaled = a.with_gaps_scaled(factor)
+        assert _columns(scaled) == _reference(
+            [dataclasses.replace(r, arrival_ms=r.arrival_ms * factor) for r in a.requests],
+            {"gap_scale": factor},
+        )
+        assert _columns(a.merged(b)) == _reference(
+            [dataclasses.replace(r, request_id=f"a:{r.request_id}") for r in a.requests]
+            + [dataclasses.replace(r, request_id=f"b:{r.request_id}") for r in b.requests],
+            {"kind": "merged"},
+        )
+
+    def test_a_file_round_trip_equals_the_request_object_reference(self, tmp_path):
+        trace = bursty_trace(["tiny-mlp", "tiny-transformer"], num_requests=300, seed=4)
+        loaded = load_trace(save_trace(trace, tmp_path / "t.jsonl"))
+        assert loaded == trace
+        assert _columns(loaded) == _reference(list(trace.requests), trace.metadata)
+        # Lines written out of arrival order load sorted.
+        lines = (tmp_path / "t.jsonl").read_text(encoding="utf-8").splitlines()
+        shuffled = tmp_path / "shuffled.jsonl"
+        shuffled.write_text("\n".join([lines[0], *reversed(lines[1:])]) + "\n", encoding="utf-8")
+        assert list(load_trace(shuffled).requests) == sorted(
+            reversed(list(trace.requests)), key=lambda r: r.arrival_ms
+        )
+
+    def test_columns_are_read_only_and_shared_by_derived_traces(self):
+        trace = poisson_trace(["tiny-mlp", "tiny-cnn"], num_requests=50, seed=2)
+        for column in (trace.request_ids, trace.arrivals, trace.programs, trace.table):
+            assert isinstance(column, tuple)
+        assert all(type(arrival) is float for arrival in trace.arrivals)
+        scaled = trace.with_gaps_scaled(2.0)
+        assert scaled.request_ids is trace.request_ids
+        assert scaled.programs is trace.programs and scaled.table is trace.table
+        assert isinstance(trace.requests, TraceRequests)
+        with pytest.raises(TypeError):
+            trace.requests[0] = trace.requests[1]
+
+    def test_generating_builds_no_request_and_reading_one_builds_one(self, monkeypatch):
+        built = []
+
+        class CountingRequest(TraceRequest):
+            def __post_init__(self):
+                built.append(self.request_id)
+                super().__post_init__()
+
+        monkeypatch.setattr(traces_module, "TraceRequest", CountingRequest)
+        trace = bursty_trace(["tiny-mlp", "tiny-cnn"], num_requests=2_000, seed=5)
+        assert built == []
+        first = trace.requests[0]
+        assert built == [first.request_id] == [trace.request_ids[0]]
+        assert trace.requests[-1].arrival_ms == trace.duration_ms
+
+    @pytest.mark.parametrize("arrival_ms", [-1.0, math.nan, math.inf])
+    def test_a_bad_arrival_in_a_column_is_rejected(self, arrival_ms):
+        with pytest.raises(ValueError, match="negative|non-finite"):
+            Trace._of_columns(
+                ["r0", "r1"], [0.0, arrival_ms], [0, 0],
+                [("tiny-mlp", _WORKLOADS[0])], {},
+            )
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_gap_factors_are_rejected(self, factor):
+        trace = Trace(requests=[_request(0, 0.0), _request(1, 1.0)])
+        with pytest.raises(ValueError):
+            trace.with_gaps_scaled(factor)
+
+    def test_a_scaled_arrival_that_overflows_is_rejected(self):
+        trace = Trace(requests=[_request(0, 0.0), _request(1, 1e300)])
+        with pytest.raises(ValueError, match="non-finite"):
+            trace.with_gaps_scaled(1e300)
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         trace = Trace(
@@ -149,6 +277,42 @@ class TestFileFormat:
             encoding="utf-8",
         )
         with pytest.raises(TraceFormatError, match=":2:"):
+            load_trace(path)
+
+    def test_truncated_file_is_rejected_with_both_counts(self, tmp_path):
+        path = save_trace(poisson_trace(["tiny-mlp"], num_requests=5), tmp_path / "t.jsonl")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
+        with pytest.raises(TraceFormatError, match="promises 5 request.*holds 3"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("count", [True, "5", -1, 5.0])
+    def test_a_header_count_that_is_not_a_count_is_rejected(self, tmp_path, count):
+        path = save_trace(poisson_trace(["tiny-mlp"], num_requests=5), tmp_path / "t.jsonl")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["requests"] = count
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(TraceFormatError, match="request count"):
+            load_trace(path)
+
+    def test_boolean_version_is_rejected(self, tmp_path):
+        path = tmp_path / "bool.jsonl"
+        path.write_text('{"format": "repro-trace", "version": true}\n', encoding="utf-8")
+        with pytest.raises(TraceFormatError, match="integer format version"):
+            load_trace(path)
+
+    def test_a_repeated_request_line_names_the_repeat(self, tmp_path):
+        path = save_trace(poisson_trace(["tiny-mlp"], num_requests=5), tmp_path / "t.jsonl")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["requests"] = 6
+        lines = [json.dumps(header), *lines[1:4], lines[2], *lines[4:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(
+            TraceFormatError, match=r":5: duplicate request id 'r1' \(first on line 3\)"
+        ):
             load_trace(path)
 
     def test_non_json_line_rejected(self, tmp_path):
