@@ -62,11 +62,11 @@ JobLike = Union[CompileJob, str, Graph]
 class Session:
     """One configured entry point over the whole compilation stack.
 
-    A session owns the shared in-memory :class:`AllocationCache`, the
-    optional ``cache_dir`` program store and the default
-    hardware/options, and routes every public operation —
-    single compiles, batches, design-space exploration, cache
-    inspection — through them.  Sessions are cheap to construct and
+    A session owns the shared in-memory :class:`AllocationCache` (its
+    service's one window table), the optional ``cache_dir`` program
+    store and the default hardware/options, and routes every public
+    operation — single compiles, batches, design-space exploration,
+    cache inspection — through them.  Sessions are cheap to construct and
     safe to share between threads (the underlying service, cache and
     store are).
 
@@ -77,8 +77,6 @@ class Session:
             (paper defaults when omitted; batch jobs default to the
             service's code-generation-off options unless the job or
             call says otherwise).
-        cache: Shared in-memory allocation cache (a fresh one when
-            omitted).
         cache_dir: Directory of the persistent program store
             (:class:`~repro.core.store.DiskCacheStore`): every compile
             is looked up there first and written there after, so a
@@ -101,7 +99,6 @@ class Session:
         self,
         hardware: Union[str, DualModeHardwareAbstraction] = "dynaplasia",
         options: Optional[CompilerOptions] = None,
-        cache: Optional[AllocationCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         trace: Union[None, bool, str, Path, Tracer, Observability] = None,
     ) -> None:
@@ -128,7 +125,7 @@ class Session:
         # change batch behaviour.
         self._options_given = options is not None
         self.options = options or CompilerOptions()
-        self.service = CompileService(cache=cache, cache_dir=cache_dir, obs=self.obs)
+        self.service = CompileService(cache_dir=cache_dir, obs=self.obs)
 
     # ------------------------------------------------------------------ #
     # lifecycle

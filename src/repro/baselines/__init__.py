@@ -44,7 +44,8 @@ def get_compiler(name: str, hardware, options=None, cache=None, obs=None):
         options: :class:`~repro.core.compiler.CompilerOptions`; a
             baseline pins the fields its strategy fixes.
         cache: Shared :class:`~repro.core.cache.AllocationCache`; every
-            registered compiler solves its windows through it.
+            registered compiler solves its windows through it, and builds
+            its own, once, when it is omitted.
         obs: Optional :class:`~repro.obs.Observability` bundle.
 
     Raises:

@@ -162,13 +162,16 @@ def _workload_from_args(args: argparse.Namespace, model: Optional[str] = None) -
 
 
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("model", help="registered model name (see the 'models' command)")
+    """The chip and workload options ``compile``, ``compare`` and
+    ``compile-batch`` share (one definition, one validation)."""
     parser.add_argument("--hardware", default="dynaplasia", choices=sorted(PRESETS))
     parser.add_argument("--batch", type=_positive(int), default=1, help="batch size")
     parser.add_argument(
         "--seq-len", type=_positive(int), default=64, help="input sequence length"
     )
-    parser.add_argument("--output-len", type=int, default=64, help="generated tokens")
+    parser.add_argument(
+        "--output-len", type=_positive(int, zero=True), default=64, help="generated tokens"
+    )
     parser.add_argument(
         "--phase",
         choices=[phase.value for phase in Phase],
@@ -230,7 +233,7 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
         hardware=args.hardware, cache_dir=args.cache_dir, trace=_session_trace(args)
     )
     jobs = []
-    for round_index in range(max(1, args.repeat)):
+    for round_index in range(args.repeat):
         for model in args.models:
             workload = _workload_from_args(args, model)
             label = model if args.repeat <= 1 else f"{model}#{round_index + 1}"
@@ -830,6 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     hardware.set_defaults(func=cmd_hardware)
 
     compile_cmd = sub.add_parser("compile", help="compile a model with CMSwitch")
+    compile_cmd.add_argument("model", help="registered model name (see the 'models' command)")
     _add_workload_arguments(compile_cmd)
     compile_cmd.add_argument("--show-segments", action="store_true", help="print segment plans")
     compile_cmd.add_argument("--show-metaops", action="store_true", help="print the DMO flow")
@@ -840,21 +844,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile many models concurrently with a shared allocation cache",
     )
     batch.add_argument("models", nargs="*", help="registered model names (at least one)")
-    batch.add_argument("--hardware", default="dynaplasia", choices=sorted(PRESETS))
-    batch.add_argument("--batch", type=_positive(int), default=1, help="batch size")
-    batch.add_argument(
-        "--seq-len", type=_positive(int), default=64, help="input sequence length"
-    )
-    batch.add_argument("--output-len", type=int, default=64, help="generated tokens")
-    batch.add_argument(
-        "--phase",
-        choices=[phase.value for phase in Phase],
-        default=None,
-        help="transformer phase (default: encode for transformers)",
-    )
+    _add_workload_arguments(batch)
     batch.add_argument(
         "--repeat",
-        type=int,
+        type=_positive(int),
         default=1,
         help="compile the model list this many times (shows warm-cache speedups)",
     )
@@ -873,6 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.set_defaults(func=cmd_compile_batch)
 
     compare = sub.add_parser("compare", help="compare CMSwitch against the baselines")
+    compare.add_argument("model", help="registered model name (see the 'models' command)")
     _add_workload_arguments(compare)
     compare.set_defaults(func=cmd_compare)
 
@@ -943,7 +937,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=[32],
         help="sequence-length axis",
     )
-    dse.add_argument("--output-len", type=int, default=32, help="generated tokens")
+    dse.add_argument(
+        "--output-len", type=_positive(int, zero=True), default=32, help="generated tokens"
+    )
     dse.add_argument(
         "--phase",
         choices=[phase.value for phase in Phase],

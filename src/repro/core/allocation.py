@@ -43,11 +43,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cost.arithmetic import OperatorProfile, ProfileVectors
+from ..cost.arithmetic import OperatorProfile, ProfileVectors, profile_signature
 # operator_latency_cycles is re-exported only: nothing here evaluates Eq. 10
 # per call any more, but the benchmark's tracer counts scalar evaluations
 # through this module's name.
@@ -60,6 +60,9 @@ from ..cost.latency import (  # noqa: F401
     operator_latency_factors_batch,
 )
 from ..hardware.deha import DualModeHardwareAbstraction
+
+if TYPE_CHECKING:  # the cache module imports this one
+    from .cache import AllocationCache
 
 
 @dataclass
@@ -758,6 +761,86 @@ def refine_with_spare_arrays(
     return replace(refined(reserved), unreserved=refined(unreserved))
 
 
+# ---------------------------------------------------------------------- #
+# the window table's key: what one solve is asked
+# ---------------------------------------------------------------------- #
+def segment_signature(profiles: Mapping[str, OperatorProfile]) -> Tuple[Tuple, ...]:
+    """Ordered structural identity of a whole segment.
+
+    A :class:`UnitWindow` answers with a slice of the signatures its
+    columns built once per operator; any other mapping has them derived
+    here — the same tuples either way.
+    """
+    if isinstance(profiles, UnitWindow):
+        return profiles.signature
+    return tuple(profile_signature(profile) for profile in profiles.values())
+
+
+@dataclass(frozen=True)
+class AllocationCacheKey:
+    """Cache key of one segment-allocation solve.
+
+    Attributes:
+        hardware: :meth:`DualModeHardwareAbstraction.fingerprint` digest.
+        segment: Ordered structural signatures of the segment's operators.
+        engine: Allocation engine name (``"exact"`` / ``"milp"`` /
+            ``"greedy"``).
+        pipelined: Whether the segment latency model pipelines operators.
+        refine: Whether duplication refinement ran after the solve.
+        allow_memory_mode: Whether memory-mode arrays were permitted.
+        reserve_arrays: Arrays withheld from refinement for boundary
+            buffering.
+        inbound_arrays: Arrays' worth of live data entering the segment,
+            which the refinement's memory option is credited for
+            retaining.  A fixed-mode solve cannot act on it, so its key
+            always records 0.
+    """
+
+    hardware: str
+    segment: Tuple[Tuple, ...]
+    engine: str
+    pipelined: bool
+    refine: bool
+    allow_memory_mode: bool
+    reserve_arrays: int
+    inbound_arrays: int = 0
+
+    @classmethod
+    def build(
+        cls,
+        profiles: Mapping[str, OperatorProfile],
+        hardware: DualModeHardwareAbstraction,
+        *,
+        engine: str,
+        pipelined: bool,
+        refine: bool,
+        allow_memory_mode: bool,
+        reserve_arrays: int,
+        inbound_arrays: int = 0,
+    ) -> "AllocationCacheKey":
+        """Build the key for one ``allocate_segment`` invocation."""
+        return cls(
+            hardware=hardware.fingerprint(),
+            segment=segment_signature(profiles),
+            engine=engine,
+            pipelined=pipelined,
+            refine=refine,
+            allow_memory_mode=allow_memory_mode,
+            reserve_arrays=int(reserve_arrays),
+            inbound_arrays=int(inbound_arrays) if allow_memory_mode else 0,
+        )
+
+    def dual_mode_variant(self, inbound_arrays: int = 0) -> "AllocationCacheKey":
+        """The dual-mode solve of the same window (cross-mode lookup).
+
+        ``inbound_arrays`` is the window's inbound count, which the
+        fixed-mode key dropped.  A memory-free dual-mode result never
+        took the retention-credited memory option, so it is what the
+        fixed-mode solve of that window produces.
+        """
+        return replace(self, allow_memory_mode=True, inbound_arrays=int(inbound_arrays))
+
+
 def key_options(
     allocator: object,
     pipelined: bool = True,
@@ -765,7 +848,7 @@ def key_options(
     reserve_arrays: int = 0,
     inbound_arrays: int = 0,
 ) -> Dict[str, object]:
-    """What an ``AllocationCacheKey`` records about one solve's arguments.
+    """What an :class:`AllocationCacheKey` records about one solve's arguments.
 
     Takes :func:`allocate_segment`'s solve arguments under their own
     names; the allocation cache keys the solve on it.
@@ -787,38 +870,39 @@ def allocate_segment(
     pipelined: bool = True,
     refine: bool = True,
     reserve_arrays: int = 0,
-    cache: Optional[object] = None,
+    *,
+    cache: "AllocationCache",
     inbound_arrays: int = 0,
 ) -> AllocationResult:
     """Allocate one segment end to end (solver + duplication refinement).
+
+    The only way a window is solved: probe ``cache``, solve on a miss,
+    store the fresh result.  A hit is structural and bit-identical to a
+    cold solve; it is flagged via ``result.from_cache``.
 
     Args:
         allocator: The engine; :class:`ExactAllocator` when omitted.
         reserve_arrays: Arrays withheld from duplication so the
             segmentation pass can dedicate them to boundary buffering.
             Feasibility is always checked against the full chip.
+        cache: The window table, a
+            :class:`~repro.core.cache.AllocationCache`.
         inbound_arrays: Arrays' worth of live data entering the segment
             (see :func:`refine_with_spare_arrays`).
-        cache: Optional shared :class:`~repro.core.cache.AllocationCache`.
-            When given, the solve is first looked up (structurally — the
-            result is identical to a cold solve) and fresh solves are
-            stored back; hits are flagged via ``result.from_cache``.
     """
     engine = allocator if allocator is not None else ExactAllocator()
     window = unit_window(profiles, hardware)
     if window.minimum_compute_arrays > hardware.num_arrays:
         return infeasible_result()
-    if cache is not None:
-        # Build the (hardware fingerprint x segment signature x options)
-        # key once and share it between the lookup and the store below.
-        cache_key = cache.make_key(
-            window,
-            hardware,
-            **key_options(engine, pipelined, refine, reserve_arrays, inbound_arrays),
-        )
-        cached = cache.lookup(cache_key, list(window), inbound_arrays)
-        if cached is not None:
-            return cached
+    # Built once, shared between the lookup and the store below.
+    key = AllocationCacheKey.build(
+        window,
+        hardware,
+        **key_options(engine, pipelined, refine, reserve_arrays, inbound_arrays),
+    )
+    cached = cache.lookup(key, list(window), inbound_arrays)
+    if cached is not None:
+        return cached
     result = engine.allocate(window, hardware, pipelined=pipelined)
     if refine and result.feasible:
         result = refine_with_spare_arrays(
@@ -830,6 +914,5 @@ def allocate_segment(
             reserve_arrays=reserve_arrays,
             inbound_arrays=inbound_arrays,
         )
-    if cache is not None:
-        cache.put(cache_key, window, result)
+    cache.put(key, window, result)
     return result

@@ -33,33 +33,35 @@ header).
   back to the dual-mode entry for the same key when that entry uses no
   memory-mode arrays: the dual-mode optimum then lies inside the
   fixed-mode search space, so reusing it is exact (a *cross-mode hit*);
-* the cache is size-bounded and thread-safe (its entries live in a
-  :class:`~repro.core.lru.BoundedLRU`), so one instance can back a whole
-  :class:`~repro.service.CompileService`.
+* the cache is bounded (:data:`WINDOW_TABLE_ENTRIES`) and thread-safe
+  (its entries live in a :class:`~repro.core.lru.BoundedLRU`), so one
+  instance can back a whole :class:`~repro.service.CompileService`.
 
-Usage::
+Every window is solved by :func:`~repro.core.allocation.allocate_segment`:
+probe this table, solve on a miss, store.  A compiler built without a
+table makes its own; the service hands its one to every compiler::
 
-    cache = AllocationCache(max_entries=4096)
-    compiler = CMSwitchCompiler(hardware, cache=cache)
+    compiler = CMSwitchCompiler(hardware)      # owns compiler.cache
     program = compiler.compile(graph)          # cold: solves and stores
-    program = compiler.compile(graph)          # warm: pure cache hits
-    print(cache.stats.hit_rate)
+    twin = CMSwitchCompiler(hardware, cache=compiler.cache)
+    program = twin.compile(graph)              # warm: pure cache hits
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..cost.arithmetic import OperatorProfile, profile_signature
 from ..cost.latency import OperatorAllocation
-from ..hardware.deha import DualModeHardwareAbstraction
 from ..obs.metrics import registry_for
-from .allocation import AllocationResult, UnitWindow
+# The key is defined next to the solve it describes; re-exported here.
+from .allocation import AllocationCacheKey, AllocationResult, segment_signature
 from .lru import BoundedLRU
 
 __all__ = [
+    "WINDOW_TABLE_ENTRIES",
     "AllocationCache",
     "AllocationCacheKey",
     "CacheEntry",
@@ -68,82 +70,10 @@ __all__ = [
     "segment_signature",
 ]
 
-
-def segment_signature(profiles: Mapping[str, OperatorProfile]) -> Tuple[Tuple, ...]:
-    """Ordered structural identity of a whole segment.
-
-    A :class:`~repro.core.allocation.UnitWindow` answers with a slice of
-    the signatures its columns built once per operator; any other
-    mapping has them derived here — the same tuples either way.
-    """
-    if isinstance(profiles, UnitWindow):
-        return profiles.signature
-    return tuple(profile_signature(profile) for profile in profiles.values())
-
-
-@dataclass(frozen=True)
-class AllocationCacheKey:
-    """Cache key of one segment-allocation solve.
-
-    Attributes:
-        hardware: :meth:`DualModeHardwareAbstraction.fingerprint` digest.
-        segment: Ordered structural signatures of the segment's operators.
-        engine: Allocation engine name (``"exact"`` / ``"milp"`` /
-            ``"greedy"``).
-        pipelined: Whether the segment latency model pipelines operators.
-        refine: Whether duplication refinement ran after the solve.
-        allow_memory_mode: Whether memory-mode arrays were permitted.
-        reserve_arrays: Arrays withheld from refinement for boundary
-            buffering.
-        inbound_arrays: Arrays' worth of live data entering the segment,
-            which the refinement's memory option is credited for
-            retaining.  A fixed-mode solve cannot act on it, so its key
-            always records 0.
-    """
-
-    hardware: str
-    segment: Tuple[Tuple, ...]
-    engine: str
-    pipelined: bool
-    refine: bool
-    allow_memory_mode: bool
-    reserve_arrays: int
-    inbound_arrays: int = 0
-
-    @classmethod
-    def build(
-        cls,
-        profiles: Mapping[str, OperatorProfile],
-        hardware: DualModeHardwareAbstraction,
-        *,
-        engine: str,
-        pipelined: bool,
-        refine: bool,
-        allow_memory_mode: bool,
-        reserve_arrays: int,
-        inbound_arrays: int = 0,
-    ) -> "AllocationCacheKey":
-        """Build the key for one ``allocate_segment`` invocation."""
-        return cls(
-            hardware=hardware.fingerprint(),
-            segment=segment_signature(profiles),
-            engine=engine,
-            pipelined=pipelined,
-            refine=refine,
-            allow_memory_mode=allow_memory_mode,
-            reserve_arrays=int(reserve_arrays),
-            inbound_arrays=int(inbound_arrays) if allow_memory_mode else 0,
-        )
-
-    def dual_mode_variant(self, inbound_arrays: int = 0) -> "AllocationCacheKey":
-        """The dual-mode solve of the same window (cross-mode lookup).
-
-        ``inbound_arrays`` is the window's inbound count, which the
-        fixed-mode key dropped.  A memory-free dual-mode result never
-        took the retention-credited memory option, so it is what the
-        fixed-mode solve of that window produces.
-        """
-        return replace(self, allow_memory_mode=True, inbound_arrays=int(inbound_arrays))
+#: Entry bound of every :class:`AllocationCache`.  Fixed, like
+#: :data:`repro.service.PROGRAM_TABLE_ENTRIES`: a hygiene limit on a
+#: long-lived service's memory, not a tuning knob.
+WINDOW_TABLE_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -285,21 +215,18 @@ class AllocationCache:
       ``cache_dir`` shares between processes is whole programs
       (:class:`~repro.core.store.DiskCacheStore`).
 
+    Holds at most :data:`WINDOW_TABLE_ENTRIES` entries; the least
+    recently used one is evicted when a new store would exceed that.
+
     Args:
-        max_entries: LRU capacity; the oldest entry is evicted when a
-            new store would exceed it.  Must be positive.
         metrics: Optional :class:`~repro.obs.MetricsRegistry` that holds
             the cache's counters, one ``cache.<field>`` per
             :class:`CacheStats` field (a private registry when omitted).
             Two caches given one registry count into the same counters.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 4096,
-        metrics: Optional[object] = None,
-    ) -> None:
-        self._entries = BoundedLRU(max_entries)
+    def __init__(self, metrics: Optional[object] = None) -> None:
+        self._entries = BoundedLRU(WINDOW_TABLE_ENTRIES)
         self.metrics = registry_for(metrics)
         self._counters = {
             field.name: self.metrics.counter(f"cache.{field.name}")
@@ -315,19 +242,9 @@ class AllocationCache:
         return CacheStats(**{name: c.value for name, c in self._counters.items()})
 
     # ------------------------------------------------------------------ #
-    # key-level API (what allocate_segment talks to — the key is built
-    # once per solve and shared between lookup and store)
+    # what allocate_segment talks to — it builds the key once per solve
+    # (AllocationCacheKey.build) and shares it between lookup and store
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def make_key(
-        profiles: Mapping[str, OperatorProfile],
-        hardware: DualModeHardwareAbstraction,
-        **options,
-    ) -> AllocationCacheKey:
-        """Build the cache key for one solve (see
-        :meth:`AllocationCacheKey.build` for the options)."""
-        return AllocationCacheKey.build(profiles, hardware, **options)
-
     def lookup(
         self, key: AllocationCacheKey, names: Sequence[str], inbound_arrays: int = 0
     ) -> Optional[AllocationResult]:
@@ -365,18 +282,6 @@ class AllocationCache:
             return  # partial allocation (foreign result); never cache it
         self._counters["evictions"].inc(self._entries.put(key, entry)[2])
         self._counters["stores"].inc()
-
-    # ------------------------------------------------------------------ #
-    # segment-level convenience wrapper
-    # ------------------------------------------------------------------ #
-    def lookup_segment(
-        self,
-        profiles: Mapping[str, OperatorProfile],
-        hardware: DualModeHardwareAbstraction,
-        **options,
-    ) -> Optional[AllocationResult]:
-        """One-shot :meth:`make_key` + :meth:`lookup`."""
-        return self.lookup(self.make_key(profiles, hardware, **options), list(profiles))
 
     # ------------------------------------------------------------------ #
     # maintenance

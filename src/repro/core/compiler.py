@@ -59,11 +59,12 @@ class CMSwitchCompiler:
     Args:
         hardware: Target dual-mode hardware abstraction (DEHA).
         options: Compilation options; defaults reproduce the paper's setup.
-        cache: Optional shared :class:`~repro.core.cache.AllocationCache`.
-            With a cache, repeated compiles of the same network skip the
-            solver entirely.  Pass one cache to many compilers (or use
-            :class:`repro.api.Session`) to share it between compile
-            requests.
+        cache: The window table (:class:`~repro.core.cache.AllocationCache`)
+            its compiles solve through.  When omitted the compiler builds
+            its own, once, so a direct compile reports what a fresh
+            :class:`repro.api.Session` does; pass one table to many
+            compilers to share it (a :class:`~repro.service.CompileService`
+            hands its one to every compiler it builds).
         obs: Optional :class:`~repro.obs.Observability` bundle; every
             compile's pass spans, allocator-solve spans and cache-tier
             counters land in it.  Defaults to the no-op bundle.
@@ -99,8 +100,8 @@ class CMSwitchCompiler:
     ) -> None:
         self.hardware = hardware
         self.options = self.pin_options(options or CompilerOptions())
-        self.cache = cache
         self.obs = NULL_OBS if obs is None else obs
+        self.cache = AllocationCache(metrics=self.obs.metrics) if cache is None else cache
 
     @classmethod
     def pin_options(cls, options: CompilerOptions) -> CompilerOptions:

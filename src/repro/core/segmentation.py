@@ -10,8 +10,8 @@ boundaries minimising
 
 where ``T_intra`` comes from the per-segment allocator and ``T_inter`` is
 the write-back + mode-switch + weight-reload overhead (Eq. 4).  The DP
-memoises per-segment allocations so every candidate segment is solved at
-most once.
+asks the window table (:class:`~repro.core.cache.AllocationCache`) about
+each candidate segment once; one solved before is not solved again.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .allocation import (
     infeasible_result,
 )
 from ..obs import NULL_OBS
+from .cache import AllocationCache
 from .program import SegmentPlan
 
 
@@ -414,18 +415,18 @@ class NetworkSegmenter:
         self,
         hardware: DualModeHardwareAbstraction,
         options: Optional[CompilerOptions] = None,
-        cache: Optional[object] = None,
+        *,
+        cache: AllocationCache,
         obs: Optional[object] = None,
     ) -> None:
         """Args:
             hardware: Target hardware abstraction.
             options: Compilation options (paper defaults when omitted);
                 ``generate_code`` is not the segmenter's concern.
-            cache: Optional shared
-                :class:`~repro.core.cache.AllocationCache`.  The
-                positional window table below always applies; the
-                shared cache additionally reuses solves across runs
-                (repeated compiles, neighbouring design points).
+            cache: The window table every window is solved through
+                (:func:`~repro.core.allocation.allocate_segment`); shared
+                with the compile's other segmenters and, through the
+                service, with other compiles.
             obs: Optional :class:`~repro.obs.Observability` bundle: one
                 span per window the DP asks for, ``allocator.solves``
                 counters in its registry.
@@ -434,16 +435,14 @@ class NetworkSegmenter:
         self.options = options or CompilerOptions()
         engine = ExactAllocator if self.options.use_milp else GreedyAllocator
         self._allocator = engine(allow_memory_mode=self.options.allow_memory_mode)
-        self._allocation_cache: Dict[Tuple[int, int], AllocationResult] = {}
         # The refinement (reserved or not) the DP's best plan uses per window.
         self._chosen: Dict[Tuple[int, int], AllocationResult] = {}
-        self._shared_cache = cache
+        self._cache = cache
         obs = NULL_OBS if obs is None else obs
         self._tracer = obs.tracer
         self._metrics = obs.metrics
         # Per-unit-list precomputation (one segmenter serves exactly one
-        # unit list, like ``_allocation_cache`` already assumes); built
-        # by ``_prepare``, dead with the compile.
+        # unit list); built by ``_prepare``, dead with the compile.
         self._vectors: Optional[UnitColumns] = None
         self._liveness: Optional[List[int]] = None
         self._reserves: Optional[List[int]] = None
@@ -480,7 +479,7 @@ class NetworkSegmenter:
         self._reserves, self._inbound = reserves.tolist(), inbound.tolist()
 
     # ------------------------------------------------------------------ #
-    # allocation memoisation
+    # window solves
     # ------------------------------------------------------------------ #
     def _window(self, start: int, end: int) -> UnitWindow:
         """Units ``start..end`` (inclusive) as a window over the columns."""
@@ -512,24 +511,21 @@ class NetworkSegmenter:
             "inbound_arrays": min(self._inbound[start], spare),
         }
 
-    def _allocate(self, units: Sequence[FlattenedUnit], start: int, end: int) -> AllocationResult:
-        key = (start, end)
-        if key not in self._allocation_cache:
-            spare = self._spare_arrays(start, end)
-            if spare < 0:
-                result = infeasible_result()
-            else:
-                with self._tracer.span("allocator.solve", start=start, end=end) as span:
-                    result = allocate_segment(
-                        self._window(start, end),
-                        self.hardware,
-                        cache=self._shared_cache,
-                        **self._solve_arguments(start, end, spare),
-                    )
-                    span.set(solver=result.solver, cached=result.from_cache)
-                self._record_result(result)
-            self._allocation_cache[key] = result
-        return self._allocation_cache[key]
+    def _allocate(self, start: int, end: int) -> AllocationResult:
+        """Window ``[start, end]`` from the table, solved there on a miss."""
+        spare = self._spare_arrays(start, end)
+        if spare < 0:
+            return infeasible_result()
+        with self._tracer.span("allocator.solve", start=start, end=end) as span:
+            result = allocate_segment(
+                self._window(start, end),
+                self.hardware,
+                cache=self._cache,
+                **self._solve_arguments(start, end, spare),
+            )
+            span.set(solver=result.solver, cached=result.from_cache)
+        self._record_result(result)
+        return result
 
     def _record_result(self, result: AllocationResult) -> None:
         """Advance the solve/hit counters for one consumed allocation."""
@@ -551,9 +547,9 @@ class NetworkSegmenter:
         Returns ``(start, end)`` inclusive index pairs in execution
         order.  When the DP proves no feasible plan exists, falls back
         to one segment per unit (:meth:`build_plans` names the one that
-        cannot be mapped).  The per-window allocation solves
-        the DP performs stay memoised on this segmenter, so a subsequent
-        :meth:`build_plans` call re-pays nothing.
+        cannot be mapped).  The allocation each chosen window wins with
+        stays on this segmenter, so a subsequent :meth:`build_plans` call
+        re-pays nothing.
         """
         m = len(units)
         window = max(1, self.options.max_segment_operators)
@@ -574,7 +570,7 @@ class NetworkSegmenter:
             for i in range(self._first_fitting_start(j, window), j):
                 if best_cost[i] == INFEASIBLE_LATENCY:
                     continue
-                allocation = self._allocate(units, i, j - 1)
+                allocation = self._allocate(i, j - 1)
                 self._dp_edge(i, j, live, allocation, tables)
 
         if best_cost[m] == INFEASIBLE_LATENCY:
@@ -673,19 +669,19 @@ class NetworkSegmenter:
     ) -> List[SegmentPlan]:
         """Materialise :class:`SegmentPlan` objects for chosen boundaries.
 
-        Allocations are served from this segmenter's window table (the
-        DP already solved every candidate window), so this step performs
-        no fresh solver work after :meth:`choose_boundaries`.  Windows
-        the DP never probed — boundaries a baseline's policy drew — are
-        solved here, through the shared cache.  Every compiler's plans
-        are built here.
+        The DP's chosen windows carry the allocation they won with, so
+        this step performs no fresh solver work after
+        :meth:`choose_boundaries`.  Other windows — boundaries a
+        baseline's policy drew, or the DP's one-segment-per-unit
+        fallback — are asked of the window table here.  Every compiler's
+        plans are built here.
         """
         plans: List[SegmentPlan] = []
         previous_resources: Optional[SegmentResources] = None
         capacity = self.hardware.array_capacity_elements
         self._prepare(units)
         for seg_index, (start, end) in enumerate(boundaries):
-            allocation = self._chosen.get((start, end)) or self._allocate(units, start, end)
+            allocation = self._chosen.get((start, end)) or self._allocate(start, end)
             if not allocation.feasible:
                 names = ", ".join(unit.name for unit in units[start : end + 1])
                 raise NoFeasiblePlanError(

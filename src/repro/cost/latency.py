@@ -13,9 +13,17 @@ fill term.
 
 Two refinements keep the model physical without changing its character:
 
-* memory-mode arrays only add bandwidth for data they can actually hold —
-  allocating more arrays than the operator's working set occupies adds no
-  supply (``useful_mem`` cap);
+* the supply term is a roofline split (:func:`data_supply_times`): the
+  part of the operator's input that fits on chip (native buffer plus the
+  memory-mode arrays' capacity) is served at ``D_main + Mem * D_cim``,
+  the rest crosses the off-chip link at ``d_extern``, and the two
+  transfers overlap, so the slower one bounds the operator.  Adding a
+  memory array moves elements from the off-chip transfer onto the
+  on-chip one, so supply time is *not* monotone in ``Mem``: 13 of the
+  zoo's 939 operators get slower when one memory array is added (no
+  compiled plan sits on such a point).  Nothing caps the useful memory
+  arrays; whether to (or to re-price the on-chip side) is ROADMAP
+  item 20's decision;
 * an operator given fewer compute arrays than its stationary operand
   requires must time-multiplex weight loads, modelled as a proportional
   slowdown of its compute rate.

@@ -55,7 +55,8 @@ class PipelineContext:
     graph: Graph
     hardware: DualModeHardwareAbstraction
     options: object  # CompilerOptions; untyped here to avoid an import cycle
-    cache: Optional[AllocationCache] = None
+    #: The window table every segmenter of the compile solves through.
+    cache: AllocationCache
     #: Telemetry bundle (:class:`~repro.obs.Observability`).  Defaults to
     #: the no-op :data:`~repro.obs.NULL_OBS`; the compile loop opens a span
     #: per pass and the segmentation passes hand it to their segmenters.

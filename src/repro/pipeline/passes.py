@@ -113,8 +113,9 @@ class Segment(Pass):
 
     Runs the dynamic program over the flattened units and records the
     chosen boundaries.  The DP's cost oracle is the per-segment
-    allocator, so this pass performs (and memoises) the allocation
-    solves; ``Allocate`` then materialises plans from the segmenter's table.
+    allocator, so this pass performs the allocation solves (through the
+    window table); ``Allocate`` then materialises plans from the
+    allocations the chosen windows won with.
     A subclass that draws the boundaries another way overrides
     :meth:`choose_boundaries` (the PUMA/OCC baselines do).
     """
@@ -137,8 +138,9 @@ class Segment(Pass):
 class Allocate(Pass):
     """Materialise per-segment allocations into :class:`SegmentPlan` s.
 
-    Serves every window from the DP's memo (no fresh solver work; a
-    boundary policy's windows are solved here instead).
+    Serves every window the DP chose from the allocation it won with (no
+    fresh solver work; a boundary policy's windows are solved here
+    instead, through the window table).
     """
 
     name = "allocate"

@@ -295,14 +295,14 @@ class CompileService:
       meta-operator flow is concerned
       (:class:`~repro.core.program.RenderedMetaProgram`), one this
       service compiled itself keeps its executable flow.
-    * Compiles that do run share one in-process :class:`AllocationCache`.
+    * Compiles that do run share one in-process :class:`AllocationCache`,
+      the window table the service builds on its own metrics registry
+      and hands to every compiler it builds (:attr:`cache`).
       A batch runs its jobs one after another; the service object itself
       is safe to use from several threads (the ``repro serve`` daemon's
       workers share one), its table, cache and store being locked.
 
     Args:
-        cache: Shared allocation cache; a fresh bounded one is created
-            when omitted.
         cache_dir: Directory of the persistent program store
             (:class:`~repro.core.store.DiskCacheStore`) shared across
             threads, processes and future invocations.
@@ -314,7 +314,6 @@ class CompileService:
 
     def __init__(
         self,
-        cache: Optional[AllocationCache] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         obs: Optional[Observability] = None,
     ) -> None:
@@ -323,9 +322,7 @@ class CompileService:
         self.programs = ProgramTable()
         # ModelRecipe -> graph digest: a named repeat builds no graph.
         self.recipes = BoundedLRU(PROGRAM_TABLE_ENTRIES)
-        # `cache is None`, not truthiness: an empty AllocationCache
-        # has len() == 0.
-        self.cache = AllocationCache(metrics=self.obs.metrics) if cache is None else cache
+        self.cache = AllocationCache(metrics=self.obs.metrics)
         self.store: Optional[DiskCacheStore] = (
             DiskCacheStore(self.cache_dir, metrics=self.obs.metrics) if self.cache_dir else None
         )

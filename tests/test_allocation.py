@@ -14,6 +14,7 @@ from repro.core.allocation import (
     refine_with_spare_arrays,
     unit_window,
 )
+from repro.core.cache import AllocationCache
 from repro.cost import OperatorAllocation, operator_latency_cycles, profile_operator, segment_latency_cycles
 from repro.hardware import small_test_chip
 from repro.ir import Linear, MatMul, TensorSpec
@@ -164,7 +165,9 @@ class TestMIPAllocator:
 
     def test_infeasible_segment_reported(self, small_chip):
         oversized = {f"op{i}": linear_profile(f"op{i}", 4, 256, 256) for i in range(4)}
-        result = allocate_segment(oversized, small_chip, allocator=MIPAllocator())
+        result = allocate_segment(
+            oversized, small_chip, allocator=MIPAllocator(), cache=AllocationCache()
+        )
         assert not result.feasible
 
     def test_dual_mode_not_worse_than_all_compute(self, small_chip):
@@ -172,9 +175,14 @@ class TestMIPAllocator:
             "stream": matmul_profile("stream", 2, 64, 64, 64),
             "dense": linear_profile("dense", 256, 64, 64),
         }
-        dual = allocate_segment(profiles, small_chip, allocator=MIPAllocator())
+        dual = allocate_segment(
+            profiles, small_chip, allocator=MIPAllocator(), cache=AllocationCache()
+        )
         fixed = allocate_segment(
-            profiles, small_chip, allocator=MIPAllocator(allow_memory_mode=False)
+            profiles,
+            small_chip,
+            allocator=MIPAllocator(allow_memory_mode=False),
+            cache=AllocationCache(),
         )
         assert dual.feasible and fixed.feasible
         assert dual.latency_cycles <= fixed.latency_cycles * 1.001
@@ -220,7 +228,7 @@ class TestRefinement:
             "a": linear_profile("a", 32, 64, 64),
             "b": matmul_profile("b", 2, 16, 64, 64),
         }
-        result = allocate_segment(profiles, hw, reserve_arrays=reserve)
+        result = allocate_segment(profiles, hw, reserve_arrays=reserve, cache=AllocationCache())
         assert result.feasible
         assert result.total_arrays <= hw.num_arrays
 

@@ -32,6 +32,7 @@ from repro.core.allocation import (
     refine_with_spare_arrays,
     unit_window,
 )
+from repro.core.cache import AllocationCache
 from repro.core.segmentation import flatten_graph
 from repro.cost.latency import OperatorAllocation
 from repro.hardware import PRESETS, get_preset
@@ -95,7 +96,7 @@ class TestExactAgainstMilp:
 
     def test_default_engine_is_the_exact_one(self, small_chip):
         profiles = {"op": POOLS["small-test-chip"][0]}
-        assert allocate_segment(profiles, small_chip).solver == "exact"
+        assert allocate_segment(profiles, small_chip, cache=AllocationCache()).solver == "exact"
 
 
 class TestExactAgainstBruteForce:
@@ -196,8 +197,12 @@ class TestRefinementProperties:
         hardware, profiles, allow = window
         allocator = ENGINES[engine, allow]
         arguments = dict(allocator=allocator, inbound_arrays=inbound)
-        both = allocate_segment(profiles, hardware, reserve_arrays=reserve, **arguments)
-        free = allocate_segment(profiles, hardware, reserve_arrays=0, **arguments)
+        both = allocate_segment(
+            profiles, hardware, reserve_arrays=reserve, cache=AllocationCache(), **arguments
+        )
+        free = allocate_segment(
+            profiles, hardware, reserve_arrays=0, cache=AllocationCache(), **arguments
+        )
         assert free.unreserved is None
         if not both.feasible:
             assert not free.feasible and both.unreserved is None

@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import Session
 from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions
-from repro.models import Workload
+from repro.models import Workload, build_model
 
 
 def _options(**kwargs):
@@ -100,6 +100,17 @@ class TestSession:
         )
         assert second.stats["allocator_solves"] == first.stats["allocator_solves"] > 0
         assert second.stats["pass_seconds"]
+
+    @pytest.mark.parametrize("model", ["tiny-mlp", "tiny-cnn", "tiny-transformer"])
+    def test_a_direct_compile_reports_what_a_fresh_session_reports(self, small_chip, model):
+        """One accounting: a compiler built without a table makes its own,
+        so it solves, and hits, exactly the windows a fresh session does."""
+        graph = build_model(model, Workload())
+        direct = CMSwitchCompiler(small_chip).compile(graph)
+        session = Session(hardware=small_chip).compile(graph)
+        work = ("allocator_solves", "allocation_cache_hits", "allocation_disk_hits")
+        assert [direct.stats[k] for k in work] == [session.stats[k] for k in work]
+        assert direct.fingerprint() == session.fingerprint()
 
     def test_explore_shares_the_cache(self, small_chip):
         from repro.dse import DesignSpace

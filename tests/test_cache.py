@@ -16,6 +16,7 @@ from repro.core import (
     choose_plan,
     plan_cost,
 )
+from repro.core import cache as cache_module
 from repro.core.cache import AllocationCacheKey, profile_signature, segment_signature
 from repro.core.program import SegmentPlan
 from repro.cost.arithmetic import profile_graph
@@ -110,13 +111,18 @@ class TestAllocationCache:
         options.update(overrides)
         return options
 
+    def _lookup(self, cache, profiles, hardware, **overrides):
+        """What ``allocate_segment`` probes for ``profiles`` under the options."""
+        key = AllocationCacheKey.build(profiles, hardware, **self._options(**overrides))
+        return cache.lookup(key, list(profiles))
+
     def test_miss_then_hit(self, dynaplasia_chip, tiny_mlp_graph):
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
-        assert cache.lookup_segment(profiles, dynaplasia_chip, **self._options()) is None
+        assert self._lookup(cache, profiles, dynaplasia_chip) is None
         result = allocate_segment(profiles, dynaplasia_chip, cache=cache)
         assert not result.from_cache
-        hit = cache.lookup_segment(profiles, dynaplasia_chip, **self._options())
+        hit = self._lookup(cache, profiles, dynaplasia_chip)
         assert hit is not None and hit.from_cache
         assert hit.latency_cycles == result.latency_cycles
         assert hit.allocations == result.allocations
@@ -127,8 +133,8 @@ class TestAllocationCache:
         options = CompilerOptions(generate_code=False)
         cold = CMSwitchCompiler(small_chip, options, cache=cache).compile(tiny_cnn_graph)
         warm = CMSwitchCompiler(small_chip, options, cache=cache).compile(tiny_cnn_graph)
-        uncached = CMSwitchCompiler(small_chip, options).compile(tiny_cnn_graph)
-        for other in (warm, uncached):
+        fresh = CMSwitchCompiler(small_chip, options).compile(tiny_cnn_graph)  # its own table
+        for other in (warm, fresh):
             assert other.end_to_end_cycles == cold.end_to_end_cycles
             assert [s.allocations for s in other.segments] == [
                 s.allocations for s in cold.segments
@@ -178,8 +184,7 @@ class TestAllocationCache:
         dual = allocate_segment(
             profiles, dynaplasia_chip, allocator=MIPAllocator(allow_memory_mode=True), cache=cache
         )
-        fixed_options = self._options(allow_memory_mode=False)
-        hit = cache.lookup_segment(profiles, dynaplasia_chip, **fixed_options)
+        hit = self._lookup(cache, profiles, dynaplasia_chip, allow_memory_mode=False)
         uses_memory = any(a.memory_arrays > 0 for a in dual.allocations.values())
         if uses_memory:
             assert hit is None
@@ -192,12 +197,13 @@ class TestAllocationCache:
         cache = AllocationCache()
         allocate_segment(profiles, dynaplasia_chip, cache=cache)
         renamed = {f"renamed_{i}": p for i, p in enumerate(profiles.values())}
-        hit = cache.lookup_segment(renamed, dynaplasia_chip, **self._options())
+        hit = self._lookup(cache, renamed, dynaplasia_chip)
         assert hit is not None
         assert set(hit.allocations) == set(renamed)
 
-    def test_eviction_is_lru(self, dynaplasia_chip, tiny_mlp_graph, tiny_cnn_graph):
-        cache = AllocationCache(max_entries=1)
+    def test_eviction_is_lru(self, dynaplasia_chip, tiny_mlp_graph, tiny_cnn_graph, monkeypatch):
+        monkeypatch.setattr(cache_module, "WINDOW_TABLE_ENTRIES", 1)
+        cache = AllocationCache()
         mlp_profiles = profile_graph(tiny_mlp_graph)
         cnn_profiles = profile_graph(tiny_cnn_graph)
         allocate_segment(mlp_profiles, dynaplasia_chip, cache=cache)
@@ -205,17 +211,14 @@ class TestAllocationCache:
         assert len(cache) == 1
         assert cache.stats.evictions == 1
         # The MLP entry (oldest) was evicted; the CNN entry survives.
-        assert cache.lookup_segment(mlp_profiles, dynaplasia_chip, **self._options()) is None
-        assert cache.lookup_segment(cnn_profiles, dynaplasia_chip, **self._options()) is not None
+        assert self._lookup(cache, mlp_profiles, dynaplasia_chip) is None
+        assert self._lookup(cache, cnn_profiles, dynaplasia_chip) is not None
 
     def test_greedy_and_milp_entries_are_separate(self, dynaplasia_chip, tiny_mlp_graph):
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
         allocate_segment(profiles, dynaplasia_chip, allocator=MIPAllocator(), cache=cache)
-        assert (
-            cache.lookup_segment(profiles, dynaplasia_chip, **self._options(engine="greedy"))
-            is None
-        )
+        assert self._lookup(cache, profiles, dynaplasia_chip, engine="greedy") is None
         greedy = allocate_segment(
             profiles, dynaplasia_chip, allocator=GreedyAllocator(), cache=cache
         )
@@ -227,11 +230,15 @@ class TestAllocationCache:
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
         allocate_segment(profiles, small_chip, cache=cache)
-        assert cache.lookup_segment(profiles, dynaplasia_chip, **self._options()) is None
+        assert self._lookup(cache, profiles, dynaplasia_chip) is None
 
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
+    def test_invalid_capacity_rejected(self, monkeypatch):
+        """The bound is a constant, not a knob, and a non-positive one fails."""
+        with pytest.raises(TypeError, match="max_entries"):
             AllocationCache(max_entries=0)
+        monkeypatch.setattr(cache_module, "WINDOW_TABLE_ENTRIES", 0)
+        with pytest.raises(ValueError):
+            AllocationCache()
 
     def test_clear_keeps_the_counters(self, dynaplasia_chip, tiny_mlp_graph):
         """``stats`` is a read-only view of the registry's ``cache.*`` counters."""

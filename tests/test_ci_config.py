@@ -47,6 +47,19 @@ def test_pytest_runs_only_in_the_tier1_step():
     assert "run: PYTHONPATH=src python -m pytest -x -q\n" in CI.read_text(encoding="utf-8")
 
 
+def test_pyproject_is_the_one_dependency_list():
+    """Every job installs the package with its ``test`` extra: no
+    ``pip install`` line names a third-party package itself."""
+    installs = [
+        line.split("pip install", 1)[1].split()
+        for line in CI.read_text(encoding="utf-8").splitlines()
+        if "pip install" in line
+    ]
+    assert installs
+    for arguments in installs:
+        assert arguments in (["--upgrade", "pip"], ["-e", ".[test]"]), arguments
+
+
 def test_ci_fits_on_a_few_screens():
     assert len(CI.read_text(encoding="utf-8").splitlines()) <= 200
 

@@ -46,6 +46,7 @@ class TestParser:
             ["replay", "--seq-lens", "0"],
             ["compile", "tiny-mlp", "--batch", "0"],
             ["compile-batch", "tiny-mlp", "--seq-len", "0"],
+            ["compile-batch", "tiny-mlp", "--repeat", "0"],
             ["dse", "tiny-cnn", "--arrays", "0"],
             ["serve", "--workers", "0"],
         ],
@@ -66,9 +67,28 @@ class TestParser:
         err = capsys.readouterr().err
         assert "usage:" in err and "must be at least 0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "tiny-mlp", "--output-len", "-1"],
+            ["compare", "tiny-mlp", "--output-len", "-1"],
+            ["compile-batch", "tiny-mlp", "--output-len", "-1"],
+            ["dse", "tiny-cnn", "--output-len", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_negative_output_len_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "must be at least 0" in err and "Traceback" not in err
+
     def test_port_zero_and_a_non_number_keep_their_meaning(self, capsys):
         assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
         assert build_parser().parse_args(["serve", "--timeout", "0"]).timeout == 0.0
+        zero_tokens = ["compile", "tiny-mlp", "--output-len", "0"]
+        assert build_parser().parse_args(zero_tokens).output_len == 0
         with pytest.raises(SystemExit):
             main(["replay", "--requests", "many"])
         assert "invalid int value: 'many'" in capsys.readouterr().err

@@ -667,10 +667,10 @@ class TestRunnerResume:
         assert result.allocator_solves == 5
 
     def test_shared_cache_object_instead_of_dir(self):
-        cache = AllocationCache()
-        result = run_dse(tiny_space(), service=CompileService(cache=cache))
+        service = CompileService()
+        result = run_dse(tiny_space(), service=service)
         assert result.evaluated == 2
-        assert cache.stats.stores > 0
+        assert service.cache.stats.stores > 0
 
     def test_cache_keyword_became_service(self, tmp_path):
         with pytest.raises(TypeError):

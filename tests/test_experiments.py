@@ -13,7 +13,7 @@ import math
 import pytest
 
 from repro.api import Session
-from repro.core import AllocationCache
+from repro.core import AllocationCache, CMSwitchCompiler
 from repro.experiments import (
     COMPILER_NAMES,
     allocation_report,
@@ -240,8 +240,8 @@ class TestCompileTimeAndOverheads:
         assert rows[0]["speedup_vs_cim-mlc"] >= 0.99
 
     def test_the_fig18_quick_set_solves_at_most_375_cold_and_nothing_warm(self, chip):
-        """mobilenet and bert at sequence 32, cold then warm: two sessions
-        over one window cache.  Solve counts repeat exactly, so this gates
+        """mobilenet and bert at sequence 32, cold then warm: two compilers
+        over one window table.  Solve counts repeat exactly, so this gates
         compile work on any machine; the wall time is the benchmark's."""
         graphs = [
             build_model(model, default_workload(model, batch_size=1, seq_len=32))
@@ -250,8 +250,8 @@ class TestCompileTimeAndOverheads:
         cache = AllocationCache()
 
         def one_pass():
-            session = Session(chip, cache=cache)
-            stats = [session.compile(graph, options=FIGURE_OPTIONS).stats for graph in graphs]
+            compiler = CMSwitchCompiler(chip, FIGURE_OPTIONS, cache=cache)
+            stats = [compiler.compile(graph).stats for graph in graphs]
             return (
                 sum(s["allocator_solves"] for s in stats),
                 sum(s["allocation_cache_hits"] for s in stats),

@@ -103,9 +103,30 @@ def test_there_is_one_window_table():
     ]
     assert not definitions
 
+    from repro.api import Session
     from repro.core.allocation import allocate_segment
+    from repro.core.cache import AllocationCache
+    from repro.core.segmentation import NetworkSegmenter
+    from repro.pipeline import PipelineContext
+    from repro.service import CompileService
 
     assert "memo" not in inspect.signature(allocate_segment).parameters
+    # No table is injected above the compiler, and its bound is no knob.
+    for owner in (CompileService, Session):
+        assert "cache" not in inspect.signature(owner).parameters, owner
+    assert "max_entries" not in inspect.signature(AllocationCache).parameters
+    # Below it, every window is solved through a table the caller names.
+    for needs_table in (allocate_segment, NetworkSegmenter, PipelineContext):
+        cache = inspect.signature(needs_table).parameters["cache"]
+        assert cache.default is inspect.Parameter.empty, needs_table
+    # No second table or pass-through beside it, and no uncached branch.
+    for path in (SRC / "repro").rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for gone in ("_allocation_cache", "make_key", "lookup_segment"):
+            assert gone not in text, (path.relative_to(SRC), gone)
+    for module in ("allocation.py", "segmentation.py"):
+        text = (SRC / "repro" / "core" / module).read_text(encoding="utf-8")
+        assert "cache is None" not in text and "cache is not None" not in text, module
 
 
 def test_every_in_memory_table_is_one_bounded_lru():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import Session
 from repro.baselines import COMPILERS
-from repro.core import CMSwitchCompiler, CompilerOptions
+from repro.core import AllocationCache, CMSwitchCompiler, CompilerOptions
 from repro.obs import Observability
 from repro.pipeline import FixedModeFallback, Pass, PipelineContext
 
@@ -20,7 +20,9 @@ STANDARD_NAMES = [
 
 def _ctx(graph, hardware, **option_kwargs):
     options = CompilerOptions(**option_kwargs)
-    return PipelineContext(graph=graph, hardware=hardware, options=options)
+    return PipelineContext(
+        graph=graph, hardware=hardware, options=options, cache=AllocationCache()
+    )
 
 
 def _compile(compiler_cls, graph, hardware, obs=None, **option_kwargs):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.cache import AllocationCache
 from repro.core.segmentation import (
     CompilerOptions,
     NetworkSegmenter,
@@ -62,7 +63,9 @@ class TestFlatten:
 class TestSegmentationDP:
     def segment(self, graph, hardware, **options):
         """Flatten, run the DP, build the plans: ``(segmenter, units, segments)``."""
-        segmenter = NetworkSegmenter(hardware, CompilerOptions(**options))
+        segmenter = NetworkSegmenter(
+            hardware, CompilerOptions(**options), cache=AllocationCache()
+        )
         units = flatten_graph(graph, hardware)
         segments = segmenter.build_plans(units, segmenter.choose_boundaries(graph, units))
         return segmenter, units, segments
@@ -165,9 +168,9 @@ class TestFeasibilityPruning:
         asked = []
         real_allocate = NetworkSegmenter._allocate
 
-        def counting_allocate(self, units, start, end):
+        def counting_allocate(self, start, end):
             asked.append(self._spare_arrays(start, end) >= 0)
-            return real_allocate(self, units, start, end)
+            return real_allocate(self, start, end)
 
         monkeypatch.setattr(NetworkSegmenter, "_allocate", counting_allocate)
         pruned = self._compile(llama)
@@ -187,7 +190,7 @@ class TestFeasibilityPruning:
         assert sum(asked) == len(pruned_asked)  # and it skips nothing that fits
 
     def test_first_fitting_start_is_the_monotone_boundary(self, small_chip, tiny_transformer_graph):
-        segmenter = NetworkSegmenter(small_chip)
+        segmenter = NetworkSegmenter(small_chip, cache=AllocationCache())
         units = flatten_graph(tiny_transformer_graph, small_chip)
         segmenter._prepare(units)
         for j in range(1, len(units) + 1):
@@ -270,7 +273,7 @@ class TestUnitColumnsTripwires:
 
         hardware = get_preset("dynaplasia")
         units = flatten_graph(mobilenet, hardware)
-        segmenter = NetworkSegmenter(hardware)
+        segmenter = NetworkSegmenter(hardware, cache=AllocationCache())
         segmenter._prepare(units)
         rng = random.Random(24)
         windows = []
@@ -286,8 +289,12 @@ class TestUnitColumnsTripwires:
             window = segmenter._window(start, end)
             mapping = {unit.name: unit.profile for unit in units[start : end + 1]}
             assert type(mapping) is dict and dict(window) == mapping
-            from_window = allocate_segment(window, hardware, **arguments)
-            from_mapping = allocate_segment(mapping, hardware, **arguments)
+            from_window = allocate_segment(
+                window, hardware, cache=AllocationCache(), **arguments
+            )
+            from_mapping = allocate_segment(
+                mapping, hardware, cache=AllocationCache(), **arguments
+            )
             assert from_window.feasible and from_mapping == from_window
             for ours, theirs in (
                 (from_window, from_mapping),

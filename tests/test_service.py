@@ -129,12 +129,13 @@ class TestCompileService:
         assert solves[0] == solves[1] > 0
         assert services[1].cache_stats.misses == solves[1]
 
-    def test_external_cache_is_shared(self, small_chip):
-        cache = AllocationCache()
-        CompileService(cache=cache).compile_batch(
-            [CompileJob("tiny-mlp", hardware=small_chip)]
-        )
-        assert cache.stats.stores > 0
+    def test_the_service_builds_its_own_window_table(self, small_chip):
+        """No table is injected: the service's own one backs its compiles."""
+        with pytest.raises(TypeError, match="cache"):
+            CompileService(cache=AllocationCache())
+        service = CompileService()
+        service.compile_batch([CompileJob("tiny-mlp", hardware=small_chip)])
+        assert service.cache.stats.stores > 0
 
     def test_empty_batch(self):
         assert CompileService().compile_batch([]) == []

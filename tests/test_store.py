@@ -781,10 +781,10 @@ class TestProgramStore:
         assert not any(tmp_path.iterdir())
 
     def test_cache_and_cache_dir_combine(self, small_chip, tmp_path):
-        """An explicit memory cache and a program store are independent."""
-        cache = AllocationCache()
-        service = CompileService(cache=cache, cache_dir=tmp_path)
-        assert service.cache is cache and service.store is not None
+        """The service's window table and its program store are independent."""
+        service = CompileService(cache_dir=tmp_path)
+        cache = service.cache
+        assert service.store is not None
         first = service.compile(CompileJob("tiny-cnn", hardware=small_chip))
         assert first.ok and cache.stats.stores > 0 and service.store.stats.stores == 1
         # The same service again: its program table answers before the
@@ -795,7 +795,7 @@ class TestProgramStore:
         assert second.stats["allocation_disk_hits"] == 0
         assert cache.stats.lookups == lookups and service.store.stats.hits == 0
         # The store is read on the *first* compile of a fresh service.
-        fresh = CompileService(cache=AllocationCache(), cache_dir=tmp_path)
+        fresh = CompileService(cache_dir=tmp_path)
         third = fresh.compile(CompileJob("tiny-cnn", hardware=small_chip))
         assert third.stats["allocation_disk_hits"] > 0
         assert fresh.store.stats.hits == 1 and fresh.cache.stats.lookups == 0
