@@ -36,7 +36,7 @@ Sub-packages:
 
 from .api import Session
 from .core.cache import AllocationCache
-from .core.compiler import CMSwitchCompiler, CompilerOptions, NoFeasiblePlanError
+from .core.compiler import CMSwitchCompiler, CompilerOptions
 from .core.store import DiskCacheStore
 from .core.program import CompiledProgram, SegmentPlan
 from .hardware import DualModeHardwareAbstraction, dynaplasia, get_preset, prime, small_test_chip
@@ -56,7 +56,6 @@ __all__ = [
     "CompilerOptions",
     "DiskCacheStore",
     "DualModeHardwareAbstraction",
-    "NoFeasiblePlanError",
     "Phase",
     "PipelineContext",
     "SegmentPlan",

@@ -179,7 +179,6 @@ class Session:
 
         Raises:
             KeyError: Unknown model or compiler name.
-            NoFeasiblePlanError: No feasible plan exists for the graph.
         """
         source = model if isinstance(model, Graph) else ModelRecipe.of(model, workload)
         target = self.hardware if hardware is None else (

@@ -251,8 +251,6 @@ def cmd_compile_batch(args: argparse.Namespace) -> int:
     total_disk_hits = 0
     for result in results:
         stats = result.stats
-        # Failed jobs may still have solved (NoFeasiblePlanError keeps its
-        # pre-failure statistics); the totals must reflect that work.
         total_solves += stats.get("allocator_solves", 0)
         total_disk_hits += stats.get("allocation_disk_hits", 0)
         if not result.ok:
@@ -557,6 +555,17 @@ def _positive(cast, zero: bool = False):
     return parse
 
 
+def _port(text: str) -> int:
+    """An argparse ``type``: a TCP port, 0 (ephemeral) to 65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be a port in 0-65535, got {text!r}")
+    return value
+
+
+_port.__name__ = "int"  # "invalid int value: 'x'", as for every int option
+
+
 def cmd_dse(args: argparse.Namespace) -> int:
     """Explore a design space and print/persist the Pareto report."""
     from .dse import DesignSpace, RunState, RunStateError, make_strategy
@@ -674,14 +683,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
             trace=trace,
         )
 
-    # Infeasible design points (feasible=False, failed=False) are a
-    # legitimate exploration outcome, not a failure exit.
     failures = [r for r in result.new_records if r.failed]
     for record in result.new_records:
-        if record.feasible:
-            marker = "ok"
-        else:
-            marker = "ERR" if record.failed else "infeasible"
+        marker = "ERR" if record.failed else "ok"
         print(
             f"  {record.model:16s} arrays={record.num_arrays:<5d} "
             f"{'dual' if record.allow_memory_mode else 'fixed':5s} "
@@ -966,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--seed", type=int, default=0, help="RNG seed for random/greedy")
     dse.add_argument(
         "--budget",
-        type=int,
+        type=_positive(int, zero=True),
         default=None,
         help="max design points to cover this run (default: the whole space)",
     )
@@ -1100,7 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=0,
         help="TCP port (default 0 = ephemeral; see --port-file)",
     )

@@ -31,7 +31,6 @@ from .segmentation import (
     CompilerOptions,
     FlattenedUnit,
     NetworkSegmenter,
-    NoFeasiblePlanError,
     ProfiledOperator,
     assign_liveness,
     choose_plan,
@@ -64,7 +63,6 @@ __all__ = [
     "MIPAllocator",
     "ManualClock",
     "SYSTEM_CLOCK",
-    "NoFeasiblePlanError",
     "MemoryReadOp",
     "MemoryWriteOp",
     "MetaOperator",

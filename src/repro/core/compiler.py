@@ -27,7 +27,6 @@ compiler engine underneath it.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict
 from typing import Optional, Tuple
@@ -47,10 +46,9 @@ from ..pipeline.passes import (
 from .cache import AllocationCache
 from .program import CompiledProgram
 
-# ``CompilerOptions`` and ``NoFeasiblePlanError`` are re-exported here
-# (their historical home).  Both are defined next to the segmenter: it
-# reads the options and raises the error for unmappable segments.
-from .segmentation import CompilerOptions, NoFeasiblePlanError, plan_cost
+# ``CompilerOptions`` is re-exported here (its historical home); it is
+# defined next to the segmenter, which reads it.
+from .segmentation import CompilerOptions
 
 
 class CMSwitchCompiler:
@@ -124,12 +122,8 @@ class CMSwitchCompiler:
         Returns:
             The compiled program with segment plans, predicted latency,
             per-pass timing stats and, when ``generate_code`` is
-            enabled, the meta-operator flow.
-
-        Raises:
-            NoFeasiblePlanError: If no feasible plan exists for a
-                non-empty graph.  It carries the compile's ``stats`` so
-                far, whichever pass raised it.
+            enabled, the meta-operator flow.  Partitioning makes every
+            operator fit the chip, so every graph has a plan.
         """
         # Imported here: the context module imports repro.core, which
         # imports this module.
@@ -151,28 +145,17 @@ class CMSwitchCompiler:
                     continue
                 with tracer.span(p.name, kind="pass"):
                     began = time.perf_counter()
-                    try:
-                        p.run(ctx)
-                    except NoFeasiblePlanError as exc:
-                        exc.stats = ctx.stats()
-                        raise
+                    p.run(ctx)
                     ctx.pass_seconds[p.name] = time.perf_counter() - began
 
-        segments = ctx.segments
         stats = ctx.stats()
-        if segments and not math.isfinite(plan_cost(segments)):
-            raise NoFeasiblePlanError(
-                f"no feasible execution plan for graph {graph.name!r} on "
-                f"{self.hardware.name!r}: every evaluated plan has infinite cost",
-                stats=stats,
-            )
         for key, value in ctx.extras.items():
             stats.setdefault(key, value)
         return CompiledProgram(
             graph_name=graph.name,
             compiler_name=self.name,
             hardware=self.hardware,
-            segments=segments,
+            segments=ctx.segments,
             block_repeat=float(graph.metadata.get("block_repeat", 1.0)),
             compile_seconds=stats["wall_seconds"],
             metadata={

@@ -16,7 +16,6 @@ each candidate segment once; one solved before is not solved again.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from ..cost import arithmetic
 from ..cost.arithmetic import OperatorProfile, profile_operator
-from ..cost.latency import INFEASIBLE_LATENCY, guard_infeasible
+from ..cost.latency import INFEASIBLE_LATENCY
 from ..cost.switching import (
     SegmentResources,
     mode_switch_cycles,
@@ -48,40 +47,12 @@ from .cache import AllocationCache
 from .program import SegmentPlan
 
 
-class NoFeasiblePlanError(RuntimeError):
-    """No feasible execution plan exists for a non-empty graph.
-
-    Raised by the segmenter when a required segment cannot be mapped
-    onto the chip, and by ``CMSwitchCompiler.compile`` when the chosen
-    plan carries infinite cost.  Subclasses :class:`RuntimeError`, so
-    historical ``except RuntimeError`` callers keep working.
-    Infeasibility is a legitimate outcome at a design-space boundary —
-    batch and DSE consumers classify it separately from genuine
-    failures.
-
-    Attributes:
-        stats: Compile statistics accumulated before the failure
-            (allocator solves, cache hits, wall time) — the solver
-            work was real even though no program exists, and batch/DSE
-            accounting must not under-report it.  A compile pipeline
-            fills them from the same payload a finished program's
-            ``stats`` come from, whichever pass raised.
-    """
-
-    def __init__(self, message: str, stats: Optional[dict] = None) -> None:
-        super().__init__(message)
-        self.stats = dict(stats or {})
-
-
 @dataclass
 class CompilerOptions:
     """The compilation options — the one options type the segmenter reads.
 
     Validated on construction: ``max_segment_operators`` must be an
-    ``int`` >= 1.  A non-integer or non-positive window used to surface
-    only deep inside the DP (a ``TypeError`` from ``range``, or an empty
-    DP that looks like infeasibility); it is a named :class:`ValueError`
-    now.
+    ``int`` >= 1, or a :class:`ValueError` names it.
 
     Attributes:
         max_segment_operators: DP window — maximum operators per segment.
@@ -363,8 +334,8 @@ def boundary_arrays(
 
 
 def plan_cost(segments: Sequence[SegmentPlan]) -> float:
-    """Comparable cost of a plan's segments (NaN collapsed to ``inf``)."""
-    return guard_infeasible(sum(segment.total_cycles for segment in segments))
+    """Comparable cost of a plan's segments."""
+    return sum(segment.total_cycles for segment in segments)
 
 
 def plan_arrays(segments: Sequence[SegmentPlan]) -> int:
@@ -379,25 +350,18 @@ def choose_plan(
     graph (for the ``FixedModeFallback`` test oracle; no default compile
     arbitrates).
 
-    The comparison is robust to :data:`INFEASIBLE_LATENCY` and NaN costs:
-
-    * if both plans are infeasible the dual-mode plan is returned (the
-      caller raises :class:`NoFeasiblePlanError`) — never a silent
-      ``inf < inf`` keep;
-    * a strictly cheaper fixed-mode plan wins;
-    * on an exact finite tie the fixed-mode plan wins only when it
-      occupies fewer arrays (same latency for less hardware).
+    A strictly cheaper fixed-mode plan wins; on an exact tie it wins
+    only when it occupies fewer arrays (same latency for less hardware).
 
     Returns:
         ``(chosen_segments, fallback_used)``.
     """
     dual_cost = plan_cost(dual)
     fixed_cost = plan_cost(fixed)
-    if fixed_cost < dual_cost:
+    if fixed_cost < dual_cost or (
+        fixed_cost == dual_cost and plan_arrays(fixed) < plan_arrays(dual)
+    ):
         return fixed, True
-    if fixed_cost == dual_cost and math.isfinite(fixed_cost):
-        if plan_arrays(fixed) < plan_arrays(dual):
-            return fixed, True
     return dual, False
 
 
@@ -462,14 +426,28 @@ class NetworkSegmenter:
         prefix sums — see :class:`~repro.core.allocation.UnitColumns`),
         the live elements at every boundary, and the boundary reserve /
         inbound count each window end / start implies.
+
+        Raises:
+            ValueError: A unit's compute floor exceeds the chip.
+                :func:`flatten_graph` partitions every operator until it
+                fits, so one unit per segment is always a plan; units
+                that break that are the caller's error.
         """
         if self._vectors is not None or not units:
             return
-        self._vectors = UnitColumns(
+        vectors = UnitColumns(
             [unit.profile for unit in units],
             self.hardware,
             names=[unit.name for unit in units],
         )
+        oversized = np.flatnonzero(vectors.floors > self.hardware.num_arrays)
+        if oversized.size:
+            k = int(oversized[0])
+            raise ValueError(
+                f"unit {units[k].name!r} needs {vectors.floors[k]} compute arrays, "
+                f"more than {self.hardware.name!r} has ({self.hardware.num_arrays})"
+            )
+        self._vectors = vectors
         liveness = live_elements_vector(units)
         reserves, inbound = boundary_arrays(
             liveness, self.hardware, self.options.allow_memory_mode
@@ -545,11 +523,10 @@ class NetworkSegmenter:
         """Run the Eq. 3 DP and return the chosen segment boundaries.
 
         Returns ``(start, end)`` inclusive index pairs in execution
-        order.  When the DP proves no feasible plan exists, falls back
-        to one segment per unit (:meth:`build_plans` names the one that
-        cannot be mapped).  The allocation each chosen window wins with
-        stays on this segmenter, so a subsequent :meth:`build_plans` call
-        re-pays nothing.
+        order.  Every unit fits the chip alone (:meth:`_prepare` checks),
+        so a plan always exists.  The allocation each chosen window wins
+        with stays on this segmenter, so a subsequent :meth:`build_plans`
+        call re-pays nothing.
         """
         m = len(units)
         window = max(1, self.options.max_segment_operators)
@@ -568,14 +545,8 @@ class NetworkSegmenter:
         for j in range(1, m + 1):
             live = self._liveness[j - 1] if j < m else 0
             for i in range(self._first_fitting_start(j, window), j):
-                if best_cost[i] == INFEASIBLE_LATENCY:
-                    continue
                 allocation = self._allocate(i, j - 1)
                 self._dp_edge(i, j, live, allocation, tables)
-
-        if best_cost[m] == INFEASIBLE_LATENCY:
-            # One segment per unit — used only when the DP finds no plan.
-            return [(i, i) for i in range(m)]
 
         # Backtrack the boundaries, keeping the variant each edge won with.
         boundaries: List[Tuple[int, int]] = []
@@ -672,9 +643,12 @@ class NetworkSegmenter:
         The DP's chosen windows carry the allocation they won with, so
         this step performs no fresh solver work after
         :meth:`choose_boundaries`.  Other windows — boundaries a
-        baseline's policy drew, or the DP's one-segment-per-unit
-        fallback — are asked of the window table here.  Every compiler's
-        plans are built here.
+        baseline's policy drew — are asked of the window table here.
+        Every compiler's plans are built here.
+
+        Raises:
+            ValueError: A unit exceeds the chip (see :meth:`_prepare`),
+                or a window of ``boundaries`` does not fit it.
         """
         plans: List[SegmentPlan] = []
         previous_resources: Optional[SegmentResources] = None
@@ -684,8 +658,8 @@ class NetworkSegmenter:
             allocation = self._chosen.get((start, end)) or self._allocate(start, end)
             if not allocation.feasible:
                 names = ", ".join(unit.name for unit in units[start : end + 1])
-                raise NoFeasiblePlanError(
-                    f"segment [{names}] cannot be mapped onto "
+                raise ValueError(
+                    f"window [{names}] does not fit "
                     f"{self.hardware.name!r} ({self.hardware.num_arrays} arrays)"
                 )
             live = self._liveness[end] if end + 1 < len(units) else 0

@@ -120,10 +120,10 @@ class EvaluationRecord:
     they were; so do records of the retired ``"cached"`` tier, whose
     metrics came from a real compile.
 
-    An infeasible point (the bound or the compiler proves no plan
-    exists — the boundary a DSE sweep exists to find) has
-    ``feasible=False`` with ``failed=False``; ``failed=True`` marks
-    genuine errors (unknown model, a crash inside the pipeline).
+    Every buildable model has a plan on every chip (partitioning makes
+    each operator fit), so a point is ``feasible`` unless its evaluation
+    failed (unknown model, a crash inside the pipeline): ``failed=True``,
+    with the error.
     """
 
     point_key: str
@@ -431,8 +431,14 @@ class DSERunner:
 
         ``budget`` counts points *evaluated this run* (at any
         fidelity); points skipped via the run state are free, so a
-        resumed run spends its whole budget on new ground.
+        resumed run spends its whole budget on new ground.  A budget of
+        0 evaluates nothing and reports what the run state holds.
+
+        Raises:
+            ValueError: ``budget`` is negative.
         """
+        if budget is not None and budget < 0:
+            raise ValueError(f"budget must be at least 0, got {budget}")
         start = time.perf_counter()
         self.strategy.bind(self.space)
         result = DSEResult(objective=self.objective)
@@ -460,9 +466,8 @@ class DSERunner:
             for payload in self.state.records:
                 record = EvaluationRecord.from_dict(payload)
                 if record.failed:
-                    # Genuine failures (crashed worker, missing model) are
-                    # retried on resume, not treated as done — only real
-                    # outcomes (feasible or proven-infeasible) are final.
+                    # Failures (crashed worker, missing model) are retried
+                    # on resume, not treated as done.
                     continue
                 if record.fidelity not in FIDELITIES:
                     # A tier this version no longer has (``"greedy"``: a
@@ -586,26 +591,14 @@ class DSERunner:
         )
 
     def _compiled(self, point: DesignPoint, outcome: CompileJobResult) -> EvaluationRecord:
-        """The record of one compile: the program's metrics, or why none exists.
-
-        A :class:`~repro.core.segmentation.NoFeasiblePlanError` is an
-        *infeasible* verdict, not a failure; its pre-failure solver
-        statistics are kept either way.
-        """
-        stats = outcome.stats
-        counters = dict(
-            wall_seconds=outcome.wall_seconds,
-            allocator_solves=int(stats.get("allocator_solves", 0)),
-            cache_hits=int(stats.get("allocation_cache_hits", 0)),
-            disk_hits=int(stats.get("allocation_disk_hits", 0)),
-        )
+        """The record of one compile: the program's metrics, or its error."""
         if not outcome.ok:
-            error = outcome.error or ""
             return self._record(
-                point, "compile", error=outcome.error,
-                failed=not error.startswith("NoFeasiblePlanError"), **counters,
+                point, "compile", error=outcome.error, failed=True,
+                wall_seconds=outcome.wall_seconds,
             )
         program = outcome.program
+        stats = outcome.stats
         return self._record(
             point, "compile", feasible=True,
             latency_ms=program.end_to_end_ms,
@@ -616,7 +609,10 @@ class DSERunner:
                 (s.compute_arrays + s.memory_arrays for s in program.segments),
                 default=0,
             ),
-            **counters,
+            wall_seconds=outcome.wall_seconds,
+            allocator_solves=int(stats.get("allocator_solves", 0)),
+            cache_hits=int(stats.get("allocation_cache_hits", 0)),
+            disk_hits=int(stats.get("allocation_disk_hits", 0)),
         )
 
     def _bounded(self, point: DesignPoint, job: CompileJob) -> EvaluationRecord:
@@ -624,7 +620,7 @@ class DSERunner:
         start = time.perf_counter()
         hardware = point.hardware
         try:
-            estimate, unfit = analytical_bound(
+            estimate = analytical_bound(
                 job.resolve_graph(),
                 hardware,
                 point.options.allow_memory_mode,
@@ -633,19 +629,13 @@ class DSERunner:
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
             fields = dict(error=f"{type(exc).__name__}: {exc}", failed=True)
         else:
-            if unfit is not None:
-                fields = dict(
-                    error=f"unit {unfit!r} needs more than the chip's "
-                    f"{hardware.num_arrays} arrays"
-                )
-            else:
-                fields = dict(
-                    feasible=True,
-                    latency_ms=hardware.cycles_to_ms(estimate.end_to_end_cycles),
-                    cycles=estimate.end_to_end_cycles,
-                    energy_mj=estimate.end_to_end_mj,
-                    peak_arrays=estimate.min_peak_arrays,
-                )
+            fields = dict(
+                feasible=True,
+                latency_ms=hardware.cycles_to_ms(estimate.end_to_end_cycles),
+                cycles=estimate.end_to_end_cycles,
+                energy_mj=estimate.end_to_end_mj,
+                peak_arrays=estimate.min_peak_arrays,
+            )
         return self._record(
             point, "analytical", lower_bound=True,
             wall_seconds=time.perf_counter() - start, **fields,
@@ -687,9 +677,9 @@ class DSERunner:
         Replays :attr:`trace` through the runner's own compile service
         (sharing its allocation cache) with the point's
         hardware and compiler options.  A replay that drops any request
-        (a trace model infeasible under those options) scores ``inf`` —
-        a serving configuration that cannot run the traffic is not a
-        candidate, exactly like an infeasible single compile.
+        (a trace model that failed to compile) scores ``inf`` — a
+        serving configuration that cannot run the traffic is not a
+        candidate, exactly like a failed single compile.
         """
         from ..sim.replay import ReplaySimulator
         from .space import options_signature

@@ -146,7 +146,7 @@ class GreedyStrategy(Strategy):
     """Successive-halving-style neighbourhood refinement.
 
     Round 0 proposes a seeded random sample.  Every later round ranks all
-    evaluated points by objective (infeasible points score ``inf``),
+    evaluated points by objective (failed points score ``inf``),
     keeps the top ``keep_fraction`` — the "halving" — and proposes the
     unvisited grid neighbours of those survivors, best survivor first.
     When the survivors' neighbourhoods are exhausted the strategy falls
@@ -240,11 +240,11 @@ class SuccessiveHalvingStrategy(Strategy):
 
     Rung 0 proposes every candidate of the space (seeded order) at
     ``analytical`` fidelity — closed-form lower bounds, zero allocator
-    solves.  It is a sound screen: an infeasible bound proves the point
-    infeasible, and the bound is monotone in the same hardware/option
-    knobs the real cost is.  Once every rung-0 answer is told back, the
-    feasible candidates are ranked by objective and the best
-    ``keep_fraction`` of them are re-proposed at ``compile`` fidelity.
+    solves.  It is a sound screen: the bound is monotone in the same
+    hardware/option knobs the real cost is.  Once every rung-0 answer
+    is told back, the feasible candidates are ranked by objective and
+    the best ``keep_fraction`` of them are re-proposed at ``compile``
+    fidelity.
     The runner reads :attr:`fidelity` after each :meth:`ask` to evaluate
     the batch at the rung's tier.
 

@@ -8,7 +8,8 @@ Chrome/Perfetto format notes (``about:tracing`` / https://ui.perfetto.dev):
 * this exporter emits each lane as a depth-first walk of the span
   forest, so within a lane timestamps are non-decreasing and every
   ``E`` closes the most recent open ``B`` — the property
-  :func:`validate_chrome_trace` checks and CI's obs-smoke job relies on.
+  :func:`validate_chrome_trace` checks and
+  ``tests/test_obs.py::TestCliObservability`` relies on.
 
 Process/thread labels (strings on :class:`~repro.obs.tracer.Span`) are
 mapped to small integer pids/tids here, with ``process_name`` /
@@ -196,8 +197,8 @@ def validate_chrome_trace(payload: Union[Dict[str, object], str, Path]) -> Dict[
     * no ``B`` may be left open at the end.
 
     The return value maps span name → total duration in *seconds*
-    summed across lanes, which obs-smoke cross-checks against
-    ``stats["pass_seconds"]``.
+    summed across lanes, which ``tests/test_obs.py::TestCliObservability``
+    cross-checks against ``stats["pass_seconds"]``.
     """
     if isinstance(payload, Path):
         payload = json.loads(payload.read_text(encoding="utf-8"))

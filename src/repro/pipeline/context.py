@@ -84,12 +84,10 @@ class PipelineContext:
         return self.segmenters[0] if self.segmenters else None
 
     def stats(self) -> Dict[str, object]:
-        """The compile's work so far: solver counts, wall time, pass log.
+        """The compile's work: solver counts, wall time, pass log.
 
-        The one builder of them — a finished program's ``stats`` (which
-        the compile extends with the passes' :attr:`extras`) and a
-        :class:`~repro.core.segmentation.NoFeasiblePlanError`'s alike.
-        Windows are never read from disk; a program the store served
+        The one builder of a program's ``stats`` (which the compile
+        extends with the passes' :attr:`extras`).  Windows are never read from disk; a program the store served
         says so itself (``CompileService.compile_graph``).
         """
         solves = sum(segmenter.allocation_calls for segmenter in self.segmenters)

@@ -23,18 +23,15 @@ subclass inserts it after ``Allocate``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import TYPE_CHECKING, List, Tuple
 
 from ..core.codegen import generate_program
 from ..core.segmentation import (
     NetworkSegmenter,
-    NoFeasiblePlanError,
     assign_liveness,
     choose_plan,
     expand_profiled,
-    plan_cost,
     profile_graph,
 )
 
@@ -160,8 +157,8 @@ class FixedModeFallback(Pass):
     ``ctx.fallback_used`` — the plan-quality suite inserts it after
     ``Allocate`` to check exactly that.  Skipped when memory mode is off.
     Its segmenter joins ``ctx.segmenters``, so its solver work is
-    accounted either way — even when it only proves fixed-mode
-    infeasible.
+    accounted in the program's stats.  Every graph has a fixed-mode plan
+    too: partitioning makes each unit fit the chip.
     """
 
     name = "fixed_fallback"
@@ -179,14 +176,9 @@ class FixedModeFallback(Pass):
             obs=ctx.obs,
         )
         ctx.segmenters.append(segmenter)
-        try:
-            fixed = segmenter.build_plans(
-                ctx.units, segmenter.choose_boundaries(ctx.graph, ctx.units)
-            )
-        except NoFeasiblePlanError:
-            # Fixed mode proving infeasible does not invalidate the
-            # dual-mode plan: keep it.
-            return
+        fixed = segmenter.build_plans(
+            ctx.units, segmenter.choose_boundaries(ctx.graph, ctx.units)
+        )
         ctx.segments, ctx.fallback_used = choose_plan(ctx.segments, fixed)
 
 
@@ -225,10 +217,8 @@ class Refine(Pass):
 class Codegen(Pass):
     """Lower the chosen plan to the dual-mode meta-operator flow (§4.4).
 
-    Emits ``ctx.meta_program``; skipped when code generation is off.  An
-    infeasible plan is left untouched — program finalisation raises
-    :class:`NoFeasiblePlanError` for it, exactly as the fused compiler
-    raised before reaching code generation.
+    Emits ``ctx.meta_program``; skipped when code generation is off.  A
+    graph with no mappable operator has no segments and gets no flow.
     """
 
     name = "codegen"
@@ -237,6 +227,6 @@ class Codegen(Pass):
         return bool(ctx.options.generate_code)
 
     def run(self, ctx: PipelineContext) -> None:
-        if not ctx.segments or not math.isfinite(plan_cost(ctx.segments)):
+        if not ctx.segments:
             return
         ctx.meta_program = generate_program(ctx.graph.name, ctx.segments, ctx.hardware)

@@ -134,7 +134,7 @@ def _encode_outcome(result: CompileJobResult) -> Tuple[bool, bytes]:
         document = error_payload(
             "compile_failed",
             result.error or "compile failed",
-            stats={k: v for k, v in result.stats.items() if isinstance(v, (int, float, str))},
+            stats={},  # a failed compile has no stats; the key keeps the shape
         )
         document["ok"] = False
     return result.ok, json.dumps(document, sort_keys=True)[1:].encode("utf-8")

@@ -202,9 +202,7 @@ class CompileJobResult:
         error_traceback: Full traceback text of the failure.
         wall_seconds: Wall-clock time the job took inside the service.
         stats: The program's compile statistics (allocator solves, cache
-            hits, hit rate).  On failure this is usually empty, except
-            for :class:`~repro.core.compiler.NoFeasiblePlanError`, whose
-            pre-failure solver statistics are preserved.
+            hits, hit rate); empty on failure.
     """
 
     job: CompileJob
@@ -367,7 +365,6 @@ class CompileService:
 
         Raises:
             KeyError: ``compiler`` is not a registered name.
-            NoFeasiblePlanError: No feasible plan exists for the graph.
         """
         start = time.perf_counter()
         metrics = self.obs.metrics
@@ -435,9 +432,6 @@ class CompileService:
                     error=f"{type(exc).__name__}: {exc}",
                     error_traceback=traceback.format_exc(),
                     wall_seconds=time.perf_counter() - start,
-                    # NoFeasiblePlanError carries the solver work done before
-                    # the failure; batch accounting must not drop it.
-                    stats=dict(getattr(exc, "stats", None) or {}),
                 )
             span.set(ok=True)
             return CompileJobResult(

@@ -11,7 +11,6 @@ from repro.core import (
     CompilerOptions,
     GreedyAllocator,
     MIPAllocator,
-    NoFeasiblePlanError,
     allocate_segment,
     choose_plan,
     plan_cost,
@@ -283,20 +282,6 @@ class TestChoosePlan:
         chosen, used = choose_plan(_result(_plan(50.0)), _result(_plan(100.0)))
         assert not used and plan_cost(chosen) == 50.0
 
-    def test_both_infeasible_keeps_dual_without_fallback_flag(self):
-        dual = _result(_plan(INFEASIBLE_LATENCY))
-        fixed = _result(_plan(INFEASIBLE_LATENCY))
-        chosen, used = choose_plan(dual, fixed)
-        assert chosen is dual and not used
-
-    def test_nan_cost_treated_as_infeasible(self):
-        nan_plan = _result(_plan(float("nan")))
-        good = _result(_plan(10.0))
-        chosen, used = choose_plan(nan_plan, good)
-        assert used and chosen is good
-        chosen, used = choose_plan(good, nan_plan)
-        assert not used and chosen is good
-
     def test_exact_tie_prefers_fixed_only_with_fewer_arrays(self):
         dual = _result(_plan(100.0, compute=2, memory=2))
         fixed_fewer = _result(_plan(100.0, compute=3, memory=0))
@@ -305,30 +290,6 @@ class TestChoosePlan:
         assert used and chosen is fixed_fewer
         chosen, used = choose_plan(dual, fixed_same)
         assert not used and chosen is dual
-
-    def test_compiler_raises_when_no_plan_feasible(
-        self, small_chip, tiny_cnn_graph, monkeypatch
-    ):
-        """Both passes infeasible -> NoFeasiblePlanError, never a silent keep."""
-        import repro.pipeline.passes as passes_module
-
-        class InfeasibleSegmenter:
-            # Speaks the Segment/Allocate protocol of the pipeline
-            # (choose_boundaries + build_plans).
-            def __init__(self, *args, **kwargs):
-                self.allocation_calls = 0
-                self.cache_hits = 0
-
-            def choose_boundaries(self, graph, units):
-                return [(0, len(units) - 1)]
-
-            def build_plans(self, units, boundaries):
-                return _result(_plan(INFEASIBLE_LATENCY))
-
-        monkeypatch.setattr(passes_module, "NetworkSegmenter", InfeasibleSegmenter)
-        compiler = CMSwitchCompiler(small_chip, CompilerOptions(generate_code=False))
-        with pytest.raises(NoFeasiblePlanError):
-            compiler.compile(tiny_cnn_graph)
 
 
 class TestInfeasibilityGuards:

@@ -84,6 +84,21 @@ class TestParser:
         err = capsys.readouterr().err
         assert "usage:" in err and "must be at least 0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_a_port_outside_0_to_65535_is_a_usage_error(self, port, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", f"--port={port}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "0-65535" in err and "Traceback" not in err
+
+    def test_a_negative_dse_budget_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dse", "tiny-mlp", "--budget", "-3", "--cache-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # no space.json, report or pareto.csv
+
     def test_port_zero_and_a_non_number_keep_their_meaning(self, capsys):
         assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
         assert build_parser().parse_args(["serve", "--timeout", "0"]).timeout == 0.0

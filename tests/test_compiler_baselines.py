@@ -13,10 +13,9 @@ from repro.baselines import (
     PUMACompiler,
     get_compiler,
 )
-from repro.core import CMSwitchCompiler, CompilerOptions, NoFeasiblePlanError
+from repro.baselines.base import policy_passes
+from repro.core import CMSwitchCompiler, CompilerOptions, flatten_graph
 from repro.core.cache import AllocationCache
-from repro.core.program import SegmentPlan
-from repro.cost.latency import INFEASIBLE_LATENCY, OperatorAllocation
 from repro.hardware import get_preset
 from repro.models import Workload, build_model
 from repro.obs import NULL_OBS
@@ -165,36 +164,17 @@ class TestBaselineCompilers:
             assert not hasattr(compiler, removed), removed
         assert "compile" not in vars(BaselineCompiler)
 
-    def test_an_infeasible_plan_raises_with_solver_stats(
-        self, small_chip, tiny_cnn_graph, monkeypatch
-    ):
-        # Before, a baseline returned an inf-cycle program (with code for it).
-        import repro.pipeline.passes as passes_module
+    def test_an_overflowing_policy_window_is_a_caller_error(self, small_chip, tiny_mlp_graph):
+        # Every unit fits alone, so a window that overflows is the policy's bug.
+        class WholeGraph(BaselineCompiler):
+            passes = policy_passes(lambda units, hardware: [(0, len(units) - 1)])
 
-        class InfeasibleSegmenter:
-            def __init__(self, *args, **kwargs):
-                self.allocation_calls = 3
-                self.cache_hits = 1
-
-            def build_plans(self, units, boundaries):
-                return [
-                    SegmentPlan(
-                        index=0,
-                        operator_names=["op"],
-                        allocations={"op": OperatorAllocation(1, 0)},
-                        profiles={},
-                        intra_cycles=INFEASIBLE_LATENCY,
-                        inter_cycles=0.0,
-                    )
-                ]
-
-        monkeypatch.setattr(passes_module, "NetworkSegmenter", InfeasibleSegmenter)
-        for compiler_cls in (PUMACompiler, OCCCompiler):
-            compiler = compiler_cls(small_chip, CompilerOptions(generate_code=True))
-            with pytest.raises(NoFeasiblePlanError) as caught:
-                compiler.compile(tiny_cnn_graph)
-            assert caught.value.stats["allocator_solves"] == 3
-            assert caught.value.stats["allocation_cache_hits"] == 1
+        one_array = replace(small_chip, num_arrays=1)
+        units = flatten_graph(tiny_mlp_graph, one_array)
+        assert len(units) > 1
+        compiler = WholeGraph(one_array, CompilerOptions(generate_code=False))
+        with pytest.raises(ValueError, match=r"window \[" + units[0].name):
+            compiler.compile(tiny_mlp_graph)
 
     def test_get_compiler_registry(self, small_chip):
         assert isinstance(get_compiler("cmswitch", small_chip), CMSwitchCompiler)

@@ -14,13 +14,14 @@ corpus's graphs.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.core.program import program_from_payload, program_to_payload
 from repro.core.segmentation import flatten_graph
 from repro.core.store import FORMAT_VERSION
+from repro.cost.arithmetic import ProfileVectors
 from repro.models import build_model, list_models
 from repro.serve.wire import WIRE_VERSION
 from repro.sim import TimingSimulator
@@ -32,6 +33,22 @@ def test_a_model_builds_the_same_graph_twice(model, corpus):
     compile service's recipe memo relies on it: it keeps one graph digest
     per (name, builder, workload) and never builds that recipe again."""
     assert build_model(model, corpus.workload).digest() == corpus.graph(model).digest()
+
+
+@pytest.mark.parametrize("model", list_models())
+def test_every_unit_fits_a_one_to_three_array_chip(model, corpus):
+    """Partitioning is why every graph has a plan: on each preset cut to
+    1, 2 or 3 arrays, every flattened unit's compute floor is in
+    ``[1, num_arrays]``.  Flattening only, no compile; the
+    ``SMALL_CHIP_SKIPS`` families skip the test chip (seconds each)."""
+    for chip, session in corpus.sessions.items():
+        if model not in corpus.models(chip):
+            continue
+        for num_arrays in (1, 2, 3):
+            hardware = replace(session.hardware, num_arrays=num_arrays)
+            units = flatten_graph(corpus.graph(model), hardware)
+            floors = ProfileVectors([unit.profile for unit in units], hardware).floors
+            assert 1 <= floors.min() and floors.max() <= num_arrays, (chip, num_arrays)
 
 
 @pytest.mark.corpus(lambda case: case.compiler in ("cmswitch", "cim-mlc") and not case.heavy)

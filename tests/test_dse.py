@@ -253,6 +253,10 @@ class TestStrategies:
 # Runner + resume
 # ---------------------------------------------------------------------- #
 class TestRunnerResume:
+    def test_a_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="budget must be at least 0"):
+            DSERunner(tiny_space()).run(budget=-1)
+
     def test_budget_limits_coverage(self, tmp_path):
         space = tiny_space(arrays=(4, 6, 8))
         result = run_dse(space, budget=2, cache_dir=tmp_path / "cache")
@@ -600,72 +604,6 @@ class TestRunnerResume:
                 resume=True,
             )
 
-    def test_fixed_pass_infeasibility_keeps_dual_plan_and_solves(
-        self, small_chip, monkeypatch, with_oracle
-    ):
-        # If the fixed-mode oracle pass proves itself infeasible, the
-        # dual-mode plan must survive and the oracle's solver work must
-        # still be counted.
-        import repro.pipeline.passes as passes_module
-        from repro.core.compiler import CompilerOptions
-        from repro.core.segmentation import NetworkSegmenter, NoFeasiblePlanError
-        from repro.models import build_model
-
-        real_segmenter = NetworkSegmenter
-
-        class FixedPassFails(real_segmenter):
-            def build_plans(self, units, boundaries):
-                if not self.options.allow_memory_mode:
-                    # Work done before the fixed-mode plan proved impossible.
-                    self.allocation_calls += 7
-                    self.cache_hits += 3
-                    raise NoFeasiblePlanError("fixed impossible")
-                return super().build_plans(units, boundaries)
-
-        monkeypatch.setattr(passes_module, "NetworkSegmenter", FixedPassFails)
-        graph = build_model("tiny-mlp", Workload(batch_size=1))
-        program = with_oracle(small_chip, CompilerOptions(generate_code=False)).compile(graph)
-        assert program.num_segments >= 1
-        assert program.stats["allocator_solves"] >= 7
-        assert program.stats["allocation_cache_hits"] >= 3
-        assert program.stats["allocation_disk_hits"] == 0  # nothing came off a disk
-
-    def test_infeasible_compile_still_reports_its_solves(self, small_chip, monkeypatch):
-        # Force the plan infeasible while preserving the solve counters:
-        # the work done before NoFeasiblePlanError must not vanish from
-        # batch/DSE accounting.
-        import repro.pipeline.passes as passes_module
-
-        def _infeasible_plan():
-            from repro.cost.latency import INFEASIBLE_LATENCY
-            from repro.core.program import SegmentPlan
-
-            return [
-                SegmentPlan(
-                    index=0, operator_names=["op"], allocations={}, profiles={},
-                    intra_cycles=INFEASIBLE_LATENCY, inter_cycles=0.0,
-                )
-            ]
-
-        class InfeasibleSegmenter:
-            def __init__(self, *args, **kwargs):
-                self.allocation_calls = 5
-                self.cache_hits = 3
-
-            def choose_boundaries(self, graph, units):
-                return [(0, 0)]
-
-            def build_plans(self, units, boundaries):
-                return _infeasible_plan()
-
-        monkeypatch.setattr(passes_module, "NetworkSegmenter", InfeasibleSegmenter)
-        result = run_dse(tiny_space(arrays=(8,)))
-        record = result.records[0]
-        assert not record.feasible and not record.failed
-        assert record.allocator_solves == 5
-        assert record.cache_hits == 3 and record.disk_hits == 0
-        assert result.allocator_solves == 5
-
     def test_shared_cache_object_instead_of_dir(self):
         service = CompileService()
         result = run_dse(tiny_space(), service=service)
@@ -910,6 +848,17 @@ class TestDseCli:
         for command in (["stats"], ["prune", "--max-bytes", "1MB"], ["clear"]):
             assert main(["cache", *command, "--cache-dir", str(cache_dir)]) == 0
         assert (cache_dir / "_dse" / "results.jsonl").is_file()
+
+    def test_budget_zero_reports_what_is_on_record(self, tmp_path, capsys):
+        from repro.cli import main
+
+        argv = ["dse", "--budget", "2", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv[:2], "0", *argv[3:], "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "2 of 2 points (2 feasible)" in out
+        assert "points: 0 evaluated" in out and "total allocator solves: 0" in out
 
     def test_dse_refuses_dirty_run_dir_without_resume(self, tmp_path, capsys):
         from repro.cli import main

@@ -4,8 +4,7 @@ The two contracts a multi-fidelity sweep hangs on:
 
 * **calibration** — :func:`repro.dse.bound.analytical_bound` (the
   rung-0 tier of a sweep) is a true lower bound on the registered model
-  zoo: it never reports a compilable point infeasible (or vice versa),
-  and its latency/energy never exceed the compiled plan's;
+  zoo: its latency/energy never exceed the compiled plan's;
 * **parity** — a compile-fidelity record carries exactly the metrics of
   the program :meth:`repro.api.Session.compile` builds, across the
   option matrix.
@@ -18,7 +17,13 @@ import re
 import pytest
 
 from repro.api import Session
-from repro.core import CMSwitchCompiler, CompilerOptions, NoFeasiblePlanError, flatten_graph
+from repro.core import (
+    AllocationCache,
+    CMSwitchCompiler,
+    CompilerOptions,
+    NetworkSegmenter,
+    flatten_graph,
+)
 from repro.core.allocation import GreedyAllocator, MIPAllocator
 from repro.core.lru import BoundedLRU
 from repro.cost import (
@@ -115,10 +120,8 @@ class TestAnalyticalEvaluator:
             assert bounds.keys() == exact.keys()
             for key, plan in exact.items():
                 low = bounds[key]
-                # Feasibility verdicts must agree in both directions.
-                assert low.feasible == plan.feasible, (plan.model, options)
-                if not plan.feasible:
-                    continue
+                # Every point has a plan, and so a bound.
+                assert low.feasible and plan.feasible, (plan.model, options)
                 checked += 1
                 assert low.cycles <= plan.cycles * (1 + 1e-9), (plan.model, options)
                 assert low.latency_ms <= plan.latency_ms * (1 + 1e-9)
@@ -126,48 +129,35 @@ class TestAnalyticalEvaluator:
                 assert low.peak_arrays <= plan.peak_arrays
         assert checked >= len(ZOO)
 
-    def test_infeasible_unit_is_detected_without_solving(
-        self, no_allocator_solves, monkeypatch
-    ):
-        """A unit that cannot fit the chip alone is reported infeasible."""
-        from repro.dse import bound
-
-        # Make a unit unfit without touching the real models.
-        monkeypatch.setattr(
-            bound, "flatten_graph", lambda graph, hw: inflate(flatten_graph(graph, hw), hw)
-        )
-        _, unfit = bound_of("tiny-mlp")
-        assert unfit is not None
-        (record,) = records(["tiny-mlp"], "analytical").values()
-        assert not record.feasible
-        assert not record.failed
-        assert unfit in record.error and "arrays" in record.error
-
-    def test_feasibility_matches_compiler_on_unfit_unit(self, monkeypatch):
-        """The bound's verdict is the compiler's, both ways: both read the
-        same compute floors, and both name the same unfit unit."""
-        import repro.pipeline.passes as passes_module
-        from repro.dse import bound
-
+    @pytest.mark.parametrize("step", ["choose_boundaries", "build_plans"])
+    def test_an_unfit_unit_is_a_caller_error(self, step, no_allocator_solves):
+        """Flattening makes every unit fit, so one that does not is refused
+        up front, by name, before any window is solved."""
         hardware = small_test_chip()
         graph = build_model("tiny-mlp", ZOO_WORKLOAD)
-        compile_ = CMSwitchCompiler(hardware, CompilerOptions(generate_code=False)).compile
-        assert analytical_bound(graph, hardware)[1] is None
-        assert compile_(graph).num_segments >= 1
+        units = inflate(flatten_graph(graph, hardware), hardware)
+        segmenter = NetworkSegmenter(hardware, cache=AllocationCache())
+        call = {
+            "choose_boundaries": lambda: segmenter.choose_boundaries(graph, units),
+            "build_plans": lambda: segmenter.build_plans(units, [(0, len(units) - 1)]),
+        }[step]
+        with pytest.raises(ValueError, match=re.escape(f"unit {units[-1].name!r}")):
+            call()
 
+    def test_an_unfit_unit_fails_the_compile_by_name(self, monkeypatch):
+        import repro.pipeline.passes as passes_module
+
+        hardware = small_test_chip()
         real_assign = passes_module.assign_liveness
-        monkeypatch.setattr(
-            bound, "flatten_graph", lambda graph, hw: inflate(flatten_graph(graph, hw), hw)
-        )
         monkeypatch.setattr(
             passes_module,
             "assign_liveness",
             lambda graph, expanded: inflate(real_assign(graph, expanded), hardware),
         )
-        _, unfit = analytical_bound(graph, hardware)
-        assert unfit is not None
-        with pytest.raises(NoFeasiblePlanError, match=re.escape(f"[{unfit}]")):
-            compile_(graph)
+        graph = build_model("tiny-mlp", ZOO_WORKLOAD)
+        last = flatten_graph(graph, hardware)[-1].name
+        with pytest.raises(ValueError, match=re.escape(repr(last))):
+            CMSwitchCompiler(hardware, CompilerOptions(generate_code=False)).compile(graph)
 
     def test_unknown_model_is_a_captured_failure(self):
         (record,) = records(["no-such-model"], "analytical").values()
@@ -210,17 +200,16 @@ class TestCompileEvaluator:
                 assert record.energy_mj == estimate_energy(direct).end_to_end_mj
                 assert record.num_segments == direct.num_segments
 
-    def test_infeasible_plan_is_not_a_failure(self, monkeypatch):
-        from repro.core.segmentation import NoFeasiblePlanError
-
+    def test_a_compile_error_is_a_failed_point(self, monkeypatch):
         def _raise(self):
-            raise NoFeasiblePlanError("nope")
+            raise RuntimeError("nope")
 
         monkeypatch.setattr(CompileJob, "resolve_graph", _raise)
         (record,) = run_dse(space_for(["tiny-mlp"])).records
         assert not record.feasible
-        assert not record.failed
-        assert (record.error or "").startswith("NoFeasiblePlanError")
+        assert record.failed
+        assert record.error == "RuntimeError: nope"
+        assert record.allocator_solves == 0 and record.cache_hits == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -256,8 +245,8 @@ class TestAnalyticalMemoSafety:
         """Interleaved models on one memo never cross-contaminate metrics."""
         shared_memo = BoundedLRU(FLATTEN_MEMO_ENTRIES)
         for model in ZOO + tuple(reversed(ZOO)):
-            shared, _ = bound_of(model, shared_memo)
-            fresh, _ = bound_of(model)
+            shared = bound_of(model, shared_memo)
+            fresh = bound_of(model)
             assert shared.end_to_end_cycles == fresh.end_to_end_cycles, model
             assert shared.end_to_end_mj == fresh.end_to_end_mj, model
 

@@ -424,3 +424,18 @@ def test_a_replay_reads_the_trace_columns():
         and ast.unparse(node.value).split(".")[-1] == "trace"
     ]
     assert not reads, reads
+
+
+def test_every_graph_has_a_plan_so_no_code_handles_none():
+    """Partitioning makes every unit fit the chip, so a graph without a
+    plan is not an outcome: no exception type, branch or verdict for it
+    exists in the package (``tests/test_partition_guarantee.py`` pins the
+    guarantee; a unit over the chip is the segmenter's ``ValueError``)."""
+    users = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*"))
+        if path.is_file()
+        and "__pycache__" not in path.parts
+        and b"NoFeasiblePlanError" in path.read_bytes()
+    ]
+    assert not users, users

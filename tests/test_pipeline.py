@@ -114,43 +114,6 @@ class TestPipelineExecution:
             dual.allocation_calls + oracle.allocation_calls
         )
 
-    def test_both_infeasibility_errors_carry_the_same_stats(
-        self, small_chip, tiny_mlp_graph, monkeypatch
-    ):
-        """An unmappable segment (raised while building plans) and an
-        infinite-cost plan (raised by program assembly) report one payload."""
-        import repro.pipeline.passes as passes_module
-        from repro.core import NoFeasiblePlanError, SegmentPlan
-        from repro.core.segmentation import NetworkSegmenter
-        from repro.cost.latency import INFEASIBLE_LATENCY
-
-        def compile_error():
-            compiler = CMSwitchCompiler(small_chip, CompilerOptions(generate_code=False))
-            with pytest.raises(NoFeasiblePlanError) as caught:
-                compiler.compile(tiny_mlp_graph)
-            return caught.value.stats
-
-        with monkeypatch.context() as patch:
-            patch.setattr(NetworkSegmenter, "_spare_arrays", lambda self, start, end: -1)
-            unmappable = compile_error()
-
-        class InfinitePlan(NetworkSegmenter):
-            def build_plans(self, units, boundaries):
-                plans = super().build_plans(units, boundaries)
-                return plans + [
-                    SegmentPlan(
-                        index=len(plans), operator_names=["op"], allocations={},
-                        profiles={}, intra_cycles=INFEASIBLE_LATENCY, inter_cycles=0.0,
-                    )
-                ]
-
-        monkeypatch.setattr(passes_module, "NetworkSegmenter", InfinitePlan)
-        infinite = compile_error()
-        assert sorted(unmappable) == sorted(infinite)
-        for stats in (unmappable, infinite):
-            assert stats["wall_seconds"] > 0.0 and stats["allocation_disk_hits"] == 0
-        assert infinite["allocator_solves"] > 0
-
     def test_oracle_pass_leaves_the_default_plan_unchanged(
         self, small_chip, tiny_mlp_graph, with_oracle
     ):
