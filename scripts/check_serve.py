@@ -24,7 +24,11 @@ via ``--port-file``) and asserts the serving contract end to end:
    daemon is answered from the request table too (``cached: true``, the
    local compile's fingerprint, ``serve_compiles_executed`` still 1) —
    the daemon is the tier machines share;
-6. SIGTERM drains the daemon cleanly: it runs admitted work to
+6. a keep-alive ``POST /v1/compile`` round trip from ``Client`` is not
+   stalled either: the median of 20 repeated, cached compiles is under
+   10 ms (0.9 ms healthy; a client that sends headers and body as two
+   writes without ``TCP_NODELAY`` costs the same 40 ms from its side);
+7. SIGTERM drains the daemon cleanly: it runs admitted work to
    completion, prints its "drained cleanly" line and exits 0;
 
 and every ``/metrics`` read prints each line name once (one fact, one
@@ -231,7 +235,22 @@ def main() -> int:
     assert metric(metrics, "serve_compiles_executed") == 1, metrics
     print("fresh client process ok: cached, fingerprint bit-identical, still 1 compile")
 
-    # 6. Graceful SIGTERM drain, exit 0.
+    # 6. Stall tripwire on POST round trips: every answer is a retained hit.
+    with Client(serve_url) as client:
+        posts = []
+        for _ in range(PINGS):
+            start = time.perf_counter()
+            posted = client.compile(MODEL, hardware=HARDWARE)
+            posts.append((time.perf_counter() - start) * 1000.0)
+            assert posted.cached, posted
+    post_ms = statistics.median(posts)
+    assert post_ms < STALL_MS, (
+        f"median cached POST /v1/compile round trip {post_ms:.1f} ms >= {STALL_MS:g} ms: "
+        "a request or response is leaving in more than one send (Nagle x delayed ACK)"
+    )
+    print(f"transport ok: median cached POST /v1/compile round trip {post_ms:.2f} ms over {PINGS}")
+
+    # 7. Graceful SIGTERM drain, exit 0.
     drain(serve_proc, "compile daemon")
     print("serve smoke ok")
     return 0

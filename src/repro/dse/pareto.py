@@ -174,7 +174,7 @@ def render_report(
         for record in pool
         if getattr(record, "feasible", False) and record.point_key not in frontier_keys
     ]
-    totals = f"dominated: {len(dominated)}, infeasible/failed: {len(records) - feasible}"
+    totals = f"dominated: {len(dominated)}, failed: {len(records) - feasible}"
     screened = len(records) - len(pool)
     if screened:
         totals += f", lower-bound screened: {screened}"

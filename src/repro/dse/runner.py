@@ -661,9 +661,9 @@ class DSERunner:
                 fidelity=fidelity,
                 **fields,
             )
-            if not record.feasible:
+            if not record.feasible:  # a point is not feasible only when it failed
                 metrics.inc("dse.points.infeasible")
-                span.set(status="infeasible")
+                span.set(status="failed")
                 return record
             if self.objective == "trace_p99":
                 record.trace_p99_ms = self._trace_p99(point)

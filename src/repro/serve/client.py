@@ -1,18 +1,28 @@
 """HTTP client for the compile daemon.
 
 :class:`Client` is the programmatic counterpart of ``repro serve`` — it
-speaks the versioned JSON wire format of :mod:`repro.serve.wire` over a
-kept-alive ``http.client`` connection and reconstructs real
+speaks the versioned JSON wire format of :mod:`repro.serve.wire` over one
+kept-alive HTTP/1.1 socket and reconstructs real
 :class:`~repro.core.program.CompiledProgram` objects on the way back
 (``result.program.fingerprint()`` is bit-identical to what a local
 ``Session.compile`` of the same job produces).
 
+Transport — the mirror of the daemon's
+:func:`~repro.serve.httpbase.respond_bytes`: a request (request line,
+headers, body) leaves in **one** ``sendall`` on a ``TCP_NODELAY``
+socket, and a response is framed by its ``Content-Length`` alone.  The
+reader keeps ``http.client``'s bounds (a 64 KiB line, 100 headers),
+refuses a response without ``Content-Length`` and drops the socket after
+``Connection: close`` or an ``HTTP/1.0`` status line.
+
 Retry policy — deliberately asymmetric:
 
-* **Connection-level failures** (refused, reset, dead keep-alive socket)
-  are retried with jittered exponential backoff: the daemon may still be
-  binding its port, or a load balancer may be failing over.  These
-  retries are safe because an unsent/unanswered request did no work.
+* **Connection-level and framing failures** (refused, reset, dead
+  keep-alive socket, timeout, a garbled or truncated response) are
+  retried on a fresh socket with jittered exponential backoff: the
+  daemon may still be binding its port, or a load balancer may be
+  failing over.  These retries are safe because a compile request is
+  idempotent: the same job yields the same program.
 * **Compile failures** (a structured ``ok: false`` answer) are *never*
   retried: the daemon already ran the pipeline deterministically, and
   the same inputs would fail the same way.  They surface as
@@ -21,13 +31,12 @@ Retry policy — deliberately asymmetric:
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from ..core.program import CompiledProgram
@@ -90,19 +99,71 @@ class RemoteCompileResult:
         return self.program.fingerprint() == self.fingerprint
 
 
-#: Errors that mean "the request may never have reached a worker" — the
-#: only ones worth retrying.
-_RETRYABLE = (
-    ConnectionError,
-    http.client.NotConnected,
-    http.client.CannotSendRequest,
-    http.client.RemoteDisconnected,
-    http.client.ResponseNotReady,
-    http.client.BadStatusLine,
-    socket.timeout,
-    socket.gaierror,
-    OSError,
-)
+#: ``http.client``'s bounds on a response head, kept: a longer status or
+#: header line, or more header lines, is a framing fault, not a wait.
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADERS = 100
+
+
+class _FramingError(Exception):
+    """The daemon's answer was not one well-framed HTTP/1.1 response."""
+
+
+#: Connection-level failures (every socket error, timeouts included) and
+#: framing faults — the only ones worth retrying.
+_RETRYABLE = (OSError, _FramingError)
+
+
+def _read_line(reader: BinaryIO) -> bytes:
+    line = reader.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise _FramingError(f"response line longer than {MAX_LINE_BYTES} bytes")
+    return line
+
+
+def _read_response(reader: BinaryIO) -> Tuple[int, bytes, bool]:
+    """Read one response off ``reader``: ``(status, body, keep_alive)``.
+
+    Only ``Content-Length`` and ``Connection`` are interpreted; the body
+    is exactly ``Content-Length`` bytes.
+    """
+    status_line = _read_line(reader)
+    if not status_line:
+        raise ConnectionResetError("the daemon closed the connection without answering")
+    parts = status_line.split(None, 2)
+    if (
+        len(parts) < 2
+        or parts[0] not in (b"HTTP/1.1", b"HTTP/1.0")
+        or len(parts[1]) != 3
+        or not parts[1].isdigit()
+    ):
+        raise _FramingError(f"bad status line {status_line[:80]!r}")
+    keep_alive = parts[0] == b"HTTP/1.1"
+    length = None
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            break
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise _FramingError(f"bad header line {line[:80]!r}")
+        name = name.strip().lower()
+        if name == b"content-length":
+            value = value.strip()
+            if not value.isdigit():
+                raise _FramingError(f"bad Content-Length {value[:80]!r}")
+            length = int(value)
+        elif name == b"connection":
+            tokens = [token.strip() for token in value.lower().split(b",")]
+            keep_alive = keep_alive and b"close" not in tokens
+    else:
+        raise _FramingError(f"more than {MAX_HEADERS} response headers")
+    if length is None:
+        raise _FramingError("response without Content-Length")
+    body = reader.read(length)
+    if len(body) != length:
+        raise _FramingError(f"response body of {len(body)} bytes, expected {length}")
+    return int(parts[1]), body, keep_alive
 
 
 class Client:
@@ -140,26 +201,23 @@ class Client:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._conn: Optional[http.client.HTTPConnection] = None
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        self._host_header = f"Host: {host}:{self.port}\r\n"
+        self._sock: Optional[socket.socket] = None
+        self._reader: Optional[BinaryIO] = None
 
     # ------------------------------------------------------------------ #
     # transport
     # ------------------------------------------------------------------ #
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._conn
-
     def close(self) -> None:
         """Drop the kept-alive connection (reopened on the next call)."""
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
+        for stream in (self._reader, self._sock):
+            if stream is not None:
+                try:
+                    stream.close()
+                except OSError:
+                    pass
+        self._sock = self._reader = None
 
     def __enter__(self) -> "Client":
         return self
@@ -168,12 +226,19 @@ class Client:
         self.close()
 
     def _request_once(self, method: str, path: str, body: Optional[bytes]):
-        conn = self._connection()
-        headers = {"Content-Type": "application/json"} if body is not None else {}
-        conn.request(method, path, body=body, headers=headers)
-        response = conn.getresponse()
-        data = response.read()  # drain so the connection can be reused
-        return response.status, data
+        if self._sock is None:
+            self._sock = socket.create_connection((self.host, self.port), self.timeout)
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._reader = self._sock.makefile("rb")
+        head = f"{method} {path} HTTP/1.1\r\n{self._host_header}"
+        if body is not None:
+            head += f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n"
+        # One write: a split request costs the daemon a second segment.
+        self._sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
+        status, data, keep_alive = _read_response(self._reader)
+        if not keep_alive:
+            self.close()
+        return status, data
 
     def _request_bytes(
         self,
@@ -182,7 +247,7 @@ class Client:
         body: Optional[bytes] = None,
         retries: Optional[int] = None,
     ):
-        """One request with jittered-backoff retry on connection errors only.
+        """One request with jittered-backoff retry on connection and framing errors only.
 
         The single retry loop of the client.  Returns ``(status, raw
         body)``; raises :class:`ClientError` once the retry budget

@@ -18,12 +18,14 @@ from repro.dse import (
     RunStateError,
     make_strategy,
     pareto_frontier,
+    render_report,
     run_dse,
     write_csv,
 )
 from repro.hardware import small_test_chip
 from repro.models import Workload, build_model
-from repro.service import CompileService
+from repro.obs import Observability
+from repro.service import CompileJob, CompileService
 
 
 def tiny_space(arrays=(4, 8), modes=None, models=("tiny-cnn",)):
@@ -808,6 +810,23 @@ class TestPareto:
         records = [_record("a", 10.0, 5.0, 8), _record("b", 10.0, 5.0, 8)]
         assert len(pareto_frontier(records)) == 2
 
+    def test_a_failed_point_is_reported_and_traced_as_failed(self, monkeypatch):
+        resolve_graph = CompileJob.resolve_graph
+
+        def fail_the_mlp(job):
+            if job.model.name == "tiny-mlp":
+                raise RuntimeError("nope")
+            return resolve_graph(job)
+
+        monkeypatch.setattr(CompileJob, "resolve_graph", fail_the_mlp)
+        obs = Observability.create()
+        result = run_dse(tiny_space(arrays=(8,), models=("tiny-cnn", "tiny-mlp")), obs=obs)
+        points = [s for s in obs.tracer.spans() if s.name == "dse.point"]
+        assert sorted(s.attrs["status"] for s in points) == ["failed", "feasible"]
+        assert obs.metrics.to_dict()["counters"]["dse.points.infeasible"] == 1
+        totals = render_report(result.records).splitlines()[-1]
+        assert totals == "dominated: 0, failed: 1"
+
     def test_csv_written_with_pareto_flags(self, tmp_path):
         records = [_record("a", 10.0, 5.0, 8), _record("c", 30.0, 6.0, 8)]
         path = write_csv(tmp_path / "out.csv", records)
@@ -1480,8 +1499,6 @@ class TestDseCliFidelity:
         # In an auto run a non-promoted point keeps its optimistic
         # analytical record; the "best" line and the dominance counts
         # must rank only full-fidelity records.
-        from repro.dse import render_report
-
         bound = EvaluationRecord(
             point_key="bound", model="m", workload="w", hardware="h", num_arrays=4,
             hardware_fingerprint="f", coords=(0,), allow_memory_mode=True,

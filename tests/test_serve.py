@@ -6,7 +6,8 @@ compile for N concurrent identical requests), the `Session` context
 manager, and the batch JSON report; and the ISSUE-12 fast path: the
 request-level result table, one write per response on `TCP_NODELAY`
 sockets, the daemon's bounded tracer and shutdown of a server that never
-served.
+served; and the client's transport: one write per request, and framing
+faults injected by a canned-reply stub server.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.models import build_model
 from repro.models.workload import Phase, Workload
 from repro.serve import (
     Client,
+    ClientError,
     CoalesceTimeout,
     CompileDaemon,
     CompileRequestError,
@@ -40,6 +42,7 @@ from repro.serve import (
     program_to_wire,
     request_fingerprint,
 )
+from repro.serve import client as client_module
 from repro.serve import coalesce as coalesce_module
 from repro.serve import daemon as daemon_module
 from repro.serve.coalesce import FOLLOW, HIT, LEAD, Flight
@@ -887,6 +890,227 @@ class TestSingleSendTransport:
         executed, hit = json.loads(bodies[1]), json.loads(bodies[2])
         assert (executed.pop("cached"), hit.pop("cached")) == (False, True)
         assert executed == hit
+
+    def test_client_writes_each_request_once(self, daemon, client_tap):
+        job = CompileJob("tiny-mlp", hardware="small-test-chip")
+        with Client(daemon.url, retries=0) as client:
+            assert client.healthy()
+            client.compile(job)
+            client.compile_batch([job])
+            client.cache_stats()
+            client.metrics_text()
+            assert client._request("GET", "/nope")[0] == 404
+        assert client_tap.connects == 1
+        requests = []
+        for write in client_tap.writes:
+            head, separator, body = write.partition(b"\r\n\r\n")
+            assert separator
+            request_line, *lines = head.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines)
+            assert int(headers.get("Content-Length", 0)) == len(body)
+            requests.append(request_line)
+        assert requests == [
+            "GET /healthz HTTP/1.1",
+            "POST /v1/compile HTTP/1.1",
+            "POST /v1/compile_batch HTTP/1.1",
+            "GET /v1/cache/stats HTTP/1.1",
+            "GET /metrics HTTP/1.1",
+            "GET /nope HTTP/1.1",
+        ]
+        assert all(client_tap.nodelay)
+
+    def test_the_daemon_still_reads_a_request_split_over_two_sends(self, daemon):
+        """curl-style clients send the headers, then the body."""
+        body = json.dumps(
+            {
+                "wire_version": WIRE_VERSION,
+                "job": job_to_wire(CompileJob("tiny-mlp", hardware="small-test-chip")),
+            }
+        ).encode("utf-8")
+        head = (
+            "POST /v1/compile HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1")
+        with socket.create_connection(("127.0.0.1", daemon.bound_port), timeout=30) as sock:
+            sock.sendall(head)
+            time.sleep(0.05)
+            sock.sendall(body)
+            with sock.makefile("rb") as reader:
+                status_line = reader.readline()
+                length = 0
+                for line in iter(reader.readline, b"\r\n"):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                document = json.loads(reader.read(length))
+        assert status_line.startswith(b"HTTP/1.1 200 ")
+        assert document["ok"] and not document["cached"]
+        program = program_from_wire(document["program"])
+        assert program.fingerprint() == document["fingerprint"]
+
+
+@pytest.fixture()
+def client_tap(monkeypatch):
+    """Record every write on the client's sockets, its TCP_NODELAY, and connects."""
+    tap = SimpleNamespace(writes=[], nodelay=[], connects=0)
+    create_connection = socket.create_connection
+
+    class RecordingSocket:
+        def __init__(self, sock):
+            self._sock = sock
+
+        def _record(self, data):
+            tap.writes.append(bytes(data))
+            tap.nodelay.append(
+                self._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        def sendall(self, data, *flags):
+            self._record(data)
+            return self._sock.sendall(data, *flags)
+
+        def __getattr__(self, name):
+            return getattr(self._sock, name)
+
+    def connect(*args, **kwargs):
+        tap.connects += 1
+        return RecordingSocket(create_connection(*args, **kwargs))
+
+    monkeypatch.setattr(client_module.socket, "create_connection", connect)
+    return tap
+
+
+# ---------------------------------------------------------------------- #
+# client framing: injected faults end in ClientError or a reconnect
+# ---------------------------------------------------------------------- #
+class CannedServer:
+    """An HTTP stub that answers every request with the same canned bytes.
+
+    Counts accepted connections and requests read.  With ``closing`` it
+    closes a connection after each reply; otherwise it waits for the
+    next request on it, so a client that reads past its response hangs.
+    """
+
+    def __init__(self, reply: bytes, closing: bool = False) -> None:
+        self.reply, self.closing = reply, closing
+        self.accepts = self.requests = 0
+        self._stop = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        threading.Thread(target=self._accept_loop, daemon=True).start()
+
+    def _accept_loop(self) -> None:
+        with self._listener:
+            while not self._stop.is_set():
+                try:
+                    conn, _ = self._listener.accept()
+                except socket.timeout:
+                    continue
+                self.accepts += 1
+                threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        with conn, conn.makefile("rb") as reader:
+            while True:
+                length = None
+                for line in iter(reader.readline, b"\r\n"):
+                    if not line:
+                        return  # the client hung up
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                reader.read(length or 0)
+                self.requests += 1
+                conn.sendall(self.reply)
+                if self.closing:
+                    return
+
+    def stop(self) -> None:
+        self._stop.set()
+
+
+@pytest.fixture()
+def canned():
+    servers = []
+
+    def start(reply: bytes, closing: bool = False) -> CannedServer:
+        servers.append(CannedServer(reply, closing))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+def _pad(headers: int) -> bytes:
+    return b"".join(b"X-Pad-%d: x\r\n" % i for i in range(headers))
+
+
+_OK = b'{"ok": true}'
+
+
+class TestClientFraming:
+    @pytest.mark.parametrize(
+        "reply, closing",
+        [
+            (b"garbage\r\n\r\n", False),
+            (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + _OK, False),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + _OK, True),
+            (b"HTTP/1.1 200 OK\r\n" + _pad(100) + b"Content-Length: 12\r\n\r\n" + _OK, False),
+            (
+                b"HTTP/1.1 200 OK\r\nX-Pad: " + b"x" * 65536 + b"\r\n"
+                b"Content-Length: 12\r\n\r\n" + _OK,
+                False,
+            ),
+        ],
+        ids=["garbled-status", "no-length", "short-body", "101-headers", "long-line"],
+    )
+    def test_a_framing_fault_is_a_client_error_after_the_retries(self, canned, reply, closing):
+        server = canned(reply, closing)
+        start = time.perf_counter()
+        with Client(server.url, timeout=5.0, retries=1, backoff=0.01) as client:
+            with pytest.raises(ClientError, match=r"after 2 attempt\(s\)") as excinfo:
+                client.cache_stats()
+        # Nothing waited for EOF or a socket timeout.
+        assert time.perf_counter() - start < 2.0
+        assert type(excinfo.value) is ClientError
+        assert server.accepts == 2  # every retry on a fresh socket
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 12\r\n\r\n" + _OK,
+            b"HTTP/1.0 200 OK\r\nContent-Length: 12\r\n\r\n" + _OK,
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_a_closing_response_drops_the_socket(self, canned, reply):
+        server = canned(reply, closing=True)
+        with Client(server.url, timeout=5.0, retries=0) as client:
+            for _ in range(3):
+                assert client.cache_stats() == {"ok": True}
+        assert (server.accepts, server.requests) == (3, 3)
+
+    def test_a_keep_alive_response_keeps_the_socket(self, canned):
+        # 99 padding headers + Content-Length: exactly the 100 allowed.
+        server = canned(b"HTTP/1.1 200 OK\r\n" + _pad(99) + b"Content-Length: 12\r\n\r\n" + _OK)
+        with Client(server.url, timeout=5.0, retries=0) as client:
+            for _ in range(3):
+                assert client.cache_stats() == {"ok": True}
+        assert (server.accepts, server.requests) == (1, 3)
+
+    def test_a_structured_error_is_never_retried(self, canned):
+        error = b'{"error": {"code": "compile_failed", "message": "boom"}}'
+        server = canned(
+            b"HTTP/1.1 422 Unprocessable Entity\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(error), error)
+        )
+        with Client(server.url, timeout=5.0, retries=3, backoff=0.01) as client:
+            with pytest.raises(CompileRequestError) as excinfo:
+                client.cache_stats()
+        assert (excinfo.value.code, excinfo.value.status) == ("compile_failed", 422)
+        assert (server.accepts, server.requests) == (1, 1)
 
 # ---------------------------------------------------------------------- #
 # long-lived server hygiene: bounded tracer, shutdown in any state
