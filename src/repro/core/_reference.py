@@ -171,7 +171,7 @@ def reference_greedy_allocate(
     every operator at its minimum compute footprint, then the scalar
     refinement hands out the rest of the chip."""
     if not profiles:
-        return AllocationResult({}, 0.0, True, "greedy")
+        return AllocationResult.from_allocations({}, 0.0, True, "greedy")
     floors = {
         name: OperatorAllocation(max(1, profile.min_compute_arrays(hardware)), 0)
         for name, profile in profiles.items()
@@ -180,7 +180,7 @@ def reference_greedy_allocate(
         return infeasible_result()
     latency = segment_latency_cycles(profiles, floors, hardware, pipelined=pipelined)
     return reference_refine_with_spare_arrays(
-        AllocationResult(floors, latency, True, "greedy"),
+        AllocationResult.from_allocations(floors, latency, True, "greedy"),
         profiles, hardware, pipelined=pipelined, allow_memory_mode=allow_memory_mode,
     )
 
@@ -224,7 +224,7 @@ def reference_refine_with_spare_arrays(
     if not improved:
         return result
     latency = segment_latency_cycles(profiles, allocations, hardware, pipelined=pipelined)
-    return AllocationResult(allocations, latency, True, result.solver)
+    return AllocationResult.from_allocations(allocations, latency, True, result.solver)
 
 
 def reference_baseline_compile(baseline, graph: Graph) -> CompiledProgram:

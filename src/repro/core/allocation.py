@@ -42,7 +42,8 @@ profile, per allocator or per module.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,12 +66,25 @@ if TYPE_CHECKING:  # the cache module imports this one
     from .cache import AllocationCache
 
 
+#: One operator's allocation by position: ``(compute_arrays, memory_arrays)``.
+Pair = Tuple[int, int]
+
+
 @dataclass
 class AllocationResult:
-    """Outcome of allocating one segment.
+    """Outcome of allocating one segment, kept by position.
+
+    A window's allocation is one ``(compute, memory)`` pair per operator
+    in window order next to the window's operator names: the solve, the
+    refinement, the window table and the DP edge all read and write the
+    pairs, and a name is attached to an allocation only where a plan
+    needs one (:meth:`NetworkSegmenter.build_plans
+    <repro.core.segmentation.NetworkSegmenter.build_plans>`).
 
     Attributes:
-        allocations: Per-operator allocation.
+        names: The window's operator names, in window order.
+        pairs: ``(compute_arrays, memory_arrays)`` per operator, aligned
+            with ``names`` (empty for an infeasible result).
         latency_cycles: Pipelined segment latency under the allocation.
         feasible: Whether the segment fits the chip at all.
         solver: Which engine produced the result ("exact", "milp",
@@ -83,34 +97,65 @@ class AllocationResult:
             DP relaxes each edge with both.
     """
 
-    allocations: Dict[str, OperatorAllocation]
+    names: Tuple[str, ...]
+    pairs: Tuple[Pair, ...]
     latency_cycles: float
     feasible: bool
     solver: str
     from_cache: bool = False
     unreserved: Optional["AllocationResult"] = None
+    _view: Optional[Mapping[str, OperatorAllocation]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_allocations(
+        cls,
+        allocations: Mapping[str, OperatorAllocation],
+        latency_cycles: float,
+        feasible: bool,
+        solver: str,
+    ) -> "AllocationResult":
+        """The result of a name-keyed allocation, in the mapping's order."""
+        return cls(
+            tuple(allocations),
+            tuple((a.compute_arrays, a.memory_arrays) for a in allocations.values()),
+            latency_cycles,
+            feasible,
+            solver,
+        )
+
+    @property
+    def allocations(self) -> Mapping[str, OperatorAllocation]:
+        """Read-only ``name -> OperatorAllocation`` view, built on first read."""
+        if self._view is None:
+            self._view = MappingProxyType(
+                {
+                    name: OperatorAllocation(compute, memory)
+                    for name, (compute, memory) in zip(self.names, self.pairs)
+                }
+            )
+        return self._view
 
     @property
     def total_arrays(self) -> int:
         """Total arrays used."""
-        return sum(a.total_arrays for a in self.allocations.values())
+        return sum(compute + memory for compute, memory in self.pairs)
 
     @property
     def compute_arrays(self) -> int:
         """Total compute-mode arrays used."""
-        return sum(a.compute_arrays for a in self.allocations.values())
+        return sum(compute for compute, _ in self.pairs)
 
     @property
     def memory_arrays(self) -> int:
         """Total memory-mode arrays used."""
-        return sum(a.memory_arrays for a in self.allocations.values())
+        return sum(memory for _, memory in self.pairs)
 
 
 def infeasible_result() -> AllocationResult:
     """Result representing a segment that cannot be mapped onto the chip."""
-    return AllocationResult(
-        allocations={}, latency_cycles=INFEASIBLE_LATENCY, feasible=False, solver="infeasible"
-    )
+    return AllocationResult((), (), INFEASIBLE_LATENCY, False, "infeasible")
 
 
 # ---------------------------------------------------------------------- #
@@ -129,10 +174,6 @@ class AllocationCandidate:
         """Arrays the candidate consumes."""
         return self.compute_arrays + self.memory_arrays
 
-    def to_allocation(self) -> OperatorAllocation:
-        """Convert to an :class:`OperatorAllocation`."""
-        return OperatorAllocation(self.compute_arrays, self.memory_arrays)
-
 
 class CandidateList(list):
     """One operator's Pareto candidates plus the columns a selection reads.
@@ -140,14 +181,17 @@ class CandidateList(list):
     A list of :class:`AllocationCandidate` (arrays ascending, latency
     strictly descending) that also carries ``negated`` (the latencies,
     negated so they ascend — what :meth:`ExactAllocator._select`
-    bisects) and ``totals`` (the array counts), built once with the list
-    instead of once per window solve that contains the operator.
+    bisects), ``totals`` (the array counts) and ``pairs`` (each
+    candidate's ``(compute, memory)``, what a result carries), built
+    once with the list instead of once per window solve that contains
+    the operator.
     """
 
     def __init__(self, candidates: Iterable[AllocationCandidate] = ()) -> None:
         super().__init__(candidates)
         self.negated: List[float] = [-c.latency_cycles for c in self]
         self.totals: List[int] = [c.total_arrays for c in self]
+        self.pairs: List[Pair] = [(c.compute_arrays, c.memory_arrays) for c in self]
 
 
 #: Pareto candidates kept per operator; longer frontiers are thinned
@@ -350,10 +394,11 @@ class UnitWindow(dict):
     per-operator facts from the profiles.
     """
 
-    __slots__ = ("columns", "start", "stop")
+    __slots__ = ("columns", "start", "stop", "names")
 
     def __init__(self, columns: UnitColumns, start: int, stop: int) -> None:
-        super().__init__(zip(columns.names[start:stop], columns.profiles[start:stop]))
+        self.names: Tuple[str, ...] = columns.names[start:stop]
+        super().__init__(zip(self.names, columns.profiles[start:stop]))
         self.columns = columns
         self.start = start
         self.stop = stop
@@ -387,12 +432,12 @@ def unit_window(
 # ---------------------------------------------------------------------- #
 # the spare-array hand-out loop
 # ---------------------------------------------------------------------- #
-#: One hand-out state: the allocations and their per-operator latencies.
-_HandOut = Tuple[Dict[str, OperatorAllocation], List[float]]
+#: One hand-out state: the pairs and their per-operator latencies.
+_HandOut = Tuple[Tuple[Pair, ...], List[float]]
 
 
 def _hand_out_spare_arrays(
-    allocations: Mapping[str, OperatorAllocation],
+    pairs: Sequence[Pair],
     window: UnitWindow,
     spare: int,
     allow_memory_mode: bool,
@@ -401,18 +446,20 @@ def _hand_out_spare_arrays(
 ) -> Tuple[_HandOut, Optional[_HandOut]]:
     """Grow the bottleneck operator one array at a time.
 
-    Each step takes the operator bounding the segment (first maximum)
-    and gives it one array in whichever mode lowers its latency most —
-    compute on a tie — until ``spare`` arrays are handed out or the
-    bottleneck cannot improve.  While the segment's memory-mode arrays
-    do not yet cover ``inbound_arrays`` (the live data entering the
-    segment, in arrays), the memory option also counts the write-back
-    round trip one more retained array avoids,
-    ``2 * array_capacity_elements / d_extern`` cycles — exactly the
-    capacity :func:`~repro.cost.switching.writeback_cycles` credits to
-    the segment's memory arrays.  Every step therefore lowers the
-    segment latency plus the write-back of still-uncovered inbound
-    data; with nothing inbound that is the latency alone.
+    ``pairs`` is the seed allocation, one ``(compute, memory)`` per
+    operator of ``window`` in window order.  Each step takes the
+    operator bounding the segment (first maximum) and gives it one array
+    in whichever mode lowers its latency most — compute on a tie — until
+    ``spare`` arrays are handed out or the bottleneck cannot improve.
+    While the segment's memory-mode arrays do not yet cover
+    ``inbound_arrays`` (the live data entering the segment, in arrays),
+    the memory option also counts the write-back round trip one more
+    retained array avoids, ``2 * array_capacity_elements / d_extern``
+    cycles — exactly the capacity :func:`~repro.cost.switching
+    .writeback_cycles` credits to the segment's memory arrays.  Every
+    step therefore lowers the segment latency plus the write-back of
+    still-uncovered inbound data; with nothing inbound that is the
+    latency alone.
 
     A step depends only on the state it starts from, so the hand-out
     that withholds ``reserve`` arrays is the first ``spare - reserve``
@@ -431,14 +478,10 @@ def _hand_out_spare_arrays(
     columns = window.columns
     hardware = columns.hardware
     compute_rows, supply_rows = columns.factor_tables()
-    position = dict(zip(window, range(window.start, window.stop)))
-    names = list(allocations)
-    rows = [position[name] for name in names]
-    compute_times = [compute_rows[row] for row in rows]
-    supply_times = [supply_rows[row] for row in rows]
-    seed_compute = [allocations[name].compute_arrays for name in names]
-    seed_memory = [allocations[name].memory_arrays for name in names]
-    compute, memory = list(seed_compute), list(seed_memory)
+    compute_times = compute_rows[window.start : window.stop]
+    supply_times = supply_rows[window.start : window.stop]
+    compute = [com for com, _ in pairs]
+    memory = [mem for _, mem in pairs]
     latencies = [
         max(compute_time[com], supply_time[mem])
         for compute_time, supply_time, com, mem in zip(
@@ -449,12 +492,7 @@ def _hand_out_spare_arrays(
     credit = 2.0 * hardware.array_capacity_elements / hardware.d_extern
 
     def state() -> _HandOut:
-        handed = dict(allocations)
-        for index, name in enumerate(names):
-            com, mem = compute[index], memory[index]
-            if com != seed_compute[index] or mem != seed_memory[index]:
-                handed[name] = OperatorAllocation(com, mem)
-        return handed, list(latencies)
+        return tuple(zip(compute, memory)), list(latencies)
 
     held = max(0, spare - reserve)
     reserved = None
@@ -517,24 +555,21 @@ class GreedyAllocator:
     ) -> AllocationResult:
         """Allocate the segment; see class docstring for the policy."""
         if not profiles:
-            return AllocationResult({}, 0.0, True, self.name)
+            return AllocationResult((), (), 0.0, True, self.name)
         window = unit_window(profiles, hardware)
         used = window.minimum_compute_arrays
         if used > hardware.num_arrays:
             return infeasible_result()
         floors = window.columns.floors[window.start : window.stop].tolist()
-        allocations = {
-            name: OperatorAllocation(floor, 0) for name, floor in zip(window, floors)
-        }
-        (allocations, latencies), _ = _hand_out_spare_arrays(
-            allocations,
+        (pairs, latencies), _ = _hand_out_spare_arrays(
+            [(floor, 0) for floor in floors],
             window,
             hardware.num_arrays - used,
             self.allow_memory_mode,
             0,
         )
         latency = combine_operator_latencies(latencies, hardware, pipelined)
-        return AllocationResult(allocations, latency, True, self.name)
+        return AllocationResult(window.names, pairs, latency, True, self.name)
 
 
 # ---------------------------------------------------------------------- #
@@ -569,7 +604,7 @@ class MIPAllocator:
     ) -> AllocationResult:
         """Pick one candidate per operator minimising the segment makespan."""
         if not profiles:
-            return AllocationResult({}, 0.0, True, self.name)
+            return AllocationResult((), (), 0.0, True, self.name)
         window = unit_window(profiles, hardware)
         # One operator appears in every DP window that contains it: its
         # candidate list is unit k's entry of the compile's columns.
@@ -581,15 +616,14 @@ class MIPAllocator:
         chosen = self._select(candidates, hardware.num_arrays)
         if chosen is None:
             return infeasible_result()
-        picked = [options[k] for options, k in zip(candidates, chosen)]
-        allocations = {
-            name: candidate.to_allocation() for name, candidate in zip(window, picked)
-        }
+        pairs = tuple(options.pairs[k] for options, k in zip(candidates, chosen))
         # A candidate's latency is its Eq. 10 value, so Eq. 9 needs no re-evaluation.
         latency = combine_operator_latencies(
-            [candidate.latency_cycles for candidate in picked], hardware, pipelined
+            [options[k].latency_cycles for options, k in zip(candidates, chosen)],
+            hardware,
+            pipelined,
         )
-        return AllocationResult(allocations, latency, True, self.name)
+        return AllocationResult(window.names, pairs, latency, True, self.name)
 
     def _select(
         self, candidates: Sequence[List[AllocationCandidate]], budget: int
@@ -735,13 +769,13 @@ def refine_with_spare_arrays(
             write-back it avoids (see :func:`_hand_out_spare_arrays`);
             0 reproduces the plain latency-only hand-out.
     """
-    if not result.feasible or not result.allocations:
+    if not result.feasible or not result.pairs:
         return result
-    spare = hardware.num_arrays - sum(a.total_arrays for a in result.allocations.values())
+    spare = hardware.num_arrays - result.total_arrays
     if spare <= 0:
         return result
     reserved, unreserved = _hand_out_spare_arrays(
-        result.allocations,
+        result.pairs,
         unit_window(profiles, hardware),
         spare,
         allow_memory_mode,
@@ -749,16 +783,20 @@ def refine_with_spare_arrays(
         max(0, reserve_arrays),
     )
 
-    def refined(state: _HandOut) -> AllocationResult:
-        allocations, latencies = state
-        if allocations == result.allocations:
-            return result
-        latency = combine_operator_latencies(latencies, hardware, pipelined)
-        return AllocationResult(allocations, latency, True, result.solver)
+    def refined(
+        state: _HandOut, twin: Optional[AllocationResult] = None
+    ) -> AllocationResult:
+        pairs, latencies = state
+        if pairs != result.pairs:
+            latency = combine_operator_latencies(latencies, hardware, pipelined)
+            return AllocationResult(
+                result.names, pairs, latency, True, result.solver, unreserved=twin
+            )
+        return result if twin is None else replace(result, unreserved=twin)
 
     if unreserved is None:
         return refined(reserved)
-    return replace(refined(reserved), unreserved=refined(unreserved))
+    return refined(reserved, refined(unreserved))
 
 
 # ---------------------------------------------------------------------- #
@@ -900,7 +938,7 @@ def allocate_segment(
         hardware,
         **key_options(engine, pipelined, refine, reserve_arrays, inbound_arrays),
     )
-    cached = cache.lookup(key, list(window), inbound_arrays)
+    cached = cache.lookup(key, window.names, inbound_arrays)
     if cached is not None:
         return cached
     result = engine.allocate(window, hardware, pipelined=pipelined)

@@ -9,15 +9,17 @@ neighbouring points of a DSE sweep (328 of the benchmark grid's 646
 probes), the fixed-mode twin of a dual-mode compile — because the *same*
 compile asked twice never gets here: the service's program table
 answers it whole (:class:`repro.service.ProgramTable`).  With the exact
-~85 µs window solver the saving per hit is modest — walking the DP of
-the benchmark's five-model set on ``dynaplasia`` with every window a hit
-still costs ~40 ms against ~140 ms cold (2 cores, Python 3.11, plain
-wall), which is why whole-program reuse sits in front — and it does not
-survive a process border: reading one window back from disk (≈ 135 µs)
-costs more than solving it, so windows live in memory only and what a
-``cache_dir`` persists is the whole compiled program
-(:mod:`repro.core.store`; the numbers and the reasoning are in its
-header).
+window solver (~110 µs a solve, engine plus refinement; ~16 µs a hit)
+the saving per hit is modest — compiling the benchmark's five-model set
+on ``dynaplasia`` with every window a hit (fresh ``CMSwitchCompiler``
+objects over the table a first round filled) still costs ~37 ms
+against ~104 ms cold (medians of 7 passes; 2-core container, Python
+3.11.7, numpy 2.4.6, plain wall), which is why whole-program reuse sits
+in front — and it does not survive a process border: reading one window
+back from disk (≈ 135 µs) costs more than solving it, so windows live in
+memory only and what a ``cache_dir`` persists is the whole compiled
+program (:mod:`repro.core.store`; the numbers and the reasoning are in
+its header).
 
 * the key is **structural** — the hardware fingerprint, the ordered cost
   profiles of the segment's operators (names excluded) and the options
@@ -25,10 +27,11 @@ header).
   boundary reserve).  Structurally identical segments — the same model
   compiled twice, the repeated projection layers of a transformer block
   — hit the same entry;
-* entries store allocations positionally, so a hit is re-labelled with
-  the requesting segment's operator names and returned as a fresh
-  :class:`~repro.core.allocation.AllocationResult` that is bit-identical
-  to what a cold solve would produce;
+* entries store a result's ``(compute, memory)`` pairs (results are
+  positional from the solve on), so a hit is the stored pairs under the
+  requesting segment's operator names — a fresh
+  :class:`~repro.core.allocation.AllocationResult` bit-identical to what
+  a cold solve would produce, built without touching a pair;
 * a fixed-mode (``allow_memory_mode=False``) lookup that misses may fall
   back to the dual-mode entry for the same key when that entry uses no
   memory-mode arrays: the dual-mode optimum then lies inside the
@@ -54,10 +57,9 @@ from operator import attrgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..cost.arithmetic import OperatorProfile, profile_signature
-from ..cost.latency import OperatorAllocation
 from ..obs.metrics import registry_for
 # The key is defined next to the solve it describes; re-exported here.
-from .allocation import AllocationCacheKey, AllocationResult, segment_signature
+from .allocation import AllocationCacheKey, AllocationResult, Pair, segment_signature
 from .lru import BoundedLRU
 
 __all__ = [
@@ -78,16 +80,18 @@ WINDOW_TABLE_ENTRIES = 4096
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """Stored outcome of one solve, with allocations kept positionally.
+    """Stored outcome of one solve: the result's pairs, without its names.
 
     The in-memory LRU maps keys to entries.  Operator names are *not*
-    part of an entry — allocations are positional, so one entry serves
-    every structurally identical segment regardless of labels.
-    Both refinements of a solve (``unreserved`` is the result's twin)
-    travel as one entry — one LRU slot, one key.
+    part of an entry — a result is positional (one ``(compute, memory)``
+    pair per operator, in window order), so one entry serves every
+    structurally identical segment regardless of labels, and a hit hands
+    the stored pairs back as they are.  Both refinements of a solve
+    (``unreserved`` is the result's twin) travel as one entry — one LRU
+    slot, one key.
     """
 
-    allocations: Tuple[Tuple[int, int], ...]
+    pairs: Tuple[Pair, ...]
     latency_cycles: float
     feasible: bool
     solver: str
@@ -99,21 +103,14 @@ class CacheEntry:
         profiles: Mapping[str, OperatorProfile],
         result: AllocationResult,
     ) -> Optional["CacheEntry"]:
-        """Build the positional entry for ``result`` solved over ``profiles``.
+        """The entry for ``result`` solved over ``profiles``.
 
-        Returns None for a feasible result that does not cover every
-        profiled operator (a foreign/partial result) — such results must
-        never be stored, or a later hit would silently drop operators.
+        Returns None for a feasible result that does not hold one pair
+        per profiled operator (a foreign/partial result) — such results
+        must never be stored, or a later hit would silently drop
+        operators.
         """
-        allocations = tuple(
-            (
-                result.allocations[name].compute_arrays,
-                result.allocations[name].memory_arrays,
-            )
-            for name in profiles
-            if name in result.allocations
-        )
-        if len(allocations) != len(profiles) and result.feasible:
+        if result.feasible and len(result.pairs) != len(profiles):
             return None
         unreserved = None
         if result.unreserved is not None:
@@ -121,33 +118,24 @@ class CacheEntry:
             if unreserved is None:
                 return None
         return cls(
-            allocations=allocations if result.feasible else tuple(),
-            latency_cycles=result.latency_cycles,
-            feasible=result.feasible,
-            solver=result.solver,
-            unreserved=unreserved,
+            result.pairs, result.latency_cycles, result.feasible, result.solver, unreserved
         )
 
     @property
     def memory_free(self) -> bool:
         """Whether the entry uses no memory-mode arrays anywhere."""
-        return all(memory == 0 for _, memory in self.allocations)
+        return all(memory == 0 for _, memory in self.pairs)
 
     def to_result(self, names: Sequence[str]) -> AllocationResult:
-        """Materialise an :class:`AllocationResult` for ``names``."""
-        allocations = {
-            name: OperatorAllocation(compute_arrays=compute, memory_arrays=memory)
-            for name, (compute, memory) in zip(names, self.allocations)
-        }
+        """The entry as a cache-hit :class:`AllocationResult` labelled ``names``."""
         return AllocationResult(
-            allocations=allocations,
-            latency_cycles=self.latency_cycles,
-            feasible=self.feasible,
-            solver=self.solver,
-            from_cache=True,
-            unreserved=(
-                self.unreserved.to_result(names) if self.unreserved is not None else None
-            ),
+            tuple(names),
+            self.pairs,
+            self.latency_cycles,
+            self.feasible,
+            self.solver,
+            True,
+            None if self.unreserved is None else self.unreserved.to_result(names),
         )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..cost import arithmetic
 from ..cost.arithmetic import OperatorProfile, profile_operator
-from ..cost.latency import INFEASIBLE_LATENCY
+from ..cost.latency import INFEASIBLE_LATENCY, OperatorAllocation
 from ..cost.switching import (
     SegmentResources,
     mode_switch_cycles,
@@ -163,6 +163,12 @@ def expand_profiled(
     capacity as the budget — the paper's greedy partitioning "determined
     by the available on-chip resources".
 
+    A shard's profile is a function of its K and N extents (every shard
+    of one operator shares its M, type and share of the auxiliary
+    traffic), and all shards but the remainders have the same extents:
+    each distinct shape is profiled once and its profile renamed for the
+    other shards of that shape.
+
     Returns:
         ``(name, parent, profile)`` triples in flattened order (shard
         names carry a ``::partK`` suffix; ``parent`` is the original
@@ -179,9 +185,19 @@ def expand_profiled(
             op, chip_capacity, hardware.array_rows, hardware.array_cols
         )
         extra_per_shard = item.profile.extra_streamed_elements // len(shards)
+        # (K extent, N extent) -> the fields of that shape's profile.
+        by_extent: Dict[Tuple[int, int], Dict[str, object]] = {}
         for shard in shards:
-            shard_profile = profile_operator(shard.operator, extra_per_shard)
-            expanded.append((shard.operator.name, op.name, shard_profile))
+            name = shard.operator.name
+            (k_lo, k_hi), (n_lo, n_hi) = shard.k_range, shard.n_range
+            extent = (k_hi - k_lo, n_hi - n_lo)
+            shape = by_extent.get(extent)
+            if shape is None:
+                shard_profile = profile_operator(shard.operator, extra_per_shard)
+                by_extent[extent] = vars(shard_profile)
+            else:
+                shard_profile = OperatorProfile(**{**shape, "name": name})
+            expanded.append((name, op.name, shard_profile))
     return expanded
 
 
@@ -588,7 +604,7 @@ class NetworkSegmenter:
         Eq. 4 overhead of entering it from ``previous``, by component
         (in the order Eq. 4 adds them)."""
         resources, reload = window_resources_and_reload(
-            self._vectors, start, end + 1, allocation.allocations, self.hardware, live
+            self._vectors, start, end + 1, allocation.pairs, self.hardware, live
         )
         switch = 0.0
         if self.options.include_switch_cost:
@@ -656,10 +672,11 @@ class NetworkSegmenter:
         self._prepare(units)
         for seg_index, (start, end) in enumerate(boundaries):
             allocation = self._chosen.get((start, end)) or self._allocate(start, end)
+            window = units[start : end + 1]
+            names = [unit.name for unit in window]
             if not allocation.feasible:
-                names = ", ".join(unit.name for unit in units[start : end + 1])
                 raise ValueError(
-                    f"window [{names}] does not fit "
+                    f"window [{', '.join(names)}] does not fit "
                     f"{self.hardware.name!r} ({self.hardware.num_arrays} arrays)"
                 )
             live = self._liveness[end] if end + 1 < len(units) else 0
@@ -673,9 +690,12 @@ class NetworkSegmenter:
             plans.append(
                 SegmentPlan(
                     index=seg_index,
-                    operator_names=[unit.name for unit in units[start : end + 1]],
-                    allocations=dict(allocation.allocations),
-                    profiles={unit.name: unit.profile for unit in units[start : end + 1]},
+                    operator_names=names,
+                    allocations={
+                        name: OperatorAllocation(compute, memory)
+                        for name, (compute, memory) in zip(names, allocation.pairs)
+                    },
+                    profiles={unit.name: unit.profile for unit in window},
                     intra_cycles=allocation.latency_cycles,
                     inter_cycles=inter,
                     inter_breakdown=breakdown,

@@ -21,7 +21,7 @@ re-pricer ``repro.core._reference.reprice_segments`` that checks it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from .arithmetic import OperatorProfile, ProfileVectors
@@ -82,14 +82,16 @@ def window_resources_and_reload(
     vectors: ProfileVectors,
     start: int,
     stop: int,
-    allocations: Mapping[str, OperatorAllocation],
+    pairs: Sequence[Tuple[int, int]],
     hardware: DualModeHardwareAbstraction,
     live_output_elements: int = 0,
 ) -> Tuple[SegmentResources, float]:
     """:func:`aggregate_resources` and :func:`weight_reload_cycles` of one window.
 
     The window is operators ``start..stop-1`` of ``vectors`` (built with
-    the hardware; ``allocations`` is keyed by ``vectors.names``).  The
+    the hardware); ``pairs`` holds their ``(compute_arrays,
+    memory_arrays)`` in the same order — a window result's
+    :attr:`~repro.core.allocation.AllocationResult.pairs`.  The
     segmentation DP prices every edge it relaxes, so both facts come
     from **one** walk over the window that reads the per-operator
     columns — static-weight flag, stationary footprint — instead of two
@@ -99,17 +101,14 @@ def window_resources_and_reload(
     Eq. 4 breakdown with :func:`writeback_cycles`,
     :func:`mode_switch_cycles` and :func:`weight_reload_cycles`).
     """
-    names = vectors.names
     has_static_weight = vectors.has_static_weight
     required_arrays = vectors.required_arrays
     write_latency = hardware.array_write_latency_cycles
     compute = memory = 0
     reload = 0.0
-    for index in range(start, stop):
-        allocation = allocations[names[index]]
-        compute_arrays = allocation.compute_arrays
+    for index, (compute_arrays, memory_arrays) in zip(range(start, stop), pairs):
         compute += compute_arrays
-        memory += allocation.memory_arrays
+        memory += memory_arrays
         if has_static_weight[index]:
             required = required_arrays[index]
             arrays_written = min(compute_arrays, required) or required

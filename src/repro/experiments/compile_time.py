@@ -7,7 +7,7 @@ so its compilation takes a multiple of CIM-MLC's time — the paper reports 2.8x
 with CNNs costing more than transformers because transformer blocks are
 compiled once and reused across layers.  This experiment measures both
 compilers' wall-clock compilation time on the Fig. 14 benchmark set;
-ours is 1.2–1.6x per model (ledger row ``fig18.overhead`` in
+ours is 1.2–1.5x per model (ledger row ``fig18.overhead`` in
 ``tests/test_paper_claims.py``, ``deviates``).  Two looser readings
 agree: the overhead stays within 20x (``fig18.bounded``), and LLaMA2-7B
 compiles within twice ResNet-18's time (``fig18.block-reuse``).

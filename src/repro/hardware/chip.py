@@ -152,9 +152,12 @@ class CIMChip:
         """Grab ``count`` free arrays for ``owner`` (prefer mode matches).
 
         Free arrays already in the requested mode are taken first (lowest
-        index first) to minimise switching, mirroring the compiler's
-        assumption that arrays keep their mode across segments whenever
-        possible.
+        index first) to minimise switching, then the other free arrays
+        (lowest index first), mirroring the compiler's assumption that
+        arrays keep their mode across segments whenever possible.  One
+        pass over the chip splits the free arrays into those two lists;
+        only the chosen arrays of the second go through
+        :meth:`switch_mode`, and all chosen arrays are then owned.
 
         Returns:
             ``(indices, switched)`` — the chosen indices and the subset
@@ -163,17 +166,22 @@ class CIMChip:
         Raises:
             ChipStateError: If fewer than ``count`` arrays are free.
         """
-        free = self.free_arrays()
+        matching: List[CIMArray] = []
+        others: List[CIMArray] = []
+        for array in self.arrays:
+            if array.owner is None:
+                (matching if array.mode is mode else others).append(array)
+        free = matching + others
         if len(free) < count:
             raise ChipStateError(
                 f"requested {count} arrays for {owner!r} but only {len(free)} are free"
             )
-        free.sort(key=lambda array: (array.mode is not mode, array.index))
         chosen = free[:count]
-        switched = [array.index for array in chosen if array.mode is not mode]
-        indices = [array.index for array in chosen]
-        self.assign(indices, owner, mode)
-        return indices, switched
+        switched = [array.index for array in chosen[len(matching) :]]
+        self.switch_mode(switched, mode)
+        for array in chosen:
+            array.owner = owner
+        return [array.index for array in chosen], switched
 
     def reset(self) -> None:
         """Return every array to the idle, unowned state and clear counters."""

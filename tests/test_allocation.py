@@ -200,7 +200,7 @@ class TestRefinement:
             name: OperatorAllocation(max(1, p.min_compute_arrays(small_chip)), 0)
             for name, p in profiles.items()
         }
-        base = AllocationResult(
+        base = AllocationResult.from_allocations(
             allocations=minimal,
             latency_cycles=segment_latency_cycles(profiles, minimal, small_chip),
             feasible=True,

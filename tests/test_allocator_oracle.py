@@ -218,11 +218,11 @@ class TestRefinementProperties:
         seed = allocator.allocate(profiles, hardware)
         spare = hardware.num_arrays - seed.total_arrays
         (alone, _), again = _hand_out_spare_arrays(
-            seed.allocations, unit_window(profiles, hardware),
+            seed.pairs, unit_window(profiles, hardware),
             max(0, spare - reserve), allow, inbound,
         )
         assert again is None
-        assert both.allocations == alone
+        assert both.pairs == alone
         for name, allocation in both.allocations.items():
             assert allocation.compute_arrays <= twin.allocations[name].compute_arrays
             assert allocation.memory_arrays <= twin.allocations[name].memory_arrays
@@ -239,7 +239,7 @@ class TestRefinementProperties:
         profile = max(POOLS["dynaplasia"], key=lambda p: p.macs)
         minimum = profile.min_compute_arrays(hardware)
         profiles = {"op": profile}
-        seed = AllocationResult(
+        seed = AllocationResult.from_allocations(
             {"op": OperatorAllocation(minimum, 0)}, float("inf"), True, "exact"
         )
         plain = refine_with_spare_arrays(seed, profiles, hardware)

@@ -1,6 +1,8 @@
 """Tests for the dual-mode hardware abstraction, presets and chip state."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import (
     ArrayMode,
@@ -203,6 +205,62 @@ class TestChipState:
         chip = CIMChip(small_chip)
         with pytest.raises(ChipStateError):
             chip.allocate_free(small_chip.num_arrays + 1, owner="x", mode=ArrayMode.COMPUTE)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(list(ArrayMode)), st.sampled_from([None, "a", "b"])),
+            min_size=1,
+            max_size=24,
+        ),
+        st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(0, 1e4)),
+        st.lists(
+            st.tuples(st.integers(0, 10), st.sampled_from(list(ArrayMode))), max_size=6
+        ),
+    )
+    def test_allocate_free_is_the_sorted_placement(self, arrays, counters, requests):
+        """The one-pass free-list placement equals the definition it
+        replaced — sort the free arrays by (mode mismatch, index), take
+        the first ``count``, ``assign`` them — in indices, switched
+        subset, array states, switch counters and ``switch_cycles``."""
+
+        def sorted_allocate_free(chip, count, owner, mode):
+            free = chip.free_arrays()
+            if len(free) < count:
+                raise ChipStateError("insufficient")
+            free.sort(key=lambda array: (array.mode is not mode, array.index))
+            chosen = free[:count]
+            switched = [array.index for array in chosen if array.mode is not mode]
+            indices = [array.index for array in chosen]
+            chip.assign(indices, owner, mode)
+            return indices, switched
+
+        def chip_in_state():
+            chip = CIMChip(small_test_chip().with_overrides(num_arrays=len(arrays)))
+            for array, (mode, owner) in zip(chip.arrays, arrays):
+                array.mode, array.owner = mode, owner
+            chip.switch_count_m2c, chip.switch_count_c2m, chip.switch_cycles = counters
+            return chip
+
+        def state(chip):
+            return (
+                [(array.mode, array.owner) for array in chip.arrays],
+                chip.switch_count_m2c,
+                chip.switch_count_c2m,
+                chip.switch_cycles,
+            )
+
+        ours, theirs = chip_in_state(), chip_in_state()
+        for step, (count, mode) in enumerate(requests):
+            owner = f"op{step}"
+            try:
+                expected = sorted_allocate_free(theirs, count, owner, mode)
+            except ChipStateError:
+                with pytest.raises(ChipStateError):
+                    ours.allocate_free(count, owner, mode)
+                continue
+            assert ours.allocate_free(count, owner, mode) == expected
+            assert state(ours) == state(theirs)
 
     def test_memory_capacity_tracks_memory_arrays(self, small_chip):
         chip = CIMChip(small_chip)

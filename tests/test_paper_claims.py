@@ -312,7 +312,7 @@ CLAIMS = (
           "CMSwitch compiles 2.8-6.3x slower than CIM-MLC",
           "experiments/compile_time.py",
           lambda r: all(2.8 <= row["overhead_ratio"] <= 6.3 for row in r["fig18"]), DEVIATES,
-          "1.2-1.6x (per-model medians): CIM-MLC is CMSwitch's pipeline with memory mode off, so the "
+          "1.2-1.5x (per-model medians): CIM-MLC is CMSwitch's pipeline with memory mode off, so the "
           "dual-mode dimension adds candidates to one solver and one DP, not a second search"),
     Claim("fig18.bounded", "Fig. 18",
           "CMSwitch's compile overhead over CIM-MLC stays a small multiple (<= 20x)",

@@ -6,11 +6,15 @@ from repro.core.cache import AllocationCache
 from repro.core.segmentation import (
     CompilerOptions,
     NetworkSegmenter,
+    expand_profiled,
     flatten_graph,
     live_elements_at_boundary,
     plan_cost,
+    profile_graph,
 )
-from repro.hardware import small_test_chip
+from repro.cost.arithmetic import profile_operator
+from repro.hardware import get_preset, small_test_chip
+from repro.ir.transforms import partition_operator
 from repro.models import Phase, Workload, build_model
 
 
@@ -58,6 +62,43 @@ class TestFlatten:
         for boundary in range(len(units) - 1):
             live = live_elements_at_boundary(units, boundary)
             assert live >= 0
+
+    @pytest.mark.parametrize(
+        "model, workload, hardware",
+        [
+            ("tiny-mlp", Workload(), small_test_chip().with_overrides(num_arrays=4)),
+            ("llama2-7b", Workload(seq_len=32), get_preset("dynaplasia")),
+            # Shards of one operator with equal K and unequal N, and the reverse.
+            ("tiny-mlp", Workload(), small_test_chip().with_overrides(num_arrays=3)),
+        ],
+        ids=["tiny-mlp@4-arrays", "llama2-7b@dynaplasia", "tiny-mlp@3-arrays"],
+    )
+    def test_shards_of_one_shape_share_a_profile(self, model, workload, hardware):
+        """``expand_profiled`` profiles each distinct shard shape once;
+        its output equals profiling every shard on its own."""
+        profiled = profile_graph(build_model(model, workload), hardware)
+        expected = []
+        for item in profiled:
+            op = item.operator
+            if not item.oversized:
+                expected.append((op.name, op.name, item.profile))
+                continue
+            shards = partition_operator(
+                op,
+                hardware.num_arrays * hardware.array_capacity_elements,
+                hardware.array_rows,
+                hardware.array_cols,
+            )
+            extra = item.profile.extra_streamed_elements // len(shards)
+            expected.extend(
+                (shard.operator.name, op.name, profile_operator(shard.operator, extra))
+                for shard in shards
+            )
+        expanded = expand_profiled(profiled, hardware)
+        assert expanded == expected
+        # The case shares: there are more shards than distinct shard shapes.
+        shards = [(parent, p.matmul_k, p.matmul_n) for n, parent, p in expanded if n != parent]
+        assert len(shards) > len(set(shards))
 
 
 class TestSegmentationDP:
@@ -324,6 +365,59 @@ class TestUnitColumnsTripwires:
                 ),
             }
             previous = resources
+
+    def test_window_results_stay_positional_until_the_plan(self, mobilenet, monkeypatch):
+        """The DP solves, refines, stores and prices every window on
+        ``(compute, memory)`` pairs: it builds no ``OperatorAllocation``;
+        ``build_plans`` builds exactly one per plan operator."""
+        from repro.cost.latency import OperatorAllocation
+
+        built = []
+        real = OperatorAllocation.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(OperatorAllocation, "__post_init__", counting)
+        hardware = get_preset("dynaplasia")
+        units = flatten_graph(mobilenet, hardware)
+        segmenter = NetworkSegmenter(hardware, cache=AllocationCache())
+        boundaries = segmenter.choose_boundaries(mobilenet, units)
+        assert segmenter.allocation_calls > 100
+        assert built == []
+        plans = segmenter.build_plans(units, boundaries)
+        assert len(built) == len(units) == sum(len(p.operator_names) for p in plans)
+
+    def test_a_window_table_hit_is_the_cold_solve(self, mobilenet):
+        """A hit hands back the stored pairs and latencies of both
+        refinements, under the asking window's names."""
+        from repro.core.allocation import allocate_segment
+
+        hardware = get_preset("dynaplasia")
+        units = flatten_graph(mobilenet, hardware)
+        segmenter = NetworkSegmenter(hardware, cache=AllocationCache())
+        segmenter._prepare(units)
+        twins = 0
+        for start in range(0, len(units) - 4, 3):
+            end = start + 3
+            spare = segmenter._spare_arrays(start, end)
+            if spare < 0:
+                continue
+            arguments = segmenter._solve_arguments(start, end, spare)
+            window = segmenter._window(start, end)
+            cache = AllocationCache()
+            cold = allocate_segment(window, hardware, cache=cache, **arguments)
+            hit = allocate_segment(window, hardware, cache=cache, **arguments)
+            assert not cold.from_cache and hit.from_cache
+            twins += cold.unreserved is not None
+            for got, want in ((hit, cold), (hit.unreserved, cold.unreserved)):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.names == window.names
+                    assert got.pairs == want.pairs
+                    assert got.latency_cycles == want.latency_cycles
+        assert twins > 0, "no window exercised the unreserved variant"
 
     def test_nothing_outlives_a_compile(self, small_chip):
         """200 compiles leave every module-level container the size the

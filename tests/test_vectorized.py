@@ -580,7 +580,7 @@ class TestWindowTable:
             allow_memory_mode=True,
             reserve_arrays=0,
         )
-        partial = AllocationResult(
+        partial = AllocationResult.from_allocations(
             {"proj": OperatorAllocation(1, 0)}, 123.0, True, "milp"
         )
         cache.put(key, profiles, partial)
