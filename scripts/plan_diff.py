@@ -11,7 +11,7 @@ diffing the two outputs, which must be identical::
     (cd ../parent && python scripts/plan_diff.py) > before.json
     diff before.json after.json && echo "no plan moved"
 
-``--models``, ``--chips`` and ``--compilers`` narrow the grid.  One
+``--models`` and ``--chips`` narrow the grid.  One
 ``Session`` per preset compiles all of that preset's programs; the full
 grid (228 programs) takes about 40 s on a 2-core machine.
 """
@@ -34,14 +34,14 @@ CHIPS = ("dynaplasia", "prime", "small-test-chip")
 WORKLOAD = Workload(seq_len=32)
 
 
-def plans(models, chips, compilers):
+def plans(models, chips):
     """``{"model@chip/compiler": {"end_to_end_cycles", "fingerprint"}}``."""
     graphs = {model: build_model(model, WORKLOAD) for model in models}
     table = {}
     for chip in chips:
         with Session(hardware=chip) as session:
             for model in models:
-                for compiler in compilers:
+                for compiler in COMPILERS:
                     program = session.compile(graphs[model], compiler=compiler)
                     table[f"{model}@{chip}/{compiler}"] = {
                         "end_to_end_cycles": program.end_to_end_cycles,
@@ -54,9 +54,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--models", nargs="+", default=list_models())
     parser.add_argument("--chips", nargs="+", default=list(CHIPS))
-    parser.add_argument("--compilers", nargs="+", default=list(COMPILERS))
     args = parser.parse_args(argv)
-    table = plans(args.models, args.chips, args.compilers)
+    table = plans(args.models, args.chips)
     json.dump(table, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

@@ -194,7 +194,7 @@ def reference_refine_with_spare_arrays(
     reserve_arrays: int = 0,
 ):
     """The pre-vectorisation ``refine_with_spare_arrays`` body, frozen."""
-    if not result.feasible or not result.allocations:
+    if not result.feasible or not result.pairs:
         return result
     allocations = dict(result.allocations)
     used = sum(a.total_arrays for a in allocations.values())

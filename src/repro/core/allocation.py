@@ -42,7 +42,7 @@ profile, per allocator or per module.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -104,9 +104,6 @@ class AllocationResult:
     solver: str
     from_cache: bool = False
     unreserved: Optional["AllocationResult"] = None
-    _view: Optional[Mapping[str, OperatorAllocation]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_allocations(
@@ -127,15 +124,13 @@ class AllocationResult:
 
     @property
     def allocations(self) -> Mapping[str, OperatorAllocation]:
-        """Read-only ``name -> OperatorAllocation`` view, built on first read."""
-        if self._view is None:
-            self._view = MappingProxyType(
-                {
-                    name: OperatorAllocation(compute, memory)
-                    for name, (compute, memory) in zip(self.names, self.pairs)
-                }
-            )
-        return self._view
+        """Read-only ``name -> OperatorAllocation`` view, built on each read."""
+        return MappingProxyType(
+            {
+                name: OperatorAllocation(compute, memory)
+                for name, (compute, memory) in zip(self.names, self.pairs)
+            }
+        )
 
     @property
     def total_arrays(self) -> int:

@@ -59,7 +59,13 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from ..cost.arithmetic import OperatorProfile, profile_signature
 from ..obs.metrics import registry_for
 # The key is defined next to the solve it describes; re-exported here.
-from .allocation import AllocationCacheKey, AllocationResult, Pair, segment_signature
+from .allocation import (
+    AllocationCacheKey,
+    AllocationResult,
+    Pair,
+    UnitWindow,
+    segment_signature,
+)
 from .lru import BoundedLRU
 
 __all__ = [
@@ -105,16 +111,23 @@ class CacheEntry:
     ) -> Optional["CacheEntry"]:
         """The entry for ``result`` solved over ``profiles``.
 
-        Returns None for a feasible result that does not hold one pair
-        per profiled operator (a foreign/partial result) — such results
-        must never be stored, or a later hit would silently drop
-        operators.
+        Returns None for a feasible result whose names are not the
+        profiled operators in window order (a partial, foreign or
+        reordered result) — such results must never be stored, or a
+        later hit would hand its pairs to the wrong operators.
         """
-        if result.feasible and len(result.pairs) != len(profiles):
+        names = profiles.names if isinstance(profiles, UnitWindow) else tuple(profiles)
+        return cls._from_result(names, result)
+
+    @classmethod
+    def _from_result(
+        cls, names: Tuple[str, ...], result: AllocationResult
+    ) -> Optional["CacheEntry"]:
+        if result.feasible and result.names != names:
             return None
         unreserved = None
         if result.unreserved is not None:
-            unreserved = cls.from_result(profiles, result.unreserved)
+            unreserved = cls._from_result(names, result.unreserved)
             if unreserved is None:
                 return None
         return cls(

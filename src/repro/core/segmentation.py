@@ -16,7 +16,7 @@ each candidate segment once; one solved before is not solved again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -185,18 +185,19 @@ def expand_profiled(
             op, chip_capacity, hardware.array_rows, hardware.array_cols
         )
         extra_per_shard = item.profile.extra_streamed_elements // len(shards)
-        # (K extent, N extent) -> the fields of that shape's profile.
-        by_extent: Dict[Tuple[int, int], Dict[str, object]] = {}
+        # (K extent, N extent) -> the first profile of that shape.
+        by_extent: Dict[Tuple[int, int], OperatorProfile] = {}
         for shard in shards:
             name = shard.operator.name
             (k_lo, k_hi), (n_lo, n_hi) = shard.k_range, shard.n_range
             extent = (k_hi - k_lo, n_hi - n_lo)
-            shape = by_extent.get(extent)
-            if shape is None:
-                shard_profile = profile_operator(shard.operator, extra_per_shard)
-                by_extent[extent] = vars(shard_profile)
+            first = by_extent.get(extent)
+            if first is None:
+                shard_profile = by_extent[extent] = profile_operator(
+                    shard.operator, extra_per_shard
+                )
             else:
-                shard_profile = OperatorProfile(**{**shape, "name": name})
+                shard_profile = replace(first, name=name)
             expanded.append((name, op.name, shard_profile))
     return expanded
 

@@ -583,9 +583,28 @@ class TestWindowTable:
         partial = AllocationResult.from_allocations(
             {"proj": OperatorAllocation(1, 0)}, 123.0, True, "milp"
         )
-        cache.put(key, profiles, partial)
+        # Same length as the window, but for other operators / another order.
+        foreign = AllocationResult.from_allocations(
+            {"proj": OperatorAllocation(1, 0), "other": OperatorAllocation(2, 0)},
+            123.0, True, "milp",
+        )
+        reordered = AllocationResult.from_allocations(
+            {"attn": OperatorAllocation(2, 0), "proj": OperatorAllocation(1, 0)},
+            123.0, True, "milp",
+        )
+        for result in (partial, foreign, reordered):
+            cache.put(key, profiles, result)
+        # A foreign twin spoils an otherwise matching result, too.
+        own = AllocationResult.from_allocations(
+            {"proj": OperatorAllocation(1, 0), "attn": OperatorAllocation(2, 0)},
+            123.0, True, "milp",
+        )
+        cache.put(key, profiles, dataclasses.replace(own, unreserved=foreign))
         assert len(cache) == 0 and cache.stats.stores == 0
         assert cache.lookup(key, list(profiles)) is None
+        cache.put(key, profiles, own)
+        assert cache.stats.stores == 1
+        assert cache.lookup(key, list(profiles)).pairs == own.pairs
 
     def test_memo_keyword_is_gone(self, profiles, small_chip):
         with pytest.raises(TypeError):
