@@ -32,7 +32,7 @@ from ..cost.switching import (
 )
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
-from ..ir.transforms import partition_operator
+from ..ir.transforms import partition_operator, shard_operator
 from .allocation import (
     AllocationResult,
     ExactAllocator,
@@ -159,15 +159,16 @@ def expand_profiled(
     """Shard oversized operators (the pipeline's PartitionOversized step).
 
     Operators that fit pass through unchanged; an oversized operator is
-    split by :func:`repro.ir.transforms.partition_operator` with the chip
-    capacity as the budget — the paper's greedy partitioning "determined
-    by the available on-chip resources".
+    split into (K, N) ranges by :func:`repro.ir.transforms.partition_operator`
+    with the chip capacity as the budget — the paper's greedy partitioning
+    "determined by the available on-chip resources".
 
     A shard's profile is a function of its K and N extents (every shard
     of one operator shares its M, type and share of the auxiliary
     traffic), and all shards but the remainders have the same extents:
-    each distinct shape is profiled once and its profile renamed for the
-    other shards of that shape.
+    one shard operator is built and profiled per distinct shape (at most
+    four per operator: full, K remainder, N remainder, both), and its
+    profile is renamed for the other shards of that shape.
 
     Returns:
         ``(name, parent, profile)`` triples in flattened order (shard
@@ -188,17 +189,16 @@ def expand_profiled(
         # (K extent, N extent) -> the first profile of that shape.
         by_extent: Dict[Tuple[int, int], OperatorProfile] = {}
         for shard in shards:
-            name = shard.operator.name
             (k_lo, k_hi), (n_lo, n_hi) = shard.k_range, shard.n_range
             extent = (k_hi - k_lo, n_hi - n_lo)
             first = by_extent.get(extent)
             if first is None:
                 shard_profile = by_extent[extent] = profile_operator(
-                    shard.operator, extra_per_shard
+                    shard_operator(op, shard), extra_per_shard
                 )
             else:
-                shard_profile = replace(first, name=name)
-            expanded.append((name, op.name, shard_profile))
+                shard_profile = replace(first, name=shard.name)
+            expanded.append((shard.name, op.name, shard_profile))
     return expanded
 
 

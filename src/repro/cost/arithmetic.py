@@ -19,7 +19,7 @@ import numpy as np
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
 from ..ir.operators import Operator
-from ..ir.transforms import arrays_for_stationary, ceil_div, fuse_auxiliary_traffic
+from ..ir.transforms import ceil_div, fuse_auxiliary_traffic
 
 
 @dataclass(frozen=True)

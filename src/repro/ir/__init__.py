@@ -35,13 +35,12 @@ from .serialization import (
 )
 from .tensor import DataType, TensorSpec
 from .transforms import (
-    SubOperator,
-    arrays_for_elements,
+    Shard,
     arrays_for_stationary,
     ceil_div,
     fuse_auxiliary_traffic,
-    lower_to_matmuls,
     partition_operator,
+    shard_operator,
     tile_counts,
 )
 
@@ -67,18 +66,17 @@ __all__ = [
     "Reshape",
     "SerializationError",
     "Softmax",
-    "SubOperator",
+    "Shard",
     "TensorSpec",
-    "arrays_for_elements",
     "arrays_for_stationary",
     "ceil_div",
     "fuse_auxiliary_traffic",
     "graph_from_json",
     "graph_to_json",
     "load_graph",
-    "lower_to_matmuls",
     "operator_from_dict",
     "partition_operator",
     "save_graph",
+    "shard_operator",
     "tile_counts",
 ]

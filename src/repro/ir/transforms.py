@@ -3,24 +3,25 @@
 Two transforms matter to the dual-mode compiler:
 
 * :func:`partition_operator` — splits a CIM-mappable operator whose
-  stationary matrix does not fit on the chip into sub-operators that do
-  (the greedy partitioning step described in §4.3.1 of the paper).
+  stationary matrix does not fit on the chip into shards, (K, N) ranges
+  of it that do (the greedy partitioning step described in §4.3.1 of the
+  paper); :func:`shard_operator` builds the operator of one range.
 * :func:`tile_counts` / :func:`arrays_for_stationary` — the basic tiling
   arithmetic shared by the compiler and the baselines: how many
   ``array_size_h x array_size_w`` arrays a ``K x N`` matrix occupies.
 
-Both operate purely on metadata; the functional simulator performs the
-corresponding tensor slicing when it executes sub-operators.
+Both operate purely on metadata.  No simulator slices tensors per shard:
+the functional simulator maps a ``::partK`` name back to its parent and
+checks the parent whole.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .graph import Graph
-from .operators import MatMulLike, MatmulDims, Operator
+from .operators import Linear, MatMul, MatmulDims, Operator
 from .tensor import TensorSpec
 
 
@@ -46,44 +47,24 @@ def arrays_for_stationary(dims: MatmulDims, array_rows: int, array_cols: int) ->
     return tiles_k * tiles_n
 
 
-def arrays_for_elements(num_elements: int, array_rows: int, array_cols: int) -> int:
-    """Number of memory-mode arrays needed to buffer ``num_elements`` values.
-
-    A memory-mode array stores ``rows x cols`` elements (8-bit cells storing
-    8-bit values in the DynaPlasia-style configuration).
-    """
-    capacity = array_rows * array_cols
-    return ceil_div(max(num_elements, 0), capacity) if num_elements > 0 else 0
-
-
 @dataclass(frozen=True)
-class SubOperator:
-    """A shard of a CIM-mappable operator produced by partitioning.
+class Shard:
+    """One shard of a partitioned operator: a (K, N) range of its parent.
 
     Attributes:
-        operator: The shard, itself a normal CIM-mappable operator.
+        name: ``parent::partK``, or the parent's own name when it fits whole.
         parent: Name of the original operator.
         index: Shard index within the parent (execution order).
-        total: Total number of shards of the parent.
-        k_range: Half-open slice of the K dimension covered by this shard.
-        n_range: Half-open slice of the N dimension covered by this shard.
+        k_range: Half-open slice of the K (reduction) dimension.  A shard
+            whose range is a proper part of K produces partial sums.
+        n_range: Half-open slice of the N (output column) dimension.
     """
 
-    operator: Operator
+    name: str
     parent: str
     index: int
-    total: int
     k_range: Tuple[int, int]
     n_range: Tuple[int, int]
-
-    @property
-    def is_partial_sum(self) -> bool:
-        """Whether the shard produces partial sums that must be accumulated.
-
-        Shards that split the K (reduction) dimension produce partial
-        results; shards that only split N produce disjoint output columns.
-        """
-        return int(self.operator.attrs.get("k_splits", 1)) > 1
 
 
 def partition_operator(
@@ -91,7 +72,7 @@ def partition_operator(
     max_stationary_elements: int,
     array_rows: int,
     array_cols: int,
-) -> List[SubOperator]:
+) -> List[Shard]:
     """Greedily split an operator so every shard's stationary matrix fits.
 
     The paper partitions operators "with the partition granularity
@@ -110,8 +91,9 @@ def partition_operator(
         array_cols: CIM array column count.
 
     Returns:
-        The list of shards in execution order.  If the operator already
-        fits, a single shard covering the whole operator is returned.
+        The shards' ranges in execution order; :func:`shard_operator`
+        builds the operator of one.  If the operator already fits, a
+        single range covering it, named after it, is returned.
 
     Raises:
         ValueError: If the operator is not CIM-mappable or the budget is
@@ -126,16 +108,7 @@ def partition_operator(
         )
     dims = op.matmul_dims()
     if dims.stationary_elements <= max_stationary_elements:
-        return [
-            SubOperator(
-                operator=op,
-                parent=op.name,
-                index=0,
-                total=1,
-                k_range=(0, dims.k),
-                n_range=(0, dims.n),
-            )
-        ]
+        return [Shard(op.name, op.name, 0, (0, dims.k), (0, dims.n))]
 
     # How many whole array tiles fit in the budget.
     budget_tiles = max(1, max_stationary_elements // (array_rows * array_cols))
@@ -148,91 +121,35 @@ def partition_operator(
     n_per_shard = min(dims.n, tiles_n_per_shard * array_cols)
     k_per_shard = min(dims.k, tiles_k_per_shard * array_rows)
 
-    shards: List[SubOperator] = []
-    n_splits = ceil_div(dims.n, n_per_shard)
-    k_splits = ceil_div(dims.k, k_per_shard)
-    total = n_splits * k_splits
-    index = 0
-    for ni in range(n_splits):
-        n_lo = ni * n_per_shard
-        n_hi = min(dims.n, n_lo + n_per_shard)
-        for ki in range(k_splits):
-            k_lo = ki * k_per_shard
-            k_hi = min(dims.k, k_lo + k_per_shard)
-            shard_op = _make_shard(
-                op, dims, index, total, (k_lo, k_hi), (n_lo, n_hi), k_splits, n_splits
-            )
-            shards.append(
-                SubOperator(
-                    operator=shard_op,
-                    parent=op.name,
-                    index=index,
-                    total=total,
-                    k_range=(k_lo, k_hi),
-                    n_range=(n_lo, n_hi),
-                )
-            )
-            index += 1
+    shards: List[Shard] = []
+    for n_lo in range(0, dims.n, n_per_shard):
+        n_range = (n_lo, min(dims.n, n_lo + n_per_shard))
+        for k_lo in range(0, dims.k, k_per_shard):
+            k_range = (k_lo, min(dims.k, k_lo + k_per_shard))
+            index = len(shards)
+            shards.append(Shard(f"{op.name}::part{index}", op.name, index, k_range, n_range))
     return shards
 
 
-def _make_shard(
-    op: Operator,
-    dims: MatmulDims,
-    index: int,
-    total: int,
-    k_range: Tuple[int, int],
-    n_range: Tuple[int, int],
-    k_splits: int = 1,
-    n_splits: int = 1,
-) -> Operator:
-    """Build a shard operator covering a (K, N) sub-block of ``op``.
+def shard_operator(op: Operator, shard: Shard) -> Operator:
+    """Build the operator covering ``shard``'s (K, N) range of ``op``.
 
     Shards are expressed as generic matmul-like operators so downstream
-    stages (allocation, code generation, simulation) treat them uniformly.
-    The shard inherits the parent's static/dynamic weight nature.
+    stages treat them uniformly; the shard keeps the parent's M and its
+    static/dynamic weight nature.
     """
-    from .operators import Linear, MatMul
-
-    k_lo, k_hi = k_range
-    n_lo, n_hi = n_range
-    sub_k = k_hi - k_lo
-    sub_n = n_hi - n_lo
+    m = op.matmul_dims().m
+    sub_k = shard.k_range[1] - shard.k_range[0]
+    sub_n = shard.n_range[1] - shard.n_range[0]
     dtype = op.outputs[0].dtype
-    suffix = f"{op.name}::part{index}"
-    lhs = TensorSpec(f"{suffix}_in", (dims.m, sub_k), dtype=dtype)
-    out = TensorSpec(f"{suffix}_out", (dims.m, sub_n), dtype=dtype)
+    name = shard.name
+    lhs = TensorSpec(f"{name}_in", (m, sub_k), dtype=dtype)
+    out = TensorSpec(f"{name}_out", (m, sub_n), dtype=dtype)
     if op.has_static_weight:
-        weight = TensorSpec(f"{suffix}_w", (sub_k, sub_n), dtype=dtype)
-        shard: Operator = Linear(suffix, input=lhs, output=out, weight=weight, bias=False)
-    else:
-        rhs = TensorSpec(f"{suffix}_rhs", (sub_k, sub_n), dtype=dtype)
-        shard = MatMul(suffix, lhs=lhs, rhs=rhs, output=out)
-    shard.attrs.update(
-        {
-            "parent": op.name,
-            "parent_op_type": op.op_type,
-            "partition_index": index,
-            "partition_total": total,
-            "k_range": [k_lo, k_hi],
-            "n_range": [n_lo, n_hi],
-            "k_splits": k_splits,
-            "n_splits": n_splits,
-        }
-    )
-    return shard
-
-
-def lower_to_matmuls(graph: Graph) -> List[Operator]:
-    """Return the CIM-mappable operators of a graph in topological order.
-
-    This is the paper's ``Flatten(G)`` step in Algorithm 1: the network is
-    reduced to the ordered list of operators the CIM arrays execute;
-    auxiliary operators contribute their activation traffic to their
-    nearest mappable successor via the cost model, not to the operator
-    list itself.
-    """
-    return graph.cim_operators()
+        weight = TensorSpec(f"{name}_w", (sub_k, sub_n), dtype=dtype)
+        return Linear(name, input=lhs, output=out, weight=weight, bias=False)
+    rhs = TensorSpec(f"{name}_rhs", (sub_k, sub_n), dtype=dtype)
+    return MatMul(name, lhs=lhs, rhs=rhs, output=out)
 
 
 #: Auxiliary operator types that are fused into the neighbouring MVM/MMM by

@@ -223,9 +223,11 @@ CORPUS_CHIPS = ("dynaplasia", "prime", "small-test-chip")
 CORPUS_OPTIONS = CompilerOptions(generate_code=True)
 CORPUS_WORKLOAD = Workload(seq_len=32)
 #: On the 8-array chip the LLaMA 2s, the OPTs and the VGGs partition into
-#: thousands of one-unit segments (0.4-1.1 s per compile).  There they
-#: enter the corpus as one CMSwitch compile without a flow; no CI job
-#: compiles them any other way (ROADMAP item 5 is what brings them in).
+#: thousands of one-unit segments (0.12-0.75 s per compile without a flow,
+#: best of 3 on a 2-core machine; opt-13b and llama2-13b are the slowest).
+#: There they enter the corpus as one CMSwitch compile without a flow; no
+#: CI job compiles them any other way (ROADMAP item 5 is what brings them
+#: in).
 SMALL_CHIP_SKIPS = ("llama2", "opt-", "vgg")
 #: The option matrix, CMSwitch on the tiny models and the test chip; code
 #: generation is off unless an entry turns it on.

@@ -7,14 +7,15 @@ from hypothesis import strategies as st
 from repro.ir import (
     GraphBuilder,
     Linear,
+    MatMul,
     MatmulDims,
+    Shard,
     TensorSpec,
-    arrays_for_elements,
     arrays_for_stationary,
     ceil_div,
     fuse_auxiliary_traffic,
-    lower_to_matmuls,
     partition_operator,
+    shard_operator,
     tile_counts,
 )
 from repro.ir.transforms import FUSEABLE_OP_TYPES
@@ -98,11 +99,6 @@ class TestTilingHelpers:
         dims = MatmulDims(m=1, k=128, n=128)
         assert arrays_for_stationary(dims, 64, 64) == 4
 
-    def test_arrays_for_elements(self):
-        assert arrays_for_elements(0, 64, 64) == 0
-        assert arrays_for_elements(1, 64, 64) == 1
-        assert arrays_for_elements(64 * 64 + 1, 64, 64) == 2
-
     @given(
         k=st.integers(min_value=1, max_value=2000),
         n=st.integers(min_value=1, max_value=2000),
@@ -132,8 +128,7 @@ class TestPartitioning:
     def test_fitting_operator_single_shard(self):
         op = make_linear(4, 32, 32)
         shards = partition_operator(op, max_stationary_elements=64 * 64, array_rows=64, array_cols=64)
-        assert len(shards) == 1
-        assert shards[0].operator is op
+        assert shards == [Shard("big", "big", 0, (0, 32), (0, 32))]
 
     def test_oversized_operator_is_split(self):
         op = make_linear(4, 256, 256)
@@ -155,28 +150,52 @@ class TestPartitioning:
         budget = 2 * 64 * 64
         op = make_linear(4, 512, 512)
         for shard in partition_operator(op, budget, 64, 64):
-            dims = shard.operator.matmul_dims()
-            assert dims.stationary_elements <= budget
+            (k_lo, k_hi), (n_lo, n_hi) = shard.k_range, shard.n_range
+            assert (k_hi - k_lo) * (n_hi - n_lo) <= budget
 
     def test_k_split_marks_partial_sums(self):
+        """Every shard of a K split covers a proper sub-range of K."""
         op = make_linear(4, 512, 64)
         shards = partition_operator(op, 64 * 64, 64, 64)
         assert len(shards) > 1
-        assert all(shard.is_partial_sum for shard in shards)
+        assert all(shard.k_range != (0, 512) for shard in shards)
+        assert all(0 <= lo < hi <= 512 for lo, hi in (s.k_range for s in shards))
 
     def test_n_only_split_has_no_partial_sums(self):
         op = make_linear(4, 64, 512)
         shards = partition_operator(op, 64 * 64, 64, 64)
         assert len(shards) > 1
-        assert not any(shard.is_partial_sum for shard in shards)
+        assert all(shard.k_range == (0, 64) for shard in shards)
 
-    def test_shard_attrs_record_parent(self):
+    def test_shards_record_parent(self):
         op = make_linear(4, 512, 512)
         shards = partition_operator(op, 64 * 64, 64, 64)
         for index, shard in enumerate(shards):
-            assert shard.operator.attrs["parent"] == "big"
-            assert shard.operator.attrs["partition_index"] == index
             assert shard.parent == "big"
+            assert shard.index == index
+            assert shard.name == f"big::part{index}"
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            make_linear(4, 300, 500),
+            MatMul(
+                "big",
+                lhs=TensorSpec("a", (4, 300)),
+                rhs=TensorSpec("b", (300, 500)),
+                output=TensorSpec("y", (4, 500)),
+            ),
+        ],
+        ids=["static", "dynamic"],
+    )
+    def test_shard_operator_covers_its_range(self, op):
+        """The last shard is the remainder in both K and N."""
+        shard = partition_operator(op, 4 * 64 * 64, 64, 64)[-1]
+        built = shard_operator(op, shard)
+        assert built.name == shard.name
+        assert built.has_static_weight == op.has_static_weight
+        dims = built.matmul_dims()
+        assert (dims.m, dims.k, dims.n) == (4, 300 - shard.k_range[0], 500 - shard.n_range[0])
 
     def test_non_mappable_operator_rejected(self, tiny_cnn_graph):
         aux = next(op for op in tiny_cnn_graph.operators if not op.is_cim_mappable)
@@ -226,8 +245,3 @@ class TestAuxiliaryFusion:
         extra = fuse_auxiliary_traffic(tiny_transformer_graph)
         cim_names = {op.name for op in tiny_transformer_graph.cim_operators()}
         assert set(extra) == cim_names
-
-    def test_lower_to_matmuls_matches_cim_operators(self, tiny_transformer_graph):
-        assert [op.name for op in lower_to_matmuls(tiny_transformer_graph)] == [
-            op.name for op in tiny_transformer_graph.cim_operators()
-        ]

@@ -14,7 +14,8 @@ from repro.core.segmentation import (
 )
 from repro.cost.arithmetic import profile_operator
 from repro.hardware import get_preset, small_test_chip
-from repro.ir.transforms import partition_operator
+from repro.ir.operators import Operator
+from repro.ir.transforms import partition_operator, shard_operator
 from repro.models import Phase, Workload, build_model
 
 
@@ -70,8 +71,15 @@ class TestFlatten:
             ("llama2-7b", Workload(seq_len=32), get_preset("dynaplasia")),
             # Shards of one operator with equal K and unequal N, and the reverse.
             ("tiny-mlp", Workload(), small_test_chip().with_overrides(num_arrays=3)),
+            # 4,227 shards of convolutions and linears.
+            ("vgg16", Workload(seq_len=32), small_test_chip()),
         ],
-        ids=["tiny-mlp@4-arrays", "llama2-7b@dynaplasia", "tiny-mlp@3-arrays"],
+        ids=[
+            "tiny-mlp@4-arrays",
+            "llama2-7b@dynaplasia",
+            "tiny-mlp@3-arrays",
+            "vgg16@small-test-chip",
+        ],
     )
     def test_shards_of_one_shape_share_a_profile(self, model, workload, hardware):
         """``expand_profiled`` profiles each distinct shard shape once;
@@ -91,7 +99,7 @@ class TestFlatten:
             )
             extra = item.profile.extra_streamed_elements // len(shards)
             expected.extend(
-                (shard.operator.name, op.name, profile_operator(shard.operator, extra))
+                (shard.name, op.name, profile_operator(shard_operator(op, shard), extra))
                 for shard in shards
             )
         expanded = expand_profiled(profiled, hardware)
@@ -99,6 +107,26 @@ class TestFlatten:
         # The case shares: there are more shards than distinct shard shapes.
         shards = [(parent, p.matmul_k, p.matmul_n) for n, parent, p in expanded if n != parent]
         assert len(shards) > len(set(shards))
+
+    def test_one_shard_operator_per_shape(self, monkeypatch, corpus):
+        """Flattening builds an IR operator per distinct shard shape, at
+        most four per partitioned operator, not one per shard (opt-13b on
+        the test chip has 9,600 shards of 6 operators)."""
+        hardware = get_preset("small-test-chip")
+        profiled = profile_graph(corpus.graph("opt-13b"), hardware)
+        built = []
+        init = Operator.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Operator, "__init__", counting)
+        expanded = expand_profiled(profiled, hardware)
+        monkeypatch.undo()
+        oversized = sum(item.oversized for item in profiled)
+        assert sum(name != parent for name, parent, _ in expanded) == 9600
+        assert 0 < len(built) <= 4 * oversized
 
 
 class TestSegmentationDP:
