@@ -22,6 +22,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from ..cost.arithmetic import OperatorProfile
@@ -338,7 +339,10 @@ def _float_in(value, field_name: str) -> float:
         raise ProgramFormatError(
             f"{field_name!r} must be a number, got {type(value).__name__}"
         )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ProgramFormatError(f"{field_name!r} is out of range: {value!r}") from exc
 
 
 def _int_in(value, field_name: str) -> int:
@@ -356,6 +360,17 @@ def _int_in(value, field_name: str) -> int:
 _PROFILE_FIELD_NAMES = tuple(f.name for f in fields(OperatorProfile))
 _RESOURCES_FIELD_NAMES = tuple(f.name for f in fields(SegmentResources))
 _PROFILE_FIELDS = frozenset(_PROFILE_FIELD_NAMES)
+#: A profile's element and MAC counts, read in one call.  The energy
+#: model multiplies them by floats, so they must be integers a float can
+#: hold: the sum of their magnitudes, one C-level pass, is an ``int``
+#: below ``2**63``.  A string, ``null``, array or object among them makes
+#: the sum raise, a float or NaN makes it a float, and an oversized
+#: integer puts it out of range.  (A ``bool`` adds as the 0 or 1 every
+#: reader takes it for.)
+_PROFILE_COUNTS = itemgetter(
+    *(f.name for f in fields(OperatorProfile) if f.type in (int, "int"))
+)
+_COUNT_LIMIT = 2**63
 
 #: The decoder builds the two per-operator records in one step: a bare
 #: instance whose ``__dict__`` it fills, the way ``copy`` and ``pickle``
@@ -381,6 +396,12 @@ def _profile_from_payload(payload: Mapping) -> OperatorProfile:
         raise ProgramFormatError(
             f"invalid operator profile: missing field(s): {', '.join(missing)}"
         )
+    try:
+        total = sum(map(abs, _PROFILE_COUNTS(payload)))
+    except TypeError:
+        total = None
+    if type(total) is not int or total >= _COUNT_LIMIT:
+        raise ProgramFormatError("operator profile counts must be integers below 2**63")
     profile = _new(OperatorProfile)
     profile.__dict__.update(payload)
     return profile
@@ -452,6 +473,15 @@ def _segment_from_payload(payload: Mapping) -> SegmentPlan:
             raise ProgramFormatError(f"{field_name!r} must be an object")
     if not isinstance(operator_names, (list, tuple)):
         raise ProgramFormatError("'operator_names' must be an array")
+    try:  # readers look every operator up in both tables, so build them by name
+        allocations = {
+            name: _allocation_from_payload(name, allocations[name]) for name in operator_names
+        }
+        profiles = {name: _profile_from_payload(profiles[name]) for name in operator_names}
+    except (KeyError, TypeError) as exc:  # a name with no entry, or unhashable
+        raise ProgramFormatError(
+            f"every operator needs an allocation and a profile: {exc!r}"
+        ) from None
     if resources is not None:
         if not isinstance(resources, _OBJECT):
             raise ProgramFormatError("'resources' must be an object or null")
@@ -462,10 +492,8 @@ def _segment_from_payload(payload: Mapping) -> SegmentPlan:
     return SegmentPlan(
         index=_int_in(index, "index"),
         operator_names=list(operator_names),
-        allocations={
-            name: _allocation_from_payload(name, pair) for name, pair in allocations.items()
-        },
-        profiles={name: _profile_from_payload(profile) for name, profile in profiles.items()},
+        allocations=allocations,
+        profiles=profiles,
         intra_cycles=_float_in(intra_cycles, "intra_cycles"),
         inter_cycles=_float_in(inter_cycles, "inter_cycles"),
         inter_breakdown={

@@ -11,7 +11,8 @@ simulators need is derived from these parameters.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Dict
 
@@ -104,6 +105,8 @@ class DualModeHardwareAbstraction:
             raise ValueError("bit widths must be positive")
         if self.switch_latency_m2c < 0 or self.switch_latency_c2m < 0:
             raise ValueError("switch latencies must be non-negative")
+        if self.frequency_mhz <= 0 or self.write_energy_factor <= 0:
+            raise ValueError("frequency_mhz and write_energy_factor must be positive")
         # Default the per-array read/write port widths to one row/column of
         # bits per cycle when not specified.
         if self.array_read_bits <= 0:
@@ -254,7 +257,17 @@ class DualModeHardwareAbstraction:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "DualModeHardwareAbstraction":
-        """Rebuild an abstraction from :meth:`to_dict` output."""
+        """Rebuild an abstraction from :meth:`to_dict` output.
+
+        Decoded JSON may carry anything, and every cost model reads the
+        numeric fields as floats: each must be an ``int`` or ``float``
+        (not a ``bool``) that a float holds, so no NaN or infinity.
+        """
+        values = [data[name] for name in _NUMERIC_FIELDS if name in data]
+        if set(map(type, values)) - {int, float} or not all(
+            map(sys.float_info.max.__ge__, map(abs, values))
+        ):
+            raise ValueError(f"numeric hardware fields must be finite numbers: {values!r}")
         return cls(**data)
 
     def summary(self) -> str:
@@ -273,3 +286,11 @@ class DualModeHardwareAbstraction:
             f"  mode switch c->m  : {self.switch_latency_c2m} cycles ({self.switch_method_c2m})",
         ]
         return "\n".join(lines)
+
+
+#: Every field but the preset name and the two free-text notes.
+_NUMERIC_FIELDS = tuple(
+    f.name
+    for f in fields(DualModeHardwareAbstraction)
+    if f.name not in ("name", "switch_method_m2c", "switch_method_c2m")
+)

@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, List, Optional, Sequence
+from functools import reduce
+from itertools import chain
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -37,6 +40,7 @@ __all__ = [
     "NULL_METRICS",
     "nearest_rank",
     "percentile",
+    "rank_index",
     "registry_for",
 ]
 
@@ -59,8 +63,12 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 def nearest_rank(ordered: Sequence[float], q: float) -> float:
     """:func:`percentile` of a non-empty, already sorted sequence."""
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return ordered[rank_index(len(ordered), q)]
+
+
+def rank_index(count: int, q: float) -> int:
+    """Index of the nearest-rank ``q`` percentile among ``count`` sorted values."""
+    return max(1, math.ceil(q / 100.0 * count)) - 1
 
 
 class Counter:
@@ -131,6 +139,30 @@ class Histogram:
             self.max = value if self.max is None else max(self.max, value)
             if len(self._samples) < _HISTOGRAM_SAMPLE_CAP:
                 self._samples.append(value)
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """:meth:`observe` every value in order, under one lock.
+
+        Leaves ``count``, ``total`` (added one value at a time, in
+        order), ``min`` / ``max`` and the retained samples exactly as
+        that many :meth:`observe` calls would.  A one-dimensional
+        memoryview of doubles (format ``"d"``) is read as the floats it
+        holds, without a conversion per value.
+        """
+        if isinstance(values, memoryview) and values.format == "d" and values.ndim == 1:
+            values = values.tolist()
+        else:
+            values = list(map(float, values))
+        if not values:
+            return
+        with self._lock:
+            self.count += len(values)
+            self.total = reduce(add, values, self.total)
+            self.min = min(chain(() if self.min is None else (self.min,), values))
+            self.max = max(chain(() if self.max is None else (self.max,), values))
+            room = _HISTOGRAM_SAMPLE_CAP - len(self._samples)
+            if room > 0:
+                self._samples.extend(values[:room])
 
     @property
     def mean(self) -> float:
@@ -272,6 +304,9 @@ class _NullInstrument:
         return None
 
     def observe(self, value: float) -> None:
+        return None
+
+    def observe_many(self, values: Iterable[float]) -> None:
         return None
 
     def percentile(self, q: float) -> float:

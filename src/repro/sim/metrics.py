@@ -21,13 +21,12 @@ p99 as this module.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import sub
 from typing import Dict, Optional
 
-from ..obs.metrics import nearest_rank, percentile
+import numpy as np
+
+from ..obs.metrics import percentile, rank_index
 
 __all__ = ["ReplayMetrics", "compute_metrics", "percentile"]
 
@@ -99,60 +98,53 @@ class ReplayMetrics:
         }
 
 
+def _total(column: np.ndarray) -> float:
+    """``sum()`` of a column's floats in order (a memoryview yields them
+    as plain Python floats, no list built)."""
+    return sum(memoryview(np.ascontiguousarray(column, dtype=np.float64)))
+
+
 def compute_metrics(outcomes) -> ReplayMetrics:
     """Aggregate one replay's outcome columns into :class:`ReplayMetrics`.
 
-    ``outcomes`` is a :class:`repro.sim.replay.ReplayOutcomes`: the
-    per-request ``arrivals`` / ``starts`` / ``switches`` / ``finishes``
-    columns, the per-request ``programs`` index and the per-program
-    ``models`` / ``service_ms`` columns.  Unserved requests (their
-    program's service time is ``None``) count toward ``failed`` and the
-    totals but contribute no latency samples.
+    ``outcomes`` is a :class:`repro.sim.replay.ReplayOutcomes`.  Its
+    unserved requests (program service time ``None``) count toward
+    ``failed`` and the totals but contribute no latency samples.
 
-    When every program compiled, every request was served and the
-    columns are the samples; otherwise the served requests' columns are
-    picked out once.  Each sample list is one pass, one sort serves both
-    percentiles and the maximum, and no per-request record is built.
-    The totals are still ``sum()`` over the samples in request order:
-    ``sum`` of floats is compensated on Python >= 3.12, so a hand-rolled
-    running total would not reproduce its last bit.
+    Latencies and queueing delays are array subtractions over the
+    served requests' columns, ``per_model`` one ``bincount``, and p50,
+    p99 and the maximum one ``partition`` at their nearest ranks — the
+    entries ``sorted(latencies)`` holds there.  Totals and means stay
+    ``sum()`` over the same floats in request order: ``sum`` of floats
+    is compensated on Python >= 3.12, so neither a running total nor a
+    numpy reduction would reproduce its last bit.
     """
     metrics = ReplayMetrics(requests=len(outcomes))
-    programs, arrivals, starts, switches, finishes = (
-        outcomes.programs, outcomes.arrivals, outcomes.starts,
-        outcomes.switches, outcomes.finishes,
-    )
-    if None in outcomes.service_ms:
-        served = outcomes.served
-        programs, arrivals, starts, switches, finishes = (
-            list(compress(column, served))
-            for column in (programs, arrivals, starts, switches, finishes)
-        )
-    metrics.served = len(programs)
-    metrics.failed = metrics.requests - metrics.served
-    if not programs:
+    arrivals, programs, starts, switches, finishes = outcomes.served_columns()
+    count = metrics.served = len(programs)
+    metrics.failed = metrics.requests - count
+    if not count:
         return metrics
 
-    latencies = list(map(sub, finishes, arrivals))
-    queues = list(map(sub, starts, arrivals))
-    services = list(map(outcomes.service_ms.__getitem__, programs))
+    latencies = finishes - arrivals
+    queues = starts - arrivals
+    services = np.array([0.0 if s is None else s for s in outcomes.service_ms])[programs]
     per_model = metrics.per_model
-    for program, count in Counter(programs).items():
-        model = outcomes.models[program]
-        per_model[model] = per_model.get(model, 0) + count
+    for model, served in zip(outcomes.models, np.bincount(programs).tolist()):
+        if served:
+            per_model[model] = per_model.get(model, 0) + served
 
-    metrics.makespan_ms = max(finishes) - min(arrivals)
+    metrics.makespan_ms = float(finishes.max() - arrivals.min())
     if metrics.makespan_ms > 0:
-        metrics.throughput_rps = metrics.served / (metrics.makespan_ms / 1000.0)
-    ordered = sorted(latencies)
-    metrics.latency_p50_ms = nearest_rank(ordered, 50.0)
-    metrics.latency_p99_ms = nearest_rank(ordered, 99.0)
-    metrics.latency_mean_ms = sum(latencies) / len(latencies)
-    metrics.latency_max_ms = ordered[-1]
-    metrics.queue_ms_mean = sum(queues) / len(queues)
-    metrics.queue_ms_max = max(queues)
-    metrics.service_ms_total = sum(services)
-    metrics.switch_ms_total = sum(switches)
+        metrics.throughput_rps = count / (metrics.makespan_ms / 1000.0)
+    ranks = [rank_index(count, 50.0), rank_index(count, 99.0), count - 1]
+    p50, p99, top = np.partition(latencies, ranks)[ranks].tolist()
+    metrics.latency_p50_ms, metrics.latency_p99_ms, metrics.latency_max_ms = p50, p99, top
+    metrics.latency_mean_ms = _total(latencies) / count
+    metrics.queue_ms_mean = _total(queues) / count
+    metrics.queue_ms_max = float(queues.max())
+    metrics.service_ms_total = _total(services)
+    metrics.switch_ms_total = _total(switches)
     busy = metrics.service_ms_total + metrics.switch_ms_total
     if busy > 0:
         metrics.switch_share = metrics.switch_ms_total / busy

@@ -18,7 +18,8 @@ Trace` against one chip:
    single-chip server whose clock is a
    :class:`~repro.core.clock.ManualClock` advanced in *virtual
    milliseconds*.  A request's service time is its program's predicted
-   ``end_to_end_ms``.
+   ``end_to_end_ms``.  Each request's step (switch + service) is priced
+   with numpy; only the Lindley recurrence runs per request in Python.
 3. **Re-provisioning** — when consecutive requests run *different*
    programs, the chip must re-provision its arrays from the layout the
    previous program ended in to the layout the next one starts with.
@@ -42,12 +43,12 @@ from __future__ import annotations
 
 import json
 import operator
-import sys
-from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass, field, replace as dataclasses_replace
-from itertools import compress
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.clock import ManualClock
 from ..core.compiler import CompilerOptions
@@ -118,22 +119,22 @@ class ReplayOutcomes(abc.Sequence):
 
     Request ``i`` is ``request_ids[i]``, arrived at ``arrivals[i]`` and
     runs program ``programs[i]``, an index into the per-program
-    ``keys``, ``models`` and ``service_ms`` (``None`` marks a program
-    that failed to compile, whose requests are dropped).  The event loop
-    wrote its ``starts[i]``, ``switches[i]`` and ``finishes[i]``; a
-    dropped request starts and finishes at its arrival.  The per-request
-    input columns are the replayed :class:`~repro.sim.traces.Trace`'s
-    own, shared rather than copied.
+    ``keys``, ``models`` and ``service_ms`` (``None``: the program failed
+    to compile and its requests are dropped).  The schedule wrote its
+    ``starts[i]``, ``switches[i]`` and ``finishes[i]`` (float64 arrays;
+    lists work too); a dropped request starts and finishes at arrival.
+    The input columns, and their ``arrival_array`` / ``program_array``,
+    are the replayed :class:`~repro.sim.traces.Trace`'s own, not copies.
 
     Read as a sequence (``len``, indexing, iteration, ``==`` against
-    another one or a list) it yields :class:`RequestOutcome` records,
-    each built only when it is read; :func:`~repro.sim.metrics.
-    compute_metrics` reads the columns and builds none.
+    another one or a list) it yields :class:`RequestOutcome` records of
+    plain ``float`` / ``bool`` fields, each built only when it is read;
+    :func:`~repro.sim.metrics.compute_metrics` builds none.
     """
 
     __slots__ = (
         "request_ids", "arrivals", "programs", "keys", "models", "service_ms",
-        "starts", "switches", "finishes",
+        "starts", "switches", "finishes", "arrival_array", "program_array",
     )
 
     def __init__(
@@ -147,22 +148,24 @@ class ReplayOutcomes(abc.Sequence):
         starts: Sequence[float],
         switches: Sequence[float],
         finishes: Sequence[float],
+        arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        self.request_ids = request_ids
-        self.arrivals = arrivals
-        self.programs = programs
-        self.keys = keys
-        self.models = models
-        self.service_ms = service_ms
-        self.starts = starts
-        self.switches = switches
-        self.finishes = finishes
+        self.request_ids, self.arrivals, self.programs = request_ids, arrivals, programs
+        self.keys, self.models, self.service_ms = keys, models, service_ms
+        self.starts, self.switches, self.finishes = starts, switches, finishes
+        self.arrival_array, self.program_array = (
+            arrays if arrays is not None else _arrays_of(arrivals, programs)
+        )
 
-    @property
-    def served(self) -> List[bool]:
-        """Whether each request was served (its program compiled)."""
-        compiled = [service is not None for service in self.service_ms]
-        return list(map(compiled.__getitem__, self.programs))
+    def served_columns(self) -> Tuple[np.ndarray, ...]:
+        """``(arrivals, programs, starts, switches, finishes)`` of the
+        served requests, in request order, as arrays."""
+        floats = (np.asarray(c, np.float64) for c in (self.starts, self.switches, self.finishes))
+        columns = (self.arrival_array, self.program_array, *floats)
+        if None not in self.service_ms:
+            return columns
+        served = np.array([s is not None for s in self.service_ms])[self.program_array]
+        return tuple(column[served] for column in columns)
 
     def _outcome(
         self, request_id, arrival_ms, program, start_ms, switch_ms, finish_ms
@@ -173,11 +176,11 @@ class ReplayOutcomes(abc.Sequence):
         return RequestOutcome(
             request_id=request_id,
             model=self.models[program],
-            arrival_ms=arrival_ms,
-            start_ms=start_ms,
-            switch_ms=switch_ms,
-            service_ms=service_ms if served else 0.0,
-            finish_ms=finish_ms,
+            arrival_ms=float(arrival_ms),
+            start_ms=float(start_ms),
+            switch_ms=float(switch_ms),
+            service_ms=float(service_ms) if served else 0.0,
+            finish_ms=float(finish_ms),
             served=served,
             error=error,
         )
@@ -211,6 +214,10 @@ class ReplayOutcomes(abc.Sequence):
         return f"ReplayOutcomes({len(self)} requests)"
 
 
+def _arrays_of(arrivals, programs) -> Tuple[np.ndarray, np.ndarray]:
+    return np.asarray(arrivals, dtype=np.float64), np.asarray(programs, dtype=np.intp)
+
+
 def replay_schedule(
     request_ids: Sequence[str],
     arrivals: Sequence[float],
@@ -221,123 +228,123 @@ def replay_schedule(
     switch_ms_between: Callable[[Optional[str], str], float],
     clock: Optional[ManualClock] = None,
     tracer=None,
+    arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> ReplayOutcomes:
-    """Run the FIFO single-server event loop over pre-costed requests.
+    """Serve pre-costed requests FIFO on one server, in column order.
 
     The first three arguments are per-request columns, the next three
-    per-program ones (see :class:`ReplayOutcomes`).  Requests are served
-    in column order (callers pass them arrival-sorted, as
-    :class:`~repro.sim.traces.Trace` guarantees).  For each served
-    request the server waits until both the request has arrived and the
-    previous one has finished, pays the re-provisioning cost
-    ``switch_ms_between(previous_key, key)``, then executes for its
-    program's service time.  Requests of a failed program (service time
-    ``None``) are recorded as unserved and neither occupy the server nor
-    change the array layout.
+    per-program ones (see :class:`ReplayOutcomes`); ``arrays`` may hold
+    the arrival and program columns as float64 / ``intp`` arrays already
+    (a :class:`~repro.sim.traces.Trace` does).  A served request waits
+    until it has arrived and its predecessor has finished, pays
+    ``switch_ms_between(previous_key, key)`` (``None`` before the first
+    served request), then runs for its program's service time.  A
+    request of a failed program (service ``None``) neither occupies the
+    server nor changes the array layout.
 
-    Everything per-*program* arrives pre-computed, and the switch price
-    of an ordered pair of programs is asked of ``switch_ms_between``
-    the first time the pair meets and read from a program x program
-    table after that (``previous_key`` is ``None`` for the first served
-    request).  The per-request work is one Lindley step — two float
-    additions — and three float appends; arrivals, service times and
-    priced switches are floats (a :class:`~repro.sim.traces.Trace`'s
-    arrival column is, and :meth:`ReplaySimulator.run` passes float
-    service times), so the loop converts nothing.  Virtual time is a
-    local float that takes exactly the steps ``ManualClock.advance``
-    would (``now += arrival - now``, not ``now = arrival``: the two
-    differ in the last bit, and replay reports are compared bit for
-    bit), moves only forward (a negative ``switch + service`` step
-    raises ``ValueError`` as the clock would — checked when its pair of
-    programs is first priced, which is the first request to take it),
-    and is handed to ``clock`` (a fresh :class:`ManualClock` by default)
-    once at the end, so the clock finishes at the last completion.
+    Everything but the wait is numpy over the served requests: their
+    (previous, program) pairs are coded and each pair that meets is
+    priced once; a step is ``switch + service``.  The loop is the
+    Lindley recurrence alone — ``now += arrival - now`` when idle (not
+    ``now = arrival``: the two differ in the last bit, and reports are
+    compared bit for bit), append ``now``, ``now += step`` — and the
+    finishes are ``starts + steps``, the same additions.  A negative
+    step raises ``ValueError`` (as ``ManualClock.advance`` would) at the
+    first request that takes one.  Time starts at ``clock.now()`` (a
+    fresh :class:`ManualClock` by default), advanced once at the end.
 
-    ``tracer`` (an optional :class:`~repro.obs.Tracer`) records a span
-    per request — wall-clock time of the event-loop step, with the
-    *virtual* arrival/start/finish times as attributes — and a
-    ``replay.switch`` instant event whenever a request pays a non-zero
-    re-provisioning cost.  The loop tests ``tracer.enabled`` once and
-    never calls through a disabled tracer.  The schedule itself is
-    byte-identical with and without a tracer.
+    ``tracer`` gets a ``replay.request`` span per request (virtual times
+    as attributes) holding a ``replay.switch`` event when it pays a
+    switch, emitted from the finished columns: they mark the steps, not
+    time them.  A negative step's span closes with the error.
     """
     clock = clock if clock is not None else ManualClock()
     tracer = tracer if tracer is not None else NULL_TRACER
-    traced = tracer.enabled
-    # priced[previous][program], filled as pairs meet; the extra last
-    # row is "no previous program" (before the first served request).
-    no_program = len(keys)
+    arrays = arrays if arrays is not None else _arrays_of(arrivals, programs)
+    served_arrivals, served_programs = arrival_array, program_array = arrays
+    compiled = [service is not None for service in service_ms]
+    served_rows = None  # every request is served
+    if not all(compiled):
+        served_rows = np.flatnonzero(np.array(compiled)[program_array])
+        served_arrivals = arrival_array[served_rows]
+        served_programs = program_array[served_rows]
+
+    # Pair code previous * P + program; previous P is "none yet".
+    count = len(keys)
+    previous = np.empty_like(served_programs)
+    previous[:1] = count
+    previous[1:] = served_programs[:-1]
+    pairs = previous * count + served_programs
+    price = np.zeros((count + 1) * count)
     previous_keys = [*keys, None]
-    priced: List[List[Optional[float]]] = [
-        [None] * no_program for _ in previous_keys
-    ]
+    for pair in np.flatnonzero(np.bincount(pairs, minlength=price.size)).tolist():
+        before, program = divmod(pair, count)
+        price[pair] = float(switch_ms_between(previous_keys[before], keys[program]))
+    switches = price[pairs]
+    steps = switches + np.array([0.0 if s is None else s for s in service_ms])[served_programs]
+    negative = np.flatnonzero(steps < 0)[:1]
+    if negative.size:  # schedule (and trace) only the requests before it
+        switches, steps = switches[: negative[0]], steps[: negative[0]]
+
     starts: List[float] = []
-    switches: List[float] = []
-    finishes: List[float] = []
-    start_append, switch_append, finish_append = (
-        starts.append, switches.append, finishes.append
-    )
+    append = starts.append
     now = clock.now()
-    previous = no_program
-    row = priced[previous]
-    span = None
-    try:
-        for request_id, arrival_ms, program in zip(request_ids, arrivals, programs):
-            if traced:
-                span = tracer.span(
-                    "replay.request", request=request_id, model=models[program]
-                ).__enter__()
-            service = service_ms[program]
-            if service is None:
-                start_append(arrival_ms)
-                switch_append(0.0)
-                finish_append(arrival_ms)
-                if traced:
-                    span.set(served=False, arrival_ms=arrival_ms)
-            else:
-                if arrival_ms > now:
-                    now += arrival_ms - now  # server idles
-                start_ms = now
-                switch = row[program]
-                if switch is None:
-                    switch = row[program] = float(
-                        switch_ms_between(previous_keys[previous], keys[program])
-                    )
-                    if switch + service < 0:
-                        raise ValueError("cannot advance a clock backwards")
-                if traced and switch > 0.0:
-                    tracer.event(
-                        "replay.switch",
-                        switch_ms=switch,
-                        previous=previous_keys[previous],
-                        program=keys[program],
-                    )
-                now += switch + service
-                start_append(start_ms)
-                switch_append(switch)
-                finish_append(now)
-                if traced:
-                    span.set(
-                        served=True,
-                        arrival_ms=arrival_ms,
-                        start_ms=start_ms,
-                        finish_ms=now,
-                        switch_ms=switch,
-                        latency_ms=now - arrival_ms,
-                    )
-                previous = program
-                row = priced[program]
-            if traced:
-                span.__exit__(None, None, None)
-                span = None
-    finally:
-        if span is not None:  # the step raised inside an open span
-            span.__exit__(*sys.exc_info())
-    clock.advance(now - clock.now())
-    return ReplayOutcomes(
+    # A memoryview of a float64 array yields plain floats, no list built.
+    for arrival_ms, step in zip(memoryview(served_arrivals), memoryview(steps)):
+        if arrival_ms > now:
+            now += arrival_ms - now  # server idles
+        append(now)
+        now += step
+    start_array = np.fromiter(starts, dtype=np.float64, count=len(starts))
+    finish_array = start_array + steps
+    if served_rows is not None:  # scatter back; a dropped request never waits
+        rows = served_rows[: len(starts)]
+        columns = (arrival_array.copy(), np.zeros_like(arrival_array), arrival_array.copy())
+        for column, values in zip(columns, (start_array, switches, finish_array)):
+            column[rows] = values
+        start_array, switches, finish_array = columns
+    outcomes = ReplayOutcomes(
         request_ids, arrivals, programs, keys, models, service_ms,
-        starts, switches, finishes,
+        start_array, switches, finish_array, arrays,
     )
+    stop = len(arrival_array)
+    if negative.size:
+        stop = int(negative[0] if served_rows is None else served_rows[negative[0]])
+    if tracer.enabled:
+        _trace_requests(tracer, outcomes, [previous_keys[p] for p in previous.tolist()], stop)
+    if negative.size:
+        model = models[programs[stop]]
+        with tracer.span("replay.request", request=request_ids[stop], model=model):
+            raise ValueError("cannot advance a clock backwards")
+    clock.advance(now - clock.now())
+    return outcomes
+
+
+def _trace_requests(tracer, outcomes: ReplayOutcomes, previous: List, stop: int) -> None:
+    """Spans and switch events of the first ``stop`` requests, from their
+    columns; ``previous`` is each served request's previous key."""
+    previous, keys = iter(previous), outcomes.keys
+    rows = zip(
+        outcomes.request_ids, outcomes.arrivals, outcomes.programs,
+        *(c.tolist() for c in (outcomes.starts, outcomes.switches, outcomes.finishes)),
+    )
+    for request_id, arrival_ms, program, start_ms, switch_ms, finish_ms in islice(rows, stop):
+        served = outcomes.service_ms[program] is not None
+        with tracer.span(
+            "replay.request", request=request_id, model=outcomes.models[program]
+        ) as span:
+            span.set(served=served, arrival_ms=arrival_ms)
+            if not served:
+                continue
+            before = next(previous)
+            if switch_ms > 0.0:
+                tracer.event(
+                    "replay.switch", switch_ms=switch_ms, previous=before, program=keys[program]
+                )
+            span.set(
+                start_ms=start_ms, finish_ms=finish_ms, switch_ms=switch_ms,
+                latency_ms=finish_ms - arrival_ms,
+            )
 
 
 @dataclass
@@ -491,10 +498,10 @@ class ReplaySimulator:
         Compile-side work is per distinct *program*: one key rendering,
         one compile, one ``end_to_end_ms`` read, and one Eq. 1 pricing
         per ordered pair of programs that actually meet.  Per *request*
-        there is one step of the event loop of :func:`replay_schedule`
-        over the trace's own columns (ids, arrivals, program codes), so a
-        replay costs ``O(programs * warm compile + requests)``.  The
-        per-program tables are locals of this call — nothing outlives it.
+        there is a few numpy operations over the trace's own arrays and
+        one Lindley step of :func:`replay_schedule`, so a replay costs
+        ``O(programs * warm compile + requests)``.  The per-program
+        tables are locals of this call — nothing outlives it.
         """
         with self.obs.tracer.span("replay.compile_pool", requests=len(trace)):
             pool = self.compile_pool(trace)
@@ -507,14 +514,10 @@ class ReplaySimulator:
         ]
         with self.obs.tracer.span("replay.schedule", requests=len(trace)):
             outcomes = replay_schedule(
-                trace.request_ids,
-                trace.arrivals,
-                trace.programs,
-                list(pool),
-                [model for model, _ in trace.table],
-                service_ms,
-                self._switch_ms_between(compiled),
-                tracer=self.obs.tracer,
+                trace.request_ids, trace.arrivals, trace.programs, list(pool),
+                [model for model, _ in trace.table], service_ms,
+                self._switch_ms_between(compiled), tracer=self.obs.tracer,
+                arrays=(trace.arrival_array, trace.program_array),
             )
         self._observe(outcomes)
 
@@ -544,33 +547,28 @@ class ReplaySimulator:
         number of later *served* requests already arrived but still
         waiting (``arrival_ms <= start_ms``); a dropped request never
         waits.  Arrivals are sorted (a :class:`~repro.sim.traces.Trace`
-        invariant), so a single ``bisect`` per request suffices.  The
-        counters are tallied here and added once each, not once per
+        invariant), so one ``searchsorted`` over the served columns
+        finds every depth.  Each histogram takes its samples in one
+        ``observe_many`` and each counter is added once, not once per
         request.
         """
         metrics = self.obs.metrics
         if not getattr(metrics, "enabled", False):
             return
-        served = outcomes.served
-        arrivals = list(compress(outcomes.arrivals, served))
-        switches = 0
-        for index, (arrival_ms, start_ms, switch_ms, finish_ms) in enumerate(
-            zip(
-                arrivals,
-                compress(outcomes.starts, served),
-                compress(outcomes.switches, served),
-                compress(outcomes.finishes, served),
+        arrivals, _, starts, switches, finishes = outcomes.served_columns()
+        if len(arrivals):
+            waiting = np.searchsorted(arrivals, starts, side="right")
+            depths = waiting - np.arange(1, len(arrivals) + 1)
+            metrics.histogram("replay.queue_depth").observe_many(
+                memoryview(np.maximum(depths, 0).astype(np.float64))
             )
-        ):
-            if switch_ms > 0.0:
-                switches += 1
-            depth = bisect_right(arrivals, start_ms) - (index + 1)
-            metrics.observe("replay.queue_depth", max(0, depth))
-            metrics.observe("replay.latency_ms", finish_ms - arrival_ms)
+            metrics.histogram("replay.latency_ms").observe_many(
+                memoryview(finishes - arrivals)
+            )
         for name, count in (
             ("replay.requests", len(outcomes)),
             ("replay.dropped", len(outcomes) - len(arrivals)),
-            ("replay.switches", switches),
+            ("replay.switches", int(np.count_nonzero(switches > 0.0))),
         ):
             if count:  # a counter nothing bumped stays out of the snapshot
                 metrics.inc(name, count)

@@ -45,6 +45,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..models.registry import default_workload
 from ..models.workload import (
     Workload,
@@ -111,7 +113,7 @@ def _request_fields(payload: Dict) -> Tuple[str, float, str, Workload]:
             str(payload["model"]),
             workload_from_payload(payload["workload"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"invalid trace request {payload!r}: {exc}") from exc
 
 
@@ -236,7 +238,8 @@ class Trace:
     ``table[programs[i]]``, one of the trace's distinct ``(model,
     workload)`` pairs, listed in first-appearance order.  The columns
     are tuples: read-only, and shared (never copied) by the replay
-    outcomes and the traces derived from this one.
+    outcomes and the traces derived from this one, as are their
+    read-only numpy forms ``arrival_array`` and ``program_array``.
 
     ``Trace(requests=[...], metadata=...)`` builds the columns from
     :class:`TraceRequest` records (one stable sort by arrival — ties
@@ -244,7 +247,10 @@ class Trace:
     records.
     """
 
-    __slots__ = ("request_ids", "arrivals", "programs", "table", "metadata")
+    __slots__ = (
+        "request_ids", "arrivals", "programs", "table", "metadata",
+        "arrival_array", "program_array",
+    )
 
     def __init__(
         self, requests: Iterable[TraceRequest] = (), metadata: Optional[Dict] = None
@@ -274,7 +280,8 @@ class Trace:
         metadata: Dict,
     ) -> None:
         """Set the columns (already arrival-sorted), checking every arrival."""
-        if not all(map(math.isfinite, arrivals)) or (arrivals and min(arrivals) < 0):
+        self.arrival_array = np.array(arrivals, dtype=np.float64)
+        if not np.isfinite(self.arrival_array).all() or (self.arrival_array < 0).any():
             for request_id, arrival_ms in zip(request_ids, arrivals):
                 _check_arrival(request_id, arrival_ms)
         self.request_ids: Tuple[str, ...] = tuple(request_ids)
@@ -282,6 +289,9 @@ class Trace:
         self.programs: Tuple[int, ...] = tuple(programs)
         self.table: Tuple[ProgramPair, ...] = tuple(table)
         self.metadata: Dict = metadata
+        self.program_array = np.array(programs, dtype=np.intp)
+        for array in (self.arrival_array, self.program_array):
+            array.flags.writeable = False  # shared, as the tuples are
 
     @classmethod
     def _of_columns(

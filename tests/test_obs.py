@@ -9,13 +9,20 @@ instrumentation, and the CLI's quiet-by-default logging behaviour.
 from __future__ import annotations
 
 import json
+import math
 import pickle
+from array import array
 import re
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro.obs.metrics as obs_metrics
 
 from repro.api import Session
 from repro.cli import main
@@ -179,6 +186,36 @@ class TestMetrics:
             histogram.observe(float(value))
         assert histogram.percentile(50) == pytest.approx(50.0, abs=1.0)
         assert histogram.percentile(99) == pytest.approx(99.0, abs=1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(st.floats() | st.integers(-3, 3) | st.sampled_from([0.0, -0.0])),
+            max_size=6,
+        )
+    )
+    @example(batches=[[1.0, 0.5], [math.nan, 0.0, 2.0]])  # NaN first in a later batch
+    def test_observe_many_is_observe_of_each_value(self, batches):
+        """Count, in-order total, min / max (NaN and signed zeros included)
+        and the retained samples, across the sample cap, bit for bit."""
+        with mock.patch.object(obs_metrics, "_HISTOGRAM_SAMPLE_CAP", 8):
+            bulk, single = MetricsRegistry().histogram("h"), MetricsRegistry().histogram("h")
+            for batch in batches:
+                if all(type(value) is float for value in batch):
+                    bulk.observe_many(memoryview(array("d", batch)))  # read as doubles
+                else:
+                    bulk.observe_many(iter(batch))
+                for value in batch:
+                    single.observe(value)
+
+        def state(histogram):
+            return repr(
+                (histogram.count, histogram.total, histogram.min, histogram.max,
+                 histogram._samples)
+            )
+
+        assert state(bulk) == state(single)
+        NULL_METRICS.histogram("h").observe_many([1.0])  # inert
 
     def test_same_name_returns_same_instrument(self):
         registry = MetricsRegistry()

@@ -4,8 +4,10 @@ Covered here: entries written by format version 4 decode to their
 recorded fingerprints and re-encode to the same bytes (so the one-step
 decoder needed no version bump), every malformed program is a
 ``ProgramFormatError`` — a counted corrupt miss in the store, a
-``WireFormatError`` on the wire — and the one-pass ``_json_safe``
-projects stats and metadata exactly as the two-walk version did.
+``WireFormatError`` on the wire — and so is any one-field mutation of a
+program that would crash its readers (fuzzed through the decoder and
+through a real store entry), and the one-pass ``_json_safe`` projects
+stats and metadata exactly as the two-walk version did.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.core.program import (
     program_to_payload,
 )
 from repro.core.store import FORMAT_VERSION, ProgramKey
+from repro.cost.energy import estimate_energy
 from repro.serve.wire import WIRE_VERSION, WireFormatError, program_from_wire, program_to_wire
 from repro.service import CompileService
 
@@ -89,8 +92,20 @@ def _first_allocation(program, pair):
     return _first_segment(program, allocations=allocations)
 
 
+def _hardware(program, **fields):
+    return {**program, "hardware": {**program["hardware"], **fields}}
+
+
+def _first_profile(program, **fields):
+    profiles = dict(program["segments"][0]["profiles"])
+    name = next(iter(profiles))
+    profiles[name] = {**profiles[name], **fields}
+    return _first_segment(program, profiles=profiles)
+
+
 #: Mangles that used to leave the decoder as a raw ValueError, TypeError
-#: or AttributeError.
+#: or AttributeError, or (the last five) decoded into a program whose
+#: ``end_to_end_ms`` or ``estimate_energy`` raised.
 MANGLES = {
     "negative-count": lambda program: _first_allocation(program, [-1, 0]),
     "non-integer-index": lambda program: _first_segment(program, index="first"),
@@ -102,6 +117,13 @@ MANGLES = {
     "list-profiles": lambda program: _first_segment(program, profiles=[1]),
     "list-inter-breakdown": lambda program: _first_segment(program, inter_breakdown=[1]),
     "list-metadata": lambda program: {**program, "metadata": [1]},
+    "string-frequency": lambda program: _hardware(program, frequency_mhz="x"),
+    "zero-frequency": lambda program: _hardware(program, frequency_mhz=0),
+    "string-profile-count": lambda program: _first_profile(program, macs="x"),
+    "oversized-profile-count": lambda program: _first_profile(program, macs=10**400),
+    "unprofiled-operator": lambda program: _first_segment(
+        program, operator_names=[*program["segments"][0]["operator_names"], "ghost"]
+    ),
 }
 
 
@@ -136,6 +158,104 @@ def test_mangled_store_entry_is_a_corrupt_miss_and_a_normal_compile(
     assert program.fingerprint() == cold.fingerprint()
     assert fresh.store.stats.corrupt_entries == 1
     assert fresh.store.stats.misses == 1 and fresh.store.stats.hits == 0
+
+
+# ---------------------------------------------------------------------- #
+# one-field mutation fuzz: refused, or a program its readers can read
+# ---------------------------------------------------------------------- #
+def _json_paths(value, prefix=()):
+    """The path (keys and indices) to every value nested in ``value``."""
+    if isinstance(value, dict):
+        entries = value.items()
+    elif isinstance(value, list):
+        entries = enumerate(value)
+    else:
+        return
+    for key, entry in entries:
+        yield prefix + (key,)
+        yield from _json_paths(entry, prefix + (key,))
+
+
+#: What a mutation writes: wrong types, non-finite and out-of-range
+#: numbers (JSON carries ``NaN`` and arbitrarily long integers), zeros.
+_MUTANTS = st.sampled_from(
+    ["x", "0x1p+0", 0, -1, 1.5, -0.0, 2**63, 10**400, True, False, None,
+     [], [1], {}, {"a": 1}, math.nan, math.inf, -math.inf]
+)
+
+
+def _mutated(payload, path, how, mutant):
+    """``payload`` (a fresh copy) with the value at ``path`` replaced by
+    ``mutant``, or its key deleted or renamed (inside an object)."""
+    payload = json.loads(json.dumps(payload))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if how != "replace" and isinstance(parent, dict):
+        value = parent.pop(path[-1])
+        if how == "rename":
+            parent["renamed"] = value
+    else:
+        parent[path[-1]] = mutant
+    return payload
+
+
+def _summaries(program) -> None:
+    """What a reader of a decoded program calls first."""
+    program.end_to_end_ms
+    program.fingerprint()
+    estimate_energy(program)
+
+
+_MUTATION = st.tuples(st.sampled_from(["replace", "replace", "delete", "rename"]), _MUTANTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), mutation=_MUTATION)
+def test_a_mutated_program_is_refused_or_readable(compiled_tiny_cnn, data, mutation):
+    payload = program_to_payload(compiled_tiny_cnn)
+    path = data.draw(st.sampled_from(list(_json_paths(payload))))
+    try:
+        program = program_from_payload(_mutated(payload, path, *mutation))
+    except ProgramFormatError:
+        return
+    _summaries(program)
+
+
+@pytest.fixture(scope="module")
+def stored_entry(small_chip, tiny_cnn_graph, tmp_path_factory):
+    """A real store entry: its directory, key, file and text."""
+    root = tmp_path_factory.mktemp("store")
+    options = CompilerOptions(generate_code=False)
+    CompileService(cache_dir=root).compile_graph(tiny_cnn_graph, small_chip, options)
+    key = ProgramKey.build(tiny_cnn_graph.digest(), small_chip, options, "cmswitch")
+    path = root / key.digest[:2] / f"{key.digest}.json"
+    return root, key, path, path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mutation=_MUTATION, truncate=st.booleans())
+def test_a_mutated_or_truncated_store_entry_is_a_miss_or_readable(
+    stored_entry, data, mutation, truncate
+):
+    root, key, path, text = stored_entry
+    entry = json.loads(text)
+    field = ()
+    if truncate:
+        path.write_text(text[: data.draw(st.integers(0, len(text) - 1))], encoding="utf-8")
+    else:
+        field = data.draw(st.sampled_from(list(_json_paths(entry))))
+        path.write_text(json.dumps(_mutated(entry, field, *mutation)), encoding="utf-8")
+    store = DiskCacheStore(root)
+    program = store.get(key)
+    stats = store.stats
+    if program is None:
+        assert stats.misses == 1 and stats.hits == 0
+        if truncate or field[0] == "program":
+            assert stats.corrupt_entries == 1
+    else:
+        _summaries(program)
+    path.write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------- #

@@ -23,6 +23,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -38,7 +40,8 @@ from repro.models.registry import build_model
 from repro.models.workload import Workload
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.service import ModelRecipe
-from repro.sim.metrics import compute_metrics, percentile
+from repro.obs.metrics import nearest_rank
+from repro.sim.metrics import ReplayMetrics, compute_metrics, percentile
 from repro.cost.switching import mode_switch_cycles
 from repro.sim.replay import ReplaySimulator, replay_schedule
 from repro.sim.timing import TimingSimulator
@@ -375,6 +378,95 @@ class TestScheduleDifferential:
         with tracer.span("after") as after:
             pass
         assert after.parent_id is None  # nothing left open on the stack
+
+
+def _reference_metrics(outcomes) -> dict:
+    """:func:`compute_metrics` written out over the outcome records:
+    ``sorted`` + ``nearest_rank``, ``sum`` in request order, ``Counter``."""
+    served = [o for o in outcomes if o.served]
+    metrics = ReplayMetrics(
+        requests=len(outcomes), served=len(served), failed=len(outcomes) - len(served)
+    )
+    if served:
+        latencies = [o.latency_ms for o in served]
+        ordered = sorted(latencies)
+        metrics.makespan_ms = (
+            max(o.finish_ms for o in served) - min(o.arrival_ms for o in served)
+        )
+        if metrics.makespan_ms > 0:
+            metrics.throughput_rps = len(served) / (metrics.makespan_ms / 1000.0)
+        metrics.latency_p50_ms = nearest_rank(ordered, 50.0)
+        metrics.latency_p99_ms = nearest_rank(ordered, 99.0)
+        metrics.latency_max_ms = ordered[-1]
+        metrics.latency_mean_ms = sum(latencies) / len(served)
+        metrics.queue_ms_mean = sum(o.queue_ms for o in served) / len(served)
+        metrics.queue_ms_max = max(o.queue_ms for o in served)
+        metrics.service_ms_total = sum(o.service_ms for o in served)
+        metrics.switch_ms_total = sum(o.switch_ms for o in served)
+        busy = metrics.service_ms_total + metrics.switch_ms_total
+        if busy > 0:
+            metrics.switch_share = metrics.switch_ms_total / busy
+        if metrics.makespan_ms > 0:
+            metrics.utilisation = min(1.0, busy / metrics.makespan_ms)
+        elif busy > 0:
+            metrics.utilisation = 1.0
+        metrics.per_model = dict(Counter(o.model for o in served))
+    return metrics.to_dict()
+
+
+#: Per-program service times: ``None`` (a failed compile), a few shared
+#: values (latency ties) and arbitrary ones.
+_program_services = st.lists(
+    st.none()
+    | st.sampled_from([0.25, 0.5, 1.0])
+    | st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestMetricsDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        count=st.sampled_from([1, 2, 99, 100, 101]),  # nearest-rank edges
+        services=_program_services,
+    )
+    def test_equals_the_written_out_reference_bit_for_bit(self, data, count, services):
+        gaps = data.draw(
+            st.lists(
+                st.sampled_from([0.0, 0.25])
+                | st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
+                min_size=count, max_size=count,
+            )
+        )
+        programs = data.draw(
+            st.lists(
+                st.integers(0, len(services) - 1), min_size=count, max_size=count
+            )
+        )
+        keys = [f"p{index}" for index in range(len(services))]
+        models = [("a", "b", "a", "c")[index] for index in range(len(services))]
+        outcomes = replay_schedule(
+            [f"r{index}" for index in range(count)], list(accumulate(gaps)), programs,
+            keys, models, services,
+            lambda previous, key: 0.0 if previous in (None, key) else 0.125,
+        )
+        expected = _reference_metrics(outcomes)
+        assert repr(compute_metrics(outcomes).to_dict()) == repr(expected)
+        listed = replay_module.ReplayOutcomes(
+            outcomes.request_ids, outcomes.arrivals, outcomes.programs,
+            keys, models, services,
+            outcomes.starts.tolist(), outcomes.switches.tolist(),
+            outcomes.finishes.tolist(),
+        )
+        assert repr(compute_metrics(listed).to_dict()) == repr(expected)
+        for outcome in (outcomes[0], *outcomes, *listed):
+            assert all(
+                type(getattr(outcome, name)) is float
+                for name in ("arrival_ms", "start_ms", "switch_ms", "service_ms", "finish_ms")
+            )
+            assert type(outcome.served) is bool
 
 
 class TestQueueDepth:

@@ -183,6 +183,11 @@ class TestColumns:
         assert isinstance(trace.requests, TraceRequests)
         with pytest.raises(TypeError):
             trace.requests[0] = trace.requests[1]
+        assert trace.arrival_array.tolist() == list(trace.arrivals)
+        assert trace.program_array.tolist() == list(trace.programs)
+        for array in (trace.arrival_array, trace.program_array):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     def test_generating_builds_no_request_and_reading_one_builds_one(self, monkeypatch):
         built = []
@@ -321,6 +326,68 @@ class TestFileFormat:
             '{"format": "repro-trace", "version": 1}\nnot json\n', encoding="utf-8"
         )
         with pytest.raises(TraceFormatError, match="not JSON"):
+            load_trace(path)
+
+
+#: What a mutated trace field becomes: wrong types, NaN, infinities, a
+#: negative arrival, an integer no float holds, an id already in use.
+_TRACE_MUTANTS = st.sampled_from(
+    ["x", "r1", 0, -1, -5.0, 1.5, -0.0, 10**400, True, None, [], [1], {}, {"a": 1},
+     math.nan, math.inf, -math.inf]
+)
+
+
+class TestFileFuzz:
+    """``load_trace`` yields a ``Trace`` or raises ``TraceFormatError``,
+    whatever one edit did to a saved trace."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        trace = poisson_trace(["tiny-mlp", "tiny-cnn"], num_requests=6, seed=1)
+        path = save_trace(trace, tmp_path_factory.mktemp("fuzz") / "t.jsonl")
+        return path, path.read_text(encoding="utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        edit=st.sampled_from(["field", "field", "workload", "truncate", "repeat", "drop"]),
+        mutant=_TRACE_MUTANTS,
+    )
+    def test_an_edited_trace_loads_or_is_a_format_error(self, saved, data, edit, mutant):
+        path, text = saved
+        lines = text.splitlines()
+        index = data.draw(st.integers(0 if edit in ("field", "drop") else 1, len(lines) - 1))
+        if edit == "repeat":  # a repeated id, and one line more than promised
+            lines.insert(index, lines[index])
+        elif edit == "drop":
+            del lines[index]
+        elif edit != "truncate":
+            line = json.loads(lines[index])
+            target = line["workload"] if edit == "workload" else line
+            key = data.draw(st.sampled_from(sorted(target)))
+            if data.draw(st.booleans()):
+                target[key] = mutant
+            else:
+                del target[key]
+            lines[index] = json.dumps(line)
+        if edit == "truncate":
+            text = text[: data.draw(st.integers(0, len(text) - 1))]
+        else:
+            text = "\n".join(lines)
+        path.write_text(text, encoding="utf-8")
+        try:
+            assert isinstance(load_trace(path), Trace)
+        except TraceFormatError:
+            pass
+
+    def test_an_arrival_no_float_holds_is_a_format_error(self, saved):
+        path, text = saved
+        lines = text.splitlines()
+        request = json.loads(lines[1])
+        request["arrival_ms"] = 10**400  # JSON integers have no bound
+        lines[1] = json.dumps(request)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(TraceFormatError, match="too large"):
             load_trace(path)
 
 
