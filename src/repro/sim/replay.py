@@ -283,8 +283,10 @@ def replay_schedule(
     switches = price[pairs]
     steps = switches + np.array([0.0 if s is None else s for s in service_ms])[served_programs]
     negative = np.flatnonzero(steps < 0)[:1]
+    stop = len(arrival_array)
     if negative.size:  # schedule (and trace) only the requests before it
         switches, steps = switches[: negative[0]], steps[: negative[0]]
+        stop = int(negative[0] if served_rows is None else served_rows[negative[0]])
 
     starts: List[float] = []
     append = starts.append
@@ -307,9 +309,6 @@ def replay_schedule(
         request_ids, arrivals, programs, keys, models, service_ms,
         start_array, switches, finish_array, arrays,
     )
-    stop = len(arrival_array)
-    if negative.size:
-        stop = int(negative[0] if served_rows is None else served_rows[negative[0]])
     if tracer.enabled:
         _trace_requests(tracer, outcomes, [previous_keys[p] for p in previous.tolist()], stop)
     if negative.size:
