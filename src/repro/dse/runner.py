@@ -501,27 +501,28 @@ class DSERunner:
             if not points:
                 break
             batch_fidelity = self._batch_fidelity()
-            fresh: List[DesignPoint] = []
+            # Each point's key (a JSON rendering and a SHA-256) is
+            # computed once here and handed to its record.
+            fresh: List[Tuple[DesignPoint, str]] = []
             resumed: List[EvaluationRecord] = []
             for point in points:
-                record = known.get(point.key)
+                key = point.key
+                record = known.get(key)
                 if record is not None and self._satisfies(record, batch_fidelity):
                     result.skipped += 1
                     # Feed the strategy the record of the tier it asked
                     # at when one exists — a rung-0 ask is answered with
                     # the rung-0 score even if a promoted (compiled)
                     # record supersedes it in the report.
-                    resumed.append(
-                        known_tiers.get((point.key, batch_fidelity), record)
-                    )
+                    resumed.append(known_tiers.get((key, batch_fidelity), record))
                 else:
-                    fresh.append(point)
+                    fresh.append((point, key))
             batch_records: List[EvaluationRecord] = []
             if fresh:
                 with self.obs.tracer.span(
                     "dse.batch", fidelity=batch_fidelity, points=len(fresh)
                 ):
-                    jobs = [self._job(point) for point in fresh]
+                    jobs = [self._job(point) for point, _ in fresh]
                     if batch_fidelity == "compile":
                         outcomes = self.service.compile_batch(jobs)
                         # A pipeline run always times its passes; a served
@@ -532,13 +533,14 @@ class DSERunner:
                             if outcome.ok and not outcome.stats.get("pass_seconds")
                         )
                         batch_records = [
-                            self._compiled(point, outcome)
-                            for point, outcome in zip(fresh, outcomes)
+                            self._compiled(point, key, outcome)
+                            for (point, key), outcome in zip(fresh, outcomes)
                         ]
                     else:
                         served = 0
                         batch_records = [
-                            self._bounded(point, job) for point, job in zip(fresh, jobs)
+                            self._bounded(point, key, job)
+                            for (point, key), job in zip(fresh, jobs)
                         ]
                 result.warm_planned += served
                 result.cold_planned += len(fresh) - served
@@ -590,17 +592,19 @@ class DSERunner:
             label=point.describe(),
         )
 
-    def _compiled(self, point: DesignPoint, outcome: CompileJobResult) -> EvaluationRecord:
+    def _compiled(
+        self, point: DesignPoint, key: str, outcome: CompileJobResult
+    ) -> EvaluationRecord:
         """The record of one compile: the program's metrics, or its error."""
         if not outcome.ok:
             return self._record(
-                point, "compile", error=outcome.error, failed=True,
+                point, key, "compile", error=outcome.error, failed=True,
                 wall_seconds=outcome.wall_seconds,
             )
         program = outcome.program
         stats = outcome.stats
         return self._record(
-            point, "compile", feasible=True,
+            point, key, "compile", feasible=True,
             latency_ms=program.end_to_end_ms,
             cycles=program.end_to_end_cycles,
             energy_mj=estimate_energy(program).end_to_end_mj,
@@ -615,7 +619,7 @@ class DSERunner:
             disk_hits=int(stats.get("allocation_disk_hits", 0)),
         )
 
-    def _bounded(self, point: DesignPoint, job: CompileJob) -> EvaluationRecord:
+    def _bounded(self, point: DesignPoint, key: str, job: CompileJob) -> EvaluationRecord:
         """The record of one analytical bound (zero solves); errors are captured."""
         start = time.perf_counter()
         hardware = point.hardware
@@ -637,18 +641,21 @@ class DSERunner:
                 peak_arrays=estimate.min_peak_arrays,
             )
         return self._record(
-            point, "analytical", lower_bound=True,
+            point, key, "analytical", lower_bound=True,
             wall_seconds=time.perf_counter() - start, **fields,
         )
 
-    def _record(self, point: DesignPoint, fidelity: str, **fields) -> EvaluationRecord:
-        """The persistent record of one evaluated point (``fields`` are its metrics)."""
+    def _record(
+        self, point: DesignPoint, key: str, fidelity: str, **fields
+    ) -> EvaluationRecord:
+        """The persistent record of one evaluated point, whose key is ``key``
+        (``fields`` are its metrics)."""
         metrics = self.obs.metrics
         metrics.inc("dse.points")
         metrics.inc(f"dse.points.{fidelity}")
-        with self.obs.tracer.span("dse.point", point=point.key, fidelity=fidelity) as span:
+        with self.obs.tracer.span("dse.point", point=key, fidelity=fidelity) as span:
             record = EvaluationRecord(
-                point_key=point.key,
+                point_key=key,
                 model=point.model_name,
                 workload=point.workload.describe(),
                 hardware=point.hardware.name,

@@ -189,9 +189,10 @@ class GreedyStrategy(Strategy):
         """
         point = self.space.point_at(coords)
         self._proposed.add(coords)
-        if point.key in self._seen_keys:
+        key = point.key
+        if key in self._seen_keys:
             return None
-        self._seen_keys.add(point.key)
+        self._seen_keys.add(key)
         return point
 
     def ask(self, n: int) -> List[DesignPoint]:

@@ -175,19 +175,27 @@ class Histogram:
         a replay's ``replay.latency_ms`` p50 / p99 equal its
         ``latency_p50_ms`` / ``latency_p99_ms``.
         """
-        with self._lock:
-            samples = sorted(self._samples)
-        return nearest_rank(samples, q) if samples else 0.0
+        return _rank_or_zero(self._sorted_samples(), q)
 
     def summary(self) -> Dict[str, float]:
+        """Count, mean, extremes and p50 / p99, from one sorted copy."""
+        ordered = self._sorted_samples()
         return {
             "count": self.count,
             "mean": self.mean,
             "min": self.min if self.min is not None else 0.0,
             "max": self.max if self.max is not None else 0.0,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
+            "p50": _rank_or_zero(ordered, 50),
+            "p99": _rank_or_zero(ordered, 99),
         }
+
+    def _sorted_samples(self) -> List[float]:
+        with self._lock:
+            return sorted(self._samples)
+
+
+def _rank_or_zero(ordered: Sequence[float], q: float) -> float:
+    return nearest_rank(ordered, q) if ordered else 0.0
 
 
 class MetricsRegistry:

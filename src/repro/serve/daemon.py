@@ -49,7 +49,6 @@ import threading
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..models.registry import list_models
 from ..obs import Observability
 from ..obs.metrics import registry_for
 from ..service import CompileJob, CompileJobResult, CompileService, default_job_options
@@ -329,16 +328,6 @@ class CompileDaemon:
     # ------------------------------------------------------------------ #
     # request handling
     # ------------------------------------------------------------------ #
-    def _parse_job(self, payload) -> CompileJob:
-        """Wire payload → validated job (raises WireFormatError)."""
-        job = job_from_wire(payload)
-        if isinstance(job.model, str) and job.model not in set(list_models()):
-            raise WireFormatError(
-                f"unknown model {job.model!r}; registered models: "
-                + ", ".join(list_models())
-            )
-        return job
-
     def _handle_post(self, handler: QuietHandler) -> None:
         if handler.path not in ("/v1/compile", "/v1/compile_batch"):
             respond_json(handler, 404, error_payload("not_found", handler.path))
@@ -381,7 +370,7 @@ class CompileDaemon:
         """Raises ``_QueueFull`` / ``CoalesceTimeout`` / ``WireFormatError``
         for :meth:`_handle_post` to turn into status codes."""
         check_version(payload, "compile request")
-        job = self._parse_job(payload.get("job", payload))
+        job = job_from_wire(payload.get("job", payload))
         flight, admitted = self._admit(job)
         if flight is None:
             respond_bytes(handler, 200, admitted)
@@ -405,7 +394,7 @@ class CompileDaemon:
         admissions: List[Tuple[Optional[Flight], object]] = []
         for job_payload in jobs_payload:
             try:
-                admissions.append(self._admit(self._parse_job(job_payload)))
+                admissions.append(self._admit(job_from_wire(job_payload)))
             except WireFormatError as exc:
                 self._serve["bad_requests"].inc()
                 admissions.append((None, _error_slot("bad_request", str(exc))))

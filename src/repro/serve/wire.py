@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, fields
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Tuple, get_type_hints
 
 from ..core.compiler import CompilerOptions
 from ..core.program import (
@@ -40,8 +40,10 @@ from ..core.program import (
     program_to_payload,
 )
 from ..hardware.deha import DualModeHardwareAbstraction
+from ..hardware.presets import PRESETS
 from ..ir import serialization
 from ..ir.graph import Graph
+from ..models.registry import list_models
 from ..models.workload import Workload, workload_from_payload, workload_to_payload
 from ..service import CompileJob
 
@@ -59,6 +61,10 @@ __all__ = [
 #: Version of the HTTP request/response schema.  Bump on any change to
 #: the payload shapes below; readers reject newer documents.
 WIRE_VERSION = 1
+
+#: Largest magnitude of an integer every JSON reader holds exactly
+#: (I-JSON, RFC 7493); a size beyond it is refused, not compiled.
+_SAFE_INTEGER = 2**53 - 1
 
 
 class WireFormatError(ValueError):
@@ -104,10 +110,14 @@ def _options_from_wire(payload) -> Optional[CompilerOptions]:
         return None
     if not isinstance(payload, Mapping):
         raise WireFormatError("'options' must be an object or null")
-    known = {field.name for field in fields(CompilerOptions)}
-    unknown = sorted(set(payload) - known)
+    unknown = sorted(set(payload) - set(_OPTION_DEFAULTS))
     if unknown:
         raise WireFormatError(f"unknown compiler option(s): {', '.join(unknown)}")
+    for name, value in payload.items():
+        # A flag is JSON true / false: a truthy string or a list would
+        # compile, or fail to hash, under a fingerprint of its own.
+        if isinstance(_OPTION_DEFAULTS[name], bool) and not isinstance(value, bool):
+            raise WireFormatError(f"compiler option {name!r} must be true or false, got {value!r}")
     try:
         return CompilerOptions(**payload)
     except (TypeError, ValueError) as exc:
@@ -120,10 +130,40 @@ def _hardware_to_wire(hardware) -> object:
     return hardware
 
 
+def _integer_fields(cls) -> Tuple[str, ...]:
+    """Names of the ``int`` (or ``Optional[int]``) fields of dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple(f.name for f in fields(cls) if hints[f.name] in (int, Optional[int]))
+
+
+_HARDWARE_INTEGERS = _integer_fields(DualModeHardwareAbstraction)
+_WORKLOAD_INTEGERS = _integer_fields(Workload)
+_OPTION_DEFAULTS = {field.name: field.default for field in fields(CompilerOptions)}
+
+
+def _check_integers(what: str, payload: Mapping, names) -> None:
+    """Each of ``names`` present in ``payload`` is a JSON integer (not a
+    boolean, not a float) no larger in magnitude than ``_SAFE_INTEGER``;
+    a missing or null one is left to the constructor."""
+    for name in names:
+        value = payload.get(name)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int) or abs(value) > _SAFE_INTEGER:
+            raise WireFormatError(
+                f"{what} field {name!r} must be an integer within +-(2**53 - 1), got {value!r}"
+            )
+
+
 def _hardware_from_wire(payload):
     if isinstance(payload, str):
-        return payload  # preset name; resolved (and validated) job-side
+        if payload not in PRESETS:
+            raise WireFormatError(
+                f"unknown hardware preset {payload!r}; known: {', '.join(sorted(PRESETS))}"
+            )
+        return payload
     if isinstance(payload, Mapping):
+        _check_integers("hardware", payload, _HARDWARE_INTEGERS)
         try:
             return DualModeHardwareAbstraction.from_dict(dict(payload))
         except (TypeError, ValueError, KeyError) as exc:
@@ -170,6 +210,10 @@ def job_from_wire(payload: Mapping) -> CompileJob:
         )
     if model is not None and not isinstance(model, str):
         raise WireFormatError("'model' must be a string")
+    if model is not None and model not in list_models():
+        raise WireFormatError(
+            f"unknown model {model!r}; registered models: " + ", ".join(list_models())
+        )
     if graph_json is not None:
         if not isinstance(graph_json, str):
             raise WireFormatError("'graph_json' must be a string")
@@ -179,6 +223,9 @@ def job_from_wire(payload: Mapping) -> CompileJob:
             raise WireFormatError(f"invalid 'graph_json': {exc}") from exc
     workload = payload.get("workload")
     if workload is not None:
+        if not isinstance(workload, Mapping):
+            raise WireFormatError("'workload' must be an object or null")
+        _check_integers("workload", workload, _WORKLOAD_INTEGERS)
         try:
             workload = workload_from_payload(workload)
         except (TypeError, ValueError, KeyError) as exc:

@@ -19,7 +19,9 @@ Trace` against one chip:
    :class:`~repro.core.clock.ManualClock` advanced in *virtual
    milliseconds*.  A request's service time is its program's predicted
    ``end_to_end_ms``.  Each request's step (switch + service) is priced
-   with numpy; only the Lindley recurrence runs per request in Python.
+   with numpy, and the Lindley recurrence is solved in numpy rounds that
+   reproduce the sequential loop bit for bit; only heavy traffic walks
+   the loop itself.
 3. **Re-provisioning** — when consecutive requests run *different*
    programs, the chip must re-provision its arrays from the layout the
    previous program ended in to the layout the next one starts with.
@@ -242,16 +244,18 @@ def replay_schedule(
     request of a failed program (service ``None``) neither occupies the
     server nor changes the array layout.
 
-    Everything but the wait is numpy over the served requests: their
-    (previous, program) pairs are coded and each pair that meets is
-    priced once; a step is ``switch + service``.  The loop is the
-    Lindley recurrence alone — ``now += arrival - now`` when idle (not
-    ``now = arrival``: the two differ in the last bit, and reports are
-    compared bit for bit), append ``now``, ``now += step`` — and the
+    The served requests' (previous, program) pairs are coded and each
+    pair that meets is priced once; a step is ``switch + service``.  The
+    starts are the Lindley recurrence's — ``now += arrival - now`` when
+    idle (not ``now = arrival``: the two differ in the last bit, and
+    reports are compared bit for bit), start at ``now``, ``now += step``
+    — computed in numpy by :func:`_lindley_starts`, bit for bit; the
     finishes are ``starts + steps``, the same additions.  A negative
     step raises ``ValueError`` (as ``ManualClock.advance`` would) at the
     first request that takes one.  Time starts at ``clock.now()`` (a
     fresh :class:`ManualClock` by default), advanced once at the end.
+    No numpy float warning escapes: every operation is IEEE arithmetic
+    that the Python floats it replaces carried out silently.
 
     ``tracer`` gets a ``replay.request`` span per request (virtual times
     as attributes) holding a ``replay.switch`` event when it pays a
@@ -280,27 +284,21 @@ def replay_schedule(
     for pair in np.flatnonzero(np.bincount(pairs, minlength=price.size)).tolist():
         before, program = divmod(pair, count)
         price[pair] = float(switch_ms_between(previous_keys[before], keys[program]))
-    switches = price[pairs]
-    steps = switches + np.array([0.0 if s is None else s for s in service_ms])[served_programs]
-    negative = np.flatnonzero(steps < 0)[:1]
-    stop = len(arrival_array)
-    if negative.size:  # schedule (and trace) only the requests before it
-        switches, steps = switches[: negative[0]], steps[: negative[0]]
-        stop = int(negative[0] if served_rows is None else served_rows[negative[0]])
-
-    starts: List[float] = []
-    append = starts.append
-    now = clock.now()
-    # A memoryview of a float64 array yields plain floats, no list built.
-    for arrival_ms, step in zip(memoryview(served_arrivals), memoryview(steps)):
-        if arrival_ms > now:
-            now += arrival_ms - now  # server idles
-        append(now)
-        now += step
-    start_array = np.fromiter(starts, dtype=np.float64, count=len(starts))
-    finish_array = start_array + steps
+    services = np.array([0.0 if s is None else s for s in service_ms])
+    with np.errstate(all="ignore"):  # IEEE results, as Python floats give them
+        # A step is switch + service, one add per pair; a request takes its pair's.
+        step_price = price + np.tile(services, count + 1)
+        switches, steps = price[pairs], step_price[pairs]
+        negative = np.flatnonzero(steps < 0)[:1]
+        stop = len(arrival_array)
+        if negative.size:  # schedule (and trace) only the requests before it
+            switches, steps = switches[: negative[0]], steps[: negative[0]]
+            stop = int(negative[0] if served_rows is None else served_rows[negative[0]])
+        start_array = _lindley_starts(served_arrivals[: len(steps)], steps, clock.now())
+        finish_array = start_array + steps
+    now = float(finish_array[-1]) if len(steps) else clock.now()
     if served_rows is not None:  # scatter back; a dropped request never waits
-        rows = served_rows[: len(starts)]
+        rows = served_rows[: len(steps)]
         columns = (arrival_array.copy(), np.zeros_like(arrival_array), arrival_array.copy())
         for column, values in zip(columns, (start_array, switches, finish_array)):
             column[rows] = values
@@ -317,6 +315,121 @@ def replay_schedule(
             raise ValueError("cannot advance a clock backwards")
     clock.advance(now - clock.now())
     return outcomes
+
+
+def _lindley_starts(arrivals: np.ndarray, steps: np.ndarray, now: float) -> np.ndarray:
+    """Start times of the Lindley recurrence, bit for bit, mostly in numpy.
+
+    Request ``i`` starts at ``before + (arrivals[i] - before)`` if it
+    arrives after ``before``, its predecessor's finish (``now`` for the
+    first request), and at ``before`` otherwise; it finishes at
+    ``start + steps[i]``.  Callers silence numpy's float warnings.
+
+    Every request first starts at its arrival.  Each round recomputes,
+    with exactly those operations, the requests whose predecessor's
+    finish moved in the round before (every request in the first), until
+    no start moves; moves are compared as bits, so ``-0.0`` against
+    ``0.0`` counts and a NaN settles.  A start is a function of its
+    arrival and its predecessor's finish only, so the fixed point
+    satisfies the recurrence at every request and, the recurrence having
+    one solution, is the sequential loop's output in every bit.  Every
+    request before the first unsettled one is final at any time.
+
+    An idle request whose predecessor finished after half its arrival
+    time starts exactly at its arrival (Sterbenz), so the rounds stop at
+    the end of each busy period, and light traffic settles in as many
+    rounds as its longest busy period has requests.  A round in which
+    more than half of the recomputed starts move hands the first
+    unsettled busy period to :func:`_serve_busy`, which settles it
+    whole.  Traffic is heavy when more than half of all requests are
+    still unsettled after that, and the loop walks the rest one request
+    at a time (:func:`_walk`), as it does once the rounds have
+    recomputed three times as many requests as there are: linear time.
+    """
+    count = len(steps)
+    # before[i] is request i's predecessor's finish; before[0] is ``now``.
+    before = np.empty(count + 1)
+    before[0] = now
+    np.add(arrivals, steps, out=before[1:])  # each request started at its arrival
+    finish = before[:-1]
+    starts = np.where(arrivals > finish, finish + (arrivals - finish), finish)
+    moved = np.flatnonzero(starts.view(np.int64) != arrivals.view(np.int64))
+    np.add(starts, steps, out=before[1:])
+    saturated, rows = 2 * moved.size > count, _successors(moved, count)
+    budget = 3 * count  # requests the rounds and busy periods may recompute
+    while rows.size:
+        if saturated:
+            first = int(rows[0])
+            settled = _serve_busy(first, arrivals, steps, starts, before)
+            budget -= 2 * (settled - first)  # its cumsum windows
+            rows = rows[np.searchsorted(rows, settled, side="right") :]
+            if settled < count:  # the request that found the server idle
+                rows = np.concatenate(([settled], rows))
+            if not rows.size:
+                break
+        if 2 * rows.size > count or rows.size > budget:
+            _walk(int(rows[0]), arrivals, steps, starts, before)
+            break
+        budget -= rows.size
+        arrival, finish, old = arrivals[rows], before[rows], starts[rows]
+        start = np.where(arrival > finish, finish + (arrival - finish), finish)
+        moved = np.flatnonzero(start.view(np.int64) != old.view(np.int64))
+        saturated = 2 * moved.size > rows.size
+        rows, start = rows[moved], start[moved]
+        starts[rows] = start
+        before[rows + 1] = start + steps[rows]
+        rows = _successors(rows, count)
+    return starts
+
+
+def _successors(rows: np.ndarray, count: int) -> np.ndarray:
+    """The requests after sorted ``rows``, up to the last of ``count``."""
+    return rows[: np.searchsorted(rows, count - 1)] + 1
+
+
+def _serve_busy(
+    first: int, arrivals: np.ndarray, steps: np.ndarray, starts: np.ndarray, before: np.ndarray
+) -> int:
+    """Settle the busy period that request ``first`` opens; return the
+    first request after it that arrives to an idle server (or ``count``).
+
+    ``before[first]`` is final.  A busy server starts each request at its
+    predecessor's finish, so the starts are a ``cumsum`` of the steps
+    from there (sequential: the loop's ``now += step``, in order), taken
+    over windows that double from 64 requests until one holds a request
+    that arrives after its predecessor's finish.
+    """
+    count, width = len(steps), 64
+    while first < count:
+        end = min(count, first + width)
+        chain = np.empty(end - first + 1)
+        chain[0], chain[1:] = before[first], steps[first:end]
+        np.cumsum(chain, out=chain)
+        idle = np.flatnonzero(arrivals[first:end] > chain[:-1])
+        busy = int(idle[0]) if idle.size else end - first
+        starts[first : first + busy] = chain[:busy]
+        before[first + 1 : first + busy + 1] = chain[1 : busy + 1]
+        first += busy
+        if idle.size:
+            break
+        width *= 2
+    return first
+
+
+def _walk(
+    first: int, arrivals: np.ndarray, steps: np.ndarray, starts: np.ndarray, before: np.ndarray
+) -> None:
+    """Write ``starts[first:]`` one request at a time from ``before[first]``."""
+    starts_tail: List[float] = []
+    append = starts_tail.append
+    now = float(before[first])
+    # A memoryview of a float64 array yields plain floats, no list built.
+    for arrival_ms, step in zip(memoryview(arrivals[first:]), memoryview(steps[first:])):
+        if arrival_ms > now:
+            now += arrival_ms - now  # server idles
+        append(now)
+        now += step
+    starts[first:] = np.fromiter(starts_tail, dtype=np.float64, count=len(starts_tail))
 
 
 def _trace_requests(tracer, outcomes: ReplayOutcomes, previous: List, stop: int) -> None:
@@ -497,8 +610,9 @@ class ReplaySimulator:
         Compile-side work is per distinct *program*: one key rendering,
         one compile, one ``end_to_end_ms`` read, and one Eq. 1 pricing
         per ordered pair of programs that actually meet.  Per *request*
-        there is a few numpy operations over the trace's own arrays and
-        one Lindley step of :func:`replay_schedule`, so a replay costs
+        there is a constant number of numpy operations over the trace's
+        own arrays in :func:`replay_schedule` (a Python step only when
+        heavy traffic is walked), so a replay costs
         ``O(programs * warm compile + requests)``.  The per-program
         tables are locals of this call — nothing outlives it.
         """

@@ -8,6 +8,7 @@ import pytest
 from repro.api import Session
 from repro.core import AllocationCache, DiskCacheStore
 from repro.dse import (
+    DesignPoint,
     DesignSpace,
     DSERunner,
     EvaluationRecord,
@@ -1393,6 +1394,38 @@ class TestGreedyKeyDedup:
         # evaluation, zero replications.
         assert result.evaluated == 1
         assert result.replicated == 0
+
+
+class TestPointKeyOnce:
+    """A point key is a JSON rendering and a SHA-256: a sweep computes it
+    once per point it evaluates, and greedy once per coordinate it
+    proposes."""
+
+    @staticmethod
+    def _counted_keys(monkeypatch):
+        calls = []
+        key = DesignPoint.key
+
+        def counted(point):
+            calls.append(point.coords)
+            return key.fget(point)
+
+        monkeypatch.setattr(DesignPoint, "key", property(counted))
+        return calls
+
+    def test_a_grid_sweep_keys_each_point_once(self, monkeypatch):
+        calls = self._counted_keys(monkeypatch)
+        result = DSERunner(tiny_space(arrays=(4, 8), modes=(True, False))).run()
+        assert result.evaluated == 4
+        assert sorted(calls) == sorted(record.coords for record in result.records)
+
+    def test_greedy_keys_each_proposal_once_more(self, monkeypatch):
+        calls = self._counted_keys(monkeypatch)
+        result = DSERunner(
+            tiny_space(arrays=(4, 8), modes=(True, False)), strategy=GreedyStrategy(seed=0)
+        ).run()
+        assert result.evaluated == 4
+        assert len(calls) == 2 * result.evaluated  # proposed once, run once
 
 
 class TestParetoTies:

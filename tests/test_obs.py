@@ -187,6 +187,29 @@ class TestMetrics:
         assert histogram.percentile(50) == pytest.approx(50.0, abs=1.0)
         assert histogram.percentile(99) == pytest.approx(99.0, abs=1.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0]), max_size=300
+        )
+    )
+    def test_summary_percentiles_are_percentile(self, values):
+        """One sorted copy serves both of summary()'s ranks, bit for bit."""
+        histogram = MetricsRegistry().histogram("h")
+        histogram.observe_many(values)
+        summary = histogram.summary()
+        for q in (50, 99):
+            assert repr(summary[f"p{q}"]) == repr(histogram.percentile(q))
+
+    def test_summary_sorts_the_samples_once(self):
+        histogram = MetricsRegistry().histogram("h")
+        histogram.observe_many([3.0, 1.0, 2.0])
+        with mock.patch.object(
+            obs_metrics, "sorted", create=True, side_effect=sorted
+        ) as counted:
+            assert histogram.summary()["p50"] == 2.0
+        assert counted.call_count == 1
+
     @settings(max_examples=150, deadline=None)
     @given(
         batches=st.lists(

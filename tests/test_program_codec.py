@@ -6,8 +6,10 @@ decoder needed no version bump), every malformed program is a
 ``ProgramFormatError`` — a counted corrupt miss in the store, a
 ``WireFormatError`` on the wire — and so is any one-field mutation of a
 program that would crash its readers (fuzzed through the decoder and
-through a real store entry), and the one-pass ``_json_safe`` projects
-stats and metadata exactly as the two-walk version did.
+through a real store entry); a one-field mutation of a compile request
+is a ``WireFormatError`` or a job that compiles; and the one-pass
+``_json_safe`` projects stats and metadata exactly as the two-walk
+version did.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,8 +36,16 @@ from repro.core.program import (
 )
 from repro.core.store import FORMAT_VERSION, ProgramKey
 from repro.cost.energy import estimate_energy
-from repro.serve.wire import WIRE_VERSION, WireFormatError, program_from_wire, program_to_wire
-from repro.service import CompileService
+from repro.models.workload import Workload
+from repro.serve.wire import (
+    WIRE_VERSION,
+    WireFormatError,
+    job_from_wire,
+    job_to_wire,
+    program_from_wire,
+    program_to_wire,
+)
+from repro.service import CompileJob, CompileService
 
 #: Two programs (tiny-cnn, tiny-transformer on ``small-test-chip``, code
 #: generation on) as format version 4 wrote them: each store entry with
@@ -256,6 +268,84 @@ def test_a_mutated_or_truncated_store_entry_is_a_miss_or_readable(
     else:
         _summaries(program)
     path.write_text(text, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def wire_jobs(small_chip, tiny_mlp_graph):
+    """Three compile requests as the wire carries them (a model and a
+    preset name, a model on a hardware object, a serialised graph) and
+    one in-memory service to compile them: a repeated job is a hit."""
+    options = CompilerOptions(generate_code=False)
+    payloads = [
+        job_to_wire(
+            CompileJob(
+                "tiny-mlp", workload=Workload(batch_size=2), hardware="small-test-chip",
+                options=options, label="probe",
+            )
+        ),
+        job_to_wire(CompileJob("tiny-cnn", hardware=small_chip, options=options)),
+        job_to_wire(CompileJob(tiny_mlp_graph, hardware="small-test-chip", options=options)),
+    ]
+    return SimpleNamespace(payloads=payloads, service=CompileService())
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), mutation=_MUTATION)
+def test_a_mutated_compile_request_is_refused_or_compiles(wire_jobs, data, mutation):
+    service = wire_jobs.service
+    payload = data.draw(st.sampled_from(wire_jobs.payloads))
+    path = data.draw(st.sampled_from(list(_json_paths(payload))))
+    try:
+        job = job_from_wire(_mutated(payload, path, *mutation))
+    except WireFormatError:
+        return
+    result = service.compile(job)
+    assert result.ok, (path, mutation, result.error)
+
+
+@pytest.mark.parametrize(
+    "path, value, match",
+    [
+        (("hardware",), "no-such-chip", "unknown hardware preset"),
+        (("model",), "no-such-model", "unknown model"),
+        (("workload",), [1], "'workload' must be an object"),
+        (("workload", "batch_size"), 1.5, "'batch_size' must be an integer"),
+        (("workload", "seq_len"), 2**53, "'seq_len' must be an integer"),
+        (("workload", "image_size"), True, "'image_size' must be an integer"),
+    ],
+)
+def test_a_request_is_refused_before_it_compiles(path, value, match):
+    """What a compile would only fail on (or never fail on, for a preset
+    or model name) is a ``WireFormatError``: a 400, not a 422 or a 500."""
+    payload = job_to_wire(CompileJob("tiny-mlp", workload=Workload(batch_size=2)))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(WireFormatError, match=match):
+        job_from_wire(payload)
+
+
+@pytest.mark.parametrize("field", ["array_rows", "num_arrays", "buffer_bytes"])
+@pytest.mark.parametrize("value", [1.5, 2**53, False])
+def test_a_hardware_size_is_a_json_integer(small_chip, field, value):
+    payload = job_to_wire(CompileJob("tiny-mlp", hardware=small_chip))
+    payload["hardware"][field] = value
+    with pytest.raises(WireFormatError, match=field):
+        job_from_wire(payload)
+
+
+@pytest.mark.parametrize("value", ["x", "", 0, 1, None, math.nan, [], {}])
+@pytest.mark.parametrize(
+    "option", [f.name for f in fields(CompilerOptions) if isinstance(f.default, bool)]
+)
+def test_a_flag_option_is_json_true_or_false(option, value):
+    payload = job_to_wire(CompileJob("tiny-mlp", options=CompilerOptions()))
+    payload["options"][option] = value
+    with pytest.raises(WireFormatError, match=option):
+        job_from_wire(payload)
+    payload["options"][option] = False
+    assert getattr(job_from_wire(payload).options, option) is False
 
 
 # ---------------------------------------------------------------------- #

@@ -23,10 +23,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -327,20 +329,193 @@ def _reference_schedule(requests, switch, start=0.0):
     return rows
 
 
+def _bits(rows):
+    """Rows of floats and flags with every float as its ``float.hex``, so
+    ``-0.0`` and ``0.0`` (equal under ``==``) differ."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
+
+
+def _outcome_rows(outcomes):
+    return [(o.start_ms, o.switch_ms, o.finish_ms, o.served) for o in outcomes]
+
+
+@st.composite
+def _traffic(draw):
+    """(arrival, service-or-None, key) rows of up to 600 requests, from
+    light traffic to a saturated server: a share of the gaps are zero or
+    short (bursts), the rest exponential; services are exponential at a
+    drawn scale, some zero, some dropped.  Built from a drawn seed, so
+    long schedules relax over many rounds, settle busy periods whole and
+    walk heavy traffic."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(0, 600))
+    bursty = draw(st.sampled_from([0.0, 0.3, 0.7, 0.95]))
+    scale = draw(st.sampled_from([0.5, 2.0, 8.0, 30.0]))
+    dropped = draw(st.sampled_from([0.0, 0.1]))
+    short = rng.random(count) < bursty
+    gaps = np.where(short, rng.uniform(0.0, 0.5, count) * (rng.random(count) < 0.5),
+                    rng.exponential(10.0, count))
+    services = rng.exponential(scale, count) * (rng.random(count) < 0.95)
+    keys = rng.choice(_PROGRAMS, count)
+    return [
+        (arrival, None if drop else service, key)
+        for arrival, service, key, drop in zip(
+            np.cumsum(gaps).tolist(), services.tolist(), keys.tolist(),
+            (rng.random(count) < dropped).tolist(),
+        )
+    ]
+
+
+def _clock_after(expected, start):
+    """Where a clock started at ``start`` ends: advanced once, by the last
+    served finish minus ``start``."""
+    finishes = [finish for _, _, finish, served in expected if served]
+    return start + (finishes[-1] - start) if finishes else start
+
+
+def _spied_paths(monkeypatch):
+    """Record which of the schedule's hand-overs a replay takes: a busy
+    period settled whole (``busy``) or a walk to the end (``walk``)."""
+    taken = []
+    for name, label in (("_serve_busy", "busy"), ("_walk", "walk")):
+        original = getattr(replay_module, name)
+
+        def spy(first, *args, original=original, label=label):
+            taken.append((label, first))
+            return original(first, *args)
+
+        monkeypatch.setattr(replay_module, name, spy)
+    return taken
+
+
 class TestScheduleDifferential:
     @settings(max_examples=200, deadline=None)
     @given(
         requests=st.lists(_request, max_size=40),
         table=_switch_table,
-        start=st.sampled_from([0.0, 5.0]),
+        start=st.sampled_from([0.0, -0.0, 5.0]),
     )
     def test_equals_the_recurrence_float_for_float(self, requests, table, start):
         rows = _rows(requests)
         switch = _table_switch(table)
         outcomes = _replay(rows, switch, clock=ManualClock(start=start))
-        got = [(o.start_ms, o.switch_ms, o.finish_ms, o.served) for o in outcomes]
-        assert got == _reference_schedule(rows, switch, start=start)  # exact
+        expected = _reference_schedule(rows, switch, start=start)
+        assert _bits(_outcome_rows(outcomes)) == _bits(expected)  # bit for bit
         assert [o.request_id for o in outcomes] == [f"r{i}" for i in range(len(rows))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_traffic(), table=_switch_table, start=st.sampled_from([0.0, 3.0, 1e9]))
+    def test_any_traffic_equals_the_recurrence_bit_for_bit(self, rows, table, start):
+        switch = _table_switch(table)
+        clock = ManualClock(start=start)
+        outcomes = _replay(rows, switch, clock=clock)
+        expected = _reference_schedule(rows, switch, start=start)
+        assert _bits(_outcome_rows(outcomes)) == _bits(expected)
+        assert clock.now().hex() == _clock_after(expected, start).hex()
+
+    @pytest.mark.parametrize(
+        "rows, paths",
+        [
+            pytest.param([], set(), id="empty"),
+            pytest.param([(2.5, 1.0, "p0")], set(), id="single"),
+            pytest.param(
+                [(10.0 * i + 0.1, 1.0, f"p{i % 2}") for i in range(50)], set(), id="all-idle"
+            ),
+            pytest.param(  # three in a burst, three alone: a few rounds settle them
+                [(10.0 * (i // 6) + (0.01 * (i % 6) if i % 6 < 3 else 2 * (i % 6) - 3), 0.5, "p0")
+                 for i in range(60)],
+                set(),
+                id="light-bursts",
+            ),
+            pytest.param([(0.0, 1.0, f"p{i % 3}") for i in range(50)], {"busy"}, id="all-queued"),
+            pytest.param(  # 30 queue behind one another, then every request idles
+                [(0.0, 2.0, "p0")] * 30 + [(100.0 + 7.0 * i, 1.5, "p1") for i in range(30)],
+                {"busy"},
+                id="saturated-then-idle",
+            ),
+            pytest.param(
+                [(float(i), 2.0 if i % 4 else None, f"p{i % 2}") for i in range(40)],
+                {"busy"},
+                id="dropped",
+            ),
+            pytest.param(  # idle after a busy period that ended before half its arrival
+                [(0.0, 0.35, "p0"), (0.0, 0.35, "p0"), (2.9, 1.0, "p0")], set(), id="inexact-idle"
+            ),
+            # 0.7 + (2.9 - 0.7) is 2.9 plus an ulp, so an idle start is not
+            # always its arrival: the fourth request's first-round start is
+            # off until its busy predecessors settle.
+            pytest.param(
+                [(0.0, 0.7, "p0")] * 3 + [(2.9, 0.7, "p0")], {"busy"}, id="stale-idle"
+            ),
+            pytest.param(
+                [(0.0, 0.7, "p0")] * 3 + [(2.9, 0.7, "p0")] + [(3.0, 0.7, "p0")] * 6,
+                {"busy", "walk"},
+                id="stale-idle-heavy",
+            ),
+            pytest.param(  # two of three queue: heavy traffic is walked
+                [(10.0 * (i // 3) + 0.01 * (i % 3), 3.0, "p0") for i in range(60)],
+                {"busy", "walk"},
+                id="heavy",
+            ),
+            pytest.param(  # 60 bursts of 60 among idle requests: the rounds' budget runs out
+                [(2000.0 * (i // 200) + (0.001 * (i % 200) if i % 200 < 60 else 10.0 * (i % 200)),
+                  2.0, "p0") for i in range(12_000)],
+                {"busy", "walk"},
+                id="long-bursts",
+            ),
+        ],
+    )
+    def test_explicit_cases_equal_the_recurrence(self, monkeypatch, rows, paths):
+        switch = _table_switch({("p0", "p1"): 0.25, ("p1", "p0"): 0.5, ("p2", "p0"): 0.125})
+        for start in (4.0, 0.7, 0.0):
+            taken = _spied_paths(monkeypatch)
+            clock = ManualClock(start=start)
+            outcomes = _replay(rows, switch, clock=clock)
+            expected = _reference_schedule(rows, switch, start=start)
+            assert _bits(_outcome_rows(outcomes)) == _bits(expected)
+            assert clock.now().hex() == _clock_after(expected, start).hex()
+        assert {label for label, _ in taken} == paths  # from a clock at 0
+
+    def test_signed_zeros_keep_their_sign(self):
+        """A server at -0.0 with -0.0 steps starts every request at -0.0,
+        not 0.0; a start that moves only in its sign still moves."""
+        rows = [(0.0, -0.0, "p0")] * 5
+
+        def switch(previous, key):
+            return -0.0
+
+        outcomes = _replay(rows, switch, clock=ManualClock(start=-0.0))
+        expected = _reference_schedule(rows, switch, start=-0.0)
+        assert _bits(_outcome_rows(outcomes)) == _bits(expected)
+        assert {start for start, *_ in _bits(expected)} == {(-0.0).hex()}
+
+    def test_overflow_and_infinities_raise_no_numpy_warning(self):
+        """IEEE results, as the loop's Python floats give them silently."""
+        rows = [(0.0, 1e308, "p0"), (1e308, 1e308, "p1"), (math.inf, 1.0, "p0"),
+                (math.inf, 2.0, "p1"), (math.inf, 0.0, "p0")]
+        switch = _table_switch({("p0", "p1"): 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = _replay(rows, switch)
+        assert _bits(_outcome_rows(outcomes)) == _bits(_reference_schedule(rows, switch))
+
+    def test_a_later_clock_start_delays_the_first_requests(self):
+        clock = ManualClock(start=7.0)
+        rows = [(1.0, 2.0, "p0"), (2.0, 2.0, "p0"), (20.0, 1.0, "p0")]
+        outcomes = _replay(rows, _table_switch({}), clock=clock)
+        assert [o.start_ms for o in outcomes] == [7.0, 9.0, 20.0]
+        assert clock.now() == 21.0
+
+    def test_a_saturated_schedule_of_100k_requests_is_one_busy_period(self, monkeypatch):
+        """Linear time: a server that never idles settles its one busy
+        period after the first round; relaxing one request per round
+        would take 100,000 rounds over a shrinking tail, minutes of numpy."""
+        taken = _spied_paths(monkeypatch)
+        rows = [(0.001 * i, 1.0 + (i % 7) / 8.0, f"p{i % 2}") for i in range(100_000)]
+        switch = _table_switch({("p0", "p1"): 0.25, ("p1", "p0"): 0.5})
+        outcomes = _replay(rows, switch)
+        assert taken == [("busy", 2)]
+        assert _bits(_outcome_rows(outcomes)) == _bits(_reference_schedule(rows, switch))
 
     @settings(max_examples=60, deadline=None)
     @given(requests=st.lists(_request, max_size=25), table=_switch_table)
