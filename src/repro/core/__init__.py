@@ -10,7 +10,7 @@ from .allocation import (
     candidate_allocations,
     refine_with_spare_arrays,
 )
-from .cache import AllocationCache, AllocationCacheKey, CacheEntry, CacheStats
+from .cache import AllocationCache, AllocationCacheKey, CacheStats
 from .clock import SYSTEM_CLOCK, Clock, ManualClock
 from .codegen import CodeGenerationError, generate_program
 from .compiler import CMSwitchCompiler
@@ -48,7 +48,6 @@ __all__ = [
     "AllocationCandidate",
     "AllocationResult",
     "CMSwitchCompiler",
-    "CacheEntry",
     "CacheStats",
     "Clock",
     "CodeGenerationError",

@@ -8,17 +8,15 @@ model) is minimised under the chip's array budget (Eq. 8).
 For every operator a small Pareto set of candidate ``(compute, memory)``
 allocations is enumerated; the allocation picks one candidate per
 operator so the largest selected latency is minimal and the selected
-arrays fit the chip.  Three interchangeable engines are provided:
+arrays fit the chip.  That selection is the paper's Eq. 8/9 mixed-integer
+program, which the paper hands to Gurobi; at these sizes its optimum
+needs no solver.  Two engines are provided:
 
 * :class:`ExactAllocator` — the default: the optimum of that model by
   binary search over the candidate latencies (the model is a bottleneck
   multiple-choice knapsack), with a canonical minimum-arrays tie-break.
-* :class:`MIPAllocator` — the paper's formulation of the same model as a
-  mixed-integer program (binary selection variables, a continuous
-  makespan ``T``, one budget row), solved with ``scipy.optimize.milp``
-  (HiGHS) — the offline stand-in for the Gurobi solver used in the
-  paper.  Kept as the paper-faithful engine and the objective oracle the
-  exact engine is tested against.
+  It completes :class:`MIPAllocator`, the model every optimal solve
+  shares (candidates in, one pick per operator, the Eq. 9 makespan out).
 * :class:`GreedyAllocator` — a fast marginal-gain heuristic: the
   ``use_milp=False`` arm of the allocation ablation (ledger row
   ``ablation.milp-vs-greedy`` in ``tests/test_paper_claims.py``) and a
@@ -87,8 +85,8 @@ class AllocationResult:
             with ``names`` (empty for an infeasible result).
         latency_cycles: Pipelined segment latency under the allocation.
         feasible: Whether the segment fits the chip at all.
-        solver: Which engine produced the result ("exact", "milp",
-            "greedy", "infeasible").
+        solver: Which engine produced the result ("exact", "greedy",
+            "infeasible").
         from_cache: Whether the result was served from a shared
             :class:`~repro.core.cache.AllocationCache` instead of a fresh
             solve (used by compile statistics).
@@ -215,8 +213,8 @@ def candidate_allocations(
     read from the operator's factor tables — Eq. 10 itself is evaluated
     once per compile for all operators (:class:`UnitColumns`), not once
     more per grid here.  Dominated candidates (more arrays and no lower
-    latency) are then discarded, keeping the MILP small without losing
-    the optimum at the granularity of the sweep.
+    latency) are then discarded, keeping the selection small without
+    losing the optimum at the granularity of the sweep.
 
     An operator none of whose candidates can ever finish (every grid
     point has infinite latency — possible only on degenerate hardware
@@ -568,25 +566,20 @@ class GreedyAllocator:
 
 
 # ---------------------------------------------------------------------- #
-# Eq. 8/9 allocators: the paper's MILP and the exact threshold search
+# Eq. 8/9 allocators: the paper's model and its exact threshold search
 # ---------------------------------------------------------------------- #
 class MIPAllocator:
-    """Mixed-integer-programming allocator (the paper's §4.3.2 solver).
+    """The paper's §4.3.2 window model (Eq. 8/9), shared by every optimal solve.
 
-    One binary variable per (operator, candidate allocation) pair selects
-    exactly one candidate per operator; a continuous makespan variable is
-    lower-bounded by every selected candidate's latency; the total array
-    consumption is bounded by the chip budget (Eq. 8).  Minimising the
-    makespan yields the Eq. 9 objective.  The model is solved with the
-    public ``scipy.optimize.milp`` (HiGHS) — the offline stand-in for the
-    Gurobi solver used in the paper.
-
-    This is the paper-faithful engine and the test oracle; compiles run
-    :class:`ExactAllocator`, which solves the same model (same
-    candidates, same objective) without a solver.
+    One candidate per operator; the makespan is the largest picked
+    latency, the picked arrays fit the chip.  This class turns the
+    candidate lists into a priced result; the pick itself,
+    ``_select(candidates, budget)`` (a candidate index per operator, or
+    None), is :class:`ExactAllocator`'s.  It stays a class of its own only
+    because the repository benchmark's tracer wraps
+    ``MIPAllocator.allocate``; it folds into :class:`ExactAllocator` once
+    that tracer hooks through :mod:`repro.obs` (ROADMAP item 6(a)).
     """
-
-    name = "milp"
 
     def __init__(self, allow_memory_mode: bool = True) -> None:
         self.allow_memory_mode = allow_memory_mode
@@ -620,55 +613,6 @@ class MIPAllocator:
         )
         return AllocationResult(window.names, pairs, latency, True, self.name)
 
-    def _select(
-        self, candidates: Sequence[List[AllocationCandidate]], budget: int
-    ) -> Optional[List[int]]:
-        """Solve the Eq. 8/9 MILP; the chosen candidate index per operator.
-
-        Variables: one binary per candidate (operator-major) plus the
-        makespan ``T``.  Rows: one selection row per operator (exactly
-        one candidate), one makespan row per operator (selected latency
-        ``<= T``, latencies normalised so ``T`` is well-scaled) and the
-        array-budget row.  None when the model is infeasible.
-        """
-        # Imported here: only this engine needs a solver, and the default
-        # compile path must not pay for (or depend on) scipy.optimize.
-        from scipy.optimize import Bounds, LinearConstraint, milp
-
-        num_ops = len(candidates)
-        offsets = np.cumsum([0] + [len(options) for options in candidates])
-        t_index = int(offsets[-1])
-        scale = max(max(c.latency_cycles for options in candidates for c in options), 1.0)
-
-        rows = np.zeros((2 * num_ops + 1, t_index + 1))
-        for i, options in enumerate(candidates):
-            block = slice(int(offsets[i]), int(offsets[i + 1]))
-            rows[i, block] = 1.0
-            rows[num_ops + i, block] = [c.latency_cycles / scale for c in options]
-            rows[num_ops + i, t_index] = -1.0
-            rows[2 * num_ops, block] = [c.total_arrays for c in options]
-        lower = np.concatenate((np.ones(num_ops), np.full(num_ops + 1, -np.inf)))
-        upper = np.concatenate((np.ones(num_ops), np.zeros(num_ops), [float(budget)]))
-
-        objective = np.zeros(t_index + 1)
-        objective[t_index] = 1.0
-        integrality = np.ones(t_index + 1)
-        integrality[t_index] = 0.0
-        upper_bounds = np.ones(t_index + 1)
-        upper_bounds[t_index] = np.inf
-        solution = milp(
-            objective,
-            constraints=LinearConstraint(rows, lower, upper),
-            integrality=integrality,
-            bounds=Bounds(np.zeros(t_index + 1), upper_bounds),
-            options={"mip_rel_gap": 0.0},
-        )
-        if not solution.success or solution.x is None:
-            return None
-        return [
-            int(np.argmax(solution.x[offsets[i] : offsets[i + 1]])) for i in range(num_ops)
-        ]
-
 
 class ExactAllocator(MIPAllocator):
     """The Eq. 8/9 optimum by threshold search — the default engine.
@@ -685,7 +629,7 @@ class ExactAllocator(MIPAllocator):
     the smallest candidate latency that is feasible, found by binary
     search over the sorted union of candidate latencies.
 
-    Tie-break (canonical, unlike a MILP solver's): at the optimal
+    Tie-break (canonical, unlike a MIP solver's): at the optimal
     makespan every operator takes its individually minimal candidate,
     i.e. the solution of minimum total arrays.  The arrays this leaves
     over go to :func:`refine_with_spare_arrays`.
@@ -816,8 +760,7 @@ class AllocationCacheKey:
     Attributes:
         hardware: :meth:`DualModeHardwareAbstraction.fingerprint` digest.
         segment: Ordered structural signatures of the segment's operators.
-        engine: Allocation engine name (``"exact"`` / ``"milp"`` /
-            ``"greedy"``).
+        engine: Allocation engine name (``"exact"`` / ``"greedy"``).
         pipelined: Whether the segment latency model pipelines operators.
         refine: Whether duplication refinement ran after the solve.
         allow_memory_mode: Whether memory-mode arrays were permitted.

@@ -27,11 +27,11 @@ its header).
   boundary reserve).  Structurally identical segments — the same model
   compiled twice, the repeated projection layers of a transformer block
   — hit the same entry;
-* entries store a result's ``(compute, memory)`` pairs (results are
-  positional from the solve on), so a hit is the stored pairs under the
-  requesting segment's operator names — a fresh
-  :class:`~repro.core.allocation.AllocationResult` bit-identical to what
-  a cold solve would produce, built without touching a pair;
+* an entry is the :class:`~repro.core.allocation.AllocationResult` the
+  solve returned (its ``unreserved`` twin in the same slot); results are
+  positional from the solve on, so a hit is that result relabelled with
+  the requesting segment's operator names — a fresh result bit-identical
+  to what a cold solve would produce, built without touching a pair;
 * a fixed-mode (``allow_memory_mode=False``) lookup that misses may fall
   back to the dual-mode entry for the same key when that entry uses no
   memory-mode arrays: the dual-mode optimum then lies inside the
@@ -53,26 +53,18 @@ table makes its own; the service hands its one to every compiler::
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..cost.arithmetic import OperatorProfile, profile_signature
 from ..obs.metrics import registry_for
 # The key is defined next to the solve it describes; re-exported here.
-from .allocation import (
-    AllocationCacheKey,
-    AllocationResult,
-    Pair,
-    UnitWindow,
-    segment_signature,
-)
+from .allocation import AllocationCacheKey, AllocationResult, UnitWindow, segment_signature
 from .lru import BoundedLRU
 
 __all__ = [
     "WINDOW_TABLE_ENTRIES",
     "AllocationCache",
     "AllocationCacheKey",
-    "CacheEntry",
     "CacheStats",
     "profile_signature",
     "segment_signature",
@@ -84,75 +76,25 @@ __all__ = [
 WINDOW_TABLE_ENTRIES = 4096
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    """Stored outcome of one solve: the result's pairs, without its names.
+def _storable(result: AllocationResult, names: Tuple[str, ...]) -> bool:
+    """Whether ``result`` and its twin belong to the window ``names``: a
+    feasible partial, foreign or reordered result is never stored, or a
+    later hit would hand its pairs to the wrong operators."""
+    return (not result.feasible or result.names == names) and (
+        result.unreserved is None or _storable(result.unreserved, names)
+    )
 
-    The in-memory LRU maps keys to entries.  Operator names are *not*
-    part of an entry — a result is positional (one ``(compute, memory)``
-    pair per operator, in window order), so one entry serves every
-    structurally identical segment regardless of labels, and a hit hands
-    the stored pairs back as they are.  Both refinements of a solve
-    (``unreserved`` is the result's twin) travel as one entry — one LRU
-    slot, one key.
-    """
 
-    pairs: Tuple[Pair, ...]
-    latency_cycles: float
-    feasible: bool
-    solver: str
-    unreserved: Optional["CacheEntry"] = None
-
-    @classmethod
-    def from_result(
-        cls,
-        profiles: Mapping[str, OperatorProfile],
-        result: AllocationResult,
-    ) -> Optional["CacheEntry"]:
-        """The entry for ``result`` solved over ``profiles``.
-
-        Returns None for a feasible result whose names are not the
-        profiled operators in window order (a partial, foreign or
-        reordered result) — such results must never be stored, or a
-        later hit would hand its pairs to the wrong operators.
-        """
-        names = profiles.names if isinstance(profiles, UnitWindow) else tuple(profiles)
-        return cls._from_result(names, result)
-
-    @classmethod
-    def _from_result(
-        cls, names: Tuple[str, ...], result: AllocationResult
-    ) -> Optional["CacheEntry"]:
-        if result.feasible and result.names != names:
-            return None
-        unreserved = None
-        if result.unreserved is not None:
-            unreserved = cls._from_result(names, result.unreserved)
-            if unreserved is None:
-                return None
-        return cls(
-            result.pairs, result.latency_cycles, result.feasible, result.solver, unreserved
+def _relabelled(result: AllocationResult, names: Tuple[str, ...]) -> AllocationResult:
+    """A stored ``result`` as a cache hit labelled ``names``."""
+    twin = result.unreserved
+    if twin is not None:
+        twin = AllocationResult(
+            names, twin.pairs, twin.latency_cycles, twin.feasible, twin.solver, True
         )
-
-    @property
-    def memory_free(self) -> bool:
-        """Whether the entry uses no memory-mode arrays anywhere."""
-        return all(memory == 0 for _, memory in self.pairs)
-
-    def to_result(self, names: Sequence[str]) -> AllocationResult:
-        """The entry as a cache-hit :class:`AllocationResult` labelled ``names``."""
-        return AllocationResult(
-            tuple(names),
-            self.pairs,
-            self.latency_cycles,
-            self.feasible,
-            self.solver,
-            True,
-            None if self.unreserved is None else self.unreserved.to_result(names),
-        )
-
-
-_memory_free = attrgetter("memory_free")
+    return AllocationResult(
+        names, result.pairs, result.latency_cycles, result.feasible, result.solver, True, twin
+    )
 
 
 @dataclass(frozen=True)
@@ -258,18 +200,19 @@ class AllocationCache:
         window's inbound count, which names that dual-mode entry.
         ``names`` labels the returned allocations.
         """
-        entry = self._entries.get(key)
-        if entry is None and not key.allow_memory_mode:
-            entry = self._entries.get(
-                key.dual_mode_variant(inbound_arrays), accept=_memory_free
+        stored = self._entries.get(key)
+        if stored is None and not key.allow_memory_mode:
+            stored = self._entries.get(
+                key.dual_mode_variant(inbound_arrays),
+                accept=lambda result: result.memory_arrays == 0,
             )
-            if entry is not None:
+            if stored is not None:
                 self._counters["cross_mode_hits"].inc()
-        if entry is None:
+        if stored is None:
             self._counters["misses"].inc()
             return None
         self._counters["hits"].inc()
-        return entry.to_result(names)
+        return _relabelled(stored, tuple(names))
 
     def put(
         self,
@@ -278,10 +221,10 @@ class AllocationCache:
         result: AllocationResult,
     ) -> None:
         """Store the outcome of a fresh solve under ``key``."""
-        entry = CacheEntry.from_result(profiles, result)
-        if entry is None:
+        names = profiles.names if isinstance(profiles, UnitWindow) else tuple(profiles)
+        if not _storable(result, names):
             return  # partial allocation (foreign result); never cache it
-        self._counters["evictions"].inc(self._entries.put(key, entry)[2])
+        self._counters["evictions"].inc(self._entries.put(key, result)[2])
         self._counters["stores"].inc()
 
     # ------------------------------------------------------------------ #

@@ -77,3 +77,9 @@ class ManualClock:
         if seconds < 0:
             raise ValueError("cannot advance a clock backwards")
         self._t += float(seconds)
+
+    def advance_to(self, t: float) -> None:
+        """Move time forward to exactly ``t``; an earlier ``t`` is rejected."""
+        if t < self._t:
+            raise ValueError("cannot advance a clock backwards")
+        self._t = float(t)

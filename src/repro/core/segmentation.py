@@ -62,8 +62,8 @@ class CompilerOptions:
             instead of running them serially.
         include_switch_cost: Charge the Eq. 1 mode-switch latency in the
             DP (the switch-cost-awareness ablation turns this off).
-        use_milp: Use the optimal per-segment allocator — the Eq. 8/9
-            MILP's optimum, computed by
+        use_milp: Use the optimal per-segment allocator — the optimum
+            of the paper's Eq. 8/9 program, computed by
             :class:`~repro.core.allocation.ExactAllocator` without a
             solver — (otherwise greedy).
         refine: Apply weight-duplication refinement after allocation.

@@ -15,7 +15,7 @@ Guarantees (ratcheted by the calibration suite in ``tests/test_eval.py``):
   (pinned by the property in ``tests/test_partition_guarantee.py``);
 * **metrics are true lower bounds** — the latency and energy never
   exceed the compiled plan's;
-* **zero allocator solves** — neither MILP nor greedy allocation runs,
+* **zero allocator solves** — neither the exact nor the greedy engine runs,
   so a whole design space is scored in milliseconds.
 """
 

@@ -204,7 +204,7 @@ class DualModeHardwareAbstraction:
         included) produce the same fingerprint; any override — changing
         one of the :meth:`to_dict` fields via :meth:`with_overrides` or
         construction — invalidates it.  Used as the hardware component
-        of allocation-cache keys, so cached MILP solutions are never
+        of allocation-cache keys, so cached window solves are never
         reused across different chips.
 
         Invariants:

@@ -13,6 +13,8 @@
 
 from __future__ import annotations
 
+from typing import Dict
+
 from .deha import DualModeHardwareAbstraction
 
 
@@ -118,12 +120,23 @@ PRESETS = {
 }
 
 
+#: The chip every override-free :func:`get_preset` call returns, by name.
+_SHARED: Dict[str, DualModeHardwareAbstraction] = {}
+
+
 def get_preset(name: str, **overrides) -> DualModeHardwareAbstraction:
-    """Build a preset hardware abstraction by name.
+    """The preset hardware abstraction ``name``, with ``overrides`` applied.
+
+    Without overrides every call returns one shared (frozen) chip, so its
+    memoised fingerprint is rendered once per process, not once per
+    request naming the preset.  Overrides build a new chip.
 
     Raises:
         KeyError: If the preset name is unknown.
     """
     if name not in PRESETS:
         raise KeyError(f"unknown hardware preset {name!r}; known: {', '.join(sorted(PRESETS))}")
-    return PRESETS[name](**overrides)
+    if overrides:
+        return PRESETS[name](**overrides)
+    chip = _SHARED.get(name)
+    return chip if chip is not None else _SHARED.setdefault(name, PRESETS[name]())

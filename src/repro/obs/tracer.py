@@ -7,7 +7,7 @@ injectable :class:`~repro.core.clock.Clock` — nested through ordinary
     with tracer.span("segment", graph="bert"):
         with tracer.span("allocate", segment=3) as handle:
             ...
-            handle.set(solver="milp")
+            handle.set(solver="exact")
 
 Nesting is per-thread: each thread keeps its own stack of active spans,
 so the ``repro serve`` daemon's worker threads produce independent

@@ -13,6 +13,7 @@ integer quantisation.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Optional
 
 import numpy as np
@@ -43,11 +44,12 @@ class ReferenceExecutionError(RuntimeError):
 def deterministic_tensor(spec: TensorSpec, seed: int = 0, scale: float = 0.1) -> np.ndarray:
     """Deterministic pseudo-random float32 tensor for a spec.
 
-    The same (name, shape, seed) always yields the same data, so compiled
-    programs and reference runs see identical inputs without storing any
-    dataset on disk.
+    The same (name, shape, seed) yields the same data in every process (a
+    CRC-32 seed, not the salted ``hash()``), so compiled programs and
+    reference runs see identical inputs without storing any dataset.
     """
-    rng = np.random.default_rng(abs(hash((spec.name, spec.shape, seed))) % (2**32))
+    canonical = repr((spec.name, tuple(int(d) for d in spec.shape), int(seed)))
+    rng = np.random.default_rng(zlib.crc32(canonical.encode("utf-8")))
     return (rng.standard_normal(spec.shape) * scale).astype(np.float32)
 
 

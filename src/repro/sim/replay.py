@@ -253,7 +253,7 @@ def replay_schedule(
     finishes are ``starts + steps``, the same additions.  A negative
     step raises ``ValueError`` (as ``ManualClock.advance`` would) at the
     first request that takes one.  Time starts at ``clock.now()`` (a
-    fresh :class:`ManualClock` by default), advanced once at the end.
+    fresh :class:`ManualClock` by default) and ends at the last finish.
     No numpy float warning escapes: every operation is IEEE arithmetic
     that the Python floats it replaces carried out silently.
 
@@ -313,7 +313,7 @@ def replay_schedule(
         model = models[programs[stop]]
         with tracer.span("replay.request", request=request_ids[stop], model=model):
             raise ValueError("cannot advance a clock backwards")
-    clock.advance(now - clock.now())
+    clock.advance_to(now)
     return outcomes
 
 

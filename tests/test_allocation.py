@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core.allocation import (
     AllocationResult,
+    ExactAllocator,
     GreedyAllocator,
-    MIPAllocator,
     allocate_segment,
     candidate_allocations,
     infeasible_result,
@@ -143,30 +143,33 @@ class TestGreedyAllocator:
 
 
 class TestMIPAllocator:
+    """The paper's Eq. 8/9 model (``MIPAllocator``), solved by its one
+    complete engine, :class:`ExactAllocator`."""
+
     def test_budget_respected(self, small_chip, mixed_segment):
-        result = MIPAllocator().allocate(mixed_segment, small_chip)
+        result = ExactAllocator().allocate(mixed_segment, small_chip)
         assert result.feasible
         assert result.total_arrays <= small_chip.num_arrays
 
     def test_not_worse_than_greedy(self, small_chip, mixed_segment):
-        milp = MIPAllocator().allocate(mixed_segment, small_chip)
+        exact = ExactAllocator().allocate(mixed_segment, small_chip)
         greedy = GreedyAllocator().allocate(mixed_segment, small_chip)
-        assert milp.latency_cycles <= greedy.latency_cycles * 1.05
+        assert exact.latency_cycles <= greedy.latency_cycles * 1.05
 
     def test_memory_mode_disabled(self, small_chip, mixed_segment):
-        result = MIPAllocator(allow_memory_mode=False).allocate(mixed_segment, small_chip)
+        result = ExactAllocator(allow_memory_mode=False).allocate(mixed_segment, small_chip)
         assert all(a.memory_arrays == 0 for a in result.allocations.values())
 
     def test_single_operator_segment(self, small_chip):
         profiles = {"only": matmul_profile("only", 8, 32, 64, 64)}
-        result = MIPAllocator().allocate(profiles, small_chip)
+        result = ExactAllocator().allocate(profiles, small_chip)
         assert result.feasible
         assert result.allocations["only"].compute_arrays >= 1
 
     def test_infeasible_segment_reported(self, small_chip):
         oversized = {f"op{i}": linear_profile(f"op{i}", 4, 256, 256) for i in range(4)}
         result = allocate_segment(
-            oversized, small_chip, allocator=MIPAllocator(), cache=AllocationCache()
+            oversized, small_chip, allocator=ExactAllocator(), cache=AllocationCache()
         )
         assert not result.feasible
 
@@ -176,12 +179,12 @@ class TestMIPAllocator:
             "dense": linear_profile("dense", 256, 64, 64),
         }
         dual = allocate_segment(
-            profiles, small_chip, allocator=MIPAllocator(), cache=AllocationCache()
+            profiles, small_chip, allocator=ExactAllocator(), cache=AllocationCache()
         )
         fixed = allocate_segment(
             profiles,
             small_chip,
-            allocator=MIPAllocator(allow_memory_mode=False),
+            allocator=ExactAllocator(allow_memory_mode=False),
             cache=AllocationCache(),
         )
         assert dual.feasible and fixed.feasible
@@ -248,15 +251,22 @@ def _run_in_fresh_interpreter(script):
 
 
 def test_default_compile_never_imports_scipy_optimize():
-    """No native solver — and no lazy ``scipy.optimize`` import — on the
-    default compile path (the MILP oracle imports it inside ``_select``)."""
+    """No solver library on any default path: ``import repro``, a default
+    ``Session.compile`` and ``repro models`` load no ``scipy*`` module
+    (numpy is the package's only third-party dependency)."""
     _run_in_fresh_interpreter(
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "import repro\n"
         "from repro.api import Session\n"
+        "from repro.cli import main\n"
         "with Session(hardware='small-test-chip') as session:\n"
         "    program = session.compile('tiny-cnn')\n"
         "assert program.stats['allocator_solves'] > 0\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert main(['models']) == 0\n"
+        "assert 'tiny-cnn' in out.getvalue()\n"
+        "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
     )
 
 

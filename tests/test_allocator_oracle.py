@@ -4,9 +4,11 @@ The default engine (:class:`ExactAllocator`) claims the optimum of the
 paper's Eq. 8/9 model without a solver.  These tests hold it to that
 claim instead of to any earlier implementation's output:
 
-* against :class:`MIPAllocator` (the same model on ``scipy.optimize
-  .milp``) over random windows of zoo operators on every preset — equal
-  makespan, never more arrays, the same infeasibility verdict;
+* against an independent min–max knapsack DP over the engine's own
+  candidate lists (one numpy row per operator over the array budget),
+  on random windows of zoo operators, every preset and both modes —
+  the same makespan and the same minimum arrays, compared with ``==``,
+  and the same infeasibility verdict;
 * against brute-force enumeration on instances small enough to
   enumerate;
 * plus the properties the spare-array refinement promises, with and
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +28,7 @@ from repro.core._reference import reference_refine_with_spare_arrays
 from repro.core.allocation import (
     AllocationResult,
     ExactAllocator,
-    MIPAllocator,
+    GreedyAllocator,
     _hand_out_spare_arrays,
     allocate_segment,
     candidate_allocations,
@@ -62,35 +65,69 @@ POOLS = {name: _profile_pool(chip) for name, chip in CHIPS.items()}
 # One allocator per (engine, chip flavour), as a compile has one per pass.
 ENGINES = {
     (engine, allow): engine(allow_memory_mode=allow)
-    for engine in (ExactAllocator, MIPAllocator)
+    for engine in (ExactAllocator, GreedyAllocator)
     for allow in (True, False)
 }
 
 
 @st.composite
-def windows(draw, max_operators=8):
-    chip = draw(st.sampled_from(sorted(CHIPS)))
+def windows(draw, max_operators=8, chips=st.sampled_from(sorted(CHIPS)), modes=st.booleans()):
+    chip = draw(chips)
     pool = POOLS[chip]
     picks = draw(
         st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=max_operators)
     )
     profiles = {f"op{i}": pool[k] for i, k in enumerate(picks)}
-    return CHIPS[chip], profiles, draw(st.booleans())
+    return CHIPS[chip], profiles, draw(modes)
 
 
-class TestExactAgainstMilp:
-    @settings(max_examples=80, deadline=None)
-    @given(windows())
-    def test_same_makespan_never_more_arrays_same_verdict(self, window):
-        hardware, profiles, allow = window
+def knapsack_makespans(candidates, budget):
+    """Min–max multiple-choice knapsack by DP over the array budget.
+
+    Entry ``b`` of the returned row is the smallest makespan (largest
+    picked latency) of one candidate per operator using at most ``b``
+    arrays, ``inf`` where none fits.  Each operator's row is the
+    elementwise minimum, over its candidates, of the previous row
+    shifted by the candidate's arrays and raised to its latency — ``max``
+    and ``min`` only, so every finite entry is some candidate's latency,
+    bit for bit.
+    """
+    row = np.zeros(budget + 1)
+    for options in candidates:
+        best = np.full(budget + 1, np.inf)
+        for candidate in options:
+            arrays = candidate.total_arrays
+            if arrays <= budget:
+                np.minimum(
+                    best[arrays:],
+                    np.maximum(row[: budget + 1 - arrays], candidate.latency_cycles),
+                    out=best[arrays:],
+                )
+        row = best
+    return row
+
+
+class TestExactAgainstKnapsack:
+    @pytest.mark.parametrize("allow", [True, False], ids=["dual", "fixed"])
+    @pytest.mark.parametrize("chip", sorted(CHIPS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_same_makespan_same_arrays_same_verdict(self, chip, allow, data):
+        hardware, profiles, _ = data.draw(windows(chips=st.just(chip), modes=st.just(allow)))
         exact = ENGINES[ExactAllocator, allow].allocate(profiles, hardware)
-        milp = ENGINES[MIPAllocator, allow].allocate(profiles, hardware)
-        assert exact.feasible == milp.feasible
+        window = unit_window(profiles, hardware)
+        candidates = window.columns.window_candidates(0, len(window), allow)
+        row = knapsack_makespans(candidates, hardware.num_arrays)
+        assert exact.feasible == bool(all(candidates) and np.isfinite(row[-1]))
         if not exact.feasible:
             return
-        assert exact.solver == "exact" and milp.solver == "milp"
-        assert exact.latency_cycles == pytest.approx(milp.latency_cycles, rel=1e-9)
-        assert exact.total_arrays <= milp.total_arrays <= hardware.num_arrays
+        makespan = max(
+            options[options.pairs.index(pair)].latency_cycles
+            for options, pair in zip(candidates, exact.pairs)
+        )
+        assert makespan == row[-1]
+        # The canonical tie-break: the fewest arrays that reach the makespan.
+        assert exact.total_arrays == int(np.argmax(row <= makespan))
         if not allow:
             assert exact.memory_arrays == 0
 
@@ -186,7 +223,7 @@ class TestRefinementProperties:
     @settings(max_examples=80, deadline=None)
     @given(
         windows(),
-        st.sampled_from([ExactAllocator, MIPAllocator]),
+        st.sampled_from([ExactAllocator, GreedyAllocator]),
         st.integers(0, 48),
         st.integers(0, 12),
     )

@@ -9,8 +9,8 @@ from repro.core import (
     AllocationCache,
     CMSwitchCompiler,
     CompilerOptions,
+    ExactAllocator,
     GreedyAllocator,
-    MIPAllocator,
     allocate_segment,
     choose_plan,
     plan_cost,
@@ -54,7 +54,7 @@ class TestCacheKeys:
 
     def test_key_distinguishes_options(self, small_chip, tiny_mlp_graph):
         profiles = profile_graph(tiny_mlp_graph)
-        base = dict(engine="milp", pipelined=True, refine=True,
+        base = dict(engine="exact", pipelined=True, refine=True,
                     allow_memory_mode=True, reserve_arrays=0)
         key = AllocationCacheKey.build(profiles, small_chip, **base)
         for override in (
@@ -70,7 +70,7 @@ class TestCacheKeys:
     def test_dual_mode_variant_flips_only_memory_mode(self, small_chip, tiny_mlp_graph):
         profiles = profile_graph(tiny_mlp_graph)
         fixed = AllocationCacheKey.build(
-            profiles, small_chip, engine="milp", pipelined=True, refine=True,
+            profiles, small_chip, engine="exact", pipelined=True, refine=True,
             allow_memory_mode=False, reserve_arrays=0,
         )
         dual = fixed.dual_mode_variant()
@@ -80,7 +80,7 @@ class TestCacheKeys:
         # The window's inbound count — dropped from the fixed-mode key —
         # names the dual-mode entry of the same window.
         assert fixed.dual_mode_variant(3) == AllocationCacheKey.build(
-            profiles, small_chip, engine="milp", pipelined=True, refine=True,
+            profiles, small_chip, engine="exact", pipelined=True, refine=True,
             allow_memory_mode=True, reserve_arrays=0, inbound_arrays=3,
         )
 
@@ -181,7 +181,7 @@ class TestAllocationCache:
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
         dual = allocate_segment(
-            profiles, dynaplasia_chip, allocator=MIPAllocator(allow_memory_mode=True), cache=cache
+            profiles, dynaplasia_chip, allocator=ExactAllocator(allow_memory_mode=True), cache=cache
         )
         hit = self._lookup(cache, profiles, dynaplasia_chip, allow_memory_mode=False)
         uses_memory = any(a.memory_arrays > 0 for a in dual.allocations.values())
@@ -214,9 +214,10 @@ class TestAllocationCache:
         assert self._lookup(cache, cnn_profiles, dynaplasia_chip) is not None
 
     def test_greedy_and_milp_entries_are_separate(self, dynaplasia_chip, tiny_mlp_graph):
+        """The ``use_milp`` engine (exact) and the greedy one never share an entry."""
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
-        allocate_segment(profiles, dynaplasia_chip, allocator=MIPAllocator(), cache=cache)
+        allocate_segment(profiles, dynaplasia_chip, allocator=ExactAllocator(), cache=cache)
         assert self._lookup(cache, profiles, dynaplasia_chip, engine="greedy") is None
         greedy = allocate_segment(
             profiles, dynaplasia_chip, allocator=GreedyAllocator(), cache=cache

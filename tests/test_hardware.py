@@ -142,6 +142,15 @@ class TestPresets:
         with pytest.raises(KeyError):
             get_preset("tpu")
 
+    def test_get_preset_shares_one_chip_per_name(self):
+        assert get_preset("prime") is get_preset("prime")
+        assert get_preset("prime") is not get_preset("dynaplasia")
+        # Overrides build a new chip, every time.
+        custom = get_preset("prime", num_arrays=8)
+        assert custom is not get_preset("prime", num_arrays=8)
+        assert custom == get_preset("prime", num_arrays=8) and custom.num_arrays == 8
+        assert get_preset("prime").num_arrays != 8
+
     def test_preset_overrides(self):
         hw = get_preset("dynaplasia", num_arrays=128)
         assert hw.num_arrays == 128

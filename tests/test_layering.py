@@ -55,14 +55,14 @@ def test_only_the_cli_imports_the_serve_package():
     assert importers == ["repro/cli.py"]
 
 
-def test_numpy_and_scipy_are_the_only_third_party_imports():
+def test_numpy_is_the_only_third_party_import():
     third_party = sorted(
         {
             f"{path.relative_to(SRC)} -> {module}"
             for path in (SRC / "repro").rglob("*.py")
             for module in _imported_modules(path)
             if (top := module.split(".")[0]) not in sys.stdlib_module_names
-            and top not in ("repro", "numpy", "scipy")
+            and top not in ("repro", "numpy")
         }
     )
     assert not third_party, third_party

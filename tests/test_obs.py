@@ -55,7 +55,7 @@ class TestTracer:
             clock.advance(1.0)
             with tracer.span("inner") as inner:
                 clock.advance(0.5)
-                inner.set(solver="milp")
+                inner.set(solver="exact")
         spans = tracer.spans()
         assert [s.name for s in spans] == ["outer", "inner"]
         outer, inner = spans
@@ -64,7 +64,7 @@ class TestTracer:
         assert outer.duration == pytest.approx(1.5)
         assert inner.duration == pytest.approx(0.5)
         assert outer.attrs == {"kind": "pass"}
-        assert inner.attrs == {"solver": "milp"}
+        assert inner.attrs == {"solver": "exact"}
 
     def test_exception_annotates_and_closes_the_span(self):
         tracer = Tracer(clock=ManualClock())

@@ -367,10 +367,10 @@ def _traffic(draw):
 
 
 def _clock_after(expected, start):
-    """Where a clock started at ``start`` ends: advanced once, by the last
-    served finish minus ``start``."""
+    """Where a clock started at ``start`` ends: at the last served finish
+    exactly (``start`` when nothing is served)."""
     finishes = [finish for _, _, finish, served in expected if served]
-    return start + (finishes[-1] - start) if finishes else start
+    return finishes[-1] if finishes else start
 
 
 def _spied_paths(monkeypatch):

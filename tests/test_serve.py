@@ -151,6 +151,22 @@ class TestRequestFingerprint:
             != fp
         )
 
+    def test_a_preset_is_fingerprinted_once(self, monkeypatch):
+        """Jobs naming a preset share its chip, so its digest is rendered once."""
+        from repro.hardware import DualModeHardwareAbstraction, presets
+
+        monkeypatch.setattr(presets, "_SHARED", {})
+        renders = []
+        to_dict = DualModeHardwareAbstraction.to_dict
+        monkeypatch.setattr(
+            DualModeHardwareAbstraction,
+            "to_dict",
+            lambda chip: renders.append(chip.name) or to_dict(chip),
+        )
+        first = request_fingerprint(CompileJob("tiny-mlp", hardware="prime"))
+        second = request_fingerprint(CompileJob("tiny-cnn", hardware="prime"))
+        assert first != second and renders == ["prime"]
+
     def test_label_does_not_change_identity(self):
         assert request_fingerprint(
             CompileJob("tiny-mlp", label="a")

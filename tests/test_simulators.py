@@ -50,6 +50,32 @@ class TestDeterministicTensors:
         spec = TensorSpec("x", (2, 3, 4))
         assert deterministic_tensor(spec).shape == (2, 3, 4)
 
+    def test_same_data_in_every_process(self):
+        """Python salts ``str`` hashing per process; the data must not move."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "from repro.ir import TensorSpec\n"
+            "from repro.sim import deterministic_tensor\n"
+            "sys.stdout.write(deterministic_tensor(TensorSpec('w', (2, 2)), seed=3).tobytes().hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=salt),
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for salt in ("1", "2")
+        }
+        assert len(outputs) == 1
+        expected = deterministic_tensor(TensorSpec("w", (2, 2)), seed=3)
+        assert outputs == {expected.tobytes().hex()}
+
 
 class TestReferenceExecutor:
     def run_single(self, build):

@@ -32,8 +32,8 @@ from repro.core._reference import (
     reference_refine_with_spare_arrays,
 )
 from repro.core.allocation import (
+    ExactAllocator,
     GreedyAllocator,
-    MIPAllocator,
     UnitColumns,
     UnitWindow,
     allocate_segment,
@@ -538,7 +538,7 @@ class TestWindowTable:
 
     def test_second_solve_is_served_from_the_memo(self, profiles, small_chip):
         cache = AllocationCache()
-        engine = CountingAllocator(MIPAllocator())
+        engine = CountingAllocator(ExactAllocator())
         first = allocate_segment(profiles, small_chip, allocator=engine, cache=cache)
         second = allocate_segment(profiles, small_chip, allocator=engine, cache=cache)
         assert engine.calls == 1 and second.from_cache
@@ -552,12 +552,12 @@ class TestWindowTable:
         self, profiles, small_chip
     ):
         cache = AllocationCache()
-        dual = CountingAllocator(MIPAllocator(allow_memory_mode=True))
+        dual = CountingAllocator(ExactAllocator(allow_memory_mode=True))
         result = allocate_segment(profiles, small_chip, allocator=dual, cache=cache)
         memory_free = all(
             a.memory_arrays == 0 for a in result.allocations.values()
         )
-        fixed = CountingAllocator(MIPAllocator(allow_memory_mode=False))
+        fixed = CountingAllocator(ExactAllocator(allow_memory_mode=False))
         again = allocate_segment(profiles, small_chip, allocator=fixed, cache=cache)
         if memory_free:
             # The dual-mode optimum lies inside the fixed-mode space, so
@@ -574,30 +574,30 @@ class TestWindowTable:
         key = AllocationCacheKey.build(
             profiles,
             small_chip,
-            engine="milp",
+            engine="exact",
             pipelined=True,
             refine=True,
             allow_memory_mode=True,
             reserve_arrays=0,
         )
         partial = AllocationResult.from_allocations(
-            {"proj": OperatorAllocation(1, 0)}, 123.0, True, "milp"
+            {"proj": OperatorAllocation(1, 0)}, 123.0, True, "exact"
         )
         # Same length as the window, but for other operators / another order.
         foreign = AllocationResult.from_allocations(
             {"proj": OperatorAllocation(1, 0), "other": OperatorAllocation(2, 0)},
-            123.0, True, "milp",
+            123.0, True, "exact",
         )
         reordered = AllocationResult.from_allocations(
             {"attn": OperatorAllocation(2, 0), "proj": OperatorAllocation(1, 0)},
-            123.0, True, "milp",
+            123.0, True, "exact",
         )
         for result in (partial, foreign, reordered):
             cache.put(key, profiles, result)
         # A foreign twin spoils an otherwise matching result, too.
         own = AllocationResult.from_allocations(
             {"proj": OperatorAllocation(1, 0), "attn": OperatorAllocation(2, 0)},
-            123.0, True, "milp",
+            123.0, True, "exact",
         )
         cache.put(key, profiles, dataclasses.replace(own, unreserved=foreign))
         assert len(cache) == 0 and cache.stats.stores == 0
