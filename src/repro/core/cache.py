@@ -8,18 +8,18 @@ inside one transformer block (13 % of a cold compile's probes), the
 neighbouring points of a DSE sweep (328 of the benchmark grid's 646
 probes), the fixed-mode twin of a dual-mode compile — because the *same*
 compile asked twice never gets here: the service's program table
-answers it whole (:class:`repro.service.ProgramTable`).  With the exact
-window solver (~110 µs a solve, engine plus refinement; ~16 µs a hit)
-the saving per hit is modest — compiling the benchmark's five-model set
-on ``dynaplasia`` with every window a hit (fresh ``CMSwitchCompiler``
-objects over the table a first round filled) still costs ~37 ms
-against ~104 ms cold (medians of 7 passes; 2-core container, Python
-3.11.7, numpy 2.4.6, plain wall), which is why whole-program reuse sits
-in front — and it does not survive a process border: reading one window
-back from disk (≈ 135 µs) costs more than solving it, so windows live in
-memory only and what a ``cache_dir`` persists is the whole compiled
-program (:mod:`repro.core.store`; the numbers and the reasoning are in
-its header).
+answers it whole (:class:`repro.service.ProgramTable`).  The saving per
+hit is modest: a solve (engine plus refinement, as ``allocate_segment``
+sees it) costs ~60 µs and a hit ~6.5 µs (means), and compiling the
+benchmark's five-model set on ``dynaplasia`` with every window a hit
+(fresh ``CMSwitchCompiler`` objects over the table a first round filled)
+still costs ~19 ms against ~52 ms cold (medians of 9 passes; 2-core Xeon
+container, Python 3.11.7, numpy 2.4.6, plain wall).  That is why
+whole-program reuse sits in front — and a window does not survive a
+process border: reading one back from disk (≈ 135 µs) costs more than
+solving it, so windows live in memory only and what a ``cache_dir``
+persists is the whole compiled program (:mod:`repro.core.store`; the
+numbers and the reasoning are in its header).
 
 * the key is **structural** — the hardware fingerprint, the ordered cost
   profiles of the segment's operators (names excluded) and the options
@@ -185,8 +185,8 @@ class AllocationCache:
         return CacheStats(**{name: c.value for name, c in self._counters.items()})
 
     # ------------------------------------------------------------------ #
-    # what allocate_segment talks to — it builds the key once per solve
-    # (AllocationCacheKey.build) and shares it between lookup and store
+    # what allocate_segment talks to — it builds (and hashes) the key once
+    # per window (AllocationCacheKey.build) for the lookup and the store
     # ------------------------------------------------------------------ #
     def lookup(
         self, key: AllocationCacheKey, names: Sequence[str], inbound_arrays: int = 0

@@ -25,10 +25,11 @@ from ..cost import arithmetic
 from ..cost.arithmetic import OperatorProfile, profile_operator
 from ..cost.latency import INFEASIBLE_LATENCY, OperatorAllocation
 from ..cost.switching import (
+    INITIAL_RESOURCES,
     SegmentResources,
-    mode_switch_cycles,
-    window_resources_and_reload,
-    writeback_cycles,
+    spill_cycles,
+    switch_cycles,
+    window_totals,
 )
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
@@ -37,6 +38,7 @@ from .allocation import (
     AllocationResult,
     ExactAllocator,
     GreedyAllocator,
+    Pair,
     UnitColumns,
     UnitWindow,
     allocate_segment,
@@ -519,17 +521,13 @@ class NetworkSegmenter:
                 **self._solve_arguments(start, end, spare),
             )
             span.set(solver=result.solver, cached=result.from_cache)
-        self._record_result(result)
-        return result
-
-    def _record_result(self, result: AllocationResult) -> None:
-        """Advance the solve/hit counters for one consumed allocation."""
         if result.from_cache:
             self.cache_hits += 1  # the cache counts it as ``cache.hits``
         else:
             self.allocation_calls += 1
             self._metrics.inc("allocator.solves")
             self._metrics.inc(f"allocator.solves.{result.solver}")
+        return result
 
     # ------------------------------------------------------------------ #
     # dynamic program
@@ -555,7 +553,7 @@ class NetworkSegmenter:
         best_cost = [INFEASIBLE_LATENCY] * (m + 1)
         best_cost[0] = 0.0
         predecessor = [-1] * (m + 1)
-        last_resources: List[Optional[SegmentResources]] = [None] * (m + 1)
+        last_resources: List[SegmentResources] = [INITIAL_RESOURCES] * (m + 1)
         last_allocation: List[Optional[AllocationResult]] = [None] * (m + 1)
 
         tables = (best_cost, predecessor, last_resources, last_allocation)
@@ -593,33 +591,29 @@ class NetworkSegmenter:
             i -= 1
         return i
 
-    def _inter_segment(
-        self,
-        previous: Optional[SegmentResources],
-        start: int,
-        end: int,
-        live: int,
-        allocation: AllocationResult,
-    ) -> Tuple[SegmentResources, Dict[str, float]]:
-        """Resources of window ``[start, end]`` under ``allocation`` and the
-        Eq. 4 overhead of entering it from ``previous``, by component
-        (in the order Eq. 4 adds them)."""
-        resources, reload = window_resources_and_reload(
-            self._vectors, start, end + 1, allocation.pairs, self.hardware, live
+    def _edge_price(
+        self, previous: SegmentResources, start: int, stop: int, pairs: Sequence[Pair]
+    ) -> Tuple[float, float, float, int, int, int]:
+        """Eq. 4 of entering window ``[start, stop)`` under ``pairs`` from
+        ``previous``, in scalars: ``(T_wb, T_swc, T_rw, compute, memory,
+        idle)``, added in that order wherever they are summed.  The DP
+        prices ~1000 edge variants a cold pass and keeps a fifth, so it
+        builds no :class:`SegmentResources` to price one; the plan
+        records the winners' terms (:meth:`build_plans`).
+        """
+        hardware = self.hardware
+        compute, memory, reload = window_totals(self._vectors, start, stop, pairs, hardware)
+        idle = max(0, hardware.num_arrays - compute - memory)
+        writeback = spill_cycles(
+            previous.live_output_elements, previous.idle_arrays, memory, idle,
+            hardware, self.options.allow_memory_mode,
         )
         switch = 0.0
         if self.options.include_switch_cost:
-            switch = mode_switch_cycles(previous, resources, self.hardware)
-        return resources, {
-            "writeback": writeback_cycles(
-                previous,
-                resources,
-                self.hardware,
-                allow_boundary_buffering=self.options.allow_memory_mode,
-            ),
-            "mode_switch": switch,
-            "weight_reload": reload,
-        }
+            switch = switch_cycles(
+                previous.compute_arrays, previous.memory_arrays, compute, memory, hardware
+            )
+        return writeback, switch, reload, compute, memory, idle
 
     def _dp_edge(
         self,
@@ -633,21 +627,28 @@ class NetworkSegmenter:
 
         Reserving the boundary buffer is the edge's choice: the edge is
         relaxed with the refinement that withholds it and, where it
-        differs, with the one that hands it out.
+        differs, with the one that hands it out.  Both are priced in scalars
+        (:meth:`_edge_price`); only the winner's resources are built.
         """
         best_cost, predecessor, last_resources, last_allocation = tables
+        previous = last_resources[i]
+        winner = None
         for variant in (allocation, allocation.unreserved):
             if variant is None or not variant.feasible:
                 continue
-            resources, breakdown = self._inter_segment(
-                last_resources[i], i, j - 1, live, variant
+            writeback, switch, reload, compute, memory, idle = self._edge_price(
+                previous, i, j, variant.pairs
             )
-            cost = best_cost[i] + variant.latency_cycles + sum(breakdown.values())
+            cost = best_cost[i] + variant.latency_cycles + (writeback + switch + reload)
             if cost < best_cost[j]:
                 best_cost[j] = cost
-                predecessor[j] = i
-                last_resources[j] = resources
-                last_allocation[j] = variant
+                winner = variant, compute, memory, idle
+        if winner is not None:
+            variant, compute, memory, idle = winner
+            predecessor[j] = i
+            last_allocation[j] = variant
+            static_weight = self._vectors.window_static_weight_elements(i, j - 1)
+            last_resources[j] = SegmentResources(compute, memory, live, static_weight, idle)
 
     # ------------------------------------------------------------------ #
     # plan construction
@@ -668,7 +669,7 @@ class NetworkSegmenter:
                 or a window of ``boundaries`` does not fit it.
         """
         plans: List[SegmentPlan] = []
-        previous_resources: Optional[SegmentResources] = None
+        previous_resources = INITIAL_RESOURCES
         capacity = self.hardware.array_capacity_elements
         self._prepare(units)
         for seg_index, (start, end) in enumerate(boundaries):
@@ -681,10 +682,11 @@ class NetworkSegmenter:
                     f"{self.hardware.name!r} ({self.hardware.num_arrays} arrays)"
                 )
             live = self._liveness[end] if end + 1 < len(units) else 0
-            resources, breakdown = self._inter_segment(
-                previous_resources, start, end, live, allocation
+            writeback, switch, reload, compute, memory, idle = self._edge_price(
+                previous_resources, start, end + 1, allocation.pairs
             )
-            inter = sum(breakdown.values())
+            static_weight = self._vectors.window_static_weight_elements(start, end)
+            resources = SegmentResources(compute, memory, live, static_weight, idle)
             boundary_memory = 0
             if self.options.allow_memory_mode and live > 0:
                 boundary_memory = min(resources.idle_arrays, -(-live // capacity))
@@ -698,8 +700,10 @@ class NetworkSegmenter:
                     },
                     profiles={unit.name: unit.profile for unit in window},
                     intra_cycles=allocation.latency_cycles,
-                    inter_cycles=inter,
-                    inter_breakdown=breakdown,
+                    inter_cycles=writeback + switch + reload,
+                    inter_breakdown={
+                        "writeback": writeback, "mode_switch": switch, "weight_reload": reload
+                    },
                     resources=resources,
                     boundary_memory_arrays=boundary_memory,
                 )

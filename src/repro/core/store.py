@@ -10,8 +10,9 @@ read and one decode: no flattening, no DP, no allocator.
 
 **Why programs, not windows.**  Until format version 3 this store held
 one entry per allocation *window*.  Since the exact allocator made a
-window solve cost ~85 µs, reading a window back (digest + open + parse +
-key compare, ≈ 135 µs) cost more than recomputing it, and a 100 %-warm
+window solve cheap (~60 µs, measured in :mod:`repro.core.cache`'s
+header), reading a window back (digest + open + parse + key compare,
+≈ 135 µs) cost more than recomputing it, and a 100 %-warm
 directory still ran the whole DP: on the benchmark's five-model set
 (2 cores, Python 3.11, ``python3 bench/run.py``, machine-normalised) a
 disk-warm pass took 117–128 ms against ~153 ms cold, and populating the

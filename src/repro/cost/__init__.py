@@ -35,8 +35,8 @@ from .latency import (
 from .switching import (
     SegmentResources,
     aggregate_resources,
-    mode_switch_counts,
     mode_switch_cycles,
+    switch_counts,
     weight_reload_cycles,
     writeback_cycles,
 )
@@ -61,13 +61,13 @@ __all__ = [
     "estimate_energy",
     "mean_arithmetic_intensity",
     "minimum_latency_all_compute",
-    "mode_switch_counts",
     "mode_switch_cycles",
     "operator_latency_cycles",
     "pipeline_fill_cycles",
     "profile_graph",
     "profile_operator",
     "segment_latency_cycles",
+    "switch_counts",
     "total_macs",
     "total_weight_elements",
     "weight_reload_cycles",

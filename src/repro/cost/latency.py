@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Sized, Tuple
 
 import numpy as np
 
@@ -248,7 +248,7 @@ def operator_latency_factors_batch(
 
 
 def pipeline_fill_cycles(
-    stages: Iterable[object],
+    stages: Sized,
     hardware: DualModeHardwareAbstraction,
 ) -> float:
     """First-result latency before the intra-segment pipeline is full.
@@ -259,7 +259,7 @@ def pipeline_fill_cycles(
     profiles, or its operator latencies), a small constant that keeps
     single-operator and multi-operator segments comparable.
     """
-    return sum(1 for _ in stages) * hardware.compute_latency_cycles
+    return len(stages) * hardware.compute_latency_cycles
 
 
 def combine_operator_latencies(

@@ -13,15 +13,18 @@ arise (Fig. 10):
    with the weights of the new segment's operators (Eq. 2); the off-chip
    fetch of those weights is overlapped.
 
-Their sum is ``T_inter`` (Eq. 4).  It is assembled in two places: the
-plan builder's ``NetworkSegmenter._inter_segment`` and the independent
-re-pricer ``repro.core._reference.reprice_segments`` that checks it.
+Their sum is ``T_inter`` (Eq. 4).  ``T_wb`` and ``T_swc`` are defined once,
+on counts (:func:`spill_cycles`, :func:`switch_cycles`): the segmenter's
+``NetworkSegmenter._edge_price`` calls them directly, and
+:func:`writeback_cycles` / :func:`mode_switch_cycles` apply them to
+:class:`SegmentResources` for the independent re-pricer
+``repro.core._reference.reprice_segments`` that checks the plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from .arithmetic import OperatorProfile, ProfileVectors
@@ -57,6 +60,10 @@ class SegmentResources:
         return self.compute_arrays + self.memory_arrays
 
 
+#: What the first segment is entered from (``previous`` None): nothing.
+INITIAL_RESOURCES = SegmentResources(0, 0)
+
+
 def aggregate_resources(
     profiles: Mapping[str, OperatorProfile],
     allocations: Mapping[str, OperatorAllocation],
@@ -78,29 +85,17 @@ def aggregate_resources(
     )
 
 
-def window_resources_and_reload(
+def window_totals(
     vectors: ProfileVectors,
     start: int,
     stop: int,
     pairs: Sequence[Tuple[int, int]],
     hardware: DualModeHardwareAbstraction,
-    live_output_elements: int = 0,
-) -> Tuple[SegmentResources, float]:
-    """:func:`aggregate_resources` and :func:`weight_reload_cycles` of one window.
-
-    The window is operators ``start..stop-1`` of ``vectors`` (built with
-    the hardware); ``pairs`` holds their ``(compute_arrays,
-    memory_arrays)`` in the same order — a window result's
-    :attr:`~repro.core.allocation.AllocationResult.pairs`.  The
-    segmentation DP prices every edge it relaxes, so both facts come
-    from **one** walk over the window that reads the per-operator
-    columns — static-weight flag, stationary footprint — instead of two
-    walks over profile objects; the static weights are a prefix-sum
-    difference.  Same integers, same Eq. 2 maximum as the mapping-based
-    functions (``tests/test_segmentation.py`` compares the segmenter's
-    Eq. 4 breakdown with :func:`writeback_cycles`,
-    :func:`mode_switch_cycles` and :func:`weight_reload_cycles`).
-    """
+) -> Tuple[int, int, float]:
+    """``(compute_arrays, memory_arrays, T_rw)`` of operators ``start..stop-1``
+    under ``pairs`` (a window result's), in one walk over the columns: the
+    integers and Eq. 2 maximum of :func:`aggregate_resources` and
+    :func:`weight_reload_cycles`, priced per DP edge without profile objects."""
     has_static_weight = vectors.has_static_weight
     required_arrays = vectors.required_arrays
     write_latency = hardware.array_write_latency_cycles
@@ -113,41 +108,61 @@ def window_resources_and_reload(
             required = required_arrays[index]
             arrays_written = min(compute_arrays, required) or required
             reload = max(reload, arrays_written * write_latency)
-    resources = SegmentResources(
-        compute_arrays=compute,
-        memory_arrays=memory,
-        live_output_elements=live_output_elements,
-        static_weight_elements=vectors.window_static_weight_elements(start, stop - 1),
-        idle_arrays=max(0, hardware.num_arrays - compute - memory),
-    )
-    return resources, reload
+    return compute, memory, reload
 
 
-def mode_switch_counts(
-    previous: Optional[SegmentResources], current: SegmentResources
-) -> Dict[str, int]:
-    """Number of arrays switching mode between two adjacent segments.
+def switch_counts(
+    previous_compute: int, previous_memory: int, compute: int, memory: int
+) -> Tuple[int, int]:
+    """``(memory_to_compute, compute_to_memory)`` arrays switching mode.
 
     Arrays keep their mode whenever possible (the code generator assigns
-    physical arrays to maximise reuse), so only the *net* change in each
-    direction incurs switches:
-
-    * memory -> compute: the new segment needs more compute arrays than the
-      previous one had, and they are taken from former memory arrays first.
-    * compute -> memory: symmetric.
+    physical arrays to maximise reuse), so only the *net* growth of each
+    mode switches arrays, taken from the other mode's first.  The first
+    segment, entered from :data:`INITIAL_RESOURCES`, switches nothing.
     """
-    if previous is None:
-        # The first segment configures idle arrays; the paper charges no
-        # switch cost for initial configuration.
-        return {"memory_to_compute": 0, "compute_to_memory": 0}
-    extra_compute = max(0, current.compute_arrays - previous.compute_arrays)
-    extra_memory = max(0, current.memory_arrays - previous.memory_arrays)
-    memory_to_compute = min(extra_compute, previous.memory_arrays)
-    compute_to_memory = min(extra_memory, previous.compute_arrays)
-    return {
-        "memory_to_compute": memory_to_compute,
-        "compute_to_memory": compute_to_memory,
-    }
+    return (
+        min(max(0, compute - previous_compute), previous_memory),
+        min(max(0, memory - previous_memory), previous_compute),
+    )
+
+
+def switch_cycles(
+    previous_compute: int,
+    previous_memory: int,
+    compute: int,
+    memory: int,
+    hardware: DualModeHardwareAbstraction,
+) -> float:
+    """``T_swc`` (Eq. 1) on array counts, its one definition: per-array
+    switch latency times :func:`switch_counts`."""
+    to_compute, to_memory = switch_counts(previous_compute, previous_memory, compute, memory)
+    return to_compute * hardware.switch_latency_m2c + to_memory * hardware.switch_latency_c2m
+
+
+def spill_cycles(
+    live_elements: int,
+    previous_idle: int,
+    memory: int,
+    idle: int,
+    hardware: DualModeHardwareAbstraction,
+    allow_boundary_buffering: bool = True,
+) -> float:
+    """``T_wb`` on counts, its one definition (see :func:`writeback_cycles`):
+    the previous segment's live elements and idle arrays, the entered
+    segment's memory-mode and idle arrays."""
+    if live_elements == 0:
+        return 0.0
+    retained_capacity = hardware.buffer_elements
+    if allow_boundary_buffering:
+        retained_capacity += memory * hardware.array_capacity_elements
+        boundary_arrays = min(previous_idle, idle)
+        retained_capacity += boundary_arrays * hardware.array_capacity_elements
+    overflow = max(0, live_elements - retained_capacity)
+    if overflow == 0:
+        return 0.0
+    # store + reload across the external link
+    return 2.0 * overflow / hardware.d_extern
 
 
 def mode_switch_cycles(
@@ -156,10 +171,10 @@ def mode_switch_cycles(
     hardware: DualModeHardwareAbstraction,
 ) -> float:
     """``T_swc`` (Eq. 1): per-array switch latency times switch counts."""
-    counts = mode_switch_counts(previous, current)
-    return (
-        counts["memory_to_compute"] * hardware.switch_latency_m2c
-        + counts["compute_to_memory"] * hardware.switch_latency_c2m
+    previous = previous or INITIAL_RESOURCES
+    return switch_cycles(
+        previous.compute_arrays, previous.memory_arrays,
+        current.compute_arrays, current.memory_arrays, hardware,
     )
 
 
@@ -184,18 +199,11 @@ def writeback_cycles(
             memory-mode boundary buffers.  Fixed-mode baselines pass False
             — their idle arrays cannot hold data.
     """
-    if previous is None or previous.live_output_elements == 0:
-        return 0.0
-    retained_capacity = hardware.buffer_elements
-    if allow_boundary_buffering:
-        retained_capacity += current.memory_arrays * hardware.array_capacity_elements
-        boundary_arrays = min(previous.idle_arrays, current.idle_arrays)
-        retained_capacity += boundary_arrays * hardware.array_capacity_elements
-    overflow = max(0, previous.live_output_elements - retained_capacity)
-    if overflow == 0:
-        return 0.0
-    # store + reload across the external link
-    return 2.0 * overflow / hardware.d_extern
+    previous = previous or INITIAL_RESOURCES
+    return spill_cycles(
+        previous.live_output_elements, previous.idle_arrays,
+        current.memory_arrays, current.idle_arrays, hardware, allow_boundary_buffering,
+    )
 
 
 def weight_reload_cycles(

@@ -101,6 +101,7 @@ SERVE_COUNTERS = (
     "coalesced_hits",
     "queue_rejections",
     "wait_timeouts",
+    "read_timeouts",
     "result_hits",
     "result_evictions",
 )
@@ -238,6 +239,9 @@ class CompileDaemon:
 
             def do_POST(self) -> None:  # noqa: N802 - stdlib casing
                 daemon._handle_post(self)
+
+            def read_timed_out(self) -> None:
+                daemon._serve["read_timeouts"].inc()
 
         self.httpd = ServingHTTPServer((host, port), Handler)
         self.host = host

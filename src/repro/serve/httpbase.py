@@ -12,7 +12,8 @@ conventions:
 * JSON responses via :func:`respond_json`, structured errors via
   :func:`repro.serve.wire.error_payload`;
 * request bodies are size-bounded (:func:`read_body`) — an oversized or
-  length-less request is refused before any work happens;
+  length-less request is refused before any work happens — and every
+  socket read is time-bounded (:data:`READ_TIMEOUT_SECONDS`);
 * access logging goes to the ``repro`` logger at DEBUG (the CLI's
   ``-vv``), never to stderr on its own.
 """
@@ -40,6 +41,11 @@ LOGGER = logging.getLogger("repro")
 #: a large serialised graph — is far below it; this is a safety bound,
 #: not a tuning knob).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds one socket read or write may block before the handler closes
+#: the connection, so a silent peer cannot hold a handler thread forever
+#: (an idle keep-alive client reconnects through its retry).  Fixed.
+READ_TIMEOUT_SECONDS = 60.0
 
 #: Seconds between the accept loop's checks for a shutdown request:
 #: :meth:`ServingHTTPServer.shutdown` returns within one of them.
@@ -101,10 +107,20 @@ class QuietHandler(BaseHTTPRequestHandler):
     #: peer's delayed ACK.
     disable_nagle_algorithm = True
 
+    def setup(self) -> None:
+        self.timeout = READ_TIMEOUT_SECONDS  # read per connection
+        super().setup()
+
+    def read_timed_out(self) -> None:
+        """Hook: a socket read or write timed out; the connection closes next."""
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
         LOGGER.debug("%s - %s", self.address_string(), format % args)
 
     def log_error(self, format: str, *args) -> None:  # noqa: A002 - stdlib name
+        # The stdlib reports a socket timeout here, with the exception.
+        if args and isinstance(args[0], TimeoutError):
+            self.read_timed_out()
         LOGGER.debug("%s - error - %s", self.address_string(), format % args)
 
 

@@ -14,15 +14,16 @@ from repro.cost import (
     data_supply_times,
     mean_arithmetic_intensity,
     minimum_latency_all_compute,
-    mode_switch_counts,
     mode_switch_cycles,
     operator_latency_cycles,
     profile_graph,
     profile_operator,
     segment_latency_cycles,
+    switch_counts,
     weight_reload_cycles,
     writeback_cycles,
 )
+from repro.cost.switching import INITIAL_RESOURCES
 from repro.hardware import dynaplasia, small_test_chip
 from repro.ir import Linear, MatMul, TensorSpec
 
@@ -181,16 +182,14 @@ class TestInterSegmentCosts:
             idle_arrays=idle,
         )
 
-    def test_switch_counts_first_segment_free(self):
-        counts = mode_switch_counts(None, self.make_resources(4, 4))
-        assert counts == {"memory_to_compute": 0, "compute_to_memory": 0}
+    def test_switch_counts_first_segment_free(self, small_chip):
+        first = INITIAL_RESOURCES
+        assert switch_counts(first.compute_arrays, first.memory_arrays, 4, 4) == (0, 0)
+        assert mode_switch_cycles(None, self.make_resources(4, 4), small_chip) == 0
 
     def test_switch_counts_net_changes_only(self):
-        prev = self.make_resources(compute=6, memory=2)
-        curr = self.make_resources(compute=2, memory=6)
-        counts = mode_switch_counts(prev, curr)
-        assert counts["compute_to_memory"] == 4
-        assert counts["memory_to_compute"] == 0
+        # (memory_to_compute, compute_to_memory) from 6 + 2 to 2 + 6 arrays.
+        assert switch_counts(6, 2, 2, 6) == (0, 4)
 
     def test_switch_cycles_use_hardware_latencies(self, small_chip):
         prev = self.make_resources(compute=2, memory=4)

@@ -1,6 +1,8 @@
 """Tests for graph flattening and the DP network segmentation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import AllocationCache
 from repro.core.segmentation import (
@@ -333,6 +335,7 @@ class TestUnitColumnsTripwires:
 
         from repro.core.allocation import allocate_segment
         from repro.cost.switching import (
+            INITIAL_RESOURCES,
             aggregate_resources,
             mode_switch_cycles,
             weight_reload_cycles,
@@ -375,8 +378,8 @@ class TestUnitColumnsTripwires:
                     assert ours.latency_cycles == theirs.latency_cycles
             # The DP's one-walk edge pricing is the mapping-based cost model's.
             live = 1000 * (end + 1)
-            resources, breakdown = segmenter._inter_segment(
-                previous, start, end, live, from_window
+            *terms, compute, memory, idle = segmenter._edge_price(
+                previous or INITIAL_RESOURCES, start, end + 1, from_window.pairs
             )
             expected = aggregate_resources(
                 mapping,
@@ -384,15 +387,15 @@ class TestUnitColumnsTripwires:
                 live_output_elements=live,
                 num_arrays_total=hardware.num_arrays,
             )
-            assert resources == expected
-            assert breakdown == {
-                "writeback": writeback_cycles(previous, expected, hardware),
-                "mode_switch": mode_switch_cycles(previous, expected, hardware),
-                "weight_reload": weight_reload_cycles(
-                    mapping, from_mapping.allocations, hardware
-                ),
-            }
-            previous = resources
+            assert (compute, memory, idle) == (
+                expected.compute_arrays, expected.memory_arrays, expected.idle_arrays
+            )
+            assert terms == [
+                writeback_cycles(previous, expected, hardware),
+                mode_switch_cycles(previous, expected, hardware),
+                weight_reload_cycles(mapping, from_mapping.allocations, hardware),
+            ]
+            previous = expected
 
     def test_window_results_stay_positional_until_the_plan(self, mobilenet, monkeypatch):
         """The DP solves, refines, stores and prices every window on
@@ -484,3 +487,158 @@ class TestUnitColumnsTripwires:
         for index in range(200):
             CMSwitchCompiler(small_chip).compile(graphs[index % 3])
         assert sizes() == after_first
+
+
+class TestScalarEdgePricing:
+    """The DP prices an edge in scalars and builds objects only for winners.
+
+    One pricing: the scalar edge price is the cost model's Eq. 4 sum over
+    :func:`~repro.cost.switching.aggregate_resources`, bit for bit.  Two
+    tripwires: a :class:`SegmentResources` is built only for a relaxation
+    that lowers ``best_cost[j]``, and the layer boundaries the
+    benchmark's tracer wraps are still called once per window or solve.
+    """
+
+    @pytest.fixture(scope="class")
+    def mobilenet(self):
+        return build_model("mobilenet", Workload())
+
+    @pytest.fixture(scope="class")
+    def unit_sets(self):
+        """Units with static weights (mobilenet) and without (bert's
+        attention products), on the paper chip."""
+        hardware = get_preset("dynaplasia")
+        return hardware, [
+            flatten_graph(build_model(name, Workload(seq_len=32)), hardware)
+            for name in ("mobilenet", "bert")
+        ]
+
+    @pytest.mark.parametrize("include_switch_cost", [True, False], ids=["switch", "no-switch"])
+    @pytest.mark.parametrize("allow_memory_mode", [True, False], ids=["dual", "fixed"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_edge_price_is_the_cost_model_bit_for_bit(
+        self, unit_sets, allow_memory_mode, include_switch_cost, data
+    ):
+        from repro.cost.latency import OperatorAllocation
+        from repro.cost.switching import (
+            INITIAL_RESOURCES,
+            SegmentResources,
+            aggregate_resources,
+            mode_switch_cycles,
+            weight_reload_cycles,
+            writeback_cycles,
+        )
+
+        hardware, unit_lists = unit_sets
+        units = data.draw(st.sampled_from(unit_lists))
+        options = CompilerOptions(
+            allow_memory_mode=allow_memory_mode, include_switch_cost=include_switch_cost
+        )
+        segmenter = NetworkSegmenter(hardware, options, cache=AllocationCache())
+        segmenter._prepare(units)
+        start = data.draw(st.integers(0, len(units) - 1))
+        stop = data.draw(st.integers(start + 1, min(len(units), start + 8)))
+        counts = st.integers(0, hardware.num_arrays)
+        pairs = tuple((data.draw(counts), data.draw(counts)) for _ in range(start, stop))
+        previous = data.draw(
+            st.none()
+            | st.builds(
+                SegmentResources,
+                counts,
+                counts,
+                st.integers(0, 50 * hardware.buffer_elements),
+                st.integers(0, 10**9),
+                counts,
+            )
+        )
+
+        writeback, switch, reload, compute, memory, idle = segmenter._edge_price(
+            previous or INITIAL_RESOURCES, start, stop, pairs
+        )
+        price = writeback + switch + reload  # the sum the DP adds to an edge
+
+        profiles = {unit.name: unit.profile for unit in units[start:stop]}
+        allocations = {
+            name: OperatorAllocation(*pair) for name, pair in zip(profiles, pairs)
+        }
+        resources = aggregate_resources(
+            profiles, allocations, num_arrays_total=hardware.num_arrays
+        )
+        expected = (
+            writeback_cycles(
+                previous, resources, hardware, allow_boundary_buffering=allow_memory_mode
+            )
+            + (mode_switch_cycles(previous, resources, hardware) if include_switch_cost else 0.0)
+            + weight_reload_cycles(profiles, allocations, hardware)
+        )
+        assert price == expected and repr(price) == repr(expected)
+        assert (compute, memory, idle) == (
+            resources.compute_arrays,
+            resources.memory_arrays,
+            resources.idle_arrays,
+        )
+
+    def test_resources_are_built_only_for_an_improving_relaxation(
+        self, mobilenet, monkeypatch
+    ):
+        from repro.cost.switching import SegmentResources
+
+        built = []
+        real_init = SegmentResources.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        relaxations = []
+        real_edge = NetworkSegmenter._dp_edge
+
+        def edge(self, i, j, live, allocation, tables):
+            best_cost = tables[0]
+            before, already = best_cost[j], len(built)
+            real_edge(self, i, j, live, allocation, tables)
+            relaxations.append((best_cost[j] < before, len(built) - already))
+
+        monkeypatch.setattr(SegmentResources, "__init__", counting_init)
+        monkeypatch.setattr(NetworkSegmenter, "_dp_edge", edge)
+        hardware = get_preset("dynaplasia")
+        units = flatten_graph(mobilenet, hardware)
+        NetworkSegmenter(hardware, cache=AllocationCache()).choose_boundaries(mobilenet, units)
+        improving = sum(improved for improved, _ in relaxations)
+        assert len(relaxations) == 396 and 0 < improving < len(relaxations)
+        assert [n for _, n in relaxations] == [int(improved) for improved, _ in relaxations]
+
+    def test_traced_boundaries_are_called_once_per_window_or_solve(
+        self, mobilenet, monkeypatch
+    ):
+        from collections import Counter
+
+        from repro.core import allocation, segmentation
+
+        calls = Counter()
+
+        def count(owner, name):
+            real = vars(owner)[name]
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(segmentation, "allocate_segment")
+        count(AllocationCache, "lookup")
+        count(allocation.MIPAllocator, "allocate")
+        count(allocation, "refine_with_spare_arrays")
+        hardware = get_preset("dynaplasia")
+        units = flatten_graph(mobilenet, hardware)
+        segmenter = NetworkSegmenter(hardware, cache=AllocationCache())
+        segmenter.choose_boundaries(mobilenet, units)
+        assert (segmenter.allocation_calls, segmenter.cache_hits) == (346, 50)
+        assert calls == {
+            "allocate_segment": 396,
+            "lookup": 396,
+            "allocate": 346,
+            "refine_with_spare_arrays": 346,
+        }

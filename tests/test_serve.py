@@ -46,6 +46,7 @@ from repro.serve import client as client_module
 from repro.serve import coalesce as coalesce_module
 from repro.serve import daemon as daemon_module
 from repro.serve.coalesce import FOLLOW, HIT, LEAD, Flight
+from repro.serve import httpbase
 from repro.serve.httpbase import QuietHandler
 from repro.serve.wire import WIRE_VERSION, check_version
 from repro.service import CompileJob, CompileJobResult, default_job_options
@@ -1179,6 +1180,32 @@ class TestServerLifecycle:
         start = time.perf_counter()
         daemon.shutdown()
         assert time.perf_counter() - start < 0.2
+
+    def test_a_silent_connection_is_closed_and_counted(self, monkeypatch):
+        """A peer that connects and sends nothing holds its handler thread
+        only for ``READ_TIMEOUT_SECONDS``; a keep-alive client the daemon
+        timed out meanwhile reconnects through its retry."""
+        monkeypatch.setattr(httpbase, "READ_TIMEOUT_SECONDS", 0.2)
+        daemon = CompileDaemon(workers=1)
+        daemon.start_background()
+        try:
+            with Client(daemon.url, retries=2) as client:
+                assert client.healthy()  # opens the keep-alive connection
+                with socket.create_connection((daemon.host, daemon.bound_port), 10) as silent:
+                    start = time.perf_counter()
+                    assert silent.recv(1) == b""  # closed by the daemon, unanswered
+                    assert time.perf_counter() - start < 5
+                deadline = time.perf_counter() + 10
+                while daemon.counters()["read_timeouts"] < 2:  # both connections
+                    assert time.perf_counter() < deadline, daemon.counters()
+                    time.sleep(0.02)
+                result = client.compile("tiny-mlp", hardware="small-test-chip")
+                assert result.program.num_segments >= 1
+                lines = _exposition(client.metrics_text())
+            # (A slow scheduler may time the idle client out once more.)
+            assert int(lines["serve_read_timeouts"]) >= 2
+        finally:
+            daemon.shutdown()
 
     def test_shutdown_is_idempotent_after_serving(self, daemon):
         with Client(daemon.url, retries=0) as client:

@@ -38,7 +38,6 @@ from repro.core.allocation import (
     UnitWindow,
     allocate_segment,
     candidate_allocations,
-    key_options,
     refine_with_spare_arrays,
 )
 from repro.core.cache import AllocationCache, AllocationCacheKey, segment_signature
@@ -433,18 +432,22 @@ class TestCompileParity:
 def window_cache_key(units, hardware, options, start=0, end=None):
     """The key the segmenter's solve of ``units[start..end]`` is cached under.
 
-    Rebuilt the way ``allocate_segment`` builds it — the segmenter's own
-    solve arguments through ``key_options`` — so the tests below pin
-    what the in-memory cache keys on.
+    Rebuilt from the segmenter's own solve arguments the way
+    ``allocate_segment`` builds it, so the tests below pin what the
+    in-memory cache keys on.
     """
     end = start if end is None else end
     segmenter = NetworkSegmenter(hardware, options, cache=AllocationCache())
     segmenter._prepare(units)
     spare = max(0, segmenter._spare_arrays(start, end))
+    arguments = segmenter._solve_arguments(start, end, spare)
+    engine = arguments.pop("allocator")
     return AllocationCacheKey.build(
         segmenter._window(start, end),
         hardware,
-        **key_options(**segmenter._solve_arguments(start, end, spare)),
+        engine=engine.name,
+        allow_memory_mode=engine.allow_memory_mode,
+        **arguments,
     )
 
 
