@@ -14,11 +14,20 @@ diffing the two outputs, which must be identical::
 ``--models`` and ``--chips`` narrow the grid.  One
 ``Session`` per preset compiles all of that preset's programs; the full
 grid (228 programs) takes about 40 s on a 2-core machine.
+
+The same JSON carries the paper-claims ledger under ``"ledger"`` (a key
+no ``model@chip/compiler`` row can take): for each ``CLAIMS`` row of
+``tests/test_paper_claims.py``, its recorded ``status`` and whether its
+predicate ``holds`` on this checkout, so one diff shows plan moves and
+ledger flips together.  The ledger is printed whatever the grid; it adds
+about 1 s.  Its ``fig18.*`` rows time real compiles, so their ``holds``
+can move with the machine's load.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -50,12 +59,26 @@ def plans(models, chips):
     return table
 
 
+def ledger():
+    """``{claim id: {"status", "holds"}}`` over the paper-claims ledger."""
+    path = REPO_ROOT / "tests" / "test_paper_claims.py"
+    spec = importlib.util.spec_from_file_location("test_paper_claims", path)
+    claims = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(claims)
+    runs = claims.figure_runs()
+    return {
+        claim.id: {"status": claim.status, "holds": bool(claim.holds(runs))}
+        for claim in claims.CLAIMS
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--models", nargs="+", default=list_models())
     parser.add_argument("--chips", nargs="+", default=list(CHIPS))
     args = parser.parse_args(argv)
     table = plans(args.models, args.chips)
+    table["ledger"] = ledger()
     json.dump(table, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0

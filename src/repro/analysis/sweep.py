@@ -20,7 +20,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..cost.arithmetic import OperatorProfile, profile_graph
-from ..cost.latency import OperatorAllocation, operator_latency_cycles  # noqa: F401  (re-exported for users)
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..ir.graph import Graph
 
@@ -46,7 +45,7 @@ def _static_split_latency(
         return float("inf")
     total = 0.0
     for profile in profiles.values():
-        required = max(1, profile.min_compute_arrays(hardware))
+        required = profile.compute_floor(hardware)
         compute_time = (
             profile.macs / (compute_arrays * hardware.op_cim) if profile.macs else 0.0
         )

@@ -29,7 +29,7 @@ def puma_boundaries(
     boundaries: Boundaries = []
     start = used = 0
     for unit in units:
-        need = max(1, unit.profile.min_compute_arrays(hardware))
+        need = unit.profile.compute_floor(hardware)
         full = used + need > hardware.num_arrays
         if unit.index > start and (full or unit.index - start >= MAX_GROUP_OPERATORS):
             boundaries.append((start, unit.index - 1))

@@ -1,6 +1,7 @@
 """CMSwitch compiler core: segmentation, allocation, code generation."""
 
 from .allocation import (
+    AllocationCacheKey,
     AllocationCandidate,
     AllocationResult,
     ExactAllocator,
@@ -10,7 +11,7 @@ from .allocation import (
     candidate_allocations,
     refine_with_spare_arrays,
 )
-from .cache import AllocationCache, AllocationCacheKey, CacheStats
+from .cache import AllocationCache, CacheStats
 from .clock import SYSTEM_CLOCK, Clock, ManualClock
 from .codegen import CodeGenerationError, generate_program
 from .compiler import CMSwitchCompiler

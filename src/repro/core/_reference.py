@@ -163,15 +163,26 @@ def reference_candidate_allocations(
     return pareto
 
 
+def _pairs(allocations: Mapping[str, OperatorAllocation]) -> Tuple[Tuple[int, int], ...]:
+    """``allocations`` by position, as an :class:`AllocationResult` holds them."""
+    return tuple((a.compute_arrays, a.memory_arrays) for a in allocations.values())
+
+
+def named_allocations(names, result) -> dict:
+    """``result``'s pairs as ``name -> OperatorAllocation`` over ``names``."""
+    return {name: OperatorAllocation(*pair) for name, pair in zip(names, result.pairs)}
+
+
 def reference_greedy_allocate(
     profiles, hardware: DualModeHardwareAbstraction, pipelined: bool = True,
     allow_memory_mode: bool = True,
 ):
     """The pre-vectorisation ``GreedyAllocator.allocate`` body, frozen:
     every operator at its minimum compute footprint, then the scalar
-    refinement hands out the rest of the chip."""
+    refinement hands out the rest of the chip.  The result holds one
+    pair per operator of ``profiles``, in its order."""
     if not profiles:
-        return AllocationResult.from_allocations({}, 0.0, True, "greedy")
+        return AllocationResult((), 0.0, True, "greedy")
     floors = {
         name: OperatorAllocation(max(1, profile.min_compute_arrays(hardware)), 0)
         for name, profile in profiles.items()
@@ -180,7 +191,7 @@ def reference_greedy_allocate(
         return infeasible_result()
     latency = segment_latency_cycles(profiles, floors, hardware, pipelined=pipelined)
     return reference_refine_with_spare_arrays(
-        AllocationResult.from_allocations(floors, latency, True, "greedy"),
+        AllocationResult(_pairs(floors), latency, True, "greedy"),
         profiles, hardware, pipelined=pipelined, allow_memory_mode=allow_memory_mode,
     )
 
@@ -193,10 +204,11 @@ def reference_refine_with_spare_arrays(
     allow_memory_mode: bool = True,
     reserve_arrays: int = 0,
 ):
-    """The pre-vectorisation ``refine_with_spare_arrays`` body, frozen."""
+    """The pre-vectorisation ``refine_with_spare_arrays`` body, frozen;
+    ``result``'s pairs belong to ``profiles``' operators, in order."""
     if not result.feasible or not result.pairs:
         return result
-    allocations = dict(result.allocations)
+    allocations = named_allocations(profiles, result)
     used = sum(a.total_arrays for a in allocations.values())
     remaining = hardware.num_arrays - used - max(0, reserve_arrays)
     if remaining <= 0:
@@ -224,7 +236,7 @@ def reference_refine_with_spare_arrays(
     if not improved:
         return result
     latency = segment_latency_cycles(profiles, allocations, hardware, pipelined=pipelined)
-    return AllocationResult.from_allocations(allocations, latency, True, result.solver)
+    return AllocationResult(_pairs(allocations), latency, True, result.solver)
 
 
 def reference_baseline_compile(baseline, graph: Graph) -> CompiledProgram:
@@ -245,7 +257,7 @@ def reference_baseline_compile(baseline, graph: Graph) -> CompiledProgram:
         allocated = reference_greedy_allocate(
             profiles, hardware, pipelined=baseline.pipelined, allow_memory_mode=False
         )
-        plan.append((list(profiles), allocated.allocations))
+        plan.append((list(profiles), named_allocations(profiles, allocated)))
     fixed_mode = CompilerOptions(pipelined=baseline.pipelined, allow_memory_mode=False)
     segments = reprice_segments(graph, hardware, fixed_mode, plan)
     generate = baseline.options.generate_code and segments

@@ -16,43 +16,40 @@ needs no solver.  Two engines are provided:
   binary search over the candidate latencies (the model is a bottleneck
   multiple-choice knapsack), with a canonical minimum-arrays tie-break.
   It completes :class:`MIPAllocator`, the model every optimal solve
-  shares (candidates in, one pick per operator, the Eq. 9 makespan out).
+  shares (candidates in, one pick per operator out).
 * :class:`GreedyAllocator` — a fast marginal-gain heuristic: the
   ``use_milp=False`` arm of the allocation ablation (ledger row
   ``ablation.milp-vs-greedy`` in ``tests/test_paper_claims.py``) and a
   cross-check in tests.
 
-All return an :class:`AllocationResult`; leftover arrays are always
-redistributed by :func:`refine_with_spare_arrays` (weight duplication and
-extra buffering, the paper's post-allocation optimisation).
+An engine returns its pick by position, one ``(compute, memory)`` pair
+per operator; :func:`allocate_segment` turns it into the window's
+:class:`AllocationResult` — through :func:`refine_with_spare_arrays`
+(weight duplication and extra buffering, the paper's post-allocation
+optimisation), or priced as it stands when refinement is off.
 
 What a solve reads about an operator — its Eq. 10 factor tables, its
 candidate list, its compute floor, its cache signature — does not depend
 on the window the operator is solved in, so it is kept **by position**
 in :class:`UnitColumns`, built once per compile by the segmenter, and a
-window is an index range over it (:class:`UnitWindow`, which is also the
-``name -> profile`` mapping the entry points take).  A caller with a
-plain mapping gets columns built from exactly its profiles
-(:func:`unit_window`) and runs the same code; nothing is memoised per
-profile, per allocator or per module.
+window is an index range over it (:class:`UnitWindow`).  Nothing is
+memoised per profile, per allocator or per module.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cost.arithmetic import OperatorProfile, ProfileVectors, profile_signature
+from ..cost.arithmetic import OperatorProfile, ProfileVectors
 # operator_latency_cycles is re-exported only: nothing here evaluates Eq. 10
 # per call any more, but the benchmark's tracer counts scalar evaluations
 # through this module's name.
 from ..cost.latency import (  # noqa: F401
     INFEASIBLE_LATENCY,
-    OperatorAllocation,
     combine_operator_latencies,
     guard_infeasible_batch,
     operator_latency_cycles,
@@ -70,65 +67,37 @@ Pair = Tuple[int, int]
 
 @dataclass
 class AllocationResult:
-    """Outcome of allocating one segment, kept by position.
+    """Outcome of allocating one window, kept by position.
 
     A window's allocation is one ``(compute, memory)`` pair per operator
-    in window order next to the window's operator names: the solve, the
-    refinement, the window table and the DP edge all read and write the
-    pairs, and a name is attached to an allocation only where a plan
-    needs one (:meth:`NetworkSegmenter.build_plans
-    <repro.core.segmentation.NetworkSegmenter.build_plans>`).
+    in window order: the solve, the refinement, the window table and the
+    DP edge all read and write the pairs, and a name is attached to an
+    allocation only where a plan needs one (:meth:`NetworkSegmenter
+    .build_plans <repro.core.segmentation.NetworkSegmenter.build_plans>`).
 
     Attributes:
-        names: The window's operator names, in window order.
-        pairs: ``(compute_arrays, memory_arrays)`` per operator, aligned
-            with ``names`` (empty for an infeasible result).
+        pairs: ``(compute_arrays, memory_arrays)`` per operator, in
+            window order (empty for an infeasible result).
         latency_cycles: Pipelined segment latency under the allocation.
         feasible: Whether the segment fits the chip at all.
         solver: Which engine produced the result ("exact", "greedy",
             "infeasible").
         from_cache: Whether the result was served from a shared
             :class:`~repro.core.cache.AllocationCache` instead of a fresh
-            solve (used by compile statistics).
+            solve (used by compile statistics).  A hit is a fresh result
+            around the stored pairs; its ``unreserved`` twin is the
+            stored one.
         unreserved: The same solve refined with ``reserve_arrays=0``;
             ``None`` when that is this very result.  The segmentation
             DP relaxes each edge with both.
     """
 
-    names: Tuple[str, ...]
     pairs: Tuple[Pair, ...]
     latency_cycles: float
     feasible: bool
     solver: str
     from_cache: bool = False
     unreserved: Optional["AllocationResult"] = None
-
-    @classmethod
-    def from_allocations(
-        cls,
-        allocations: Mapping[str, OperatorAllocation],
-        latency_cycles: float,
-        feasible: bool,
-        solver: str,
-    ) -> "AllocationResult":
-        """The result of a name-keyed allocation, in the mapping's order."""
-        return cls(
-            tuple(allocations),
-            tuple((a.compute_arrays, a.memory_arrays) for a in allocations.values()),
-            latency_cycles,
-            feasible,
-            solver,
-        )
-
-    @property
-    def allocations(self) -> Mapping[str, OperatorAllocation]:
-        """Read-only ``name -> OperatorAllocation`` view, built on each read."""
-        return MappingProxyType(
-            {
-                name: OperatorAllocation(compute, memory)
-                for name, (compute, memory) in zip(self.names, self.pairs)
-            }
-        )
 
     @property
     def total_arrays(self) -> int:
@@ -148,7 +117,7 @@ class AllocationResult:
 
 def infeasible_result() -> AllocationResult:
     """Result representing a segment that cannot be mapped onto the chip."""
-    return AllocationResult((), (), INFEASIBLE_LATENCY, False, "infeasible")
+    return AllocationResult((), INFEASIBLE_LATENCY, False, "infeasible")
 
 
 # ---------------------------------------------------------------------- #
@@ -202,7 +171,8 @@ def candidate_allocations(
     max_arrays: int,
     allow_memory_mode: bool = True,
     max_candidates: int = MAX_CANDIDATES,
-    factors: Optional[FactorTables] = None,
+    *,
+    factors: FactorTables,
 ) -> CandidateList:
     """Pareto-optimal (arrays, latency) candidates for one operator.
 
@@ -223,16 +193,13 @@ def candidate_allocations(
 
     Args:
         factors: The operator's Eq. 10 factor tables covering
-            ``0..max_arrays`` (a row of :class:`UnitColumns`); built
-            from ``profile`` when omitted.
+            ``0..max_arrays`` (a row of :class:`UnitColumns`).
     """
-    min_compute = max(1, profile.min_compute_arrays(hardware))
+    min_compute = profile.compute_floor(hardware)
     if min_compute > max_arrays:
         return CandidateList()
     mem_cap = profile.memory_arrays_for_working_set(hardware) if allow_memory_mode else 0
     mem_cap = min(mem_cap, max_arrays - min_compute)
-    if factors is None:
-        factors = UnitColumns([profile], hardware, max_arrays=max_arrays).factors(0)
     compute_time, supply_time = factors
 
     # (total, latency, compute, memory) tuples sort like the stable
@@ -304,19 +271,15 @@ class UnitColumns(ProfileVectors):
     * each operator's candidate list, enumerated lazily (only operators
       of windows that are actually solved pay for it) and exactly once.
 
-    A window is an index range (:class:`UnitWindow`); the segmenter builds
-    one instance per compile and it dies with the compile, and the
-    mapping entry points (:func:`allocate_segment`, the allocators,
-    :func:`refine_with_spare_arrays`) build one from the profiles they
-    are handed (:func:`unit_window`) and run the same code on it.
-    Nothing here is keyed by a profile or kept at module level: an
-    operator's entry is simply "the entry of unit *k*".
+    A window is an index range (:class:`UnitWindow`), and every
+    allocation entry point takes one; the segmenter builds one instance
+    per compile and it dies with the compile.  Nothing here is keyed by
+    a profile or kept at module level: an operator's entry is simply
+    "the entry of unit *k*".
 
     Args:
         profiles: Operator profiles in schedule order.
         hardware: The target chip.
-        names: The keys windows label the operators with (the profile
-            names when omitted).
         max_arrays: Largest array count the factor tables must cover
             beyond ``hardware.num_arrays``.
     """
@@ -325,13 +288,10 @@ class UnitColumns(ProfileVectors):
         self,
         profiles: Sequence[OperatorProfile],
         hardware: DualModeHardwareAbstraction,
-        names: Optional[Sequence[str]] = None,
         max_arrays: int = 0,
     ) -> None:
         super().__init__(profiles, hardware)
         self.hardware = hardware
-        if names is not None:
-            self.names = tuple(names)
         self._table_size = max(hardware.num_arrays, max_arrays) + 1
         self._compute_time: Optional[List[List[float]]] = None
         self._supply_time: Optional[List[List[float]]] = None
@@ -378,23 +338,25 @@ class UnitColumns(ProfileVectors):
         return window
 
 
-class UnitWindow(dict):
-    """A contiguous run of a :class:`UnitColumns`' operators.
+class UnitWindow:
+    """Operators ``start..stop-1`` of a :class:`UnitColumns` — a window.
 
-    It *is* the ``name -> profile`` mapping every allocation entry point
-    takes, and it remembers which columns and which positions it came
-    from, so the solve indexes the columns instead of re-deriving
-    per-operator facts from the profiles.
+    What every allocation entry point takes: the solve indexes the
+    columns (and reads their chip) instead of re-deriving per-operator
+    facts from profiles.
     """
 
-    __slots__ = ("columns", "start", "stop", "names")
+    __slots__ = ("columns", "start", "stop")
 
     def __init__(self, columns: UnitColumns, start: int, stop: int) -> None:
-        self.names: Tuple[str, ...] = columns.names[start:stop]
-        super().__init__(zip(self.names, columns.profiles[start:stop]))
         self.columns = columns
         self.start = start
         self.stop = stop
+
+    @property
+    def hardware(self) -> DualModeHardwareAbstraction:
+        """The chip the columns were built for."""
+        return self.columns.hardware
 
     @property
     def minimum_compute_arrays(self) -> int:
@@ -405,21 +367,6 @@ class UnitWindow(dict):
     def signature(self) -> Tuple[Tuple, ...]:
         """Ordered structural signatures — the allocation cache's key part."""
         return self.columns.signatures[self.start : self.stop]
-
-
-def unit_window(
-    profiles: Mapping[str, OperatorProfile], hardware: DualModeHardwareAbstraction
-) -> UnitWindow:
-    """``profiles`` as a window over unit columns for ``hardware``.
-
-    A :class:`UnitWindow` of that chip's columns is returned as is (the
-    segmenter's case); any other mapping gets columns built from exactly
-    the profiles it holds, so both run the same code downstream.
-    """
-    if isinstance(profiles, UnitWindow) and profiles.columns.hardware is hardware:
-        return profiles
-    columns = UnitColumns(list(profiles.values()), hardware, names=list(profiles))
-    return UnitWindow(columns, 0, len(columns))
 
 
 # ---------------------------------------------------------------------- #
@@ -468,6 +415,8 @@ def _hand_out_spare_arrays(
         arrays are handed out, and the state after all ``spare`` —
         ``None`` when the loop never touched the reserve.
     """
+    if not pairs:  # an empty window has no bottleneck to grow
+        return ((), []), None
     columns = window.columns
     hardware = columns.hardware
     compute_rows, supply_rows = columns.factor_tables()
@@ -519,6 +468,19 @@ def _hand_out_spare_arrays(
     return reserved, state()
 
 
+def _priced(
+    state: _HandOut,
+    window: UnitWindow,
+    solver: str,
+    pipelined: bool,
+    twin: Optional[AllocationResult] = None,
+) -> AllocationResult:
+    """The result of one hand-out state: its pairs and their Eq. 9 latency."""
+    pairs, latencies = state
+    latency = combine_operator_latencies(latencies, window.hardware, pipelined)
+    return AllocationResult(pairs, latency, True, solver, False, twin)
+
+
 # ---------------------------------------------------------------------- #
 # greedy allocator
 # ---------------------------------------------------------------------- #
@@ -540,29 +502,22 @@ class GreedyAllocator:
     def __init__(self, allow_memory_mode: bool = True) -> None:
         self.allow_memory_mode = allow_memory_mode
 
-    def allocate(
-        self,
-        profiles: Mapping[str, OperatorProfile],
-        hardware: DualModeHardwareAbstraction,
-        pipelined: bool = True,
-    ) -> AllocationResult:
-        """Allocate the segment; see class docstring for the policy."""
-        if not profiles:
-            return AllocationResult((), (), 0.0, True, self.name)
-        window = unit_window(profiles, hardware)
+    def allocate(self, window: UnitWindow) -> Optional[Tuple[Pair, ...]]:
+        """Allocate the window by position (None when it does not fit);
+        see the class docstring for the policy."""
+        hardware = window.hardware
         used = window.minimum_compute_arrays
         if used > hardware.num_arrays:
-            return infeasible_result()
+            return None
         floors = window.columns.floors[window.start : window.stop].tolist()
-        (pairs, latencies), _ = _hand_out_spare_arrays(
+        (pairs, _), _ = _hand_out_spare_arrays(
             [(floor, 0) for floor in floors],
             window,
             hardware.num_arrays - used,
             self.allow_memory_mode,
             0,
         )
-        latency = combine_operator_latencies(latencies, hardware, pipelined)
-        return AllocationResult(window.names, pairs, latency, True, self.name)
+        return pairs
 
 
 # ---------------------------------------------------------------------- #
@@ -573,7 +528,7 @@ class MIPAllocator:
 
     One candidate per operator; the makespan is the largest picked
     latency, the picked arrays fit the chip.  This class turns the
-    candidate lists into a priced result; the pick itself,
+    candidate lists into a pick by position; the choice itself,
     ``_select(candidates, budget)`` (a candidate index per operator, or
     None), is :class:`ExactAllocator`'s.  It stays a class of its own only
     because the repository benchmark's tracer wraps
@@ -584,34 +539,20 @@ class MIPAllocator:
     def __init__(self, allow_memory_mode: bool = True) -> None:
         self.allow_memory_mode = allow_memory_mode
 
-    def allocate(
-        self,
-        profiles: Mapping[str, OperatorProfile],
-        hardware: DualModeHardwareAbstraction,
-        pipelined: bool = True,
-    ) -> AllocationResult:
-        """Pick one candidate per operator minimising the segment makespan."""
-        if not profiles:
-            return AllocationResult((), (), 0.0, True, self.name)
-        window = unit_window(profiles, hardware)
+    def allocate(self, window: UnitWindow) -> Optional[Tuple[Pair, ...]]:
+        """One candidate per operator minimising the window makespan, by
+        position (None when no pick fits the chip)."""
         # One operator appears in every DP window that contains it: its
         # candidate list is unit k's entry of the compile's columns.
         candidates = window.columns.window_candidates(
             window.start, window.stop, self.allow_memory_mode
         )
         if not all(candidates):
-            return infeasible_result()
-        chosen = self._select(candidates, hardware.num_arrays)
+            return None
+        chosen = self._select(candidates, window.hardware.num_arrays) if candidates else []
         if chosen is None:
-            return infeasible_result()
-        pairs = tuple(options.pairs[k] for options, k in zip(candidates, chosen))
-        # A candidate's latency is its Eq. 10 value, so Eq. 9 needs no re-evaluation.
-        latency = combine_operator_latencies(
-            [options[k].latency_cycles for options, k in zip(candidates, chosen)],
-            hardware,
-            pipelined,
-        )
-        return AllocationResult(window.names, pairs, latency, True, self.name)
+            return None
+        return tuple(options.pairs[k] for options, k in zip(candidates, chosen))
 
 
 class ExactAllocator(MIPAllocator):
@@ -685,9 +626,9 @@ class ExactAllocator(MIPAllocator):
 # post-allocation refinement (weight duplication)
 # ---------------------------------------------------------------------- #
 def refine_with_spare_arrays(
-    result: AllocationResult,
-    profiles: Mapping[str, OperatorProfile],
-    hardware: DualModeHardwareAbstraction,
+    pairs: Sequence[Pair],
+    window: UnitWindow,
+    solver: str,
     pipelined: bool = True,
     allow_memory_mode: bool = True,
     reserve_arrays: int = 0,
@@ -703,6 +644,9 @@ def refine_with_spare_arrays(
     segment leaves uncovered — the quantity the segmentation DP sums).
 
     Args:
+        pairs: An engine's pick for ``window``, one ``(compute, memory)``
+            per operator in window order.
+        solver: The engine's name, which the result carries.
         allow_memory_mode: Whether spare arrays may also grow an operator's
             memory-mode buffer (False for fixed-mode baselines).
         reserve_arrays: Arrays to leave untouched — the segmentation pass
@@ -715,53 +659,23 @@ def refine_with_spare_arrays(
             write-back it avoids (see :func:`_hand_out_spare_arrays`);
             0 reproduces the plain latency-only hand-out.
     """
-    if not result.feasible or not result.pairs:
-        return result
-    spare = hardware.num_arrays - result.total_arrays
-    if spare <= 0:
-        return result
     reserved, unreserved = _hand_out_spare_arrays(
-        result.pairs,
-        unit_window(profiles, hardware),
-        spare,
+        pairs,
+        window,
+        window.hardware.num_arrays - sum(compute + memory for compute, memory in pairs),
         allow_memory_mode,
         inbound_arrays,
         max(0, reserve_arrays),
     )
-
-    def refined(
-        state: _HandOut, twin: Optional[AllocationResult] = None
-    ) -> AllocationResult:
-        pairs, latencies = state
-        if pairs != result.pairs:
-            latency = combine_operator_latencies(latencies, hardware, pipelined)
-            return AllocationResult(result.names, pairs, latency, True, result.solver, False, twin)
-        if twin is None:
-            return result
-        return AllocationResult(
-            result.names, pairs, result.latency_cycles, True, result.solver, result.from_cache, twin
-        )
-
     if unreserved is None:
-        return refined(reserved)
-    return refined(reserved, refined(unreserved))
+        return _priced(reserved, window, solver, pipelined)
+    twin = _priced(unreserved, window, solver, pipelined)
+    return _priced(reserved, window, solver, pipelined, twin)
 
 
 # ---------------------------------------------------------------------- #
 # the window table's key: what one solve is asked
 # ---------------------------------------------------------------------- #
-def segment_signature(profiles: Mapping[str, OperatorProfile]) -> Tuple[Tuple, ...]:
-    """Ordered structural identity of a whole segment.
-
-    A :class:`UnitWindow` answers with a slice of the signatures its
-    columns built once per operator; any other mapping has them derived
-    here — the same tuples either way.
-    """
-    if isinstance(profiles, UnitWindow):
-        return profiles.signature
-    return tuple(profile_signature(profile) for profile in profiles.values())
-
-
 class AllocationCacheKey:
     """Cache key of one segment-allocation solve (immutable).
 
@@ -816,8 +730,7 @@ class AllocationCacheKey:
     @classmethod
     def build(
         cls,
-        profiles: Mapping[str, OperatorProfile],
-        hardware: DualModeHardwareAbstraction,
+        window: UnitWindow,
         *,
         engine: str,
         pipelined: bool,
@@ -828,8 +741,8 @@ class AllocationCacheKey:
     ) -> "AllocationCacheKey":
         """Build the key for one ``allocate_segment`` invocation."""
         return cls(
-            hardware.fingerprint(),
-            segment_signature(profiles),
+            window.hardware.fingerprint(),
+            window.signature,
             engine,
             pipelined,
             refine,
@@ -851,8 +764,7 @@ class AllocationCacheKey:
 
 
 def allocate_segment(
-    profiles: Mapping[str, OperatorProfile],
-    hardware: DualModeHardwareAbstraction,
+    window: UnitWindow,
     allocator: Optional[object] = None,
     pipelined: bool = True,
     refine: bool = True,
@@ -861,11 +773,13 @@ def allocate_segment(
     cache: "AllocationCache",
     inbound_arrays: int = 0,
 ) -> AllocationResult:
-    """Allocate one segment end to end (solver + duplication refinement).
+    """Allocate one window end to end (solver + duplication refinement).
 
     The only way a window is solved: probe ``cache``, solve on a miss,
     store the fresh result.  A hit is structural and bit-identical to a
-    cold solve; it is flagged via ``result.from_cache``.
+    cold solve; it is flagged via ``result.from_cache``.  The engine's
+    pick becomes the result through :func:`refine_with_spare_arrays`,
+    or priced as it stands when ``refine`` is off.
 
     Args:
         allocator: The engine; :class:`ExactAllocator` when omitted.
@@ -879,33 +793,38 @@ def allocate_segment(
     """
     engine = allocator if allocator is not None else ExactAllocator()
     allow_memory_mode = getattr(engine, "allow_memory_mode", True)
-    window = unit_window(profiles, hardware)
-    if window.minimum_compute_arrays > hardware.num_arrays:
+    if window.minimum_compute_arrays > window.hardware.num_arrays:
         return infeasible_result()
+    solver = getattr(engine, "name", type(engine).__name__)
     # Built (and hashed) once, shared between the lookup and the store below.
     key = AllocationCacheKey.build(
         window,
-        hardware,
-        engine=getattr(engine, "name", type(engine).__name__),
+        engine=solver,
         pipelined=pipelined,
         refine=refine,
         allow_memory_mode=allow_memory_mode,
         reserve_arrays=reserve_arrays,
         inbound_arrays=inbound_arrays,
     )
-    cached = cache.lookup(key, window.names, inbound_arrays)
+    cached = cache.lookup(key, inbound_arrays)
     if cached is not None:
         return cached
-    result = engine.allocate(window, hardware, pipelined=pipelined)
-    if refine and result.feasible:
+    pick = engine.allocate(window)
+    if pick is None:
+        result = infeasible_result()
+    elif refine:
         result = refine_with_spare_arrays(
-            result,
+            pick,
             window,
-            hardware,
+            solver,
             pipelined=pipelined,
             allow_memory_mode=allow_memory_mode,
             reserve_arrays=reserve_arrays,
             inbound_arrays=inbound_arrays,
         )
-    cache.put(key, window, result)
+    else:
+        # A hand-out of no arrays is the pick and its latencies.
+        state, _ = _hand_out_spare_arrays(pick, window, 0, allow_memory_mode, 0)
+        result = _priced(state, window, solver, pipelined)
+    cache.put(key, result)
     return result

@@ -21,17 +21,18 @@ solving it, so windows live in memory only and what a ``cache_dir``
 persists is the whole compiled program (:mod:`repro.core.store`; the
 numbers and the reasoning are in its header).
 
-* the key is **structural** — the hardware fingerprint, the ordered cost
-  profiles of the segment's operators (names excluded) and the options
-  that influence the solve (engine, pipelining, refinement, memory mode,
-  boundary reserve).  Structurally identical segments — the same model
-  compiled twice, the repeated projection layers of a transformer block
-  — hit the same entry;
+* the key is **structural** — the hardware fingerprint, the ordered
+  structural signatures of the window's operators (names excluded, read
+  off the window's columns) and the options that influence the solve
+  (engine, pipelining, refinement, memory mode, boundary reserve).
+  Structurally identical segments — the same model compiled twice, the
+  repeated projection layers of a transformer block — hit the same
+  entry;
 * an entry is the :class:`~repro.core.allocation.AllocationResult` the
   solve returned (its ``unreserved`` twin in the same slot); results are
-  positional from the solve on, so a hit is that result relabelled with
-  the requesting segment's operator names — a fresh result bit-identical
-  to what a cold solve would produce, built without touching a pair;
+  positional and carry no operator names, so a hit is a fresh result
+  around the stored pairs, flagged ``from_cache`` — bit-identical to
+  what a cold solve would produce, built without touching a pair;
 * a fixed-mode (``allow_memory_mode=False``) lookup that misses may fall
   back to the dual-mode entry for the same key when that entry uses no
   memory-mode arrays: the dual-mode optimum then lies inside the
@@ -53,22 +54,13 @@ table makes its own; the service hands its one to every compiler::
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from ..cost.arithmetic import OperatorProfile, profile_signature
 from ..obs.metrics import registry_for
-# The key is defined next to the solve it describes; re-exported here.
-from .allocation import AllocationCacheKey, AllocationResult, UnitWindow, segment_signature
+from .allocation import AllocationCacheKey, AllocationResult
 from .lru import BoundedLRU
 
-__all__ = [
-    "WINDOW_TABLE_ENTRIES",
-    "AllocationCache",
-    "AllocationCacheKey",
-    "CacheStats",
-    "profile_signature",
-    "segment_signature",
-]
+__all__ = ["WINDOW_TABLE_ENTRIES", "AllocationCache", "CacheStats"]
 
 #: Entry bound of every :class:`AllocationCache`.  Fixed, like
 #: :data:`repro.service.PROGRAM_TABLE_ENTRIES`: a hygiene limit on a
@@ -76,24 +68,13 @@ __all__ = [
 WINDOW_TABLE_ENTRIES = 4096
 
 
-def _storable(result: AllocationResult, names: Tuple[str, ...]) -> bool:
-    """Whether ``result`` and its twin belong to the window ``names``: a
-    feasible partial, foreign or reordered result is never stored, or a
-    later hit would hand its pairs to the wrong operators."""
-    return (not result.feasible or result.names == names) and (
-        result.unreserved is None or _storable(result.unreserved, names)
-    )
-
-
-def _relabelled(result: AllocationResult, names: Tuple[str, ...]) -> AllocationResult:
-    """A stored ``result`` as a cache hit labelled ``names``."""
-    twin = result.unreserved
-    if twin is not None:
-        twin = AllocationResult(
-            names, twin.pairs, twin.latency_cycles, twin.feasible, twin.solver, True
-        )
-    return AllocationResult(
-        names, result.pairs, result.latency_cycles, result.feasible, result.solver, True, twin
+def _storable(result: AllocationResult, length: int) -> bool:
+    """Whether ``result`` and its twin hold one pair per operator of a
+    ``length``-operator window: a feasible result of another length is
+    never stored, or a later hit would hand its pairs to the wrong
+    operators."""
+    return (not result.feasible or len(result.pairs) == length) and (
+        result.unreserved is None or _storable(result.unreserved, length)
     )
 
 
@@ -189,7 +170,7 @@ class AllocationCache:
     # per window (AllocationCacheKey.build) for the lookup and the store
     # ------------------------------------------------------------------ #
     def lookup(
-        self, key: AllocationCacheKey, names: Sequence[str], inbound_arrays: int = 0
+        self, key: AllocationCacheKey, inbound_arrays: int = 0
     ) -> Optional[AllocationResult]:
         """Return a cached result for ``key``, or None on a miss.
 
@@ -197,8 +178,8 @@ class AllocationCache:
         dual-mode entry of the same window, which is reused only when it
         allocates no memory-mode arrays (then it lies inside the
         fixed-mode space and is exact for it); ``inbound_arrays`` is the
-        window's inbound count, which names that dual-mode entry.
-        ``names`` labels the returned allocations.
+        window's inbound count, which names that dual-mode entry.  A
+        hit is a fresh result flagged ``from_cache``.
         """
         stored = self._entries.get(key)
         if stored is None and not key.allow_memory_mode:
@@ -212,18 +193,15 @@ class AllocationCache:
             self._counters["misses"].inc()
             return None
         self._counters["hits"].inc()
-        return _relabelled(stored, tuple(names))
+        return AllocationResult(
+            stored.pairs, stored.latency_cycles, stored.feasible, stored.solver, True,
+            stored.unreserved,
+        )
 
-    def put(
-        self,
-        key: AllocationCacheKey,
-        profiles: Mapping[str, OperatorProfile],
-        result: AllocationResult,
-    ) -> None:
+    def put(self, key: AllocationCacheKey, result: AllocationResult) -> None:
         """Store the outcome of a fresh solve under ``key``."""
-        names = profiles.names if isinstance(profiles, UnitWindow) else tuple(profiles)
-        if not _storable(result, names):
-            return  # partial allocation (foreign result); never cache it
+        if not _storable(result, len(key.segment)):
+            return  # pairs for another window; never cache them
         self._counters["evictions"].inc(self._entries.put(key, result)[2])
         self._counters["stores"].inc()
 

@@ -454,11 +454,7 @@ class NetworkSegmenter:
         """
         if self._vectors is not None or not units:
             return
-        vectors = UnitColumns(
-            [unit.profile for unit in units],
-            self.hardware,
-            names=[unit.name for unit in units],
-        )
+        vectors = UnitColumns([unit.profile for unit in units], self.hardware)
         oversized = np.flatnonzero(vectors.floors > self.hardware.num_arrays)
         if oversized.size:
             k = int(oversized[0])
@@ -493,7 +489,7 @@ class NetworkSegmenter:
         )
 
     def _solve_arguments(self, start: int, end: int, spare: int) -> Dict[str, object]:
-        """Everything about window ``[start, end]``'s solve but its profiles.
+        """Everything about window ``[start, end]``'s solve but the window.
 
         The one place the engine, the solve options and the window's
         boundary context are put together.  ``spare`` is the window's
@@ -516,7 +512,6 @@ class NetworkSegmenter:
         with self._tracer.span("allocator.solve", start=start, end=end) as span:
             result = allocate_segment(
                 self._window(start, end),
-                self.hardware,
                 cache=self._cache,
                 **self._solve_arguments(start, end, spare),
             )

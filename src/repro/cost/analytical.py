@@ -208,8 +208,7 @@ def analytical_graph_estimate(
     )
     energy_pj = analytical_energy_bound(profiles, hardware, cycles)
     min_peak_arrays = max(
-        (max(1, profile.min_compute_arrays(hardware)) for profile in profiles),
-        default=0,
+        (profile.compute_floor(hardware) for profile in profiles), default=0
     )
     return AnalyticalEstimate(
         graph_cycles=cycles,

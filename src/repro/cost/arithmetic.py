@@ -99,6 +99,12 @@ class OperatorProfile:
         capacity = hardware.array_capacity_elements
         return ceil_div(self.stationary_elements, capacity)
 
+    def compute_floor(self, hardware: DualModeHardwareAbstraction) -> int:
+        """Compute arrays the operator is never given fewer of: its
+        :meth:`min_compute_arrays`, at least 1 (:attr:`ProfileVectors.floors`
+        by position)."""
+        return max(1, self.min_compute_arrays(hardware))
+
     def memory_arrays_for_working_set(self, hardware: DualModeHardwareAbstraction) -> int:
         """Memory-mode arrays that fully buffer the dynamic working set."""
         if self.working_set_elements == 0:
@@ -202,7 +208,7 @@ class ProfileVectors:
         profiles: Operator profiles in schedule order.
         hardware: Optional target; when given, per-operator stationary
             footprints (``min_compute_arrays``), compute floors
-            (``max(1, min_compute_arrays)``) and their prefix sums are
+            (:meth:`OperatorProfile.compute_floor`) and their prefix sums are
             precomputed for O(1) window feasibility.
     """
 
@@ -213,7 +219,6 @@ class ProfileVectors:
     ) -> None:
         profiles = list(profiles)
         self.profiles: Tuple[OperatorProfile, ...] = tuple(profiles)
-        self.names: Tuple[str, ...] = tuple(p.name for p in profiles)
         self.signatures: Tuple[Tuple, ...] = tuple(profile_signature(p) for p in profiles)
         as_array = lambda values: np.array(list(values), dtype=np.int64)  # noqa: E731
         self.macs = as_array(p.macs for p in profiles)

@@ -207,8 +207,7 @@ class Refine(Pass):
         extra = 0
         for segment in ctx.segments:
             minimum = sum(
-                max(1, profile.min_compute_arrays(ctx.hardware))
-                for profile in segment.profiles.values()
+                profile.compute_floor(ctx.hardware) for profile in segment.profiles.values()
             )
             extra += max(0, segment.compute_arrays - minimum)
         ctx.extras["refine_extra_compute_arrays"] = extra

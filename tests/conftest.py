@@ -27,6 +27,7 @@ from repro.api import Session
 from repro.baselines import COMPILERS
 from repro.core import CMSwitchCompiler, CompiledProgram, CompilerOptions
 from repro.core._reference import reference_baseline_compile
+from repro.core.allocation import UnitColumns, UnitWindow
 from repro.hardware import DualModeHardwareAbstraction, dynaplasia, prime, small_test_chip
 from repro.ir import Graph
 from repro.models import Phase, Workload, build_model, list_models
@@ -93,6 +94,14 @@ def assert_repriced():
         return repriced
 
     return check
+
+
+def window_of(profiles, hardware):
+    """A ``name -> profile`` mapping as an allocation window: columns built
+    from exactly its profiles, in its order (``from conftest import
+    window_of``)."""
+    columns = UnitColumns(list(profiles.values()), hardware)
+    return UnitWindow(columns, 0, len(columns))
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,23 @@
 """Tests for the per-segment dual-mode allocation engines."""
 
 import pytest
+from conftest import window_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import allocation
+from repro.core._reference import named_allocations
 from repro.core.allocation import (
-    AllocationResult,
     ExactAllocator,
     GreedyAllocator,
+    UnitColumns,
     allocate_segment,
     candidate_allocations,
     infeasible_result,
     refine_with_spare_arrays,
-    unit_window,
 )
 from repro.core.cache import AllocationCache
-from repro.cost import OperatorAllocation, operator_latency_cycles, profile_operator, segment_latency_cycles
+from repro.cost import profile_operator, segment_latency_cycles
 from repro.hardware import small_test_chip
 from repro.ir import Linear, MatMul, TensorSpec
 
@@ -40,6 +42,21 @@ def matmul_profile(name, b=4, m=16, k=64, n=64):
     return profile_operator(op)
 
 
+def candidates(profile, hardware, **options):
+    """``candidate_allocations`` over the profile's own factor tables."""
+    factors = UnitColumns([profile], hardware).factors(0)
+    return candidate_allocations(
+        profile, hardware, hardware.num_arrays, factors=factors, **options
+    )
+
+
+def unrefined(engine, profiles, hardware):
+    """``engine``'s pick for ``profiles`` as a result, priced as it stands."""
+    return allocate_segment(
+        window_of(profiles, hardware), allocator=engine, refine=False, cache=AllocationCache()
+    )
+
+
 @pytest.fixture
 def mixed_segment():
     return {
@@ -51,49 +68,41 @@ def mixed_segment():
 class TestCandidates:
     def test_candidates_respect_budget(self, small_chip):
         profile = linear_profile("p", 32, 256, 256)
-        for candidate in candidate_allocations(profile, small_chip, small_chip.num_arrays):
+        for candidate in candidates(profile, small_chip):
             assert candidate.total_arrays <= small_chip.num_arrays
 
     def test_candidates_start_at_minimum_footprint(self, small_chip):
         profile = linear_profile("p", 32, 128, 128)
         minimum = profile.min_compute_arrays(small_chip)
-        candidates = candidate_allocations(profile, small_chip, small_chip.num_arrays)
-        assert all(c.compute_arrays >= minimum for c in candidates)
+        assert all(c.compute_arrays >= minimum for c in candidates(profile, small_chip))
 
     def test_candidates_form_pareto_frontier(self, small_chip):
-        profile = matmul_profile("p", 8, 32, 64, 64)
-        candidates = candidate_allocations(profile, small_chip, small_chip.num_arrays)
-        for earlier, later in zip(candidates, candidates[1:]):
+        found = candidates(matmul_profile("p", 8, 32, 64, 64), small_chip)
+        for earlier, later in zip(found, found[1:]):
             assert later.total_arrays > earlier.total_arrays
             assert later.latency_cycles < earlier.latency_cycles
 
     def test_memory_mode_disallowed(self, small_chip):
-        profile = matmul_profile("p")
-        candidates = candidate_allocations(
-            profile, small_chip, small_chip.num_arrays, allow_memory_mode=False
-        )
-        assert all(c.memory_arrays == 0 for c in candidates)
+        found = candidates(matmul_profile("p"), small_chip, allow_memory_mode=False)
+        assert all(c.memory_arrays == 0 for c in found)
 
     def test_oversized_operator_has_no_candidates(self, small_chip):
         profile = linear_profile("p", 4, 64 * 20, 64 * 20)  # needs 400 arrays
-        assert candidate_allocations(profile, small_chip, small_chip.num_arrays) == []
+        assert candidates(profile, small_chip) == []
 
     def test_candidate_count_capped(self, small_chip):
         profile = matmul_profile("p", 16, 64, 64, 64)
-        candidates = candidate_allocations(
-            profile, small_chip, small_chip.num_arrays, max_candidates=5
-        )
-        assert len(candidates) <= 5
+        assert len(candidates(profile, small_chip, max_candidates=5)) <= 5
 
 
 def fits(profiles, hardware):
     """The one chip-fit rule: the window's compute floors within the chip."""
-    return unit_window(profiles, hardware).minimum_compute_arrays <= hardware.num_arrays
+    return window_of(profiles, hardware).minimum_compute_arrays <= hardware.num_arrays
 
 
 class TestFeasibilityHelpers:
     def test_minimum_compute_arrays_sum(self, small_chip, mixed_segment):
-        total = unit_window(mixed_segment, small_chip).minimum_compute_arrays
+        total = window_of(mixed_segment, small_chip).minimum_compute_arrays
         expected = sum(
             max(1, p.min_compute_arrays(small_chip)) for p in mixed_segment.values()
         )
@@ -115,30 +124,35 @@ class TestFeasibilityHelpers:
 
 class TestGreedyAllocator:
     def test_budget_respected(self, small_chip, mixed_segment):
-        result = GreedyAllocator().allocate(mixed_segment, small_chip)
+        result = unrefined(GreedyAllocator(), mixed_segment, small_chip)
         assert result.feasible
         assert result.total_arrays <= small_chip.num_arrays
 
     def test_every_operator_allocated(self, small_chip, mixed_segment):
-        result = GreedyAllocator().allocate(mixed_segment, small_chip)
-        assert set(result.allocations) == set(mixed_segment)
-        assert all(a.compute_arrays >= 1 for a in result.allocations.values())
+        pairs = GreedyAllocator().allocate(window_of(mixed_segment, small_chip))
+        assert len(pairs) == len(mixed_segment)
+        assert all(compute >= 1 for compute, _ in pairs)
 
     def test_memory_mode_disabled(self, small_chip, mixed_segment):
-        result = GreedyAllocator(allow_memory_mode=False).allocate(mixed_segment, small_chip)
-        assert all(a.memory_arrays == 0 for a in result.allocations.values())
+        pairs = GreedyAllocator(allow_memory_mode=False).allocate(
+            window_of(mixed_segment, small_chip)
+        )
+        assert all(memory == 0 for _, memory in pairs)
 
     def test_infeasible_segment_reported(self, small_chip):
         oversized = {f"op{i}": linear_profile(f"op{i}", 4, 256, 256) for i in range(4)}
-        assert not GreedyAllocator().allocate(oversized, small_chip).feasible
+        assert GreedyAllocator().allocate(window_of(oversized, small_chip)) is None
 
     def test_empty_segment(self, small_chip):
-        result = GreedyAllocator().allocate({}, small_chip)
+        assert GreedyAllocator().allocate(window_of({}, small_chip)) == ()
+        result = unrefined(GreedyAllocator(), {}, small_chip)
         assert result.feasible and result.latency_cycles == 0.0
 
     def test_latency_matches_reported_allocation(self, small_chip, mixed_segment):
-        result = GreedyAllocator().allocate(mixed_segment, small_chip)
-        recomputed = segment_latency_cycles(mixed_segment, result.allocations, small_chip)
+        result = unrefined(GreedyAllocator(), mixed_segment, small_chip)
+        recomputed = segment_latency_cycles(
+            mixed_segment, named_allocations(mixed_segment, result), small_chip
+        )
         assert result.latency_cycles == pytest.approx(recomputed)
 
 
@@ -147,45 +161,45 @@ class TestMIPAllocator:
     complete engine, :class:`ExactAllocator`."""
 
     def test_budget_respected(self, small_chip, mixed_segment):
-        result = ExactAllocator().allocate(mixed_segment, small_chip)
+        result = unrefined(ExactAllocator(), mixed_segment, small_chip)
         assert result.feasible
         assert result.total_arrays <= small_chip.num_arrays
 
     def test_not_worse_than_greedy(self, small_chip, mixed_segment):
-        exact = ExactAllocator().allocate(mixed_segment, small_chip)
-        greedy = GreedyAllocator().allocate(mixed_segment, small_chip)
+        exact = unrefined(ExactAllocator(), mixed_segment, small_chip)
+        greedy = unrefined(GreedyAllocator(), mixed_segment, small_chip)
         assert exact.latency_cycles <= greedy.latency_cycles * 1.05
 
     def test_memory_mode_disabled(self, small_chip, mixed_segment):
-        result = ExactAllocator(allow_memory_mode=False).allocate(mixed_segment, small_chip)
-        assert all(a.memory_arrays == 0 for a in result.allocations.values())
+        pairs = ExactAllocator(allow_memory_mode=False).allocate(
+            window_of(mixed_segment, small_chip)
+        )
+        assert all(memory == 0 for _, memory in pairs)
 
     def test_single_operator_segment(self, small_chip):
         profiles = {"only": matmul_profile("only", 8, 32, 64, 64)}
-        result = ExactAllocator().allocate(profiles, small_chip)
+        result = unrefined(ExactAllocator(), profiles, small_chip)
         assert result.feasible
-        assert result.allocations["only"].compute_arrays >= 1
+        assert result.pairs[0][0] >= 1
 
     def test_infeasible_segment_reported(self, small_chip):
         oversized = {f"op{i}": linear_profile(f"op{i}", 4, 256, 256) for i in range(4)}
         result = allocate_segment(
-            oversized, small_chip, allocator=ExactAllocator(), cache=AllocationCache()
+            window_of(oversized, small_chip), allocator=ExactAllocator(), cache=AllocationCache()
         )
         assert not result.feasible
 
     def test_dual_mode_not_worse_than_all_compute(self, small_chip):
-        profiles = {
-            "stream": matmul_profile("stream", 2, 64, 64, 64),
-            "dense": linear_profile("dense", 256, 64, 64),
-        }
-        dual = allocate_segment(
-            profiles, small_chip, allocator=ExactAllocator(), cache=AllocationCache()
-        )
-        fixed = allocate_segment(
-            profiles,
+        window = window_of(
+            {
+                "stream": matmul_profile("stream", 2, 64, 64, 64),
+                "dense": linear_profile("dense", 256, 64, 64),
+            },
             small_chip,
-            allocator=ExactAllocator(allow_memory_mode=False),
-            cache=AllocationCache(),
+        )
+        dual = allocate_segment(window, allocator=ExactAllocator(), cache=AllocationCache())
+        fixed = allocate_segment(
+            window, allocator=ExactAllocator(allow_memory_mode=False), cache=AllocationCache()
         )
         assert dual.feasible and fixed.feasible
         assert dual.latency_cycles <= fixed.latency_cycles * 1.001
@@ -193,35 +207,44 @@ class TestMIPAllocator:
 
 class TestRefinement:
     def test_refine_never_worsens(self, small_chip, mixed_segment):
-        base = GreedyAllocator().allocate(mixed_segment, small_chip)
-        refined = refine_with_spare_arrays(base, mixed_segment, small_chip)
+        base = unrefined(GreedyAllocator(), mixed_segment, small_chip)
+        refined = refine_with_spare_arrays(
+            base.pairs, window_of(mixed_segment, small_chip), base.solver
+        )
         assert refined.latency_cycles <= base.latency_cycles + 1e-9
 
     def test_refine_respects_reserve(self, small_chip):
-        profiles = {"proj": linear_profile("proj", 32, 128, 128)}
-        minimal = {
-            name: OperatorAllocation(max(1, p.min_compute_arrays(small_chip)), 0)
-            for name, p in profiles.items()
-        }
-        base = AllocationResult.from_allocations(
-            allocations=minimal,
-            latency_cycles=segment_latency_cycles(profiles, minimal, small_chip),
-            feasible=True,
-            solver="test",
-        )
+        window = window_of({"proj": linear_profile("proj", 32, 128, 128)}, small_chip)
+        minimal = [(floor, 0) for floor in window.columns.floors.tolist()]
         reserve = 3
-        refined = refine_with_spare_arrays(base, profiles, small_chip, reserve_arrays=reserve)
+        refined = refine_with_spare_arrays(minimal, window, "test", reserve_arrays=reserve)
         assert refined.total_arrays <= small_chip.num_arrays - reserve
 
     def test_refine_compute_only_mode(self, small_chip, mixed_segment):
-        base = GreedyAllocator(allow_memory_mode=False).allocate(mixed_segment, small_chip)
+        base = unrefined(GreedyAllocator(allow_memory_mode=False), mixed_segment, small_chip)
         refined = refine_with_spare_arrays(
-            base, mixed_segment, small_chip, allow_memory_mode=False
+            base.pairs, window_of(mixed_segment, small_chip), base.solver,
+            allow_memory_mode=False,
         )
-        assert all(a.memory_arrays == 0 for a in refined.allocations.values())
+        assert all(memory == 0 for _, memory in refined.pairs)
 
-    def test_refine_skips_infeasible(self, small_chip, mixed_segment):
-        assert refine_with_spare_arrays(infeasible_result(), mixed_segment, small_chip).feasible is False
+    def test_refine_skips_infeasible(self, small_chip, mixed_segment, monkeypatch):
+        """A window the engine finds no pick for is infeasible unrefined."""
+        refined = []
+        monkeypatch.setattr(
+            allocation, "refine_with_spare_arrays", lambda *args, **kw: refined.append(args)
+        )
+
+        class NoPick:
+            name = "none"
+
+            def allocate(self, window):
+                return None
+
+        result = allocate_segment(
+            window_of(mixed_segment, small_chip), allocator=NoPick(), cache=AllocationCache()
+        )
+        assert result.feasible is False and refined == []
 
     @given(reserve=st.integers(min_value=0, max_value=6))
     @settings(max_examples=10, deadline=None)
@@ -231,7 +254,9 @@ class TestRefinement:
             "a": linear_profile("a", 32, 64, 64),
             "b": matmul_profile("b", 2, 16, 64, 64),
         }
-        result = allocate_segment(profiles, hw, reserve_arrays=reserve, cache=AllocationCache())
+        result = allocate_segment(
+            window_of(profiles, hw), reserve_arrays=reserve, cache=AllocationCache()
+        )
         assert result.feasible
         assert result.total_arrays <= hw.num_arrays
 

@@ -21,23 +21,21 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import window_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core._reference import reference_refine_with_spare_arrays
 from repro.core.allocation import (
-    AllocationResult,
     ExactAllocator,
     GreedyAllocator,
     _hand_out_spare_arrays,
     allocate_segment,
     candidate_allocations,
     refine_with_spare_arrays,
-    unit_window,
 )
 from repro.core.cache import AllocationCache
 from repro.core.segmentation import flatten_graph
-from repro.cost.latency import OperatorAllocation
 from repro.hardware import PRESETS, get_preset
 from repro.models import Workload, build_model
 
@@ -107,6 +105,11 @@ def knapsack_makespans(candidates, budget):
     return row
 
 
+def unrefined(engine, window):
+    """``engine``'s pick for ``window`` as a result, priced as it stands."""
+    return allocate_segment(window, allocator=engine, refine=False, cache=AllocationCache())
+
+
 class TestExactAgainstKnapsack:
     @pytest.mark.parametrize("allow", [True, False], ids=["dual", "fixed"])
     @pytest.mark.parametrize("chip", sorted(CHIPS))
@@ -114,26 +117,28 @@ class TestExactAgainstKnapsack:
     @given(data=st.data())
     def test_same_makespan_same_arrays_same_verdict(self, chip, allow, data):
         hardware, profiles, _ = data.draw(windows(chips=st.just(chip), modes=st.just(allow)))
-        exact = ENGINES[ExactAllocator, allow].allocate(profiles, hardware)
-        window = unit_window(profiles, hardware)
-        candidates = window.columns.window_candidates(0, len(window), allow)
+        window = window_of(profiles, hardware)
+        pick = ENGINES[ExactAllocator, allow].allocate(window)
+        candidates = window.columns.window_candidates(0, len(profiles), allow)
         row = knapsack_makespans(candidates, hardware.num_arrays)
-        assert exact.feasible == bool(all(candidates) and np.isfinite(row[-1]))
-        if not exact.feasible:
+        assert (pick is not None) == bool(all(candidates) and np.isfinite(row[-1]))
+        if pick is None:
             return
         makespan = max(
             options[options.pairs.index(pair)].latency_cycles
-            for options, pair in zip(candidates, exact.pairs)
+            for options, pair in zip(candidates, pick)
         )
         assert makespan == row[-1]
         # The canonical tie-break: the fewest arrays that reach the makespan.
-        assert exact.total_arrays == int(np.argmax(row <= makespan))
+        assert sum(compute + memory for compute, memory in pick) == int(
+            np.argmax(row <= makespan)
+        )
         if not allow:
-            assert exact.memory_arrays == 0
+            assert all(memory == 0 for _, memory in pick)
 
     def test_default_engine_is_the_exact_one(self, small_chip):
-        profiles = {"op": POOLS["small-test-chip"][0]}
-        assert allocate_segment(profiles, small_chip, cache=AllocationCache()).solver == "exact"
+        window = window_of({"op": POOLS["small-test-chip"][0]}, small_chip)
+        assert allocate_segment(window, cache=AllocationCache()).solver == "exact"
 
 
 class TestExactAgainstBruteForce:
@@ -142,11 +147,13 @@ class TestExactAgainstBruteForce:
     def test_optimal_makespan_and_minimum_arrays(self, window, budget):
         hardware, profiles, allow = window
         engine = ExactAllocator(allow_memory_mode=allow)
+        columns = window_of(profiles, hardware).columns
         candidates = [
             candidate_allocations(
-                p, hardware, hardware.num_arrays, allow_memory_mode=allow, max_candidates=6
+                p, hardware, hardware.num_arrays, allow_memory_mode=allow, max_candidates=6,
+                factors=columns.factors(k),
             )
-            for p in profiles.values()
+            for k, p in enumerate(profiles.values())
         ]
         if not all(candidates):
             return
@@ -173,13 +180,14 @@ class TestRefinementProperties:
     @given(windows(), st.integers(0, 8), st.integers(0, 12))
     def test_budget_latency_and_mode_invariants(self, window, reserve, inbound):
         hardware, profiles, allow = window
-        seed = ENGINES[ExactAllocator, allow].allocate(profiles, hardware)
+        window = window_of(profiles, hardware)
+        seed = unrefined(ENGINES[ExactAllocator, allow], window)
         if not seed.feasible:
             return
         refined = refine_with_spare_arrays(
-            seed,
-            profiles,
-            hardware,
+            seed.pairs,
+            window,
+            seed.solver,
             allow_memory_mode=allow,
             reserve_arrays=reserve,
             inbound_arrays=inbound,
@@ -188,10 +196,9 @@ class TestRefinementProperties:
         assert refined.total_arrays <= max(
             seed.total_arrays, hardware.num_arrays - reserve
         )
-        for name, allocation in seed.allocations.items():
-            grown = refined.allocations[name]
-            assert grown.compute_arrays >= allocation.compute_arrays
-            assert grown.memory_arrays >= allocation.memory_arrays
+        for (compute, memory), (grown_compute, grown_memory) in zip(seed.pairs, refined.pairs):
+            assert grown_compute >= compute
+            assert grown_memory >= memory
         if not allow:
             assert refined.memory_arrays == 0
         # Latency plus the write-back of still-uncovered inbound data
@@ -211,13 +218,14 @@ class TestRefinementProperties:
     def test_nothing_inbound_is_the_latency_only_loop(self, window, reserve):
         """Inbound 0 reproduces the scalar pre-retention refinement exactly."""
         hardware, profiles, allow = window
-        seed = ENGINES[ExactAllocator, allow].allocate(profiles, hardware)
+        window = window_of(profiles, hardware)
+        seed = unrefined(ENGINES[ExactAllocator, allow], window)
         if not seed.feasible:
             return
         kwargs = dict(allow_memory_mode=allow, reserve_arrays=reserve)
-        refined = refine_with_spare_arrays(seed, profiles, hardware, **kwargs)
+        refined = refine_with_spare_arrays(seed.pairs, window, seed.solver, **kwargs)
         reference = reference_refine_with_spare_arrays(seed, profiles, hardware, **kwargs)
-        assert refined.allocations == reference.allocations
+        assert refined.pairs == reference.pairs
         assert refined.latency_cycles == reference.latency_cycles
 
     @settings(max_examples=80, deadline=None)
@@ -232,37 +240,35 @@ class TestRefinementProperties:
         the R solve *and*, in ``unreserved``, the ``reserve_arrays=0``
         solve — each equal to a loop run on its own budget."""
         hardware, profiles, allow = window
+        window = window_of(profiles, hardware)
         allocator = ENGINES[engine, allow]
         arguments = dict(allocator=allocator, inbound_arrays=inbound)
         both = allocate_segment(
-            profiles, hardware, reserve_arrays=reserve, cache=AllocationCache(), **arguments
+            window, reserve_arrays=reserve, cache=AllocationCache(), **arguments
         )
-        free = allocate_segment(
-            profiles, hardware, reserve_arrays=0, cache=AllocationCache(), **arguments
-        )
+        free = allocate_segment(window, reserve_arrays=0, cache=AllocationCache(), **arguments)
         assert free.unreserved is None
         if not both.feasible:
             assert not free.feasible and both.unreserved is None
             return
         twin = both.unreserved or both
         assert twin.unreserved is None
-        assert twin.allocations == free.allocations
+        assert twin.pairs == free.pairs
         assert twin.latency_cycles == free.latency_cycles
         if both.unreserved is not None:
-            assert both.allocations != free.allocations
+            assert both.pairs != free.pairs
             assert both.total_arrays < free.total_arrays
         # The reserved half is the same loop stopped `reserve` arrays early.
-        seed = allocator.allocate(profiles, hardware)
-        spare = hardware.num_arrays - seed.total_arrays
+        pick = allocator.allocate(window)
+        spare = hardware.num_arrays - sum(compute + memory for compute, memory in pick)
         (alone, _), again = _hand_out_spare_arrays(
-            seed.pairs, unit_window(profiles, hardware),
-            max(0, spare - reserve), allow, inbound,
+            pick, window, max(0, spare - reserve), allow, inbound
         )
         assert again is None
         assert both.pairs == alone
-        for name, allocation in both.allocations.items():
-            assert allocation.compute_arrays <= twin.allocations[name].compute_arrays
-            assert allocation.memory_arrays <= twin.allocations[name].memory_arrays
+        for (compute, memory), (twin_compute, twin_memory) in zip(both.pairs, twin.pairs):
+            assert compute <= twin_compute
+            assert memory <= twin_memory
 
     def test_inbound_data_is_retained_before_marginal_duplication(self, dynaplasia_chip):
         """The llama2-7b mechanism in miniature.
@@ -274,13 +280,10 @@ class TestRefinementProperties:
         """
         hardware = dynaplasia_chip
         profile = max(POOLS["dynaplasia"], key=lambda p: p.macs)
-        minimum = profile.min_compute_arrays(hardware)
-        profiles = {"op": profile}
-        seed = AllocationResult.from_allocations(
-            {"op": OperatorAllocation(minimum, 0)}, float("inf"), True, "exact"
-        )
-        plain = refine_with_spare_arrays(seed, profiles, hardware)
-        retaining = refine_with_spare_arrays(seed, profiles, hardware, inbound_arrays=3)
+        window = window_of({"op": profile}, hardware)
+        seed = [(profile.min_compute_arrays(hardware), 0)]
+        plain = refine_with_spare_arrays(seed, window, "exact")
+        retaining = refine_with_spare_arrays(seed, window, "exact", inbound_arrays=3)
         assert plain.memory_arrays == 0
         assert retaining.memory_arrays == 3
         assert retaining.total_arrays == plain.total_arrays == hardware.num_arrays

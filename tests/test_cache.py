@@ -4,6 +4,7 @@ import math
 from dataclasses import FrozenInstanceError
 
 import pytest
+from conftest import window_of
 
 from repro.core import (
     AllocationCache,
@@ -16,9 +17,9 @@ from repro.core import (
     plan_cost,
 )
 from repro.core import cache as cache_module
-from repro.core.cache import AllocationCacheKey, profile_signature, segment_signature
+from repro.core.allocation import AllocationCacheKey, UnitWindow
 from repro.core.program import SegmentPlan
-from repro.cost.arithmetic import profile_graph
+from repro.cost.arithmetic import profile_graph, profile_signature
 from repro.cost.latency import INFEASIBLE_LATENCY, OperatorAllocation, guard_infeasible
 from repro.obs import NULL_METRICS, MetricsRegistry
 
@@ -45,18 +46,18 @@ class TestHardwareFingerprint:
 
 
 class TestCacheKeys:
-    def test_signature_excludes_name(self, tiny_mlp_graph):
+    def test_signature_excludes_name(self, small_chip, tiny_mlp_graph):
         profiles = profile_graph(tiny_mlp_graph)
         signatures = [profile_signature(p) for p in profiles.values()]
         for profile, signature in zip(profiles.values(), signatures):
             assert profile.name not in signature
-        assert segment_signature(profiles) == tuple(signatures)
+        assert window_of(profiles, small_chip).signature == tuple(signatures)
 
     def test_key_distinguishes_options(self, small_chip, tiny_mlp_graph):
-        profiles = profile_graph(tiny_mlp_graph)
+        window = window_of(profile_graph(tiny_mlp_graph), small_chip)
         base = dict(engine="exact", pipelined=True, refine=True,
                     allow_memory_mode=True, reserve_arrays=0)
-        key = AllocationCacheKey.build(profiles, small_chip, **base)
+        key = AllocationCacheKey.build(window, **base)
         for override in (
             {"engine": "greedy"},
             {"pipelined": False},
@@ -64,13 +65,13 @@ class TestCacheKeys:
             {"allow_memory_mode": False},
             {"reserve_arrays": 2},
         ):
-            other = AllocationCacheKey.build(profiles, small_chip, **{**base, **override})
+            other = AllocationCacheKey.build(window, **{**base, **override})
             assert other != key
 
     def test_dual_mode_variant_flips_only_memory_mode(self, small_chip, tiny_mlp_graph):
-        profiles = profile_graph(tiny_mlp_graph)
+        window = window_of(profile_graph(tiny_mlp_graph), small_chip)
         fixed = AllocationCacheKey.build(
-            profiles, small_chip, engine="exact", pipelined=True, refine=True,
+            window, engine="exact", pipelined=True, refine=True,
             allow_memory_mode=False, reserve_arrays=0,
         )
         dual = fixed.dual_mode_variant()
@@ -80,23 +81,19 @@ class TestCacheKeys:
         # The window's inbound count — dropped from the fixed-mode key —
         # names the dual-mode entry of the same window.
         assert fixed.dual_mode_variant(3) == AllocationCacheKey.build(
-            profiles, small_chip, engine="exact", pipelined=True, refine=True,
+            window, engine="exact", pipelined=True, refine=True,
             allow_memory_mode=True, reserve_arrays=0, inbound_arrays=3,
         )
 
     def test_fixed_mode_keys_drop_the_inbound_count(self, small_chip, tiny_mlp_graph):
-        profiles = profile_graph(tiny_mlp_graph)
+        window = window_of(profile_graph(tiny_mlp_graph), small_chip)
         options = dict(engine="exact", pipelined=True, refine=True, reserve_arrays=0)
         fixed = [
-            AllocationCacheKey.build(
-                profiles, small_chip, allow_memory_mode=False, inbound_arrays=k, **options
-            )
+            AllocationCacheKey.build(window, allow_memory_mode=False, inbound_arrays=k, **options)
             for k in (0, 3)
         ]
         dual = [
-            AllocationCacheKey.build(
-                profiles, small_chip, allow_memory_mode=True, inbound_arrays=k, **options
-            )
+            AllocationCacheKey.build(window, allow_memory_mode=True, inbound_arrays=k, **options)
             for k in (0, 3)
         ]
         assert fixed[0] == fixed[1] and fixed[0].inbound_arrays == 0
@@ -112,19 +109,19 @@ class TestAllocationCache:
 
     def _lookup(self, cache, profiles, hardware, **overrides):
         """What ``allocate_segment`` probes for ``profiles`` under the options."""
-        key = AllocationCacheKey.build(profiles, hardware, **self._options(**overrides))
-        return cache.lookup(key, list(profiles))
+        key = AllocationCacheKey.build(window_of(profiles, hardware), **self._options(**overrides))
+        return cache.lookup(key)
 
     def test_miss_then_hit(self, dynaplasia_chip, tiny_mlp_graph):
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
         assert self._lookup(cache, profiles, dynaplasia_chip) is None
-        result = allocate_segment(profiles, dynaplasia_chip, cache=cache)
+        result = allocate_segment(window_of(profiles, dynaplasia_chip), cache=cache)
         assert not result.from_cache
         hit = self._lookup(cache, profiles, dynaplasia_chip)
         assert hit is not None and hit.from_cache
         assert hit.latency_cycles == result.latency_cycles
-        assert hit.allocations == result.allocations
+        assert hit.pairs == result.pairs
         assert cache.stats.hits == 1 and cache.stats.misses == 2
 
     def test_cached_result_is_bit_identical(self, small_chip, tiny_cnn_graph):
@@ -143,18 +140,20 @@ class TestAllocationCache:
 
     def test_unreserved_twin_travels_in_the_same_entry(self, dynaplasia_chip, tiny_mlp_graph):
         """Both refinements of a solve are one entry under the solve's key —
-        in the cache and on a relabelled hit."""
+        in the cache and on a hit from a window of other operators."""
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
-        solved = allocate_segment(profiles, dynaplasia_chip, reserve_arrays=40, cache=cache)
+        solved = allocate_segment(
+            window_of(profiles, dynaplasia_chip), reserve_arrays=40, cache=cache
+        )
         assert solved.unreserved is not None and not solved.from_cache
         assert len(cache) == 1 and cache.stats.stores == 1
         renamed = {f"layer{i}": profile for i, profile in enumerate(profiles.values())}
-        hit = allocate_segment(renamed, dynaplasia_chip, reserve_arrays=40, cache=cache)
-        assert hit.from_cache and hit.unreserved.from_cache
-        assert list(hit.unreserved.allocations) == list(renamed)
+        hit = allocate_segment(window_of(renamed, dynaplasia_chip), reserve_arrays=40, cache=cache)
+        # One fresh result per hit; the twin is the stored one.
+        assert hit.from_cache and hit.unreserved is solved.unreserved
         for got, want in ((hit, solved), (hit.unreserved, solved.unreserved)):
-            assert list(got.allocations.values()) == list(want.allocations.values())
+            assert got.pairs == want.pairs
             assert got.latency_cycles == want.latency_cycles
 
     def test_repeat_compile_performs_fewer_solves(self, small_chip, tiny_cnn_graph):
@@ -181,32 +180,41 @@ class TestAllocationCache:
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
         dual = allocate_segment(
-            profiles, dynaplasia_chip, allocator=ExactAllocator(allow_memory_mode=True), cache=cache
+            window_of(profiles, dynaplasia_chip),
+            allocator=ExactAllocator(allow_memory_mode=True),
+            cache=cache,
         )
         hit = self._lookup(cache, profiles, dynaplasia_chip, allow_memory_mode=False)
-        uses_memory = any(a.memory_arrays > 0 for a in dual.allocations.values())
-        if uses_memory:
+        if dual.memory_arrays > 0:
             assert hit is None
         else:
             assert hit is not None and hit.from_cache
-            assert all(a.memory_arrays == 0 for a in hit.allocations.values())
+            assert hit.memory_arrays == 0
 
-    def test_hit_remaps_operator_names(self, dynaplasia_chip, tiny_mlp_graph):
+    def test_hit_serves_the_same_structure_at_another_position(
+        self, dynaplasia_chip, tiny_mlp_graph, tiny_cnn_graph
+    ):
+        """A window is found by structure: the same operators later in
+        other columns (and under other names) hit the stored pairs."""
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
-        allocate_segment(profiles, dynaplasia_chip, cache=cache)
-        renamed = {f"renamed_{i}": p for i, p in enumerate(profiles.values())}
-        hit = self._lookup(cache, renamed, dynaplasia_chip)
-        assert hit is not None
-        assert set(hit.allocations) == set(renamed)
+        solved = allocate_segment(window_of(profiles, dynaplasia_chip), cache=cache)
+        first = next(iter(profile_graph(tiny_cnn_graph).values()))
+        columns = window_of(
+            {"first": first, **{f"renamed_{i}": p for i, p in enumerate(profiles.values())}},
+            dynaplasia_chip,
+        ).columns
+        hit = allocate_segment(UnitWindow(columns, 1, len(columns)), cache=cache)
+        assert hit.from_cache and hit.pairs == solved.pairs
+        assert len(hit.pairs) == len(profiles)
 
     def test_eviction_is_lru(self, dynaplasia_chip, tiny_mlp_graph, tiny_cnn_graph, monkeypatch):
         monkeypatch.setattr(cache_module, "WINDOW_TABLE_ENTRIES", 1)
         cache = AllocationCache()
         mlp_profiles = profile_graph(tiny_mlp_graph)
         cnn_profiles = profile_graph(tiny_cnn_graph)
-        allocate_segment(mlp_profiles, dynaplasia_chip, cache=cache)
-        allocate_segment(cnn_profiles, dynaplasia_chip, cache=cache)
+        allocate_segment(window_of(mlp_profiles, dynaplasia_chip), cache=cache)
+        allocate_segment(window_of(cnn_profiles, dynaplasia_chip), cache=cache)
         assert len(cache) == 1
         assert cache.stats.evictions == 1
         # The MLP entry (oldest) was evicted; the CNN entry survives.
@@ -216,12 +224,11 @@ class TestAllocationCache:
     def test_greedy_and_milp_entries_are_separate(self, dynaplasia_chip, tiny_mlp_graph):
         """The ``use_milp`` engine (exact) and the greedy one never share an entry."""
         profiles = profile_graph(tiny_mlp_graph)
+        window = window_of(profiles, dynaplasia_chip)
         cache = AllocationCache()
-        allocate_segment(profiles, dynaplasia_chip, allocator=ExactAllocator(), cache=cache)
+        allocate_segment(window, allocator=ExactAllocator(), cache=cache)
         assert self._lookup(cache, profiles, dynaplasia_chip, engine="greedy") is None
-        greedy = allocate_segment(
-            profiles, dynaplasia_chip, allocator=GreedyAllocator(), cache=cache
-        )
+        greedy = allocate_segment(window, allocator=GreedyAllocator(), cache=cache)
         assert not greedy.from_cache
 
     def test_different_hardware_never_shares_entries(
@@ -229,7 +236,7 @@ class TestAllocationCache:
     ):
         profiles = profile_graph(tiny_mlp_graph)
         cache = AllocationCache()
-        allocate_segment(profiles, small_chip, cache=cache)
+        allocate_segment(window_of(profiles, small_chip), cache=cache)
         assert self._lookup(cache, profiles, dynaplasia_chip) is None
 
     def test_invalid_capacity_rejected(self, monkeypatch):
@@ -245,7 +252,7 @@ class TestAllocationCache:
         profiles = profile_graph(tiny_mlp_graph)
         registry = MetricsRegistry()
         cache = AllocationCache(metrics=registry)
-        allocate_segment(profiles, dynaplasia_chip, cache=cache)
+        allocate_segment(window_of(profiles, dynaplasia_chip), cache=cache)
         stats = cache.stats
         assert len(cache) == stats.stores == registry.counter("cache.stores").value > 0
         assert stats.misses == registry.counter("cache.misses").value == stats.lookups

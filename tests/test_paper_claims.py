@@ -409,9 +409,10 @@ def _ablations(session):
     }
 
 
-@pytest.fixture(scope="module")
-def runs():
-    """Every figure runner's rows, keyed as the predicates read them."""
+def figure_runs() -> Dict:
+    """Every figure runner's rows, keyed as the predicates read them
+    (the ``runs`` fixture; ``scripts/plan_diff.py`` prints the ledger
+    from it too)."""
     chip = dynaplasia()
     session = Session(chip)
     return {
@@ -455,6 +456,11 @@ def runs():
     }
 
 
+@pytest.fixture(scope="module")
+def runs():
+    return figure_runs()
+
+
 def test_every_claim_has_its_recorded_status(runs):
     flipped = [
         f"{claim.id}: recorded {claim.status}, predicate {'holds' if held else 'fails'}"
@@ -468,6 +474,8 @@ def test_rows_are_well_formed():
     ids = [claim.id for claim in CLAIMS]
     assert len(ids) == len(set(ids))
     for claim in CLAIMS:
+        # No "@": a ledger row of scripts/plan_diff.py never names a program.
+        assert re.fullmatch(r"[\w.-]+", claim.id), claim.id
         assert claim.status in (AGREES, DEVIATES, UNTESTED), claim.id
         assert bool(claim.cause) == (claim.status != AGREES), claim.id
         assert "\n" not in claim.cause, claim.id

@@ -1,10 +1,13 @@
-"""Smoke test of ``scripts/plan_diff.py``: one tiny model on one preset."""
+"""Smoke test of ``scripts/plan_diff.py``: one tiny model on one preset,
+plus the paper-claims ledger it always prints."""
 
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from test_paper_claims import CLAIMS
 
 from repro.api import Session
 from repro.baselines import COMPILERS
@@ -20,6 +23,7 @@ def test_prints_every_compiler_plan_as_json():
     )
     assert done.returncode == 0, done.stderr
     table = json.loads(done.stdout)
+    ledger = table.pop("ledger")
     assert sorted(table) == sorted(f"tiny-mlp@small-test-chip/{name}" for name in COMPILERS)
     for row in table.values():
         assert row["end_to_end_cycles"] > 0
@@ -31,3 +35,8 @@ def test_prints_every_compiler_plan_as_json():
         "end_to_end_cycles": program.end_to_end_cycles,
         "fingerprint": program.fingerprint(),
     }
+    # Every ledger row, under its id, with its recorded status.
+    assert {claim: row["status"] for claim, row in ledger.items()} == {
+        claim.id: claim.status for claim in CLAIMS
+    }
+    assert all(isinstance(row["holds"], bool) for row in ledger.values())

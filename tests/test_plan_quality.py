@@ -148,9 +148,9 @@ def test_some_chosen_segment_hands_out_its_reserve(model):
 
     def handed_out(window, chosen):
         # The window's twin refinement differs from the reserved one
-        # whenever it exists, so its allocations identify it.
+        # whenever it exists, so its pairs identify it.
         twin = segmenter._allocate(*window).unreserved
-        return twin is not None and chosen.allocations == twin.allocations
+        return twin is not None and chosen.pairs == twin.pairs
 
     unreserved = [
         window for window, chosen in segmenter._chosen.items() if handed_out(window, chosen)

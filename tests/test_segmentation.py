@@ -329,10 +329,13 @@ class TestUnitColumnsTripwires:
         assert state["hashes"] == 0
 
     def test_mapping_and_window_calls_run_the_same_solve(self, mobilenet):
-        """One path: a plain mapping gets columns built from its profiles
-        and must receive what the segmenter's window call receives."""
+        """One path: a window over columns built from a plain mapping of
+        its profiles must receive what the segmenter's window receives."""
         import random
 
+        from conftest import window_of
+
+        from repro.core._reference import named_allocations
         from repro.core.allocation import allocate_segment
         from repro.cost.switching import (
             INITIAL_RESOURCES,
@@ -360,12 +363,9 @@ class TestUnitColumnsTripwires:
             arguments = segmenter._solve_arguments(start, end, spare)
             window = segmenter._window(start, end)
             mapping = {unit.name: unit.profile for unit in units[start : end + 1]}
-            assert type(mapping) is dict and dict(window) == mapping
-            from_window = allocate_segment(
-                window, hardware, cache=AllocationCache(), **arguments
-            )
+            from_window = allocate_segment(window, cache=AllocationCache(), **arguments)
             from_mapping = allocate_segment(
-                mapping, hardware, cache=AllocationCache(), **arguments
+                window_of(mapping, hardware), cache=AllocationCache(), **arguments
             )
             assert from_window.feasible and from_mapping == from_window
             for ours, theirs in (
@@ -374,8 +374,9 @@ class TestUnitColumnsTripwires:
             ):
                 assert (ours is None) == (theirs is None)
                 if ours is not None:
-                    assert ours.allocations == theirs.allocations
+                    assert ours.pairs == theirs.pairs
                     assert ours.latency_cycles == theirs.latency_cycles
+            allocations = named_allocations(mapping, from_mapping)
             # The DP's one-walk edge pricing is the mapping-based cost model's.
             live = 1000 * (end + 1)
             *terms, compute, memory, idle = segmenter._edge_price(
@@ -383,7 +384,7 @@ class TestUnitColumnsTripwires:
             )
             expected = aggregate_resources(
                 mapping,
-                from_mapping.allocations,
+                allocations,
                 live_output_elements=live,
                 num_arrays_total=hardware.num_arrays,
             )
@@ -393,7 +394,7 @@ class TestUnitColumnsTripwires:
             assert terms == [
                 writeback_cycles(previous, expected, hardware),
                 mode_switch_cycles(previous, expected, hardware),
-                weight_reload_cycles(mapping, from_mapping.allocations, hardware),
+                weight_reload_cycles(mapping, allocations, hardware),
             ]
             previous = expected
 
@@ -420,9 +421,61 @@ class TestUnitColumnsTripwires:
         plans = segmenter.build_plans(units, boundaries)
         assert len(built) == len(units) == sum(len(p.operator_names) for p in plans)
 
+    def test_a_cold_pass_builds_one_result_per_stored_state_and_hit(
+        self, mobilenet, monkeypatch
+    ):
+        """An engine returns its pick by position: a cold DP builds an
+        ``AllocationResult`` for each refinement the table stores (a
+        solve and its ``unreserved`` twin) and one per table hit —
+        nothing it then throws away."""
+        from repro.core.allocation import AllocationResult
+
+        built = []
+        real_init = AllocationResult.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        stored = []
+        real_put = AllocationCache.put
+
+        def put(self, key, result):
+            stored.append(result)
+            real_put(self, key, result)
+
+        monkeypatch.setattr(AllocationResult, "__init__", counting)
+        monkeypatch.setattr(AllocationCache, "put", put)
+        hardware = get_preset("dynaplasia")
+        units = flatten_graph(mobilenet, hardware)
+        cache = AllocationCache()
+        NetworkSegmenter(hardware, cache=cache).choose_boundaries(mobilenet, units)
+        states = sum(1 + (result.unreserved is not None) for result in stored)
+        assert (len(stored), cache.stats.hits) == (346, 50)
+        assert states > len(stored), "no solve kept an unreserved twin"
+        assert len(built) == states + cache.stats.hits
+
+    def test_a_window_is_not_a_mapping(self, small_chip):
+        """A window is a range of the compile's columns; no entry point
+        takes a ``name -> profile`` mapping."""
+        from collections.abc import Mapping
+
+        from repro.core.allocation import AllocationResult, UnitColumns, UnitWindow
+
+        columns = UnitColumns(
+            [unit.profile for unit in flatten_graph(build_model("tiny-mlp"), small_chip)],
+            small_chip,
+        )
+        window = UnitWindow(columns, 1, 3)
+        assert not isinstance(window, Mapping) and not isinstance(window, dict)
+        assert window.hardware is small_chip and window.signature == columns.signatures[1:3]
+        assert not hasattr(AllocationResult, "names") and not hasattr(
+            AllocationResult, "allocations"
+        )
+
     def test_a_window_table_hit_is_the_cold_solve(self, mobilenet):
         """A hit hands back the stored pairs and latencies of both
-        refinements, under the asking window's names."""
+        refinements, as a fresh result flagged ``from_cache``."""
         from repro.core.allocation import allocate_segment
 
         hardware = get_preset("dynaplasia")
@@ -438,14 +491,14 @@ class TestUnitColumnsTripwires:
             arguments = segmenter._solve_arguments(start, end, spare)
             window = segmenter._window(start, end)
             cache = AllocationCache()
-            cold = allocate_segment(window, hardware, cache=cache, **arguments)
-            hit = allocate_segment(window, hardware, cache=cache, **arguments)
+            cold = allocate_segment(window, cache=cache, **arguments)
+            hit = allocate_segment(window, cache=cache, **arguments)
             assert not cold.from_cache and hit.from_cache
             twins += cold.unreserved is not None
             for got, want in ((hit, cold), (hit.unreserved, cold.unreserved)):
                 assert (got is None) == (want is None)
                 if got is not None:
-                    assert got.names == window.names
+                    assert len(got.pairs) == end + 1 - start
                     assert got.pairs == want.pairs
                     assert got.latency_cycles == want.latency_cycles
         assert twins > 0, "no window exercised the unreserved variant"

@@ -21,9 +21,12 @@ import dataclasses
 import functools
 import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import window_of
 
 from repro.core import CMSwitchCompiler, CompilerOptions
 from repro.core._reference import (
@@ -32,6 +35,8 @@ from repro.core._reference import (
     reference_refine_with_spare_arrays,
 )
 from repro.core.allocation import (
+    AllocationCacheKey,
+    AllocationResult,
     ExactAllocator,
     GreedyAllocator,
     UnitColumns,
@@ -40,7 +45,7 @@ from repro.core.allocation import (
     candidate_allocations,
     refine_with_spare_arrays,
 )
-from repro.core.cache import AllocationCache, AllocationCacheKey, segment_signature
+from repro.core.cache import AllocationCache
 from repro.core.segmentation import NetworkSegmenter, flatten_graph
 from repro.cost import (
     OperatorAllocation,
@@ -85,6 +90,14 @@ PROFILES = [
     matmul_profile("attn", 4, 32, 64, 64),
     matmul_profile("big", 8, 64, 128, 128),
 ]
+
+
+def candidates(profile, hardware, max_arrays=None, **options):
+    """``candidate_allocations`` over the profile's own factor tables,
+    covering ``max_arrays`` (the chip when omitted)."""
+    max_arrays = hardware.num_arrays if max_arrays is None else max_arrays
+    factors = UnitColumns([profile], hardware, max_arrays=max_arrays).factors(0)
+    return candidate_allocations(profile, hardware, max_arrays, factors=factors, **options)
 
 
 # ---------------------------------------------------------------------- #
@@ -228,34 +241,48 @@ class TestUnitColumnParity:
             assert np.array_equal(batched[1][index], single[1][0])
 
     @pytest.mark.parametrize("chip", sorted(PRESETS))
+    def test_compute_floor_is_the_floor_column(self, chip):
+        """One compute floor: ``OperatorProfile.compute_floor`` of every
+        zoo unit is its entry of ``ProfileVectors.floors``, and no module
+        but the frozen oracles re-derives it by hand."""
+        hardware, profiles = _zoo_profiles(chip)
+        floors = ProfileVectors(profiles, hardware).floors.tolist()
+        assert [profile.compute_floor(hardware) for profile in profiles] == floors
+        src = Path(__file__).resolve().parents[1] / "src" / "repro"
+        assert sorted(
+            path.relative_to(src).as_posix()
+            for path in src.rglob("*.py")
+            if re.search(r"max\(1, [\w.]*min_compute_arrays\(", path.read_text(encoding="utf-8"))
+        ) == ["core/_reference.py", "cost/arithmetic.py"]
+
+    @pytest.mark.parametrize("chip", sorted(PRESETS))
     def test_candidates_from_the_columns_equal_the_reference(self, chip):
         """What an allocator reads (row ``k`` handed to the enumeration)
-        is what a caller with only the profile gets, and both are the
+        is what columns of the profile alone give, and both are the
         frozen scalar double loop's list."""
         hardware, profiles = _zoo_profiles(chip)
         columns = UnitColumns(profiles, hardware)
         for allow in (True, False):
             from_columns = columns.window_candidates(0, len(profiles), allow)
-            for profile, candidates in zip(profiles, from_columns):
-                if not candidates:
+            for profile, listed in zip(profiles, from_columns):
+                if not listed:
                     assert profile.min_compute_arrays(hardware) > hardware.num_arrays
                     continue
-                assert candidates == reference_candidate_allocations(
+                assert listed == reference_candidate_allocations(
                     profile, hardware, hardware.num_arrays, allow_memory_mode=allow
                 )
-                assert candidates == candidate_allocations(
-                    profile, hardware, hardware.num_arrays, allow_memory_mode=allow
+                assert listed == candidates(
+                    profile, hardware, allow_memory_mode=allow
                 )
-                assert candidates.negated == [-c.latency_cycles for c in candidates]
-                assert candidates.totals == [c.total_arrays for c in candidates]
+                assert listed.negated == [-c.latency_cycles for c in listed]
+                assert listed.totals == [c.total_arrays for c in listed]
 
     def test_window_signature_is_the_mapping_signature(self, small_chip, tiny_cnn_graph):
-        """The cache key built from the columns is the one built from a
-        plain mapping of the same profiles — key *values* did not move."""
+        """The cache key of a window of the compile's columns is the one
+        of columns built from that window's profiles alone — a key does
+        not depend on where its window sits."""
         units = flatten_graph(tiny_cnn_graph, small_chip)
-        columns = UnitColumns(
-            [unit.profile for unit in units], small_chip, names=[u.name for u in units]
-        )
+        columns = UnitColumns([unit.profile for unit in units], small_chip)
         options = dict(
             engine="exact", pipelined=True, refine=True, allow_memory_mode=True,
             reserve_arrays=2, inbound_arrays=1,
@@ -263,12 +290,13 @@ class TestUnitColumnParity:
         for start in range(len(units)):
             for stop in range(start + 1, len(units) + 1):
                 window = UnitWindow(columns, start, stop)
-                mapping = {unit.name: unit.profile for unit in units[start:stop]}
-                assert dict(window) == mapping and list(window) == list(mapping)
-                assert segment_signature(window) == segment_signature(mapping)
-                assert AllocationCacheKey.build(
-                    window, small_chip, **options
-                ) == AllocationCacheKey.build(mapping, small_chip, **options)
+                alone = window_of(
+                    {unit.name: unit.profile for unit in units[start:stop]}, small_chip
+                )
+                assert window.signature == alone.signature
+                assert AllocationCacheKey.build(window, **options) == AllocationCacheKey.build(
+                    alone, **options
+                )
 
 
 # ---------------------------------------------------------------------- #
@@ -278,12 +306,7 @@ class TestCandidateParity:
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
     @pytest.mark.parametrize("allow_memory_mode", [True, False])
     def test_matches_scalar_reference(self, profile, allow_memory_mode, small_chip):
-        vectorised = candidate_allocations(
-            profile,
-            small_chip,
-            small_chip.num_arrays,
-            allow_memory_mode=allow_memory_mode,
-        )
+        vectorised = candidates(profile, small_chip, allow_memory_mode=allow_memory_mode)
         reference = reference_candidate_allocations(
             profile,
             small_chip,
@@ -296,16 +319,14 @@ class TestCandidateParity:
     def test_matches_scalar_reference_across_budgets(self, max_arrays, small_chip):
         # 12 exceeds the chip: the factor tables must cover the budget asked for.
         for profile in PROFILES + EDGE_PROFILES:
-            assert candidate_allocations(
+            assert candidates(
                 profile, small_chip, max_arrays
             ) == reference_candidate_allocations(profile, small_chip, max_arrays)
 
     def test_thinning_matches_scalar_reference(self, small_chip):
         profile = linear_profile("dense", 64, 512, 512)
         for cap in (1, 2, 3):
-            vectorised = candidate_allocations(
-                profile, small_chip, small_chip.num_arrays, max_candidates=cap
-            )
+            vectorised = candidates(profile, small_chip, max_candidates=cap)
             reference = reference_candidate_allocations(
                 profile, small_chip, small_chip.num_arrays, max_candidates=cap
             )
@@ -337,7 +358,7 @@ class TestCandidateParity:
             "repro.cost.latency.operator_latency_cycles",
             lambda prof, alloc, hw: INFEASIBLE_LATENCY,
         )
-        assert candidate_allocations(profile, small_chip, small_chip.num_arrays) == []
+        assert candidates(profile, small_chip) == []
         # The frozen reference keeps exhibiting the old fallback bug.
         fallback = reference_candidate_allocations(
             profile, small_chip, small_chip.num_arrays
@@ -347,7 +368,7 @@ class TestCandidateParity:
 
     def test_oversized_operator_still_returns_empty(self, small_chip):
         profile = linear_profile("huge", 4, 64 * 20, 64 * 20)
-        assert candidate_allocations(profile, small_chip, small_chip.num_arrays) == []
+        assert candidates(profile, small_chip) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -371,27 +392,33 @@ class TestGreedyParity:
     @pytest.mark.parametrize("allow_memory_mode", [True, False])
     def test_matches_scalar_reference(self, index, allow_memory_mode, small_chip):
         profiles = self.SEGMENTS[index]
-        incremental = GreedyAllocator(allow_memory_mode=allow_memory_mode).allocate(
-            profiles, small_chip
+        incremental = allocate_segment(
+            window_of(profiles, small_chip),
+            allocator=GreedyAllocator(allow_memory_mode=allow_memory_mode),
+            refine=False,
+            cache=AllocationCache(),
         )
         reference = reference_greedy_allocate(
             profiles, small_chip, allow_memory_mode=allow_memory_mode
         )
-        assert incremental.allocations == reference.allocations
+        assert incremental.pairs == reference.pairs
         assert incremental.latency_cycles == reference.latency_cycles
         assert incremental.feasible == reference.feasible
 
     @pytest.mark.parametrize("reserve", [0, 1, 2])
     def test_refinement_matches_scalar_reference(self, reserve, small_chip):
         profiles = self.SEGMENTS[1]
-        seed = GreedyAllocator().allocate(profiles, small_chip)
+        window = window_of(profiles, small_chip)
+        seed = allocate_segment(
+            window, allocator=GreedyAllocator(), refine=False, cache=AllocationCache()
+        )
         refined = refine_with_spare_arrays(
-            seed, profiles, small_chip, reserve_arrays=reserve
+            seed.pairs, window, seed.solver, reserve_arrays=reserve
         )
         reference = reference_refine_with_spare_arrays(
             seed, profiles, small_chip, reserve_arrays=reserve
         )
-        assert refined.allocations == reference.allocations
+        assert refined.pairs == reference.pairs
         assert refined.latency_cycles == reference.latency_cycles
 
 
@@ -444,7 +471,6 @@ def window_cache_key(units, hardware, options, start=0, end=None):
     engine = arguments.pop("allocator")
     return AllocationCacheKey.build(
         segmenter._window(start, end),
-        hardware,
         engine=engine.name,
         allow_memory_mode=engine.allow_memory_mode,
         **arguments,
@@ -526,92 +552,77 @@ class CountingAllocator:
         self.name = inner.name
         self.allow_memory_mode = getattr(inner, "allow_memory_mode", True)
 
-    def allocate(self, profiles, hardware, pipelined=True):
+    def allocate(self, window):
         self.calls += 1
-        return self.inner.allocate(profiles, hardware, pipelined=pipelined)
+        return self.inner.allocate(window)
 
 
 class TestWindowTable:
     @pytest.fixture()
-    def profiles(self):
-        return {
-            "proj": linear_profile("proj", 32, 128, 128),
-            "attn": matmul_profile("attn", 4, 32, 64, 64),
-        }
+    def window(self, small_chip):
+        return window_of(
+            {
+                "proj": linear_profile("proj", 32, 128, 128),
+                "attn": matmul_profile("attn", 4, 32, 64, 64),
+            },
+            small_chip,
+        )
 
-    def test_second_solve_is_served_from_the_memo(self, profiles, small_chip):
+    def test_second_solve_is_served_from_the_memo(self, window):
         cache = AllocationCache()
         engine = CountingAllocator(ExactAllocator())
-        first = allocate_segment(profiles, small_chip, allocator=engine, cache=cache)
-        second = allocate_segment(profiles, small_chip, allocator=engine, cache=cache)
+        first = allocate_segment(window, allocator=engine, cache=cache)
+        second = allocate_segment(window, allocator=engine, cache=cache)
         assert engine.calls == 1 and second.from_cache
         # One probe and one store per call: nothing is looked up or written twice.
         stats = cache.stats
         assert (stats.hits, stats.misses, stats.stores, len(cache)) == (1, 1, 1, 1)
-        assert second.allocations == first.allocations
+        assert second.pairs == first.pairs
         assert second.latency_cycles == first.latency_cycles
 
-    def test_cross_mode_hit_when_dual_solution_uses_no_memory(
-        self, profiles, small_chip
-    ):
+    def test_cross_mode_hit_when_dual_solution_uses_no_memory(self, window):
         cache = AllocationCache()
         dual = CountingAllocator(ExactAllocator(allow_memory_mode=True))
-        result = allocate_segment(profiles, small_chip, allocator=dual, cache=cache)
-        memory_free = all(
-            a.memory_arrays == 0 for a in result.allocations.values()
-        )
+        result = allocate_segment(window, allocator=dual, cache=cache)
         fixed = CountingAllocator(ExactAllocator(allow_memory_mode=False))
-        again = allocate_segment(profiles, small_chip, allocator=fixed, cache=cache)
-        if memory_free:
+        again = allocate_segment(window, allocator=fixed, cache=cache)
+        if result.memory_arrays == 0:
             # The dual-mode optimum lies inside the fixed-mode space, so
             # the fixed-mode request is answered without a solve.
             assert fixed.calls == 0 and cache.stats.cross_mode_hits == 1
-            assert again.allocations == result.allocations
+            assert again.pairs == result.pairs
         else:
             assert fixed.calls == 1
 
-    def test_memo_never_stores_partial_foreign_results(self, profiles, small_chip):
-        from repro.core.allocation import AllocationResult
-
+    def test_memo_never_stores_a_result_of_another_length(self, window):
+        """A feasible result (or twin) whose pair count is not the key's
+        window length would hand its pairs to the wrong operators on a
+        hit: it is never stored."""
         cache = AllocationCache()
         key = AllocationCacheKey.build(
-            profiles,
-            small_chip,
+            window,
             engine="exact",
             pipelined=True,
             refine=True,
             allow_memory_mode=True,
             reserve_arrays=0,
         )
-        partial = AllocationResult.from_allocations(
-            {"proj": OperatorAllocation(1, 0)}, 123.0, True, "exact"
-        )
-        # Same length as the window, but for other operators / another order.
-        foreign = AllocationResult.from_allocations(
-            {"proj": OperatorAllocation(1, 0), "other": OperatorAllocation(2, 0)},
-            123.0, True, "exact",
-        )
-        reordered = AllocationResult.from_allocations(
-            {"attn": OperatorAllocation(2, 0), "proj": OperatorAllocation(1, 0)},
-            123.0, True, "exact",
-        )
-        for result in (partial, foreign, reordered):
-            cache.put(key, profiles, result)
-        # A foreign twin spoils an otherwise matching result, too.
-        own = AllocationResult.from_allocations(
-            {"proj": OperatorAllocation(1, 0), "attn": OperatorAllocation(2, 0)},
-            123.0, True, "exact",
-        )
-        cache.put(key, profiles, dataclasses.replace(own, unreserved=foreign))
+        partial = AllocationResult(((1, 0),), 123.0, True, "exact")
+        longer = AllocationResult(((1, 0), (2, 0), (1, 0)), 123.0, True, "exact")
+        for result in (partial, longer):
+            cache.put(key, result)
+        # A twin of another length spoils an otherwise matching result, too.
+        own = AllocationResult(((1, 0), (2, 0)), 123.0, True, "exact")
+        cache.put(key, dataclasses.replace(own, unreserved=partial))
         assert len(cache) == 0 and cache.stats.stores == 0
-        assert cache.lookup(key, list(profiles)) is None
-        cache.put(key, profiles, own)
+        assert cache.lookup(key) is None
+        cache.put(key, own)
         assert cache.stats.stores == 1
-        assert cache.lookup(key, list(profiles)).pairs == own.pairs
+        assert cache.lookup(key).pairs == own.pairs
 
-    def test_memo_keyword_is_gone(self, profiles, small_chip):
+    def test_memo_keyword_is_gone(self, window):
         with pytest.raises(TypeError):
-            allocate_segment(profiles, small_chip, memo=AllocationCache())
+            allocate_segment(window, memo=AllocationCache())
 
 
 # ---------------------------------------------------------------------- #
