@@ -2,10 +2,14 @@
 
 For each registered model × preset × compiler (CMSwitch and the three
 baselines) it compiles the model at ``Workload(seq_len=32)`` with code
-generation on and records the program's ``end_to_end_cycles`` and its
-``fingerprint()`` (plan, prices and meta-operator flow).  A change that
-claims to move no plan is checked by running this on both checkouts and
-diffing the two outputs, which must be identical::
+generation on and records the program's ``end_to_end_cycles``, its
+``fingerprint()`` (plan, prices and meta-operator flow) and its rung-0
+``analytical_bound``: the ``float.hex`` of
+``repro.dse.bound.analytical_bound(...).end_to_end_cycles`` in the
+compiler's memory mode, so a cost-model edit that moves the analytical
+tier shows in the same diff.  A change that claims to move no plan is
+checked by running this on both checkouts and diffing the two outputs,
+which must be identical::
 
     python scripts/plan_diff.py > after.json
     (cd ../parent && python scripts/plan_diff.py) > before.json
@@ -37,6 +41,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import Session  # noqa: E402
 from repro.baselines import COMPILERS  # noqa: E402
+from repro.core import CompilerOptions  # noqa: E402
+from repro.dse.bound import analytical_bound  # noqa: E402
 from repro.models import Workload, build_model, list_models  # noqa: E402
 
 CHIPS = ("dynaplasia", "prime", "small-test-chip")
@@ -44,17 +50,24 @@ WORKLOAD = Workload(seq_len=32)
 
 
 def plans(models, chips):
-    """``{"model@chip/compiler": {"end_to_end_cycles", "fingerprint"}}``."""
+    """``{"model@chip/compiler": {"end_to_end_cycles", "fingerprint",
+    "analytical_bound"}}``."""
     graphs = {model: build_model(model, WORKLOAD) for model in models}
     table = {}
     for chip in chips:
         with Session(hardware=chip) as session:
             for model in models:
+                bounds = {}  # memory mode -> the bound's hex
                 for compiler in COMPILERS:
                     program = session.compile(graphs[model], compiler=compiler)
+                    dual = COMPILERS[compiler].pin_options(CompilerOptions()).allow_memory_mode
+                    if dual not in bounds:
+                        bound = analytical_bound(graphs[model], program.hardware, dual)
+                        bounds[dual] = bound.end_to_end_cycles.hex()
                     table[f"{model}@{chip}/{compiler}"] = {
                         "end_to_end_cycles": program.end_to_end_cycles,
                         "fingerprint": program.fingerprint(),
+                        "analytical_bound": bounds[dual],
                     }
     return table
 

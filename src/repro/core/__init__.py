@@ -37,7 +37,6 @@ from .segmentation import (
     choose_plan,
     expand_profiled,
     flatten_graph,
-    live_elements_at_boundary,
     plan_arrays,
     plan_cost,
     profile_graph,
@@ -81,7 +80,6 @@ __all__ = [
     "expand_profiled",
     "flatten_graph",
     "generate_program",
-    "live_elements_at_boundary",
     "plan_arrays",
     "plan_cost",
     "profile_graph",

@@ -16,17 +16,18 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cost.arithmetic import ProfileVectors
 from ..cost.latency import (
     INFEASIBLE_LATENCY,
     OperatorAllocation,
-    operator_latency_cycles,
-    segment_latency_cycles,
+    combine_operator_latencies,
+    guard_infeasible_batch,
+    operator_latency_factors_batch,
 )
 from ..cost.switching import (
     SegmentResources,
-    aggregate_resources,
     mode_switch_cycles,
-    weight_reload_cycles,
+    window_totals,
     writeback_cycles,
 )
 from ..hardware.deha import DualModeHardwareAbstraction
@@ -34,7 +35,19 @@ from ..ir.graph import Graph
 from .allocation import AllocationCandidate, AllocationResult, _geometric_range, infeasible_result
 from .codegen import generate_program
 from .program import CompiledProgram, SegmentPlan
-from .segmentation import CompilerOptions, flatten_graph, live_elements_at_boundary
+from .segmentation import CompilerOptions, flatten_graph, live_elements_vector
+
+
+def _factor_rows(vectors: ProfileVectors, hardware: DualModeHardwareAbstraction):
+    """``(compute_time, supply_time)``: the Eq. 10 factors of every
+    operator of ``vectors``, one list per operator indexed by the array
+    count ``0..num_arrays``.  Eq. 10 at ``(c, m)`` for operator ``k`` is
+    ``max(compute_time[k][c], supply_time[k][m])``."""
+    counts = np.arange(hardware.num_arrays + 1)
+    return tuple(
+        guard_infeasible_batch(table).tolist()
+        for table in operator_latency_factors_batch(vectors, counts, counts, hardware)
+    )
 
 
 def reprice_segments(
@@ -49,7 +62,10 @@ def reprice_segments(
     Eq. 4 breakdown (the Eq. 1 switch term is 0.0 when
     ``options.include_switch_cost`` is off; write-back credits memory-mode
     arrays only when ``options.allow_memory_mode`` is on), its resources
-    and its boundary memory arrays.
+    and its boundary memory arrays.  The plan's units are one column set
+    (:class:`~repro.cost.arithmetic.ProfileVectors`), priced from its
+    Eq. 10 factor tables, :func:`~repro.cost.switching.window_totals`
+    and :func:`~repro.cost.latency.combine_operator_latencies`.
 
     Raises:
         ValueError: Naming the segment, if the plan does not cover the
@@ -57,6 +73,9 @@ def reprice_segments(
             allocations do not name exactly its operators or overflow the chip.
     """
     units = flatten_graph(graph, hardware)
+    vectors = ProfileVectors([unit.profile for unit in units], hardware)
+    compute_time, supply_time = _factor_rows(vectors, hardware)
+    liveness = live_elements_vector(units).tolist()
     capacity = hardware.array_capacity_elements
     plans: List[SegmentPlan] = []
     previous: Optional[SegmentResources] = None
@@ -74,11 +93,19 @@ def reprice_segments(
             raise ValueError(
                 f"segment {index}: allocations occupy {used} of {hardware.num_arrays} arrays"
             )
-        start += len(names)
-        profiles = {unit.name: unit.profile for unit in members}
-        live = live_elements_at_boundary(units, start - 1) if start < len(units) else 0
-        resources = aggregate_resources(
-            profiles, allocations, live_output_elements=live, num_arrays_total=hardware.num_arrays
+        stop = start + len(names)
+        pairs = [
+            (allocations[name].compute_arrays, allocations[name].memory_arrays)
+            for name in expected
+        ]
+        compute, memory, reload = window_totals(vectors, start, stop, pairs, hardware)
+        live = liveness[stop - 1] if stop < len(units) else 0
+        resources = SegmentResources(
+            compute,
+            memory,
+            live,
+            vectors.window_static_weight_elements(start, stop - 1),
+            max(0, hardware.num_arrays - compute - memory),
         )
         switch = mode_switch_cycles(previous, resources, hardware)
         breakdown = {
@@ -86,8 +113,12 @@ def reprice_segments(
                 previous, resources, hardware, allow_boundary_buffering=options.allow_memory_mode
             ),
             "mode_switch": switch if options.include_switch_cost else 0.0,
-            "weight_reload": weight_reload_cycles(profiles, allocations, hardware),
+            "weight_reload": reload,
         }
+        latencies = [
+            max(compute_time[k][c], supply_time[k][m])
+            for k, (c, m) in zip(range(start, stop), pairs)
+        ]
         boundary_memory = 0
         if options.allow_memory_mode and live > 0:
             boundary_memory = min(resources.idle_arrays, -(-live // capacity))
@@ -96,10 +127,8 @@ def reprice_segments(
                 index=index,
                 operator_names=expected,
                 allocations=dict(allocations),
-                profiles=profiles,
-                intra_cycles=segment_latency_cycles(
-                    profiles, allocations, hardware, pipelined=options.pipelined
-                ),
+                profiles={unit.name: unit.profile for unit in members},
+                intra_cycles=combine_operator_latencies(latencies, hardware, options.pipelined),
                 inter_cycles=sum(breakdown.values()),
                 inter_breakdown=breakdown,
                 resources=resources,
@@ -107,6 +136,7 @@ def reprice_segments(
             )
         )
         previous = resources
+        start = stop
     if start != len(units):
         raise ValueError(
             f"segment {len(plans)}: missing; the plan covers {start} of "
@@ -119,22 +149,22 @@ def reprice_segments(
 def reference_candidate_allocations(
     profile,
     hardware: DualModeHardwareAbstraction,
-    max_arrays: int,
     allow_memory_mode: bool = True,
     max_candidates: int = 24,
 ):
     """The pre-vectorisation ``candidate_allocations`` body, frozen.
 
-    A Python double loop over the candidate grid with one scalar Eq. 10
-    call per cell.  The vectorised rewrite must reproduce this output
+    A Python double loop over the candidate grid up to the chip, each
+    cell read from the profile's Eq. 10 factor tables (one evaluation
+    per call).  The vectorised rewrite must reproduce this output
     exactly (including sort stability and the 1e-9 Pareto tolerance) on
     every feasible grid; the two differ deliberately only for the
     all-infeasible grid, where this body returned a useless
     infinite-latency candidate (the dead-fallback bug) and the rewrite
     returns an empty list.
     """
-    from ..cost.latency import operator_latency_cycles  # read per call: tests stub it
-
+    max_arrays = hardware.num_arrays
+    (compute_time,), (supply_time,) = _factor_rows(ProfileVectors([profile], hardware), hardware)
     min_compute = max(1, profile.min_compute_arrays(hardware))
     if min_compute > max_arrays:
         return []
@@ -145,8 +175,7 @@ def reference_candidate_allocations(
     for compute in _geometric_range(min_compute, max_arrays):
         for memory in memory_options:
             if compute + memory <= max_arrays:
-                allocation = OperatorAllocation(compute, memory)
-                latency = operator_latency_cycles(profile, allocation, hardware)
+                latency = max(compute_time[compute], supply_time[memory])
                 raw.append(AllocationCandidate(compute, memory, latency))
     raw.sort(key=lambda c: (c.total_arrays, c.latency_cycles))
     pareto = []
@@ -166,6 +195,27 @@ def reference_candidate_allocations(
 def _pairs(allocations: Mapping[str, OperatorAllocation]) -> Tuple[Tuple[int, int], ...]:
     """``allocations`` by position, as an :class:`AllocationResult` holds them."""
     return tuple((a.compute_arrays, a.memory_arrays) for a in allocations.values())
+
+
+def _latency_reader(profiles, hardware: DualModeHardwareAbstraction):
+    """``latency(name, allocation)``: Eq. 10 of operator ``name`` of
+    ``profiles``, read from their factor tables (one evaluation)."""
+    compute_time, supply_time = _factor_rows(ProfileVectors(profiles.values(), hardware), hardware)
+    rows = {name: k for k, name in enumerate(profiles)}
+
+    def latency(name, allocation):
+        k = rows[name]
+        return max(
+            compute_time[k][allocation.compute_arrays], supply_time[k][allocation.memory_arrays]
+        )
+
+    return latency
+
+
+def _segment_latency(latency, allocations, hardware, pipelined):
+    """Eq. 9 of ``allocations`` (``name -> OperatorAllocation``)."""
+    latencies = [latency(name, allocation) for name, allocation in allocations.items()]
+    return combine_operator_latencies(latencies, hardware, pipelined)
 
 
 def named_allocations(names, result) -> dict:
@@ -189,7 +239,7 @@ def reference_greedy_allocate(
     }
     if sum(a.total_arrays for a in floors.values()) > hardware.num_arrays:
         return infeasible_result()
-    latency = segment_latency_cycles(profiles, floors, hardware, pipelined=pipelined)
+    latency = _segment_latency(_latency_reader(profiles, hardware), floors, hardware, pipelined)
     return reference_refine_with_spare_arrays(
         AllocationResult(_pairs(floors), latency, True, "greedy"),
         profiles, hardware, pipelined=pipelined, allow_memory_mode=allow_memory_mode,
@@ -213,9 +263,10 @@ def reference_refine_with_spare_arrays(
     remaining = hardware.num_arrays - used - max(0, reserve_arrays)
     if remaining <= 0:
         return result
+    latency = _latency_reader(profiles, hardware)
 
     def latency_of(name):
-        return operator_latency_cycles(profiles[name], allocations[name], hardware)
+        return latency(name, allocations[name])
 
     improved = False
     while remaining > 0:
@@ -225,7 +276,7 @@ def reference_refine_with_spare_arrays(
         if allow_memory_mode:
             grown.append(OperatorAllocation(current.compute_arrays, current.memory_arrays + 1))
         best_latency, best_allocation = min(
-            ((operator_latency_cycles(profiles[bottleneck], a, hardware), a) for a in grown),
+            ((latency(bottleneck, a), a) for a in grown),
             key=lambda item: item[0],
         )
         if best_latency >= latency_of(bottleneck) - 1e-9:
@@ -235,8 +286,12 @@ def reference_refine_with_spare_arrays(
         improved = True
     if not improved:
         return result
-    latency = segment_latency_cycles(profiles, allocations, hardware, pipelined=pipelined)
-    return AllocationResult(_pairs(allocations), latency, True, result.solver)
+    return AllocationResult(
+        _pairs(allocations),
+        _segment_latency(latency, allocations, hardware, pipelined),
+        True,
+        result.solver,
+    )
 
 
 def reference_baseline_compile(baseline, graph: Graph) -> CompiledProgram:

@@ -45,9 +45,9 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..cost.arithmetic import OperatorProfile, ProfileVectors
-# operator_latency_cycles is re-exported only: nothing here evaluates Eq. 10
-# per call any more, but the benchmark's tracer counts scalar evaluations
-# through this module's name.
+# operator_latency_cycles is re-exported only: nothing in the program calls
+# the one-cell view, but the benchmark's tracer counts calls through this
+# module's name.
 from ..cost.latency import (  # noqa: F401
     INFEASIBLE_LATENCY,
     combine_operator_latencies,
@@ -168,7 +168,6 @@ FactorTables = Tuple[List[float], List[float]]
 def candidate_allocations(
     profile: OperatorProfile,
     hardware: DualModeHardwareAbstraction,
-    max_arrays: int,
     allow_memory_mode: bool = True,
     max_candidates: int = MAX_CANDIDATES,
     *,
@@ -177,7 +176,7 @@ def candidate_allocations(
     """Pareto-optimal (arrays, latency) candidates for one operator.
 
     Compute counts are swept geometrically from the operator's minimum
-    footprint up to the budget; memory counts from zero up to the number
+    footprint up to the chip; memory counts from zero up to the number
     of arrays that fully buffer the working set.  Every grid point's
     Eq. 10 latency is ``max(compute_time[compute], supply_time[memory])``
     read from the operator's factor tables — Eq. 10 itself is evaluated
@@ -193,8 +192,9 @@ def candidate_allocations(
 
     Args:
         factors: The operator's Eq. 10 factor tables covering
-            ``0..max_arrays`` (a row of :class:`UnitColumns`).
+            ``0..hardware.num_arrays`` (a row of :class:`UnitColumns`).
     """
+    max_arrays = hardware.num_arrays
     min_compute = profile.compute_floor(hardware)
     if min_compute > max_arrays:
         return CandidateList()
@@ -266,8 +266,7 @@ class UnitColumns(ProfileVectors):
       .operator_latency_factors_batch`): Eq. 10 is separable, so one
       operator's latency at any ``(compute, memory)`` pair is
       ``max(compute_time[k][compute], supply_time[k][memory])`` over two
-      rows indexed ``0..num_arrays`` — the values are the scalar
-      function's exactly;
+      rows indexed ``0..num_arrays``;
     * each operator's candidate list, enumerated lazily (only operators
       of windows that are actually solved pay for it) and exactly once.
 
@@ -280,19 +279,13 @@ class UnitColumns(ProfileVectors):
     Args:
         profiles: Operator profiles in schedule order.
         hardware: The target chip.
-        max_arrays: Largest array count the factor tables must cover
-            beyond ``hardware.num_arrays``.
     """
 
     def __init__(
-        self,
-        profiles: Sequence[OperatorProfile],
-        hardware: DualModeHardwareAbstraction,
-        max_arrays: int = 0,
+        self, profiles: Sequence[OperatorProfile], hardware: DualModeHardwareAbstraction
     ) -> None:
         super().__init__(profiles, hardware)
         self.hardware = hardware
-        self._table_size = max(hardware.num_arrays, max_arrays) + 1
         self._compute_time: Optional[List[List[float]]] = None
         self._supply_time: Optional[List[List[float]]] = None
         # allow_memory_mode -> per-unit candidate lists.
@@ -302,7 +295,7 @@ class UnitColumns(ProfileVectors):
         """``(compute_time, supply_time)``: one row per operator, one
         column per array count — evaluated on first use, once."""
         if self._compute_time is None:
-            counts = np.arange(self._table_size)
+            counts = np.arange(self.hardware.num_arrays + 1)
             compute_time, supply_time = operator_latency_factors_batch(
                 self, counts, counts, self.hardware
             )
@@ -330,7 +323,6 @@ class UnitColumns(ProfileVectors):
                     known[index] = candidate_allocations(
                         self.profiles[index],
                         self.hardware,
-                        self.hardware.num_arrays,
                         allow_memory_mode=allow_memory_mode,
                         factors=self.factors(index),
                     )

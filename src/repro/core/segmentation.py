@@ -287,27 +287,14 @@ def _mappable_dependencies(graph: Graph, cim_names: set) -> List[Tuple[str, str]
     return pairs
 
 
-def live_elements_at_boundary(units: Sequence[FlattenedUnit], boundary: int) -> int:
-    """Elements produced at or before ``boundary`` still needed after it.
-
-    ``boundary`` is the index of the last unit of the earlier segment.
-    """
-    total = 0
-    for unit in units[: boundary + 1]:
-        if unit.live_until > boundary:
-            total += unit.profile.output_elements
-    return total
-
-
 def live_elements_vector(units: Sequence[FlattenedUnit]) -> np.ndarray:
-    """:func:`live_elements_at_boundary` at every boundary, in one sweep.
+    """Live elements at every boundary — Eq. 4's live data volume.
 
-    Unit ``idx`` contributes its output elements to every boundary ``b``
-    with ``idx <= b < live_until``, so a difference array plus one
-    cumulative sum yields all ``m`` boundary values in O(m) — the DP
-    used to recompute each from scratch, O(m) per lookup.  Integer
-    arithmetic throughout, so every entry equals the scalar helper
-    exactly.
+    Entry ``b`` is the output elements of units ``0..b`` that a unit
+    after ``b`` still needs (``b`` is the last unit of the earlier
+    segment).  Unit ``idx`` contributes to every boundary with ``idx <=
+    b < live_until``, so a difference array plus one cumulative sum
+    yields all ``m`` boundary values in O(m).
     """
     m = len(units)
     diff = np.zeros(m + 1, dtype=np.int64)

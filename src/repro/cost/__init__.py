@@ -10,7 +10,7 @@ from .analytical import (
     analytical_graph_estimate,
     analytical_latency_bound,
     compute_roofline_cycles,
-    operator_latency_bound,
+    operator_latency_bounds,
 )
 from .arithmetic import (
     OperatorProfile,
@@ -22,22 +22,14 @@ from .arithmetic import (
 )
 from .energy import EnergyParameters, EnergyReport, estimate_energy
 from .latency import (
-    data_supply_times,
     INFEASIBLE_LATENCY,
     OperatorAllocation,
-    best_split_latency,
-    compute_rate,
-    minimum_latency_all_compute,
-    operator_latency_cycles,
     pipeline_fill_cycles,
-    segment_latency_cycles,
 )
 from .switching import (
     SegmentResources,
-    aggregate_resources,
     mode_switch_cycles,
     switch_counts,
-    weight_reload_cycles,
     writeback_cycles,
 )
 
@@ -49,27 +41,19 @@ __all__ = [
     "OperatorAllocation",
     "OperatorProfile",
     "SegmentResources",
-    "aggregate_resources",
     "analytical_energy_bound",
     "analytical_graph_estimate",
     "analytical_latency_bound",
-    "best_split_latency",
     "compute_roofline_cycles",
-    "operator_latency_bound",
-    "data_supply_times",
-    "compute_rate",
     "estimate_energy",
     "mean_arithmetic_intensity",
-    "minimum_latency_all_compute",
     "mode_switch_cycles",
-    "operator_latency_cycles",
+    "operator_latency_bounds",
     "pipeline_fill_cycles",
     "profile_graph",
     "profile_operator",
-    "segment_latency_cycles",
     "switch_counts",
     "total_macs",
     "total_weight_elements",
-    "weight_reload_cycles",
     "writeback_cycles",
 ]

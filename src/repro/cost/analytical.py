@@ -5,9 +5,9 @@ option) point far more cheaply than running the full compile pipeline —
 the same tiering CIM-Explorer and CIMFlow put in front of their flows.
 This module is that cheap tier's cost model: closed-form *lower bounds*
 on latency and energy computed directly from the flattened operator
-profiles, with **zero allocator solves**, no segmentation DP and no
-:class:`~repro.cost.latency.OperatorAllocation` bookkeeping beyond the
-single-operator sweeps already exposed by :mod:`repro.cost.latency`.
+profiles, with **zero allocator solves**, no segmentation DP and one
+Eq. 10 factor evaluation per graph
+(:func:`~repro.cost.latency.operator_latency_factors_batch`).
 
 The latency bound is the maximum of two quantities, each provably a
 lower bound on the compiled plan's graph latency:
@@ -20,10 +20,9 @@ lower bound on the compiled plan's graph latency:
   over segments telescopes to the whole graph.  Serial scheduling only
   increases the left-hand side.
 * **operator bound** — for every unit, the best latency any allocation
-  within the chip budget can achieve
-  (:func:`~repro.cost.latency.best_split_latency`, or
-  :func:`~repro.cost.latency.minimum_latency_all_compute` when memory
-  mode is off, where all-compute is optimal because supply is fixed and
+  within the chip budget can achieve (:func:`operator_latency_bounds`:
+  the best compute/memory split of the whole chip, or all-compute when
+  memory mode is off, where it is optimal because supply is fixed and
   the compute rate is monotone in arrays).  The compiled plan gives each
   unit *some* allocation within the budget, so its segment latency is at
   least this bound.
@@ -54,13 +53,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
+import numpy as np
+
 from ..hardware.deha import DualModeHardwareAbstraction
-from .arithmetic import OperatorProfile
+from .arithmetic import OperatorProfile, ProfileVectors
 from .energy import EnergyParameters
 from .latency import (
     INFEASIBLE_LATENCY,
-    best_split_latency,
-    minimum_latency_all_compute,
+    guard_infeasible_batch,
+    operator_latency_factors_batch,
 )
 
 __all__ = [
@@ -69,7 +70,7 @@ __all__ = [
     "analytical_graph_estimate",
     "analytical_latency_bound",
     "compute_roofline_cycles",
-    "operator_latency_bound",
+    "operator_latency_bounds",
 ]
 
 
@@ -113,22 +114,30 @@ def compute_roofline_cycles(
     return total_macs / peak_rate
 
 
-def operator_latency_bound(
-    profile: OperatorProfile,
+def operator_latency_bounds(
+    profiles: Sequence[OperatorProfile],
     hardware: DualModeHardwareAbstraction,
     allow_memory_mode: bool = True,
-) -> float:
-    """Best latency any within-budget allocation achieves for one unit.
+) -> np.ndarray:
+    """Best latency any within-budget allocation achieves, per unit.
 
-    With memory mode allowed this sweeps every compute/memory split of
-    the whole chip; without it, all-compute is optimal (supply does not
-    depend on compute arrays, and the compute rate is monotone), so the
-    closed-form all-compute latency is used directly.
+    With memory mode allowed this is the best split ``(c, num_arrays -
+    c)`` of the whole chip over ``c`` from the unit's compute floor
+    (capped at the chip) up; without it, all-compute is optimal (supply
+    does not depend on compute arrays, and the compute rate is
+    monotone), so the all-compute latency is used directly.  Every unit
+    is priced by one Eq. 10 evaluation over the columns.
     """
-    if allow_memory_mode:
-        latency, _ = best_split_latency(profile, hardware.num_arrays, hardware)
-        return latency
-    return minimum_latency_all_compute(profile, hardware.num_arrays, hardware)
+    vectors = ProfileVectors(profiles, hardware)
+    chip = hardware.num_arrays
+    compute = np.arange(chip + 1) if allow_memory_mode else np.array([chip])
+    # Column c is the split (c, chip - c): every array in use.
+    compute_time, supply_time = operator_latency_factors_batch(
+        vectors, compute, chip - compute, hardware
+    )
+    latency = guard_infeasible_batch(np.maximum(compute_time, supply_time))
+    latency[compute[None, :] < np.minimum(vectors.floors, chip)[:, None]] = INFEASIBLE_LATENCY
+    return latency.min(axis=1)
 
 
 def analytical_latency_bound(
@@ -144,13 +153,8 @@ def analytical_latency_bound(
         for why each is a true lower bound).
     """
     roofline = compute_roofline_cycles(profiles, hardware)
-    slowest_operator = max(
-        (
-            operator_latency_bound(profile, hardware, allow_memory_mode)
-            for profile in profiles
-        ),
-        default=0.0,
-    )
+    bounds = operator_latency_bounds(profiles, hardware, allow_memory_mode)
+    slowest_operator = float(bounds.max()) if len(bounds) else 0.0
     if slowest_operator > roofline:
         return slowest_operator, "operator"
     return roofline, "compute-roofline"

@@ -13,7 +13,7 @@ fill term.
 
 Two refinements keep the model physical without changing its character:
 
-* the supply term is a roofline split (:func:`data_supply_times`): the
+* the supply term is a roofline split (:func:`data_supply_times_batch`): the
   part of the operator's input that fits on chip (native buffer plus the
   memory-mode arrays' capacity) is served at ``D_main + Mem * D_cim``,
   the rest crosses the off-chip link at ``d_extern``, and the two
@@ -27,13 +27,20 @@ Two refinements keep the model physical without changing its character:
 * an operator given fewer compute arrays than its stationary operand
   requires must time-multiplex weight loads, modelled as a proportional
   slowdown of its compute rate.
+
+Each equation has one definition, over columns: Eq. 10 is
+:func:`operator_latency_factors_batch` (its two factors,
+:func:`compute_rate_batch` and :func:`data_supply_times_batch`), Eq. 9
+is :func:`combine_operator_latencies`.  Callers tabulate the factors once
+over ``0..num_arrays`` and read cells; :func:`operator_latency_cycles`
+is a one-cell view for one-off reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Sized, Tuple
+from typing import Sequence, Sized, Tuple
 
 import numpy as np
 
@@ -79,79 +86,6 @@ class OperatorAllocation:
         return self.compute_arrays + self.memory_arrays
 
 
-def compute_rate(
-    profile: OperatorProfile,
-    compute_arrays: int,
-    hardware: DualModeHardwareAbstraction,
-) -> float:
-    """MACs per cycle the assigned compute arrays sustain (``C`` in Eq. 10).
-
-    When fewer arrays than the stationary footprint are assigned the
-    operator must reload weight tiles mid-execution; throughput degrades by
-    the ratio of resident tiles to total tiles.
-    """
-    if compute_arrays <= 0:
-        return 0.0
-    rate = compute_arrays * hardware.op_cim
-    required = profile.min_compute_arrays(hardware)
-    if required > 0 and compute_arrays < required:
-        rate *= compute_arrays / required
-    return rate
-
-
-def data_supply_times(
-    profile: OperatorProfile,
-    memory_arrays: int,
-    hardware: DualModeHardwareAbstraction,
-) -> Tuple[float, float]:
-    """Off-chip and on-chip data-supply times (cycles) for one operator.
-
-    The operator must move ``streamed_elements`` dynamic values.  Up to the
-    native buffer plus the allocated memory-mode arrays' capacity of that
-    working set lives on chip and is served at the on-chip rate
-    ``D_main + Mem * D_cim``; the remainder crosses the off-chip link at
-    ``d_extern``.  The two transfers overlap with each other (and with
-    computation), so the slower one bounds the operator — this is the
-    roofline realisation of Eq. 10's supply term: with no memory arrays and
-    a working set far beyond the buffer it degenerates to
-    ``OP / (D_main * AI)`` exactly as written in the paper.  Every rate is
-    positive (the hardware abstraction rejects a zero bandwidth), so moving
-    nothing costs exactly zero.
-    """
-    # Inputs that do not fit in on-chip storage (native buffer plus
-    # allocated memory-mode arrays) must be fetched across the off-chip
-    # link while the operator runs.  Outputs drain through the on-chip path
-    # — if they must ultimately spill, the inter-segment write-back term
-    # charges that transfer, so it is not double-counted here.
-    input_side = profile.streamed_input_elements + profile.extra_streamed_elements
-    onchip_capacity = hardware.buffer_elements + memory_arrays * hardware.array_capacity_elements
-    offchip_elements = max(0, input_side - onchip_capacity)
-    onchip_elements = profile.streamed_elements - offchip_elements
-    onchip_rate = hardware.d_main + memory_arrays * hardware.d_cim
-    return offchip_elements / hardware.d_extern, onchip_elements / onchip_rate
-
-
-def operator_latency_cycles(
-    profile: OperatorProfile,
-    allocation: OperatorAllocation,
-    hardware: DualModeHardwareAbstraction,
-) -> float:
-    """Latency (cycles) of one operator under an allocation — Eq. 10.
-
-    ``L = max(OP / C, T_offchip, T_onchip)``: the computation time under
-    the allocated compute arrays and the (overlapped) data-supply times,
-    whichever is largest.
-    """
-    supply_time = max(data_supply_times(profile, allocation.memory_arrays, hardware))
-    if profile.macs == 0:
-        return guard_infeasible(supply_time)
-    c_rate = compute_rate(profile, allocation.compute_arrays, hardware)
-    if c_rate <= 0:
-        return INFEASIBLE_LATENCY
-    compute_time = profile.macs / c_rate
-    return guard_infeasible(max(compute_time, supply_time))
-
-
 def guard_infeasible_batch(cycles: np.ndarray) -> np.ndarray:
     """Vectorised :func:`guard_infeasible`: NaN entries become ``inf``."""
     return np.where(np.isnan(cycles), INFEASIBLE_LATENCY, cycles)
@@ -162,13 +96,13 @@ def compute_rate_batch(
     compute_arrays: np.ndarray,
     hardware: DualModeHardwareAbstraction,
 ) -> np.ndarray:
-    """Vectorised :func:`compute_rate` over compute counts and operators.
+    """MACs per cycle the assigned compute arrays sustain (``C`` in Eq. 10).
 
     ``required`` is the operators' ``min_compute_arrays`` as a column and
-    broadcasts against ``compute_arrays``.  Bit-identical to the scalar
-    function for every element: the numpy float64 expressions mirror the
-    scalar double expressions term by term, so IEEE-754 rounding is the
-    same (ratcheted by the parity tests in ``tests/test_vectorized.py``).
+    broadcasts against ``compute_arrays``.  With fewer arrays than the
+    stationary footprint the operator reloads weight tiles mid-execution;
+    throughput degrades by the ratio of resident tiles to total tiles.
+    No arrays sustain no rate.
     """
     com = np.asarray(compute_arrays, dtype=np.int64)
     com_f = com.astype(np.float64)
@@ -189,12 +123,23 @@ def data_supply_times_batch(
     memory_arrays: np.ndarray,
     hardware: DualModeHardwareAbstraction,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`data_supply_times` over memory counts and operators.
+    """Off-chip and on-chip data-supply times (cycles) over memory counts.
 
     ``streamed`` / ``input_side`` are the operators'
     ``streamed_elements`` and ``streamed_input_elements +
-    extra_streamed_elements`` as columns.  Returns ``(offchip_times,
-    onchip_times)``, each element equal to the scalar function's.
+    extra_streamed_elements`` as columns.  Up to the native buffer plus
+    the memory-mode arrays' capacity of the input side lives on chip and
+    is served at the on-chip rate ``D_main + Mem * D_cim``; the remainder
+    crosses the off-chip link at ``d_extern``.  Outputs drain through the
+    on-chip path — if they must ultimately spill, the inter-segment
+    write-back term charges that transfer.  The two transfers overlap
+    with each other (and with computation), so the slower one bounds the
+    operator — the roofline realisation of Eq. 10's supply term: with no
+    memory arrays and a working set far beyond the buffer it degenerates
+    to ``OP / (D_main * AI)`` exactly as written in the paper.  Every rate
+    is positive (the hardware abstraction rejects a zero bandwidth), so
+    moving nothing costs exactly zero.  Returns ``(offchip_times,
+    onchip_times)``.
     """
     mem = np.asarray(memory_arrays, dtype=np.int64)
     onchip_capacity = hardware.buffer_elements + mem * hardware.array_capacity_elements
@@ -225,8 +170,8 @@ def operator_latency_factors_batch(
     hardware), so the whole compile is **one** evaluation: with 1-D
     counts of lengths ``C`` and ``M`` the results are ``(N, C)`` and
     ``(N, M)``, row ``k`` being operator ``k``, and ``max(compute_time[k,
-    c], supply_time[k, m])`` equals the scalar
-    :func:`operator_latency_cycles` bit for bit.  ``compute_time`` is
+    c], supply_time[k, m])`` is Eq. 10's ``L = max(OP / C, T_offchip,
+    T_onchip)`` at ``(c, m)``.  ``compute_time`` is
     ``inf`` where no compute is possible and ``0`` for an operator
     without MACs (pure data movement).
     """
@@ -245,6 +190,26 @@ def operator_latency_factors_batch(
             c_rate > 0, macs.astype(np.float64) / c_rate, INFEASIBLE_LATENCY
         )
     return np.where(macs == 0, 0.0, compute_time), np.maximum(offchip_time, onchip_time)
+
+
+def operator_latency_cycles(
+    profile: OperatorProfile,
+    allocation: OperatorAllocation,
+    hardware: DualModeHardwareAbstraction,
+) -> float:
+    """Eq. 10 of one operator under one allocation: the one cell of
+    :func:`operator_latency_factors_batch` over the profile alone.
+
+    A view for a one-off read (tens of microseconds a call); a caller
+    that prices many cells tabulates the factors once and reads them.
+    """
+    compute_time, supply_time = operator_latency_factors_batch(
+        ProfileVectors([profile], hardware),
+        np.array([allocation.compute_arrays]),
+        np.array([allocation.memory_arrays]),
+        hardware,
+    )
+    return guard_infeasible(float(max(compute_time[0, 0], supply_time[0, 0])))
 
 
 def pipeline_fill_cycles(
@@ -277,63 +242,3 @@ def combine_operator_latencies(
     if pipelined:
         return guard_infeasible(max(latencies) + pipeline_fill_cycles(latencies, hardware))
     return guard_infeasible(sum(latencies))
-
-
-def segment_latency_cycles(
-    profiles: Mapping[str, OperatorProfile],
-    allocations: Mapping[str, OperatorAllocation],
-    hardware: DualModeHardwareAbstraction,
-    pipelined: bool = True,
-) -> float:
-    """Intra-segment latency ``T_intra`` under a resource allocation.
-
-    Args:
-        profiles: Profiles of the segment's operators.
-        allocations: Allocation for every operator in ``profiles``.
-        hardware: Target hardware abstraction.
-        pipelined: See :func:`combine_operator_latencies`.
-
-    Raises:
-        KeyError: If an operator has no allocation entry.
-    """
-    latencies = [
-        operator_latency_cycles(profile, allocations[name], hardware)
-        for name, profile in profiles.items()
-    ]
-    return combine_operator_latencies(latencies, hardware, pipelined)
-
-
-def minimum_latency_all_compute(
-    profile: OperatorProfile,
-    total_arrays: int,
-    hardware: DualModeHardwareAbstraction,
-) -> float:
-    """Best achievable latency when every array is in compute mode.
-
-    Used by the baselines and by the mode-ratio sweep (Fig. 1(b) / Fig. 5):
-    the operator receives all arrays as compute resources (weight
-    duplication) and data is supplied from main memory only.
-    """
-    allocation = OperatorAllocation(compute_arrays=total_arrays, memory_arrays=0)
-    return operator_latency_cycles(profile, allocation, hardware)
-
-
-def best_split_latency(
-    profile: OperatorProfile,
-    total_arrays: int,
-    hardware: DualModeHardwareAbstraction,
-) -> Tuple[float, OperatorAllocation]:
-    """Best latency and allocation for a single operator given a budget.
-
-    Sweeps the compute/memory split of ``total_arrays`` arrays.  Used by
-    the motivation sweeps and as a reference point for the MIP allocator.
-    """
-    best = (INFEASIBLE_LATENCY, OperatorAllocation(0, 0))
-    min_compute = min(profile.min_compute_arrays(hardware), total_arrays)
-    for compute_arrays in range(max(min_compute, 1), total_arrays + 1):
-        memory_arrays = total_arrays - compute_arrays
-        allocation = OperatorAllocation(compute_arrays, memory_arrays)
-        latency = operator_latency_cycles(profile, allocation, hardware)
-        if latency < best[0]:
-            best = (latency, allocation)
-    return best

@@ -13,22 +13,24 @@ arise (Fig. 10):
    with the weights of the new segment's operators (Eq. 2); the off-chip
    fetch of those weights is overlapped.
 
-Their sum is ``T_inter`` (Eq. 4).  ``T_wb`` and ``T_swc`` are defined once,
-on counts (:func:`spill_cycles`, :func:`switch_cycles`): the segmenter's
-``NetworkSegmenter._edge_price`` calls them directly, and
-:func:`writeback_cycles` / :func:`mode_switch_cycles` apply them to
-:class:`SegmentResources` for the independent re-pricer
-``repro.core._reference.reprice_segments`` that checks the plans.
+Their sum is ``T_inter`` (Eq. 4).  Each term is defined once, on counts:
+``T_wb`` and ``T_swc`` by :func:`spill_cycles` and :func:`switch_cycles`,
+which the segmenter's ``NetworkSegmenter._edge_price`` calls directly and
+:func:`writeback_cycles` / :func:`mode_switch_cycles` apply to
+:class:`SegmentResources`; ``T_rw`` and a segment's array totals by
+:func:`window_totals`, over the columns of
+:class:`~repro.cost.arithmetic.ProfileVectors`.  The segmenter and the
+independent re-pricer ``repro.core._reference.reprice_segments`` that
+checks the plans both price through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..hardware.deha import DualModeHardwareAbstraction
-from .arithmetic import OperatorProfile, ProfileVectors
-from .latency import OperatorAllocation
+from .arithmetic import ProfileVectors
 
 
 @dataclass(frozen=True)
@@ -64,27 +66,6 @@ class SegmentResources:
 INITIAL_RESOURCES = SegmentResources(0, 0)
 
 
-def aggregate_resources(
-    profiles: Mapping[str, OperatorProfile],
-    allocations: Mapping[str, OperatorAllocation],
-    live_output_elements: int = 0,
-    num_arrays_total: Optional[int] = None,
-) -> SegmentResources:
-    """Summarise a segment's allocation for the inter-segment cost model."""
-    compute = sum(allocations[name].compute_arrays for name in profiles)
-    memory = sum(allocations[name].memory_arrays for name in profiles)
-    idle = max(0, num_arrays_total - compute - memory) if num_arrays_total is not None else 0
-    return SegmentResources(
-        compute_arrays=compute,
-        memory_arrays=memory,
-        live_output_elements=live_output_elements,
-        static_weight_elements=sum(
-            p.weight_elements for p in profiles.values() if p.has_static_weight
-        ),
-        idle_arrays=idle,
-    )
-
-
 def window_totals(
     vectors: ProfileVectors,
     start: int,
@@ -93,9 +74,17 @@ def window_totals(
     hardware: DualModeHardwareAbstraction,
 ) -> Tuple[int, int, float]:
     """``(compute_arrays, memory_arrays, T_rw)`` of operators ``start..stop-1``
-    under ``pairs`` (a window result's), in one walk over the columns: the
-    integers and Eq. 2 maximum of :func:`aggregate_resources` and
-    :func:`weight_reload_cycles`, priced per DP edge without profile objects."""
+    under ``pairs`` (one ``(compute, memory)`` per operator), in one walk
+    over the columns.
+
+    ``T_rw`` is Eq. 2: programming the segment's compute arrays.  Write
+    ports are per-array, so the reload of different operators overlaps
+    and the term is the maximum, over operators with static weights, of
+    the arrays written times ``Latency_write``.  An operator is charged
+    ``min(Com, required)`` arrays — its weights once, duplicate copies
+    not charged — or ``required`` when it holds no compute array.
+    Following the paper, the off-chip fetch of the weights is overlapped.
+    """
     has_static_weight = vectors.has_static_weight
     required_arrays = vectors.required_arrays
     write_latency = hardware.array_write_latency_cycles
@@ -204,26 +193,3 @@ def writeback_cycles(
         previous.live_output_elements, previous.idle_arrays,
         current.memory_arrays, current.idle_arrays, hardware, allow_boundary_buffering,
     )
-
-
-def weight_reload_cycles(
-    profiles: Mapping[str, OperatorProfile],
-    allocations: Mapping[str, OperatorAllocation],
-    hardware: DualModeHardwareAbstraction,
-) -> float:
-    """``T_rw`` (Eq. 2): programming the new segment's compute arrays.
-
-    Per Eq. 2 the reload of different operators overlaps (write ports are
-    per-array), so the array-programming term is the maximum over
-    operators of ``Com_Oi x Latency_write``.  Following the paper, the
-    off-chip transfer of those weights is assumed to be prefetched /
-    overlapped.
-    """
-    per_operator = 0.0
-    for name, profile in profiles.items():
-        if not profile.has_static_weight:
-            continue
-        required = profile.min_compute_arrays(hardware)
-        arrays_written = min(allocations[name].compute_arrays, required) or required
-        per_operator = max(per_operator, arrays_written * hardware.array_write_latency_cycles)
-    return per_operator

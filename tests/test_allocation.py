@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import allocation
-from repro.core._reference import named_allocations
 from repro.core.allocation import (
     ExactAllocator,
     GreedyAllocator,
@@ -17,7 +16,8 @@ from repro.core.allocation import (
     refine_with_spare_arrays,
 )
 from repro.core.cache import AllocationCache
-from repro.cost import profile_operator, segment_latency_cycles
+from repro.cost import OperatorAllocation, profile_operator
+from repro.cost.latency import combine_operator_latencies, operator_latency_cycles
 from repro.hardware import small_test_chip
 from repro.ir import Linear, MatMul, TensorSpec
 
@@ -45,9 +45,7 @@ def matmul_profile(name, b=4, m=16, k=64, n=64):
 def candidates(profile, hardware, **options):
     """``candidate_allocations`` over the profile's own factor tables."""
     factors = UnitColumns([profile], hardware).factors(0)
-    return candidate_allocations(
-        profile, hardware, hardware.num_arrays, factors=factors, **options
-    )
+    return candidate_allocations(profile, hardware, factors=factors, **options)
 
 
 def unrefined(engine, profiles, hardware):
@@ -150,9 +148,11 @@ class TestGreedyAllocator:
 
     def test_latency_matches_reported_allocation(self, small_chip, mixed_segment):
         result = unrefined(GreedyAllocator(), mixed_segment, small_chip)
-        recomputed = segment_latency_cycles(
-            mixed_segment, named_allocations(mixed_segment, result), small_chip
-        )
+        latencies = [
+            operator_latency_cycles(profile, OperatorAllocation(*pair), small_chip)
+            for profile, pair in zip(mixed_segment.values(), result.pairs)
+        ]
+        recomputed = combine_operator_latencies(latencies, small_chip)
         assert result.latency_cycles == pytest.approx(recomputed)
 
 

@@ -150,7 +150,7 @@ class TestExactAgainstBruteForce:
         columns = window_of(profiles, hardware).columns
         candidates = [
             candidate_allocations(
-                p, hardware, hardware.num_arrays, allow_memory_mode=allow, max_candidates=6,
+                p, hardware, allow_memory_mode=allow, max_candidates=6,
                 factors=columns.factors(k),
             )
             for k, p in enumerate(profiles.values())

@@ -1,29 +1,42 @@
-"""Tests for the cost models: profiles, Eq. 10 latency, Eq. 1/2/4 overheads."""
+"""Tests for the cost models: profiles, Eq. 10 latency, Eq. 1/2/4 overheads.
 
+The equations are tested by what they mean: each ``TestEq*`` case works
+its value out by hand from ``small-test-chip``'s numbers (``op_cim`` 256
+MACs/cycle per array, ``d_main`` 12 and ``d_cim`` 8 elements/cycle,
+``d_extern`` 8, a 2048-element buffer, 4096-element arrays, a 32-cycle
+array write, 16 fill cycles per pipeline stage).
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.cost
 from repro.cost import (
     OperatorAllocation,
     OperatorProfile,
     SegmentResources,
-    aggregate_resources,
-    best_split_latency,
-    compute_rate,
-    data_supply_times,
     mean_arithmetic_intensity,
-    minimum_latency_all_compute,
     mode_switch_cycles,
-    operator_latency_cycles,
+    operator_latency_bounds,
     profile_graph,
     profile_operator,
-    segment_latency_cycles,
     switch_counts,
-    weight_reload_cycles,
     writeback_cycles,
 )
-from repro.cost.switching import INITIAL_RESOURCES
+from repro.cost.arithmetic import ProfileVectors
+from repro.cost.latency import (
+    combine_operator_latencies,
+    compute_rate_batch,
+    data_supply_times_batch,
+    operator_latency_cycles,
+)
+from repro.cost.switching import INITIAL_RESOURCES, window_totals
 from repro.hardware import dynaplasia, small_test_chip
 from repro.ir import Linear, MatMul, TensorSpec
 
@@ -92,11 +105,6 @@ class TestProfiles:
 
 
 class TestLatencyModel:
-    def test_zero_compute_arrays_infeasible(self, small_chip):
-        profile = linear_profile()
-        latency = operator_latency_cycles(profile, OperatorAllocation(0, 0), small_chip)
-        assert latency == float("inf")
-
     def test_more_compute_arrays_never_slower(self, small_chip):
         profile = linear_profile(256, 256, 256)
         latencies = [
@@ -127,50 +135,200 @@ class TestLatencyModel:
 
     def test_compute_rate_degrades_when_underprovisioned(self, small_chip):
         profile = linear_profile(4, 256, 256)  # needs 16 arrays on the small chip
-        full = compute_rate(profile, 16, small_chip)
-        half = compute_rate(profile, 8, small_chip)
+        required = np.array([profile.min_compute_arrays(small_chip)])
+        full, half = compute_rate_batch(required, np.array([16, 8]), small_chip)
         assert half < full / 1.5
 
     def test_supply_times_split_on_and_off_chip(self, small_chip):
         profile = matmul_profile(16, 64, 64, 64)
-        off_none, on_none = data_supply_times(profile, 0, small_chip)
-        off_many, on_many = data_supply_times(profile, small_chip.num_arrays, small_chip)
+        (off_none, off_many), (on_none, on_many) = data_supply_times_batch(
+            np.array(profile.streamed_elements),
+            np.array(profile.streamed_input_elements + profile.extra_streamed_elements),
+            np.array([0, small_chip.num_arrays]),
+            small_chip,
+        )
         assert off_none > off_many
         assert on_none >= 0 and on_many >= 0
 
-    def test_minimum_latency_all_compute_matches_zero_memory(self, small_chip):
+    def test_all_compute_bound_is_the_whole_chip_in_compute(self, small_chip):
         profile = linear_profile()
-        direct = operator_latency_cycles(
+        (bound,) = operator_latency_bounds([profile], small_chip, allow_memory_mode=False)
+        assert bound == operator_latency_cycles(
             profile, OperatorAllocation(small_chip.num_arrays, 0), small_chip
         )
-        assert minimum_latency_all_compute(profile, small_chip.num_arrays, small_chip) == direct
 
-    def test_best_split_uses_whole_budget_or_less(self, small_chip):
-        profile = matmul_profile(8, 64, 64, 64)
-        latency, allocation = best_split_latency(profile, small_chip.num_arrays, small_chip)
-        assert latency < float("inf")
-        assert allocation.total_arrays <= small_chip.num_arrays
+    @pytest.mark.parametrize(
+        "profile",
+        [matmul_profile(8, 64, 64, 64), linear_profile(4, 256, 256), linear_profile(4, 1280, 1280)],
+        ids=["dynamic", "under-provisioned", "over-the-chip"],
+    )
+    def test_best_split_bound_is_the_best_whole_chip_split(self, small_chip, profile):
+        bounds = operator_latency_bounds([profile, profile], small_chip)
+        chip = small_chip.num_arrays
+        splits = [
+            operator_latency_cycles(profile, OperatorAllocation(c, chip - c), small_chip)
+            for c in range(min(profile.compute_floor(small_chip), chip), chip + 1)
+        ]
+        assert bounds.tolist() == [min(splits)] * 2 and min(splits) < float("inf")
+        (all_compute,) = operator_latency_bounds([profile], small_chip, allow_memory_mode=False)
+        assert bounds[0] <= all_compute
 
-    def test_segment_latency_pipelined_vs_serial(self, small_chip):
-        profiles = {
-            "a": linear_profile(32, 64, 64),
-            "b": linear_profile(32, 64, 64),
-        }
-        allocations = {
-            "a": OperatorAllocation(2, 1),
-            "b": OperatorAllocation(2, 1),
-        }
-        pipelined = segment_latency_cycles(profiles, allocations, small_chip, pipelined=True)
-        serial = segment_latency_cycles(profiles, allocations, small_chip, pipelined=False)
-        assert serial > pipelined / 2  # serial sums, pipelined takes the max
 
-    def test_segment_latency_missing_allocation_raises(self, small_chip):
-        profiles = {"a": linear_profile()}
-        with pytest.raises(KeyError):
-            segment_latency_cycles(profiles, {}, small_chip)
+def eq_profile(macs, stationary, streamed_input, output, static=True):
+    """An operator given by the numbers Eq. 10 and Eq. 2 read."""
+    return OperatorProfile(
+        name="op", op_type="linear", macs=macs, flops=2 * macs, input_elements=streamed_input,
+        output_elements=output, weight_elements=stationary if static else 0,
+        stationary_elements=stationary, streamed_input_elements=streamed_input,
+        extra_streamed_elements=0, has_static_weight=static, matmul_m=1, matmul_k=1,
+        matmul_n=1,
+    )
+
+
+class TestEq10OperatorLatency:
+    """Eq. 10: ``L = max(OP / C, T_offchip, T_onchip)`` with ``C = Com *
+    OP_cim`` (scaled by ``Com / required`` below the stationary
+    footprint), ``T_onchip = on-chip elements / (D_main + Mem * D_cim)``
+    and ``T_offchip = the input beyond buffer + Mem arrays / d_extern``."""
+
+    @staticmethod
+    def latency(profile, compute, memory, hardware):
+        return operator_latency_cycles(profile, OperatorAllocation(compute, memory), hardware)
+
+    def test_compute_bound(self, small_chip):
+        # 2**20 MACs on 2 arrays of 256 MACs/cycle: 2048 cycles; 1200
+        # elements on chip at 12/cycle: 100.
+        profile = eq_profile(2**20, 4096, 1000, 200)
+        assert self.latency(profile, 2, 0, small_chip) == 2048.0
+
+    def test_on_chip_bound(self, small_chip):
+        # 4000 elements at D_main + 1 * D_cim = 20 per cycle: 200 cycles;
+        # 25600 MACs on 1 array: 100.
+        profile = eq_profile(25600, 4096, 2000, 2000)
+        assert self.latency(profile, 1, 1, small_chip) == 200.0
+
+    def test_off_chip_bound(self, small_chip):
+        # 10240 input elements: 8192 beyond the 2048-element buffer cross
+        # at 8 per cycle (1024 cycles); one memory array keeps 4096 more
+        # on chip (4096 / 8 = 512 against 6144 / 20 = 307.2 on chip).
+        profile = eq_profile(25600, 4096, 10240, 0)
+        assert self.latency(profile, 1, 0, small_chip) == 1024.0
+        assert self.latency(profile, 1, 1, small_chip) == 512.0
+
+    def test_an_operator_without_macs_is_its_supply(self, small_chip):
+        # Nothing to compute, so no compute array is needed: 1200 / 12.
+        profile = eq_profile(0, 0, 1200, 0)
+        assert self.latency(profile, 0, 0, small_chip) == 100.0
+
+    def test_zero_compute_arrays_is_infeasible(self, small_chip):
+        profile = eq_profile(25600, 4096, 1000, 200)
+        assert self.latency(profile, 0, 4, small_chip) == float("inf")
+
+    def test_under_provisioned_operator_slows_down(self, small_chip):
+        # The stationary operand needs 4 arrays; 2 of them reload tiles,
+        # so C = 2 * 256 * (2 / 4) = 256 and 2**20 MACs take 4096 cycles.
+        profile = eq_profile(2**20, 4 * 4096, 1000, 200)
+        assert self.latency(profile, 2, 0, small_chip) == 4096.0
+        assert self.latency(profile, 4, 0, small_chip) == 1024.0
+
+
+class TestEq2WeightReload:
+    """Eq. 2: ``T_rw`` is the maximum, over operators with static weights,
+    of ``min(Com, required) or required`` arrays times the array write
+    latency (32 cycles)."""
+
+    def test_maximum_over_static_weight_operators(self, small_chip):
+        profiles = [
+            eq_profile(1, 2 * 4096, 1, 1),  # 3 arrays, 2 written: 64 cycles
+            eq_profile(1, 4096, 1, 1),  # no compute array: its 1 required, 32
+            eq_profile(1, 4 * 4096, 1, 1, static=False),  # dynamic: no reload
+        ]
+        totals = window_totals(
+            ProfileVectors(profiles, small_chip), 0, 3, [(3, 1), (0, 0), (4, 0)], small_chip
+        )
+        assert totals == (7, 1, 64.0)
+
+    def test_an_operator_without_compute_arrays_writes_what_it_requires(self, small_chip):
+        profiles = [eq_profile(1, 3 * 4096, 1, 1)]
+        vectors = ProfileVectors(profiles, small_chip)
+        assert window_totals(vectors, 0, 1, [(0, 2)], small_chip) == (0, 2, 96.0)
+
+
+class TestEq9SegmentLatency:
+    """Eq. 9: a pipelined segment takes its slowest operator plus one
+    16-cycle fill per stage; a serial one the sum of its operators."""
+
+    def test_pipelined_is_the_maximum_plus_the_fill(self, small_chip):
+        latencies = [100.0, 300.0, 200.0]
+        assert combine_operator_latencies(latencies, small_chip) == 300.0 + 3 * 16
+
+    def test_serial_is_the_sum(self, small_chip):
+        latencies = [100.0, 300.0, 200.0]
+        assert combine_operator_latencies(latencies, small_chip, pipelined=False) == 600.0
 
     def test_empty_segment_has_zero_latency(self, small_chip):
-        assert segment_latency_cycles({}, {}, small_chip) == 0.0
+        assert combine_operator_latencies([], small_chip) == 0.0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: The scalar and mapping twins of the column forms, gone from the program.
+DELETED_TWINS = (
+    "compute_rate",
+    "data_supply_times",
+    "segment_latency_cycles",
+    "best_split_latency",
+    "minimum_latency_all_compute",
+    "aggregate_resources",
+    "weight_reload_cycles",
+    "live_elements_at_boundary",
+)
+
+
+def chip_reads(path):
+    """``{hardware attribute: names of the functions of path that read it}``."""
+    readers = {}
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, set()).add(function.name)
+    return readers
+
+
+class TestOneDefinitionPerEquation:
+    """Each cost equation has one definition under ``cost/``: the column
+    form.  A function that reads a chip constant of an equation is a
+    definition of it, so each constant has its one reader (two for
+    ``op_cim``: Eq. 10's compute rate and the whole-chip roofline)."""
+
+    def test_each_equations_constants_have_one_reader(self):
+        readers = {}
+        for path in sorted((SRC / "cost").glob("*.py")):
+            for attribute, functions in chip_reads(path).items():
+                readers.setdefault(attribute, set()).update(functions)
+        assert readers["d_cim"] == readers["d_main"] == {"data_supply_times_batch"}
+        assert readers["array_write_latency_cycles"] == {"window_totals"}
+        assert readers["op_cim"] == {"compute_rate_batch", "compute_roofline_cycles"}
+
+    def test_the_twins_are_gone(self):
+        assert not set(DELETED_TWINS) & set(repro.cost.__all__)
+        defined = {
+            f"{path.relative_to(SRC)}: {node.name}"
+            for path in SRC.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and node.name in DELETED_TWINS
+        }
+        assert not defined
+
+    def test_only_the_floor_column_spells_the_compute_floor(self):
+        """One compute floor: only ``cost/arithmetic.py`` (and the frozen
+        oracles) write ``max(1, …min_compute_arrays(``."""
+        assert sorted(
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            if re.search(r"max\(1, [\w.]*min_compute_arrays\(", path.read_text(encoding="utf-8"))
+        ) == ["core/_reference.py", "cost/arithmetic.py"]
 
 
 class TestInterSegmentCosts:
@@ -216,16 +374,9 @@ class TestInterSegmentCosts:
         without = writeback_cycles(prev, curr, small_chip, allow_boundary_buffering=False)
         assert with_buffering < without
 
-    def test_weight_reload_eq2_max_over_operators(self, small_chip):
-        profiles = {"a": linear_profile(4, 128, 128), "b": linear_profile(4, 64, 64)}
-        allocations = {"a": OperatorAllocation(4, 0), "b": OperatorAllocation(1, 0)}
-        cycles = weight_reload_cycles(profiles, allocations, small_chip)
-        assert cycles == pytest.approx(4 * small_chip.array_write_latency_cycles)
-
     def test_weight_reload_skips_dynamic_operands(self, small_chip):
-        profiles = {"qk": matmul_profile()}
-        allocations = {"qk": OperatorAllocation(2, 0)}
-        assert weight_reload_cycles(profiles, allocations, small_chip) == 0.0
+        vectors = ProfileVectors([matmul_profile()], small_chip)
+        assert window_totals(vectors, 0, 1, [(2, 0)], small_chip) == (2, 0, 0.0)
 
     @staticmethod
     def repriced(graph, hardware, **options):
@@ -243,10 +394,18 @@ class TestInterSegmentCosts:
         assert len(plans) > 1
         previous = None
         for plan in plans:
+            pairs = [
+                (plan.allocations[name].compute_arrays, plan.allocations[name].memory_arrays)
+                for name in plan.operator_names
+            ]
+            *_, reload = window_totals(
+                ProfileVectors(plan.profiles.values(), small_chip),
+                0, len(pairs), pairs, small_chip,
+            )
             assert plan.inter_breakdown == {
                 "writeback": writeback_cycles(previous, plan.resources, small_chip),
                 "mode_switch": mode_switch_cycles(previous, plan.resources, small_chip),
-                "weight_reload": weight_reload_cycles(plan.profiles, plan.allocations, small_chip),
+                "weight_reload": reload,
             }
             assert plan.inter_cycles == sum(plan.inter_breakdown.values())
             previous = plan.resources
@@ -258,15 +417,10 @@ class TestInterSegmentCosts:
             assert free.inter_breakdown["mode_switch"] == 0.0
             assert charged.inter_cycles >= free.inter_cycles
 
-    def test_aggregate_resources_counts(self, small_chip):
-        profiles = {"a": linear_profile(4, 128, 128), "b": linear_profile(4, 64, 64)}
-        allocations = {"a": OperatorAllocation(3, 1), "b": OperatorAllocation(1, 2)}
-        resources = aggregate_resources(
-            profiles, allocations, live_output_elements=123, num_arrays_total=8
+    def test_window_totals_count_a_segments_arrays(self, small_chip):
+        vectors = ProfileVectors(
+            [linear_profile(4, 128, 128), linear_profile(4, 64, 64)], small_chip
         )
-        assert resources.compute_arrays == 4
-        assert resources.memory_arrays == 3
-        assert resources.idle_arrays == 1
-        assert resources.live_output_elements == 123
-        assert resources.total_arrays == 7
-        assert resources.static_weight_elements == 128 * 128 + 64 * 64
+        compute, memory, _ = window_totals(vectors, 0, 2, [(3, 1), (1, 2)], small_chip)
+        assert (compute, memory) == (4, 3)
+        assert vectors.window_static_weight_elements(0, 1) == 128 * 128 + 64 * 64

@@ -1,5 +1,7 @@
 """Tests for graph flattening and the DP network segmentation."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,11 @@ from hypothesis import strategies as st
 from repro.core.cache import AllocationCache
 from repro.core.segmentation import (
     CompilerOptions,
+    FlattenedUnit,
     NetworkSegmenter,
     expand_profiled,
     flatten_graph,
-    live_elements_at_boundary,
+    live_elements_vector,
     plan_cost,
     profile_graph,
 )
@@ -54,17 +57,23 @@ class TestFlatten:
         for unit in units:
             assert unit.live_until >= unit.index
 
-    def test_live_elements_at_boundary_counts_crossing_data(self, small_chip, tiny_cnn_graph):
+    def test_live_elements_count_crossing_data(self, small_chip, tiny_cnn_graph):
         units = flatten_graph(tiny_cnn_graph, small_chip)
         # After the first convolution its output is still needed downstream.
-        live = live_elements_at_boundary(units, 0)
-        assert live >= units[0].profile.output_elements
+        assert live_elements_vector(units)[0] >= units[0].profile.output_elements
 
-    def test_live_elements_monotone_bounds(self, small_chip, tiny_transformer_graph):
-        units = flatten_graph(tiny_transformer_graph, small_chip)
-        for boundary in range(len(units) - 1):
-            live = live_elements_at_boundary(units, boundary)
-            assert live >= 0
+    def test_live_elements_are_the_outputs_a_later_unit_reads(self):
+        """Eq. 4's live data volume at boundary ``b``: outputs of units
+        ``0..b`` read after ``b``.  Unit 0 skips to unit 2, units 1 and 2
+        feed their successors, unit 3 is the graph's last."""
+        profile = profile_operator(build_model("tiny-mlp").cim_operators()[0])
+        units = [
+            FlattenedUnit(
+                f"u{index}", f"u{index}", replace(profile, output_elements=output), index, until
+            )
+            for index, (output, until) in enumerate([(10, 2), (20, 2), (30, 3), (40, 3)])
+        ]
+        assert live_elements_vector(units).tolist() == [10, 10 + 20, 30, 0]
 
     @pytest.mark.parametrize(
         "model, workload, hardware",
@@ -335,13 +344,12 @@ class TestUnitColumnsTripwires:
 
         from conftest import window_of
 
-        from repro.core._reference import named_allocations
         from repro.core.allocation import allocate_segment
         from repro.cost.switching import (
             INITIAL_RESOURCES,
-            aggregate_resources,
+            SegmentResources,
             mode_switch_cycles,
-            weight_reload_cycles,
+            window_totals,
             writeback_cycles,
         )
         from repro.hardware import get_preset
@@ -363,10 +371,9 @@ class TestUnitColumnsTripwires:
             arguments = segmenter._solve_arguments(start, end, spare)
             window = segmenter._window(start, end)
             mapping = {unit.name: unit.profile for unit in units[start : end + 1]}
+            alone = window_of(mapping, hardware)
             from_window = allocate_segment(window, cache=AllocationCache(), **arguments)
-            from_mapping = allocate_segment(
-                window_of(mapping, hardware), cache=AllocationCache(), **arguments
-            )
+            from_mapping = allocate_segment(alone, cache=AllocationCache(), **arguments)
             assert from_window.feasible and from_mapping == from_window
             for ours, theirs in (
                 (from_window, from_mapping),
@@ -376,17 +383,15 @@ class TestUnitColumnsTripwires:
                 if ours is not None:
                     assert ours.pairs == theirs.pairs
                     assert ours.latency_cycles == theirs.latency_cycles
-            allocations = named_allocations(mapping, from_mapping)
-            # The DP's one-walk edge pricing is the mapping-based cost model's.
-            live = 1000 * (end + 1)
+            # The DP's edge price of the window is the price of the
+            # mapping's own columns.
             *terms, compute, memory, idle = segmenter._edge_price(
                 previous or INITIAL_RESOURCES, start, end + 1, from_window.pairs
             )
-            expected = aggregate_resources(
-                mapping,
-                allocations,
-                live_output_elements=live,
-                num_arrays_total=hardware.num_arrays,
+            totals = window_totals(alone.columns, 0, len(mapping), from_mapping.pairs, hardware)
+            expected = SegmentResources(
+                totals[0], totals[1], 1000 * (end + 1), 0,
+                max(0, hardware.num_arrays - totals[0] - totals[1]),
             )
             assert (compute, memory, idle) == (
                 expected.compute_arrays, expected.memory_arrays, expected.idle_arrays
@@ -394,7 +399,7 @@ class TestUnitColumnsTripwires:
             assert terms == [
                 writeback_cycles(previous, expected, hardware),
                 mode_switch_cycles(previous, expected, hardware),
-                weight_reload_cycles(mapping, allocations, hardware),
+                totals[2],
             ]
             previous = expected
 
@@ -546,7 +551,8 @@ class TestScalarEdgePricing:
     """The DP prices an edge in scalars and builds objects only for winners.
 
     One pricing: the scalar edge price is the cost model's Eq. 4 sum over
-    :func:`~repro.cost.switching.aggregate_resources`, bit for bit.  Two
+    the :class:`SegmentResources` of the window's own columns
+    (:func:`~repro.cost.switching.window_totals`), bit for bit.  Two
     tripwires: a :class:`SegmentResources` is built only for a relaxation
     that lowers ``best_cost[j]``, and the layer boundaries the
     benchmark's tracer wraps are still called once per window or solve.
@@ -573,13 +579,12 @@ class TestScalarEdgePricing:
     def test_edge_price_is_the_cost_model_bit_for_bit(
         self, unit_sets, allow_memory_mode, include_switch_cost, data
     ):
-        from repro.cost.latency import OperatorAllocation
+        from repro.cost.arithmetic import ProfileVectors
         from repro.cost.switching import (
             INITIAL_RESOURCES,
             SegmentResources,
-            aggregate_resources,
             mode_switch_cycles,
-            weight_reload_cycles,
+            window_totals,
             writeback_cycles,
         )
 
@@ -611,19 +616,21 @@ class TestScalarEdgePricing:
         )
         price = writeback + switch + reload  # the sum the DP adds to an edge
 
-        profiles = {unit.name: unit.profile for unit in units[start:stop]}
-        allocations = {
-            name: OperatorAllocation(*pair) for name, pair in zip(profiles, pairs)
-        }
-        resources = aggregate_resources(
-            profiles, allocations, num_arrays_total=hardware.num_arrays
+        # The window's profiles alone, as columns of their own.
+        vectors = ProfileVectors([unit.profile for unit in units[start:stop]], hardware)
+        compute_arrays, memory_arrays, reload = window_totals(
+            vectors, 0, stop - start, pairs, hardware
+        )
+        resources = SegmentResources(
+            compute_arrays, memory_arrays,
+            idle_arrays=max(0, hardware.num_arrays - compute_arrays - memory_arrays),
         )
         expected = (
             writeback_cycles(
                 previous, resources, hardware, allow_boundary_buffering=allow_memory_mode
             )
             + (mode_switch_cycles(previous, resources, hardware) if include_switch_cost else 0.0)
-            + weight_reload_cycles(profiles, allocations, hardware)
+            + reload
         )
         assert price == expected and repr(price) == repr(expected)
         assert (compute, memory, idle) == (
