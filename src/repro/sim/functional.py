@@ -9,7 +9,11 @@ PyTorch framework.  This module does the same with numpy as the reference:
   arrays exactly as the mapping prescribes, every array performs its own
   partial MVM, and partial sums are accumulated along the K dimension;
 * the result is compared against the dense numpy reference
-  (:mod:`repro.sim.reference`);
+  (:mod:`repro.sim.reference`) in one streaming pass: the reference walk
+  executes the graph once, and each mapped operator is checked the moment
+  the walk produces it, with the weight the walk drew for its kernel.  The
+  weight and every activation no later operator reads are then dropped,
+  so the pass holds one weight and the live activations at a time;
 * the program's meta-operator flow, when it has one, is walked by the one
   flow interpreter (:class:`~repro.sim.timing.TimingSimulator`), which
   checks every array claim against the chip state and counts the mode
@@ -100,12 +104,11 @@ def execute_tiled_matmul(
     tiles = 0
     for k_lo in range(0, k, array_rows):
         k_hi = min(k, k_lo + array_rows)
+        band = streamed[:, k_lo:k_hi].astype(np.float64)
         for n_lo in range(0, n, array_cols):
             n_hi = min(n, n_lo + array_cols)
             tiles += 1
-            result[:, n_lo:n_hi] += streamed[:, k_lo:k_hi].astype(np.float64) @ stationary[
-                k_lo:k_hi, n_lo:n_hi
-            ].astype(np.float64)
+            result[:, n_lo:n_hi] += band @ stationary[k_lo:k_hi, n_lo:n_hi].astype(np.float64)
     return result.astype(np.float32), tiles
 
 
@@ -136,9 +139,12 @@ class FunctionalSimulator:
 
         The dense reference execution provides every operator's input
         tensors; each CIM-mappable operator is then re-executed at array
-        granularity and compared.  The meta-operator flow (when present)
-        is walked by :class:`TimingSimulator`, which checks every array
-        claim; a program without a flow is checked numerically only.
+        granularity and compared, once per parent however many shards it
+        was partitioned into.  Checks are listed in the order the parents
+        first appear in the program's segments.  The meta-operator flow
+        (when present) is walked by :class:`TimingSimulator`, which checks
+        every array claim; a program without a flow is checked
+        numerically only.
 
         Raises:
             FunctionalSimulationError: If the program references operators
@@ -152,9 +158,9 @@ class FunctionalSimulator:
             timing = TimingSimulator(self.hardware).run(program)
             report.switch_events = timing.switch_events
             report.mode_switch_cycles = timing.breakdown.mode_switch
-        values = self.reference.run(graph)
 
         operators = {op.name: op for op in graph.operators}
+        slots: Dict[str, int] = {}
         for segment in program.segments:
             for name in segment.operator_names:
                 source_name = self._source_operator_name(name)
@@ -162,12 +168,19 @@ class FunctionalSimulator:
                     raise FunctionalSimulationError(
                         f"compiled operator {name!r} has no source operator in graph"
                     )
-                op = operators[source_name]
-                check = self._check_operator(op, values)
-                if check is not None:
-                    # Partitioned shards re-check the same parent once.
-                    if not any(c.operator == check.operator for c in report.checks):
-                        report.checks.append(check)
+                if operators[source_name].is_cim_mappable:
+                    slots.setdefault(source_name, len(slots))
+
+        checks: List[Optional[OperatorCheck]] = [None] * len(slots)
+        values: Dict[str, np.ndarray] = {}
+
+        def visit(op: Operator, weight: Optional[np.ndarray]) -> None:
+            slot = slots.get(op.name)
+            if slot is not None:
+                checks[slot] = self._check_operator(op, values, weight)
+
+        self.reference.walk(graph, values, visit=visit, release=True)
+        report.checks = checks
         return report
 
     @staticmethod
@@ -179,18 +192,18 @@ class FunctionalSimulator:
     # operator-level check
     # ------------------------------------------------------------------ #
     def _check_operator(
-        self, op: Operator, values: Dict[str, np.ndarray]
-    ) -> Optional[OperatorCheck]:
-        """Run one operator through the tiled path, one matmul per batch element."""
-        if not op.is_cim_mappable:
-            return None
+        self, op: Operator, values: Dict[str, np.ndarray], weight: Optional[np.ndarray]
+    ) -> OperatorCheck:
+        """Run one CIM-mappable operator through the tiled path, one matmul
+        per batch element; ``weight`` is its drawn weight (None for an
+        activation product)."""
         reference = values[op.outputs[0].name]
         if op.op_type == "conv2d":
-            streamed, stationary, reference = self._conv_as_matmul(op, values)
+            streamed, stationary, reference = self._conv_as_matmul(op, values, weight)
         elif op.has_static_weight:
             dims = op.matmul_dims()
             streamed = values[op.inputs[0].name].reshape(1, -1, dims.k)
-            stationary = self.reference.weight_of(op).reshape(1, dims.k, dims.n)
+            stationary = weight.reshape(1, dims.k, dims.n)
         else:
             # An activation product (attention) is batched over its leading dims.
             lhs, rhs = (values[tensor.name] for tensor in op.inputs[:2])
@@ -206,7 +219,8 @@ class FunctionalSimulator:
         error = float(np.max(np.abs(difference))) if result.size else 0.0
         return OperatorCheck(op.name, error, tiles, error <= self.tolerance)
 
-    def _conv_as_matmul(self, op, values):
+    @staticmethod
+    def _conv_as_matmul(op, values, weight):
         """A convolution's first group as its im2col matmul, plus its reference.
 
         All groups share one mapping structure, so a grouped or depthwise
@@ -214,7 +228,6 @@ class FunctionalSimulator:
         group is the whole convolution.
         """
         x = values[op.inputs[0].name]
-        weight = self.reference.weight_of(op)
         out_per_group = weight.shape[0] // op.groups
         kh, kw = weight.shape[2:]
         cols, _, _ = _im2col(x[:, : x.shape[1] // op.groups], kh, kw, op.stride, op.padding)

@@ -135,8 +135,10 @@ def compute_metrics(outcomes) -> ReplayMetrics:
             per_model[model] = per_model.get(model, 0) + served
 
     metrics.makespan_ms = float(finishes.max() - arrivals.min())
-    if metrics.makespan_ms > 0:
-        metrics.throughput_rps = count / (metrics.makespan_ms / 1000.0)
+    # A positive subnormal makespan is 0.0 in seconds: test what divides.
+    seconds = metrics.makespan_ms / 1000.0
+    if seconds > 0:
+        metrics.throughput_rps = count / seconds
     ranks = [rank_index(count, 50.0), rank_index(count, 99.0), count - 1]
     p50, p99, top = np.partition(latencies, ranks)[ranks].tolist()
     metrics.latency_p50_ms, metrics.latency_p99_ms, metrics.latency_max_ms = p50, p99, top

@@ -6,15 +6,24 @@ meta-operator flows against PyTorch).  This module plays PyTorch's role:
 it executes a :class:`~repro.ir.graph.Graph` operator by operator with
 dense numpy kernels, using deterministic synthetic weights and inputs.
 
+There is one walk, :meth:`ReferenceExecutor.walk`, over the graph's
+topological order.  It draws each operator's weight once, hands it to the
+kernel and to an optional ``visit`` callback, and can drop every tensor
+once its last reader has run; :meth:`ReferenceExecutor.run` is the walk
+that keeps every tensor.  A weight is drawn into its float32 output in
+chunks of :data:`CHUNK_ELEMENTS`, so drawing it needs no more than the
+weight itself plus one chunk of float64 scratch.
+
 Numerics are carried in float32 regardless of the declared tensor dtypes —
-the goal is functional equivalence of the mapping/tiling, not bit-exact
-integer quantisation.
+every kernel takes and returns float32 — since the goal is functional
+equivalence of the mapping/tiling, not bit-exact integer quantisation.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -41,16 +50,37 @@ class ReferenceExecutionError(RuntimeError):
     """Raised when the reference executor cannot handle an operator."""
 
 
+#: Elements :func:`deterministic_tensor` draws per step (512 KiB of float64).
+CHUNK_ELEMENTS = 64 * 1024
+
+
 def deterministic_tensor(spec: TensorSpec, seed: int = 0, scale: float = 0.1) -> np.ndarray:
     """Deterministic pseudo-random float32 tensor for a spec.
 
     The same (name, shape, seed) yields the same data in every process (a
     CRC-32 seed, not the salted ``hash()``), so compiled programs and
     reference runs see identical inputs without storing any dataset.
+
+    The values are ``(rng.standard_normal(shape) * scale)`` cast to
+    float32, bit for bit, but drawn :data:`CHUNK_ELEMENTS` at a time into
+    the output: the generator's stream does not depend on how it is cut.
     """
-    canonical = repr((spec.name, tuple(int(d) for d in spec.shape), int(seed)))
+    shape = tuple(int(d) for d in spec.shape)
+    canonical = repr((spec.name, shape, int(seed)))
     rng = np.random.default_rng(zlib.crc32(canonical.encode("utf-8")))
-    return (rng.standard_normal(spec.shape) * scale).astype(np.float32)
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    scratch = np.empty(min(CHUNK_ELEMENTS, flat.size), dtype=np.float64)
+    for lo in range(0, flat.size, CHUNK_ELEMENTS):
+        chunk = scratch[: min(CHUNK_ELEMENTS, flat.size - lo)]
+        rng.standard_normal(out=chunk)
+        chunk *= scale
+        flat[lo : lo + chunk.size] = chunk
+    return out
+
+
+#: tanh-approximation gelu's sqrt(2 / pi).
+_GELU_SCALE = math.sqrt(2.0 / math.pi)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding) -> np.ndarray:
@@ -84,14 +114,47 @@ class ReferenceExecutor:
     def run(self, graph: Graph, inputs: Optional[Dict[str, np.ndarray]] = None) -> Dict[str, np.ndarray]:
         """Execute ``graph``; returns every produced tensor by name."""
         values: Dict[str, np.ndarray] = {}
+        self.walk(graph, values, inputs)
+        return values
+
+    def walk(
+        self,
+        graph: Graph,
+        values: Dict[str, np.ndarray],
+        inputs: Optional[Dict[str, np.ndarray]] = None,
+        visit: Optional[Callable[[Operator, Optional[np.ndarray]], None]] = None,
+        release: bool = False,
+    ) -> None:
+        """Execute ``graph`` into ``values``, one operator at a time.
+
+        Each operator's weight is drawn once, used by its kernel, passed to
+        ``visit(op, weight)`` — called while ``values`` holds the
+        operator's inputs and output — and dropped before the next draw.
+        With ``release``, a tensor leaves ``values`` after the visit of
+        its last reader (an output no operator reads, after its own), so
+        only live activations are held.
+        """
         for spec in graph.graph_inputs:
             if inputs and spec.name in inputs:
                 values[spec.name] = np.asarray(inputs[spec.name], dtype=np.float32)
             else:
                 values[spec.name] = deterministic_tensor(spec, self.seed)
-        for op in graph.topological_order():
-            values[op.outputs[0].name] = self.run_operator(op, values)
-        return values
+        order = graph.topological_order()
+        last_use: Dict[str, int] = {}  # a tensor's last reader, else its producer
+        for position, op in enumerate(order if release else ()):
+            last_use[op.outputs[0].name] = position
+            last_use.update((tensor.name, position) for tensor in op.inputs)
+        dead: List[List[str]] = [[] for _ in order]
+        for name, position in last_use.items():
+            dead[position].append(name)
+        for op, names in zip(order, dead):
+            weight = self.weight_of(op) if op.weight is not None else None
+            values[op.outputs[0].name] = self.run_operator(op, values, weight)
+            if visit is not None:
+                visit(op, weight)
+            del weight  # before the next operator draws its own
+            for name in names:
+                del values[name]
 
     def weight_of(self, op: Operator) -> np.ndarray:
         """Deterministic weight tensor of an operator."""
@@ -102,15 +165,18 @@ class ReferenceExecutor:
     # ------------------------------------------------------------------ #
     # per-operator kernels
     # ------------------------------------------------------------------ #
-    def run_operator(self, op: Operator, values: Dict[str, np.ndarray]) -> np.ndarray:
-        """Execute one operator given the tensors produced so far."""
+    def run_operator(
+        self, op: Operator, values: Dict[str, np.ndarray], weight: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Execute one operator given the tensors produced so far and its
+        drawn weight (None for an operator without one)."""
         args = [values[t.name] for t in op.inputs]
         if isinstance(op, Linear):
-            return self._linear(op, args[0])
+            return self._linear(op, args[0], weight)
         if isinstance(op, MatMul):
             return np.matmul(args[0], args[1])
         if isinstance(op, Conv2d):
-            return self._conv2d(op, args[0])
+            return self._conv2d(op, args[0], weight)
         if isinstance(op, Activation):
             return self._activation(op.function, args[0])
         if isinstance(op, Elementwise):
@@ -124,24 +190,24 @@ class ReferenceExecutor:
         if isinstance(op, GlobalAvgPool):
             return args[0].mean(axis=(2, 3))
         if isinstance(op, Embedding):
-            table = self.weight_of(op)
-            indices = np.mod(np.abs(args[0]).astype(np.int64), table.shape[0])
-            return table[indices]
+            indices = np.mod(np.abs(args[0]).astype(np.int64), weight.shape[0])
+            return weight[indices]
         if isinstance(op, Reshape):
             return args[0].reshape(op.outputs[0].shape)
         if isinstance(op, Concat):
             return np.concatenate(args, axis=op.axis)
         raise ReferenceExecutionError(f"unsupported operator type {op.op_type!r} ({op.name})")
 
-    def _linear(self, op: Linear, x: np.ndarray) -> np.ndarray:
-        weight = self.weight_of(op)
+    @staticmethod
+    def _linear(op: Linear, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
         k, n = weight.shape
         flat = x.reshape(-1, k)
         out = flat @ weight
         return out.reshape(op.outputs[0].shape)
 
-    def _conv2d(self, op: Conv2d, x: np.ndarray) -> np.ndarray:
-        weight = self.weight_of(op)  # (out_c, in_c_per_group, kh, kw)
+    @staticmethod
+    def _conv2d(op: Conv2d, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        # weight: (out_c, in_c_per_group, kh, kw)
         out_c, in_c_per_group, kh, kw = weight.shape
         groups = op.groups
         n, in_c, _, _ = x.shape
@@ -162,7 +228,8 @@ class ReferenceExecutor:
         if function == "relu":
             return np.maximum(x, 0.0)
         if function == "gelu":
-            return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+            # A Python float constant: a numpy float64 one would promote x.
+            return 0.5 * x * (1.0 + np.tanh(_GELU_SCALE * (x + 0.044715 * x**3)))
         if function in ("silu", "swish"):
             return x / (1.0 + np.exp(-x))
         if function == "sigmoid":

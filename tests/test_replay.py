@@ -568,8 +568,9 @@ def _reference_metrics(outcomes) -> dict:
         metrics.makespan_ms = (
             max(o.finish_ms for o in served) - min(o.arrival_ms for o in served)
         )
-        if metrics.makespan_ms > 0:
-            metrics.throughput_rps = len(served) / (metrics.makespan_ms / 1000.0)
+        seconds = metrics.makespan_ms / 1000.0
+        if seconds > 0:
+            metrics.throughput_rps = len(served) / seconds
         metrics.latency_p50_ms = nearest_rank(ordered, 50.0)
         metrics.latency_p99_ms = nearest_rank(ordered, 99.0)
         metrics.latency_max_ms = ordered[-1]
@@ -642,6 +643,17 @@ class TestMetricsDifferential:
                 for name in ("arrival_ms", "start_ms", "switch_ms", "service_ms", "finish_ms")
             )
             assert type(outcome.served) is bool
+
+    def test_a_subnormal_makespan_has_no_throughput(self):
+        """5e-324 ms is 0.0 s: no ZeroDivisionError, throughput stays 0."""
+        outcomes = replay_schedule(
+            ["r0"], [0.0], [0], ["p0"], ["a"], [5e-324], lambda previous, key: 0.0
+        )
+        metrics = compute_metrics(outcomes)
+        assert metrics.makespan_ms == 5e-324
+        assert metrics.throughput_rps == 0.0
+        assert metrics.utilisation == 1.0
+        assert repr(metrics.to_dict()) == repr(_reference_metrics(outcomes))
 
 
 class TestQueueDepth:

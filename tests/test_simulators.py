@@ -2,6 +2,9 @@
 
 import copy
 import dataclasses
+import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,8 +33,9 @@ from repro.sim import (
     execute_tiled_matmul,
 )
 from repro.serve import program_from_wire, program_to_wire
+import repro.sim.reference as reference_module
 from repro.sim.functional import FunctionalSimulationError
-from repro.sim.reference import ReferenceExecutionError
+from repro.sim.reference import CHUNK_ELEMENTS, ReferenceExecutionError
 from repro.ir import GraphBuilder, TensorSpec
 
 
@@ -75,6 +79,24 @@ class TestDeterministicTensors:
         assert len(outputs) == 1
         expected = deterministic_tensor(TensorSpec("w", (2, 2)), seed=3)
         assert outputs == {expected.tobytes().hex()}
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 5), (CHUNK_ELEMENTS,), (256, CHUNK_ELEMENTS // 256), (3, CHUNK_ELEMENTS // 2 + 17),
+         (0, 7), ()],
+        ids=["below", "one-chunk", "one-chunk-2d", "remainder", "empty", "0-d"],
+    )
+    def test_chunks_equal_the_one_shot_draw(self, shape):
+        """Drawing in chunks cuts the generator's stream, never changes it."""
+        import zlib
+
+        # TensorSpec refuses a zero dimension; the draw takes any named shape.
+        spec = SimpleNamespace(name="w", shape=shape) if 0 in shape else TensorSpec("w", shape)
+        rng = np.random.default_rng(zlib.crc32(repr(("w", shape, 5)).encode("utf-8")))
+        expected = np.asarray((rng.standard_normal(shape) * 0.1).astype(np.float32))
+        got = deterministic_tensor(spec, seed=5)
+        assert got.dtype == np.float32 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestReferenceExecutor:
@@ -181,6 +203,106 @@ class TestReferenceExecutor:
         x = np.ones((1, 256), dtype=np.float32)
         values = ReferenceExecutor().run(tiny_mlp_graph, inputs={"x": x})
         np.testing.assert_array_equal(values["x"], x)
+
+
+@pytest.fixture(scope="module")
+def bert_block():
+    """The benchmark's executable paper-chip case: bert-large, seq 64, dynaplasia."""
+    graph = build_model("bert", Workload())
+    with Session(hardware="dynaplasia") as session:
+        return session.compile(graph), graph
+
+
+class TestFloat32Throughout:
+    @pytest.mark.parametrize("model", ["tiny-mlp", "tiny-cnn", "tiny-transformer", "bert"])
+    def test_every_tensor_is_float32(self, model, bert_block):
+        graph = bert_block[1] if model == "bert" else build_model(model, Workload(seq_len=16))
+        values = ReferenceExecutor().run(graph)
+        assert len(values) == len(graph.graph_inputs) + len(graph.operators)
+        assert {name: value.dtype for name, value in values.items()} == {
+            name: np.dtype(np.float32) for name in values
+        }
+
+
+class TestOneStreamingPass:
+    """The functional check executes the graph once: each parent operator
+    is checked once, each tensor drawn once, and memory stays bounded."""
+
+    def test_each_parent_is_checked_once_and_each_tensor_drawn_once(
+        self, small_chip, monkeypatch
+    ):
+        graph = build_model("tiny-mlp", Workload())
+        with Session(hardware=small_chip) as session:
+            program = session.compile(graph)
+        units = [name for segment in program.segments for name in segment.operator_names]
+        assert len(units) > len(graph.cim_operators())  # partitioned
+        checked, drawn = Counter(), Counter()
+        check = FunctionalSimulator._check_operator
+        draw = reference_module.deterministic_tensor
+
+        def counting_check(self, op, *args):
+            checked[op.name] += 1
+            return check(self, op, *args)
+
+        def counting_draw(spec, *args, **kwargs):
+            drawn[spec.name] += 1
+            return draw(spec, *args, **kwargs)
+
+        monkeypatch.setattr(FunctionalSimulator, "_check_operator", counting_check)
+        monkeypatch.setattr(reference_module, "deterministic_tensor", counting_draw)
+        report = FunctionalSimulator(small_chip).run(program, graph)
+        parents = [op.name for op in graph.cim_operators()]
+        assert [c.operator for c in report.checks] == parents and report.all_matched
+        assert checked == Counter(parents)
+        tensors = [spec.name for spec in graph.graph_inputs]
+        tensors += [op.weight.name for op in graph.operators if op.weight is not None]
+        assert drawn == Counter(tensors)
+
+    def test_traced_peak_is_at_most_two_weights(self, bert_block):
+        """One weight and the live activations at a time.  A pass that held
+        every activation and drew each weight twice traced 54.8 MiB here,
+        3.4x the largest weight (16 MiB); this one traces about 21.5 MiB."""
+        program, graph = bert_block
+        largest = max(op.weight.num_elements for op in graph.operators if op.weight is not None)
+        simulator = FunctionalSimulator(program.hardware)
+        tracemalloc.start()
+        try:
+            report = simulator.run(program, graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_matched, report.summary()
+        assert peak <= 2 * 4 * largest, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_checks_follow_the_segment_order(self, small_chip, compiled_tiny_transformer,
+                                             tiny_transformer_graph):
+        """Listed by first appearance in the program, not in execution order."""
+        segments = list(reversed(compiled_tiny_transformer.segments))
+        program = dataclasses.replace(
+            compiled_tiny_transformer, segments=segments, meta_program=None
+        )
+        report = FunctionalSimulator(small_chip).run(program, tiny_transformer_graph)
+        expected = list(dict.fromkeys(
+            name.split("::", 1)[0] for segment in segments for name in segment.operator_names
+        ))
+        assert [check.operator for check in report.checks] == expected
+        assert expected != [op.name for op in tiny_transformer_graph.cim_operators()]
+
+    def test_an_unknown_unit_is_named_after_the_flow_walk(
+        self, small_chip, compiled_tiny_cnn, tiny_cnn_graph
+    ):
+        segments = copy.deepcopy(compiled_tiny_cnn.segments)
+        segments[-1].operator_names[0] = "ghost::part0"
+        program = dataclasses.replace(compiled_tiny_cnn, segments=segments)
+        with pytest.raises(FunctionalSimulationError, match="'ghost::part0' has no source"):
+            FunctionalSimulator(small_chip).run(program, tiny_cnn_graph)
+        corrupt, message = FLOW_CORRUPTIONS["dropped-switch"]
+        meta = copy.deepcopy(compiled_tiny_cnn.meta_program)
+        corrupt(meta.blocks())
+        with pytest.raises(FlowError, match=message):
+            FunctionalSimulator(small_chip).run(
+                dataclasses.replace(program, meta_program=meta), tiny_cnn_graph
+            )
 
 
 class TestTiledMatmul:
