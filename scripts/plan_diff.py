@@ -15,6 +15,15 @@ which must be identical::
     (cd ../parent && python scripts/plan_diff.py) > before.json
     diff before.json after.json && echo "no plan moved"
 
+``--compare BEFORE.json AFTER.json`` reads two such outputs instead of
+compiling and summarises what moved: each moved row with its old and
+new ``end_to_end_cycles`` and their ratio, the number of byte-identical
+rows, per chip the geomean ratio and the worst (slowest-moving) row over
+the moved rows, and every ledger row whose ``status`` or ``holds``
+differs::
+
+    python scripts/plan_diff.py --compare before.json after.json
+
 ``--models`` and ``--chips`` narrow the grid.  One
 ``Session`` per preset compiles all of that preset's programs; the full
 grid (228 programs) takes about 40 s on a 2-core machine.
@@ -33,6 +42,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,11 +95,62 @@ def ledger():
     }
 
 
+def compare(before, after):
+    """The lines ``--compare`` prints for two ``plan_diff`` outputs."""
+    before, after = dict(before), dict(after)
+    ledgers = before.pop("ledger", {}), after.pop("ledger", {})
+    lines = []
+    moved = {}  # chip -> [(ratio, row)]
+    identical = 0
+    for row in sorted(before.keys() | after.keys()):
+        old, new = before.get(row), after.get(row)
+        if old is None or new is None:
+            lines.append(f"only in {'AFTER' if old is None else 'BEFORE'}: {row}")
+        elif json.dumps(old, sort_keys=True) == json.dumps(new, sort_keys=True):
+            identical += 1
+        else:
+            ratio = new["end_to_end_cycles"] / old["end_to_end_cycles"]
+            moved.setdefault(row.split("@", 1)[1].split("/", 1)[0], []).append((ratio, row))
+            lines.append(
+                f"moved {row}: {old['end_to_end_cycles']!r} -> "
+                f"{new['end_to_end_cycles']!r} (ratio {ratio:.9f})"
+            )
+    common = len(before.keys() & after.keys())
+    lines.append(f"{identical} of {common} rows byte-identical")
+    for chip, rows in sorted(moved.items()):
+        geomean = math.exp(sum(math.log(ratio) for ratio, _ in rows) / len(rows))
+        worst_ratio, worst = max(rows)
+        lines.append(
+            f"{chip}: {len(rows)} moved, geomean ratio {geomean:.9f}, "
+            f"worst {worst} ({worst_ratio:.9f})"
+        )
+    old_ledger, new_ledger = ledgers
+    for claim in sorted(old_ledger.keys() | new_ledger.keys()):
+        old, new = old_ledger.get(claim, {}), new_ledger.get(claim, {})
+        changes = [
+            f"{field} {old.get(field)} -> {new.get(field)}"
+            for field in ("status", "holds")
+            if old.get(field) != new.get(field)
+        ]
+        if changes:
+            timing = " (timing-dependent)" if claim.startswith("fig18.") else ""
+            lines.append(f"ledger {claim}: {', '.join(changes)}{timing}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--models", nargs="+", default=list_models())
     parser.add_argument("--chips", nargs="+", default=list(CHIPS))
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+        help="summarise two outputs of this script instead of compiling",
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        documents = [json.loads(Path(path).read_text()) for path in args.compare]
+        sys.stdout.write("".join(f"{line}\n" for line in compare(*documents)))
+        return 0
     table = plans(args.models, args.chips)
     table["ledger"] = ledger()
     json.dump(table, sys.stdout, indent=1, sort_keys=True)

@@ -252,7 +252,6 @@ def reference_refine_with_spare_arrays(
     hardware: DualModeHardwareAbstraction,
     pipelined: bool = True,
     allow_memory_mode: bool = True,
-    reserve_arrays: int = 0,
 ):
     """The pre-vectorisation ``refine_with_spare_arrays`` body, frozen;
     ``result``'s pairs belong to ``profiles``' operators, in order."""
@@ -260,7 +259,7 @@ def reference_refine_with_spare_arrays(
         return result
     allocations = named_allocations(profiles, result)
     used = sum(a.total_arrays for a in allocations.values())
-    remaining = hardware.num_arrays - used - max(0, reserve_arrays)
+    remaining = hardware.num_arrays - used
     if remaining <= 0:
         return result
     latency = _latency_reader(profiles, hardware)

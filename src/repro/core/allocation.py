@@ -85,11 +85,7 @@ class AllocationResult:
         from_cache: Whether the result was served from a shared
             :class:`~repro.core.cache.AllocationCache` instead of a fresh
             solve (used by compile statistics).  A hit is a fresh result
-            around the stored pairs; its ``unreserved`` twin is the
-            stored one.
-        unreserved: The same solve refined with ``reserve_arrays=0``;
-            ``None`` when that is this very result.  The segmentation
-            DP relaxes each edge with both.
+            around the stored pairs.
     """
 
     pairs: Tuple[Pair, ...]
@@ -97,7 +93,6 @@ class AllocationResult:
     feasible: bool
     solver: str
     from_cache: bool = False
-    unreserved: Optional["AllocationResult"] = None
 
     @property
     def total_arrays(self) -> int:
@@ -374,8 +369,7 @@ def _hand_out_spare_arrays(
     spare: int,
     allow_memory_mode: bool,
     inbound_arrays: int,
-    reserve: int = 0,
-) -> Tuple[_HandOut, Optional[_HandOut]]:
+) -> _HandOut:
     """Grow the bottleneck operator one array at a time.
 
     ``pairs`` is the seed allocation, one ``(compute, memory)`` per
@@ -393,22 +387,17 @@ def _hand_out_spare_arrays(
     still-uncovered inbound data; with nothing inbound that is the
     latency alone.
 
-    A step depends only on the state it starts from, so the hand-out
-    that withholds ``reserve`` arrays is the first ``spare - reserve``
-    steps of the one that does not: one loop yields both.
-
     The loop runs ~20k steps per cold benchmark pass, so each step is
     list reads and comparisons on locals: the operators' Eq. 10 rows
     come from ``window``'s columns, ``a if a > b else b`` stands in for
     ``max(b, a)``.
 
     Returns:
-        ``(reserved, unreserved)``: the state once all but ``reserve``
-        arrays are handed out, and the state after all ``spare`` —
-        ``None`` when the loop never touched the reserve.
+        The state the loop stops in: the pairs and their per-operator
+        latencies.
     """
     if not pairs:  # an empty window has no bottleneck to grow
-        return ((), []), None
+        return (), []
     columns = window.columns
     hardware = columns.hardware
     compute_rows, supply_rows = columns.factor_tables()
@@ -425,12 +414,7 @@ def _hand_out_spare_arrays(
     uncovered = inbound_arrays - sum(memory) if allow_memory_mode else 0
     credit = 2.0 * hardware.array_capacity_elements / hardware.d_extern
 
-    def state() -> _HandOut:
-        return tuple(zip(compute, memory)), list(latencies)
-
-    held = max(0, spare - reserve)
-    reserved = None
-    for step in range(spare):
+    for _ in range(spare):
         current = max(latencies)
         index = latencies.index(current)
         compute_time = compute_times[index]
@@ -447,30 +431,20 @@ def _hand_out_spare_arrays(
                 best, score, grow_memory = buffered, retained, True
         if score >= current - 1e-9:
             break
-        if step == held:
-            reserved = state()
         if grow_memory:
             memory[index] = mem + 1
             uncovered -= 1
         else:
             compute[index] = com + 1
         latencies[index] = best
-    if reserved is None:
-        return state(), None
-    return reserved, state()
+    return tuple(zip(compute, memory)), latencies
 
 
-def _priced(
-    state: _HandOut,
-    window: UnitWindow,
-    solver: str,
-    pipelined: bool,
-    twin: Optional[AllocationResult] = None,
-) -> AllocationResult:
+def _priced(state: _HandOut, window: UnitWindow, solver: str, pipelined: bool) -> AllocationResult:
     """The result of one hand-out state: its pairs and their Eq. 9 latency."""
     pairs, latencies = state
     latency = combine_operator_latencies(latencies, window.hardware, pipelined)
-    return AllocationResult(pairs, latency, True, solver, False, twin)
+    return AllocationResult(pairs, latency, True, solver)
 
 
 # ---------------------------------------------------------------------- #
@@ -502,7 +476,7 @@ class GreedyAllocator:
         if used > hardware.num_arrays:
             return None
         floors = window.columns.floors[window.start : window.stop].tolist()
-        (pairs, _), _ = _hand_out_spare_arrays(
+        pairs, _ = _hand_out_spare_arrays(
             [(floor, 0) for floor in floors],
             window,
             hardware.num_arrays - used,
@@ -588,7 +562,7 @@ class ExactAllocator(MIPAllocator):
         # T* lies between the slowest operator's best latency (below it
         # some operator has no admissible candidate) and the largest
         # minimum-footprint latency (above it nothing changes).  Most
-        # windows (411 of a cold benchmark pass's 502) fit at the floor.
+        # windows (392 of a cold benchmark pass's 483) fit at the floor.
         floor = -min(column[-1] for column in negated)
         best = picks(floor)
         if best is not None:
@@ -623,7 +597,6 @@ def refine_with_spare_arrays(
     solver: str,
     pipelined: bool = True,
     allow_memory_mode: bool = True,
-    reserve_arrays: int = 0,
     inbound_arrays: int = 0,
 ) -> AllocationResult:
     """Hand leftover arrays to the bottleneck operator (weight duplication).
@@ -641,28 +614,20 @@ def refine_with_spare_arrays(
         solver: The engine's name, which the result carries.
         allow_memory_mode: Whether spare arrays may also grow an operator's
             memory-mode buffer (False for fixed-mode baselines).
-        reserve_arrays: Arrays to leave untouched — the segmentation pass
-            reserves them as boundary buffers for live inter-segment data.
-            The refinement that hands them out too rides along as
-            ``result.unreserved`` (absent when identical).
         inbound_arrays: Arrays' worth of live data entering the segment
             beyond the native buffer.  Until the segment's memory-mode
             arrays cover it, growing a buffer is also worth the
             write-back it avoids (see :func:`_hand_out_spare_arrays`);
             0 reproduces the plain latency-only hand-out.
     """
-    reserved, unreserved = _hand_out_spare_arrays(
+    state = _hand_out_spare_arrays(
         pairs,
         window,
         window.hardware.num_arrays - sum(compute + memory for compute, memory in pairs),
         allow_memory_mode,
         inbound_arrays,
-        max(0, reserve_arrays),
     )
-    if unreserved is None:
-        return _priced(reserved, window, solver, pipelined)
-    twin = _priced(unreserved, window, solver, pipelined)
-    return _priced(reserved, window, solver, pipelined, twin)
+    return _priced(state, window, solver, pipelined)
 
 
 # ---------------------------------------------------------------------- #
@@ -681,8 +646,6 @@ class AllocationCacheKey:
         pipelined: Whether the segment latency model pipelines operators.
         refine: Whether duplication refinement ran after the solve.
         allow_memory_mode: Whether memory-mode arrays were permitted.
-        reserve_arrays: Arrays withheld from refinement for boundary
-            buffering.
         inbound_arrays: Arrays' worth of live data entering the segment,
             which the refinement's memory option is credited for
             retaining.  A fixed-mode solve cannot act on it, so its key
@@ -693,11 +656,10 @@ class AllocationCacheKey:
 
     def __init__(
         self, hardware: str, segment: Tuple[Tuple, ...], engine: str, pipelined: bool,
-        refine: bool, allow_memory_mode: bool, reserve_arrays: int, inbound_arrays: int = 0,
+        refine: bool, allow_memory_mode: bool, inbound_arrays: int = 0,
     ) -> None:
         self._fields = (
-            hardware, segment, engine, pipelined, refine, allow_memory_mode,
-            reserve_arrays, inbound_arrays,
+            hardware, segment, engine, pipelined, refine, allow_memory_mode, inbound_arrays,
         )
         self._hash = hash(self._fields)
 
@@ -707,8 +669,7 @@ class AllocationCacheKey:
     pipelined = property(lambda self: self._fields[3])
     refine = property(lambda self: self._fields[4])
     allow_memory_mode = property(lambda self: self._fields[5])
-    reserve_arrays = property(lambda self: self._fields[6])
-    inbound_arrays = property(lambda self: self._fields[7])
+    inbound_arrays = property(lambda self: self._fields[6])
 
     def __hash__(self) -> int:
         return self._hash
@@ -728,7 +689,6 @@ class AllocationCacheKey:
         pipelined: bool,
         refine: bool,
         allow_memory_mode: bool,
-        reserve_arrays: int,
         inbound_arrays: int = 0,
     ) -> "AllocationCacheKey":
         """Build the key for one ``allocate_segment`` invocation."""
@@ -739,7 +699,6 @@ class AllocationCacheKey:
             pipelined,
             refine,
             allow_memory_mode,
-            int(reserve_arrays),
             int(inbound_arrays) if allow_memory_mode else 0,
         )
 
@@ -751,8 +710,7 @@ class AllocationCacheKey:
         took the retention-credited memory option, so it is what the
         fixed-mode solve of that window produces.
         """
-        fields = self._fields
-        return AllocationCacheKey(*fields[:5], True, fields[6], int(inbound_arrays))
+        return AllocationCacheKey(*self._fields[:5], True, int(inbound_arrays))
 
 
 def allocate_segment(
@@ -760,7 +718,6 @@ def allocate_segment(
     allocator: Optional[object] = None,
     pipelined: bool = True,
     refine: bool = True,
-    reserve_arrays: int = 0,
     *,
     cache: "AllocationCache",
     inbound_arrays: int = 0,
@@ -775,9 +732,6 @@ def allocate_segment(
 
     Args:
         allocator: The engine; :class:`ExactAllocator` when omitted.
-        reserve_arrays: Arrays withheld from duplication so the
-            segmentation pass can dedicate them to boundary buffering.
-            Feasibility is always checked against the full chip.
         cache: The window table, a
             :class:`~repro.core.cache.AllocationCache`.
         inbound_arrays: Arrays' worth of live data entering the segment
@@ -795,7 +749,6 @@ def allocate_segment(
         pipelined=pipelined,
         refine=refine,
         allow_memory_mode=allow_memory_mode,
-        reserve_arrays=reserve_arrays,
         inbound_arrays=inbound_arrays,
     )
     cached = cache.lookup(key, inbound_arrays)
@@ -811,12 +764,11 @@ def allocate_segment(
             solver,
             pipelined=pipelined,
             allow_memory_mode=allow_memory_mode,
-            reserve_arrays=reserve_arrays,
             inbound_arrays=inbound_arrays,
         )
     else:
         # A hand-out of no arrays is the pick and its latencies.
-        state, _ = _hand_out_spare_arrays(pick, window, 0, allow_memory_mode, 0)
+        state = _hand_out_spare_arrays(pick, window, 0, allow_memory_mode, 0)
         result = _priced(state, window, solver, pipelined)
     cache.put(key, result)
     return result

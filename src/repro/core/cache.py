@@ -3,13 +3,14 @@
 The DP segmentation asks the allocator for every candidate window (Fig. 18
 of the paper).  :class:`AllocationCache` memoises those solves *across*
 segmentation runs, compilers and compile requests of one process.  Its
-traffic is reuse between *different* compiles — the repeated projections
-inside one transformer block (13 % of a cold compile's probes), the
-neighbouring points of a DSE sweep (328 of the benchmark grid's 646
-probes), the fixed-mode twin of a dual-mode compile — because the *same*
-compile asked twice never gets here: the service's program table
-answers it whole (:class:`repro.service.ProgramTable`).  The saving per
-hit is modest: a solve (engine plus refinement, as ``allocate_segment``
+traffic is reuse between *different* compiles — the repeated windows of
+one compile, such as a transformer block's projections (97 of the
+benchmark's cold five-model pass's 580 probes), the neighbouring points
+of a DSE sweep (373 of the benchmark grid's 646 probes), the fixed-mode
+twin of a dual-mode compile — because the *same* compile asked twice
+never gets here: the service's program table answers it whole
+(:class:`repro.service.ProgramTable`).  The saving per hit is modest: a
+solve (engine plus refinement, as ``allocate_segment``
 sees it) costs ~60 µs and a hit ~6.5 µs (means), and compiling the
 benchmark's five-model set on ``dynaplasia`` with every window a hit
 (fresh ``CMSwitchCompiler`` objects over the table a first round filled)
@@ -24,15 +25,15 @@ numbers and the reasoning are in its header).
 * the key is **structural** — the hardware fingerprint, the ordered
   structural signatures of the window's operators (names excluded, read
   off the window's columns) and the options that influence the solve
-  (engine, pipelining, refinement, memory mode, boundary reserve).
+  (engine, pipelining, refinement, memory mode, inbound count).
   Structurally identical segments — the same model compiled twice, the
   repeated projection layers of a transformer block — hit the same
   entry;
 * an entry is the :class:`~repro.core.allocation.AllocationResult` the
-  solve returned (its ``unreserved`` twin in the same slot); results are
-  positional and carry no operator names, so a hit is a fresh result
-  around the stored pairs, flagged ``from_cache`` — bit-identical to
-  what a cold solve would produce, built without touching a pair;
+  solve returned; results are positional and carry no operator names,
+  so a hit is a fresh result around the stored pairs, flagged
+  ``from_cache`` — bit-identical to what a cold solve would produce,
+  built without touching a pair;
 * a fixed-mode (``allow_memory_mode=False``) lookup that misses may fall
   back to the dual-mode entry for the same key when that entry uses no
   memory-mode arrays: the dual-mode optimum then lies inside the
@@ -69,13 +70,11 @@ WINDOW_TABLE_ENTRIES = 4096
 
 
 def _storable(result: AllocationResult, length: int) -> bool:
-    """Whether ``result`` and its twin hold one pair per operator of a
+    """Whether ``result`` holds one pair per operator of a
     ``length``-operator window: a feasible result of another length is
     never stored, or a later hit would hand its pairs to the wrong
     operators."""
-    return (not result.feasible or len(result.pairs) == length) and (
-        result.unreserved is None or _storable(result.unreserved, length)
-    )
+    return not result.feasible or len(result.pairs) == length
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,7 @@ class AllocationCache:
             return None
         self._counters["hits"].inc()
         return AllocationResult(
-            stored.pairs, stored.latency_cycles, stored.feasible, stored.solver, True,
-            stored.unreserved,
+            stored.pairs, stored.latency_cycles, stored.feasible, stored.solver, True
         )
 
     def put(self, key: AllocationCacheKey, result: AllocationResult) -> None:

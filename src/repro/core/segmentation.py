@@ -306,37 +306,23 @@ def live_elements_vector(units: Sequence[FlattenedUnit]) -> np.ndarray:
     return np.cumsum(diff)[:m]
 
 
-def boundary_arrays(
-    liveness: np.ndarray,
-    hardware: DualModeHardwareAbstraction,
-    allow_memory_mode: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """What each window's boundaries ask of it, in arrays: ``(reserves, inbound)``.
+def inbound_arrays_vector(
+    liveness: np.ndarray, hardware: DualModeHardwareAbstraction
+) -> np.ndarray:
+    """The live data entering each window, in arrays.
 
-    ``reserves[end]`` — arrays withheld from duplication so a dual-mode
-    compiler can keep the live outputs of a window ending at ``end`` in
-    memory-mode arrays rather than spilling them off chip (at most half
-    the chip; nothing at the final boundary, nothing for fixed-mode
-    compiles; the DP also tries each edge without them).
-    ``inbound[start]`` — the live data entering a window that
-    starts at ``start``, beyond what the native buffer holds, i.e. how
-    many memory-mode arrays :func:`~repro.cost.switching
-    .writeback_cycles` would credit it for retaining.  The inbound count
-    is a fact about the window, not the mode: a fixed-mode solve cannot
-    act on it (and its cache key drops it), but its cross-mode probe
-    needs it to name the dual-mode entry of the same window.
+    Entry ``start`` is the live data entering a window that starts at
+    ``start``, beyond what the native buffer holds, i.e. how many
+    memory-mode arrays :func:`~repro.cost.switching.writeback_cycles`
+    would credit it for retaining.  The count is a fact about the
+    window, not the mode: a fixed-mode solve cannot act on it (and its
+    cache key drops it), but its cross-mode probe needs it to name the
+    dual-mode entry of the same window.
     """
-    m = len(liveness)
-    reserves = np.zeros(m, dtype=np.int64)
-    inbound = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        capacity = hardware.array_capacity_elements
-        live = liveness[:-1]
-        if allow_memory_mode:
-            reserves[:-1] = np.minimum(-(-live // capacity), hardware.num_arrays // 2)
-        overflow = np.maximum(live - hardware.buffer_elements, 0)
-        inbound[1:] = -(-overflow // capacity)
-    return reserves, inbound
+    inbound = np.zeros(len(liveness), dtype=np.int64)
+    overflow = np.maximum(liveness[:-1] - hardware.buffer_elements, 0)
+    inbound[1:] = -(-overflow // hardware.array_capacity_elements)
+    return inbound
 
 
 def plan_cost(segments: Sequence[SegmentPlan]) -> float:
@@ -405,7 +391,7 @@ class NetworkSegmenter:
         self.options = options or CompilerOptions()
         engine = ExactAllocator if self.options.use_milp else GreedyAllocator
         self._allocator = engine(allow_memory_mode=self.options.allow_memory_mode)
-        # The refinement (reserved or not) the DP's best plan uses per window.
+        # The allocation the DP's best plan uses per window.
         self._chosen: Dict[Tuple[int, int], AllocationResult] = {}
         self._cache = cache
         obs = NULL_OBS if obs is None else obs
@@ -415,7 +401,6 @@ class NetworkSegmenter:
         # unit list); built by ``_prepare``, dead with the compile.
         self._vectors: Optional[UnitColumns] = None
         self._liveness: Optional[List[int]] = None
-        self._reserves: Optional[List[int]] = None
         self._inbound: Optional[List[int]] = None
         self.allocation_calls = 0
         self.cache_hits = 0
@@ -430,8 +415,8 @@ class NetworkSegmenter:
         cell in O(1): the unit columns (per-operator Eq. 10 tables,
         candidate lists, signatures, static-weight and compute-floor
         prefix sums — see :class:`~repro.core.allocation.UnitColumns`),
-        the live elements at every boundary, and the boundary reserve /
-        inbound count each window end / start implies.
+        the live elements at every boundary, and the inbound count each
+        window start implies.
 
         Raises:
             ValueError: A unit's compute floor exceeds the chip.
@@ -451,12 +436,9 @@ class NetworkSegmenter:
             )
         self._vectors = vectors
         liveness = live_elements_vector(units)
-        reserves, inbound = boundary_arrays(
-            liveness, self.hardware, self.options.allow_memory_mode
-        )
         # Plain lists: the DP reads one entry per window.
         self._liveness = liveness.tolist()
-        self._reserves, self._inbound = reserves.tolist(), inbound.tolist()
+        self._inbound = inbound_arrays_vector(liveness, self.hardware).tolist()
 
     # ------------------------------------------------------------------ #
     # window solves
@@ -487,7 +469,6 @@ class NetworkSegmenter:
             "allocator": self._allocator,
             "pipelined": self.options.pipelined,
             "refine": self.options.refine,
-            "reserve_arrays": self._reserves[end],
             "inbound_arrays": min(self._inbound[start], spare),
         }
 
@@ -545,7 +526,7 @@ class NetworkSegmenter:
                 allocation = self._allocate(i, j - 1)
                 self._dp_edge(i, j, live, allocation, tables)
 
-        # Backtrack the boundaries, keeping the variant each edge won with.
+        # Backtrack the boundaries, keeping the allocation each edge won with.
         boundaries: List[Tuple[int, int]] = []
         j = m
         while j > 0:
@@ -579,7 +560,7 @@ class NetworkSegmenter:
         """Eq. 4 of entering window ``[start, stop)`` under ``pairs`` from
         ``previous``, in scalars: ``(T_wb, T_swc, T_rw, compute, memory,
         idle)``, added in that order wherever they are summed.  The DP
-        prices ~1000 edge variants a cold pass and keeps a fifth, so it
+        prices every edge of a cold pass and keeps a fraction, so it
         builds no :class:`SegmentResources` to price one; the plan
         records the winners' terms (:meth:`build_plans`).
         """
@@ -605,30 +586,22 @@ class NetworkSegmenter:
         allocation: AllocationResult,
         tables,
     ) -> None:
-        """Relax the Eq. 3 edge ``i -> j`` with an obtained allocation.
+        """Relax the Eq. 3 edge ``i -> j`` with the window's allocation.
 
-        Reserving the boundary buffer is the edge's choice: the edge is
-        relaxed with the refinement that withholds it and, where it
-        differs, with the one that hands it out.  Both are priced in scalars
-        (:meth:`_edge_price`); only the winner's resources are built.
+        The edge is priced in scalars (:meth:`_edge_price`); resources
+        are built only when it wins.
         """
+        if not allocation.feasible:
+            return
         best_cost, predecessor, last_resources, last_allocation = tables
-        previous = last_resources[i]
-        winner = None
-        for variant in (allocation, allocation.unreserved):
-            if variant is None or not variant.feasible:
-                continue
-            writeback, switch, reload, compute, memory, idle = self._edge_price(
-                previous, i, j, variant.pairs
-            )
-            cost = best_cost[i] + variant.latency_cycles + (writeback + switch + reload)
-            if cost < best_cost[j]:
-                best_cost[j] = cost
-                winner = variant, compute, memory, idle
-        if winner is not None:
-            variant, compute, memory, idle = winner
+        writeback, switch, reload, compute, memory, idle = self._edge_price(
+            last_resources[i], i, j, allocation.pairs
+        )
+        cost = best_cost[i] + allocation.latency_cycles + (writeback + switch + reload)
+        if cost < best_cost[j]:
+            best_cost[j] = cost
             predecessor[j] = i
-            last_allocation[j] = variant
+            last_allocation[j] = allocation
             static_weight = self._vectors.window_static_weight_elements(i, j - 1)
             last_resources[j] = SegmentResources(compute, memory, live, static_weight, idle)
 

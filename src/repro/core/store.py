@@ -78,10 +78,13 @@ __all__ = ["DiskCacheStore", "DiskStoreStats", "FORMAT_VERSION", "ProgramKey"]
 
 #: Version of the on-disk entry format.  Bump it whenever the entry
 #: payload, the key canonicalisation, or the meaning of any stored field
-#: changes; readers refuse entries with a different version (see module
-#: docstring for the newer/older asymmetry).  Versions up to 3 held one
-#: allocation window per entry.
-FORMAT_VERSION = 4
+#: changes, and whenever a compiler change moves any plan: equal keys
+#: promise bit-identical programs, so a plan an older compiler stored
+#: must not be served.  Readers refuse entries with a different version
+#: (see module docstring for the newer/older asymmetry).  Versions up to
+#: 3 held one allocation window per entry; version 4 held the plans of
+#: the DP that also relaxed each edge with a boundary reserve.
+FORMAT_VERSION = 5
 
 #: Default size budget: generous for real sweeps, small enough that a
 #: forgotten cache directory cannot fill a CI disk.

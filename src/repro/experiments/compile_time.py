@@ -2,10 +2,9 @@
 
 CMSwitch explores a strictly larger optimisation space than CIM-MLC (the
 dual-mode dimension: every window solved over compute *and* memory
-candidates, every edge relaxed with and without its boundary reserve),
-so its compilation takes a multiple of CIM-MLC's time — the paper reports 2.8x–6.3x,
-with CNNs costing more than transformers because transformer blocks are
-compiled once and reused across layers.  This experiment measures both
+candidates), so its compilation takes a multiple of CIM-MLC's time — the
+paper reports 2.8x–6.3x, with CNNs costing more than transformers because
+transformer blocks are compiled once and reused across layers.  This experiment measures both
 compilers' wall-clock compilation time on the Fig. 14 benchmark set;
 ours is 1.2–1.5x per model (ledger row ``fig18.overhead`` in
 ``tests/test_paper_claims.py``, ``deviates``).  Two looser readings

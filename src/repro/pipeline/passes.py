@@ -151,11 +151,10 @@ class Allocate(Pass):
 class FixedModeFallback(Pass):
     """Test oracle: also run the DP in fixed mode and keep the faster plan.
 
-    Not in the default sequence.  The one DP tries every edge with and
-    without its boundary reserve, which covers what a second,
-    all-compute DP used to rescue, so this pass should never set
-    ``ctx.fallback_used`` — the plan-quality suite inserts it after
-    ``Allocate`` to check exactly that.  Skipped when memory mode is off.
+    Not in the default sequence.  The one DP solves each window once,
+    over a superset of the fixed-mode candidates, so this pass should
+    never set ``ctx.fallback_used`` — the plan-quality suite inserts it
+    after ``Allocate`` to check exactly that.  Skipped when memory mode is off.
     Its segmenter joins ``ctx.segmenters``, so its solver work is
     accounted in the program's stats.  Every graph has a fixed-mode plan
     too: partitioning makes each unit fit the chip.

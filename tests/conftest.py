@@ -192,6 +192,24 @@ def graph_serialisations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def asked_windows(monkeypatch):
+    """Every ``AllocationCacheKey`` a window table is asked while the test
+    runs, in order.  Without evictions a pass solves each distinct key
+    once (unless a cross-mode hit answers it) and hits on the rest."""
+    from repro.core.cache import AllocationCache
+
+    asked = []
+    real = AllocationCache.lookup
+
+    def recording(self, key, inbound_arrays=0):
+        asked.append(key)
+        return real(self, key, inbound_arrays)
+
+    monkeypatch.setattr(AllocationCache, "lookup", recording)
+    return asked
+
+
 @pytest.fixture(scope="session")
 def cli_process():
     """Run ``python -m repro.cli ARGS...`` in a fresh interpreter.

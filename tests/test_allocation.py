@@ -2,8 +2,6 @@
 
 import pytest
 from conftest import window_of
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import allocation
 from repro.core.allocation import (
@@ -213,13 +211,6 @@ class TestRefinement:
         )
         assert refined.latency_cycles <= base.latency_cycles + 1e-9
 
-    def test_refine_respects_reserve(self, small_chip):
-        window = window_of({"proj": linear_profile("proj", 32, 128, 128)}, small_chip)
-        minimal = [(floor, 0) for floor in window.columns.floors.tolist()]
-        reserve = 3
-        refined = refine_with_spare_arrays(minimal, window, "test", reserve_arrays=reserve)
-        assert refined.total_arrays <= small_chip.num_arrays - reserve
-
     def test_refine_compute_only_mode(self, small_chip, mixed_segment):
         base = unrefined(GreedyAllocator(allow_memory_mode=False), mixed_segment, small_chip)
         refined = refine_with_spare_arrays(
@@ -246,17 +237,13 @@ class TestRefinement:
         )
         assert result.feasible is False and refined == []
 
-    @given(reserve=st.integers(min_value=0, max_value=6))
-    @settings(max_examples=10, deadline=None)
-    def test_allocate_segment_reserve_property(self, reserve):
+    def test_allocate_segment_fits_the_chip(self):
         hw = small_test_chip()
         profiles = {
             "a": linear_profile("a", 32, 64, 64),
             "b": matmul_profile("b", 2, 16, 64, 64),
         }
-        result = allocate_segment(
-            window_of(profiles, hw), reserve_arrays=reserve, cache=AllocationCache()
-        )
+        result = allocate_segment(window_of(profiles, hw), cache=AllocationCache())
         assert result.feasible
         assert result.total_arrays <= hw.num_arrays
 

@@ -177,8 +177,8 @@ class TestExactAgainstBruteForce:
 
 class TestRefinementProperties:
     @settings(max_examples=80, deadline=None)
-    @given(windows(), st.integers(0, 8), st.integers(0, 12))
-    def test_budget_latency_and_mode_invariants(self, window, reserve, inbound):
+    @given(windows(), st.integers(0, 12))
+    def test_budget_latency_and_mode_invariants(self, window, inbound):
         hardware, profiles, allow = window
         window = window_of(profiles, hardware)
         seed = unrefined(ENGINES[ExactAllocator, allow], window)
@@ -189,13 +189,10 @@ class TestRefinementProperties:
             window,
             seed.solver,
             allow_memory_mode=allow,
-            reserve_arrays=reserve,
             inbound_arrays=inbound,
         )
-        # Never past the arrays the reserve leaves (the seed may already be).
-        assert refined.total_arrays <= max(
-            seed.total_arrays, hardware.num_arrays - reserve
-        )
+        # Never past the chip (the seed may already be).
+        assert refined.total_arrays <= max(seed.total_arrays, hardware.num_arrays)
         for (compute, memory), (grown_compute, grown_memory) in zip(seed.pairs, refined.pairs):
             assert grown_compute >= compute
             assert grown_memory >= memory
@@ -214,17 +211,20 @@ class TestRefinementProperties:
             assert refined.latency_cycles <= seed.latency_cycles
 
     @settings(max_examples=60, deadline=None)
-    @given(windows(), st.integers(0, 8))
-    def test_nothing_inbound_is_the_latency_only_loop(self, window, reserve):
+    @given(windows())
+    def test_nothing_inbound_is_the_latency_only_loop(self, window):
         """Inbound 0 reproduces the scalar pre-retention refinement exactly."""
         hardware, profiles, allow = window
         window = window_of(profiles, hardware)
         seed = unrefined(ENGINES[ExactAllocator, allow], window)
         if not seed.feasible:
             return
-        kwargs = dict(allow_memory_mode=allow, reserve_arrays=reserve)
-        refined = refine_with_spare_arrays(seed.pairs, window, seed.solver, **kwargs)
-        reference = reference_refine_with_spare_arrays(seed, profiles, hardware, **kwargs)
+        refined = refine_with_spare_arrays(
+            seed.pairs, window, seed.solver, allow_memory_mode=allow
+        )
+        reference = reference_refine_with_spare_arrays(
+            seed, profiles, hardware, allow_memory_mode=allow
+        )
         assert refined.pairs == reference.pairs
         assert refined.latency_cycles == reference.latency_cycles
 
@@ -232,43 +232,24 @@ class TestRefinementProperties:
     @given(
         windows(),
         st.sampled_from([ExactAllocator, GreedyAllocator]),
-        st.integers(0, 48),
         st.integers(0, 12),
     )
-    def test_one_solve_carries_both_refinements(self, window, engine, reserve, inbound):
-        """Reserve-as-a-choice: ``allocate_segment(reserve_arrays=R)`` is
-        the R solve *and*, in ``unreserved``, the ``reserve_arrays=0``
-        solve — each equal to a loop run on its own budget."""
+    def test_one_solve_is_one_hand_out(self, window, engine, inbound):
+        """``allocate_segment`` is one solve: the engine's pick, then one
+        hand-out loop over every array the pick leaves."""
         hardware, profiles, allow = window
         window = window_of(profiles, hardware)
         allocator = ENGINES[engine, allow]
-        arguments = dict(allocator=allocator, inbound_arrays=inbound)
-        both = allocate_segment(
-            window, reserve_arrays=reserve, cache=AllocationCache(), **arguments
+        solved = allocate_segment(
+            window, allocator=allocator, inbound_arrays=inbound, cache=AllocationCache()
         )
-        free = allocate_segment(window, reserve_arrays=0, cache=AllocationCache(), **arguments)
-        assert free.unreserved is None
-        if not both.feasible:
-            assert not free.feasible and both.unreserved is None
-            return
-        twin = both.unreserved or both
-        assert twin.unreserved is None
-        assert twin.pairs == free.pairs
-        assert twin.latency_cycles == free.latency_cycles
-        if both.unreserved is not None:
-            assert both.pairs != free.pairs
-            assert both.total_arrays < free.total_arrays
-        # The reserved half is the same loop stopped `reserve` arrays early.
         pick = allocator.allocate(window)
+        if not solved.feasible:
+            assert pick is None
+            return
         spare = hardware.num_arrays - sum(compute + memory for compute, memory in pick)
-        (alone, _), again = _hand_out_spare_arrays(
-            pick, window, max(0, spare - reserve), allow, inbound
-        )
-        assert again is None
-        assert both.pairs == alone
-        for (compute, memory), (twin_compute, twin_memory) in zip(both.pairs, twin.pairs):
-            assert compute <= twin_compute
-            assert memory <= twin_memory
+        pairs, _ = _hand_out_spare_arrays(pick, window, spare, allow, inbound)
+        assert solved.pairs == pairs
 
     def test_inbound_data_is_retained_before_marginal_duplication(self, dynaplasia_chip):
         """The llama2-7b mechanism in miniature.

@@ -55,15 +55,14 @@ class TestCacheKeys:
 
     def test_key_distinguishes_options(self, small_chip, tiny_mlp_graph):
         window = window_of(profile_graph(tiny_mlp_graph), small_chip)
-        base = dict(engine="exact", pipelined=True, refine=True,
-                    allow_memory_mode=True, reserve_arrays=0)
+        base = dict(engine="exact", pipelined=True, refine=True, allow_memory_mode=True)
         key = AllocationCacheKey.build(window, **base)
         for override in (
             {"engine": "greedy"},
             {"pipelined": False},
             {"refine": False},
             {"allow_memory_mode": False},
-            {"reserve_arrays": 2},
+            {"inbound_arrays": 2},
         ):
             other = AllocationCacheKey.build(window, **{**base, **override})
             assert other != key
@@ -72,22 +71,22 @@ class TestCacheKeys:
         window = window_of(profile_graph(tiny_mlp_graph), small_chip)
         fixed = AllocationCacheKey.build(
             window, engine="exact", pipelined=True, refine=True,
-            allow_memory_mode=False, reserve_arrays=0,
+            allow_memory_mode=False,
         )
         dual = fixed.dual_mode_variant()
         assert dual.allow_memory_mode is True
-        assert dual.segment == fixed.segment and dual.reserve_arrays == fixed.reserve_arrays
+        assert dual.segment == fixed.segment and dual.engine == fixed.engine
         assert dual.inbound_arrays == 0
         # The window's inbound count — dropped from the fixed-mode key —
         # names the dual-mode entry of the same window.
         assert fixed.dual_mode_variant(3) == AllocationCacheKey.build(
             window, engine="exact", pipelined=True, refine=True,
-            allow_memory_mode=True, reserve_arrays=0, inbound_arrays=3,
+            allow_memory_mode=True, inbound_arrays=3,
         )
 
     def test_fixed_mode_keys_drop_the_inbound_count(self, small_chip, tiny_mlp_graph):
         window = window_of(profile_graph(tiny_mlp_graph), small_chip)
-        options = dict(engine="exact", pipelined=True, refine=True, reserve_arrays=0)
+        options = dict(engine="exact", pipelined=True, refine=True)
         fixed = [
             AllocationCacheKey.build(window, allow_memory_mode=False, inbound_arrays=k, **options)
             for k in (0, 3)
@@ -102,8 +101,7 @@ class TestCacheKeys:
 
 class TestAllocationCache:
     def _options(self, **overrides):
-        options = dict(engine="exact", pipelined=True, refine=True,
-                       allow_memory_mode=True, reserve_arrays=0)
+        options = dict(engine="exact", pipelined=True, refine=True, allow_memory_mode=True)
         options.update(overrides)
         return options
 
@@ -137,24 +135,6 @@ class TestAllocationCache:
             ]
         assert warm.stats["allocator_solves"] == 0
         assert warm.stats["allocation_cache_hit_rate"] == 1.0
-
-    def test_unreserved_twin_travels_in_the_same_entry(self, dynaplasia_chip, tiny_mlp_graph):
-        """Both refinements of a solve are one entry under the solve's key —
-        in the cache and on a hit from a window of other operators."""
-        profiles = profile_graph(tiny_mlp_graph)
-        cache = AllocationCache()
-        solved = allocate_segment(
-            window_of(profiles, dynaplasia_chip), reserve_arrays=40, cache=cache
-        )
-        assert solved.unreserved is not None and not solved.from_cache
-        assert len(cache) == 1 and cache.stats.stores == 1
-        renamed = {f"layer{i}": profile for i, profile in enumerate(profiles.values())}
-        hit = allocate_segment(window_of(renamed, dynaplasia_chip), reserve_arrays=40, cache=cache)
-        # One fresh result per hit; the twin is the stored one.
-        assert hit.from_cache and hit.unreserved is solved.unreserved
-        for got, want in ((hit, solved), (hit.unreserved, solved.unreserved)):
-            assert got.pairs == want.pairs
-            assert got.latency_cycles == want.latency_cycles
 
     def test_repeat_compile_performs_fewer_solves(self, small_chip, tiny_cnn_graph):
         """Acceptance: two cached compiles < 2x the cold solve count."""

@@ -669,24 +669,32 @@ def _solver_counters(result):
 class TestCompilesRunInOrder:
     """A sweep's compiles run one after another, so its counters repeat."""
 
-    def test_default_runner_solve_counts_repeat(self):
+    def test_default_runner_solve_counts_repeat(self, asked_windows):
         runners = [DSERunner(benchmark_space()) for _ in range(2)]
-        first, second = [runner.run() for runner in runners]
-        assert first.allocator_solves == second.allocator_solves == 318
+        first = runners[0].run()
+        asked = list(asked_windows)
+        second = runners[1].run()
+        assert first.allocator_solves == second.allocator_solves == 273
         assert _solver_counters(first) == _solver_counters(second)
+        # One solve per distinct window key but those a cross-mode hit
+        # answered (fixed-mode keys never stored); every repeat is a hit.
+        crossed = set(asked) - set(runners[0].service.cache._entries.keys())
+        assert all(not key.allow_memory_mode for key in crossed)
+        assert first.allocator_solves == len(set(asked)) - len(crossed)
         # One window table: every solve is one miss and one store in the
         # runner's service cache, every reuse one hit there.
         for runner in runners:
             cache = runner.service.cache
             assert cache.stats.to_dict() == {
-                "hits": 328,
-                "cross_mode_hits": 22,
-                "misses": 318,
-                "stores": 318,
+                "hits": 373,
+                "cross_mode_hits": 123,
+                "misses": 273,
+                "stores": 273,
                 "evictions": 0,
-                "hit_rate": 328 / 646,
+                "hit_rate": 373 / 646,
             }
-            assert len(cache) == 318
+            assert cache.stats.hits == len(asked) - first.allocator_solves
+            assert len(cache) == 273
 
     def test_max_workers_is_accepted_and_inert(self):
         """The benchmark still passes it; it must change nothing."""

@@ -50,3 +50,50 @@ def test_prints_every_compiler_plan_as_json():
         claim.id: claim.status for claim in CLAIMS
     }
     assert all(isinstance(row["holds"], bool) for row in ledger.values())
+
+
+def test_compare_summarises_two_outputs_without_compiling(tmp_path):
+    def row(cycles, fingerprint):
+        return {"end_to_end_cycles": cycles, "fingerprint": fingerprint, "analytical_bound": "0x1p+0"}
+
+    before = {
+        "a@chip1/cmswitch": row(100.0, "f1"),
+        "b@chip1/cmswitch": row(200.0, "f2"),
+        "c@chip1/puma": row(50.0, "f3"),
+        "d@chip2/cmswitch": row(10.0, "f4"),
+        "ledger": {
+            "fig14.x": {"status": "agrees", "holds": True},
+            "fig18.y": {"status": "agrees", "holds": True},
+            "fig15.z": {"status": "deviates", "holds": False},
+        },
+    }
+    after = {
+        **before,
+        "a@chip1/cmswitch": row(99.0, "g1"),
+        "b@chip1/cmswitch": row(202.0, "g2"),
+        "d@chip2/cmswitch": row(10.0, "g4"),
+        "ledger": {
+            **before["ledger"],
+            "fig14.x": {"status": "deviates", "holds": True},
+            "fig18.y": {"status": "agrees", "holds": False},
+        },
+    }
+    paths = []
+    for name, document in (("before", before), ("after", after)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(document))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--compare", *map(str, paths)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "moved a@chip1/cmswitch: 100.0 -> 99.0 (ratio 0.990000000)",
+        "moved b@chip1/cmswitch: 200.0 -> 202.0 (ratio 1.010000000)",
+        "moved d@chip2/cmswitch: 10.0 -> 10.0 (ratio 1.000000000)",
+        "1 of 4 rows byte-identical",
+        "chip1: 2 moved, geomean ratio 0.999949999, worst b@chip1/cmswitch (1.010000000)",
+        "chip2: 1 moved, geomean ratio 1.000000000, worst d@chip2/cmswitch (1.000000000)",
+        "ledger fig14.x: status agrees -> deviates",
+        "ledger fig18.y: holds True -> False (timing-dependent)",
+    ]

@@ -50,7 +50,8 @@ from repro.service import CompileJob, CompileService
 #: Two programs (tiny-cnn, tiny-transformer on ``small-test-chip``, code
 #: generation on) as format version 4 wrote them: each store entry with
 #: its file digest, the SHA-256 of its exact text and the program's
-#: fingerprint.
+#: fingerprint.  Version 5 changed no byte of the program encoding (it
+#: marks plans that moved, and neither of these did), only the number.
 PINNED = Path(__file__).resolve().parent / "data" / "program_entry_v4.json"
 
 
@@ -60,7 +61,7 @@ def _pinned():
 
 class TestFormatVersion4Pin:
     def test_versions_are_unchanged(self):
-        assert (FORMAT_VERSION, WIRE_VERSION) == (4, 1)
+        assert (FORMAT_VERSION, WIRE_VERSION) == (5, 1)
 
     @pytest.mark.parametrize("record", _pinned(), ids=lambda record: record["model"])
     def test_pinned_entry_decodes_and_reencodes_byte_identically(self, record):
@@ -83,11 +84,13 @@ class TestFormatVersion4Pin:
         path.parent.mkdir()
         path.write_text(json.dumps(record["entry"], sort_keys=True), encoding="utf-8")
         store = DiskCacheStore(tmp_path)
-        program = store.get(key)
-        assert program is not None and program.fingerprint() == record["fingerprint"]
-        store.put(key, program)
-        rewritten = path.read_bytes()
-        assert hashlib.sha256(rewritten).hexdigest() == record["entry_sha256"]
+        # A version-4 entry is never served; rewritten, it is the same
+        # entry under the new version number.
+        assert store.get(key) is None and store.stats.version_rejections == 1
+        store.put(key, program_from_payload(record["entry"]["program"]))
+        current = {**record["entry"], "format_version": FORMAT_VERSION}
+        assert path.read_text(encoding="utf-8") == json.dumps(current, sort_keys=True)
+        assert store.get(key).fingerprint() == record["fingerprint"]
 
 
 # ---------------------------------------------------------------------- #

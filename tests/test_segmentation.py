@@ -375,14 +375,6 @@ class TestUnitColumnsTripwires:
             from_window = allocate_segment(window, cache=AllocationCache(), **arguments)
             from_mapping = allocate_segment(alone, cache=AllocationCache(), **arguments)
             assert from_window.feasible and from_mapping == from_window
-            for ours, theirs in (
-                (from_window, from_mapping),
-                (from_window.unreserved, from_mapping.unreserved),
-            ):
-                assert (ours is None) == (theirs is None)
-                if ours is not None:
-                    assert ours.pairs == theirs.pairs
-                    assert ours.latency_cycles == theirs.latency_cycles
             # The DP's edge price of the window is the price of the
             # mapping's own columns.
             *terms, compute, memory, idle = segmenter._edge_price(
@@ -427,12 +419,11 @@ class TestUnitColumnsTripwires:
         assert len(built) == len(units) == sum(len(p.operator_names) for p in plans)
 
     def test_a_cold_pass_builds_one_result_per_stored_state_and_hit(
-        self, mobilenet, monkeypatch
+        self, mobilenet, monkeypatch, asked_windows
     ):
         """An engine returns its pick by position: a cold DP builds an
-        ``AllocationResult`` for each refinement the table stores (a
-        solve and its ``unreserved`` twin) and one per table hit —
-        nothing it then throws away."""
+        ``AllocationResult`` for each refinement the table stores and
+        one per table hit — nothing it then throws away."""
         from repro.core.allocation import AllocationResult
 
         built = []
@@ -455,10 +446,11 @@ class TestUnitColumnsTripwires:
         units = flatten_graph(mobilenet, hardware)
         cache = AllocationCache()
         NetworkSegmenter(hardware, cache=cache).choose_boundaries(mobilenet, units)
-        states = sum(1 + (result.unreserved is not None) for result in stored)
-        assert (len(stored), cache.stats.hits) == (346, 50)
-        assert states > len(stored), "no solve kept an unreserved twin"
-        assert len(built) == states + cache.stats.hits
+        assert (len(stored), cache.stats.hits) == (331, 65)
+        # One solve per distinct window key; every repeat is a hit.
+        assert len(stored) == len(set(asked_windows))
+        assert cache.stats.hits == len(asked_windows) - len(stored)
+        assert len(built) == len(stored) + cache.stats.hits
 
     def test_a_window_is_not_a_mapping(self, small_chip):
         """A window is a range of the compile's columns; no entry point
@@ -479,15 +471,14 @@ class TestUnitColumnsTripwires:
         )
 
     def test_a_window_table_hit_is_the_cold_solve(self, mobilenet):
-        """A hit hands back the stored pairs and latencies of both
-        refinements, as a fresh result flagged ``from_cache``."""
+        """A hit hands back the stored pairs and latencies, as a fresh
+        result flagged ``from_cache``."""
         from repro.core.allocation import allocate_segment
 
         hardware = get_preset("dynaplasia")
         units = flatten_graph(mobilenet, hardware)
         segmenter = NetworkSegmenter(hardware, cache=AllocationCache())
         segmenter._prepare(units)
-        twins = 0
         for start in range(0, len(units) - 4, 3):
             end = start + 3
             spare = segmenter._spare_arrays(start, end)
@@ -499,14 +490,9 @@ class TestUnitColumnsTripwires:
             cold = allocate_segment(window, cache=cache, **arguments)
             hit = allocate_segment(window, cache=cache, **arguments)
             assert not cold.from_cache and hit.from_cache
-            twins += cold.unreserved is not None
-            for got, want in ((hit, cold), (hit.unreserved, cold.unreserved)):
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert len(got.pairs) == end + 1 - start
-                    assert got.pairs == want.pairs
-                    assert got.latency_cycles == want.latency_cycles
-        assert twins > 0, "no window exercised the unreserved variant"
+            assert len(hit.pairs) == end + 1 - start
+            assert hit.pairs == cold.pairs
+            assert hit.latency_cycles == cold.latency_cycles
 
     def test_nothing_outlives_a_compile(self, small_chip):
         """200 compiles leave every module-level container the size the
@@ -670,7 +656,7 @@ class TestScalarEdgePricing:
         assert [n for _, n in relaxations] == [int(improved) for improved, _ in relaxations]
 
     def test_traced_boundaries_are_called_once_per_window_or_solve(
-        self, mobilenet, monkeypatch
+        self, mobilenet, monkeypatch, asked_windows
     ):
         from collections import Counter
 
@@ -695,10 +681,13 @@ class TestScalarEdgePricing:
         units = flatten_graph(mobilenet, hardware)
         segmenter = NetworkSegmenter(hardware, cache=AllocationCache())
         segmenter.choose_boundaries(mobilenet, units)
-        assert (segmenter.allocation_calls, segmenter.cache_hits) == (346, 50)
+        assert (segmenter.allocation_calls, segmenter.cache_hits) == (331, 65)
+        # One solve per distinct window key; every repeat is a hit.
+        assert segmenter.allocation_calls == len(set(asked_windows))
+        assert segmenter.cache_hits == len(asked_windows) - segmenter.allocation_calls
         assert calls == {
             "allocate_segment": 396,
             "lookup": 396,
-            "allocate": 346,
-            "refine_with_spare_arrays": 346,
+            "allocate": 331,
+            "refine_with_spare_arrays": 331,
         }

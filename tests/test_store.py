@@ -241,7 +241,7 @@ class TestDiskCacheStore:
         """Formats 1–3 held allocation windows; even planted at the
         address today's reader probes, such an entry is a counted
         version rejection, not a program."""
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         store = DiskCacheStore(tmp_path)
         key = _key()
         path = _entry_file(store, key)
@@ -254,6 +254,23 @@ class TestDiskCacheStore:
         assert store.stats.hits == 0 and store.stats.corrupt_entries == 0
         # An obsolete entry may be overwritten; the rewrite is served.
         store.put(key, _program())
+        assert _same(store.get(key), _program())
+
+    def test_v4_program_entry_is_rejected_and_overwritten(self, tmp_path):
+        """Version 4 held programs of a compiler whose plans have since
+        moved: one planted at the probed address is a counted version
+        rejection, and the next ``put`` replaces it."""
+        store = DiskCacheStore(tmp_path)
+        key = _key()
+        store.put(key, _program())
+        path = _entry_file(store, key)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**payload, "format_version": 4}), encoding="utf-8")
+        assert store.get(key) is None
+        assert store.stats.version_rejections == 1
+        assert store.stats.hits == 0 and store.stats.corrupt_entries == 0
+        store.put(key, _program())
+        assert json.loads(path.read_text(encoding="utf-8"))["format_version"] == FORMAT_VERSION
         assert _same(store.get(key), _program())
 
     def test_v2_directory_is_all_misses(self, tmp_path):

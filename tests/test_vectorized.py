@@ -236,7 +236,7 @@ class TestUnitColumnParity:
         columns = UnitColumns([unit.profile for unit in units], small_chip)
         options = dict(
             engine="exact", pipelined=True, refine=True, allow_memory_mode=True,
-            reserve_arrays=2, inbound_arrays=1,
+            inbound_arrays=1,
         )
         for start in range(len(units)):
             for stop in range(start + 1, len(units) + 1):
@@ -345,19 +345,15 @@ class TestGreedyParity:
         assert incremental.latency_cycles == reference.latency_cycles
         assert incremental.feasible == reference.feasible
 
-    @pytest.mark.parametrize("reserve", [0, 1, 2])
-    def test_refinement_matches_scalar_reference(self, reserve, small_chip):
-        profiles = self.SEGMENTS[1]
+    @pytest.mark.parametrize("index", range(len(SEGMENTS)))
+    def test_refinement_matches_scalar_reference(self, index, small_chip):
+        profiles = self.SEGMENTS[index]
         window = window_of(profiles, small_chip)
         seed = allocate_segment(
             window, allocator=GreedyAllocator(), refine=False, cache=AllocationCache()
         )
-        refined = refine_with_spare_arrays(
-            seed.pairs, window, seed.solver, reserve_arrays=reserve
-        )
-        reference = reference_refine_with_spare_arrays(
-            seed, profiles, small_chip, reserve_arrays=reserve
-        )
+        refined = refine_with_spare_arrays(seed.pairs, window, seed.solver)
+        reference = reference_refine_with_spare_arrays(seed, profiles, small_chip)
         assert refined.pairs == reference.pairs
         assert refined.latency_cycles == reference.latency_cycles
 
@@ -439,8 +435,8 @@ class TestWindowCacheKey:
         """One definition of the window key: the segmenter's solve arguments.
 
         For every window the DP solved, ``window_cache_key`` must name
-        the entry the solve was stored under — engine name, boundary
-        reserve and inbound count included.
+        the entry the solve was stored under — engine name and inbound
+        count included.
         """
         graph = build_model(model, Workload(batch_size=1, seq_len=16))
         options = CompilerOptions(allow_memory_mode=allow_memory_mode)
@@ -463,11 +459,11 @@ class TestWindowCacheKey:
             allow_memory_mode and model != "tiny-mlp"
         )
 
-    def test_final_window_reserves_nothing(self, units, small_chip):
+    def test_first_window_has_nothing_inbound(self, units, small_chip):
         options = CompilerOptions()
         last = len(units) - 1
         key = window_cache_key(units, small_chip, options, start=0, end=last)
-        assert key.reserve_arrays == 0
+        assert key.inbound_arrays == 0
 
     def test_key_reflects_the_options(self, units, small_chip):
         dual = window_cache_key(units, small_chip, CompilerOptions())
@@ -535,9 +531,9 @@ class TestWindowTable:
             assert fixed.calls == 1
 
     def test_memo_never_stores_a_result_of_another_length(self, window):
-        """A feasible result (or twin) whose pair count is not the key's
-        window length would hand its pairs to the wrong operators on a
-        hit: it is never stored."""
+        """A feasible result whose pair count is not the key's window
+        length would hand its pairs to the wrong operators on a hit: it
+        is never stored."""
         cache = AllocationCache()
         key = AllocationCacheKey.build(
             window,
@@ -545,15 +541,12 @@ class TestWindowTable:
             pipelined=True,
             refine=True,
             allow_memory_mode=True,
-            reserve_arrays=0,
         )
         partial = AllocationResult(((1, 0),), 123.0, True, "exact")
         longer = AllocationResult(((1, 0), (2, 0), (1, 0)), 123.0, True, "exact")
         for result in (partial, longer):
             cache.put(key, result)
-        # A twin of another length spoils an otherwise matching result, too.
         own = AllocationResult(((1, 0), (2, 0)), 123.0, True, "exact")
-        cache.put(key, dataclasses.replace(own, unreserved=partial))
         assert len(cache) == 0 and cache.stats.stores == 0
         assert cache.lookup(key) is None
         cache.put(key, own)
