@@ -55,6 +55,7 @@ from ..cost.latency import (  # noqa: F401
     operator_latency_cycles,
     operator_latency_factors_batch,
 )
+from ..cost.switching import offchip_round_trip_cycles
 from ..hardware.deha import DualModeHardwareAbstraction
 
 if TYPE_CHECKING:  # the cache module imports this one
@@ -380,9 +381,9 @@ def _hand_out_spare_arrays(
     While the segment's memory-mode arrays do not yet cover
     ``inbound_arrays`` (the live data entering the segment, in arrays),
     the memory option also counts the write-back round trip one more
-    retained array avoids, ``2 * array_capacity_elements / d_extern``
-    cycles — exactly the capacity :func:`~repro.cost.switching
-    .writeback_cycles` credits to the segment's memory arrays.  Every
+    retained array avoids (``offchip_round_trip_cycles`` of one array) —
+    exactly the capacity :func:`~repro.cost.switching.writeback_cycles`
+    credits to the segment's memory arrays.  Every
     step therefore lowers the segment latency plus the write-back of
     still-uncovered inbound data; with nothing inbound that is the
     latency alone.
@@ -412,7 +413,7 @@ def _hand_out_spare_arrays(
         )
     ]
     uncovered = inbound_arrays - sum(memory) if allow_memory_mode else 0
-    credit = 2.0 * hardware.array_capacity_elements / hardware.d_extern
+    credit = offchip_round_trip_cycles(hardware.array_capacity_elements, hardware)
 
     for _ in range(spare):
         current = max(latencies)

@@ -16,7 +16,7 @@ each candidate segment once; one solved before is not solved again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +27,7 @@ from ..cost.latency import INFEASIBLE_LATENCY, OperatorAllocation
 from ..cost.switching import (
     INITIAL_RESOURCES,
     SegmentResources,
+    arrays_beyond_buffer,
     spill_cycles,
     switch_cycles,
     window_totals,
@@ -169,8 +170,8 @@ def expand_profiled(
     of one operator shares its M, type and share of the auxiliary
     traffic), and all shards but the remainders have the same extents:
     one shard operator is built and profiled per distinct shape (at most
-    four per operator: full, K remainder, N remainder, both), and its
-    profile is renamed for the other shards of that shape.
+    four per operator: full, K remainder, N remainder, both), and every
+    shard of that shape holds that one profile object.
 
     Returns:
         ``(name, parent, profile)`` triples in flattened order (shard
@@ -188,18 +189,16 @@ def expand_profiled(
             op, chip_capacity, hardware.array_rows, hardware.array_cols
         )
         extra_per_shard = item.profile.extra_streamed_elements // len(shards)
-        # (K extent, N extent) -> the first profile of that shape.
+        # (K extent, N extent) -> the one profile of that shape.
         by_extent: Dict[Tuple[int, int], OperatorProfile] = {}
         for shard in shards:
             (k_lo, k_hi), (n_lo, n_hi) = shard.k_range, shard.n_range
             extent = (k_hi - k_lo, n_hi - n_lo)
-            first = by_extent.get(extent)
-            if first is None:
+            shard_profile = by_extent.get(extent)
+            if shard_profile is None:
                 shard_profile = by_extent[extent] = profile_operator(
                     shard_operator(op, shard), extra_per_shard
                 )
-            else:
-                shard_profile = replace(first, name=shard.name)
             expanded.append((shard.name, op.name, shard_profile))
     return expanded
 
@@ -304,25 +303,6 @@ def live_elements_vector(units: Sequence[FlattenedUnit]) -> np.ndarray:
             diff[idx] += elements
             diff[unit.live_until] -= elements
     return np.cumsum(diff)[:m]
-
-
-def inbound_arrays_vector(
-    liveness: np.ndarray, hardware: DualModeHardwareAbstraction
-) -> np.ndarray:
-    """The live data entering each window, in arrays.
-
-    Entry ``start`` is the live data entering a window that starts at
-    ``start``, beyond what the native buffer holds, i.e. how many
-    memory-mode arrays :func:`~repro.cost.switching.writeback_cycles`
-    would credit it for retaining.  The count is a fact about the
-    window, not the mode: a fixed-mode solve cannot act on it (and its
-    cache key drops it), but its cross-mode probe needs it to name the
-    dual-mode entry of the same window.
-    """
-    inbound = np.zeros(len(liveness), dtype=np.int64)
-    overflow = np.maximum(liveness[:-1] - hardware.buffer_elements, 0)
-    inbound[1:] = -(-overflow // hardware.array_capacity_elements)
-    return inbound
 
 
 def plan_cost(segments: Sequence[SegmentPlan]) -> float:
@@ -438,7 +418,9 @@ class NetworkSegmenter:
         liveness = live_elements_vector(units)
         # Plain lists: the DP reads one entry per window.
         self._liveness = liveness.tolist()
-        self._inbound = inbound_arrays_vector(liveness, self.hardware).tolist()
+        # Live data entering each window, in arrays: a fixed-mode key drops
+        # it, but its cross-mode probe needs it to name the dual-mode entry.
+        self._inbound = [0] + arrays_beyond_buffer(liveness[:-1], self.hardware).tolist()
 
     # ------------------------------------------------------------------ #
     # window solves

@@ -83,8 +83,9 @@ __all__ = ["DiskCacheStore", "DiskStoreStats", "FORMAT_VERSION", "ProgramKey"]
 #: must not be served.  Readers refuse entries with a different version
 #: (see module docstring for the newer/older asymmetry).  Versions up to
 #: 3 held one allocation window per entry; version 4 held the plans of
-#: the DP that also relaxed each edge with a boundary reserve.
-FORMAT_VERSION = 5
+#: the DP that also relaxed each edge with a boundary reserve.  Version 5
+#: stored a ``name`` in every operator profile; version 6 does not.
+FORMAT_VERSION = 6
 
 #: Default size budget: generous for real sweeps, small enough that a
 #: forgotten cache directory cannot fill a CI disk.

@@ -11,7 +11,8 @@ allocator and the baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,8 +27,10 @@ from ..ir.transforms import ceil_div, fuse_auxiliary_traffic
 class OperatorProfile:
     """Cost-model view of one CIM-mappable operator.
 
+    Structure only: a unit's name lives on its ``FlattenedUnit`` and
+    ``SegmentPlan``, so operators of one shape have equal profiles.
+
     Attributes:
-        name: Operator name.
         op_type: Operator type string (``"linear"``, ``"conv2d"``, ...).
         macs: ``OP_Oi`` — multiply-accumulate count.
         flops: 2x the MAC count.
@@ -49,7 +52,6 @@ class OperatorProfile:
         matmul_n: Output columns.
     """
 
-    name: str
     op_type: str
     macs: int
     flops: int
@@ -128,7 +130,6 @@ def profile_operator(op: Operator, extra_streamed_elements: int = 0) -> Operator
     dims = op.matmul_dims()
     stationary = getattr(op, "stationary_elements", dims.stationary_elements)
     return OperatorProfile(
-        name=op.name,
         op_type=op.op_type,
         macs=op.macs,
         flops=op.flops,
@@ -157,33 +158,13 @@ def profile_graph(graph: Graph) -> Dict[str, OperatorProfile]:
         Mapping of operator name to profile, in topological order.
     """
     extra = fuse_auxiliary_traffic(graph)
-    profiles: Dict[str, OperatorProfile] = {}
-    for op in graph.cim_operators():
-        profiles[op.name] = profile_operator(op, extra.get(op.name, 0))
-    return profiles
+    return {op.name: profile_operator(op, extra.get(op.name, 0)) for op in graph.cim_operators()}
 
 
-def profile_signature(profile: OperatorProfile) -> Tuple:
-    """Structural identity of one operator profile (the name excluded).
-
-    Two operators with the same signature receive identical allocations
-    from every engine, so the allocation cache may share their solutions
-    (it keys a window on the ordered signatures of its operators).
-    """
-    return (
-        profile.op_type,
-        profile.macs,
-        profile.input_elements,
-        profile.output_elements,
-        profile.weight_elements,
-        profile.stationary_elements,
-        profile.streamed_input_elements,
-        profile.extra_streamed_elements,
-        profile.has_static_weight,
-        profile.matmul_m,
-        profile.matmul_k,
-        profile.matmul_n,
-    )
+#: Structural identity of a profile, its part of the window key: every
+#: field in declaration order, as a plain tuple (it hashes several times
+#: faster than the frozen profile).
+profile_signature = attrgetter(*(f.name for f in fields(OperatorProfile)))
 
 
 class ProfileVectors:

@@ -21,13 +21,16 @@ which the segmenter's ``NetworkSegmenter._edge_price`` calls directly and
 :func:`window_totals`, over the columns of
 :class:`~repro.cost.arithmetic.ProfileVectors`.  The segmenter and the
 independent re-pricer ``repro.core._reference.reprice_segments`` that
-checks the plans both price through them.
+checks the plans both price through them.  ``T_wb``'s retention rule is
+:func:`offchip_round_trip_cycles` and :func:`arrays_beyond_buffer`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..hardware.deha import DualModeHardwareAbstraction
 from .arithmetic import ProfileVectors
@@ -129,6 +132,18 @@ def switch_cycles(
     return to_compute * hardware.switch_latency_m2c + to_memory * hardware.switch_latency_c2m
 
 
+def offchip_round_trip_cycles(elements: int, hardware: DualModeHardwareAbstraction) -> float:
+    """Storing ``elements`` off-chip and reading them back (a spill)."""
+    return 2.0 * elements / hardware.d_extern
+
+
+def arrays_beyond_buffer(live: np.ndarray, hardware: DualModeHardwareAbstraction) -> np.ndarray:
+    """Memory-mode arrays that retain the ``live`` elements (elementwise)
+    beyond what the native buffer holds, so that nothing spills."""
+    overflow = np.maximum(live - hardware.buffer_elements, 0)
+    return -(-overflow // hardware.array_capacity_elements)
+
+
 def spill_cycles(
     live_elements: int,
     previous_idle: int,
@@ -150,8 +165,7 @@ def spill_cycles(
     overflow = max(0, live_elements - retained_capacity)
     if overflow == 0:
         return 0.0
-    # store + reload across the external link
-    return 2.0 * overflow / hardware.d_extern
+    return offchip_round_trip_cycles(overflow, hardware)
 
 
 def mode_switch_cycles(

@@ -27,6 +27,7 @@ Retry policy — deliberately asymmetric:
   retried: the daemon already ran the pipeline deterministically, and
   the same inputs would fail the same way.  They surface as
   :class:`CompileRequestError` carrying the server's structured payload.
+* **An unreadable answer** (another wire version) is a :class:`ClientError`.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ import json
 import random
 import socket
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from ..core.program import CompiledProgram
 from ..service import CompileJob
-from .wire import WIRE_VERSION, check_version, job_to_wire, program_from_wire
+from .wire import WIRE_VERSION, WireFormatError, check_version, job_to_wire, program_from_wire
 
 __all__ = ["Client", "ClientError", "CompileRequestError", "RemoteCompileResult"]
 
@@ -315,7 +317,8 @@ class Client:
         Raises:
             CompileRequestError: The daemon refused or failed the job
                 (never retried).
-            ClientError: The daemon was unreachable after retries.
+            ClientError: The daemon was unreachable after retries, or
+                its answer unreadable (another wire version, malformed).
         """
         if not isinstance(job, CompileJob):
             job = CompileJob(job, **job_kwargs)
@@ -342,7 +345,8 @@ class Client:
         status, document = self._request("POST", "/v1/compile_batch", request)
         if status != 200 or "results" not in document:
             self._raise_structured(status, document)
-        check_version(document, "compile_batch response")
+        with self._readable_answer():
+            check_version(document, "compile_batch response")
         outcomes: List[Union[RemoteCompileResult, CompileRequestError]] = []
         for entry in document["results"]:
             if entry.get("ok"):
@@ -359,9 +363,18 @@ class Client:
                 )
         return outcomes
 
+    @contextmanager
+    def _readable_answer(self):
+        """An answer this client cannot read is a ClientError, not retried."""
+        try:
+            yield
+        except WireFormatError as exc:
+            raise ClientError(f"compile daemon at {self.url} answered: {exc}") from exc
+
     def _parse_result(self, document: Dict) -> RemoteCompileResult:
-        check_version(document, "compile response")
-        program = program_from_wire(document["program"])
+        with self._readable_answer():
+            check_version(document, "compile response")
+            program = program_from_wire(document["program"])
         return RemoteCompileResult(
             program=program,
             fingerprint=str(document.get("fingerprint", "")),

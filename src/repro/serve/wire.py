@@ -14,7 +14,8 @@ Rules (mirroring :class:`~repro.core.store.DiskCacheStore`'s discipline):
 * Every document carries ``wire_version`` (:data:`WIRE_VERSION`).
   Readers refuse documents written by a **newer** version with a clear
   :class:`WireFormatError` — a rolling upgrade must fail loudly at the
-  protocol boundary, not corrupt results silently.
+  protocol boundary, not corrupt results silently.  A compiled program
+  is refused from an older version too: its payload shape changed.
 * Malformed documents raise :class:`WireFormatError` naming the
   offending field; transport layers turn that into a structured 400.
 * ``program_from_wire(program_to_wire(p))`` reproduces ``p`` exactly
@@ -59,8 +60,9 @@ __all__ = [
 ]
 
 #: Version of the HTTP request/response schema.  Bump on any change to
-#: the payload shapes below; readers reject newer documents.
-WIRE_VERSION = 1
+#: the payload shapes below; readers reject newer documents (and programs
+#: of any other version).  Version 2 dropped the profiles' ``name``.
+WIRE_VERSION = 2
 
 #: Largest magnitude of an integer every JSON reader holds exactly
 #: (I-JSON, RFC 7493); a size beyond it is refused, not compiled.
@@ -296,9 +298,14 @@ def program_from_wire(payload: Mapping) -> CompiledProgram:
     """Rebuild a :class:`CompiledProgram` from :func:`program_to_wire`.
 
     Raises:
-        WireFormatError: Malformed document or a newer writer.
+        WireFormatError: Malformed document or another version's writer.
     """
     check_version(payload, "compiled program")
+    if payload["wire_version"] != WIRE_VERSION:
+        raise WireFormatError(
+            f"compiled program has wire_version {payload['wire_version']}, not this "
+            f"reader's {WIRE_VERSION}; upgrade the client/server pair together"
+        )
     try:
         return program_from_payload(payload)
     except ProgramFormatError as exc:

@@ -1,7 +1,7 @@
 """Tests for the shared allocation cache and hardware fingerprinting."""
 
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from conftest import window_of
@@ -19,8 +19,14 @@ from repro.core import (
 from repro.core import cache as cache_module
 from repro.core.allocation import AllocationCacheKey, UnitWindow
 from repro.core.program import SegmentPlan
-from repro.cost.arithmetic import profile_graph, profile_signature
+from repro.cost.arithmetic import (
+    OperatorProfile,
+    profile_graph,
+    profile_operator,
+    profile_signature,
+)
 from repro.cost.latency import INFEASIBLE_LATENCY, OperatorAllocation, guard_infeasible
+from repro.ir import Linear, TensorSpec
 from repro.obs import NULL_METRICS, MetricsRegistry
 
 
@@ -46,12 +52,39 @@ class TestHardwareFingerprint:
 
 
 class TestCacheKeys:
-    def test_signature_excludes_name(self, small_chip, tiny_mlp_graph):
-        profiles = profile_graph(tiny_mlp_graph)
-        signatures = [profile_signature(p) for p in profiles.values()]
-        for profile, signature in zip(profiles.values(), signatures):
-            assert profile.name not in signature
-        assert window_of(profiles, small_chip).signature == tuple(signatures)
+    def test_signature_excludes_name(self, small_chip):
+        """Two operators that differ only in name have equal profiles and
+        share one window key."""
+        first, second = (
+            profile_operator(
+                Linear(
+                    name,
+                    input=TensorSpec(f"{name}_x", (16, 64)),
+                    output=TensorSpec(f"{name}_y", (16, 64)),
+                    weight=TensorSpec(f"{name}_w", (64, 64)),
+                )
+            )
+            for name in ("fc_a", "fc_b")
+        )
+        assert first == second and profile_signature(first) == profile_signature(second)
+        options = dict(engine="exact", pipelined=True, refine=True, allow_memory_mode=True)
+        keys = [
+            AllocationCacheKey.build(window_of({"op": profile}, small_chip), **options)
+            for profile in (first, second)
+        ]
+        assert keys[0] == keys[1]
+
+    def test_signature_is_every_field_in_order(self, tiny_mlp_graph):
+        """A field added to the profile can never be left out of the key."""
+        profile = next(iter(profile_graph(tiny_mlp_graph).values()))
+        signature = profile_signature(profile)
+        assert signature == tuple(getattr(profile, f.name) for f in fields(OperatorProfile))
+        for f in fields(OperatorProfile):
+            value = getattr(profile, f.name)
+            changed = (not value) if isinstance(value, bool) else (
+                value + "_" if isinstance(value, str) else value + 1
+            )
+            assert profile_signature(replace(profile, **{f.name: changed})) != signature
 
     def test_key_distinguishes_options(self, small_chip, tiny_mlp_graph):
         window = window_of(profile_graph(tiny_mlp_graph), small_chip)

@@ -21,11 +21,9 @@ from conftest import CORPUS_CASES
 
 from repro.core.program import program_from_payload, program_to_payload
 from repro.core.segmentation import flatten_graph
-from repro.core.store import FORMAT_VERSION
 from repro.cost.arithmetic import ProfileVectors
 from repro.ir import MatmulDims, arrays_for_stationary
 from repro.models import build_model, list_models
-from repro.serve.wire import WIRE_VERSION
 from repro.sim import TimingSimulator
 
 
@@ -116,11 +114,10 @@ def test_encoding_is_the_asdict_rendering_and_round_trips(case, corpus):
 
     Reference: ``dataclasses.asdict`` over each profile and resources
     record, which is how format version 4 / wire version 1 were defined
-    (format version 5 changed no byte of it);
+    (``tests/test_program_codec.py`` pins the fields to the versions);
     JSON text is compared in emission order (stricter than the store's
     sorted rendering).  The decoded payload encodes to itself.
     """
-    assert (FORMAT_VERSION, WIRE_VERSION) == (5, 1)
     program = corpus[case].program
     payload = program_to_payload(program)
     reference = dict(

@@ -36,7 +36,13 @@ from repro.cost.latency import (
     data_supply_times_batch,
     operator_latency_cycles,
 )
-from repro.cost.switching import INITIAL_RESOURCES, window_totals
+from repro.cost.switching import (
+    INITIAL_RESOURCES,
+    arrays_beyond_buffer,
+    offchip_round_trip_cycles,
+    spill_cycles,
+    window_totals,
+)
 from repro.hardware import dynaplasia, small_test_chip
 from repro.ir import Linear, MatMul, TensorSpec
 
@@ -177,7 +183,7 @@ class TestLatencyModel:
 def eq_profile(macs, stationary, streamed_input, output, static=True):
     """An operator given by the numbers Eq. 10 and Eq. 2 read."""
     return OperatorProfile(
-        name="op", op_type="linear", macs=macs, flops=2 * macs, input_elements=streamed_input,
+        op_type="linear", macs=macs, flops=2 * macs, input_elements=streamed_input,
         output_elements=output, weight_elements=stationary if static else 0,
         stationary_elements=stationary, streamed_input_elements=streamed_input,
         extra_streamed_elements=0, has_static_weight=static, matmul_m=1, matmul_k=1,
@@ -311,6 +317,22 @@ class TestOneDefinitionPerEquation:
         assert readers["array_write_latency_cycles"] == {"window_totals"}
         assert readers["op_cim"] == {"compute_rate_batch", "compute_roofline_cycles"}
 
+    def test_core_reads_no_equation_constant(self):
+        """The compiler proper prices through ``cost/``: no function under
+        ``core/`` restates a rule by reading a chip constant of one."""
+        constants = {
+            "d_extern", "d_main", "d_cim", "op_cim", "buffer_elements",
+            "array_write_latency_cycles",
+        }
+        readers = {
+            f"{path.relative_to(SRC)}: {function}"
+            for path in sorted((SRC / "core").glob("*.py"))
+            for attribute, functions in chip_reads(path).items()
+            if attribute in constants
+            for function in functions
+        }
+        assert not readers
+
     def test_the_twins_are_gone(self):
         assert not set(DELETED_TWINS) & set(repro.cost.__all__)
         defined = {
@@ -373,6 +395,20 @@ class TestInterSegmentCosts:
         with_buffering = writeback_cycles(prev, curr, small_chip, allow_boundary_buffering=True)
         without = writeback_cycles(prev, curr, small_chip, allow_boundary_buffering=False)
         assert with_buffering < without
+
+    def test_retention_rule_is_the_spill_rule(self, small_chip):
+        """The arrays ``arrays_beyond_buffer`` counts are what
+        ``spill_cycles`` needs to charge nothing; without them what the
+        buffer cannot hold spills, at ``offchip_round_trip_cycles``."""
+        buffer, capacity = small_chip.buffer_elements, small_chip.array_capacity_elements
+        live = np.array([0, buffer, buffer + 1, buffer + 3 * capacity], dtype=np.int64)
+        arrays = arrays_beyond_buffer(live, small_chip)
+        assert arrays.tolist() == [0, 0, 1, 3]
+        for elements, memory in zip(live.tolist(), arrays.tolist()):
+            assert spill_cycles(elements, 0, memory, 0, small_chip) == 0.0
+        assert spill_cycles(buffer + 1, 0, 0, 0, small_chip) == offchip_round_trip_cycles(
+            1, small_chip
+        ) == 2.0 / small_chip.d_extern
 
     def test_weight_reload_skips_dynamic_operands(self, small_chip):
         vectors = ProfileVectors([matmul_profile()], small_chip)

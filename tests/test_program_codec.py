@@ -1,8 +1,9 @@
 """Tests for the compiled-program codec shared by the store and the wire.
 
-Covered here: entries written by format version 4 decode to their
-recorded fingerprints and re-encode to the same bytes (so the one-step
-decoder needed no version bump), every malformed program is a
+Covered here: the payload's schema is pinned to ``FORMAT_VERSION`` and
+``WIRE_VERSION``; entries written by format version 4 are refused as
+they are, and decode to their recorded fingerprints and re-encode to the
+same bytes once their profiles' ``name`` is stripped; every malformed program is a
 ``ProgramFormatError`` — a counted corrupt miss in the store, a
 ``WireFormatError`` on the wire — and so is any one-field mutation of a
 program that would crash its readers (fuzzed through the decoder and
@@ -31,11 +32,14 @@ from repro.core import CompilerOptions, DiskCacheStore
 from repro.core.program import (
     ProgramFormatError,
     _json_safe,
+    _segment_to_payload,
     program_from_payload,
     program_to_payload,
 )
 from repro.core.store import FORMAT_VERSION, ProgramKey
+from repro.cost.arithmetic import OperatorProfile
 from repro.cost.energy import estimate_energy
+from repro.cost.switching import SegmentResources
 from repro.models.workload import Workload
 from repro.serve.wire import (
     WIRE_VERSION,
@@ -51,7 +55,8 @@ from repro.service import CompileJob, CompileService
 #: generation on) as format version 4 wrote them: each store entry with
 #: its file digest, the SHA-256 of its exact text and the program's
 #: fingerprint.  Version 5 changed no byte of the program encoding (it
-#: marks plans that moved, and neither of these did), only the number.
+#: marks plans that moved, and neither of these did), only the number;
+#: version 6 dropped the ``name`` of every operator profile.
 PINNED = Path(__file__).resolve().parent / "data" / "program_entry_v4.json"
 
 
@@ -59,22 +64,73 @@ def _pinned():
     return json.loads(PINNED.read_text(encoding="utf-8"))["programs"]
 
 
-class TestFormatVersion4Pin:
-    def test_versions_are_unchanged(self):
-        assert (FORMAT_VERSION, WIRE_VERSION) == (5, 1)
+def _without_profile_names(program):
+    """A version-4/5 program payload as version 6 writes it."""
+    return {
+        **program,
+        "segments": [
+            {
+                **segment,
+                "profiles": {
+                    name: {f: v for f, v in profile.items() if f != "name"}
+                    for name, profile in segment["profiles"].items()
+                },
+            }
+            for segment in program["segments"]
+        ],
+    }
 
+
+def test_the_schema_is_pinned_to_the_versions(corpus):
+    """The one pin of the program payload's shape.  A change to it — a
+    profile or resources field, a program or segment key — changes what
+    the store and the wire read, so it comes with a ``FORMAT_VERSION``
+    and a ``WIRE_VERSION`` bump, made here together."""
+    program = corpus.find("tiny-cnn", "small-test-chip").program
+    schema = {
+        "profile": [f.name for f in fields(OperatorProfile)],
+        "resources": [f.name for f in fields(SegmentResources)],
+        "program": sorted(program_to_payload(program)),
+        "segment": sorted(_segment_to_payload(program.segments[0])),
+    }
+    assert (FORMAT_VERSION, WIRE_VERSION, schema) == (6, 2, {
+        "profile": [
+            "op_type", "macs", "flops", "input_elements", "output_elements",
+            "weight_elements", "stationary_elements", "streamed_input_elements",
+            "extra_streamed_elements", "has_static_weight", "matmul_m", "matmul_k",
+            "matmul_n",
+        ],
+        "resources": [
+            "compute_arrays", "memory_arrays", "live_output_elements",
+            "static_weight_elements", "idle_arrays",
+        ],
+        "program": [
+            "block_repeat", "compile_seconds", "compiler_name", "graph_name", "hardware",
+            "meta_program", "metadata", "segments", "stats",
+        ],
+        "segment": [
+            "allocations", "boundary_memory_arrays", "index", "inter_breakdown",
+            "inter_cycles", "intra_cycles", "operator_names", "profiles", "resources",
+        ],
+    })
+
+
+class TestFormatVersion4Pin:
     @pytest.mark.parametrize("record", _pinned(), ids=lambda record: record["model"])
     def test_pinned_entry_decodes_and_reencodes_byte_identically(self, record):
         entry = record["entry"]
         text = json.dumps(entry, sort_keys=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == record["entry_sha256"]
-        program = program_from_payload(entry["program"])
+        with pytest.raises(ProgramFormatError, match="unknown profile field\\(s\\): name"):
+            program_from_payload(entry["program"])
+        stripped = _without_profile_names(entry["program"])
+        program = program_from_payload(stripped)
         assert program.fingerprint() == record["fingerprint"]
         assert json.dumps(program_to_payload(program), sort_keys=True) == json.dumps(
-            entry["program"], sort_keys=True
+            stripped, sort_keys=True
         )
         wire = json.dumps(program_to_wire(program), sort_keys=True)
-        assert wire == json.dumps({"wire_version": 1, **entry["program"]}, sort_keys=True)
+        assert wire == json.dumps({"wire_version": WIRE_VERSION, **stripped}, sort_keys=True)
 
     @pytest.mark.parametrize("record", _pinned(), ids=lambda record: record["model"])
     def test_store_reads_and_rewrites_the_pinned_entry(self, record, tmp_path):
@@ -85,10 +141,11 @@ class TestFormatVersion4Pin:
         path.write_text(json.dumps(record["entry"], sort_keys=True), encoding="utf-8")
         store = DiskCacheStore(tmp_path)
         # A version-4 entry is never served; rewritten, it is the same
-        # entry under the new version number.
+        # entry, profiles without names, under the new version number.
         assert store.get(key) is None and store.stats.version_rejections == 1
-        store.put(key, program_from_payload(record["entry"]["program"]))
-        current = {**record["entry"], "format_version": FORMAT_VERSION}
+        stripped = _without_profile_names(record["entry"]["program"])
+        store.put(key, program_from_payload(stripped))
+        current = {**record["entry"], "format_version": FORMAT_VERSION, "program": stripped}
         assert path.read_text(encoding="utf-8") == json.dumps(current, sort_keys=True)
         assert store.get(key).fingerprint() == record["fingerprint"]
 

@@ -120,9 +120,10 @@ class TestFlatten:
         assert len(shards) > len(set(shards))
 
     def test_one_shard_operator_per_shape(self, monkeypatch, corpus):
-        """Flattening builds an IR operator per distinct shard shape, at
-        most four per partitioned operator, not one per shard (opt-13b on
-        the test chip has 9,600 shards of 6 operators)."""
+        """Flattening builds an IR operator and a profile per distinct
+        shard shape, at most four per partitioned operator, not one per
+        shard (opt-13b on the test chip has 9,600 shards of 6 operators):
+        every shard of one (K, N) extent holds that one profile object."""
         hardware = get_preset("small-test-chip")
         profiled = profile_graph(corpus.graph("opt-13b"), hardware)
         built = []
@@ -138,6 +139,12 @@ class TestFlatten:
         oversized = sum(item.oversized for item in profiled)
         assert sum(name != parent for name, parent, _ in expanded) == 9600
         assert 0 < len(built) <= 4 * oversized
+        by_extent = {}
+        for name, parent, profile in expanded:
+            if name != parent:
+                extent = (parent, profile.matmul_k, profile.matmul_n)
+                assert by_extent.setdefault(extent, profile) is profile
+        assert len(by_extent) <= 4 * oversized
 
 
 class TestSegmentationDP:

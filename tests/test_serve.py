@@ -1129,6 +1129,39 @@ class TestClientFraming:
         assert (excinfo.value.code, excinfo.value.status) == ("compile_failed", 422)
         assert (server.accepts, server.requests) == (1, 1)
 
+    @pytest.mark.parametrize("version", [1, WIRE_VERSION + 1], ids=["v1", "newer"])
+    @pytest.mark.parametrize("batch", [False, True], ids=["compile", "compile_batch"])
+    def test_an_unreadable_program_is_a_client_error_after_one_request(
+        self, canned, small_chip, tiny_mlp_graph, version, batch
+    ):
+        """A program of another wire version is a ``ClientError`` naming
+        the daemon and both versions, never a raw ``WireFormatError``
+        and never retried.  Version 1 stored every profile's name."""
+        from repro.core.compiler import CMSwitchCompiler
+
+        program = CMSwitchCompiler(small_chip, CompilerOptions(generate_code=False)).compile(
+            tiny_mlp_graph
+        )
+        document = {**program_to_wire(program), "wire_version": version}
+        for segment in document["segments"]:
+            segment["profiles"] = {
+                name: {**profile, "name": name} for name, profile in segment["profiles"].items()
+            }
+        result = {"ok": True, "wire_version": version, "program": document}
+        answer = {"results": [result], "wire_version": version} if batch else result
+        body = json.dumps(answer).encode("utf-8")
+        server = canned(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+        with Client(server.url, timeout=5.0, retries=3, backoff=0.01) as client:
+            with pytest.raises(ClientError) as excinfo:
+                client.compile_batch(["tiny-mlp"]) if batch else client.compile("tiny-mlp")
+        assert type(excinfo.value) is ClientError
+        assert isinstance(excinfo.value.__cause__, WireFormatError)
+        message = str(excinfo.value)
+        assert server.url in message
+        assert f"wire_version {version}" in message and f"reader's {WIRE_VERSION}" in message
+        assert (server.accepts, server.requests) == (1, 1)
+
+
 # ---------------------------------------------------------------------- #
 # long-lived server hygiene: bounded tracer, shutdown in any state
 # ---------------------------------------------------------------------- #

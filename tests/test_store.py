@@ -241,7 +241,6 @@ class TestDiskCacheStore:
         """Formats 1–3 held allocation windows; even planted at the
         address today's reader probes, such an entry is a counted
         version rejection, not a program."""
-        assert FORMAT_VERSION == 5
         store = DiskCacheStore(tmp_path)
         key = _key()
         path = _entry_file(store, key)
@@ -271,6 +270,33 @@ class TestDiskCacheStore:
         assert store.stats.hits == 0 and store.stats.corrupt_entries == 0
         store.put(key, _program())
         assert json.loads(path.read_text(encoding="utf-8"))["format_version"] == FORMAT_VERSION
+        assert _same(store.get(key), _program())
+
+    def test_v5_program_entry_is_rejected_and_overwritten(self, tmp_path):
+        """Version 5 stored a ``name`` in every operator profile: such an
+        entry, planted at the probed address, is a counted version
+        rejection (never a corrupt entry), and the next ``put`` writes
+        the nameless profiles under the current version."""
+        store = DiskCacheStore(tmp_path)
+        key = _key()
+        store.put(key, _program())
+        path = _entry_file(store, key)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        for segment in payload["program"]["segments"]:
+            for name, profile in segment["profiles"].items():
+                profile["name"] = name
+        path.write_text(json.dumps({**payload, "format_version": 5}), encoding="utf-8")
+        assert store.get(key) is None
+        assert store.stats.version_rejections == 1
+        assert store.stats.hits == 0 and store.stats.corrupt_entries == 0
+        store.put(key, _program())
+        rewritten = json.loads(path.read_text(encoding="utf-8"))
+        assert rewritten["format_version"] == FORMAT_VERSION
+        assert all(
+            "name" not in profile
+            for segment in rewritten["program"]["segments"]
+            for profile in segment["profiles"].values()
+        )
         assert _same(store.get(key), _program())
 
     def test_v2_directory_is_all_misses(self, tmp_path):

@@ -75,13 +75,15 @@ def matmul_profile(name, b=4, m=16, k=64, n=64):
     return profile_operator(op)
 
 
-PROFILES = [
-    linear_profile("thin", 8, 64, 64),
-    linear_profile("wide", 32, 256, 256),
-    linear_profile("tall", 128, 512, 32),
-    matmul_profile("attn", 4, 32, 64, 64),
-    matmul_profile("big", 8, 64, 128, 128),
-]
+#: Profiles by test id (a profile itself carries no name).
+NAMED_PROFILES = {
+    "thin": linear_profile("thin", 8, 64, 64),
+    "wide": linear_profile("wide", 32, 256, 256),
+    "tall": linear_profile("tall", 128, 512, 32),
+    "attn": matmul_profile("attn", 4, 32, 64, 64),
+    "big": matmul_profile("big", 8, 64, 128, 128),
+}
+PROFILES = list(NAMED_PROFILES.values())
 
 
 def candidates(profile, hardware, **options):
@@ -129,15 +131,14 @@ class TestBatchLatencyParity:
 #: movement), one that streams nothing, one with no stationary operand
 #: (``min_compute_arrays == 0``).
 EDGE_PROFILES = [
-    dataclasses.replace(PROFILES[1], name="no-macs", macs=0, flops=0),
+    dataclasses.replace(PROFILES[1], macs=0, flops=0),
     dataclasses.replace(
         PROFILES[1],
-        name="no-stream",
         streamed_input_elements=0,
         output_elements=0,
         extra_streamed_elements=0,
     ),
-    dataclasses.replace(PROFILES[1], name="no-stationary", stationary_elements=0),
+    dataclasses.replace(PROFILES[1], stationary_elements=0),
 ]
 
 
@@ -254,7 +255,7 @@ class TestUnitColumnParity:
 # candidate enumeration
 # ---------------------------------------------------------------------- #
 class TestCandidateParity:
-    @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", PROFILES, ids=list(NAMED_PROFILES))
     @pytest.mark.parametrize("allow_memory_mode", [True, False])
     def test_matches_scalar_reference(self, profile, allow_memory_mode, small_chip):
         vectorised = candidates(profile, small_chip, allow_memory_mode=allow_memory_mode)
