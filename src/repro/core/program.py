@@ -10,9 +10,10 @@ code generator additionally lowers the schedule to a meta-operator flow
 :func:`program_to_payload` / :func:`program_from_payload` are the one
 JSON rendering of a :class:`CompiledProgram`: the program store
 (:mod:`repro.core.store`) persists it and the serving wire format
-(:mod:`repro.serve.wire`) ships it.  Floats travel as IEEE-754 hex
-strings and the meta-operator flow as its rendered text, so a decoded
-program's :meth:`CompiledProgram.fingerprint` equals the original's.
+(:mod:`repro.serve.wire`) ships it.  Each decision is stored once: one
+table row per distinct operator profile, segments by operator position.
+Floats travel as IEEE-754 hex strings and the meta-operator flow as its
+rendered text, so a decoded program's fingerprint equals the original's.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional
 
-from ..cost.arithmetic import OperatorProfile
+from ..cost.arithmetic import OperatorProfile, profile_signature
 from ..cost.latency import OperatorAllocation
 from ..cost.switching import SegmentResources
 from ..hardware.deha import DualModeHardwareAbstraction
@@ -354,56 +355,53 @@ def _int_in(value, field_name: str) -> int:
         ) from exc
 
 
-#: Field names of the two flat, frozen records a segment carries, in
-#: declaration order (the order ``dataclasses.asdict`` would emit them —
-#: without its recursive deep copy, which was half of the encode cost).
+#: Field names of the two flat, frozen records a program carries, in
+#: declaration order: a profile-table row and a segment's ``resources``
+#: list hold their values in this order.
 _PROFILE_FIELD_NAMES = tuple(f.name for f in fields(OperatorProfile))
 _RESOURCES_FIELD_NAMES = tuple(f.name for f in fields(SegmentResources))
-_PROFILE_FIELDS = frozenset(_PROFILE_FIELD_NAMES)
-#: A profile's element and MAC counts, read in one call.  The energy
+_resources_row = attrgetter(*_RESOURCES_FIELD_NAMES)
+#: A profile row's element and MAC counts, read in one call.  The energy
 #: model multiplies them by floats, so they must be integers a float can
 #: hold: the sum of their magnitudes, one C-level pass, is an ``int``
-#: below ``2**63``.  A string, ``null``, array or object among them makes
-#: the sum raise, a float or NaN makes it a float, and an oversized
-#: integer puts it out of range.  (A ``bool`` adds as the 0 or 1 every
-#: reader takes it for.)
+#: below ``2**63`` (a string, ``null``, array or object makes the sum
+#: raise, a float or NaN makes it a float; a ``bool`` adds as 0 or 1).
 _PROFILE_COUNTS = itemgetter(
-    *(f.name for f in fields(OperatorProfile) if f.type in (int, "int"))
+    *(i for i, f in enumerate(fields(OperatorProfile)) if f.type in (int, "int"))
 )
 _COUNT_LIMIT = 2**63
+#: A row's two other fields must be a string and a bool: re-encoding a
+#: decoded program hashes every row.
+_OP_TYPE = _PROFILE_FIELD_NAMES.index("op_type")
+_STATIC_WEIGHT = _PROFILE_FIELD_NAMES.index("has_static_weight")
 
-#: The decoder builds the two per-operator records in one step: a bare
-#: instance whose ``__dict__`` it fills, the way ``copy`` and ``pickle``
-#: rebuild a frozen dataclass.  Both records are plain frozen dataclasses
-#: (no slots); the one check an ``__init__`` would run — non-negative
-#: array counts — is made explicitly.
+#: The decoder builds each frozen record in one step: a bare instance
+#: whose ``__dict__`` it fills, the way ``copy`` and ``pickle`` rebuild a
+#: frozen dataclass.  Profiles and allocations are plain frozen
+#: dataclasses (no slots); the one check an ``__init__`` would run —
+#: non-negative allocation counts — is made explicitly.
 _new = object.__new__
 
 #: A decoded JSON object is a ``dict``: the exact check runs first, and
 #: any other :class:`~collections.abc.Mapping` (an ABC check, a Python
 #: call per record) is still accepted after it.
 _OBJECT = (dict, Mapping)
+_ARRAY = (list, tuple)
 
 
-def _profile_from_payload(payload: Mapping) -> OperatorProfile:
-    if not isinstance(payload, _OBJECT):
-        raise ProgramFormatError("operator profile must be an object")
-    if payload.keys() != _PROFILE_FIELDS:
-        unknown = sorted(str(name) for name in payload if name not in _PROFILE_FIELDS)
-        if unknown:
-            raise ProgramFormatError(f"unknown profile field(s): {', '.join(unknown)}")
-        missing = [name for name in _PROFILE_FIELD_NAMES if name not in payload]
-        raise ProgramFormatError(
-            f"invalid operator profile: missing field(s): {', '.join(missing)}"
-        )
+def _profile_from_row(row) -> OperatorProfile:
+    if not isinstance(row, _ARRAY) or len(row) != len(_PROFILE_FIELD_NAMES):
+        raise ProgramFormatError("a profile row must be an array of every profile field")
     try:
-        total = sum(map(abs, _PROFILE_COUNTS(payload)))
+        total = sum(map(abs, _PROFILE_COUNTS(row)))
     except TypeError:
         total = None
     if type(total) is not int or total >= _COUNT_LIMIT:
         raise ProgramFormatError("operator profile counts must be integers below 2**63")
+    if type(row[_OP_TYPE]) is not str or type(row[_STATIC_WEIGHT]) is not bool:
+        raise ProgramFormatError("a profile's op_type must be a string, has_static_weight a bool")
     profile = _new(OperatorProfile)
-    profile.__dict__.update(payload)
+    profile.__dict__.update(zip(_PROFILE_FIELD_NAMES, row))
     return profile
 
 
@@ -422,78 +420,70 @@ def _allocation_from_payload(name: str, pair) -> OperatorAllocation:
     return allocation
 
 
-def _segment_to_payload(segment: SegmentPlan) -> Dict:
+def _segment_to_payload(segment: SegmentPlan, rows: Dict[tuple, int]) -> Dict:
+    # Per operator, in name order; a profile is its row in ``rows`` (signature -> row).
+    names = segment.operator_names
     return {
         "index": segment.index,
-        "operator_names": list(segment.operator_names),
-        "allocations": {
-            name: [alloc.compute_arrays, alloc.memory_arrays]
-            for name, alloc in segment.allocations.items()
-        },
-        "profiles": {
-            name: {f: getattr(profile, f) for f in _PROFILE_FIELD_NAMES}
-            for name, profile in segment.profiles.items()
-        },
+        "operator_names": list(names),
+        "allocations": [
+            [alloc.compute_arrays, alloc.memory_arrays]
+            for alloc in map(segment.allocations.__getitem__, names)
+        ],
+        "profiles": [
+            rows.setdefault(profile_signature(profile), len(rows))
+            for profile in map(segment.profiles.__getitem__, names)
+        ],
         "intra_cycles": _float_out(segment.intra_cycles),
         "inter_cycles": _float_out(segment.inter_cycles),
         "inter_breakdown": {
             key: _float_out(value) for key, value in segment.inter_breakdown.items()
         },
         "resources": (
-            None
-            if segment.resources is None
-            else {f: getattr(segment.resources, f) for f in _RESOURCES_FIELD_NAMES}
+            None if segment.resources is None else list(_resources_row(segment.resources))
         ),
         "boundary_memory_arrays": segment.boundary_memory_arrays,
     }
 
 
-def _segment_from_payload(payload: Mapping) -> SegmentPlan:
+def _segment_from_payload(payload: Mapping, table: List[OperatorProfile]) -> SegmentPlan:
     if not isinstance(payload, _OBJECT):
         raise ProgramFormatError("segment must be an object")
     try:
         allocations = payload["allocations"]
         index = payload["index"]
         operator_names = payload["operator_names"]
+        rows = payload["profiles"]
         intra_cycles = payload["intra_cycles"]
         inter_cycles = payload["inter_cycles"]
     except KeyError as exc:
         raise ProgramFormatError(
             f"segment is missing required field {exc.args[0]!r}"
         ) from None
-    profiles = payload.get("profiles", {})
     inter_breakdown = payload.get("inter_breakdown", {})
     resources = payload.get("resources")
-    for field_name, value in (
-        ("allocations", allocations),
-        ("profiles", profiles),
-        ("inter_breakdown", inter_breakdown),
-    ):
-        if not isinstance(value, _OBJECT):
-            raise ProgramFormatError(f"{field_name!r} must be an object")
-    if not isinstance(operator_names, (list, tuple)):
-        raise ProgramFormatError("'operator_names' must be an array")
-    try:  # readers look every operator up in both tables, so build them by name
-        allocations = {
-            name: _allocation_from_payload(name, allocations[name]) for name in operator_names
-        }
-        profiles = {name: _profile_from_payload(profiles[name]) for name in operator_names}
-    except (KeyError, TypeError) as exc:  # a name with no entry, or unhashable
-        raise ProgramFormatError(
-            f"every operator needs an allocation and a profile: {exc!r}"
-        ) from None
+    if not isinstance(inter_breakdown, _OBJECT):
+        raise ProgramFormatError("'inter_breakdown' must be an object")
+    if not (isinstance(operator_names, _ARRAY) and isinstance(allocations, _ARRAY)):
+        raise ProgramFormatError("'operator_names' and 'allocations' must be arrays")
+    if not isinstance(rows, _ARRAY) or not len(operator_names) == len(allocations) == len(rows):
+        raise ProgramFormatError("every operator needs one allocation and one profile row")
+    if not {*map(type, operator_names)} <= {str}:
+        raise ProgramFormatError("operator names must be strings")
+    if rows and not ({*map(type, rows)} <= {int} and 0 <= min(rows) <= max(rows) < len(table)):
+        raise ProgramFormatError(f"a profile index is not a row of the {len(table)}-row table")
     if resources is not None:
-        if not isinstance(resources, _OBJECT):
-            raise ProgramFormatError("'resources' must be an object or null")
-        try:
-            resources = SegmentResources(**resources)
-        except TypeError as exc:
-            raise ProgramFormatError(f"invalid segment resources: {exc}") from exc
+        if not isinstance(resources, _ARRAY) or len(resources) != len(_RESOURCES_FIELD_NAMES):
+            raise ProgramFormatError("'resources' must be null or an array of every field")
+        resources = SegmentResources(*resources)
+    # readers look every operator up in both tables, so build them by name
     return SegmentPlan(
         index=_int_in(index, "index"),
         operator_names=list(operator_names),
-        allocations=allocations,
-        profiles=profiles,
+        allocations=dict(
+            zip(operator_names, map(_allocation_from_payload, operator_names, allocations))
+        ),
+        profiles=dict(zip(operator_names, map(table.__getitem__, rows))),
         intra_cycles=_float_in(intra_cycles, "intra_cycles"),
         inter_cycles=_float_in(inter_cycles, "inter_cycles"),
         inter_breakdown={
@@ -513,14 +503,19 @@ def program_to_payload(program: CompiledProgram) -> Dict:
     Carries everything :meth:`CompiledProgram.fingerprint` covers (so
     the round trip is fingerprint-bit-identical) *plus* the reporting
     payload — per-operator profiles, compile stats, metadata — so a
-    decoded program is usable exactly like a local compile's.  Only
-    JSON-safe metadata/stats entries survive the trip.
+    decoded program is usable exactly like a local compile's.  Each
+    distinct profile is one row of the ``profiles`` table, in order of
+    first appearance; a segment lists its operators' allocations and
+    rows by position.  Only JSON-safe metadata/stats entries survive.
     """
+    rows: Dict[tuple, int] = {}
+    segments = [_segment_to_payload(segment, rows) for segment in program.segments]
     return {
         "graph_name": program.graph_name,
         "compiler_name": program.compiler_name,
         "hardware": program.hardware.to_dict(),
-        "segments": [_segment_to_payload(segment) for segment in program.segments],
+        "profiles": [list(signature) for signature in rows],
+        "segments": segments,
         "block_repeat": _float_out(program.block_repeat),
         "compile_seconds": _float_out(program.compile_seconds),
         "metadata": _json_safe(program.metadata),
@@ -532,7 +527,8 @@ def program_to_payload(program: CompiledProgram) -> Dict:
 
 
 def program_from_payload(payload: Mapping) -> CompiledProgram:
-    """Rebuild a :class:`CompiledProgram` from :func:`program_to_payload`.
+    """Rebuild a :class:`CompiledProgram` from :func:`program_to_payload`;
+    operators of one table row share one :class:`OperatorProfile`.
 
     Raises:
         ProgramFormatError: Malformed or incomplete payload — the only
@@ -542,6 +538,7 @@ def program_from_payload(payload: Mapping) -> CompiledProgram:
         raise ProgramFormatError("compiled program must be an object")
     try:
         hardware_payload = payload["hardware"]
+        profile_rows = payload["profiles"]
         segments_payload = payload["segments"]
         graph_name = payload["graph_name"]
         compiler_name = payload["compiler_name"]
@@ -555,8 +552,8 @@ def program_from_payload(payload: Mapping) -> CompiledProgram:
         hardware = DualModeHardwareAbstraction.from_dict(dict(hardware_payload))
     except (TypeError, ValueError, KeyError) as exc:
         raise ProgramFormatError(f"invalid hardware description: {exc}") from exc
-    if not isinstance(segments_payload, list):
-        raise ProgramFormatError("'segments' must be an array")
+    if not isinstance(profile_rows, list) or not isinstance(segments_payload, list):
+        raise ProgramFormatError("'profiles' and 'segments' must be arrays")
     meta_text = payload.get("meta_program")
     if meta_text is not None and not isinstance(meta_text, str):
         raise ProgramFormatError("'meta_program' must be a string or null")
@@ -566,11 +563,12 @@ def program_from_payload(payload: Mapping) -> CompiledProgram:
         raise ProgramFormatError("'metadata' must be an object")
     if not isinstance(stats, _OBJECT):
         raise ProgramFormatError("'stats' must be an object")
+    table = [_profile_from_row(row) for row in profile_rows]
     return CompiledProgram(
         graph_name=str(graph_name),
         compiler_name=str(compiler_name),
         hardware=hardware,
-        segments=[_segment_from_payload(segment) for segment in segments_payload],
+        segments=[_segment_from_payload(segment, table) for segment in segments_payload],
         block_repeat=_float_in(payload.get("block_repeat", 1.0), "block_repeat"),
         compile_seconds=_float_in(payload.get("compile_seconds", 0.0), "compile_seconds"),
         metadata=dict(metadata),

@@ -20,10 +20,13 @@ directory made a 30-point DSE sweep 2–3× slower than having no
 directory at all (186–277 ms against 86–140).  At program granularity
 the same pass is 5 reads (7.7–8.3 ms, 15× less) and the sweep writes 30
 files instead of 318 (120–152 ms; 26–34 ms when a fresh runner re-reads
-them, against 78–121 ms over the window files).  Since a key hashes
-without rendering its digest and the decoder builds each record in one
-step, the 5 reads take 3.3–3.6 ms (4.3–4.5 before; the re-read sweep
-20.4–21.1 ms, 24.4–25.5 before).  The known cost: a *different*
+them, against 78–121 ms over the window files).  Since a program stores
+each profile once, in a table, and its segments by position (format 7,
+written as compact JSON), the 5 reads take 2.85–3.02 ms against
+3.55–3.89 ms at format 6, and the re-read sweep 17.6–17.9 ms against
+20.3–20.6 ms (2-core container, Python 3.11.7, numpy 2.4.6;
+machine-normalised ``op_p50_ms`` of ``compile_diskwarm``, 10 alternating
+runs each, and ``dse_warm``, 3 each).  The known cost: a *different*
 program that shares windows with stored ones re-solves them in a new
 process — cheaper than reading them, per the numbers above.  Windows
 are shared in memory only
@@ -84,8 +87,10 @@ __all__ = ["DiskCacheStore", "DiskStoreStats", "FORMAT_VERSION", "ProgramKey"]
 #: (see module docstring for the newer/older asymmetry).  Versions up to
 #: 3 held one allocation window per entry; version 4 held the plans of
 #: the DP that also relaxed each edge with a boundary reserve.  Version 5
-#: stored a ``name`` in every operator profile; version 6 does not.
-FORMAT_VERSION = 6
+#: stored a ``name`` in every operator profile; version 6 stored one
+#: profile object per operator; version 7 stores a table of distinct
+#: profiles and positional segments.
+FORMAT_VERSION = 7
 
 #: Default size budget: generous for real sweeps, small enough that a
 #: forgotten cache directory cannot fill a CI disk.
@@ -371,7 +376,7 @@ class DiskCacheStore:
             "key": key.payload,
             "program": program_to_payload(program),
         }
-        text = json.dumps(payload, sort_keys=True)
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             # The tmp file lives next to the target so os.replace stays a

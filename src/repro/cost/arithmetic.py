@@ -75,18 +75,6 @@ class OperatorProfile:
         return self.streamed_input_elements + self.output_elements + self.extra_streamed_elements
 
     @property
-    def working_set_elements(self) -> int:
-        """Dynamic data that benefits from residing in memory-mode arrays."""
-        return self.streamed_elements
-
-    @property
-    def effective_arithmetic_intensity(self) -> float:
-        """``AI_Oi`` used by Eq. 10: MACs per dynamic element moved."""
-        if self.streamed_elements == 0:
-            return float(self.macs) if self.macs else 0.0
-        return self.macs / self.streamed_elements
-
-    @property
     def model_arithmetic_intensity(self) -> float:
         """FLOPs per element moved counting weights (Fig. 5(c) metric)."""
         moved = self.streamed_elements + self.weight_elements
@@ -108,10 +96,11 @@ class OperatorProfile:
         return max(1, self.min_compute_arrays(hardware))
 
     def memory_arrays_for_working_set(self, hardware: DualModeHardwareAbstraction) -> int:
-        """Memory-mode arrays that fully buffer the dynamic working set."""
-        if self.working_set_elements == 0:
+        """Memory-mode arrays that fully buffer the dynamic working set
+        (:attr:`streamed_elements`)."""
+        if self.streamed_elements == 0:
             return 0
-        return ceil_div(self.working_set_elements, hardware.array_capacity_elements)
+        return ceil_div(self.streamed_elements, hardware.array_capacity_elements)
 
 
 def profile_operator(op: Operator, extra_streamed_elements: int = 0) -> OperatorProfile:

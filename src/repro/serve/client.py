@@ -27,7 +27,8 @@ Retry policy — deliberately asymmetric:
   retried: the daemon already ran the pipeline deterministically, and
   the same inputs would fail the same way.  They surface as
   :class:`CompileRequestError` carrying the server's structured payload.
-* **An unreadable answer** (another wire version) is a :class:`ClientError`.
+* **An unreadable answer** (another wire version, a malformed or
+  incomplete document) is a :class:`ClientError`, never retried.
 """
 
 from __future__ import annotations
@@ -276,7 +277,8 @@ class Client:
         """A JSON request through :meth:`_request_bytes`.
 
         Returns ``(status, parsed_json)``; raises :class:`ClientError`
-        when the daemon stays unreachable or answers non-JSON.
+        when the daemon stays unreachable or answers anything but a JSON
+        object.
         """
         body = (
             json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -291,6 +293,11 @@ class Client:
                 f"compile daemon at {self.url} answered non-JSON "
                 f"(status {status}): {data[:200]!r}"
             ) from exc
+        if not isinstance(document, dict):
+            raise ClientError(
+                f"compile daemon at {self.url} answered a JSON "
+                f"{type(document).__name__}, not an object (status {status})"
+            )
         return status, document
 
     @staticmethod
@@ -343,16 +350,20 @@ class Client:
         ]
         request = {"wire_version": WIRE_VERSION, "jobs": wire_jobs}
         status, document = self._request("POST", "/v1/compile_batch", request)
-        if status != 200 or "results" not in document:
+        if status != 200:
             self._raise_structured(status, document)
         with self._readable_answer():
             check_version(document, "compile_batch response")
+            results = document.get("results")
+            if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
+                raise WireFormatError("'results' must be an array of objects")
         outcomes: List[Union[RemoteCompileResult, CompileRequestError]] = []
-        for entry in document["results"]:
+        for entry in results:
             if entry.get("ok"):
                 outcomes.append(self._parse_result(entry))
             else:
-                error = entry.get("error") or {}
+                error = entry.get("error")
+                error = error if isinstance(error, dict) else {}
                 outcomes.append(
                     CompileRequestError(
                         str(error.get("code", "error")),
@@ -374,7 +385,7 @@ class Client:
     def _parse_result(self, document: Dict) -> RemoteCompileResult:
         with self._readable_answer():
             check_version(document, "compile response")
-            program = program_from_wire(document["program"])
+            program = program_from_wire(document.get("program"))
         return RemoteCompileResult(
             program=program,
             fingerprint=str(document.get("fingerprint", "")),

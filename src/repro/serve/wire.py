@@ -61,8 +61,9 @@ __all__ = [
 
 #: Version of the HTTP request/response schema.  Bump on any change to
 #: the payload shapes below; readers reject newer documents (and programs
-#: of any other version).  Version 2 dropped the profiles' ``name``.
-WIRE_VERSION = 2
+#: of any other version).  Version 2 dropped the profiles' ``name``;
+#: version 3 carries programs as a profile table and positional segments.
+WIRE_VERSION = 3
 
 #: Largest magnitude of an integer every JSON reader holds exactly
 #: (I-JSON, RFC 7493); a size beyond it is refused, not compiled.

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import NamedTuple, Tuple
 
 import pytest
+from hypothesis import settings
 
 from repro.api import Session
 from repro.baselines import COMPILERS
@@ -36,6 +37,12 @@ from repro.pipeline import FixedModeFallback
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
+
+#: Tier-1 is a function of the tree: every hypothesis test draws the same
+#: examples on every run of one checkout, with no random seed and no
+#: example database carried over from an earlier run.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 class RecordingOracle(FixedModeFallback):

@@ -21,7 +21,7 @@ from conftest import CORPUS_CASES
 
 from repro.core.program import program_from_payload, program_to_payload
 from repro.core.segmentation import flatten_graph
-from repro.cost.arithmetic import ProfileVectors
+from repro.cost.arithmetic import ProfileVectors, profile_signature
 from repro.ir import MatmulDims, arrays_for_stationary
 from repro.models import build_model, list_models
 from repro.sim import TimingSimulator
@@ -112,27 +112,57 @@ def test_baseline_equals_the_scalar_reference(case, corpus):
 def test_encoding_is_the_asdict_rendering_and_round_trips(case, corpus):
     """The encoder reads the flat records by field name; no byte may move.
 
-    Reference: ``dataclasses.asdict`` over each profile and resources
-    record, which is how format version 4 / wire version 1 were defined
-    (``tests/test_program_codec.py`` pins the fields to the versions);
-    JSON text is compared in emission order (stricter than the store's
-    sorted rendering).  The decoded payload encodes to itself.
+    Reference: the values of ``dataclasses.asdict`` over each profile
+    and resources record (``tests/test_program_codec.py`` pins the fields
+    to the versions), laid out as format version 7 / wire version 3
+    define it: each distinct profile one table row, in first-appearance
+    order, and each segment's allocations, profile rows and resources by
+    operator position.  JSON text is compared in emission order
+    (stricter than the store's sorted rendering).  The decoded payload
+    encodes to itself.
     """
     program = corpus[case].program
     payload = program_to_payload(program)
-    reference = dict(
-        payload,
-        segments=[
+    rows = {}
+    segments = []
+    for encoded, segment in zip(payload["segments"], program.segments):
+        names = segment.operator_names
+        allocations = [asdict(segment.allocations[name]) for name in names]
+        segments.append(
             dict(
                 encoded,
-                profiles={name: asdict(profile) for name, profile in segment.profiles.items()},
-                resources=None if segment.resources is None else asdict(segment.resources),
+                allocations=[[a["compute_arrays"], a["memory_arrays"]] for a in allocations],
+                profiles=[
+                    rows.setdefault(tuple(asdict(segment.profiles[name]).values()), len(rows))
+                    for name in names
+                ],
+                resources=(
+                    None if segment.resources is None else list(asdict(segment.resources).values())
+                ),
             )
-            for encoded, segment in zip(payload["segments"], program.segments)
-        ],
-    )
+        )
+    reference = dict(payload, profiles=[list(row) for row in rows], segments=segments)
     assert json.dumps(payload) == json.dumps(reference)
     assert program_to_payload(program_from_payload(payload)) == payload
+
+
+@pytest.mark.corpus()
+def test_a_payload_stores_each_profile_once(case, corpus):
+    """The profile table has one row per distinct ``profile_signature``,
+    and the decoded program (read back from JSON text, as the store and
+    the wire read it) holds one ``OperatorProfile`` object per row."""
+    program = corpus[case].program
+    payload = program_to_payload(program)
+    signatures = {
+        profile_signature(profile)
+        for segment in program.segments
+        for profile in segment.profiles.values()
+    }
+    assert len(payload["profiles"]) == len(signatures)
+    decoded = program_from_payload(json.loads(json.dumps(payload)))
+    objects = {id(p) for segment in decoded.segments for p in segment.profiles.values()}
+    assert len(objects) == len(payload["profiles"])
+    assert decoded.fingerprint() == program.fingerprint()
 
 
 @pytest.mark.corpus(lambda case: case.compiler == "cim-mlc")

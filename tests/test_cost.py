@@ -79,12 +79,15 @@ class TestProfiles:
 
     def test_memory_arrays_for_working_set(self, small_chip):
         profile = linear_profile(64, 256, 256)
-        expected = -(-profile.working_set_elements // small_chip.array_capacity_elements)
+        expected = -(-profile.streamed_elements // small_chip.array_capacity_elements)
         assert profile.memory_arrays_for_working_set(small_chip) == expected
 
     def test_effective_ai_excludes_static_weights(self):
+        """``AI_Oi`` of Eq. 10 is MACs per streamed element: static
+        weights do not count, so it exceeds the FLOPs per element moved
+        with the weights counted."""
         profile = linear_profile(1, 1024, 1024)
-        assert profile.effective_arithmetic_intensity > profile.model_arithmetic_intensity
+        assert profile.macs / profile.streamed_elements > profile.model_arithmetic_intensity
 
     def test_dynamic_matmul_counts_both_operands(self):
         profile = matmul_profile()
@@ -94,7 +97,8 @@ class TestProfiles:
     def test_extra_streamed_lowers_effective_ai(self):
         base = linear_profile()
         loaded = linear_profile(extra=100_000)
-        assert loaded.effective_arithmetic_intensity < base.effective_arithmetic_intensity
+        assert loaded.macs == base.macs
+        assert loaded.streamed_elements == base.streamed_elements + 100_000
 
     def test_profile_rejects_non_mappable(self, tiny_cnn_graph):
         aux = next(op for op in tiny_cnn_graph.operators if not op.is_cim_mappable)

@@ -3,7 +3,8 @@
 Covered here: the payload's schema is pinned to ``FORMAT_VERSION`` and
 ``WIRE_VERSION``; entries written by format version 4 are refused as
 they are, and decode to their recorded fingerprints and re-encode to the
-same bytes once their profiles' ``name`` is stripped; every malformed program is a
+same bytes once migrated to the version-7 shape (a profile table,
+positional segments); every malformed program is a
 ``ProgramFormatError`` — a counted corrupt miss in the store, a
 ``WireFormatError`` on the wire — and so is any one-field mutation of a
 program that would crash its readers (fuzzed through the decoder and
@@ -32,7 +33,6 @@ from repro.core import CompilerOptions, DiskCacheStore
 from repro.core.program import (
     ProgramFormatError,
     _json_safe,
-    _segment_to_payload,
     program_from_payload,
     program_to_payload,
 )
@@ -56,29 +56,45 @@ from repro.service import CompileJob, CompileService
 #: its file digest, the SHA-256 of its exact text and the program's
 #: fingerprint.  Version 5 changed no byte of the program encoding (it
 #: marks plans that moved, and neither of these did), only the number;
-#: version 6 dropped the ``name`` of every operator profile.
+#: version 6 dropped the ``name`` of every operator profile; version 7
+#: stores each distinct profile once, in a table, and segments by position.
 PINNED = Path(__file__).resolve().parent / "data" / "program_entry_v4.json"
+
+PROFILE_FIELDS = [f.name for f in fields(OperatorProfile)]
+RESOURCES_FIELDS = [f.name for f in fields(SegmentResources)]
 
 
 def _pinned():
     return json.loads(PINNED.read_text(encoding="utf-8"))["programs"]
 
 
-def _without_profile_names(program):
-    """A version-4/5 program payload as version 6 writes it."""
-    return {
-        **program,
-        "segments": [
+def _migrated(program):
+    """A version-4/5 program payload as version 7 writes it: profiles
+    without ``name``, one table row per distinct profile (first
+    appearance in operator order), allocations, profile rows and
+    resources by position."""
+    rows = {}
+    segments = []
+    for segment in program["segments"]:
+        names = segment["operator_names"]
+        resources = segment["resources"]
+        assert all(set(p) == {"name", *PROFILE_FIELDS} for p in segment["profiles"].values())
+        segments.append(
             {
                 **segment,
-                "profiles": {
-                    name: {f: v for f, v in profile.items() if f != "name"}
-                    for name, profile in segment["profiles"].items()
-                },
+                "allocations": [segment["allocations"][name] for name in names],
+                "profiles": [
+                    rows.setdefault(
+                        tuple(segment["profiles"][name][f] for f in PROFILE_FIELDS), len(rows)
+                    )
+                    for name in names
+                ],
+                "resources": (
+                    None if resources is None else [resources[f] for f in RESOURCES_FIELDS]
+                ),
             }
-            for segment in program["segments"]
-        ],
-    }
+        )
+    return {**program, "profiles": [list(row) for row in rows], "segments": segments}
 
 
 def test_the_schema_is_pinned_to_the_versions(corpus):
@@ -86,14 +102,14 @@ def test_the_schema_is_pinned_to_the_versions(corpus):
     profile or resources field, a program or segment key — changes what
     the store and the wire read, so it comes with a ``FORMAT_VERSION``
     and a ``WIRE_VERSION`` bump, made here together."""
-    program = corpus.find("tiny-cnn", "small-test-chip").program
+    payload = program_to_payload(corpus.find("tiny-cnn", "small-test-chip").program)
     schema = {
-        "profile": [f.name for f in fields(OperatorProfile)],
-        "resources": [f.name for f in fields(SegmentResources)],
-        "program": sorted(program_to_payload(program)),
-        "segment": sorted(_segment_to_payload(program.segments[0])),
+        "profile": PROFILE_FIELDS,
+        "resources": RESOURCES_FIELDS,
+        "program": sorted(payload),
+        "segment": sorted(payload["segments"][0]),
     }
-    assert (FORMAT_VERSION, WIRE_VERSION, schema) == (6, 2, {
+    assert (FORMAT_VERSION, WIRE_VERSION, schema) == (7, 3, {
         "profile": [
             "op_type", "macs", "flops", "input_elements", "output_elements",
             "weight_elements", "stationary_elements", "streamed_input_elements",
@@ -106,7 +122,7 @@ def test_the_schema_is_pinned_to_the_versions(corpus):
         ],
         "program": [
             "block_repeat", "compile_seconds", "compiler_name", "graph_name", "hardware",
-            "meta_program", "metadata", "segments", "stats",
+            "meta_program", "metadata", "profiles", "segments", "stats",
         ],
         "segment": [
             "allocations", "boundary_memory_arrays", "index", "inter_breakdown",
@@ -121,16 +137,16 @@ class TestFormatVersion4Pin:
         entry = record["entry"]
         text = json.dumps(entry, sort_keys=True)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == record["entry_sha256"]
-        with pytest.raises(ProgramFormatError, match="unknown profile field\\(s\\): name"):
+        with pytest.raises(ProgramFormatError, match="missing required field 'profiles'"):
             program_from_payload(entry["program"])
-        stripped = _without_profile_names(entry["program"])
-        program = program_from_payload(stripped)
+        migrated = _migrated(entry["program"])
+        program = program_from_payload(migrated)
         assert program.fingerprint() == record["fingerprint"]
         assert json.dumps(program_to_payload(program), sort_keys=True) == json.dumps(
-            stripped, sort_keys=True
+            migrated, sort_keys=True
         )
         wire = json.dumps(program_to_wire(program), sort_keys=True)
-        assert wire == json.dumps({"wire_version": WIRE_VERSION, **stripped}, sort_keys=True)
+        assert wire == json.dumps({"wire_version": WIRE_VERSION, **migrated}, sort_keys=True)
 
     @pytest.mark.parametrize("record", _pinned(), ids=lambda record: record["model"])
     def test_store_reads_and_rewrites_the_pinned_entry(self, record, tmp_path):
@@ -141,12 +157,14 @@ class TestFormatVersion4Pin:
         path.write_text(json.dumps(record["entry"], sort_keys=True), encoding="utf-8")
         store = DiskCacheStore(tmp_path)
         # A version-4 entry is never served; rewritten, it is the same
-        # entry, profiles without names, under the new version number.
+        # entry, migrated, under the new version number (compact JSON).
         assert store.get(key) is None and store.stats.version_rejections == 1
-        stripped = _without_profile_names(record["entry"]["program"])
-        store.put(key, program_from_payload(stripped))
-        current = {**record["entry"], "format_version": FORMAT_VERSION, "program": stripped}
-        assert path.read_text(encoding="utf-8") == json.dumps(current, sort_keys=True)
+        migrated = _migrated(record["entry"]["program"])
+        store.put(key, program_from_payload(migrated))
+        current = {**record["entry"], "format_version": FORMAT_VERSION, "program": migrated}
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            current, sort_keys=True, separators=(",", ":")
+        )
         assert store.get(key).fingerprint() == record["fingerprint"]
 
 
@@ -158,10 +176,11 @@ def _first_segment(program, **fields):
     return {**program, "segments": [{**first, **fields}, *program["segments"][1:]]}
 
 
-def _first_allocation(program, pair):
-    allocations = dict(program["segments"][0]["allocations"])
-    allocations[next(iter(allocations))] = pair
-    return _first_segment(program, allocations=allocations)
+def _first_operator(program, field, value):
+    """The first segment with its first operator's ``field`` entry replaced."""
+    entries = list(program["segments"][0][field])
+    entries[0] = value
+    return _first_segment(program, **{field: entries})
 
 
 def _hardware(program, **fields):
@@ -169,32 +188,65 @@ def _hardware(program, **fields):
 
 
 def _first_profile(program, **fields):
-    profiles = dict(program["segments"][0]["profiles"])
-    name = next(iter(profiles))
-    profiles[name] = {**profiles[name], **fields}
-    return _first_segment(program, profiles=profiles)
+    """The table row of the first segment's first operator, fields replaced."""
+    rows = list(program["profiles"])
+    row = program["segments"][0]["profiles"][0]
+    rows[row] = [fields.get(name, value) for name, value in zip(PROFILE_FIELDS, rows[row])]
+    return {**program, "profiles": rows}
+
+
+def _shortened(program, field):
+    """The first segment with one entry fewer in ``field`` than operators."""
+    return _first_segment(program, **{field: program["segments"][0][field][:-1]})
 
 
 #: Mangles that used to leave the decoder as a raw ValueError, TypeError
-#: or AttributeError, or (the last five) decoded into a program whose
-#: ``end_to_end_ms`` or ``estimate_energy`` raised.
+#: or AttributeError, or decoded into a program whose ``end_to_end_ms``,
+#: ``fingerprint`` or ``estimate_energy`` raised (version 6's per-operator
+#: objects re-expressed on the version-7 shape, then the table's own).
 MANGLES = {
-    "negative-count": lambda program: _first_allocation(program, [-1, 0]),
+    "negative-count": lambda program: _first_operator(program, "allocations", [-1, 0]),
     "non-integer-index": lambda program: _first_segment(program, index="first"),
     "non-integer-boundary": lambda program: _first_segment(
         program, boundary_memory_arrays=[1]
     ),
-    "non-numeric-allocation": lambda program: _first_allocation(program, ["x", 1]),
+    "non-numeric-allocation": lambda program: _first_operator(
+        program, "allocations", ["x", 1]
+    ),
     "integer-operator-names": lambda program: _first_segment(program, operator_names=7),
-    "list-profiles": lambda program: _first_segment(program, profiles=[1]),
+    "object-profiles": lambda program: _first_segment(program, profiles={"a": 0}),
     "list-inter-breakdown": lambda program: _first_segment(program, inter_breakdown=[1]),
     "list-metadata": lambda program: {**program, "metadata": [1]},
     "string-frequency": lambda program: _hardware(program, frequency_mhz="x"),
     "zero-frequency": lambda program: _hardware(program, frequency_mhz=0),
     "string-profile-count": lambda program: _first_profile(program, macs="x"),
     "oversized-profile-count": lambda program: _first_profile(program, macs=10**400),
+    "list-op-type": lambda program: _first_profile(program, op_type=[]),
+    "object-static-weight": lambda program: _first_profile(program, has_static_weight={}),
     "unprofiled-operator": lambda program: _first_segment(
         program, operator_names=[*program["segments"][0]["operator_names"], "ghost"]
+    ),
+    "row-index-out-of-range": lambda program: _first_operator(
+        program, "profiles", len(program["profiles"])
+    ),
+    "negative-row-index": lambda program: _first_operator(program, "profiles", -1),
+    "bool-row-index": lambda program: _first_operator(program, "profiles", True),
+    "short-profile-row": lambda program: {
+        **program, "profiles": [program["profiles"][0][:-1], *program["profiles"][1:]]
+    },
+    "long-profile-row": lambda program: {
+        **program, "profiles": [[*program["profiles"][0], 1], *program["profiles"][1:]]
+    },
+    "short-allocations": lambda program: _shortened(program, "allocations"),
+    "short-profiles": lambda program: _shortened(program, "profiles"),
+    "integer-operator-name": lambda program: _first_operator(program, "operator_names", 0),
+    "object-profile-table": lambda program: {**program, "profiles": {}},
+    "number-profile-table": lambda program: {**program, "profiles": 0},
+    "short-resources": lambda program: _first_segment(
+        program, resources=program["segments"][0]["resources"][:-1]
+    ),
+    "object-resources": lambda program: _first_segment(
+        program, resources=dict(zip(RESOURCES_FIELDS, program["segments"][0]["resources"]))
     ),
 }
 
@@ -273,10 +325,12 @@ def _mutated(payload, path, how, mutant):
 
 
 def _summaries(program) -> None:
-    """What a reader of a decoded program calls first."""
+    """What a reader of a decoded program calls first, and the re-encode
+    a daemon runs to serve it."""
     program.end_to_end_ms
     program.fingerprint()
     estimate_energy(program)
+    program_to_payload(program)
 
 
 _MUTATION = st.tuples(st.sampled_from(["replace", "replace", "delete", "rename"]), _MUTANTS)

@@ -1129,24 +1129,24 @@ class TestClientFraming:
         assert (excinfo.value.code, excinfo.value.status) == ("compile_failed", 422)
         assert (server.accepts, server.requests) == (1, 1)
 
-    @pytest.mark.parametrize("version", [1, WIRE_VERSION + 1], ids=["v1", "newer"])
+    @pytest.mark.parametrize(
+        "version", [1, 2, WIRE_VERSION + 1], ids=["v1", "v2", "newer"]
+    )
     @pytest.mark.parametrize("batch", [False, True], ids=["compile", "compile_batch"])
     def test_an_unreadable_program_is_a_client_error_after_one_request(
         self, canned, small_chip, tiny_mlp_graph, version, batch
     ):
         """A program of another wire version is a ``ClientError`` naming
         the daemon and both versions, never a raw ``WireFormatError``
-        and never retried.  Version 1 stored every profile's name."""
+        and never retried.  The version alone refuses it, before its
+        shape is read (version 1 stored every profile's name, version 2
+        one profile object per operator)."""
         from repro.core.compiler import CMSwitchCompiler
 
         program = CMSwitchCompiler(small_chip, CompilerOptions(generate_code=False)).compile(
             tiny_mlp_graph
         )
         document = {**program_to_wire(program), "wire_version": version}
-        for segment in document["segments"]:
-            segment["profiles"] = {
-                name: {**profile, "name": name} for name, profile in segment["profiles"].items()
-            }
         result = {"ok": True, "wire_version": version, "program": document}
         answer = {"results": [result], "wire_version": version} if batch else result
         body = json.dumps(answer).encode("utf-8")
@@ -1160,6 +1160,56 @@ class TestClientFraming:
         assert server.url in message
         assert f"wire_version {version}" in message and f"reader's {WIRE_VERSION}" in message
         assert (server.accepts, server.requests) == (1, 1)
+
+
+    @pytest.mark.parametrize(
+        "answer, batch",
+        [
+            ({"ok": True, "wire_version": WIRE_VERSION}, False),
+            ({"results": [{"ok": True, "wire_version": WIRE_VERSION}]}, True),
+            ({"results": [1]}, True),
+            ({"results": 5}, True),
+            ({"results": {"ok": True}}, True),
+            ({}, True),
+            ([{"ok": True}], False),
+            ([{"results": []}], True),
+        ],
+        ids=[
+            "ok-without-program", "batch-ok-without-program", "batch-non-object-result",
+            "batch-number-results", "batch-object-results", "batch-without-results",
+            "list-answer", "batch-list-answer",
+        ],
+    )
+    def test_a_malformed_answer_is_a_client_error_after_one_request(
+        self, canned, answer, batch
+    ):
+        """An answer this client cannot read — a success without its
+        program, batch ``results`` that are not an array of objects, a
+        document that is not an object — is a ``ClientError`` naming the
+        daemon, never a raw ``KeyError`` / ``TypeError`` /
+        ``AttributeError``, and never retried."""
+        if isinstance(answer, dict) and batch:
+            answer = {**answer, "wire_version": WIRE_VERSION}
+        body = json.dumps(answer).encode("utf-8")
+        server = canned(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+        with Client(server.url, timeout=5.0, retries=3, backoff=0.01) as client:
+            with pytest.raises(ClientError) as excinfo:
+                client.compile_batch(["tiny-mlp"]) if batch else client.compile("tiny-mlp")
+        assert type(excinfo.value) is ClientError
+        assert server.url in str(excinfo.value)
+        assert (server.accepts, server.requests) == (1, 1)
+
+    def test_a_malformed_batch_error_is_the_jobs_request_error(self, canned):
+        """A failed batch entry whose ``error`` is not an object still
+        yields its ``CompileRequestError`` in the list."""
+        body = json.dumps(
+            {"wire_version": WIRE_VERSION, "results": [{"ok": False, "error": "boom"}]}
+        ).encode("utf-8")
+        server = canned(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+        with Client(server.url, timeout=5.0, retries=0) as client:
+            (outcome,) = client.compile_batch(["tiny-mlp"])
+        assert isinstance(outcome, CompileRequestError)
+        assert (outcome.code, outcome.status) == ("error", 200)
 
 
 # ---------------------------------------------------------------------- #

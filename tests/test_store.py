@@ -22,7 +22,7 @@ import json
 import multiprocessing
 import os
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,6 +40,8 @@ from repro.core import (
 )
 from repro.core.program import RenderedMetaProgram
 from repro.core.store import FORMAT_VERSION, ProgramKey
+from repro.cost.arithmetic import OperatorProfile
+from repro.cost.switching import SegmentResources
 from repro.hardware import get_preset, small_test_chip
 from repro.models import Workload, build_model
 from repro.obs import Observability
@@ -72,6 +74,10 @@ def _program():
 
 def _entry_file(store: DiskCacheStore, key: ProgramKey) -> Path:
     return store.root / key.digest[:2] / f"{key.digest}.json"
+
+
+PROFILE_FIELDS = [f.name for f in fields(OperatorProfile)]
+RESOURCES_FIELDS = [f.name for f in fields(SegmentResources)]
 
 
 def _same(got, program) -> bool:
@@ -201,7 +207,10 @@ class TestDiskCacheStore:
             lambda program: {
                 **program,
                 "segments": [
-                    {**program["segments"][0], "allocations": {"op": [1]}},
+                    {
+                        **program["segments"][0],
+                        "allocations": [[1], *program["segments"][0]["allocations"][1:]],
+                    },
                     *program["segments"][1:],
                 ],
             },
@@ -272,32 +281,57 @@ class TestDiskCacheStore:
         assert json.loads(path.read_text(encoding="utf-8"))["format_version"] == FORMAT_VERSION
         assert _same(store.get(key), _program())
 
-    def test_v5_program_entry_is_rejected_and_overwritten(self, tmp_path):
-        """Version 5 stored a ``name`` in every operator profile: such an
-        entry, planted at the probed address, is a counted version
-        rejection (never a corrupt entry), and the next ``put`` writes
-        the nameless profiles under the current version."""
+    @staticmethod
+    def _plant_per_operator_entry(tmp_path, version: int):
+        """A store holding ``_program()`` in the shape versions 5 and 6
+        wrote: one profile object per operator (version 5 adds its
+        ``name``), allocations and resources as objects."""
         store = DiskCacheStore(tmp_path)
         key = _key()
         store.put(key, _program())
         path = _entry_file(store, key)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        for segment in payload["program"]["segments"]:
-            for name, profile in segment["profiles"].items():
-                profile["name"] = name
-        path.write_text(json.dumps({**payload, "format_version": 5}), encoding="utf-8")
+        program = payload["program"]
+        table = [dict(zip(PROFILE_FIELDS, row)) for row in program.pop("profiles")]
+        for segment in program["segments"]:
+            names = segment["operator_names"]
+            segment["allocations"] = dict(zip(names, segment["allocations"]))
+            segment["profiles"] = {
+                name: {**table[row], **({"name": name} if version == 5 else {})}
+                for name, row in zip(names, segment["profiles"])
+            }
+            if segment["resources"] is not None:
+                segment["resources"] = dict(zip(RESOURCES_FIELDS, segment["resources"]))
+        path.write_text(json.dumps({**payload, "format_version": version}), encoding="utf-8")
+        return store, key, path
+
+    def _assert_rejected_and_overwritten(self, store, key, path):
         assert store.get(key) is None
         assert store.stats.version_rejections == 1
         assert store.stats.hits == 0 and store.stats.corrupt_entries == 0
         store.put(key, _program())
         rewritten = json.loads(path.read_text(encoding="utf-8"))
         assert rewritten["format_version"] == FORMAT_VERSION
+        # No profile carries a name, and no operator an object of its own.
+        assert all(len(row) == len(PROFILE_FIELDS) for row in rewritten["program"]["profiles"])
         assert all(
-            "name" not in profile
+            isinstance(segment[field], list)
             for segment in rewritten["program"]["segments"]
-            for profile in segment["profiles"].values()
+            for field in ("allocations", "profiles")
         )
         assert _same(store.get(key), _program())
+
+    def test_v5_program_entry_is_rejected_and_overwritten(self, tmp_path):
+        """Version 5 stored a ``name`` in every operator profile: such an
+        entry, planted at the probed address, is a counted version
+        rejection (never a corrupt entry), and the next ``put`` writes
+        the nameless profile table under the current version."""
+        self._assert_rejected_and_overwritten(*self._plant_per_operator_entry(tmp_path, 5))
+
+    def test_v6_program_entry_is_rejected_and_overwritten(self, tmp_path):
+        """Version 6 stored one profile object per operator: a counted
+        version rejection, rewritten as a table and positional segments."""
+        self._assert_rejected_and_overwritten(*self._plant_per_operator_entry(tmp_path, 6))
 
     def test_v2_directory_is_all_misses(self, tmp_path):
         """A directory of version-2 and version-3 window entries reads as
@@ -892,7 +926,7 @@ class TestCrossProcessWarmStartCLI:
         assert "cache: 2 entries" in capsys.readouterr().out  # one per compiled model
         path = sorted(tmp_path.glob("*/*.json"))[0]
         entry = json.loads(path.read_text(encoding="utf-8"))
-        entry["program"]["segments"][0]["profiles"] = [1]
+        entry["program"]["segments"][0]["profiles"] = {"a": 1}
         path.write_text(json.dumps(entry), encoding="utf-8")
         assert main(command) == 0
         solves = re.search(r"total allocator solves:.*?(\S+)$", capsys.readouterr().out, re.M)
