@@ -128,11 +128,6 @@ class DualModeHardwareAbstraction:
         return self.array_capacity_elements * self.weight_bits // 8
 
     @property
-    def total_array_capacity_bytes(self) -> int:
-        """Bytes stored if every array were in memory mode."""
-        return self.num_arrays * self.array_capacity_bytes
-
-    @property
     def buffer_elements(self) -> int:
         """Activation elements the native buffer holds."""
         return self.buffer_bytes * 8 // self.activation_bits

@@ -142,11 +142,6 @@ class Operator:
         return sum(t.num_elements for t in self.outputs)
 
     @property
-    def input_bytes(self) -> int:
-        """Total activation input bytes."""
-        return sum(t.num_bytes for t in self.inputs)
-
-    @property
     def output_bytes(self) -> int:
         """Total output bytes."""
         return sum(t.num_bytes for t in self.outputs)

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import math
 import threading
-from functools import reduce
 from itertools import chain
-from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -143,21 +143,23 @@ class Histogram:
     def observe_many(self, values: Iterable[float]) -> None:
         """:meth:`observe` every value in order, under one lock.
 
-        Leaves ``count``, ``total`` (added one value at a time, in
-        order), ``min`` / ``max`` and the retained samples exactly as
-        that many :meth:`observe` calls would.  A one-dimensional
-        memoryview of doubles (format ``"d"``) is read as the floats it
-        holds, without a conversion per value.
+        Leaves ``count``, ``total`` (one ``cumsum`` seeded with the old
+        total: the same in-order adds), ``min`` / ``max`` and the
+        retained samples exactly as that many :meth:`observe` calls
+        would.  A one-dimensional memoryview of doubles (format ``"d"``)
+        is read as the array it holds, without a conversion per value.
         """
         if isinstance(values, memoryview) and values.format == "d" and values.ndim == 1:
-            values = values.tolist()
+            column = np.asarray(values)
         else:
-            values = list(map(float, values))
-        if not values:
+            column = np.fromiter(map(float, values), np.float64)
+        if not len(column):
             return
+        values = column.tolist()
         with self._lock:
             self.count += len(values)
-            self.total = reduce(add, values, self.total)
+            with np.errstate(all="ignore"):  # inf - inf is NaN, as in observe
+                self.total = float(np.cumsum(np.concatenate(([self.total], column)))[-1])
             self.min = min(chain(() if self.min is None else (self.min,), values))
             self.max = max(chain(() if self.max is None else (self.max,), values))
             room = _HISTOGRAM_SAMPLE_CAP - len(self._samples)

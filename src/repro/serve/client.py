@@ -386,13 +386,19 @@ class Client:
         with self._readable_answer():
             check_version(document, "compile response")
             program = program_from_wire(document.get("program"))
+            wall_seconds = document.get("wall_seconds", 0.0)
+            if isinstance(wall_seconds, bool) or not isinstance(wall_seconds, (int, float)):
+                raise WireFormatError(f"'wall_seconds' must be a number, not {wall_seconds!r}")
+            stats = document.get("stats")
+            if stats is not None and not isinstance(stats, dict):
+                raise WireFormatError(f"'stats' must be an object or null, not {stats!r}")
         return RemoteCompileResult(
             program=program,
             fingerprint=str(document.get("fingerprint", "")),
             coalesced=bool(document.get("coalesced", False)),
             cached=bool(document.get("cached", False)),
-            wall_seconds=float(document.get("wall_seconds", 0.0)),
-            stats=dict(document.get("stats") or {}),
+            wall_seconds=float(wall_seconds),
+            stats=dict(stats or {}),
         )
 
     def cache_stats(self) -> Dict:

@@ -21,6 +21,7 @@ p99 as this module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -98,10 +99,64 @@ class ReplayMetrics:
         }
 
 
+#: ``sum()`` of floats adds Neumaier's compensation from Python 3.12 on.
+_COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+#: Elements per block of the compensation pass: two reused rows of
+#: scratch stay in cache, where column-length temporaries would not.
+_BLOCK = 8192
+
+
 def _total(column: np.ndarray) -> float:
-    """``sum()`` of a column's floats in order (a memoryview yields them
-    as plain Python floats, no list built)."""
-    return sum(memoryview(np.ascontiguousarray(column, dtype=np.float64)))
+    """Builtin ``sum()`` of a column's floats in order, to the last bit.
+
+    ``sum()`` starts from the integer 0, so its running totals are one
+    ``cumsum`` seeded with +0.0 (a column of ``-0.0`` totals ``+0.0``).
+    Up to Python 3.11 the last of them is the result.  From 3.12 the
+    result also takes :func:`_compensation`, but only when that is
+    non-zero and finite.  Every ``cumsum`` adds in order, never pairwise.
+    """
+    values = np.asarray(column, dtype=np.float64)
+    running = np.empty(len(values) + 1)
+    running[0] = 0.0
+    running[1:] = values
+    with np.errstate(all="ignore"):
+        np.cumsum(running, out=running)
+        total = float(running[-1])
+        compensation = _compensation(running, values) if _COMPENSATED_SUM else 0.0
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def _compensation(running: np.ndarray, values: np.ndarray) -> float:
+    """Python 3.12's compensation of ``sum(values)``, added in order.
+
+    Each element ``x`` after the first leaves a term that depends only on
+    ``x``, its running total ``t`` and the previous one ``prev``:
+    ``(prev - t) + x`` where ``|prev| >= |x|``, else ``(x - t) + prev``.
+    A block's ``cumsum`` adds its terms in order, its first term carrying
+    the blocks before it.
+    """
+    scratch = np.empty((2, _BLOCK))
+    mask = np.empty(_BLOCK, dtype=bool)
+    compensation = 0.0
+    for start in range(1, len(values), _BLOCK):
+        stop = min(start + _BLOCK, len(values))
+        prev, t, x = running[start:stop], running[start + 1 : stop + 1], values[start:stop]
+        size = stop - start
+        terms, other, larger = scratch[0, :size], scratch[1, :size], mask[:size]
+        np.greater_equal(np.abs(prev, out=terms), np.abs(x, out=other), out=larger)
+        # terms: the larger of prev and x by magnitude (prev on a tie); other: the rest
+        np.copyto(terms, x)
+        np.copyto(terms, prev, where=larger)
+        np.copyto(other, prev)
+        np.copyto(other, x, where=larger)
+        terms -= t
+        terms += other
+        terms[0] += compensation  # the blocks before: every add stays in order
+        compensation = float(np.cumsum(terms, out=terms)[-1])
+    return compensation
 
 
 def compute_metrics(outcomes) -> ReplayMetrics:
@@ -114,10 +169,10 @@ def compute_metrics(outcomes) -> ReplayMetrics:
     Latencies and queueing delays are array subtractions over the
     served requests' columns, ``per_model`` one ``bincount``, and p50,
     p99 and the maximum one ``partition`` at their nearest ranks — the
-    entries ``sorted(latencies)`` holds there.  Totals and means stay
-    ``sum()`` over the same floats in request order: ``sum`` of floats
-    is compensated on Python >= 3.12, so neither a running total nor a
-    numpy reduction would reproduce its last bit.
+    entries ``sorted(latencies)`` holds there.  Totals and means are
+    :func:`_total`: builtin ``sum()`` over the same floats in request
+    order, bit for bit on every Python, from ``np.cumsum`` rather than
+    one Python add per request.
     """
     metrics = ReplayMetrics(requests=len(outcomes))
     arrivals, programs, starts, switches, finishes = outcomes.served_columns()

@@ -146,11 +146,6 @@ class TraceRequest:
             "workload": workload_to_payload(self.workload),
         }
 
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "TraceRequest":
-        """Rebuild a request from :meth:`to_payload` output."""
-        return cls(*_request_fields(payload))
-
 
 def _by_arrival(
     request_ids: Sequence[str],

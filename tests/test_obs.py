@@ -213,11 +213,16 @@ class TestMetrics:
     @settings(max_examples=150, deadline=None)
     @given(
         batches=st.lists(
-            st.lists(st.floats() | st.integers(-3, 3) | st.sampled_from([0.0, -0.0])),
+            st.lists(
+                st.floats()
+                | st.integers(-3, 3)
+                | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+            ),
             max_size=6,
         )
     )
     @example(batches=[[1.0, 0.5], [math.nan, 0.0, 2.0]])  # NaN first in a later batch
+    @example(batches=[[-0.0], [math.inf, -math.inf, 1.0]])  # a signed zero, then inf - inf
     def test_observe_many_is_observe_of_each_value(self, batches):
         """Count, in-order total, min / max (NaN and signed zeros included)
         and the retained samples, across the sample cap, bit for bit."""

@@ -12,7 +12,8 @@ Six layers of assurance:
   total served work, p50 <= p99 and utilisation stays in [0, 1] on
   randomized schedules.
 * **Differential** — :func:`replay_schedule` equals a ten-line in-test
-  Lindley recurrence float for float, with and without a tracer.
+  Lindley recurrence float for float, with and without a tracer, and
+  the metrics' totals equal builtin ``sum()`` bit for bit.
 * **Golden fixtures** — two committed traces replay to frozen metrics.
 * **Program granularity** — a replay renders each program key and prices
   each ordered program pair at most once, however long the trace.
@@ -25,14 +26,18 @@ import json
 import math
 import warnings
 from collections import Counter
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.sim.metrics as metrics_module
 import repro.sim.replay as replay_module
 import repro.sim.traces as traces_module
 from repro.api import Session
@@ -654,6 +659,78 @@ class TestMetricsDifferential:
         assert metrics.throughput_rps == 0.0
         assert metrics.utilisation == 1.0
         assert repr(metrics.to_dict()) == repr(_reference_metrics(outcomes))
+
+
+def _neumaier_sum(values):
+    """Python 3.12's float ``sum()`` written out: the integer 0 plus the
+    first element, then each later one with Neumaier's compensation."""
+    total, compensation = 0 + values[0], 0.0
+    for x in values[1:]:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def _assert_same_float(actual, expected):
+    """Equal bits: the same ``float.hex`` (which carries the sign of a
+    zero), or both NaN."""
+    assert type(actual) is float
+    if math.isnan(expected):
+        assert math.isnan(actual)
+    else:
+        assert actual.hex() == expected.hex()
+        assert math.copysign(1.0, actual) == math.copysign(1.0, expected)
+
+
+#: Float columns that mix signed zeros, subnormals, infinities, NaN and
+#: cancellation at the 1e16 scale (where a compensated sum differs).
+_sum_columns = st.lists(
+    st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan])
+    | st.sampled_from([1e16, -1e16, 1e16 + 2.0, -1e16 - 2.0, 1.0, -1.0, 0.5, 3.0]),
+    min_size=1,
+    max_size=40,
+)
+
+#: Compensation terms 1 then fifteen 2**-54: added in order the small ones
+#: vanish, added pairwise they move the total by one unit in the last place.
+_TERMS_IN_ORDER = [2.0**53, 1.0] + [2.0**-54] * 15
+
+
+class TestTotal:
+    """``_total`` is builtin ``sum()`` to the last bit, on this Python and
+    on every other: each branch equals the loop it stands for."""
+
+    @pytest.mark.parametrize(
+        "column",
+        [[-0.0], [-0.0, -0.0], [1e16, 1.0, -1e16], [math.inf, -math.inf]],
+        ids=["negative-zero", "negative-zeros", "cancellation", "opposite-infinities"],
+    )
+    def test_a_fixed_column_is_builtin_sum(self, column):
+        _assert_same_float(metrics_module._total(np.array(column)), sum(column))
+
+    @settings(max_examples=300, deadline=None)
+    @given(column=_sum_columns)
+    @example(column=_TERMS_IN_ORDER)
+    def test_equals_builtin_sum_bit_for_bit(self, column):
+        _assert_same_float(metrics_module._total(np.array(column)), sum(column))
+
+    @settings(max_examples=300, deadline=None)
+    @given(column=_sum_columns)
+    @example(column=_TERMS_IN_ORDER)
+    def test_each_branch_equals_the_loop_it_stands_for(self, column):
+        """Both branches run here whatever this Python's ``sum()`` is:
+        the plain one is the running total from the integer 0, the
+        compensated one Python 3.12's loop, in blocks of three so that
+        the compensation crosses blocks."""
+        for compensated, loop in ((False, lambda c: reduce(add, c, 0)), (True, _neumaier_sum)):
+            with mock.patch.multiple(
+                metrics_module, _COMPENSATED_SUM=compensated, _BLOCK=3
+            ):
+                _assert_same_float(metrics_module._total(np.array(column)), loop(column))
 
 
 class TestQueueDepth:

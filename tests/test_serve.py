@@ -1161,6 +1161,35 @@ class TestClientFraming:
         assert f"wire_version {version}" in message and f"reader's {WIRE_VERSION}" in message
         assert (server.accepts, server.requests) == (1, 1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("wall_seconds", "soon"), ("stats", [1, 2])],
+        ids=["wall-seconds-string", "stats-array"],
+    )
+    def test_a_bad_result_field_is_a_client_error_after_one_request(
+        self, canned, small_chip, tiny_mlp_graph, field, value
+    ):
+        """A success whose ``wall_seconds`` is not a number or whose
+        ``stats`` is not an object is a ``ClientError`` naming the
+        daemon, never a raw ``ValueError`` / ``TypeError``, and never
+        retried."""
+        from repro.core.compiler import CMSwitchCompiler
+
+        program = CMSwitchCompiler(small_chip, CompilerOptions(generate_code=False)).compile(
+            tiny_mlp_graph
+        )
+        answer = {
+            "ok": True, "wire_version": WIRE_VERSION, "program": program_to_wire(program),
+            field: value,
+        }
+        body = json.dumps(answer).encode("utf-8")
+        server = canned(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+        with Client(server.url, timeout=5.0, retries=3, backoff=0.01) as client:
+            with pytest.raises(ClientError, match=field) as excinfo:
+                client.compile("tiny-mlp")
+        assert type(excinfo.value) is ClientError
+        assert server.url in str(excinfo.value)
+        assert (server.accepts, server.requests) == (1, 1)
 
     @pytest.mark.parametrize(
         "answer, batch",
