@@ -11,8 +11,8 @@ first-class DSE engine (:mod:`repro.dse`) instead of hand-rolled loops:
   differs between ResNet-50 and LLaMA 2, Fig. 1(b)),
 * compares the DynaPlasia-like target against a PRIME-like ReRAM chip
   (the §5.5 scalability study),
-* explores a (array count x mode split) design space for ResNet-18 with
-  the grid strategy and prints the latency/energy/arrays Pareto
+* sweeps the (array count x mode split) grid for ResNet-18 and prints
+  the latency/energy/arrays Pareto
   frontier — every design point and every CIM-MLC comparison compiles
   through one :class:`~repro.api.Session`, so the fixed-mode points
   reuse dual-mode solves.
@@ -72,7 +72,7 @@ def array_count_exploration(session: Session) -> None:
         hardware_axes={"num_arrays": [32, 64, 96, 128, 192]},
         option_axes={"allow_memory_mode": [True, False]},
     )
-    result = session.explore(space, strategy="grid", objective="latency")
+    result = session.explore(space, objective="latency")
 
     print("ResNet-18 design space (DynaPlasia-like base, CMSwitch vs CIM-MLC):")
     for record in result.records:

@@ -3,7 +3,7 @@
 For each registered model × preset × compiler (CMSwitch and the three
 baselines) it compiles the model at ``Workload(seq_len=32)`` with code
 generation on and records the program's ``end_to_end_cycles``, its
-``fingerprint()`` (plan, prices and meta-operator flow) and its rung-0
+``fingerprint()`` (plan, prices and meta-operator flow) and its
 ``analytical_bound``: the ``float.hex`` of
 ``repro.dse.bound.analytical_bound(...).end_to_end_cycles`` in the
 compiler's memory mode, so a cost-model edit that moves the analytical

@@ -26,7 +26,7 @@ Usage::
     with Session(hardware="dynaplasia", cache_dir="~/.cache/repro") as session:
         program = session.compile("resnet18")
         results = session.compile_batch(["bert", "vgg16"])
-        sweep = session.explore(space, strategy="greedy", budget=16)
+        sweep = session.explore(space, budget=16)
 """
 
 from __future__ import annotations
@@ -276,13 +276,10 @@ class Session:
     def explore(
         self,
         space,
-        strategy="grid",
         objective: str = "latency",
         fidelity: str = "compile",
         budget: Optional[int] = None,
         state=None,
-        batch_size: int = 8,
-        seed: int = 0,
         trace=None,
     ):
         """Explore a :class:`~repro.dse.DesignSpace` against this cache.
@@ -290,22 +287,18 @@ class Session:
         Builds a :class:`~repro.dse.DSERunner` over the session's own
         compile service, so exploration warm-starts from (and
         contributes back to) every other compile the session serves.
+        The sweep is one pass over ``space.points()`` in grid order.
 
         Args:
             space: The :class:`~repro.dse.DesignSpace` to explore.
-            strategy: Strategy instance or name (``grid`` / ``random``
-                / ``greedy`` / ``successive-halving``).
             objective: ``"latency"``, ``"energy"`` or ``"trace_p99"``
                 (requires ``trace``).
             fidelity: Evaluation tier — ``"compile"`` (default, the
-                full pipeline), ``"analytical"`` (closed-form lower
-                bounds, zero allocator solves) or ``"auto"``
-                (successive halving: analytical rung 0, survivors
-                compiled).  See :mod:`repro.dse.bound`.
-            budget: Max design points to cover (whole space if None).
+                full pipeline) or ``"analytical"`` (closed-form lower
+                bounds, zero allocator solves; see
+                :mod:`repro.dse.bound`).
+            budget: Max design points to evaluate (whole space if None).
             state: Optional resumable :class:`~repro.dse.RunState`.
-            batch_size: Points asked from the strategy per iteration.
-            seed: Seed used when ``strategy`` is given by name.
             trace: Request :class:`~repro.sim.traces.Trace` replayed per
                 surviving point when ``objective="trace_p99"``.
 
@@ -316,13 +309,10 @@ class Session:
 
         runner = DSERunner(
             space,
-            strategy=strategy,
             objective=objective,
             fidelity=fidelity,
             service=self.service,
             state=state,
-            batch_size=batch_size,
-            seed=seed,
             trace=trace,
             obs=self.obs,
         )

@@ -22,8 +22,8 @@ a raw traceback.  Sub-commands:
 * ``compare`` — compile with CMSwitch and the baselines and print speedups.
 * ``experiment`` — run one of the paper-figure experiments.
 * ``dse`` — explore a design space (models x workloads x array counts x
-  mode splits) through :mod:`repro.dse`: pluggable search strategies,
-  structural dedup, resumable run directories, Pareto reports.
+  mode splits) through :mod:`repro.dse`: one grid pass at compile or
+  analytical fidelity, resumable run directories, Pareto reports.
   ``--objective trace-p99 --trace FILE`` optimises tail latency under a
   request trace instead of single-inference latency.
 * ``replay`` — replay a request trace (file or seeded synthetic
@@ -43,7 +43,7 @@ Examples::
     python -m repro.cli compare resnet18 --batch 8
     python -m repro.cli experiment fig14 --batch-sizes 1 8
     python -m repro.cli dse resnet18 --hardware dynaplasia --arrays 64 96 128 \
-        --modes dual fixed --strategy grid --cache-dir /tmp/ac
+        --modes dual fixed --cache-dir /tmp/ac
     python -m repro.cli cache stats --cache-dir /tmp/ac
     python -m repro.cli cache prune --cache-dir /tmp/ac --max-age 7d --max-bytes 64MB
     python -m repro.cli serve --cache-dir /tmp/ac --port 8740
@@ -568,7 +568,7 @@ _port.__name__ = "int"  # "invalid int value: 'x'", as for every int option
 
 def cmd_dse(args: argparse.Namespace) -> int:
     """Explore a design space and print/persist the Pareto report."""
-    from .dse import DesignSpace, RunState, RunStateError, make_strategy
+    from .dse import DesignSpace, RunState, RunStateError
 
     models = args.models or ["tiny-cnn"]
     failure = _reject_unknown_models(models)
@@ -596,7 +596,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.fidelity in ("analytical", "auto"):
+        if args.fidelity == "analytical":
             print(
                 "error: --objective trace-p99 needs real compiled plans; "
                 f"--fidelity {args.fidelity} is not supported\n{usage}",
@@ -635,7 +635,6 @@ def cmd_dse(args: argparse.Namespace) -> int:
             space.to_spec(),
             space.fingerprint(),
             objective=objective,
-            strategy=args.strategy,
             resume=args.resume,
         )
     except (RunStateError, OSError) as exc:
@@ -646,18 +645,11 @@ def cmd_dse(args: argparse.Namespace) -> int:
         return 2
 
     LOGGER.info(
-        "dse: %s, strategy %s, objective %s, fidelity %s, run dir %s",
-        space.describe(), args.strategy, objective, args.fidelity, run_dir,
+        "dse: %s, objective %s, fidelity %s, run dir %s",
+        space.describe(), objective, args.fidelity, run_dir,
     )
     if trace is not None:
         LOGGER.info("trace: %s", trace.describe())
-    if args.fidelity == "auto" and args.strategy != "successive-halving":
-        # Stays on stdout: this changes the strategy the user asked for.
-        print(
-            "note: --fidelity auto schedules rungs itself; using the "
-            "successive-halving strategy (analytical rung 0, survivors "
-            "compiled)"
-        )
     if state.space_changed:
         LOGGER.info(
             "note: resuming with a different design space; overlapping "
@@ -674,12 +666,10 @@ def cmd_dse(args: argparse.Namespace) -> int:
     with state:
         result = session.explore(
             space,
-            strategy=make_strategy(args.strategy, seed=args.seed),
             objective=objective,
             fidelity=args.fidelity,
             budget=args.budget,
             state=state,
-            seed=args.seed,
             trace=trace,
         )
 
@@ -951,23 +941,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="transformer phase for every workload (default: prefill)",
     )
     dse.add_argument(
-        "--strategy",
-        choices=["grid", "random", "greedy", "successive-halving"],
-        default="grid",
-        help="search strategy (see docs/dse.md)",
-    )
-    dse.add_argument(
         "--fidelity",
-        choices=["analytical", "compile", "auto"],
+        choices=["analytical", "compile"],
         default="compile",
         help=(
-            "evaluation tier: compile (full pipeline), analytical "
-            "(closed-form lower bounds, zero solves), auto (successive "
-            "halving: analytical rung 0, survivors compiled; see "
-            "docs/dse.md)"
+            "evaluation tier: compile (full pipeline) or analytical "
+            "(closed-form lower bounds, zero solves; see docs/dse.md)"
         ),
     )
-    dse.add_argument("--seed", type=int, default=0, help="RNG seed for random/greedy")
     dse.add_argument(
         "--budget",
         type=_positive(int, zero=True),
@@ -979,8 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["latency", "energy", "trace-p99"],
         default="latency",
         help=(
-            "what adaptive strategies minimise and reports highlight; "
-            "trace-p99 replays --trace per candidate and minimises its "
+            "what each record's score is and reports highlight; "
+            "trace-p99 replays --trace per candidate and scores its "
             "p99 latency"
         ),
     )

@@ -1,6 +1,6 @@
 """Cost models: per-operator profiles, Eq. 10 latency, Eq. 1/2/4 overheads.
 
-:mod:`repro.cost.analytical` adds the segment-free rung-0 bounds a
+:mod:`repro.cost.analytical` adds the segment-free analytical bounds a
 design-space sweep scores candidates with (:mod:`repro.dse.bound`).
 """
 

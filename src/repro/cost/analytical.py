@@ -1,4 +1,4 @@
-"""Segment-free analytical cost bounds (the rung-0 evaluation model).
+"""Segment-free analytical cost bounds (the DSE's analytical fidelity).
 
 Design-space exploration at scale needs to score a candidate (hardware,
 option) point far more cheaply than running the full compile pipeline —
@@ -199,7 +199,7 @@ def analytical_graph_estimate(
     allow_memory_mode: bool = True,
     block_repeat: float = 1.0,
 ) -> AnalyticalEstimate:
-    """Assemble the full rung-0 estimate for a flattened profile list.
+    """Assemble the full analytical estimate for a flattened profile list.
 
     Feasibility is deliberately *not* decided here —
     :func:`repro.dse.bound.analytical_bound` reads it off the same

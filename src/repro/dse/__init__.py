@@ -8,10 +8,7 @@ cache and the ``cache_dir`` program store instead of ad-hoc sweep loops:
 
 * :mod:`~repro.dse.space` — declarative :class:`DesignSpace` grids over
   models, workloads, DEHA parameters and compiler options;
-* :mod:`~repro.dse.strategies` — ``grid`` / ``random`` / ``greedy`` /
-  ``successive-halving`` (multi-fidelity) search under an ask/tell
-  protocol;
-* :mod:`~repro.dse.runner` — the loop: strategy -> state skip -> one
+* :mod:`~repro.dse.runner` — one pass over the grid: state skip -> one
   :class:`~repro.service.CompileJob` per point -> a plan from the
   :class:`~repro.service.CompileService`, or an analytical lower bound
   from :mod:`~repro.dse.bound` -> records;
@@ -28,7 +25,7 @@ Quickstart::
         base_hardware="dynaplasia",
         hardware_axes={"num_arrays": [64, 96, 128]},
     )
-    result = run_dse(space, strategy="grid", cache_dir="/tmp/programs")
+    result = run_dse(space, cache_dir="/tmp/programs")
     print(result.render_report())
 
 The CLI front end is ``repro dse`` (see ``repro dse --help``).
@@ -47,22 +44,12 @@ from .runner import (
     DSERunner,
     EvaluationRecord,
     FIDELITIES,
-    FIDELITY_MODES,
     OBJECTIVES,
     fidelity_rank,
     run_dse,
 )
 from .space import DesignPoint, DesignSpace, ParameterAxis, options_signature
 from .state import RunState, RunStateError, STATE_FORMAT_VERSION
-from .strategies import (
-    STRATEGIES,
-    GreedyStrategy,
-    GridStrategy,
-    RandomStrategy,
-    Strategy,
-    SuccessiveHalvingStrategy,
-    make_strategy,
-)
 
 __all__ = [
     "DEFAULT_AXES",
@@ -72,22 +59,14 @@ __all__ = [
     "DesignSpace",
     "EvaluationRecord",
     "FIDELITIES",
-    "FIDELITY_MODES",
-    "GreedyStrategy",
-    "GridStrategy",
     "OBJECTIVES",
     "ParameterAxis",
-    "RandomStrategy",
     "RunState",
     "RunStateError",
     "STATE_FORMAT_VERSION",
-    "STRATEGIES",
-    "Strategy",
-    "SuccessiveHalvingStrategy",
     "dominates",
     "fidelity_rank",
     "full_fidelity_records",
-    "make_strategy",
     "options_signature",
     "pareto_frontier",
     "render_report",

@@ -73,7 +73,7 @@ def full_fidelity_records(records: Sequence) -> List:
 
     Mixed-fidelity results must rank, crown and dominate only on these —
     an optimistic analytical bound would otherwise beat every plan it
-    merely approximates.  A pure rung-0 screening (no full-fidelity
+    merely approximates.  A pure analytical screening (no full-fidelity
     record at all) falls back to every record: comparing bounds against
     each other is exactly what a screening is for.  Records without a
     ``lower_bound`` attribute (pre-fidelity data) count as full fidelity.

@@ -1,32 +1,27 @@
-"""The DSE runner: strategy-driven, fidelity-aware, resumable exploration.
+"""The DSE runner: one pass over a design space, resumable.
 
-:class:`DSERunner` wires the subsystem together.  Each iteration it
+:class:`DSERunner` walks :meth:`DesignSpace.points() <repro.dse.space.
+DesignSpace.points>` in grid order, at one fidelity.  For each point it
 
-1. asks the :mod:`strategy <repro.dse.strategies>` for a batch of
-   candidate points (bounded by the remaining budget) and resolves the
-   batch's evaluation *fidelity* — the strategy's declared rung when the
-   runner is in ``auto`` mode, the runner's fixed fidelity otherwise,
-2. skips every point the resumable :class:`~repro.dse.state.RunState`
-   already holds *at sufficient fidelity* (their stored records are
-   still fed back to the strategy so adaptive search resumes with full
-   knowledge; an analytical record does not satisfy a compile-fidelity
-   request),
-3. turns every other point into one :class:`~repro.service.CompileJob`
-   over a graph the runner builds once per (model, workload), and
-   either compiles the batch through its
-   :class:`~repro.service.CompileService` (a plan — a point that repeats
-   an earlier compile is a program-table hit with zero solves) or scores
-   it with :func:`~repro.dse.bound.analytical_bound` (a bound —
-   closed-form lower bounds, zero allocator solves), and
-4. builds one :class:`EvaluationRecord` per point — latency, energy,
-   array usage, fidelity tag, solver statistics — appends it durably to
-   the run state, and tells the strategy.
+1. skips the point when the resumable :class:`~repro.dse.state.RunState`
+   already holds its key *at sufficient fidelity* (an analytical record
+   does not answer a compile-fidelity run),
+2. otherwise turns it into one :class:`~repro.service.CompileJob` over a
+   graph the runner builds once per (model, workload), and either
+   compiles it through its :class:`~repro.service.CompileService` (a
+   plan — a point that repeats an earlier compile is a program-table hit
+   with zero solves) or scores it with
+   :func:`~repro.dse.bound.analytical_bound` (a bound — closed-form
+   lower bounds, zero allocator solves), and
+3. builds one :class:`EvaluationRecord` — latency, energy, array usage,
+   fidelity tag, solver statistics — and appends it durably to the run
+   state.
 
-The loop ends when the budget is spent or the strategy exhausts the
-space.  The returned :class:`DSEResult` carries every record known at
-the end (resumed and new), the aggregate counters the CLI and CI assert
-on (evaluated / skipped / allocator solves / per-fidelity evaluations),
-and the Pareto reporting entry points.
+The pass ends when the budget is spent or the grid is.  The returned
+:class:`DSEResult` carries every record known at the end (resumed and
+new), the aggregate counters the CLI and CI assert on (evaluated /
+skipped / allocator solves / per-fidelity evaluations), and the Pareto
+reporting entry points.
 
 :meth:`repro.api.Session.explore` is the public entry point: it builds
 a runner over the session's own compile service, so a sweep warm-starts
@@ -56,14 +51,12 @@ from .pareto import (
 )
 from .space import DesignPoint, DesignSpace
 from .state import RunState
-from .strategies import Strategy, SuccessiveHalvingStrategy, make_strategy
 
 __all__ = [
     "DSEResult",
     "DSERunner",
     "EvaluationRecord",
     "FIDELITIES",
-    "FIDELITY_MODES",
     "OBJECTIVES",
     "fidelity_rank",
     "run_dse",
@@ -90,24 +83,20 @@ def fidelity_rank(fidelity: Optional[str]) -> int:
     An absent tag counts as a plan: records written before fidelity
     existed were all full compiles.  Tags of tiers that no longer exist
     never get here: :meth:`DSERunner.run` normalises or drops them when
-    it loads a run directory.
+    it loads a run directory.  A run directory can hold an analytical and
+    a compile record of one point (a bound sweep, then a plan sweep,
+    resumed into one directory); the higher rank is the one reported.
     """
     return FIDELITIES.index(fidelity or "compile")
-
-
-#: Valid ``DSERunner(fidelity=...)`` values.  ``"auto"`` defers to the
-#: strategy's multi-fidelity schedule (installing a
-#: :class:`~repro.dse.strategies.SuccessiveHalvingStrategy` when the
-#: given strategy is fidelity-agnostic).
-FIDELITY_MODES = FIDELITIES + ("auto",)
 
 
 @dataclass
 class EvaluationRecord:
     """Flat, JSON-serialisable outcome of one design point.
 
-    This is the unit the run state persists, the strategies steer on,
-    and the Pareto reports consume.
+    This is the unit the run state persists and the Pareto reports
+    consume.  Records written by older versions carry ``coords`` and
+    ``space_fingerprint`` keys; :meth:`from_dict` ignores them.
 
     ``status`` is ``"evaluated"`` (produced by this run — feasible or
     not) or ``"resumed"`` (loaded from the run state, whatever status
@@ -132,13 +121,8 @@ class EvaluationRecord:
     hardware: str
     num_arrays: int
     hardware_fingerprint: str
-    coords: Tuple[int, ...]
     allow_memory_mode: bool
     objective: str
-    #: Fingerprint of the space declaration the point was evaluated
-    #: under — ``coords`` only index that grid, so a resume under a
-    #: different declaration must not reuse them.
-    space_fingerprint: str = ""
     fidelity: str = "compile"
     lower_bound: bool = False
     feasible: bool = False
@@ -160,11 +144,10 @@ class EvaluationRecord:
     failed: bool = False
 
     def to_dict(self) -> Dict:
-        """Strict-JSON rendering: coords become a list, non-finite
-        metrics become ``null`` (``results.jsonl`` must stay parseable
-        by jq/pandas, which reject bare ``Infinity`` tokens)."""
+        """Strict-JSON rendering: non-finite metrics become ``null``
+        (``results.jsonl`` must stay parseable by jq/pandas, which reject
+        bare ``Infinity`` tokens)."""
         payload = asdict(self)
-        payload["coords"] = list(self.coords)
         for name in (
             "latency_ms",
             "cycles",
@@ -182,7 +165,6 @@ class EvaluationRecord:
         """Rebuild a record from :meth:`to_dict` output (unknown keys ignored)."""
         known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - set of names
         kwargs = {key: value for key, value in payload.items() if key in known}
-        kwargs["coords"] = tuple(kwargs.get("coords", ()))
         if kwargs.get("fidelity") == "cached":
             kwargs["fidelity"] = "compile"
         for name in (
@@ -205,12 +187,9 @@ class DSEResult:
     Attributes:
         records: The final record of every point known at the end of the
             run — resumed entries first (file order), then this run's,
-            in evaluation order.  A point evaluated at several
-            fidelities (the ``auto`` schedule) appears once, at its
-            highest fidelity.
-        new_records: Every record this run produced, in evaluation order
-            (a promoted point contributes one record per fidelity — the
-            honest log of what was paid for).
+            in grid order.  A point on record at several fidelities
+            appears once, at its highest fidelity.
+        new_records: Every record this run produced, in grid order.
         evaluated / skipped: Point counters (skipped = served from the
             run state).
         evaluated_by_fidelity: Evaluations per fidelity tag.
@@ -226,7 +205,9 @@ class DSEResult:
     records: List[EvaluationRecord] = field(default_factory=list)
     new_records: List[EvaluationRecord] = field(default_factory=list)
     evaluated: int = 0
-    #: Always 0; kept because ``bench/benchlib/wl_dse.py`` reads it.
+    #: Always 0 (no point is copied from a structural twin any more);
+    #: kept because the repository benchmark, ``bench/benchlib/wl_dse.py``,
+    #: reads it and ``bench/`` does not change with the library.
     replicated: int = 0
     skipped: int = 0
     evaluated_by_fidelity: Dict[str, int] = field(default_factory=dict)
@@ -246,7 +227,7 @@ class DSEResult:
         When the run holds any full-fidelity (``compile``) record, only
         those participate — analytical lower bounds
         would otherwise dominate real plans they merely approximate.  A
-        pure rung-0 sweep ranks its bounds against each other, which is
+        pure analytical sweep ranks its bounds against each other, which is
         exactly what a lower-bound screening is for.
 
         Memoised per axis tuple — the dominance scan is O(n²) and both
@@ -290,22 +271,20 @@ class DSEResult:
 
 
 class DSERunner:
-    """Drives one exploration of a design space.
+    """Drives one pass of a design space, in grid order, at one fidelity.
 
     Args:
         space: The candidate grid.
-        strategy: Strategy instance or name (``grid`` / ``random`` /
-            ``greedy`` / ``successive-halving``).
+        strategy: Only ``"grid"``, the default; any other value is a
+            ``ValueError``.  The parameter stays because the repository
+            benchmark (``bench/benchlib/wl_dse.py``, which does not
+            change with the library) passes ``strategy="grid"``.
         objective: ``"latency"``, ``"energy"`` or ``"trace_p99"`` — what
-            adaptive strategies minimise and reports highlight
-            (``trace_p99`` additionally requires ``trace``).
-        fidelity: Evaluation tier for every batch —
-            ``"compile"`` (default, the full pipeline),
-            ``"analytical"`` (closed-form lower bounds, zero solves)
-            or ``"auto"`` (obey the strategy's two-rung schedule —
-            analytical rung 0, survivors compiled; a fidelity-agnostic
-            strategy is replaced by
-            :class:`~repro.dse.strategies.SuccessiveHalvingStrategy`).
+            each record's ``objective_value`` is and what reports
+            highlight (``trace_p99`` additionally requires ``trace``).
+        fidelity: Evaluation tier of every point —
+            ``"compile"`` (default, the full pipeline) or
+            ``"analytical"`` (closed-form lower bounds, zero solves).
         service: The :class:`~repro.service.CompileService` every
             point compiles through — its allocation cache is the table
             neighbouring points share windows in.  A default one (over
@@ -316,11 +295,9 @@ class DSERunner:
             instead of recompiled.  Giving both is a ``ValueError``.
         max_workers: Accepted and ignored.  Compiles run one after
             another (there is no pool to size); the parameter stays only
-            because the repository benchmark (``bench/``, read-only for
-            this kind of change) still passes ``max_workers=1``.
+            because the repository benchmark still passes
+            ``max_workers=1``.
         state: Resumable run state (None runs fully in memory).
-        batch_size: Points asked from the strategy per iteration.
-        seed: Seed used when ``strategy`` is given by name.
         trace: Request :class:`~repro.sim.traces.Trace` backing the
             ``trace_p99`` objective.  Each feasible point replays the
             trace under its hardware/options (memoised per distinct
@@ -330,37 +307,37 @@ class DSERunner:
             programs to schedule.
         obs: Optional :class:`~repro.obs.Observability` bundle, threaded
             into the default compile service and trace replays; the
-            run loop records a fidelity-tagged span per batch and per
-            evaluated point and mirrors counters under ``dse.*``.
+            run records a fidelity-tagged span per evaluated point and
+            mirrors counters under ``dse.*``.
     """
 
     def __init__(
         self,
         space: DesignSpace,
-        strategy: Union[str, Strategy] = "grid",
+        strategy: str = "grid",
         objective: str = "latency",
         fidelity: str = "compile",
         service: Optional[CompileService] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         max_workers: Optional[int] = None,
         state: Optional[RunState] = None,
-        batch_size: int = 8,
-        seed: int = 0,
         trace=None,
         obs=None,
     ) -> None:
         from ..obs import NULL_OBS
 
+        if strategy != "grid":
+            raise ValueError(
+                f"unknown strategy {strategy!r}; a sweep is the grid ('grid')"
+            )
         if objective not in OBJECTIVES:
             raise ValueError(
                 f"unknown objective {objective!r}; known: {', '.join(sorted(OBJECTIVES))}"
             )
-        if fidelity not in FIDELITY_MODES:
+        if fidelity not in FIDELITIES:
             raise ValueError(
-                f"unknown fidelity {fidelity!r}; known: {', '.join(FIDELITY_MODES)}"
+                f"unknown fidelity {fidelity!r}; known: {', '.join(FIDELITIES)}"
             )
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         if service is not None and cache_dir is not None:
             raise ValueError(
                 "give DSERunner a service or a cache_dir, not both "
@@ -372,24 +349,15 @@ class DSERunner:
                     "objective 'trace_p99' requires a trace "
                     "(DSERunner(trace=...) / repro dse --trace FILE)"
                 )
-            if fidelity in ("analytical", "auto"):
+            if fidelity == "analytical":
                 raise ValueError(
                     "objective 'trace_p99' needs real compiled plans; "
-                    f"fidelity {fidelity!r} is not supported (use 'compile')"
+                    "fidelity 'analytical' is not supported (use 'compile')"
                 )
         self.space = space
-        self.strategy = (
-            make_strategy(strategy, seed=seed) if isinstance(strategy, str) else strategy
-        )
-        if fidelity == "auto" and not getattr(self.strategy, "multi_fidelity", False):
-            # "auto" means "schedule by fidelity"; a fidelity-agnostic
-            # strategy cannot, so the canonical multi-fidelity schedule
-            # takes over (rung-0 analytical sweep, survivors compiled).
-            self.strategy = SuccessiveHalvingStrategy(seed=seed)
         self.objective = objective
         self.fidelity = fidelity
         self.state = state
-        self.batch_size = batch_size
         self.trace = trace
         # Trace replays are memoised per (hardware, options): the replay
         # outcome does not depend on the point's own model/workload, so
@@ -410,12 +378,6 @@ class DSERunner:
         self._graphs: Dict[Tuple, Graph] = {}
         self._flatten_memo = BoundedLRU(FLATTEN_MEMO_ENTRIES)
 
-    def _batch_fidelity(self) -> str:
-        """Fidelity of the upcoming batch (read *after* strategy.ask)."""
-        if self.fidelity == "auto":
-            return getattr(self.strategy, "fidelity", None) or "compile"
-        return self.fidelity
-
     @staticmethod
     def _satisfies(record: EvaluationRecord, requested: str) -> bool:
         """Whether a known record answers a request at ``requested`` fidelity."""
@@ -424,15 +386,16 @@ class DSERunner:
         )
 
     # ------------------------------------------------------------------ #
-    # the loop
+    # the pass
     # ------------------------------------------------------------------ #
     def run(self, budget: Optional[int] = None) -> DSEResult:
-        """Explore until ``budget`` points are covered or the space ends.
+        """Walk the grid until ``budget`` points are evaluated or it ends.
 
-        ``budget`` counts points *evaluated this run* (at any
-        fidelity); points skipped via the run state are free, so a
-        resumed run spends its whole budget on new ground.  A budget of
-        0 evaluates nothing and reports what the run state holds.
+        ``budget`` counts points *evaluated this run*; points skipped via
+        the run state are free, so a resumed run spends its whole budget
+        on new ground.  A budget of 0 evaluates nothing and reports what
+        the run state holds.  This is the one entry point the repository
+        benchmark times and wraps.
 
         Raises:
             ValueError: ``budget`` is negative.
@@ -440,131 +403,71 @@ class DSERunner:
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be at least 0, got {budget}")
         start = time.perf_counter()
-        self.strategy.bind(self.space)
         result = DSEResult(objective=self.objective)
 
-        # ``known`` holds the best (highest-fidelity, then latest) record
-        # per point for skip decisions and the final report;
-        # ``known_tiers`` additionally keeps each fidelity's own record,
-        # so a multi-fidelity strategy resuming a run is told the score
-        # of the tier it asked at — ranking rung-0 candidates on a mix
-        # of lower bounds and compiled actuals would re-promote a
-        # different survivor set on every resume.
+        # The best (highest-fidelity, then latest) record per point key:
+        # what the run state held when the run began decides the skips,
+        # and every record ends up in the report.
         known: Dict[str, EvaluationRecord] = {}
-        known_tiers: Dict[Tuple[str, str], EvaluationRecord] = {}
-
-        def remember(record: EvaluationRecord) -> None:
-            known_tiers[(record.point_key, record.fidelity)] = record
+        for payload in self.state.records if self.state is not None else ():
+            record = EvaluationRecord.from_dict(payload)
+            if record.failed or record.fidelity not in FIDELITIES:
+                # Failures (crashed worker, missing model) are retried on
+                # resume, not treated as done.  A tier this version no
+                # longer has (``"greedy"``: a heuristic plan, neither a
+                # bound nor the compiler's answer) is stale: never
+                # reported, and its point is evaluated again.
+                continue
+            record.status = "resumed"
+            # The stored objective may differ from this run's (e.g. a
+            # latency resume of an energy run): re-derive the score so
+            # reports never mix incommensurable scales.
+            record.objective = self.objective
+            metric = getattr(record, OBJECTIVES[self.objective])
+            record.objective_value = metric if record.feasible else math.inf
             current = known.get(record.point_key)
-            if current is None or fidelity_rank(record.fidelity) >= fidelity_rank(
-                current.fidelity
-            ):
+            if current is None or self._satisfies(record, current.fidelity):
                 known[record.point_key] = record
+        on_record = dict(known)
 
-        if self.state is not None:
-            current_fingerprint = self.space.fingerprint()
-            for payload in self.state.records:
-                record = EvaluationRecord.from_dict(payload)
-                if record.failed:
-                    # Failures (crashed worker, missing model) are retried
-                    # on resume, not treated as done.
-                    continue
-                if record.fidelity not in FIDELITIES:
-                    # A tier this version no longer has (``"greedy"``: a
-                    # heuristic plan, neither a bound nor the compiler's
-                    # answer) is stale: never reported, and its point is
-                    # re-evaluated when a strategy asks for it.
-                    continue
-                record.status = "resumed"
-                if record.space_fingerprint != current_fingerprint:
-                    # Coordinates recorded under a *different* space
-                    # declaration index into a different grid — dropping
-                    # them keeps adaptive strategies from steering on
-                    # mislocated scores (the record is still matched,
-                    # skipped and reported by point key).
-                    record.coords = ()
-                # The stored objective may differ from this run's (e.g. a
-                # latency resume of an energy run): re-derive the score so
-                # strategies and reports never mix incommensurable scales.
-                record.objective = self.objective
-                metric = getattr(record, OBJECTIVES[self.objective])
-                record.objective_value = metric if record.feasible else math.inf
-                remember(record)
-
-        # No budget means "run the strategy's whole schedule" — for a
-        # multi-fidelity strategy that is more than one pass over the
-        # grid (rung 0 plus the promotions), so the cap is the
-        # strategy's exhaustion, not the space size.
-        budget_left: float = budget if budget is not None else math.inf
-        while budget_left > 0 and not self.strategy.exhausted:
-            points = self.strategy.ask(min(self.batch_size, budget_left))
-            if not points:
+        for point in self.space.points():
+            if budget is not None and result.evaluated >= budget:
                 break
-            batch_fidelity = self._batch_fidelity()
-            # Each point's key (a JSON rendering and a SHA-256) is
-            # computed once here and handed to its record.
-            fresh: List[Tuple[DesignPoint, str]] = []
-            resumed: List[EvaluationRecord] = []
-            for point in points:
-                key = point.key
-                record = known.get(key)
-                if record is not None and self._satisfies(record, batch_fidelity):
-                    result.skipped += 1
-                    # Feed the strategy the record of the tier it asked
-                    # at when one exists — a rung-0 ask is answered with
-                    # the rung-0 score even if a promoted (compiled)
-                    # record supersedes it in the report.
-                    resumed.append(known_tiers.get((key, batch_fidelity), record))
+            # A point's key (a JSON rendering and a SHA-256) is computed
+            # once here and handed to its record.
+            key = point.key
+            stored = on_record.get(key)
+            if stored is not None and self._satisfies(stored, self.fidelity):
+                result.skipped += 1
+                continue
+            job = self._job(point)
+            if self.fidelity == "compile":
+                outcome = self.service.compile(job)
+                # A pipeline run always times its passes; a served
+                # program's re-stamped stats list none.
+                if outcome.ok and not outcome.stats.get("pass_seconds"):
+                    result.warm_planned += 1
                 else:
-                    fresh.append((point, key))
-            batch_records: List[EvaluationRecord] = []
-            if fresh:
-                with self.obs.tracer.span(
-                    "dse.batch", fidelity=batch_fidelity, points=len(fresh)
-                ):
-                    jobs = [self._job(point) for point, _ in fresh]
-                    if batch_fidelity == "compile":
-                        outcomes = self.service.compile_batch(jobs)
-                        # A pipeline run always times its passes; a served
-                        # program's re-stamped stats list none.
-                        served = sum(
-                            1
-                            for outcome in outcomes
-                            if outcome.ok and not outcome.stats.get("pass_seconds")
-                        )
-                        batch_records = [
-                            self._compiled(point, key, outcome)
-                            for (point, key), outcome in zip(fresh, outcomes)
-                        ]
-                    else:
-                        served = 0
-                        batch_records = [
-                            self._bounded(point, key, job)
-                            for (point, key), job in zip(fresh, jobs)
-                        ]
-                result.warm_planned += served
-                result.cold_planned += len(fresh) - served
-                result.evaluated += len(fresh)
-                result.evaluated_by_fidelity[batch_fidelity] = (
-                    result.evaluated_by_fidelity.get(batch_fidelity, 0) + len(fresh)
-                )
-                budget_left -= len(fresh)
-            for record in batch_records:
-                remember(record)
-                if self.state is not None:
-                    self.state.append(record.to_dict())
-                result.new_records.append(record)
-                result.allocator_solves += record.allocator_solves
-                result.disk_hits += record.disk_hits
-            self.strategy.tell(batch_records + resumed)
+                    result.cold_planned += 1
+                record = self._compiled(point, key, outcome)
+            else:
+                result.cold_planned += 1
+                record = self._bounded(point, key, job)
+            result.evaluated += 1
+            known[key] = record
+            if self.state is not None:
+                self.state.append(record.to_dict())
+            result.new_records.append(record)
+            result.allocator_solves += record.allocator_solves
+            result.disk_hits += record.disk_hits
 
-        # One final record per point: ``known`` keeps resumed entries in
-        # file order and this run's in evaluation order, and an ``auto``
-        # schedule's promotion overwrites the rung-0 record in place.
+        if result.evaluated:
+            result.evaluated_by_fidelity[self.fidelity] = result.evaluated
+        # One final record per point: resumed entries in file order, this
+        # run's in grid order (a plan replaces its point's bound in place).
         result.records = list(known.values())
         result.wall_seconds = time.perf_counter() - start
         return result
-
     # ------------------------------------------------------------------ #
     # jobs and records
     # ------------------------------------------------------------------ #
@@ -573,7 +476,7 @@ class DSERunner:
 
         A model that cannot be built ships as its name: the job's own
         ``resolve_graph`` raises again, into that point's record, and
-        the rest of the batch runs.
+        the rest of the sweep runs.
         """
         graph: Union[Graph, str] = point.model
         if not isinstance(graph, Graph):
@@ -661,10 +564,8 @@ class DSERunner:
                 hardware=point.hardware.name,
                 num_arrays=point.hardware.num_arrays,
                 hardware_fingerprint=point.hardware.fingerprint(),
-                coords=point.coords,
                 allow_memory_mode=point.options.allow_memory_mode,
                 objective=self.objective,
-                space_fingerprint=self.space.fingerprint(),
                 fidelity=fidelity,
                 **fields,
             )
@@ -718,11 +619,9 @@ class DSERunner:
 
 def run_dse(
     space: DesignSpace,
-    strategy: Union[str, Strategy] = "grid",
     objective: str = "latency",
     budget: Optional[int] = None,
     **runner_kwargs,
 ) -> DSEResult:
     """Convenience wrapper: build a :class:`DSERunner` and run it once."""
-    runner = DSERunner(space, strategy=strategy, objective=objective, **runner_kwargs)
-    return runner.run(budget=budget)
+    return DSERunner(space, objective=objective, **runner_kwargs).run(budget=budget)

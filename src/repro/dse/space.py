@@ -5,8 +5,7 @@ crosses *axes* — models, workloads, hardware-parameter overrides of a base
 :class:`~repro.hardware.deha.DualModeHardwareAbstraction`, and compiler
 options — into a grid of :class:`DesignPoint` candidates.  Each point is a
 fully materialised (model, workload, hardware, options) tuple the compile
-pipeline can evaluate, plus the coordinate vector that locates it in the
-grid (which is what neighbourhood-based strategies navigate).
+pipeline can evaluate.
 
 Identity is taken seriously because everything downstream keys on it:
 
@@ -44,11 +43,7 @@ from ..core.compiler import CompilerOptions
 from ..hardware.deha import DualModeHardwareAbstraction
 from ..hardware.presets import get_preset
 from ..ir.graph import Graph
-from ..models.workload import (
-    Workload,
-    workload_from_payload,
-    workload_to_payload,
-)
+from ..models.workload import Workload, workload_to_payload
 
 __all__ = [
     "DesignPoint",
@@ -111,7 +106,7 @@ class ParameterAxis:
             (e.g. ``"num_arrays"``) or a compiler-option field name
             (e.g. ``"allow_memory_mode"``).
         values: The candidate values, in declaration order (never sorted —
-            neighbourhood strategies step along the declared order).
+            the grid walks them in the order declared).
         kind: ``"model"`` / ``"workload"`` / ``"hardware"`` / ``"option"``.
     """
 
@@ -133,14 +128,12 @@ class DesignPoint:
         workload: Workload the model is built for (ignored for graphs).
         hardware: The candidate chip (base preset + axis overrides).
         options: Compiler options of the candidate.
-        coords: Axis-index vector locating the point in its space.
     """
 
     model: Union[str, Graph]
     workload: Workload
     hardware: DualModeHardwareAbstraction
     options: CompilerOptions
-    coords: Tuple[int, ...] = ()
 
     @property
     def model_name(self) -> str:
@@ -186,8 +179,8 @@ class DesignSpace:
 
     The axis order is fixed — model, workload, hardware axes (declaration
     order), option axes (declaration order) — and :meth:`points` iterates
-    the grid lexicographically in that order, so a ``grid`` strategy is
-    deterministic and a run directory's point order is reproducible.
+    the grid lexicographically in that order, so a sweep is deterministic
+    and a run directory's point order is reproducible.
 
     Args:
         models: Registered model names and/or prebuilt graphs (non-empty).
@@ -248,15 +241,10 @@ class DesignSpace:
             values = tuple(_coerce_axis_value(v) for v in values)
             axes.append(ParameterAxis(name, values, "option"))
         self.axes: Tuple[ParameterAxis, ...] = tuple(axes)
-
-        # Hardware instances are memoised per override combination: the
-        # DEHA fingerprint is memoised per instance, so sharing instances
-        # across points keeps fingerprinting O(#hardware configs).
-        self._hardware_memo: Dict[Tuple[int, ...], DualModeHardwareAbstraction] = {}
-        self._options_memo: Dict[Tuple[int, ...], CompilerOptions] = {}
+        self._variants: Optional[Tuple[List, List]] = None
 
     # ------------------------------------------------------------------ #
-    # geometry
+    # the grid
     # ------------------------------------------------------------------ #
     @property
     def size(self) -> int:
@@ -266,78 +254,34 @@ class DesignSpace:
             total *= len(axis.values)
         return total
 
-    def coordinates(self) -> Iterator[Tuple[int, ...]]:
-        """All coordinate vectors in lexicographic order."""
-        ranges = [range(len(axis.values)) for axis in self.axes]
-        return iter(itertools.product(*ranges))
-
-    def neighbors(self, coords: Sequence[int]) -> List[Tuple[int, ...]]:
-        """Coordinates differing from ``coords`` by one step on one axis."""
-        coords = tuple(coords)
-        result: List[Tuple[int, ...]] = []
-        for axis_index, axis in enumerate(self.axes):
-            for delta in (-1, 1):
-                value = coords[axis_index] + delta
-                if 0 <= value < len(axis.values):
-                    neighbor = list(coords)
-                    neighbor[axis_index] = value
-                    result.append(tuple(neighbor))
-        return result
-
-    # ------------------------------------------------------------------ #
-    # materialisation
-    # ------------------------------------------------------------------ #
-    def point_at(self, coords: Sequence[int]) -> DesignPoint:
-        """Materialise the design point at a coordinate vector."""
-        coords = tuple(coords)
-        if len(coords) != len(self.axes):
-            raise ValueError(
-                f"expected {len(self.axes)} coordinates, got {len(coords)}"
-            )
-        model_index = coords[0]
-        workload_index = coords[1]
-        hardware_coords = []
-        hardware_overrides: Dict[str, object] = {}
-        option_overrides: Dict[str, object] = {}
-        option_coords = []
-        for axis, value_index in zip(self.axes[2:], coords[2:]):
-            value = axis.values[value_index]
-            if axis.kind == "hardware":
-                hardware_overrides[axis.name] = value
-                hardware_coords.append(value_index)
-            else:
-                option_overrides[axis.name] = value
-                option_coords.append(value_index)
-        hw_key = tuple(hardware_coords)
-        hardware = self._hardware_memo.get(hw_key)
-        if hardware is None:
-            hardware = (
-                self.base_hardware.with_overrides(**hardware_overrides)
-                if hardware_overrides
-                else self.base_hardware
-            )
-            self._hardware_memo[hw_key] = hardware
-        opt_key = tuple(option_coords)
-        options = self._options_memo.get(opt_key)
-        if options is None:
-            options = (
-                replace(self.base_options, **option_overrides)
-                if option_overrides
-                else self.base_options
-            )
-            self._options_memo[opt_key] = options
-        return DesignPoint(
-            model=self.models[model_index],
-            workload=self.workloads[workload_index],
-            hardware=hardware,
-            options=options,
-            coords=coords,
-        )
+    def _combinations(self, kind: str, base, override) -> List:
+        """``base`` overridden by every value combination of the ``kind``
+        axes, in grid order (``[base]`` when there are none)."""
+        axes = [axis for axis in self.axes if axis.kind == kind]
+        names = [axis.name for axis in axes]
+        return [
+            override(base, **dict(zip(names, values))) if names else base
+            for values in itertools.product(*(axis.values for axis in axes))
+        ]
 
     def points(self) -> Iterator[DesignPoint]:
-        """All design points in lexicographic coordinate order."""
-        for coords in self.coordinates():
-            yield self.point_at(coords)
+        """All design points in lexicographic grid order (last axis fastest)."""
+        if self._variants is None:
+            # One hardware instance per override combination, shared by
+            # every point and every sweep of the space: the DEHA
+            # fingerprint is memoised per instance.
+            self._variants = (
+                self._combinations(
+                    "hardware", self.base_hardware,
+                    lambda base, **overrides: base.with_overrides(**overrides),
+                ),
+                self._combinations("option", self.base_options, replace),
+            )
+        hardware, options = self._variants
+        for model, workload, chip, chosen in itertools.product(
+            self.models, self.workloads, hardware, options
+        ):
+            yield DesignPoint(model, workload, chip, chosen)
 
     # ------------------------------------------------------------------ #
     # identity / persistence
@@ -345,9 +289,9 @@ class DesignSpace:
     def to_spec(self) -> Dict:
         """JSON-compatible declaration of the space (for run directories).
 
-        Graph-object models are recorded by :meth:`Graph.digest`; such a
-        spec documents the run but cannot rebuild the space (resume still
-        works — completed points are matched by point key, not by spec).
+        Graph-object models are recorded by :meth:`Graph.digest`.  The
+        spec documents the run; a resume matches completed points by
+        point key, not by spec.
         """
         return {
             "models": [
@@ -368,33 +312,6 @@ class DesignSpace:
                 name: getattr(self.base_options, name) for name in OPTION_AXIS_FIELDS
             },
         }
-
-    @classmethod
-    def from_spec(cls, spec: Mapping) -> "DesignSpace":
-        """Rebuild a space from :meth:`to_spec` output (name-based models only)."""
-        models = []
-        for model in spec["models"]:
-            if not isinstance(model, str):
-                raise ValueError(
-                    "cannot rebuild a DesignSpace containing graph-object models "
-                    f"(found {model!r}); re-declare the space in code"
-                )
-            models.append(model)
-        hardware_axes = {}
-        option_axes = {}
-        for axis in spec.get("axes", []):
-            target = hardware_axes if axis["kind"] == "hardware" else option_axes
-            target[axis["name"]] = axis["values"]
-        return cls(
-            models=models,
-            base_hardware=DualModeHardwareAbstraction.from_dict(spec["base_hardware"]),
-            workloads=[workload_from_payload(w) for w in spec["workloads"]],
-            hardware_axes=hardware_axes,
-            option_axes=option_axes,
-            base_options=replace(
-                CompilerOptions(generate_code=False), **spec.get("base_options", {})
-            ),
-        )
 
     def fingerprint(self) -> str:
         """Stable digest of the whole space declaration (memoised —

@@ -6,8 +6,9 @@ exists, and a restarted run loads the file and skips every point whose
 key already appears.  The layout is deliberately minimal —
 
 * ``space.json`` — the space declaration (:meth:`DesignSpace.to_spec`),
-  its fingerprint, and run metadata (objective, strategy, format
-  version).  Written atomically once, when the run is created.
+  its fingerprint, and run metadata (objective, format version).
+  Written atomically once, when the run is created.  Directories written
+  by older versions also name a search ``strategy``; it is ignored.
 * ``results.jsonl`` — one JSON object per evaluated design point,
   appended crash-safely: each line is written, flushed and fsynced
   before the runner moves on, so a killed process loses at most the
@@ -90,7 +91,6 @@ class RunState:
         space_spec: Mapping,
         space_fingerprint: str,
         objective: str,
-        strategy: str,
     ) -> "RunState":
         """Start a fresh run directory.
 
@@ -111,7 +111,6 @@ class RunState:
             "space": dict(space_spec),
             "space_fingerprint": space_fingerprint,
             "objective": objective,
-            "strategy": strategy,
         }
         _atomic_write_json(run_dir / SPACE_FILE, meta)
         return cls(run_dir, meta)
@@ -151,7 +150,6 @@ class RunState:
         space_spec: Mapping,
         space_fingerprint: str,
         objective: str,
-        strategy: str,
         resume: bool = False,
     ) -> "RunState":
         """Create-or-resume front door used by the runner and the CLI.
@@ -164,8 +162,7 @@ class RunState:
           metadata write, a stray delete) is *recovered*: the metadata
           is rebuilt from the current declaration, the results are
           loaded, and :attr:`space_changed` is set — the original
-          declaration is unknown, so recorded coordinates are distrusted
-          while point-key matching still works.
+          declaration is unknown, while point-key matching still works.
         * ``resume=False`` creates a fresh run and refuses a directory
           that already holds results.
         """
@@ -193,16 +190,15 @@ class RunState:
                 state.meta.get("space_fingerprint") != space_fingerprint
             )
             # A resume may legitimately widen the space or switch
-            # objective/strategy (records carry their own space
-            # fingerprints, and the runner re-derives scores); the
-            # directory's metadata must keep describing what the run
-            # actually does now, so the *next* resume of the identical
-            # declaration is not flagged as changed again.
+            # objective (records are matched by point key, and the runner
+            # re-derives scores); the directory's metadata must keep
+            # describing what the run actually does now, so the *next*
+            # resume of the identical declaration is not flagged as
+            # changed again.
             updated = {
                 "space": dict(space_spec),
                 "space_fingerprint": space_fingerprint,
                 "objective": objective,
-                "strategy": strategy,
             }
             if any(state.meta.get(key) != value for key, value in updated.items()):
                 state.meta.update(updated)
@@ -216,14 +212,13 @@ class RunState:
                 "space": dict(space_spec),
                 "space_fingerprint": space_fingerprint,
                 "objective": objective,
-                "strategy": strategy,
                 "recovered": True,
             }
             _atomic_write_json(run_dir / SPACE_FILE, meta)
             state = cls(run_dir, meta, records, dropped_lines=dropped)
             state.space_changed = True
             return state
-        return cls.create(run_dir, space_spec, space_fingerprint, objective, strategy)
+        return cls.create(run_dir, space_spec, space_fingerprint, objective)
 
     # ------------------------------------------------------------------ #
     # appending

@@ -34,6 +34,7 @@ Retry policy — deliberately asymmetric:
 from __future__ import annotations
 
 import json
+import math
 import random
 import socket
 import time
@@ -389,6 +390,12 @@ class Client:
             wall_seconds = document.get("wall_seconds", 0.0)
             if isinstance(wall_seconds, bool) or not isinstance(wall_seconds, (int, float)):
                 raise WireFormatError(f"'wall_seconds' must be a number, not {wall_seconds!r}")
+            try:
+                wall_seconds = float(wall_seconds)
+            except OverflowError:
+                raise WireFormatError("'wall_seconds' does not fit a double") from None
+            if not math.isfinite(wall_seconds):
+                raise WireFormatError(f"'wall_seconds' must be finite, not {wall_seconds!r}")
             stats = document.get("stats")
             if stats is not None and not isinstance(stats, dict):
                 raise WireFormatError(f"'stats' must be an object or null, not {stats!r}")
@@ -397,7 +404,7 @@ class Client:
             fingerprint=str(document.get("fingerprint", "")),
             coalesced=bool(document.get("coalesced", False)),
             cached=bool(document.get("cached", False)),
-            wall_seconds=float(wall_seconds),
+            wall_seconds=wall_seconds,
             stats=dict(stats or {}),
         )
 

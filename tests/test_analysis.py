@@ -163,7 +163,7 @@ class TestHeatmap:
             base_options=bad,
         )
         with pytest.raises(ValueError, match="max_segment_operators"):
-            Session(small_test_chip()).explore(space, strategy="grid", objective="latency")
+            Session(small_test_chip()).explore(space, objective="latency")
 
     def test_compiler_options_validated_at_construction(self):
         # The historical failure mode for a bad DP window was a TypeError

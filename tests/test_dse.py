@@ -2,6 +2,8 @@
 
 import json
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +14,9 @@ from repro.dse import (
     DesignSpace,
     DSERunner,
     EvaluationRecord,
-    GreedyStrategy,
-    GridStrategy,
-    RandomStrategy,
+    FIDELITIES,
     RunState,
     RunStateError,
-    make_strategy,
     pareto_frontier,
     render_report,
     run_dse,
@@ -27,6 +26,11 @@ from repro.hardware import small_test_chip
 from repro.models import Workload, build_model
 from repro.obs import Observability
 from repro.service import CompileJob, CompileService
+
+#: A run directory as the previous state writer left it: a ``greedy``
+#: strategy in ``space.json``, and ``coords`` / ``space_fingerprint`` in
+#: every record, over ``tiny_space(modes=(True, False))``.
+FORMAT1_RUN = Path(__file__).parent / "data" / "dse_run_format1"
 
 
 def tiny_space(arrays=(4, 8), modes=None, models=("tiny-cnn",)):
@@ -86,20 +90,31 @@ class TestDesignSpace:
         with pytest.raises(ValueError, match="unknown option axis"):
             DesignSpace(models=["tiny-cnn"], option_axes={"turbo": [True]})
 
-    def test_neighbors_step_one_axis(self):
-        space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        coords = (0, 0, 1, 0)
-        neighbors = space.neighbors(coords)
-        assert (0, 0, 0, 0) in neighbors and (0, 0, 2, 0) in neighbors
-        assert (0, 0, 1, 1) in neighbors
-        for nb in neighbors:
-            assert sum(a != b for a, b in zip(nb, coords)) == 1
-
-    def test_spec_round_trip(self):
+    def test_fingerprint_names_the_declaration(self):
         space = tiny_space(arrays=(4, 8), modes=(True, False))
-        rebuilt = DesignSpace.from_spec(space.to_spec())
-        assert rebuilt.fingerprint() == space.fingerprint()
-        assert [p.key for p in rebuilt.points()] == [p.key for p in space.points()]
+        twin = tiny_space(arrays=(4, 8), modes=(True, False))
+        assert twin.fingerprint() == space.fingerprint()
+        assert twin.to_spec() == space.to_spec()
+        assert tiny_space(arrays=(4, 6, 8)).fingerprint() != space.fingerprint()
+        # Every sweep of one space shares its chip instances.
+        first, again = list(space.points()), list(space.points())
+        assert all(a.hardware is b.hardware for a, b in zip(first, again))
+
+    def test_spec_is_strict_json_and_names_every_axis(self, tmp_path):
+        """``to_spec`` is what a run directory's ``space.json`` records: a
+        strict-JSON declaration of every axis, and no search strategy."""
+        space = tiny_space(arrays=(4, 8), modes=(True, False))
+        spec = space.to_spec()
+        assert json.loads(json.dumps(spec, allow_nan=False)) == spec
+        assert spec["models"] == ["tiny-cnn"]
+        assert [(a["name"], a["kind"], a["values"]) for a in spec["axes"]] == [
+            ("num_arrays", "hardware", [4, 8]),
+            ("allow_memory_mode", "option", [True, False]),
+        ]
+        with RunState.open(tmp_path, spec, space.fingerprint(), "latency") as state:
+            pass
+        meta = json.loads((state.run_dir / "space.json").read_text())
+        assert meta["space"] == spec and "strategy" not in meta
 
     def test_numpy_axis_values_are_coerced(self):
         import numpy as np
@@ -125,11 +140,10 @@ class TestDesignSpace:
         # The graph is keyed by its digest, not its name: an equal graph
         # built separately shares the key, the registered name does not.
         twin = build_model("tiny-mlp", Workload(batch_size=1))
-        assert DesignSpace(models=[twin], base_hardware=small_test_chip()).point_at(
-            point.coords
-        ).key == point.key
+        twin_space = DesignSpace(models=[twin], base_hardware=small_test_chip())
+        assert next(twin_space.points()).key == point.key
         named = DesignSpace(models=["tiny-mlp"], base_hardware=small_test_chip())
-        assert named.point_at(point.coords).key != point.key
+        assert next(named.points()).key != point.key
         assert space.to_spec()["models"] == [{"graph": "tiny-mlp", "digest": graph.digest()}]
 
     def test_graph_points_differing_only_in_metadata_are_two_points(self):
@@ -167,6 +181,14 @@ class TestPlanner:
             assert twin.cycles == original.cycles
         assert len(result.records) == 2
 
+    def test_a_repeated_axis_value_is_a_table_hit(self):
+        """Two coordinates, one point key: the grid visits both, and the
+        second is the service's program table answering (0 solves)."""
+        result = DSERunner(tiny_space(arrays=(4, 4))).run()
+        assert result.evaluated == 2 and len(result.records) == 1
+        assert result.cold_planned == 1 and result.warm_planned == 1
+        assert result.new_records[1].allocator_solves == 0
+
     def test_distinct_structures_not_collapsed(self):
         space = tiny_space(models=("tiny-cnn", "tiny-mlp"), arrays=(8,))
         result = run_dse(space)
@@ -192,64 +214,64 @@ class TestPlanner:
 
 
 # ---------------------------------------------------------------------- #
-# Strategies
+# The grid pass
 # ---------------------------------------------------------------------- #
-class TestStrategies:
-    def _drain(self, strategy, space, chunk=3):
-        strategy.bind(space)
-        seen = []
-        while not strategy.exhausted:
-            batch = strategy.ask(chunk)
-            if not batch:
-                break
-            seen.extend(batch)
-        return seen
-
-    def test_grid_proposes_lexicographic_order(self):
-        space = tiny_space(arrays=(4, 6, 8))
-        points = self._drain(GridStrategy(), space)
-        assert [p.coords for p in points] == list(space.coordinates())
-
-    def test_random_is_seeded_and_complete(self):
+class TestGridPass:
+    def test_points_are_evaluated_in_grid_order(self):
         space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        first = [p.coords for p in self._drain(RandomStrategy(seed=7), space)]
-        second = [p.coords for p in self._drain(RandomStrategy(seed=7), space)]
-        other = [p.coords for p in self._drain(RandomStrategy(seed=8), space)]
-        assert first == second
-        assert sorted(first) == sorted(space.coordinates())
-        assert first != other  # 12 points: astronomically unlikely to coincide
-
-    def test_greedy_explores_neighbors_of_best(self):
-        space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        strategy = GreedyStrategy(seed=0)
-        strategy.bind(space)
-        batch = strategy.ask(2)
-        assert len(batch) == 2
-        # Feed back: first point is great, second terrible.
-        records = [
-            EvaluationRecord(
-                point_key=p.key, model=p.model_name, workload="w", hardware="h",
-                num_arrays=p.hardware.num_arrays, hardware_fingerprint="f",
-                coords=p.coords, allow_memory_mode=True, objective="latency",
-                feasible=True, objective_value=value,
-            )
-            for p, value in zip(batch, (1.0, 100.0))
+        result = DSERunner(space).run()
+        assert [r.point_key for r in result.new_records] == [
+            p.key for p in space.points()
         ]
-        strategy.tell(records)
-        best_coords = batch[0].coords
-        next_batch = strategy.ask(2)
-        neighbor_set = set(space.neighbors(best_coords))
-        assert next_batch, "greedy must keep proposing"
-        assert next_batch[0].coords in neighbor_set
 
-    def test_greedy_exhausts_whole_space(self):
+    def test_only_the_grid_is_a_strategy(self):
+        assert DSERunner(tiny_space(), strategy="grid").run().evaluated == 2
+        for name in ("random", "greedy", "successive-halving"):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                DSERunner(tiny_space(), strategy=name)
+        for retired in ("batch_size", "seed"):
+            with pytest.raises(TypeError):
+                DSERunner(tiny_space(), **{retired: 1})
+            with pytest.raises(TypeError):
+                Session(hardware="small-test-chip").explore(tiny_space(), **{retired: 1})
+        with pytest.raises(TypeError):
+            Session(hardware="small-test-chip").explore(tiny_space(), strategy="grid")
+
+
+    @pytest.mark.parametrize("budget", [1, 3])
+    def test_a_budget_walks_a_prefix_of_the_grid(self, budget, tmp_path):
+        """A budget of k evaluates the first k grid points; a resume
+        evaluates the rest, still in grid order."""
         space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        points = self._drain(GreedyStrategy(seed=1), space)
-        assert sorted(p.coords for p in points) == sorted(space.coordinates())
+        keys = [p.key for p in space.points()]
+        runs = []
+        for resume in (False, True):
+            with RunState.open(
+                tmp_path, space.to_spec(), space.fingerprint(), "latency", resume=resume
+            ) as state:
+                runs.append(DSERunner(space, state=state).run(budget=None if resume else budget))
+        first, rest = runs
+        assert [r.point_key for r in first.new_records] == keys[:budget]
+        assert rest.skipped == budget
+        assert [r.point_key for r in rest.new_records] == keys[budget:]
 
-    def test_make_strategy_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown strategy"):
-            make_strategy("simulated-annealing")
+    @pytest.mark.parametrize("fidelity", ["analytical", "compile"])
+    def test_each_evaluated_point_is_one_span(self, fidelity):
+        """Every evaluated point is one ``dse.point`` span tagged with the
+        run's fidelity, counted under ``dse.points.<fidelity>``; a sweep
+        has no batches, so no ``dse.batch`` span."""
+        obs = Observability.create()
+        space = tiny_space(arrays=(4, 8), modes=(True, False))
+        result = DSERunner(space, fidelity=fidelity, obs=obs).run()
+        spans = obs.tracer.spans()
+        points = [s for s in spans if s.name == "dse.point"]
+        assert [s.attrs["point"] for s in points] == [
+            r.point_key for r in result.new_records
+        ]
+        assert {s.attrs["fidelity"] for s in points} == {fidelity}
+        assert not any(s.name == "dse.batch" for s in spans)
+        counters = obs.metrics.to_dict()["counters"]
+        assert counters["dse.points"] == counters[f"dse.points.{fidelity}"] == space.size
 
 
 # ---------------------------------------------------------------------- #
@@ -272,7 +294,7 @@ class TestRunnerResume:
 
         # "Interrupted" first run: budget covers 2 of 3 points.
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
+            run_dir, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             partial = DSERunner(space, cache_dir=cache_dir, state=state).run(budget=2)
         assert partial.evaluated == 2
@@ -280,7 +302,7 @@ class TestRunnerResume:
         # Restart with the full budget: the 2 completed points are skipped,
         # only the third is compiled.
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+            run_dir, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             resumed = DSERunner(space, cache_dir=cache_dir, state=state).run()
@@ -290,7 +312,7 @@ class TestRunnerResume:
 
         # A third run does nothing at all: zero solves, everything skipped.
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+            run_dir, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             final = DSERunner(space, cache_dir=cache_dir, state=state).run()
@@ -311,7 +333,7 @@ class TestRunnerResume:
         space = tiny_space(arrays=(4, 8), modes=(True, False))
         run_dir = tmp_path / "run"
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
+            run_dir, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             first = DSERunner(space, state=state).run()
         assert first.evaluated == 4
@@ -338,7 +360,7 @@ class TestRunnerResume:
         (run_dir / "space.json").write_text(json.dumps(meta))
 
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+            run_dir, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             assert state.space_changed
@@ -359,7 +381,7 @@ class TestRunnerResume:
         space = tiny_space(arrays=(4, 6, 8))
         run_dir = tmp_path / "run"
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
+            run_dir, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             first = DSERunner(space, state=state).run()
         truth = {r.point_key: r.cycles for r in first.records}
@@ -375,7 +397,7 @@ class TestRunnerResume:
 
         def resume(fidelity):
             with RunState.open(
-                run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+                run_dir, space.to_spec(), space.fingerprint(), "latency",
                 resume=True,
             ) as state:
                 return DSERunner(space, fidelity=fidelity, state=state).run()
@@ -400,7 +422,7 @@ class TestRunnerResume:
         space = tiny_space(arrays=(4, 8))
         run_dir = tmp_path / "run"
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
+            run_dir, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             first = DSERunner(space, state=state).run()
         results = run_dir / "results.jsonl"
@@ -410,7 +432,7 @@ class TestRunnerResume:
         results.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+            run_dir, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             resumed = DSERunner(space, state=state).run()
@@ -421,21 +443,62 @@ class TestRunnerResume:
             (r.point_key, r.cycles) for r in first.records
         ]
 
+    @pytest.mark.parametrize("fidelity", ["analytical", "compile"])
+    def test_a_finished_run_resumes_with_nothing_to_do(self, fidelity, tmp_path):
+        """Resuming a finished sweep at its own fidelity skips every point,
+        solves nothing, and reports the records it stored."""
+        space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
+        results = []
+        for resume in (False, True):
+            with RunState.open(
+                tmp_path, space.to_spec(), space.fingerprint(), "latency", resume=resume
+            ) as state:
+                results.append(DSERunner(space, fidelity=fidelity, state=state).run())
+        first, again = results
+        assert first.evaluated == space.size
+        assert again.evaluated == 0 and again.skipped == space.size
+        assert again.allocator_solves == 0 and again.evaluated_by_fidelity == {}
+        assert {r.status for r in again.records} == {"resumed"}
+        assert [(r.point_key, r.fidelity, r.cycles) for r in again.records] == [
+            (r.point_key, r.fidelity, r.cycles) for r in first.records
+        ]
+
+    def test_a_run_dir_of_the_search_strategies_still_resumes(self, tmp_path):
+        """A directory a ``greedy`` run wrote, with ``coords`` and
+        ``space_fingerprint`` in its records, resumes under the grid: every
+        point is skipped by key, and the frontier is the one it recorded."""
+        run_dir = tmp_path / "run"
+        shutil.copytree(FORMAT1_RUN, run_dir)
+        space = tiny_space(modes=(True, False))
+        with RunState.open(
+            run_dir, space.to_spec(), space.fingerprint(), "latency", resume=True,
+        ) as state:
+            assert state.meta["strategy"] == "greedy" and not state.space_changed
+            assert all("coords" in record for record in state.records)
+            result = DSERunner(space, state=state).run()
+        assert result.skipped == space.size == 4
+        assert result.evaluated == 0 and result.allocator_solves == 0
+        assert {r.status for r in result.records} == {"resumed"}
+        assert [(r.point_key, r.cycles) for r in result.frontier()] == [
+            ("34c963930ec65d95", 2568.3),
+            ("58dc9752224bfac1", 5718.833333333333),
+        ]
+
     def test_fresh_run_refuses_existing_results(self, tmp_path):
         space = tiny_space()
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid"
+            tmp_path, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             DSERunner(space, state=state).run()
         with pytest.raises(RunStateError, match="already contains results"):
             RunState.open(
-                tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid"
+                tmp_path, space.to_spec(), space.fingerprint(), "latency"
             )
 
     def test_torn_trailing_line_is_dropped(self, tmp_path):
         space = tiny_space()
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid"
+            tmp_path, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             DSERunner(space, state=state).run()
         results = tmp_path / "results.jsonl"
@@ -448,7 +511,7 @@ class TestRunnerResume:
         assert len(state.completed) == 1
         # The torn point is re-evaluated on resume.
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid",
+            tmp_path, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as resumed_state:
             resumed = DSERunner(space, state=resumed_state).run()
@@ -459,48 +522,38 @@ class TestRunnerResume:
         run_dir = tmp_path / "run"
         narrow = tiny_space(arrays=(4, 8))
         with RunState.open(
-            run_dir, narrow.to_spec(), narrow.fingerprint(), "latency", "grid"
+            run_dir, narrow.to_spec(), narrow.fingerprint(), "latency"
         ) as state:
             DSERunner(narrow, cache_dir=cache_dir, state=state).run()
         wide = tiny_space(arrays=(4, 6, 8))
         with RunState.open(
-            run_dir, wide.to_spec(), wide.fingerprint(), "latency", "grid",
+            run_dir, wide.to_spec(), wide.fingerprint(), "latency",
             resume=True,
         ) as state:
             assert state.space_changed
             result = DSERunner(wide, cache_dir=cache_dir, state=state).run()
         assert result.skipped == 2 and result.evaluated == 1
         assert {r.num_arrays for r in result.records} == {4, 6, 8}
-        # Coordinates recorded under the old (narrower) space index a
-        # different grid; resumed records must not carry them into the
-        # new space's strategies.
-        for record in result.records:
-            if record.status == "resumed":
-                assert record.coords == ()
 
         # A further resume of the *same* widened space is no longer a
-        # space change, and the point evaluated under it keeps its
-        # coordinates (records carry their own space fingerprints).
+        # space change.
         with RunState.open(
-            run_dir, wide.to_spec(), wide.fingerprint(), "latency", "grid",
+            run_dir, wide.to_spec(), wide.fingerprint(), "latency",
             resume=True,
         ) as state:
             assert not state.space_changed
             final = DSERunner(wide, cache_dir=cache_dir, state=state).run()
         assert final.skipped == 3 and final.evaluated == 0
-        by_arrays = {r.num_arrays: r for r in final.records}
-        assert by_arrays[6].coords != ()   # evaluated under the wide space
-        assert by_arrays[4].coords == ()   # evaluated under the narrow one
 
     def test_resume_with_different_objective_rescores_records(self, tmp_path):
         space = tiny_space()
         run_dir = tmp_path / "run"
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "energy", "grid"
+            run_dir, space.to_spec(), space.fingerprint(), "energy"
         ) as state:
             DSERunner(space, objective="energy", state=state).run()
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+            run_dir, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             result = DSERunner(space, objective="latency", state=state).run()
@@ -516,12 +569,12 @@ class TestRunnerResume:
             models=["no-such-model", "tiny-mlp"], base_hardware=small_test_chip()
         )
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid"
+            tmp_path, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             first = DSERunner(space, state=state).run()
         assert sum(1 for r in first.new_records if r.failed) == 1
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid",
+            tmp_path, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             resumed = DSERunner(space, state=state).run()
@@ -533,22 +586,21 @@ class TestRunnerResume:
     def test_resume_with_new_objective_updates_run_metadata(self, tmp_path):
         space = tiny_space()
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid"
+            tmp_path, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             DSERunner(space, objective="latency", state=state).run()
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "energy", "greedy",
-            resume=True,
+            tmp_path, space.to_spec(), space.fingerprint(), "energy", resume=True,
         ) as state:
             assert state.meta["objective"] == "energy"
-            assert state.meta["strategy"] == "greedy"
+            assert "strategy" not in state.meta
         # The rewrite is durable, not just in-memory.
         assert json.loads((tmp_path / "space.json").read_text())["objective"] == "energy"
 
     def test_unreadable_results_raise_run_state_error(self, tmp_path):
         space = tiny_space()
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid"
+            tmp_path, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             DSERunner(space, state=state).run()
         results = tmp_path / "results.jsonl"
@@ -560,12 +612,12 @@ class TestRunnerResume:
     def test_resume_recovers_from_missing_space_json(self, tmp_path):
         space = tiny_space()
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid"
+            tmp_path, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             DSERunner(space, state=state).run()
         (tmp_path / "space.json").unlink()
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid",
+            tmp_path, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             assert state.space_changed  # original declaration unknown
@@ -578,12 +630,12 @@ class TestRunnerResume:
         # survive; --resume must recover, not dead-end.
         space = tiny_space()
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid"
+            tmp_path, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             DSERunner(space, state=state).run()
         (tmp_path / "space.json").write_text('{"format_version": 1, "spa')
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid",
+            tmp_path, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             assert state.meta.get("recovered") is True
@@ -595,7 +647,7 @@ class TestRunnerResume:
         # never clobbered by the torn-file recovery path.
         space = tiny_space()
         with RunState.open(
-            tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid"
+            tmp_path, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             DSERunner(space, state=state).run()
         meta = json.loads((tmp_path / "space.json").read_text())
@@ -603,7 +655,7 @@ class TestRunnerResume:
         (tmp_path / "space.json").write_text(json.dumps(meta))
         with pytest.raises(RunStateError, match="format"):
             RunState.open(
-                tmp_path, space.to_spec(), space.fingerprint(), "latency", "grid",
+                tmp_path, space.to_spec(), space.fingerprint(), "latency",
                 resume=True,
             )
 
@@ -652,7 +704,6 @@ class TestRunnerResume:
         for record in result.records:
             clone = EvaluationRecord.from_dict(json.loads(json.dumps(record.to_dict())))
             assert clone.point_key == record.point_key
-            assert clone.coords == record.coords
             assert clone.latency_ms == pytest.approx(record.latency_ms)
 
 
@@ -788,7 +839,7 @@ class TestWarmPlanning:
 def _record(key, latency, energy, arrays, feasible=True):
     return EvaluationRecord(
         point_key=key, model="m", workload="w", hardware="h", num_arrays=arrays,
-        hardware_fingerprint="f", coords=(0,), allow_memory_mode=True,
+        hardware_fingerprint="f", allow_memory_mode=True,
         objective="latency", feasible=feasible, latency_ms=latency,
         energy_mj=energy, objective_value=latency,
     )
@@ -853,7 +904,7 @@ class TestDseCli:
         from repro.cli import main
 
         def dse(cache_dir, *extra):
-            argv = ["dse", "--strategy", "grid", "--budget", "8", "--cache-dir", str(cache_dir)]
+            argv = ["dse", "--budget", "8", "--cache-dir", str(cache_dir)]
             assert main([*argv, *extra]) == 0
             out = capsys.readouterr().out
             solves = [line for line in out.splitlines() if line.startswith("total allocator solves: ")]
@@ -898,16 +949,20 @@ class TestDseCli:
         assert main(argv) == 2
         assert "already contains results" in capsys.readouterr().err
 
-    def test_dse_strategy_and_objective_choices(self):
+    def test_dse_strategy_and_objective_choices(self, capsys):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["dse", "tiny-mlp", "--strategy", "greedy", "--objective", "energy",
+            ["dse", "tiny-mlp", "--objective", "energy",
              "--arrays", "4", "8", "--modes", "dual", "fixed"]
         )
-        assert args.strategy == "greedy" and args.objective == "energy"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["dse", "--strategy", "annealing"])
+        assert args.objective == "energy" and not hasattr(args, "strategy")
+        for retired in (["--strategy", "random"], ["--strategy", "grid"],
+                        ["--seed", "1"], ["--fidelity", "auto"]):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(["dse", *retired])
+            assert excinfo.value.code == 2
+        assert "invalid choice: 'auto'" in capsys.readouterr().err
 
 
 class TestCacheCli:
@@ -1051,37 +1106,45 @@ class TestFidelity:
                 assert bound.latency_ms <= record.latency_ms * (1 + 1e-9)
                 assert bound.energy_mj <= record.energy_mj * (1 + 1e-9)
 
-    def test_auto_promotes_survivors_up_the_ladder(self):
-        from repro.dse import SuccessiveHalvingStrategy
+    @staticmethod
+    def _sweep_into(run_dir, space, fidelity, budget=None):
+        with RunState.open(
+            run_dir, space.to_spec(), space.fingerprint(), "latency", resume=True,
+        ) as state:
+            return DSERunner(space, fidelity=fidelity, state=state).run(budget=budget)
 
+    def test_a_plan_sweep_over_a_bound_sweep_reports_each_point_once(self, tmp_path):
+        """Bounds, then plans, resumed into one run directory: each point
+        is reported once, at its highest fidelity, and the final frontier
+        is a plain compile sweep's."""
         space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        strategy = SuccessiveHalvingStrategy(seed=0, keep_fraction=0.5)
-        result = DSERunner(space, strategy=strategy, fidelity="auto").run()
-        promoted = math.ceil(space.size * 0.5)
-        assert result.evaluated_by_fidelity == {
-            "analytical": space.size, "compile": promoted,
+        run_dir = tmp_path / "run"
+        bounds = self._sweep_into(run_dir, space, "analytical")
+        assert bounds.evaluated_by_fidelity == {"analytical": space.size}
+        half = self._sweep_into(run_dir, space, "compile", budget=3)
+        assert half.skipped == 0 and half.evaluated_by_fidelity == {"compile": 3}
+        assert len(half.records) == space.size
+        assert [r.fidelity for r in half.records].count("compile") == 3
+        rest = self._sweep_into(run_dir, space, "compile")
+        assert rest.skipped == 3 and rest.evaluated == space.size - 3
+        assert {r.fidelity for r in rest.records} == {"compile"}
+        grid = DSERunner(space).run()
+        assert {r.point_key: r.cycles for r in rest.records} == {
+            r.point_key: r.cycles for r in grid.records
         }
-        # Rung 0 is free: analytical evaluations perform no solves.
-        rung0 = [r for r in result.new_records if r.fidelity == "analytical"]
-        assert sum(r.allocator_solves for r in rung0) == 0
-        # Final records carry one entry per point, at the highest
-        # fidelity each point was paid for.
-        by_key = {r.point_key: r for r in result.records}
-        assert len(by_key) == space.size
-        assert sum(1 for r in by_key.values() if r.fidelity == "compile") == promoted
-        assert (
-            sum(1 for r in by_key.values() if r.fidelity == "analytical")
-            == space.size - promoted
-        )
+        assert [(r.point_key, r.cycles) for r in rest.frontier()] == [
+            (r.point_key, r.cycles) for r in grid.frontier()
+        ]
+        again = self._sweep_into(run_dir, space, "compile")
+        assert again.evaluated == 0 and again.allocator_solves == 0
 
     @pytest.mark.parametrize("space_name", ["benchmark", "paper"])
-    def test_auto_is_bound_then_plan_and_agrees_with_the_grid(self, space_name):
-        """``auto`` runs two tiers, and what it compiles *is* the grid's answer.
-
-        There is no heuristic middle rung: every record ``auto`` reports
-        as a plan carries the cycles a full ``compile`` sweep finds for
-        the same point, and its best point is the grid's best.
-        """
+    def test_a_bound_sweep_then_a_plan_sweep_agrees_with_the_grid(
+        self, space_name, tmp_path
+    ):
+        """On the benchmark's space and a paper-scale one, every bound is
+        at most its point's plan, and a plan sweep resumed over a bound
+        sweep finds the plain grid's cycles and best point."""
         if space_name == "benchmark":
             make = benchmark_space
         else:
@@ -1092,80 +1155,34 @@ class TestFidelity:
                     hardware_axes={"num_arrays": [64, 96, 128]},
                     option_axes={"allow_memory_mode": [True, False]},
                 )
-        auto = DSERunner(make(), fidelity="auto").run()
-        grid = DSERunner(make(), strategy="grid", fidelity="compile").run()
-
+        bounds = self._sweep_into(tmp_path, make(), "analytical")
+        plans = self._sweep_into(tmp_path, make(), "compile")
+        grid = DSERunner(make()).run()
         size = make().size
-        assert auto.evaluated_by_fidelity.keys() == {"analytical", "compile"}
-        assert {r.fidelity for r in auto.new_records} == {"analytical", "compile"}
-        assert {r.fidelity for r in auto.records} == {"analytical", "compile"}
-        by_key = {r.point_key: r for r in grid.records}
-        assert len(by_key) == size
-        compiled = [r for r in auto.records if r.fidelity == "compile"]
-        assert compiled
-        for record in compiled:
-            assert record.cycles == by_key[record.point_key].cycles
+        assert bounds.evaluated == plans.evaluated == grid.evaluated == size
+        exact = {r.point_key: r for r in grid.records}
+        assert len(exact) == size
+        for bound in bounds.new_records:
+            assert bound.cycles <= exact[bound.point_key].cycles * (1 + 1e-9)
+        assert {r.fidelity for r in plans.records} == {"compile"}
+        assert {r.point_key: r.cycles for r in plans.records} == {
+            key: r.cycles for key, r in exact.items()
+        }
 
         def best(result):
-            plans = [r for r in result.records if r.feasible and not r.lower_bound]
-            return min(plans, key=lambda r: (r.cycles, r.point_key))
+            return min(result.records, key=lambda r: (r.cycles, r.point_key))
 
-        assert best(auto).point_key == best(grid).point_key
-        assert best(auto).cycles == best(grid).cycles
-
-    def test_auto_compiles_five_times_fewer_points_than_the_grid(self):
-        """2 models x 3 array counts x 2 modes, keeping one sixth past rung 0."""
-        from repro.dse import SuccessiveHalvingStrategy
-
-        def space():
-            return tiny_space(
-                arrays=(4, 6, 8), modes=(True, False), models=("tiny-cnn", "tiny-mlp")
-            )
-
-        strategy = SuccessiveHalvingStrategy(seed=0, keep_fraction=1 / 6)
-        auto = DSERunner(space(), strategy=strategy, fidelity="auto").run()
-        grid = DSERunner(space(), strategy="grid", fidelity="compile").run()
-        rung0 = [r for r in auto.new_records if r.fidelity == "analytical"]
-        assert len(rung0) == space().size == 12
-        assert sum(r.allocator_solves for r in rung0) == 0
-        compiles = auto.evaluated_by_fidelity["compile"]
-        assert 0 < compiles and compiles * 5 <= grid.evaluated_by_fidelity["compile"]
-
-    def test_auto_installs_successive_halving_for_plain_strategies(self):
-        from repro.dse import SuccessiveHalvingStrategy
-
-        runner = DSERunner(tiny_space(), strategy="grid", fidelity="auto")
-        assert isinstance(runner.strategy, SuccessiveHalvingStrategy)
-
-    def test_auto_resume_skips_every_rung(self, tmp_path):
-        space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        run_dir = tmp_path / "run"
-        with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "successive-halving"
-        ) as state:
-            first = DSERunner(space, fidelity="auto", state=state).run()
-        assert first.evaluated > 0
-        with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency",
-            "successive-halving", resume=True,
-        ) as state:
-            second = DSERunner(space, fidelity="auto", state=state).run()
-        # Every rung is answered by the stored records (each point's
-        # stored fidelity is at least the rung it reached last time, and
-        # the seeded ladder re-promotes the same survivors) — so nothing
-        # is evaluated and nothing is solved.
-        assert second.evaluated == 0
-        assert second.allocator_solves == 0
+        assert best(plans).point_key == best(grid).point_key
 
     def test_compile_record_satisfies_analytical_request_on_resume(self, tmp_path):
         space = tiny_space(arrays=(4, 8))
         run_dir = tmp_path / "run"
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
+            run_dir, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             DSERunner(space, fidelity="compile", state=state).run()
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+            run_dir, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             result = DSERunner(space, fidelity="analytical", state=state).run()
@@ -1176,11 +1193,11 @@ class TestFidelity:
         space = tiny_space(arrays=(4, 8))
         run_dir = tmp_path / "run"
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid"
+            run_dir, space.to_spec(), space.fingerprint(), "latency"
         ) as state:
             DSERunner(space, fidelity="analytical", state=state).run()
         with RunState.open(
-            run_dir, space.to_spec(), space.fingerprint(), "latency", "grid",
+            run_dir, space.to_spec(), space.fingerprint(), "latency",
             resume=True,
         ) as state:
             result = DSERunner(space, fidelity="compile", state=state).run()
@@ -1191,7 +1208,7 @@ class TestFidelity:
     def test_record_fidelity_round_trips_and_defaults_to_compile(self):
         record = EvaluationRecord(
             point_key="k", model="m", workload="w", hardware="h", num_arrays=4,
-            hardware_fingerprint="f", coords=(0,), allow_memory_mode=True,
+            hardware_fingerprint="f", allow_memory_mode=True,
             objective="latency", fidelity="analytical", lower_bound=True,
         )
         payload = record.to_dict()
@@ -1204,210 +1221,41 @@ class TestFidelity:
         assert legacy.fidelity == "compile"
         assert legacy.lower_bound is False
 
-    def test_unknown_fidelity_rejected(self):
-        from repro.dse import FIDELITY_MODES
+    def test_records_of_the_search_strategies_load_without_their_keys(self):
+        """``coords`` and ``space_fingerprint``, which the search
+        strategies read, are dropped on load; every other field stays."""
+        record = EvaluationRecord(
+            point_key="k", model="m", workload="w", hardware="h", num_arrays=4,
+            hardware_fingerprint="f", allow_memory_mode=True,
+            objective="latency", feasible=True, latency_ms=1.5, cycles=3.0,
+        )
+        payload = {**record.to_dict(), "coords": [0, 1], "space_fingerprint": "abc"}
+        loaded = EvaluationRecord.from_dict(payload)
+        assert loaded == record
+        assert "coords" not in loaded.to_dict()
+        assert "space_fingerprint" not in loaded.to_dict()
 
-        assert FIDELITY_MODES == ("analytical", "compile", "auto")
-        for name in ("psychic", "greedy", "cached"):
-            with pytest.raises(ValueError, match="known: analytical, compile, auto"):
+    def test_unknown_fidelity_rejected(self):
+        assert FIDELITIES == ("analytical", "compile")
+        for name in ("psychic", "greedy", "cached", "auto"):
+            with pytest.raises(ValueError, match="known: analytical, compile$"):
                 DSERunner(tiny_space(), fidelity=name)
 
-    def test_mixed_fidelity_frontier_excludes_lower_bounds(self):
+    def test_mixed_fidelity_frontier_excludes_lower_bounds(self, tmp_path):
         space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        result = DSERunner(space, fidelity="auto").run()
+        self._sweep_into(tmp_path, space, "analytical")
+        result = self._sweep_into(tmp_path, space, "compile", budget=2)
+        assert {r.fidelity for r in result.records} == {"analytical", "compile"}
         frontier = result.frontier()
-        assert frontier, "auto run must produce a frontier"
+        assert frontier, "a mixed run must produce a frontier"
         # Only compiled plans participate; analytical lower bounds never do.
         assert all(r.fidelity == "compile" for r in frontier)
         assert not any(r.lower_bound for r in frontier)
 
 
-class TestSuccessiveHalvingStrategy:
-    def test_rung0_covers_the_space_then_promotes_best(self):
-        from repro.dse import SuccessiveHalvingStrategy
-
-        space = tiny_space(arrays=(4, 6, 8), modes=(True, False))
-        strategy = SuccessiveHalvingStrategy(seed=3, keep_fraction=0.25)
-        strategy.bind(space)
-        rung0 = []
-        while True:
-            batch = strategy.ask(5)
-            if strategy.fidelity != "analytical" or not batch:
-                promotions = batch
-                break
-            rung0.extend(batch)
-            records = [
-                EvaluationRecord(
-                    point_key=p.key, model=p.model_name, workload="w", hardware="h",
-                    num_arrays=p.hardware.num_arrays, hardware_fingerprint="f",
-                    coords=p.coords, allow_memory_mode=True, objective="latency",
-                    fidelity="analytical", feasible=True,
-                    objective_value=float(sum(p.coords)),
-                )
-                for p in batch
-            ]
-            strategy.tell(records)
-        assert sorted(p.coords for p in rung0) == sorted(space.coordinates())
-        assert strategy.fidelity == "compile"
-        keep = math.ceil(space.size * 0.25)
-        collected = list(promotions)
-        while not strategy.exhausted:
-            more = strategy.ask(5)
-            if not more:
-                break
-            collected.extend(more)
-        assert len(collected) == keep
-        # The best rung-0 scores (lowest coord sums) were promoted.
-        scores = sorted(sum(c) for c in space.coordinates())[:keep]
-        assert sorted(sum(p.coords) for p in collected) == scores
-        assert strategy.exhausted
-
-    def test_infeasible_rung0_points_are_never_promoted(self):
-        from repro.dse import SuccessiveHalvingStrategy
-
-        space = tiny_space(arrays=(4, 8))
-        strategy = SuccessiveHalvingStrategy(seed=0, keep_fraction=1.0)
-        strategy.bind(space)
-        batch = strategy.ask(space.size)
-        records = [
-            EvaluationRecord(
-                point_key=p.key, model=p.model_name, workload="w", hardware="h",
-                num_arrays=p.hardware.num_arrays, hardware_fingerprint="f",
-                coords=p.coords, allow_memory_mode=True, objective="latency",
-                fidelity="analytical", feasible=(index == 0),
-                objective_value=1.0 if index == 0 else math.inf,
-            )
-            for index, p in enumerate(batch)
-        ]
-        strategy.tell(records)
-        promotions = strategy.ask(space.size)
-        assert len(promotions) == 1
-        assert promotions[0].key == batch[0].key
-
-    def test_registered_with_make_strategy(self):
-        from repro.dse import SuccessiveHalvingStrategy
-
-        strategy = make_strategy("successive-halving", seed=5)
-        assert isinstance(strategy, SuccessiveHalvingStrategy)
-        assert strategy.seed == 5
-
-    def test_default_ladder_walks_analytical_greedy_compile(self):
-        from repro.dse import SuccessiveHalvingStrategy
-
-        space = benchmark_space()
-        strategy = SuccessiveHalvingStrategy(seed=1)
-        strategy.bind(space)
-        rung_order = []
-        counts = {}
-        while not strategy.exhausted:
-            batch = strategy.ask(space.size)
-            if not batch:
-                break
-            fidelity = strategy.fidelity
-            if not rung_order or rung_order[-1] != fidelity:
-                rung_order.append(fidelity)
-            counts[fidelity] = counts.get(fidelity, 0) + len(batch)
-            strategy.tell(
-                [
-                    EvaluationRecord(
-                        point_key=p.key, model=p.model_name, workload="w",
-                        hardware="h", num_arrays=p.hardware.num_arrays,
-                        hardware_fingerprint="f", coords=p.coords,
-                        allow_memory_mode=True, objective="latency",
-                        fidelity=fidelity, feasible=True,
-                        objective_value=float(sum(p.coords)),
-                    )
-                    for p in batch
-                ]
-            )
-        assert rung_order == ["analytical", "compile"]
-        assert counts["analytical"] == space.size == 30
-        assert counts["compile"] == math.ceil(30 * 0.5)
-        assert strategy.exhausted
-
-    def test_ladder_shape_is_validated(self):
-        from repro.dse import SuccessiveHalvingStrategy
-
-        # One promotion, one fraction: the ladder is not configurable.
-        with pytest.raises(TypeError):
-            SuccessiveHalvingStrategy(rungs=("analytical", "compile"))
-        with pytest.raises(TypeError):
-            SuccessiveHalvingStrategy(keep_fractions=(0.5,))
-        for fraction in (0.0, 1.5, -0.25):
-            with pytest.raises(ValueError, match=r"in \(0, 1\]"):
-                SuccessiveHalvingStrategy(keep_fraction=fraction)
-        assert SuccessiveHalvingStrategy(keep_fraction=1.0).keep_fraction == 1.0
-
-
-class TestGreedyKeyDedup:
-    def test_duplicate_axis_values_are_proposed_once(self):
-        # arrays=(4, 4) aliases two coordinates onto one point key; the
-        # strategy must never propose the same key twice, even when a
-        # survivor's neighbourhood collapses onto the alias at the edge.
-        space = tiny_space(arrays=(4, 4), modes=(True, False))
-        strategy = GreedyStrategy(seed=0)
-        strategy.bind(space)
-        seen = []
-        while not strategy.exhausted:
-            batch = strategy.ask(2)
-            if not batch:
-                break
-            seen.extend(batch)
-            records = [
-                EvaluationRecord(
-                    point_key=p.key, model=p.model_name, workload="w", hardware="h",
-                    num_arrays=p.hardware.num_arrays, hardware_fingerprint="f",
-                    coords=p.coords, allow_memory_mode=True, objective="latency",
-                    feasible=True, objective_value=1.0,
-                )
-                for p in batch
-            ]
-            strategy.tell(records)
-        keys = [p.key for p in seen]
-        assert len(keys) == len(set(keys)), "greedy proposed a point key twice"
-        # Every distinct key of the space was still covered.
-        assert set(keys) == {p.key for p in space.points()}
-
-    def test_told_keys_are_never_reproposed(self):
-        # Records told from a resumed run (never asked this session) must
-        # also suppress proposals of their keys.
-        space = tiny_space(arrays=(4, 8), modes=(True, False))
-        strategy = GreedyStrategy(seed=0)
-        strategy.bind(space)
-        pre_told = list(space.points())[:2]
-        strategy.tell(
-            [
-                EvaluationRecord(
-                    point_key=p.key, model=p.model_name, workload="w", hardware="h",
-                    num_arrays=p.hardware.num_arrays, hardware_fingerprint="f",
-                    coords=p.coords, allow_memory_mode=True, objective="latency",
-                    feasible=True, objective_value=1.0,
-                )
-                for p in pre_told
-            ]
-        )
-        told_keys = {p.key for p in pre_told}
-        proposed = []
-        while not strategy.exhausted:
-            batch = strategy.ask(3)
-            if not batch:
-                break
-            proposed.extend(batch)
-        assert told_keys.isdisjoint({p.key for p in proposed})
-
-    def test_no_budget_burned_on_aliased_points_in_runner(self):
-        space = tiny_space(arrays=(4, 4))
-        result = DSERunner(space, strategy=GreedyStrategy(seed=0)).run()
-        # Two aliased coordinates, one structural reality: exactly one
-        # evaluation, zero replications.
-        assert result.evaluated == 1
-        assert result.replicated == 0
-
-
 class TestPointKeyOnce:
     """A point key is a JSON rendering and a SHA-256: a sweep computes it
-    once per point it evaluates, and greedy once per coordinate it
-    proposes."""
+    once per point it visits, evaluated or skipped."""
 
     @staticmethod
     def _counted_keys(monkeypatch):
@@ -1415,7 +1263,7 @@ class TestPointKeyOnce:
         key = DesignPoint.key
 
         def counted(point):
-            calls.append(point.coords)
+            calls.append((point.hardware.num_arrays, point.options.allow_memory_mode))
             return key.fget(point)
 
         monkeypatch.setattr(DesignPoint, "key", property(counted))
@@ -1425,22 +1273,27 @@ class TestPointKeyOnce:
         calls = self._counted_keys(monkeypatch)
         result = DSERunner(tiny_space(arrays=(4, 8), modes=(True, False))).run()
         assert result.evaluated == 4
-        assert sorted(calls) == sorted(record.coords for record in result.records)
+        assert sorted(calls) == sorted(
+            (record.num_arrays, record.allow_memory_mode) for record in result.records
+        )
 
-    def test_greedy_keys_each_proposal_once_more(self, monkeypatch):
+    def test_a_resume_keys_each_skipped_point_once(self, monkeypatch, tmp_path):
+        space = tiny_space(arrays=(4, 8), modes=(True, False))
+        with RunState.open(tmp_path, space.to_spec(), space.fingerprint(), "latency") as state:
+            DSERunner(space, state=state).run()
         calls = self._counted_keys(monkeypatch)
-        result = DSERunner(
-            tiny_space(arrays=(4, 8), modes=(True, False)), strategy=GreedyStrategy(seed=0)
-        ).run()
-        assert result.evaluated == 4
-        assert len(calls) == 2 * result.evaluated  # proposed once, run once
+        with RunState.open(
+            tmp_path, space.to_spec(), space.fingerprint(), "latency", resume=True
+        ) as state:
+            result = DSERunner(space, state=state).run()
+        assert result.skipped == 4 and len(calls) == 4
 
 
 class TestParetoTies:
     def _record(self, key, latency, energy, arrays, feasible=True):
         return EvaluationRecord(
             point_key=key, model="m", workload="w", hardware="h",
-            num_arrays=arrays, hardware_fingerprint="f", coords=(0,),
+            num_arrays=arrays, hardware_fingerprint="f",
             allow_memory_mode=True, objective="latency", feasible=feasible,
             latency_ms=latency, energy_mj=energy, objective_value=latency,
         )
@@ -1499,7 +1352,7 @@ class TestDseCliFidelity:
 
         code = main(
             [
-                "dse", "tiny-cnn", "--strategy", "grid", "--fidelity", "analytical",
+                "dse", "tiny-cnn", "--fidelity", "analytical",
                 "--run-dir", str(tmp_path / "run"),
             ]
         )
@@ -1509,23 +1362,7 @@ class TestDseCliFidelity:
         assert "fidelity: analytical=" in out
         assert "[analytical/evaluated/ok]" in out
 
-    def test_cli_fidelity_auto_notes_the_schedule(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(
-            [
-                "dse", "tiny-cnn", "--strategy", "grid", "--fidelity", "auto",
-                "--run-dir", str(tmp_path / "run"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "successive-halving" in out
-        assert "analytical rung 0, survivors compiled" in out
-        assert "analytical=" in out and "compile=" in out
-        assert "greedy" not in out and "/cold]" not in out
-
-    @pytest.mark.parametrize("retired", ["greedy", "cached"])
+    @pytest.mark.parametrize("retired", ["greedy", "cached", "auto"])
     def test_cli_rejects_the_retired_tiers(self, retired, tmp_path, capsys):
         from repro.cli import main
 
@@ -1537,18 +1374,18 @@ class TestDseCliFidelity:
         assert not (tmp_path / "run").exists()
 
     def test_mixed_report_never_crowns_a_lower_bound(self):
-        # In an auto run a non-promoted point keeps its optimistic
-        # analytical record; the "best" line and the dominance counts
-        # must rank only full-fidelity records.
+        # In a run directory that holds bounds and plans, a point not yet
+        # compiled keeps its optimistic analytical record; the "best" line
+        # and the dominance counts must rank only full-fidelity records.
         bound = EvaluationRecord(
             point_key="bound", model="m", workload="w", hardware="h", num_arrays=4,
-            hardware_fingerprint="f", coords=(0,), allow_memory_mode=True,
+            hardware_fingerprint="f", allow_memory_mode=True,
             objective="latency", fidelity="analytical", lower_bound=True,
             feasible=True, latency_ms=1.0, energy_mj=1.0, objective_value=1.0,
         )
         real = EvaluationRecord(
             point_key="real", model="m", workload="w", hardware="h", num_arrays=4,
-            hardware_fingerprint="f", coords=(1,), allow_memory_mode=True,
+            hardware_fingerprint="f", allow_memory_mode=True,
             objective="latency", fidelity="compile",
             feasible=True, latency_ms=5.0, energy_mj=5.0, objective_value=5.0,
         )
@@ -1573,14 +1410,13 @@ class TestTraceObjective:
 
     def test_rejects_planless_fidelities(self):
         trace = self._trace()
-        for fidelity in ("analytical", "auto"):
-            with pytest.raises(ValueError, match="real compiled plans") as excinfo:
-                DSERunner(
-                    tiny_space(), objective="trace_p99", fidelity=fidelity, trace=trace
-                )
-            # One tier produces plans, and the message names only it.
-            assert "(use 'compile')" in str(excinfo.value)
-        for retired in ("greedy", "cached"):
+        with pytest.raises(ValueError, match="real compiled plans") as excinfo:
+            DSERunner(
+                tiny_space(), objective="trace_p99", fidelity="analytical", trace=trace
+            )
+        # One tier produces plans, and the message names only it.
+        assert "(use 'compile')" in str(excinfo.value)
+        for retired in ("greedy", "cached", "auto"):
             with pytest.raises(ValueError, match="unknown fidelity"):
                 DSERunner(
                     tiny_space(), objective="trace_p99", fidelity=retired, trace=trace

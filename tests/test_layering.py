@@ -372,6 +372,36 @@ def test_every_cost_name_has_a_caller_in_src():
     assert not offenders, offenders
 
 
+#: The ``repro.dse`` exports that nothing in ``src/``, ``bench/``,
+#: ``scripts/`` or ``examples/`` reads: public entry points for library
+#: users, each documented in ``docs/dse.md``.
+DOCUMENTED_DSE_API = {"run_dse"}
+
+
+def test_every_dse_name_has_a_caller_or_is_documented():
+    """``repro.dse`` exports only what the program, the benchmark, the
+    scripts or the examples read, or a documented entry point: every name
+    in its ``__all__`` is loaded somewhere under those trees outside
+    ``dse/__init__.py``, or is in :data:`DOCUMENTED_DSE_API`, whose every
+    member ``docs/dse.md`` names."""
+    import repro.dse
+
+    reads = set()
+    for root in ("src", "bench", "scripts", "examples"):
+        for path in (SRC.parent / root).rglob("*.py"):
+            if path == SRC / "repro" / "dse" / "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    reads.add(node.attr)
+    assert sorted(set(repro.dse.__all__) - reads - DOCUMENTED_DSE_API) == []
+    assert DOCUMENTED_DSE_API <= set(repro.dse.__all__)
+    guide = (SRC.parent / "docs" / "dse.md").read_text(encoding="utf-8")
+    assert [name for name in sorted(DOCUMENTED_DSE_API) if f"{name}(" not in guide] == []
+
+
 def test_there_is_one_flow_interpreter():
     """One walk of the meta-operator flow: ``sim/timing.py`` applies it to
     the one chip state machine, and the functional simulator takes its

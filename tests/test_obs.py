@@ -587,7 +587,7 @@ class TestSessionExports:
 class TestCliObservability:
     def test_cli_quiet_by_default(self, tmp_path, capsys):
         code = main(
-            ["dse", "--strategy", "grid", "--fidelity", "analytical",
+            ["dse", "--fidelity", "analytical",
              "--run-dir", str(tmp_path / "run")]
         )
         assert code == 0
@@ -598,7 +598,7 @@ class TestCliObservability:
 
     def test_cli_verbose_routes_status_to_stderr(self, tmp_path, capsys):
         code = main(
-            ["-v", "dse", "--strategy", "grid", "--fidelity", "analytical",
+            ["-v", "dse", "--fidelity", "analytical",
              "--run-dir", str(tmp_path / "run")]
         )
         assert code == 0

@@ -1163,16 +1163,24 @@ class TestClientFraming:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("wall_seconds", "soon"), ("stats", [1, 2])],
-        ids=["wall-seconds-string", "stats-array"],
+        [
+            ("wall_seconds", "soon"), ("stats", [1, 2]),
+            ("wall_seconds", 10**400), ("wall_seconds", float("inf")),
+            ("wall_seconds", float("nan")),
+        ],
+        ids=[
+            "wall-seconds-string", "stats-array",
+            "wall-seconds-overflow", "wall-seconds-inf", "wall-seconds-nan",
+        ],
     )
     def test_a_bad_result_field_is_a_client_error_after_one_request(
         self, canned, small_chip, tiny_mlp_graph, field, value
     ):
-        """A success whose ``wall_seconds`` is not a number or whose
-        ``stats`` is not an object is a ``ClientError`` naming the
-        daemon, never a raw ``ValueError`` / ``TypeError``, and never
-        retried."""
+        """A success whose ``wall_seconds`` is not a finite double (a
+        string, an integer too large for one, ``Infinity``, ``NaN``) or
+        whose ``stats`` is not an object is a ``ClientError`` naming the
+        daemon, never a raw ``ValueError`` / ``TypeError`` /
+        ``OverflowError``, and never retried."""
         from repro.core.compiler import CMSwitchCompiler
 
         program = CMSwitchCompiler(small_chip, CompilerOptions(generate_code=False)).compile(
@@ -1187,6 +1195,42 @@ class TestClientFraming:
         with Client(server.url, timeout=5.0, retries=3, backoff=0.01) as client:
             with pytest.raises(ClientError, match=field) as excinfo:
                 client.compile("tiny-mlp")
+        assert type(excinfo.value) is ClientError
+        assert server.url in str(excinfo.value)
+        assert (server.accepts, server.requests) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("wall_seconds", "soon"), ("stats", [1, 2]),
+            ("wall_seconds", 10**400), ("wall_seconds", float("inf")),
+            ("wall_seconds", float("nan")),
+        ],
+        ids=[
+            "wall-seconds-string", "stats-array",
+            "wall-seconds-overflow", "wall-seconds-inf", "wall-seconds-nan",
+        ],
+    )
+    def test_a_bad_batch_result_field_is_a_client_error_after_one_request(
+        self, canned, small_chip, tiny_mlp_graph, field, value
+    ):
+        """``compile_batch`` reads each success entry as ``compile`` reads
+        its answer: a bad ``wall_seconds`` or ``stats`` in one entry is a
+        ``ClientError`` naming the daemon, never retried."""
+        from repro.core.compiler import CMSwitchCompiler
+
+        program = CMSwitchCompiler(small_chip, CompilerOptions(generate_code=False)).compile(
+            tiny_mlp_graph
+        )
+        entry = {
+            "ok": True, "wire_version": WIRE_VERSION, "program": program_to_wire(program),
+            field: value,
+        }
+        body = json.dumps({"results": [entry], "wire_version": WIRE_VERSION}).encode("utf-8")
+        server = canned(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body))
+        with Client(server.url, timeout=5.0, retries=3, backoff=0.01) as client:
+            with pytest.raises(ClientError, match=field) as excinfo:
+                client.compile_batch(["tiny-mlp"])
         assert type(excinfo.value) is ClientError
         assert server.url in str(excinfo.value)
         assert (server.accepts, server.requests) == (1, 1)
