@@ -77,22 +77,6 @@ class ModeRatioSweep:
     latencies: List[float]
 
     @property
-    def normalized_performance(self) -> List[float]:
-        """Performance (1/latency) normalised to the best ratio (Fig. 1(b)).
-
-        Raises:
-            ValueError: If no sampled ratio has a finite latency.
-        """
-        finite = [lat for lat in self.latencies if np.isfinite(lat)]
-        if not finite:
-            raise ValueError(
-                f"mode-ratio sweep of {self.model!r} has no feasible sample "
-                "(every latency is non-finite)"
-            )
-        best = min(finite)
-        return [best / lat if np.isfinite(lat) and lat > 0 else 0.0 for lat in self.latencies]
-
-    @property
     def best_ratio(self) -> float:
         """Compute-mode ratio achieving the best performance.
 

@@ -514,14 +514,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def _parse_size(text: str) -> int:
     """Parse a byte size with an optional KB/MB/GB suffix (``"64MB"``)."""
     match = re.fullmatch(r"\s*(\d+(?:\.\d+)?)\s*([kKmMgG][bB]?|[bB])?\s*", text)
-    if not match:
-        raise argparse.ArgumentTypeError(
-            f"invalid size {text!r} (expected e.g. 1048576, 512KB, 64MB, 2GB)"
-        )
-    value = float(match.group(1))
-    unit = (match.group(2) or "b").lower().rstrip("b")
-    scale = {"": 1, "k": 1024, "m": 1024**2, "g": 1024**3}[unit]
-    return int(value * scale)
+    if match:
+        unit = (match.group(2) or "b").lower().rstrip("b")
+        scale = {"": 1, "k": 1024, "m": 1024**2, "g": 1024**3}[unit]
+        try:
+            return int(float(match.group(1)) * scale)
+        except OverflowError:  # more digits than a float holds
+            pass
+    raise argparse.ArgumentTypeError(
+        f"invalid size {text!r} (expected e.g. 1048576, 512KB, 64MB, 2GB)"
+    )
 
 
 def _parse_age(text: str) -> float:

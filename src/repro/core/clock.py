@@ -57,7 +57,7 @@ class ManualClock:
 
         clock = ManualClock(start=1_000_000.0)
         store = DiskCacheStore(root, clock=clock)
-        clock.advance(3600)          # one "hour" passes instantly
+        clock.advance_to(clock.now() + 3600)  # one "hour" passes instantly
         store.prune(max_age_seconds=1800)
     """
 
@@ -71,12 +71,6 @@ class ManualClock:
     def perf(self) -> float:
         """Current (manual) monotonic reading — same hand as :meth:`now`."""
         return self._t
-
-    def advance(self, seconds: float) -> None:
-        """Move time forward; negative steps are rejected (clocks don't)."""
-        if seconds < 0:
-            raise ValueError("cannot advance a clock backwards")
-        self._t += float(seconds)
 
     def advance_to(self, t: float) -> None:
         """Move time forward to exactly ``t``; an earlier ``t`` is rejected."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 
 class SwitchType(Enum):
@@ -191,10 +191,6 @@ class MetaProgram:
     def count(self, cls: type) -> int:
         """Number of meta-operators of a given class."""
         return sum(1 for op in self.operators() if isinstance(op, cls))
-
-    def switched_array_count(self) -> int:
-        """Total number of (array, switch) events in the program."""
-        return sum(len(op.array_addresses) for op in self.switches())
 
     # ------------------------------------------------------------------ #
     # rendering

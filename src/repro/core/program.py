@@ -265,22 +265,6 @@ class CompiledProgram:
     # ------------------------------------------------------------------ #
     # reporting
     # ------------------------------------------------------------------ #
-    def allocation_table(self) -> List[Dict]:
-        """Rows describing every operator's allocation (Fig. 15 data)."""
-        rows: List[Dict] = []
-        for segment in self.segments:
-            for name in segment.operator_names:
-                allocation = segment.allocations[name]
-                rows.append(
-                    {
-                        "segment": segment.index,
-                        "operator": name,
-                        "compute_arrays": allocation.compute_arrays,
-                        "memory_arrays": allocation.memory_arrays,
-                    }
-                )
-        return rows
-
     def summary(self) -> str:
         """Multi-line human-readable compilation summary."""
         lines = [

@@ -419,12 +419,6 @@ class DiskCacheStore:
             self._approx_bytes = total
         return self._approx_bytes
 
-    def total_bytes(self) -> int:
-        """Exact current size of the store (rescans the directory)."""
-        with self._lock:
-            self._approx_bytes = None
-            return self._total_bytes_locked()
-
     # ------------------------------------------------------------------ #
     # maintenance
     # ------------------------------------------------------------------ #

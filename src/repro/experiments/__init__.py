@@ -39,7 +39,7 @@ from .motivation import (
 from .overheads import prime_scalability, switch_overhead
 from .sensitivity import run_sensitivity
 from .serving import run_slo_curve
-from .workload_scale import memory_ratio_trend, run_workload_scale
+from .workload_scale import run_workload_scale
 
 __all__ = [
     "COMPILER_NAMES",
@@ -53,7 +53,6 @@ __all__ = [
     "geometric_mean",
     "intensity_comparison",
     "measure_compile_time",
-    "memory_ratio_trend",
     "mode_ratio_curves",
     "prime_scalability",
     "resnet_layer_intensity",

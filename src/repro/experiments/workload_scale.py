@@ -84,17 +84,6 @@ def run_workload_scale(
     return rows
 
 
-def memory_ratio_trend(rows: Sequence[Dict], model: str, batch_size: int) -> List[float]:
-    """Memory-array ratio across sequence lengths for one (model, batch)."""
-    filtered = [
-        row
-        for row in rows
-        if row["model"] == model and row["batch_size"] == batch_size
-    ]
-    filtered.sort(key=lambda row: row["seq_len"])
-    return [row["memory_array_ratio"] for row in filtered]
-
-
 def render_report(rows: Sequence[Dict]) -> str:
     """Text rendering of the Fig. 16 grid."""
     columns = ["model", "batch_size", "seq_len", "speedup_vs_cim-mlc", "memory_array_ratio"]

@@ -36,11 +36,6 @@ class CIMArray:
     mode: ArrayMode = ArrayMode.IDLE
     owner: Optional[str] = None
 
-    @property
-    def is_free(self) -> bool:
-        """Whether the array currently has no owner."""
-        return self.owner is None
-
 
 class CIMChip:
     """Mutable run-time model of the dual-mode CIM accelerator.
@@ -77,10 +72,6 @@ class CIMChip:
     def num_idle(self) -> int:
         """Number of idle arrays."""
         return self.count(ArrayMode.IDLE)
-
-    def free_arrays(self) -> List[CIMArray]:
-        """Arrays without an owner."""
-        return [array for array in self.arrays if array.is_free]
 
     # ------------------------------------------------------------------ #
     # state transitions
@@ -182,15 +173,6 @@ class CIMChip:
         for array in chosen:
             array.owner = owner
         return [array.index for array in chosen], switched
-
-    def reset(self) -> None:
-        """Return every array to the idle, unowned state and clear counters."""
-        for array in self.arrays:
-            array.mode = ArrayMode.IDLE
-            array.owner = None
-        self.switch_count_m2c = 0
-        self.switch_count_c2m = 0
-        self.switch_cycles = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

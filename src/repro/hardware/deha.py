@@ -123,11 +123,6 @@ class DualModeHardwareAbstraction:
         return self.array_rows * self.array_cols
 
     @property
-    def array_capacity_bytes(self) -> int:
-        """Bytes one array stores in memory mode."""
-        return self.array_capacity_elements * self.weight_bits // 8
-
-    @property
     def buffer_elements(self) -> int:
         """Activation elements the native buffer holds."""
         return self.buffer_bytes * 8 // self.activation_bits

@@ -30,13 +30,10 @@ from .serialization import (
     SerializationError,
     graph_from_json,
     graph_to_json,
-    load_graph,
-    save_graph,
 )
 from .tensor import DataType, TensorSpec
 from .transforms import (
     Shard,
-    arrays_for_stationary,
     ceil_div,
     fuse_auxiliary_traffic,
     partition_operator,
@@ -68,15 +65,12 @@ __all__ = [
     "Softmax",
     "Shard",
     "TensorSpec",
-    "arrays_for_stationary",
     "ceil_div",
     "fuse_auxiliary_traffic",
     "graph_from_json",
     "graph_to_json",
-    "load_graph",
     "operator_from_dict",
     "partition_operator",
-    "save_graph",
     "shard_operator",
     "tile_counts",
 ]

@@ -7,7 +7,7 @@ what an ONNX export of the corresponding PyTorch model would contain.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .graph import Graph
 from .operators import (
@@ -76,10 +76,9 @@ class GraphBuilder:
         self.graph.add_output(spec)
         return spec
 
-    def finish(self, validate: bool = True) -> Graph:
-        """Return the built graph, validating it by default."""
-        if validate:
-            self.graph.validate()
+    def finish(self) -> Graph:
+        """Return the built graph, validated."""
+        self.graph.validate()
         return self.graph
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,7 @@ import hashlib
 import threading
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .operators import Operator
 from .sealed import SealedList, frozen, sealed_error, thawed
@@ -191,11 +191,6 @@ class Graph:
         """Operators in insertion order."""
         return list(self._operators.values())
 
-    def producer_of(self, tensor_name: str) -> Optional[Operator]:
-        """Operator producing a tensor, or ``None`` for graph inputs."""
-        producer = self._producers.get(tensor_name)
-        return self._operators[producer] if producer is not None else None
-
     def _consumer_index(self) -> Dict[str, List[Operator]]:
         if self._consumers is None:
             consumers: Dict[str, List[Operator]] = {}
@@ -304,14 +299,6 @@ class Graph:
     def cim_operators(self) -> List[Operator]:
         """CIM-mappable operators in topological order."""
         return [op for op in self.topological_order() if op.is_cim_mappable]
-
-    def dependency_pairs(self) -> Set[Tuple[str, str]]:
-        """The relation ``W``: pairs ``(producer, consumer)`` of operator names."""
-        return {
-            (pred.name, name)
-            for name, preds in self._adjacency()[0].items()
-            for pred in preds
-        }
 
     # ------------------------------------------------------------------ #
     # statistics

@@ -23,12 +23,11 @@ paper) and for the data-supply term of the latency model (Eq. 10).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .sealed import frozen, sealed_error, thawed
-from .tensor import DataType, TensorSpec
+from .tensor import TensorSpec
 
 
 class MatmulDims(NamedTuple):
@@ -188,25 +187,6 @@ class Operator:
     def streamed_elements(self) -> int:
         """Dynamic elements moved during execution: inputs plus outputs."""
         return self.streamed_input_elements + self.output_elements
-
-    def arithmetic_intensity(self, include_weights: bool = True) -> float:
-        """Operations per data element moved (FLOPs / memory operation).
-
-        Args:
-            include_weights: When True, static weights are counted in the
-                denominator as data traffic.  This matches the paper's
-                model-level arithmetic-intensity numbers (Fig. 5(c)), where
-                large-language-model weights must be fetched from main
-                memory.  When False, only dynamic activations are counted —
-                the quantity used by the per-operator latency model once
-                weights have been loaded into compute arrays.
-        """
-        moved = self.streamed_elements
-        if include_weights:
-            moved += self.weight_elements
-        if moved == 0:
-            return 0.0
-        return self.flops / moved
 
     # ------------------------------------------------------------------ #
     # serialisation helpers
@@ -380,11 +360,6 @@ class Conv2d(MatMulLike):
         self.attrs.update(
             {"stride": list(self.stride), "padding": list(self.padding), "groups": self.groups}
         )
-
-    @property
-    def is_depthwise(self) -> bool:
-        """Whether this is a depthwise convolution (groups == in channels)."""
-        return self.groups == self.inputs[0].shape[1] and self.groups > 1
 
     def matmul_dims(self) -> MatmulDims:
         out = self.outputs[0]

@@ -10,8 +10,6 @@ format version so future changes stay backwards compatible.
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Union
 
 from .graph import Graph
 
@@ -68,14 +66,3 @@ def graph_from_json(text: str) -> Graph:
         raise SerializationError("missing or malformed 'graph' section")
     return Graph.from_dict(graph_data)
 
-
-def save_graph(graph: Graph, path: Union[str, Path]) -> Path:
-    """Write a graph to a JSON file and return the path."""
-    path = Path(path)
-    path.write_text(graph_to_json(graph))
-    return path
-
-
-def load_graph(path: Union[str, Path]) -> Graph:
-    """Load a graph from a JSON file."""
-    return graph_from_json(Path(path).read_text())

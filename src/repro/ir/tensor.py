@@ -9,7 +9,7 @@ arrays to these specs when it executes a compiled program.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Tuple
 
@@ -33,16 +33,6 @@ class DataType(Enum):
         """Size of one element in bytes."""
         return _DTYPE_BYTES[self]
 
-    @property
-    def size_bits(self) -> int:
-        """Size of one element in bits."""
-        return self.size_bytes * 8
-
-    @property
-    def numpy_dtype(self) -> str:
-        """Name of the numpy dtype used by the functional simulator."""
-        return _DTYPE_NUMPY[self]
-
 
 _DTYPE_BYTES = {
     DataType.INT8: 1,
@@ -50,14 +40,6 @@ _DTYPE_BYTES = {
     DataType.INT32: 4,
     DataType.FP16: 2,
     DataType.FP32: 4,
-}
-
-_DTYPE_NUMPY = {
-    DataType.INT8: "int8",
-    DataType.INT16: "int16",
-    DataType.INT32: "int32",
-    DataType.FP16: "float16",
-    DataType.FP32: "float32",
 }
 
 
@@ -101,14 +83,6 @@ class TensorSpec:
         """Total storage size in bytes."""
         return self.num_elements * self.dtype.size_bytes
 
-    def with_name(self, name: str) -> "TensorSpec":
-        """Return a copy of this spec under a different name."""
-        return TensorSpec(name=name, shape=self.shape, dtype=self.dtype)
-
-    def with_shape(self, shape: Iterable[int]) -> "TensorSpec":
-        """Return a copy of this spec with a different shape."""
-        return TensorSpec(name=self.name, shape=tuple(shape), dtype=self.dtype)
-
     def to_dict(self) -> dict:
         """Serialise to a plain dictionary (JSON friendly)."""
         return {
@@ -134,8 +108,3 @@ class TensorSpec:
 def elements(specs: Iterable[TensorSpec]) -> int:
     """Total number of elements across a collection of tensor specs."""
     return sum(spec.num_elements for spec in specs)
-
-
-def total_bytes(specs: Iterable[TensorSpec]) -> int:
-    """Total number of bytes across a collection of tensor specs."""
-    return sum(spec.num_bytes for spec in specs)

@@ -6,7 +6,7 @@ Two transforms matter to the dual-mode compiler:
   stationary matrix does not fit on the chip into shards, (K, N) ranges
   of it that do (the greedy partitioning step described in §4.3.1 of the
   paper); :func:`shard_operator` builds the operator of one range.
-* :func:`tile_counts` / :func:`arrays_for_stationary` — the basic tiling
+* :func:`tile_counts` — the basic tiling
   arithmetic shared by the compiler and the baselines: how many
   ``array_size_h x array_size_w`` arrays a ``K x N`` matrix occupies.
 
@@ -39,12 +39,6 @@ def tile_counts(dims: MatmulDims, array_rows: int, array_cols: int) -> Tuple[int
     ceil(N/cols)`` tiles, each mapped onto one CIM array.
     """
     return ceil_div(dims.k, array_rows), ceil_div(dims.n, array_cols)
-
-
-def arrays_for_stationary(dims: MatmulDims, array_rows: int, array_cols: int) -> int:
-    """Minimum number of compute-mode arrays that hold the stationary matrix."""
-    tiles_k, tiles_n = tile_counts(dims, array_rows, array_cols)
-    return tiles_k * tiles_n
 
 
 @dataclass(frozen=True)

@@ -92,18 +92,6 @@ class Workload:
         """This workload restricted to an encoder pass."""
         return replace(self, phase=Phase.ENCODE)
 
-    def with_batch(self, batch_size: int) -> "Workload":
-        """Copy with a different batch size."""
-        return replace(self, batch_size=batch_size)
-
-    def with_seq_len(self, seq_len: int) -> "Workload":
-        """Copy with a different input sequence length."""
-        return replace(self, seq_len=seq_len)
-
-    def with_output_len(self, output_len: int) -> "Workload":
-        """Copy with a different output sequence length."""
-        return replace(self, output_len=output_len)
-
     def describe(self) -> str:
         """Short human-readable description used in reports."""
         return (

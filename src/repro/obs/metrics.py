@@ -242,9 +242,6 @@ class MetricsRegistry:
     def inc(self, name: str, amount: int = 1) -> None:
         self.counter(name).inc(amount)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
-
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
@@ -344,9 +341,6 @@ class NullMetrics:
         return _NULL_INSTRUMENT
 
     def inc(self, name: str, amount: int = 1) -> None:
-        return None
-
-    def set_gauge(self, name: str, value: float) -> None:
         return None
 
     def observe(self, name: str, value: float) -> None:

@@ -81,6 +81,9 @@ DEFAULT_QUEUE_LIMIT = 64
 #: Default per-waiter bound (seconds) on coalesced/queued waits.
 DEFAULT_WAIT_TIMEOUT = 300.0
 
+#: Bound (seconds) on joining each worker thread during a drain.
+DRAIN_JOIN_SECONDS = 30.0
+
 #: Spans the daemon's tracer retains (drop-oldest).  Nothing ever
 #: flushes a long-lived server's tracer, so an unbounded one grows by
 #: ~0.5 MB per executed mobilenet compile for the life of the process.
@@ -488,26 +491,20 @@ class CompileDaemon:
         )
         self.httpd.serve_forever()
 
-    def start_background(self) -> threading.Thread:
-        """Serve on a daemon thread (tests and embedded use)."""
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
+    def shutdown(self) -> None:
+        """Stop accepting, drain queued work, release the port.
 
-    def shutdown(self, drain: bool = True, timeout: Optional[float] = 30.0) -> None:
-        """Stop accepting, optionally drain queued work, release the port.
-
-        With ``drain`` (the default — what SIGTERM does via the CLI):
-        new requests are refused with a structured 503, every job
-        already admitted runs to completion and settles its waiters,
-        the worker pool exits, and only then does the socket close.
-        Idempotent, and safe on a daemon whose accept loop never ran.
+        What SIGTERM does via the CLI: new requests are refused with a
+        structured 503, every job already admitted runs to completion
+        and settles its waiters, the worker pool exits (each worker
+        joined for at most :data:`DRAIN_JOIN_SECONDS`), and only then
+        does the socket close.  Idempotent, and safe on a daemon whose
+        accept loop never ran.
         """
         self._draining.set()
-        if drain:
-            for _ in self._workers:
-                self._queue.put(None)
-            for thread in self._workers:
-                thread.join(timeout=timeout)
+        for _ in self._workers:
+            self._queue.put(None)
+        for thread in self._workers:
+            thread.join(timeout=DRAIN_JOIN_SECONDS)
         self.httpd.shutdown()
         self.httpd.server_close()

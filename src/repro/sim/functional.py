@@ -35,6 +35,9 @@ from ..ir.operators import Operator
 from .reference import ReferenceExecutor, _im2col
 from .timing import FunctionalSimulationError, TimingSimulator
 
+#: Maximum absolute error accepted per operator.
+TOLERANCE = 1e-3
+
 
 @dataclass
 class OperatorCheck:
@@ -117,19 +120,11 @@ class FunctionalSimulator:
 
     Args:
         hardware: Hardware abstraction (array geometry, switch latencies).
-        tolerance: Maximum absolute error accepted per operator.
-        seed: Seed for deterministic synthetic inputs/weights.
     """
 
-    def __init__(
-        self,
-        hardware: DualModeHardwareAbstraction,
-        tolerance: float = 1e-3,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, hardware: DualModeHardwareAbstraction) -> None:
         self.hardware = hardware
-        self.tolerance = tolerance
-        self.reference = ReferenceExecutor(seed=seed)
+        self.reference = ReferenceExecutor()
 
     # ------------------------------------------------------------------ #
     # program-level simulation
@@ -217,7 +212,7 @@ class FunctionalSimulator:
         tiles = sum(count for _, count in products)
         difference = result - reference.reshape(result.shape)
         error = float(np.max(np.abs(difference))) if result.size else 0.0
-        return OperatorCheck(op.name, error, tiles, error <= self.tolerance)
+        return OperatorCheck(op.name, error, tiles, error <= TOLERANCE)
 
     @staticmethod
     def _conv_as_matmul(op, values, weight):

@@ -53,15 +53,18 @@ class ReferenceExecutionError(RuntimeError):
 #: Elements :func:`deterministic_tensor` draws per step (512 KiB of float64).
 CHUNK_ELEMENTS = 64 * 1024
 
+#: Standard deviation of every :func:`deterministic_tensor` draw.
+SCALE = 0.1
 
-def deterministic_tensor(spec: TensorSpec, seed: int = 0, scale: float = 0.1) -> np.ndarray:
+
+def deterministic_tensor(spec: TensorSpec, seed: int = 0) -> np.ndarray:
     """Deterministic pseudo-random float32 tensor for a spec.
 
     The same (name, shape, seed) yields the same data in every process (a
     CRC-32 seed, not the salted ``hash()``), so compiled programs and
     reference runs see identical inputs without storing any dataset.
 
-    The values are ``(rng.standard_normal(shape) * scale)`` cast to
+    The values are ``(rng.standard_normal(shape) * SCALE)`` cast to
     float32, bit for bit, but drawn :data:`CHUNK_ELEMENTS` at a time into
     the output: the generator's stream does not depend on how it is cut.
     """
@@ -74,7 +77,7 @@ def deterministic_tensor(spec: TensorSpec, seed: int = 0, scale: float = 0.1) ->
     for lo in range(0, flat.size, CHUNK_ELEMENTS):
         chunk = scratch[: min(CHUNK_ELEMENTS, flat.size - lo)]
         rng.standard_normal(out=chunk)
-        chunk *= scale
+        chunk *= SCALE
         flat[lo : lo + chunk.size] = chunk
     return out
 
@@ -99,14 +102,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride, padding) -> np.ndarray:
 
 
 class ReferenceExecutor:
-    """Executes graphs with dense numpy kernels.
-
-    Args:
-        seed: Seed for the deterministic synthetic inputs and weights.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
+    """Executes graphs with dense numpy kernels, on the seed-0
+    :func:`deterministic_tensor` inputs and weights."""
 
     # ------------------------------------------------------------------ #
     # public API
@@ -138,7 +135,7 @@ class ReferenceExecutor:
             if inputs and spec.name in inputs:
                 values[spec.name] = np.asarray(inputs[spec.name], dtype=np.float32)
             else:
-                values[spec.name] = deterministic_tensor(spec, self.seed)
+                values[spec.name] = deterministic_tensor(spec)
         order = graph.topological_order()
         last_use: Dict[str, int] = {}  # a tensor's last reader, else its producer
         for position, op in enumerate(order if release else ()):
@@ -160,7 +157,7 @@ class ReferenceExecutor:
         """Deterministic weight tensor of an operator."""
         if op.weight is None:
             raise ReferenceExecutionError(f"operator {op.name!r} has no weights")
-        return deterministic_tensor(op.weight, self.seed)
+        return deterministic_tensor(op.weight)
 
     # ------------------------------------------------------------------ #
     # per-operator kernels

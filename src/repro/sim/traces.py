@@ -137,15 +137,6 @@ class TraceRequest:
     def __post_init__(self) -> None:
         _check_arrival(self.request_id, self.arrival_ms)
 
-    def to_payload(self) -> Dict:
-        """JSONL line payload of the request."""
-        return {
-            "id": self.request_id,
-            "arrival_ms": self.arrival_ms,
-            "model": self.model,
-            "workload": workload_to_payload(self.workload),
-        }
-
 
 def _by_arrival(
     request_ids: Sequence[str],

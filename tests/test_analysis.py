@@ -85,12 +85,6 @@ class TestModeRatioSweep:
         sweep = mode_ratio_sweep(graph, motivation_chip)
         assert sweep.best_ratio <= 0.3
 
-    def test_normalized_performance_peaks_at_one(self, motivation_chip, tiny_cnn_graph):
-        sweep = mode_ratio_sweep(tiny_cnn_graph, motivation_chip)
-        normalized = sweep.normalized_performance
-        assert max(normalized) == pytest.approx(1.0)
-        assert all(0.0 <= value <= 1.0 + 1e-9 for value in normalized)
-
     def test_custom_ratio_grid(self, motivation_chip, tiny_cnn_graph):
         sweep = mode_ratio_sweep(tiny_cnn_graph, motivation_chip, ratios=(0.2, 0.5, 0.8))
         assert sweep.ratios == [0.2, 0.5, 0.8]
@@ -124,8 +118,6 @@ class TestModeRatioSweep:
         )
         with pytest.raises(ValueError, match="no feasible sample"):
             sweep.best_ratio
-        with pytest.raises(ValueError, match="no feasible sample"):
-            sweep.normalized_performance
 
 
 class TestHeatmap:

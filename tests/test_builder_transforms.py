@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from repro.ir import (
     GraphBuilder,
+    GraphError,
     Linear,
     MatMul,
     MatmulDims,
     Shard,
     TensorSpec,
-    arrays_for_stationary,
     ceil_div,
     fuse_auxiliary_traffic,
     partition_operator,
@@ -80,6 +80,12 @@ class TestBuilderShapes:
         graph = builder.finish()
         assert len({op.name for op in graph.operators}) == 2
 
+    def test_finish_always_validates(self):
+        builder = GraphBuilder("b")
+        builder.linear(TensorSpec("ghost", (1, 8)), 8)  # never declared an input
+        with pytest.raises(GraphError, match="unknown tensor 'ghost'"):
+            builder.finish()
+
 
 class TestTilingHelpers:
     def test_ceil_div(self):
@@ -94,10 +100,6 @@ class TestTilingHelpers:
     def test_tile_counts(self):
         dims = MatmulDims(m=10, k=100, n=70)
         assert tile_counts(dims, 64, 64) == (2, 2)
-
-    def test_arrays_for_stationary(self):
-        dims = MatmulDims(m=1, k=128, n=128)
-        assert arrays_for_stationary(dims, 64, 64) == 4
 
     @given(
         k=st.integers(min_value=1, max_value=2000),

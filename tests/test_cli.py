@@ -99,6 +99,41 @@ class TestParser:
         assert "must be at least 0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())  # no space.json, report or pareto.csv
 
+    @pytest.mark.parametrize(
+        "size, expected",
+        [
+            ("0", 0),
+            ("1048576", 1048576),
+            ("512KB", 512 * 1024),
+            ("64MB", 64 * 1024**2),
+            ("2GB", 2 * 1024**3),
+            ("1.5k", 1536),
+            (" 64 mb ", 64 * 1024**2),
+        ],
+        ids=["zero", "bytes", "KB", "MB", "GB", "fractional-k", "spaced-lowercase"],
+    )
+    def test_a_size_parses_to_bytes(self, size, expected):
+        argv = ["cache", "prune", "--cache-dir", "unused", "--max-bytes", size]
+        assert build_parser().parse_args(argv).max_bytes == expected
+
+    @pytest.mark.parametrize(
+        "age, expected",
+        [("3600", 3600.0), ("90m", 5400.0), ("12H", 43200.0), ("7d", 604800.0)],
+    )
+    def test_an_age_parses_to_seconds(self, age, expected):
+        argv = ["cache", "prune", "--cache-dir", "unused", "--max-age", age]
+        assert build_parser().parse_args(argv).max_age == expected
+
+    @pytest.mark.parametrize(
+        "size", ["9" * 400, "9" * 400 + "GB", "64XB"], ids=["400-digits", "400-digits-GB", "unit"]
+    )
+    def test_a_size_no_float_holds_is_a_usage_error(self, size, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "prune", "--cache-dir", str(tmp_path), "--max-bytes", size])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"invalid size {size!r}" in err and "Traceback" not in err
+
     def test_port_zero_and_a_non_number_keep_their_meaning(self, capsys):
         assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
         assert build_parser().parse_args(["serve", "--timeout", "0"]).timeout == 0.0

@@ -46,16 +46,6 @@ class TestCMSwitchCompiler:
         text = compiled_tiny_cnn.summary()
         assert "segments" in text and "cycles" in text and "memory-array ratio" in text
 
-    def test_allocation_table_rows(self, compiled_tiny_transformer):
-        rows = compiled_tiny_transformer.allocation_table()
-        names = {row["operator"] for row in rows}
-        listed = {
-            name
-            for segment in compiled_tiny_transformer.segments
-            for name in segment.operator_names
-        }
-        assert names == listed
-
     def test_memory_ratio_between_zero_and_one(self, compiled_tiny_transformer):
         assert 0.0 <= compiled_tiny_transformer.mean_memory_array_ratio <= 1.0
 

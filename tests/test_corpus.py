@@ -14,6 +14,7 @@ corpus's graphs.
 """
 
 import json
+import math
 from dataclasses import asdict, replace
 
 import pytest
@@ -22,7 +23,7 @@ from conftest import CORPUS_CASES
 from repro.core.program import program_from_payload, program_to_payload
 from repro.core.segmentation import flatten_graph
 from repro.cost.arithmetic import ProfileVectors, profile_signature
-from repro.ir import MatmulDims, arrays_for_stationary
+from repro.ir import MatmulDims, tile_counts
 from repro.models import build_model, list_models
 from repro.sim import TimingSimulator
 
@@ -59,7 +60,7 @@ def test_every_unit_fits_a_one_to_three_array_chip(model, corpus):
 def test_every_cmswitch_allocation_holds_its_weight_tiles(corpus):
     """A compute array holds one ``rows x cols`` weight tile
     (``ir/transforms.tile_counts``), so every operator of every CMSwitch
-    zoo plan needs at least ``arrays_for_stationary`` compute arrays.
+    zoo plan needs at least as many compute arrays as tiles.
     One test over the zoo's default-option programs (the option matrix
     left out), so the expected failure is one ``xfail``."""
     short, programs = {}, 0
@@ -71,10 +72,10 @@ def test_every_cmswitch_allocation_holds_its_weight_tiles(corpus):
         for segment in program.segments:
             for name, allocation in segment.allocations.items():
                 profile = segment.profiles[name]
-                tiles = arrays_for_stationary(
+                tiles = math.prod(tile_counts(
                     MatmulDims(1, profile.matmul_k, profile.matmul_n),
                     hardware.array_rows, hardware.array_cols,
-                )
+                ))
                 if allocation.compute_arrays < tiles:
                     short.setdefault(case.id, []).append((name, allocation.compute_arrays, tiles))
     allocations = sum(len(names) for names in short.values())

@@ -20,7 +20,6 @@ from repro.experiments import (
     generative_cycles,
     geometric_mean,
     measure_compile_time,
-    memory_ratio_trend,
     prime_scalability,
     run_end_to_end,
     run_generative,
@@ -134,11 +133,6 @@ class TestWorkloadScale:
         long = next(row for row in rows if row["seq_len"] == 2048)
         assert long["speedup_vs_cim-mlc"] <= mid["speedup_vs_cim-mlc"] + 0.02
         assert long["speedup_vs_cim-mlc"] <= 1.1
-
-    def test_memory_ratio_trend_helper(self, rows):
-        trend = memory_ratio_trend(rows, "bert", 4)
-        assert len(trend) == 2
-        assert all(0.0 <= value <= 1.0 for value in trend)
 
 
 class TestGenerative:

@@ -20,7 +20,7 @@ from repro.ir import (
     graph_from_json,
     graph_to_json,
 )
-from repro.ir.serialization import SerializationError, load_graph, save_graph
+from repro.ir.serialization import SerializationError
 
 
 def linear(name, in_name, out_name, k=8, n=8, m=4):
@@ -30,6 +30,13 @@ def linear(name, in_name, out_name, k=8, n=8, m=4):
         output=TensorSpec(out_name, (m, n)),
         weight=TensorSpec(f"{name}_w", (k, n)),
     )
+
+
+def dependency_pairs(graph):
+    """The relation ``W``: pairs ``(producer, consumer)`` of operator names."""
+    return {
+        (pred.name, op.name) for op in graph.operators for pred in graph.predecessors(op)
+    }
 
 
 @pytest.fixture
@@ -64,10 +71,6 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_producer_of(self, chain_graph):
-        assert chain_graph.producer_of("h1").name == "fc1"
-        assert chain_graph.producer_of("x") is None
-
     def test_consumers_of(self, chain_graph):
         consumers = chain_graph.consumers_of("h1")
         assert [op.name for op in consumers] == ["fc2"]
@@ -84,16 +87,13 @@ class TestQueries:
     def test_topological_order_respects_dependencies(self, tiny_transformer_graph):
         order = [op.name for op in tiny_transformer_graph.topological_order()]
         position = {name: i for i, name in enumerate(order)}
-        for producer, consumer in tiny_transformer_graph.dependency_pairs():
+        for producer, consumer in dependency_pairs(tiny_transformer_graph):
             assert position[producer] < position[consumer]
 
     def test_cim_operators_subset(self, tiny_cnn_graph):
         cim = tiny_cnn_graph.cim_operators()
         assert all(op.is_cim_mappable for op in cim)
         assert len(cim) < len(tiny_cnn_graph)
-
-    def test_dependency_pairs(self, chain_graph):
-        assert chain_graph.dependency_pairs() == {("fc1", "fc2"), ("fc2", "fc3")}
 
     def test_derived_views_follow_add_operator(self, chain_graph):
         """The consumer index and the memoised order are rebuilt after a
@@ -174,7 +174,7 @@ def networkx_order(nx, graph):
     index = {op.name: i for i, op in enumerate(graph.operators)}
     digraph = nx.DiGraph()
     digraph.add_nodes_from(index)
-    digraph.add_edges_from(graph.dependency_pairs())
+    digraph.add_edges_from(dependency_pairs(graph))
     return list(nx.lexicographical_topological_sort(digraph, key=index.__getitem__))
 
 
@@ -331,11 +331,6 @@ class TestSerialization:
     def test_metadata_roundtrip(self, tiny_transformer_graph):
         restored = graph_from_json(graph_to_json(tiny_transformer_graph))
         assert restored.metadata == tiny_transformer_graph.metadata
-
-    def test_file_roundtrip(self, tmp_path, tiny_mlp_graph):
-        path = save_graph(tiny_mlp_graph, tmp_path / "g.json")
-        restored = load_graph(path)
-        assert len(restored) == len(tiny_mlp_graph)
 
     def test_invalid_json_rejected(self):
         with pytest.raises(SerializationError):

@@ -62,7 +62,6 @@ class TestDerivedQuantities:
     def test_array_capacity(self):
         hw = minimal_hw()
         assert hw.array_capacity_elements == 256
-        assert hw.array_capacity_bytes == 256
 
     def test_op_cim(self):
         hw = minimal_hw(compute_latency_cycles=4)
@@ -171,8 +170,20 @@ class TestChipState:
         assert [a.owner for a in chip.arrays[:4]] == ["fc1", "fc1", None, "buf"]
         released = chip.release()
         assert released == [0, 1, 3]
-        assert chip.free_arrays() == chip.arrays
+        assert all(array.owner is None for array in chip.arrays)
         assert chip.num_compute == 2 and chip.num_memory == 1  # modes are kept
+
+    def test_chips_of_one_hardware_share_no_state(self, small_chip):
+        """A fresh ``CIMChip`` is the idle, unswitched state, whatever
+        another chip of the same hardware did."""
+        used = CIMChip(small_chip)
+        used.assign([0, 1], owner="fc1", mode=ArrayMode.COMPUTE)
+        used.switch_mode([2], ArrayMode.MEMORY)
+        fresh = CIMChip(small_chip)
+        assert fresh.num_idle == small_chip.num_arrays
+        assert all(array.owner is None for array in fresh.arrays)
+        assert (fresh.switch_count_m2c, fresh.switch_count_c2m, fresh.switch_cycles) == (0, 0, 0.0)
+        assert used.num_compute == 2 and used.arrays[0].owner == "fc1"
 
     def test_double_assignment_rejected(self, small_chip):
         chip = CIMChip(small_chip)
@@ -234,7 +245,7 @@ class TestChipState:
         subset, array states, switch counters and ``switch_cycles``."""
 
         def sorted_allocate_free(chip, count, owner, mode):
-            free = chip.free_arrays()
+            free = [array for array in chip.arrays if array.owner is None]
             if len(free) < count:
                 raise ChipStateError("insufficient")
             free.sort(key=lambda array: (array.mode is not mode, array.index))
@@ -277,12 +288,3 @@ class TestChipState:
         chip.switch_mode([2], ArrayMode.COMPUTE)
         capacity = chip.num_memory * small_chip.array_capacity_elements
         assert capacity == 2 * small_chip.array_capacity_elements
-
-    def test_reset_restores_initial_state(self, small_chip):
-        chip = CIMChip(small_chip)
-        chip.assign([0, 1], owner="fc1", mode=ArrayMode.COMPUTE)
-        chip.switch_mode([2], ArrayMode.MEMORY)
-        chip.reset()
-        assert chip.num_idle == small_chip.num_arrays
-        assert chip.switch_count_m2c == 0
-        assert chip.switch_cycles == 0.0

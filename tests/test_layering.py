@@ -3,6 +3,7 @@ ones, and below the CLI nothing reaches up into ``repro.serve``."""
 
 import ast
 import dataclasses
+import functools
 import inspect
 import sys
 from pathlib import Path
@@ -14,10 +15,21 @@ LOWER = ("core", "cost", "ir", "hardware", "pipeline", "obs")
 UPPER = ("repro.serve", "repro.service", "repro.api", "repro.cli")
 
 
+@functools.lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    """``path`` parsed, once per test session (callers never mutate it)."""
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _parsed(root: str):
+    """``(path, tree)`` of every ``.py`` file under a top-level directory."""
+    return [(path, _tree(path)) for path in sorted((SRC.parent / root).rglob("*.py"))]
+
+
 def _imported_modules(path: Path):
     """Absolute dotted names of everything ``path`` imports (at any depth)."""
     package = list(path.relative_to(SRC).with_suffix("").parts[:-1])
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name
@@ -98,7 +110,7 @@ def test_there_is_one_window_table():
     assert not importers, importers
     definitions = [
         node
-        for node in ast.walk(ast.parse(memo.read_text(encoding="utf-8")))
+        for node in ast.walk(_tree(memo))
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     assert not definitions
@@ -166,7 +178,7 @@ def test_figures_and_the_cli_compile_through_the_session():
     offenders = [
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path in paths
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Call)
         and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) in classes
     ]
@@ -222,7 +234,7 @@ def test_a_named_compile_builds_its_graph_in_one_place():
     sites = [
         f"{module}::{site}"
         for module in ("service.py", "api.py")
-        for site in calls(ast.parse((SRC / "repro" / module).read_text(encoding="utf-8")), "")
+        for site in calls(_tree(SRC / "repro" / module), "")
     ]
     assert sites == ["service.py::ModelRecipe.build: builder"], sites
     assert not any(
@@ -260,7 +272,7 @@ def test_one_loop_runs_a_compilers_passes():
     loops = [
         str(path.relative_to(SRC))
         for path in (SRC / "repro").rglob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.For)
         and isinstance(node.iter, ast.Attribute)
         and node.iter.attr == "passes"
@@ -282,7 +294,7 @@ def test_plans_have_one_builder():
         {
             str(path.relative_to(SRC))
             for path in (SRC / "repro").rglob("*.py")
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for node in ast.walk(_tree(path))
             if isinstance(node, ast.Call)
             and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
             == "SegmentPlan"
@@ -301,7 +313,7 @@ def test_only_the_passes_compose_the_dp_and_the_plan_builder():
     callers = sorted(
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path in (SRC / "repro").rglob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", None) in ("choose_boundaries", "build_plans")
         and path.relative_to(SRC).as_posix() != "repro/pipeline/passes.py"
@@ -344,10 +356,10 @@ def test_every_cost_name_has_a_caller_in_src():
     import repro.cost
 
     reads = set()
-    for path in (SRC / "repro").rglob("*.py"):
+    for path, tree in _parsed("src"):
         if path == SRC / "repro" / "cost" / "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -372,34 +384,149 @@ def test_every_cost_name_has_a_caller_in_src():
     assert not offenders, offenders
 
 
-#: The ``repro.dse`` exports that nothing in ``src/``, ``bench/``,
-#: ``scripts/`` or ``examples/`` reads: public entry points for library
-#: users, each documented in ``docs/dse.md``.
-DOCUMENTED_DSE_API = {"run_dse"}
+#: Definitions under ``src/repro`` that nothing in ``src/``, ``bench/`` or
+#: ``scripts/`` reads: entry points for library users, each mapped to the
+#: ``docs/`` file that names it.
+PUBLIC_API = {
+    "Session.write_span_log": "observability.md",
+    "allocation_heatmaps": "experiments.md",
+    "register_model": "api.md",
+    "resnet_layer_intensity": "experiments.md",
+    "run_dse": "dse.md",
+}
+
+#: Overrides nothing here calls because ``http.server`` does.
+FRAMEWORK_HOOKS = {"QuietHandler.log_message", "QuietHandler.log_error"}
+
+#: The independent oracle compiler: only tests read it.
+ORACLE = SRC / "repro" / "core" / "_reference.py"
 
 
-def test_every_dse_name_has_a_caller_or_is_documented():
-    """``repro.dse`` exports only what the program, the benchmark, the
-    scripts or the examples read, or a documented entry point: every name
-    in its ``__all__`` is loaded somewhere under those trees outside
-    ``dse/__init__.py``, or is in :data:`DOCUMENTED_DSE_API`, whose every
-    member ``docs/dse.md`` names."""
-    import repro.dse
+def _reads(path: Path, tree: ast.Module):
+    """Every name ``tree`` reads: a loaded name, an attribute, a name
+    imported outside an ``__init__.py``, or an identifier string (a
+    ``getattr`` target, a name a tracer wraps) outside an ``__all__``."""
+    exported = {
+        id(constant)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        for constant in ast.walk(node.value)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
+            yield from (alias.name.rpartition(".")[2] for alias in node.names)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in exported
+        ):
+            yield node.value
 
-    reads = set()
-    for root in ("src", "bench", "scripts", "examples"):
-        for path in (SRC.parent / root).rglob("*.py"):
-            if path == SRC / "repro" / "dse" / "__init__.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    reads.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    reads.add(node.attr)
-    assert sorted(set(repro.dse.__all__) - reads - DOCUMENTED_DSE_API) == []
-    assert DOCUMENTED_DSE_API <= set(repro.dse.__all__)
-    guide = (SRC.parent / "docs" / "dse.md").read_text(encoding="utf-8")
-    assert [name for name in sorted(DOCUMENTED_DSE_API) if f"{name}(" not in guide] == []
+
+def _definitions(tree: ast.Module):
+    """Every top-level name ``tree`` binds and every non-dunder method
+    of its top-level classes, as ``name`` or ``Class.method``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                f"{node.name}.{method.name}"
+                for method in node.body
+                if isinstance(method, functions)
+                and not (method.name.startswith("__") and method.name.endswith("__"))
+            )
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        yield from (
+            target.id
+            for target in targets
+            if isinstance(target, ast.Name) and not target.id.startswith("__")
+        )
+
+
+def test_the_caller_rule_names_every_kind_of_definition():
+    """Functions, classes, non-dunder methods and constants are
+    definitions; dunders and nested functions are not."""
+    tree = ast.parse(
+        "LIMIT = 3\n"
+        "RATE: float = 0.5\n"
+        "__all__ = ['f']\n"
+        "def f():\n"
+        "    def inner(): pass\n"
+        "class C:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+        "    @property\n"
+        "    def view(self): pass\n"
+    )
+    assert sorted(_definitions(tree)) == ["C", "C.method", "C.view", "LIMIT", "RATE", "f"]
+
+
+@pytest.mark.parametrize(
+    "source, module, read",
+    [
+        ("__all__ = ['f']", "mod.py", False),
+        ("from .impl import f", "__init__.py", False),
+        ("from .impl import f", "mod.py", True),
+        ("x = f()", "mod.py", True),
+        ("x = obj.f", "mod.py", True),
+        ("x = getattr(obj, 'f')", "mod.py", True),
+        ("def f(): pass", "mod.py", False),
+        ("x = 'not an identifier f'", "mod.py", False),
+    ],
+    ids=["all-entry", "re-export", "import", "call", "attribute", "string", "def", "prose"],
+)
+def test_what_counts_as_a_read(source, module, read):
+    """An ``__all__`` entry, a package re-export and a ``def`` do not
+    count as a read of ``f``; a load, an attribute, a plain import and an
+    identifier string (a ``getattr`` target) do."""
+    assert ("f" in set(_reads(Path(module), ast.parse(source)))) is read
+
+
+def test_every_name_has_a_caller_or_is_public():
+    """Every top-level definition (``def``, ``class``, constant) and
+    method under ``src/repro`` is read from ``src/``, ``bench/`` or
+    ``scripts/`` (a ``def`` is not a read, nor is a re-export or an
+    ``__all__`` entry), or is documented public API, an ``http.server``
+    hook, or part of the test oracle.  Each exception is itself unread,
+    so the sets cannot go stale."""
+    import http.server
+
+    reads = {
+        name
+        for root in ("src", "bench", "scripts")
+        for path, tree in _parsed(root)
+        for name in _reads(path, tree)
+    }
+    defined, unread = set(), []
+    for path, tree in _parsed("src"):
+        for name in _definitions(tree):
+            defined.add(name)
+            if (
+                path != ORACLE
+                and name.rpartition(".")[2] not in reads
+                and name not in PUBLIC_API
+                and name not in FRAMEWORK_HOOKS
+            ):
+                unread.append(f"{path.relative_to(SRC).as_posix()}::{name}")
+    assert not unread, unread
+
+    for name in (*PUBLIC_API, *FRAMEWORK_HOOKS):
+        assert name in defined and name.rpartition(".")[2] not in reads, name
+    for name, doc in PUBLIC_API.items():
+        guide = (SRC.parent / "docs" / doc).read_text(encoding="utf-8")
+        assert f"{name.rpartition('.')[2]}(" in guide, (name, doc)
+    for hook in FRAMEWORK_HOOKS:
+        assert hasattr(http.server.BaseHTTPRequestHandler, hook.rpartition(".")[2]), hook
 
 
 def test_there_is_one_flow_interpreter():
@@ -411,7 +538,7 @@ def test_there_is_one_flow_interpreter():
     chips, walks = set(), set()
     for path in (SRC / "repro").rglob("*.py"):
         name = path.relative_to(SRC).as_posix()
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = _tree(path)
         called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and (
@@ -448,7 +575,7 @@ def test_a_replay_reads_the_trace_columns():
     path = SRC / "repro" / "sim" / "replay.py"
     reads = [
         ast.unparse(node)
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Attribute)
         and node.attr == "requests"
         and ast.unparse(node.value).split(".")[-1] == "trace"

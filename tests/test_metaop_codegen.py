@@ -73,7 +73,6 @@ class TestMetaProgramQueries:
         program = self.make_program()
         assert len(program.blocks()) == 1
         assert len(program.switches()) == 2
-        assert program.switched_array_count() == 3
 
     def test_operator_iteration_and_counts(self):
         program = self.make_program()

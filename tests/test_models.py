@@ -1,5 +1,7 @@
 """Tests for the model zoo and workload descriptions."""
 
+import dataclasses
+
 import pytest
 
 from repro.models import Phase, Workload, build_model, is_transformer, list_models, register_model
@@ -42,12 +44,14 @@ class TestWorkload:
         assert wl.prefill().phase is Phase.PREFILL
         assert wl.encode().phase is Phase.ENCODE
 
-    def test_with_helpers_return_copies(self):
+    def test_replace_returns_a_validated_copy(self):
         wl = Workload()
-        assert wl.with_batch(8).batch_size == 8
-        assert wl.with_seq_len(256).seq_len == 256
-        assert wl.with_output_len(32).output_len == 32
+        assert dataclasses.replace(wl, batch_size=8).batch_size == 8
+        assert dataclasses.replace(wl, seq_len=256).seq_len == 256
+        assert dataclasses.replace(wl, output_len=32).output_len == 32
         assert wl.batch_size == 1  # original untouched
+        with pytest.raises(ValueError, match="batch_size"):
+            dataclasses.replace(wl, batch_size=0)
 
     def test_describe_mentions_batch_and_phase(self):
         text = Workload(batch_size=4).describe()

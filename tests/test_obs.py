@@ -52,9 +52,9 @@ class TestTracer:
         clock = ManualClock()
         tracer = Tracer(clock=clock, process="test")
         with tracer.span("outer", kind="pass"):
-            clock.advance(1.0)
+            clock.advance_to(clock.now() + 1.0)
             with tracer.span("inner") as inner:
-                clock.advance(0.5)
+                clock.advance_to(clock.now() + 0.5)
                 inner.set(solver="exact")
         spans = tracer.spans()
         assert [s.name for s in spans] == ["outer", "inner"]
@@ -130,7 +130,7 @@ class TestTracer:
         clock = ManualClock()
         tracer = Tracer(clock=clock, max_spans=3)
         for index in range(5):
-            clock.advance(1.0)
+            clock.advance_to(clock.now() + 1.0)
             tracer.event(f"e{index}")
         assert [s.name for s in tracer.spans()] == ["e2", "e3", "e4"]
         assert tracer.spans_dropped == 2
@@ -168,7 +168,7 @@ class TestMetrics:
         registry = MetricsRegistry()
         registry.inc("hits")
         registry.inc("hits", 2)
-        registry.set_gauge("depth", 4.0)
+        registry.gauge("depth").set(4.0)
         for value in (1.0, 2.0, 3.0, 4.0):
             registry.observe("latency", value)
         snapshot = registry.to_dict()
@@ -278,11 +278,11 @@ class TestExport:
         clock = ManualClock()
         tracer = Tracer(clock=clock, process="test")
         with tracer.span("outer"):
-            clock.advance(0.1)
+            clock.advance_to(clock.now() + 0.1)
             with tracer.span("inner"):
-                clock.advance(0.2)
+                clock.advance_to(clock.now() + 0.2)
             tracer.event("marker")
-            clock.advance(0.1)
+            clock.advance_to(clock.now() + 0.1)
         return tracer.spans()
 
     def test_chrome_trace_round_trip_validates(self):
@@ -508,7 +508,7 @@ class TestMetricOwnerTable:
         registries.append(sweep.metrics)
 
         daemon = CompileDaemon(cache_dir=tmp_path / "daemon", workers=1)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         try:
             with Client(daemon.url, retries=1) as client:
                 client.compile("tiny-mlp", hardware="small-test-chip")

@@ -77,12 +77,6 @@ class TestLinear:
         with pytest.raises(ValueError):
             Linear("fc", input=t("x", 4, 8), output=t("y", 4, 16), weight=t("w", 8, 16, 1))
 
-    def test_arithmetic_intensity_with_and_without_weights(self):
-        op = self.make(1, 1024, 1024)
-        with_w = op.arithmetic_intensity(include_weights=True)
-        without_w = op.arithmetic_intensity(include_weights=False)
-        assert with_w < without_w  # GEMV: weights dominate traffic
-
 
 class TestMatMul:
     def make_batched(self, b=2, m=4, k=8, n=6):
@@ -135,10 +129,6 @@ class TestConv2d:
         assert dims.m == 64
         assert dims.k == 8 * 9
         assert dims.n == 16
-
-    def test_depthwise_detection(self):
-        op = self.make(groups=8, in_c=8, out_c=8)
-        assert op.is_depthwise
 
     def test_depthwise_macs(self):
         op = self.make(groups=8, in_c=8, out_c=8)

@@ -91,11 +91,6 @@ class TestCompiledProgram:
             program.hardware.cycles_to_ms(program.end_to_end_cycles)
         )
 
-    def test_allocation_table_shape(self, program):
-        rows = program.allocation_table()
-        assert len(rows) == 2
-        assert {row["operator"] for row in rows} == {"fc0", "fc1"}
-
     def test_summary_text(self, program):
         text = program.summary()
         assert "toy" in text and "segments" in text

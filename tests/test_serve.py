@@ -55,7 +55,7 @@ from repro.service import CompileJob, CompileJobResult, default_job_options
 @pytest.fixture()
 def daemon(tmp_path):
     daemon = CompileDaemon(cache_dir=tmp_path / "daemon-cache", workers=2)
-    daemon.start_background()
+    threading.Thread(target=daemon.serve_forever, daemon=True).start()
     yield daemon
     daemon.shutdown()
 
@@ -408,7 +408,7 @@ class TestCompileDaemon:
         """A batch slot that joined a flight whose leader the full queue
         refused fails with ``queue_full``; the rest of the batch is served."""
         daemon = CompileDaemon(workers=1)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         real_put = daemon._queue.put_nowait
         held = threading.Event()
         puts = []
@@ -505,7 +505,7 @@ class TestCompileDaemon:
 
     def test_draining_daemon_refuses_new_work(self, tmp_path):
         daemon = CompileDaemon(workers=1)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         client = Client(daemon.url, retries=0)
         assert client.healthy(wait_seconds=5)
         daemon._draining.set()
@@ -542,7 +542,7 @@ class TestMetricsExposition:
     def test_result_table_size_is_a_level(self):
         daemon = CompileDaemon(workers=1)
         daemon.flights.retained.max_entries = 1
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         try:
             with Client(daemon.url, retries=1) as client:
                 client.compile("tiny-mlp", hardware="small-test-chip")
@@ -637,7 +637,7 @@ class TestResultTable:
     @pytest.fixture()
     def daemon(self):
         daemon = CompileDaemon(workers=2)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         yield daemon
         daemon.shutdown()
 
@@ -759,7 +759,7 @@ class TestResultTable:
     def test_daemon_evicts_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(coalesce_module, "RESULT_TABLE_ENTRIES", 2)
         daemon = CompileDaemon(workers=1)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         try:
             with Client(daemon.url, retries=1) as client:
                 def compile_(model):
@@ -799,7 +799,7 @@ class TestResultTable:
         """A daemon without a ``cache_dir`` still keeps every ok answer,
         and its cache stats always carry the window cache."""
         daemon = CompileDaemon(workers=1)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         try:
             with Client(daemon.url, retries=1) as client:
                 results = [
@@ -874,7 +874,7 @@ def _assert_whole_responses(writes, expected: int) -> list:
 class TestSingleSendTransport:
     def test_compile_daemon_writes_each_response_once(self, wire_tap, monkeypatch):
         daemon = CompileDaemon(workers=1)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         real_compile = daemon.service.compile
         monkeypatch.setattr(
             daemon.service,
@@ -1293,7 +1293,7 @@ class TestServerLifecycle:
         ring = 24
         monkeypatch.setattr(daemon_module, "TRACE_RING_SPANS", ring)
         daemon = CompileDaemon(workers=1)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         try:
             with Client(daemon.url, retries=1) as client:
                 compiles = 0
@@ -1330,7 +1330,7 @@ class TestServerLifecycle:
 
     def test_an_idle_daemon_stops_promptly(self):
         daemon = CompileDaemon(workers=1)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         with Client(daemon.url, retries=0) as client:
             assert client.healthy()
         start = time.perf_counter()
@@ -1343,7 +1343,7 @@ class TestServerLifecycle:
         timed out meanwhile reconnects through its retry."""
         monkeypatch.setattr(httpbase, "READ_TIMEOUT_SECONDS", 0.2)
         daemon = CompileDaemon(workers=1)
-        daemon.start_background()
+        threading.Thread(target=daemon.serve_forever, daemon=True).start()
         try:
             with Client(daemon.url, retries=2) as client:
                 assert client.healthy()  # opens the keep-alive connection

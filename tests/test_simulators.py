@@ -33,8 +33,9 @@ from repro.sim import (
     execute_tiled_matmul,
 )
 from repro.serve import program_from_wire, program_to_wire
+import repro.sim.functional as functional_module
 import repro.sim.reference as reference_module
-from repro.sim.functional import FunctionalSimulationError
+from repro.sim.functional import TOLERANCE, FunctionalSimulationError
 from repro.sim.reference import CHUNK_ELEMENTS, ReferenceExecutionError
 from repro.ir import GraphBuilder, TensorSpec
 
@@ -351,7 +352,28 @@ class TestFunctionalSimulator:
         report = FunctionalSimulator(small_chip).run(
             compiled_tiny_transformer, tiny_transformer_graph
         )
-        assert report.switch_events == compiled_tiny_transformer.meta_program.switched_array_count()
+        switches = compiled_tiny_transformer.meta_program.switches()
+        assert report.switch_events == sum(len(op.array_addresses) for op in switches)
+
+    @pytest.mark.parametrize("offset, matched", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
+    def test_an_error_beyond_the_tolerance_fails_the_operator(
+        self, monkeypatch, small_chip, compiled_tiny_cnn, tiny_cnn_graph, offset, matched
+    ):
+        """Each tile product off by ``offset * TOLERANCE`` (1e-3, as strict
+        as the removed ``tolerance=`` default) passes inside the bound and
+        fails every operator outside it."""
+        assert TOLERANCE == 1e-3
+        exact = functional_module.execute_tiled_matmul
+
+        def skewed(*args):
+            product, tiles = exact(*args)
+            return product + np.float32(offset * TOLERANCE), tiles
+
+        monkeypatch.setattr(functional_module, "execute_tiled_matmul", skewed)
+        report = FunctionalSimulator(small_chip).run(compiled_tiny_cnn, tiny_cnn_graph)
+        assert report.checks
+        assert {check.matched for check in report.checks} == {matched}
+        assert report.all_matched is matched
 
     def test_summary_mentions_status(self, small_chip, compiled_tiny_cnn, tiny_cnn_graph):
         report = FunctionalSimulator(small_chip).run(compiled_tiny_cnn, tiny_cnn_graph)

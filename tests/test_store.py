@@ -365,7 +365,7 @@ class TestDiskCacheStore:
         program = _program()
         probe = DiskCacheStore(tmp_path / "probe")
         probe.put(_key(), program)
-        entry_bytes = probe.total_bytes()
+        entry_bytes = probe.usage()["bytes"]
 
         store = DiskCacheStore(tmp_path / "store", max_bytes=2 * entry_bytes)
         for n in range(6):
@@ -373,7 +373,7 @@ class TestDiskCacheStore:
             stamp = 1_700_000_000.0 + n  # strictly increasing mtimes
             os.utime(_entry_file(store, _key(n)), (stamp, stamp))
         assert store.stats.evictions > 0
-        assert store.total_bytes() <= store.max_bytes
+        assert store.usage()["bytes"] <= store.max_bytes
         assert len(store) <= 2
         # The newest entry survives (eviction is oldest-first).
         assert _same(store.get(_key(5)), program)
@@ -384,7 +384,7 @@ class TestDiskCacheStore:
         program = _program()
         probe = DiskCacheStore(tmp_path / "probe")
         probe.put(_key(), program)
-        entry_bytes = probe.total_bytes()
+        entry_bytes = probe.usage()["bytes"]
 
         root = tmp_path / "store"
         _plant_v3_window_files(root, 5)
@@ -432,7 +432,7 @@ class TestDiskCacheStore:
         store = DiskCacheStore(tmp_path)
         store.put(_key(), _program())
         store.clear()
-        assert len(store) == 0 and store.total_bytes() == 0
+        assert len(store) == 0 and store.usage()["bytes"] == 0
         assert store.get(_key()) is None
 
 
@@ -526,7 +526,7 @@ class TestClockDrivenGC:
         store = self._store_with_aged_entries(tmp_path, clock)
         assert store.prune(max_age_seconds=3 * 3600)["removed_files"] == 1
         # One "day" passes — instantly — and the survivors age out too.
-        clock.advance(24 * 3600)
+        clock.advance_to(clock.now() + 24 * 3600)
         assert store.prune(max_age_seconds=3 * 3600)["removed_files"] == 2
         assert len(store) == 0
 
@@ -540,7 +540,7 @@ class TestClockDrivenGC:
     def test_manual_clock_refuses_to_run_backwards(self):
         clock = ManualClock(start=5.0)
         with pytest.raises(ValueError):
-            clock.advance(-1.0)
+            clock.advance_to(4.0)
         assert clock.now() == clock.perf() == 5.0
 
     def test_default_clock_is_real_time(self, tmp_path):

@@ -1,8 +1,11 @@
 """Unit tests for tensor metadata (repro.ir.tensor)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.ir.tensor import DataType, TensorSpec, elements, total_bytes
+from repro.ir.tensor import DataType, TensorSpec, elements
 
 
 class TestDataType:
@@ -19,18 +22,15 @@ class TestDataType:
     def test_size_bytes(self, dtype, size):
         assert dtype.size_bytes == size
 
-    @pytest.mark.parametrize("dtype", list(DataType))
-    def test_size_bits_is_eight_times_bytes(self, dtype):
-        assert dtype.size_bits == dtype.size_bytes * 8
-
-    @pytest.mark.parametrize("dtype", list(DataType))
-    def test_numpy_dtype_is_valid(self, dtype):
-        import numpy as np
-
-        assert np.dtype(dtype.numpy_dtype).itemsize == dtype.size_bytes
-
     def test_roundtrip_from_value(self):
         assert DataType("int8") is DataType.INT8
+
+    @pytest.mark.parametrize("dtype", list(DataType))
+    def test_size_bytes_matches_the_numpy_type_of_that_name(self, dtype):
+        """The numpy spelling ``docs/api.md`` gives in place of the
+        removed ``numpy_dtype`` names a type of the same width."""
+        name = {"fp16": "float16", "fp32": "float32"}.get(dtype.value, dtype.value)
+        assert np.dtype(name).itemsize == dtype.size_bytes
 
 
 class TestTensorSpec:
@@ -63,19 +63,6 @@ class TestTensorSpec:
         assert spec.shape == (2, 3)
         assert all(isinstance(d, int) for d in spec.shape)
 
-    def test_with_name(self):
-        spec = TensorSpec("x", (2, 2))
-        renamed = spec.with_name("y")
-        assert renamed.name == "y"
-        assert renamed.shape == spec.shape
-        assert spec.name == "x"  # original untouched
-
-    def test_with_shape(self):
-        spec = TensorSpec("x", (2, 2))
-        reshaped = spec.with_shape((4,))
-        assert reshaped.shape == (4,)
-        assert reshaped.name == "x"
-
     def test_frozen(self):
         spec = TensorSpec("x", (1,))
         with pytest.raises(AttributeError):
@@ -90,6 +77,21 @@ class TestTensorSpec:
         text = str(TensorSpec("act", (2, 4)))
         assert "act" in text and "2x4" in text
 
+    def test_replace_renames_and_reshapes(self):
+        spec = TensorSpec("x", (2, 3), dtype=DataType.FP16)
+        renamed = dataclasses.replace(spec, name="y")
+        reshaped = dataclasses.replace(spec, shape=[3.0, 2.0])
+        assert (renamed.name, renamed.shape, renamed.dtype) == ("y", (2, 3), DataType.FP16)
+        assert (reshaped.name, reshaped.shape) == ("x", (3, 2))
+        assert spec == TensorSpec("x", (2, 3), dtype=DataType.FP16)  # original untouched
+
+    @pytest.mark.parametrize(
+        "changes", [{"name": ""}, {"shape": (2, 0)}], ids=["empty-name", "zero-dim"]
+    )
+    def test_replace_validates_like_the_constructor(self, changes):
+        with pytest.raises(ValueError):
+            dataclasses.replace(TensorSpec("x", (2, 3)), **changes)
+
     def test_equality_and_hash(self):
         a = TensorSpec("x", (2, 2))
         b = TensorSpec("x", (2, 2))
@@ -102,10 +104,5 @@ class TestAggregates:
         specs = [TensorSpec("a", (2, 2)), TensorSpec("b", (3,))]
         assert elements(specs) == 7
 
-    def test_total_bytes_sum(self):
-        specs = [TensorSpec("a", (2, 2), DataType.FP32), TensorSpec("b", (3,))]
-        assert total_bytes(specs) == 16 + 3
-
     def test_empty_iterables(self):
         assert elements([]) == 0
-        assert total_bytes([]) == 0

@@ -233,9 +233,7 @@ class TestFileFormat:
         path = save_trace(trace, tmp_path / "t.jsonl")
         loaded = load_trace(path)
         assert loaded.metadata == {"kind": "test"}
-        assert [r.to_payload() for r in loaded.requests] == [
-            r.to_payload() for r in trace.requests
-        ]
+        assert loaded.requests == trace.requests
 
     def test_workload_fields_survive_round_trip(self, tmp_path):
         workload = Workload(
@@ -398,9 +396,7 @@ class TestGenerators:
             kind, ["tiny-mlp", "tiny-cnn"], num_requests=20, seed=11
         )
         first, second = make(), make()
-        assert [r.to_payload() for r in first.requests] == [
-            r.to_payload() for r in second.requests
-        ]
+        assert first.requests == second.requests
 
     @pytest.mark.parametrize("kind", ["poisson", "bursty", "diurnal"])
     def test_different_seed_different_arrivals(self, kind):
