@@ -165,7 +165,6 @@ def candidate_allocations(
     profile: OperatorProfile,
     hardware: DualModeHardwareAbstraction,
     allow_memory_mode: bool = True,
-    max_candidates: int = MAX_CANDIDATES,
     *,
     factors: FactorTables,
 ) -> CandidateList:
@@ -227,9 +226,9 @@ def candidate_allocations(
         if latency < best_latency - 1e-9:
             pareto.append(AllocationCandidate(compute, memory, latency))
             best_latency = latency
-    if len(pareto) > max_candidates:
+    if len(pareto) > MAX_CANDIDATES:
         # Keep the extremes and thin the middle uniformly.
-        indices = np.linspace(0, len(pareto) - 1, max_candidates).round().astype(int)
+        indices = np.linspace(0, len(pareto) - 1, MAX_CANDIDATES).round().astype(int)
         pareto = [pareto[i] for i in sorted(set(indices.tolist()))]
     return CandidateList(pareto)
 

@@ -457,7 +457,6 @@ class DiskCacheStore:
         self,
         max_bytes: Optional[int] = None,
         max_age_seconds: Optional[float] = None,
-        now: Optional[float] = None,
     ) -> Dict[str, int]:
         """Expire old entries (TTL) and/or shrink to a size budget (GC).
 
@@ -465,10 +464,11 @@ class DiskCacheStore:
         one itself whenever a write takes the store over ``max_bytes``:
 
         * ``max_age_seconds`` removes every entry whose file mtime is
-          older than ``now - max_age_seconds`` (TTL; stored programs
-          never go *stale* — keys are exact — but an abandoned sweep's
-          entries, or a directory of pre-version-4 window files, are
-          dead weight);
+          older than ``max_age_seconds`` before the store's clock's
+          ``now()`` (TTL; real time unless a test injected a clock;
+          stored programs never go *stale* — keys are exact — but an
+          abandoned sweep's entries, or a directory of pre-version-4
+          window files, are dead weight);
         * ``max_bytes`` then removes oldest-first (mtime LRU) until the
           store fits the budget.
 
@@ -478,10 +478,6 @@ class DiskCacheStore:
         writers/evictors are tolerated: a file deleted under our feet
         simply stops counting.
 
-        Args:
-            now: Reference time for the TTL (default: the store's
-                clock — real time unless a test injected one).
-
         Returns:
             ``{"removed_files", "removed_bytes", "remaining_files",
             "remaining_bytes"}``.
@@ -490,7 +486,7 @@ class DiskCacheStore:
             raise ValueError("max_bytes must be non-negative")
         if max_age_seconds is not None and max_age_seconds < 0:
             raise ValueError("max_age_seconds must be non-negative")
-        now = self.clock.now() if now is None else now
+        now = self.clock.now()
         sized: List[Tuple[float, int, Path]] = []
         for path in self._entry_files():
             try:

@@ -20,9 +20,10 @@ which the segmenter's ``NetworkSegmenter._edge_price`` calls directly and
 :class:`SegmentResources`; ``T_rw`` and a segment's array totals by
 :func:`window_totals`, over the columns of
 :class:`~repro.cost.arithmetic.ProfileVectors`.  The segmenter and the
-independent re-pricer ``repro.core._reference.reprice_segments`` that
-checks the plans both price through them.  ``T_wb``'s retention rule is
-:func:`offchip_round_trip_cycles` and :func:`arrays_beyond_buffer`.
+independent oracle that checks its plans (``reprice_segments`` and
+``cheapest_cut_set`` in ``tests/oracle.py``) both price through them.
+``T_wb``'s retention rule is :func:`offchip_round_trip_cycles` and
+:func:`arrays_beyond_buffer`.
 """
 
 from __future__ import annotations

@@ -23,12 +23,14 @@ from typing import NamedTuple, Tuple
 
 import pytest
 from hypothesis import settings
+from oracle import latency_rows, reprice_segments
 
 from repro.api import Session
 from repro.baselines import COMPILERS
 from repro.core import CMSwitchCompiler, CompiledProgram, CompilerOptions
-from repro.core._reference import reference_baseline_compile
 from repro.core.allocation import UnitColumns, UnitWindow
+from repro.core.segmentation import flatten_graph
+from repro.cost.arithmetic import ProfileVectors
 from repro.hardware import DualModeHardwareAbstraction, dynaplasia, prime, small_test_chip
 from repro.ir import Graph
 from repro.models import Phase, Workload, build_model, list_models
@@ -84,16 +86,16 @@ PRICED_TERMS = (
 def assert_repriced():
     """``check(program, graph, options)``: every segment of ``program``
     equals its re-pricing by the cost model
-    (:func:`repro.core._reference.reprice_segments`) with ``==``, term
-    by term.  A mismatch names the segment and the term; a plan the
-    re-pricer rejects raises its ``ValueError``.  Returns the re-priced
-    segments.
+    (:func:`oracle.reprice_segments` over the graph's flattened units)
+    with ``==``, term by term.  A mismatch names the segment and the
+    term; a plan the re-pricer rejects raises its ``ValueError``.
+    Returns the re-priced segments' terms.
     """
-    from repro.core._reference import reprice_segments
 
     def check(program, graph, options):
         plan = [(segment.operator_names, segment.allocations) for segment in program.segments]
-        repriced = reprice_segments(graph, program.hardware, options, plan)
+        units = flatten_graph(graph, program.hardware)
+        repriced = reprice_segments(units, program.hardware, options, plan)
         for position, (ours, theirs) in enumerate(zip(program.segments, repriced)):
             for term in PRICED_TERMS:
                 got, want = getattr(ours, term), getattr(theirs, term)
@@ -109,6 +111,34 @@ def window_of(profiles, hardware):
     window_of``)."""
     columns = UnitColumns(list(profiles.values()), hardware)
     return UnitWindow(columns, 0, len(columns))
+
+
+def greedy_stop_violation(profiles, pairs, hardware, allow_memory_mode=False):
+    """Why ``pairs`` (one ``(compute, memory)`` per profile of ``profiles``)
+    is not where the greedy hand-out stops, or None where it is (``from
+    conftest import greedy_stop_violation``).
+
+    The rule: the chip is full, or one more array on the first
+    maximum-latency operator — a compute array, or in dual mode also a
+    memory array — lowers its Eq. 10 latency by at most 1e-9 cycles.
+    """
+    if sum(compute + memory for compute, memory in pairs) >= hardware.num_arrays:
+        return None
+    compute_time, supply_time = latency_rows(ProfileVectors(profiles, hardware), hardware)
+    latencies = [max(compute_time[k, c], supply_time[k, m]) for k, (c, m) in enumerate(pairs)]
+    k = latencies.index(max(latencies))
+    compute, memory = pairs[k]
+    grown = {"compute": max(compute_time[k, compute + 1], supply_time[k, memory])}
+    if allow_memory_mode:
+        grown["memory"] = max(compute_time[k, compute], supply_time[k, memory + 1])
+    mode = min(grown, key=grown.get)
+    if grown[mode] < latencies[k] - 1e-9:
+        return (
+            f"operator {k} at {pairs[k]} bounds the window at {latencies[k]!r} cycles, "
+            f"one more {mode} array makes it {grown[mode]!r}, and the chip has "
+            f"{hardware.num_arrays} arrays"
+        )
+    return None
 
 
 @pytest.fixture(scope="session")
@@ -366,7 +396,6 @@ class Corpus:
         self.sessions = {chip: Session(hardware=chip) for chip in CORPUS_CHIPS}
         self._graphs = {}
         self._entries = {}
-        self._references = {}
 
     def graph(self, model: str) -> Graph:
         if model not in self._graphs:
@@ -395,16 +424,6 @@ class Corpus:
 
     def find(self, model, chip, compiler="cmswitch", options=CORPUS_OPTIONS) -> Entry:
         return self[Case.of(model, chip, compiler, options)]
-
-    def reference(self, model: str, chip: str, compiler: str):
-        """PUMA's or OCC's independent scalar compile of ``model`` on
-        ``chip`` (``reference_baseline_compile``), flow included; one
-        oracle run per (model, chip, compiler)."""
-        key = (model, chip, compiler)
-        if key not in self._references:
-            baseline = COMPILERS[compiler](self.sessions[chip].hardware, CORPUS_OPTIONS)
-            self._references[key] = reference_baseline_compile(baseline, self.graph(model))
-        return self._references[key]
 
 
 @pytest.fixture(scope="session")

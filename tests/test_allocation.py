@@ -5,6 +5,7 @@ from conftest import window_of
 
 from repro.core import allocation
 from repro.core.allocation import (
+    MAX_CANDIDATES,
     ExactAllocator,
     GreedyAllocator,
     UnitColumns,
@@ -88,7 +89,7 @@ class TestCandidates:
 
     def test_candidate_count_capped(self, small_chip):
         profile = matmul_profile("p", 16, 64, 64, 64)
-        assert len(candidates(profile, small_chip, max_candidates=5)) <= 5
+        assert 0 < len(candidates(profile, small_chip)) <= MAX_CANDIDATES
 
 
 def fits(profiles, hardware):

@@ -3,7 +3,7 @@
 The parity classes check every compiled program against an independent
 re-pricing: each segment's intra cycles, Eq. 4 breakdown, resources and
 boundary buffers re-derive exactly (``==``) from the cost model
-(:func:`repro.core._reference.reprice_segments`, through the
+(``reprice_segments`` of ``tests/oracle.py``, through the
 ``assert_repriced`` fixture) for every option set, and for cold,
 memory-warm and disk-served programs alike; the warm and disk-served
 programs are also bit-identical to the cold one

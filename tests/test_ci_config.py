@@ -15,7 +15,7 @@ REPO = Path(__file__).resolve().parents[1]
 CI = REPO / ".github" / "workflows" / "ci.yml"
 TESTS = REPO / "tests"
 #: The calls that compile a program.
-COMPILES = {"compile", "compile_graph", "compile_batch", "reference_baseline_compile"}
+COMPILES = {"compile", "compile_graph", "compile_batch"}
 
 #: A line that starts a step (``- name:`` / ``- uses:``) or a job (``  job-id:``).
 BOUNDARY = re.compile(r"^\s*- (?:name|uses):|^  [\w-]+:\s*$")

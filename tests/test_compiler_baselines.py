@@ -187,29 +187,26 @@ class TestBaselineCompilers:
 
 
 class TestBaselineParity:
-    """PUMA/OCC programs equal the independent scalar oracle bit for bit
-    (``reference_baseline_compile``); every corpus program is checked in
-    ``tests/test_corpus.py``, these are compiles obtained other ways."""
+    """A PUMA/OCC program does not depend on the window table it was
+    solved through; what every corpus baseline program is (its policy's
+    boundaries, compute mode at the floors, the greedy stop rule, exact
+    re-pricing, its flow) is checked in ``tests/test_corpus.py``."""
 
     @pytest.mark.parametrize("chip", ["dynaplasia", "prime", "small-test-chip"])
-    def test_matches_the_reference_over_a_shared_cache(self, chip, corpus):
+    def test_matches_a_cold_compile_over_a_shared_cache(self, chip, corpus):
         # Greedy CMSwitch compiles warm the cache first, so fixed-mode
         # windows are also served from memory-free dual-mode entries.
-        # Fresh compilers without code generation: the reference less its flow.
         hardware = get_preset(chip)
         cache = AllocationCache()
         greedy = CompilerOptions(use_milp=False, generate_code=False)
+        plain = CompilerOptions(generate_code=False)
         for model in corpus.models(chip):
             graph = corpus.graph(model)
             CMSwitchCompiler(hardware, greedy, cache=cache).compile(graph)
             for compiler_cls in (PUMACompiler, OCCCompiler):
-                program = compiler_cls(
-                    hardware, CompilerOptions(generate_code=False), cache=cache
-                ).compile(graph)
-                expected = corpus.reference(model, chip, compiler_cls.name)
-                assert program.fingerprint() == replace(
-                    expected, meta_program=None
-                ).fingerprint(), (model, program.compiler_name)
+                program = compiler_cls(hardware, plain, cache=cache).compile(graph)
+                cold = compiler_cls(hardware, plain).compile(graph)  # a table of its own
+                assert program.fingerprint() == cold.fingerprint(), (model, compiler_cls.name)
         assert cache.stats.cross_mode_hits > 0
 
     def test_a_second_compiler_on_the_cache_solves_nothing(self, corpus, dynaplasia_chip):

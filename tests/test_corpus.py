@@ -18,8 +18,10 @@ import math
 from dataclasses import asdict, replace
 
 import pytest
-from conftest import CORPUS_CASES
+from conftest import CORPUS_CASES, greedy_stop_violation
 
+from repro.baselines import COMPILERS
+from repro.core.codegen import generate_program
 from repro.core.program import program_from_payload, program_to_payload
 from repro.core.segmentation import flatten_graph
 from repro.cost.arithmetic import ProfileVectors, profile_signature
@@ -85,7 +87,7 @@ def test_every_cmswitch_allocation_holds_its_weight_tiles(corpus):
     )
 
 
-@pytest.mark.corpus(lambda case: case.compiler in ("cmswitch", "cim-mlc") and not case.heavy)
+@pytest.mark.corpus(lambda case: not case.heavy)
 def test_plan_reprices_exactly(case, corpus, assert_repriced):
     """Every segment equals its re-pricing by the cost model, term by term."""
     program, graph, _, options = corpus[case]
@@ -101,12 +103,55 @@ def test_flow_replays_legally(case, corpus):
 
 
 @pytest.mark.corpus(lambda case: case.compiler in ("puma", "occ"))
-def test_baseline_equals_the_scalar_reference(case, corpus):
-    """PUMA and OCC equal their independent scalar oracle
-    (``reference_baseline_compile``) bit for bit, flow included."""
-    program = corpus[case].program
-    expected = corpus.reference(case.model, case.chip, case.compiler)
-    assert program.fingerprint() == expected.fingerprint()
+def test_a_baseline_plan_has_its_policys_boundaries(case, corpus):
+    """PUMA's and OCC's segments are the windows their boundary policy
+    draws over the flattened units."""
+    program, graph, hardware, _ = corpus[case]
+    units = flatten_graph(graph, hardware)
+    segment = next(p for p in COMPILERS[case.compiler].passes if p.name == "segment")
+    assert [plan.operator_names for plan in program.segments] == [
+        [unit.name for unit in units[first : last + 1]]
+        for first, last in segment.policy(units, hardware)
+    ]
+
+
+@pytest.mark.corpus(lambda case: case.compiler in ("puma", "occ"))
+def test_a_baseline_allocates_in_compute_mode_at_or_above_the_floors(case, corpus):
+    """A fixed-mode plan holds no memory-mode array, boundary buffers
+    included, and no operator below its compute floor."""
+    program, _, hardware, _ = corpus[case]
+    for segment in program.segments:
+        assert segment.boundary_memory_arrays == 0 == segment.resources.memory_arrays
+        for name, allocation in segment.allocations.items():
+            assert allocation.memory_arrays == 0, (segment.index, name)
+            assert allocation.compute_arrays >= segment.profiles[name].compute_floor(hardware)
+
+
+@pytest.mark.corpus(lambda case: case.compiler in ("puma", "occ"))
+def test_a_baseline_window_stops_at_the_greedy_rule(case, corpus):
+    """Each segment is where the greedy hand-out stops: the chip is full,
+    or one more compute array on the first bottleneck gains nothing."""
+    program, _, hardware, _ = corpus[case]
+    violations = {}
+    for segment in program.segments:
+        names = segment.operator_names
+        violation = greedy_stop_violation(
+            [segment.profiles[name] for name in names],
+            [
+                (segment.allocations[name].compute_arrays, segment.allocations[name].memory_arrays)
+                for name in names
+            ],
+            hardware,
+        )
+        if violation is not None:
+            violations[segment.index] = violation
+    assert not violations, violations
+
+
+@pytest.mark.corpus(lambda case: case.compiler in ("puma", "occ"))
+def test_a_baseline_flow_is_the_lowering_of_its_segments(case, corpus):
+    program, graph, hardware, _ = corpus[case]
+    assert program.meta_program == generate_program(graph.name, program.segments, hardware)
 
 
 @pytest.mark.corpus()

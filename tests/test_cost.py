@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import reprice_segments
 
 import repro.cost
 from repro.cost import (
@@ -348,13 +349,13 @@ class TestOneDefinitionPerEquation:
         assert not defined
 
     def test_only_the_floor_column_spells_the_compute_floor(self):
-        """One compute floor: only ``cost/arithmetic.py`` (and the frozen
-        oracles) write ``max(1, …min_compute_arrays(``."""
+        """One compute floor: only ``cost/arithmetic.py`` writes
+        ``max(1, …min_compute_arrays(``."""
         assert sorted(
             path.relative_to(SRC).as_posix()
             for path in SRC.rglob("*.py")
             if re.search(r"max\(1, [\w.]*min_compute_arrays\(", path.read_text(encoding="utf-8"))
-        ) == ["core/_reference.py", "cost/arithmetic.py"]
+        ) == ["cost/arithmetic.py"]
 
 
 class TestInterSegmentCosts:
@@ -420,39 +421,43 @@ class TestInterSegmentCosts:
 
     @staticmethod
     def repriced(graph, hardware, **options):
-        """A compiled plan re-priced by the independent Eq. 4 assembly."""
+        """A compiled plan's segments and their re-pricing by the
+        oracle's independent Eq. 4 assembly."""
         from repro.core import CMSwitchCompiler, CompilerOptions
-        from repro.core._reference import reprice_segments
+        from repro.core.segmentation import flatten_graph
 
         program = CMSwitchCompiler(hardware, CompilerOptions(generate_code=False)).compile(graph)
         segments = [(plan.operator_names, plan.allocations) for plan in program.segments]
-        return reprice_segments(graph, hardware, CompilerOptions(**options), segments)
+        units = flatten_graph(graph, hardware)
+        return program.segments, reprice_segments(
+            units, hardware, CompilerOptions(**options), segments
+        )
 
     def test_inter_segment_cycles_composition(self, small_chip, tiny_transformer_graph):
         """Eq. 4: each segment's inter cycles are write-back + switch + reload."""
-        plans = self.repriced(tiny_transformer_graph, small_chip)
-        assert len(plans) > 1
+        plans, priced = self.repriced(tiny_transformer_graph, small_chip)
+        assert len(priced) > 1
         previous = None
-        for plan in plans:
+        for plan, terms in zip(plans, priced):
             pairs = [
                 (plan.allocations[name].compute_arrays, plan.allocations[name].memory_arrays)
                 for name in plan.operator_names
             ]
             *_, reload = window_totals(
-                ProfileVectors(plan.profiles.values(), small_chip),
+                ProfileVectors(terms.profiles.values(), small_chip),
                 0, len(pairs), pairs, small_chip,
             )
-            assert plan.inter_breakdown == {
-                "writeback": writeback_cycles(previous, plan.resources, small_chip),
-                "mode_switch": mode_switch_cycles(previous, plan.resources, small_chip),
+            assert terms.inter_breakdown == {
+                "writeback": writeback_cycles(previous, terms.resources, small_chip),
+                "mode_switch": mode_switch_cycles(previous, terms.resources, small_chip),
                 "weight_reload": reload,
             }
-            assert plan.inter_cycles == sum(plan.inter_breakdown.values())
-            previous = plan.resources
+            assert terms.inter_cycles == sum(terms.inter_breakdown.values())
+            previous = terms.resources
 
     def test_include_switch_cost_flag(self, small_chip, tiny_transformer_graph):
-        with_switch = self.repriced(tiny_transformer_graph, small_chip)
-        without = self.repriced(tiny_transformer_graph, small_chip, include_switch_cost=False)
+        _, with_switch = self.repriced(tiny_transformer_graph, small_chip)
+        _, without = self.repriced(tiny_transformer_graph, small_chip, include_switch_cost=False)
         for charged, free in zip(with_switch, without):
             assert free.inter_breakdown["mode_switch"] == 0.0
             assert charged.inter_cycles >= free.inter_cycles

@@ -288,8 +288,8 @@ def test_one_loop_runs_a_compilers_passes():
 
 def test_plans_have_one_builder():
     """Every compiler's plans come from ``NetworkSegmenter.build_plans``:
-    ``SegmentPlan`` is built there, in the program decoder and in the
-    independent oracle, and nowhere else."""
+    ``SegmentPlan`` is built there and in the program decoder, and
+    nowhere else."""
     builders = sorted(
         {
             str(path.relative_to(SRC))
@@ -301,10 +301,39 @@ def test_plans_have_one_builder():
         }
     )
     assert builders == [
-        "repro/core/_reference.py",
         "repro/core/program.py",
         "repro/core/segmentation.py",
     ]
+
+
+#: The independent oracle of the tests, and the layers it may read.
+ORACLE = SRC.parent / "tests" / "oracle.py"
+ORACLE_LAYERS = ("repro.cost", "repro.hardware", "repro.ir")
+
+
+def test_the_oracle_reads_only_the_cost_model():
+    """``tests/oracle.py`` shares no code with the compiler it checks: it
+    imports ``repro.cost``, ``repro.hardware`` and ``repro.ir`` (and the
+    standard library and numpy), nothing of ``repro.core``, and stays
+    short enough to read (at most 400 lines)."""
+    tree = _tree(ORACLE)
+    imported = [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    ]
+    repro = [module for module in imported if module.split(".")[0] in ("repro", "")]
+    assert repro and all(
+        any(module == layer or module.startswith(layer + ".") for layer in ORACLE_LAYERS)
+        for module in repro
+    ), repro
+    assert {module.split(".")[0] for module in imported} <= {
+        "repro", "numpy", "typing", "__future__",
+    }, imported
+    assert len(ORACLE.read_text(encoding="utf-8").splitlines()) <= 400
 
 
 def test_only_the_passes_compose_the_dp_and_the_plan_builder():
@@ -397,10 +426,6 @@ PUBLIC_API = {
 
 #: Overrides nothing here calls because ``http.server`` does.
 FRAMEWORK_HOOKS = {"QuietHandler.log_message", "QuietHandler.log_error"}
-
-#: The independent oracle compiler: only tests read it.
-ORACLE = SRC / "repro" / "core" / "_reference.py"
-
 
 def _reads(path: Path, tree: ast.Module):
     """Every name ``tree`` reads: a loaded name, an attribute, a name
@@ -496,8 +521,8 @@ def test_every_name_has_a_caller_or_is_public():
     """Every top-level definition (``def``, ``class``, constant) and
     method under ``src/repro`` is read from ``src/``, ``bench/`` or
     ``scripts/`` (a ``def`` is not a read, nor is a re-export or an
-    ``__all__`` entry), or is documented public API, an ``http.server``
-    hook, or part of the test oracle.  Each exception is itself unread,
+    ``__all__`` entry), or is documented public API or an ``http.server``
+    hook.  Each exception is itself unread,
     so the sets cannot go stale."""
     import http.server
 
@@ -512,8 +537,7 @@ def test_every_name_has_a_caller_or_is_public():
         for name in _definitions(tree):
             defined.add(name)
             if (
-                path != ORACLE
-                and name.rpartition(".")[2] not in reads
+                name.rpartition(".")[2] not in reads
                 and name not in PUBLIC_API
                 and name not in FRAMEWORK_HOOKS
             ):

@@ -1,10 +1,13 @@
 """Tests for graph flattening and the DP network segmentation."""
 
+import functools
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import cheapest_cut_set, live_elements
 
 from repro.core.cache import AllocationCache
 from repro.core.segmentation import (
@@ -698,3 +701,58 @@ class TestScalarEdgePricing:
             "allocate": 331,
             "refine_with_spare_arrays": 331,
         }
+
+
+# ---------------------------------------------------------------------- #
+# the DP against every cut set (tests/oracle.py)
+# ---------------------------------------------------------------------- #
+#: ``(model, chip)`` pairs small enough to enumerate every cut set of
+#: (at most 32,192 on tiny-transformer @ dynaplasia and prime).
+EXHAUSTIVE_CASES = [
+    *((model, "small-test-chip") for model in ("tiny-mlp", "tiny-cnn", "tiny-transformer")),
+    *(
+        (model, chip)
+        for chip in ("dynaplasia", "prime")
+        for model in (
+            "tiny-mlp", "tiny-cnn", "tiny-transformer", "bert", "gpt2", "gpt2-xl", "opt-1.3b",
+        )
+    ),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _units(model, chip):
+    """``(graph, hardware, units)`` of ``model`` on preset ``chip``;
+    tiny-transformer at sequence length 16, the rest at 32."""
+    hardware = get_preset(chip)
+    graph = build_model(model, Workload(seq_len=16 if model == "tiny-transformer" else 32))
+    return graph, hardware, flatten_graph(graph, hardware)
+
+
+class TestExhaustiveSegmentation:
+    """Algorithm 1's DP keeps one label per boundary, yet its plan costs
+    what the cheapest of every cut set costs, each window with the one
+    allocation the DP solved for it (ROADMAP item 10's oracle)."""
+
+    @pytest.mark.parametrize("use_milp", [True, False], ids=["exact", "greedy"])
+    @pytest.mark.parametrize("model, chip", EXHAUSTIVE_CASES)
+    def test_the_dp_plan_is_the_cheapest_cut_set(self, model, chip, use_milp):
+        graph, hardware, units = _units(model, chip)
+        options = CompilerOptions(use_milp=use_milp, generate_code=False)
+        segmenter = NetworkSegmenter(hardware, options, cache=AllocationCache())
+        plans = segmenter.build_plans(units, segmenter.choose_boundaries(graph, units))
+
+        def solved(start, stop):
+            result = segmenter._allocate(start, stop - 1)  # a table hit: the DP asked
+            return (result.pairs, result.latency_cycles) if result.feasible else None
+
+        cheapest, count = cheapest_cut_set(units, hardware, options, solved)
+        assert count >= 1
+        assert math.isclose(plan_cost(plans), cheapest, rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("model, chip", EXHAUSTIVE_CASES[:3])
+    def test_the_oracles_liveness_is_eq4s(self, model, chip):
+        """The oracle walks each unit's ``live_until`` itself; it agrees
+        with the segmenter's difference array at every boundary."""
+        _, _, units = _units(model, chip)
+        assert live_elements(units) == live_elements_vector(units).tolist()

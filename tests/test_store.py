@@ -530,12 +530,16 @@ class TestClockDrivenGC:
         assert store.prune(max_age_seconds=3 * 3600)["removed_files"] == 2
         assert len(store) == 0
 
-    def test_explicit_now_still_overrides_the_clock(self, tmp_path):
+    def test_a_week_on_the_clock_expires_every_entry(self, tmp_path):
+        """The TTL's reference time is the store's clock alone: a week
+        later a 60 h TTL removes every entry."""
         clock = ManualClock(start=self.EPOCH)
         store = self._store_with_aged_entries(tmp_path, clock)
-        future = self.EPOCH + 7 * 24 * 3600
-        outcome = store.prune(max_age_seconds=60 * 3600, now=future)
-        assert outcome["removed_files"] == 3
+        clock.advance_to(self.EPOCH + 7 * 24 * 3600)
+        outcome = store.prune(max_age_seconds=60 * 3600)
+        assert outcome["removed_files"] == 3 and outcome["remaining_files"] == 0
+        with pytest.raises(TypeError):
+            store.prune(max_age_seconds=60 * 3600, now=self.EPOCH)
 
     def test_manual_clock_refuses_to_run_backwards(self):
         clock = ManualClock(start=5.0)

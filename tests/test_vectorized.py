@@ -1,17 +1,22 @@
-"""Parity and tripwire tests for the vectorised hot path (ISSUE 6).
+"""Tests for the vectorised hot path: its contracts, not its history.
 
-Three families:
+Five families:
 
-* **Kernel parity** — the vectorised candidate enumeration and
-  incremental greedy allocator must reproduce the frozen scalar bodies
-  in :mod:`repro.core._reference` exactly (values, ordering,
-  tie-breaks), the factor tables of one compile must equal one-row
-  evaluations, and a compiled plan re-prices exactly.
-* **Deliberate divergence** — the one behaviour change the rewrite was
-  allowed: an all-infeasible candidate grid now yields ``[]`` instead of
-  the scalar body's useless infinite-latency fallback candidate.
-* **Reuse tripwires** — the greedy fidelity rung must never touch the
-  MILP solver, and a memoised DSE sweep must perform strictly fewer
+* **Batched Eq. 10 and the unit columns** — one compile's factor tables
+  equal one-row evaluations, and every row spans the chip with the edge
+  values the model defines.
+* **The candidate list's contract** — whatever enumerates it, an
+  operator's list holds Eq. 10 points inside its compute floor, its
+  working-set memory cap and the chip; arrays ascend and latency
+  strictly descends; it has at most ``MAX_CANDIDATES`` entries; and it is
+  ``[]`` exactly when the floor exceeds the chip or every point is
+  infinite.
+* **The greedy stop rule** — the greedy engine and the refinement stop
+  when the chip is full or one more array on the first bottleneck gains
+  nothing; a compiled plan re-prices exactly.
+* **Window cache keys and the window table** — one key per solve, asked
+  once.
+* **Reuse tripwire** — a memoised DSE sweep performs strictly fewer
   solves than compiling every point independently cold.
 """
 
@@ -20,19 +25,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
-import math
 
 import numpy as np
 import pytest
-from conftest import window_of
+from conftest import greedy_stop_violation, window_of
 
 from repro.core import CMSwitchCompiler, CompilerOptions
-from repro.core._reference import (
-    reference_candidate_allocations,
-    reference_greedy_allocate,
-    reference_refine_with_spare_arrays,
-)
 from repro.core.allocation import (
+    MAX_CANDIDATES,
     AllocationCacheKey,
     AllocationResult,
     ExactAllocator,
@@ -47,7 +47,11 @@ from repro.core.cache import AllocationCache
 from repro.core.segmentation import NetworkSegmenter, flatten_graph
 from repro.cost import profile_operator
 from repro.cost.arithmetic import ProfileVectors, profile_signature
-from repro.cost.latency import INFEASIBLE_LATENCY, operator_latency_factors_batch
+from repro.cost.latency import (
+    INFEASIBLE_LATENCY,
+    combine_operator_latencies,
+    operator_latency_factors_batch,
+)
 from repro.dse import DesignSpace, DSERunner
 from repro.hardware import PRESETS, get_preset, small_test_chip
 from repro.ir import Linear, MatMul, TensorSpec
@@ -208,26 +212,20 @@ class TestUnitColumnParity:
         assert [profile.compute_floor(hardware) for profile in profiles] == floors
 
     @pytest.mark.parametrize("chip", sorted(PRESETS))
-    def test_candidates_from_the_columns_equal_the_reference(self, chip):
+    def test_candidates_from_the_columns_equal_the_profiles_own(self, chip):
         """What an allocator reads (row ``k`` handed to the enumeration)
-        is what columns of the profile alone give, and both are the
-        frozen scalar double loop's list."""
+        is what columns of the profile alone give, its columns are its
+        entries', and every zoo unit's list keeps the contract."""
         hardware, profiles = _zoo_profiles(chip)
         columns = UnitColumns(profiles, hardware)
         for allow in (True, False):
             from_columns = columns.window_candidates(0, len(profiles), allow)
             for profile, listed in zip(profiles, from_columns):
-                if not listed:
-                    assert profile.min_compute_arrays(hardware) > hardware.num_arrays
-                    continue
-                assert listed == reference_candidate_allocations(
-                    profile, hardware, allow_memory_mode=allow
-                )
-                assert listed == candidates(
-                    profile, hardware, allow_memory_mode=allow
-                )
+                assert listed == candidates(profile, hardware, allow_memory_mode=allow)
                 assert listed.negated == [-c.latency_cycles for c in listed]
                 assert listed.totals == [c.total_arrays for c in listed]
+                assert listed.pairs == [(c.compute_arrays, c.memory_arrays) for c in listed]
+                assert_candidate_contract(listed, profile, hardware, allow)
 
     def test_window_signature_is_the_mapping_signature(self, small_chip, tiny_cnn_graph):
         """The cache key of a window of the compile's columns is the one
@@ -252,60 +250,91 @@ class TestUnitColumnParity:
 
 
 # ---------------------------------------------------------------------- #
-# candidate enumeration
+# candidate enumeration: the list's contract
 # ---------------------------------------------------------------------- #
-class TestCandidateParity:
+def assert_candidate_contract(listed, profile, hardware, allow_memory_mode=True):
+    """``listed`` keeps the candidate list's contract for ``profile``.
+
+    Every entry is the Eq. 10 point of its ``(compute, memory)`` (the
+    operator's one-row factor tables), with compute at or above the
+    floor, memory within the working-set cap (0 in fixed mode) and both
+    within the chip; arrays ascend and latency strictly descends; at most
+    ``MAX_CANDIDATES`` entries; ``[]`` exactly when the floor exceeds the
+    chip or every point of that grid is infinite.
+    """
+    counts = np.arange(hardware.num_arrays + 1)
+    compute_time, supply_time = operator_latency_factors_batch(
+        ProfileVectors([profile], hardware), counts, counts, hardware
+    )
+    floor = profile.compute_floor(hardware)
+    cap = profile.memory_arrays_for_working_set(hardware) if allow_memory_mode else 0
+    for candidate in listed:
+        compute, memory = candidate.compute_arrays, candidate.memory_arrays
+        assert floor <= compute and 0 <= memory <= cap
+        assert candidate.total_arrays == compute + memory <= hardware.num_arrays
+        assert candidate.latency_cycles == max(compute_time[0, compute], supply_time[0, memory])
+        assert np.isfinite(candidate.latency_cycles)
+    for earlier, later in zip(listed, listed[1:]):
+        assert earlier.total_arrays < later.total_arrays
+        assert earlier.latency_cycles > later.latency_cycles
+    assert len(listed) <= MAX_CANDIDATES
+    grid = np.maximum(compute_time[0, :, None], supply_time[0, None, : cap + 1])
+    inside = (counts[:, None] >= floor) & (counts[:, None] + counts[None, : cap + 1] <= counts[-1])
+    assert (listed == []) == (floor > hardware.num_arrays or not np.isfinite(grid[inside]).any())
+
+
+class TestCandidateContract:
     @pytest.mark.parametrize("profile", PROFILES, ids=list(NAMED_PROFILES))
     @pytest.mark.parametrize("allow_memory_mode", [True, False])
-    def test_matches_scalar_reference(self, profile, allow_memory_mode, small_chip):
-        vectorised = candidates(profile, small_chip, allow_memory_mode=allow_memory_mode)
-        reference = reference_candidate_allocations(
-            profile, small_chip, allow_memory_mode=allow_memory_mode
-        )
-        assert vectorised == reference
+    def test_every_entry_is_an_eq10_point_inside_the_bounds(
+        self, profile, allow_memory_mode, small_chip
+    ):
+        listed = candidates(profile, small_chip, allow_memory_mode=allow_memory_mode)
+        assert_candidate_contract(listed, profile, small_chip, allow_memory_mode)
 
     @pytest.mark.parametrize("num_arrays", [1, 2, 3, 5, 8, 12])
-    def test_matches_scalar_reference_across_budgets(self, num_arrays, small_chip):
+    def test_the_contract_holds_on_every_budget(self, num_arrays, small_chip):
         # The budget is the chip's: one chip per array count.
         chip = dataclasses.replace(small_chip, num_arrays=num_arrays)
         for profile in PROFILES + EDGE_PROFILES:
-            assert candidates(profile, chip) == reference_candidate_allocations(profile, chip)
+            for allow in (True, False):
+                listed = candidates(profile, chip, allow_memory_mode=allow)
+                assert_candidate_contract(listed, profile, chip, allow)
 
-    def test_thinning_matches_scalar_reference(self, small_chip):
-        profile = linear_profile("dense", 64, 512, 512)
-        for cap in (1, 2, 3):
-            vectorised = candidates(profile, small_chip, max_candidates=cap)
-            reference = reference_candidate_allocations(
-                profile, small_chip, max_candidates=cap
-            )
-            assert vectorised == reference
-            assert len(vectorised) <= cap
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_thinning_keeps_both_extremes(self, cap, small_chip, monkeypatch):
+        """A frontier longer than ``MAX_CANDIDATES`` is thinned to at most
+        that many of its own entries, the fewest-arrays and the fastest
+        candidates kept."""
+        profile = NAMED_PROFILES["attn"]
+        frontier = candidates(profile, small_chip)
+        assert cap < len(frontier) <= MAX_CANDIDATES
+        monkeypatch.setattr("repro.core.allocation.MAX_CANDIDATES", cap)
+        thinned = candidates(profile, small_chip)
+        assert 0 < len(thinned) <= cap
+        assert all(candidate in frontier for candidate in thinned)
+        assert thinned[0] == frontier[0]
+        if cap > 1:
+            assert thinned[-1] == frontier[-1]
 
     def test_all_infeasible_grid_returns_empty_not_fallback(
         self, small_chip, monkeypatch
     ):
-        """The dead-fallback regression: every grid point infinite => [].
-
-        The scalar body kept one useless infinite-latency candidate in
-        that case; the rewrite's contract is an empty list (the same
-        verdict as "does not fit"), so the MILP never selects a
-        candidate that cannot finish.  Constructible hardware always has
-        positive bandwidth, so the degenerate grid is forced here by
-        stubbing the factor evaluation both the candidate tables and the
-        reference's read from.
+        """Every grid point infinite => ``[]``, the same verdict as "does
+        not fit", so no engine selects a candidate that cannot finish.
+        Constructible hardware always has positive bandwidth, so the
+        degenerate grid is forced here by stubbing the factor evaluation
+        the candidate tables read from.
         """
         profile = PROFILES[0]
         all_inf_factors = lambda vectors, com, mem, hw: (
             np.full((len(vectors), len(com)), INFEASIBLE_LATENCY),
             np.full((len(vectors), len(mem)), INFEASIBLE_LATENCY),
         )
-        for module in ("repro.core.allocation", "repro.core._reference"):
-            monkeypatch.setattr(f"{module}.operator_latency_factors_batch", all_inf_factors)
+        monkeypatch.setattr(
+            "repro.core.allocation.operator_latency_factors_batch", all_inf_factors
+        )
         assert candidates(profile, small_chip) == []
-        # The frozen reference keeps exhibiting the old fallback bug.
-        fallback = reference_candidate_allocations(profile, small_chip)
-        assert len(fallback) == 1
-        assert math.isinf(fallback[0].latency_cycles)
 
     def test_oversized_operator_still_returns_empty(self, small_chip):
         profile = linear_profile("huge", 4, 64 * 20, 64 * 20)
@@ -313,9 +342,9 @@ class TestCandidateParity:
 
 
 # ---------------------------------------------------------------------- #
-# greedy allocator + refinement
+# greedy allocator + refinement: the stop rule
 # ---------------------------------------------------------------------- #
-class TestGreedyParity:
+class TestGreedyStopRule:
     SEGMENTS = [
         {"proj": linear_profile("proj", 32, 128, 128)},
         {
@@ -331,36 +360,52 @@ class TestGreedyParity:
 
     @pytest.mark.parametrize("index", range(len(SEGMENTS)))
     @pytest.mark.parametrize("allow_memory_mode", [True, False])
-    def test_matches_scalar_reference(self, index, allow_memory_mode, small_chip):
-        profiles = self.SEGMENTS[index]
-        incremental = allocate_segment(
-            window_of(profiles, small_chip),
+    def test_the_greedy_engine_stops_where_its_rule_says(
+        self, index, allow_memory_mode, small_chip
+    ):
+        """Each operator at or above its floor, memory only in dual mode,
+        within the chip, at the stop rule, priced by Eq. 9 as it stands."""
+        profiles = list(self.SEGMENTS[index].values())
+        result = allocate_segment(
+            window_of(self.SEGMENTS[index], small_chip),
             allocator=GreedyAllocator(allow_memory_mode=allow_memory_mode),
             refine=False,
             cache=AllocationCache(),
         )
-        reference = reference_greedy_allocate(
-            profiles, small_chip, allow_memory_mode=allow_memory_mode
+        assert result.feasible and len(result.pairs) == len(profiles)
+        for profile, (compute, memory) in zip(profiles, result.pairs):
+            assert compute >= profile.compute_floor(small_chip)
+            assert allow_memory_mode or memory == 0
+        assert result.total_arrays <= small_chip.num_arrays
+        assert greedy_stop_violation(
+            profiles, result.pairs, small_chip, allow_memory_mode
+        ) is None
+        counts = np.arange(small_chip.num_arrays + 1)
+        compute_time, supply_time = operator_latency_factors_batch(
+            ProfileVectors(profiles, small_chip), counts, counts, small_chip
         )
-        assert incremental.pairs == reference.pairs
-        assert incremental.latency_cycles == reference.latency_cycles
-        assert incremental.feasible == reference.feasible
+        latencies = [
+            max(compute_time[k, c], supply_time[k, m]) for k, (c, m) in enumerate(result.pairs)
+        ]
+        assert result.latency_cycles == combine_operator_latencies(latencies, small_chip)
 
     @pytest.mark.parametrize("index", range(len(SEGMENTS)))
-    def test_refinement_matches_scalar_reference(self, index, small_chip):
-        profiles = self.SEGMENTS[index]
-        window = window_of(profiles, small_chip)
-        seed = allocate_segment(
-            window, allocator=GreedyAllocator(), refine=False, cache=AllocationCache()
+    def test_refinement_from_the_floors_stops_where_its_rule_says(self, index, small_chip):
+        profiles = list(self.SEGMENTS[index].values())
+        floors = [(profile.compute_floor(small_chip), 0) for profile in profiles]
+        refined = refine_with_spare_arrays(
+            floors, window_of(self.SEGMENTS[index], small_chip), "greedy"
         )
-        refined = refine_with_spare_arrays(seed.pairs, window, seed.solver)
-        reference = reference_refine_with_spare_arrays(seed, profiles, small_chip)
-        assert refined.pairs == reference.pairs
-        assert refined.latency_cycles == reference.latency_cycles
+        assert all(
+            grown >= seed for pair, start in zip(refined.pairs, floors)
+            for grown, seed in zip(pair, start)
+        )
+        assert refined.total_arrays <= small_chip.num_arrays
+        assert greedy_stop_violation(profiles, refined.pairs, small_chip, True) is None
 
 
 # ---------------------------------------------------------------------- #
-# whole-compile parity: re-priced plans AND reported solver statistics
+# whole compile: re-priced plans AND reported solver statistics
 # ---------------------------------------------------------------------- #
 class TestCompileParity:
     #: ``(allocator_solves, allocation_cache_hits, allocation_disk_hits)``
@@ -369,13 +414,15 @@ class TestCompileParity:
     SOLVER_WORK = {"tiny-mlp": (2, 11, 0), "tiny-cnn": (9, 0, 0)}
 
     @pytest.mark.parametrize("model", ["tiny-mlp", "tiny-cnn"])
-    def test_pipeline_matches_frozen_reference(self, model, small_chip, assert_repriced):
+    def test_pipeline_reprices_and_reports_its_solver_work(
+        self, model, small_chip, assert_repriced
+    ):
         graph = build_model(model, Workload(batch_size=1))
         options = CompilerOptions(generate_code=True)
         pipeline = CMSwitchCompiler(small_chip, options).compile(graph)
         assert_repriced(pipeline, graph, options)
-        # The vectorised kernels must not change the *reported* solver
-        # work either — same solve count, same cache counters.
+        # The reported solver work is pinned too: solve count and cache
+        # counters.
         stats = ("allocator_solves", "allocation_cache_hits", "allocation_disk_hits")
         assert tuple(pipeline.stats[stat] for stat in stats) == self.SOLVER_WORK[model]
 
