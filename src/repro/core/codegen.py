@@ -20,7 +20,7 @@ driver switch): ledger row ``sec5.5.paper-value`` (``deviates``) in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..hardware.chip import ChipStateError, CIMChip
 from ..hardware.deha import ArrayMode, DualModeHardwareAbstraction
@@ -70,23 +70,22 @@ def generate_program(
         block = ParallelBlock(segment_index=segment.index)
         switch_to_compute: List[int] = []
         switch_to_memory: List[int] = []
-        placements: Dict[str, Dict[str, List[int]]] = {}
+        # (compute, memory) array indices per operator, by position.
+        placements: List[Tuple[List[int], List[int]]] = []
 
-        for name in segment.operator_names:
-            allocation = segment.allocations[name]
-            profile = segment.profiles[name]
+        for name, (compute_arrays, memory_arrays) in zip(segment.operator_names, segment.pairs):
             try:
                 compute_indices, to_compute = chip.allocate_free(
-                    allocation.compute_arrays, name, ArrayMode.COMPUTE
+                    compute_arrays, name, ArrayMode.COMPUTE
                 )
                 memory_indices, to_memory = chip.allocate_free(
-                    allocation.memory_arrays, name, ArrayMode.MEMORY
+                    memory_arrays, name, ArrayMode.MEMORY
                 )
             except ChipStateError as error:
                 raise CodeGenerationError(f"segment {segment.index}: {error}") from error
             switch_to_compute.extend(to_compute)
             switch_to_memory.extend(to_memory)
-            placements[name] = {"compute": compute_indices, "memory": memory_indices}
+            placements.append((compute_indices, memory_indices))
 
         # Mode switches are issued before the segment body (step 2 of the
         # inter-segment procedure, Fig. 10).
@@ -96,43 +95,43 @@ def generate_program(
             block.append(SwitchOp(SwitchType.TO_MEMORY, tuple(sorted(switch_to_memory))))
 
         # Weight loads, data movement and compute, operator by operator.
-        for name in segment.operator_names:
-            profile = segment.profiles[name]
-            placement = placements[name]
-            if profile.has_static_weight and placement["compute"]:
+        for name, profile, (compute_indices, memory_indices) in zip(
+            segment.operator_names, segment.profiles, placements
+        ):
+            if profile.has_static_weight and compute_indices:
                 block.append(
                     WeightLoadOp(
                         operator=name,
-                        array_addresses=tuple(placement["compute"]),
+                        array_addresses=tuple(compute_indices),
                         elements=profile.weight_elements,
                     )
                 )
-            source = "cim-memory" if placement["memory"] else "main-memory"
+            source = "cim-memory" if memory_indices else "main-memory"
             block.append(
                 MemoryReadOp(
                     operator=name,
                     elements=profile.streamed_input_elements + profile.extra_streamed_elements,
                     source=source,
-                    array_addresses=tuple(placement["memory"]),
+                    array_addresses=tuple(memory_indices),
                 )
             )
             block.append(
                 ComputeOp(
                     operator=name,
-                    array_addresses=tuple(placement["compute"]),
+                    array_addresses=tuple(compute_indices),
                     macs=profile.macs,
                     m=profile.matmul_m,
                     k=profile.matmul_k,
                     n=profile.matmul_n,
                 )
             )
-            destination = "cim-memory" if placement["memory"] else "main-memory"
+            destination = "cim-memory" if memory_indices else "main-memory"
             block.append(
                 MemoryWriteOp(
                     operator=name,
                     elements=profile.output_elements,
                     destination=destination,
-                    array_addresses=tuple(placement["memory"]),
+                    array_addresses=tuple(memory_indices),
                 )
             )
         program.append(block)

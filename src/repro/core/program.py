@@ -21,15 +21,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
-from typing import Dict, List, Optional
+from itertools import chain, repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cost.arithmetic import OperatorProfile, profile_signature
 from ..cost.latency import OperatorAllocation
 from ..cost.switching import SegmentResources
 from ..hardware.deha import DualModeHardwareAbstraction
+from .lru import BoundedLRU
 
 __all__ = [
     "CompiledProgram",
@@ -40,17 +43,26 @@ __all__ = [
     "program_to_payload",
 ]
 
+_compute = itemgetter(0)
+_memory = itemgetter(1)
+
 
 @dataclass
 class SegmentPlan:
     """One network segment with its resource allocation and costs.
 
+    The per-operator columns are aligned by position: operator ``i`` is
+    ``operator_names[i]``, holds ``pairs[i]`` arrays and is priced by
+    ``profiles[i]``.
+
     Attributes:
         index: Position of the segment in execution order.
         operator_names: Names of the CIM-mappable operators in the segment
             (topological order).
-        allocations: Per-operator array allocation.
-        profiles: Per-operator cost profiles (kept for reporting).
+        pairs: ``(compute_arrays, memory_arrays)`` per operator, the shape
+            of :attr:`~repro.core.allocation.AllocationResult.pairs`.
+        profiles: Per-operator cost profiles; operators of one shape may
+            share one object.
         intra_cycles: ``T_intra`` — pipelined execution latency.
         inter_cycles: ``T_inter`` — transition cost from the previous
             segment (write-back + mode switch + weight reload).
@@ -63,13 +75,25 @@ class SegmentPlan:
 
     index: int
     operator_names: List[str]
-    allocations: Dict[str, OperatorAllocation]
-    profiles: Dict[str, OperatorProfile]
+    pairs: Sequence[Tuple[int, int]]
+    profiles: List[OperatorProfile]
     intra_cycles: float
     inter_cycles: float
     inter_breakdown: Dict[str, float] = field(default_factory=dict)
     resources: Optional[SegmentResources] = None
     boundary_memory_arrays: int = 0
+
+    @property
+    def allocations(self) -> Dict[str, OperatorAllocation]:
+        """``pairs`` by operator name, built on each read (a read-only view).
+
+        Nothing in the package reads it: it stays for the benchmark's
+        structure check and goes with ROADMAP item 6(a).
+        """
+        return {
+            name: OperatorAllocation(compute, memory)
+            for name, (compute, memory) in zip(self.operator_names, self.pairs)
+        }
 
     @property
     def total_cycles(self) -> float:
@@ -79,13 +103,12 @@ class SegmentPlan:
     @property
     def compute_arrays(self) -> int:
         """Total compute-mode arrays used by the segment."""
-        return sum(alloc.compute_arrays for alloc in self.allocations.values())
+        return sum(map(_compute, self.pairs))
 
     @property
     def memory_arrays(self) -> int:
         """Total memory-mode arrays used by the segment (incl. boundary buffers)."""
-        operator_memory = sum(alloc.memory_arrays for alloc in self.allocations.values())
-        return operator_memory + self.boundary_memory_arrays
+        return sum(map(_memory, self.pairs)) + self.boundary_memory_arrays
 
     @property
     def memory_array_ratio(self) -> float:
@@ -241,8 +264,8 @@ class CompiledProgram:
                     "index": segment.index,
                     "operators": list(segment.operator_names),
                     "allocations": {
-                        name: [alloc.compute_arrays, alloc.memory_arrays]
-                        for name, alloc in segment.allocations.items()
+                        name: [compute, memory]
+                        for name, (compute, memory) in zip(segment.operator_names, segment.pairs)
                     },
                     "intra": _float(segment.intra_cycles),
                     "inter": _float(segment.inter_cycles),
@@ -316,7 +339,7 @@ def _float_in(value, field_name: str) -> float:
     if isinstance(value, str):
         try:
             return float.fromhex(value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ProgramFormatError(
                 f"{field_name!r} is not a hex float: {value!r}"
             ) from exc
@@ -330,15 +353,6 @@ def _float_in(value, field_name: str) -> float:
         raise ProgramFormatError(f"{field_name!r} is out of range: {value!r}") from exc
 
 
-def _int_in(value, field_name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProgramFormatError(
-            f"{field_name!r} must be an integer, got {value!r}"
-        ) from exc
-
-
 #: Field names of the two flat, frozen records a program carries, in
 #: declaration order: a profile-table row and a segment's ``resources``
 #: list hold their values in this order.
@@ -347,76 +361,219 @@ _RESOURCES_FIELD_NAMES = tuple(f.name for f in fields(SegmentResources))
 _resources_row = attrgetter(*_RESOURCES_FIELD_NAMES)
 #: A profile row's element and MAC counts, read in one call.  The energy
 #: model multiplies them by floats, so they must be integers a float can
-#: hold: the sum of their magnitudes, one C-level pass, is an ``int``
-#: below ``2**63`` (a string, ``null``, array or object makes the sum
-#: raise, a float or NaN makes it a float; a ``bool`` adds as 0 or 1).
+#: hold: the sum of every count's magnitude across the table, one C-level
+#: pass, is an ``int`` below ``2**63`` (a string, ``null``, array or
+#: object makes the sum raise, a float or NaN makes it a float; a
+#: ``bool`` adds as 0 or 1).
 _PROFILE_COUNTS = itemgetter(
     *(i for i, f in enumerate(fields(OperatorProfile)) if f.type in (int, "int"))
 )
 _COUNT_LIMIT = 2**63
 #: A row's two other fields must be a string and a bool: re-encoding a
 #: decoded program hashes every row.
-_OP_TYPE = _PROFILE_FIELD_NAMES.index("op_type")
-_STATIC_WEIGHT = _PROFILE_FIELD_NAMES.index("has_static_weight")
+_op_type = itemgetter(_PROFILE_FIELD_NAMES.index("op_type"))
+_static_weight = itemgetter(_PROFILE_FIELD_NAMES.index("has_static_weight"))
+#: A segment's required fields, read in one call.
+_segment_fields = itemgetter(
+    "index", "operator_names", "allocations", "profiles", "intra_cycles", "inter_cycles"
+)
 
 #: The decoder builds each frozen record in one step: a bare instance
 #: whose ``__dict__`` it fills, the way ``copy`` and ``pickle`` rebuild a
-#: frozen dataclass.  Profiles and allocations are plain frozen
-#: dataclasses (no slots); the one check an ``__init__`` would run —
-#: non-negative allocation counts — is made explicitly.
+#: frozen dataclass.  Profiles and resources are plain frozen dataclasses
+#: (no slots) whose ``__init__`` checks nothing the decoder has not.
 _new = object.__new__
 
 #: A decoded JSON object is a ``dict``: the exact check runs first, and
-#: any other :class:`~collections.abc.Mapping` (an ABC check, a Python
-#: call per record) is still accepted after it.
+#: any other :class:`~collections.abc.Mapping` is still accepted after it.
 _OBJECT = (dict, Mapping)
-_ARRAY = (list, tuple)
+_ARRAYS = {list, tuple}
+
+#: Hardware decoded from a payload, under the payload's keys, values and
+#: value types: the programs of one chip share one (frozen) abstraction.
+_HARDWARE = BoundedLRU(8)
 
 
-def _profile_from_row(row) -> OperatorProfile:
-    if not isinstance(row, _ARRAY) or len(row) != len(_PROFILE_FIELD_NAMES):
+def _hardware_from_payload(payload: Mapping) -> DualModeHardwareAbstraction:
+    """The abstraction ``payload`` describes, built once per distinct payload.
+
+    The key holds each value's type, so ``1``, ``1.0`` and ``True`` are
+    different payloads.  A payload with an unhashable value, or a float
+    with its sign bit set (``-0.0`` equals ``0.0`` in a key), is built
+    (or refused) by ``from_dict`` every time and never kept.
+    """
+    data = dict(payload)
+    values = tuple(data.values())
+    key = (tuple(data), values, tuple(map(type, values)))
+    try:
+        hash(key)
+    except TypeError:
+        key = None
+    if key is not None and 0 in values:
+        if any(math.copysign(1.0, value) < 0 for value in values if type(value) is float):
+            key = None
+    hardware = None if key is None else _HARDWARE.get(key)
+    if hardware is None:
+        try:
+            hardware = DualModeHardwareAbstraction.from_dict(data)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ProgramFormatError(f"invalid hardware description: {exc}") from exc
+        if key is not None:
+            _HARDWARE.put(key, hardware)
+    return hardware
+
+
+def _objects(values: list, what: str) -> list:
+    """``values`` as dicts: a decoded JSON object is one already, another
+    :class:`~collections.abc.Mapping` is copied, anything else refused."""
+    if {*map(type, values)} <= {dict}:
+        return values
+    if not all(isinstance(value, Mapping) for value in values):
+        raise ProgramFormatError(f"{what} must be an object")
+    return list(map(dict, values))
+
+
+def _profile_table(rows: list) -> List[OperatorProfile]:
+    """One :class:`OperatorProfile` per table row, each field checked
+    once across the table."""
+    if not ({*map(type, rows)} <= _ARRAYS and {*map(len, rows)} <= {len(_PROFILE_FIELD_NAMES)}):
         raise ProgramFormatError("a profile row must be an array of every profile field")
     try:
-        total = sum(map(abs, _PROFILE_COUNTS(row)))
+        total = sum(map(abs, chain.from_iterable(map(_PROFILE_COUNTS, rows))))
     except TypeError:
         total = None
     if type(total) is not int or total >= _COUNT_LIMIT:
         raise ProgramFormatError("operator profile counts must be integers below 2**63")
-    if type(row[_OP_TYPE]) is not str or type(row[_STATIC_WEIGHT]) is not bool:
+    if not (
+        {*map(type, map(_op_type, rows))} <= {str}
+        and {*map(type, map(_static_weight, rows))} <= {bool}
+    ):
         raise ProgramFormatError("a profile's op_type must be a string, has_static_weight a bool")
-    profile = _new(OperatorProfile)
-    profile.__dict__.update(zip(_PROFILE_FIELD_NAMES, row))
-    return profile
+    table = list(map(_new, repeat(OperatorProfile, len(rows))))
+    for profile, row in zip(table, rows):
+        profile.__dict__.update(zip(_PROFILE_FIELD_NAMES, row))
+    return table
 
 
-def _allocation_from_payload(name: str, pair) -> OperatorAllocation:
+def _float_problem(intras, inters, breakdowns) -> str:
+    """What :func:`_segments_from_payload` says when a float does not parse."""
+    named = [
+        *(("intra_cycles", value) for value in intras),
+        *(("inter_cycles", value) for value in inters),
+        *(
+            (f"inter_breakdown[{key}]", value)
+            for breakdown in breakdowns
+            for key, value in breakdown.items()
+        ),
+    ]
+    for field_name, value in named:
+        try:
+            float.fromhex(value)
+        except (TypeError, ValueError, OverflowError):
+            return f"{field_name!r} is not a hex float: {value!r}"
+    return "'intra_cycles', 'inter_cycles' and 'inter_breakdown' must hold hex floats"
+
+
+def _segments_from_payload(segments: list, table: List[OperatorProfile]) -> List[SegmentPlan]:
+    """Every segment of a program.  Each field is checked once across the
+    whole program — flattened, in one C-level pass — so the loop at the
+    end only slices the flat columns and builds the plans."""
+    if not segments:
+        return []
+    segments = _objects(segments, "every entry of 'segments'")
     try:
-        compute, memory = pair
-        compute, memory = int(compute), int(memory)
-    except (TypeError, ValueError, OverflowError) as exc:
+        columns = list(map(_segment_fields, segments))
+    except KeyError as exc:
         raise ProgramFormatError(
-            f"allocation for {name!r} must be a [compute, memory] pair of integers"
-        ) from exc
-    if compute < 0 or memory < 0:
-        raise ProgramFormatError(f"allocation for {name!r} has a negative array count")
-    allocation = _new(OperatorAllocation)
-    allocation.__dict__.update(compute_arrays=compute, memory_arrays=memory)
-    return allocation
+            f"segment is missing required field {exc.args[0]!r}"
+        ) from None
+    indices, name_lists, pair_lists, row_lists, intras, inters = zip(*columns)
+    breakdowns = _objects(
+        [segment.get("inter_breakdown", {}) for segment in segments], "'inter_breakdown'"
+    )
+    resources = [segment.get("resources") for segment in segments]
+    boundaries = [segment.get("boundary_memory_arrays", 0) for segment in segments]
+    if not {*map(type, indices)} <= {int}:
+        raise ProgramFormatError("a segment's 'index' must be an integer")
+    if not {*map(type, boundaries)} <= {int}:
+        raise ProgramFormatError("'boundary_memory_arrays' must be an integer")
+    if not {*map(type, name_lists), *map(type, pair_lists), *map(type, row_lists)} <= _ARRAYS:
+        raise ProgramFormatError("'operator_names', 'allocations' and 'profiles' must be arrays")
+    sizes = list(map(len, name_lists))
+    if sizes != list(map(len, pair_lists)) or sizes != list(map(len, row_lists)):
+        raise ProgramFormatError("every operator needs one allocation and one profile row")
+
+    names = list(chain.from_iterable(name_lists))
+    if not {*map(type, names)} <= {str}:
+        raise ProgramFormatError("'operator_names' must hold strings")
+    if len({*names}) != len(names):
+        repeated = Counter(names).most_common(1)[0][0]
+        raise ProgramFormatError(f"operator {repeated!r} is named twice in 'operator_names'")
+    rows = list(chain.from_iterable(row_lists))
+    if rows and not ({*map(type, rows)} <= {int} and 0 <= min(rows) and max(rows) < len(table)):
+        raise ProgramFormatError(f"a 'profiles' index is not a row of the {len(table)}-row table")
+    pairs = list(chain.from_iterable(pair_lists))
+    if not ({*map(type, pairs)} <= _ARRAYS and {*map(len, pairs)} <= {2}):
+        raise ProgramFormatError("'allocations' must hold one [compute, memory] pair per operator")
+    counts = list(chain.from_iterable(pairs))
+    if counts and not ({*map(type, counts)} <= {int} and min(counts) >= 0):
+        raise ProgramFormatError("'allocations' array counts must be non-negative integers")
+    present = [row for row in resources if row is not None]
+    if not (
+        {*map(type, present)} <= _ARRAYS
+        and {*map(len, present)} <= {len(_RESOURCES_FIELD_NAMES)}
+        and {*map(type, chain.from_iterable(present))} <= {int}
+    ):
+        raise ProgramFormatError("'resources' must be null or an integer for every field")
+    try:
+        floats = list(
+            map(float.fromhex, chain(intras, inters, *map(dict.values, breakdowns)))
+        )
+    except (TypeError, ValueError, OverflowError):
+        raise ProgramFormatError(_float_problem(intras, inters, breakdowns)) from None
+
+    pairs = tuple(map(tuple, pairs))
+    profiles = list(map(table.__getitem__, rows))
+    count = len(segments)
+    # Each breakdown's keys, zipped with the floats that follow: zip stops
+    # at the last key without taking a float from the shared iterator.
+    breakdowns = list(map(dict, map(zip, breakdowns, repeat(iter(floats[2 * count :])))))
+    plans = []
+    start = 0
+    for index, size, intra, inter, breakdown, row, boundary in zip(
+        indices, sizes, floats, floats[count:], breakdowns, resources, boundaries
+    ):
+        stop = start + size
+        segment_resources = None
+        if row is not None:
+            segment_resources = _new(SegmentResources)
+            segment_resources.__dict__.update(zip(_RESOURCES_FIELD_NAMES, row))
+        plans.append(
+            SegmentPlan(
+                index,
+                names[start:stop],
+                pairs[start:stop],
+                profiles[start:stop],
+                intra,
+                inter,
+                breakdown,
+                segment_resources,
+                boundary,
+            )
+        )
+        start = stop
+    return plans
 
 
 def _segment_to_payload(segment: SegmentPlan, rows: Dict[tuple, int]) -> Dict:
-    # Per operator, in name order; a profile is its row in ``rows`` (signature -> row).
-    names = segment.operator_names
+    # A profile is its row in ``rows`` (signature -> row).
     return {
         "index": segment.index,
-        "operator_names": list(names),
-        "allocations": [
-            [alloc.compute_arrays, alloc.memory_arrays]
-            for alloc in map(segment.allocations.__getitem__, names)
-        ],
+        "operator_names": list(segment.operator_names),
+        "allocations": list(map(list, segment.pairs)),
         "profiles": [
-            rows.setdefault(profile_signature(profile), len(rows))
-            for profile in map(segment.profiles.__getitem__, names)
+            rows.setdefault(signature, len(rows))
+            for signature in map(profile_signature, segment.profiles)
         ],
         "intra_cycles": _float_out(segment.intra_cycles),
         "inter_cycles": _float_out(segment.inter_cycles),
@@ -428,57 +585,6 @@ def _segment_to_payload(segment: SegmentPlan, rows: Dict[tuple, int]) -> Dict:
         ),
         "boundary_memory_arrays": segment.boundary_memory_arrays,
     }
-
-
-def _segment_from_payload(payload: Mapping, table: List[OperatorProfile]) -> SegmentPlan:
-    if not isinstance(payload, _OBJECT):
-        raise ProgramFormatError("segment must be an object")
-    try:
-        allocations = payload["allocations"]
-        index = payload["index"]
-        operator_names = payload["operator_names"]
-        rows = payload["profiles"]
-        intra_cycles = payload["intra_cycles"]
-        inter_cycles = payload["inter_cycles"]
-    except KeyError as exc:
-        raise ProgramFormatError(
-            f"segment is missing required field {exc.args[0]!r}"
-        ) from None
-    inter_breakdown = payload.get("inter_breakdown", {})
-    resources = payload.get("resources")
-    if not isinstance(inter_breakdown, _OBJECT):
-        raise ProgramFormatError("'inter_breakdown' must be an object")
-    if not (isinstance(operator_names, _ARRAY) and isinstance(allocations, _ARRAY)):
-        raise ProgramFormatError("'operator_names' and 'allocations' must be arrays")
-    if not isinstance(rows, _ARRAY) or not len(operator_names) == len(allocations) == len(rows):
-        raise ProgramFormatError("every operator needs one allocation and one profile row")
-    if not {*map(type, operator_names)} <= {str}:
-        raise ProgramFormatError("operator names must be strings")
-    if rows and not ({*map(type, rows)} <= {int} and 0 <= min(rows) <= max(rows) < len(table)):
-        raise ProgramFormatError(f"a profile index is not a row of the {len(table)}-row table")
-    if resources is not None:
-        if not isinstance(resources, _ARRAY) or len(resources) != len(_RESOURCES_FIELD_NAMES):
-            raise ProgramFormatError("'resources' must be null or an array of every field")
-        resources = SegmentResources(*resources)
-    # readers look every operator up in both tables, so build them by name
-    return SegmentPlan(
-        index=_int_in(index, "index"),
-        operator_names=list(operator_names),
-        allocations=dict(
-            zip(operator_names, map(_allocation_from_payload, operator_names, allocations))
-        ),
-        profiles=dict(zip(operator_names, map(table.__getitem__, rows))),
-        intra_cycles=_float_in(intra_cycles, "intra_cycles"),
-        inter_cycles=_float_in(inter_cycles, "inter_cycles"),
-        inter_breakdown={
-            key: _float_in(value, f"inter_breakdown[{key}]")
-            for key, value in inter_breakdown.items()
-        },
-        resources=resources,
-        boundary_memory_arrays=_int_in(
-            payload.get("boundary_memory_arrays", 0), "boundary_memory_arrays"
-        ),
-    )
 
 
 def program_to_payload(program: CompiledProgram) -> Dict:
@@ -512,7 +618,8 @@ def program_to_payload(program: CompiledProgram) -> Dict:
 
 def program_from_payload(payload: Mapping) -> CompiledProgram:
     """Rebuild a :class:`CompiledProgram` from :func:`program_to_payload`;
-    operators of one table row share one :class:`OperatorProfile`.
+    operators of one table row share one :class:`OperatorProfile`, and
+    programs of one hardware payload one hardware abstraction.
 
     Raises:
         ProgramFormatError: Malformed or incomplete payload — the only
@@ -532,10 +639,7 @@ def program_from_payload(payload: Mapping) -> CompiledProgram:
         ) from None
     if not isinstance(hardware_payload, _OBJECT):
         raise ProgramFormatError("'hardware' must be an object")
-    try:
-        hardware = DualModeHardwareAbstraction.from_dict(dict(hardware_payload))
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ProgramFormatError(f"invalid hardware description: {exc}") from exc
+    hardware = _hardware_from_payload(hardware_payload)
     if not isinstance(profile_rows, list) or not isinstance(segments_payload, list):
         raise ProgramFormatError("'profiles' and 'segments' must be arrays")
     meta_text = payload.get("meta_program")
@@ -547,12 +651,12 @@ def program_from_payload(payload: Mapping) -> CompiledProgram:
         raise ProgramFormatError("'metadata' must be an object")
     if not isinstance(stats, _OBJECT):
         raise ProgramFormatError("'stats' must be an object")
-    table = [_profile_from_row(row) for row in profile_rows]
+    table = _profile_table(profile_rows)
     return CompiledProgram(
         graph_name=str(graph_name),
         compiler_name=str(compiler_name),
         hardware=hardware,
-        segments=[_segment_from_payload(segment, table) for segment in segments_payload],
+        segments=_segments_from_payload(segments_payload, table),
         block_repeat=_float_in(payload.get("block_repeat", 1.0), "block_repeat"),
         compile_seconds=_float_in(payload.get("compile_seconds", 0.0), "compile_seconds"),
         metadata=dict(metadata),

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..cost import arithmetic
 from ..cost.arithmetic import OperatorProfile, profile_operator
-from ..cost.latency import INFEASIBLE_LATENCY, OperatorAllocation
+from ..cost.latency import INFEASIBLE_LATENCY
 from ..cost.switching import (
     INITIAL_RESOURCES,
     SegmentResources,
@@ -631,11 +631,8 @@ class NetworkSegmenter:
                 SegmentPlan(
                     index=seg_index,
                     operator_names=names,
-                    allocations={
-                        name: OperatorAllocation(compute, memory)
-                        for name, (compute, memory) in zip(names, allocation.pairs)
-                    },
-                    profiles={unit.name: unit.profile for unit in window},
+                    pairs=allocation.pairs,
+                    profiles=[unit.profile for unit in window],
                     intra_cycles=allocation.latency_cycles,
                     inter_cycles=writeback + switch + reload,
                     inter_breakdown={

@@ -138,13 +138,11 @@ def estimate_energy(program) -> EnergyReport:
     report = EnergyReport(graph_name=program.graph_name, block_repeat=program.block_repeat)
 
     for segment in program.segments:
-        for name in segment.operator_names:
-            profile = segment.profiles[name]
-            allocation = segment.allocations[name]
+        for profile, (_, memory_arrays) in zip(segment.profiles, segment.pairs):
             report.compute_pj += profile.macs * parameters.mac_pj
 
             streamed = profile.streamed_elements
-            array_capacity = allocation.memory_arrays * hardware.array_capacity_elements
+            array_capacity = memory_arrays * hardware.array_capacity_elements
             in_arrays = min(streamed, array_capacity)
             remaining = streamed - in_arrays
             in_buffer = min(remaining, hardware.buffer_elements)

@@ -206,7 +206,7 @@ class Refine(Pass):
         extra = 0
         for segment in ctx.segments:
             minimum = sum(
-                profile.compute_floor(ctx.hardware) for profile in segment.profiles.values()
+                profile.compute_floor(ctx.hardware) for profile in segment.profiles
             )
             extra += max(0, segment.compute_arrays - minimum)
         ctx.extras["refine_extra_compute_arrays"] = extra

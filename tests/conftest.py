@@ -93,7 +93,7 @@ def assert_repriced():
     """
 
     def check(program, graph, options):
-        plan = [(segment.operator_names, segment.allocations) for segment in program.segments]
+        plan = [(segment.operator_names, segment.pairs) for segment in program.segments]
         units = flatten_graph(graph, program.hardware)
         repriced = reprice_segments(units, program.hardware, options, plan)
         for position, (ours, theirs) in enumerate(zip(program.segments, repriced)):

@@ -25,14 +25,13 @@ flattening has properties of its own.  ``options`` is anything with the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cost.arithmetic import OperatorProfile, ProfileVectors
 from repro.cost.latency import (
     INFEASIBLE_LATENCY,
-    OperatorAllocation,
     combine_operator_latencies,
     guard_infeasible_batch,
     operator_latency_factors_batch,
@@ -130,16 +129,17 @@ class PricedSegment(NamedTuple):
     inter_cycles: float
     resources: SegmentResources
     boundary_memory_arrays: int
-    profiles: Dict[str, OperatorProfile]
+    profiles: List[OperatorProfile]
 
 
 def reprice_segments(
     units: Sequence,
     hardware: DualModeHardwareAbstraction,
     options,
-    segments: Sequence[Tuple[Sequence[str], Mapping[str, OperatorAllocation]]],
+    segments: Sequence[Tuple[Sequence[str], Sequence[Tuple[int, int]]]],
 ) -> List[PricedSegment]:
-    """Price ``(operator_names, allocations)`` segments over ``units``.
+    """Price ``(operator_names, pairs)`` segments over ``units``: one
+    ``(compute, memory)`` pair per operator, by position.
 
     Each segment gets its Eq. 9 intra cycles (``options.pipelined``), its
     Eq. 4 breakdown (the Eq. 1 switch term is 0.0 when
@@ -149,8 +149,8 @@ def reprice_segments(
 
     Raises:
         ValueError: Naming the segment, if the plan does not cover the
-            units exactly once, in order, or a segment's allocations do
-            not name exactly its operators or overflow the chip.
+            units exactly once, in order, or a segment's pairs are not
+            one per operator or overflow the chip.
     """
     vectors = ProfileVectors([unit.profile for unit in units], hardware)
     compute_time, supply_time = (rows.tolist() for rows in latency_rows(vectors, hardware))
@@ -159,24 +159,20 @@ def reprice_segments(
     priced: List[PricedSegment] = []
     previous: Optional[SegmentResources] = None
     start = 0
-    for index, (names, allocations) in enumerate(segments):
+    for index, (names, pairs) in enumerate(segments):
         members = units[start : start + len(names)]
         expected = [unit.name for unit in members]
-        if not names or list(names) != expected or sorted(allocations) != sorted(expected):
+        if not names or list(names) != expected or len(pairs) != len(expected):
             raise ValueError(
-                f"segment {index}: operators {list(names)} with allocations for "
-                f"{sorted(allocations)} are not the next flattened units {expected}"
+                f"segment {index}: operators {list(names)} with {len(pairs)} pairs "
+                f"are not the next flattened units {expected}"
             )
-        used = sum(allocation.total_arrays for allocation in allocations.values())
+        used = sum(compute + memory for compute, memory in pairs)
         if used > hardware.num_arrays:
             raise ValueError(
                 f"segment {index}: allocations occupy {used} of {hardware.num_arrays} arrays"
             )
         stop = start + len(names)
-        pairs = [
-            (allocations[name].compute_arrays, allocations[name].memory_arrays)
-            for name in expected
-        ]
         live = liveness[stop - 1] if stop < len(units) else 0
         resources, reload = _resources(vectors, hardware, start, stop, pairs, live)
         breakdown = _breakdown(previous, resources, reload, hardware, options)
@@ -195,7 +191,7 @@ def reprice_segments(
                 inter_cycles=sum(breakdown.values()),
                 resources=resources,
                 boundary_memory_arrays=boundary_memory,
-                profiles={unit.name: unit.profile for unit in members},
+                profiles=[unit.profile for unit in members],
             )
         )
         previous = resources

@@ -11,7 +11,6 @@ programs are also bit-identical to the cold one
 """
 
 import copy
-from dataclasses import replace
 
 import pytest
 
@@ -260,7 +259,8 @@ class TestRepricerCatchesCorruptPlans:
 
     def test_a_dropped_operator(self, corrupt, tiny_cnn_graph, assert_repriced):
         first = corrupt.segments[0]
-        del first.allocations[first.operator_names.pop(0)]
+        first.operator_names.pop(0)
+        first.pairs = first.pairs[1:]
         with pytest.raises(ValueError, match=r"segment 0: operators"):
             assert_repriced(corrupt, tiny_cnn_graph, _options())
 
@@ -273,12 +273,9 @@ class TestRepricerCatchesCorruptPlans:
         self, corrupt, small_chip, tiny_cnn_graph, assert_repriced
     ):
         segment = corrupt.segments[0]
-        name = segment.operator_names[0]
         spare = small_chip.num_arrays - segment.compute_arrays - segment.memory_arrays
-        allocation = segment.allocations[name]
-        segment.allocations[name] = replace(
-            allocation, compute_arrays=allocation.compute_arrays + spare + 1
-        )
+        (compute, memory), *rest = segment.pairs
+        segment.pairs = ((compute + spare + 1, memory), *rest)
         with pytest.raises(ValueError, match=r"segment 0: allocations occupy 9 of 8 arrays"):
             assert_repriced(corrupt, tiny_cnn_graph, _options())
 

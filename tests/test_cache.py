@@ -163,8 +163,8 @@ class TestAllocationCache:
         fresh = CMSwitchCompiler(small_chip, options).compile(tiny_cnn_graph)  # its own table
         for other in (warm, fresh):
             assert other.end_to_end_cycles == cold.end_to_end_cycles
-            assert [s.allocations for s in other.segments] == [
-                s.allocations for s in cold.segments
+            assert [(s.operator_names, s.pairs) for s in other.segments] == [
+                (s.operator_names, s.pairs) for s in cold.segments
             ]
         assert warm.stats["allocator_solves"] == 0
         assert warm.stats["allocation_cache_hit_rate"] == 1.0
@@ -282,8 +282,8 @@ def _plan(intra, inter=0.0, compute=1, memory=0):
     return SegmentPlan(
         index=0,
         operator_names=["op"],
-        allocations={"op": OperatorAllocation(compute, memory)},
-        profiles={},
+        pairs=[(compute, memory)],
+        profiles=[],
         intra_cycles=intra,
         inter_cycles=inter,
     )

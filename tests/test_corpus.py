@@ -72,14 +72,15 @@ def test_every_cmswitch_allocation_holds_its_weight_tiles(corpus):
         programs += 1
         program, _, hardware, _ = corpus[case]
         for segment in program.segments:
-            for name, allocation in segment.allocations.items():
-                profile = segment.profiles[name]
+            for name, profile, (compute, _) in zip(
+                segment.operator_names, segment.profiles, segment.pairs
+            ):
                 tiles = math.prod(tile_counts(
                     MatmulDims(1, profile.matmul_k, profile.matmul_n),
                     hardware.array_rows, hardware.array_cols,
                 ))
-                if allocation.compute_arrays < tiles:
-                    short.setdefault(case.id, []).append((name, allocation.compute_arrays, tiles))
+                if compute < tiles:
+                    short.setdefault(case.id, []).append((name, compute, tiles))
     allocations = sum(len(names) for names in short.values())
     assert not short, (
         f"{len(short)} of {programs} programs put {allocations} operators on fewer "
@@ -122,9 +123,11 @@ def test_a_baseline_allocates_in_compute_mode_at_or_above_the_floors(case, corpu
     program, _, hardware, _ = corpus[case]
     for segment in program.segments:
         assert segment.boundary_memory_arrays == 0 == segment.resources.memory_arrays
-        for name, allocation in segment.allocations.items():
-            assert allocation.memory_arrays == 0, (segment.index, name)
-            assert allocation.compute_arrays >= segment.profiles[name].compute_floor(hardware)
+        for name, profile, (compute, memory) in zip(
+            segment.operator_names, segment.profiles, segment.pairs
+        ):
+            assert memory == 0, (segment.index, name)
+            assert compute >= profile.compute_floor(hardware)
 
 
 @pytest.mark.corpus(lambda case: case.compiler in ("puma", "occ"))
@@ -134,15 +137,7 @@ def test_a_baseline_window_stops_at_the_greedy_rule(case, corpus):
     program, _, hardware, _ = corpus[case]
     violations = {}
     for segment in program.segments:
-        names = segment.operator_names
-        violation = greedy_stop_violation(
-            [segment.profiles[name] for name in names],
-            [
-                (segment.allocations[name].compute_arrays, segment.allocations[name].memory_arrays)
-                for name in names
-            ],
-            hardware,
-        )
+        violation = greedy_stop_violation(segment.profiles, segment.pairs, hardware)
         if violation is not None:
             violations[segment.index] = violation
     assert not violations, violations
@@ -172,15 +167,13 @@ def test_encoding_is_the_asdict_rendering_and_round_trips(case, corpus):
     rows = {}
     segments = []
     for encoded, segment in zip(payload["segments"], program.segments):
-        names = segment.operator_names
-        allocations = [asdict(segment.allocations[name]) for name in names]
         segments.append(
             dict(
                 encoded,
-                allocations=[[a["compute_arrays"], a["memory_arrays"]] for a in allocations],
+                allocations=[[compute, memory] for compute, memory in segment.pairs],
                 profiles=[
-                    rows.setdefault(tuple(asdict(segment.profiles[name]).values()), len(rows))
-                    for name in names
+                    rows.setdefault(tuple(asdict(profile).values()), len(rows))
+                    for profile in segment.profiles
                 ],
                 resources=(
                     None if segment.resources is None else list(asdict(segment.resources).values())
@@ -202,11 +195,11 @@ def test_a_payload_stores_each_profile_once(case, corpus):
     signatures = {
         profile_signature(profile)
         for segment in program.segments
-        for profile in segment.profiles.values()
+        for profile in segment.profiles
     }
     assert len(payload["profiles"]) == len(signatures)
     decoded = program_from_payload(json.loads(json.dumps(payload)))
-    objects = {id(p) for segment in decoded.segments for p in segment.profiles.values()}
+    objects = {id(p) for segment in decoded.segments for p in segment.profiles}
     assert len(objects) == len(payload["profiles"])
     assert decoded.fingerprint() == program.fingerprint()
 

@@ -427,7 +427,7 @@ class TestInterSegmentCosts:
         from repro.core.segmentation import flatten_graph
 
         program = CMSwitchCompiler(hardware, CompilerOptions(generate_code=False)).compile(graph)
-        segments = [(plan.operator_names, plan.allocations) for plan in program.segments]
+        segments = [(plan.operator_names, plan.pairs) for plan in program.segments]
         units = flatten_graph(graph, hardware)
         return program.segments, reprice_segments(
             units, hardware, CompilerOptions(**options), segments
@@ -439,13 +439,9 @@ class TestInterSegmentCosts:
         assert len(priced) > 1
         previous = None
         for plan, terms in zip(plans, priced):
-            pairs = [
-                (plan.allocations[name].compute_arrays, plan.allocations[name].memory_arrays)
-                for name in plan.operator_names
-            ]
             *_, reload = window_totals(
-                ProfileVectors(terms.profiles.values(), small_chip),
-                0, len(pairs), pairs, small_chip,
+                ProfileVectors(terms.profiles, small_chip),
+                0, len(plan.pairs), plan.pairs, small_chip,
             )
             assert terms.inter_breakdown == {
                 "writeback": writeback_cycles(previous, terms.resources, small_chip),

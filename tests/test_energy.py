@@ -72,7 +72,7 @@ class TestEstimateEnergy:
         macs = sum(
             profile.macs
             for segment in transformer_programs["cmswitch"].segments
-            for profile in segment.profiles.values()
+            for profile in segment.profiles
         )
         assert report.compute_pj == pytest.approx(macs * params.mac_pj)
 

@@ -18,7 +18,7 @@ from repro.core import (
 from repro.core.codegen import CodeGenerationError
 from repro.core.metaop import _format_addresses
 from repro.core.program import SegmentPlan
-from repro.cost import OperatorAllocation, profile_operator
+from repro.cost import profile_operator
 from repro.hardware import ArrayMode, CIMChip
 from repro.ir import Linear, TensorSpec
 
@@ -96,8 +96,8 @@ def _simple_segment(hardware):
     return SegmentPlan(
         index=0,
         operator_names=["fc"],
-        allocations={"fc": OperatorAllocation(1, 1)},
-        profiles={"fc": profile},
+        pairs=[(1, 1)],
+        profiles=[profile],
         intra_cycles=10.0,
         inter_cycles=0.0,
     )
@@ -150,7 +150,7 @@ class TestCodeGeneration:
 
     def test_oversized_plan_raises(self, small_chip):
         segment = _simple_segment(small_chip)
-        segment.allocations["fc"] = OperatorAllocation(small_chip.num_arrays, 1)
+        segment.pairs = [(small_chip.num_arrays, 1)]
         with pytest.raises(CodeGenerationError):
             generate_program("g", [segment], small_chip)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.program import CompiledProgram, SegmentPlan
-from repro.cost import OperatorAllocation, profile_operator
+from repro.cost import profile_operator
 from repro.experiments.sensitivity import render_report, run_sensitivity
 from repro.hardware import small_test_chip
 from repro.ir import Linear, TensorSpec
@@ -20,8 +20,8 @@ def make_segment(index, compute, memory, intra, inter, boundary=0):
     return SegmentPlan(
         index=index,
         operator_names=[op.name],
-        allocations={op.name: OperatorAllocation(compute, memory)},
-        profiles={op.name: profile},
+        pairs=[(compute, memory)],
+        profiles=[profile],
         intra_cycles=intra,
         inter_cycles=inter,
         inter_breakdown={"writeback": 0.0, "mode_switch": inter, "weight_reload": 0.0},

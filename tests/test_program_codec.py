@@ -9,7 +9,10 @@ positional segments); every malformed program is a
 ``WireFormatError`` on the wire — and so is any one-field mutation of a
 program that would crash its readers (fuzzed through the decoder and
 through a real store entry); a one-field mutation of a compile request
-is a ``WireFormatError`` or a job that compiles; and the one-pass
+is a ``WireFormatError`` or a job that compiles; each field check the
+decoder makes once across a program names its field, decode makes fewer
+Python calls than the program has operators, and it builds the hardware
+once per distinct hardware payload; and the one-pass
 ``_json_safe`` projects stats and metadata exactly as the two-walk
 version did.
 """
@@ -19,6 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import sys
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import fields
 from pathlib import Path
@@ -282,6 +288,160 @@ def test_mangled_store_entry_is_a_corrupt_miss_and_a_normal_compile(
     assert program.fingerprint() == cold.fingerprint()
     assert fresh.store.stats.corrupt_entries == 1
     assert fresh.store.stats.misses == 1 and fresh.store.stats.hits == 0
+
+
+# ---------------------------------------------------------------------- #
+# the checks the decoder makes once across a whole program
+# ---------------------------------------------------------------------- #
+def _second_segment(program, **fields):
+    first, second, *rest = program["segments"]
+    return {**program, "segments": [first, {**second, **fields}, *rest]}
+
+
+#: One mangle per field check, and the field its message must name.
+FIELD_CHECKS = {
+    "bool-array-count": (
+        lambda program: _first_operator(program, "allocations", [True, 0]), "'allocations'"
+    ),
+    "digit-string-array-count": (
+        lambda program: _first_operator(program, "allocations", ["1", 0]), "'allocations'"
+    ),
+    "float-array-count": (
+        lambda program: _first_operator(program, "allocations", [1.0, 0]), "'allocations'"
+    ),
+    "three-element-pair": (
+        lambda program: _first_operator(program, "allocations", [1, 0, 0]), "'allocations'"
+    ),
+    "pair-not-an-array": (
+        lambda program: _first_operator(program, "allocations", 1), "'allocations'"
+    ),
+    "negative-array-count": (
+        lambda program: _first_operator(program, "allocations", [1, -1]), "'allocations'"
+    ),
+    "profile-index-out-of-range": (
+        lambda program: _first_operator(program, "profiles", len(program["profiles"])),
+        "'profiles'",
+    ),
+    "bool-profile-index": (
+        lambda program: _first_operator(program, "profiles", False), "'profiles'"
+    ),
+    "number-in-inter-breakdown": (
+        lambda program: _first_segment(
+            program, inter_breakdown={**program["segments"][0]["inter_breakdown"], "writeback": 1.0}
+        ),
+        "inter_breakdown",
+    ),
+    "text-in-inter-breakdown": (
+        lambda program: _first_segment(program, inter_breakdown={"writeback": "half"}),
+        "inter_breakdown",
+    ),
+    "overflowing-hex-float": (
+        lambda program: _first_segment(program, intra_cycles="0x1p99999"), "'intra_cycles'"
+    ),
+    "short-resources": (
+        lambda program: _first_segment(
+            program, resources=program["segments"][0]["resources"][:-1]
+        ),
+        "'resources'",
+    ),
+    "float-resources": (
+        lambda program: _first_segment(
+            program, resources=[float(v) for v in program["segments"][0]["resources"]]
+        ),
+        "'resources'",
+    ),
+    "segment-not-an-object": (
+        lambda program: {**program, "segments": [[], *program["segments"][1:]]}, "'segments'"
+    ),
+    "operator-named-twice": (
+        lambda program: _second_segment(
+            program,
+            operator_names=[
+                program["segments"][0]["operator_names"][0],
+                *program["segments"][1]["operator_names"][1:],
+            ],
+        ),
+        "named twice",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "mangle, field", FIELD_CHECKS.values(), ids=FIELD_CHECKS.keys()
+)
+def test_a_field_check_names_its_field(compiled_tiny_cnn, mangle, field):
+    payload = json.loads(json.dumps(program_to_payload(compiled_tiny_cnn)))
+    assert len(payload["segments"]) > 1
+    with pytest.raises(ProgramFormatError, match=re.escape(field)):
+        program_from_payload(mangle(payload))
+
+
+def test_decoding_makes_no_python_call_per_operator(corpus):
+    """Decode checks each field once across the program and builds each
+    profile and pair without a Python-level call, so the calls one decode
+    makes (``sys.setprofile`` ``call`` events: functions, comprehensions,
+    generator resumes) are fewer than the program's operators."""
+    program = corpus.find("mobilenet", "prime").program
+    sizes = [len(segment.operator_names) for segment in program.segments]
+    assert min(sizes) >= 3
+    payload = json.loads(json.dumps(program_to_payload(program)))
+    program_from_payload(payload)  # the hardware is built on the first decode only
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        decoded = program_from_payload(payload)
+    finally:
+        sys.setprofile(None)
+    assert decoded.fingerprint() == program.fingerprint()
+    assert len(calls) < sum(sizes), Counter(calls)
+
+
+class TestHardwareOncePerPayload:
+    """Decode builds the hardware once per distinct hardware payload."""
+
+    def test_programs_of_one_payload_share_one_object(self, compiled_tiny_cnn):
+        payload = program_to_payload(compiled_tiny_cnn)
+        first, second = (program_from_payload(json.loads(json.dumps(payload))) for _ in "ab")
+        assert first.hardware is second.hardware
+        assert first.hardware == compiled_tiny_cnn.hardware
+
+    def test_a_re_encoded_program_is_byte_identical(self, compiled_tiny_cnn):
+        text = json.dumps(program_to_payload(compiled_tiny_cnn))
+        for _ in range(2):  # built, then served from the table
+            decoded = program_from_payload(json.loads(text))
+            assert json.dumps(program_to_payload(decoded)) == text
+
+    def test_a_bool_count_is_refused_after_the_payload_was_kept(self, compiled_tiny_cnn):
+        payload = program_to_payload(compiled_tiny_cnn)
+        program_from_payload(payload)
+        with pytest.raises(ProgramFormatError, match="hardware"):
+            program_from_payload(_hardware(payload, num_arrays=True))
+
+    def test_an_unhashable_value_is_refused(self, compiled_tiny_cnn):
+        payload = program_to_payload(compiled_tiny_cnn)
+        program_from_payload(payload)
+        with pytest.raises(ProgramFormatError, match="hardware"):
+            program_from_payload(_hardware(payload, num_arrays=[8]))
+
+    @pytest.mark.parametrize(
+        "field, kept, other",
+        [("num_arrays", 8, 8.0), ("weight_update_overlap", 0.0, -0.0)],
+    )
+    def test_equal_values_of_another_type_or_sign_are_another_payload(
+        self, compiled_tiny_cnn, field, kept, other
+    ):
+        payload = program_to_payload(compiled_tiny_cnn)
+        program_from_payload(_hardware(payload, **{field: kept}))
+        mangled = _hardware(payload, **{field: other})
+        decoded = program_from_payload(mangled)
+        assert json.dumps(program_to_payload(decoded)["hardware"]) == json.dumps(
+            mangled["hardware"]
+        )
 
 
 # ---------------------------------------------------------------------- #

@@ -173,7 +173,7 @@ class TestSegmentationDP:
     def test_every_segment_fits_chip(self, small_chip, tiny_transformer_graph):
         _, _, segments = self.segment(tiny_transformer_graph, small_chip)
         for segment in segments:
-            used = sum(a.total_arrays for a in segment.allocations.values())
+            used = sum(compute + memory for compute, memory in segment.pairs)
             assert used <= small_chip.num_arrays
 
     def test_window_limits_segment_size(self, small_chip, tiny_cnn_graph):
@@ -407,8 +407,9 @@ class TestUnitColumnsTripwires:
 
     def test_window_results_stay_positional_until_the_plan(self, mobilenet, monkeypatch):
         """The DP solves, refines, stores and prices every window on
-        ``(compute, memory)`` pairs: it builds no ``OperatorAllocation``;
-        ``build_plans`` builds exactly one per plan operator."""
+        ``(compute, memory)`` pairs: it builds no ``OperatorAllocation``,
+        and neither does ``build_plans``, which stores each window's pairs
+        as the window table returned them."""
         from repro.cost.latency import OperatorAllocation
 
         built = []
@@ -426,7 +427,9 @@ class TestUnitColumnsTripwires:
         assert segmenter.allocation_calls > 100
         assert built == []
         plans = segmenter.build_plans(units, boundaries)
-        assert len(built) == len(units) == sum(len(p.operator_names) for p in plans)
+        assert built == []
+        assert len(units) == sum(len(p.pairs) for p in plans)
+        assert all(len(p.pairs) == len(p.operator_names) for p in plans)
 
     def test_a_cold_pass_builds_one_result_per_stored_state_and_hit(
         self, mobilenet, monkeypatch, asked_windows

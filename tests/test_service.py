@@ -62,8 +62,8 @@ class TestCompileService:
                 small_chip, CompilerOptions(generate_code=False)
             ).compile(graph)
             assert result.program.end_to_end_cycles == reference.end_to_end_cycles
-            assert [s.allocations for s in result.program.segments] == [
-                s.allocations for s in reference.segments
+            assert [(s.operator_names, s.pairs) for s in result.program.segments] == [
+                (s.operator_names, s.pairs) for s in reference.segments
             ]
 
     def test_results_keep_input_order(self, small_chip):

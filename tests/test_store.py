@@ -621,8 +621,8 @@ class TestTwoTierCache:
         assert fresh.store.stats.hits == 1
         assert fresh.cache.stats.lookups == 0  # no window was even asked for
         assert warm.end_to_end_cycles == cold.end_to_end_cycles
-        assert [s.allocations for s in warm.segments] == [
-            s.allocations for s in cold.segments
+        assert [(s.operator_names, s.pairs) for s in warm.segments] == [
+            (s.operator_names, s.pairs) for s in cold.segments
         ]
 
     def test_corrupt_store_never_breaks_a_compile(self, small_chip, tiny_cnn_graph, tmp_path):
