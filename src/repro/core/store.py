@@ -69,6 +69,7 @@ import re
 import tempfile
 import threading
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -76,6 +77,7 @@ from ..hardware.deha import DualModeHardwareAbstraction
 from ..obs.metrics import registry_for
 from .clock import SYSTEM_CLOCK, Clock
 from .program import CompiledProgram, program_from_payload, program_to_payload
+from .segmentation import CompilerOptions
 
 __all__ = ["DiskCacheStore", "DiskStoreStats", "FORMAT_VERSION", "ProgramKey"]
 
@@ -103,6 +105,12 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 _ENTRY_RE = re.compile(r"^[0-9a-f]{64}\.json$")
 
+#: Every :class:`~repro.core.segmentation.CompilerOptions` field, sorted:
+#: the order of a :class:`ProgramKey`'s option values.
+_OPTION_NAMES = tuple(sorted(f.name for f in fields(CompilerOptions)))
+_option_values = attrgetter(*_OPTION_NAMES)
+_new = object.__new__
+
 
 class ProgramKey:
     """Identity of one compile: everything that determines its program.
@@ -112,30 +120,34 @@ class ProgramKey:
     deterministic), so the store may answer one with the other's
     program.
 
+    A key is one flat tuple — the graph digest, the hardware
+    fingerprint, the compiler's name, then every option value in
+    sorted-name order — hashed once and compared whole, so a
+    table lookup runs no Python per field.
+
     Attributes:
         payload: ``{"graph", "hardware", "options", "compiler"}`` — the
             SHA-256 of the graph's exact JSON serialisation
             (:meth:`~repro.ir.graph.Graph.digest`), the
             :meth:`DualModeHardwareAbstraction.fingerprint`, every
             compiler option (``generate_code`` included: it changes the
-            artefact) and the compiler's name.  Stored inside the entry
-            and compared on read; equality compares it whole.
+            artefact) and the compiler's name.  Rendered from the tuple
+            on first read — only the store reads it: stored inside the
+            entry, compared on read and digested.
     """
 
-    __slots__ = ("payload", "_hash", "_digest")
+    __slots__ = ("_identity", "_hash", "_payload", "_digest")
 
     def __init__(self, payload: Dict) -> None:
-        self.payload = payload
-        # A function of the payload alone, so equal keys hash equal; the
-        # options enter as a set of items, so their order does not count.
-        self._hash = hash(
-            (
-                payload["graph"],
-                payload["hardware"],
-                payload["compiler"],
-                frozenset(payload["options"].items()),
-            )
-        )
+        """The key a payload describes (its options in any order)."""
+        options = payload["options"]
+        if sorted(options) != list(_OPTION_NAMES):
+            raise ValueError(f"a key's options must be {_OPTION_NAMES}, got {sorted(options)}")
+        self._identity = identity = (
+            payload["graph"], payload["hardware"], payload["compiler"]
+        ) + tuple(options[name] for name in _OPTION_NAMES)
+        self._hash = hash(identity)
+        self._payload: Optional[Dict] = None
         self._digest: Optional[str] = None
 
     @classmethod
@@ -143,7 +155,7 @@ class ProgramKey:
         cls,
         graph_digest: str,
         hardware: DualModeHardwareAbstraction,
-        options,
+        options: CompilerOptions,
         compiler: str,
     ) -> "ProgramKey":
         """The key of compiling a graph for ``hardware`` under ``options``.
@@ -153,19 +165,36 @@ class ProgramKey:
         object (which seals it, so it cannot go stale), or remembered for
         a named model by the compile service's recipe memo, so a key
         needs no graph at hand.  ``options`` is the
-        :class:`~repro.core.compiler.CompilerOptions` dataclass the
-        compile will actually run with (defaults already substituted);
-        it is mutable in place, so it is read on every call — one
-        ``getattr`` per field, their values are scalars.
+        :class:`~repro.core.segmentation.CompilerOptions` the compile
+        will actually run with (defaults already substituted); it is
+        mutable in place, so it is read on every call, by one
+        :func:`operator.attrgetter` (the values are scalars).
         """
-        return cls(
-            {
-                "graph": graph_digest,
-                "hardware": hardware.fingerprint(),
-                "options": {f.name: getattr(options, f.name) for f in fields(options)},
+        # The body of __init__ without the payload: a hit is built here.
+        key = _new(cls)
+        key._identity = identity = (
+            graph_digest, hardware.fingerprint(), compiler
+        ) + _option_values(options)
+        key._hash = hash(identity)
+        key._payload = key._digest = None
+        return key
+
+    @property
+    def payload(self) -> Dict:
+        """The key as the store writes it (see the class docstring).
+
+        Rendered once, on first read; a key that is only looked up in
+        memory never renders it.
+        """
+        if self._payload is None:
+            graph, hardware, compiler, *values = self._identity
+            self._payload = {
+                "graph": graph,
+                "hardware": hardware,
+                "options": dict(zip(_OPTION_NAMES, values)),
                 "compiler": compiler,
             }
-        )
+        return self._payload
 
     @property
     def digest(self) -> str:
@@ -183,7 +212,7 @@ class ProgramKey:
         return self._digest
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ProgramKey) and self.payload == other.payload
+        return isinstance(other, ProgramKey) and self._identity == other._identity
 
     def __hash__(self) -> int:
         return self._hash

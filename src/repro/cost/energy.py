@@ -135,41 +135,56 @@ def estimate_energy(program) -> EnergyReport:
     """
     hardware = program.hardware
     parameters = EnergyParameters().scaled_for(hardware)
-    report = EnergyReport(graph_name=program.graph_name, block_repeat=program.block_repeat)
+    mac_pj = parameters.mac_pj
+    array_read_pj = parameters.array_read_pj_per_element
+    buffer_pj = parameters.buffer_pj_per_element
+    offchip_pj = parameters.offchip_pj_per_element
+    array_write_pj = parameters.array_write_pj_per_element
+    switch_pj = parameters.mode_switch_pj_per_array
+    d_extern = hardware.d_extern
+    array_capacity_elements = hardware.array_capacity_elements
+    buffer_elements = hardware.buffer_elements
+    per_switch = max(hardware.switch_latency_m2c, hardware.switch_latency_c2m, 1)
+    # Each category is a local running sum, written to the report once:
+    # the same additions in the same order as adding into the report.
+    compute = array_access = weight_write = buffer = offchip = mode_switch = 0.0
 
     for segment in program.segments:
         for profile, (_, memory_arrays) in zip(segment.profiles, segment.pairs):
-            report.compute_pj += profile.macs * parameters.mac_pj
+            compute += profile.macs * mac_pj
 
             streamed = profile.streamed_elements
-            array_capacity = memory_arrays * hardware.array_capacity_elements
+            array_capacity = memory_arrays * array_capacity_elements
             in_arrays = min(streamed, array_capacity)
             remaining = streamed - in_arrays
-            in_buffer = min(remaining, hardware.buffer_elements)
-            offchip = remaining - in_buffer
-            report.array_access_pj += in_arrays * parameters.array_read_pj_per_element
-            report.buffer_pj += in_buffer * parameters.buffer_pj_per_element
-            report.offchip_pj += offchip * parameters.offchip_pj_per_element
+            in_buffer = min(remaining, buffer_elements)
+            array_access += in_arrays * array_read_pj
+            buffer += in_buffer * buffer_pj
+            offchip += (remaining - in_buffer) * offchip_pj
 
             if profile.has_static_weight:
-                report.weight_write_pj += (
-                    profile.weight_elements * parameters.array_write_pj_per_element
-                )
+                weight_write += profile.weight_elements * array_write_pj
                 # Weights arrive from main memory once per segment execution.
-                report.offchip_pj += profile.weight_elements * parameters.offchip_pj_per_element
+                offchip += profile.weight_elements * offchip_pj
 
         # Inter-segment write-back traffic (store + reload across the link).
         writeback_cycles = segment.inter_breakdown.get("writeback", 0.0)
-        writeback_elements = writeback_cycles * hardware.d_extern / 2.0
-        report.offchip_pj += 2.0 * writeback_elements * parameters.offchip_pj_per_element
+        writeback_elements = writeback_cycles * d_extern / 2.0
+        offchip += 2.0 * writeback_elements * offchip_pj
 
         # Mode switches: count switched arrays from the aggregate plan.
         switch_cycles = segment.inter_breakdown.get("mode_switch", 0.0)
-        per_switch = max(hardware.switch_latency_m2c, hardware.switch_latency_c2m, 1)
-        report.mode_switch_pj += (
-            switch_cycles / per_switch
-        ) * parameters.mode_switch_pj_per_array
+        mode_switch += (switch_cycles / per_switch) * switch_pj
 
-    report.leakage_pj = program.graph_cycles * parameters.leakage_pj_per_cycle
-    return report
+    return EnergyReport(
+        graph_name=program.graph_name,
+        compute_pj=compute,
+        array_access_pj=array_access,
+        weight_write_pj=weight_write,
+        buffer_pj=buffer,
+        offchip_pj=offchip,
+        mode_switch_pj=mode_switch,
+        leakage_pj=program.graph_cycles * parameters.leakage_pj_per_cycle,
+        block_repeat=program.block_repeat,
+    )
 

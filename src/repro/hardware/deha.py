@@ -251,13 +251,18 @@ class DualModeHardwareAbstraction:
 
         Decoded JSON may carry anything, and every cost model reads the
         numeric fields as floats: each must be an ``int`` or ``float``
-        (not a ``bool``) that a float holds, so no NaN or infinity.
+        (not a ``bool``) that a float holds, so no NaN or infinity.  The
+        preset name and the two switch methods are printed as text, so
+        each must be a ``str``.
         """
         values = [data[name] for name in _NUMERIC_FIELDS if name in data]
         if set(map(type, values)) - {int, float} or not all(
             map(sys.float_info.max.__ge__, map(abs, values))
         ):
             raise ValueError(f"numeric hardware fields must be finite numbers: {values!r}")
+        for name in _TEXT_FIELDS:
+            if name in data and type(data[name]) is not str:
+                raise ValueError(f"hardware field {name!r} must be a string, got {data[name]!r}")
         return cls(**data)
 
     def summary(self) -> str:
@@ -278,9 +283,9 @@ class DualModeHardwareAbstraction:
         return "\n".join(lines)
 
 
-#: Every field but the preset name and the two free-text notes.
+#: The preset name and the two free-text notes.
+_TEXT_FIELDS = ("name", "switch_method_m2c", "switch_method_c2m")
+#: Every other field.
 _NUMERIC_FIELDS = tuple(
-    f.name
-    for f in fields(DualModeHardwareAbstraction)
-    if f.name not in ("name", "switch_method_m2c", "switch_method_c2m")
+    f.name for f in fields(DualModeHardwareAbstraction) if f.name not in _TEXT_FIELDS
 )

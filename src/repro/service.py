@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -233,16 +233,20 @@ class CompileJobResult:
 def _private(program: CompiledProgram) -> CompiledProgram:
     """A copy that shares no top-level container with ``program``.
 
-    The :class:`~repro.core.program.SegmentPlan` objects, the hardware
-    and the meta-operator flow are shared: nothing mutates them once a
+    One copy of the instance ``__dict__`` (the way :mod:`copy` rebuilds
+    an object: no dataclass reflection, no ``__init__``) with a fresh
+    ``segments`` list and fresh ``stats`` and ``metadata`` dicts.  The
+    :class:`~repro.core.program.SegmentPlan` objects, the hardware and
+    the meta-operator flow are shared: nothing mutates them once a
     compile has returned.
     """
-    return replace(
-        program,
-        segments=list(program.segments),
-        stats=dict(program.stats),
-        metadata=dict(program.metadata),
-    )
+    state = program.__dict__.copy()
+    state["segments"] = list(program.segments)
+    state["stats"] = dict(program.stats)
+    state["metadata"] = dict(program.metadata)
+    copy = object.__new__(type(program))
+    copy.__dict__ = state
+    return copy
 
 
 class ProgramTable:
@@ -250,7 +254,7 @@ class ProgramTable:
 
     The in-memory tier of :meth:`CompileService.compile_graph`, keyed by
     the same :class:`~repro.core.store.ProgramKey` as the on-disk one —
-    whose ``__eq__`` compares the full payload, so a digest collision is
+    whose ``__eq__`` compares the whole key tuple, so a digest collision is
     a miss here exactly as it is there.  Both bounds evict
     least-recently-used first; a program that alone exceeds the segment
     budget is not stored.  The table's own object is never handed out:

@@ -57,19 +57,20 @@ CHUNK_ELEMENTS = 64 * 1024
 SCALE = 0.1
 
 
-def deterministic_tensor(spec: TensorSpec, seed: int = 0) -> np.ndarray:
+def deterministic_tensor(spec: TensorSpec) -> np.ndarray:
     """Deterministic pseudo-random float32 tensor for a spec.
 
-    The same (name, shape, seed) yields the same data in every process (a
-    CRC-32 seed, not the salted ``hash()``), so compiled programs and
-    reference runs see identical inputs without storing any dataset.
+    The same (name, shape) yields the same data in every process (a
+    CRC-32 of ``repr((name, shape, 0))``, not the salted ``hash()``), so
+    compiled programs and reference runs see identical inputs without
+    storing any dataset.
 
     The values are ``(rng.standard_normal(shape) * SCALE)`` cast to
     float32, bit for bit, but drawn :data:`CHUNK_ELEMENTS` at a time into
     the output: the generator's stream does not depend on how it is cut.
     """
     shape = tuple(int(d) for d in spec.shape)
-    canonical = repr((spec.name, shape, int(seed)))
+    canonical = repr((spec.name, shape, 0))
     rng = np.random.default_rng(zlib.crc32(canonical.encode("utf-8")))
     out = np.empty(shape, dtype=np.float32)
     flat = out.reshape(-1)

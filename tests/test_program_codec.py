@@ -46,6 +46,7 @@ from repro.core.store import FORMAT_VERSION, ProgramKey
 from repro.cost.arithmetic import OperatorProfile
 from repro.cost.energy import estimate_energy
 from repro.cost.switching import SegmentResources
+from repro.hardware import DualModeHardwareAbstraction
 from repro.models.workload import Workload
 from repro.serve.wire import (
     WIRE_VERSION,
@@ -427,6 +428,26 @@ class TestHardwareOncePerPayload:
         program_from_payload(payload)
         with pytest.raises(ProgramFormatError, match="hardware"):
             program_from_payload(_hardware(payload, num_arrays=[8]))
+
+    @pytest.mark.parametrize("value", [[1], 7, None], ids=["list", "int", "null"])
+    @pytest.mark.parametrize("field", ["name", "switch_method_m2c", "switch_method_c2m"])
+    def test_a_text_field_is_a_string(self, compiled_tiny_cnn, tmp_path, field, value):
+        """The preset name and the switch methods are printed as text:
+        anything but a string is refused by ``from_dict``, by the decoder
+        and, as a counted corrupt miss, by the store."""
+        payload = program_to_payload(compiled_tiny_cnn)
+        mangled = _hardware(payload, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            DualModeHardwareAbstraction.from_dict(mangled["hardware"])
+        with pytest.raises(ProgramFormatError, match=field):
+            program_from_payload(mangled)
+        store = DiskCacheStore(tmp_path)
+        key = ProgramKey.build("0" * 64, compiled_tiny_cnn.hardware, CompilerOptions(), "cmswitch")
+        store.put(key, compiled_tiny_cnn)
+        path = tmp_path / key.digest[:2] / f"{key.digest}.json"
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**entry, "program": mangled}), encoding="utf-8")
+        assert store.get(key) is None and store.stats.corrupt_entries == 1
 
     @pytest.mark.parametrize(
         "field, kept, other",

@@ -42,14 +42,15 @@ from repro.ir import GraphBuilder, TensorSpec
 
 class TestDeterministicTensors:
     def test_same_spec_same_data(self):
-        spec = TensorSpec("x", (4, 5))
-        a = deterministic_tensor(spec, seed=1)
-        b = deterministic_tensor(spec, seed=1)
+        a = deterministic_tensor(TensorSpec("x1", (4, 5)))
+        b = deterministic_tensor(TensorSpec("x1", (4, 5)))
         np.testing.assert_array_equal(a, b)
 
-    def test_different_seed_different_data(self):
-        spec = TensorSpec("x", (4, 5))
-        assert not np.array_equal(deterministic_tensor(spec, 1), deterministic_tensor(spec, 2))
+    def test_different_name_different_data(self):
+        assert not np.array_equal(
+            deterministic_tensor(TensorSpec("x1", (4, 5))),
+            deterministic_tensor(TensorSpec("x2", (4, 5))),
+        )
 
     def test_shape_matches_spec(self):
         spec = TensorSpec("x", (2, 3, 4))
@@ -66,7 +67,7 @@ class TestDeterministicTensors:
             "import sys\n"
             "from repro.ir import TensorSpec\n"
             "from repro.sim import deterministic_tensor\n"
-            "sys.stdout.write(deterministic_tensor(TensorSpec('w', (2, 2)), seed=3).tobytes().hex())\n"
+            "sys.stdout.write(deterministic_tensor(TensorSpec('w3', (2, 2))).tobytes().hex())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         outputs = {
@@ -78,7 +79,7 @@ class TestDeterministicTensors:
             for salt in ("1", "2")
         }
         assert len(outputs) == 1
-        expected = deterministic_tensor(TensorSpec("w", (2, 2)), seed=3)
+        expected = deterministic_tensor(TensorSpec("w3", (2, 2)))
         assert outputs == {expected.tobytes().hex()}
 
     @pytest.mark.parametrize(
@@ -92,10 +93,10 @@ class TestDeterministicTensors:
         import zlib
 
         # TensorSpec refuses a zero dimension; the draw takes any named shape.
-        spec = SimpleNamespace(name="w", shape=shape) if 0 in shape else TensorSpec("w", shape)
-        rng = np.random.default_rng(zlib.crc32(repr(("w", shape, 5)).encode("utf-8")))
+        spec = SimpleNamespace(name="w5", shape=shape) if 0 in shape else TensorSpec("w5", shape)
+        rng = np.random.default_rng(zlib.crc32(repr(("w5", shape, 0)).encode("utf-8")))
         expected = np.asarray((rng.standard_normal(shape) * 0.1).astype(np.float32))
-        got = deterministic_tensor(spec, seed=5)
+        got = deterministic_tensor(spec)
         assert got.dtype == np.float32 and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 

@@ -15,6 +15,7 @@ property in ``tests/test_corpus.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import functools
 import hashlib
@@ -22,6 +23,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -495,6 +497,59 @@ class TestProgramKey:
             session.compile(graph)  # store miss, then put: one key, one digest
             session.compile(graph)  # table hit
         assert len(digests_rendered) == 1
+
+    def test_a_payload_names_every_option_or_is_refused(self):
+        options = asdict(CompilerOptions())
+        del options["refine"]
+        with pytest.raises(ValueError, match="options"):
+            _key(options=options)
+        with pytest.raises(ValueError, match="options"):
+            _key(options={**asdict(CompilerOptions()), "unknown": 1})
+
+    @pytest.fixture
+    def reflections(self, monkeypatch):
+        """Every ``dataclasses.fields`` / ``dataclasses.replace`` call made
+        through any name a ``repro`` module (or ``dataclasses``) binds them
+        to, and every key payload rendered."""
+        calls = []
+        modules = [dataclasses] + [
+            module for name, module in list(sys.modules.items())
+            if name == "repro" or name.startswith("repro.")
+        ]
+        for function in (dataclasses.fields, dataclasses.replace):
+
+            def counting(*args, _function=function, **kwargs):
+                calls.append(_function.__name__)
+                return _function(*args, **kwargs)
+
+            for module in modules:
+                for name, value in list(vars(module).items()):
+                    if value is function:
+                        monkeypatch.setattr(module, name, counting)
+        payload = ProgramKey.__dict__["payload"]
+
+        def rendered(key):
+            calls.append("payload")
+            return payload.__get__(key, ProgramKey)
+
+        # The setter keeps a key whose payload is a plain slot working.
+        monkeypatch.setattr(
+            ProgramKey, "payload", property(rendered, getattr(payload, "__set__", None))
+        )
+        return calls
+
+    def test_a_table_hit_reflects_on_no_dataclass_and_renders_no_payload(self, reflections):
+        """A hit is a tuple lookup and one shallow copy: no options dict,
+        no ``dataclasses.fields``, no ``dataclasses.replace``."""
+        graph = build_model("tiny-mlp", Workload(batch_size=1))
+        with Session(hardware="small-test-chip") as session:
+            cold = session.compile(graph)
+            reflections.clear()
+            warm = session.compile(graph)
+        assert warm.stats["allocator_solves"] == 0 and reflections == []
+        assert warm.fingerprint() == cold.fingerprint()
+        assert warm.segments is not cold.segments and warm.stats is not cold.stats
+        assert warm.metadata is not cold.metadata and vars(warm).keys() == vars(cold).keys()
 
 
 class TestClockDrivenGC:
